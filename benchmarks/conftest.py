@@ -10,9 +10,12 @@ At the end of the session a machine-readable ``BENCH_*.json`` document
 (schema ``repro-bench/1``, see :mod:`repro.experiments.benchjson`) is
 written, combining the explicit kernel hot-path timings recorded by
 ``test_kernel_hotpaths.py`` with the per-test wall-clock numbers collected
-by ``pytest-benchmark``.  CI uploads the file as an artifact so kernel
-speedups are tracked across PRs; override the location with the
-``BENCH_JSON`` environment variable.
+by ``pytest-benchmark``.  It goes where the ``BENCH_JSON`` environment
+variable points (CI sets it and uploads the file as an artifact so kernel
+speedups are tracked across PRs) and otherwise under pytest's temporary
+directory: a test run never touches the committed
+``benchmarks/BENCH_results.json``, which only the explicit refresh command
+of ``docs/benchmarks.md`` rewrites.
 
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks the suite to its smallest scale
 (used by the CI ``benchmarks-smoke`` job, which runs under a wall-clock
@@ -72,6 +75,16 @@ def record_timing(
     _TIMING_RECORDS[name] = {"seconds": seconds, "group": group, **extra}
     if replaces:
         _HARVEST_EXCLUDE.add(replaces)
+
+
+#: where this session's artifact goes when ``BENCH_JSON`` is unset
+_DEFAULT_ARTIFACT: list[str] = []
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _default_artifact_path(tmp_path_factory):
+    """Reserve a path under pytest's temporary directory for the artifact."""
+    _DEFAULT_ARTIFACT.append(str(tmp_path_factory.mktemp("bench") / "BENCH_results.json"))
 
 
 @pytest.fixture(scope="session")
@@ -139,10 +152,7 @@ def pytest_sessionfinish(session, exitstatus):
             scenarios[name] = get_scenario(name).describe()
         except KeyError:  # pragma: no cover - stale tag in a timing record
             pass
-    path = os.environ.get(
-        "BENCH_JSON",
-        os.path.join(os.path.dirname(__file__), "BENCH_results.json"),
-    )
+    path = os.environ.get("BENCH_JSON") or _DEFAULT_ARTIFACT[0]
     try:
         write_bench_json(path, timings, BENCH_SCALE, scenarios=scenarios)
     except OSError as error:  # pragma: no cover - read-only checkout etc.

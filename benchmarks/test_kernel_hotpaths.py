@@ -17,6 +17,8 @@ These are the acceptance metrics tracked across PRs through the emitted
   ``compare_bench.py`` inverts the regression direction for it).
 * ``box_bfs_events_per_sec`` — the box-reachability BFS over a fully
   concurrent box, compiled vs interpreted, as hit by token returns.
+* ``serve_entry`` — token serving: one entry scanning a 2 000-event local
+  history, in events scanned per second.
 * ``monitoring_end_to_end_compiled`` / ``_interpreted`` — one full sweep
   cell with the kernel flag on and off; the cell metrics must be
   byte-identical, only the wall clock may differ.
@@ -38,6 +40,8 @@ from repro.core.global_view import GlobalView
 from repro.core.messages import TokenEntry
 from repro.core.monitor import DecentralizedMonitor
 from repro.core.transport import LoopbackNetwork
+from repro.distributed.clocks import VectorClock
+from repro.distributed.events import Event, EventKind
 from repro.experiments import DEFAULT_SCALE, run_monitoring_experiment
 from repro.experiments.benchjson import SEED_BASELINE_SECONDS
 from repro.experiments.engine import run_scenario_cell
@@ -209,9 +213,8 @@ def _fully_concurrent_box(monitor, automaton, registry, side):
     )
     columns = _per_process_letters(n, side, seed=7)
     for j in range(n):
-        for sn in range(1, side + 1):
-            vc = tuple(sn if k == j else 0 for k in range(n))
-            entry.record_scan(j, sn, columns[j][sn - 1], vc)
+        vcs = [tuple(sn if k == j else 0 for k in range(n)) for sn in range(1, side + 1)]
+        entry.record_scan(j, 1, columns[j], vcs)
     return view, entry
 
 
@@ -258,6 +261,62 @@ def test_box_bfs_events_per_sec():
             cells=cells * iterations,
             events_per_sec=cells * iterations / elapsed,
         )
+
+
+@pytest.mark.benchmark(group="compiled-kernel")
+def test_serve_entry_events_per_sec():
+    """Token serving in isolation: one entry scanning a whole local history.
+
+    The entry must reach the end of a 2 000-event history (a repair-style
+    position bound, no conjunct), so one ``_serve_entry`` call scans every
+    event; the recorded unit is events scanned per second.
+    """
+    history = 2_000
+    iterations = 5 if _SMOKE else 50
+    n = 3
+    automaton = case_study_monitor("C", n)
+    registry = case_study_registry(n)
+    monitor = DecentralizedMonitor(
+        process=0,
+        num_processes=n,
+        automaton=automaton,
+        registry=registry,
+        initial_letters=[registry.local_letter(j, {}) for j in range(n)],
+        transport=LoopbackNetwork(),
+    )
+    rng = random.Random(11)
+    for sn in range(1, history + 1):
+        state = {"p": rng.random() < 0.5, "q": rng.random() < 0.5}
+        clock = VectorClock((sn, sn // 3, sn // 7))
+        monitor.local_event(Event(0, sn, EventKind.INTERNAL, clock, state))
+    entries = [
+        TokenEntry(
+            transition_id=None,
+            guard={},
+            conjuncts=[{} for _ in range(n)],
+            start_cut=[0] * n,
+            cut=[0] * n,
+            depend=[0] * n,
+            min_positions=[history, 0, 0],
+            satisfied=[True] * n,
+        )
+        for _ in range(iterations)
+    ]
+    start = time.perf_counter()
+    for entry in entries:
+        monitor._serve_entry(entry)
+    elapsed = time.perf_counter() - start
+    for entry in entries:
+        assert entry.cut == [history, 0, 0]
+        assert len(entry.scanned_vcs[0]) == history
+        assert entry.depend == [history, history // 3, history // 7]
+    record_timing(
+        "serve_entry",
+        elapsed,
+        group="compiled-kernel",
+        events=history * iterations,
+        events_per_sec=history * iterations / elapsed,
+    )
 
 
 @pytest.mark.benchmark(group="compiled-kernel")

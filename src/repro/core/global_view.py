@@ -73,13 +73,6 @@ class GlobalView:
             result |= letter
         return frozenset(result)
 
-    def letter_with(self, process: int, letter: Letter) -> Letter:
-        """The global letter with *process*'s component replaced."""
-        result: set = set()
-        for j, existing in enumerate(self.letters):
-            result |= letter if j == process else existing
-        return frozenset(result)
-
     def signature(self) -> tuple[int, tuple[int, ...]]:
         """Merging key: views with equal signatures are duplicates."""
         return (self.state, tuple(self.cut))

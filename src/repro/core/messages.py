@@ -11,7 +11,7 @@ an inconsistent global view.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 __all__ = ["TokenEntry", "Token", "TerminationNotice", "VerdictAnnouncement"]
@@ -103,22 +103,26 @@ class TokenEntry:
                 lagging.append(j)
         return lagging
 
-    def pending_targets(self) -> list[int]:
-        """Processes this entry still needs to visit (empty once decided)."""
-        if self.eval is not None:
-            return []
-        return self.lagging_processes()
+    def record_scan(
+        self,
+        process: int,
+        first_sn: int,
+        letters: Sequence[Letter],
+        vcs: Sequence[tuple[int, ...]],
+    ) -> None:
+        """Record a run of consecutive scanned events of *process*.
 
-    def try_finalize(self) -> None:
-        """Mark the entry successful once nothing is pending."""
-        if self.eval is None and not self.pending_targets():
-            self.eval = True
-
-    def record_scan(self, process: int, sn: int, letter: Letter, vc: tuple[int, ...]) -> None:
-        """Record one scanned remote event and fold its clock into depend."""
-        self.scanned_letters.setdefault(process, {})[sn] = letter
-        self.scanned_vcs.setdefault(process, {})[sn] = tuple(vc)
-        self.depend = [max(a, b) for a, b in zip(self.depend, vc)]
+        ``letters[i]`` / ``vcs[i]`` belong to event ``first_sn + i``.  A
+        process's clocks only grow from one event to the next, so folding
+        the run's last clock into ``depend`` folds all of them.
+        """
+        sns = range(first_sn, first_sn + len(letters))
+        self.scanned_letters.setdefault(process, {}).update(zip(sns, letters))
+        self.scanned_vcs.setdefault(process, {}).update(zip(sns, vcs))
+        depend = self.depend
+        for k, component in enumerate(vcs[-1]):
+            if component > depend[k]:
+                depend[k] = component
 
 
 @dataclass
@@ -144,20 +148,6 @@ class Token:
     def all_decided(self) -> bool:
         """Whether every entry has been evaluated (token may return)."""
         return not self.undecided_entries()
-
-    def targets(self) -> list[int]:
-        """Union of processes still needed by undecided entries."""
-        targets = set()
-        for entry in self.undecided_entries():
-            targets.update(entry.pending_targets())
-        return sorted(targets)
-
-    def parked_targets(self) -> list[int]:
-        """Processes known to have nothing actionable for this token yet."""
-        parked = set()
-        for entry in self.undecided_entries():
-            parked |= entry.waiting_for
-        return sorted(parked)
 
 
 @dataclass(frozen=True)

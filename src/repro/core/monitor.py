@@ -14,26 +14,15 @@ Each program process ``P_i`` is composed with a monitor process ``M_i`` that
   declares ⊤/⊥ verdicts as soon as a traced path reaches a conclusive
   automaton state.
 
-Differences from the thesis pseudo-code (documented in DESIGN.md):
-
-* Views buffer local events only while a token is outstanding (the paper's
-  ``waiting`` status); the pending-queue is implicit because local history is
-  kept anyway.
-* When a token returns, the parent does not only fork the transition's
-  target state: it replays **all interleavings inside the box** between the
-  view's cut and the cut found by the token (the letters and vector clocks
-  of every scanned event travel with the token), forking one view per
-  reachable automaton state.  This makes the implementation sound by
-  construction — every forked view corresponds to a real lattice path — and
-  strengthens completeness.
-* Inconsistent views (a local receive event that causally depends on remote
-  events the view has not incorporated) are repaired eagerly with a
-  dedicated repair token rather than being tracked with stale remote data.
+Where this departs from the thesis pseudo-code (implicit pending queue, box
+replay on token return, eager repair of inconsistent views) and how the two
+hot loops — token serving and box search — are built is described in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from dataclasses import dataclass
 
@@ -73,6 +62,9 @@ def verdict_divergence(
 #: monitor falls back to a single topologically-sorted interleaving.
 _BOX_CELL_LIMIT = 20_000
 
+#: bound on a monitor's (state set, letter) -> state set image cache
+_IMAGE_CACHE_LIMIT = 1 << 16
+
 
 @dataclass
 class MonitorMetrics:
@@ -91,6 +83,11 @@ class MonitorMetrics:
     max_active_views: int = 0
     delayed_events: int = 0
     token_hops_served: int = 0
+    #: boxes replayed for returned entries, and how many of them exceeded
+    #: ``_BOX_CELL_LIMIT`` and were replayed along one linearisation only
+    #: (sound, but verdicts reachable on other interleavings are missed)
+    box_queries: int = 0
+    box_linear_fallbacks: int = 0
 
     @property
     def messages_sent(self) -> int:
@@ -113,6 +110,16 @@ def _satisfies(letter: Letter, conjunct: Mapping[str, bool]) -> bool:
         if (atom in letter) != required:
             return False
     return True
+
+
+def _states_of(bits: int) -> Iterator[int]:
+    """The members of a state bitset, in ascending order."""
+    state = 0
+    while bits:
+        if bits & 1:
+            yield state
+        bits >>= 1
+        state += 1
 
 
 class DecentralizedMonitor:
@@ -181,14 +188,26 @@ class DecentralizedMonitor:
             topology if topology is not None else RoundRobinToken(num_processes)
         )
         self._compiled = automaton.compiled if use_compiled_kernel else None
+        #: letters are integer bitmasks under both kernels: the compiled
+        #: machine fixes the bit of each atom, the interpreted kernel hands
+        #: one out to every atom it meets
+        self._atom_bit: dict[str, int] = {}
         self._mask_cache: dict[Letter, int] = {}
+        #: ``letter_mask << num_states | state_bits`` -> successor state bits
+        self._image_cache: dict[int, int] = {}
+        self._num_states = automaton.num_states
+        self._final_bits = sum(
+            1 << state for state in automaton.states if automaton.is_final(state)
+        )
         self.metrics = MonitorMetrics()
         #: duplicate suppression for flooded digests (tree/gossip forwarding)
         self._seen_notices: set[TerminationNotice] = set()
         self._seen_announcements: set[VerdictAnnouncement] = set()
 
-        self.history: dict[int, Event] = {}
-        self.local_letters: dict[int, Letter] = {0: self.initial_letters[process]}
+        #: this process's own events as columns indexed by sequence number
+        #: (position 0 is the initial state): letter and vector clock
+        self.local_letters: list[Letter] = [self.initial_letters[process]]
+        self.local_vcs: list[tuple[int, ...]] = [(0,) * num_processes]
         self.last_local_sn = 0
         self.local_terminated = False
         #: final event count of each process, once known
@@ -229,15 +248,8 @@ class DecentralizedMonitor:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _combine(letters: Iterable[Letter]) -> Letter:
-        result: set = set()
-        for letter in letters:
-            result |= letter
-        return frozenset(result)
-
     def _mask_of(self, letter: Letter) -> int:
-        """Bitmask of a per-process letter under the compiled machine.
+        """Bitmask of a per-process letter.
 
         Masks of letters seen are cached (bounded, mirroring the projection
         cache of :meth:`repro.ltl.dfa.MooreMachine.step`) so the hot path is
@@ -245,26 +257,56 @@ class DecentralizedMonitor:
         """
         mask = self._mask_cache.get(letter)
         if mask is None:
-            mask = self._compiled.encode(letter)  # type: ignore[union-attr]
+            if self._compiled is not None:
+                mask = self._compiled.encode(letter)
+            else:
+                bits = self._atom_bit
+                mask = 0
+                for atom in letter:
+                    mask |= bits.setdefault(atom, 1 << len(bits))
             if len(self._mask_cache) < 4096:
                 self._mask_cache[letter] = mask
         return mask
 
-    def _step_combined(self, state: int, letters: Iterable[Letter]) -> int:
-        """Step the automaton on the combination of per-process letters.
+    def _step_mask(self, state: int, mask: int) -> int:
+        """Successor of *state* on a global letter bitmask.
 
-        The compiled path OR-combines letter bitmasks and indexes the dense
-        table; the interpreted path unions frozensets and steps the Moore
-        machine.  Both produce the same successor state.
+        The one place the two kernels differ: the compiled machine indexes
+        its dense table, the interpreted one decodes the mask and steps the
+        Moore machine.  Both produce the same successor state.
         """
-        compiled = self._compiled
-        if compiled is not None:
-            mask = 0
-            mask_of = self._mask_of
-            for letter in letters:
-                mask |= mask_of(letter)
-            return compiled.step(state, mask)
-        return self.automaton.step(state, self._combine(letters))
+        if self._compiled is not None:
+            return self._compiled.step(state, mask)
+        letter = frozenset(atom for atom, bit in self._atom_bit.items() if mask & bit)
+        return self.automaton.step(state, letter)
+
+    def _step_combined(self, state: int, letters: Iterable[Letter]) -> int:
+        """Step the automaton on the combination of per-process letters."""
+        mask = 0
+        mask_of = self._mask_of
+        for letter in letters:
+            mask |= mask_of(letter)
+        return self._step_mask(state, mask)
+
+    def _image(self, key: int) -> int:
+        """Image-cache miss: step every state of a state set through a letter.
+
+        *key* is ``letter_mask << num_states | state_bits``; the result is
+        the bitset of successor states.
+        """
+        mask = key >> self._num_states
+        image = 0
+        for state in _states_of(key & ((1 << self._num_states) - 1)):
+            image |= 1 << self._step_mask(state, mask)
+        if len(self._image_cache) < _IMAGE_CACHE_LIMIT:
+            self._image_cache[key] = image
+        return image
+
+    def _declare_reached(self, states: int) -> None:
+        """Declare the conclusive states of a bitset, in ascending order."""
+        for state in _states_of(states & self._final_bits):
+            if state not in self.declared_states:
+                self._declare(state)
 
     def _declare(self, state: int) -> None:
         verdict = self.automaton.verdict(state)
@@ -286,9 +328,6 @@ class DecentralizedMonitor:
             if target != self.process:
                 self.transport.send(self.process, target, announcement)
                 self.metrics.digest_messages_sent += 1
-
-    def _local_letter(self, sn: int) -> Letter:
-        return self.local_letters[sn]
 
     # ------------------------------------------------------------------
     # public entry points
@@ -313,13 +352,18 @@ class DecentralizedMonitor:
             raise ValueError(
                 f"monitor {self.process} received event of process {event.process}"
             )
+        if event.sn != len(self.local_letters):
+            raise ValueError(
+                f"monitor {self.process} expected event {len(self.local_letters)}, "
+                f"got event {event.sn}"
+            )
         if not self._started:
             self.start()
         self.metrics.events_processed += 1
-        self.history[event.sn] = event
-        self.local_letters[event.sn] = self.registry.local_letter(
-            self.process, event.state
+        self.local_letters.append(
+            self.registry.local_letter(self.process, event.state)
         )
+        self.local_vcs.append(tuple(event.vc))
         self.last_local_sn = event.sn
 
         waiting_views = [v for v in self.views if v.is_waiting()]
@@ -434,34 +478,30 @@ class DecentralizedMonitor:
             view.status == ViewStatus.UNBLOCKED
             and view.cut[self.process] < self.last_local_sn
         ):
-            event = self.history[view.cut[self.process] + 1]
-            self._step_view(view, event)
+            self._step_view(view, view.cut[self.process] + 1)
 
-    def _step_view(self, view: GlobalView, event: Event) -> None:
-        """Advance *view* by one local event (PROCESSEVENT)."""
+    def _step_view(self, view: GlobalView, sn: int) -> None:
+        """Advance *view* by local event *sn* (PROCESSEVENT)."""
+        mine = self.process
+        vc = self.local_vcs[sn]
         lagging = [
             j
             for j in range(self.num_processes)
-            if j != self.process and event.vc[j] > view.cut[j]
+            if j != mine and vc[j] > view.cut[j]
         ]
         if lagging:
-            self._create_repair_token(view, event, lagging)
+            self._create_repair_token(view, sn, vc, lagging)
             return
 
-        letter_local = self._local_letter(event.sn)
-        if self._compiled is not None:
-            mask = self._mask_of(letter_local)
-            mask_of = self._mask_of
-            mine = self.process
-            for j, letter in enumerate(view.letters):
-                if j != mine:
-                    mask |= mask_of(letter)
-            new_state = self._compiled.step(view.state, mask)
-        else:
-            global_letter = view.letter_with(self.process, letter_local)
-            new_state = self.automaton.step(view.state, global_letter)
-        view.cut[self.process] = event.sn
-        view.letters[self.process] = letter_local
+        letter_local = self.local_letters[sn]
+        mask_of = self._mask_of
+        mask = mask_of(letter_local)
+        for j, letter in enumerate(view.letters):
+            if j != mine:
+                mask |= mask_of(letter)
+        new_state = self._step_mask(view.state, mask)
+        view.cut[mine] = sn
+        view.letters[mine] = letter_local
         view.state = new_state
         if self.automaton.is_final(new_state):
             self._declare(new_state)
@@ -542,7 +582,7 @@ class DecentralizedMonitor:
         view.status = ViewStatus.WAITING
         view.outstanding_token = token.token_id
         self._outstanding[token.token_id] = view
-        self._dispatch_token(token)
+        self._serve_token(token)
 
     def _make_entry(
         self,
@@ -570,13 +610,13 @@ class DecentralizedMonitor:
         return entry
 
     def _create_repair_token(
-        self, view: GlobalView, event: Event, lagging: list[int]
+        self, view: GlobalView, sn: int, vc: tuple[int, ...], lagging: list[int]
     ) -> None:
         """Pull the view up to the causal past of an out-of-order local event."""
         n = self.num_processes
         min_positions = list(view.cut)
         for j in lagging:
-            min_positions[j] = event.vc[j]
+            min_positions[j] = vc[j]
         entry = TokenEntry(
             transition_id=None,
             guard={},
@@ -591,7 +631,7 @@ class DecentralizedMonitor:
         token = Token(
             parent_process=self.process,
             parent_view=view.view_id,
-            parent_event_sn=event.sn,
+            parent_event_sn=sn,
             entries=[entry],
         )
         self.metrics.tokens_created += 1
@@ -599,53 +639,70 @@ class DecentralizedMonitor:
         view.status = ViewStatus.WAITING
         view.outstanding_token = token.token_id
         self._outstanding[token.token_id] = view
-        self._dispatch_token(token)
+        self._serve_token(token)
 
     # ------------------------------------------------------------------
     # token service and routing (PROCESSTOKEN / EVALUATETOKEN / SENDTONEXTPROCESS)
     # ------------------------------------------------------------------
     def _serve_token(self, token: Token) -> None:
+        """Serve the token's undecided entries from local history, route it."""
+        pending: list[tuple[TokenEntry, list[int]]] = []
         for entry in token.undecided_entries():
-            if self.process in entry.pending_targets():
-                self._serve_entry(entry)
-            entry.try_finalize()
-        self._route_token(token)
-
-    def _serve_entry(self, entry: TokenEntry) -> None:
-        """Advance the entry using this monitor's local history."""
-        j = self.process
-        conjunct = entry.conjuncts[j]
-        entry.waiting_for.discard(j)
-        progressed = False
-        while True:
-            target_min = max(entry.depend[j], entry.min_positions[j])
-            needs_position = entry.cut[j] < target_min
-            needs_conjunct = bool(conjunct) and not entry.satisfied[j]
-            if not needs_position and not needs_conjunct:
-                entry.parked_on = None
-                break
-            next_sn = entry.cut[j] + 1
-            if next_sn > self.last_local_sn:
-                if self.local_terminated:
-                    entry.eval = False
-                    entry.parked_on = None
+            self._serve_entry(entry)
+            if entry.eval is None:
+                lagging = entry.lagging_processes()
+                if lagging:
+                    pending.append((entry, lagging))
                 else:
-                    entry.parked_on = j
-                    entry.waiting_for.add(j)
-                break
-            event = self.history[next_sn]
-            letter = self._local_letter(next_sn)
-            entry.record_scan(j, next_sn, letter, tuple(event.vc))
-            entry.cut[j] = next_sn
-            entry.letters[j] = letter
-            entry.satisfied[j] = _satisfies(letter, conjunct) if conjunct else True
-            progressed = True
-            # loop: keep advancing until both the position bound and the
-            # conjunct are satisfied (the bound may have grown via depend)
-        if progressed:
+                    entry.eval = True
+        self._route_token(token, pending)
+
+    def _serve_entry(self, entry: TokenEntry) -> bool:
+        """Advance the entry over this monitor's own events, in one shot.
+
+        Returns ``False`` (entry untouched) when this process is not among
+        the ones the entry needs.  Own events carry ``vc[j] == sn``, so
+        scanning them never lifts ``depend[j]`` above the position reached:
+        the position bound is fixed for the visit, and past it only letters
+        are walked until the conjunct holds or history runs out.
+        """
+        j = self.process
+        cut = entry.cut[j]
+        conjunct = entry.conjuncts[j]
+        end = max(cut, entry.depend[j], entry.min_positions[j])
+        if end == cut and (not conjunct or entry.satisfied[j]):
+            return False
+        entry.waiting_for.discard(j)
+        last = self.last_local_sn
+        letters = self.local_letters
+        # at end == cut the conjunct is known not to hold (guard above)
+        if conjunct and end <= last and (end == cut or not _satisfies(letters[end], conjunct)):
+            for end in range(end + 1, last + 1):
+                if _satisfies(letters[end], conjunct):
+                    break
+            else:
+                end = last + 1
+        if end <= last:
+            entry.parked_on = None
+        else:
+            end = last
+            if self.local_terminated:
+                entry.eval = False
+                entry.parked_on = None
+            else:
+                entry.parked_on = j
+                entry.waiting_for.add(j)
+        if end > cut:
+            entry.record_scan(
+                j, cut + 1, letters[cut + 1 : end + 1], self.local_vcs[cut + 1 : end + 1]
+            )
+            entry.cut[j] = end
+            entry.letters[j] = letters[end]
+            entry.satisfied[j] = _satisfies(letters[end], conjunct) if conjunct else True
             # this component moved, so other processes that previously had
             # nothing actionable are worth revisiting
             entry.waiting_for.intersection_update({j})
+        return True
 
     def _retry_waiting_tokens(self) -> None:
         """Re-examine parked tokens after new local events or terminations."""
@@ -654,19 +711,24 @@ class DecentralizedMonitor:
         tokens = self.waiting_tokens
         self.waiting_tokens = []
         for token in tokens:
+            pending: list[tuple[TokenEntry, list[int]]] = []
             for entry in token.undecided_entries():
                 # processes known to have terminated are always worth a
                 # (final) visit: clear their "nothing new" marker
                 for other in list(entry.waiting_for):
                     if other != self.process and self.terminated.get(other) is not None:
                         entry.waiting_for.discard(other)
-                targets = entry.pending_targets()
-                if self.process in targets:
-                    self._serve_entry(entry)
-                else:
+                served = self._serve_entry(entry)
+                if entry.eval is not None:
+                    continue
+                lagging = entry.lagging_processes()
+                if not lagging:
+                    entry.eval = True
+                    continue
+                if not served:
                     # a process we cannot serve: resolve it if it is known to
                     # have terminated below the required position
-                    for other in targets:
+                    for other in lagging:
                         final = self.terminated.get(other)
                         if final is None:
                             continue
@@ -678,19 +740,28 @@ class DecentralizedMonitor:
                             or (entry.conjuncts[other] and not entry.satisfied[other])
                         ):
                             entry.eval = False
-                entry.try_finalize()
-            self._route_token(token)
+                if entry.eval is None:
+                    pending.append((entry, lagging))
+            self._route_token(token, pending)
 
-    def _route_token(self, token: Token) -> None:
-        """Decide where the token goes next (SENDTONEXTPROCESS)."""
-        if token.all_decided():
+    def _route_token(
+        self, token: Token, pending: list[tuple[TokenEntry, list[int]]]
+    ) -> None:
+        """Decide where the token goes next (SENDTONEXTPROCESS).
+
+        *pending* pairs each still-undecided entry with the processes it
+        needs (empty once every entry is decided), derived once per hop by
+        whoever served the token.
+        """
+        if not pending:
             if token.parent_process == self.process:
                 self._token_returned(token)
             else:
                 self._send_token(token, token.parent_process)
             return
-        targets = token.targets()
-        parked = set(token.parked_targets())
+        targets = sorted({t for _, lagging in pending for t in lagging})
+        # processes known to have nothing actionable for this token yet
+        parked = sorted({t for entry, _ in pending for t in entry.waiting_for})
         # prefer a process with actionable work that is not this monitor
         actionable = [t for t in targets if t != self.process and t not in parked]
         if actionable:
@@ -728,16 +799,6 @@ class DecentralizedMonitor:
         hop = self.topology.next_hop(self.process, target)
         self.metrics.token_messages_sent += 1
         self.transport.send(self.process, hop, token)
-
-    def _dispatch_token(self, token: Token) -> None:
-        """First routing decision right after a token is created."""
-        # the creating monitor first serves entries that target itself
-        # (consistency repairs may need the parent's own events)
-        for entry in token.undecided_entries():
-            if self.process in entry.pending_targets():
-                self._serve_entry(entry)
-            entry.try_finalize()
-        self._route_token(token)
 
     # ------------------------------------------------------------------
     # token return (RECEIVETOKEN at the parent)
@@ -847,157 +908,119 @@ class DecentralizedMonitor:
         immediately (those partial paths are real executions).
         """
         n = self.num_processes
-        base = list(view.cut)
-        target = list(entry.cut)
+        base = view.cut
+        target = entry.cut
         ranges = [target[j] - base[j] for j in range(n)]
-        letters_at_target = [
-            entry.scanned_letters.get(j, {}).get(target[j], view.letters[j])
-            if target[j] > base[j]
-            else view.letters[j]
-            for j in range(n)
-        ]
+        # per process and offset into the box (offset 0 is the view's own
+        # letter): the letter bitmask of the event at that position
+        mask_of = self._mask_of
+        masks_by = [[mask_of(letter)] for letter in view.letters]
+        letters_at_target = list(view.letters)
+        active = [j for j in range(n) if ranges[j] > 0]
+        for j in active:
+            scanned = entry.scanned_letters[j]
+            masks_by[j] += [mask_of(scanned[sn]) for sn in range(base[j] + 1, target[j] + 1)]
+            letters_at_target[j] = scanned[target[j]]
 
+        self.metrics.box_queries += 1
         cells = 1
         for r in ranges:
             cells *= r + 1
         if cells > _BOX_CELL_LIMIT:
-            return self._box_reachable_linear(view, entry), letters_at_target
+            self.metrics.box_linear_fallbacks += 1
+            return self._box_reachable_linear(view, entry, masks_by), letters_at_target
 
-        # Precompute, per (process, offset): the letter at that position and
-        # the vector clock expressed relative to the base cut.  The inner
-        # consistency check then reduces to integer comparisons on small
-        # tuples, which dominates the cost of large boxes.
-        letters_by: list[list[Letter]] = []
-        rel_vc: list[list[tuple[int, ...] | None]] = []
-        for j in range(n):
-            col_letters = [view.letters[j]]
-            col_vcs: list[tuple[int, ...] | None] = [None]
-            for off in range(1, ranges[j] + 1):
-                position = base[j] + off
-                col_letters.append(entry.scanned_letters[j][position])
-                vc = entry.scanned_vcs[j][position]
-                col_vcs.append(tuple(vc[k] - base[k] for k in range(n)))
-            letters_by.append(col_letters)
-            rel_vc.append(col_vcs)
-        active = [j for j in range(n) if ranges[j] > 0]
-        automaton_step = self.automaton.step
-        is_final = self.automaton.is_final
+        # A cell is a mixed-radix integer (advancing process j adds
+        # strides[j]) and a set of automaton states a bitmask.  needs[j][o]
+        # lists what event o + 1 of process j requires of the other
+        # processes, as (process, least offset) pairs relative to the base.
+        strides = [1] * n
+        for j in range(1, n):
+            strides[j] = strides[j - 1] * (ranges[j - 1] + 1)
+        goal = sum(r * stride for r, stride in zip(ranges, strides))
+        needs: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
+        for j in active:
+            vcs = entry.scanned_vcs[j]
+            for sn in range(base[j] + 1, target[j] + 1):
+                vc = vcs[sn]
+                needs[j].append(
+                    [(k, vc[k] - base[k]) for k in range(n) if k != j and vc[k] > base[k]]
+                )
+        shift = self._num_states
+        image = self._image_cache
         n_range = range(n)
-        compiled = self._compiled
-        if compiled is not None:
-            # per-(process, offset) bitmask columns: combining the letters of
-            # a cell is an integer OR and stepping is one dense-table load
-            mask_of = self._mask_of
-            masks_by = [[mask_of(letter) for letter in col] for col in letters_by]
-            table = compiled.table
-            n_letters = compiled.n_letters
 
         # Level-synchronous BFS over the *reachable consistent* cells of the
         # box (all predecessors of a cell sit exactly one level below it, so
-        # each level is complete before it is expanded).  Compared to
-        # enumerating the full product this skips unreachable regions and
-        # touches each cell once, with no predecessor reconstruction.
-        origin = tuple([0] * n)
-        final_offsets = tuple(ranges)
-        final_states: set[int] = {view.state} if final_offsets == origin else set()
-        inconsistent: set[tuple[int, ...]] = set()
-        current: dict[tuple[int, ...], set[int]] = {origin: {view.state}}
+        # each level is complete before it is expanded).  A cell's slot is
+        # [state bits, offsets, letter mask << shift].
+        reached = 1 << view.state if goal == 0 else 0
+        current = {0: [1 << view.state, [0] * n, 0]}
         while current:
-            nxt: dict[tuple[int, ...], set[int]] = {}
-            letters_at: dict[tuple[int, ...], Letter | int] = {}
-            for offsets, states in current.items():
+            nxt: dict[int, list] = {}
+            for cell, (states, offsets, _) in current.items():
                 for j in active:
                     oj = offsets[j]
-                    if oj >= ranges[j]:
+                    if oj == ranges[j]:
                         continue
-                    succ = offsets[:j] + (oj + 1,) + offsets[j + 1 :]
-                    bucket = nxt.get(succ)
-                    if bucket is None:
-                        if succ in inconsistent:
-                            continue
-                        consistent = True
-                        for i in active:
-                            oi = succ[i]
-                            if oi == 0:
-                                continue
-                            rel = rel_vc[i][oi]
-                            for k in n_range:
-                                if rel[k] > succ[k]:  # type: ignore[index]
-                                    consistent = False
-                                    break
-                            if not consistent:
+                    succ = cell + strides[j]
+                    slot = nxt.get(succ)
+                    if slot is None:
+                        # the predecessor is consistent, so the successor is
+                        # iff the one advanced event's clock fits the cell
+                        # (a plain loop: any() over a generator here costs a
+                        # third of the whole search)
+                        for k, least in needs[j][oj]:
+                            if offsets[k] < least:
                                 break
-                        if not consistent:
-                            inconsistent.add(succ)
-                            continue
-                        bucket = nxt[succ] = set()
-                        if compiled is not None:
-                            cell_mask = 0
-                            for i in n_range:
-                                cell_mask |= masks_by[i][succ[i]]
-                            letters_at[succ] = cell_mask
                         else:
-                            letters_at[succ] = self._combine(
-                                letters_by[i][succ[i]] for i in n_range
-                            )
-                    letter = letters_at[succ]
-                    if compiled is not None:
-                        for state in states:
-                            bucket.add(table[state * n_letters + letter])
-                    else:
-                        for state in states:
-                            bucket.add(automaton_step(state, letter))
-            if compiled is not None:
-                final_flags = compiled.final_flags
-                for states in nxt.values():
-                    for state in states:
-                        if final_flags[state]:
-                            self._declare(state)
-            else:
-                for states in nxt.values():
-                    for state in states:
-                        if is_final(state):
-                            self._declare(state)
-            if final_offsets in nxt:
-                final_states = nxt[final_offsets]
+                            at = offsets.copy()
+                            at[j] = oj + 1
+                            mask = 0
+                            for i in n_range:
+                                mask |= masks_by[i][at[i]]
+                            slot = nxt[succ] = [0, at, mask << shift]
+                    if slot is not None:
+                        key = slot[2] | states
+                        slot[0] |= image.get(key) or self._image(key)
+            level = 0
+            for slot in nxt.values():
+                level |= slot[0]
+            self._declare_reached(level)
+            if goal in nxt:
+                reached = nxt[goal][0]
             current = nxt
-        return set(final_states), letters_at_target
+        return set(_states_of(reached)), letters_at_target
 
-    def _box_reachable_linear(self, view: GlobalView, entry: TokenEntry) -> set[int]:
+    def _box_reachable_linear(
+        self, view: GlobalView, entry: TokenEntry, masks_by: list[list[int]]
+    ) -> set[int]:
         """Fallback for oversized boxes: replay one causally-consistent
         linearisation of the box events (sound, possibly incomplete)."""
-        n = self.num_processes
-        base = list(view.cut)
-        target = list(entry.cut)
-        events: list[tuple[tuple[int, ...], int, int]] = []
-        for j in range(n):
-            for sn in range(base[j] + 1, target[j] + 1):
-                events.append((entry.scanned_vcs[j][sn], j, sn))
-        events.sort(key=lambda item: (sum(item[0]), item[0], item[1]))
-        letters = list(view.letters)
-        state = view.state
-        compiled = self._compiled
-        if compiled is not None:
-            mask_of = self._mask_of
-            masks = [mask_of(letter) for letter in letters]
-            table = compiled.table
-            n_letters = compiled.n_letters
-            final_flags = compiled.final_flags
-            for _, j, sn in events:
-                masks[j] = mask_of(entry.scanned_letters[j][sn])
-                mask = 0
-                for m in masks:
-                    mask |= m
-                state = table[state * n_letters + mask]
-                if final_flags[state]:
-                    self._declare(state)
-            return {state}
-        for _, j, sn in events:
-            letters[j] = entry.scanned_letters[j][sn]
-            state = self.automaton.step(state, self._combine(letters))
-            if self.automaton.is_final(state):
-                self._declare(state)
-        return {state}
+        base = view.cut
+        # ordered by (clock sum, clock, process): a linear extension of
+        # happened-before
+        events = []
+        for j in range(self.num_processes):
+            for sn in range(base[j] + 1, entry.cut[j] + 1):
+                vc = entry.scanned_vcs[j][sn]
+                events.append((sum(vc), vc, j, sn))
+        events.sort()
+        masks = [column[0] for column in masks_by]
+        shift = self._num_states
+        image = self._image_cache
+        final_bits = self._final_bits
+        states = 1 << view.state
+        for _, _, j, sn in events:
+            masks[j] = masks_by[j][sn - base[j]]
+            mask = 0
+            for m in masks:
+                mask |= m
+            key = mask << shift | states
+            states = image.get(key) or self._image(key)
+            if states & final_bits:
+                self._declare_reached(states)
+        return set(_states_of(states))
 
     # ------------------------------------------------------------------
     # merging (MERGESIMILARGLOBALVIEWS)

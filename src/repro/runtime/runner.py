@@ -78,6 +78,11 @@ class RuntimeReport:
     #: ``fault_*`` counters of the fault plan (crashes, restarts, held
     #: messages, replayed events, ...); empty for fault-free runs
     fault_stats: dict[str, float] = field(default_factory=dict)
+    #: boxes the monitors replayed for returned token entries, and how many
+    #: of them were too large for the exact search and were replayed along a
+    #: single linearisation (sound, but verdicts may be missed)
+    box_queries: int = 0
+    box_linear_fallbacks: int = 0
     #: which streaming transport carried the messages ("memory" or "tcp")
     transport: str = "memory"
     #: real wall-clock seconds the streaming run took end to end
@@ -95,6 +100,13 @@ class RuntimeReport:
             return 0.0
         percentage = (self.monitor_extra_time / self.program_end_time) * 100.0
         return percentage / self.total_global_views
+
+    @property
+    def box_linear_fallback_share(self) -> float:
+        """Share of box queries answered by the incomplete linear replay."""
+        if self.box_queries == 0:
+            return 0.0
+        return self.box_linear_fallbacks / self.box_queries
 
     @property
     def average_delayed_events(self) -> float:
@@ -299,6 +311,8 @@ async def stream_monitored_run(
             **(injector.fault_stats() if injector is not None else {}),
             **skew_stats,
         },
+        box_queries=sum(m.metrics.box_queries for m in monitors),
+        box_linear_fallbacks=sum(m.metrics.box_linear_fallbacks for m in monitors),
         transport=transport,
         wall_seconds=time.perf_counter() - started,
     )

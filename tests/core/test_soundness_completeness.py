@@ -1,6 +1,8 @@
 """Randomised soundness and completeness tests against the lattice oracle.
 
-These are the correctness obligations of Chapter 3, phrased as in DESIGN.md:
+These are the correctness obligations of Chapter 3 (the box replay that makes
+them hold is described under "Differences from the thesis pseudo-code" in
+``docs/architecture.md``):
 
 * **Soundness** — every conclusive verdict (⊤/⊥) declared by any monitor is
   the verdict of some maximal lattice path.

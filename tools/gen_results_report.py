@@ -101,9 +101,10 @@ def render_report(document: dict) -> str:
         "Every table and figure of the paper's evaluation chapter is",
         "regenerated by one benchmark module under `benchmarks/`; the wall-clock",
         "numbers below come from the committed `benchmarks/BENCH_results.json`",
-        "(schema `repro-bench/1`, see [benchmarks.md](benchmarks.md)), written",
-        "by the suite at session finish.  Regenerate the artifact with",
-        "`PYTHONPATH=src python -m pytest benchmarks -q` and this report with",
+        "(schema `repro-bench/1`, see [benchmarks.md](benchmarks.md)).  A test",
+        "run never rewrites that file; refresh it explicitly with",
+        "`BENCH_JSON=benchmarks/BENCH_results.json PYTHONPATH=src python -m pytest",
+        "benchmarks -q` and regenerate this report with",
         "`python tools/gen_results_report.py`.",
         "",
         "## Paper artefacts by benchmark module",
