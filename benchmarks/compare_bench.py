@@ -81,11 +81,12 @@ def compare_timings(
     that carry an ``events_per_sec`` field (higher is better) are compared
     on that field too, as a second ``<name>:events_per_sec`` row — and
     ``new/old`` for the topology-frontier fields
-    (``topology_messages_total``, ``topology_verdict_latency``) and the
-    fleet tail-latency field (``fleet_verdict_latency_p99``), where lower
-    is better, so a topology drifting along either axis of the
-    message/latency frontier — or a fleet's p99 verdict latency creeping
-    up — annotates like a slowdown.
+    (``topology_messages_total``, ``topology_verdict_latency``), the
+    fleet tail-latency field (``fleet_verdict_latency_p99``) and the codec's
+    frame size (``bytes_per_frame``), where lower is better, so a topology
+    drifting along either axis of the message/latency frontier — or a
+    fleet's p99 verdict latency creeping up, or tokens growing on the wire —
+    annotates like a slowdown.
     """
     rows = []
     old_timings = previous.get("timings", {})
@@ -105,6 +106,7 @@ def compare_timings(
             "topology_messages_total",
             "topology_verdict_latency",
             "fleet_verdict_latency_p99",
+            "bytes_per_frame",
         ):
             old_value = float(old_timings[name].get(field) or 0.0)
             new_value = float(new_timings[name].get(field) or 0.0)
@@ -136,9 +138,11 @@ def annotate(
             unit = "vt"  # virtual-time units of the simulator clock
         elif name.endswith(":fleet_verdict_latency_p99"):
             unit = "s"
+        elif name.endswith(":bytes_per_frame"):
+            unit = "B"
         else:
             unit = "s"
-        if unit in ("ev/s", "msgs"):
+        if unit in ("ev/s", "msgs", "B"):
             old_text, new_text = f"{old_value:,.0f}", f"{new_value:,.0f}"
         else:
             old_text, new_text = f"{old_value:.3f}", f"{new_value:.3f}"

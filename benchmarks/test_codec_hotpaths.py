@@ -1,33 +1,45 @@
-"""Benchmarks for the wire protocol v2 codec hot paths.
+"""Benchmarks for the wire protocol v3 codec hot paths.
 
 Every monitoring message of the asyncio and cluster backends crosses
 :func:`repro.cluster.codec.encode_wire` / :func:`decode_wire`, so their
 throughput bounds the streaming runtimes the same way the kernel hot paths
-bound the simulator.  Two timings land in the ``BENCH_*.json`` document:
+bound the simulator.  Three timings land in the ``BENCH_*.json`` document:
 
 * ``codec_encode`` — framing a batch of representative tokens (multi-entry,
-  with scan history) and termination notices.
+  with a run of scanned events) and termination notices.
 * ``codec_decode`` — splitting and decoding the same batch of frames back
   into messages.
+* ``codec_token_roundtrip`` — decoding and re-encoding every token frame of
+  one whole monitored run (property B, 4 processes, 18 events per process,
+  seed 2015: the trace of the ``wire-tcp`` workload of ``perf/``), with
+  ``events_per_sec`` (program events whose traffic the codec carries per
+  second) and ``bytes_per_frame``, so a change shows in speed and in size.
 
-The batch is deterministic, so the byte volume reported next to the timing
-is comparable across runs.
+The batches are deterministic, so the byte volumes reported next to the
+timings are comparable across runs.
 """
 
+import os
 import time
 
 import pytest
 
 from conftest import record_timing
+from repro.api import ExperimentScale, RunSpec
 from repro.cluster import codec
+from repro.cluster.spec import build_cell_inputs
 from repro.core.messages import TerminationNotice, Token, TokenEntry
+from repro.sim import simulate_monitored_run
+from repro.sim.network import SimulatedNetwork
 
 #: messages framed/parsed per benchmark round
 BATCH_MESSAGES = 2000
 
+_SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
 
 def _representative_token(seed: int) -> Token:
-    """One three-process token with two in-flight entries and scan history."""
+    """One three-process token with two in-flight entries and a scanned run."""
     n = 3
     entry = TokenEntry(
         transition_id=seed % 7,
@@ -39,8 +51,6 @@ def _representative_token(seed: int) -> Token:
         min_positions=[0, 0, 0],
         satisfied=[True, False, False],
         letters={0: frozenset({"P0.p"}), 1: frozenset({"P1.q", "P1.p"})},
-        scanned_letters={1: {2: frozenset({"P1.q"}), 3: frozenset()}},
-        scanned_vcs={1: {2: (1, 2, 0), 3: (1, 3, 0)}},
         eval=None,
         parked_on=2,
         waiting_for={2},
@@ -61,6 +71,8 @@ def _representative_token(seed: int) -> Token:
         parent_view=seed % 11,
         parent_event_sn=seed % 13,
         entries=[entry, repair],
+        known=[seed % 5, 1, 1],
+        runs={1: ([frozenset({"P1.q"}), frozenset()], [(1, 2, 0), (1, 3, 0)])},
         token_id=seed + 1,
         hops=seed % 4,
     )
@@ -123,3 +135,67 @@ def test_codec_decode_hot_path(benchmark):
         wire_bytes=sum(len(frame) for frame in frames),
     )
     assert decoded == batch  # byte-stable round-trip of the whole batch
+
+
+class _RecordingNetwork(SimulatedNetwork):
+    """The plain simulated network, keeping every token frame sent."""
+
+    def send(self, sender, target, message):
+        # encoded on the spot: the token is mutated at its next hop
+        if isinstance(message, Token):
+            self.frames.append(codec.encode_wire(0.0, message))
+        super().send(sender, target, message)
+
+
+class _RecordingNetworks:
+    """The network factory of one run; ``frames`` outlives the run."""
+
+    def __init__(self) -> None:
+        self.frames: list[bytes] = []
+
+    def build(self, simulator, seed):
+        network = _RecordingNetwork(simulator, latency=0.05, jitter=0.01, seed=seed)
+        network.frames = self.frames
+        return network
+
+
+@pytest.mark.benchmark(group="codec")
+def test_codec_token_roundtrip():
+    scale = ExperimentScale()
+    spec = RunSpec(
+        scenario="paper-default",
+        property_name="B",
+        num_processes=4,
+        events_per_process=18,
+        evt_mu=scale.evt_mu,
+        evt_sigma=scale.evt_sigma,
+        comm_mu=scale.comm_mu,
+        comm_sigma=scale.comm_sigma,
+        seed=2015,
+        max_views_per_state=2,
+    )
+    computation, automaton, registry = build_cell_inputs(spec)
+    networks = _RecordingNetworks()
+    simulate_monitored_run(
+        computation, automaton, registry, seed=spec.seed, max_views_per_state=2, network=networks
+    )
+    frames = networks.frames
+    rounds = 1 if _SMOKE else 5
+
+    start = time.perf_counter()
+    for _ in range(rounds):
+        again = [
+            codec.encode_wire(*codec.decode_wire(*codec.split_frame(frame)))
+            for frame in frames
+        ]
+    elapsed = (time.perf_counter() - start) / rounds
+    assert again == frames  # byte-stable over a whole run's tokens
+    record_timing(
+        "codec_token_roundtrip",
+        elapsed,
+        group="codec",
+        frames=len(frames),
+        events=computation.num_events,
+        events_per_sec=computation.num_events / elapsed,
+        bytes_per_frame=sum(map(len, frames)) / len(frames),
+    )

@@ -18,7 +18,8 @@ These are the acceptance metrics tracked across PRs through the emitted
 * ``box_bfs_events_per_sec`` — the box-reachability BFS over a fully
   concurrent box, compiled vs interpreted, as hit by token returns.
 * ``serve_entry`` — token serving: one entry scanning a 2 000-event local
-  history, in events scanned per second.
+  history and the token leaving with those events as its run, in events per
+  second.
 * ``monitoring_end_to_end_compiled`` / ``_interpreted`` — one full sweep
   cell with the kernel flag on and off; the cell metrics must be
   byte-identical, only the wall clock may differ.
@@ -37,7 +38,7 @@ import pytest
 from conftest import record_timing
 from repro.api import ExecutionConfig
 from repro.core.global_view import GlobalView
-from repro.core.messages import TokenEntry
+from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
 from repro.core.transport import LoopbackNetwork
 from repro.distributed.clocks import VectorClock
@@ -195,7 +196,12 @@ def test_compiled_vs_interpreted_step_throughput():
 
 
 def _fully_concurrent_box(monitor, automaton, registry, side):
-    """A view plus token entry spanning a fully concurrent ``side``³ box."""
+    """A view plus token entry spanning a fully concurrent ``side``³ box.
+
+    The box's events are put in *monitor*'s columns the way a run puts them
+    there: its own read as local events, the others' absorbed from the runs
+    of the returning token.
+    """
     n = monitor.num_processes
     initial_letters = [registry.local_letter(j, {}) for j in range(n)]
     view = GlobalView(
@@ -210,11 +216,19 @@ def _fully_concurrent_box(monitor, automaton, registry, side):
         depend=[0] * n,
         min_positions=[0] * n,
         satisfied=[True] * n,
+        eval=True,
     )
     columns = _per_process_letters(n, side, seed=7)
-    for j in range(n):
-        vcs = [tuple(sn if k == j else 0 for k in range(n)) for sn in range(1, side + 1)]
-        entry.record_scan(j, 1, columns[j], vcs)
+    clocks = [
+        [tuple(sn if k == j else 0 for k in range(n)) for sn in range(1, side + 1)]
+        for j in range(n)
+    ]
+    mine = monitor.process
+    for sn, (letter, clock) in enumerate(zip(columns[mine], clocks[mine]), start=1):
+        state = {"p": f"P{mine}.p" in letter, "q": f"P{mine}.q" in letter}
+        monitor.local_event(Event(mine, sn, EventKind.INTERNAL, VectorClock(clock), state))
+    runs = {j: (columns[j], clocks[j]) for j in range(n) if j != mine}
+    monitor._absorb_runs(Token(mine, 0, 0, entries=[entry], known=[0] * n, runs=runs))
     return view, entry
 
 
@@ -268,8 +282,9 @@ def test_serve_entry_events_per_sec():
     """Token serving in isolation: one entry scanning a whole local history.
 
     The entry must reach the end of a 2 000-event history (a repair-style
-    position bound, no conjunct), so one ``_serve_entry`` call scans every
-    event; the recorded unit is events scanned per second.
+    position bound, no conjunct) on a token whose parent holds none of it,
+    so one ``_serve_entry`` call scans every event and the token leaves with
+    all of them as its run; the recorded unit is events per second.
     """
     history = 2_000
     iterations = 5 if _SMOKE else 50
@@ -289,26 +304,36 @@ def test_serve_entry_events_per_sec():
         state = {"p": rng.random() < 0.5, "q": rng.random() < 0.5}
         clock = VectorClock((sn, sn // 3, sn // 7))
         monitor.local_event(Event(0, sn, EventKind.INTERNAL, clock, state))
-    entries = [
-        TokenEntry(
-            transition_id=None,
-            guard={},
-            conjuncts=[{} for _ in range(n)],
-            start_cut=[0] * n,
-            cut=[0] * n,
-            depend=[0] * n,
-            min_positions=[history, 0, 0],
-            satisfied=[True] * n,
+    tokens = [
+        Token(
+            parent_process=1,
+            parent_view=0,
+            parent_event_sn=0,
+            entries=[
+                TokenEntry(
+                    transition_id=None,
+                    guard={},
+                    conjuncts=[{} for _ in range(n)],
+                    start_cut=[0] * n,
+                    cut=[0] * n,
+                    depend=[0] * n,
+                    min_positions=[history, 0, 0],
+                    satisfied=[True] * n,
+                )
+            ],
+            known=[0] * n,
         )
         for _ in range(iterations)
     ]
     start = time.perf_counter()
-    for entry in entries:
-        monitor._serve_entry(entry)
+    for token in tokens:
+        monitor._serve_entry(token.entries[0])
+        monitor._extend_run(token)
     elapsed = time.perf_counter() - start
-    for entry in entries:
+    for token in tokens:
+        (entry,) = token.entries
         assert entry.cut == [history, 0, 0]
-        assert len(entry.scanned_vcs[0]) == history
+        assert len(token.runs[0][1]) == history
         assert entry.depend == [history, history // 3, history // 7]
     record_timing(
         "serve_entry",

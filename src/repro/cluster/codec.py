@@ -1,20 +1,22 @@
-"""Wire protocol v2: the versioned binary codec of the cluster runtime.
+"""Wire protocol v3: the versioned binary codec of the cluster runtime.
 
 Protocol v1 — the original streaming transport — framed messages as a bare
 4-byte length prefix followed by a pickled payload.  Pickle on a network
 socket is both a serialization hot path and a security liability (a
-malicious peer gains arbitrary code execution), so v2 replaces it with an
+malicious peer gains arbitrary code execution), so v2 replaced it with an
 explicit binary format shared by every runtime wire path: the loopback TCP
 transport of :mod:`repro.runtime.transport`, the worker-to-worker links of
-the cluster runtime, and the coordinator's control channel.
+the cluster runtime, and the coordinator's control channel.  v3 keeps the
+framing and rewrites the token body: one atom table per frame, and the
+events a token carries as per-process runs written in bulk.
 
 Frame layout (network byte order)::
 
     offset  size  field
     0       2     magic   b"RW"           (Repro Wire)
-    2       1     version 0x02            (this module speaks exactly one)
+    2       1     version 0x03            (this module speaks exactly one)
     3       1     type    message type tag (see the ``TYPE_*`` constants)
-    4       4     length  payload size in bytes, big-endian unsigned
+    4       4     length  payload size in bytes, at most MAX_FRAME_BYTES
     8       n     payload type-specific binary body
 
 Monitoring frames (:data:`TYPE_TOKEN`, :data:`TYPE_TERMINATION`,
@@ -24,28 +26,60 @@ message body.  Control frames (:data:`TYPE_CONTROL`) carry one string-keyed
 mapping encoded with the same primitive layer; the coordinator/worker
 handshake travels in them.
 
-Every message type of :mod:`repro.core.messages` has a dedicated encoder
-that writes dataclass fields in a fixed order with canonicalised container
-order (map keys and set elements sorted), so encoding is **byte-stable**:
-``encode(decode(encode(m))) == encode(m)``, which the codec property tests
-enforce.  Primitive values use a compact tagged layout: variable-length
-integers (LEB128, zigzag for signed), length-prefixed UTF-8 strings,
-float64, one-byte booleans.
+Primitive values use a compact tagged layout: variable-length integers
+(LEB128, zigzag for signed), length-prefixed UTF-8 strings, float64,
+one-byte booleans.  *Packed integers* are a width byte (1, 2 or 4, the
+least that holds the largest value) followed by the values back to back.
+
+Token body::
+
+    atoms     count, then that many strings: every atomic proposition the
+              frame mentions, sorted.  A *letter* is from here on a bitmask
+              over this table in ceil(count / 8) bytes, a guard *literal*
+              the varint ``table index << 1 | polarity``
+    routing   parent_process, parent_view, parent_event_sn, token_id, hops
+    n         process count; ``known`` as n packed integers
+    runs      count, then per process in ascending order: the process and
+              its run (below)
+    entries   count, then per entry: transition id, guard and n conjuncts
+              as literals, start_cut + cut + depend + min_positions as 4n
+              packed integers, n ``satisfied`` bytes, the letters at the
+              cut, eval, parked_on, waiting_for
+
+    run       event count; one byte D and the run's D ≤ 255 distinct
+              letters in order of first use; one byte per event indexing
+              them; every component of every clock as count * n packed
+              integers
+
+so writing or reading a run of events takes a constant number of calls,
+not a loop per clock component.  Every message type of
+:mod:`repro.core.messages` writes its fields in a fixed order with
+canonicalised container order (map keys, set elements and tables sorted),
+so encoding is **byte-stable**: ``encode(decode(encode(m))) == encode(m)``,
+which the codec property tests enforce.
+
+The decoder trusts nothing: every count, width and table index is checked
+against the bytes that are left *before* anything is allocated, sliced or
+indexed on its word, so corrupt or hostile input raises a
+:class:`CodecError` subclass and nothing else.
 
 Version policy
 --------------
 The version byte identifies the frame layout *and* the payload encoders as
-one unit; there is no in-band downgrade.  A decoder that sees a version it
-does not speak raises :class:`ProtocolVersionError` naming both versions, so
-a mixed-version cluster fails fast at the handshake with an actionable
-diagnostic instead of corrupting a run.  Bumping the protocol means bumping
-:data:`PROTOCOL_VERSION` and teaching the decoder both layouts for one
-release.
+one unit; there is no in-band downgrade and no second decode path.  A
+decoder that sees a version it does not speak raises
+:class:`ProtocolVersionError` naming both versions, and the coordinator
+compares :data:`PROTOCOL_VERSION` at the worker's hello, so a mixed-version
+cluster fails fast at the handshake with an actionable diagnostic instead
+of corrupting a run.  One version per release: bumping the protocol means
+bumping :data:`PROTOCOL_VERSION` and upgrading every node together.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping, Sequence
+from itertools import chain
 from typing import BinaryIO
 
 from ..core.messages import TerminationNotice, Token, TokenEntry, VerdictAnnouncement
@@ -53,6 +87,7 @@ from ..core.messages import TerminationNotice, Token, TokenEntry, VerdictAnnounc
 __all__ = [
     "MAGIC",
     "PROTOCOL_VERSION",
+    "MAX_FRAME_BYTES",
     "HEADER",
     "TYPE_TOKEN",
     "TYPE_TERMINATION",
@@ -72,10 +107,13 @@ __all__ = [
     "split_frame",
 ]
 
-#: the two magic bytes opening every v2 frame
+#: the two magic bytes opening every frame
 MAGIC = b"RW"
 #: the wire protocol version this codec speaks (exactly one)
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+#: the largest payload a header may announce: readers buffer a whole payload
+#: before decoding it, and honest tokens are a few KB
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: frame header: magic (2s) + version (B) + type (B) + payload length (I)
 HEADER = struct.Struct(">2sBBI")
@@ -172,7 +210,17 @@ def _r_str(data: bytes, pos: int) -> tuple[str, int]:
         raise CorruptFrameError(
             f"truncated payload: string of {length} bytes runs past the end"
         )
-    return data[pos:end].decode("utf-8"), end
+    try:
+        return data[pos:end].decode("utf-8"), end
+    except UnicodeDecodeError as error:
+        raise CorruptFrameError(f"string in payload is not UTF-8: {error}") from error
+
+
+def _r_byte(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """Read the single byte at *pos*, named *what* in the diagnostic."""
+    if pos >= len(data):
+        raise CorruptFrameError(f"truncated payload: {what} missing")
+    return data[pos], pos + 1
 
 
 def _w_float(out: bytearray, value: float) -> None:
@@ -230,16 +278,13 @@ def _w_value(out: bytearray, value: object) -> None:
             _w_value(out, item)
     else:
         raise CodecError(
-            f"wire protocol v2 cannot encode {type(value).__name__} values"
+            f"wire protocol v{PROTOCOL_VERSION} cannot encode {type(value).__name__} values"
         )
 
 
 def _r_value(data: bytes, pos: int) -> tuple[object, int]:
     """Read one tagged primitive value."""
-    if pos >= len(data):
-        raise CorruptFrameError("truncated payload: value tag runs past the end")
-    tag = data[pos]
-    pos += 1
+    tag, pos = _r_byte(data, pos, "value tag")
     if tag == _V_NONE:
         return None, pos
     if tag == _V_FALSE:
@@ -295,267 +340,387 @@ def _w_opt_int(out: bytearray, value: int | None) -> None:
 
 
 def _r_opt_int(data: bytes, pos: int) -> tuple[int | None, int]:
-    if pos >= len(data):
-        raise CorruptFrameError("truncated payload: optional flag missing")
-    flag = data[pos]
-    pos += 1
+    flag, pos = _r_byte(data, pos, "optional flag")
     if flag == 0:
         return None, pos
     return _r_svarint(data, pos)
 
 
-def _w_bool_map(out: bytearray, mapping) -> None:
-    """A ``str -> bool`` mapping in sorted key order."""
-    _w_uvarint(out, len(mapping))
-    for key in sorted(mapping):
-        _w_str(out, key)
-        out.append(1 if mapping[key] else 0)
+def _w_uints(out: bytearray, values: Sequence[int]) -> None:
+    """Append non-negative integers as one packed fixed-width array.
+
+    A width byte (1, 2 or 4: the least that holds the largest value), then
+    the values back to back in network byte order; the reader knows how
+    many there are.
+    """
+    low, top = (min(values), max(values)) if values else (0, 0)
+    if low < 0:
+        raise CodecError(f"cannot pack negative value {low}")
+    if top < 1 << 8:
+        out.append(1)
+        out += bytes(values)
+    elif top < 1 << 16:
+        out.append(2)
+        out += struct.pack(f">{len(values)}H", *values)
+    elif top < 1 << 32:
+        out.append(4)
+        out += struct.pack(f">{len(values)}I", *values)
+    else:
+        raise CodecError(f"cannot pack {top}: wider than 32 bits")
 
 
-def _r_bool_map(data: bytes, pos: int) -> tuple[dict[str, bool], int]:
-    length, pos = _r_uvarint(data, pos)
-    mapping: dict[str, bool] = {}
-    for _ in range(length):
-        key, pos = _r_str(data, pos)
-        if pos >= len(data):
-            raise CorruptFrameError("truncated payload: bool map value missing")
-        mapping[key] = bool(data[pos])
-        pos += 1
-    return mapping, pos
+def _r_uints(data: bytes, pos: int, count: int) -> tuple[Sequence[int], int]:
+    """Read *count* packed integers written by :func:`_w_uints`."""
+    width, pos = _r_byte(data, pos, "integer width")
+    if width not in (1, 2, 4):
+        raise CorruptFrameError(f"invalid integer width {width} in payload")
+    end = pos + count * width
+    if end > len(data):
+        raise CorruptFrameError(
+            f"truncated payload: {count} integers of {width} bytes run past the end"
+        )
+    if width == 1:
+        return data[pos:end], end
+    return struct.unpack_from(f">{count}{'H' if width == 2 else 'I'}", data, pos), end
 
 
-def _w_int_list(out: bytearray, values) -> None:
-    _w_uvarint(out, len(values))
-    for value in values:
-        _w_svarint(out, value)
+def _r_count(data: bytes, pos: int) -> tuple[int, int]:
+    """Read the count of elements that follow, each at least one byte.
+
+    The count is checked against the bytes that are left, so that nothing
+    is allocated or looped over on the word of a corrupt length.
+    """
+    count, pos = _r_uvarint(data, pos)
+    if count > len(data) - pos:
+        raise CorruptFrameError(
+            f"truncated payload: {count} elements announced, "
+            f"{len(data) - pos} bytes left"
+        )
+    return count, pos
 
 
-def _r_int_list(data: bytes, pos: int) -> tuple[list[int], int]:
-    length, pos = _r_uvarint(data, pos)
-    values = []
-    for _ in range(length):
-        value, pos = _r_svarint(data, pos)
-        values.append(value)
-    return values, pos
+class _Atoms:
+    """The atom table of one token frame, and what is written over it.
+
+    A frame names every atomic proposition it mentions once, in sorted
+    order.  A letter is then a bitmask over the table in a fixed number of
+    bytes, a guard literal the pair (table index, polarity).
+    """
+
+    def __init__(self, names: list[str]) -> None:
+        self.names = names
+        self.index = {name: i for i, name in enumerate(names)}
+        #: bytes per letter
+        self.width = (len(names) + 7) // 8
+        self._encoded: dict[frozenset, bytes] = {}
+        self._decoded: dict[bytes, frozenset] = {}
+
+    def w_letter(self, out: bytearray, letter: frozenset) -> None:
+        """Append *letter* as its bitmask over the table."""
+        raw = self._encoded.get(letter)
+        if raw is None:
+            mask = 0
+            for name in letter:
+                mask |= 1 << self.index[name]
+            raw = self._encoded[letter] = mask.to_bytes(self.width, "big")
+        out += raw
+
+    def r_letter(self, data: bytes, pos: int) -> tuple[frozenset, int]:
+        """Read one letter; its mask may only name atoms of the table."""
+        end = pos + self.width
+        if end > len(data):
+            raise CorruptFrameError("truncated payload: letter runs past the end")
+        raw = data[pos:end]
+        letter = self._decoded.get(raw)
+        if letter is None:
+            mask = int.from_bytes(raw, "big")
+            if mask >> len(self.names):
+                raise CorruptFrameError("letter names an atom outside the frame's table")
+            letter = self._decoded[raw] = frozenset(
+                name for i, name in enumerate(self.names) if mask >> i & 1
+            )
+        return letter, end
+
+    def w_literals(self, out: bytearray, mapping: Mapping[str, bool]) -> None:
+        """An ``atom -> polarity`` mapping, in table order."""
+        _w_uvarint(out, len(mapping))
+        for name in sorted(mapping):
+            _w_uvarint(out, self.index[name] << 1 | bool(mapping[name]))
+
+    def r_literals(self, data: bytes, pos: int) -> tuple[dict[str, bool], int]:
+        """Read a mapping written by :meth:`w_literals`."""
+        count, pos = _r_count(data, pos)
+        names = self.names
+        mapping: dict[str, bool] = {}
+        for _ in range(count):
+            literal, pos = _r_uvarint(data, pos)
+            if literal >> 1 >= len(names):
+                raise CorruptFrameError("guard names an atom outside the frame's table")
+            mapping[names[literal >> 1]] = bool(literal & 1)
+        return mapping, pos
 
 
-def _w_letter(out: bytearray, letter) -> None:
-    """A letter — ``frozenset[str]`` — in sorted element order."""
-    _w_uvarint(out, len(letter))
-    for name in sorted(letter):
-        _w_str(out, name)
+def _w_run(
+    out: bytearray,
+    atoms: _Atoms,
+    n: int,
+    letters: Sequence[frozenset],
+    vcs: Sequence[tuple[int, ...]],
+) -> None:
+    """One process's run of events, in a constant number of calls per run.
+
+    The event count, the run's distinct letters (at most 255, in order of
+    first use), one byte per event indexing them, and every component of
+    every clock as one packed array.
+    """
+    if len(letters) != len(vcs) or any(len(vc) != n for vc in vcs):
+        raise CodecError("a run's letters and clocks do not line up")
+    distinct = list(dict.fromkeys(letters))
+    if len(distinct) > 255:
+        raise CodecError(f"{len(distinct)} distinct letters in one run (at most 255)")
+    _w_uvarint(out, len(letters))
+    out.append(len(distinct))
+    for letter in distinct:
+        atoms.w_letter(out, letter)
+    index = {letter: i for i, letter in enumerate(distinct)}
+    out += bytes(map(index.__getitem__, letters))
+    _w_uints(out, list(chain.from_iterable(vcs)))
 
 
-def _r_letter(data: bytes, pos: int) -> tuple[frozenset, int]:
-    length, pos = _r_uvarint(data, pos)
-    names = []
-    for _ in range(length):
-        name, pos = _r_str(data, pos)
-        names.append(name)
-    return frozenset(names), pos
+def _r_run(
+    data: bytes, pos: int, atoms: _Atoms, n: int
+) -> tuple[tuple[list[frozenset], list[tuple[int, ...]]], int]:
+    """Decode one run written by :func:`_w_run`."""
+    count, pos = _r_count(data, pos)
+    held, pos = _r_byte(data, pos, "letter count of a run")
+    distinct = []
+    for _ in range(held):
+        letter, pos = atoms.r_letter(data, pos)
+        distinct.append(letter)
+    indices = data[pos : pos + count]
+    if len(indices) < count:
+        raise CorruptFrameError("truncated payload: a run's events run past the end")
+    if count and max(indices) >= held:
+        raise CorruptFrameError("event names a letter outside its run's table")
+    flat, pos = _r_uints(data, pos + count, count * n)
+    return (list(map(distinct.__getitem__, indices)), list(zip(*[iter(flat)] * n))), pos
 
 
-def _w_entry(out: bytearray, entry: TokenEntry) -> None:
+def _w_entry(out: bytearray, atoms: _Atoms, n: int, entry: TokenEntry) -> None:
     """Encode one :class:`TokenEntry`, fields in declaration order."""
+    vectors = (entry.start_cut, entry.cut, entry.depend, entry.min_positions)
+    if any(len(v) != n for v in (*vectors, entry.conjuncts, entry.satisfied)):
+        raise CodecError(f"token entry is not over {n} processes")
     _w_opt_int(out, entry.transition_id)
-    _w_bool_map(out, entry.guard)
-    _w_uvarint(out, len(entry.conjuncts))
+    atoms.w_literals(out, entry.guard)
     for conjunct in entry.conjuncts:
-        _w_bool_map(out, conjunct)
-    _w_int_list(out, entry.start_cut)
-    _w_int_list(out, entry.cut)
-    _w_int_list(out, entry.depend)
-    _w_int_list(out, entry.min_positions)
-    _w_uvarint(out, len(entry.satisfied))
-    for flag in entry.satisfied:
-        out.append(1 if flag else 0)
+        atoms.w_literals(out, conjunct)
+    _w_uints(out, [position for vector in vectors for position in vector])
+    out += bytes(map(bool, entry.satisfied))
     _w_uvarint(out, len(entry.letters))
     for process in sorted(entry.letters):
-        _w_svarint(out, process)
-        _w_letter(out, entry.letters[process])
-    _w_uvarint(out, len(entry.scanned_letters))
-    for process in sorted(entry.scanned_letters):
-        _w_svarint(out, process)
-        scanned = entry.scanned_letters[process]
-        _w_uvarint(out, len(scanned))
-        for sn in sorted(scanned):
-            _w_svarint(out, sn)
-            _w_letter(out, scanned[sn])
-    _w_uvarint(out, len(entry.scanned_vcs))
-    for process in sorted(entry.scanned_vcs):
-        _w_svarint(out, process)
-        scanned = entry.scanned_vcs[process]
-        _w_uvarint(out, len(scanned))
-        for sn in sorted(scanned):
-            _w_svarint(out, sn)
-            _w_int_list(out, scanned[sn])
+        _w_uvarint(out, process)
+        atoms.w_letter(out, entry.letters[process])
     # eval is tri-state: None / False / True
     out.append(0 if entry.eval is None else (2 if entry.eval else 1))
     _w_opt_int(out, entry.parked_on)
-    _w_int_list(out, sorted(entry.waiting_for))
+    _w_uvarint(out, len(entry.waiting_for))
+    for process in sorted(entry.waiting_for):
+        _w_uvarint(out, process)
 
 
-def _r_entry(data: bytes, pos: int) -> tuple[TokenEntry, int]:
+def _r_entry(data: bytes, pos: int, atoms: _Atoms, n: int) -> tuple[TokenEntry, int]:
     """Decode one :class:`TokenEntry`."""
     transition_id, pos = _r_opt_int(data, pos)
-    guard, pos = _r_bool_map(data, pos)
-    count, pos = _r_uvarint(data, pos)
+    guard, pos = atoms.r_literals(data, pos)
     conjuncts = []
-    for _ in range(count):
-        conjunct, pos = _r_bool_map(data, pos)
+    for _ in range(n):
+        conjunct, pos = atoms.r_literals(data, pos)
         conjuncts.append(conjunct)
-    start_cut, pos = _r_int_list(data, pos)
-    cut, pos = _r_int_list(data, pos)
-    depend, pos = _r_int_list(data, pos)
-    min_positions, pos = _r_int_list(data, pos)
-    count, pos = _r_uvarint(data, pos)
-    if pos + count > len(data):
-        raise CorruptFrameError("truncated payload: satisfied flags run past the end")
-    satisfied = [bool(b) for b in data[pos : pos + count]]
-    pos += count
-    count, pos = _r_uvarint(data, pos)
+    positions, pos = _r_uints(data, pos, 4 * n)
+    flags = data[pos : pos + n]
+    if len(flags) < n:
+        raise CorruptFrameError("truncated payload: entry flags run past the end")
+    pos += n
+    count, pos = _r_count(data, pos)
     letters = {}
     for _ in range(count):
-        process, pos = _r_svarint(data, pos)
-        letter, pos = _r_letter(data, pos)
-        letters[process] = letter
-    count, pos = _r_uvarint(data, pos)
-    scanned_letters: dict[int, dict] = {}
-    for _ in range(count):
-        process, pos = _r_svarint(data, pos)
-        inner_count, pos = _r_uvarint(data, pos)
-        inner: dict[int, frozenset] = {}
-        for _ in range(inner_count):
-            sn, pos = _r_svarint(data, pos)
-            letter, pos = _r_letter(data, pos)
-            inner[sn] = letter
-        scanned_letters[process] = inner
-    count, pos = _r_uvarint(data, pos)
-    scanned_vcs: dict[int, dict] = {}
-    for _ in range(count):
-        process, pos = _r_svarint(data, pos)
-        inner_count, pos = _r_uvarint(data, pos)
-        vcs: dict[int, tuple[int, ...]] = {}
-        for _ in range(inner_count):
-            sn, pos = _r_svarint(data, pos)
-            vc, pos = _r_int_list(data, pos)
-            vcs[sn] = tuple(vc)
-        scanned_vcs[process] = vcs
-    if pos >= len(data):
-        raise CorruptFrameError("truncated payload: eval flag missing")
-    eval_tag = data[pos]
-    pos += 1
+        process, pos = _r_uvarint(data, pos)
+        letters[process], pos = atoms.r_letter(data, pos)
+    eval_tag, pos = _r_byte(data, pos, "eval flag")
     if eval_tag > 2:
         raise CorruptFrameError(f"invalid eval tag 0x{eval_tag:02x} in token entry")
-    evaluation = None if eval_tag == 0 else eval_tag == 2
     parked_on, pos = _r_opt_int(data, pos)
-    waiting, pos = _r_int_list(data, pos)
+    count, pos = _r_count(data, pos)
+    waiting_for = set()
+    for _ in range(count):
+        process, pos = _r_uvarint(data, pos)
+        waiting_for.add(process)
     entry = TokenEntry(
         transition_id=transition_id,
         guard=guard,
         conjuncts=conjuncts,
-        start_cut=start_cut,
-        cut=cut,
-        depend=depend,
-        min_positions=min_positions,
-        satisfied=satisfied,
+        start_cut=list(positions[:n]),
+        cut=list(positions[n : 2 * n]),
+        depend=list(positions[2 * n : 3 * n]),
+        min_positions=list(positions[3 * n :]),
+        satisfied=list(map(bool, flags)),
         letters=letters,
-        scanned_letters=scanned_letters,
-        scanned_vcs=scanned_vcs,
-        eval=evaluation,
+        eval=None if eval_tag == 0 else eval_tag == 2,
         parked_on=parked_on,
-        waiting_for=set(waiting),
+        waiting_for=waiting_for,
     )
     return entry, pos
+
+
+def _w_token(out: bytearray, token: Token) -> None:
+    """Encode one :class:`Token`: atom table, routing fields, runs, entries."""
+    n = len(token.known)
+    if n == 0:
+        raise CodecError("token over zero processes")
+    names: set[str] = set()
+    for letters, _ in token.runs.values():
+        names.update(*set(letters))
+    for entry in token.entries:
+        names.update(entry.guard, *entry.conjuncts, *entry.letters.values())
+    atoms = _Atoms(sorted(names))
+    _w_uvarint(out, len(atoms.names))
+    for name in atoms.names:
+        _w_str(out, name)
+    _w_svarint(out, token.parent_process)
+    _w_svarint(out, token.parent_view)
+    _w_svarint(out, token.parent_event_sn)
+    _w_svarint(out, token.token_id)
+    _w_svarint(out, token.hops)
+    _w_uvarint(out, n)
+    _w_uints(out, token.known)
+    _w_uvarint(out, len(token.runs))
+    for process in sorted(token.runs):
+        _w_uvarint(out, process)
+        _w_run(out, atoms, n, *token.runs[process])
+    _w_uvarint(out, len(token.entries))
+    for entry in token.entries:
+        _w_entry(out, atoms, n, entry)
+
+
+def _r_token(data: bytes, pos: int) -> tuple[Token, int]:
+    """Decode one :class:`Token`."""
+    count, pos = _r_count(data, pos)
+    names = []
+    for _ in range(count):
+        name, pos = _r_str(data, pos)
+        names.append(name)
+    atoms = _Atoms(names)
+    parent_process, pos = _r_svarint(data, pos)
+    parent_view, pos = _r_svarint(data, pos)
+    parent_event_sn, pos = _r_svarint(data, pos)
+    token_id, pos = _r_svarint(data, pos)
+    hops, pos = _r_svarint(data, pos)
+    n, pos = _r_count(data, pos)
+    if n == 0:
+        raise CorruptFrameError("token over zero processes")
+    known, pos = _r_uints(data, pos, n)
+    count, pos = _r_count(data, pos)
+    runs = {}
+    for _ in range(count):
+        process, pos = _r_uvarint(data, pos)
+        runs[process], pos = _r_run(data, pos, atoms, n)
+    count, pos = _r_count(data, pos)
+    entries = []
+    for _ in range(count):
+        entry, pos = _r_entry(data, pos, atoms, n)
+        entries.append(entry)
+    token = Token(
+        parent_process=parent_process,
+        parent_view=parent_view,
+        parent_event_sn=parent_event_sn,
+        entries=entries,
+        known=list(known),
+        runs=runs,
+        token_id=token_id,
+        hops=hops,
+    )
+    return token, pos
+
+
+def _w_message(out: bytearray, message: object) -> int:
+    """Append one wire message's body to *out*; returns its type tag."""
+    if isinstance(message, Token):
+        _w_token(out, message)
+        return TYPE_TOKEN
+    if isinstance(message, TerminationNotice):
+        _w_svarint(out, message.process)
+        _w_svarint(out, message.final_event_sn)
+        return TYPE_TERMINATION
+    if isinstance(message, VerdictAnnouncement):
+        _w_svarint(out, message.origin)
+        _w_str(out, message.verdict)
+        return TYPE_VERDICT
+    _w_value(out, message)
+    return TYPE_VALUE
+
+
+def _r_message(type_tag: int, data: bytes, pos: int) -> object:
+    """Decode the message body that fills *data* from *pos* to its end."""
+    message: object
+    if type_tag == TYPE_TOKEN:
+        message, pos = _r_token(data, pos)
+    elif type_tag == TYPE_TERMINATION:
+        process, pos = _r_svarint(data, pos)
+        final_event_sn, pos = _r_svarint(data, pos)
+        message = TerminationNotice(process=process, final_event_sn=final_event_sn)
+    elif type_tag == TYPE_VERDICT:
+        origin, pos = _r_svarint(data, pos)
+        verdict, pos = _r_str(data, pos)
+        message = VerdictAnnouncement(origin=origin, verdict=verdict)
+    elif type_tag == TYPE_VALUE:
+        message, pos = _r_value(data, pos)
+    else:
+        raise CorruptFrameError(f"unknown message type 0x{type_tag:02x}")
+    if pos != len(data):
+        raise CorruptFrameError(
+            f"corrupt payload: {len(data) - pos} trailing bytes after the message"
+        )
+    return message
 
 
 def encode_message(message: object) -> tuple[int, bytes]:
     """Encode one wire message; returns ``(type_tag, payload_body)``.
 
-    :class:`Token` and :class:`TerminationNotice` use their dedicated binary
-    encoders; any other (primitive) value falls back to the generic tagged
-    layout under :data:`TYPE_VALUE`.
+    :class:`Token`, :class:`TerminationNotice` and
+    :class:`VerdictAnnouncement` use their dedicated binary encoders; any
+    other (primitive) value falls back to the generic tagged layout under
+    :data:`TYPE_VALUE`.
     """
     out = bytearray()
-    if isinstance(message, Token):
-        _w_svarint(out, message.parent_process)
-        _w_svarint(out, message.parent_view)
-        _w_svarint(out, message.parent_event_sn)
-        _w_svarint(out, message.token_id)
-        _w_svarint(out, message.hops)
-        _w_uvarint(out, len(message.entries))
-        for entry in message.entries:
-            _w_entry(out, entry)
-        return TYPE_TOKEN, bytes(out)
-    if isinstance(message, TerminationNotice):
-        _w_svarint(out, message.process)
-        _w_svarint(out, message.final_event_sn)
-        return TYPE_TERMINATION, bytes(out)
-    if isinstance(message, VerdictAnnouncement):
-        _w_svarint(out, message.origin)
-        _w_str(out, message.verdict)
-        return TYPE_VERDICT, bytes(out)
-    _w_value(out, message)
-    return TYPE_VALUE, bytes(out)
+    type_tag = _w_message(out, message)
+    return type_tag, bytes(out)
 
 
 def decode_message(type_tag: int, body: bytes) -> object:
     """Decode one payload body previously produced by :func:`encode_message`."""
-    if type_tag == TYPE_TOKEN:
-        pos = 0
-        parent_process, pos = _r_svarint(body, pos)
-        parent_view, pos = _r_svarint(body, pos)
-        parent_event_sn, pos = _r_svarint(body, pos)
-        token_id, pos = _r_svarint(body, pos)
-        hops, pos = _r_svarint(body, pos)
-        count, pos = _r_uvarint(body, pos)
-        entries = []
-        for _ in range(count):
-            entry, pos = _r_entry(body, pos)
-            entries.append(entry)
-        _check_consumed(body, pos)
-        return Token(
-            parent_process=parent_process,
-            parent_view=parent_view,
-            parent_event_sn=parent_event_sn,
-            entries=entries,
-            token_id=token_id,
-            hops=hops,
-        )
-    if type_tag == TYPE_TERMINATION:
-        pos = 0
-        process, pos = _r_svarint(body, pos)
-        final_event_sn, pos = _r_svarint(body, pos)
-        _check_consumed(body, pos)
-        return TerminationNotice(process=process, final_event_sn=final_event_sn)
-    if type_tag == TYPE_VERDICT:
-        pos = 0
-        origin, pos = _r_svarint(body, pos)
-        verdict, pos = _r_str(body, pos)
-        _check_consumed(body, pos)
-        return VerdictAnnouncement(origin=origin, verdict=verdict)
-    if type_tag == TYPE_VALUE:
-        value, pos = _r_value(body, 0)
-        _check_consumed(body, pos)
-        return value
-    raise CorruptFrameError(f"unknown message type 0x{type_tag:02x}")
-
-
-def _check_consumed(body: bytes, pos: int) -> None:
-    if pos != len(body):
-        raise CorruptFrameError(
-            f"corrupt payload: {len(body) - pos} trailing bytes after the message"
-        )
+    return _r_message(type_tag, body, 0)
 
 
 # ---------------------------------------------------------------------------
 # frame assembly and splitting
 # ---------------------------------------------------------------------------
+def _frame(type_tag: int, out: bytearray) -> bytes:
+    """Finish a frame whose first :data:`HEADER` bytes were left blank."""
+    length = len(out) - HEADER.size
+    if length > MAX_FRAME_BYTES:
+        raise CodecError(
+            f"payload of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit"
+        )
+    HEADER.pack_into(out, 0, MAGIC, PROTOCOL_VERSION, type_tag, length)
+    return bytes(out)
+
+
 def encode_wire(due: float, message: object) -> bytes:
     """One complete monitoring frame: header + delivery instant + message."""
-    type_tag, body = encode_message(message)
-    payload = _FLOAT64.pack(due) + body
-    return HEADER.pack(MAGIC, PROTOCOL_VERSION, type_tag, len(payload)) + payload
+    out = bytearray(HEADER.size)
+    out += _FLOAT64.pack(due)
+    return _frame(_w_message(out, message), out)
 
 
 def decode_wire(type_tag: int, payload: bytes) -> tuple[float, object]:
@@ -566,20 +731,19 @@ def decode_wire(type_tag: int, payload: bytes) -> tuple[float, object]:
             f"delivery instant"
         )
     due = _FLOAT64.unpack_from(payload, 0)[0]
-    return due, decode_message(type_tag, payload[_FLOAT64.size :])
+    return due, _r_message(type_tag, payload, _FLOAT64.size)
 
 
 def encode_control(mapping: dict[str, object]) -> bytes:
     """One complete control frame carrying a string-keyed mapping."""
-    out = bytearray()
+    out = bytearray(HEADER.size)
     _w_value(out, dict(mapping))
-    return HEADER.pack(MAGIC, PROTOCOL_VERSION, TYPE_CONTROL, len(out)) + bytes(out)
+    return _frame(TYPE_CONTROL, out)
 
 
 def decode_control(payload: bytes) -> dict[str, object]:
     """Decode a control frame payload back into its mapping."""
-    value, pos = _r_value(payload, 0)
-    _check_consumed(payload, pos)
+    value = _r_message(TYPE_VALUE, payload, 0)
     if not isinstance(value, dict):
         raise CorruptFrameError(
             f"control frame carries {type(value).__name__}, expected a mapping"
@@ -591,8 +755,9 @@ def decode_header(header: bytes) -> tuple[int, int]:
     """Validate one 8-byte frame header; returns ``(type_tag, length)``.
 
     Raises :class:`CorruptFrameError` on a bad magic (including v1 pickled
-    frames, whose length prefix can never start with ``b"RW"``) and
-    :class:`ProtocolVersionError` on a version this codec does not speak.
+    frames, whose length prefix can never start with ``b"RW"``) or a length
+    above :data:`MAX_FRAME_BYTES`, and :class:`ProtocolVersionError` on a
+    version this codec does not speak.
     """
     if len(header) != HEADER.size:
         raise CorruptFrameError(
@@ -606,6 +771,11 @@ def decode_header(header: bytes) -> tuple[int, int]:
         )
     if version != PROTOCOL_VERSION:
         raise ProtocolVersionError(version)
+    if length > MAX_FRAME_BYTES:
+        raise CorruptFrameError(
+            f"frame announces a payload of {length} bytes, "
+            f"at most {MAX_FRAME_BYTES} are allowed"
+        )
     return type_tag, length
 
 

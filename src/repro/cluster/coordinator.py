@@ -80,6 +80,8 @@ class ClusterReport:
     #: untouched per-worker ``collect`` replies, for inspection
     worker_results: list[dict[str, object]] = field(default_factory=list)
     wall_seconds: float = 0.0
+    #: bytes of all monitoring frames the workers queued for their peers
+    wire_bytes: int = 0
 
     @property
     def delay_time_percentage_per_view(self) -> float:
@@ -358,6 +360,7 @@ def _aggregate(
         fault_stats=fault_stats,
         worker_results=results,
         wall_seconds=wall_seconds,
+        wire_bytes=sum(int(r["wire_bytes"]) for r in results),
     )
 
 

@@ -4,7 +4,7 @@ Where the loopback :class:`repro.runtime.transport.TcpStreamTransport` owns
 *every* node of a run inside one event loop, the cluster transport owns
 exactly one — the monitor its worker process hosts — and resolves every
 other monitor id to a remote address through the cluster manifest.  Messages
-leave as wire protocol v2 frames (:mod:`repro.cluster.codec`) over one
+leave as wire protocol v3 frames (:mod:`repro.cluster.codec`) over one
 persistent TCP connection per peer, opened lazily and re-opened with bounded
 exponential backoff, so workers may start in any order and short peer
 outages (process churn during crash/restart fault plans) do not lose the
@@ -47,7 +47,7 @@ BACKOFF_ATTEMPTS = 40
 async def read_frame_async(
     reader: asyncio.StreamReader,
 ) -> tuple[int, bytes] | None:
-    """Read one v2 frame from *reader*; ``None`` on clean EOF between frames.
+    """Read one frame from *reader*; ``None`` on clean EOF between frames.
 
     Raises :class:`repro.cluster.codec.CorruptFrameError` on truncation
     inside a frame and the codec's own errors on bad magic or an
@@ -113,6 +113,8 @@ class WorkerTransport:
         self.out_pending = 0
         #: monotone counter of messages sent (remote frames + local loops)
         self.sent_count = 0
+        #: bytes of every frame queued for a peer, headers included
+        self.wire_bytes_sent = 0
         #: monotone counter of messages the local node finished processing
         self.processed_count = 0
         #: first unrecoverable transport failure, surfaced to the main task
@@ -133,7 +135,9 @@ class WorkerTransport:
             self.node.enqueue_message(0.0, message)
             return
         self.out_pending += 1
-        self._outbox(target).put_nowait(codec.encode_wire(0.0, message))
+        frame = codec.encode_wire(0.0, message)
+        self.wire_bytes_sent += len(frame)
+        self._outbox(target).put_nowait(frame)
 
     def message_done(self, due: float) -> None:
         """Record that the local node finished processing one message."""

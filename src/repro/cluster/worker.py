@@ -170,6 +170,7 @@ async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> 
                     "delayed_events": metrics.delayed_events,
                     "sent": transport.sent_count,
                     "processed": transport.processed_count,
+                    "wire_bytes": transport.wire_bytes_sent,
                     "fault_stats": {
                         **(injector.fault_stats() if injector else {}),
                         **(skew_stats if process == 0 else {}),

@@ -11,7 +11,7 @@ an inconsistent global view.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 __all__ = ["TokenEntry", "Token", "TerminationNotice", "VerdictAnnouncement"]
@@ -29,10 +29,10 @@ class TokenEntry:
     process components monotonically until either a consistent cut
     satisfying the transition guard is found (``eval`` becomes ``True``) or
     a process terminates without ever satisfying its conjunct (``eval``
-    becomes ``False``).  Along the way it records the letter and vector
-    clock of **every** event it scanned, so the parent can later replay all
-    interleavings inside the box ``[start_cut, cut]`` and fork a view for
-    every automaton state reachable there (this is what makes the
+    becomes ``False``).  The events it scans travel once per token, in
+    :attr:`Token.runs`, not per entry: the parent replays all interleavings
+    inside the box ``[start_cut, cut]`` from its own columns and forks a
+    view for every automaton state reachable there (this is what makes the
     implementation sound by construction).
 
     Attributes
@@ -58,10 +58,6 @@ class TokenEntry:
         Whether each process's conjunct holds at its current ``cut`` position.
     letters:
         Letter at ``cut[j]`` for every process ``j`` the entry advanced.
-    scanned_letters / scanned_vcs:
-        Letters and vector clocks of every event scanned while advancing,
-        keyed by process and sequence number — the data for the parent's
-        box replay.
     eval:
         ``None`` while undecided, else ``True`` / ``False``.
     parked_on:
@@ -77,8 +73,6 @@ class TokenEntry:
     min_positions: list[int]
     satisfied: list[bool]
     letters: dict[int, Letter] = field(default_factory=dict)
-    scanned_letters: dict[int, dict[int, Letter]] = field(default_factory=dict)
-    scanned_vcs: dict[int, dict[int, tuple[int, ...]]] = field(default_factory=dict)
     eval: bool | None = None
     parked_on: int | None = None
     #: processes already visited that currently have no useful event; the
@@ -103,24 +97,15 @@ class TokenEntry:
                 lagging.append(j)
         return lagging
 
-    def record_scan(
-        self,
-        process: int,
-        first_sn: int,
-        letters: Sequence[Letter],
-        vcs: Sequence[tuple[int, ...]],
-    ) -> None:
-        """Record a run of consecutive scanned events of *process*.
+    def record_scan(self, vc: tuple[int, ...]) -> None:
+        """Record that a run of one process's events ending at clock *vc*
+        was scanned.
 
-        ``letters[i]`` / ``vcs[i]`` belong to event ``first_sn + i``.  A
-        process's clocks only grow from one event to the next, so folding
+        A process's clocks only grow from one event to the next, so folding
         the run's last clock into ``depend`` folds all of them.
         """
-        sns = range(first_sn, first_sn + len(letters))
-        self.scanned_letters.setdefault(process, {}).update(zip(sns, letters))
-        self.scanned_vcs.setdefault(process, {}).update(zip(sns, vcs))
         depend = self.depend
-        for k, component in enumerate(vcs[-1]):
+        for k, component in enumerate(vc):
             if component > depend[k]:
                 depend[k] = component
 
@@ -132,12 +117,27 @@ class Token:
     Created by one global view of one monitor (the *parent*), possibly
     visiting several monitors to evaluate its entries, and finally returning
     to the parent which forks/updates views from the results.
+
+    Attributes
+    ----------
+    known:
+        Per process, the last position of that process's events the parent
+        held when it created the token; frozen for the token's life.
+    runs:
+        Per process ``j``, the letters and vector clocks of its events
+        ``known[j] + 1, known[j] + 2, …`` — what the entries scanned and
+        the parent did not already hold, shared by all entries.  Each
+        monitor extends only its own run, when the token leaves it.
     """
 
     parent_process: int
     parent_view: int
     parent_event_sn: int
     entries: list[TokenEntry]
+    known: list[int]
+    runs: dict[int, tuple[list[Letter], list[tuple[int, ...]]]] = field(
+        default_factory=dict
+    )
     token_id: int = field(default_factory=lambda: next(_token_ids))
     hops: int = 0
 

@@ -88,6 +88,8 @@ class MonitorMetrics:
     #: (sound, but verdicts reachable on other interleavings are missed)
     box_queries: int = 0
     box_linear_fallbacks: int = 0
+    #: own events this monitor appended to the runs of tokens leaving it
+    events_shipped: int = 0
 
     @property
     def messages_sent(self) -> int:
@@ -204,10 +206,25 @@ class DecentralizedMonitor:
         self._seen_notices: set[TerminationNotice] = set()
         self._seen_announcements: set[VerdictAnnouncement] = set()
 
-        #: this process's own events as columns indexed by sequence number
-        #: (position 0 is the initial state): letter and vector clock
-        self.local_letters: list[Letter] = [self.initial_letters[process]]
-        self.local_vcs: list[tuple[int, ...]] = [(0,) * num_processes]
+        #: per process, the events of that process this monitor holds, as
+        #: columns indexed by sequence number (position 0 is the initial
+        #: state): letter, letter bitmask and vector clock.  A column is
+        #: always a gapless prefix of the process's events and only grows —
+        #: its own process's from ``local_event``, the others' from the runs
+        #: of returning tokens.  Invariant: every view of this monitor has
+        #: ``cut[j] < len(column j)``, because cuts only move to the cut of
+        #: a returned entry whose runs were absorbed first.
+        self.letter_columns: list[list[Letter]] = [
+            [letter] for letter in self.initial_letters
+        ]
+        self.mask_columns: list[list[int]] = [
+            [self._mask_of(letter)] for letter in self.initial_letters
+        ]
+        self.vc_columns: list[list[tuple[int, ...]]] = [
+            [(0,) * num_processes] for _ in range(num_processes)
+        ]
+        self.local_letters = self.letter_columns[process]
+        self.local_vcs = self.vc_columns[process]
         self.last_local_sn = 0
         self.local_terminated = False
         #: final event count of each process, once known
@@ -360,9 +377,9 @@ class DecentralizedMonitor:
         if not self._started:
             self.start()
         self.metrics.events_processed += 1
-        self.local_letters.append(
-            self.registry.local_letter(self.process, event.state)
-        )
+        letter = self.registry.local_letter(self.process, event.state)
+        self.local_letters.append(letter)
+        self.mask_columns[self.process].append(self._mask_of(letter))
         self.local_vcs.append(tuple(event.vc))
         self.last_local_sn = event.sn
 
@@ -569,13 +586,19 @@ class DecentralizedMonitor:
             entries.append(
                 self._make_entry(view, transition, conjuncts, satisfied_now)
             )
-        if not entries:
-            return
+        if entries:
+            self._issue_token(view, view.cut[self.process], entries)
+
+    def _issue_token(
+        self, view: GlobalView, parent_event_sn: int, entries: list[TokenEntry]
+    ) -> None:
+        """Create the token of *view* carrying *entries* and start serving it."""
         token = Token(
             parent_process=self.process,
             parent_view=view.view_id,
-            parent_event_sn=view.cut[self.process],
+            parent_event_sn=parent_event_sn,
             entries=entries,
+            known=[len(column) - 1 for column in self.vc_columns],
         )
         self.metrics.tokens_created += 1
         self.metrics.entries_created += len(entries)
@@ -628,18 +651,7 @@ class DecentralizedMonitor:
             satisfied=[True] * n,
             letters={j: view.letters[j] for j in range(n)},
         )
-        token = Token(
-            parent_process=self.process,
-            parent_view=view.view_id,
-            parent_event_sn=sn,
-            entries=[entry],
-        )
-        self.metrics.tokens_created += 1
-        self.metrics.entries_created += 1
-        view.status = ViewStatus.WAITING
-        view.outstanding_token = token.token_id
-        self._outstanding[token.token_id] = view
-        self._serve_token(token)
+        self._issue_token(view, sn, [entry])
 
     # ------------------------------------------------------------------
     # token service and routing (PROCESSTOKEN / EVALUATETOKEN / SENDTONEXTPROCESS)
@@ -664,7 +676,8 @@ class DecentralizedMonitor:
         the ones the entry needs.  Own events carry ``vc[j] == sn``, so
         scanning them never lifts ``depend[j]`` above the position reached:
         the position bound is fixed for the visit, and past it only letters
-        are walked until the conjunct holds or history runs out.
+        are walked until the conjunct holds or history runs out.  The events
+        walked are put on the token when it leaves (:meth:`_send_token`).
         """
         j = self.process
         cut = entry.cut[j]
@@ -693,9 +706,7 @@ class DecentralizedMonitor:
                 entry.parked_on = j
                 entry.waiting_for.add(j)
         if end > cut:
-            entry.record_scan(
-                j, cut + 1, letters[cut + 1 : end + 1], self.local_vcs[cut + 1 : end + 1]
-            )
+            entry.record_scan(self.local_vcs[end])
             entry.cut[j] = end
             entry.letters[j] = letters[end]
             entry.satisfied[j] = _satisfies(letters[end], conjunct) if conjunct else True
@@ -798,12 +809,34 @@ class DecentralizedMonitor:
         # monitor re-serves and re-routes, converging on the destination
         hop = self.topology.next_hop(self.process, target)
         self.metrics.token_messages_sent += 1
+        if token.parent_process != self.process:
+            self._extend_run(token)
         self.transport.send(self.process, hop, token)
+
+    def _extend_run(self, token: Token) -> None:
+        """Put on a leaving token the own events its entries reached here.
+
+        The token's run of this process covers ``known + 1 …``; it is
+        extended to the furthest cut of any entry — by nothing when the
+        parent already held that prefix, so entries that started from old
+        cuts rescan locally without re-shipping.
+        """
+        mine = self.process
+        run = token.runs.get(mine)
+        held = token.known[mine] + (len(run[1]) if run else 0)
+        reach = max((entry.cut[mine] for entry in token.entries), default=0)
+        fresh = self.local_vcs[held + 1 : reach + 1]
+        if fresh:
+            letters, vcs = run or token.runs.setdefault(mine, ([], []))
+            letters += self.local_letters[held + 1 : reach + 1]
+            vcs += fresh
+            self.metrics.events_shipped += len(fresh)
 
     # ------------------------------------------------------------------
     # token return (RECEIVETOKEN at the parent)
     # ------------------------------------------------------------------
     def _token_returned(self, token: Token) -> None:
+        self._absorb_runs(token)
         view = self._outstanding.pop(token.token_id, None)
         if view is None:
             return  # parent view vanished (merged away); drop silently
@@ -834,6 +867,27 @@ class DecentralizedMonitor:
             self._advance_view(view)
         self._merge_views()
 
+    def _absorb_runs(self, token: Token) -> None:
+        """Append to the columns what a token's runs add to them.
+
+        A run starts at ``known[j] + 1``; the part the column already holds
+        is skipped, the rest appended.  A run that would leave a gap (only a
+        stale or forged token carries one) is ignored, so columns stay
+        gapless prefixes whatever arrives, in whatever order, however often.
+        """
+        n = self.num_processes
+        if len(token.known) != n:
+            return
+        for j, (letters, vcs) in token.runs.items():
+            if not 0 <= j < n or j == self.process or len(letters) != len(vcs):
+                continue
+            skip = len(self.vc_columns[j]) - 1 - token.known[j]
+            if 0 <= skip < len(vcs):
+                fresh = letters[skip:]
+                self.letter_columns[j] += fresh
+                self.mask_columns[j] += map(self._mask_of, fresh)
+                self.vc_columns[j] += vcs[skip:]
+
     def _fork_from_entry(self, view: GlobalView, entry: TokenEntry) -> list[GlobalView]:
         """Fork one view per automaton state reachable inside the entry's box.
 
@@ -846,6 +900,11 @@ class DecentralizedMonitor:
         afterwards.
         """
         target_cut = list(entry.cut)
+        if len(target_cut) != self.num_processes or not all(
+            base <= target < len(column)
+            for base, target, column in zip(view.cut, target_cut, self.vc_columns)
+        ):
+            return []  # a stale or forged entry: the columns do not hold its box
         reachable, letters_at_target = self._box_reachable(view, entry)
         children: list[GlobalView] = []
         for state in sorted(reachable):
@@ -913,14 +972,13 @@ class DecentralizedMonitor:
         ranges = [target[j] - base[j] for j in range(n)]
         # per process and offset into the box (offset 0 is the view's own
         # letter): the letter bitmask of the event at that position
-        mask_of = self._mask_of
-        masks_by = [[mask_of(letter)] for letter in view.letters]
-        letters_at_target = list(view.letters)
+        masks_by = [
+            column[base[j] : target[j] + 1] for j, column in enumerate(self.mask_columns)
+        ]
+        letters_at_target = [
+            column[target[j]] for j, column in enumerate(self.letter_columns)
+        ]
         active = [j for j in range(n) if ranges[j] > 0]
-        for j in active:
-            scanned = entry.scanned_letters[j]
-            masks_by[j] += [mask_of(scanned[sn]) for sn in range(base[j] + 1, target[j] + 1)]
-            letters_at_target[j] = scanned[target[j]]
 
         self.metrics.box_queries += 1
         cells = 1
@@ -940,9 +998,7 @@ class DecentralizedMonitor:
         goal = sum(r * stride for r, stride in zip(ranges, strides))
         needs: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
         for j in active:
-            vcs = entry.scanned_vcs[j]
-            for sn in range(base[j] + 1, target[j] + 1):
-                vc = vcs[sn]
+            for vc in self.vc_columns[j][base[j] + 1 : target[j] + 1]:
                 needs[j].append(
                     [(k, vc[k] - base[k]) for k in range(n) if k != j and vc[k] > base[k]]
                 )
@@ -1002,8 +1058,9 @@ class DecentralizedMonitor:
         # happened-before
         events = []
         for j in range(self.num_processes):
+            vcs = self.vc_columns[j]
             for sn in range(base[j] + 1, entry.cut[j] + 1):
-                vc = entry.scanned_vcs[j][sn]
+                vc = vcs[sn]
                 events.append((sum(vc), vc, j, sn))
         events.sort()
         masks = [column[0] for column in masks_by]

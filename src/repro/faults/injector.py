@@ -234,8 +234,9 @@ class MonitorFaultProxy:
         transitions no real execution took, which is exactly the forged
         progression state the soundness oracle must catch.  Only positions
         the token genuinely scanned are touched downstream (the box replay
-        reads ``scanned_letters``), so the attack perturbs verdicts, not
-        the monitor's internal invariants.
+        reads the parent's columns, which the token's runs fill up to every
+        entry's cut), so the attack perturbs verdicts, not the monitor's
+        internal invariants.
         """
         if not isinstance(message, Token):
             return None

@@ -10,7 +10,7 @@ Two transports are provided:
   event loop.  Fast and used by the test-suite and the default CLI backend.
 * :class:`TcpStreamTransport` — every monitor node listens on a real TCP
   socket (``127.0.0.1``, ephemeral port) and the :mod:`repro.core.messages`
-  wire messages travel as wire protocol v2 binary frames
+  wire messages travel as wire protocol v3 binary frames
   (:mod:`repro.cluster.codec`) over real connections.
 
 Both transports preserve **FIFO order per (sender, receiver) channel** (the
@@ -107,6 +107,9 @@ class StreamTransport:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_by_sender: dict[int, int] = {}
+        #: bytes of every frame written to a socket, headers included (stays
+        #: zero on a transport that delivers objects and encodes nothing)
+        self.wire_bytes_sent = 0
         self.last_delivery_time: float = 0.0
 
     # -- MonitorNetwork protocol ----------------------------------------
@@ -249,7 +252,7 @@ class TcpStreamTransport(StreamTransport):
 
     Every registered node gets its own ``asyncio.start_server`` on
     ``127.0.0.1`` with an ephemeral port; channel pumps lazily open one
-    client connection per (sender, target) pair and write wire protocol v2
+    client connection per (sender, target) pair and write wire protocol v3
     frames — a magic/version/type header followed by the binary-encoded
     delivery instant and message (:mod:`repro.cluster.codec`).  The
     receiving server decodes each frame and enqueues it into the target
@@ -310,7 +313,9 @@ class TcpStreamTransport(StreamTransport):
         if writer is None:
             _, writer = await asyncio.open_connection(self.host, self.ports[target])
             self._writers[channel] = writer
-        writer.write(codec.encode_wire(due, message))
+        frame = codec.encode_wire(due, message)
+        self.wire_bytes_sent += len(frame)
+        writer.write(frame)
         await writer.drain()
 
     async def _serve(

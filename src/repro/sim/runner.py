@@ -72,6 +72,9 @@ class SimulationReport:
     #: single linearisation (sound, but verdicts may be missed)
     box_queries: int = 0
     box_linear_fallbacks: int = 0
+    #: events the monitors appended to the runs of outgoing tokens: copies
+    #: of program events that travelled between monitors
+    events_shipped: int = 0
 
     @property
     def monitor_extra_time(self) -> float:
@@ -93,6 +96,13 @@ class SimulationReport:
         if self.box_queries == 0:
             return 0.0
         return self.box_linear_fallbacks / self.box_queries
+
+    @property
+    def events_shipped_per_event(self) -> float:
+        """Copies of events put on tokens, per program event."""
+        if self.total_events == 0:
+            return 0.0
+        return self.events_shipped / self.total_events
 
     @property
     def average_delayed_events(self) -> float:
@@ -244,4 +254,5 @@ def simulate_monitored_run(
         },
         box_queries=sum(m.metrics.box_queries for m in monitors),
         box_linear_fallbacks=sum(m.metrics.box_linear_fallbacks for m in monitors),
+        events_shipped=sum(m.metrics.events_shipped for m in monitors),
     )

@@ -2,14 +2,14 @@
 
 The acceptance criterion of the multi-host runtime: for fixed seeds, running
 a registered scenario on ``--backend cluster`` — one OS process per monitor,
-wire protocol v2 over real loopback sockets — declares verdicts identical to
+wire protocol v3 over real loopback sockets — declares verdicts identical to
 the discrete-event simulator and the asyncio streaming runtime, including
 under a crash/restart fault plan.  Every test here spawns real worker
 subprocesses through the coordinator.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -22,10 +22,13 @@ from repro.api import (
     loopback_manifest,
     run_streaming,
 )
+from repro.cluster import codec
 from repro.cluster.spec import build_cell_inputs
 from repro.experiments.engine import run_scenario_cell
+from repro.runtime.transport import StreamTransport
 from repro.scenarios import GridPoint, Scenario, get_scenario
 from repro.sim import simulate_monitored_run
+from repro.sim.network import SimulatedNetwork
 
 #: the three registered scenarios the criterion is checked on — the paper
 #: baseline, a deterministic network and a degraded one (the cluster backend
@@ -136,6 +139,90 @@ class TestClusterEquivalence:
         # attribute-compatible with RuntimeReport where sweep metrics need it
         assert report.delay_time_percentage_per_view == 0.0
         assert report.network_stats == {}
+
+
+def _through_the_codec(send):
+    """A transport ``send`` that delivers what a socket would: a decoded copy."""
+
+    def wrapped(self, sender, target, message):
+        frame = codec.encode_wire(0.0, message)
+        _, copy = codec.decode_wire(*codec.split_frame(frame))
+        return send(self, sender, target, copy)
+
+    return wrapped
+
+
+class TestPayloadAcrossBackends:
+    """What a token carries only materialises on sockets.
+
+    The in-process backends hand tokens over as objects; ``asyncio`` over
+    TCP and the cluster encode every one.  Verdicts must agree on all four.
+    Message and view counts depend on delivery order, which differs from
+    backend to backend (and from run to run on the cluster), so they are
+    compared where they are defined: an in-process run whose every message
+    crosses the codec must count exactly what the plain run counts.
+    """
+
+    @pytest.mark.parametrize("property_name", ["B", "C"])
+    def test_verdicts_agree_on_all_four_backends(self, property_name):
+        spec = _spec("paper-default", property_name=property_name)
+        computation, automaton, registry = build_cell_inputs(spec)
+        simulated = simulate_monitored_run(
+            computation,
+            automaton,
+            registry,
+            seed=spec.seed,
+            max_views_per_state=2,
+            network=get_scenario("paper-default").network,
+        )
+        reports = {
+            "asyncio-memory": run_streaming(
+                computation, automaton, registry, max_views_per_state=2
+            ),
+            "asyncio-tcp": run_streaming(
+                computation, automaton, registry, max_views_per_state=2, transport="tcp"
+            ),
+            "cluster": cluster_monitored_run(spec),
+        }
+        for backend, report in reports.items():
+            assert report.declared_verdicts == simulated.declared_verdicts, backend
+            assert report.monitor_messages == (
+                report.token_messages + report.termination_messages + report.digest_messages
+            ), backend
+            assert report.total_global_views > 0, backend
+        # bytes are counted exactly where frames are written
+        assert reports["asyncio-memory"].wire_bytes == 0
+        assert reports["asyncio-tcp"].wire_bytes > 0
+        assert reports["cluster"].wire_bytes == sum(
+            result["wire_bytes"] for result in reports["cluster"].worker_results
+        ) > 0
+        assert reports["asyncio-tcp"].events_shipped_per_event > 0
+
+    @pytest.mark.parametrize("property_name", ["B", "C"])
+    def test_decoded_tokens_count_what_handed_over_tokens_count(
+        self, property_name, monkeypatch
+    ):
+        spec = _spec("paper-default", property_name=property_name)
+        computation, automaton, registry = build_cell_inputs(spec)
+
+        def both():
+            return (
+                simulate_monitored_run(
+                    computation, automaton, registry, seed=spec.seed, max_views_per_state=2
+                ),
+                run_streaming(computation, automaton, registry, max_views_per_state=2),
+            )
+
+        plain = both()
+        monkeypatch.setattr(SimulatedNetwork, "send", _through_the_codec(SimulatedNetwork.send))
+        monkeypatch.setattr(StreamTransport, "send", _through_the_codec(StreamTransport.send))
+        for handed_over, decoded in zip(plain, both()):
+            assert decoded.as_dict() == handed_over.as_dict()
+            assert decoded.declared_verdicts == handed_over.declared_verdicts
+            assert [asdict(m.metrics) for m in decoded.monitors] == [
+                asdict(m.metrics) for m in handed_over.monitors
+            ]
+            assert decoded.events_shipped == handed_over.events_shipped > 0
 
 
 class TestClusterEngineIntegration:

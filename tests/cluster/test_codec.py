@@ -1,4 +1,4 @@
-"""Wire protocol v2 codec: byte-stable round-trips and corruption diagnostics.
+"""Wire protocol v3 codec: byte-stable round-trips and corruption diagnostics.
 
 The acceptance properties of the codec (hypothesis-tested here):
 
@@ -10,11 +10,14 @@ The acceptance properties of the codec (hypothesis-tested here):
 3. **Diagnostics**: corrupted frames, truncations and foreign protocol
    versions raise typed errors whose messages say what went wrong — and a
    v1 length-prefixed pickle frame is named as such.
+4. **Nothing but codec errors**: whatever bytes arrive, decoding raises a
+   :class:`~repro.cluster.codec.CodecError` subclass or returns a message.
 
 Plus the grep-enforced guarantee that pickle is gone from every runtime
 wire path.
 """
 
+import asyncio
 import io
 from pathlib import Path
 
@@ -61,42 +64,24 @@ generic_values = st.recursive(
 )
 
 
+#: clock components and positions: mostly small, sometimes past each of
+#: the packed widths (one, two and four bytes)
+positions = st.one_of(
+    st.integers(0, 50), st.sampled_from([255, 256, 65_535, 65_536, 2**32 - 1])
+)
+
+
 @st.composite
 def token_entries(draw, num_processes):
     """One :class:`TokenEntry` whose vectors all have *num_processes* slots."""
     n = num_processes
-    int_vec = st.lists(
-        st.integers(min_value=-1, max_value=50), min_size=n, max_size=n
-    )
+    int_vec = st.lists(positions, min_size=n, max_size=n)
     guard = draw(st.dictionaries(atom_names, st.booleans(), max_size=3))
     conjuncts = draw(
         st.lists(
             st.dictionaries(atom_names, st.booleans(), max_size=2),
             min_size=n,
             max_size=n,
-        )
-    )
-    sn_keys = st.integers(min_value=0, max_value=30)
-    scanned_letters = draw(
-        st.dictionaries(
-            st.integers(min_value=0, max_value=n - 1),
-            st.dictionaries(sn_keys, letters, max_size=2),
-            max_size=2,
-        )
-    )
-    scanned_vcs = draw(
-        st.dictionaries(
-            st.integers(min_value=0, max_value=n - 1),
-            st.dictionaries(
-                sn_keys,
-                st.lists(
-                    st.integers(min_value=0, max_value=50),
-                    min_size=n,
-                    max_size=n,
-                ).map(tuple),
-                max_size=2,
-            ),
-            max_size=2,
         )
     )
     return TokenEntry(
@@ -113,12 +98,18 @@ def token_entries(draw, num_processes):
                 st.integers(min_value=0, max_value=n - 1), letters, max_size=n
             )
         ),
-        scanned_letters=scanned_letters,
-        scanned_vcs=scanned_vcs,
         eval=draw(st.one_of(st.none(), st.booleans())),
         parked_on=draw(st.one_of(st.none(), st.integers(0, n - 1))),
         waiting_for=draw(st.sets(st.integers(0, n - 1), max_size=n)),
     )
+
+
+@st.composite
+def runs(draw, num_processes):
+    """One process's run: as many letters as clocks, possibly none."""
+    clock = st.lists(positions, min_size=num_processes, max_size=num_processes)
+    events = draw(st.lists(st.tuples(letters, clock.map(tuple)), max_size=6))
+    return [letter for letter, _ in events], [vc for _, vc in events]
 
 
 @st.composite
@@ -131,6 +122,8 @@ def tokens(draw):
         parent_view=draw(st.integers(0, 100)),
         parent_event_sn=draw(st.integers(-1, 100)),
         entries=entries,
+        known=draw(st.lists(positions, min_size=n, max_size=n)),
+        runs=draw(st.dictionaries(st.integers(0, n - 1), runs(n), max_size=n)),
         token_id=draw(st.integers(1, 10**6)),
         hops=draw(st.integers(0, 1000)),
     )
@@ -248,7 +241,7 @@ class TestDiagnostics:
         ):
             codec.decode_header(header[: codec.HEADER.size])
 
-    @pytest.mark.parametrize("version", [0, 1, 3, 255])
+    @pytest.mark.parametrize("version", [0, 1, 2, 255])
     def test_foreign_version_reports_both_versions(self, version):
         header = codec.HEADER.pack(codec.MAGIC, version, codec.TYPE_VALUE, 0)
         with pytest.raises(
@@ -261,7 +254,7 @@ class TestDiagnostics:
 
     def test_short_header_reported(self):
         with pytest.raises(codec.CorruptFrameError, match="short header: 3 of 8"):
-            codec.decode_header(b"RW\x02")
+            codec.decode_header(b"RW\x03")
 
     def test_frame_length_mismatch_reported(self):
         frame = codec.encode_wire(0.0, "hello")
@@ -296,7 +289,7 @@ class TestDiagnostics:
 
     def test_stream_truncated_mid_header(self):
         with pytest.raises(codec.CorruptFrameError, match="header bytes"):
-            codec.read_frame(io.BytesIO(b"RW\x02"))
+            codec.read_frame(io.BytesIO(b"RW\x03"))
 
     def test_control_frame_must_carry_a_mapping(self):
         out = bytearray()
@@ -311,6 +304,173 @@ class TestDiagnostics:
         assert issubclass(codec.CodecError, ValueError)
         assert issubclass(codec.CorruptFrameError, codec.CodecError)
         assert issubclass(codec.ProtocolVersionError, codec.CodecError)
+
+
+def _token(known, runs=None, entries=()):
+    return Token(0, 0, 0, entries=list(entries), known=known, runs=runs or {}, token_id=1)
+
+
+def _round_trip(message):
+    frame = codec.encode_wire(0.0, message)
+    _, decoded = codec.decode_wire(*codec.split_frame(frame))
+    assert decoded == message
+    assert codec.encode_wire(0.0, decoded) == frame
+    return frame
+
+
+class TestTokenPayload:
+    """The v3 token body: packed widths, run tables, the atom table."""
+
+    def test_clocks_are_packed_at_the_width_their_largest_component_needs(self):
+        sizes = []
+        for top in (255, 256, 65_535, 65_536, 2**32 - 1):
+            run = ([frozenset({"P1.p"})] * 3, [(1, 1), (2, 1), (top, 2)])
+            sizes.append(len(_round_trip(_token([0, 0], {0: run}))))
+        # 6 components at one, two and four bytes each
+        assert [b - a for a, b in zip(sizes, sizes[1:])] == [6, 0, 12, 0]
+
+    def test_values_wider_than_32_bits_or_negative_are_refused_at_encode(self):
+        for bad in (2**32, -1):
+            with pytest.raises(codec.CodecError, match="cannot pack"):
+                codec.encode_wire(0.0, _token([0, bad]))
+            with pytest.raises(codec.CodecError, match="cannot pack"):
+                codec.encode_wire(0.0, _token([0, 0], {1: ([frozenset()], [(0, bad)])}))
+
+    def test_empty_run_round_trips(self):
+        _round_trip(_token([3, 4], {1: ([], [])}))
+
+    def test_a_run_holds_at_most_255_distinct_letters(self):
+        def run_of(distinct):
+            letters = [frozenset({f"a{i}"}) for i in range(distinct)]
+            return letters + letters[:5], [(i,) for i in range(distinct + 5)]
+
+        _round_trip(_token([0], {0: run_of(255)}))
+        with pytest.raises(codec.CodecError, match="256 distinct letters"):
+            codec.encode_wire(0.0, _token([0], {0: run_of(256)}))
+
+    def test_each_atom_is_spelt_once_per_frame(self):
+        entry = TokenEntry(
+            transition_id=1,
+            guard={"P0.p": True, "P1.p": False},
+            conjuncts=[{"P0.p": True}, {"P1.p": False}],
+            start_cut=[0, 0],
+            cut=[0, 2],
+            depend=[0, 2],
+            min_positions=[0, 0],
+            satisfied=[True, False],
+            letters={0: frozenset({"P0.p"}), 1: frozenset({"P1.p"})},
+        )
+        run = ([frozenset({"P1.p"}), frozenset()], [(0, 1), (0, 2)])
+        frame = _round_trip(_token([0, 0], {1: run}, [entry, entry, entry]))
+        assert frame.count(b"P0.p") == frame.count(b"P1.p") == 1
+
+    def test_misshapen_tokens_are_refused_at_encode(self):
+        lopsided = ([frozenset()], [(0, 0), (0, 1)])
+        short_clock = ([frozenset()], [(0,)])
+        for runs in ({1: lopsided}, {1: short_clock}):
+            with pytest.raises(codec.CodecError, match="do not line up"):
+                codec.encode_wire(0.0, _token([0, 0], runs))
+        with pytest.raises(codec.CodecError, match="zero processes"):
+            codec.encode_wire(0.0, _token([]))
+
+
+class TestHostileInput:
+    """Whatever arrives, decoding raises a codec error or returns a message."""
+
+    @staticmethod
+    def _read(frame):
+        return codec.read_frame(io.BytesIO(frame))
+
+    @settings(max_examples=40, deadline=None)
+    @given(message=tokens(), due=finite_floats)
+    def test_every_truncation_is_a_codec_error(self, message, due):
+        frame = codec.encode_wire(due, message)
+        type_tag, payload = codec.split_frame(frame)
+        for cut in range(1, len(frame)):
+            # the stream ends early ...
+            with pytest.raises(codec.CodecError):
+                self._read(frame[:cut])
+        for cut in range(len(payload)):
+            # ... or a shorter payload arrives whole, behind an honest header
+            with pytest.raises(codec.CodecError):
+                codec.decode_wire(type_tag, payload[:cut])
+
+    @settings(max_examples=40, deadline=None)
+    @given(message=tokens(), due=finite_floats)
+    def test_every_single_byte_corruption_raises_nothing_but_codec_errors(
+        self, message, due
+    ):
+        frame = codec.encode_wire(due, message)
+        for position in range(len(frame)):
+            for flip in (0x01, 0x80, 0xFF, frame[position]):  # the last zeroes it
+                corrupt = bytearray(frame)
+                corrupt[position] ^= flip
+                try:
+                    self._read(bytes(corrupt))
+                except codec.CodecError:
+                    pass  # anything else (IndexError, struct.error, ...) fails
+
+    def test_a_corrupt_count_is_refused_before_anything_is_allocated(self):
+        type_tag, payload = codec.split_frame(codec.encode_wire(0.0, _token([1, 2])))
+        # no atoms, no runs, no entries: after the instant come the atom
+        # count, five one-byte routing fields, then n = 2 and the two counts
+        assert payload[8:] == bytes([0, 0, 0, 0, 2, 0, 2, 1, 1, 2, 0, 0])
+        huge = bytearray()
+        codec._w_uvarint(huge, 2**40)
+        for at in (8, 14, 18, 19):  # atoms, n, runs, entries
+            with pytest.raises(codec.CorruptFrameError, match="elements announced"):
+                codec.decode_wire(type_tag, payload[:at] + bytes(huge) + payload[at + 1 :])
+
+    def test_a_v2_frame_is_refused_naming_both_versions(self):
+        frame = bytearray(codec.encode_wire(0.0, _token([0])))
+        frame[2] = 2  # as a node of the previous release writes it
+        for read in (self._read, codec.split_frame):
+            with pytest.raises(codec.ProtocolVersionError) as excinfo:
+                read(bytes(frame))
+            assert "version 2" in str(excinfo.value)
+            assert "only version 3" in str(excinfo.value)
+
+
+class TestFrameLengthBound:
+    """One hostile header must not make a reader buffer gigabytes.
+
+    (The third reader, ``TcpStreamTransport._serve``, is covered next to
+    its other mid-frame diagnostics in ``tests/runtime/test_runtime.py``.)
+    """
+
+    oversized = codec.HEADER.pack(
+        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_VALUE, codec.MAX_FRAME_BYTES + 1
+    )
+    message = f"{codec.MAX_FRAME_BYTES + 1} bytes, at most {codec.MAX_FRAME_BYTES}"
+
+    def test_header_at_the_bound_is_accepted_one_above_is_not(self):
+        at_bound = codec.HEADER.pack(
+            codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_VALUE, codec.MAX_FRAME_BYTES
+        )
+        assert codec.decode_header(at_bound) == (codec.TYPE_VALUE, codec.MAX_FRAME_BYTES)
+        with pytest.raises(codec.CorruptFrameError, match=self.message):
+            codec.decode_header(self.oversized)
+
+    def test_blocking_reader_refuses_without_reading_the_payload(self):
+        stream = io.BytesIO(self.oversized + b"x" * 64)
+        with pytest.raises(codec.CorruptFrameError, match=self.message):
+            codec.read_frame(stream)
+        assert stream.tell() == codec.HEADER.size
+
+    def test_async_reader_refuses_on_the_header_alone(self):
+        from repro.cluster.transport import read_frame_async
+
+        async def main():
+            reader = asyncio.StreamReader()
+            reader.feed_data(self.oversized)  # no payload, no EOF: must not wait
+            with pytest.raises(codec.CorruptFrameError, match=self.message):
+                await asyncio.wait_for(read_frame_async(reader), timeout=5.0)
+
+        asyncio.run(main())
+
+    def test_encoder_refuses_what_the_decoder_would(self):
+        with pytest.raises(codec.CodecError, match="exceeds the .* frame limit"):
+            codec.encode_wire(0.0, b"x" * (codec.MAX_FRAME_BYTES + 1))
 
 
 class TestNoPickleOnWirePaths:

@@ -65,6 +65,7 @@ def _decided_token(parent_process):
         parent_view=0,
         parent_event_sn=0,
         entries=[entry],
+        known=[0, 0],
     )
 
 

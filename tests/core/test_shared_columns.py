@@ -1,0 +1,198 @@
+"""The monitor's per-process columns, and the runs that fill them.
+
+* Whatever sequence of runs a monitor absorbs — overlapping, duplicated,
+  stale, with a gap, misshapen — each column stays a gapless prefix of the
+  process's true events, and nothing raises.
+* A returned entry whose box the columns do not hold forks nothing.
+* At the end of real runs (the five fixture cells, a crash/rejoin plan, a
+  duplicating and replaying Byzantine plan) every monitor's column for ``j``
+  is a prefix of monitor ``j``'s own column, and every live view satisfies
+  ``cut[j] <= len(column[j]) - 1`` — the invariant the box search slices by.
+"""
+
+import sys
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.core.global_view import ViewStatus
+from repro.core.messages import Token, TokenEntry
+from repro.core.monitor import DecentralizedMonitor
+from repro.core.transport import LoopbackNetwork
+from repro.experiments.properties import case_study_registry
+from repro.faults import parse_fault_plan
+from repro.ltl import build_monitor
+from repro.sim import simulate_monitored_run
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+from capture_topology_fixtures import CELLS, build_cell_inputs  # noqa: E402
+
+N = 3
+#: the true events 1..TRUTH of every process (position 0 is the initial state)
+TRUTH = 12
+
+
+def _true_events(process):
+    letters = [frozenset({f"P{process}.p"} if sn % 3 else ()) for sn in range(1, TRUTH + 1)]
+    vcs = [tuple(sn if k == process else sn // 2 for k in range(N)) for sn in range(1, TRUTH + 1)]
+    return letters, vcs
+
+
+def _monitor():
+    registry = case_study_registry(N)
+    return DecentralizedMonitor(
+        process=0,
+        num_processes=N,
+        automaton=build_monitor("F(P0.p & P1.p & P2.p)", atoms=registry.names),
+        registry=registry,
+        initial_letters=[frozenset()] * N,
+        transport=LoopbackNetwork(),
+    )
+
+
+def _token(known, runs, entries=()):
+    return Token(0, 0, 0, entries=list(entries), known=known, runs=runs)
+
+
+@st.composite
+def honest_runs(draw):
+    """A token's ``known`` and runs cut out of the truth, anywhere in it."""
+    known = [0] * N
+    runs = {}
+    for j in draw(st.sets(st.integers(1, N - 1))):
+        known[j] = draw(st.integers(0, TRUTH))
+        length = draw(st.integers(0, TRUTH - known[j]))
+        letters, vcs = _true_events(j)
+        runs[j] = (letters[known[j] : known[j] + length], vcs[known[j] : known[j] + length])
+    return known, runs
+
+
+misshapen_runs = st.sampled_from(
+    [
+        ([0] * N, {7: ([frozenset()], [(1,) * N])}),  # no such process
+        ([0] * N, {-1: ([frozenset()], [(1,) * N])}),
+        ([0] * N, {0: ([frozenset({"forged"})], [(9,) * N])}),  # the monitor's own
+        ([0] * N, {1: ([frozenset()], [])}),  # letters without clocks
+        ([0] * (N - 1), {1: ([frozenset()], [(1,) * N])}),  # known of another size
+        ([0] * (N + 1), {1: ([frozenset()], [(1,) * N])}),
+        ([0, TRUTH + 5, 0], {1: ([frozenset()], [(1,) * N])}),  # known beyond anything held
+    ]
+)
+
+
+@given(st.lists(st.one_of(honest_runs(), misshapen_runs), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_columns_stay_true_prefixes_whatever_is_absorbed(arrivals):
+    monitor = _monitor()
+    held = [0] * N
+    for known, runs in arrivals:
+        monitor._absorb_runs(_token(known, runs))
+        for j in range(1, N):
+            letters, vcs = _true_events(j)
+            length = len(monitor.vc_columns[j]) - 1
+            assert monitor.letter_columns[j][1:] == letters[:length]
+            assert monitor.vc_columns[j][1:] == vcs[:length]
+            assert monitor.mask_columns[j] == [
+                monitor._mask_of(letter) for letter in monitor.letter_columns[j]
+            ]
+            if len(known) == N and j in runs and len(runs[j][0]) == len(runs[j][1]):
+                reach = known[j] + len(runs[j][1])
+                # a run is absorbed exactly when it continues the column
+                held[j] = max(held[j], reach) if known[j] <= held[j] else held[j]
+            assert length == held[j]
+        assert len(monitor.vc_columns[0]) == 1  # its own column is never absorbed into
+
+
+def _returned(monitor, cut, known, runs=None):
+    """Hand *monitor* a decided token of its only view, reaching *cut*."""
+    (view,) = monitor.views
+    entry = TokenEntry(
+        transition_id=0,
+        guard={},
+        conjuncts=[{} for _ in range(N)],
+        start_cut=list(view.cut),
+        cut=list(cut),
+        depend=list(cut),
+        min_positions=list(view.cut),
+        satisfied=[True] * N,
+        eval=True,
+    )
+    token = _token(known, runs or {}, [entry])
+    token.parent_view = view.view_id
+    view.status = ViewStatus.WAITING
+    view.outstanding_token = token.token_id
+    monitor._outstanding[token.token_id] = view
+    monitor.receive_message(token)
+    return view
+
+
+@pytest.mark.parametrize(
+    "cut, known, runs",
+    [
+        ([0, 3, 0], [0, 0, 0], {}),  # reached events nobody shipped
+        ([0, 3, 0], [0, 5, 0], {1: (_true_events(1)[0][5:8], _true_events(1)[1][5:8])}),  # a gap
+        ([0, 3, 0], [0, 0], {1: (_true_events(1)[0][:3], _true_events(1)[1][:3])}),  # forged known
+        ([0, 3], [0, 0, 0], {}),  # an entry over fewer processes
+        ([0, -1, 0], [0, 0, 0], {}),  # a cut below the view's
+    ],
+)
+def test_an_entry_the_columns_do_not_cover_forks_nothing(cut, known, runs):
+    monitor = _monitor()
+    created = monitor.metrics.views_created
+    view = _returned(monitor, cut, known, runs)
+    assert monitor.metrics.views_created == created
+    assert monitor.metrics.box_queries == 0
+    assert monitor.views == [view] and view.status == ViewStatus.UNBLOCKED
+
+
+def test_an_entry_the_runs_cover_is_replayed():
+    monitor = _monitor()
+    letters, vcs = _true_events(1)
+    _returned(monitor, [0, 3, 0], [0, 0, 0], {1: (letters[:3], vcs[:3])})
+    assert monitor.metrics.box_queries == 1
+    assert monitor.letter_columns[1][1:] == letters[:3]
+
+
+# ---------------------------------------------------------------------------
+# end of real runs
+# ---------------------------------------------------------------------------
+def _assert_columns_are_prefixes(report):
+    monitors = report.monitors
+    for monitor in monitors:
+        for j, owner in enumerate(monitors):
+            held = len(monitor.vc_columns[j])
+            assert len(monitor.letter_columns[j]) == len(monitor.mask_columns[j]) == held
+            assert monitor.letter_columns[j] == owner.letter_columns[j][:held]
+            assert monitor.vc_columns[j] == owner.vc_columns[j][:held]
+        for view in monitor.views:
+            assert all(
+                position < len(column) for position, column in zip(view.cut, monitor.vc_columns)
+            )
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-n{c[1]}-s{c[2]}")
+def test_fixture_cells_end_with_prefix_columns_under_every_view(cell):
+    computation, automaton, registry = build_cell_inputs(*cell)
+    report = simulate_monitored_run(
+        computation, automaton, registry, seed=cell[2], max_views_per_state=2
+    )
+    assert report.events_shipped > 0
+    _assert_columns_are_prefixes(report)
+
+
+@pytest.mark.parametrize("plan", ["1@2+1:rejoin", "1!dup2!replay3"])
+def test_faulty_runs_end_with_prefix_columns_under_every_view(plan):
+    computation, automaton, registry = build_cell_inputs("C", 3, 2015)
+    report = simulate_monitored_run(
+        computation,
+        automaton,
+        registry,
+        seed=2015,
+        max_views_per_state=2,
+        faults=parse_fault_plan(plan),
+    )
+    assert any(value for key, value in report.fault_stats.items() if key.startswith("fault_"))
+    _assert_columns_are_prefixes(report)

@@ -6,7 +6,9 @@
   view's cut and the token's cut — under both kernels.  The oversized-box
   fallback replays one real path, so it must stay inside those sets.
 * One-shot token serving (``_serve_entry``) must leave an entry exactly as
-  the one-event-at-a-time loop it replaced (kept below as the reference).
+  the one-event-at-a-time loop it replaced (kept below as the reference),
+  and the run the token leaves with must hold exactly the events that loop
+  scanned and the parent did not already know.
 """
 
 import copy
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 
 import repro.core.monitor as monitor_module
 from repro.core.global_view import GlobalView
-from repro.core.messages import TokenEntry
+from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
 from repro.core.transport import LoopbackNetwork
 from repro.distributed.computation import ComputationBuilder
@@ -149,8 +151,12 @@ def _brute_force(computation, lattice, registry, automaton, start, target, state
     return reached[target], conclusive
 
 
-def _box(computation, registry, start, target, state):
-    """The view at *start* and a decided entry that scanned up to *target*."""
+def _box(monitor, computation, registry, start, target, state):
+    """The view at *start* and a decided entry that scanned up to *target*.
+
+    *monitor* has read its own events; the other processes' events reach its
+    columns the way they do in a run, from the runs of the returning token.
+    """
     n = computation.num_processes
     view = GlobalView(
         cut=list(start),
@@ -164,21 +170,23 @@ def _box(computation, registry, start, target, state):
         guard={},
         conjuncts=[{} for _ in range(n)],
         start_cut=list(start),
-        cut=list(start),
-        depend=list(start),
+        cut=list(target),
+        depend=list(target),
         min_positions=list(start),
         satisfied=[True] * n,
+        eval=True,
     )
+    runs = {}
     for j in range(n):
-        run = computation.events_of(j)[start[j] : target[j]]
-        if run:
-            entry.record_scan(
-                j,
-                start[j] + 1,
+        run = computation.events_of(j)[: target[j]]
+        if run and j != monitor.process:
+            runs[j] = (
                 [registry.local_letter(j, event.state) for event in run],
                 [tuple(event.vc) for event in run],
             )
-            entry.cut[j] = target[j]
+    monitor._absorb_runs(
+        Token(monitor.process, 0, 0, entries=[entry], known=[0] * n, runs=runs)
+    )
     return view, entry
 
 
@@ -190,9 +198,9 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
         computation, lattice, registry, automaton, start, target, state
     )
     for compiled in (True, False):
-        monitor = _monitor(0, computation, registry, automaton, compiled)
+        monitor = _monitor(0, computation, registry, automaton, compiled, feed=target[0])
         before = set(monitor.declared_states)
-        view, entry = _box(computation, registry, start, target, state)
+        view, entry = _box(monitor, computation, registry, start, target, state)
         states, letters = monitor._box_reachable(view, entry)
         assert states == expected_states
         assert monitor.declared_states - before == expected_conclusive - before
@@ -216,9 +224,9 @@ def test_linear_fallback_replays_one_real_path(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(monitor_module, "_BOX_CELL_LIMIT", 0)
         for compiled in (True, False):
-            monitor = _monitor(0, computation, registry, automaton, compiled)
+            monitor = _monitor(0, computation, registry, automaton, compiled, feed=target[0])
             before = set(monitor.declared_states)
-            view, entry = _box(computation, registry, start, target, state)
+            view, entry = _box(monitor, computation, registry, start, target, state)
             states, _ = monitor._box_reachable(view, entry)
             assert len(states) == 1 and states <= expected_states
             assert monitor.declared_states - before <= expected_conclusive
@@ -231,10 +239,14 @@ def test_linear_fallback_replays_one_real_path(case):
 # (b) one-shot serving == the one-event-at-a-time loop
 # ---------------------------------------------------------------------------
 def _serve_one_event_at_a_time(monitor, entry):
-    """The loop ``_serve_entry`` replaced, behind the guard its callers applied."""
+    """The loop ``_serve_entry`` replaced, behind the guard its callers applied.
+
+    Returns the events it scanned, as ``(sn, letter, clock)``.
+    """
     j = monitor.process
+    scanned = []
     if j not in entry.lagging_processes():
-        return
+        return scanned
     conjunct = entry.conjuncts[j]
     entry.waiting_for.discard(j)
     progressed = False
@@ -256,8 +268,7 @@ def _serve_one_event_at_a_time(monitor, entry):
             break
         letter = monitor.local_letters[next_sn]
         vc = monitor.local_vcs[next_sn]
-        entry.scanned_letters.setdefault(j, {})[next_sn] = letter
-        entry.scanned_vcs.setdefault(j, {})[next_sn] = vc
+        scanned.append((next_sn, letter, vc))
         entry.depend = [max(a, b) for a, b in zip(entry.depend, vc)]
         entry.cut[j] = next_sn
         entry.letters[j] = letter
@@ -269,6 +280,7 @@ def _serve_one_event_at_a_time(monitor, entry):
         progressed = True
     if progressed:
         entry.waiting_for.intersection_update({j})
+    return scanned
 
 
 @st.composite
@@ -296,18 +308,31 @@ def visits(draw):
         parked_on=rng.choice([None, *range(n)]),
         waiting_for={j for j in range(n) if rng.random() < 0.3},
     )
-    return computation, registry, process, feed, draw(st.booleans()), entry
+    # what the token's parent already held of this process when it made the
+    # token: at least the cut its view stood at
+    known = [0] * n
+    known[process] = rng.randint(min(cut[process], feed), feed)
+    return computation, registry, process, feed, draw(st.booleans()), entry, known
 
 
 @given(visits())
 @settings(max_examples=300, deadline=None)
 def test_one_shot_serving_matches_the_event_at_a_time_loop(case):
-    computation, registry, process, feed, terminated, entry = case
+    computation, registry, process, feed, terminated, entry, known = case
     automaton = _random_automaton(registry.names, inconclusive=2, seed=0)
     monitor = _monitor(process, computation, registry, automaton, True, feed=feed)
     monitor.local_terminated = terminated
     expected = copy.deepcopy(entry)
     was_pending = process in expected.lagging_processes()
-    _serve_one_event_at_a_time(monitor, expected)
+    scanned = _serve_one_event_at_a_time(monitor, expected)
     assert monitor._serve_entry(entry) == was_pending
-    assert entry == expected  # dataclass equality: every field, scans included
+    assert entry == expected  # dataclass equality: every field
+    # the events the loop scanned leave on the token, once, minus what the
+    # parent knew
+    token = Token((process + 1) % len(known), 0, 0, entries=[entry], known=known)
+    monitor._extend_run(token)
+    shipped = [event for event in scanned if event[0] > known[process]]
+    letters, vcs = token.runs.get(process, ([], []))
+    first = known[process] + 1
+    assert list(zip(range(first, first + len(vcs)), letters, vcs)) == shipped
+    assert monitor.metrics.events_shipped == len(shipped)

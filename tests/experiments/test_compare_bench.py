@@ -192,6 +192,15 @@ class TestEventsPerSecComparison:
             ("x:events_per_sec", 2.0),  # halved throughput = 2x slowdown
         ]
 
+    def test_frame_size_compares_lower_is_better(self):
+        previous = {"timings": {"codec_token_roundtrip": {"bytes_per_frame": 400.0}}}
+        current = {"timings": {"codec_token_roundtrip": {"bytes_per_frame": 600.0}}}
+        rows = compare_bench.compare_timings(previous, current)
+        assert rows == [("codec_token_roundtrip:bytes_per_frame", 400.0, 600.0, 1.5)]
+        assert compare_bench.annotate("doc", rows, 0.10, github=False) == [
+            "codec_token_roundtrip:bytes_per_frame"
+        ]
+
     def test_github_annotations_use_rate_units(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
         _rate_document(tmp_path / "previous", rate=10_000_000.0, seconds=1.0)

@@ -173,7 +173,7 @@ class TestTcpMidFrameDisconnect:
     ``EOFError`` (or a bogus quiescence timeout) instead of naming the
     truncated frame.  The reader now records a ``ConnectionError`` as
     ``transport.fatal_error`` and ``wait_quiescent`` re-raises it.  Frames
-    are wire protocol v2 (:mod:`repro.cluster.codec`): raw bytes written
+    are wire protocol v3 (:mod:`repro.cluster.codec`): raw bytes written
     here carry the magic/version/type header, and undecodable or
     wrong-version frames must surface the codec's diagnostics the same way.
     """
@@ -246,7 +246,7 @@ class TestTcpMidFrameDisconnect:
                 from repro.cluster import codec
 
                 _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
-                # a valid v2 header announcing 100 bytes, then RST
+                # a valid header announcing 100 bytes, then RST
                 writer.write(
                     codec.HEADER.pack(
                         codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_VALUE, 100
@@ -279,8 +279,8 @@ class TestTcpMidFrameDisconnect:
                 from repro.cluster import codec
 
                 # a v1-style frame: length prefix + pickle-shaped garbage —
-                # its first bytes can never spell the v2 magic
-                garbage = b"not a v2 frame"
+                # its first bytes can never spell the frame magic
+                garbage = b"not a wire frame"
                 writer.write(struct.pack(">I", len(garbage)) + garbage)
                 await writer.drain()
                 writer.close()
@@ -314,6 +314,33 @@ class TestTcpMidFrameDisconnect:
                     match="peer speaks wire protocol version 1",
                 ):
                     await transport.wait_quiescent(timeout=5.0)
+            finally:
+                await transport.aclose()
+
+        asyncio.run(asyncio.wait_for(main(), timeout=15.0))
+
+    def test_oversized_frame_refused_before_its_payload_is_buffered(self):
+        async def main():
+            transport, _ = await self._transport_with_sink()
+            try:
+                from repro.cluster import codec
+
+                _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
+                # only the header arrives: the reader must refuse on its word
+                # instead of waiting for (and buffering) 4 GiB
+                writer.write(
+                    codec.HEADER.pack(
+                        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_VALUE, 2**32 - 1
+                    )
+                )
+                await writer.drain()
+                await self._wait_for_fatal(transport)
+                with pytest.raises(
+                    codec.CorruptFrameError,
+                    match=f"4294967295 bytes, at most {codec.MAX_FRAME_BYTES}",
+                ):
+                    await transport.wait_quiescent(timeout=5.0)
+                writer.close()
             finally:
                 await transport.aclose()
 
