@@ -16,7 +16,9 @@ These are the acceptance metrics tracked across PRs through the emitted
   records carry an ``events_per_sec`` field (higher is better;
   ``compare_bench.py`` inverts the regression direction for it).
 * ``box_bfs_events_per_sec`` — the box-reachability BFS over a fully
-  concurrent box, compiled vs interpreted, as hit by token returns.
+  concurrent box, compiled vs interpreted, as hit by token returns: every
+  event its own cell (the search's worst case), and ``box_bfs_stuttering``,
+  the same box with 85 % of the events repeating their process's letter.
 * ``serve_entry`` — token serving: one entry scanning a 2 000-event local
   history and the token leaving with those events as its run, in events per
   second.
@@ -195,18 +197,35 @@ def test_compiled_vs_interpreted_step_throughput():
     assert compiled_elapsed < interpreted_elapsed / 2
 
 
-def _fully_concurrent_box(monitor, automaton, registry, side):
+def _box_monitor(automaton, registry, n, compiled):
+    """Monitor of process 0 whose box search the ``box_bfs_*`` records time."""
+    return DecentralizedMonitor(
+        process=0,
+        num_processes=n,
+        automaton=automaton,
+        registry=registry,
+        initial_letters=[registry.local_letter(j, {}) for j in range(n)],
+        transport=LoopbackNetwork(),
+        use_compiled_kernel=compiled,
+    )
+
+
+def _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.0):
     """A view plus token entry spanning a fully concurrent ``side``³ box.
 
     The box's events are put in *monitor*'s columns the way a run puts them
     there: its own read as local events, the others' absorbed from the runs
-    of the returning token.
+    of the returning token.  With *stutter* that share of the events repeat
+    the letter before them and the view's state has read the letter of its
+    cut, as in a run; without, the view sits at the automaton's initial
+    state, which has not, so the search may collapse nothing.
     """
     n = monitor.num_processes
     initial_letters = [registry.local_letter(j, {}) for j in range(n)]
-    view = GlobalView(
-        cut=[0] * n, state=automaton.initial_state, letters=initial_letters
-    )
+    state = automaton.initial_state
+    if stutter:
+        state = automaton.step(state, frozenset().union(*initial_letters))
+    view = GlobalView(cut=[0] * n, state=state, letters=initial_letters)
     entry = TokenEntry(
         transition_id=0,
         guard={},
@@ -219,6 +238,12 @@ def _fully_concurrent_box(monitor, automaton, registry, side):
         eval=True,
     )
     columns = _per_process_letters(n, side, seed=7)
+    rng = random.Random(7)
+    for column, previous in zip(columns, initial_letters):
+        for sn, letter in enumerate(column):
+            if rng.random() < stutter:
+                column[sn] = previous
+            previous = column[sn]
     clocks = [
         [tuple(sn if k == j else 0 for k in range(n)) for sn in range(1, side + 1)]
         for j in range(n)
@@ -248,21 +273,15 @@ def test_box_bfs_events_per_sec():
     registry = case_study_registry(n)
     results = {}
     for label, flag in (("compiled", True), ("interpreted", False)):
-        monitor = DecentralizedMonitor(
-            process=0,
-            num_processes=n,
-            automaton=automaton,
-            registry=registry,
-            initial_letters=[registry.local_letter(j, {}) for j in range(n)],
-            transport=LoopbackNetwork(),
-            use_compiled_kernel=flag,
-        )
+        monitor = _box_monitor(automaton, registry, n, flag)
         view, entry = _fully_concurrent_box(monitor, automaton, registry, side)
         start = time.perf_counter()
         for _ in range(iterations):
             reachable, letters = monitor._box_reachable(view, entry)
         elapsed = time.perf_counter() - start
         results[label] = (reachable, letters, monitor.declared_verdicts, elapsed)
+        # the worst case: nothing collapsed, every cut of the box searched
+        assert monitor.metrics.box_cells_visited == cells * iterations
     assert results["compiled"][0] == results["interpreted"][0]
     assert results["compiled"][1] == results["interpreted"][1]
     assert results["compiled"][2] == results["interpreted"][2]
@@ -275,6 +294,39 @@ def test_box_bfs_events_per_sec():
             cells=cells * iterations,
             events_per_sec=cells * iterations / elapsed,
         )
+
+
+@pytest.mark.benchmark(group="compiled-kernel")
+def test_box_bfs_stuttering_events_per_sec():
+    """The same box as a run fills it: 85 % of the events keep their letter.
+
+    The search visits one cell per tuple of letter runs, so the recorded
+    unit is the box's cells *covered* per second (``events_per_sec``, higher
+    better); ``cells_searched`` is what it visited to cover them.
+    """
+    side = 8 if _SMOKE else 16
+    iterations = 20 if _SMOKE else 200
+    n = 3
+    cells = (side + 1) ** n
+    automaton = case_study_monitor("C", n)
+    registry = case_study_registry(n)
+    monitor = _box_monitor(automaton, registry, n, compiled=True)
+    view, entry = _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.85)
+    start = time.perf_counter()
+    for _ in range(iterations):
+        monitor._box_reachable(view, entry)
+    elapsed = time.perf_counter() - start
+    searched = monitor.metrics.box_cells_visited
+    assert monitor.metrics.box_linear_fallbacks == 0
+    assert iterations < searched < cells * iterations // 10
+    record_timing(
+        "box_bfs_stuttering",
+        elapsed,
+        group="compiled-kernel",
+        cells=cells * iterations,
+        cells_searched=searched,
+        events_per_sec=cells * iterations / elapsed,
+    )
 
 
 @pytest.mark.benchmark(group="compiled-kernel")

@@ -11,10 +11,7 @@ several automaton states — possible at the same time (Chapter 3).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-
-from ..distributed.events import Event
 
 __all__ = ["ViewStatus", "GlobalView"]
 
@@ -46,13 +43,8 @@ class GlobalView:
         set of true propositions owned by process ``j``).
     status:
         ``unblocked``, ``waiting`` (token outstanding) or ``final``.
-    pending_events:
-        Local events received while the view was waiting.
     outstanding_token:
         Identifier of the token the view is waiting for, if any.
-    keep_after_fork:
-        Whether the view remains useful after forking children (views that
-        became stale are dropped once their token returns — Section 4.2).
     """
 
     cut: list[int]
@@ -60,31 +52,13 @@ class GlobalView:
     letters: list[Letter]
     view_id: int = field(default_factory=lambda: next(_view_ids))
     status: str = ViewStatus.UNBLOCKED
-    pending_events: deque[Event] = field(default_factory=deque)
     outstanding_token: int | None = None
-    keep_after_fork: bool = True
     forked_from: int | None = None
 
     # ------------------------------------------------------------------
-    def global_letter(self) -> Letter:
-        """The letter of the global state at the view's cut."""
-        result: set = set()
-        for letter in self.letters:
-            result |= letter
-        return frozenset(result)
-
     def signature(self) -> tuple[int, tuple[int, ...]]:
         """Merging key: views with equal signatures are duplicates."""
         return (self.state, tuple(self.cut))
-
-    def clone(self) -> "GlobalView":
-        """A fresh view at the same cut/state (used when forking)."""
-        return GlobalView(
-            cut=list(self.cut),
-            state=self.state,
-            letters=list(self.letters),
-            forked_from=self.view_id,
-        )
 
     def is_waiting(self) -> bool:
         """Whether the view is parked on an outstanding token."""

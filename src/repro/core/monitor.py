@@ -25,6 +25,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from ..coordination import CoordinationTopology, RoundRobinToken
 from ..distributed.events import Event
@@ -58,8 +60,9 @@ def verdict_divergence(
     """
     return frozenset(decentralized) - frozenset(centralized)
 
-#: Maximum number of cuts replayed exactly inside a token's box before the
-#: monitor falls back to a single topologically-sorted interleaving.
+#: Maximum number of cells searched exactly inside a token's box — tuples of
+#: letter-run segments, see ``_box_reachable`` — before the monitor falls
+#: back to a single topologically-sorted interleaving.
 _BOX_CELL_LIMIT = 20_000
 
 #: bound on a monitor's (state set, letter) -> state set image cache
@@ -88,6 +91,11 @@ class MonitorMetrics:
     #: (sound, but verdicts reachable on other interleavings are missed)
     box_queries: int = 0
     box_linear_fallbacks: int = 0
+    #: cells the exact box searches created: tuples of letter-run segments,
+    #: not of events (see ``_box_reachable``)
+    box_cells_visited: int = 0
+    #: views dropped by the per-state budget (also counted in ``views_merged``)
+    views_evicted: int = 0
     #: own events this monitor appended to the runs of tokens leaving it
     events_shipped: int = 0
 
@@ -190,10 +198,14 @@ class DecentralizedMonitor:
             topology if topology is not None else RoundRobinToken(num_processes)
         )
         self._compiled = automaton.compiled if use_compiled_kernel else None
-        #: letters are integer bitmasks under both kernels: the compiled
-        #: machine fixes the bit of each atom, the interpreted kernel hands
-        #: one out to every atom it meets
-        self._atom_bit: dict[str, int] = {}
+        #: letters are integer bitmasks under both kernels, over the
+        #: automaton's own atoms only: propositions it does not read are
+        #: projected away, so events that change only those repeat the mask
+        self._atom_bit: dict[str, int] = (
+            self._compiled.atom_bit
+            if self._compiled is not None
+            else {atom: 1 << bit for bit, atom in enumerate(automaton.atoms)}
+        )
         self._mask_cache: dict[Letter, int] = {}
         #: ``letter_mask << num_states | state_bits`` -> successor state bits
         self._image_cache: dict[int, int] = {}
@@ -274,13 +286,10 @@ class DecentralizedMonitor:
         """
         mask = self._mask_cache.get(letter)
         if mask is None:
-            if self._compiled is not None:
-                mask = self._compiled.encode(letter)
-            else:
-                bits = self._atom_bit
-                mask = 0
-                for atom in letter:
-                    mask |= bits.setdefault(atom, 1 << len(bits))
+            bits = self._atom_bit
+            mask = 0
+            for atom in letter:
+                mask |= bits.get(atom, 0)
             if len(self._mask_cache) < 4096:
                 self._mask_cache[letter] = mask
         return mask
@@ -921,7 +930,7 @@ class DecentralizedMonitor:
             child = GlobalView(
                 cut=list(target_cut),
                 state=state,
-                letters=letters_at_target,
+                letters=list(letters_at_target),
                 forked_from=view.view_id,
             )
             self.metrics.views_created += 1
@@ -965,76 +974,110 @@ class DecentralizedMonitor:
 
         Conclusive states reached anywhere inside the box are declared
         immediately (those partial paths are real executions).
+
+        The search runs over the box's quotient by *segments* — per process,
+        the maximal runs of events with one letter mask — because an
+        automaton that is ``stutter_closed`` and sits at a fixed point of the
+        view's own letter does not move while the global letter repeats.
+        When either condition fails every event is its own segment and the
+        quotient is the box.
         """
         n = self.num_processes
         base = view.cut
         target = entry.cut
-        ranges = [target[j] - base[j] for j in range(n)]
-        # per process and offset into the box (offset 0 is the view's own
-        # letter): the letter bitmask of the event at that position
-        masks_by = [
-            column[base[j] : target[j] + 1] for j, column in enumerate(self.mask_columns)
-        ]
         letters_at_target = [
             column[target[j]] for j, column in enumerate(self.letter_columns)
         ]
-        active = [j for j in range(n) if ranges[j] > 0]
-
         self.metrics.box_queries += 1
+        shift = self._num_states
+        image = self._image_cache
+        start = 1 << view.state
+
+        collapse = False
+        if self.automaton.stutter_closed:
+            mask = 0
+            for j, column in enumerate(self.mask_columns):
+                mask |= column[base[j]]
+            key = mask << shift | start
+            collapse = (image.get(key) or self._image(key)) == start
+
+        # per process: the offsets into the box (offset 0 is the view's own
+        # letter) of the events that open segments 1, 2, …, and per segment
+        # its letter mask and the offset of its last event
+        opens: list[list[int]] = []
+        seg_masks: list[list[int]] = []
+        seg_ends: list[list[int]] = []
+        for j, column in enumerate(self.mask_columns):
+            run = column[base[j] : target[j] + 1]
+            offsets = range(1, len(run))
+            starts = (
+                list(compress(offsets, map(ne, run, run[1:]))) if collapse else list(offsets)
+            )
+            opens.append(starts)
+            seg_masks.append([run[0], *[run[o] for o in starts]])
+            seg_ends.append([*[o - 1 for o in starts], len(run) - 1])
+
+        # the limit bounds search work: the cells the search would visit
+        ranges = [len(starts) for starts in opens]
         cells = 1
         for r in ranges:
             cells *= r + 1
         if cells > _BOX_CELL_LIMIT:
             self.metrics.box_linear_fallbacks += 1
-            return self._box_reachable_linear(view, entry, masks_by), letters_at_target
+            return self._box_reachable_linear(view, opens, seg_masks), letters_at_target
 
-        # A cell is a mixed-radix integer (advancing process j adds
-        # strides[j]) and a set of automaton states a bitmask.  needs[j][o]
-        # lists what event o + 1 of process j requires of the other
-        # processes, as (process, least offset) pairs relative to the base.
+        # A cell is a tuple of segment indices, held as a mixed-radix integer
+        # (advancing process j adds strides[j]); a set of automaton states is
+        # a bitmask.  needs[j][g] lists what the event that opens segment
+        # g + 1 of process j requires of the other processes, as (process,
+        # least offset) pairs relative to the base.
+        active = [j for j in range(n) if ranges[j] > 0]
         strides = [1] * n
         for j in range(1, n):
             strides[j] = strides[j - 1] * (ranges[j - 1] + 1)
         goal = sum(r * stride for r, stride in zip(ranges, strides))
         needs: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
         for j in active:
-            for vc in self.vc_columns[j][base[j] + 1 : target[j] + 1]:
+            vcs = self.vc_columns[j]
+            for offset in opens[j]:
+                vc = vcs[base[j] + offset]
                 needs[j].append(
                     [(k, vc[k] - base[k]) for k in range(n) if k != j and vc[k] > base[k]]
                 )
-        shift = self._num_states
-        image = self._image_cache
         n_range = range(n)
 
-        # Level-synchronous BFS over the *reachable consistent* cells of the
-        # box (all predecessors of a cell sit exactly one level below it, so
-        # each level is complete before it is expanded).  A cell's slot is
-        # [state bits, offsets, letter mask << shift].
-        reached = 1 << view.state if goal == 0 else 0
-        current = {0: [1 << view.state, [0] * n, 0]}
+        # Level-synchronous BFS over the *inhabited* cells — those holding a
+        # consistent cut (all predecessors of a cell sit exactly one level
+        # below it, so each level is complete before it is expanded).  A
+        # cell's slot is [state bits, segment indices, letter mask << shift].
+        reached = start if goal == 0 else 0
+        visited = 1
+        current = {0: [start, [0] * n, 0]}
         while current:
             nxt: dict[int, list] = {}
-            for cell, (states, offsets, _) in current.items():
+            for cell, (states, segments, _) in current.items():
                 for j in active:
-                    oj = offsets[j]
-                    if oj == ranges[j]:
+                    gj = segments[j]
+                    if gj == ranges[j]:
                         continue
                     succ = cell + strides[j]
                     slot = nxt.get(succ)
                     if slot is None:
-                        # the predecessor is consistent, so the successor is
-                        # iff the one advanced event's clock fits the cell
+                        # the predecessor is inhabited, so the successor is
+                        # iff the clock of the one event that opens the new
+                        # segment fits inside the cell: each process it
+                        # needs can get there before its segment ends
                         # (a plain loop: any() over a generator here costs a
                         # third of the whole search)
-                        for k, least in needs[j][oj]:
-                            if offsets[k] < least:
+                        for k, least in needs[j][gj]:
+                            if seg_ends[k][segments[k]] < least:
                                 break
                         else:
-                            at = offsets.copy()
-                            at[j] = oj + 1
+                            at = segments.copy()
+                            at[j] = gj + 1
                             mask = 0
                             for i in n_range:
-                                mask |= masks_by[i][at[i]]
+                                mask |= seg_masks[i][at[i]]
                             slot = nxt[succ] = [0, at, mask << shift]
                     if slot is not None:
                         key = slot[2] | states
@@ -1045,31 +1088,37 @@ class DecentralizedMonitor:
             self._declare_reached(level)
             if goal in nxt:
                 reached = nxt[goal][0]
+            visited += len(nxt)
             current = nxt
+        self.metrics.box_cells_visited += visited
         return set(_states_of(reached)), letters_at_target
 
     def _box_reachable_linear(
-        self, view: GlobalView, entry: TokenEntry, masks_by: list[list[int]]
+        self, view: GlobalView, opens: list[list[int]], seg_masks: list[list[int]]
     ) -> set[int]:
         """Fallback for oversized boxes: replay one causally-consistent
-        linearisation of the box events (sound, possibly incomplete)."""
+        linearisation of the box events (sound, possibly incomplete).
+
+        Only the events that open a segment are ordered and stepped; the
+        ones in between repeat the global letter.
+        """
         base = view.cut
         # ordered by (clock sum, clock, process): a linear extension of
         # happened-before
         events = []
-        for j in range(self.num_processes):
+        for j, starts in enumerate(opens):
             vcs = self.vc_columns[j]
-            for sn in range(base[j] + 1, entry.cut[j] + 1):
-                vc = vcs[sn]
-                events.append((sum(vc), vc, j, sn))
+            for segment, offset in enumerate(starts, start=1):
+                vc = vcs[base[j] + offset]
+                events.append((sum(vc), vc, j, offset, seg_masks[j][segment]))
         events.sort()
-        masks = [column[0] for column in masks_by]
+        masks = [column[0] for column in seg_masks]
         shift = self._num_states
         image = self._image_cache
         final_bits = self._final_bits
         states = 1 << view.state
-        for _, _, j, sn in events:
-            masks[j] = masks_by[j][sn - base[j]]
+        for _, _, j, _, opened in events:
+            masks[j] = opened
             mask = 0
             for m in masks:
                 mask |= m
@@ -1152,6 +1201,7 @@ class DecentralizedMonitor:
             kept.extend(state_views[: self.max_views_per_state])
             for dropped in state_views[self.max_views_per_state :]:
                 self.metrics.views_merged += 1
+                self.metrics.views_evicted += 1
                 if dropped.outstanding_token is not None:
                     self._outstanding.pop(dropped.outstanding_token, None)
         self.views = kept

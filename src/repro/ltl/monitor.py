@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ast import Formula, Not, atoms_of
 from .boolmin import implicant_to_str, minimize_letters
@@ -156,6 +157,25 @@ class MonitorAutomaton:
             self._compile_attempted = True
             self._compiled = compile_machine(self._machine)
         return self._compiled
+
+    @cached_property
+    def stutter_closed(self) -> bool:
+        """Whether reading a letter twice in a row equals reading it once.
+
+        ``δ(δ(q, a), a) == δ(q, a)`` for every state and letter: once the
+        machine has read a letter, repeating it changes nothing, so a run of
+        events that leave the global letter unchanged can be replayed as one
+        step (:meth:`repro.core.monitor.DecentralizedMonitor._box_reachable`).
+        Holds for every case-study automaton, minimised or not; fails for
+        ``X p``.  A property of the Moore table, so both kernels agree;
+        the table is walked once, on first access.
+        """
+        delta = self._machine.delta
+        return all(
+            delta[target][column] == target
+            for row in delta
+            for column, target in enumerate(row)
+        )
 
     def step(self, state: int, letter: Letter) -> int:
         """Successor state after reading *letter* (a set of true atoms)."""

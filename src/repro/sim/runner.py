@@ -72,6 +72,10 @@ class SimulationReport:
     #: single linearisation (sound, but verdicts may be missed)
     box_queries: int = 0
     box_linear_fallbacks: int = 0
+    #: cells the exact box searches created (tuples of letter-run segments),
+    #: and views the per-state budget dropped
+    box_cells_visited: int = 0
+    views_evicted: int = 0
     #: events the monitors appended to the runs of outgoing tokens: copies
     #: of program events that travelled between monitors
     events_shipped: int = 0
@@ -254,5 +258,7 @@ def simulate_monitored_run(
         },
         box_queries=sum(m.metrics.box_queries for m in monitors),
         box_linear_fallbacks=sum(m.metrics.box_linear_fallbacks for m in monitors),
+        box_cells_visited=sum(m.metrics.box_cells_visited for m in monitors),
+        views_evicted=sum(m.metrics.views_evicted for m in monitors),
         events_shipped=sum(m.metrics.events_shipped for m in monitors),
     )

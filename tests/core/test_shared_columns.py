@@ -181,6 +181,13 @@ def test_fixture_cells_end_with_prefix_columns_under_every_view(cell):
     )
     assert report.events_shipped > 0
     _assert_columns_are_prefixes(report)
+    # the search counters: summed over the monitors, outside as_dict()
+    metrics = [monitor.metrics for monitor in report.monitors]
+    assert report.box_cells_visited == sum(m.box_cells_visited for m in metrics)
+    assert report.box_cells_visited >= report.box_queries - report.box_linear_fallbacks > 0
+    assert report.views_evicted == sum(m.views_evicted for m in metrics)
+    assert all(m.views_evicted <= m.views_merged for m in metrics)
+    assert not {"box_cells_visited", "views_evicted"} & set(report.as_dict())
 
 
 @pytest.mark.parametrize("plan", ["1@2+1:rejoin", "1!dup2!replay3"])

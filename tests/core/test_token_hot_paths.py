@@ -3,8 +3,12 @@
 * The box search (``_box_reachable``) must return exactly the automaton
   states, and declare exactly the conclusive states, that a brute-force walk
   over the consistent cuts of :class:`ComputationLattice` finds between the
-  view's cut and the token's cut — under both kernels.  The oversized-box
-  fallback replays one real path, so it must stay inside those sets.
+  view's cut and the token's cut — under both kernels, whether or not the
+  search may collapse letter-preserving events (stutter-closed automaton at
+  a fixed point of the view's letter) and never visiting more cells than
+  the box has consistent cuts.  The oversized-box fallback replays one real
+  path — the same one as an event-at-a-time replay of the full
+  ``(sum(vc), vc, process, sn)`` order — so it must stay inside those sets.
 * One-shot token serving (``_serve_entry``) must leave an entry exactly as
   the one-event-at-a-time loop it replaced (kept below as the reference),
   and the run the token leaves with must hold exactly the events that loop
@@ -16,7 +20,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import repro.core.monitor as monitor_module
 from repro.core.global_view import GlobalView
@@ -25,10 +29,19 @@ from repro.core.monitor import DecentralizedMonitor
 from repro.core.transport import LoopbackNetwork
 from repro.distributed.computation import ComputationBuilder
 from repro.distributed.lattice import ComputationLattice
+from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor
 from repro.ltl import PropositionRegistry, Verdict
 from repro.ltl.dfa import MooreMachine
-from repro.ltl.monitor import MonitorAutomaton
+from repro.ltl.monitor import MonitorAutomaton, build_monitor
 from repro.ltl.semantics import all_assignments
+
+
+def _monitor_shaped(atoms, letters, delta):
+    """The automaton of a table whose last two states are ⊤ and ⊥."""
+    outputs = [Verdict.INCONCLUSIVE] * (len(delta) - 2) + [Verdict.TOP, Verdict.BOTTOM]
+    return MonitorAutomaton(
+        formula=None, atoms=atoms, machine=MooreMachine(letters, 0, delta, outputs)
+    )
 
 
 def _random_automaton(atoms, inconclusive, seed):
@@ -46,23 +59,70 @@ def _random_automaton(atoms, inconclusive, seed):
         for _ in range(inconclusive)
     ]
     delta += [[top] * len(letters), [bottom] * len(letters)]
-    outputs = [Verdict.INCONCLUSIVE] * inconclusive + [Verdict.TOP, Verdict.BOTTOM]
-    return MonitorAutomaton(
-        formula=None, atoms=atoms, machine=MooreMachine(letters, 0, delta, outputs)
-    )
+    return _monitor_shaped(atoms, letters, delta)
+
+
+def _closed_automaton(atoms, inconclusive, seed):
+    """Like :func:`_random_automaton`, but stutter-closed by construction:
+    every letter has its own random set of states it fixes (⊤ and ⊥ among
+    them) and sends every other state into that set."""
+    rng = random.Random(seed)
+    letters = tuple(all_assignments(atoms))
+    top, bottom = inconclusive, inconclusive + 1
+    delta = [[0] * len(letters) for _ in range(inconclusive + 2)]
+    for column in range(len(letters)):
+        fixed = [q for q in range(inconclusive) if rng.random() < 0.5] or [0]
+        for state in range(inconclusive):
+            if state in fixed:
+                delta[state][column] = state
+            else:
+                delta[state][column] = (
+                    rng.choice(fixed) if rng.random() < 0.95 else rng.choice((top, bottom))
+                )
+        delta[top][column], delta[bottom][column] = top, bottom
+    return _monitor_shaped(atoms, letters, delta)
+
+
+def _formula_automaton(atoms, seed):
+    """The unminimised progression machine of a random ``X``-free formula:
+    boolean combinations of G, F, U, R and response patterns over
+    propositional arguments (deeper nestings need not converge)."""
+    rng = random.Random(seed)
+
+    def prop(depth=1):
+        if depth == 0 or rng.random() < 0.4:
+            return rng.choice(("", "!")) + rng.choice(atoms)
+        return f"({prop(depth - 1)} {rng.choice('&|')} {prop(depth - 1)})"
+
+    def temporal():
+        return rng.choice(
+            (
+                f"G({prop()})",
+                f"F({prop()})",
+                f"({prop()} U {prop()})",
+                f"({prop()} R {prop()})",
+                f"G({prop()} -> F({prop()}))",
+                f"G({prop()} -> ({prop()} U {prop()}))",
+            )
+        )
+
+    formula = temporal()
+    while rng.random() < 0.4:
+        formula = f"({formula} {rng.choice('&|')} {temporal()})"
+    return build_monitor(formula, atoms=atoms, method="progression", minimize=False)
 
 
 def _setting(draw, max_events_per_process):
     """A random computation over one boolean per process, and its registry.
 
-    Drawn as a script of internal events (each flips the process's boolean,
-    so every one changes the global letter), sends and receives of the
-    oldest pending message.
+    Drawn as a script of internal events that flip the process's boolean
+    (each changes the global letter), internal events that keep it, sends
+    and receives of the oldest pending message (all three repeat it).
     """
     n = draw(st.integers(2, 4))
     script = draw(
         st.lists(
-            st.tuples(st.sampled_from("iisr"), st.integers(0, n - 1), st.integers(0, n - 1)),
+            st.tuples(st.sampled_from("iiksr"), st.integers(0, n - 1), st.integers(0, n - 1)),
             min_size=n,
             max_size=max_events_per_process * n,
         )
@@ -74,6 +134,8 @@ def _setting(draw, max_events_per_process):
         if kind == "i":
             value[process] = not value[process]
             builder.internal(process, {"p": value[process]})
+        elif kind == "k":
+            builder.internal(process, {})
         elif kind == "s" and peer != process:
             builder.send(process, to=peer, message_id=len(pending) + 1)
             pending.append((process, peer))
@@ -119,14 +181,30 @@ def boxes(draw):
     start = lattice.bottom if draw(st.booleans()) else draw(st.sampled_from(cuts))
     above = [cut for cut in cuts if all(s <= c for s, c in zip(start, cut))]
     target = lattice.top if draw(st.booleans()) else draw(st.sampled_from(above))
-    inconclusive = draw(st.integers(1, 12))
-    automaton = _random_automaton(registry.names, inconclusive, draw(st.integers(0, 1 << 16)))
-    state = draw(st.integers(0, inconclusive - 1))
+    # a table that is not stutter-closed, one that is, and a formula's
+    # machine (also closed): the search may collapse on the last two
+    kind = draw(st.sampled_from(("random", "closed", "formula")))
+    seed = draw(st.integers(0, 1 << 16))
+    if kind == "formula":
+        automaton = _formula_automaton(registry.names, seed)
+    else:
+        build = _random_automaton if kind == "random" else _closed_automaton
+        automaton = build(registry.names, draw(st.integers(1, 12)), seed)
+    inconclusive = [q for q in automaton.states if not automaton.is_final(q)]
+    assume(inconclusive)  # a formula may be valid or unsatisfiable
+    state = draw(st.sampled_from(inconclusive))
+    if draw(st.booleans()):
+        # as in every view the monitor builds itself: the state has read the
+        # letter of its own cut (once is enough only if stutter-closed) and
+        # is not conclusive
+        state = automaton.step(state, registry.letter_of(computation.global_state(start)))
+        assume(not automaton.is_final(state))
     return computation, registry, lattice, start, target, automaton, state
 
 
 def _brute_force(computation, lattice, registry, automaton, start, target, state):
-    """(states reachable at *target*, conclusive states met past *start*)."""
+    """(states reachable at *target*, conclusive states met past *start*,
+    number of consistent cuts inside the box)."""
 
     def inside(cut):
         return all(c <= t for c, t in zip(cut, target))
@@ -148,7 +226,7 @@ def _brute_force(computation, lattice, registry, automaton, start, target, state
         frontier = list(level)
         for states in level.values():
             conclusive |= {q for q in states if automaton.is_final(q)}
-    return reached[target], conclusive
+    return reached[target], conclusive, len(reached)
 
 
 def _box(monitor, computation, registry, start, target, state):
@@ -191,12 +269,14 @@ def _box(monitor, computation, registry, start, target, state):
 
 
 @given(boxes())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_box_search_matches_brute_force_over_the_lattice(case):
     computation, registry, lattice, start, target, automaton, state = case
-    expected_states, expected_conclusive = _brute_force(
+    expected_states, expected_conclusive, consistent_cuts = _brute_force(
         computation, lattice, registry, automaton, start, target, state
     )
+    base_letter = registry.letter_of(computation.global_state(start))
+    may_collapse = automaton.stutter_closed and automaton.step(state, base_letter) == state
     for compiled in (True, False):
         monitor = _monitor(0, computation, registry, automaton, compiled, feed=target[0])
         before = set(monitor.declared_states)
@@ -211,28 +291,139 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
         ]
         assert monitor.metrics.box_queries == 1
         assert monitor.metrics.box_linear_fallbacks == 0
+        # every cell searched holds a consistent cut of its own; without
+        # collapsing, the cells are the cuts
+        if may_collapse:
+            assert monitor.metrics.box_cells_visited <= consistent_cuts
+        else:
+            assert monitor.metrics.box_cells_visited == consistent_cuts
+
+
+def _replay_event_at_a_time(computation, registry, automaton, start, target, state):
+    """Reference for the linear replay: every event of the box, one at a
+    time, in ``(sum(vc), vc, process, sn)`` order.  Returns the state reached
+    and the conclusive states in the order they were first met."""
+    events = sorted(
+        (sum(event.vc), tuple(event.vc), j, event.sn)
+        for j in range(computation.num_processes)
+        for event in computation.events_of(j)[start[j] : target[j]]
+    )
+    cut = list(start)
+    met = []
+    for _, _, j, sn in events:
+        cut[j] = sn
+        state = automaton.step(state, registry.letter_of(computation.global_state(tuple(cut))))
+        if automaton.is_final(state) and state not in met:
+            met.append(state)
+    return state, met
 
 
 @given(boxes())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_linear_fallback_replays_one_real_path(case):
     computation, registry, lattice, start, target, automaton, state = case
-    expected_states, expected_conclusive = _brute_force(
+    expected_states, expected_conclusive, _ = _brute_force(
         computation, lattice, registry, automaton, start, target, state
     )
-    outcomes = []
+    final_state, met = _replay_event_at_a_time(
+        computation, registry, automaton, start, target, state
+    )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(monitor_module, "_BOX_CELL_LIMIT", 0)
         for compiled in (True, False):
             monitor = _monitor(0, computation, registry, automaton, compiled, feed=target[0])
             before = set(monitor.declared_states)
             view, entry = _box(monitor, computation, registry, start, target, state)
+            declared = []
+            declare = monitor._declare
+            patch.setattr(
+                monitor, "_declare", lambda q, declare=declare: (declared.append(q), declare(q))
+            )
             states, _ = monitor._box_reachable(view, entry)
-            assert len(states) == 1 and states <= expected_states
-            assert monitor.declared_states - before <= expected_conclusive
+            assert states == {final_state} <= expected_states
+            assert declared == [q for q in met if q not in before]
+            assert set(met) <= expected_conclusive
             assert monitor.metrics.box_linear_fallbacks == monitor.metrics.box_queries == 1
-            outcomes.append((states, monitor.declared_states))
-    assert outcomes[0] == outcomes[1]
+            assert monitor.metrics.box_cells_visited == 0
+
+
+def test_limit_counts_the_cells_searched_not_the_events_spanned():
+    """24 389 raw cells (over the limit), 27 after collapsing: searched
+    exactly, and equal to the brute force over all 24 389 cuts."""
+    n, events, flips = 3, 28, (9, 19)
+    builder = ComputationBuilder([{"p": False} for _ in range(n)])
+    for sn in range(1, events + 1):
+        for j in range(n):
+            builder.internal(j, {"p": (sn >= flips[0]) != (sn >= flips[1])} if sn in flips else {})
+    computation = builder.build()
+    registry = PropositionRegistry.boolean_grid(n, variables=("p",))
+    lattice = ComputationLattice.from_computation(computation)
+    start, target = lattice.bottom, lattice.top
+    automaton = _closed_automaton(registry.names, inconclusive=8, seed=11)
+    state = automaton.step(0, registry.letter_of(computation.global_state(start)))
+    expected_states, expected_conclusive, consistent_cuts = _brute_force(
+        computation, lattice, registry, automaton, start, target, state
+    )
+    assert consistent_cuts == (events + 1) ** n > monitor_module._BOX_CELL_LIMIT
+    monitor = _monitor(0, computation, registry, automaton, True, feed=events)
+    view, entry = _box(monitor, computation, registry, start, target, state)
+    states, _ = monitor._box_reachable(view, entry)
+    assert states == expected_states
+    assert monitor.declared_states == expected_conclusive
+    assert monitor.metrics.box_linear_fallbacks == 0
+    assert monitor.metrics.box_cells_visited == (len(flips) + 1) ** n
+
+
+# ---------------------------------------------------------------------------
+# when the search may collapse: MonitorAutomaton.stutter_closed
+# ---------------------------------------------------------------------------
+def test_case_study_automata_are_stutter_closed_and_next_is_not():
+    for name in PROPERTY_NAMES:
+        for n in range(2, 6):
+            assert case_study_monitor(name, n).stutter_closed, (name, n)
+    assert not build_monitor("X p").stutter_closed
+    assert not build_monitor("X p", method="progression", minimize=False).stutter_closed
+
+
+def test_stutter_closed_walks_the_table_once(monkeypatch):
+    automaton = build_monitor("G(a U b)", method="progression", minimize=False)
+    assert automaton.stutter_closed
+    monkeypatch.setattr(automaton._machine, "delta", None)  # a second walk would raise
+    assert automaton.stutter_closed
+
+
+# ---------------------------------------------------------------------------
+# forked siblings do not share their letters
+# ---------------------------------------------------------------------------
+def test_children_of_one_entry_keep_their_own_letters():
+    """Two children forked from one entry; stepping one over a local event
+    must leave the other's letters at its own cut.
+
+    The case-study automata forget everything but the last letter, so one
+    entry never forks two children from them; ``G(p0 -> F p1)`` remembers a
+    pending request, and a repair entry forks every reachable state.
+    """
+    builder = ComputationBuilder([{"p": False}, {"p": False}])
+    for value in (True, False, True):
+        builder.internal(0, {"p": value})
+    for value in (True, False):
+        builder.internal(1, {"p": value})
+    computation = builder.build()
+    registry = PropositionRegistry.boolean_grid(2, variables=("p",))
+    automaton = build_monitor(
+        "G(P0.p -> F(P1.p))", atoms=registry.names, method="progression", minimize=False
+    )
+    monitor = _monitor(0, computation, registry, automaton, True, feed=3)
+    for j in range(2):
+        monitor.transport.register(j, monitor)  # tokens sent are never delivered
+    view, entry = _box(monitor, computation, registry, (0, 0), (2, 2), automaton.initial_state)
+    entry.transition_id = None  # a repair entry
+    first, second = monitor._fork_from_entry(view, entry)
+    assert first.letters == second.letters and first.letters is not second.letters
+    monitor._step_view(first, 3)
+    assert first.cut == [3, 2] and second.cut == [2, 2]
+    assert first.letters[0] == frozenset({"P0.p"})
+    assert second.letters == [monitor.letter_columns[j][second.cut[j]] for j in range(2)]
 
 
 # ---------------------------------------------------------------------------

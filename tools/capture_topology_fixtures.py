@@ -47,7 +47,13 @@ CELLS = [
 
 #: counters that observe the monitor without being part of its pinned
 #: behaviour: they are left out so that adding one re-captures nothing
-UNPINNED_COUNTERS = ("box_queries", "box_linear_fallbacks", "events_shipped")
+UNPINNED_COUNTERS = (
+    "box_queries",
+    "box_linear_fallbacks",
+    "box_cells_visited",
+    "views_evicted",
+    "events_shipped",
+)
 
 
 def _pinned_counters(monitor) -> dict:
