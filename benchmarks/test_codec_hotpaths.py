@@ -21,6 +21,7 @@ timings are comparable across runs.
 
 import os
 import time
+from unittest import mock
 
 import pytest
 
@@ -137,26 +138,16 @@ def test_codec_decode_hot_path(benchmark):
     assert decoded == batch  # byte-stable round-trip of the whole batch
 
 
-class _RecordingNetwork(SimulatedNetwork):
-    """The plain simulated network, keeping every token frame sent."""
+def _recording(send, frames):
+    """``SimulatedNetwork.send``, also keeping every token frame sent."""
 
-    def send(self, sender, target, message):
+    def wrapped(self, sender, target, message):
         # encoded on the spot: the token is mutated at its next hop
         if isinstance(message, Token):
-            self.frames.append(codec.encode_wire(0.0, message))
-        super().send(sender, target, message)
+            frames.append(codec.encode_wire(0.0, message))
+        send(self, sender, target, message)
 
-
-class _RecordingNetworks:
-    """The network factory of one run; ``frames`` outlives the run."""
-
-    def __init__(self) -> None:
-        self.frames: list[bytes] = []
-
-    def build(self, simulator, seed):
-        network = _RecordingNetwork(simulator, latency=0.05, jitter=0.01, seed=seed)
-        network.frames = self.frames
-        return network
+    return wrapped
 
 
 @pytest.mark.benchmark(group="codec")
@@ -175,11 +166,14 @@ def test_codec_token_roundtrip():
         max_views_per_state=2,
     )
     computation, automaton, registry = build_cell_inputs(spec)
-    networks = _RecordingNetworks()
-    simulate_monitored_run(
-        computation, automaton, registry, seed=spec.seed, max_views_per_state=2, network=networks
-    )
-    frames = networks.frames
+    frames: list[bytes] = []
+    # the default network is the paper's testbed (gaussian 0.05 / 0.01)
+    with mock.patch.object(
+        SimulatedNetwork, "send", _recording(SimulatedNetwork.send, frames)
+    ):
+        simulate_monitored_run(
+            computation, automaton, registry, seed=spec.seed, max_views_per_state=2
+        )
     rounds = 1 if _SMOKE else 5
 
     start = time.perf_counter()

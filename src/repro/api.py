@@ -13,32 +13,28 @@ stable namespace::
         process_counts=(3,), events_per_process=4, replications=1))
 
 ``repro.api.__all__`` *is* the compatibility contract: names listed here
-keep working across releases, while deeper module paths may move (moved
-ones keep working for one release behind a :class:`DeprecationWarning`
-shim).  The generated reference in ``docs/api.md`` is checked against
-``__all__`` by the documentation tests, so surface and docs cannot drift
-apart.
+keep working across releases, while deeper module paths may move.  Every
+backend returns one report type, :class:`repro.session.RunReport`;
+``RuntimeReport`` and ``ClusterReport`` are two names of that class.  The
+generated reference in ``docs/api.md`` is checked against ``__all__`` by the
+documentation tests, so surface and docs cannot drift apart.
 """
 
 from __future__ import annotations
 
-from .cluster.coordinator import ClusterError, ClusterReport, cluster_monitored_run
+from .cluster.coordinator import ClusterError, cluster_monitored_run
 from .cluster.manifest import ClusterManifest, Endpoint, load_manifest, loopback_manifest
 from .cluster.spec import RunSpec
 from .coordination import TOPOLOGIES, build_topology
-from .experiments.engine import BACKENDS, ExecutionConfig
-from .experiments.engine import run_scenario as _run_scenario
+from .experiments.engine import BACKENDS, ExecutionConfig, run_scenario
 from .experiments.harness import DEFAULT_SCALE, ExperimentScale
 from .experiments.properties import PROPERTY_NAMES, case_study_monitor, property_formula
 from .faults import CrashSpec, FaultPlan, format_fault_plan, parse_fault_plan
-from .fleet import FleetConfig, FleetReport, TenantSpec, synthetic_fleet
-from .fleet import run_fleet as _run_fleet
-from .fleet.sinks import VerdictSink
+from .fleet import FleetConfig, FleetReport, TenantSpec, run_fleet, synthetic_fleet
 from .ltl import build_monitor
 from .ltl.monitor import MonitorAutomaton
 from .ltl.verdict import Verdict
-from .runtime.runner import TRANSPORTS, RuntimeReport
-from .runtime.runner import run_streaming as _run_streaming
+from .runtime.runner import TRANSPORTS, run_streaming  # noqa: F401 - importable, not in __all__
 from .scenarios import (
     GridPoint,
     Scenario,
@@ -47,6 +43,10 @@ from .scenarios import (
     list_scenarios,
     scenario_names,
 )
+from .session import RunReport
+
+#: the names the per-backend report classes had before they became one
+RuntimeReport = ClusterReport = RunReport
 
 __all__ = [
     # monitor synthesis
@@ -114,24 +114,6 @@ def compile_formula(
     return build_monitor(formula, atoms, method=method, minimize=minimize)
 
 
-def run_scenario(
-    scenario: Scenario | str,
-    scale: ExperimentScale,
-    grid: SweepGrid | None = None,
-    *,
-    config: ExecutionConfig | None = None,
-) -> list[dict[str, float]]:
-    """Run a scenario (by value or registered name) over its sweep grid.
-
-    The stable entry point of the sweep engine
-    (:func:`repro.experiments.engine.run_scenario`): expands the grid,
-    derives one deterministic seed per (point × replication) cell, executes
-    every cell on ``config.backend`` and aggregates replications into
-    result rows.
-    """
-    return _run_scenario(scenario, scale, grid=grid, config=config)
-
-
 def run_cluster(
     scenario: Scenario | str,
     scale: ExperimentScale,
@@ -151,25 +133,5 @@ def run_cluster(
     config = ExecutionConfig(
         backend="cluster", manifest=manifest, fault_plan=fault_plan
     )
-    return _run_scenario(scenario, scale, grid=grid, config=config)
+    return run_scenario(scenario, scale, grid=grid, config=config)
 
-
-def run_fleet(config: FleetConfig, *, sink: VerdictSink | None = None) -> FleetReport:
-    """Run a multi-tenant monitoring fleet to completion.
-
-    The stable name for :func:`repro.fleet.run_fleet`: admits the tenants of
-    *config* (rejecting everything beyond ``max_tenants``), hash-partitions
-    them across ``config.shards`` worker processes, runs every tenant
-    session concurrently within its shard, and returns the merged
-    :class:`FleetReport` with the per-tenant results in tenant-id order.
-    """
-    return _run_fleet(config, sink=sink)
-
-
-def run_streaming(*args, **kwargs) -> RuntimeReport:
-    """Run one computation on the asyncio streaming backend.
-
-    The stable name for :func:`repro.runtime.runner.run_streaming`; see
-    that function for the full parameter list.
-    """
-    return _run_streaming(*args, **kwargs)

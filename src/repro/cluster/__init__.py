@@ -33,7 +33,6 @@ __all__ = [
     "load_manifest",
     "loopback_manifest",
     "RunSpec",
-    "ClusterReport",
     "ClusterError",
     "cluster_monitored_run",
 ]
@@ -44,7 +43,6 @@ _LAZY = {
     "load_manifest": "manifest",
     "loopback_manifest": "manifest",
     "RunSpec": "spec",
-    "ClusterReport": "coordinator",
     "ClusterError": "coordinator",
     "cluster_monitored_run": "coordinator",
 }

@@ -16,8 +16,8 @@ conservative ``in_flight`` counter:
 Two consecutive stable polls are required because a frame can be on the
 wire — sent but not yet enqueued anywhere — while a single poll looks
 balanced.  Once quiescent, the coordinator collects per-worker verdicts and
-metrics, aggregates them into a :class:`ClusterReport` shaped like the
-other backends' run reports, and shuts the workers down.
+counter records, folds them into the same :class:`repro.session.RunReport`
+the in-process backends return, and shuts the workers down.
 
 With ``spawn_workers=False`` the coordinator only *joins* workers that were
 started by hand (``python -m repro.cluster.worker``) on the manifest's
@@ -33,16 +33,17 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..core.monitor import MonitorMetrics
 from ..ltl.verdict import Verdict
+from ..session import RunReport
 from . import codec
 from .manifest import ClusterManifest, load_manifest, loopback_manifest
 from .spec import RunSpec
 from .transport import read_control_async
 
-__all__ = ["ClusterReport", "ClusterError", "cluster_monitored_run", "coordinate"]
+__all__ = ["ClusterError", "cluster_monitored_run", "coordinate"]
 
 #: seconds between two status polls of the termination check
 _POLL_INTERVAL = 0.02
@@ -50,43 +51,6 @@ _POLL_INTERVAL = 0.02
 
 class ClusterError(RuntimeError):
     """A cluster run failed (handshake, worker death, or lost quiescence)."""
-
-
-@dataclass
-class ClusterReport:
-    """Aggregated metrics and outcomes of one cluster run.
-
-    Attribute-compatible with :class:`repro.runtime.runner.RuntimeReport`
-    for everything the experiment engine consumes, so sweep cells treat the
-    cluster backend exactly like the others.  The cluster has no shared
-    virtual clock, so the virtual-time delay metric is identically zero —
-    wall-clock duration is in ``wall_seconds``.
-    """
-
-    num_processes: int
-    total_events: int
-    monitor_messages: int
-    token_messages: int
-    termination_messages: int
-    total_global_views: int
-    delayed_events: int
-    reported_verdicts: frozenset[Verdict]
-    declared_verdicts: frozenset[Verdict]
-    #: topology digest messages (gossip forwards and verdict announcements);
-    #: defaults to zero so reports from workers predating the counter load
-    digest_messages: int = 0
-    network_stats: dict[str, float] = field(default_factory=dict)
-    fault_stats: dict[str, float] = field(default_factory=dict)
-    #: untouched per-worker ``collect`` replies, for inspection
-    worker_results: list[dict[str, object]] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    #: bytes of all monitoring frames the workers queued for their peers
-    wire_bytes: int = 0
-
-    @property
-    def delay_time_percentage_per_view(self) -> float:
-        """Virtual-time delay metric; zero by construction on this backend."""
-        return 0.0
 
 
 class _WorkerHandle:
@@ -142,7 +106,7 @@ async def coordinate(
     *,
     spawn_workers: bool = True,
     quiesce_timeout: float = 120.0,
-) -> ClusterReport:
+) -> RunReport:
     """Drive one cluster run end to end and return its aggregated report."""
     started = time.perf_counter()
     n = spec.num_processes
@@ -236,7 +200,7 @@ async def coordinate(
         results = []
         for process in range(n):
             reply = await connected[process].call({"kind": "collect"})
-            if reply.get("kind") != "result":
+            if reply.get("kind") != "result" or "metrics" not in reply:
                 raise ClusterError(f"worker {process} failed to collect: {reply}")
             results.append(reply)
 
@@ -263,7 +227,7 @@ async def coordinate(
         if tmp_dir is not None:
             tmp_dir.cleanup()
 
-    return _aggregate(spec, results, time.perf_counter() - started)
+    return _aggregate(results, time.perf_counter() - started)
 
 
 async def _dead_worker_details(
@@ -334,33 +298,27 @@ async def _await_quiescence(
         await asyncio.sleep(_POLL_INTERVAL)
 
 
-def _aggregate(
-    spec: RunSpec, results: list[dict[str, object]], wall_seconds: float
-) -> ClusterReport:
-    """Fold per-worker collect replies into one run report."""
+def _aggregate(results: list[dict[str, object]], wall_seconds: float) -> RunReport:
+    """Fold per-worker collect replies into one run report.
+
+    The cluster has no shared virtual clock, so the end times (and with
+    them the virtual-time delay metric) stay zero; wall-clock duration is
+    in ``wall_seconds``.
+    """
     fault_stats: dict[str, float] = {}
     for result in results:
-        for key, value in dict(result.get("fault_stats") or {}).items():
+        for key, value in dict(result["fault_stats"]).items():
             fault_stats[key] = fault_stats.get(key, 0.0) + float(value)
-    return ClusterReport(
-        num_processes=spec.num_processes,
+    return RunReport.fold(
+        [MonitorMetrics(**result["metrics"]) for result in results],
+        (Verdict(v) for r in results for v in r["reported"]),
+        (Verdict(v) for r in results for v in r["declared"]),
         total_events=int(results[0]["total_events"]),
         monitor_messages=sum(int(r["sent"]) for r in results),
-        token_messages=sum(int(r["token_messages"]) for r in results),
-        termination_messages=sum(int(r["termination_messages"]) for r in results),
-        digest_messages=sum(int(r.get("digest_messages", 0)) for r in results),
-        total_global_views=sum(int(r["views_created"]) for r in results),
-        delayed_events=sum(int(r["delayed_events"]) for r in results),
-        reported_verdicts=frozenset(
-            Verdict(v) for r in results for v in r["reported"]
-        ),
-        declared_verdicts=frozenset(
-            Verdict(v) for r in results for v in r["declared"]
-        ),
         fault_stats=fault_stats,
-        worker_results=results,
         wall_seconds=wall_seconds,
         wire_bytes=sum(int(r["wire_bytes"]) for r in results),
+        worker_results=results,
     )
 
 
@@ -381,7 +339,7 @@ def cluster_monitored_run(
     *,
     spawn_workers: bool = True,
     quiesce_timeout: float = 120.0,
-) -> ClusterReport:
+) -> RunReport:
     """Run one spec on a cluster and return its report (sync wrapper).
 
     *manifest* may be a :class:`ClusterManifest`, a manifest file path, or

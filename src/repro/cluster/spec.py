@@ -124,29 +124,23 @@ def build_cell_inputs(spec: RunSpec):
 
     Returns ``(computation, automaton, registry)`` — byte-identical on
     every worker and on the coordinator, because everything is a pure
-    function of the spec.  Imported lazily from the experiments package to
-    keep :mod:`repro.cluster` importable from the runtime transport without
-    a cycle.
+    function of the spec: the scenario is resolved by name and handed to
+    the same :func:`repro.experiments.engine.cell_inputs` in-process cells
+    use.  Imported lazily from the experiments package to keep
+    :mod:`repro.cluster` importable from the runtime transport without a
+    cycle.
     """
-    from ..experiments.engine import trace_design
-    from ..experiments.properties import case_study_monitor, case_study_registry
+    from ..experiments.engine import cell_inputs
     from ..scenarios import get_scenario
-    from ..sim.workload import generate_computation
 
-    scenario = get_scenario(spec.scenario)
-    initial_valuation, truth_probability = trace_design(spec.property_name)
-    config = scenario.workload.build_config(
-        num_processes=spec.num_processes,
+    return cell_inputs(
+        get_scenario(spec.scenario),
+        spec.property_name,
+        spec.num_processes,
         events_per_process=spec.events_per_process,
         evt_mu=spec.evt_mu,
         evt_sigma=spec.evt_sigma,
         comm_mu=spec.comm_mu,
         comm_sigma=spec.comm_sigma,
-        truth_probability=truth_probability,
-        initial_valuation=dict(initial_valuation),
         seed=spec.seed,
     )
-    computation = generate_computation(config)
-    registry = case_study_registry(spec.num_processes)
-    automaton = case_study_monitor(spec.property_name, spec.num_processes)
-    return computation, automaton, registry

@@ -29,12 +29,12 @@ import asyncio
 from typing import TYPE_CHECKING
 
 from . import codec
-from .manifest import ClusterManifest
+from .manifest import ClusterManifest, Endpoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..runtime.node import StreamMonitorNode
 
-__all__ = ["WorkerTransport", "read_frame_async", "read_control_async"]
+__all__ = ["WorkerTransport", "dial", "read_frame_async", "read_control_async"]
 
 #: first reconnect delay, doubled per attempt up to :data:`BACKOFF_CAP`
 BACKOFF_INITIAL = 0.05
@@ -42,6 +42,30 @@ BACKOFF_INITIAL = 0.05
 BACKOFF_CAP = 1.0
 #: give up dialing a peer after this many consecutive failures
 BACKOFF_ATTEMPTS = 40
+
+
+async def dial(
+    endpoint: Endpoint, route: str
+) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Connect to *endpoint* with bounded exponential backoff.
+
+    Workers start in any order and fault plans churn processes, so the
+    first frames of a run routinely race the peer's ``bind``; retrying
+    with a capped backoff absorbs that without any coordination.  *route*
+    names who is reaching whom in the error of a dial that gave up.
+    """
+    delay = BACKOFF_INITIAL
+    for attempt in range(BACKOFF_ATTEMPTS):
+        try:
+            return await asyncio.open_connection(endpoint.host, endpoint.port)
+        except OSError as error:
+            if attempt == BACKOFF_ATTEMPTS - 1:
+                raise ConnectionError(
+                    f"{route} at {endpoint} after {BACKOFF_ATTEMPTS} attempts: {error}"
+                ) from error
+            await asyncio.sleep(delay)
+            delay = min(delay * 2, BACKOFF_CAP)
+    raise AssertionError("unreachable")  # pragma: no cover
 
 
 async def read_frame_async(
@@ -199,29 +223,6 @@ class WorkerTransport:
             )
         return outbox
 
-    async def _dial(self, target: int) -> asyncio.StreamWriter:
-        """Connect to *target* with bounded exponential backoff.
-
-        Workers start in any order and fault plans churn processes, so the
-        first frames of a run routinely race the peer's ``bind``; retrying
-        with a capped backoff absorbs that without any coordination.
-        """
-        endpoint = self.manifest.worker(target)
-        delay = BACKOFF_INITIAL
-        for attempt in range(BACKOFF_ATTEMPTS):
-            try:
-                _, writer = await asyncio.open_connection(endpoint.host, endpoint.port)
-                return writer
-            except OSError as error:
-                if attempt == BACKOFF_ATTEMPTS - 1:
-                    raise ConnectionError(
-                        f"worker {self.process} cannot reach peer {target} at "
-                        f"{endpoint} after {BACKOFF_ATTEMPTS} attempts: {error}"
-                    ) from error
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, BACKOFF_CAP)
-        raise AssertionError("unreachable")  # pragma: no cover
-
     async def _write_loop(self, target: int, outbox: asyncio.Queue) -> None:
         """Drain one peer's outbox over a lazily-(re)dialed connection."""
         writer: asyncio.StreamWriter | None = None
@@ -231,7 +232,10 @@ class WorkerTransport:
                 while True:
                     try:
                         if writer is None:
-                            writer = await self._dial(target)
+                            _, writer = await dial(
+                                self.manifest.worker(target),
+                                f"worker {self.process} cannot reach peer {target}",
+                            )
                         writer.write(frame)
                         await writer.drain()
                         break

@@ -13,109 +13,66 @@ then follows the coordinator's command loop:
     protocol version; the coordinator rejects mismatched versions before
     any monitoring traffic flows.
 ``start``
-    Start the monitor and feed its own process's events in timestamp
-    order, then the termination signal — the same schedule the in-process
-    runners realise.
+    Start the monitor and feed its own process's slice of the session's
+    schedule: its events in timestamp order, then the termination signal.
 ``status``
     Report the monotone sent/processed counters, inbox and outbox depth,
     whether the schedule has been fed, and any recorded failure; the
     coordinator's double-count termination check sums these across workers.
 ``collect``
-    Return verdicts (as strings), monitor metrics and fault counters.
+    Return verdicts (as strings), the monitor's whole counter record and
+    the fault counters.
 ``shutdown``
     Drain the node task and exit cleanly.
 
-Crash/restart fault plans ride the exact PR 4 seam: the spec's plan is
-parsed locally and this worker's monitor is wrapped in the same
-:class:`repro.faults.MonitorFaultProxy` every other backend uses, so a
-schedule means the same thing here as on the simulator — just with the
-process churn happening inside a real OS process.
+The monitor comes from the same :class:`repro.session.MonitorSession` every
+backend uses, told to host this worker's process only: the spec's fault
+plan is parsed locally, its clock skew applied to the regenerated
+computation and this worker's monitor wrapped in the same
+:class:`repro.faults.MonitorFaultProxy`, so a schedule means the same thing
+here as on the simulator — just with the process churn happening inside a
+real OS process.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import sys
 from collections.abc import Sequence
 
-from ..coordination import build_topology
-from ..core.monitor import DecentralizedMonitor
-from ..faults import FaultInjector, apply_clock_skew
+from ..runtime.node import StreamMonitorNode
+from ..session import EVENT, MonitorSession
 from . import codec
 from .manifest import ClusterManifest, load_manifest
 from .spec import RunSpec, build_cell_inputs
-from .transport import (
-    BACKOFF_ATTEMPTS,
-    BACKOFF_CAP,
-    BACKOFF_INITIAL,
-    WorkerTransport,
-    read_control_async,
-)
+from .transport import WorkerTransport, dial, read_control_async
 
 __all__ = ["run_worker", "main"]
 
 
-async def _dial_coordinator(
-    manifest: ClusterManifest,
-) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Connect to the coordinator's control address with bounded backoff."""
-    endpoint = manifest.coordinator
-    delay = BACKOFF_INITIAL
-    for attempt in range(BACKOFF_ATTEMPTS):
-        try:
-            return await asyncio.open_connection(endpoint.host, endpoint.port)
-        except OSError as error:
-            if attempt == BACKOFF_ATTEMPTS - 1:
-                raise ConnectionError(
-                    f"cannot reach the coordinator at {endpoint} after "
-                    f"{BACKOFF_ATTEMPTS} attempts: {error}"
-                ) from error
-            await asyncio.sleep(delay)
-            delay = min(delay * 2, BACKOFF_CAP)
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> None:
     """Host monitor *process* of the run *spec* until the coordinator says stop."""
-    from ..runtime.node import StreamMonitorNode
-
     computation, automaton, registry = build_cell_inputs(spec)
-    n = spec.num_processes
-    plan = spec.faults()
-    skew_stats: dict[str, float] = {}
-    if plan is not None and plan.clock_skew is not None:
-        # every worker regenerates the full computation, so every worker
-        # applies the identical deterministic skew; only worker 0 reports
-        # the counters (the coordinator sums per-worker fault stats)
-        computation, skew_stats = apply_clock_skew(computation, plan.clock_skew)
-    initial_letters = [
-        registry.local_letter(i, computation.initial_states[i]) for i in range(n)
-    ]
     transport = WorkerTransport(manifest, process)
-    # deterministic in (name, n, formula ownership): every worker that
-    # builds from the same spec makes identical routing decisions
-    route = build_topology(spec.topology, n, registry=registry)
-
-    def make_monitor() -> DecentralizedMonitor:
-        return DecentralizedMonitor(
-            process=process,
-            num_processes=n,
-            automaton=automaton,
-            registry=registry,
-            initial_letters=initial_letters,
-            transport=transport,
-            max_views_per_state=spec.max_views_per_state,
-            use_compiled_kernel=spec.compiled_kernel,
-            topology=route,
-        )
-
-    injector: FaultInjector | None = None
-    if plan is not None and not plan.is_noop(n):
-        injector = FaultInjector(plan, n)
-        endpoint = injector.wrap(process, make_monitor)
-    else:
-        endpoint = make_monitor()
+    session = MonitorSession(
+        computation,
+        automaton,
+        registry,
+        transport,
+        faults=spec.faults(),
+        max_views_per_state=spec.max_views_per_state,
+        compiled_kernel=spec.compiled_kernel,
+        topology=spec.topology,
+        hosted=[process],
+    )
+    (endpoint,) = session.endpoints
+    if process != 0:
+        # every worker applies the identical skew to its own copy of the
+        # computation and the coordinator sums the workers' fault stats, so
+        # only worker 0 reports the skew counters
+        session.skew_stats = {}
 
     node = StreamMonitorNode(endpoint, transport)
     transport.attach(node)
@@ -123,7 +80,7 @@ async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> 
     task = node.start_task()
     fed = False
 
-    reader, writer = await _dial_coordinator(manifest)
+    reader, writer = await dial(manifest.coordinator, "cannot reach the coordinator")
     try:
         writer.write(
             codec.encode_control(
@@ -138,13 +95,11 @@ async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> 
             kind = command.get("kind")
             if kind == "start":
                 endpoint.start()
-                events = sorted(
-                    (e for e in computation.all_events() if e.process == process),
-                    key=lambda e: e.timestamp,
-                )
-                for event in events:
-                    node.enqueue_event(event)
-                node.enqueue_termination()
+                for _, item, _, event in session.schedule():
+                    if item == EVENT:
+                        node.enqueue_event(event)
+                    else:
+                        node.enqueue_termination()
                 fed = True
                 reply: dict[str, object] = {"kind": "started"}
             elif kind == "status":
@@ -156,25 +111,17 @@ async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> 
                     **transport.status(),
                 }
             elif kind == "collect":
-                metrics = endpoint.metrics
                 reply = {
                     "kind": "result",
                     "process": process,
-                    "total_events": computation.num_events,
+                    "total_events": session.computation.num_events,
                     "declared": sorted(str(v) for v in endpoint.declared_verdicts),
                     "reported": sorted(str(v) for v in endpoint.reported_verdicts()),
-                    "token_messages": metrics.token_messages_sent,
-                    "termination_messages": metrics.termination_messages_sent,
-                    "digest_messages": metrics.digest_messages_sent,
-                    "views_created": metrics.views_created,
-                    "delayed_events": metrics.delayed_events,
+                    "metrics": dataclasses.asdict(endpoint.metrics),
                     "sent": transport.sent_count,
                     "processed": transport.processed_count,
                     "wire_bytes": transport.wire_bytes_sent,
-                    "fault_stats": {
-                        **(injector.fault_stats() if injector else {}),
-                        **(skew_stats if process == 0 else {}),
-                    },
+                    "fault_stats": session.fault_stats(),
                 }
             elif kind == "shutdown":
                 return

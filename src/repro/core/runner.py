@@ -11,6 +11,7 @@ latency and time-based metrics.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..coordination import build_topology
@@ -20,9 +21,51 @@ from ..ltl.parser import parse
 from ..ltl.predicates import PropositionRegistry
 from ..ltl.verdict import Verdict
 from .monitor import DecentralizedMonitor, MonitorMetrics
-from .transport import LoopbackNetwork
+from .transport import LoopbackNetwork, Transport
 
-__all__ = ["DecentralizedResult", "run_decentralized"]
+__all__ = ["DecentralizedResult", "monitor_factory", "run_decentralized"]
+
+
+def monitor_factory(
+    computation: Computation,
+    automaton: MonitorAutomaton,
+    registry: PropositionRegistry,
+    transport: Transport,
+    *,
+    max_views_per_state: int | None,
+    compiled_kernel: bool,
+    topology: str,
+) -> Callable[[int], DecentralizedMonitor]:
+    """The per-process monitor constructor of one run.
+
+    The only place a :class:`DecentralizedMonitor` is constructed: the
+    initial letters and the :mod:`repro.coordination` routing policy named
+    *topology* are computed once and shared by every monitor the returned
+    ``factory(process)`` builds (fault proxies call it again to rebuild a
+    crashed monitor).  The policy is deterministic in ``(name, n, formula
+    ownership)``, so processes building from the same inputs — cluster
+    workers — make identical routing decisions.
+    """
+    n = computation.num_processes
+    initial_letters = [
+        registry.local_letter(i, computation.initial_states[i]) for i in range(n)
+    ]
+    route = build_topology(topology, n, registry=registry)
+
+    def make_monitor(process: int) -> DecentralizedMonitor:
+        return DecentralizedMonitor(
+            process=process,
+            num_processes=n,
+            automaton=automaton,
+            registry=registry,
+            initial_letters=initial_letters,
+            transport=transport,
+            max_views_per_state=max_views_per_state,
+            use_compiled_kernel=compiled_kernel,
+            topology=route,
+        )
+
+    return make_monitor
 
 
 @dataclass
@@ -177,24 +220,16 @@ def run_decentralized(
 
     n = computation.num_processes
     network = LoopbackNetwork()
-    initial_letters = [
-        registry.local_letter(i, computation.initial_states[i]) for i in range(n)
-    ]
-    route = build_topology(topology, n, registry=registry)
-    monitors = [
-        DecentralizedMonitor(
-            process=i,
-            num_processes=n,
-            automaton=automaton,
-            registry=registry,
-            initial_letters=initial_letters,
-            transport=network,
-            max_views_per_state=max_views_per_state,
-            use_compiled_kernel=compiled_kernel,
-            topology=route,
-        )
-        for i in range(n)
-    ]
+    make_monitor = monitor_factory(
+        computation,
+        automaton,
+        registry,
+        network,
+        max_views_per_state=max_views_per_state,
+        compiled_kernel=compiled_kernel,
+        topology=topology,
+    )
+    monitors = [make_monitor(i) for i in range(n)]
     for i, monitor in enumerate(monitors):
         network.register(i, monitor)
     for monitor in monitors:

@@ -7,10 +7,10 @@ messages are delivered is the transport's business.  Implementations:
   runner and the tests.  Messages are queued and delivered when the caller
   pumps the network, which models an asynchronous but reliable network with
   no notion of time.
-* ``repro.sim.network.SimulatedNetwork`` and its behaviour subclasses
-  (lossy-with-retransmit, partition/heal, bursty) — discrete-event networks
-  with latency, used by the scenario engine and the experiment harness.
-
+* ``repro.sim.network.SimulatedNetwork`` — the discrete-event network,
+  timed by a :mod:`repro.core.delays` model (gaussian, lossy-with-retransmit,
+  partition/heal, bursty, ...), used by the scenario engine and the
+  experiment harness.
 * ``repro.runtime.transport`` — asyncio streaming transports (in-process
   queues and real TCP sockets) where each monitor runs as a concurrent task.
 
@@ -75,7 +75,7 @@ class MonitorNetwork(Transport, Protocol):
     """A full monitor-to-monitor network: transport + wiring + accounting.
 
     Both :class:`LoopbackNetwork` and the discrete-event
-    ``repro.sim.network.SimulatedNetwork`` family implement this protocol
+    ``repro.sim.network.SimulatedNetwork`` implement this protocol
     structurally; the scenario engine only relies on these members.
     """
 

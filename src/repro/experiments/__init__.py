@@ -9,14 +9,10 @@ Public API
 * :class:`ExperimentScale` — workload size knobs.
 * :func:`format_table` — plain-text rendering of result rows.
 
-The engine entry points previously re-exported here (``run_scenario``,
-``execute_sweep``, ``execute_points``, ``BACKENDS``) moved to the curated
-:mod:`repro.api` surface; importing them from this package still works for
-one release but emits a :class:`DeprecationWarning` (PEP 562 shim below).
+The sweep engine's entry points (``run_scenario``, ``BACKENDS``,
+``ExecutionConfig``) are part of the curated :mod:`repro.api` surface; the
+rest of the engine lives in :mod:`repro.experiments.engine`.
 """
-
-import warnings
-from importlib import import_module
 
 from .harness import (
     DEFAULT_SCALE,
@@ -39,18 +35,7 @@ from .properties import (
     property_formula,
 )
 
-#: engine names kept importable from this package behind a deprecation shim;
-#: the supported spellings live in :mod:`repro.api`
-_DEPRECATED_ENGINE_NAMES = (
-    "BACKENDS",
-    "run_scenario",
-    "execute_sweep",
-    "execute_points",
-    "trace_design",
-)
-
 __all__ = [
-    "BACKENDS",
     "DEFAULT_SCALE",
     "ExperimentScale",
     "format_table",
@@ -62,10 +47,6 @@ __all__ = [
     "run_fig_5_8",
     "run_fig_5_9",
     "run_monitoring_experiment",
-    "run_scenario",
-    "execute_sweep",
-    "execute_points",
-    "trace_design",
     "run_table_5_1",
     "PROPERTY_NAMES",
     "case_study_monitor",
@@ -73,25 +54,3 @@ __all__ = [
     "property_formula",
 ]
 
-
-def __getattr__(name: str) -> object:
-    """Resolve deprecated engine re-exports with a :class:`DeprecationWarning`.
-
-    The names keep working (they resolve to the same objects in
-    :mod:`repro.experiments.engine`) so existing scripts run unchanged,
-    but each access points callers at the stable :mod:`repro.api` home.
-    """
-    if name in _DEPRECATED_ENGINE_NAMES:
-        home = (
-            f"repro.api.{name}"
-            if name in ("BACKENDS", "run_scenario")
-            else f"repro.experiments.engine.{name}"
-        )
-        warnings.warn(
-            f"importing {name!r} from repro.experiments is deprecated; "
-            f"use {home}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(import_module(".engine", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

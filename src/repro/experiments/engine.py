@@ -20,10 +20,6 @@ wire protocol v3 frames.  All backends share one monitor implementation and
 deliver reliably, so a cell's conclusive verdicts are identical for a fixed
 seed — only timing/queuing metrics reflect the backend's nature.
 
-The legacy per-call ``backend=`` / ``stream_transport=`` / ``fault_plan=``
-keyword arguments are still accepted everywhere for one release, emitting a
-:class:`DeprecationWarning`; pass ``config=ExecutionConfig(...)`` instead.
-
 The per-cell task function is a module-level callable fed plain picklable
 values (the scenario itself is a frozen dataclass of frozen dataclasses), so
 it works under both fork and spawn start methods; monitor automata are
@@ -35,22 +31,31 @@ from __future__ import annotations
 
 import math
 import statistics
-import warnings
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..coordination import TOPOLOGIES
+from ..distributed.computation import Computation
 from ..faults import FaultPlan
-from ..scenarios import GridPoint, Scenario, SweepGrid, get_scenario
+from ..ltl.monitor import MonitorAutomaton
+from ..ltl.predicates import PropositionRegistry
+from ..scenarios import GridPoint, Scenario, SweepGrid, WorkloadModel, get_scenario
+from ..session import RunReport
 from ..sim.runner import simulate_monitored_run
 from ..sim.workload import generate_computation
 from .properties import PROPERTY_NAMES, case_study_monitor, case_study_registry
+
+if TYPE_CHECKING:  # pragma: no cover - harness imports this module
+    from .harness import ExperimentScale
 
 __all__ = [
     "BACKENDS",
     "ExecutionConfig",
     "trace_design",
+    "cell_computation",
+    "cell_inputs",
     "run_scenario_cell",
     "execute_points",
     "execute_sweep",
@@ -114,42 +119,6 @@ class ExecutionConfig:
             )
 
 
-def _resolve_config(
-    config: ExecutionConfig | None,
-    backend: str | None,
-    stream_transport: str | None,
-    fault_plan: FaultPlan | None,
-) -> ExecutionConfig:
-    """Fold the legacy keyword arguments into one :class:`ExecutionConfig`.
-
-    Passing any legacy keyword emits a :class:`DeprecationWarning`; mixing
-    them with an explicit *config* is an error (the call would be
-    ambiguous).
-    """
-    legacy_used = (
-        backend is not None or stream_transport is not None or fault_plan is not None
-    )
-    if config is not None:
-        if legacy_used:
-            raise TypeError(
-                "pass either config=ExecutionConfig(...) or the legacy "
-                "backend=/stream_transport=/fault_plan= keywords, not both"
-            )
-        return config
-    if legacy_used:
-        warnings.warn(
-            "the backend=/stream_transport=/fault_plan= keyword arguments "
-            "are deprecated; pass config=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return ExecutionConfig(
-        backend=backend if backend is not None else "sim",
-        stream_transport=stream_transport if stream_transport is not None else "memory",
-        fault_plan=fault_plan,
-    )
-
-
 def trace_design(property_name: str) -> tuple[dict[str, bool], float]:
     """The paper's trace design for one property (Section 5.1).
 
@@ -164,33 +133,65 @@ def trace_design(property_name: str) -> tuple[dict[str, bool], float]:
     return {"p": True, "q": True}, 0.85
 
 
-class _ScaleLike:
-    """Structural subset of ``ExperimentScale`` the engine relies on.
+def cell_computation(
+    workload: WorkloadModel,
+    property_name: str,
+    *,
+    num_processes: int,
+    events_per_process: int,
+    evt_mu: float,
+    evt_sigma: float,
+    comm_mu: float | None,
+    comm_sigma: float,
+    seed: int,
+) -> Computation:
+    """Generate the computation of one cell: *workload* under the trace design.
 
-    Typed loosely (not a Protocol instance check) to avoid a circular import
-    with :mod:`repro.experiments.harness`, where the real dataclass lives.
+    The one place the paper's per-property trace design meets a workload
+    model; sweep cells, cluster workers, the topology frontier and the
+    fleet's synthetic source all generate their traces here, so the same
+    parameters give the same computation everywhere.
     """
+    initial_valuation, truth_probability = trace_design(property_name)
+    return generate_computation(
+        workload.build_config(
+            num_processes=num_processes,
+            events_per_process=events_per_process,
+            evt_mu=evt_mu,
+            evt_sigma=evt_sigma,
+            comm_mu=comm_mu,
+            comm_sigma=comm_sigma,
+            truth_probability=truth_probability,
+            initial_valuation=dict(initial_valuation),
+            seed=seed,
+        )
+    )
 
-    process_counts: tuple[int, ...]
-    events_per_process: int
-    replications: int
-    evt_mu: float
-    evt_sigma: float
-    comm_mu: float | None
-    comm_sigma: float
-    base_seed: int
-    max_views_per_state: int | None
-    workers: int
+
+def cell_inputs(
+    scenario: Scenario, property_name: str, num_processes: int, **trace: object
+) -> tuple[Computation, MonitorAutomaton, PropositionRegistry]:
+    """The ``(computation, automaton, registry)`` a cell of *scenario* monitors.
+
+    *trace* holds the remaining :func:`cell_computation` parameters.  A pure
+    function of its arguments: in-process cells and every cluster worker
+    (which resolves the scenario by name first) build identical inputs.
+    """
+    computation = cell_computation(
+        scenario.workload, property_name, num_processes=num_processes, **trace
+    )
+    return (
+        computation,
+        case_study_monitor(property_name, num_processes),
+        case_study_registry(num_processes),
+    )
 
 
 def run_scenario_cell(
     scenario: Scenario,
     point: GridPoint,
-    scale: _ScaleLike,
+    scale: ExperimentScale,
     seed: int,
-    backend: str | None = None,
-    stream_transport: str | None = None,
-    fault_plan: FaultPlan | None = None,
     *,
     config: ExecutionConfig | None = None,
 ) -> dict[str, float]:
@@ -211,8 +212,17 @@ def run_scenario_cell(
     :class:`~repro.faults.FaultModel`, which derives one deterministic
     crash schedule per cell from the cell's seed.
     """
-    config = _resolve_config(config, backend, stream_transport, fault_plan)
-    comm_mu = scale.comm_mu if point.comm_mu == "default" else point.comm_mu
+    config = config if config is not None else ExecutionConfig()
+    # the one set of trace parameters both the cluster spec and the
+    # in-process inputs are built from
+    trace = {
+        "events_per_process": scale.events_per_process,
+        "evt_mu": scale.evt_mu,
+        "evt_sigma": scale.evt_sigma,
+        "comm_mu": scale.comm_mu if point.comm_mu == "default" else point.comm_mu,
+        "comm_sigma": scale.comm_sigma,
+        "seed": seed,
+    }
     topology = config.topology if config.topology is not None else scenario.topology
     faults = config.fault_plan
     if faults is None and scenario.faults is not None:
@@ -241,45 +251,26 @@ def run_scenario_cell(
             scenario.name,
             point.property_name,
             point.num_processes,
-            scale.events_per_process,
-            scale.evt_mu,
-            scale.evt_sigma,
-            comm_mu,
-            scale.comm_sigma,
-            seed,
-            scale.max_views_per_state,
-            faults,
+            max_views_per_state=scale.max_views_per_state,
+            fault_plan=faults,
             compiled_kernel=config.compiled_kernel,
             topology=topology,
+            **trace,
         )
         report = cluster_monitored_run(spec, manifest=config.manifest)
         return _cell_metrics(report)
-    initial_valuation, truth_probability = trace_design(point.property_name)
-    workload_config = scenario.workload.build_config(
-        num_processes=point.num_processes,
-        events_per_process=scale.events_per_process,
-        evt_mu=scale.evt_mu,
-        evt_sigma=scale.evt_sigma,
-        comm_mu=comm_mu,
-        comm_sigma=scale.comm_sigma,
-        truth_probability=truth_probability,
-        initial_valuation=dict(initial_valuation),
-        seed=seed,
+    computation, automaton, registry = cell_inputs(
+        scenario, point.property_name, point.num_processes, **trace
     )
-    registry = case_study_registry(point.num_processes)
-    automaton = case_study_monitor(point.property_name, point.num_processes)
-    computation = generate_computation(workload_config)
+    monitoring = {
+        "max_views_per_state": scale.max_views_per_state,
+        "faults": faults,
+        "compiled_kernel": config.compiled_kernel,
+        "topology": topology,
+    }
     if config.backend == "sim":
         report = simulate_monitored_run(
-            computation,
-            automaton,
-            registry,
-            seed=seed,
-            max_views_per_state=scale.max_views_per_state,
-            network=scenario.network,
-            faults=faults,
-            compiled_kernel=config.compiled_kernel,
-            topology=topology,
+            computation, automaton, registry, seed=seed, network=scenario.network, **monitoring
         )
     else:  # "asyncio" — ExecutionConfig validated the backend already
         from ..runtime.runner import run_streaming
@@ -289,23 +280,20 @@ def run_scenario_cell(
             automaton,
             registry,
             delay=scenario.network.delay_model(seed),
-            max_views_per_state=scale.max_views_per_state,
             transport=config.stream_transport,
-            faults=faults,
-            compiled_kernel=config.compiled_kernel,
-            topology=topology,
+            **monitoring,
         )
     return _cell_metrics(report)
 
 
-def _cell_metrics(report) -> dict[str, float]:
+def _cell_metrics(report: RunReport) -> dict[str, float]:
     """Extract the slim backend-agnostic metrics row of one cell report."""
     metrics = {
         "events": float(report.total_events),
         "messages": float(report.monitor_messages),
         "token_messages": float(report.token_messages),
         "termination_messages": float(report.termination_messages),
-        "digest_messages": float(getattr(report, "digest_messages", 0)),
+        "digest_messages": float(report.digest_messages),
         "global_views": float(report.total_global_views),
         "delayed_events": float(report.delayed_events),
         "delay_time_pct_per_view": report.delay_time_percentage_per_view,
@@ -316,7 +304,7 @@ def _cell_metrics(report) -> dict[str, float]:
 
 
 def _run_cell(
-    task: tuple[Scenario | str, GridPoint, _ScaleLike, int, ExecutionConfig],
+    task: tuple[Scenario | str, GridPoint, ExperimentScale, int, ExecutionConfig],
 ) -> dict[str, float]:
     """Process-pool task: resolve the scenario (by value or name) and run."""
     scenario, point, scale, seed, config = task
@@ -353,11 +341,8 @@ def _aggregate(point: GridPoint, cells: Sequence[dict[str, float]]) -> dict[str,
 def execute_points(
     scenario: Scenario,
     points: Sequence[GridPoint],
-    scale: _ScaleLike,
+    scale: ExperimentScale,
     pool: ProcessPoolExecutor | None = None,
-    backend: str | None = None,
-    stream_transport: str | None = None,
-    fault_plan: FaultPlan | None = None,
     *,
     config: ExecutionConfig | None = None,
 ) -> list[dict[str, float]]:
@@ -371,7 +356,7 @@ def execute_points(
     to a serial run and to earlier releases.  *config* selects the per-cell
     executor — see :func:`run_scenario_cell`.
     """
-    config = _resolve_config(config, backend, stream_transport, fault_plan)
+    config = config if config is not None else ExecutionConfig()
     replications = max(1, scale.replications)
     cells = [
         (
@@ -400,17 +385,13 @@ def execute_points(
 
 def execute_sweep(
     scenario: Scenario,
-    scale: _ScaleLike,
+    scale: ExperimentScale,
     grid: SweepGrid | None = None,
     pool: ProcessPoolExecutor | None = None,
-    backend: str | None = None,
-    stream_transport: str | None = None,
-    fault_plan: FaultPlan | None = None,
     *,
     config: ExecutionConfig | None = None,
 ) -> list[dict[str, float]]:
     """Expand *grid* (default: the scenario's own) and run every cell."""
-    config = _resolve_config(config, backend, stream_transport, fault_plan)
     grid = grid if grid is not None else scenario.grid
     points = grid.points(PROPERTY_NAMES, scale.process_counts)
     return execute_points(scenario, points, scale, pool=pool, config=config)
@@ -418,16 +399,12 @@ def execute_sweep(
 
 def run_scenario(
     scenario: Scenario | str,
-    scale: _ScaleLike,
+    scale: ExperimentScale,
     grid: SweepGrid | None = None,
-    backend: str | None = None,
-    stream_transport: str | None = None,
-    fault_plan: FaultPlan | None = None,
     *,
     config: ExecutionConfig | None = None,
 ) -> list[dict[str, float]]:
     """Run a scenario (by value or registered name) over its sweep grid."""
-    config = _resolve_config(config, backend, stream_transport, fault_plan)
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     return execute_sweep(scenario, scale, grid=grid, config=config)

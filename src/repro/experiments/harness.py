@@ -255,33 +255,28 @@ def run_topology_frontier(
     from ..coordination import topology_names
     from ..core.centralized import CentralizedMonitor
     from ..sim.runner import simulate_monitored_run
-    from ..sim.workload import generate_computation
-    from .engine import trace_design
-    from .properties import case_study_registry
+    from .engine import cell_inputs
 
     chosen = tuple(topologies) if topologies is not None else tuple(topology_names())
     replications = max(1, scale.replications)
     scenario = get_scenario("paper-default")
     rows: list[dict[str, object]] = []
     for property_name in properties:
-        initial_valuation, truth_probability = trace_design(property_name)
-        registry = case_study_registry(num_processes)
-        automaton = case_study_monitor(property_name, num_processes)
         computations = []
         for rep in range(replications):
             seed = scale.base_seed + 31 * rep
-            config = scenario.workload.build_config(
-                num_processes=num_processes,
+            computation, automaton, registry = cell_inputs(
+                scenario,
+                property_name,
+                num_processes,
                 events_per_process=scale.events_per_process,
                 evt_mu=scale.evt_mu,
                 evt_sigma=scale.evt_sigma,
                 comm_mu=scale.comm_mu,
                 comm_sigma=scale.comm_sigma,
-                truth_probability=truth_probability,
-                initial_valuation=dict(initial_valuation),
                 seed=seed,
             )
-            computations.append((seed, generate_computation(config)))
+            computations.append((seed, computation))
         for topology in chosen:
             reports = [
                 simulate_monitored_run(

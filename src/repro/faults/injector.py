@@ -38,8 +38,9 @@ crash-only runs keep their historical counter shape.
 from __future__ import annotations
 
 import copy
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import fields
+from functools import partial
 
 from ..core.messages import Token
 from ..core.monitor import DecentralizedMonitor, MonitorMetrics
@@ -362,18 +363,18 @@ def wrap_monitors(
     plan: FaultPlan | None,
     num_processes: int,
     factory: Callable[[int], DecentralizedMonitor],
+    hosted: Iterable[int],
 ) -> tuple[list, FaultInjector | None]:
-    """Build the per-process monitor endpoints of one run under *plan*.
+    """Build the monitor endpoints of the *hosted* processes under *plan*.
 
-    The single entry point both backends' runners use: returns the endpoint
-    list plus the run's :class:`FaultInjector`, or ``None`` when *plan* is
-    absent or a no-op — in which case every endpoint is a bare monitor and
-    the run takes the exact fault-free code path (byte-identical outputs).
+    The single entry point every backend uses (through
+    :class:`repro.session.MonitorSession`): returns one endpoint per hosted
+    process — all of them in-process, a cluster worker's own one — plus the
+    run's :class:`FaultInjector`, or ``None`` when *plan* is absent or a
+    no-op, in which case every endpoint is a bare monitor and the run takes
+    the exact fault-free code path (byte-identical outputs).
     """
     if plan is None or plan.is_noop(num_processes):
-        return [factory(i) for i in range(num_processes)], None
+        return [factory(i) for i in hosted], None
     injector = FaultInjector(plan, num_processes)
-    monitors = [
-        injector.wrap(i, lambda i=i: factory(i)) for i in range(num_processes)
-    ]
-    return monitors, injector
+    return [injector.wrap(i, partial(factory, i)) for i in hosted], injector

@@ -1,7 +1,8 @@
 """The multi-tenant fleet engine: thousands of sessions, one process pool.
 
 One *tenant session* is the asyncio streaming backend's monitored run — the
-same monitors, transports and merged event/termination schedule as
+same :class:`repro.session.MonitorSession` driven by the same
+:func:`repro.runtime.runner.drive_session` as
 :func:`repro.runtime.runner.stream_monitored_run` — with one addition: a
 bounded per-tenant inbox with an explicit backpressure policy at the feed
 point.  Many sessions multiplex concurrently on one event loop per *shard*
@@ -27,12 +28,11 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ..coordination import build_topology
-from ..core.monitor import DecentralizedMonitor
 from ..experiments.properties import case_study_monitor, case_study_registry
 from ..runtime.node import StreamMonitorNode
-from ..runtime.runner import run_streaming
+from ..runtime.runner import drive_session, run_streaming
 from ..runtime.transport import InMemoryStreamTransport, RuntimeClock
+from ..session import MonitorSession, RunReport
 from .config import FleetConfig, TenantSpec
 from .sinks import TenantVerdict, VerdictSink
 
@@ -43,10 +43,6 @@ __all__ = [
     "standalone_tenant_result",
     "shard_of",
 ]
-
-#: gap between a process's last event and its termination signal — identical
-#: to the runtime runner's epsilon so fleet and standalone schedules line up
-_TERMINATION_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,25 @@ class TenantResult:
     latency_seconds: float
     #: non-empty when the session failed and the tenant was evicted
     error: str = ""
+
+    @classmethod
+    def from_report(
+        cls, spec: TenantSpec, report: RunReport, *, dropped: int = 0, blocked: int = 0
+    ) -> TenantResult:
+        """The light record of *spec*'s finished run (fleet or standalone)."""
+        return cls(
+            tenant_id=spec.tenant_id,
+            property_name=spec.property_name,
+            verdict_sequence=report.verdict_sequence(),
+            verdicts=tuple(sorted(str(v) for v in report.reported_verdicts)),
+            events=report.total_events,
+            ingested_events=report.total_events - dropped,
+            dropped_events=dropped,
+            blocked_events=blocked,
+            monitor_messages=report.monitor_messages,
+            global_views=report.total_global_views,
+            latency_seconds=report.wall_seconds,
+        )
 
     @property
     def evicted(self) -> bool:
@@ -118,9 +133,61 @@ def shard_of(tenant_id: str, shards: int) -> int:
     return zlib.crc32(tenant_id.encode("utf-8")) % shards
 
 
-def _inbox_load(nodes: list[StreamMonitorNode], net: InMemoryStreamTransport) -> int:
-    """A tenant's unprocessed item count: node inboxes plus in-flight sends."""
-    return sum(node.pending_items for node in nodes) + net.in_flight
+async def _load_inputs(spec: TenantSpec) -> tuple:
+    """The tenant's ``(computation, automaton, registry)`` from its source."""
+    computation = await spec.source.load(
+        num_processes=spec.num_processes,
+        events_per_process=spec.events_per_process,
+        property_name=spec.property_name,
+        seed=spec.seed,
+    )
+    n = computation.num_processes
+    return computation, case_study_monitor(spec.property_name, n), case_study_registry(n)
+
+
+class _InboxGate:
+    """A tenant's bounded inbox: the admission check of its feed loop.
+
+    Before each program event the unprocessed item count — node inboxes
+    plus in-flight sends — is compared with the bound: ``drop-newest``
+    refuses the event (counted), ``block`` yields until the inbox drains
+    below the bound (counted, lossless).
+
+    A refused event truncates the rest of that process's stream: the
+    monitors index events by contiguous sequence numbers and vector clocks,
+    so a mid-stream gap would corrupt the run rather than degrade it.
+    Shedding the suffix keeps every delivered per-process stream a true
+    prefix of the tenant's computation — and LTL3 conclusive verdicts are
+    closed under extension, so whatever a saturated tenant still declares
+    remains sound for the full trace.
+    """
+
+    def __init__(self, net: InMemoryStreamTransport, limit: int, backpressure: str) -> None:
+        self.net = net
+        self.limit = limit
+        self.backpressure = backpressure
+        self.truncated: set[int] = set()
+        self.dropped = 0
+        self.blocked = 0
+
+    def _full(self, nodes: list[StreamMonitorNode]) -> bool:
+        load = sum(node.pending_items for node in nodes) + self.net.in_flight
+        return load >= self.limit
+
+    async def admit(self, nodes: list[StreamMonitorNode], process: int) -> bool:
+        """Whether the next event of *process* is fed (may wait first)."""
+        if process in self.truncated:
+            self.dropped += 1
+            return False
+        if self._full(nodes):
+            if self.backpressure == "drop-newest":
+                self.truncated.add(process)
+                self.dropped += 1
+                return False
+            self.blocked += 1
+            while self._full(nodes):
+                await asyncio.sleep(0)
+        return True
 
 
 async def _tenant_session(
@@ -132,122 +199,28 @@ async def _tenant_session(
 ) -> TenantResult:
     """Run one tenant to completion on the current event loop.
 
-    Mirrors :func:`repro.runtime.runner.stream_monitored_run` await-for-await
-    — same schedule, same clock pacing, same quiescence drain — so that under
-    a non-saturating inbox the session is indistinguishable from a standalone
-    run.  The only divergence point is the bounded-inbox check before each
-    event enqueue: ``drop-newest`` discards the event (counted), ``block``
-    yields until the inbox drains below the bound (counted, lossless).
-    Termination signals bypass the bound — a saturated tenant still
-    terminates.
-
-    A dropped event truncates the rest of that process's stream: the
-    monitors index events by contiguous sequence numbers and vector clocks,
-    so a mid-stream gap would corrupt the run rather than degrade it.
-    Shedding the suffix keeps every delivered per-process stream a true
-    prefix of the tenant's computation — and LTL3 conclusive verdicts are
-    closed under extension, so whatever a saturated tenant still declares
-    remains sound for the full trace.
+    The standalone asyncio run (:func:`repro.runtime.runner.stream_monitored_run`
+    on the memory transport, undelayed) plus the :class:`_InboxGate` — the
+    same session, the same driver, so under a non-saturating inbox the
+    session *is* a standalone run.  Termination signals bypass the bound: a
+    saturated tenant still terminates.
     """
     started = time.perf_counter()
-    computation = await spec.source.load(
-        num_processes=spec.num_processes,
-        events_per_process=spec.events_per_process,
-        property_name=spec.property_name,
-        seed=spec.seed,
+    computation, automaton, registry = await _load_inputs(spec)
+    net = InMemoryStreamTransport(clock=RuntimeClock(spec.time_scale), delay=None)
+    session = MonitorSession(
+        computation,
+        automaton,
+        registry,
+        net,
+        max_views_per_state=spec.max_views_per_state,
+        compiled_kernel=spec.compiled_kernel,
+        topology=spec.topology,
     )
-    n = computation.num_processes
-    registry = case_study_registry(n)
-    automaton = case_study_monitor(spec.property_name, n)
-    clock = RuntimeClock(spec.time_scale)
-    net = InMemoryStreamTransport(clock=clock, delay=None)
-    initial_letters = [
-        registry.local_letter(i, computation.initial_states[i]) for i in range(n)
-    ]
-    route = build_topology(spec.topology, n, registry=registry)
-    monitors = [
-        DecentralizedMonitor(
-            process=process,
-            num_processes=n,
-            automaton=automaton,
-            registry=registry,
-            initial_letters=initial_letters,
-            transport=net,
-            max_views_per_state=spec.max_views_per_state,
-            use_compiled_kernel=spec.compiled_kernel,
-            topology=route,
-        )
-        for process in range(n)
-    ]
-    nodes = [StreamMonitorNode(monitor, net) for monitor in monitors]
-    for node in nodes:
-        net.register(node.process, node)
-    await net.start()
-    tasks = [node.start_task() for node in nodes]
-    dropped = 0
-    blocked = 0
-    try:
-        for monitor in monitors:
-            monitor.start()
-
-        last_time = [0.0] * n
-        schedule: list[tuple[float, int, int, object]] = []
-        for event in computation.all_events():
-            last_time[event.process] = max(last_time[event.process], event.timestamp)
-            schedule.append((event.timestamp, 0, event.process, event))
-        for process in range(n):
-            schedule.append(
-                (last_time[process] + _TERMINATION_EPSILON, 1, process, None)
-            )
-        schedule.sort(key=lambda item: (item[0], item[1], item[2]))
-
-        truncated = [False] * n
-        for instant, kind, process, payload in schedule:
-            await clock.sleep_until(instant)
-            if kind == 0:
-                if truncated[process]:
-                    dropped += 1
-                    continue
-                if _inbox_load(nodes, net) >= inbox_limit:
-                    if backpressure == "drop-newest":
-                        dropped += 1
-                        truncated[process] = True
-                        continue
-                    blocked += 1
-                    while _inbox_load(nodes, net) >= inbox_limit:
-                        await asyncio.sleep(0)
-                nodes[process].enqueue_event(payload)
-            else:
-                nodes[process].enqueue_termination()
-
-        await net.wait_quiescent(timeout=quiesce_timeout)
-    finally:
-        for node in nodes:
-            node.enqueue_stop()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        await net.aclose()
-    for task in tasks:
-        if task.done() and not task.cancelled() and task.exception() is not None:
-            raise task.exception()  # noqa: B904 - the monitor bug is the error
-
-    reported: set = set()
-    for monitor in monitors:
-        reported |= monitor.reported_verdicts()
-    return TenantResult(
-        tenant_id=spec.tenant_id,
-        property_name=spec.property_name,
-        verdict_sequence=tuple(
-            " ".join(str(v) for v in monitor.verdict_log) for monitor in monitors
-        ),
-        verdicts=tuple(sorted(str(v) for v in reported)),
-        events=computation.num_events,
-        ingested_events=computation.num_events - dropped,
-        dropped_events=dropped,
-        blocked_events=blocked,
-        monitor_messages=net.messages_sent,
-        global_views=sum(m.metrics.views_created for m in monitors),
-        latency_seconds=time.perf_counter() - started,
-    )
+    gate = _InboxGate(net, inbox_limit, backpressure)
+    await drive_session(session, quiesce_timeout, admit=gate.admit)
+    report = session.report(transport="memory", wall_seconds=time.perf_counter() - started)
+    return TenantResult.from_report(spec, report, dropped=gate.dropped, blocked=gate.blocked)
 
 
 def standalone_tenant_result(
@@ -261,19 +234,11 @@ def standalone_tenant_result(
     non-saturating ``block`` policy must produce a :class:`TenantResult`
     whose :meth:`~TenantResult.equivalence_key` matches this one exactly.
     """
-    computation = asyncio.run(
-        spec.source.load(
-            num_processes=spec.num_processes,
-            events_per_process=spec.events_per_process,
-            property_name=spec.property_name,
-            seed=spec.seed,
-        )
-    )
-    n = computation.num_processes
+    computation, automaton, registry = asyncio.run(_load_inputs(spec))
     report = run_streaming(
         computation,
-        case_study_monitor(spec.property_name, n),
-        case_study_registry(n),
+        automaton,
+        registry,
         max_views_per_state=spec.max_views_per_state,
         transport="memory",
         time_scale=spec.time_scale,
@@ -281,19 +246,7 @@ def standalone_tenant_result(
         compiled_kernel=spec.compiled_kernel,
         topology=spec.topology,
     )
-    return TenantResult(
-        tenant_id=spec.tenant_id,
-        property_name=spec.property_name,
-        verdict_sequence=report.verdict_sequence(),
-        verdicts=tuple(sorted(str(v) for v in report.reported_verdicts)),
-        events=report.total_events,
-        ingested_events=report.total_events,
-        dropped_events=0,
-        blocked_events=0,
-        monitor_messages=report.monitor_messages,
-        global_views=report.total_global_views,
-        latency_seconds=report.wall_seconds,
-    )
+    return TenantResult.from_report(spec, report)
 
 
 async def _guarded_session(

@@ -33,9 +33,8 @@ from typing import Protocol, runtime_checkable
 from ..distributed.clocks import VectorClock
 from ..distributed.computation import Computation
 from ..distributed.events import Event, EventKind
-from ..experiments.engine import trace_design
+from ..experiments.engine import cell_computation
 from ..scenarios.workload import PaperWorkload, WorkloadModel
-from ..sim.workload import generate_computation
 
 __all__ = [
     "EVENT_LOG_SCHEMA",
@@ -210,12 +209,10 @@ async def serve_event_log(
 class SyntheticSource:
     """Paced synthetic traffic from a workload model (the default source).
 
-    Builds the exact computation a standalone sweep cell would monitor:
-    the workload model materialises a
-    :class:`repro.sim.workload.WorkloadConfig` with the paper's per-property
-    trace design and the tenant's seed, and
-    :func:`repro.sim.workload.generate_computation` produces the stream.
-    Deterministic in ``(workload, tenant parameters, seed)``.
+    Builds the exact computation a standalone sweep cell would monitor —
+    through the same :func:`repro.experiments.engine.cell_computation`:
+    the workload model under the paper's per-property trace design and the
+    tenant's seed.  Deterministic in ``(workload, tenant parameters, seed)``.
     """
 
     workload: WorkloadModel = PaperWorkload()
@@ -233,19 +230,17 @@ class SyntheticSource:
         seed: int,
     ) -> Computation:
         """Generate the tenant's synthetic computation."""
-        initial_valuation, truth_probability = trace_design(property_name)
-        config = self.workload.build_config(
+        return cell_computation(
+            self.workload,
+            property_name,
             num_processes=num_processes,
             events_per_process=events_per_process,
             evt_mu=self.evt_mu,
             evt_sigma=self.evt_sigma,
             comm_mu=self.comm_mu,
             comm_sigma=self.comm_sigma,
-            truth_probability=truth_probability,
-            initial_valuation=dict(initial_valuation),
             seed=seed,
         )
-        return generate_computation(config)
 
     def describe(self) -> dict[str, object]:
         """Self-describing metadata (for sinks, BENCH documents, docs)."""

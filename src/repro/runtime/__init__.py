@@ -13,24 +13,17 @@ backend (``repro-experiments run --backend {sim,asyncio}``).
 
 Public API
 ----------
-* :func:`stream_monitored_run` — replay a finished computation through
-  concurrent monitor tasks; returns a :class:`RuntimeReport`
-  (field-compatible with the simulator's report).
+* :func:`stream_monitored_run` / :func:`run_streaming` — replay a finished
+  computation through concurrent monitor tasks; returns the same
+  :class:`repro.session.RunReport` every backend does.
 * :class:`InMemoryStreamTransport` / :class:`TcpStreamTransport` — the
   streaming transports; :data:`TRANSPORTS` names them for CLIs.
 * :class:`StreamMonitorNode` — one monitor as an asyncio task.
 * :class:`RuntimeClock` — virtual time, optionally paced to wall clock.
-
-``run_streaming`` moved to the curated :mod:`repro.api` surface; importing
-it from this package still works for one release but emits a
-:class:`DeprecationWarning` (PEP 562 shim below).
 """
 
-import warnings
-from importlib import import_module
-
 from .node import StreamMonitorNode
-from .runner import TRANSPORTS, RuntimeReport, stream_monitored_run
+from .runner import TRANSPORTS, run_streaming, stream_monitored_run
 from .transport import (
     InMemoryStreamTransport,
     RuntimeClock,
@@ -39,7 +32,6 @@ from .transport import (
 )
 
 __all__ = [
-    "RuntimeReport",
     "run_streaming",
     "stream_monitored_run",
     "TRANSPORTS",
@@ -49,22 +41,3 @@ __all__ = [
     "TcpStreamTransport",
     "RuntimeClock",
 ]
-
-
-def __getattr__(name: str) -> object:
-    """Resolve the deprecated ``run_streaming`` re-export with a warning.
-
-    The name keeps working (it resolves to
-    :func:`repro.runtime.runner.run_streaming`) so existing scripts run
-    unchanged, but each access points callers at the stable
-    :mod:`repro.api` home.
-    """
-    if name == "run_streaming":
-        warnings.warn(
-            "importing 'run_streaming' from repro.runtime is deprecated; "
-            "use repro.api.run_streaming",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return import_module(".runner", __name__).run_streaming
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

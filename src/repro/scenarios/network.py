@@ -2,15 +2,13 @@
 
 A :class:`NetworkModel` is a small frozen dataclass describing *how* the
 monitors' network behaves, independently of the backend that realises it:
-
-* :meth:`~NetworkModel.build` constructs the matching discrete-event network
-  (a :class:`repro.core.transport.MonitorNetwork` implementation from
-  :mod:`repro.sim.network`) for one simulated run;
-* :meth:`~NetworkModel.delay_model` maps the same latency/loss parameters
-  onto a backend-agnostic :class:`repro.core.delays.DelayModel`, which the
-  asyncio streaming runtime (:mod:`repro.runtime`) plugs into its transports
-  — so every named scenario runs identically-shaped on both backends
-  (``run --backend {sim,asyncio}``).
+:meth:`~NetworkModel.delay_model` maps its latency/loss parameters onto a
+backend-agnostic :class:`repro.core.delays.DelayModel` for one run seed.
+The discrete-event driver wraps that model in a
+:class:`repro.sim.network.SimulatedNetwork`, the asyncio streaming runtime
+(:mod:`repro.runtime`) plugs it into its transports — one definition per
+condition, so every named scenario runs identically-shaped on both backends
+(``run --backend {sim,asyncio}``).
 
 Models are plain picklable values, so scenarios can be shipped to worker
 processes by the sharded sweep engine, and :meth:`~NetworkModel.describe`
@@ -52,13 +50,6 @@ from ..core.delays import (
     PartitionDelay,
     PartitionPhase,
 )
-from ..sim.engine import Simulator
-from ..sim.network import (
-    BurstySimulatedNetwork,
-    LossySimulatedNetwork,
-    PartitionedSimulatedNetwork,
-    SimulatedNetwork,
-)
 
 __all__ = [
     "NetworkModel",
@@ -74,13 +65,10 @@ __all__ = [
 
 @runtime_checkable
 class NetworkModel(Protocol):
-    """Declarative description of a monitor network, buildable per run."""
-
-    def build(self, simulator: Simulator, seed: int | None) -> SimulatedNetwork:
-        """Construct the discrete-event network on *simulator*, seeded with *seed*."""
+    """Declarative description of a monitor network condition."""
 
     def delay_model(self, seed: int | None) -> DelayModel:
-        """The same latency/loss semantics for the streaming runtime."""
+        """The condition's latency/loss semantics, seeded for one run."""
 
     def describe(self) -> dict[str, object]:
         """Self-describing metadata (for BENCH documents and the CLI)."""
@@ -100,14 +88,8 @@ class ReliableNetwork:
     latency: float = 0.05
     jitter: float = 0.01
 
-    def build(self, simulator: Simulator, seed: int | None) -> SimulatedNetwork:
-        """Build the reliable jittery discrete-event network."""
-        return SimulatedNetwork(
-            simulator, latency=self.latency, jitter=self.jitter, seed=seed
-        )
-
     def delay_model(self, seed: int | None) -> GaussianDelay:
-        """Gaussian latency+jitter for the streaming backend."""
+        """Gaussian latency+jitter."""
         return GaussianDelay(latency=self.latency, jitter=self.jitter, seed=seed)
 
     def describe(self) -> dict[str, object]:
@@ -120,10 +102,6 @@ class FixedLatencyNetwork:
     """Deterministic constant-latency links (no jitter at all)."""
 
     latency: float = 0.05
-
-    def build(self, simulator: Simulator, seed: int | None) -> SimulatedNetwork:
-        """Build the constant-latency discrete-event network."""
-        return SimulatedNetwork(simulator, latency=self.latency, jitter=0.0, seed=seed)
 
     def delay_model(self, seed: int | None) -> GaussianDelay:
         """Constant latency (zero jitter draws no randomness at all)."""
@@ -144,20 +122,8 @@ class LossyNetwork:
     retransmit_timeout: float = 0.25
     max_retransmits: int = 25
 
-    def build(self, simulator: Simulator, seed: int | None) -> LossySimulatedNetwork:
-        """Build the lossy-with-retransmission discrete-event network."""
-        return LossySimulatedNetwork(
-            simulator,
-            latency=self.latency,
-            jitter=self.jitter,
-            seed=seed,
-            loss_probability=self.loss_probability,
-            retransmit_timeout=self.retransmit_timeout,
-            max_retransmits=self.max_retransmits,
-        )
-
     def delay_model(self, seed: int | None) -> LossyRetransmitDelay:
-        """Stop-and-wait retransmission delays for the streaming backend."""
+        """Stop-and-wait retransmission delays."""
         return LossyRetransmitDelay(
             latency=self.latency,
             jitter=self.jitter,
@@ -181,21 +147,8 @@ class PartitionNetwork:
     windows: tuple[tuple[float, float], ...] = ((2.0, 8.0),)
     num_groups: int = 2
 
-    def build(
-        self, simulator: Simulator, seed: int | None
-    ) -> PartitionedSimulatedNetwork:
-        """Build the partition/heal discrete-event network."""
-        return PartitionedSimulatedNetwork(
-            simulator,
-            latency=self.latency,
-            jitter=self.jitter,
-            seed=seed,
-            windows=self.windows,
-            num_groups=self.num_groups,
-        )
-
     def delay_model(self, seed: int | None) -> PartitionDelay:
-        """Partition-window holding delays for the streaming backend."""
+        """Partition-window holding delays."""
         return PartitionDelay(
             latency=self.latency,
             jitter=self.jitter,
@@ -217,18 +170,8 @@ class BurstyNetwork:
     jitter: float = 0.0
     period: float = 0.75
 
-    def build(self, simulator: Simulator, seed: int | None) -> BurstySimulatedNetwork:
-        """Build the duty-cycled discrete-event network."""
-        return BurstySimulatedNetwork(
-            simulator,
-            latency=self.latency,
-            jitter=self.jitter,
-            seed=seed,
-            period=self.period,
-        )
-
     def delay_model(self, seed: int | None) -> BurstyDelay:
-        """Burst-instant quantised delays for the streaming backend."""
+        """Burst-instant quantised delays."""
         return BurstyDelay(
             latency=self.latency, jitter=self.jitter, seed=seed, period=self.period
         )
@@ -254,7 +197,8 @@ class AsymmetricNetwork:
     ring: int = 8
     pairs: tuple[tuple[tuple[int, int], float], ...] = ()
 
-    def _matrix(self, seed: int | None) -> AsymmetricLatencyMatrix:
+    def delay_model(self, seed: int | None) -> AsymmetricLatencyMatrix:
+        """The per-ordered-pair latency matrix."""
         return AsymmetricLatencyMatrix(
             base_latency=self.base_latency,
             jitter=self.jitter,
@@ -263,19 +207,6 @@ class AsymmetricNetwork:
             ring=self.ring,
             pair_latencies=dict(self.pairs),
         )
-
-    def build(self, simulator: Simulator, seed: int | None) -> SimulatedNetwork:
-        """Build a discrete-event network over the asymmetric matrix."""
-        return SimulatedNetwork(
-            simulator,
-            latency=self.base_latency,
-            jitter=self.jitter,
-            delay=self._matrix(seed),
-        )
-
-    def delay_model(self, seed: int | None) -> AsymmetricLatencyMatrix:
-        """The same per-ordered-pair latencies for the streaming backend."""
-        return self._matrix(seed)
 
     def describe(self) -> dict[str, object]:
         """Self-describing metadata (for BENCH documents and the CLI)."""
@@ -307,21 +238,11 @@ class MultiPartitionNetwork:
     )
     seed_phase_jitter: float = 0.25
 
-    def build(self, simulator: Simulator, seed: int | None) -> SimulatedNetwork:
-        """Build a discrete-event network over the partition schedule."""
-        return SimulatedNetwork(
-            simulator,
-            latency=self.latency,
-            jitter=self.jitter,
-            delay=self.delay_model(seed),
-        )
-
     def delay_model(self, seed: int | None) -> MultiPartitionDelay:
-        """Phase-holding delays for the streaming backend.
+        """Phase-holding delays over the schedule derived for *seed*.
 
-        Both backends share this constructor (``build`` wraps it), so the
-        per-seed derived schedule is identical on either backend for the
-        same run seed.
+        Both backends call this one constructor, so the per-seed derived
+        schedule is identical on either backend for the same run seed.
         """
         return MultiPartitionDelay(
             latency=self.latency,

@@ -3,37 +3,28 @@
 Public API
 ----------
 * :class:`Simulator` — the discrete-event kernel.
-* :class:`SimulatedNetwork` — latency/jitter FIFO network between monitors,
-  with :class:`LossySimulatedNetwork` / :class:`PartitionedSimulatedNetwork`
-  / :class:`BurstySimulatedNetwork` behaviour variants (all reliable-delivery,
-  see :mod:`repro.scenarios` for their declarative models).
+* :class:`SimulatedNetwork` — reliable FIFO network between monitors over a
+  :class:`repro.core.delays.DelayModel` (see :mod:`repro.scenarios` for the
+  declarative network conditions).
 * :class:`WorkloadConfig` / :func:`generate_computation` — the case-study
   trace model of Section 5.2 (normal-distributed event and communication
   wait times, propositions ``p``/``q`` per process).
 * :func:`random_computation` — small random computations for testing.
-* :func:`simulate_monitored_run` / :class:`SimulationReport` — a full
-  monitored run with timing-based metrics.
+* :func:`simulate_monitored_run` / :class:`RunReport` — a full monitored
+  run with timing-based metrics.
 """
 
+from ..session import RunReport
 from .engine import SimulationBudgetExceeded, Simulator
-from .network import (
-    BurstySimulatedNetwork,
-    LossySimulatedNetwork,
-    PartitionedSimulatedNetwork,
-    SimulatedNetwork,
-)
-from .runner import NetworkFactory, SimulationReport, simulate_monitored_run
+from .network import SimulatedNetwork
+from .runner import simulate_monitored_run
 from .workload import WorkloadConfig, generate_computation, random_computation
 
 __all__ = [
     "SimulationBudgetExceeded",
     "Simulator",
     "SimulatedNetwork",
-    "LossySimulatedNetwork",
-    "PartitionedSimulatedNetwork",
-    "BurstySimulatedNetwork",
-    "NetworkFactory",
-    "SimulationReport",
+    "RunReport",
     "simulate_monitored_run",
     "WorkloadConfig",
     "generate_computation",

@@ -73,6 +73,7 @@ class Simulator:
 
     @property
     def pending(self) -> int:
+        """Callbacks scheduled and not yet executed."""
         return len(self._queue)
 
     def step(self) -> bool:

@@ -1,4 +1,4 @@
-"""Simulated asynchronous networks for monitor-to-monitor messages.
+"""The simulated asynchronous network for monitor-to-monitor messages.
 
 Implements the :class:`repro.core.transport.MonitorNetwork` protocol on top
 of the discrete-event simulator: every message is delivered after a (possibly
@@ -8,64 +8,35 @@ the communication-overhead figures.
 
 The latency semantics live in the backend-agnostic delay models of
 :mod:`repro.core.delays` — the same models the asyncio streaming runtime
-(:mod:`repro.runtime`) consumes, so a network condition means the same thing
-on both backends.  :class:`SimulatedNetwork` is the reliable base behaviour;
-the subclasses bind the degraded-condition models while *keeping delivery
-reliable* (the paper's algorithm assumes reliable FIFO channels, so the
-variants defer — never drop — messages):
-
-* :class:`LossySimulatedNetwork` — each transmission attempt is lost with a
-  fixed probability and retransmitted after a timeout (stop-and-wait), so a
-  message's delivery is delayed by ``retransmissions × timeout``.
-* :class:`PartitionedSimulatedNetwork` — processes are split into groups;
-  while a partition window is open, cross-group messages are held and only
-  delivered (healed) when the window closes.
-* :class:`BurstySimulatedNetwork` — a duty-cycled medium that only flushes
-  messages at periodic burst instants; messages sent between bursts wait for
-  the next one.
-
-All randomness comes from the delay model's seeded :class:`random.Random`,
-so every variant is deterministic for a fixed seed.  FIFO clamping and
-accounting stay in the base class; delay models never see ordering.
+(:mod:`repro.runtime`) consumes, so a network condition (gaussian, lossy
+with retransmission, partition/heal, bursty, asymmetric, multi-partition)
+is defined once and means the same thing on both backends.  Every model
+*keeps delivery reliable* (the paper's algorithm assumes reliable FIFO
+channels, so degraded conditions defer — never drop — messages), and all
+randomness comes from the model's seeded :class:`random.Random`, so a run is
+deterministic for a fixed seed.  FIFO clamping and accounting stay here;
+delay models never see ordering.
 """
 
 from __future__ import annotations
 
-from ..core.delays import (
-    BurstyDelay,
-    DelayModel,
-    GaussianDelay,
-    LossyRetransmitDelay,
-    PartitionDelay,
-)
+from ..core.delays import DelayModel
 from ..core.transport import MonitorNode
 from .engine import Simulator
 
-__all__ = [
-    "SimulatedNetwork",
-    "LossySimulatedNetwork",
-    "PartitionedSimulatedNetwork",
-    "BurstySimulatedNetwork",
-]
+__all__ = ["SimulatedNetwork"]
 
 
 class SimulatedNetwork:
-    """Reliable FIFO message-passing network with configurable latency."""
+    """Reliable FIFO message-passing network over a delay model."""
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        latency: float = 0.05,
-        jitter: float = 0.0,
-        seed: int | None = None,
-        delay: DelayModel | None = None,
-    ) -> None:
+    #: the simulator hands message objects over and encodes nothing
+    wire_bytes_sent = 0
+
+    def __init__(self, simulator: Simulator, delay: DelayModel) -> None:
         self.simulator = simulator
-        self.latency = latency
-        self.jitter = jitter
-        #: the backend-agnostic latency semantics; subclasses install the
-        #: degraded-condition models of :mod:`repro.core.delays` here
-        self.delay = delay if delay is not None else GaussianDelay(latency, jitter, seed)
+        #: the backend-agnostic latency semantics (:mod:`repro.core.delays`)
+        self.delay = delay
         self._monitors: dict[int, MonitorNode] = {}
         #: earliest permissible delivery time per (sender, receiver) pair,
         #: enforcing FIFO order even with jittered latencies
@@ -76,30 +47,23 @@ class SimulatedNetwork:
         self.last_delivery_time: float = 0.0
 
     def register(self, process: int, monitor: MonitorNode) -> None:
+        """Attach *monitor* as the endpoint for *process*."""
         self._monitors[process] = monitor
 
-    # ------------------------------------------------------------------
-    def _delivery_time(self, sender: int, target: int) -> float:
-        """Absolute arrival time of a message sent right now.
-
-        Delegates to the shared :class:`repro.core.delays.DelayModel`; FIFO
-        clamping per channel happens in :meth:`send` afterwards, so delay
-        models never have to think about ordering.
-        """
-        return self.delay.delivery_time(self.simulator.now, sender, target)
-
     def extra_stats(self) -> dict[str, float]:
-        """Behaviour-specific counters merged into the simulation report."""
+        """Behaviour-specific counters merged into the run report."""
         return self.delay.extra_stats()
 
     def send(self, sender: int, target: int, message: object) -> None:
+        """Schedule *message* for FIFO delivery to *target* after its delay."""
         if target not in self._monitors:
             raise ValueError(f"no monitor registered for process {target}")
         self.messages_sent += 1
         self.messages_by_sender[sender] = self.messages_by_sender.get(sender, 0) + 1
         channel = (sender, target)
         earliest = self._channel_clock.get(channel, 0.0)
-        delivery = max(self._delivery_time(sender, target), earliest)
+        # FIFO: the delay model never sees ordering, the channel clock clamps
+        delivery = max(self.delay.delivery_time(self.simulator.now, sender, target), earliest)
         self._channel_clock[channel] = delivery
 
         def deliver(message=message, target=target, delivery=delivery) -> None:
@@ -109,115 +73,7 @@ class SimulatedNetwork:
 
         self.simulator.schedule_at(delivery, deliver)
 
-    # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
+        """Messages sent but not yet delivered."""
         return self.messages_sent - self.messages_delivered
-
-
-class LossySimulatedNetwork(SimulatedNetwork):
-    """Lossy medium with stop-and-wait retransmission.
-
-    Binds :class:`repro.core.delays.LossyRetransmitDelay`: each transmission
-    attempt is dropped with ``loss_probability``; the sender retransmits
-    after ``retransmit_timeout``.  ``max_retransmits`` bounds the retries so
-    delivery stays guaranteed (the final attempt always goes through),
-    matching the reliable-channel assumption while modelling the cost of
-    loss as added delay and retransmission traffic.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        latency: float = 0.05,
-        jitter: float = 0.0,
-        seed: int | None = None,
-        loss_probability: float = 0.2,
-        retransmit_timeout: float = 0.25,
-        max_retransmits: int = 25,
-    ) -> None:
-        delay = LossyRetransmitDelay(
-            latency=latency,
-            jitter=jitter,
-            seed=seed,
-            loss_probability=loss_probability,
-            retransmit_timeout=retransmit_timeout,
-            max_retransmits=max_retransmits,
-        )
-        super().__init__(simulator, latency=latency, jitter=jitter, delay=delay)
-        self.loss_probability = loss_probability
-        self.retransmit_timeout = retransmit_timeout
-        self.max_retransmits = max_retransmits
-
-    @property
-    def retransmissions(self) -> int:
-        """Total retransmission attempts recorded by the delay model."""
-        return self.delay.retransmissions
-
-
-class PartitionedSimulatedNetwork(SimulatedNetwork):
-    """Network that partitions into groups during configured windows.
-
-    Binds :class:`repro.core.delays.PartitionDelay`: processes are assigned
-    round-robin to ``num_groups`` groups (``process % num_groups``).  While a
-    window ``(start, end)`` is open, messages *between different groups* are
-    held and delivered only after the partition heals at ``end``; intra-group
-    traffic is unaffected.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        latency: float = 0.05,
-        jitter: float = 0.0,
-        seed: int | None = None,
-        windows: tuple[tuple[float, float], ...] = ((2.0, 8.0),),
-        num_groups: int = 2,
-    ) -> None:
-        delay = PartitionDelay(
-            latency=latency,
-            jitter=jitter,
-            seed=seed,
-            windows=windows,
-            num_groups=num_groups,
-        )
-        super().__init__(simulator, latency=latency, jitter=jitter, delay=delay)
-        self.windows = delay.windows
-        self.num_groups = num_groups
-
-    def group_of(self, process: int) -> int:
-        """Partition group of *process* (round-robin assignment)."""
-        return self.delay.group_of(process)
-
-    @property
-    def held_messages(self) -> int:
-        """Cross-group messages held until a partition window healed."""
-        return self.delay.held_messages
-
-
-class BurstySimulatedNetwork(SimulatedNetwork):
-    """Duty-cycled medium flushing messages only at periodic burst instants.
-
-    Binds :class:`repro.core.delays.BurstyDelay`: a message sent at time
-    ``t`` reaches the air interface after the base latency and is then
-    delivered at the next multiple of ``period`` — the medium wakes up every
-    ``period`` seconds and transmits everything queued since the previous
-    burst.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        latency: float = 0.01,
-        jitter: float = 0.0,
-        seed: int | None = None,
-        period: float = 0.75,
-    ) -> None:
-        delay = BurstyDelay(latency=latency, jitter=jitter, seed=seed, period=period)
-        super().__init__(simulator, latency=latency, jitter=jitter, delay=delay)
-        self.period = period
-
-    @property
-    def bursts_used(self) -> int:
-        """Number of burst instants the medium actually used."""
-        return self.delay.bursts_used

@@ -1,15 +1,11 @@
-"""The public API facade: surface completeness, shims, ExecutionConfig.
+"""The public API facade: surface completeness and ExecutionConfig.
 
-Three contracts are gated here:
+Two contracts are gated here:
 
 1. ``repro.api.__all__`` is the supported surface — every listed name
    resolves, and ``import repro; repro.api`` works from a cold interpreter.
-2. The deep imports that moved behind the facade keep working for one
-   release behind :class:`DeprecationWarning` shims that resolve to the
-   same objects.
-3. The engine's legacy ``backend=``/``stream_transport=``/``fault_plan=``
-   keywords fold into :class:`ExecutionConfig` with a deprecation warning,
-   and mixing them with an explicit config is an error.
+2. :class:`ExecutionConfig` is the one way to say how cells execute: a
+   frozen, validated value.
 """
 
 import subprocess
@@ -20,8 +16,6 @@ import pytest
 
 import repro
 import repro.api as api
-from repro.experiments.engine import run_scenario_cell
-from repro.scenarios import GridPoint, get_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -81,6 +75,12 @@ class TestApiSurface:
         assert len(rows) == 1
         assert rows[0]["events"] > 0
 
+    def test_both_report_names_are_the_one_run_report(self):
+        from repro.session import RunReport
+
+        assert api.RuntimeReport is RunReport
+        assert api.ClusterReport is RunReport
+
     def test_run_cluster_via_facade(self):
         rows = api.run_cluster(
             "paper-default",
@@ -91,76 +91,7 @@ class TestApiSurface:
         assert rows[0]["events"] > 0
 
 
-DEPRECATED_IMPORTS = [
-    ("repro.experiments", "BACKENDS", "repro.experiments.engine"),
-    ("repro.experiments", "run_scenario", "repro.experiments.engine"),
-    ("repro.experiments", "execute_sweep", "repro.experiments.engine"),
-    ("repro.runtime", "run_streaming", "repro.runtime.runner"),
-]
-
-
-class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "package, name, home", DEPRECATED_IMPORTS,
-        ids=[f"{p}.{n}" for p, n, _ in DEPRECATED_IMPORTS],
-    )
-    def test_deep_import_warns_and_resolves(self, package, name, home):
-        import importlib
-
-        shimmed_module = importlib.import_module(package)
-        home_module = importlib.import_module(home)
-        with pytest.warns(DeprecationWarning, match=f"{name}.*deprecated"):
-            shimmed = getattr(shimmed_module, name)
-        assert shimmed is getattr(home_module, name)
-
-    def test_shimmed_names_stay_in_all(self):
-        import repro.experiments
-        import repro.runtime
-
-        assert "run_scenario" in repro.experiments.__all__
-        assert "run_streaming" in repro.runtime.__all__
-
-
 class TestExecutionConfig:
-    def test_legacy_keywords_warn_but_work(self):
-        scenario = get_scenario("paper-default")
-        with pytest.warns(DeprecationWarning, match="config=ExecutionConfig"):
-            legacy = run_scenario_cell(
-                scenario, GridPoint("B", 2), SMALL_SCALE, seed=7, backend="sim"
-            )
-        modern = run_scenario_cell(
-            scenario,
-            GridPoint("B", 2),
-            SMALL_SCALE,
-            seed=7,
-            config=api.ExecutionConfig(backend="sim"),
-        )
-        assert legacy == modern
-
-    def test_mixing_config_and_legacy_keywords_raises(self):
-        scenario = get_scenario("paper-default")
-        with pytest.raises(TypeError, match="not both"):
-            run_scenario_cell(
-                scenario,
-                GridPoint("B", 2),
-                SMALL_SCALE,
-                seed=7,
-                backend="sim",
-                config=api.ExecutionConfig(),
-            )
-
-    def test_run_scenario_legacy_backend_keyword_warns(self):
-        from repro.experiments.engine import run_scenario as engine_run_scenario
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            rows = engine_run_scenario(
-                "paper-default",
-                SMALL_SCALE,
-                grid=api.SweepGrid(properties=("B",)),
-                backend="sim",
-            )
-        assert len(rows) == 1
-
     def test_config_is_frozen_and_validated(self):
         config = api.ExecutionConfig(backend="asyncio", stream_transport="tcp")
         with pytest.raises(AttributeError):

@@ -134,11 +134,46 @@ class TestClusterEquivalence:
             report.total_events
         }
         assert report.token_messages > 0
-        assert report.monitor_messages >= report.token_messages
+        assert report.monitor_messages == (
+            report.token_messages + report.termination_messages + report.digest_messages
+        )
         assert report.wall_seconds > 0.0
-        # attribute-compatible with RuntimeReport where sweep metrics need it
+        # the cluster has no shared clock: the virtual-time metric stays zero
         assert report.delay_time_percentage_per_view == 0.0
         assert report.network_stats == {}
+
+    def test_report_carries_every_monitor_counter(self):
+        """Workers ship their whole counter record, not a hand-picked five.
+
+        Regression: the cluster report had no ``box_queries``,
+        ``box_linear_fallbacks``, ``box_cells_visited``, ``views_evicted`` or
+        ``events_shipped`` at all, so under one report type they would have
+        read a silent zero.
+        """
+        spec = _spec("paper-default")
+        computation, automaton, registry = build_cell_inputs(spec)
+        simulated = simulate_monitored_run(
+            computation,
+            automaton,
+            registry,
+            seed=spec.seed,
+            max_views_per_state=2,
+            network=get_scenario("paper-default").network,
+        )
+        assert simulated.box_queries > 0  # the cell does replay boxes
+        report = cluster_monitored_run(spec)
+        for counter in (
+            "box_queries",
+            "box_linear_fallbacks",
+            "box_cells_visited",
+            "views_evicted",
+            "events_shipped",
+        ):
+            assert getattr(report, counter) == sum(
+                result["metrics"][counter] for result in report.worker_results
+            ), counter
+        assert report.box_queries > 0
+        assert report.events_shipped > 0
 
 
 def _through_the_codec(send):

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core import run_decentralized
 from repro.core.delays import AsymmetricLatencyMatrix, MultiPartitionDelay
+from repro.core.transport import MonitorNetwork
 from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
 from repro.api import run_streaming
 from repro.scenarios import AsymmetricNetwork, MultiPartitionNetwork, get_scenario
-from repro.sim import Simulator, random_computation, simulate_monitored_run
+from repro.sim import SimulatedNetwork, Simulator, random_computation, simulate_monitored_run
 
 
 class TestAsymmetricLatencyMatrix:
@@ -174,9 +175,9 @@ class TestDeriveSchedule:
         assert model.delay_model(seed=9).schedule == model.schedule
 
     def test_both_backends_share_derived_schedule(self):
-        # build() wraps delay_model(), so sim and asyncio see one schedule
+        # sim and asyncio call the one delay_model(), so they see one schedule
         model = MultiPartitionNetwork()
-        network = model.build(Simulator(), seed=4)
+        network = SimulatedNetwork(Simulator(), model.delay_model(seed=4))
         assert network.delay.schedule == model.delay_model(seed=4).schedule
 
 
@@ -187,9 +188,8 @@ class TestScenarioBindings:
         ids=["asymmetric", "multi-partition"],
     )
     def test_networks_build_for_both_backends(self, model):
-        network = model.build(Simulator(), seed=1)
-        assert network is not None
-        assert model.delay_model(seed=1) is not None
+        network = SimulatedNetwork(Simulator(), model.delay_model(seed=1))
+        assert isinstance(network, MonitorNetwork)
         assert "kind" in model.describe()
 
     @pytest.mark.parametrize("name", ["asymmetric-mesh", "multi-partition"])

@@ -30,6 +30,8 @@ RATCHETED_PATHS = [
     REPO_ROOT / "src" / "repro" / "experiments" / "engine.py",
     REPO_ROOT / "src" / "repro" / "cluster",
     REPO_ROOT / "src" / "repro" / "api.py",
+    REPO_ROOT / "src" / "repro" / "session.py",
+    REPO_ROOT / "src" / "repro" / "sim",
 ]
 
 
@@ -401,6 +403,7 @@ def test_docstring_ratchet(path):
 TYPED_DEF_PATHS = [
     REPO_ROOT / "src" / "repro" / "runtime",
     REPO_ROOT / "src" / "repro" / "ltl" / "compiled.py",
+    REPO_ROOT / "src" / "repro" / "session.py",
 ]
 
 
@@ -422,7 +425,8 @@ def test_typed_defs_ratchet(path):
 
     This is the locally-runnable mirror of the strict
     ``disallow_untyped_defs`` / ``disallow_incomplete_defs`` mypy overrides
-    in ``pyproject.toml`` (``repro.runtime.*`` and the compiled LTL kernel).
+    in ``pyproject.toml`` (``repro.runtime.*``, ``repro.session`` and the
+    compiled LTL kernel).
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     incomplete = []
@@ -445,3 +449,25 @@ def test_typed_defs_ratchet(path):
         if missing:
             incomplete.append(f"{node.name}:{node.lineno} ({', '.join(missing)})")
     assert not incomplete, f"{path}: incomplete annotations on {incomplete}"
+
+
+#: the committed ceiling on ``src/``'s size; lowering it is the only
+#: accepted edit (a PR that shrinks ``src/`` lowers it to its own result)
+SRC_LINE_CEILING = Path(__file__).with_name("src_line_ceiling.txt")
+
+
+def test_src_line_count_stays_under_its_ceiling():
+    """``src/`` may shrink, not grow: physical lines of ``src/**/*.py``.
+
+    Counts what ``find src -name '*.py' | xargs cat | wc -l`` counts.  The
+    ROADMAP tracks this number; a change that needs more lines has to take
+    at least as many out elsewhere.
+    """
+    ceiling = int(SRC_LINE_CEILING.read_text().split()[0])
+    lines = sum(
+        path.read_bytes().count(b"\n") for path in (REPO_ROOT / "src").rglob("*.py")
+    )
+    assert lines <= ceiling, (
+        f"src/ has {lines} lines of Python, above the committed ceiling of "
+        f"{ceiling} ({SRC_LINE_CEILING.name}); delete before you add"
+    )

@@ -8,16 +8,53 @@ complete.  A session failure evicts one tenant, not its shard, and the
 admission cap rejects (with a counter) instead of queueing.
 """
 
+import asyncio
+import itertools
+
 from repro.fleet import (
     FleetConfig,
     ReplaySource,
     TenantSpec,
+    engine,
     run_fleet,
     standalone_tenant_result,
     synthetic_fleet,
 )
+from repro.runtime.runner import drive_session
+from repro.runtime.transport import InMemoryStreamTransport, RuntimeClock
+from repro.session import MonitorSession
 
 SATURATING = {"inbox_limit": 1, "events_per_process": 4}
+
+
+def _session_with_one_full_reading(backpressure, full_at):
+    """One tenant through the shared driver; its gate reads "full" once.
+
+    The inbox is roomy, except that the gate's *full_at*-th load check (one
+    per offered event) answers "full" — so exactly one event is refused
+    (``drop-newest``) or stalled (``block``).  Returns the session, the gate
+    and which process that event belonged to.
+    """
+
+    async def main():
+        (spec,) = synthetic_fleet(1, num_processes=3, events_per_process=4)
+        computation, automaton, registry = await engine._load_inputs(spec)
+        net = InMemoryStreamTransport(clock=RuntimeClock())
+        session = MonitorSession(computation, automaton, registry, net, max_views_per_state=2)
+        gate = engine._InboxGate(net, 10**9, backpressure)
+        readings = itertools.count()
+        roomy = gate._full
+        gate._full = lambda nodes: next(readings) == full_at or roomy(nodes)
+        offered = []
+
+        async def admit(nodes, process):
+            offered.append(process)
+            return await gate.admit(nodes, process)
+
+        await drive_session(session, 30.0, admit=admit)
+        return session, gate, offered[full_at]
+
+    return asyncio.run(main())
 
 
 class TestBlockPolicy:
@@ -54,8 +91,33 @@ class TestBlockPolicy:
         for spec, result in zip(tenants, report.results):
             assert result.verdicts == standalone_tenant_result(spec).verdicts
 
+    def test_one_stalled_event_loses_nothing(self):
+        session, gate, _ = _session_with_one_full_reading("block", full_at=3)
+        assert (gate.blocked, gate.dropped) == (1, 0)
+        for monitor in session.endpoints:
+            fed = len(session.computation.events_of(monitor.process))
+            assert monitor.metrics.events_processed == fed
+            assert monitor.terminated[monitor.process] == fed
+
 
 class TestDropNewestPolicy:
+    def test_one_refused_event_sheds_that_process_suffix_only(self):
+        session, gate, refused = _session_with_one_full_reading("drop-newest", full_at=3)
+        assert gate.truncated == {refused}
+        shed = 0
+        for monitor in session.endpoints:
+            events = len(session.computation.events_of(monitor.process))
+            fed = monitor.metrics.events_processed
+            if monitor.process == refused:
+                assert fed < events  # a true prefix: the refused event and all after it
+                shed = events - fed
+            else:
+                assert fed == events
+            # terminations are never gated: every monitor saw its own, after
+            # exactly the events it was fed
+            assert monitor.terminated[monitor.process] == fed
+        assert (gate.dropped, gate.blocked) == (shed, 0)
+
     def test_drops_are_counted_and_conserved(self):
         tenants = synthetic_fleet(
             4, events_per_process=SATURATING["events_per_process"]

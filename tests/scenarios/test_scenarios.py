@@ -31,6 +31,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.sim import (
+    SimulatedNetwork,
     Simulator,
     WorkloadConfig,
     generate_computation,
@@ -52,6 +53,11 @@ ALL_NETWORK_MODELS = [
     PartitionNetwork(windows=((1.0, 4.0),)),
     BurstyNetwork(period=0.5),
 ]
+
+
+def _build(model, simulator, seed):
+    """The discrete-event network of a condition, as the sim driver builds it."""
+    return SimulatedNetwork(simulator, model.delay_model(seed))
 
 
 class _Sink:
@@ -104,27 +110,31 @@ class TestRegistry:
 class TestNetworkModels:
     def test_models_build_monitor_networks(self):
         for model in ALL_NETWORK_MODELS:
-            network = model.build(Simulator(), seed=1)
+            network = _build(model, Simulator(), seed=1)
             assert isinstance(network, MonitorNetwork)
 
     def test_lossy_counts_retransmissions_and_delivers_everything(self):
         simulator = Simulator()
-        network = LossyNetwork(
-            jitter=0.0, loss_probability=0.5, retransmit_timeout=0.3
-        ).build(simulator, seed=3)
+        network = _build(
+            LossyNetwork(jitter=0.0, loss_probability=0.5, retransmit_timeout=0.3),
+            simulator,
+            seed=3,
+        )
         sink = _Sink()
         network.register(1, sink)
         for i in range(50):
             network.send(0, 1, i)
         simulator.run()
         assert sink.received == list(range(50))
-        assert network.retransmissions > 0
-        assert network.extra_stats()["retransmissions"] == float(network.retransmissions)
+        assert network.delay.retransmissions > 0
+        assert network.extra_stats()["retransmissions"] == float(
+            network.delay.retransmissions
+        )
 
     def test_partition_holds_cross_group_messages_until_heal(self):
         simulator = Simulator()
-        network = PartitionNetwork(jitter=0.0, windows=((1.0, 5.0),)).build(
-            simulator, seed=0
+        network = _build(
+            PartitionNetwork(jitter=0.0, windows=((1.0, 5.0),)), simulator, seed=0
         )
         sink0, sink1 = _Sink(), _Sink()
         network.register(0, sink0)
@@ -138,13 +148,13 @@ class TestNetworkModels:
         simulator.run()
         assert sink1.received == ["intra-noop", "cross"]
         # the cross-group message waited for the heal at t=5.0
-        assert network.held_messages == 1
+        assert network.delay.held_messages == 1
         assert simulator.now >= 5.0
 
     def test_partition_cross_group_fast_outside_windows(self):
         simulator = Simulator()
-        network = PartitionNetwork(jitter=0.0, windows=((10.0, 20.0),)).build(
-            simulator, seed=0
+        network = _build(
+            PartitionNetwork(jitter=0.0, windows=((10.0, 20.0),)), simulator, seed=0
         )
         sink = _Sink()
         network.register(1, sink)
@@ -152,11 +162,11 @@ class TestNetworkModels:
         simulator.run()
         assert sink.received == ["early"]
         assert simulator.now < 1.0
-        assert network.held_messages == 0
+        assert network.delay.held_messages == 0
 
     def test_bursty_quantizes_delivery_to_period(self):
         simulator = Simulator()
-        network = BurstyNetwork(latency=0.01, period=0.5).build(simulator, seed=0)
+        network = _build(BurstyNetwork(latency=0.01, period=0.5), simulator, seed=0)
         delivery_times = []
 
         class TimedSink:
@@ -169,17 +179,17 @@ class TestNetworkModels:
         simulator.schedule_at(0.7, lambda: network.send(0, 1, "c"))
         simulator.run()
         assert delivery_times == [0.5, 0.5, 1.0]
-        assert network.bursts_used == 2
+        assert network.delay.bursts_used == 2
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            LossyNetwork(loss_probability=1.0).build(Simulator(), seed=0)
+            LossyNetwork(loss_probability=1.0).delay_model(seed=0)
         with pytest.raises(ValueError):
-            PartitionNetwork(windows=((5.0, 2.0),)).build(Simulator(), seed=0)
+            PartitionNetwork(windows=((5.0, 2.0),)).delay_model(seed=0)
         with pytest.raises(ValueError):
-            PartitionNetwork(num_groups=1).build(Simulator(), seed=0)
+            PartitionNetwork(num_groups=1).delay_model(seed=0)
         with pytest.raises(ValueError):
-            BurstyNetwork(period=0.0).build(Simulator(), seed=0)
+            BurstyNetwork(period=0.0).delay_model(seed=0)
 
     @settings(max_examples=12, deadline=None)
     @given(

@@ -1,0 +1,262 @@
+"""The one session seam: schedule order, one report, one of each in ``src``.
+
+* the schedule a :class:`MonitorSession` produces, fired in order on a
+  :class:`Simulator`, visits events and terminations exactly as the
+  simulator runner's insertion-order tie-break always did (the reference
+  below is that runner's scheduling loop, kept here);
+* a sim run and an asyncio run of the same cell return the same
+  :class:`RunReport` on everything a schedule cannot change, and differ only
+  in the documented backend fields;
+* structurally, ``src/repro`` has one monitor constructor call, one clock
+  skew call, one termination epsilon and one class with the report's
+  derived properties.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import run_streaming
+from repro.cluster.spec import RunSpec, build_cell_inputs
+from repro.distributed.computation import ComputationBuilder
+from repro.ltl import build_monitor
+from repro.ltl.predicates import PropositionRegistry
+from repro.scenarios import get_scenario
+from repro.session import EVENT, MonitorSession, RunReport
+from repro.sim import Simulator, simulate_monitored_run
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: few distinct instants, two of them one termination-epsilon apart, so
+#: events tie with events and with other processes' terminations
+_INSTANTS = (1.0, 1.0 + 1e-6, 2.0, 2.0 + 1e-6, 3.0)
+
+
+class _NullTransport:
+    def send(self, sender, target, message):
+        raise AssertionError("nothing is started, so nothing may be sent")
+
+
+def _head_order(computation):
+    """What the pre-session simulator runner fired, in firing order."""
+    simulator = Simulator()
+    fired = []
+    n = computation.num_processes
+    last_time = [0.0] * n
+    for event in computation.all_events():
+        last_time[event.process] = max(last_time[event.process], event.timestamp)
+        simulator.schedule_at(
+            event.timestamp,
+            lambda e=event: fired.append((simulator.now, "event", e.process, e.sn)),
+        )
+    for i in range(n):
+        simulator.schedule_at(0.0, lambda i=i: fired.append((0.0, "start", i, 0)))
+        simulator.schedule_at(
+            last_time[i] + 1e-6,
+            lambda i=i: fired.append((simulator.now, "termination", i, 0)),
+        )
+    simulator.run()
+    return fired
+
+
+def _session_order(session):
+    """What the sim driver fires: every start, then the schedule in order."""
+    simulator = Simulator()
+    fired = []
+    for process in session.hosted:
+        simulator.schedule_at(0.0, lambda p=process: fired.append((0.0, "start", p, 0)))
+    for instant, kind, process, event in session.schedule():
+        label = "event" if kind == EVENT else "termination"
+        sn = event.sn if kind == EVENT else 0
+        simulator.schedule_at(
+            instant,
+            lambda label=label, p=process, sn=sn: fired.append((simulator.now, label, p, sn)),
+        )
+    simulator.run()
+    return fired
+
+
+class TestScheduleOrder:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        steps=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from(_INSTANTS)),
+            max_size=14,
+        ),
+    )
+    def test_schedule_fires_in_the_simulators_insertion_order(self, n, steps):
+        builder = ComputationBuilder([{"p": False} for _ in range(n)])
+        clock = [0.0] * n  # timestamps are non-decreasing per process
+        for process, instant in steps:
+            process %= n
+            clock[process] = max(clock[process], instant)
+            builder.internal(process, {"p": True}, timestamp=clock[process])
+        computation = builder.build()
+        registry = PropositionRegistry.boolean_grid(n, variables=("p",))
+        session = MonitorSession(
+            computation,
+            build_monitor("F(P0.p)", atoms=registry.names),
+            registry,
+            _NullTransport(),
+        )
+        assert _session_order(session) == _head_order(computation)
+        assert session.program_end == max(clock)
+
+    def test_a_worker_session_schedules_its_own_process_only(self):
+        spec = _spec()
+        computation, automaton, registry = build_cell_inputs(spec)
+        whole = MonitorSession(computation, automaton, registry, _NullTransport())
+        own = MonitorSession(computation, automaton, registry, _NullTransport(), hosted=[1])
+        assert [endpoint.process for endpoint in own.endpoints] == [1]
+        assert own.schedule() == [item for item in whole.schedule() if item[2] == 1]
+        assert own.program_end == whole.program_end
+
+
+def _spec(**overrides):
+    fields = dict(
+        scenario="lossy-retransmit",
+        property_name="C",
+        num_processes=3,
+        events_per_process=5,
+        evt_mu=3.0,
+        evt_sigma=1.0,
+        comm_mu=3.0,
+        comm_sigma=1.0,
+        seed=2015,
+        max_views_per_state=2,
+    )
+    fields.update(overrides)
+    return RunSpec(**fields)
+
+
+#: fields both backends must fill identically for the same cell: what was
+#: monitored, what it concluded, and the counters no interleaving can move
+_SAME_ON_EVERY_BACKEND = {
+    "num_processes",
+    "total_events",
+    "program_end_time",
+    "reported_verdicts",
+    "declared_verdicts",
+    "termination_messages",
+    "digest_messages",
+    "fault_stats",
+    "worker_results",
+}
+#: what a backend's own nature decides: its clock, its medium, its wall time
+_BACKEND_FIELDS = {"monitor_end_time", "transport", "wall_seconds", "wire_bytes", "monitors"}
+#: counters of work whose amount follows the live interleaving of messages
+_INTERLEAVING_FIELDS = {
+    "monitor_messages",
+    "token_messages",
+    "total_global_views",
+    "delayed_events",
+    "network_stats",
+    "box_queries",
+    "box_linear_fallbacks",
+    "box_cells_visited",
+    "views_evicted",
+    "events_shipped",
+}
+
+
+class TestOneReport:
+    def test_sim_and_asyncio_reports_agree_field_for_field(self):
+        spec = _spec()
+        computation, automaton, registry = build_cell_inputs(spec)
+        network = get_scenario(spec.scenario).network
+        simulated = simulate_monitored_run(
+            computation, automaton, registry, seed=spec.seed, max_views_per_state=2,
+            network=network,
+        )
+        streamed = run_streaming(
+            computation, automaton, registry, delay=network.delay_model(spec.seed),
+            max_views_per_state=2,
+        )
+        assert type(simulated) is type(streamed) is RunReport
+        # every field is accounted for: a new one must be classified here
+        names = {field.name for field in dataclasses.fields(RunReport)}
+        assert names == _SAME_ON_EVERY_BACKEND | _BACKEND_FIELDS | _INTERLEAVING_FIELDS
+        for name in sorted(_SAME_ON_EVERY_BACKEND):
+            assert getattr(simulated, name) == getattr(streamed, name), name
+        assert simulated.verdict_sequence() == streamed.verdict_sequence()
+        assert set(simulated.network_stats) == set(streamed.network_stats)
+        for report in (simulated, streamed):
+            assert report.monitor_messages == (
+                report.token_messages + report.termination_messages + report.digest_messages
+            )
+            assert len(report.monitors) == report.num_processes
+        # the documented backend fields
+        assert simulated.transport == "" and streamed.transport == "memory"
+        assert simulated.wall_seconds == 0.0 and streamed.wall_seconds > 0.0
+        assert simulated.wire_bytes == streamed.wire_bytes == 0  # nothing encoded
+        assert set(streamed.as_dict()) - set(simulated.as_dict()) == {"transport"}
+        assert streamed.as_dict()["transport"] == "memory"
+
+    def test_same_backend_same_seed_same_report(self):
+        spec = _spec(scenario="paper-default")
+        computation, automaton, registry = build_cell_inputs(spec)
+        reports = [
+            simulate_monitored_run(computation, automaton, registry, seed=7, max_views_per_state=2)
+            for _ in range(2)
+        ]
+        first, second = (
+            {f.name: getattr(r, f.name) for f in dataclasses.fields(r) if f.name != "monitors"}
+            for r in reports
+        )
+        assert first == second
+
+
+def _calls(name):
+    """``(file, enclosing function)`` of every call of *name* in ``src/repro``."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == name
+                ):
+                    sites.append((path.relative_to(SRC).as_posix(), function.name))
+    return sites
+
+
+class TestOneOfEach:
+    def test_monitors_are_constructed_in_one_function(self):
+        # make_monitor is nested in monitor_factory, so ast.walk sees it twice
+        assert set(_calls("DecentralizedMonitor")) == {
+            ("core/runner.py", "monitor_factory"),
+            ("core/runner.py", "make_monitor"),
+        }
+
+    def test_clock_skew_is_applied_in_one_place(self):
+        assert _calls("apply_clock_skew") == [("session.py", "__init__")]
+
+    def test_the_report_properties_live_on_one_class(self):
+        owners = []
+        epsilons = []
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    owners += [
+                        node.name
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and item.name == "delay_time_percentage_per_view"
+                    ]
+                elif isinstance(node, ast.Assign):
+                    epsilons += [
+                        path.name
+                        for target in node.targets
+                        if isinstance(target, ast.Name) and target.id == "_TERMINATION_EPSILON"
+                    ]
+        assert owners == ["RunReport"]
+        assert epsilons == ["session.py"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import LatticeOracle, run_decentralized
+from repro.core.delays import GaussianDelay
 from repro.distributed import ComputationLattice
 from repro.experiments import case_study_monitor, case_study_registry
 from repro.ltl import Verdict
@@ -115,7 +116,7 @@ class _Sink:
 class TestSimulatedNetwork:
     def test_messages_delivered_with_latency(self):
         simulator = Simulator()
-        network = SimulatedNetwork(simulator, latency=0.5, jitter=0.0)
+        network = SimulatedNetwork(simulator, GaussianDelay(latency=0.5))
         sink = _Sink()
         network.register(1, sink)
         network.send(0, 1, "hello")
@@ -126,7 +127,7 @@ class TestSimulatedNetwork:
 
     def test_fifo_order_preserved_despite_jitter(self):
         simulator = Simulator()
-        network = SimulatedNetwork(simulator, latency=0.2, jitter=0.3, seed=7)
+        network = SimulatedNetwork(simulator, GaussianDelay(latency=0.2, jitter=0.3, seed=7))
         sink = _Sink()
         network.register(1, sink)
         for i in range(20):
@@ -135,13 +136,13 @@ class TestSimulatedNetwork:
         assert sink.received == list(range(20))
 
     def test_unknown_target_rejected(self):
-        network = SimulatedNetwork(Simulator())
+        network = SimulatedNetwork(Simulator(), GaussianDelay())
         with pytest.raises(ValueError):
             network.send(0, 3, "x")
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
-            SimulatedNetwork(Simulator(), latency=-1.0)
+            SimulatedNetwork(Simulator(), GaussianDelay(latency=-1.0))
 
 
 class TestWorkloadGenerator:
