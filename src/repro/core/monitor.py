@@ -94,10 +94,15 @@ class MonitorMetrics:
     #: cells the exact box searches created: tuples of letter-run segments,
     #: not of events (see ``_box_reachable``)
     box_cells_visited: int = 0
-    #: views dropped by the per-state budget (also counted in ``views_merged``)
+    #: views dropped by the per-state budget (not counted in ``views_merged``)
     views_evicted: int = 0
     #: own events this monitor appended to the runs of tokens leaving it
     events_shipped: int = 0
+    #: most hops of any token this monitor consumed or swallowed as its
+    #: parent (reports and crash incarnations fold it by max, not by sum)
+    token_hops_max: int = 0
+    #: own tokens dropped at home because their view was retired meanwhile
+    orphan_tokens_swallowed: int = 0
 
     @property
     def messages_sent(self) -> int:
@@ -459,16 +464,14 @@ class DecentralizedMonitor:
                     self.metrics.digest_messages_sent += 1
             return
         if isinstance(message, Token):
-            token = message
-            if token.parent_process == self.process and token.all_decided():
-                # the completed token is merely returning home: the parent
-                # consumes it, it does not serve a hop
-                self._token_returned(token)
+            if self._ends_here(message):
+                # the token is merely returning home: the parent consumes
+                # (or swallows) it, it does not serve a hop
+                self._token_returned(message)
             else:
-                token.hops += 1
+                message.hops += 1
                 self.metrics.token_hops_served += 1
-                self._serve_token(token)
-            self._merge_views()
+                self._serve_token(message)
             return
         raise TypeError(f"unexpected monitor message {message!r}")
 
@@ -665,17 +668,44 @@ class DecentralizedMonitor:
     # ------------------------------------------------------------------
     # token service and routing (PROCESSTOKEN / EVALUATETOKEN / SENDTONEXTPROCESS)
     # ------------------------------------------------------------------
-    def _serve_token(self, token: Token) -> None:
-        """Serve the token's undecided entries from local history, route it."""
+    def _ends_here(self, token: Token) -> bool:
+        """Whether the token is at home with nothing left to do: decided, or
+        an orphan — its view was retired, ``_outstanding`` no longer lists it."""
+        return token.parent_process == self.process and (
+            token.token_id not in self._outstanding or token.all_decided()
+        )
+
+    def _serve_token(self, token: Token, woken: bool = False) -> None:
+        """Serve the token's undecided entries from local history, route it.
+
+        *woken* marks a token re-examined where it waited: processes known
+        to have terminated meanwhile are worth a (final) visit, and an entry
+        this process cannot serve is settled if such a process ended below
+        the position the entry requires.
+        """
         pending: list[tuple[TokenEntry, list[int]]] = []
         for entry in token.undecided_entries():
-            self._serve_entry(entry)
+            if woken:
+                for other in list(entry.waiting_for):
+                    if other != self.process and self.terminated[other] is not None:
+                        entry.waiting_for.discard(other)
+            served = self._serve_entry(entry)
+            if entry.eval is not None:
+                continue
+            lagging = entry.lagging_processes()
+            if not lagging:
+                entry.eval = True
+                continue
+            if woken and not served:
+                for other in lagging:
+                    final = self.terminated[other]
+                    if final is not None and entry.cut[other] >= final and (
+                        max(entry.depend[other], entry.min_positions[other]) > final
+                        or (entry.conjuncts[other] and not entry.satisfied[other])
+                    ):
+                        entry.eval = False
             if entry.eval is None:
-                lagging = entry.lagging_processes()
-                if lagging:
-                    pending.append((entry, lagging))
-                else:
-                    entry.eval = True
+                pending.append((entry, lagging))
         self._route_token(token, pending)
 
     def _serve_entry(self, entry: TokenEntry) -> bool:
@@ -726,43 +756,12 @@ class DecentralizedMonitor:
 
     def _retry_waiting_tokens(self) -> None:
         """Re-examine parked tokens after new local events or terminations."""
-        if not self.waiting_tokens:
-            return
-        tokens = self.waiting_tokens
-        self.waiting_tokens = []
+        tokens, self.waiting_tokens = self.waiting_tokens, []
         for token in tokens:
-            pending: list[tuple[TokenEntry, list[int]]] = []
-            for entry in token.undecided_entries():
-                # processes known to have terminated are always worth a
-                # (final) visit: clear their "nothing new" marker
-                for other in list(entry.waiting_for):
-                    if other != self.process and self.terminated.get(other) is not None:
-                        entry.waiting_for.discard(other)
-                served = self._serve_entry(entry)
-                if entry.eval is not None:
-                    continue
-                lagging = entry.lagging_processes()
-                if not lagging:
-                    entry.eval = True
-                    continue
-                if not served:
-                    # a process we cannot serve: resolve it if it is known to
-                    # have terminated below the required position
-                    for other in lagging:
-                        final = self.terminated.get(other)
-                        if final is None:
-                            continue
-                        required = max(
-                            entry.depend[other], entry.min_positions[other]
-                        )
-                        if entry.cut[other] >= final and (
-                            required > final
-                            or (entry.conjuncts[other] and not entry.satisfied[other])
-                        ):
-                            entry.eval = False
-                if entry.eval is None:
-                    pending.append((entry, lagging))
-            self._route_token(token, pending)
+            if self._ends_here(token):
+                self._token_returned(token)  # orphaned while it waited at home
+            else:
+                self._serve_token(token, woken=True)
 
     def _route_token(
         self, token: Token, pending: list[tuple[TokenEntry, list[int]]]
@@ -773,47 +772,41 @@ class DecentralizedMonitor:
         needs (empty once every entry is decided), derived once per hop by
         whoever served the token.
         """
+        mine = self.process
         if not pending:
-            if token.parent_process == self.process:
+            if token.parent_process == mine:
                 self._token_returned(token)
             else:
                 self._send_token(token, token.parent_process)
             return
-        targets = sorted({t for _, lagging in pending for t in lagging})
-        # processes known to have nothing actionable for this token yet
-        parked = sorted({t for entry, _ in pending for t in entry.waiting_for})
-        # prefer a process with actionable work that is not this monitor
-        actionable = [t for t in targets if t != self.process and t not in parked]
-        if actionable:
-            self._send_token(
-                token, self.topology.pick_target(self.process, actionable, token)
-            )
-            return
-        if self.process in targets:
-            # wait here for future local events (or local termination)
+        targets: set[int] = set()
+        parked: set[int] = set()  # known to have nothing for this token yet
+        live: set[int] = set()
+        for entry, lagging in pending:
+            targets.update(lagging)
+            parked.update(entry.waiting_for)
+            # park, don't bounce: an entry blocked on this process's next
+            # event gains nothing elsewhere — unless a process it needs is
+            # known to have terminated, which may settle it (False) at once
+            if entry.parked_on != mine or any(
+                self.terminated[k] is not None for k in lagging
+            ):
+                live.update(lagging)
+        # prefer a process with actionable work that is not this monitor;
+        # failing that wait here if this process is needed (for its future
+        # events or termination), else at a process the token is parked on
+        elsewhere = live - parked - {mine}
+        if not elsewhere and mine not in targets:
+            elsewhere = parked - {mine}
+        if elsewhere:
+            target = self.topology.pick_target(mine, sorted(elsewhere), token)
+            self._send_token(token, target)
+        else:
+            # nothing actionable anywhere else: keep the token until a local
+            # event or a termination notice changes the situation
             self.waiting_tokens.append(token)
-            return
-        remote_parked = [t for t in parked if t != self.process]
-        if remote_parked:
-            # every remaining target is waiting for future events elsewhere;
-            # let the token wait at one of those processes
-            self._send_token(
-                token,
-                self.topology.pick_target(self.process, remote_parked, token),
-            )
-            return
-        # nothing actionable anywhere: keep the token here until something
-        # (a local event or a termination notice) changes the situation
-        self.waiting_tokens.append(token)
 
     def _send_token(self, token: Token, target: int) -> None:
-        if target == self.process:
-            # nothing to transmit: serve locally
-            if token.parent_process == self.process and token.all_decided():
-                self._token_returned(token)
-            else:
-                self._serve_token(token)
-            return
         # multi-hop topologies relay through a neighbour; the intermediate
         # monitor re-serves and re-routes, converging on the destination
         hop = self.topology.next_hop(self.process, target)
@@ -846,9 +839,12 @@ class DecentralizedMonitor:
     # ------------------------------------------------------------------
     def _token_returned(self, token: Token) -> None:
         self._absorb_runs(token)
+        self.metrics.token_hops_max = max(self.metrics.token_hops_max, token.hops)
         view = self._outstanding.pop(token.token_id, None)
         if view is None:
-            return  # parent view vanished (merged away); drop silently
+            # orphan: its view was retired (evicted); keep the events, drop it
+            self.metrics.orphan_tokens_swallowed += 1
+            return
         view.status = ViewStatus.UNBLOCKED
         view.outstanding_token = None
 
@@ -1187,8 +1183,8 @@ class DecentralizedMonitor:
 
         When the bound is exceeded the views with the largest cuts are
         dropped (the remaining smaller-cut views re-cover their exploration
-        space); outstanding tokens of dropped views are disowned so their
-        eventual return is ignored.
+        space); outstanding tokens of dropped views are disowned, so they are
+        swallowed on their next pass through this monitor (``_ends_here``).
         """
         if self.max_views_per_state is None:
             return
@@ -1200,7 +1196,6 @@ class DecentralizedMonitor:
             state_views.sort(key=lambda v: (sum(v.cut), tuple(v.cut)))
             kept.extend(state_views[: self.max_views_per_state])
             for dropped in state_views[self.max_views_per_state :]:
-                self.metrics.views_merged += 1
                 self.metrics.views_evicted += 1
                 if dropped.outstanding_token is not None:
                     self._outstanding.pop(dropped.outstanding_token, None)

@@ -166,13 +166,13 @@ class MonitorFaultProxy:
     def metrics(self) -> MonitorMetrics:
         """Counters merged across every incarnation of the monitor.
 
-        Additive counters are summed; ``max_active_views`` takes the
-        maximum, matching its meaning.
+        Additive counters are summed; ``max_active_views`` and
+        ``token_hops_max`` take the maximum, matching their meaning.
         """
         merged = MonitorMetrics()
         for metrics in [*self._retired_metrics, self.monitor.metrics]:
             for spec in fields(MonitorMetrics):
-                if spec.name == "max_active_views":
+                if spec.name in ("max_active_views", "token_hops_max"):
                     value = max(getattr(merged, spec.name), getattr(metrics, spec.name))
                 else:
                     value = getattr(merged, spec.name) + getattr(metrics, spec.name)

@@ -96,6 +96,9 @@ class RunReport:
     #: events the monitors appended to the runs of outgoing tokens: copies
     #: of program events that travelled between monitors
     events_shipped: int = 0
+    #: most hops any one token made; tokens swallowed at home, view retired
+    token_hops_max: int = 0
+    orphan_tokens_swallowed: int = 0
     #: which streaming transport carried the messages ("memory" or "tcp");
     #: empty on the simulator and the cluster
     transport: str = ""
@@ -115,7 +118,7 @@ class RunReport:
         declared: Iterable[Verdict],
         **fields: object,
     ) -> RunReport:
-        """Sum per-monitor counter records into one report.
+        """Sum per-monitor counter records (``token_hops_max``: max) into one report.
 
         *metrics* holds one record per monitor of the run (in-process: the
         endpoints' own; cluster: rebuilt from the workers' replies);
@@ -140,6 +143,8 @@ class RunReport:
             box_cells_visited=total("box_cells_visited"),
             views_evicted=total("views_evicted"),
             events_shipped=total("events_shipped"),
+            token_hops_max=max((m.token_hops_max for m in metrics), default=0),
+            orphan_tokens_swallowed=total("orphan_tokens_swallowed"),
             **fields,
         )
 

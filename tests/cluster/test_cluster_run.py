@@ -168,10 +168,15 @@ class TestClusterEquivalence:
             "box_cells_visited",
             "views_evicted",
             "events_shipped",
+            "orphan_tokens_swallowed",
         ):
             assert getattr(report, counter) == sum(
                 result["metrics"][counter] for result in report.worker_results
             ), counter
+        # the one counter that is a maximum folds by max
+        assert report.token_hops_max == max(
+            result["metrics"]["token_hops_max"] for result in report.worker_results
+        ) > 0
         assert report.box_queries > 0
         assert report.events_shipped > 0
 

@@ -1,13 +1,14 @@
-"""Byte-identity of the default topology against pre-refactor fixtures.
+"""Byte-identity of the default topology against its pinned fixture.
 
 ``tests/coordination/fixtures/round_robin_token.json`` records the complete
 observable output — verdicts, every per-monitor counter, network totals, the
-full sweep-row dict — of five fixed-seed cells, captured on the monolithic
-``DecentralizedMonitor`` immediately before the coordination-topology
-extraction.  The refactored monitor running the default
-``round-robin-token`` topology must reproduce each cell **byte for byte**:
-the refactor is required to be a pure seam extraction, not a behaviour
-change.
+full sweep-row dict — of five fixed-seed cells.  It was captured on the
+monolithic ``DecentralizedMonitor`` before the coordination-topology
+extraction and re-captured once since, when token routing changed on purpose
+(PR 16, "park, don't bounce": fewer messages and hops, verdicts unchanged).
+The monitor running the default ``round-robin-token`` topology must
+reproduce each cell **byte for byte**: refactors and optimisations are
+required not to change behaviour.
 
 Regenerate the fixture (only when the default topology's *intended*
 behaviour changes) with ``tools/capture_topology_fixtures.py``.
@@ -48,6 +49,5 @@ def test_default_topology_reproduces_pre_refactor_outputs(cell):
     # normalise through JSON so tuple-vs-list and key order never matter;
     # every counter, verdict and sweep column must then match exactly
     assert json.loads(json.dumps(actual)) == expected, (
-        f"round-robin-token diverged from the pre-refactor monitor on "
-        f"cell {cell}"
+        f"round-robin-token diverged from its pinned fixture on cell {cell}"
     )

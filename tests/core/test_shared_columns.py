@@ -186,7 +186,13 @@ def test_fixture_cells_end_with_prefix_columns_under_every_view(cell):
     assert report.box_cells_visited == sum(m.box_cells_visited for m in metrics)
     assert report.box_cells_visited >= report.box_queries - report.box_linear_fallbacks > 0
     assert report.views_evicted == sum(m.views_evicted for m in metrics)
-    assert all(m.views_evicted <= m.views_merged for m in metrics)
+    # an evicted view is booked once, under views_evicted, never as a merge:
+    # every view created is live, final, retired, merged away or evicted
+    assert all(
+        m.metrics.views_created
+        >= len(m.views) + len(m.final_views) + m.metrics.views_evicted
+        for m in report.monitors
+    )
     assert not {"box_cells_visited", "views_evicted"} & set(report.as_dict())
 
 

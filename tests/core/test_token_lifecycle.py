@@ -1,0 +1,343 @@
+"""Where a token waits, where it ends, and what that costs in messages.
+
+* **Park, don't bounce.**  A token whose every undecided entry is blocked on
+  the *future* event of the process it sits at stays there: no send per
+  non-satisfying local event, one send on the first satisfying one.
+* **Liveness.**  The parked token still leaves on a termination notice of a
+  process it needs (and resolves ``False``), and resolves at the process's
+  own termination — under every topology, ending quiescent.
+* **Orphans are swallowed at home.**  A token whose view was evicted is
+  dropped by its parent on the next pass, undecided or not, its runs kept.
+* **The trailing merge was redundant**, the `long-trace` cell stays cheap, and
+  the verdicts are the parent commit's.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.api import run_streaming
+from repro.coordination import TOPOLOGIES, build_topology
+from repro.core import run_decentralized
+from repro.core.global_view import GlobalView
+from repro.core.messages import Token
+from repro.core.monitor import DecentralizedMonitor
+from repro.core.transport import LoopbackNetwork
+from repro.distributed.clocks import VectorClock
+from repro.distributed.events import Event, EventKind
+from repro.experiments.engine import cell_inputs
+from repro.experiments.properties import case_study_monitor, case_study_registry
+from repro.fuzz.engine import CLASS_SOUND, execute_point, generate_point
+from repro.ltl import Verdict, build_monitor
+from repro.scenarios import get_scenario
+from repro.sim import simulate_monitored_run
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+sys.path.insert(0, str(REPO_ROOT / "tests" / "runtime"))
+
+from capture_topology_fixtures import (  # noqa: E402
+    CELLS,
+    FIXTURE_PATH,
+    build_cell_inputs,
+    capture_cell,
+)
+from test_backend_equivalence import (  # noqa: E402
+    EQUIVALENCE_SCENARIOS,
+    _scenario_computation,
+)
+
+N = 3
+
+
+class _RecordingNetwork(LoopbackNetwork):
+    """A loopback network that remembers which way every token went."""
+
+    def __init__(self):
+        super().__init__()
+        self.routes = []
+
+    def send(self, sender, target, message):
+        if isinstance(message, Token):
+            self.routes.append((message.token_id, sender, target))
+        super().send(sender, target, message)
+
+
+class _System:
+    """Three monitors of ``F(P0.p & P1.p & P2.p)`` on a loopback network."""
+
+    def __init__(self, topology="round-robin-token", max_views_per_state=None):
+        registry = case_study_registry(N)
+        self.network = _RecordingNetwork()
+        route = build_topology(topology, N, registry=registry)
+        self.monitors = [
+            DecentralizedMonitor(
+                process=process,
+                num_processes=N,
+                automaton=build_monitor("F(P0.p & P1.p & P2.p)", atoms=registry.names),
+                registry=registry,
+                initial_letters=[frozenset()] * N,
+                transport=self.network,
+                max_views_per_state=max_views_per_state,
+                topology=route,
+            )
+            for process in range(N)
+        ]
+        self.sn = [0] * N
+        for monitor in self.monitors:
+            self.network.register(monitor.process, monitor)
+        for monitor in self.monitors:
+            monitor.start()
+
+    def event(self, process, p):
+        """One internal event of *process* setting its ``p``; pump the network."""
+        self.sn[process] += 1
+        clock = [0] * N
+        clock[process] = self.sn[process]
+        self.monitors[process].local_event(
+            Event(process, self.sn[process], EventKind.INTERNAL, VectorClock(clock), {"p": p})
+        )
+        self.network.deliver_all()
+
+    def terminate(self, process):
+        self.monitors[process].local_termination()
+        self.network.deliver_all()
+
+    def blocked_at_p1(self):
+        """P0 raises ``p``; its token visits P1, which has nothing to offer."""
+        self.event(0, True)
+        (token,) = self.monitors[1].waiting_tokens
+        assert [entry.parked_on for entry in token.entries] == [1]
+        return token
+
+    def route(self, token):
+        """The ``(sender, target)`` transport hops *token* has made so far."""
+        return [hop[1:] for hop in self.network.routes if hop[0] == token.token_id]
+
+    def assert_quiescent(self):
+        assert self.network.pending == 0
+        assert all(monitor.is_quiescent for monitor in self.monitors)
+
+
+# ---------------------------------------------------------------------------
+# (i) park, don't bounce
+# ---------------------------------------------------------------------------
+def test_a_token_blocked_on_a_future_event_is_not_sent_until_it_occurs():
+    system = _System()
+    token = system.blocked_at_p1()
+    for _ in range(6):
+        system.event(1, False)
+        # the entry advanced over the event, P2 is still wanted, nothing moved
+        assert system.network.messages_sent == 1  # P0 -> P1 is all there was
+        assert system.monitors[1].waiting_tokens == [token]
+    assert token.entries[0].cut[1] == 6
+    system.event(1, True)
+    assert system.route(token) == [(0, 1), (1, 2)]  # on to P2, where it waits again
+    assert token not in system.monitors[1].waiting_tokens
+    assert token in system.monitors[2].waiting_tokens
+    system.event(2, True)
+    assert system.route(token) == [(0, 1), (1, 2), (2, 0)]
+    assert Verdict.TOP in system.monitors[0].declared_verdicts
+    assert system.monitors[0].metrics.token_hops_max == token.hops == 2
+    system.assert_quiescent()
+
+
+# ---------------------------------------------------------------------------
+# (ii) liveness of the parked token
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_a_parked_token_leaves_on_a_termination_notice_and_resolves_false(topology):
+    system = _System(topology)
+    token = system.blocked_at_p1()
+    system.event(1, False)
+    hops = len(system.route(token))
+    system.terminate(2)  # P2 never raised p: the entry can only fail there
+    assert len(system.route(token)) > hops and system.route(token)[-1][1] == 0
+    assert [entry.eval for entry in token.entries] == [False]
+    assert not system.monitors[0].declared_verdicts
+    system.assert_quiescent()
+    for process in (0, 1):
+        system.terminate(process)
+    system.assert_quiescent()
+    assert not any(monitor.declared_verdicts for monitor in system.monitors)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_a_parked_token_resolves_at_the_termination_of_the_process_it_waits_on(topology):
+    system = _System(topology)
+    token = system.blocked_at_p1()
+    system.event(1, False)
+    system.terminate(1)
+    assert [entry.eval for entry in token.entries] == [False]
+    system.assert_quiescent()
+    for process in (0, 2):
+        system.terminate(process)
+    system.assert_quiescent()
+
+
+# ---------------------------------------------------------------------------
+# (iii) orphans are swallowed at home
+# ---------------------------------------------------------------------------
+def _evict_the_waiting_view(monitor):
+    """Let the per-state budget (1) drop the view the outstanding token serves."""
+    (view,) = monitor.views
+    assert view.is_waiting()
+    smaller = GlobalView(cut=[0] * N, state=view.state, letters=[frozenset()] * N)
+    monitor.views.append(smaller)
+    monitor._merge_views()
+    assert monitor.views == [smaller] and not monitor._outstanding
+    assert monitor.metrics.views_evicted == 1
+
+
+def test_an_orphan_passing_through_home_undecided_is_swallowed():
+    # on the tree P1 -> P2 relays through P0, the token's home
+    system = _System("tree-aggregation", max_views_per_state=1)
+    home = system.monitors[0]
+    token = system.blocked_at_p1()
+    _evict_the_waiting_view(home)
+    merged = home.metrics.views_merged
+    system.event(1, True)  # the token leaves P1 for P2, through home
+    assert system.route(token) == [(0, 1), (1, 0)]  # not re-sent
+    assert not token.all_decided()
+    assert home.waiting_tokens == []  # not parked either
+    assert home.letter_columns[1][1:] == [frozenset({"P1.p"})]  # runs absorbed
+    assert home.metrics.orphan_tokens_swallowed == 1
+    assert home.metrics.token_hops_max == token.hops == 1  # home served no hop
+    assert home.metrics.views_merged == merged  # an eviction is not a merge
+    assert home.is_quiescent
+    for process in range(N):
+        system.terminate(process)
+    system.assert_quiescent()
+
+
+def test_an_orphan_waiting_at_home_is_swallowed_when_woken():
+    system = _System(max_views_per_state=1)
+    home = system.monitors[0]
+    token = system.blocked_at_p1()
+    # as if routing had left the undecided token waiting at home instead
+    system.monitors[1].waiting_tokens.remove(token)
+    home.waiting_tokens.append(token)
+    _evict_the_waiting_view(home)
+    assert not home.is_quiescent
+    system.terminate(2)  # any notice wakes home's waiting tokens
+    assert home.waiting_tokens == [] and home.is_quiescent
+    assert home.metrics.orphan_tokens_swallowed == 1
+    assert system.route(token) == [(0, 1)]  # served nowhere, sent nowhere
+
+
+def test_an_eviction_is_booked_once(monkeypatch):
+    enforce = DecentralizedMonitor._enforce_view_budget
+
+    def checked(self):
+        merged, evicted, live = (
+            self.metrics.views_merged, self.metrics.views_evicted, len(self.views)
+        )
+        enforce(self)
+        assert self.metrics.views_merged == merged
+        assert self.metrics.views_evicted - evicted == live - len(self.views)
+
+    monkeypatch.setattr(DecentralizedMonitor, "_enforce_view_budget", checked)
+    computation, automaton, registry = build_cell_inputs("C", 4, 77)
+    report = simulate_monitored_run(
+        computation, automaton, registry, seed=77, max_views_per_state=2,
+        network=get_scenario("paper-default").network,
+    )
+    assert report.views_evicted > 0
+    assert 0 < report.orphan_tokens_swallowed <= report.views_evicted
+
+
+# ---------------------------------------------------------------------------
+# the merge after every token hop was redundant
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-n{c[1]}-s{c[2]}")
+def test_merging_after_every_token_hop_changes_no_pinned_counter(cell, monkeypatch):
+    receive = DecentralizedMonitor.receive_message
+
+    def receive_then_merge(self, message):
+        receive(self, message)
+        self._merge_views()
+
+    monkeypatch.setattr(DecentralizedMonitor, "receive_message", receive_then_merge)
+    document = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
+    (expected,) = [
+        c for c in document["cells"]
+        if (c["property"], c["num_processes"], c["seed"]) == cell
+    ]
+    assert json.loads(json.dumps(capture_cell(*cell))) == expected
+
+
+# ---------------------------------------------------------------------------
+# (iv) the long-trace cell
+# ---------------------------------------------------------------------------
+def test_long_trace_cell_has_no_bouncing_token():
+    scenario = get_scenario("paper-default")
+    computation, automaton, registry = cell_inputs(
+        scenario, "B", 5, events_per_process=40,
+        evt_mu=3, evt_sigma=1, comm_mu=3, comm_sigma=1, seed=2015,
+    )
+    report = simulate_monitored_run(
+        computation, automaton, registry, seed=2015, max_views_per_state=2,
+        network=scenario.network,
+    )
+    assert report.total_events == 1736
+    assert report.token_hops_max == max(m.metrics.token_hops_max for m in report.monitors)
+    assert report.token_hops_max < 50  # 1 285 before tokens parked
+    assert report.monitor_messages / report.total_events < 4  # 6.83 before
+    assert report.declared_verdicts == {Verdict.TOP}
+    assert not {"token_hops_max", "orphan_tokens_swallowed"} & set(report.as_dict())
+
+
+# ---------------------------------------------------------------------------
+# (v) verdict gate: what the parent commit (93622f9) declared
+# ---------------------------------------------------------------------------
+#: every B and E cell declared ⊤ and every C cell nothing, on every backend
+_PARENT_DECLARED = {"B": {Verdict.TOP}, "C": set(), "E": {Verdict.TOP}}
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-n{c[1]}-s{c[2]}")
+def test_fixture_cells_declare_what_the_parent_commit_declared(cell):
+    computation, automaton, registry = build_cell_inputs(*cell)
+    expected = _PARENT_DECLARED[cell[0]]
+    assert run_decentralized(computation, automaton, registry).declared_verdicts == expected
+    simulated = simulate_monitored_run(
+        computation, automaton, registry, seed=cell[2], max_views_per_state=2,
+        network=get_scenario("paper-default").network,
+    )
+    assert simulated.declared_verdicts == expected
+
+
+@pytest.mark.parametrize(
+    "scenario_name, seed, property_name",
+    [(s, seed, p) for s in EQUIVALENCE_SCENARIOS for seed in (2015, 77) for p in "BC"]
+    + [("hot-spot", 5, "B")],
+)
+def test_cross_backend_cells_declare_what_the_parent_commit_declared(
+    scenario_name, seed, property_name
+):
+    scenario = get_scenario(scenario_name)
+    computation = _scenario_computation(scenario, property_name, N, seed)
+    registry, automaton = case_study_registry(N), case_study_monitor(property_name, N)
+    expected = _PARENT_DECLARED[property_name]
+    simulated = simulate_monitored_run(
+        computation, automaton, registry, seed=seed, network=scenario.network
+    )
+    streamed = run_streaming(
+        computation, automaton, registry, delay=scenario.network.delay_model(seed)
+    )
+    assert simulated.declared_verdicts == streamed.declared_verdicts == expected
+
+
+#: points of CI's ``fuzz --seed 7 --points 200`` sweep the parent commit
+#: classified ``storm`` (expected: duplicated and replayed tokens circulated
+#: until the simulator's event budget ran out).  Their copies are now
+#: swallowed at home, the runs finish, and what they declare is sound; the
+#: other 197 points were ``sound`` at the parent and still are.
+_FORMER_STORMS = (72, 83, 87)
+
+
+@pytest.mark.parametrize("index", [*range(8), *_FORMER_STORMS])
+def test_fuzz_points_of_the_ci_sweep_are_sound(index):
+    outcome = execute_point(generate_point(7, index), index)
+    assert outcome.classification == CLASS_SOUND, outcome.error

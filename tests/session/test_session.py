@@ -160,6 +160,8 @@ _INTERLEAVING_FIELDS = {
     "box_cells_visited",
     "views_evicted",
     "events_shipped",
+    "token_hops_max",
+    "orphan_tokens_swallowed",
 }
 
 
