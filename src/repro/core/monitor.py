@@ -15,9 +15,9 @@ Each program process ``P_i`` is composed with a monitor process ``M_i`` that
   automaton state.
 
 Where this departs from the thesis pseudo-code (implicit pending queue, box
-replay on token return, eager repair of inconsistent views) and how the two
-hot loops — token serving and box search — are built is described in
-``docs/architecture.md``.
+replay on token return, inconsistent views repaired at home from the shared
+columns) and how the two hot loops — token serving and box search — are
+built is described in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
+from operator import le, ne
 
 from ..coordination import CoordinationTopology, RoundRobinToken
 from ..distributed.events import Event
@@ -103,6 +103,8 @@ class MonitorMetrics:
     token_hops_max: int = 0
     #: own tokens dropped at home because their view was retired meanwhile
     orphan_tokens_swallowed: int = 0
+    #: repairs that needed no token: the columns already held the target cut
+    repairs_served_locally: int = 0
 
     @property
     def messages_sent(self) -> int:
@@ -229,8 +231,8 @@ class DecentralizedMonitor:
         #: always a gapless prefix of the process's events and only grows —
         #: its own process's from ``local_event``, the others' from the runs
         #: of returning tokens.  Invariant: every view of this monitor has
-        #: ``cut[j] < len(column j)``, because cuts only move to the cut of
-        #: a returned entry whose runs were absorbed first.
+        #: ``cut[j] < len(column j)``: cuts only move to the cut of a returned
+        #: entry whose runs were absorbed first, or of a repair served here.
         self.letter_columns: list[list[Letter]] = [
             [letter] for letter in self.initial_letters
         ]
@@ -397,8 +399,7 @@ class DecentralizedMonitor:
         self.local_vcs.append(tuple(event.vc))
         self.last_local_sn = event.sn
 
-        waiting_views = [v for v in self.views if v.is_waiting()]
-        if waiting_views:
+        if any(view.is_waiting() for view in self.views):
             self.metrics.delayed_events += 1
 
         self._retry_waiting_tokens()
@@ -502,15 +503,22 @@ class DecentralizedMonitor:
     # view advancement on local events
     # ------------------------------------------------------------------
     def _advance_view(self, view: GlobalView) -> None:
-        """Apply pending local events (from history) to an unblocked view."""
-        while (
-            view.status == ViewStatus.UNBLOCKED
-            and view.cut[self.process] < self.last_local_sn
-        ):
-            self._step_view(view, view.cut[self.process] + 1)
+        """Apply pending local events (from history) to an unblocked view.
 
-    def _step_view(self, view: GlobalView, sn: int) -> None:
-        """Advance *view* by local event *sn* (PROCESSEVENT)."""
+        A view repaired at home is replaced by its forks, which are advanced
+        from a worklist: nesting one call per pending receive event would
+        exhaust the stack.
+        """
+        mine = self.process
+        work = [view]
+        while work:
+            view = work.pop()
+            while view.status == ViewStatus.UNBLOCKED and view.cut[mine] < self.last_local_sn:
+                work.extend(reversed(self._step_view(view, view.cut[mine] + 1)))
+
+    def _step_view(self, view: GlobalView, sn: int) -> Sequence[GlobalView]:
+        """Advance *view* by local event *sn* (PROCESSEVENT); returns the
+        views that replaced it, if it was repaired at home."""
         mine = self.process
         vc = self.local_vcs[sn]
         lagging = [
@@ -519,8 +527,7 @@ class DecentralizedMonitor:
             if j != mine and vc[j] > view.cut[j]
         ]
         if lagging:
-            self._create_repair_token(view, sn, vc, lagging)
-            return
+            return self._create_repair_token(view, sn, vc, lagging)
 
         letter_local = self.local_letters[sn]
         mask_of = self._mask_of
@@ -535,8 +542,9 @@ class DecentralizedMonitor:
         if self.automaton.is_final(new_state):
             self._declare(new_state)
             self._finalize_view(view)
-            return
-        self._explore_outgoing(view)
+        else:
+            self._explore_outgoing(view)
+        return ()
 
     def _finalize_view(self, view: GlobalView) -> None:
         view.status = ViewStatus.FINAL
@@ -627,11 +635,10 @@ class DecentralizedMonitor:
         satisfied_now: list[bool],
         bump: int | None = None,
     ) -> TokenEntry:
-        n = self.num_processes
         min_positions = list(view.cut)
         if bump is not None:
             min_positions[bump] = view.cut[bump] + 1
-        entry = TokenEntry(
+        return TokenEntry(
             transition_id=transition.transition_id,
             guard=dict(transition.guard),
             conjuncts=[dict(c) for c in conjuncts],
@@ -640,14 +647,19 @@ class DecentralizedMonitor:
             depend=list(view.cut),
             min_positions=min_positions,
             satisfied=list(satisfied_now),
-            letters={j: view.letters[j] for j in range(n)},
+            letters=dict(enumerate(view.letters)),
         )
-        return entry
 
     def _create_repair_token(
         self, view: GlobalView, sn: int, vc: tuple[int, ...], lagging: list[int]
-    ) -> None:
-        """Pull the view up to the causal past of an out-of-order local event."""
+    ) -> Sequence[GlobalView]:
+        """Pull the view up to the causal past of an out-of-order local event.
+
+        The target needs no search: the event's clock is a consistent cut,
+        so a token can only come back with ``max(view.cut, vc)``.  When the
+        columns cover it the view is repaired at home and its forks are
+        returned; otherwise a token fetches the missing events.
+        """
         n = self.num_processes
         min_positions = list(view.cut)
         for j in lagging:
@@ -661,9 +673,24 @@ class DecentralizedMonitor:
             depend=list(view.cut),
             min_positions=min_positions,
             satisfied=[True] * n,
-            letters={j: view.letters[j] for j in range(n)},
+            letters=dict(enumerate(view.letters)),
         )
+        if self._columns_cover(min_positions, lagging):
+            self.metrics.repairs_served_locally += 1
+            entry.cut = list(min_positions)
+            entry.eval = True
+            return self._repair_view(view, entry)
         self._issue_token(view, sn, [entry])
+        return ()
+
+    def _columns_cover(self, target: list[int], lagging: list[int]) -> bool:
+        """Whether this monitor holds event ``target[j]`` of every lagging
+        ``j`` — with a clock inside *target*, which a skewed one may not be."""
+        columns = self.vc_columns
+        return all(
+            target[j] < len(columns[j]) and all(map(le, columns[j][target[j]], target))
+            for j in lagging
+        )
 
     # ------------------------------------------------------------------
     # token service and routing (PROCESSTOKEN / EVALUATETOKEN / SENDTONEXTPROCESS)
@@ -848,29 +875,23 @@ class DecentralizedMonitor:
         view.status = ViewStatus.UNBLOCKED
         view.outstanding_token = None
 
-        repair_entries = [e for e in token.entries if e.is_repair]
-        transition_entries = [e for e in token.entries if not e.is_repair]
-
         forked: list[GlobalView] = []
-        for entry in transition_entries:
-            if entry.eval is not True:
-                continue
-            forked.extend(self._fork_from_entry(view, entry))
-
-        if repair_entries:
-            entry = repair_entries[0]
-            if entry.eval is True:
+        for entry in token.entries:  # transition entries, or one repair entry
+            if entry.is_repair:
+                forked.extend(self._repair_view(view, entry))
+            elif entry.eval is True:
                 forked.extend(self._fork_from_entry(view, entry))
-            # the stale view is superseded by the repaired forks
-            if view in self.views:
-                self.views.remove(view)
-            view.status = ViewStatus.FINAL  # retired, not counted as a result
-        for child in forked:
-            if child.status == ViewStatus.UNBLOCKED:
-                self._advance_view(child)
-        if view.status == ViewStatus.UNBLOCKED:
-            self._advance_view(view)
+        for each in (*forked, view):  # whichever of them is unblocked
+            self._advance_view(each)
         self._merge_views()
+
+    def _repair_view(self, view: GlobalView, entry: TokenEntry) -> list[GlobalView]:
+        """Retire the stale *view* — first, so that it cannot cover its own
+        forks — and fork its successors at the repaired cut."""
+        if view in self.views:
+            self.views.remove(view)
+        view.status = ViewStatus.FINAL  # retired, not counted as a result
+        return self._fork_from_entry(view, entry) if entry.eval is True else []
 
     def _absorb_runs(self, token: Token) -> None:
         """Append to the columns what a token's runs add to them.
@@ -901,8 +922,8 @@ class DecentralizedMonitor:
         state from its smaller cut), and forking it would duplicate the
         parent's exploration — this mirrors the paper's rule of only
         exploring global states that change the automaton state.  Repair
-        entries fork every reachable state because the parent view is retired
-        afterwards.
+        entries fork every reachable state because the parent view has been
+        retired.
         """
         target_cut = list(entry.cut)
         if len(target_cut) != self.num_processes or not all(
@@ -918,9 +939,7 @@ class DecentralizedMonitor:
                 continue
             if state == view.state and not entry.is_repair:
                 continue
-            if self._covered_by_existing_view(
-                state, target_cut, exact_only=entry.is_repair
-            ):
+            if self._covered_by_existing_view(state, target_cut):
                 self.metrics.views_merged += 1
                 continue
             child = GlobalView(
@@ -937,9 +956,7 @@ class DecentralizedMonitor:
         )
         return children
 
-    def _covered_by_existing_view(
-        self, state: int, cut: list[int], exact_only: bool = False
-    ) -> bool:
+    def _covered_by_existing_view(self, state: int, cut: list[int]) -> bool:
         """Whether some live view already subsumes a candidate fork.
 
         A view with the same automaton state whose cut is componentwise
@@ -947,20 +964,11 @@ class DecentralizedMonitor:
         candidate could reach, so creating the candidate would only
         duplicate exploration.  Waiting views count too — they resume from
         their smaller cut once their token returns.
-
-        For repair forks (which *replace* their retired parent) only exact
-        duplicates may be skipped: a merely-dominating view might itself be
-        retired by a later repair, which would otherwise orphan the lineage.
         """
-        for other in self.views:
-            if other.state != state:
-                continue
-            if exact_only:
-                if list(other.cut) == list(cut):
-                    return True
-            elif all(o <= c for o, c in zip(other.cut, cut)):
-                return True
-        return False
+        return any(
+            other.state == state and all(o <= c for o, c in zip(other.cut, cut))
+            for other in self.views
+        )
 
     def _box_reachable(
         self, view: GlobalView, entry: TokenEntry
@@ -1130,35 +1138,22 @@ class DecentralizedMonitor:
     def _merge_views(self) -> None:
         """MERGESIMILARGLOBALVIEWS.
 
-        Two reductions are applied to unblocked views (views waiting for a
-        token are left alone):
-
-        * exact duplicates — same automaton state and same cut — are merged;
-        * a view whose cut componentwise dominates another view with the same
-          automaton state is merged into the smaller one: the smaller view
-          subsumes its exploration (it will reach every cut the larger one
-          can reach), which is the slice-based merging of Section 4.3 and
-          keeps the number of live views bounded by the number of automaton
-          states in the common case.
+        Among unblocked views (views waiting for a token are left alone) one
+        whose cut componentwise dominates — or equals — that of another view
+        with the same automaton state is merged into it: the smaller view
+        subsumes its exploration (it will reach every cut the larger one can
+        reach), which is the slice-based merging of Section 4.3 and keeps
+        the number of live views bounded by the number of automaton states
+        in the common case.
         """
         waiting = [view for view in self.views if view.is_waiting()]
-        active = [view for view in self.views if not view.is_waiting()]
 
-        # exact duplicates first
-        seen: dict[tuple[int, tuple[int, ...]], GlobalView] = {}
-        deduped: list[GlobalView] = []
-        for view in active:
-            signature = view.signature()
-            if signature in seen:
-                self.metrics.views_merged += 1
-                continue
-            seen[signature] = view
-            deduped.append(view)
-
-        # dominance merging per automaton state: keep the minimal antichain
+        # per automaton state keep the minimal antichain (the sort is stable:
+        # of exact duplicates the first stays)
         by_state: dict[int, list[GlobalView]] = {}
-        for view in deduped:
-            by_state.setdefault(view.state, []).append(view)
+        for view in self.views:
+            if not view.is_waiting():
+                by_state.setdefault(view.state, []).append(view)
         kept: list[GlobalView] = []
         for state_views in by_state.values():
             minimal: list[GlobalView] = []

@@ -99,6 +99,8 @@ class RunReport:
     #: most hops any one token made; tokens swallowed at home, view retired
     token_hops_max: int = 0
     orphan_tokens_swallowed: int = 0
+    #: repairs the monitors served from their own columns, without a token
+    repairs_served_locally: int = 0
     #: which streaming transport carried the messages ("memory" or "tcp");
     #: empty on the simulator and the cluster
     transport: str = ""
@@ -145,6 +147,7 @@ class RunReport:
             events_shipped=total("events_shipped"),
             token_hops_max=max((m.token_hops_max for m in metrics), default=0),
             orphan_tokens_swallowed=total("orphan_tokens_swallowed"),
+            repairs_served_locally=total("repairs_served_locally"),
             **fields,
         )
 

@@ -162,6 +162,7 @@ _INTERLEAVING_FIELDS = {
     "events_shipped",
     "token_hops_max",
     "orphan_tokens_swallowed",
+    "repairs_served_locally",
 }
 
 

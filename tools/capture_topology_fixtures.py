@@ -9,9 +9,11 @@ loopback runner (``run_decentralized``) and the discrete-event simulator
 The document was first generated on the pre-refactor ``DecentralizedMonitor``
 (before the coordination-topology extraction) and stayed byte-identical
 through every refactor and optimisation up to PR 15.  It was re-captured
-once, deliberately, when token routing changed ("park, don't bounce" and
-orphan swallowing: fewer messages and hops, same verdicts — the per-cell
-diff is in CHANGES.md, PR 16).  It is asserted byte-for-byte by
+deliberately, once each, when token routing changed ("park, don't bounce"
+and orphan swallowing, PR 16) and when repairs stopped travelling ("repair
+at home" and the one covering rule, PR 17): fewer messages, tokens and
+views, same verdicts — the per-cell diffs are in CHANGES.md.  It is
+asserted byte-for-byte by
 ``tests/coordination/test_round_robin_fixture.py``.
 
 Re-run only when the *intended* behaviour of the default topology changes::
@@ -56,6 +58,7 @@ UNPINNED_COUNTERS = (
     "events_shipped",
     "token_hops_max",
     "orphan_tokens_swallowed",
+    "repairs_served_locally",
 )
 
 
@@ -127,8 +130,9 @@ def main() -> None:
     """Capture every cell and write the fixture document."""
     document = {
         "comment": (
-            "round-robin-token outputs as of the park-don't-bounce routing "
-            "(PR 16); regenerate with tools/capture_topology_fixtures.py"
+            "round-robin-token outputs as of repair at home and the one "
+            "covering rule (PR 17); regenerate with "
+            "tools/capture_topology_fixtures.py"
         ),
         "cells": [capture_cell(*cell) for cell in CELLS],
     }
