@@ -9,22 +9,19 @@ These are the acceptance metrics tracked across PRs through the emitted
   costs per distinct formula instead of per transition.
 * ``run_monitoring_experiment`` — one representative simulated monitoring
   point (property C, 4 processes) at the default :class:`ExperimentScale`.
-* ``compiled_step_throughput`` / ``interpreted_step_throughput`` — the
-  per-event inner loop (combine the per-process letters, step the Moore
-  machine) through the bitmask table kernel of
-  :mod:`repro.ltl.compiled` vs the interpreted frozenset path.  Both
-  records carry an ``events_per_sec`` field (higher is better;
-  ``compare_bench.py`` inverts the regression direction for it).
-* ``box_bfs_events_per_sec`` — the box-reachability BFS over a fully
-  concurrent box, compiled vs interpreted, as hit by token returns: every
-  event its own cell (the search's worst case), and ``box_bfs_stuttering``,
-  the same box with 85 % of the events repeating their process's letter.
+* ``compiled_step_throughput`` — the per-event inner loop as the monitors
+  execute it (OR the cached bitmasks of the per-process letters, step the
+  table of :mod:`repro.ltl.compiled`).  The record carries an
+  ``events_per_sec`` field (higher is better; ``compare_bench.py`` inverts
+  the regression direction for it).
+* ``box_bfs_compiled`` — the box-reachability BFS over a fully concurrent
+  box, as hit by token returns: every event its own cell (the search's
+  worst case), and ``box_bfs_stuttering``, the same box with 85 % of the
+  events repeating their process's letter.
 * ``serve_entry`` — token serving: one entry scanning a 2 000-event local
   history and the token leaving with those events as its run, in events per
   second.
-* ``monitoring_end_to_end_compiled`` / ``_interpreted`` — one full sweep
-  cell with the kernel flag on and off; the cell metrics must be
-  byte-identical, only the wall clock may differ.
+* ``monitoring_end_to_end_compiled`` — one full sweep cell.
 
 The recorded wall-clock numbers land in the JSON document next to the fixed
 seed baseline (:data:`repro.experiments.benchjson.SEED_BASELINE_SECONDS`),
@@ -38,7 +35,6 @@ import time
 import pytest
 
 from conftest import record_timing
-from repro.api import ExecutionConfig
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
@@ -133,71 +129,44 @@ def _per_process_letters(num_processes, num_events, seed=2015):
 
 
 @pytest.mark.benchmark(group="compiled-kernel")
-def test_compiled_vs_interpreted_step_throughput():
+def test_compiled_step_throughput():
     """The single-monitor inner loop: combine per-process letters, step.
 
-    Both sides do the full per-event work of
-    :meth:`repro.core.monitor.DecentralizedMonitor._step_combined`: the
-    interpreted path unions the frozensets and steps through the letter
-    index, the compiled path ORs the (cache-hit) bitmasks in
-    ``combine_batch`` and walks the dense table in ``run_batch``.
+    What a monitor does per event — one ``_mask_of`` cache hit per
+    per-process letter, an integer OR — followed by the table walk of
+    ``run_batch``; the Moore machine's own ``run`` over the frozenset unions
+    is the (untimed) reference.
     """
     num_events = 20_000 if _SMOKE else 200_000
     automaton = case_study_monitor("C", 3)
     compiled = automaton.compiled
-    assert compiled is not None
     columns = _per_process_letters(3, num_events)
-
-    def interpreted_pass():
-        state = automaton.initial_state
-        step = automaton.step
-        for letters in zip(*columns):
-            letter = frozenset().union(*letters)
-            state = step(state, letter)
-        return state
-
     # the letter -> mask encoding is a bounded-cache dict hit in production
     # (DecentralizedMonitor._mask_of), amortised per distinct letter
-    rows = [compiled.encode_many(column) for column in columns]
+    mask_of = {letter: compiled.encode(letter) for column in columns for letter in column}
 
     def compiled_pass():
-        masks = compiled.combine_batch(rows)
+        masks = [mask_of[a] | mask_of[b] | mask_of[c] for a, b, c in zip(*columns)]
         state, _ = compiled.run_batch(compiled.initial, masks)
         return state
 
-    def best_of(fn, rounds=3):
-        best, result = float("inf"), None
-        for _ in range(rounds):
-            start = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, result
+    elapsed, state = float("inf"), None
+    for _ in range(3):
+        start = time.perf_counter()
+        state = compiled_pass()
+        elapsed = min(elapsed, time.perf_counter() - start)
 
-    interpreted_elapsed, interpreted_state = best_of(interpreted_pass)
-    compiled_elapsed, compiled_state = best_of(compiled_pass)
-
-    assert compiled_state == interpreted_state
-    record_timing(
-        "interpreted_step_throughput",
-        interpreted_elapsed,
-        group="compiled-kernel",
-        events=num_events,
-        events_per_sec=num_events / interpreted_elapsed,
-    )
+    assert state == automaton.run([frozenset().union(*letters) for letters in zip(*columns)])
     record_timing(
         "compiled_step_throughput",
-        compiled_elapsed,
+        elapsed,
         group="compiled-kernel",
         events=num_events,
-        events_per_sec=num_events / compiled_elapsed,
-        speedup_vs_interpreted=interpreted_elapsed / compiled_elapsed,
+        events_per_sec=num_events / elapsed,
     )
-    # weak sanity floor; the tracked artifact shows the real factor (>=10x
-    # with numpy on the case-study formulas)
-    assert compiled_elapsed < interpreted_elapsed / 2
 
 
-def _box_monitor(automaton, registry, n, compiled):
+def _box_monitor(automaton, registry, n):
     """Monitor of process 0 whose box search the ``box_bfs_*`` records time."""
     return DecentralizedMonitor(
         process=0,
@@ -206,7 +175,6 @@ def _box_monitor(automaton, registry, n, compiled):
         registry=registry,
         initial_letters=[registry.local_letter(j, {}) for j in range(n)],
         transport=LoopbackNetwork(),
-        use_compiled_kernel=compiled,
     )
 
 
@@ -259,7 +227,7 @@ def _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.0):
 
 @pytest.mark.benchmark(group="compiled-kernel")
 def test_box_bfs_events_per_sec():
-    """Box reachability (the token-return hot path) compiled vs interpreted.
+    """Box reachability (the token-return hot path) at its worst case.
 
     A fully concurrent box maximises the consistent cells the BFS must
     expand, so this isolates the per-cell combine+step cost.  The recorded
@@ -271,29 +239,21 @@ def test_box_bfs_events_per_sec():
     cells = (side + 1) ** n
     automaton = case_study_monitor("C", n)
     registry = case_study_registry(n)
-    results = {}
-    for label, flag in (("compiled", True), ("interpreted", False)):
-        monitor = _box_monitor(automaton, registry, n, flag)
-        view, entry = _fully_concurrent_box(monitor, automaton, registry, side)
-        start = time.perf_counter()
-        for _ in range(iterations):
-            reachable, letters = monitor._box_reachable(view, entry)
-        elapsed = time.perf_counter() - start
-        results[label] = (reachable, letters, monitor.declared_verdicts, elapsed)
-        # the worst case: nothing collapsed, every cut of the box searched
-        assert monitor.metrics.box_cells_visited == cells * iterations
-    assert results["compiled"][0] == results["interpreted"][0]
-    assert results["compiled"][1] == results["interpreted"][1]
-    assert results["compiled"][2] == results["interpreted"][2]
-    for label in ("compiled", "interpreted"):
-        elapsed = results[label][3]
-        record_timing(
-            f"box_bfs_{label}",
-            elapsed,
-            group="compiled-kernel",
-            cells=cells * iterations,
-            events_per_sec=cells * iterations / elapsed,
-        )
+    monitor = _box_monitor(automaton, registry, n)
+    view, entry = _fully_concurrent_box(monitor, automaton, registry, side)
+    start = time.perf_counter()
+    for _ in range(iterations):
+        monitor._box_reachable(view, entry)
+    elapsed = time.perf_counter() - start
+    # the worst case: nothing collapsed, every cut of the box searched
+    assert monitor.metrics.box_cells_visited == cells * iterations
+    record_timing(
+        "box_bfs_compiled",
+        elapsed,
+        group="compiled-kernel",
+        cells=cells * iterations,
+        events_per_sec=cells * iterations / elapsed,
+    )
 
 
 @pytest.mark.benchmark(group="compiled-kernel")
@@ -310,7 +270,7 @@ def test_box_bfs_stuttering_events_per_sec():
     cells = (side + 1) ** n
     automaton = case_study_monitor("C", n)
     registry = case_study_registry(n)
-    monitor = _box_monitor(automaton, registry, n, compiled=True)
+    monitor = _box_monitor(automaton, registry, n)
     view, entry = _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.85)
     start = time.perf_counter()
     for _ in range(iterations):
@@ -397,36 +357,23 @@ def test_serve_entry_events_per_sec():
 
 
 @pytest.mark.benchmark(group="compiled-kernel")
-def test_monitoring_end_to_end_compiled_vs_interpreted():
-    """One full sweep cell with the kernel flag on and off.
-
-    The cell metrics must be byte-identical (the kernel is semantics
-    preserving); only wall clock differs, and both are tracked.
-    """
+def test_monitoring_end_to_end():
+    """One full sweep cell, wall clock tracked (one unwarmed shot)."""
     from conftest import BENCH_SCALE
 
-    scenario = get_scenario("paper-default")
-    point = GridPoint("C", 3)
-    cells = {}
-    for label, flag in (("compiled", True), ("interpreted", False)):
-        start = time.perf_counter()
-        cell = run_scenario_cell(
-            scenario,
-            point,
-            BENCH_SCALE,
-            seed=2015,
-            config=ExecutionConfig(compiled_kernel=flag),
-        )
-        elapsed = time.perf_counter() - start
-        cells[label] = cell
-        record_timing(
-            f"monitoring_end_to_end_{label}",
-            elapsed,
-            group="compiled-kernel",
-            scenario="paper-default",
-            property="C",
-            processes=3,
-            events=cell["events"],
-            events_per_sec=cell["events"] / elapsed,
-        )
-    assert cells["compiled"] == cells["interpreted"]
+    start = time.perf_counter()
+    cell = run_scenario_cell(
+        get_scenario("paper-default"), GridPoint("C", 3), BENCH_SCALE, seed=2015
+    )
+    elapsed = time.perf_counter() - start
+    assert cell["events"] > 0 and cell["messages"] > 0
+    record_timing(
+        "monitoring_end_to_end_compiled",
+        elapsed,
+        group="compiled-kernel",
+        scenario="paper-default",
+        property="C",
+        processes=3,
+        events=cell["events"],
+        events_per_sec=cell["events"] / elapsed,
+    )

@@ -16,9 +16,10 @@ The example also shows the message/memory trade-off against the centralized
 baseline, which ships every event to a single monitor.
 """
 
-from repro.core import CentralizedMonitor, LatticeOracle, run_decentralized
+from repro.core import CentralizedMonitor, LatticeOracle
 from repro.distributed import two_phase_commit_example
 from repro.ltl import Proposition, PropositionRegistry, build_monitor
+from repro.session import run_decentralized
 
 
 def registry_for(num_processes: int) -> PropositionRegistry:
@@ -74,8 +75,8 @@ def main() -> None:
         print(f"   oracle verdicts      : {sorted(str(v) for v in oracle.verdicts)}")
         print(f"   decentralized        : verdicts "
               f"{sorted(str(v) for v in decentralized.reported_verdicts)}, "
-              f"{decentralized.total_messages} messages, "
-              f"{decentralized.total_views_created} views")
+              f"{decentralized.monitor_messages} messages, "
+              f"{decentralized.total_global_views} views")
         print(f"   centralized baseline : {centralized.messages} messages, "
               f"{centralized.max_tracked_cuts} tracked global states\n")
 

@@ -13,9 +13,10 @@ exposition (Figures 2.1–2.3 and 3.1):
 Run with:  python examples/quickstart.py
 """
 
-from repro.core import LatticeOracle, run_decentralized
+from repro.core import LatticeOracle
 from repro.distributed import running_example, running_example_registry
 from repro.ltl import build_monitor
+from repro.session import run_decentralized
 
 
 def main() -> None:
@@ -49,8 +50,8 @@ def main() -> None:
     print(f"  verdicts reported: {sorted(str(v) for v in result.reported_verdicts)}")
     print(f"  conclusive verdicts declared: "
           f"{sorted(str(v) for v in result.declared_verdicts)}")
-    print(f"  monitoring messages exchanged: {result.total_messages}")
-    print(f"  global views created: {result.total_views_created}")
+    print(f"  monitoring messages exchanged: {result.monitor_messages}")
+    print(f"  global views created: {result.total_global_views}")
 
     assert result.reported_verdicts == oracle.verdicts, "monitors disagree with oracle"
     print("\nThe decentralized verdict set matches the oracle: the monitors found "

@@ -23,9 +23,10 @@ Run with:  python examples/swarm_coordination.py [num_drones]
 
 import sys
 
-from repro.core import LatticeOracle, run_decentralized
+from repro.core import LatticeOracle
 from repro.distributed import ComputationBuilder
 from repro.ltl import Proposition, PropositionRegistry, build_monitor
+from repro.session import run_decentralized
 
 
 def build_swarm_mission(num_drones: int, disarm_glitch: bool):
@@ -89,8 +90,8 @@ def monitor_mission(num_drones: int, disarm_glitch: bool) -> None:
         print(f"    oracle verdicts        : {sorted(str(v) for v in oracle.verdicts)}")
         print(f"    decentralized verdicts : "
               f"{sorted(str(v) for v in result.reported_verdicts)}")
-        print(f"    monitoring messages    : {result.total_messages}, "
-              f"global views: {result.total_views_created}")
+        print(f"    monitoring messages    : {result.monitor_messages}, "
+              f"global views: {result.total_global_views}")
         assert result.declared_verdicts == oracle.conclusive_verdicts
 
 

@@ -17,9 +17,13 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..faults import FaultPlan, format_fault_plan, parse_fault_plan
+from ..faults import FaultPlan, parse_fault_plan
 
 __all__ = ["RunSpec", "build_cell_inputs"]
+
+#: fields spec documents once carried and that no longer select anything;
+#: :meth:`RunSpec.from_json` drops them so those documents keep loading
+_RETIRED_FIELDS = ("compiled_kernel",)
 
 
 @dataclass(frozen=True)
@@ -43,10 +47,6 @@ class RunSpec:
     seed: int
     max_views_per_state: int | None
     fault_plan: str | None = None
-    #: step monitors with the compiled bitmask/dense-table kernel; defaults
-    #: to true so specs written before the field existed keep the new
-    #: behaviour (the two kernels are step-for-step equivalent)
-    compiled_kernel: bool = True
     #: coordination topology name (see :mod:`repro.coordination`); defaults
     #: to the pre-refactor routing so specs written before the field existed
     #: behave identically
@@ -60,6 +60,8 @@ class RunSpec:
     def from_json(cls, text: str) -> RunSpec:
         """Parse a spec document written by :meth:`to_json`."""
         data = json.loads(text)
+        for key in _RETIRED_FIELDS:
+            data.pop(key, None)
         unknown = set(data) - {field for field in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"run spec has unknown fields: {sorted(unknown)}")
@@ -81,42 +83,6 @@ class RunSpec:
         if self.fault_plan is None:
             return None
         return parse_fault_plan(self.fault_plan)
-
-
-def spec_for_cell(
-    scenario_name: str,
-    property_name: str,
-    num_processes: int,
-    events_per_process: int,
-    evt_mu: float,
-    evt_sigma: float,
-    comm_mu: float | None,
-    comm_sigma: float,
-    seed: int,
-    max_views_per_state: int | None,
-    fault_plan: FaultPlan | None,
-    compiled_kernel: bool = True,
-    topology: str = "round-robin-token",
-) -> RunSpec:
-    """Build the spec of one sweep cell from its resolved parameters."""
-    serialised = None
-    if fault_plan is not None and not fault_plan.is_noop(num_processes):
-        serialised = format_fault_plan(fault_plan)
-    return RunSpec(
-        scenario=scenario_name,
-        property_name=property_name,
-        num_processes=num_processes,
-        events_per_process=events_per_process,
-        evt_mu=evt_mu,
-        evt_sigma=evt_sigma,
-        comm_mu=comm_mu,
-        comm_sigma=comm_sigma,
-        seed=seed,
-        max_views_per_state=max_views_per_state,
-        fault_plan=serialised,
-        compiled_kernel=compiled_kernel,
-        topology=topology,
-    )
 
 
 def build_cell_inputs(spec: RunSpec):

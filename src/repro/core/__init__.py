@@ -3,18 +3,20 @@
 Public API
 ----------
 * :class:`DecentralizedMonitor` — monitor process ``M_i`` (the contribution).
-* :func:`run_decentralized` / :class:`DecentralizedResult` — replay a finished
-  computation through a full set of monitors over a loopback network.
 * :class:`LatticeOracle` / :class:`OracleResult` — the Chapter 3 oracle used
   as ground truth for soundness and completeness.
 * :class:`CentralizedMonitor` — the centralized online baseline.
 * :class:`LoopbackNetwork` — in-process transport between monitors.
 * :class:`MonitorNode` / :class:`Transport` / :class:`MonitorNetwork` — the
-  backend-agnostic protocols every monitoring backend (loopback, simulator,
-  asyncio runtime) programs against.
+  backend-agnostic protocols every monitoring backend programs against.
 * :class:`DelayModel` and friends — backend-agnostic message-delay models
   shared by the simulated and streaming networks.
 * Message types: :class:`Token`, :class:`TokenEntry`, :class:`TerminationNotice`.
+
+Running a full set of monitors is one layer up: :mod:`repro.session` builds
+them (``monitor_factory``) and has four drivers — the in-memory
+``run_decentralized``, the simulator, the asyncio runtime and the cluster
+worker — which all return one ``RunReport``.
 """
 
 from .centralized import CentralizedMonitor, CentralizedResult
@@ -29,7 +31,6 @@ from .global_view import GlobalView, ViewStatus
 from .messages import TerminationNotice, Token, TokenEntry
 from .monitor import DecentralizedMonitor, MonitorMetrics
 from .oracle import LatticeOracle, OracleResult
-from .runner import DecentralizedResult, run_decentralized
 from .transport import LoopbackNetwork, MonitorNetwork, MonitorNode, Transport
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "MonitorMetrics",
     "LatticeOracle",
     "OracleResult",
-    "DecentralizedResult",
-    "run_decentralized",
     "LoopbackNetwork",
     "Transport",
     "MonitorNode",

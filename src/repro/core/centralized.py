@@ -71,19 +71,18 @@ class CentralizedMonitor:
         automaton: MonitorAutomaton,
         registry: PropositionRegistry,
         initial_letters: list[Letter],
-        use_compiled_kernel: bool = True,
     ) -> None:
         self.num_processes = num_processes
         self.automaton = automaton
         self.registry = registry
         self.initial_letters = list(initial_letters)
-        self._compiled = automaton.compiled if use_compiled_kernel else None
+        self._compiled = automaton.compiled
         self._mask_cache: dict[Letter, int] = {}
         self._events: list[dict[int, Event]] = [dict() for _ in range(num_processes)]
         bottom: Cut = (0,) * num_processes
-        initial_state = automaton.step(
-            automaton.initial_state, self._combine(initial_letters)
-        )
+        initial_state = self._compiled.table[
+            automaton.initial_state * self._compiled.n_letters + self._mask_of_cut(bottom)
+        ]
         self._reachable: dict[Cut, set[int]] = {bottom: {initial_state}}
         self.messages = 0
         #: central→process verdict fan-out: each first-time conclusive
@@ -102,38 +101,17 @@ class CentralizedMonitor:
             self.declared.add(verdict)
             self.verdict_broadcast_messages += self.num_processes
 
-    @staticmethod
-    def _combine(letters: list[Letter]) -> Letter:
-        result: set = set()
-        for letter in letters:
-            result |= letter
-        return frozenset(result)
-
-    def _letter_of_cut(self, cut: Cut) -> Letter:
-        letters = []
-        for process in range(self.num_processes):
-            count = cut[process]
-            if count == 0:
-                letters.append(self.initial_letters[process])
-            else:
-                event = self._events[process][count]
-                letters.append(
-                    self.registry.local_letter(process, event.state)
-                )
-        return self._combine(letters)
-
     def _mask_of(self, letter: Letter) -> int:
         """Bitmask of a per-process letter under the compiled machine."""
         mask = self._mask_cache.get(letter)
         if mask is None:
-            mask = self._compiled.encode(letter)  # type: ignore[union-attr]
+            mask = self._compiled.encode(letter)
             if len(self._mask_cache) < 4096:
                 self._mask_cache[letter] = mask
         return mask
 
     def _mask_of_cut(self, cut: Cut) -> int:
-        """Combined letter bitmask of a cut (compiled-kernel counterpart
-        of :meth:`_letter_of_cut`)."""
+        """Combined letter bitmask of the global state at *cut*."""
         mask = 0
         for process in range(self.num_processes):
             count = cut[process]
@@ -183,23 +161,14 @@ class CentralizedMonitor:
                         continue
                     target = self._reachable.setdefault(successor, set())
                     before = len(target)
-                    if compiled is not None:
-                        mask = self._mask_of_cut(successor)
-                        table = compiled.table
-                        n_letters = compiled.n_letters
-                        for state in states:
-                            new_state = table[state * n_letters + mask]
-                            target.add(new_state)
-                            if compiled.final_flags[new_state]:
-                                self._declare(self.automaton.verdict(new_state))
-                    else:
-                        letter = self._letter_of_cut(successor)
-                        for state in states:
-                            new_state = self.automaton.step(state, letter)
-                            target.add(new_state)
-                            verdict = self.automaton.verdict(new_state)
-                            if verdict.is_final:
-                                self._declare(verdict)
+                    mask = self._mask_of_cut(successor)
+                    table = compiled.table
+                    n_letters = compiled.n_letters
+                    for state in states:
+                        new_state = table[state * n_letters + mask]
+                        target.add(new_state)
+                        if compiled.final_flags[new_state]:
+                            self._declare(self.automaton.verdict(new_state))
                     if len(target) != before:
                         changed = True
             self.max_tracked_cuts = max(self.max_tracked_cuts, len(self._reachable))
@@ -222,29 +191,32 @@ class CentralizedMonitor:
 
     # ------------------------------------------------------------------
     @classmethod
+    def _replay(
+        cls,
+        computation: Computation,
+        automaton: MonitorAutomaton,
+        registry: PropositionRegistry,
+    ) -> CentralizedMonitor:
+        """A monitor that has received every event of *computation*."""
+        initial_letters = [
+            registry.local_letter(i, computation.initial_states[i])
+            for i in range(computation.num_processes)
+        ]
+        monitor = cls(computation.num_processes, automaton, registry, initial_letters)
+        events = sorted(computation.all_events(), key=lambda e: (e.timestamp, e.process, e.sn))
+        for event in events:
+            monitor.receive_event(event)
+        return monitor
+
+    @classmethod
     def monitor_computation(
         cls,
         computation: Computation,
         automaton: MonitorAutomaton,
         registry: PropositionRegistry,
-        use_compiled_kernel: bool = True,
     ) -> CentralizedResult:
         """Replay a finished computation through a centralized monitor."""
-        initial_letters = [
-            registry.local_letter(i, computation.initial_states[i])
-            for i in range(computation.num_processes)
-        ]
-        monitor = cls(
-            computation.num_processes,
-            automaton,
-            registry,
-            initial_letters,
-            use_compiled_kernel=use_compiled_kernel,
-        )
-        events = sorted(computation.all_events(), key=lambda e: (e.timestamp, e.process, e.sn))
-        for event in events:
-            monitor.receive_event(event)
-        return monitor.result()
+        return cls._replay(computation, automaton, registry).result()
 
     @classmethod
     def monitor_computation_declared(
@@ -252,7 +224,6 @@ class CentralizedMonitor:
         computation: Computation,
         automaton: MonitorAutomaton,
         registry: PropositionRegistry,
-        use_compiled_kernel: bool = True,
     ) -> frozenset[Verdict]:
         """Every conclusive verdict the oracle declares anywhere on the lattice.
 
@@ -261,18 +232,4 @@ class CentralizedMonitor:
         consistent cut — the reference set for the soundness check: a
         decentralized run is sound iff its declared verdicts are a subset.
         """
-        initial_letters = [
-            registry.local_letter(i, computation.initial_states[i])
-            for i in range(computation.num_processes)
-        ]
-        monitor = cls(
-            computation.num_processes,
-            automaton,
-            registry,
-            initial_letters,
-            use_compiled_kernel=use_compiled_kernel,
-        )
-        events = sorted(computation.all_events(), key=lambda e: (e.timestamp, e.process, e.sn))
-        for event in events:
-            monitor.receive_event(event)
-        return frozenset(monitor.declared)
+        return frozenset(cls._replay(computation, automaton, registry).declared)

@@ -166,13 +166,6 @@ class DecentralizedMonitor:
         a small multiple of the automaton size) on long workloads at the
         cost of possibly missing verdicts reachable only through the pruned
         views.
-    use_compiled_kernel:
-        When true (default) and the automaton's machine compiles (see
-        :mod:`repro.ltl.compiled`), letter combination and automaton
-        stepping run over integer bitmasks and a dense transition table
-        instead of frozenset union + dictionary lookups.  The two paths are
-        step-for-step equivalent; this flag is the per-monitor end of
-        ``ExecutionConfig.compiled_kernel`` / ``--no-compiled-kernel``.
     topology:
         The :class:`repro.coordination.CoordinationTopology` routing policy
         shared by every monitor of the run.  ``None`` (default) builds the
@@ -191,7 +184,6 @@ class DecentralizedMonitor:
         initial_letters: Sequence[Letter],
         transport: Transport,
         max_views_per_state: int | None = None,
-        use_compiled_kernel: bool = True,
         topology: CoordinationTopology | None = None,
     ) -> None:
         self.process = process
@@ -204,15 +196,10 @@ class DecentralizedMonitor:
         self.topology: CoordinationTopology = (
             topology if topology is not None else RoundRobinToken(num_processes)
         )
-        self._compiled = automaton.compiled if use_compiled_kernel else None
-        #: letters are integer bitmasks under both kernels, over the
-        #: automaton's own atoms only: propositions it does not read are
-        #: projected away, so events that change only those repeat the mask
-        self._atom_bit: dict[str, int] = (
-            self._compiled.atom_bit
-            if self._compiled is not None
-            else {atom: 1 << bit for bit, atom in enumerate(automaton.atoms)}
-        )
+        #: letters are integer bitmasks over the automaton's own atoms only:
+        #: propositions it does not read are projected away, so events that
+        #: change only those repeat the mask
+        self._compiled = automaton.compiled
         self._mask_cache: dict[Letter, int] = {}
         #: ``letter_mask << num_states | state_bits`` -> successor state bits
         self._image_cache: dict[int, int] = {}
@@ -263,9 +250,10 @@ class DecentralizedMonitor:
         #: fleet layer's byte-identical verdict-sequence comparisons
         self.verdict_log: list[Verdict] = []
 
-        initial_state = self._step_combined(
-            automaton.initial_state, self.initial_letters
-        )
+        initial_mask = 0
+        for column in self.mask_columns:
+            initial_mask |= column[0]
+        initial_state = self._step_mask(automaton.initial_state, initial_mask)
         view = GlobalView(
             cut=[0] * num_processes,
             state=initial_state,
@@ -293,33 +281,14 @@ class DecentralizedMonitor:
         """
         mask = self._mask_cache.get(letter)
         if mask is None:
-            bits = self._atom_bit
-            mask = 0
-            for atom in letter:
-                mask |= bits.get(atom, 0)
+            mask = self._compiled.encode(letter)
             if len(self._mask_cache) < 4096:
                 self._mask_cache[letter] = mask
         return mask
 
     def _step_mask(self, state: int, mask: int) -> int:
-        """Successor of *state* on a global letter bitmask.
-
-        The one place the two kernels differ: the compiled machine indexes
-        its dense table, the interpreted one decodes the mask and steps the
-        Moore machine.  Both produce the same successor state.
-        """
-        if self._compiled is not None:
-            return self._compiled.step(state, mask)
-        letter = frozenset(atom for atom, bit in self._atom_bit.items() if mask & bit)
-        return self.automaton.step(state, letter)
-
-    def _step_combined(self, state: int, letters: Iterable[Letter]) -> int:
-        """Step the automaton on the combination of per-process letters."""
-        mask = 0
-        mask_of = self._mask_of
-        for letter in letters:
-            mask |= mask_of(letter)
-        return self._step_mask(state, mask)
+        """Successor of *state* on a global letter bitmask: one table load."""
+        return self._compiled.step(state, mask)
 
     def _image(self, key: int) -> int:
         """Image-cache miss: step every state of a state set through a letter.

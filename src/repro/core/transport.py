@@ -3,10 +3,10 @@
 The monitoring algorithm only ever calls :meth:`Transport.send`; how and when
 messages are delivered is the transport's business.  Implementations:
 
-* :class:`LoopbackNetwork` — an in-process FIFO network used by the library
-  runner and the tests.  Messages are queued and delivered when the caller
-  pumps the network, which models an asynchronous but reliable network with
-  no notion of time.
+* :class:`LoopbackNetwork` — an in-process FIFO network used by the loopback
+  driver (:func:`repro.session.run_decentralized`) and the tests.  Messages
+  are queued and delivered when the caller pumps the network, which models
+  an asynchronous but reliable network with no notion of time.
 * ``repro.sim.network.SimulatedNetwork`` — the discrete-event network,
   timed by a :mod:`repro.core.delays` model (gaussian, lossy-with-retransmit,
   partition/heal, bursty, ...), used by the scenario engine and the
@@ -20,10 +20,11 @@ what the scenario layer (:mod:`repro.scenarios`) programs against.
 
 The flip side of :class:`Transport` is :class:`MonitorNode`: the endpoint
 interface every backend drives.  :class:`repro.core.monitor.DecentralizedMonitor`
-is the single implementation, shared unchanged by the loopback runner, the
-discrete-event simulator and the asyncio runtime — backends differ only in
-*when* they invoke the node's entry points and how its outgoing
-:meth:`Transport.send` calls travel.
+is the single implementation, shared unchanged by the four drivers over
+:class:`repro.session.MonitorSession` (loopback, discrete-event simulator,
+asyncio runtime, cluster worker) — backends differ only in *when* they
+invoke the node's entry points and how its outgoing :meth:`Transport.send`
+calls travel.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class Transport(Protocol):
 class MonitorNode(Protocol):
     """The backend-agnostic endpoint interface of one monitor process.
 
-    Every monitoring backend — the loopback runner, the discrete-event
-    simulator and the asyncio streaming runtime — drives its monitors
-    exclusively through these entry points, so a single monitor
+    Every monitoring backend — the loopback driver, the discrete-event
+    simulator, the asyncio streaming runtime and the cluster worker — drives
+    its monitors exclusively through these entry points, so a single monitor
     implementation (:class:`repro.core.monitor.DecentralizedMonitor`)
     serves all of them.  Events and messages are typed loosely
     (``object``) to keep this protocol free of upward imports; concrete
@@ -98,11 +99,20 @@ class LoopbackNetwork:
     program events and monitor messages explicitly.
     """
 
+    #: what :meth:`repro.session.MonitorSession.report` reads off a transport
+    #: besides ``messages_sent``: the loopback has no clock and no wire
+    last_delivery_time = 0.0
+    wire_bytes_sent = 0
+
     def __init__(self) -> None:
         self._monitors: dict[int, MonitorNode] = {}
         self._queue: deque[tuple[int, int, object]] = deque()
         self.messages_sent = 0
         self.messages_by_sender: dict[int, int] = {}
+
+    def extra_stats(self) -> dict[str, float]:
+        """Network-behaviour counters: none, the loopback is a plain link."""
+        return {}
 
     def register(self, process: int, monitor: MonitorNode) -> None:
         """Attach *monitor* as the endpoint for *process*."""

@@ -189,7 +189,6 @@ def _execution_config(args: argparse.Namespace) -> ExecutionConfig:
         stream_transport=args.stream_transport or "memory",
         fault_plan=fault_plan,
         manifest=args.manifest,
-        compiled_kernel=not args.no_compiled_kernel,
         topology=getattr(args, "topology", None),
     )
 
@@ -426,7 +425,6 @@ def _emit_fleet(args: argparse.Namespace) -> None:
         events_per_process=args.events,
         base_seed=args.seed or 2015,
         topology=args.topology or "round-robin-token",
-        compiled_kernel=not args.no_compiled_kernel,
     )
     config = FleetConfig(
         tenants=tenants,
@@ -550,13 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="list-scenarios only: aligned table (default) or a JSON "
         "catalogue for tooling",
-    )
-    parser.add_argument(
-        "--no-compiled-kernel",
-        action="store_true",
-        help="step monitors with the interpreted Moore machine instead of "
-        "the compiled bitmask/dense-table kernel (results are identical; "
-        "this is an escape hatch and an A/B measurement aid)",
     )
     parser.add_argument(
         "--topology",

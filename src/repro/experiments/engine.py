@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from ..coordination import TOPOLOGIES
 from ..distributed.computation import Computation
-from ..faults import FaultPlan
+from ..faults import FaultPlan, format_fault_plan
 from ..ltl.monitor import MonitorAutomaton
 from ..ltl.predicates import PropositionRegistry
 from ..scenarios import GridPoint, Scenario, SweepGrid, WorkloadModel, get_scenario
@@ -89,12 +89,6 @@ class ExecutionConfig:
     manifest:
         Cluster backend only: a :class:`repro.cluster.ClusterManifest` or a
         manifest file path; ``None`` auto-allocates loopback workers.
-    compiled_kernel:
-        Step monitors with the compiled bitmask/dense-table kernel
-        (:mod:`repro.ltl.compiled`).  Default on; the CLI exposes
-        ``--no-compiled-kernel`` as the escape hatch.  Results are
-        byte-identical either way — the flag only selects the stepping
-        implementation.
     topology:
         Optional :mod:`repro.coordination` topology name overriding the
         scenario's own ``topology`` for every cell (the CLI's
@@ -105,7 +99,6 @@ class ExecutionConfig:
     stream_transport: str = "memory"
     fault_plan: FaultPlan | None = None
     manifest: object | None = None
-    compiled_kernel: bool = True
     topology: str | None = None
 
     def __post_init__(self) -> None:
@@ -231,7 +224,7 @@ def run_scenario_cell(
         )
     if config.backend == "cluster":
         from ..cluster.coordinator import cluster_monitored_run
-        from ..cluster.spec import spec_for_cell
+        from ..cluster.spec import RunSpec
 
         try:
             registered = get_scenario(scenario.name)
@@ -247,13 +240,13 @@ def run_scenario_cell(
                 f"scenario of that name; the cluster backend distributes "
                 f"scenarios by name, so register your variant first"
             )
-        spec = spec_for_cell(
-            scenario.name,
-            point.property_name,
-            point.num_processes,
+        armed = faults is not None and not faults.is_noop(point.num_processes)
+        spec = RunSpec(
+            scenario=scenario.name,
+            property_name=point.property_name,
+            num_processes=point.num_processes,
             max_views_per_state=scale.max_views_per_state,
-            fault_plan=faults,
-            compiled_kernel=config.compiled_kernel,
+            fault_plan=format_fault_plan(faults) if armed else None,
             topology=topology,
             **trace,
         )
@@ -265,7 +258,6 @@ def run_scenario_cell(
     monitoring = {
         "max_views_per_state": scale.max_views_per_state,
         "faults": faults,
-        "compiled_kernel": config.compiled_kernel,
         "topology": topology,
     }
     if config.backend == "sim":

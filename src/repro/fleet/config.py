@@ -1,8 +1,8 @@
 """Tenant admission: what a fleet runs and under which resource policy.
 
 A :class:`TenantSpec` is one monitored session — formula instance, process
-count, coordination topology, compiled-kernel flag, event source, seed — and
-a :class:`FleetConfig` admits a batch of them into one fleet run: how many
+count, coordination topology, event source, seed — and a
+:class:`FleetConfig` admits a batch of them into one fleet run: how many
 shards (worker processes) partition the tenants, the per-tenant inbox bound,
 the backpressure policy when a tenant's inbox saturates, and an optional
 admission cap.  Both are frozen, picklable dataclasses, so tenant batches
@@ -64,7 +64,6 @@ class TenantSpec:
     events_per_process: int = 4
     seed: int = 2015
     topology: str = "round-robin-token"
-    compiled_kernel: bool = True
     max_views_per_state: int | None = None
     time_scale: float = 0.0
     source: EventSource = field(default_factory=SyntheticSource)
@@ -97,7 +96,6 @@ class TenantSpec:
             "events_per_process": self.events_per_process,
             "seed": self.seed,
             "topology": self.topology,
-            "compiled_kernel": self.compiled_kernel,
             "source": self.source.describe(),
         }
 
@@ -158,7 +156,6 @@ def synthetic_fleet(
     base_seed: int = 2015,
     properties: tuple[str, ...] = PROPERTY_NAMES,
     topology: str = "round-robin-token",
-    compiled_kernel: bool = True,
     source: EventSource | None = None,
 ) -> tuple[TenantSpec, ...]:
     """A deterministic batch of synthetic tenants (CLI / smoke / benchmarks).
@@ -177,7 +174,6 @@ def synthetic_fleet(
             events_per_process=events_per_process,
             seed=base_seed + 31 * index,
             topology=topology,
-            compiled_kernel=compiled_kernel,
             source=source if source is not None else SyntheticSource(),
         )
         for index in range(num_tenants)

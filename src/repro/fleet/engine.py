@@ -214,7 +214,6 @@ async def _tenant_session(
         registry,
         net,
         max_views_per_state=spec.max_views_per_state,
-        compiled_kernel=spec.compiled_kernel,
         topology=spec.topology,
     )
     gate = _InboxGate(net, inbox_limit, backpressure)
@@ -243,7 +242,6 @@ def standalone_tenant_result(
         transport="memory",
         time_scale=spec.time_scale,
         quiesce_timeout=quiesce_timeout,
-        compiled_kernel=spec.compiled_kernel,
         topology=spec.topology,
     )
     return TenantResult.from_report(spec, report)

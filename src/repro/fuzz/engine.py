@@ -169,7 +169,6 @@ def generate_point(seed: int, index: int) -> RunSpec:
         seed=rng.randrange(1 << 30),
         max_views_per_state=rng.choice((2, 3)),
         fault_plan=None if plan is None else format_fault_plan(plan),
-        compiled_kernel=rng.random() < 0.8,
     )
 
 
@@ -285,17 +284,13 @@ def execute_point(spec: RunSpec, index: int = 0) -> FuzzOutcome:
             max_views_per_state=spec.max_views_per_state,
             network=scenario.network,
             faults=plan,
-            compiled_kernel=spec.compiled_kernel,
             max_sim_events=_SIM_EVENT_BUDGET,
         )
         # the soundness reference always sees the *true* computation: under
         # unsound skew the monitors work on distorted clocks, and the whole
         # question is whether they still only declare real verdicts
         oracle = CentralizedMonitor.monitor_computation_declared(
-            computation,
-            automaton,
-            registry,
-            use_compiled_kernel=spec.compiled_kernel,
+            computation, automaton, registry
         )
         violations = verdict_divergence(simulated.declared_verdicts, oracle)
         backend_divergence = False
@@ -307,7 +302,6 @@ def execute_point(spec: RunSpec, index: int = 0) -> FuzzOutcome:
                 delay=scenario.network.delay_model(spec.seed),
                 max_views_per_state=spec.max_views_per_state,
                 faults=plan,
-                compiled_kernel=spec.compiled_kernel,
             )
             backend_divergence = (
                 streamed.declared_verdicts != simulated.declared_verdicts

@@ -72,8 +72,6 @@ def shrink_candidates(spec: RunSpec) -> Iterator[RunSpec]:
                 yield _with_plan(spec, dataclasses.replace(plan, clock_skew=skew))
     if spec.comm_mu is not None:
         yield dataclasses.replace(spec, comm_mu=None)
-    if not spec.compiled_kernel:
-        yield dataclasses.replace(spec, compiled_kernel=True)
 
 
 def shrink_point(spec: RunSpec, classification: str) -> RunSpec:

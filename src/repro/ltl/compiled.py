@@ -19,46 +19,28 @@ over its atom set, as every machine built by :mod:`repro.ltl.monitor` and
 * **Batched stepping.**  :meth:`CompiledMachine.run_batch` advances a whole
   event window in one call through a pointer-chased node table (one list
   index per event), returning both the final state and the index of the
-  first conclusive verdict; :meth:`CompiledMachine.combine_batch` OR-combines
-  per-process mask streams (vectorised through numpy when it is importable,
-  with a pure-Python fallback otherwise); :meth:`CompiledMachine.outputs_batch`
-  is the vectorised Moore-output lookup.
+  first conclusive verdict.
 
-numpy is strictly optional: every operation has a pure-Python code path and
-the numpy views are built lazily only when requested on a host that has it.
-:func:`compile_machine` returns ``None`` (callers keep the interpreted
-machine) when a machine cannot be compiled: its alphabet is not the full
-``2**n_atoms`` assignment set, or the dense table would exceed
-:data:`MAX_TABLE_ENTRIES`.
+The table is the only stepping path of the monitors; the Moore machine's own
+:meth:`~repro.ltl.dfa.MooreMachine.step` stays as the reference the table is
+tested against.  :func:`compile_machine` raises ``ValueError`` for a machine
+whose alphabet is not the full ``2**n_atoms`` assignment set (no machine
+:func:`repro.ltl.monitor.build_monitor` builds is).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from typing import Any
 
 from .dfa import Letter, MooreMachine
 
-__all__ = ["CompiledMachine", "compile_machine", "MAX_TABLE_ENTRIES"]
-
-#: refuse to materialise dense tables larger than this (states × 2**atoms);
-#: the case-study machines are thousands of times smaller
-MAX_TABLE_ENTRIES = 1 << 24
-
-try:  # pragma: no cover - exercised indirectly on hosts with numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on hosts without numpy
-    _np = None
+__all__ = ["CompiledMachine", "compile_machine"]
 
 #: chunk size of the :meth:`CompiledMachine.run_batch` fast path; finality is
 #: only re-checked at chunk boundaries when conclusive states are absorbing
 _BATCH_CHUNK = 4096
-
-
-def _default_is_final(output: Hashable) -> bool:
-    """Treat outputs with a truthy ``is_final`` attribute as conclusive."""
-    return bool(getattr(output, "is_final", False))
 
 
 class CompiledMachine:
@@ -93,8 +75,6 @@ class CompiledMachine:
         "final_flags",
         "final_absorbing",
         "_nodes",
-        "_np_table",
-        "_np_outputs",
     )
 
     def __init__(
@@ -135,8 +115,6 @@ class CompiledMachine:
             row[L] = s
             row[L + 1] = 1 if self.final_flags[s] else 0
         self._nodes: list[list[Any]] = nodes
-        self._np_table: Any = None
-        self._np_outputs: Any = None
 
     # ------------------------------------------------------------------
     # letter encoding
@@ -155,52 +133,11 @@ class CompiledMachine:
                 mask |= bit
         return mask
 
-    def encode_many(self, letters: Iterable[Iterable[str]]) -> array:
-        """Encode a stream of letters into a compact ``array('i')`` buffer.
-
-        The buffer indexes, slices and iterates like a list of ints, and
-        :meth:`combine_batch` combines such buffers zero-copy through
-        ``numpy.frombuffer`` instead of converting element by element.
-        """
-        encode = self.encode
-        return array("i", (encode(letter) for letter in letters))
-
     def decode(self, mask: int) -> Letter:
         """The letter (frozenset of true atoms) a bitmask denotes."""
         return frozenset(
             atom for atom, bit in self.atom_bit.items() if mask & bit
         )
-
-    def combine_batch(self, mask_rows: Sequence[Sequence[int]]) -> list[int]:
-        """OR-combine per-process mask streams into global letter masks.
-
-        ``mask_rows[j][i]`` is the mask of process *j* at event *i*; the
-        result is the per-event OR across processes — the compiled
-        counterpart of the monitor's frozenset-union ``_combine``.  Uses a
-        vectorised ``numpy.bitwise_or`` reduction when numpy is importable
-        and falls back to a pure-Python fold otherwise.
-        """
-        if not mask_rows:
-            return []
-        if len(mask_rows) == 1:
-            return list(mask_rows[0])
-        if _np is not None:
-            if all(isinstance(row, array) for row in mask_rows):
-                # encode_many buffers: reinterpret the raw bytes zero-copy
-                rows = [
-                    _np.frombuffer(row, dtype=f"=i{row.itemsize}")
-                    for row in mask_rows
-                ]
-            else:
-                rows = [_np.asarray(row, dtype=_np.int64) for row in mask_rows]
-            combined = rows[0]
-            for row in rows[1:]:
-                combined = combined | row
-            return combined.tolist()
-        folded = list(mask_rows[0])
-        for row in mask_rows[1:]:
-            folded = [a | b for a, b in zip(folded, row)]
-        return folded
 
     # ------------------------------------------------------------------
     # stepping
@@ -288,34 +225,6 @@ class CompiledMachine:
         """Whether *state* carries a conclusive (final-flagged) output."""
         return self.final_flags[state]
 
-    def outputs_batch(self, states: Sequence[int]) -> list[Hashable]:
-        """Vectorised Moore-output lookup for a batch of states.
-
-        Uses numpy fancy indexing over an object array when numpy is
-        importable and the batch is large enough to amortise the conversion;
-        a list comprehension otherwise (identical results either way).
-        """
-        if _np is not None and len(states) >= 64:
-            if self._np_outputs is None:
-                self._np_outputs = _np.array(self.outputs, dtype=object)
-            return self._np_outputs[_np.asarray(states, dtype=_np.intp)].tolist()
-        outputs = self.outputs
-        return [outputs[s] for s in states]
-
-    def numpy_table(self) -> Any:
-        """The dense table as a ``(num_states, n_letters)`` numpy view.
-
-        Returns ``None`` when numpy is not importable — callers must fall
-        back to :attr:`table` (the portable ``array('i')`` representation).
-        """
-        if _np is None:
-            return None
-        if self._np_table is None:
-            self._np_table = _np.asarray(self.table, dtype=_np.int32).reshape(
-                self.num_states, self.n_letters
-            )
-        return self._np_table
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompiledMachine(states={self.num_states}, atoms={len(self.atoms)}, "
@@ -323,28 +232,17 @@ class CompiledMachine:
         )
 
 
-def compile_machine(
-    machine: MooreMachine,
-    is_final: Callable[[Hashable], bool] | None = None,
-) -> CompiledMachine | None:
-    """Compile *machine* into a :class:`CompiledMachine`, if possible.
+def compile_machine(machine: MooreMachine) -> CompiledMachine:
+    """Compile *machine* into a :class:`CompiledMachine`.
 
-    Returns ``None`` — callers keep the interpreted machine — when the
-    machine's alphabet is not the complete ``2**n_atoms`` assignment set over
-    its atoms (the dense mask→column identity would have holes) or when the
-    dense table would exceed :data:`MAX_TABLE_ENTRIES`.
-
-    *is_final* classifies Moore outputs as conclusive for
-    :meth:`CompiledMachine.run_batch`; the default treats outputs exposing a
-    truthy ``is_final`` attribute (e.g. :class:`repro.ltl.verdict.Verdict`)
-    as conclusive.
+    Raises ``ValueError`` when the machine's alphabet is not the complete
+    ``2**n_atoms`` assignment set over its atoms: the dense mask→column
+    identity would have holes, so the table could not be total.  Outputs
+    exposing a truthy ``is_final`` attribute (:class:`repro.ltl.verdict.Verdict`)
+    are the conclusive ones for :meth:`CompiledMachine.run_batch`.
     """
     atoms = sorted(machine._atom_universe())
     n_letters = 1 << len(atoms)
-    if len(machine.letters) != n_letters:
-        return None
-    if machine.num_states * n_letters > MAX_TABLE_ENTRIES:
-        return None
     bit = {atom: 1 << i for i, atom in enumerate(atoms)}
     column_of_mask = [0] * n_letters
     letter_index = {letter: i for i, letter in enumerate(machine.letters)}
@@ -352,17 +250,19 @@ def compile_machine(
         letter = frozenset(atom for atom in atoms if mask & bit[atom])
         column = letter_index.get(letter)
         if column is None:
-            return None  # incomplete alphabet: some assignment is missing
+            raise ValueError(
+                "cannot compile a machine with an incomplete alphabet: "
+                f"no column for the assignment {sorted(letter)}"
+            )
         column_of_mask[mask] = column
     table = array("i", bytes(0))
     for state in range(machine.num_states):
         row = machine.delta[state]
         table.extend(row[column_of_mask[mask]] for mask in range(n_letters))
-    predicate = is_final if is_final is not None else _default_is_final
     return CompiledMachine(
         atoms=atoms,
         initial=machine.initial,
         table=table,
         outputs=machine.outputs,
-        final_flags=[predicate(output) for output in machine.outputs],
+        final_flags=[getattr(output, "is_final", False) for output in machine.outputs],
     )

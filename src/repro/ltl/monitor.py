@@ -95,8 +95,6 @@ class MonitorAutomaton:
         self.formula = formula
         self.atoms: tuple[str, ...] = tuple(atoms)
         self._machine = machine
-        self._compiled: CompiledMachine | None = None
-        self._compile_attempted = False
         self.initial_state: int = machine.initial
         self.transitions: list[Transition] = self._build_transitions()
         self._outgoing: dict[int, list[Transition]] = {}
@@ -145,18 +143,14 @@ class MonitorAutomaton:
         """The verdict (Moore output) of *state*."""
         return self._machine.outputs[state]  # type: ignore[return-value]
 
-    @property
-    def compiled(self) -> CompiledMachine | None:
-        """The compiled (bitmask/dense-table) form of the machine, if any.
+    @cached_property
+    def compiled(self) -> CompiledMachine:
+        """The compiled (bitmask/dense-table) form of the machine.
 
-        Compiled lazily on first access and cached; ``None`` when the machine
-        cannot be compiled (see :func:`repro.ltl.compiled.compile_machine`),
-        in which case callers fall back to the interpreted :meth:`step`.
+        What the monitors step; compiled on first access and cached (see
+        :func:`repro.ltl.compiled.compile_machine`).
         """
-        if not self._compile_attempted:
-            self._compile_attempted = True
-            self._compiled = compile_machine(self._machine)
-        return self._compiled
+        return compile_machine(self._machine)
 
     @cached_property
     def stutter_closed(self) -> bool:
@@ -167,8 +161,7 @@ class MonitorAutomaton:
         events that leave the global letter unchanged can be replayed as one
         step (:meth:`repro.core.monitor.DecentralizedMonitor._box_reachable`).
         Holds for every case-study automaton, minimised or not; fails for
-        ``X p``.  A property of the Moore table, so both kernels agree;
-        the table is walked once, on first access.
+        ``X p``.  The Moore table is walked once, on first access.
         """
         delta = self._machine.delta
         return all(

@@ -16,8 +16,11 @@ Those automata coincide with the machine obtained by **formula progression**
 
 The construction terminates whenever the set of progressed formulas is finite
 under the canonicalisation implemented here (flattening and deduplication of
-conjunctions/disjunctions, constant folding); a ``max_states`` guard protects
-against the general case where it is not.
+conjunctions/disjunctions, constant folding).  Where it is not — ``G p U G q``
+keeps re-wrapping itself, because nothing here distributes or absorbs — it
+raises :class:`ProgressionDidNotConverge` at ``max_states`` states or once a
+state formula nests :data:`_MAX_DEPTH_GROWTH` levels deeper than the property,
+long before the recursive ``progress`` would exhaust the interpreter stack.
 """
 
 from __future__ import annotations
@@ -53,9 +56,22 @@ from .rewriting import to_nnf
 from .semantics import all_assignments
 from .verdict import Verdict
 
-__all__ = ["progress", "canonicalize", "build_progression_machine"]
+__all__ = [
+    "ProgressionDidNotConverge",
+    "progress",
+    "canonicalize",
+    "build_progression_machine",
+]
 
 Letter = frozenset[str]
+
+#: how many levels a progressed formula may nest deeper than the property it
+#: came from; the case-study machines need 2, a diverging one adds 2 per step
+_MAX_DEPTH_GROWTH = 64
+
+
+class ProgressionDidNotConverge(RuntimeError):
+    """Formula progression keeps producing new (ever deeper) formulas."""
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +236,8 @@ def build_progression_machine(
     reference_states: list[int] = (
         [verdict_machine.initial] if verdict_machine is not None else []
     )
+    depths: dict[Formula, int] = {}
+    max_depth = _depth(initial_formula, depths) + _MAX_DEPTH_GROWTH
     delta: list[list[int]] = []
     frontier = [0]
     while frontier:
@@ -232,10 +250,13 @@ def build_progression_machine(
         for letter in letters:
             successor_formula = progress(current_formula, letter)
             if successor_formula not in index:
-                if len(formulas) >= max_states:
-                    raise RuntimeError(
-                        "formula progression did not converge within "
-                        f"{max_states} states for {formula}"
+                if (
+                    len(formulas) >= max_states
+                    or _depth(successor_formula, depths) > max_depth
+                ):
+                    raise ProgressionDidNotConverge(
+                        f"formula progression did not converge within {max_states} "
+                        f"states and {_MAX_DEPTH_GROWTH} levels of nesting for {formula}"
                     )
                 index[successor_formula] = len(formulas)
                 formulas.append(successor_formula)
@@ -274,6 +295,23 @@ def build_progression_machine(
         state_names=[str_key(f) for f in formulas],
     )
     return machine, formulas
+
+
+def _depth(formula: Formula, known: dict[Formula, int]) -> int:
+    """Nesting depth of *formula*; *known* memoizes nodes across calls.
+
+    Iterative, so it can measure a formula that is too deep to recurse on.
+    """
+    stack = [formula]
+    while stack:
+        node = stack[-1]
+        pending = [child for child in node.children if child not in known]
+        if pending:
+            stack.extend(pending)
+        else:
+            known[node] = 1 + max((known[child] for child in node.children), default=0)
+            stack.pop()
+    return known[formula]
 
 
 def _formula_verdict(formula: Formula) -> Verdict:

@@ -103,7 +103,6 @@ async def stream_monitored_run(
     time_scale: float = 0.0,
     quiesce_timeout: float = 120.0,
     faults: FaultPlan | None = None,
-    compiled_kernel: bool = True,
     topology: str = "round-robin-token",
 ) -> RunReport:
     """Stream *computation* through concurrent monitor tasks.
@@ -135,10 +134,6 @@ async def stream_monitored_run(
         Optional :class:`repro.faults.FaultPlan`; monitors named by the
         plan are wrapped in the same crash/restart proxies the simulator
         uses, so a fault schedule means the same thing on both backends.
-    compiled_kernel:
-        Forwarded to every monitor as ``use_compiled_kernel`` (bitmask/dense
-        table stepping, default on); verdicts and metrics are identical
-        either way.
     topology:
         Name of the :mod:`repro.coordination` routing policy shared by the
         run's monitors.  Deterministic in ``(name, num_processes)`` — the
@@ -155,7 +150,6 @@ async def stream_monitored_run(
         net,
         faults=faults,
         max_views_per_state=max_views_per_state,
-        compiled_kernel=compiled_kernel,
         topology=topology,
     )
     await drive_session(session, quiesce_timeout)

@@ -7,38 +7,47 @@ here, once:
 
 * :class:`MonitorSession` applies the fault plan's clock skew to the
   computation, builds the monitor endpoints (through
-  :func:`repro.core.runner.monitor_factory` and
-  :func:`repro.faults.wrap_monitors`), produces the merged
-  event/termination :meth:`~MonitorSession.schedule`, and folds the
-  counters of a finished run into a :class:`RunReport`.
-* :class:`RunReport` is the single report type: the discrete-event
-  simulator, the asyncio runtime, the cluster coordinator and (through
-  ``TenantResult.from_report``) the fleet all return it.
+  :func:`monitor_factory` and :func:`repro.faults.wrap_monitors`), produces
+  the merged event/termination :meth:`~MonitorSession.schedule`, and folds
+  the counters of a finished run into a :class:`RunReport`.
+* :class:`RunReport` is the single report type: the loopback driver, the
+  discrete-event simulator, the asyncio runtime, the cluster coordinator and
+  (through ``TenantResult.from_report``) the fleet all return it.
 
 A backend is then only its *driver*: it owns the transport it hands to the
 session, registers the endpoints, calls ``start()`` on each, feeds the
-schedule against its own notion of time and waits for quiescence.  The
-module sits above :mod:`repro.core`, :mod:`repro.coordination` and
-:mod:`repro.faults` (the fault injector imports the monitor, so the session
-cannot live inside ``core``) and below every backend package.
+schedule against its own notion of time and waits for quiescence.  There are
+four: :func:`run_decentralized` below (in memory, untimed), ``repro.sim``,
+``repro.runtime`` and the ``repro.cluster`` worker.  The module sits above
+:mod:`repro.core`, :mod:`repro.coordination` and :mod:`repro.faults` (the
+fault injector imports the monitor, so the session cannot live inside
+``core``) and below every backend package.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
+from .coordination import build_topology
 from .core.monitor import DecentralizedMonitor, MonitorMetrics
-from .core.runner import monitor_factory
-from .core.transport import MonitorNode, Transport
+from .core.transport import LoopbackNetwork, MonitorNode, Transport
 from .distributed.computation import Computation
 from .distributed.events import Event
 from .faults import FaultPlan, apply_clock_skew, unwrap_monitor, wrap_monitors
-from .ltl.monitor import MonitorAutomaton
+from .ltl.monitor import MonitorAutomaton, build_monitor
 from .ltl.predicates import PropositionRegistry
 from .ltl.verdict import Verdict
 
-__all__ = ["EVENT", "TERMINATION", "MonitorSession", "RunReport", "ScheduleItem"]
+__all__ = [
+    "EVENT",
+    "TERMINATION",
+    "MonitorSession",
+    "RunReport",
+    "ScheduleItem",
+    "monitor_factory",
+    "run_decentralized",
+]
 
 #: gap between a process's last event and its termination signal
 _TERMINATION_EPSILON = 1e-6
@@ -223,6 +232,46 @@ class RunReport:
         return {**row, **self.network_stats, **self.fault_stats}
 
 
+def monitor_factory(
+    computation: Computation,
+    automaton: MonitorAutomaton,
+    registry: PropositionRegistry,
+    transport: Transport,
+    *,
+    max_views_per_state: int | None,
+    topology: str,
+) -> Callable[[int], DecentralizedMonitor]:
+    """The per-process monitor constructor of one run.
+
+    The only place a :class:`DecentralizedMonitor` is constructed: the
+    initial letters and the :mod:`repro.coordination` routing policy named
+    *topology* are computed once and shared by every monitor the returned
+    ``factory(process)`` builds (fault proxies call it again to rebuild a
+    crashed monitor).  The policy is deterministic in ``(name, n, formula
+    ownership)``, so processes building from the same inputs — cluster
+    workers — make identical routing decisions.
+    """
+    n = computation.num_processes
+    initial_letters = [
+        registry.local_letter(i, computation.initial_states[i]) for i in range(n)
+    ]
+    route = build_topology(topology, n, registry=registry)
+
+    def make_monitor(process: int) -> DecentralizedMonitor:
+        return DecentralizedMonitor(
+            process=process,
+            num_processes=n,
+            automaton=automaton,
+            registry=registry,
+            initial_letters=initial_letters,
+            transport=transport,
+            max_views_per_state=max_views_per_state,
+            topology=route,
+        )
+
+    return make_monitor
+
+
 class MonitorSession:
     """The monitors, schedule and report of one run over a given transport.
 
@@ -241,7 +290,7 @@ class MonitorSession:
         deterministic transform on every backend and every cluster worker);
         monitors it names are wrapped in crash/restart proxies.  A no-op
         plan takes the exact fault-free code path.
-    max_views_per_state, compiled_kernel, topology:
+    max_views_per_state, topology:
         Forwarded to every monitor (see
         :class:`repro.core.monitor.DecentralizedMonitor`); *topology* names
         the :mod:`repro.coordination` routing policy the monitors share.
@@ -259,7 +308,6 @@ class MonitorSession:
         *,
         faults: FaultPlan | None = None,
         max_views_per_state: int | None = None,
-        compiled_kernel: bool = True,
         topology: str = "round-robin-token",
         hosted: Sequence[int] | None = None,
     ) -> None:
@@ -280,7 +328,6 @@ class MonitorSession:
                 registry,
                 transport,
                 max_views_per_state=max_views_per_state,
-                compiled_kernel=compiled_kernel,
                 topology=topology,
             ),
             self.hosted,
@@ -348,3 +395,69 @@ class MonitorSession:
             wall_seconds=wall_seconds,
             wire_bytes=net.wire_bytes_sent,
         )
+
+
+def run_decentralized(
+    computation: Computation,
+    property_or_automaton: MonitorAutomaton | str,
+    registry: PropositionRegistry,
+    deliver_after_each_event: bool = True,
+    max_views_per_state: int | None = None,
+    topology: str = "round-robin-token",
+) -> RunReport:
+    """Monitor a finished computation in memory, with no notion of time.
+
+    The loopback driver: one monitor per process over a
+    :class:`~repro.core.transport.LoopbackNetwork`, fed the computation's
+    events in timestamp order, then every termination signal.  This is the
+    API of the library examples and the correctness tests; the experiment
+    harness uses the discrete-event simulator of :mod:`repro.sim` instead,
+    which adds network latency and time-based metrics.
+
+    Parameters
+    ----------
+    computation:
+        The distributed execution to monitor (events already carry vector
+        clocks and timestamps).
+    property_or_automaton:
+        Either a ready-made :class:`MonitorAutomaton` or an LTL formula
+        string, which is compiled with the registry's propositions as the
+        alphabet.
+    registry:
+        The proposition registry binding atoms to processes.
+    deliver_after_each_event:
+        When ``True`` (default) monitoring messages are delivered eagerly
+        after every program event — the "fast network" regime.  When
+        ``False`` all program events are fed first and monitoring messages
+        are only exchanged afterwards, maximising monitor-side queuing.
+    max_views_per_state, topology:
+        Forwarded to the :class:`MonitorSession`.
+    """
+    automaton = property_or_automaton
+    if isinstance(automaton, str):
+        automaton = build_monitor(automaton, atoms=registry.names)
+    network = LoopbackNetwork()
+    session = MonitorSession(
+        computation,
+        automaton,
+        registry,
+        network,
+        max_views_per_state=max_views_per_state,
+        topology=topology,
+    )
+    for endpoint in session.endpoints:
+        network.register(endpoint.process, endpoint)
+    for endpoint in session.endpoints:
+        endpoint.start()
+    network.deliver_all()
+    for _, kind, process, event in session.schedule():
+        if kind == EVENT:
+            session.endpoints[process].local_event(event)
+            if deliver_after_each_event:
+                network.deliver_all()
+    network.deliver_all()
+    for endpoint in session.endpoints:
+        endpoint.local_termination()
+    # termination releases parked tokens, which may in turn send new messages
+    network.deliver_all()
+    return session.report()

@@ -45,7 +45,6 @@ def simulate_monitored_run(
     max_views_per_state: int | None = None,
     network: NetworkModel | None = None,
     faults: FaultPlan | None = None,
-    compiled_kernel: bool = True,
     max_sim_events: int | None = None,
     topology: str = "round-robin-token",
 ) -> RunReport:
@@ -58,12 +57,10 @@ def simulate_monitored_run(
     :class:`repro.faults.FaultPlan`) monitors named by the plan are wrapped
     in crash/restart proxies; a no-op plan takes the exact fault-free code
     path, so its outputs are byte-identical to ``faults=None``.  With
-    *compiled_kernel* (default on) monitors step the compiled bitmask/dense
-    table form of the automaton; the interpreted path is step-for-step
-    equivalent and reports identical results.  With *max_sim_events* set,
-    the simulator raises :class:`repro.sim.SimulationBudgetExceeded` after
-    that many scheduled callbacks — the guard the fuzzing harness uses to
-    bound message-amplification storms under adversarial plans.  *topology*
+    *max_sim_events* set, the simulator raises
+    :class:`repro.sim.SimulationBudgetExceeded` after that many scheduled
+    callbacks — the guard the fuzzing harness uses to bound
+    message-amplification storms under adversarial plans.  *topology*
     names the :mod:`repro.coordination` routing policy shared by the run's
     monitors (default ``round-robin-token``, the pre-refactor behaviour).
     """
@@ -77,7 +74,6 @@ def simulate_monitored_run(
         net,
         faults=faults,
         max_views_per_state=max_views_per_state,
-        compiled_kernel=compiled_kernel,
         topology=topology,
     )
     for endpoint in session.endpoints:

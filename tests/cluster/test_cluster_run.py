@@ -8,8 +8,7 @@ under a crash/restart fault plan.  Every test here spawns real worker
 subprocesses through the coordinator.
 """
 
-import json
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 
@@ -86,25 +85,6 @@ class TestClusterEquivalence:
         )
         # all three monitored the identical regenerated computation
         assert clustered.total_events == computation.num_events
-
-    def test_compiled_kernel_flag_does_not_change_cluster_verdicts(self):
-        # the RunSpec carries the kernel choice to every worker process;
-        # verdict streams must be identical either way
-        spec = _spec("fixed-latency")
-        assert spec.compiled_kernel is True
-        interpreted_spec = replace(spec, compiled_kernel=False)
-        compiled = cluster_monitored_run(spec)
-        interpreted = cluster_monitored_run(interpreted_spec)
-        assert compiled.declared_verdicts == interpreted.declared_verdicts
-        assert compiled.total_events == interpreted.total_events
-
-    def test_compiled_kernel_survives_spec_json_round_trip(self):
-        spec = replace(_spec("paper-default"), compiled_kernel=False)
-        assert RunSpec.from_json(spec.to_json()).compiled_kernel is False
-        # pre-field specs (older manifests) default to the compiled kernel
-        payload = json.loads(spec.to_json())
-        del payload["compiled_kernel"]
-        assert RunSpec.from_json(json.dumps(payload)).compiled_kernel is True
 
     def test_crash_restart_fault_plan_across_real_workers(self):
         spec = _spec("paper-default", fault_plan="1@2+1:replay")

@@ -11,8 +11,12 @@ from repro.cluster.manifest import (
     loopback_manifest,
     manifest_from_dict,
 )
-from repro.cluster.spec import RunSpec, build_cell_inputs, spec_for_cell
+from repro.cluster import coordinator
+from repro.cluster.spec import RunSpec, build_cell_inputs
+from repro.experiments.engine import ExecutionConfig, run_scenario_cell
+from repro.experiments.harness import ExperimentScale
 from repro.faults import CrashSpec, FaultPlan
+from repro.scenarios import GridPoint, get_scenario
 
 EXAMPLE = ClusterManifest(
     coordinator=Endpoint("10.0.0.1", 7000),
@@ -78,10 +82,31 @@ class TestManifest:
         assert len({e.port for e in endpoints}) == len(endpoints)
 
 
+class _Distributed(Exception):
+    """Carries the spec a cluster cell was about to distribute."""
+
+
 class TestRunSpec:
+    @pytest.fixture(autouse=True)
+    def _capture_instead_of_spawning_workers(self, monkeypatch):
+        def capture(spec, manifest=None):
+            raise _Distributed(spec)
+
+        monkeypatch.setattr(coordinator, "cluster_monitored_run", capture)
+
     def _spec(self, fault_plan=None):
-        return spec_for_cell(
-            scenario_name="paper-default",
+        """The spec the engine builds for one cluster cell."""
+        with pytest.raises(_Distributed) as distributed:
+            run_scenario_cell(
+                get_scenario("paper-default"),
+                GridPoint("B", 3),
+                ExperimentScale(events_per_process=4),
+                seed=2015,
+                config=ExecutionConfig(backend="cluster", fault_plan=fault_plan),
+            )
+        (spec,) = distributed.value.args
+        assert spec == RunSpec(
+            scenario="paper-default",
             property_name="B",
             num_processes=3,
             events_per_process=4,
@@ -91,8 +116,9 @@ class TestRunSpec:
             comm_sigma=1.0,
             seed=2015,
             max_views_per_state=2,
-            fault_plan=fault_plan,
+            fault_plan=spec.fault_plan,
         )
+        return spec
 
     def test_json_round_trip(self, tmp_path):
         spec = self._spec()
@@ -105,6 +131,14 @@ class TestRunSpec:
         document["surprise"] = 1
         with pytest.raises(ValueError, match="unknown fields: \\['surprise'\\]"):
             RunSpec.from_json(json.dumps(document))
+
+    def test_documents_with_the_retired_kernel_key_still_load(self):
+        # every spec document written before the knob went carries the key
+        document = json.loads(self._spec().to_json())
+        assert "compiled_kernel" not in document
+        for value in (True, False):
+            old = json.dumps({**document, "compiled_kernel": value})
+            assert RunSpec.from_json(old) == self._spec()
 
     def test_fault_plan_travels_as_grammar(self):
         plan = FaultPlan(crashes=(CrashSpec(process=1, after_events=2,

@@ -8,9 +8,10 @@ pinned regression here:
    ``MonitorMetrics.token_hops_served`` incremented before the
    returning-home check).  The parent *consumes* the token; it serves no
    hop.
-2. **Runner counter consistency** — ``DecentralizedResult`` now documents
-   one counter set: the network-level total equals the per-monitor sum and
-   decomposes exactly as token + termination + digest messages.
+2. **Runner counter consistency** — a loopback ``RunReport`` carries one
+   counter set: the network-level total (``monitor_messages``) equals the
+   per-monitor sum and decomposes exactly as token + termination + digest
+   messages.
 3. **Centralized accounting** — the centralized baseline counts its
    verdict broadcasts separately from observation deliveries, keeping
    ``messages`` backward-compatible while ``total_messages`` is the honest
@@ -20,10 +21,10 @@ pinned regression here:
 from repro.core.centralized import CentralizedMonitor
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
-from repro.core.runner import run_decentralized
 from repro.core.transport import LoopbackNetwork
 from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
+from repro.session import run_decentralized
 from repro.sim import random_computation
 
 
@@ -100,21 +101,17 @@ class TestRunnerCounterConsistency:
                 max_views_per_state=2,
                 topology=topology,
             )
-            assert result.total_messages == result.total_monitor_messages, (
-                f"network total diverged from monitor sum under {topology}"
-            )
-            assert result.total_messages == (
-                result.total_token_messages
-                + result.total_termination_messages
-                + result.total_digest_messages
+            assert result.monitor_messages == sum(
+                m.metrics.messages_sent for m in result.monitors
+            ), f"network total diverged from monitor sum under {topology}"
+            assert result.monitor_messages == (
+                result.token_messages
+                + result.termination_messages
+                + result.digest_messages
             ), f"decomposition broke under {topology}"
-            summary = result.summary()
-            assert summary["messages"] == result.total_messages
-            assert summary["token_messages"] == result.total_token_messages
-            assert summary["termination_messages"] == (
-                result.total_termination_messages
-            )
-            assert summary["digest_messages"] == result.total_digest_messages
+            summary = result.as_dict()
+            assert summary["messages"] == result.monitor_messages
+            assert summary["token_messages"] == result.token_messages
 
     def test_monitor_metrics_decompose_per_monitor_too(self):
         registry = case_study_registry(3)
@@ -123,7 +120,7 @@ class TestRunnerCounterConsistency:
         result = run_decentralized(
             computation, automaton, registry, max_views_per_state=2
         )
-        for metrics in result.metrics_by_monitor:
+        for metrics in (m.metrics for m in result.monitors):
             assert metrics.messages_sent == (
                 metrics.token_messages_sent
                 + metrics.termination_messages_sent

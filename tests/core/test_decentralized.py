@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    DecentralizedMonitor,
-    LatticeOracle,
-    LoopbackNetwork,
-    run_decentralized,
-)
+from repro.core import DecentralizedMonitor, LatticeOracle, LoopbackNetwork
 from repro.distributed import (
     ComputationBuilder,
     running_example,
@@ -15,6 +10,7 @@ from repro.distributed import (
     token_ring_example,
 )
 from repro.ltl import Proposition, PropositionRegistry, Verdict, build_monitor
+from repro.session import RunReport, run_decentralized
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +41,7 @@ class TestRunningExample:
 
     def test_network_quiesces(self, example, registry, psi):
         result = run_decentralized(example, psi, registry)
-        assert result.is_quiescent()
+        assert all(monitor.is_quiescent for monitor in result.monitors)
 
     def test_all_monitors_terminate_cleanly(self, example, registry, psi):
         result = run_decentralized(example, psi, registry)
@@ -55,8 +51,8 @@ class TestRunningExample:
 
     def test_messages_are_exchanged(self, example, registry, psi):
         result = run_decentralized(example, psi, registry)
-        assert result.total_messages > 0
-        assert result.total_token_messages > 0
+        assert result.monitor_messages > 0
+        assert result.token_messages > 0
 
     def test_property_accepts_formula_string(self, example, registry):
         result = run_decentralized(
@@ -64,9 +60,10 @@ class TestRunningExample:
         )
         assert Verdict.BOTTOM in result.declared_verdicts
 
-    def test_summary_keys(self, example, registry, psi):
-        summary = run_decentralized(example, psi, registry).summary()
-        assert {"verdicts", "declared", "messages", "views_created"} <= set(summary)
+    def test_returns_the_one_run_report(self, example, registry, psi):
+        report = run_decentralized(example, psi, registry)
+        assert type(report) is RunReport
+        assert {"verdicts", "messages", "global_views"} <= set(report.as_dict())
 
     def test_lazy_delivery_mode(self, example, registry, psi):
         oracle = LatticeOracle(example, psi, registry).evaluate()
@@ -101,7 +98,7 @@ class TestSingleProcess:
         registry = PropositionRegistry([Proposition.variable("p", 0, "p")])
         automaton = build_monitor("F p", atoms=registry.names)
         result = run_decentralized(computation, automaton, registry)
-        assert result.total_messages == 0
+        assert result.monitor_messages == 0
         assert result.declared_verdicts == frozenset({Verdict.TOP})
 
 

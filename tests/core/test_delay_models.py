@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core import run_decentralized
 from repro.core.delays import AsymmetricLatencyMatrix, MultiPartitionDelay
 from repro.core.transport import MonitorNetwork
 from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
 from repro.api import run_streaming
 from repro.scenarios import AsymmetricNetwork, MultiPartitionNetwork, get_scenario
+from repro.session import run_decentralized
 from repro.sim import SimulatedNetwork, Simulator, random_computation, simulate_monitored_run
 
 

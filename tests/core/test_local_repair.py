@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import run_decentralized
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token
 from repro.core.monitor import DecentralizedMonitor
@@ -35,6 +34,7 @@ from repro.experiments.properties import case_study_registry
 from repro.faults import ClockSkewSpec, FaultPlan
 from repro.ltl import Verdict, build_monitor
 from repro.scenarios import get_scenario
+from repro.session import run_decentralized
 from repro.sim import simulate_monitored_run
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))

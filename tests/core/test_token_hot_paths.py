@@ -3,7 +3,7 @@
 * The box search (``_box_reachable``) must return exactly the automaton
   states, and declare exactly the conclusive states, that a brute-force walk
   over the consistent cuts of :class:`ComputationLattice` finds between the
-  view's cut and the token's cut — under both kernels, whether or not the
+  view's cut and the token's cut — whether or not the
   search may collapse letter-preserving events (stutter-closed automaton at
   a fixed point of the view's letter) and never visiting more cells than
   the box has consistent cuts.  The oversized-box fallback replays one real
@@ -147,7 +147,7 @@ def _setting(draw, max_events_per_process):
     return builder.build(), PropositionRegistry.boolean_grid(n, variables=("p",))
 
 
-def _monitor(process, computation, registry, automaton, compiled, feed=0):
+def _monitor(process, computation, registry, automaton, feed=0):
     """A monitor of *process* that has read its first *feed* local events."""
     n = computation.num_processes
     monitor = DecentralizedMonitor(
@@ -159,7 +159,6 @@ def _monitor(process, computation, registry, automaton, compiled, feed=0):
             registry.local_letter(j, computation.initial_states[j]) for j in range(n)
         ],
         transport=LoopbackNetwork(),
-        use_compiled_kernel=compiled,
     )
     monitor._started = True  # feed history only: explore nothing, send nothing
     monitor.views.clear()
@@ -277,26 +276,25 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
     )
     base_letter = registry.letter_of(computation.global_state(start))
     may_collapse = automaton.stutter_closed and automaton.step(state, base_letter) == state
-    for compiled in (True, False):
-        monitor = _monitor(0, computation, registry, automaton, compiled, feed=target[0])
-        before = set(monitor.declared_states)
-        view, entry = _box(monitor, computation, registry, start, target, state)
-        states, letters = monitor._box_reachable(view, entry)
-        assert states == expected_states
-        assert monitor.declared_states - before == expected_conclusive - before
-        assert monitor.declared_verdicts >= {automaton.verdict(q) for q in expected_conclusive}
-        assert letters == [
-            registry.local_letter(j, computation.local_state(j, target[j]))
-            for j in range(computation.num_processes)
-        ]
-        assert monitor.metrics.box_queries == 1
-        assert monitor.metrics.box_linear_fallbacks == 0
-        # every cell searched holds a consistent cut of its own; without
-        # collapsing, the cells are the cuts
-        if may_collapse:
-            assert monitor.metrics.box_cells_visited <= consistent_cuts
-        else:
-            assert monitor.metrics.box_cells_visited == consistent_cuts
+    monitor = _monitor(0, computation, registry, automaton, feed=target[0])
+    before = set(monitor.declared_states)
+    view, entry = _box(monitor, computation, registry, start, target, state)
+    states, letters = monitor._box_reachable(view, entry)
+    assert states == expected_states
+    assert monitor.declared_states - before == expected_conclusive - before
+    assert monitor.declared_verdicts >= {automaton.verdict(q) for q in expected_conclusive}
+    assert letters == [
+        registry.local_letter(j, computation.local_state(j, target[j]))
+        for j in range(computation.num_processes)
+    ]
+    assert monitor.metrics.box_queries == 1
+    assert monitor.metrics.box_linear_fallbacks == 0
+    # every cell searched holds a consistent cut of its own; without
+    # collapsing, the cells are the cuts
+    if may_collapse:
+        assert monitor.metrics.box_cells_visited <= consistent_cuts
+    else:
+        assert monitor.metrics.box_cells_visited == consistent_cuts
 
 
 def _replay_event_at_a_time(computation, registry, automaton, start, target, state):
@@ -330,21 +328,20 @@ def test_linear_fallback_replays_one_real_path(case):
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(monitor_module, "_BOX_CELL_LIMIT", 0)
-        for compiled in (True, False):
-            monitor = _monitor(0, computation, registry, automaton, compiled, feed=target[0])
-            before = set(monitor.declared_states)
-            view, entry = _box(monitor, computation, registry, start, target, state)
-            declared = []
-            declare = monitor._declare
-            patch.setattr(
-                monitor, "_declare", lambda q, declare=declare: (declared.append(q), declare(q))
-            )
-            states, _ = monitor._box_reachable(view, entry)
-            assert states == {final_state} <= expected_states
-            assert declared == [q for q in met if q not in before]
-            assert set(met) <= expected_conclusive
-            assert monitor.metrics.box_linear_fallbacks == monitor.metrics.box_queries == 1
-            assert monitor.metrics.box_cells_visited == 0
+        monitor = _monitor(0, computation, registry, automaton, feed=target[0])
+        before = set(monitor.declared_states)
+        view, entry = _box(monitor, computation, registry, start, target, state)
+        declared = []
+        declare = monitor._declare
+        patch.setattr(
+            monitor, "_declare", lambda q, declare=declare: (declared.append(q), declare(q))
+        )
+        states, _ = monitor._box_reachable(view, entry)
+        assert states == {final_state} <= expected_states
+        assert declared == [q for q in met if q not in before]
+        assert set(met) <= expected_conclusive
+        assert monitor.metrics.box_linear_fallbacks == monitor.metrics.box_queries == 1
+        assert monitor.metrics.box_cells_visited == 0
 
 
 def test_limit_counts_the_cells_searched_not_the_events_spanned():
@@ -365,7 +362,7 @@ def test_limit_counts_the_cells_searched_not_the_events_spanned():
         computation, lattice, registry, automaton, start, target, state
     )
     assert consistent_cuts == (events + 1) ** n > monitor_module._BOX_CELL_LIMIT
-    monitor = _monitor(0, computation, registry, automaton, True, feed=events)
+    monitor = _monitor(0, computation, registry, automaton, feed=events)
     view, entry = _box(monitor, computation, registry, start, target, state)
     states, _ = monitor._box_reachable(view, entry)
     assert states == expected_states
@@ -413,7 +410,7 @@ def test_children_of_one_entry_keep_their_own_letters():
     automaton = build_monitor(
         "G(P0.p -> F(P1.p))", atoms=registry.names, method="progression", minimize=False
     )
-    monitor = _monitor(0, computation, registry, automaton, True, feed=3)
+    monitor = _monitor(0, computation, registry, automaton, feed=3)
     for j in range(2):
         monitor.transport.register(j, monitor)  # tokens sent are never delivered
     view, entry = _box(monitor, computation, registry, (0, 0), (2, 2), automaton.initial_state)
@@ -511,7 +508,7 @@ def visits(draw):
 def test_one_shot_serving_matches_the_event_at_a_time_loop(case):
     computation, registry, process, feed, terminated, entry, known = case
     automaton = _random_automaton(registry.names, inconclusive=2, seed=0)
-    monitor = _monitor(process, computation, registry, automaton, True, feed=feed)
+    monitor = _monitor(process, computation, registry, automaton, feed=feed)
     monitor.local_terminated = terminated
     expected = copy.deepcopy(entry)
     was_pending = process in expected.lagging_processes()

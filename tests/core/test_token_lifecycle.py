@@ -20,7 +20,6 @@ import pytest
 
 from repro.api import run_streaming
 from repro.coordination import TOPOLOGIES, build_topology
-from repro.core import run_decentralized
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token
 from repro.core.monitor import DecentralizedMonitor
@@ -32,6 +31,7 @@ from repro.experiments.properties import case_study_monitor, case_study_registry
 from repro.fuzz.engine import CLASS_SOUND, execute_point, generate_point
 from repro.ltl import Verdict, build_monitor
 from repro.scenarios import get_scenario
+from repro.session import run_decentralized
 from repro.sim import simulate_monitored_run
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

@@ -404,6 +404,8 @@ TYPED_DEF_PATHS = [
     REPO_ROOT / "src" / "repro" / "runtime",
     REPO_ROOT / "src" / "repro" / "ltl" / "compiled.py",
     REPO_ROOT / "src" / "repro" / "session.py",
+    REPO_ROOT / "src" / "repro" / "core" / "centralized.py",
+    REPO_ROOT / "src" / "repro" / "core" / "transport.py",
 ]
 
 
@@ -425,8 +427,9 @@ def test_typed_defs_ratchet(path):
 
     This is the locally-runnable mirror of the strict
     ``disallow_untyped_defs`` / ``disallow_incomplete_defs`` mypy overrides
-    in ``pyproject.toml`` (``repro.runtime.*``, ``repro.session`` and the
-    compiled LTL kernel).
+    in ``pyproject.toml`` (``repro.runtime.*``, ``repro.session``,
+    ``repro.core.centralized``, ``repro.core.transport`` and the LTL step
+    kernel).
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     incomplete = []

@@ -26,7 +26,6 @@ class TestTenantSpecValidation:
     def test_defaults_are_valid(self):
         spec = TenantSpec(tenant_id="t")
         assert spec.property_name == "B"
-        assert spec.compiled_kernel
 
     @pytest.mark.parametrize(
         ("kwargs", "match"),

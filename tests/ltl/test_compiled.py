@@ -1,9 +1,10 @@
-"""Compiled monitor kernel: equivalence to the interpreted Moore machine."""
+"""The step kernel: the compiled table equals the Moore machine it was built from."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor
 from repro.ltl import CompiledMachine, build_monitor, compile_machine
 from repro.ltl.ast import (
     Always,
@@ -44,8 +45,8 @@ def formulas(max_depth=3):
     return st.recursive(leaves, extend, max_leaves=6)
 
 #: letters drawn over the machine's atoms plus foreign atoms of processes
-#: the formula never mentions — these must be projected away identically by
-#: both kernels
+#: the formula never mentions — the table and the Moore machine must project
+#: these away identically
 FOREIGN = ("P7.x", "P8.y")
 letters_with_foreign = st.frozensets(st.sampled_from(ATOMS + FOREIGN))
 words = st.lists(letters_with_foreign, min_size=0, max_size=30)
@@ -82,21 +83,23 @@ class TestCompileMachine:
         assert compiled.encode({"p", "P7.x"}) == compiled.encode({"p"})
         assert compiled.encode({"P7.x"}) == 0
 
-    def test_incomplete_alphabet_returns_none(self):
+    def test_incomplete_alphabet_raises(self):
         machine = MooreMachine(
             letters=(frozenset(), frozenset({"p", "q"})),  # {p}, {q} missing
             initial=0,
             delta=[[0, 1], [1, 1]],
             outputs=[Verdict.INCONCLUSIVE, Verdict.TOP],
         )
-        assert compile_machine(machine) is None
+        with pytest.raises(ValueError, match="incomplete alphabet"):
+            compile_machine(machine)
 
-    def test_oversized_table_returns_none(self, monkeypatch):
+    def test_no_table_size_cap(self):
+        # the machine the old 4-entry monkeypatched cap turned away
         import repro.ltl.compiled as compiled_mod
 
-        monkeypatch.setattr(compiled_mod, "MAX_TABLE_ENTRIES", 4)
+        assert not hasattr(compiled_mod, "MAX_TABLE_ENTRIES")
         monitor = build_monitor("p U q", atoms=("p", "q"))
-        assert compile_machine(monitor._machine) is None
+        assert len(compile_machine(monitor._machine).table) > 4
 
     def test_final_flags_follow_verdicts(self):
         monitor = build_monitor("F p", atoms=("p",))
@@ -111,11 +114,10 @@ class TestCompiledEquivalence:
     @given(formulas(), words)
     @settings(max_examples=150, deadline=None)
     def test_step_sequence_identical(self, formula, word):
-        """Random formula × random word (with foreign atoms): both kernels
-        visit the same state and verdict sequence."""
+        """Random formula × random word (with foreign atoms): the table and
+        the Moore machine visit the same state and verdict sequence."""
         monitor = build_monitor(formula, atoms=ATOMS)
         compiled = monitor.compiled
-        assert compiled is not None
         state = monitor.initial_state
         cstate = compiled.initial
         assert state == cstate
@@ -131,7 +133,7 @@ class TestCompiledEquivalence:
     def test_run_batch_matches_interpreted_trajectory(self, formula, word):
         monitor = build_monitor(formula, atoms=ATOMS)
         compiled = monitor.compiled
-        masks = compiled.encode_many(word)
+        masks = [compiled.encode(letter) for letter in word]
         state = monitor.initial_state
         first_final = -1
         for i, letter in enumerate(word):
@@ -148,7 +150,7 @@ class TestCompiledEquivalence:
         including conclusive ones (absorbing fast path)."""
         monitor = build_monitor(formula, atoms=ATOMS)
         compiled = monitor.compiled
-        masks = compiled.encode_many(word)
+        masks = [compiled.encode(letter) for letter in word]
         start = monitor.initial_state
         for cut in range(len(word) + 1):
             state = start
@@ -173,56 +175,21 @@ class TestCompiledEquivalence:
                     state, compiled.decode(mask)
                 )
 
-    @given(st.lists(st.lists(st.integers(0, 7), min_size=5, max_size=5),
-                    min_size=0, max_size=4))
-    @settings(max_examples=100, deadline=None)
-    def test_combine_batch_is_per_event_or(self, rows):
-        monitor = build_monitor("p U (q & r)", atoms=ATOMS)
-        compiled = monitor.compiled
-        combined = compiled.combine_batch(rows)
-        if not rows:
-            assert combined == []
-            return
-        for i, value in enumerate(combined):
-            expected = 0
-            for row in rows:
-                expected |= row[i]
-            assert value == expected
-
-    def test_combine_batch_pure_python_fallback(self, monkeypatch):
-        import repro.ltl.compiled as compiled_mod
-
-        monitor = build_monitor("F p", atoms=("p", "q"))
-        compiled = monitor.compiled
-        rows = [[0, 1, 2, 3], [1, 1, 0, 0], [2, 0, 2, 0]]
-        with_numpy = compiled.combine_batch(rows)
-        monkeypatch.setattr(compiled_mod, "_np", None)
-        assert compiled.combine_batch(rows) == with_numpy == [3, 1, 2, 3]
-
-    def test_outputs_batch_matches_scalar_lookup(self, monkeypatch):
-        import repro.ltl.compiled as compiled_mod
-
-        monitor = build_monitor("F(p & q)", atoms=("p", "q"))
-        compiled = monitor.compiled
-        states = [i % compiled.num_states for i in range(200)]
-        expected = [compiled.outputs[s] for s in states]
-        assert compiled.outputs_batch(states) == expected
-        monkeypatch.setattr(compiled_mod, "_np", None)
-        assert compiled.outputs_batch(states) == expected
-
-    def test_numpy_table_view_matches_flat_table(self):
-        import repro.ltl.compiled as compiled_mod
-
-        monitor = build_monitor("p U q", atoms=("p", "q"))
-        compiled = monitor.compiled
-        view = compiled.numpy_table()
-        if compiled_mod._np is None:
-            assert view is None
-            return
-        assert view.shape == (compiled.num_states, compiled.n_letters)
-        for state in range(compiled.num_states):
+    @pytest.mark.parametrize("name", PROPERTY_NAMES)
+    @pytest.mark.parametrize("num_processes", [2, 3, 4, 5])
+    def test_case_study_tables_exhaustively(self, name, num_processes):
+        """Every cell of the machines every experiment runs (progression,
+        unminimised) equals the Moore machine's own step, and every finality
+        flag its verdict — the table is the monitors' only stepping path."""
+        monitor = case_study_monitor(name, num_processes)
+        compiled, machine = monitor.compiled, monitor._machine
+        assert len(compiled.table) == monitor.num_states * compiled.n_letters
+        for state in range(monitor.num_states):
+            assert compiled.final_flags[state] == monitor.verdict(state).is_final
             for mask in range(compiled.n_letters):
-                assert view[state, mask] == compiled.step(state, mask)
+                assert compiled.step(state, mask) == machine.step(
+                    state, compiled.decode(mask)
+                )
 
 
 class TestProjectionCacheBound:
@@ -269,7 +236,7 @@ def test_case_study_shaped_formulas_roundtrip(formula, atoms):
     word = [
         frozenset(a for a in universe if rng.random() < 0.4) for _ in range(2000)
     ]
-    masks = compiled.encode_many(word)
+    masks = [compiled.encode(letter) for letter in word]
     state = monitor.initial_state
     first = -1
     for i, letter in enumerate(word):

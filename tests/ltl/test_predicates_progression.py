@@ -10,7 +10,12 @@ from repro.ltl import (
     parse,
 )
 from repro.ltl.ast import And, Atom, Or, Until
-from repro.ltl.progression import build_progression_machine, canonicalize, progress
+from repro.ltl.progression import (
+    ProgressionDidNotConverge,
+    build_progression_machine,
+    canonicalize,
+    progress,
+)
 
 
 class TestProposition:
@@ -157,6 +162,19 @@ class TestProgression:
     def test_max_states_guard(self):
         with pytest.raises(RuntimeError):
             build_progression_machine(parse("G(a -> (b U c))"), max_states=1)
+
+    @pytest.mark.parametrize(
+        "text, automaton_states",
+        [("G p U G q", 4), ("(G p) U (F q)", 2), ("G(p) U G(p)", 2)],
+    )
+    def test_ever_deeper_progression_raises_the_named_error(self, text, automaton_states):
+        # used to die with a bare RecursionError inside progress / str_key
+        with pytest.raises(ProgressionDidNotConverge, match="did not converge"):
+            build_monitor(text, method="progression")
+        assert issubclass(ProgressionDidNotConverge, RuntimeError)
+        with pytest.raises(ProgressionDidNotConverge, match="within 1 states"):
+            build_progression_machine(parse("G(a -> (b U c))"), max_states=1)
+        assert build_monitor(text, method="automaton").num_states == automaton_states
 
     def test_progression_minimized_equals_automaton_method(self):
         for text in ["G(P0.p U P1.p)", "F(P0.p & P1.p)", "G(a -> (b U c))"]:

@@ -11,8 +11,6 @@ backends (its triggers count messages, whose arrival order is
 backend-specific); it is checked against the centralized oracle instead.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.api import (
@@ -61,7 +59,6 @@ def _sim(spec):
         max_views_per_state=spec.max_views_per_state,
         network=get_scenario(spec.scenario).network,
         faults=spec.faults(),
-        compiled_kernel=spec.compiled_kernel,
     )
 
 
@@ -74,7 +71,6 @@ def _asyncio(spec):
         delay=get_scenario(spec.scenario).network.delay_model(spec.seed),
         max_views_per_state=spec.max_views_per_state,
         faults=spec.faults(),
-        compiled_kernel=spec.compiled_kernel,
     )
 
 
@@ -116,22 +112,6 @@ class TestAdversarialBackendEquivalence:
             assert clustered.fault_stats["fault_skew_perturbed_events"] == (
                 simulated.fault_stats["fault_skew_perturbed_events"]
             )
-
-    def test_compiled_kernel_pairing_on_adversarial_cluster_run(self):
-        # one compiled-kernel off/on pairing through real worker processes
-        spec = _spec("node-churn")
-        assert spec.compiled_kernel is True
-        compiled = cluster_monitored_run(spec)
-        interpreted = cluster_monitored_run(replace(spec, compiled_kernel=False))
-        assert compiled.declared_verdicts == interpreted.declared_verdicts
-        assert compiled.total_events == interpreted.total_events
-
-    def test_compiled_kernel_pairing_on_skewed_sim_run(self):
-        spec = _spec("clock-skew")
-        on = _sim(spec)
-        off = _sim(replace(spec, compiled_kernel=False))
-        assert on.declared_verdicts == off.declared_verdicts
-        assert on.fault_stats == off.fault_stats
 
 
 class TestByzantineStormAgainstOracle:

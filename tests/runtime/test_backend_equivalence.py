@@ -106,85 +106,6 @@ class TestVerdictEquivalence:
         assert streamed.declared_verdicts == simulated.declared_verdicts
 
 
-class TestCompiledKernelEquivalence:
-    """The compiled step kernel must be invisible in every output.
-
-    ``ExecutionConfig.compiled_kernel`` swaps the monitors' inner letter
-    stepping (interpreted frozenset combination vs bitmask table lookups)
-    without touching semantics, so the full metrics dict of a cell must be
-    byte-identical either way, on every backend.
-    """
-
-    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
-    @pytest.mark.parametrize("seed", [2015, 77])
-    def test_cell_metrics_identical_with_and_without_compiled_kernel(
-        self, backend, seed
-    ):
-        scenario = get_scenario("lossy-retransmit")
-        point = GridPoint("B", 3)
-        compiled = run_scenario_cell(
-            scenario,
-            point,
-            SMALL_SCALE,
-            seed=seed,
-            config=ExecutionConfig(backend=backend, compiled_kernel=True),
-        )
-        interpreted = run_scenario_cell(
-            scenario,
-            point,
-            SMALL_SCALE,
-            seed=seed,
-            config=ExecutionConfig(backend=backend, compiled_kernel=False),
-        )
-        assert compiled == interpreted
-
-    def test_sim_reports_identical_with_and_without_compiled_kernel(self):
-        scenario = get_scenario("paper-default")
-        computation = _scenario_computation(scenario, "B", 3, seed=2015)
-        registry = case_study_registry(3)
-        automaton = case_study_monitor("B", 3)
-        reports = [
-            simulate_monitored_run(
-                computation,
-                automaton,
-                registry,
-                seed=2015,
-                network=scenario.network,
-                compiled_kernel=flag,
-            )
-            for flag in (True, False)
-        ]
-        # monitors compare by identity; every metric field must coincide
-        fields = [f for f in vars(reports[0]) if f != "monitors"]
-        for name in fields:
-            assert getattr(reports[0], name) == getattr(reports[1], name), name
-        for on, off in zip(reports[0].monitors, reports[1].monitors):
-            assert on.declared_verdicts == off.declared_verdicts
-            assert on.declared_states == off.declared_states
-
-    def test_streaming_verdicts_identical_with_and_without_compiled_kernel(self):
-        scenario = get_scenario("paper-default")
-        computation = _scenario_computation(scenario, "C", 3, seed=77)
-        registry = case_study_registry(3)
-        automaton = case_study_monitor("C", 3)
-        on = run_streaming(
-            computation,
-            automaton,
-            registry,
-            delay=scenario.network.delay_model(77),
-            compiled_kernel=True,
-        )
-        off = run_streaming(
-            computation,
-            automaton,
-            registry,
-            delay=scenario.network.delay_model(77),
-            compiled_kernel=False,
-        )
-        assert on.declared_verdicts == off.declared_verdicts
-        assert on.total_events == off.total_events
-
-
 class TestEngineBackends:
     def test_backends_constant_names_all_executable(self):
         assert BACKENDS == ("sim", "asyncio", "cluster")

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.core import DecentralizedMonitor, MonitorNetwork, MonitorNode, run_decentralized
+from repro.core import DecentralizedMonitor, MonitorNetwork, MonitorNode
 from repro.core.delays import (
     BurstyDelay,
     GaussianDelay,
@@ -15,6 +15,7 @@ from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
 from repro.runtime import InMemoryStreamTransport, RuntimeClock, TcpStreamTransport
 from repro.runtime.runner import run_streaming
+from repro.session import run_decentralized
 from repro.sim import random_computation, simulate_monitored_run
 
 FORMULAS = ["F(P0.p & P1.p)", "G(P0.p U P1.q)", "G(!(P0.p & P1.q))"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MonitorNetwork, run_decentralized
+from repro.core import MonitorNetwork
 from repro.api import ExperimentScale, run_scenario
 from repro.experiments import run_monitoring_experiment
 from repro.experiments.engine import execute_points, execute_sweep
@@ -30,6 +30,7 @@ from repro.scenarios import (
     register_scenario,
     scenario_names,
 )
+from repro.session import run_decentralized
 from repro.sim import (
     SimulatedNetwork,
     Simulator,

@@ -7,15 +7,21 @@
 * a sim run and an asyncio run of the same cell return the same
   :class:`RunReport` on everything a schedule cannot change, and differ only
   in the documented backend fields;
+* the loopback driver returns that same report class, and fills it with what
+  the round-robin fixture's runner half pins;
 * structurally, ``src/repro`` has one monitor constructor call, one clock
-  skew call, one termination epsilon and one class with the report's
-  derived properties.
+  skew call, one termination epsilon, one class with the report's derived
+  properties, no kernel knob, no second in-memory runner and no numpy.
 """
 
 import ast
 import dataclasses
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,10 +31,18 @@ from repro.distributed.computation import ComputationBuilder
 from repro.ltl import build_monitor
 from repro.ltl.predicates import PropositionRegistry
 from repro.scenarios import get_scenario
-from repro.session import EVENT, MonitorSession, RunReport
+from repro.session import EVENT, MonitorSession, RunReport, run_decentralized
 from repro.sim import Simulator, simulate_monitored_run
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+REPO_ROOT = Path(__file__).resolve().parents[2]
+SRC = REPO_ROOT / "src" / "repro"
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+
+from capture_topology_fixtures import (  # noqa: E402
+    CELLS,
+    FIXTURE_PATH,
+    build_cell_inputs as fixture_cell_inputs,
+)
 
 #: few distinct instants, two of them one termination-epsilon apart, so
 #: events tie with events and with other processes' terminations
@@ -213,6 +227,43 @@ class TestOneReport:
         assert first == second
 
 
+class TestLoopbackDriver:
+    """``run_decentralized`` is the fourth driver over the one session."""
+
+    def test_loopback_and_sim_return_the_same_class(self):
+        computation, automaton, registry = build_cell_inputs(_spec())
+        loopback = run_decentralized(computation, automaton, registry)
+        simulated = simulate_monitored_run(computation, automaton, registry, seed=1)
+        assert type(loopback) is type(simulated) is RunReport
+        # what a transport with no clock and no wire leaves neutral
+        assert loopback.monitor_end_time == loopback.program_end_time
+        assert loopback.transport == "" and loopback.wall_seconds == 0.0
+        assert loopback.wire_bytes == 0 and loopback.network_stats == {}
+        assert loopback.fault_stats == {} and loopback.total_events == computation.num_events
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-n{c[1]}-s{c[2]}")
+    def test_loopback_report_fills_the_fixtures_runner_half(self, cell):
+        document = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
+        pinned = next(
+            entry["runner"]
+            for entry in document["cells"]
+            if (entry["property"], entry["num_processes"], entry["seed"]) == cell
+        )
+        report = run_decentralized(*fixture_cell_inputs(*cell))
+        summary = pinned["summary"]
+        assert report.monitor_messages == summary["messages"] == pinned["network_messages"]
+        assert report.token_messages == summary["token_messages"]
+        assert report.termination_messages == summary["termination_messages"]
+        assert report.digest_messages == summary["digest_messages"]
+        assert report.total_global_views == summary["views_created"]
+        assert report.delayed_events == summary["delayed_events"]
+        assert sorted(str(v) for v in report.declared_verdicts) == summary["declared"]
+        assert sorted(str(v) for v in report.reported_verdicts) == summary["verdicts"]
+        declared_states = set().union(*(m.declared_states for m in report.monitors))
+        assert sorted(declared_states) == pinned["declared_states"]
+        assert all(monitor.is_quiescent for monitor in report.monitors)
+
+
 def _calls(name):
     """``(file, enclosing function)`` of every call of *name* in ``src/repro``."""
     sites = []
@@ -235,8 +286,8 @@ class TestOneOfEach:
     def test_monitors_are_constructed_in_one_function(self):
         # make_monitor is nested in monitor_factory, so ast.walk sees it twice
         assert set(_calls("DecentralizedMonitor")) == {
-            ("core/runner.py", "monitor_factory"),
-            ("core/runner.py", "make_monitor"),
+            ("session.py", "monitor_factory"),
+            ("session.py", "make_monitor"),
         }
 
     def test_clock_skew_is_applied_in_one_place(self):
@@ -263,3 +314,35 @@ class TestOneOfEach:
                     ]
         assert owners == ["RunReport"]
         assert epsilons == ["session.py"]
+
+    def test_there_is_no_kernel_knob(self):
+        # identifiers, attributes, parameters and keywords; the retired
+        # RunSpec key is a string constant and may stay
+        knob = {"compiled_kernel", "use_compiled_kernel"}
+        named = []
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = {
+                    getattr(node, field, None) for field in ("id", "attr", "arg", "name")
+                }
+                if names & knob:
+                    named.append((path.relative_to(SRC).as_posix(), node.lineno))
+        assert named == []
+
+    def test_there_is_one_in_memory_runner(self):
+        assert not (SRC / "core" / "runner.py").exists()
+        for path in sorted(SRC.rglob("*.py")):
+            assert "DecentralizedResult" not in path.read_text(encoding="utf-8"), path
+
+    def test_importing_the_program_does_not_import_numpy(self):
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.api, repro.fleet, repro.cluster; "
+                "sys.exit('numpy' in sys.modules)",
+            ],
+            env={"PYTHONPATH": str(SRC.parent), "PYTHONDONTWRITEBYTECODE": "1"},
+            check=False,
+        )
+        assert done.returncode == 0

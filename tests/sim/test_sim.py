@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core import LatticeOracle, run_decentralized
+from repro.core import LatticeOracle
 from repro.core.delays import GaussianDelay
 from repro.distributed import ComputationLattice
 from repro.experiments import case_study_monitor, case_study_registry
 from repro.ltl import Verdict
+from repro.session import run_decentralized
 from repro.sim import (
     SimulatedNetwork,
     Simulator,

@@ -2,8 +2,8 @@
 
 Records the complete observable output of fixed-seed decentralized runs —
 verdicts, per-monitor counters and network-level totals, from both the
-loopback runner (``run_decentralized``) and the discrete-event simulator
-(``simulate_monitored_run``) — as a JSON document under
+loopback driver (``run_decentralized``) and the discrete-event simulator
+(``simulate_monitored_run``), two drivers over one ``MonitorSession`` — as a JSON document under
 ``tests/coordination/fixtures/``.
 
 The document was first generated on the pre-refactor ``DecentralizedMonitor``
@@ -27,10 +27,10 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.core import run_decentralized
 from repro.experiments.engine import trace_design
 from repro.experiments.properties import case_study_monitor, case_study_registry
 from repro.scenarios import get_scenario
+from repro.session import RunReport, run_decentralized
 from repro.sim import generate_computation, simulate_monitored_run
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -90,19 +90,32 @@ def build_cell_inputs(property_name: str, num_processes: int, seed: int):
     return computation, automaton, registry
 
 
+def runner_half(report: RunReport) -> dict:
+    """The pinned outputs of a loopback run (the fixture's ``runner`` half)."""
+    return {
+        "summary": {
+            "verdicts": sorted(str(v) for v in report.reported_verdicts),
+            "declared": sorted(str(v) for v in report.declared_verdicts),
+            "messages": report.monitor_messages,
+            "token_messages": report.token_messages,
+            "termination_messages": report.termination_messages,
+            "digest_messages": report.digest_messages,
+            "views_created": report.total_global_views,
+            "delayed_events": report.delayed_events,
+        },
+        "declared_states": sorted(set().union(*(m.declared_states for m in report.monitors))),
+        "network_messages": report.monitor_messages,
+        "monitor_metrics": [_pinned_counters(m) for m in report.monitors],
+        "token_hops": [m.metrics.token_hops_served for m in report.monitors],
+    }
+
+
 def capture_cell(property_name: str, num_processes: int, seed: int) -> dict:
     """Every observable output of one fixed-seed cell, JSON-serialisable."""
     computation, automaton, registry = build_cell_inputs(
         property_name, num_processes, seed
     )
-    result = run_decentralized(computation, automaton, registry)
-    runner = {
-        "summary": result.summary(),
-        "declared_states": sorted(result.declared_states),
-        "network_messages": result.network.messages_sent,
-        "monitor_metrics": [_pinned_counters(m) for m in result.monitors],
-        "token_hops": [m.metrics.token_hops_served for m in result.monitors],
-    }
+    runner = runner_half(run_decentralized(computation, automaton, registry))
     report = simulate_monitored_run(
         computation,
         automaton,
