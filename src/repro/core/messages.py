@@ -122,12 +122,13 @@ class Token:
     ----------
     known:
         Per process, the last position of that process's events the parent
-        held when it created the token; frozen for the token's life.
+        held when the token last left it (refreshed on every pass home).
     runs:
         Per process ``j``, the letters and vector clocks of its events
         ``known[j] + 1, known[j] + 2, …`` — what the entries scanned and
-        the parent did not already hold, shared by all entries.  Each
-        monitor extends only its own run, when the token leaves it.
+        the parent did not already hold, shared by all entries.  Whichever
+        monitor advanced an entry over them extends the run as the token
+        leaves; on arrival ``known[j] + len(runs[j]) >= entry.cut[j]``.
     """
 
     parent_process: int

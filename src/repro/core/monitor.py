@@ -7,17 +7,18 @@ Each program process ``P_i`` is composed with a monitor process ``M_i`` that
   with a consistent cut, the letters of all processes at that cut and the
   LTL3 monitor automaton state reached (:mod:`repro.core.global_view`);
 * when a transition of the automaton might be enabled by states of other
-  processes, emits a **token** that performs a distributed
-  least-consistent-cut search (:mod:`repro.core.messages`), visiting other
-  monitors to collect their events;
-* forks new global views from returned tokens, merges duplicate views, and
+  processes, runs a least-consistent-cut search (:mod:`repro.core.messages`)
+  over the columns of events it holds, and emits a **token** that carries
+  the search on to other monitors only for the events it lacks;
+* forks new global views from decided searches, merges duplicate views, and
   declares ⊤/⊥ verdicts as soon as a traced path reaches a conclusive
   automaton state.
 
 Where this departs from the thesis pseudo-code (implicit pending queue, box
-replay on token return, inconsistent views repaired at home from the shared
-columns) and how the two hot loops — token serving and box search — are
-built is described in ``docs/architecture.md``.
+replay on token return, every component of a search answered from the shared
+columns, no ``(state, cut)`` explored twice) and how the two hot loops —
+token serving and box search — are built is described in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import le, ne
+from operator import ne
 
 from ..coordination import CoordinationTopology, RoundRobinToken
 from ..distributed.events import Event
@@ -96,15 +97,16 @@ class MonitorMetrics:
     box_cells_visited: int = 0
     #: views dropped by the per-state budget (not counted in ``views_merged``)
     views_evicted: int = 0
-    #: own events this monitor appended to the runs of tokens leaving it
+    #: events this monitor appended to the runs of tokens leaving it
     events_shipped: int = 0
     #: most hops of any token this monitor consumed or swallowed as its
     #: parent (reports and crash incarnations fold it by max, not by sum)
     token_hops_max: int = 0
     #: own tokens dropped at home because their view was retired meanwhile
     orphan_tokens_swallowed: int = 0
-    #: repairs that needed no token: the columns already held the target cut
-    repairs_served_locally: int = 0
+    #: searches and repairs decided from the columns before any token left
+    #: (``tokens_created`` counts only the tokens that did leave)
+    answered_at_home: int = 0
 
     @property
     def messages_sent(self) -> int:
@@ -169,8 +171,7 @@ class DecentralizedMonitor:
     topology:
         The :class:`repro.coordination.CoordinationTopology` routing policy
         shared by every monitor of the run.  ``None`` (default) builds the
-        ``round-robin-token`` policy, which reproduces the pre-refactor
-        monolithic routing byte for byte.  The monitor owns all mutable
+        ``round-robin-token`` policy.  The monitor owns all mutable
         protocol state (duplicate suppression for flooded digests); the
         topology object itself is stateless and may be shared.
     """
@@ -201,6 +202,8 @@ class DecentralizedMonitor:
         #: change only those repeat the mask
         self._compiled = automaton.compiled
         self._mask_cache: dict[Letter, int] = {}
+        #: a conjunct's items -> the (care, want) bits a letter mask must show
+        self._conjunct_bits: dict[tuple[tuple[str, bool], ...], tuple[int, int]] = {}
         #: ``letter_mask << num_states | state_bits`` -> successor state bits
         self._image_cache: dict[int, int] = {}
         self._num_states = automaton.num_states
@@ -217,9 +220,9 @@ class DecentralizedMonitor:
         #: state): letter, letter bitmask and vector clock.  A column is
         #: always a gapless prefix of the process's events and only grows —
         #: its own process's from ``local_event``, the others' from the runs
-        #: of returning tokens.  Invariant: every view of this monitor has
-        #: ``cut[j] < len(column j)``: cuts only move to the cut of a returned
-        #: entry whose runs were absorbed first, or of a repair served here.
+        #: of every token that passes.  Invariant: every view of this monitor
+        #: has ``cut[j] < len(column j)``: cuts only move to the cut of an
+        #: entry answered here, or returned after its runs were absorbed.
         self.letter_columns: list[list[Letter]] = [
             [letter] for letter in self.initial_letters
         ]
@@ -231,6 +234,7 @@ class DecentralizedMonitor:
         ]
         self.local_letters = self.letter_columns[process]
         self.local_vcs = self.vc_columns[process]
+        self._serve_order = (process, *(j for j in range(num_processes) if j != process))
         self.last_local_sn = 0
         self.local_terminated = False
         #: final event count of each process, once known
@@ -240,6 +244,8 @@ class DecentralizedMonitor:
 
         self.views: list[GlobalView] = []
         self.final_views: list[GlobalView] = []
+        #: birth signatures of the views created, less those an eviction gave up
+        self._born: set[tuple[int, tuple[int, ...]]] = set()
         self.waiting_tokens: list[Token] = []
         self._outstanding: dict[int, GlobalView] = {}  # token_id -> waiting view
 
@@ -260,6 +266,7 @@ class DecentralizedMonitor:
             letters=list(self.initial_letters),
         )
         self.metrics.views_created += 1
+        self._born |= view.born
         if automaton.is_final(initial_state):
             self._declare(initial_state)
             view.status = ViewStatus.FINAL
@@ -345,7 +352,7 @@ class DecentralizedMonitor:
             return
         self._started = True
         for view in list(self.views):
-            self._explore_outgoing(view)
+            self._advance_views(self._explore_outgoing(view))
         self._merge_views()
 
     def local_event(self, event: Event) -> None:
@@ -372,9 +379,7 @@ class DecentralizedMonitor:
             self.metrics.delayed_events += 1
 
         self._retry_waiting_tokens()
-        for view in list(self.views):
-            if not view.is_waiting():
-                self._advance_view(view)
+        self._advance_views(self.views)
         self._merge_views()
 
     def local_termination(self) -> None:
@@ -391,9 +396,8 @@ class DecentralizedMonitor:
                 self.metrics.termination_messages_sent += 1
         # my process will contribute no further events: views whose guards are
         # currently satisfied can now only fire through remote events.
-        for view in list(self.views):
-            if not view.is_waiting():
-                self._explore_outgoing(view, include_currently_satisfied=True)
+        for view in list(self.views):  # the unblocked ones
+            self._advance_views(self._explore_outgoing(view, include_currently_satisfied=True))
         self._retry_waiting_tokens()
         self._merge_views()
 
@@ -434,6 +438,7 @@ class DecentralizedMonitor:
                     self.metrics.digest_messages_sent += 1
             return
         if isinstance(message, Token):
+            self._absorb_runs(message)  # whoever's token it is
             if self._ends_here(message):
                 # the token is merely returning home: the parent consumes
                 # (or swallows) it, it does not serve a hop
@@ -453,10 +458,6 @@ class DecentralizedMonitor:
         """No outstanding work besides possibly waiting on other monitors."""
         return not self.waiting_tokens and not self._outstanding
 
-    def active_view_states(self) -> set[int]:
-        """Automaton states of the currently active global views."""
-        return {view.state for view in self.views}
-
     def active_views(self) -> list[GlobalView]:
         """Snapshot of the currently active global views."""
         return list(self.views)
@@ -471,15 +472,14 @@ class DecentralizedMonitor:
     # ------------------------------------------------------------------
     # view advancement on local events
     # ------------------------------------------------------------------
-    def _advance_view(self, view: GlobalView) -> None:
-        """Apply pending local events (from history) to an unblocked view.
+    def _advance_views(self, views: Iterable[GlobalView]) -> None:
+        """Apply pending local events (from history) to the unblocked *views*.
 
-        A view repaired at home is replaced by its forks, which are advanced
-        from a worklist: nesting one call per pending receive event would
-        exhaust the stack.
+        Views forked by searches answered at home are advanced from the same
+        worklist: nesting one call per answer would exhaust the stack.
         """
         mine = self.process
-        work = [view]
+        work = list(views)[::-1]
         while work:
             view = work.pop()
             while view.status == ViewStatus.UNBLOCKED and view.cut[mine] < self.last_local_sn:
@@ -487,16 +487,17 @@ class DecentralizedMonitor:
 
     def _step_view(self, view: GlobalView, sn: int) -> Sequence[GlobalView]:
         """Advance *view* by local event *sn* (PROCESSEVENT); returns the
-        views that replaced it, if it was repaired at home."""
+        views forked from it by what was answered at home."""
         mine = self.process
-        vc = self.local_vcs[sn]
-        lagging = [
-            j
-            for j in range(self.num_processes)
-            if j != mine and vc[j] > view.cut[j]
-        ]
-        if lagging:
-            return self._create_repair_token(view, sn, vc, lagging)
+        past = [max(pair) for pair in zip(view.cut, self.local_vcs[sn])]
+        past[mine] = view.cut[mine]
+        if past != view.cut:
+            # out of order: a search without a guard pulls the view up to its
+            # cut joined with the event's causal past; answered here when the
+            # columns reach that far (the view is retired, its forks returned)
+            n = self.num_processes
+            entry = self._make_entry(view, None, [{}] * n, [True] * n, past)
+            return self._issue_token(view, sn, [entry])
 
         letter_local = self.local_letters[sn]
         mask_of = self._mask_of
@@ -511,9 +512,8 @@ class DecentralizedMonitor:
         if self.automaton.is_final(new_state):
             self._declare(new_state)
             self._finalize_view(view)
-        else:
-            self._explore_outgoing(view)
-        return ()
+            return ()
+        return self._explore_outgoing(view)
 
     def _finalize_view(self, view: GlobalView) -> None:
         view.status = ViewStatus.FINAL
@@ -526,8 +526,9 @@ class DecentralizedMonitor:
     # ------------------------------------------------------------------
     def _explore_outgoing(
         self, view: GlobalView, include_currently_satisfied: bool = False
-    ) -> None:
-        """Create token entries for possibly-enabled outgoing transitions.
+    ) -> Sequence[GlobalView]:
+        """Search for possibly-enabled outgoing transitions; returns the
+        views forked if every search was answered at home.
 
         A transition is *possibly enabled* when this process's conjunct holds
         at the view's current letter but remote conjuncts do not (so remote
@@ -538,7 +539,7 @@ class DecentralizedMonitor:
         longer trigger the transition itself.
         """
         if view.status != ViewStatus.UNBLOCKED:
-            return
+            return ()
         entries: list[TokenEntry] = []
         for transition in self.automaton.outgoing_transitions(view.state):
             conjuncts = self.registry.conjuncts_by_process(
@@ -547,24 +548,19 @@ class DecentralizedMonitor:
             mine = conjuncts[self.process]
             if mine and not _satisfies(view.letters[self.process], mine):
                 continue  # this process forbids the transition at its frontier
-            satisfied_now = [
-                _satisfies(view.letters[j], conjuncts[j])
-                for j in range(self.num_processes)
-            ]
+            satisfied_now = list(map(_satisfies, view.letters, conjuncts))
             remote_participants = [
-                j
-                for j in range(self.num_processes)
-                if j != self.process and conjuncts[j]
+                j for j, conjunct in enumerate(conjuncts) if conjunct and j != self.process
             ]
             if all(satisfied_now):
                 if not include_currently_satisfied or not remote_participants:
                     continue
                 # require at least one participating remote process to move
                 for j in remote_participants:
+                    bumped = list(view.cut)
+                    bumped[j] += 1
                     entries.append(
-                        self._make_entry(
-                            view, transition, conjuncts, satisfied_now, bump=j
-                        )
+                        self._make_entry(view, transition, conjuncts, satisfied_now, bumped)
                     )
                 continue
             if not remote_participants:
@@ -573,15 +569,22 @@ class DecentralizedMonitor:
                 # re-evaluate it, no communication needed.
                 continue
             entries.append(
-                self._make_entry(view, transition, conjuncts, satisfied_now)
+                self._make_entry(view, transition, conjuncts, satisfied_now, list(view.cut))
             )
-        if entries:
-            self._issue_token(view, view.cut[self.process], entries)
+        return self._issue_token(view, view.cut[self.process], entries) if entries else ()
 
     def _issue_token(
         self, view: GlobalView, parent_event_sn: int, entries: list[TokenEntry]
-    ) -> None:
-        """Create the token of *view* carrying *entries* and start serving it."""
+    ) -> Sequence[GlobalView]:
+        """Serve *entries* from the columns; a token leaves only with what
+        they could not decide.  Answered at home, the view never waits and
+        its forks are returned (to the caller's worklist, not consumed here).
+        """
+        self.metrics.entries_created += len(entries)
+        pending = self._serve_entries(entries)
+        if not pending:
+            self.metrics.answered_at_home += 1
+            return self._forks_of(view, entries)
         token = Token(
             parent_process=self.process,
             parent_view=view.view_id,
@@ -590,75 +593,31 @@ class DecentralizedMonitor:
             known=[len(column) - 1 for column in self.vc_columns],
         )
         self.metrics.tokens_created += 1
-        self.metrics.entries_created += len(entries)
         view.status = ViewStatus.WAITING
         view.outstanding_token = token.token_id
         self._outstanding[token.token_id] = view
-        self._serve_token(token)
+        self._route_token(token, pending)
+        return ()
 
     def _make_entry(
         self,
         view: GlobalView,
-        transition: Transition,
-        conjuncts: list[dict[str, bool]],
-        satisfied_now: list[bool],
-        bump: int | None = None,
+        transition: Transition | None,
+        conjuncts: Sequence[Mapping[str, bool]],
+        satisfied: list[bool],
+        min_positions: list[int],
     ) -> TokenEntry:
-        min_positions = list(view.cut)
-        if bump is not None:
-            min_positions[bump] = view.cut[bump] + 1
+        """A search from the view's cut: for *transition*, or (``None``) a repair."""
         return TokenEntry(
-            transition_id=transition.transition_id,
-            guard=dict(transition.guard),
+            transition_id=transition.transition_id if transition else None,
+            guard=dict(transition.guard) if transition else {},
             conjuncts=[dict(c) for c in conjuncts],
             start_cut=list(view.cut),
             cut=list(view.cut),
             depend=list(view.cut),
             min_positions=min_positions,
-            satisfied=list(satisfied_now),
+            satisfied=list(satisfied),
             letters=dict(enumerate(view.letters)),
-        )
-
-    def _create_repair_token(
-        self, view: GlobalView, sn: int, vc: tuple[int, ...], lagging: list[int]
-    ) -> Sequence[GlobalView]:
-        """Pull the view up to the causal past of an out-of-order local event.
-
-        The target needs no search: the event's clock is a consistent cut,
-        so a token can only come back with ``max(view.cut, vc)``.  When the
-        columns cover it the view is repaired at home and its forks are
-        returned; otherwise a token fetches the missing events.
-        """
-        n = self.num_processes
-        min_positions = list(view.cut)
-        for j in lagging:
-            min_positions[j] = vc[j]
-        entry = TokenEntry(
-            transition_id=None,
-            guard={},
-            conjuncts=[dict() for _ in range(n)],
-            start_cut=list(view.cut),
-            cut=list(view.cut),
-            depend=list(view.cut),
-            min_positions=min_positions,
-            satisfied=[True] * n,
-            letters=dict(enumerate(view.letters)),
-        )
-        if self._columns_cover(min_positions, lagging):
-            self.metrics.repairs_served_locally += 1
-            entry.cut = list(min_positions)
-            entry.eval = True
-            return self._repair_view(view, entry)
-        self._issue_token(view, sn, [entry])
-        return ()
-
-    def _columns_cover(self, target: list[int], lagging: list[int]) -> bool:
-        """Whether this monitor holds event ``target[j]`` of every lagging
-        ``j`` — with a clock inside *target*, which a skewed one may not be."""
-        columns = self.vc_columns
-        return all(
-            target[j] < len(columns[j]) and all(map(le, columns[j][target[j]], target))
-            for j in lagging
         )
 
     # ------------------------------------------------------------------
@@ -671,83 +630,119 @@ class DecentralizedMonitor:
             token.token_id not in self._outstanding or token.all_decided()
         )
 
-    def _serve_token(self, token: Token, woken: bool = False) -> None:
-        """Serve the token's undecided entries from local history, route it.
+    def _serve_token(self, token: Token) -> None:
+        """Serve the token's undecided entries from the columns, route it.
 
-        *woken* marks a token re-examined where it waited: processes known
-        to have terminated meanwhile are worth a (final) visit, and an entry
-        this process cannot serve is settled if such a process ended below
-        the position the entry requires.
+        At home the token is refreshed first: its runs, absorbed on arrival,
+        are dropped and ``known`` restarts at the column ends.
         """
+        if token.parent_process == self.process:
+            token.runs.clear()
+            token.known = [len(column) - 1 for column in self.vc_columns]
+        self._route_token(token, self._serve_entries(token.undecided_entries()))
+
+    def _serve_entries(self, entries: list[TokenEntry]) -> list[tuple[TokenEntry, list[int]]]:
+        """Serve undecided *entries*; returns those still undecided, each
+        with the processes it needs."""
         pending: list[tuple[TokenEntry, list[int]]] = []
-        for entry in token.undecided_entries():
-            if woken:
-                for other in list(entry.waiting_for):
-                    if other != self.process and self.terminated[other] is not None:
-                        entry.waiting_for.discard(other)
-            served = self._serve_entry(entry)
-            if entry.eval is not None:
-                continue
-            lagging = entry.lagging_processes()
-            if not lagging:
-                entry.eval = True
-                continue
-            if woken and not served:
-                for other in lagging:
-                    final = self.terminated[other]
-                    if final is not None and entry.cut[other] >= final and (
-                        max(entry.depend[other], entry.min_positions[other]) > final
-                        or (entry.conjuncts[other] and not entry.satisfied[other])
-                    ):
-                        entry.eval = False
+        # processes known to have terminated are worth a (final) visit
+        ended = {k for k, final in self.terminated.items() if final is not None} - {self.process}
+        for entry in entries:
+            entry.waiting_for -= ended
+            self._serve_entry(entry)
             if entry.eval is None:
-                pending.append((entry, lagging))
-        self._route_token(token, pending)
+                lagging = entry.lagging_processes()
+                if lagging:
+                    pending.append((entry, lagging))
+                else:
+                    entry.eval = True
+        return pending
+
+    def _served_components(self) -> Sequence[int]:
+        """The components a visit advances: this process's, then all others'."""
+        return self._serve_order
 
     def _serve_entry(self, entry: TokenEntry) -> bool:
-        """Advance the entry over this monitor's own events, in one shot.
-
-        Returns ``False`` (entry untouched) when this process is not among
-        the ones the entry needs.  Own events carry ``vc[j] == sn``, so
-        scanning them never lifts ``depend[j]`` above the position reached:
-        the position bound is fixed for the visit, and past it only letters
-        are walked until the conjunct holds or history runs out.  The events
-        walked are put on the token when it leaves (:meth:`_send_token`).
+        """Advance every component of the entry over the columns held here:
+        own first, then the others, until nothing moves (a scanned clock can
+        lift another component's ``depend``).  Returns whether this process's
+        own component needed serving.  The events walked are put on the
+        token when it leaves (:meth:`_extend_run`).
         """
-        j = self.process
+        order = self._served_components()
+        cut = entry.cut
+        served = False
+        moved = True
+        while moved and entry.eval is None:
+            moved = False
+            for j in order:
+                at = cut[j]
+                if self._serve_component(entry, j):
+                    served = served or j == self.process
+                    moved = moved or cut[j] > at
+        return served
+
+    def _serve_component(self, entry: TokenEntry, j: int) -> bool:
+        """Advance component *j* of the entry over column *j*, in one shot.
+
+        Returns ``False`` (entry untouched) when the entry needs nothing of
+        process *j*.  Event ``sn`` of *j* carries ``vc[j] == sn``, so scanning
+        never lifts ``depend[j]`` above the position reached: the position
+        bound is fixed for the visit, and past it only letter masks are
+        walked until the conjunct holds or the column runs out.  A foreign
+        column is a prefix of ``M_j``'s, so the answer is the one ``M_j``
+        gave when it held that prefix — but only ``M_j`` knows it has nothing
+        more: running off a foreign column parks nothing and leaves *j*
+        lagging, unless *j* is known to have ended by then.
+        """
         cut = entry.cut[j]
         conjunct = entry.conjuncts[j]
         end = max(cut, entry.depend[j], entry.min_positions[j])
         if end == cut and (not conjunct or entry.satisfied[j]):
             return False
-        entry.waiting_for.discard(j)
-        last = self.last_local_sn
-        letters = self.local_letters
-        # at end == cut the conjunct is known not to hold (guard above)
-        if conjunct and end <= last and (end == cut or not _satisfies(letters[end], conjunct)):
-            for end in range(end + 1, last + 1):
-                if _satisfies(letters[end], conjunct):
-                    break
-            else:
-                end = last + 1
+        own = j == self.process
+        if own:
+            entry.waiting_for.discard(j)
+        masks = self.mask_columns[j]
+        last = len(masks) - 1
+        care = want = 0
+        if conjunct:
+            key = tuple(conjunct.items())
+            bits = self._conjunct_bits.get(key)
+            if bits is None:
+                encode = self._compiled.encode
+                bits = self._conjunct_bits[key] = (
+                    encode(conjunct), encode(atom for atom in conjunct if conjunct[atom])
+                )
+            care, want = bits
+            # at end == cut the conjunct is known not to hold (guard above)
+            if end <= last and (end == cut or masks[end] & care != want):
+                for end in range(end + 1, last + 1):
+                    if masks[end] & care == want:
+                        break
+                else:
+                    end = last + 1
         if end <= last:
             entry.parked_on = None
         else:
             end = last
-            if self.local_terminated:
+            final = self.terminated[j]
+            foreign_ended = final is not None and max(cut, last) >= final
+            if self.local_terminated if own else foreign_ended:
                 entry.eval = False
                 entry.parked_on = None
-            else:
+            elif own:
                 entry.parked_on = j
                 entry.waiting_for.add(j)
         if end > cut:
-            entry.record_scan(self.local_vcs[end])
+            entry.record_scan(self.vc_columns[j][end])
             entry.cut[j] = end
-            entry.letters[j] = letters[end]
-            entry.satisfied[j] = _satisfies(letters[end], conjunct) if conjunct else True
-            # this component moved, so other processes that previously had
-            # nothing actionable are worth revisiting
-            entry.waiting_for.intersection_update({j})
+            entry.letters[j] = self.letter_columns[j][end]
+            entry.satisfied[j] = masks[end] & care == want
+            if own:  # news from here: the others are worth revisiting
+                entry.waiting_for.intersection_update({j})
+            else:
+                entry.waiting_for.discard(j)
         return True
 
     def _retry_waiting_tokens(self) -> None:
@@ -757,7 +752,7 @@ class DecentralizedMonitor:
             if self._ends_here(token):
                 self._token_returned(token)  # orphaned while it waited at home
             else:
-                self._serve_token(token, woken=True)
+                self._serve_token(token)
 
     def _route_token(
         self, token: Token, pending: list[tuple[TokenEntry, list[int]]]
@@ -807,34 +802,32 @@ class DecentralizedMonitor:
         # monitor re-serves and re-routes, converging on the destination
         hop = self.topology.next_hop(self.process, target)
         self.metrics.token_messages_sent += 1
-        if token.parent_process != self.process:
-            self._extend_run(token)
+        self._extend_run(token)
         self.transport.send(self.process, hop, token)
 
     def _extend_run(self, token: Token) -> None:
-        """Put on a leaving token the own events its entries reached here.
+        """Put on a leaving token the events its entries reached here.
 
-        The token's run of this process covers ``known + 1 …``; it is
-        extended to the furthest cut of any entry — by nothing when the
-        parent already held that prefix, so entries that started from old
-        cuts rescan locally without re-shipping.
+        The token's run of process ``j`` covers ``known[j] + 1 …`` and, on
+        arrival, reached the furthest cut of any entry; whatever lies beyond
+        now was served from column ``j`` here and is appended from it — by
+        nothing where the parent already held that prefix.
         """
-        mine = self.process
-        run = token.runs.get(mine)
-        held = token.known[mine] + (len(run[1]) if run else 0)
-        reach = max((entry.cut[mine] for entry in token.entries), default=0)
-        fresh = self.local_vcs[held + 1 : reach + 1]
-        if fresh:
-            letters, vcs = run or token.runs.setdefault(mine, ([], []))
-            letters += self.local_letters[held + 1 : reach + 1]
-            vcs += fresh
-            self.metrics.events_shipped += len(fresh)
+        for j, (known, column) in enumerate(zip(token.known, self.vc_columns)):
+            run = token.runs.get(j)
+            held = known + (len(run[1]) if run else 0)
+            reach = max((entry.cut[j] for entry in token.entries), default=0)
+            fresh = column[held + 1 : reach + 1] if reach > held else None
+            if fresh:
+                letters, vcs = run or token.runs.setdefault(j, ([], []))
+                letters += self.letter_columns[j][held + 1 : reach + 1]
+                vcs += fresh
+                self.metrics.events_shipped += len(fresh)
 
     # ------------------------------------------------------------------
     # token return (RECEIVETOKEN at the parent)
     # ------------------------------------------------------------------
     def _token_returned(self, token: Token) -> None:
-        self._absorb_runs(token)
         self.metrics.token_hops_max = max(self.metrics.token_hops_max, token.hops)
         view = self._outstanding.pop(token.token_id, None)
         if view is None:
@@ -843,16 +836,18 @@ class DecentralizedMonitor:
             return
         view.status = ViewStatus.UNBLOCKED
         view.outstanding_token = None
+        self._advance_views((*self._forks_of(view, token.entries), view))
+        self._merge_views()
 
+    def _forks_of(self, view: GlobalView, entries: list[TokenEntry]) -> list[GlobalView]:
+        """The views forked from *view* by decided transition entries, or one repair entry."""
         forked: list[GlobalView] = []
-        for entry in token.entries:  # transition entries, or one repair entry
+        for entry in entries:
             if entry.is_repair:
                 forked.extend(self._repair_view(view, entry))
             elif entry.eval is True:
                 forked.extend(self._fork_from_entry(view, entry))
-        for each in (*forked, view):  # whichever of them is unblocked
-            self._advance_view(each)
-        self._merge_views()
+        return forked
 
     def _repair_view(self, view: GlobalView, entry: TokenEntry) -> list[GlobalView]:
         """Retire the stale *view* — first, so that it cannot cover its own
@@ -918,6 +913,7 @@ class DecentralizedMonitor:
                 forked_from=view.view_id,
             )
             self.metrics.views_created += 1
+            self._born |= child.born
             self.views.append(child)
             children.append(child)
         self.metrics.max_active_views = max(
@@ -926,15 +922,15 @@ class DecentralizedMonitor:
         return children
 
     def _covered_by_existing_view(self, state: int, cut: list[int]) -> bool:
-        """Whether some live view already subsumes a candidate fork.
+        """Whether a candidate fork would only duplicate exploration.
 
-        A view with the same automaton state whose cut is componentwise
-        below (or equal to) the candidate's cut will reach every cut the
-        candidate could reach, so creating the candidate would only
-        duplicate exploration.  Waiting views count too — they resume from
-        their smaller cut once their token returns.
+        A live view with the same automaton state whose cut is componentwise
+        below (or equal to) the candidate's will reach every cut the
+        candidate could — waiting views too, once their token returns.  And a
+        view created here at exactly this state and cut (and not evicted)
+        has walked, or is walking, the very chain the candidate would.
         """
-        return any(
+        return (state, tuple(cut)) in self._born or any(
             other.state == state and all(o <= c for o, c in zip(other.cut, cut))
             for other in self.views
         )
@@ -1127,13 +1123,13 @@ class DecentralizedMonitor:
         for state_views in by_state.values():
             minimal: list[GlobalView] = []
             for view in sorted(state_views, key=lambda v: sum(v.cut)):
-                if any(
-                    all(small <= big for small, big in zip(other.cut, view.cut))
-                    for other in minimal
-                ):
-                    self.metrics.views_merged += 1
-                    continue
-                minimal.append(view)
+                for other in minimal:
+                    if all(small <= big for small, big in zip(other.cut, view.cut)):
+                        self.metrics.views_merged += 1
+                        other.born |= view.born  # given up with *other*, if it is evicted
+                        break
+                else:
+                    minimal.append(view)
             kept.extend(minimal)
 
         self.views = waiting + kept
@@ -1149,6 +1145,7 @@ class DecentralizedMonitor:
         dropped (the remaining smaller-cut views re-cover their exploration
         space); outstanding tokens of dropped views are disowned, so they are
         swallowed on their next pass through this monitor (``_ends_here``).
+        A dropped view's exploration is given up: its ``born`` signatures are forgotten.
         """
         if self.max_views_per_state is None:
             return
@@ -1161,6 +1158,7 @@ class DecentralizedMonitor:
             kept.extend(state_views[: self.max_views_per_state])
             for dropped in state_views[self.max_views_per_state :]:
                 self.metrics.views_evicted += 1
+                self._born -= dropped.born
                 if dropped.outstanding_token is not None:
                     self._outstanding.pop(dropped.outstanding_token, None)
         self.views = kept

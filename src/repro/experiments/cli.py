@@ -243,7 +243,9 @@ def _emit_run_scenario(args: argparse.Namespace) -> None:
     columns = list(_SWEEP_COLUMNS)
     for row in rows:
         for key in row:
-            if key not in columns and key not in ("token_messages", "log_events", "log_messages"):
+            if key not in columns and key not in (
+                "token_messages", "entries_created", "log_events", "log_messages"
+            ):
                 columns.append(key)
     backend = config.backend
     if backend == "asyncio":

@@ -286,6 +286,7 @@ def _cell_metrics(report: RunReport) -> dict[str, float]:
         "token_messages": float(report.token_messages),
         "termination_messages": float(report.termination_messages),
         "digest_messages": float(report.digest_messages),
+        "entries_created": float(report.entries_created),
         "global_views": float(report.total_global_views),
         "delayed_events": float(report.delayed_events),
         "delay_time_pct_per_view": report.delay_time_percentage_per_view,

@@ -91,9 +91,6 @@ class MooreMachine:
             state = self.step(state, letter)
         return state
 
-    def output_of_run(self, word: Sequence[Letter]) -> Hashable:
-        return self.outputs[self.run(word)]
-
     # ------------------------------------------------------------------
     # transformations
     # ------------------------------------------------------------------

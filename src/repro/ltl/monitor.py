@@ -197,9 +197,6 @@ class MonitorAutomaton:
         """Self-loop transitions of *state*."""
         return list(self._self_loops.get(state, ()))
 
-    def transition_by_id(self, transition_id: int) -> Transition:
-        return self.transitions[transition_id]
-
     def enabled_transition(self, state: int, letter: Letter) -> Transition | None:
         """The unique transition of *state* enabled by *letter*, if any.
 

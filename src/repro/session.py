@@ -108,8 +108,10 @@ class RunReport:
     #: most hops any one token made; tokens swallowed at home, view retired
     token_hops_max: int = 0
     orphan_tokens_swallowed: int = 0
-    #: repairs the monitors served from their own columns, without a token
-    repairs_served_locally: int = 0
+    #: searches and repairs issued (``entries_created``), and how many of their
+    #: tokens the monitors decided from their own columns before any left
+    entries_created: int = 0
+    answered_at_home: int = 0
     #: which streaming transport carried the messages ("memory" or "tcp");
     #: empty on the simulator and the cluster
     transport: str = ""
@@ -156,7 +158,8 @@ class RunReport:
             events_shipped=total("events_shipped"),
             token_hops_max=max((m.token_hops_max for m in metrics), default=0),
             orphan_tokens_swallowed=total("orphan_tokens_swallowed"),
-            repairs_served_locally=total("repairs_served_locally"),
+            entries_created=total("entries_created"),
+            answered_at_home=total("answered_at_home"),
             **fields,
         )
 
@@ -190,13 +193,6 @@ class RunReport:
         if self.total_events == 0:
             return 0.0
         return self.events_shipped / self.total_events
-
-    @property
-    def average_delayed_events(self) -> float:
-        """Average number of delayed events per monitor (Fig. 5.7)."""
-        if self.num_processes == 0:
-            return 0.0
-        return self.delayed_events / self.num_processes
 
     def verdict_sequence(self) -> tuple[str, ...]:
         """The run's canonical per-monitor verdict declaration order.

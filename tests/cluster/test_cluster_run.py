@@ -149,7 +149,7 @@ class TestClusterEquivalence:
             "views_evicted",
             "events_shipped",
             "orphan_tokens_swallowed",
-            "repairs_served_locally",
+            "answered_at_home",
         ):
             assert getattr(report, counter) == sum(
                 result["metrics"][counter] for result in report.worker_results
@@ -160,7 +160,7 @@ class TestClusterEquivalence:
         ) > 0
         assert report.box_queries > 0
         assert report.events_shipped > 0
-        assert report.repairs_served_locally > 0
+        assert report.answered_at_home > 0
 
 
 def _through_the_codec(send):

@@ -101,10 +101,11 @@ class TestHarness:
 
     def test_simple_property_cheaper_than_complex(self):
         # E has a single outgoing transition, F the richest automaton of the
-        # case study; even at this tiny scale E needs far fewer messages.
+        # case study; even at this tiny scale E issues far fewer searches
+        # (messages no longer tell: most searches are answered at home).
         simple = run_monitoring_experiment("E", 3, SMALL_SCALE)
         complex_ = run_monitoring_experiment("F", 3, SMALL_SCALE)
-        assert simple["messages"] <= complex_["messages"]
+        assert simple["entries_created"] <= complex_["entries_created"]
 
     def test_fig_5_9_no_comm_reduces_events(self):
         rows = run_fig_5_9(

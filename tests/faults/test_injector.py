@@ -191,15 +191,15 @@ class TestRejoinRecovery:
         )
         proxy.monitor.metrics.token_messages_sent = 3
         proxy.monitor.metrics.max_active_views = 5
-        proxy.monitor.metrics.repairs_served_locally = 7
+        proxy.monitor.metrics.answered_at_home = 7
         proxy.local_event("e1")
         proxy.local_event("e2")
         proxy.monitor.metrics.token_messages_sent = 2
         proxy.monitor.metrics.max_active_views = 4
-        proxy.monitor.metrics.repairs_served_locally = 1
+        proxy.monitor.metrics.answered_at_home = 1
         merged = proxy.metrics
         assert merged.token_messages_sent == 5  # additive
-        assert merged.repairs_served_locally == 8
+        assert merged.answered_at_home == 8
         assert merged.max_active_views == 5  # maximum, not sum
 
 

@@ -176,7 +176,8 @@ _INTERLEAVING_FIELDS = {
     "events_shipped",
     "token_hops_max",
     "orphan_tokens_swallowed",
-    "repairs_served_locally",
+    "entries_created",
+    "answered_at_home",
 }
 
 

@@ -10,8 +10,10 @@ The document was first generated on the pre-refactor ``DecentralizedMonitor``
 (before the coordination-topology extraction) and stayed byte-identical
 through every refactor and optimisation up to PR 15.  It was re-captured
 deliberately, once each, when token routing changed ("park, don't bounce"
-and orphan swallowing, PR 16) and when repairs stopped travelling ("repair
-at home" and the one covering rule, PR 17): fewer messages, tokens and
+and orphan swallowing, PR 16), when repairs stopped travelling ("repair
+at home" and the one covering rule, PR 17) and when every search came to be
+answered from the columns its monitor holds ("answer from what you hold",
+"never explore a signature twice", PR 20): fewer messages, tokens and
 views, same verdicts — the per-cell diffs are in CHANGES.md.  It is
 asserted byte-for-byte by
 ``tests/coordination/test_round_robin_fixture.py``.
@@ -58,7 +60,7 @@ UNPINNED_COUNTERS = (
     "events_shipped",
     "token_hops_max",
     "orphan_tokens_swallowed",
-    "repairs_served_locally",
+    "answered_at_home",
 )
 
 
