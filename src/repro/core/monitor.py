@@ -14,20 +14,20 @@ Each program process ``P_i`` is composed with a monitor process ``M_i`` that
   declares ⊤/⊥ verdicts as soon as a traced path reaches a conclusive
   automaton state.
 
-Where this departs from the thesis pseudo-code (implicit pending queue, box
-replay on token return, every component of a search answered from the shared
-columns, no ``(state, cut)`` explored twice) and how the two hot loops —
-token serving and box search — are built is described in
-``docs/architecture.md``.
+Where this departs from the thesis pseudo-code (implicit pending queue, one
+box search per view step, every component of a search answered from the shared
+columns, no ``(state, cut)`` explored twice) and how the two hot loops — token
+serving off the guard table, box search off the segment index — are built is
+described in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
+from math import prod
+from operator import mul, sub
 
 from ..coordination import CoordinationTopology, RoundRobinToken
 from ..distributed.events import Event
@@ -61,9 +61,9 @@ def verdict_divergence(
     """
     return frozenset(decentralized) - frozenset(centralized)
 
-#: Maximum number of cells searched exactly inside a token's box — tuples of
-#: letter-run segments, see ``_box_reachable`` — before the monitor falls
-#: back to a single topologically-sorted interleaving.
+#: Most cells — tuples of letter-run segments, see ``_box_reachable`` — an
+#: entry's own box may span and still be searched exactly; beyond, the entry
+#: is replayed along a single topologically-sorted interleaving.
 _BOX_CELL_LIMIT = 20_000
 
 #: bound on a monitor's (state set, letter) -> state set image cache
@@ -87,13 +87,13 @@ class MonitorMetrics:
     max_active_views: int = 0
     delayed_events: int = 0
     token_hops_served: int = 0
-    #: boxes replayed for returned entries, and how many of them exceeded
+    #: decided entries whose box was searched, and how many of them exceeded
     #: ``_BOX_CELL_LIMIT`` and were replayed along one linearisation only
     #: (sound, but verdicts reachable on other interleavings are missed)
     box_queries: int = 0
     box_linear_fallbacks: int = 0
-    #: cells the exact box searches created: tuples of letter-run segments,
-    #: not of events (see ``_box_reachable``)
+    #: cells the searches created — one search per view step, over the union
+    #: of its entries' boxes; tuples of letter-run segments, not of events
     box_cells_visited: int = 0
     #: views dropped by the per-state budget (not counted in ``views_merged``)
     views_evicted: int = 0
@@ -121,14 +121,6 @@ class MonitorMetrics:
             + self.termination_messages_sent
             + self.digest_messages_sent
         )
-
-
-def _satisfies(letter: Letter, conjunct: Mapping[str, bool]) -> bool:
-    """Whether a per-process letter satisfies a per-process conjunct."""
-    for atom, required in conjunct.items():
-        if (atom in letter) != required:
-            return False
-    return True
 
 
 def _states_of(bits: int) -> Iterator[int]:
@@ -202,8 +194,12 @@ class DecentralizedMonitor:
         #: change only those repeat the mask
         self._compiled = automaton.compiled
         self._mask_cache: dict[Letter, int] = {}
-        #: a conjunct's items -> the (care, want) bits a letter mask must show
-        self._conjunct_bits: dict[tuple[tuple[str, bool], ...], tuple[int, int]] = {}
+        #: automaton state -> its guard table, ``transition_id`` -> its row
+        #: (:meth:`_guard_table`); ``None``: the guardless row of a repair
+        self._guard_tables: dict[int, tuple[tuple, ...]] = {}
+        self._guard_rows: dict[int | None, tuple] = {
+            None: (None, ({},) * num_processes, ((0, 0),) * num_processes, ())
+        }
         #: ``letter_mask << num_states | state_bits`` -> successor state bits
         self._image_cache: dict[int, int] = {}
         self._num_states = automaton.num_states
@@ -223,12 +219,15 @@ class DecentralizedMonitor:
         #: of every token that passes.  Invariant: every view of this monitor
         #: has ``cut[j] < len(column j)``: cuts only move to the cut of an
         #: entry answered here, or returned after its runs were absorbed.
+        #: ``seg_starts[j]`` indexes mask column ``j`` by *segments*: position
+        #: 0 and every position whose mask differs from its predecessor's.
         self.letter_columns: list[list[Letter]] = [
             [letter] for letter in self.initial_letters
         ]
         self.mask_columns: list[list[int]] = [
             [self._mask_of(letter)] for letter in self.initial_letters
         ]
+        self.seg_starts: list[list[int]] = [[0] for _ in range(num_processes)]
         self.vc_columns: list[list[tuple[int, ...]]] = [
             [(0,) * num_processes] for _ in range(num_processes)
         ]
@@ -256,19 +255,15 @@ class DecentralizedMonitor:
         #: fleet layer's byte-identical verdict-sequence comparisons
         self.verdict_log: list[Verdict] = []
 
-        initial_mask = 0
-        for column in self.mask_columns:
-            initial_mask |= column[0]
-        initial_state = self._step_mask(automaton.initial_state, initial_mask)
         view = GlobalView(
             cut=[0] * num_processes,
-            state=initial_state,
+            state=self._compiled.step(automaton.initial_state, self._mask_at([0] * num_processes)),
             letters=list(self.initial_letters),
         )
         self.metrics.views_created += 1
         self._born |= view.born
-        if automaton.is_final(initial_state):
-            self._declare(initial_state)
+        if automaton.is_final(view.state):
+            self._declare(view.state)
             view.status = ViewStatus.FINAL
             self.final_views.append(view)
         else:
@@ -293,9 +288,43 @@ class DecentralizedMonitor:
                 self._mask_cache[letter] = mask
         return mask
 
-    def _step_mask(self, state: int, mask: int) -> int:
-        """Successor of *state* on a global letter bitmask: one table load."""
-        return self._compiled.step(state, mask)
+    def _mask_at(self, cut: Sequence[int]) -> int:
+        """The global letter mask at *cut*, off the mask columns."""
+        mask = 0
+        for column, at in zip(self.mask_columns, cut):
+            mask |= column[at]
+        return mask
+
+    def _append_masks(self, j: int, letters: Iterable[Letter]) -> None:
+        """Append the masks of *letters* to mask column *j* and index the
+        segments they open (the one place a mask column grows)."""
+        masks, starts = self.mask_columns[j], self.seg_starts[j]
+        for mask in map(self._mask_of, letters):
+            if mask != masks[-1]:
+                starts.append(len(masks))
+            masks.append(mask)
+
+    def _bits_of(self, conjuncts: Iterable[Mapping[str, bool]]) -> tuple[tuple[int, int], ...]:
+        """Per conjunct, the ``(care, want)`` bits of the letter masks that satisfy it."""
+        encode = self._compiled.encode
+        return tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
+
+    def _guard_table(self, state: int) -> tuple[tuple, ...]:
+        """The guard table of *state*, built on first use: per outgoing
+        transition a row ``(transition, conjuncts, bits, remote)`` — the
+        registry's shared per-process conjuncts, their ``(care, want)`` bits,
+        the participating processes other than this one."""
+        table = self._guard_tables.get(state)
+        if table is None:
+            n = self.num_processes
+            rows = []
+            for transition in self.automaton.outgoing_transitions(state):
+                conjuncts = self.registry.conjuncts_by_process(transition.guard, n)
+                remote = tuple(j for j in range(n) if conjuncts[j] and j != self.process)
+                rows.append((transition, conjuncts, self._bits_of(conjuncts), remote))
+                self._guard_rows[transition.transition_id] = rows[-1]
+            table = self._guard_tables[state] = tuple(rows)
+        return table
 
     def _image(self, key: int) -> int:
         """Image-cache miss: step every state of a state set through a letter.
@@ -306,7 +335,7 @@ class DecentralizedMonitor:
         mask = key >> self._num_states
         image = 0
         for state in _states_of(key & ((1 << self._num_states) - 1)):
-            image |= 1 << self._step_mask(state, mask)
+            image |= 1 << self._compiled.step(state, mask)
         if len(self._image_cache) < _IMAGE_CACHE_LIMIT:
             self._image_cache[key] = image
         return image
@@ -371,7 +400,7 @@ class DecentralizedMonitor:
         self.metrics.events_processed += 1
         letter = self.registry.local_letter(self.process, event.state)
         self.local_letters.append(letter)
-        self.mask_columns[self.process].append(self._mask_of(letter))
+        self._append_masks(self.process, (letter,))
         self.local_vcs.append(tuple(event.vc))
         self.last_local_sn = event.sn
 
@@ -495,31 +524,24 @@ class DecentralizedMonitor:
             # out of order: a search without a guard pulls the view up to its
             # cut joined with the event's causal past; answered here when the
             # columns reach that far (the view is retired, its forks returned)
-            n = self.num_processes
-            entry = self._make_entry(view, None, [{}] * n, [True] * n, past)
+            entry = self._make_entry(view, None, [{}] * len(past), [True] * len(past), past)
             return self._issue_token(view, sn, [entry])
 
-        letter_local = self.local_letters[sn]
-        mask_of = self._mask_of
-        mask = mask_of(letter_local)
-        for j, letter in enumerate(view.letters):
-            if j != mine:
-                mask |= mask_of(letter)
-        new_state = self._step_mask(view.state, mask)
         view.cut[mine] = sn
-        view.letters[mine] = letter_local
-        view.state = new_state
+        view.letters[mine] = self.local_letters[sn]
+        view.state = new_state = self._compiled.step(view.state, self._mask_at(view.cut))
         if self.automaton.is_final(new_state):
             self._declare(new_state)
-            self._finalize_view(view)
+            self._retire(view)
+            self.final_views.append(view)
             return ()
         return self._explore_outgoing(view)
 
-    def _finalize_view(self, view: GlobalView) -> None:
+    def _retire(self, view: GlobalView) -> None:
+        """Take *view* out of the live views: conclusive, or repaired."""
         view.status = ViewStatus.FINAL
         if view in self.views:
             self.views.remove(view)
-        self.final_views.append(view)
 
     # ------------------------------------------------------------------
     # token creation (CHECKOUTGOINGTRANSITIONS)
@@ -540,38 +562,28 @@ class DecentralizedMonitor:
         """
         if view.status != ViewStatus.UNBLOCKED:
             return ()
+        mine = self.process
+        masks = [column[at] for column, at in zip(self.mask_columns, view.cut)]
         entries: list[TokenEntry] = []
-        for transition in self.automaton.outgoing_transitions(view.state):
-            conjuncts = self.registry.conjuncts_by_process(
-                transition.guard, self.num_processes
-            )
-            mine = conjuncts[self.process]
-            if mine and not _satisfies(view.letters[self.process], mine):
-                continue  # this process forbids the transition at its frontier
-            satisfied_now = list(map(_satisfies, view.letters, conjuncts))
-            remote_participants = [
-                j for j, conjunct in enumerate(conjuncts) if conjunct and j != self.process
-            ]
-            if all(satisfied_now):
-                if not include_currently_satisfied or not remote_participants:
-                    continue
+        for transition, conjuncts, bits, remote in self._guard_table(view.state):
+            care, want = bits[mine]
+            if masks[mine] & care != want or not remote:
+                # this process forbids the transition at its frontier, or its
+                # guard is purely *local*: a later local event re-evaluates it
+                continue
+            satisfied_now = [mask & care == want for mask, (care, want) in zip(masks, bits)]
+            if not all(satisfied_now):
+                floors = [list(view.cut)]
+            elif include_currently_satisfied:
                 # require at least one participating remote process to move
-                for j in remote_participants:
-                    bumped = list(view.cut)
-                    bumped[j] += 1
-                    entries.append(
-                        self._make_entry(view, transition, conjuncts, satisfied_now, bumped)
-                    )
+                floors = [[at + (k == j) for k, at in enumerate(view.cut)] for j in remote]
+            else:
                 continue
-            if not remote_participants:
-                # unsatisfied purely because of a *local* proposition that is
-                # currently false at this frontier: a later local event will
-                # re-evaluate it, no communication needed.
-                continue
-            entries.append(
-                self._make_entry(view, transition, conjuncts, satisfied_now, list(view.cut))
-            )
-        return self._issue_token(view, view.cut[self.process], entries) if entries else ()
+            entries += [
+                self._make_entry(view, transition, conjuncts, satisfied_now, floor)
+                for floor in floors
+            ]
+        return self._issue_token(view, view.cut[mine], entries) if entries else ()
 
     def _issue_token(
         self, view: GlobalView, parent_event_sn: int, entries: list[TokenEntry]
@@ -662,31 +674,33 @@ class DecentralizedMonitor:
         """The components a visit advances: this process's, then all others'."""
         return self._serve_order
 
-    def _serve_entry(self, entry: TokenEntry) -> bool:
-        """Advance every component of the entry over the columns held here:
-        own first, then the others, until nothing moves (a scanned clock can
-        lift another component's ``depend``).  Returns whether this process's
-        own component needed serving.  The events walked are put on the
-        token when it leaves (:meth:`_extend_run`).
+    def _serve_entry(self, entry: TokenEntry) -> None:
+        """Advance every component of the entry that needs it over the columns
+        held here: own first, then the others, until nothing moves (a scanned
+        clock can lift another component's ``depend``).  The events walked
+        are put on the token when it leaves (:meth:`_extend_run`).
         """
+        row = self._guard_rows.get(entry.transition_id)
+        if row is not None and tuple(entry.conjuncts) == row[1]:
+            bits = row[2]
+        else:  # forged, corrupted, or of a state not met here: by what it carries
+            bits = self._bits_of(entry.conjuncts)
         order = self._served_components()
-        cut = entry.cut
-        served = False
+        cut, depend, floor = entry.cut, entry.depend, entry.min_positions
+        conjuncts, satisfied = entry.conjuncts, entry.satisfied
         moved = True
         while moved and entry.eval is None:
             moved = False
             for j in order:
                 at = cut[j]
-                if self._serve_component(entry, j):
-                    served = served or j == self.process
+                if at < depend[j] or at < floor[j] or (conjuncts[j] and not satisfied[j]):
+                    self._serve_component(entry, j, *bits[j])
                     moved = moved or cut[j] > at
-        return served
 
-    def _serve_component(self, entry: TokenEntry, j: int) -> bool:
-        """Advance component *j* of the entry over column *j*, in one shot.
-
-        Returns ``False`` (entry untouched) when the entry needs nothing of
-        process *j*.  Event ``sn`` of *j* carries ``vc[j] == sn``, so scanning
+    def _serve_component(self, entry: TokenEntry, j: int, care: int, want: int) -> None:
+        """Advance component *j* of the entry, which needs it, over column
+        *j*, in one shot; ``(care, want)`` are the bits of its conjunct.
+        Event ``sn`` of *j* carries ``vc[j] == sn``, so scanning
         never lifts ``depend[j]`` above the position reached: the position
         bound is fixed for the visit, and past it only letter masks are
         walked until the conjunct holds or the column runs out.  A foreign
@@ -696,32 +710,19 @@ class DecentralizedMonitor:
         lagging, unless *j* is known to have ended by then.
         """
         cut = entry.cut[j]
-        conjunct = entry.conjuncts[j]
         end = max(cut, entry.depend[j], entry.min_positions[j])
-        if end == cut and (not conjunct or entry.satisfied[j]):
-            return False
         own = j == self.process
         if own:
             entry.waiting_for.discard(j)
         masks = self.mask_columns[j]
         last = len(masks) - 1
-        care = want = 0
-        if conjunct:
-            key = tuple(conjunct.items())
-            bits = self._conjunct_bits.get(key)
-            if bits is None:
-                encode = self._compiled.encode
-                bits = self._conjunct_bits[key] = (
-                    encode(conjunct), encode(atom for atom in conjunct if conjunct[atom])
-                )
-            care, want = bits
-            # at end == cut the conjunct is known not to hold (guard above)
-            if end <= last and (end == cut or masks[end] & care != want):
-                for end in range(end + 1, last + 1):
-                    if masks[end] & care == want:
-                        break
-                else:
-                    end = last + 1
+        # at end == cut the conjunct is known not to hold (the caller's test)
+        if end <= last and (end == cut or masks[end] & care != want):
+            for end in range(end + 1, last + 1):
+                if masks[end] & care == want:
+                    break
+            else:
+                end = last + 1
         if end <= last:
             entry.parked_on = None
         else:
@@ -743,7 +744,6 @@ class DecentralizedMonitor:
                 entry.waiting_for.intersection_update({j})
             else:
                 entry.waiting_for.discard(j)
-        return True
 
     def _retry_waiting_tokens(self) -> None:
         """Re-examine parked tokens after new local events or terminations."""
@@ -840,22 +840,23 @@ class DecentralizedMonitor:
         self._merge_views()
 
     def _forks_of(self, view: GlobalView, entries: list[TokenEntry]) -> list[GlobalView]:
-        """The views forked from *view* by decided transition entries, or one repair entry."""
+        """The views forked from *view* by decided transition entries, or one
+        repair entry: one box search for the step, then entry by entry."""
+        if any(entry.is_repair for entry in entries):
+            self._retire(view)  # first, so that the stale view cannot cover its own forks
+        # a stale or forged entry is left out: the columns do not hold its box
+        held = [len(column) for column in self.vc_columns]
+        decided = [
+            entry
+            for entry in entries
+            if entry.eval is True
+            and len(entry.cut) == len(held)
+            and all(b <= at < h for b, at, h in zip(view.cut, entry.cut, held))
+        ]
         forked: list[GlobalView] = []
-        for entry in entries:
-            if entry.is_repair:
-                forked.extend(self._repair_view(view, entry))
-            elif entry.eval is True:
-                forked.extend(self._fork_from_entry(view, entry))
+        for entry, reached in zip(decided, self._box_reachable(view, decided)):
+            forked.extend(self._fork_from_entry(view, entry, reached))
         return forked
-
-    def _repair_view(self, view: GlobalView, entry: TokenEntry) -> list[GlobalView]:
-        """Retire the stale *view* — first, so that it cannot cover its own
-        forks — and fork its successors at the repaired cut."""
-        if view in self.views:
-            self.views.remove(view)
-        view.status = ViewStatus.FINAL  # retired, not counted as a result
-        return self._fork_from_entry(view, entry) if entry.eval is True else []
 
     def _absorb_runs(self, token: Token) -> None:
         """Append to the columns what a token's runs add to them.
@@ -875,11 +876,14 @@ class DecentralizedMonitor:
             if 0 <= skip < len(vcs):
                 fresh = letters[skip:]
                 self.letter_columns[j] += fresh
-                self.mask_columns[j] += map(self._mask_of, fresh)
+                self._append_masks(j, fresh)
                 self.vc_columns[j] += vcs[skip:]
 
-    def _fork_from_entry(self, view: GlobalView, entry: TokenEntry) -> list[GlobalView]:
-        """Fork one view per automaton state reachable inside the entry's box.
+    def _fork_from_entry(
+        self, view: GlobalView, entry: TokenEntry, reached: int
+    ) -> list[GlobalView]:
+        """Fork one view per automaton state of the bitset *reached* — the
+        states reachable at the entry's cut inside its box.
 
         Only *pivot* states are forked: a reachable state equal to the parent
         view's own state adds no information (the parent keeps covering that
@@ -889,27 +893,17 @@ class DecentralizedMonitor:
         entries fork every reachable state because the parent view has been
         retired.
         """
-        target_cut = list(entry.cut)
-        if len(target_cut) != self.num_processes or not all(
-            base <= target < len(column)
-            for base, target, column in zip(view.cut, target_cut, self.vc_columns)
-        ):
-            return []  # a stale or forged entry: the columns do not hold its box
-        reachable, letters_at_target = self._box_reachable(view, entry)
         children: list[GlobalView] = []
-        for state in sorted(reachable):
-            if self.automaton.is_final(state):
-                self._declare(state)
-                continue
+        for state in _states_of(reached & ~self._final_bits):  # those, the search declared
             if state == view.state and not entry.is_repair:
                 continue
-            if self._covered_by_existing_view(state, target_cut):
+            if self._covered_by_existing_view(state, entry.cut):
                 self.metrics.views_merged += 1
                 continue
             child = GlobalView(
-                cut=list(target_cut),
+                cut=list(entry.cut),
                 state=state,
-                letters=list(letters_at_target),
+                letters=[column[at] for column, at in zip(self.letter_columns, entry.cut)],
                 forked_from=view.view_id,
             )
             self.metrics.views_created += 1
@@ -935,110 +929,120 @@ class DecentralizedMonitor:
             for other in self.views
         )
 
-    def _box_reachable(
-        self, view: GlobalView, entry: TokenEntry
-    ) -> tuple[set[int], list[Letter]]:
-        """States reachable at ``entry.cut`` from the view, over all
-        interleavings of the events inside ``[view.cut, entry.cut]``.
+    def _box_reachable(self, view: GlobalView, entries: Sequence[TokenEntry]) -> list[int]:
+        """Per entry, the bitset of states reachable at ``entry.cut`` from the
+        view over all interleavings of the events inside
+        ``[view.cut, entry.cut]`` — by one search over the union of the boxes
+        (every entry of a step starts at the view's cut).  Conclusive states
+        reached anywhere inside are declared at once: those partial paths are
+        real executions.
 
-        Conclusive states reached anywhere inside the box are declared
-        immediately (those partial paths are real executions).
-
-        The search runs over the box's quotient by *segments* — per process,
-        the maximal runs of events with one letter mask — because an
-        automaton that is ``stutter_closed`` and sits at a fixed point of the
-        view's own letter does not move while the global letter repeats.
-        When either condition fails every event is its own segment and the
-        quotient is the box.
+        The search runs over the quotient by *segments* — per process, the
+        maximal runs of events with one letter mask, read off ``seg_starts``
+        — because an automaton that is ``stutter_closed`` and sits at a fixed
+        point of the view's own letter does not move while the global letter
+        repeats.  When either condition fails every event is its own segment.
+        A *cell* is a tuple of segment indices, counted from the view's; an
+        entry's target cell holds its cut.
         """
         n = self.num_processes
+        n_range = range(n)
         base = view.cut
-        target = entry.cut
-        letters_at_target = [
-            column[target[j]] for j, column in enumerate(self.letter_columns)
-        ]
-        self.metrics.box_queries += 1
+        self.metrics.box_queries += len(entries)
         shift = self._num_states
         image = self._image_cache
         start = 1 << view.state
 
         collapse = False
         if self.automaton.stutter_closed:
-            mask = 0
-            for j, column in enumerate(self.mask_columns):
-                mask |= column[base[j]]
-            key = mask << shift | start
+            key = self._mask_at(base) << shift | start
             collapse = (image.get(key) or self._image(key)) == start
 
-        # per process: the offsets into the box (offset 0 is the view's own
-        # letter) of the events that open segments 1, 2, …, and per segment
-        # its letter mask and the offset of its last event
-        opens: list[list[int]] = []
+        # the target cells, off the index (every position, if nothing
+        # collapses); the limit bounds search work: an entry whose *own*
+        # rectangle exceeds it is replayed alone, along one path
+        index = self.seg_starts if collapse else [range(len(c)) for c in self.mask_columns]
+        first = list(map(bisect_right, index, base))
+        reached = [0] * len(entries)
+        targets: dict[tuple[int, ...], list[int]] = {}  # target cell -> its entries
+        hi = base  # the join of the cuts searched together
+        for e, entry in enumerate(entries):
+            cell = tuple(map(sub, map(bisect_right, index, entry.cut), first))
+            if prod(g + 1 for g in cell) > _BOX_CELL_LIMIT:
+                self.metrics.box_linear_fallbacks += 1
+                reached[e] = self._box_reachable_linear(
+                    view, [starts[f : f + g] for starts, f, g in zip(index, first, cell)]
+                )
+            else:
+                targets.setdefault(cell, []).append(e)
+                hi = list(map(max, hi, entry.cut))
+        if not targets:
+            return reached
+
+        # per process: the positions of the events that open segments 1, 2, …
+        # of the union, and per segment its letter mask and its last position
+        # — maybe beyond a target in it, but an opener at or below a target is
+        # inside that consistent cut: its clock asks nothing beyond it
+        ranges = [max(column) for column in zip(*targets)]
+        opens = [starts[f : f + r] for starts, f, r in zip(index, first, ranges)]
         seg_masks: list[list[int]] = []
         seg_ends: list[list[int]] = []
         for j, column in enumerate(self.mask_columns):
-            run = column[base[j] : target[j] + 1]
-            offsets = range(1, len(run))
-            starts = (
-                list(compress(offsets, map(ne, run, run[1:]))) if collapse else list(offsets)
-            )
-            opens.append(starts)
-            seg_masks.append([run[0], *[run[o] for o in starts]])
-            seg_ends.append([*[o - 1 for o in starts], len(run) - 1])
+            seg_masks.append([column[base[j]], *[column[o] for o in opens[j]]])
+            seg_ends.append([*[o - 1 for o in opens[j]], hi[j]])
 
-        # the limit bounds search work: the cells the search would visit
-        ranges = [len(starts) for starts in opens]
-        cells = 1
-        for r in ranges:
-            cells *= r + 1
-        if cells > _BOX_CELL_LIMIT:
-            self.metrics.box_linear_fallbacks += 1
-            return self._box_reachable_linear(view, opens, seg_masks), letters_at_target
-
-        # A cell is a tuple of segment indices, held as a mixed-radix integer
-        # (advancing process j adds strides[j]); a set of automaton states is
-        # a bitmask.  needs[j][g] lists what the event that opens segment
-        # g + 1 of process j requires of the other processes, as (process,
-        # least offset) pairs relative to the base.
-        active = [j for j in range(n) if ranges[j] > 0]
+        # A cell is held as a mixed-radix integer (advancing process j adds
+        # strides[j]); a set of automaton states, or of targets, is a bitmask.
+        # fits[j][g]: the targets whose cell reaches segment g of process j —
+        # a successor is kept only below some target, or the union could
+        # outgrow the boxes it joins.  needs[j][g], filled when first asked
+        # for: what the opener of segment g + 1 of process j requires of the
+        # others, as (process, least position) pairs.
+        active = [j for j in n_range if ranges[j] > 0]
         strides = [1] * n
         for j in range(1, n):
             strides[j] = strides[j - 1] * (ranges[j - 1] + 1)
-        goal = sum(r * stride for r, stride in zip(ranges, strides))
-        needs: list[list[list[tuple[int, int]]]] = [[] for _ in range(n)]
-        for j in active:
-            vcs = self.vc_columns[j]
-            for offset in opens[j]:
-                vc = vcs[base[j] + offset]
-                needs[j].append(
-                    [(k, vc[k] - base[k]) for k in range(n) if k != j and vc[k] > base[k]]
-                )
-        n_range = range(n)
+        # target cell, as an integer -> its slot
+        goals: dict[int, list | None] = {sum(map(mul, cell, strides)): None for cell in targets}
+        fits = [[0] * (r + 2) for r in ranges]
+        for bit, cell in enumerate(targets):
+            for j in active:
+                for g in range(1, cell[j] + 1):
+                    fits[j][g] |= 1 << bit
+        needs: list[list] = [[None] * r for r in ranges]
+        vc_columns = self.vc_columns
 
         # Level-synchronous BFS over the *inhabited* cells — those holding a
         # consistent cut (all predecessors of a cell sit exactly one level
-        # below it, so each level is complete before it is expanded).  A
-        # cell's slot is [state bits, segment indices, letter mask << shift].
-        reached = start if goal == 0 else 0
+        # below it, so each level is complete before it is expanded).  A slot
+        # is [state bits, segment indices, letter mask << shift, targets above].
         visited = 1
-        current = {0: [start, [0] * n, 0]}
+        current = {0: [start, [0] * n, 0, (1 << len(targets)) - 1]}
+        if 0 in goals:
+            goals[0] = current[0]
         while current:
             nxt: dict[int, list] = {}
-            for cell, (states, segments, _) in current.items():
+            for cell, (states, segments, _, below) in current.items():
                 for j in active:
                     gj = segments[j]
-                    if gj == ranges[j]:
+                    under = below & fits[j][gj + 1]
+                    if not under:
                         continue
                     succ = cell + strides[j]
                     slot = nxt.get(succ)
                     if slot is None:
                         # the predecessor is inhabited, so the successor is
                         # iff the clock of the one event that opens the new
-                        # segment fits inside the cell: each process it
-                        # needs can get there before its segment ends
-                        # (a plain loop: any() over a generator here costs a
-                        # third of the whole search)
-                        for k, least in needs[j][gj]:
+                        # segment fits inside the cell: each process it needs
+                        # can get there before its segment ends (a plain loop:
+                        # any() over a generator costs a third of the search)
+                        need = needs[j][gj]
+                        if need is None:
+                            vc = vc_columns[j][opens[j][gj]]
+                            need = needs[j][gj] = [
+                                (k, vc[k]) for k in n_range if k != j and vc[k] > base[k]
+                            ]
+                        for k, least in need:
                             if seg_ends[k][segments[k]] < least:
                                 break
                         else:
@@ -1047,7 +1051,9 @@ class DecentralizedMonitor:
                             mask = 0
                             for i in n_range:
                                 mask |= seg_masks[i][at[i]]
-                            slot = nxt[succ] = [0, at, mask << shift]
+                            slot = nxt[succ] = [0, at, mask << shift, under]
+                            if succ in goals:
+                                goals[succ] = slot
                     if slot is not None:
                         key = slot[2] | states
                         slot[0] |= image.get(key) or self._image(key)
@@ -1055,33 +1061,28 @@ class DecentralizedMonitor:
             for slot in nxt.values():
                 level |= slot[0]
             self._declare_reached(level)
-            if goal in nxt:
-                reached = nxt[goal][0]
             visited += len(nxt)
             current = nxt
         self.metrics.box_cells_visited += visited
-        return set(_states_of(reached)), letters_at_target
+        for slot, served in zip(goals.values(), targets.values()):
+            for e in served if slot else ():  # no slot: the cut was not a consistent one
+                reached[e] = slot[0]
+        return reached
 
-    def _box_reachable_linear(
-        self, view: GlobalView, opens: list[list[int]], seg_masks: list[list[int]]
-    ) -> set[int]:
+    def _box_reachable_linear(self, view: GlobalView, opens: list[Sequence[int]]) -> int:
         """Fallback for oversized boxes: replay one causally-consistent
         linearisation of the box events (sound, possibly incomplete).
 
-        Only the events that open a segment are ordered and stepped; the
-        ones in between repeat the global letter.
+        Only the events that open a segment (*opens*: their positions, per
+        process) are stepped, ordered by (clock sum, clock, process) — a linear
+        extension of happened-before; those in between repeat the global letter.
         """
-        base = view.cut
-        # ordered by (clock sum, clock, process): a linear extension of
-        # happened-before
-        events = []
-        for j, starts in enumerate(opens):
-            vcs = self.vc_columns[j]
-            for segment, offset in enumerate(starts, start=1):
-                vc = vcs[base[j] + offset]
-                events.append((sum(vc), vc, j, offset, seg_masks[j][segment]))
-        events.sort()
-        masks = [column[0] for column in seg_masks]
+        events = sorted(
+            (sum(self.vc_columns[j][at]), self.vc_columns[j][at], j, at, self.mask_columns[j][at])
+            for j, starts in enumerate(opens)
+            for at in starts
+        )
+        masks = [column[at] for column, at in zip(self.mask_columns, view.cut)]
         shift = self._num_states
         image = self._image_cache
         final_bits = self._final_bits
@@ -1095,7 +1096,7 @@ class DecentralizedMonitor:
             states = image.get(key) or self._image(key)
             if states & final_bits:
                 self._declare_reached(states)
-        return set(_states_of(states))
+        return states
 
     # ------------------------------------------------------------------
     # merging (MERGESIMILARGLOBALVIEWS)

@@ -93,13 +93,10 @@ class RunReport:
     #: ``fault_*`` counters of the fault plan (crashes, restarts, held
     #: messages, replayed events, ...); empty for fault-free runs
     fault_stats: dict[str, float] = field(default_factory=dict)
-    #: boxes the monitors replayed for returned token entries, and how many
-    #: of them were too large for the exact search and were replayed along a
-    #: single linearisation (sound, but verdicts may be missed)
+    #: the search counters, summed over the monitors as ``MonitorMetrics``
+    #: defines them, and the views the per-state budget dropped
     box_queries: int = 0
     box_linear_fallbacks: int = 0
-    #: cells the exact box searches created (tuples of letter-run segments),
-    #: and views the per-state budget dropped
     box_cells_visited: int = 0
     views_evicted: int = 0
     #: events the monitors appended to the runs of outgoing tokens: copies

@@ -420,13 +420,15 @@ def test_a_repair_fork_below_a_waiting_view_of_its_state_is_not_created():
     assert len(network.tokens) == 1
 
 
-def _repair_entry(view, cut):
+def _fork_repaired(monitor, view, cut):
+    """Search and fork a decided repair of *view* up to *cut*."""
     n = len(cut)
-    return TokenEntry(
+    entry = TokenEntry(
         transition_id=None, guard={}, conjuncts=[{} for _ in range(n)],
         start_cut=list(view.cut), cut=list(cut), depend=list(cut),
         min_positions=list(cut), satisfied=[True] * n, eval=True,
     )
+    return monitor._fork_from_entry(view, entry, *monitor._box_reachable(view, [entry]))
 
 
 def test_a_signature_is_born_once_unless_its_view_was_evicted():
@@ -434,13 +436,13 @@ def test_a_signature_is_born_once_unless_its_view_was_evicted():
     (root,) = monitor.views
     _hold(monitor, 1, [(0, 1), (0, 2)])
     monitor.views.remove(root)  # retired, as a repaired view is before it forks
-    (child,) = monitor._fork_from_entry(root, _repair_entry(root, [0, 1]))
+    (child,) = _fork_repaired(monitor, root, [0, 1])
     assert child.born == {(root.state, (0, 1))} and child.born <= monitor._born
     # the child moves on: no live view dominates the same fork any more, but
     # creating it again would only re-walk the child's chain
     child.cut = [0, 2]
     merged = monitor.metrics.views_merged
-    assert monitor._fork_from_entry(root, _repair_entry(root, [0, 1])) == []
+    assert _fork_repaired(monitor, root, [0, 1]) == []
     assert monitor.metrics.views_merged == merged + 1
     # the budget (1 per state) gives the child up for an incomparable, smaller
     # view: its signature is forgotten and may be born again
@@ -450,7 +452,7 @@ def test_a_signature_is_born_once_unless_its_view_was_evicted():
     assert monitor.views == [smaller] and monitor.metrics.views_evicted == 1
     assert not child.born & monitor._born
     monitor.views.remove(smaller)
-    (reborn,) = monitor._fork_from_entry(root, _repair_entry(root, [0, 1]))
+    (reborn,) = _fork_repaired(monitor, root, [0, 1])
     assert reborn.born == child.born and reborn.born <= monitor._born
 
 
@@ -459,21 +461,21 @@ def test_a_merged_view_is_given_up_with_the_view_that_covered_it():
     (root,) = monitor.views
     _hold(monitor, 1, [(0, 1), (0, 2), (0, 3)])
     monitor.views.remove(root)
-    (merged_away,) = monitor._fork_from_entry(root, _repair_entry(root, [0, 2]))
-    (coverer,) = monitor._fork_from_entry(root, _repair_entry(root, [0, 1]))
+    (merged_away,) = _fork_repaired(monitor, root, [0, 2])
+    (coverer,) = _fork_repaired(monitor, root, [0, 1])
     merged_away.cut, coverer.cut = [0, 3], [0, 2]  # both move on
     monitor._merge_views()  # same state, [0, 2] <= [0, 3]: the coverer takes it over
     assert monitor.views == [coverer] and monitor.metrics.views_merged == 1
     assert coverer.born == {(root.state, (0, 1)), (root.state, (0, 2))}
     # while the coverer lives, [0, 2] is still being explored — by the coverer
-    assert monitor._fork_from_entry(root, _repair_entry(root, [0, 2])) == []
+    assert _fork_repaired(monitor, root, [0, 2]) == []
     smaller = GlobalView(cut=[1, 0], state=root.state, letters=list(root.letters))
     monitor.views.append(smaller)
     monitor._merge_views()  # the budget gives the coverer up, and with it both chains
     assert monitor.views == [smaller] and monitor.metrics.views_evicted == 1
     assert monitor._born == {(root.state, (0, 0))}  # the initial view's
     monitor.views.remove(smaller)
-    (reborn,) = monitor._fork_from_entry(root, _repair_entry(root, [0, 2]))
+    (reborn,) = _fork_repaired(monitor, root, [0, 2])
     assert reborn.born == {(root.state, (0, 2))}
 
 
@@ -484,8 +486,8 @@ def _watch_births(monkeypatch):
     enforce = DecentralizedMonitor._enforce_view_budget
     births = {}
 
-    def watched_fork(self, view, entry):
-        children = fork(self, view, entry)
+    def watched_fork(self, view, entry, reached):
+        children = fork(self, view, entry, reached)
         live = births.setdefault(id(self), set())
         for child in children:
             assert child.born == {child.signature()}
@@ -627,11 +629,10 @@ def test_skewed_runs_declare_what_the_parent_commit_declared(cell, mode, monkeyp
     box = DecentralizedMonitor._box_reachable
     repairs = []
 
-    def watched(self, view, entry):
-        reachable, letters = box(self, view, entry)
-        if entry.is_repair:
-            repairs.append(bool(reachable))
-        return reachable, letters
+    def watched(self, view, entries):
+        reached = box(self, view, entries)
+        repairs.extend(bool(bits) for entry, bits in zip(entries, reached) if entry.is_repair)
+        return reached
 
     monkeypatch.setattr(DecentralizedMonitor, "_box_reachable", watched)
     plan = FaultPlan(

@@ -1,0 +1,372 @@
+"""One search per view step, from tables nobody rebuilds.
+
+* **Union search.**  The one box search of a view step gives every entry the
+  state set a search of its own box would, which is the brute force over the
+  lattice — stutter-closed or not, at the view's fixed point or off it — and
+  declares what those searches declare; targets that are incomparable do not
+  make it visit their join; an entry over the limit is replayed alone.
+* **Segment index.**  ``seg_starts`` is the list of mask changes of its
+  column, whatever is appended, by whichever path.
+* **Guard table.**  Testing letter masks against the table issues the
+  entries that testing letters against dictionaries did (the reference is
+  kept here); an entry that no longer carries its transition's conjuncts is
+  served by what it carries.
+* **Slicing oracle.**  Served from columns that hold a whole computation, a
+  search is decided ``True`` exactly at ``repro.slicing``'s least cut.
+* The pinned counts of the two curve cells CI checks.
+"""
+
+import copy
+import random
+
+import hypothesis.strategies as st
+import pytest
+import test_shared_columns as columns
+from hypothesis import assume, given, settings
+from test_token_hot_paths import (
+    _box,
+    _brute_force,
+    _closed_automaton,
+    _formula_automaton,
+    _monitor,
+    _random_automaton,
+    _setting,
+)
+
+import repro.core.monitor as monitor_module
+from repro.core.global_view import GlobalView
+from repro.core.messages import TokenEntry
+from repro.core.monitor import DecentralizedMonitor, _states_of
+from repro.core.transport import LoopbackNetwork
+from repro.distributed.clocks import VectorClock
+from repro.distributed.computation import ComputationBuilder
+from repro.distributed.events import Event, EventKind
+from repro.distributed.lattice import ComputationLattice
+from repro.experiments.engine import cell_inputs
+from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor, case_study_registry
+from repro.ltl import PropositionRegistry, build_monitor
+from repro.scenarios import get_scenario
+from repro.sim import simulate_monitored_run
+from repro.slicing import least_consistent_cut
+
+
+# ---------------------------------------------------------------------------
+# (i) union search == one search per entry == brute force over the lattice
+# ---------------------------------------------------------------------------
+@st.composite
+def steps(draw):
+    """A computation, a view (cut and state) and the cuts of 1-6 entries."""
+    computation, registry = _setting(draw, max_events_per_process=5)
+    lattice = ComputationLattice.from_computation(computation)
+    cuts = lattice.cuts()
+    start = lattice.bottom if draw(st.booleans()) else draw(st.sampled_from(cuts))
+    above = [cut for cut in cuts if all(s <= c for s, c in zip(start, cut))]
+    targets = draw(st.lists(st.sampled_from(above), min_size=1, max_size=6))
+    # a closed table and a formula's machine (the search may collapse), a
+    # table that is not closed and ``X`` (it may not)
+    kind = draw(st.sampled_from(("closed", "formula", "random", "next")))
+    seed = draw(st.integers(0, 1 << 16))
+    if kind == "next":
+        automaton = build_monitor("X(P0.p | X P1.p)", atoms=registry.names)
+        assert not automaton.stutter_closed
+    elif kind == "formula":
+        automaton = _formula_automaton(registry.names, seed)
+    else:
+        build = _random_automaton if kind == "random" else _closed_automaton
+        automaton = build(registry.names, draw(st.integers(1, 12)), seed)
+    inconclusive = [q for q in automaton.states if not automaton.is_final(q)]
+    assume(inconclusive)
+    state = draw(st.sampled_from(inconclusive))
+    if draw(st.booleans()):
+        # at the fixed point of its own letter, as every view the monitor
+        # builds; otherwise a hand-built view off it (no collapsing then)
+        state = automaton.step(state, registry.letter_of(computation.global_state(start)))
+        assume(not automaton.is_final(state))
+    return computation, registry, lattice, start, targets, automaton, state
+
+
+def _step(computation, registry, automaton, start, targets, state):
+    """A monitor holding every target's box, the view and one entry per target."""
+    feed = max(target[0] for target in targets)
+    monitor = _monitor(0, computation, registry, automaton, feed=feed)
+    boxes = [_box(monitor, computation, registry, start, target, state) for target in targets]
+    return monitor, boxes[0][0], [entry for _, entry in boxes]
+
+
+@given(steps())
+@settings(max_examples=300, deadline=None)
+def test_one_search_per_step_matches_a_search_per_entry_and_the_lattice(case):
+    computation, registry, lattice, start, targets, automaton, state = case
+    monitor, view, entries = _step(computation, registry, automaton, start, targets, state)
+    before = set(monitor.declared_states)
+    together = monitor._box_reachable(view, entries)
+    assert monitor.metrics.box_queries == len(entries)
+    assert monitor.metrics.box_linear_fallbacks == 0
+    expected_conclusive = set()
+    cells_alone = 0
+    for target, entry, reached in zip(targets, entries, together):
+        states, conclusive, _ = _brute_force(
+            computation, lattice, registry, automaton, start, target, state
+        )
+        expected_conclusive |= conclusive
+        assert set(_states_of(reached)) == states
+        alone, view_alone, entry_alone = _step(
+            computation, registry, automaton, start, [target], state
+        )
+        assert alone._box_reachable(view_alone, entry_alone) == [reached]
+        assert alone.declared_states - before == conclusive - before
+        cells_alone += alone.metrics.box_cells_visited
+    assert monitor.declared_states - before == expected_conclusive - before
+    # never more cells than the searches it replaces, nor than the cuts below a target
+    below = {
+        cut for cut in lattice.cuts()
+        if all(s <= c for s, c in zip(start, cut))
+        and any(all(c <= t for c, t in zip(cut, target)) for target in targets)
+    }
+    assert monitor.metrics.box_cells_visited <= min(cells_alone, len(below))
+    may_collapse = automaton.stutter_closed and automaton.step(
+        state, registry.letter_of(computation.global_state(start))
+    ) == state
+    if not may_collapse:
+        assert monitor.metrics.box_cells_visited == len(below)
+
+
+def _concurrent(n, events):
+    """*n* processes of *events* internal events each, all flipping ``p``."""
+    builder = ComputationBuilder([{"p": False} for _ in range(n)])
+    for sn in range(1, events + 1):
+        for j in range(n):
+            builder.internal(j, {"p": sn % 2 == 1})
+    return builder.build(), PropositionRegistry.boolean_grid(n, variables=("p",))
+
+
+def test_incomparable_targets_do_not_make_the_search_visit_their_join():
+    side = 9
+    computation, registry = _concurrent(2, side)
+    automaton = _random_automaton(registry.names, inconclusive=6, seed=3)
+    lattice = ComputationLattice.from_computation(computation)
+    targets = [(side, 0), (0, side)]
+    monitor, view, entries = _step(computation, registry, automaton, (0, 0), targets, 0)
+    together = monitor._box_reachable(view, entries)
+    for target, reached in zip(targets, together):
+        states, _, _ = _brute_force(computation, lattice, registry, automaton, (0, 0), target, 0)
+        assert set(_states_of(reached)) == states
+    # the two edges of the join rectangle, not its (side + 1) ** 2 cells
+    assert monitor.metrics.box_cells_visited == 2 * side + 1
+
+
+def test_an_entry_over_the_limit_falls_back_alone():
+    """29 ** 3 cells at the top (over the limit, nothing collapses): replayed
+    along one path; its sibling's 27 cells are searched exactly."""
+    computation, registry = _concurrent(3, 28)
+    automaton = _random_automaton(registry.names, inconclusive=8, seed=11)
+    assert not automaton.stutter_closed
+    lattice = ComputationLattice.from_computation(computation)
+    start, near = lattice.bottom, (2, 2, 2)
+    monitor, view, entries = _step(
+        computation, registry, automaton, start, [lattice.top, near, lattice.top], 0
+    )
+    far, reached, far_again = monitor._box_reachable(view, entries)
+    states, _, cuts = _brute_force(computation, lattice, registry, automaton, start, near, 0)
+    assert set(_states_of(reached)) == states
+    assert far == far_again and len(list(_states_of(far))) == 1  # one path, one state
+    assert monitor.metrics.box_queries == 3
+    assert monitor.metrics.box_linear_fallbacks == 2
+    assert monitor.metrics.box_cells_visited == cuts == 27
+
+
+# ---------------------------------------------------------------------------
+# (ii) the segment index
+# ---------------------------------------------------------------------------
+@given(
+    st.lists(
+        st.one_of(st.booleans(), columns.honest_runs(), columns.misshapen_runs), max_size=16
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_seg_starts_lists_the_mask_changes_whatever_is_appended(arrivals):
+    monitor = columns._monitor()
+    for j in range(monitor.num_processes):
+        monitor.transport.register(j, monitor)  # tokens sent are never delivered
+    sn = 0
+    for arrival in arrivals:
+        if isinstance(arrival, bool):  # a local event setting P0's p
+            sn += 1
+            clock = VectorClock([sn, 0, 0])
+            monitor.local_event(Event(0, sn, EventKind.INTERNAL, clock, {"p": arrival}))
+        else:
+            monitor._absorb_runs(columns._token(*arrival))
+        for masks, starts in zip(monitor.mask_columns, monitor.seg_starts):
+            assert starts == [0] + [p for p in range(1, len(masks)) if masks[p] != masks[p - 1]]
+    assert len(monitor.mask_columns[0]) == sn + 1
+
+
+# ---------------------------------------------------------------------------
+# (iii) the guard table
+# ---------------------------------------------------------------------------
+def _satisfies(letter, conjunct):
+    return all((atom in letter) == required for atom, required in conjunct.items())
+
+
+def _explore_with_dictionaries(monitor, view, include_currently_satisfied):
+    """The entries ``_explore_outgoing`` issued when it split every guard and
+    tested letters against the dictionaries, as (transition, conjuncts,
+    satisfied, min_positions)."""
+    issued = []
+    for transition in monitor.automaton.outgoing_transitions(view.state):
+        conjuncts = monitor.registry.conjuncts_by_process(transition.guard, monitor.num_processes)
+        mine = conjuncts[monitor.process]
+        if mine and not _satisfies(view.letters[monitor.process], mine):
+            continue
+        satisfied_now = list(map(_satisfies, view.letters, conjuncts))
+        remote = [j for j, c in enumerate(conjuncts) if c and j != monitor.process]
+        if all(satisfied_now):
+            if include_currently_satisfied:
+                for j in remote:
+                    bumped = list(view.cut)
+                    bumped[j] += 1
+                    issued.append((transition.transition_id, list(conjuncts), satisfied_now, bumped))
+        elif remote:
+            issued.append((transition.transition_id, list(conjuncts), satisfied_now, list(view.cut)))
+    return issued
+
+
+@given(
+    st.sampled_from(PROPERTY_NAMES), st.integers(2, 4), st.integers(0, 1 << 16), st.booleans()
+)
+@settings(max_examples=200, deadline=None)
+def test_testing_masks_against_the_table_issues_what_testing_letters_did(
+    name, n, seed, include_currently_satisfied
+):
+    rng = random.Random(seed)
+    registry, automaton = case_study_registry(n), case_study_monitor(name, n)
+    process = rng.randrange(n)
+    monitor = DecentralizedMonitor(
+        process=process, num_processes=n, automaton=automaton, registry=registry,
+        initial_letters=[registry.local_letter(j, {}) for j in range(n)],
+        transport=LoopbackNetwork(),
+    )
+    monitor._started = True
+    for j in range(n):  # random letters in every column; clocks are not read
+        letters = [
+            registry.local_letter(j, {"p": rng.random() < 0.5, "q": rng.random() < 0.5})
+            for _ in range(4)
+        ]
+        monitor.letter_columns[j] += letters
+        monitor._append_masks(j, letters)
+    cut = [rng.randrange(5) for _ in range(n)]
+    inconclusive = [q for q in automaton.states if not automaton.is_final(q)]
+    view = GlobalView(
+        cut=cut, state=rng.choice(inconclusive),
+        letters=[monitor.letter_columns[j][cut[j]] for j in range(n)],
+    )
+    issued = []
+    monitor._issue_token = lambda view, sn, entries: issued.extend(entries) or ()
+    assert monitor._explore_outgoing(view, include_currently_satisfied) == ()
+    assert [
+        (e.transition_id, e.conjuncts, e.satisfied, e.min_positions) for e in issued
+    ] == _explore_with_dictionaries(monitor, view, include_currently_satisfied)
+    assert all(e.cut == e.start_cut == e.depend == cut for e in issued)
+
+
+def test_an_entry_that_lost_its_transitions_conjuncts_is_served_by_its_own():
+    registry = case_study_registry(2)
+    monitor = DecentralizedMonitor(
+        process=0, num_processes=2, registry=registry,
+        automaton=build_monitor("F(P0.p & P1.p)", atoms=registry.names),
+        initial_letters=[frozenset({"P0.p"}), frozenset()], transport=LoopbackNetwork(),
+    )
+    monitor._started = True
+    (view,) = monitor.views
+    letters = [frozenset(), frozenset({"P1.p"})]  # P1: p stays false, then rises
+    monitor.letter_columns[1] += letters
+    monitor.vc_columns[1] += [(0, 1), (0, 2)]
+    monitor._append_masks(1, letters)
+    issued = []
+    monitor._issue_token = lambda view, sn, entries: issued.extend(entries) or ()
+    monitor._explore_outgoing(view)
+    (genuine,) = issued
+    assert genuine.conjuncts == [{"P0.p": True}, {"P1.p": True}]
+    corrupted, unknown = copy.deepcopy(genuine), copy.deepcopy(genuine)
+    corrupted.conjuncts = [{"P0.p": True}, {"P1.p": False}]
+    unknown.transition_id = 10_000
+    for entry in (genuine, corrupted, unknown):
+        monitor._serve_entry(entry)
+    assert genuine.cut == unknown.cut == [0, 2] and genuine.satisfied == [True, True]
+    # told its conjunct does not hold where it stands, it stops at the next
+    # event that shows what it carries — not what its transition asks
+    assert corrupted.cut == [0, 1] and corrupted.satisfied == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# (iv) repro.slicing is the oracle of the search answered at home
+# ---------------------------------------------------------------------------
+@st.composite
+def searches(draw):
+    computation, registry = _setting(draw, max_events_per_process=6)
+    n = computation.num_processes
+    cuts = ComputationLattice.from_computation(computation).cuts()
+    start = draw(st.sampled_from(cuts))
+    guard = {
+        f"P{j}.p": draw(st.booleans()) for j in range(n) if draw(st.booleans())
+    }
+    return computation, registry, draw(st.integers(0, n - 1)), start, guard
+
+
+@given(searches())
+@settings(max_examples=300, deadline=None)
+def test_a_search_answered_at_home_finds_the_slicers_least_cut(case):
+    computation, registry, process, start, guard = case
+    n = computation.num_processes
+    automaton = _random_automaton(registry.names, inconclusive=2, seed=0)
+    final = [len(computation.events_of(j)) for j in range(n)]
+    monitor = _monitor(process, computation, registry, automaton, feed=final[process])
+    _box(monitor, computation, registry, start, final, 0)  # fills the other columns
+    monitor.local_terminated = True
+    monitor.terminated = dict(enumerate(final))
+    conjuncts = registry.conjuncts_by_process(guard, n)
+    letters = [registry.local_letter(j, computation.local_state(j, start[j])) for j in range(n)]
+    entry = TokenEntry(
+        transition_id=None, guard=dict(guard), conjuncts=[dict(c) for c in conjuncts],
+        start_cut=list(start), cut=list(start), depend=list(start), min_positions=list(start),
+        satisfied=list(map(_satisfies, letters, conjuncts)), letters=dict(enumerate(letters)),
+    )
+    pending = monitor._serve_entries([entry])
+    least = least_consistent_cut(computation, registry, guard, start=start)
+    assert pending == []  # the columns hold everything: decided here
+    if least is None:
+        assert entry.eval is False
+    else:
+        assert entry.eval is True and tuple(entry.cut) == least
+        assert entry.satisfied == [True] * n
+        assert [entry.letters[j] for j in range(n)] == [
+            registry.local_letter(j, computation.local_state(j, least[j])) for j in range(n)
+        ]
+
+
+# ---------------------------------------------------------------------------
+# (v) the pinned counts (seed 2015, budget 2): what CI's perf-smoke checks
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "cell, queries, fallbacks, cells_at_most, views",
+    [
+        (("C", 4, 20), 1_088, 0, 2_700, 169),  # the token-heavy cell
+        (("F", 5, 20), 11_098, 842, 60_000, 405),
+    ],
+    ids=["C-n4-epp20", "F-n5-epp20"],
+)
+def test_curve_cells_search_each_step_once(cell, queries, fallbacks, cells_at_most, views):
+    scenario = get_scenario("paper-default")
+    inputs = cell_inputs(
+        scenario, cell[0], cell[1], events_per_process=cell[2],
+        evt_mu=3, evt_sigma=1, comm_mu=3, comm_sigma=1, seed=2015,
+    )
+    report = simulate_monitored_run(
+        *inputs, seed=2015, max_views_per_state=2, network=scenario.network
+    )
+    assert report.box_queries == queries
+    assert report.box_linear_fallbacks == fallbacks
+    assert report.total_global_views == views
+    # 4 779 and 274 878 with one search per entry
+    assert 0 < report.box_cells_visited <= cells_at_most
+    assert monitor_module._BOX_CELL_LIMIT == 20_000

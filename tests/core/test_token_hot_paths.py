@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 import repro.core.monitor as monitor_module
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
-from repro.core.monitor import DecentralizedMonitor
+from repro.core.monitor import DecentralizedMonitor, _states_of
 from repro.core.transport import LoopbackNetwork
 from repro.distributed.computation import ComputationBuilder
 from repro.distributed.lattice import ComputationLattice
@@ -279,14 +279,16 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
     monitor = _monitor(0, computation, registry, automaton, feed=target[0])
     before = set(monitor.declared_states)
     view, entry = _box(monitor, computation, registry, start, target, state)
-    states, letters = monitor._box_reachable(view, entry)
-    assert states == expected_states
+    (reached,) = monitor._box_reachable(view, [entry])
+    assert set(_states_of(reached)) == expected_states
     assert monitor.declared_states - before == expected_conclusive - before
     assert monitor.declared_verdicts >= {automaton.verdict(q) for q in expected_conclusive}
-    assert letters == [
-        registry.local_letter(j, computation.local_state(j, target[j]))
-        for j in range(computation.num_processes)
-    ]
+    entry.transition_id = None  # as a repair: every inconclusive state reached is forked
+    for child in monitor._fork_from_entry(view, entry, reached):
+        assert child.letters == [
+            registry.local_letter(j, computation.local_state(j, target[j]))
+            for j in range(computation.num_processes)
+        ]
     assert monitor.metrics.box_queries == 1
     assert monitor.metrics.box_linear_fallbacks == 0
     # every cell searched holds a consistent cut of its own; without
@@ -336,8 +338,8 @@ def test_linear_fallback_replays_one_real_path(case):
         patch.setattr(
             monitor, "_declare", lambda q, declare=declare: (declared.append(q), declare(q))
         )
-        states, _ = monitor._box_reachable(view, entry)
-        assert states == {final_state} <= expected_states
+        (reached,) = monitor._box_reachable(view, [entry])
+        assert set(_states_of(reached)) == {final_state} <= expected_states
         assert declared == [q for q in met if q not in before]
         assert set(met) <= expected_conclusive
         assert monitor.metrics.box_linear_fallbacks == monitor.metrics.box_queries == 1
@@ -364,8 +366,8 @@ def test_limit_counts_the_cells_searched_not_the_events_spanned():
     assert consistent_cuts == (events + 1) ** n > monitor_module._BOX_CELL_LIMIT
     monitor = _monitor(0, computation, registry, automaton, feed=events)
     view, entry = _box(monitor, computation, registry, start, target, state)
-    states, _ = monitor._box_reachable(view, entry)
-    assert states == expected_states
+    (reached,) = monitor._box_reachable(view, [entry])
+    assert set(_states_of(reached)) == expected_states
     assert monitor.declared_states == expected_conclusive
     assert monitor.metrics.box_linear_fallbacks == 0
     assert monitor.metrics.box_cells_visited == (len(flips) + 1) ** n
@@ -415,7 +417,7 @@ def test_children_of_one_entry_keep_their_own_letters():
         monitor.transport.register(j, monitor)  # tokens sent are never delivered
     view, entry = _box(monitor, computation, registry, (0, 0), (2, 2), automaton.initial_state)
     entry.transition_id = None  # a repair entry
-    first, second = monitor._fork_from_entry(view, entry)
+    first, second = monitor._fork_from_entry(view, entry, *monitor._box_reachable(view, [entry]))
     assert first.letters == second.letters and first.letters is not second.letters
     monitor._step_view(first, 3)
     assert first.cut == [3, 2] and second.cut == [2, 2]
@@ -511,9 +513,8 @@ def test_one_shot_serving_matches_the_event_at_a_time_loop(case):
     monitor = _monitor(process, computation, registry, automaton, feed=feed)
     monitor.local_terminated = terminated
     expected = copy.deepcopy(entry)
-    was_pending = process in expected.lagging_processes()
     scanned = _serve_one_event_at_a_time(monitor, expected)
-    assert monitor._serve_entry(entry) == was_pending
+    monitor._serve_entry(entry)
     assert entry == expected  # dataclass equality: every field
     # the events the loop scanned leave on the token, once, minus what the
     # parent knew

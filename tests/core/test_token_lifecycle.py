@@ -227,11 +227,6 @@ def test_an_orphan_waiting_at_home_is_swallowed_when_woken():
     assert system.route(token) == [(0, 1)]  # served nowhere, sent nowhere
 
 
-# Open result, cell and assertions left as they were: with searches answered
-# at home this C cell evicts nothing, so ``views_evicted > 0`` no longer holds
-# here.  ``test_serve_from_columns.py`` books the same check on a cell that
-# still evicts; re-pointing this one is the issue owner's call.
-@pytest.mark.xfail(strict=True, reason="the C n=4 seed-77 cell no longer evicts (open result)")
 def test_an_eviction_is_booked_once(monkeypatch):
     enforce = DecentralizedMonitor._enforce_view_budget
 
@@ -244,13 +239,14 @@ def test_an_eviction_is_booked_once(monkeypatch):
         assert self.metrics.views_evicted - evicted == live - len(self.views)
 
     monkeypatch.setattr(DecentralizedMonitor, "_enforce_view_budget", checked)
-    computation, automaton, registry = build_cell_inputs("C", 4, 77)
+    # the F cell: with searches answered at home the C cell evicts nothing
+    computation, automaton, registry = build_cell_inputs("F", 4, 77)
     report = simulate_monitored_run(
         computation, automaton, registry, seed=77, max_views_per_state=2,
         network=get_scenario("paper-default").network,
     )
-    assert report.views_evicted > 0
-    assert 0 < report.orphan_tokens_swallowed <= report.views_evicted
+    # two views dropped, both waiting: each one's token came home an orphan
+    assert report.views_evicted == report.orphan_tokens_swallowed == 2
 
 
 # ---------------------------------------------------------------------------

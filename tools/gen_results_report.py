@@ -147,13 +147,12 @@ def render_report(document: dict) -> str:
         "about the same whatever the frequency.  The benchmark run prints the",
         "tables behind each statement.",
         "",
-        "**Open result.**  Figure 5.8 has B and E create the fewest views.",
+        "**Not reproduced.**  Figure 5.8 has B and E create the fewest views.",
         "Here D's total falls just below B's: a monitor never explores a",
-        "`(state, cut)` twice, and D's violated traces stop early.  The",
-        "assertion in `test_fig_5_8_memory_overhead` is left as it was and",
-        "marked an expected failure (strict) until the paper's shape or the",
-        "test is given up; `test_fig_5_8_what_still_holds_of_the_views` gates",
-        "the rest of the shape (growth with n; B, E below A, C, F; F the most).",
+        "`(state, cut)` twice, and D's violated traces stop early.  That",
+        "assertion is given up; `test_fig_5_8_what_still_holds_of_the_views`",
+        "gates the rest of the shape (growth with n; B, E below A, C, F; F the",
+        "most).",
         "",
         "## Recorded artefact timings",
         "",
