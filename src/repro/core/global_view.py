@@ -48,6 +48,9 @@ class GlobalView:
     born:
         The signature at creation, and those of the views merged into this
         one: the explorations the monitor must not start again while it lives.
+    searched:
+        ``(state searched from, target cut)`` -> the states the view's last
+        step found reachable there, by the exact box search.
     """
 
     cut: list[int]
@@ -58,6 +61,7 @@ class GlobalView:
     outstanding_token: int | None = None
     forked_from: int | None = None
     born: set[tuple[int, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+    searched: dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.born = {self.signature()}

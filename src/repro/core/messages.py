@@ -88,14 +88,11 @@ class TokenEntry:
     # -- progress assessment ------------------------------------------------
     def lagging_processes(self) -> list[int]:
         """Processes whose component must still advance."""
-        n = len(self.cut)
-        lagging = []
-        for j in range(n):
-            if self.cut[j] < self.depend[j] or self.cut[j] < self.min_positions[j]:
-                lagging.append(j)
-            elif self.conjuncts[j] and not self.satisfied[j]:
-                lagging.append(j)
-        return lagging
+        return [
+            j for j, at in enumerate(self.cut)
+            if at < self.depend[j] or at < self.min_positions[j]
+            or (self.conjuncts[j] and not self.satisfied[j])
+        ]
 
     def record_scan(self, vc: tuple[int, ...]) -> None:
         """Record that a run of one process's events ending at clock *vc*

@@ -16,9 +16,9 @@ Each program process ``P_i`` is composed with a monitor process ``M_i`` that
 
 Where this departs from the thesis pseudo-code (implicit pending queue, one
 box search per view step, every component of a search answered from the shared
-columns, no ``(state, cut)`` explored twice) and how the two hot loops — token
-serving off the guard table, box search off the segment index — are built is
-described in ``docs/architecture.md``.
+columns, no ``(state, cut)`` explored twice, no guard's least cut walked twice,
+no box searched by the same view twice) and how the two hot loops — token serving
+off the guard table, box search off the segment index — are built: ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from math import prod
-from operator import mul, sub
+from operator import le, mul, sub
 
 from ..coordination import CoordinationTopology, RoundRobinToken
 from ..distributed.events import Event
-from ..ltl.monitor import MonitorAutomaton, Transition
+from ..ltl.monitor import MonitorAutomaton
 from ..ltl.predicates import PropositionRegistry
 from ..ltl.verdict import Verdict
 from .global_view import GlobalView, ViewStatus
@@ -87,9 +87,9 @@ class MonitorMetrics:
     max_active_views: int = 0
     delayed_events: int = 0
     token_hops_served: int = 0
-    #: decided entries whose box was searched, and how many of them exceeded
-    #: ``_BOX_CELL_LIMIT`` and were replayed along one linearisation only
-    #: (sound, but verdicts reachable on other interleavings are missed)
+    #: decided entries whose box was searched (the rest: ``boxes_remembered``),
+    #: and how many of them exceeded ``_BOX_CELL_LIMIT`` and were replayed along
+    #: one linearisation only (sound, but verdicts reachable on others are missed)
     box_queries: int = 0
     box_linear_fallbacks: int = 0
     #: cells the searches created — one search per view step, over the union
@@ -107,6 +107,10 @@ class MonitorMetrics:
     #: searches and repairs decided from the columns before any token left
     #: (``tokens_created`` counts only the tokens that did leave)
     answered_at_home: int = 0
+    #: searches ``_least`` answered without a walk, and decided entries whose
+    #: box ``GlobalView.searched`` says the view's last step searched
+    least_cuts_remembered: int = 0
+    boxes_remembered: int = 0
 
     @property
     def messages_sent(self) -> int:
@@ -121,6 +125,17 @@ class MonitorMetrics:
             + self.termination_messages_sent
             + self.digest_messages_sent
         )
+
+    @classmethod
+    def fold(cls, records: Iterable[MonitorMetrics]) -> MonitorMetrics:
+        """One record for many: counters add up, the two that are maxima do not."""
+        merged = cls()
+        for record in records:
+            for name, value in vars(record).items():
+                held = getattr(merged, name)
+                maximum = name in ("max_active_views", "token_hops_max")
+                setattr(merged, name, max(held, value) if maximum else held + value)
+        return merged
 
 
 def _states_of(bits: int) -> Iterator[int]:
@@ -186,9 +201,7 @@ class DecentralizedMonitor:
         self.initial_letters: list[Letter] = [frozenset(l) for l in initial_letters]
         self.transport = transport
         self.max_views_per_state = max_views_per_state
-        self.topology: CoordinationTopology = (
-            topology if topology is not None else RoundRobinToken(num_processes)
-        )
+        self.topology: CoordinationTopology = topology or RoundRobinToken(num_processes)
         #: letters are integer bitmasks over the automaton's own atoms only:
         #: propositions it does not read are projected away, so events that
         #: change only those repeat the mask
@@ -200,12 +213,13 @@ class DecentralizedMonitor:
         self._guard_rows: dict[int | None, tuple] = {
             None: (None, ({},) * num_processes, ((0, 0),) * num_processes, ())
         }
+        #: a guard's ``bits`` -> the floor and the least cut above it (``None``:
+        #: there is none) of the last search of it that was walked at issue time
+        self._least: dict[tuple, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
         #: ``letter_mask << num_states | state_bits`` -> successor state bits
         self._image_cache: dict[int, int] = {}
         self._num_states = automaton.num_states
-        self._final_bits = sum(
-            1 << state for state in automaton.states if automaton.is_final(state)
-        )
+        self._final_bits = sum(1 << q for q in automaton.states if automaton.is_final(q))
         self.metrics = MonitorMetrics()
         #: duplicate suppression for flooded digests (tree/gossip forwarding)
         self._seen_notices: set[TerminationNotice] = set()
@@ -221,25 +235,19 @@ class DecentralizedMonitor:
         #: entry answered here, or returned after its runs were absorbed.
         #: ``seg_starts[j]`` indexes mask column ``j`` by *segments*: position
         #: 0 and every position whose mask differs from its predecessor's.
-        self.letter_columns: list[list[Letter]] = [
-            [letter] for letter in self.initial_letters
-        ]
-        self.mask_columns: list[list[int]] = [
-            [self._mask_of(letter)] for letter in self.initial_letters
-        ]
+        self.letter_columns: list[list[Letter]] = [[letter] for letter in self.initial_letters]
+        self.mask_columns: list[list[int]] = [[m] for m in map(self._mask_of, self.initial_letters)]
         self.seg_starts: list[list[int]] = [[0] for _ in range(num_processes)]
         self.vc_columns: list[list[tuple[int, ...]]] = [
             [(0,) * num_processes] for _ in range(num_processes)
         ]
         self.local_letters = self.letter_columns[process]
         self.local_vcs = self.vc_columns[process]
+        #: the components a visit advances: this process's, then all others'
         self._serve_order = (process, *(j for j in range(num_processes) if j != process))
         self.last_local_sn = 0
-        self.local_terminated = False
         #: final event count of each process, once known
-        self.terminated: dict[int, int | None] = {
-            j: None for j in range(num_processes)
-        }
+        self.terminated: dict[int, int | None] = dict.fromkeys(range(num_processes))
 
         self.views: list[GlobalView] = []
         self.final_views: list[GlobalView] = []
@@ -358,14 +366,17 @@ class DecentralizedMonitor:
     def _announce_verdict(self, verdict: Verdict) -> None:
         """Gossip a first-time conclusive verdict, if the topology does."""
         recipients = self.topology.verdict_recipients(self.process)
-        if not recipients:
-            return
-        announcement = VerdictAnnouncement(self.process, str(verdict))
-        self._seen_announcements.add(announcement)
-        for target in recipients:
-            if target != self.process:
-                self.transport.send(self.process, target, announcement)
-                self.metrics.digest_messages_sent += 1
+        if recipients:
+            announcement = VerdictAnnouncement(self.process, str(verdict))
+            self._seen_announcements.add(announcement)
+            self.metrics.digest_messages_sent += self._send_each(recipients, announcement)
+
+    def _send_each(self, targets: Iterable[int], message: object) -> int:
+        """Send *message* to every one of *targets* but this monitor; returns how many."""
+        others = [target for target in targets if target != self.process]
+        for target in others:
+            self.transport.send(self.process, target, message)
+        return len(others)
 
     # ------------------------------------------------------------------
     # public entry points
@@ -387,9 +398,7 @@ class DecentralizedMonitor:
     def local_event(self, event: Event) -> None:
         """Handle one event read from the attached program process."""
         if event.process != self.process:
-            raise ValueError(
-                f"monitor {self.process} received event of process {event.process}"
-            )
+            raise ValueError(f"monitor {self.process} received event of process {event.process}")
         if event.sn != len(self.local_letters):
             raise ValueError(
                 f"monitor {self.process} expected event {len(self.local_letters)}, "
@@ -415,14 +424,11 @@ class DecentralizedMonitor:
         """Handle the termination signal of the attached program process."""
         if not self._started:
             self.start()
-        self.local_terminated = True
         self.terminated[self.process] = self.last_local_sn
         notice = TerminationNotice(self.process, self.last_local_sn)
         self._seen_notices.add(notice)
-        for other in self.topology.termination_recipients(self.process):
-            if other != self.process:
-                self.transport.send(self.process, other, notice)
-                self.metrics.termination_messages_sent += 1
+        recipients = self.topology.termination_recipients(self.process)
+        self.metrics.termination_messages_sent += self._send_each(recipients, notice)
         # my process will contribute no further events: views whose guards are
         # currently satisfied can now only fire through remote events.
         for view in list(self.views):  # the unblocked ones
@@ -433,9 +439,7 @@ class DecentralizedMonitor:
     def receive_message(self, message: object) -> None:
         """Handle a message from another monitor process."""
         if isinstance(message, TerminationNotice):
-            forward = self.topology.forward_termination(
-                self.process, message.process
-            )
+            forward = self.topology.forward_termination(self.process, message.process)
             if forward:
                 # flooding topology: suppress duplicates, spread first-seen
                 # notices one more wave (broadcast topologies forward nothing
@@ -443,10 +447,7 @@ class DecentralizedMonitor:
                 if message in self._seen_notices:
                     return
                 self._seen_notices.add(message)
-                for target in forward:
-                    if target != self.process:
-                        self.transport.send(self.process, target, message)
-                        self.metrics.digest_messages_sent += 1
+                self.metrics.digest_messages_sent += self._send_each(forward, message)
             self.terminated[message.process] = message.final_event_sn
             self._retry_waiting_tokens()
             self._merge_views()
@@ -459,12 +460,8 @@ class DecentralizedMonitor:
             if verdict.is_final and verdict not in self.declared_verdicts:
                 self.declared_verdicts.add(verdict)
                 self.verdict_log.append(verdict)
-            for target in self.topology.forward_verdict(
-                self.process, message.origin
-            ):
-                if target != self.process:
-                    self.transport.send(self.process, target, message)
-                    self.metrics.digest_messages_sent += 1
+            forward = self.topology.forward_verdict(self.process, message.origin)
+            self.metrics.digest_messages_sent += self._send_each(forward, message)
             return
         if isinstance(message, Token):
             self._absorb_runs(message)  # whoever's token it is
@@ -493,10 +490,7 @@ class DecentralizedMonitor:
 
     def reported_verdicts(self) -> set[Verdict]:
         """Verdicts this monitor reports at the end of the run."""
-        verdicts = set(self.declared_verdicts)
-        for view in self.views:
-            verdicts.add(self.automaton.verdict(view.state))
-        return verdicts
+        return self.declared_verdicts | {self.automaton.verdict(view.state) for view in self.views}
 
     # ------------------------------------------------------------------
     # view advancement on local events
@@ -524,7 +518,7 @@ class DecentralizedMonitor:
             # out of order: a search without a guard pulls the view up to its
             # cut joined with the event's causal past; answered here when the
             # columns reach that far (the view is retired, its forks returned)
-            entry = self._make_entry(view, None, [{}] * len(past), [True] * len(past), past)
+            entry = self._make_entry(view, self._guard_rows[None], [True] * len(past), past)
             return self._issue_token(view, sn, [entry])
 
         view.cut[mine] = sn
@@ -565,7 +559,8 @@ class DecentralizedMonitor:
         mine = self.process
         masks = [column[at] for column, at in zip(self.mask_columns, view.cut)]
         entries: list[TokenEntry] = []
-        for transition, conjuncts, bits, remote in self._guard_table(view.state):
+        for row in self._guard_table(view.state):
+            _, _, bits, remote = row
             care, want = bits[mine]
             if masks[mine] & care != want or not remote:
                 # this process forbids the transition at its frontier, or its
@@ -579,10 +574,7 @@ class DecentralizedMonitor:
                 floors = [[at + (k == j) for k, at in enumerate(view.cut)] for j in remote]
             else:
                 continue
-            entries += [
-                self._make_entry(view, transition, conjuncts, satisfied_now, floor)
-                for floor in floors
-            ]
+            entries += [self._make_entry(view, row, satisfied_now, floor) for floor in floors]
         return self._issue_token(view, view.cut[mine], entries) if entries else ()
 
     def _issue_token(
@@ -591,9 +583,39 @@ class DecentralizedMonitor:
         """Serve *entries* from the columns; a token leaves only with what
         they could not decide.  Answered at home, the view never waits and
         its forks are returned (to the caller's worklist, not consumed here).
+
+        A guard's least cut above a floor is its least cut above every floor
+        between the two, and none above a floor is none above a larger: what
+        ``_least`` covers is not walked — unless a token leaves, which carries
+        what the walks give (or the monitors further on would hold less).
         """
         self.metrics.entries_created += len(entries)
-        pending = self._serve_entries(entries)
+        least, rows = self._least, self._guard_rows
+        hits: list[tuple[TokenEntry, tuple[int, ...] | None]] = []
+        walked: list[TokenEntry] = []
+        for entry in entries:
+            floor = entry.min_positions
+            known = None if entry.is_repair else least.get(rows[entry.transition_id][2])
+            if known and all(map(le, known[0], floor)) and (
+                known[1] is None or all(map(le, floor, known[1]))
+            ):
+                hits.append((entry, known[1]))
+            else:
+                walked.append(entry)
+        pending = self._serve_entries(walked)
+        for entry in walked:
+            if entry.eval is not None and not entry.is_repair:  # whose floor never recurs
+                least[rows[entry.transition_id][2]] = (
+                    tuple(entry.min_positions), tuple(entry.cut) if entry.eval else None
+                )
+        if pending and hits:
+            pending += self._serve_entries([entry for entry, _ in hits])
+        else:
+            self.metrics.least_cuts_remembered += len(hits)
+            for entry, target in hits:
+                entry.eval = target is not None
+                if target:
+                    entry.cut[:] = target
         if not pending:
             self.metrics.answered_at_home += 1
             return self._forks_of(view, entries)
@@ -612,14 +634,11 @@ class DecentralizedMonitor:
         return ()
 
     def _make_entry(
-        self,
-        view: GlobalView,
-        transition: Transition | None,
-        conjuncts: Sequence[Mapping[str, bool]],
-        satisfied: list[bool],
-        min_positions: list[int],
+        self, view: GlobalView, row: tuple, satisfied: list[bool], min_positions: list[int]
     ) -> TokenEntry:
-        """A search from the view's cut: for *transition*, or (``None``) a repair."""
+        """A search from the view's cut, for the transition of guard-table
+        *row* (the guardless row: a repair)."""
+        transition, conjuncts = row[:2]
         return TokenEntry(
             transition_id=transition.transition_id if transition else None,
             guard=dict(transition.guard) if transition else {},
@@ -670,10 +689,6 @@ class DecentralizedMonitor:
                     entry.eval = True
         return pending
 
-    def _served_components(self) -> Sequence[int]:
-        """The components a visit advances: this process's, then all others'."""
-        return self._serve_order
-
     def _serve_entry(self, entry: TokenEntry) -> None:
         """Advance every component of the entry that needs it over the columns
         held here: own first, then the others, until nothing moves (a scanned
@@ -685,13 +700,12 @@ class DecentralizedMonitor:
             bits = row[2]
         else:  # forged, corrupted, or of a state not met here: by what it carries
             bits = self._bits_of(entry.conjuncts)
-        order = self._served_components()
         cut, depend, floor = entry.cut, entry.depend, entry.min_positions
         conjuncts, satisfied = entry.conjuncts, entry.satisfied
         moved = True
         while moved and entry.eval is None:
             moved = False
-            for j in order:
+            for j in self._serve_order:
                 at = cut[j]
                 if at < depend[j] or at < floor[j] or (conjuncts[j] and not satisfied[j]):
                     self._serve_component(entry, j, *bits[j])
@@ -700,14 +714,13 @@ class DecentralizedMonitor:
     def _serve_component(self, entry: TokenEntry, j: int, care: int, want: int) -> None:
         """Advance component *j* of the entry, which needs it, over column
         *j*, in one shot; ``(care, want)`` are the bits of its conjunct.
-        Event ``sn`` of *j* carries ``vc[j] == sn``, so scanning
-        never lifts ``depend[j]`` above the position reached: the position
-        bound is fixed for the visit, and past it only letter masks are
-        walked until the conjunct holds or the column runs out.  A foreign
-        column is a prefix of ``M_j``'s, so the answer is the one ``M_j``
-        gave when it held that prefix — but only ``M_j`` knows it has nothing
-        more: running off a foreign column parks nothing and leaves *j*
-        lagging, unless *j* is known to have ended by then.
+        Event ``sn`` of *j* carries ``vc[j] == sn``, so scanning never lifts
+        ``depend[j]`` above the position reached: the position bound is fixed
+        for the visit, and past it only letter masks are walked until the
+        conjunct holds or the column runs out.  Running out settles the search
+        ``False`` if *j* is known to have ended by then; otherwise the entry
+        parks on the own process, and a foreign *j* is left lagging — its
+        column is a prefix of ``M_j``'s, and only ``M_j`` knows it has no more.
         """
         cut = entry.cut[j]
         end = max(cut, entry.depend[j], entry.min_positions[j])
@@ -728,8 +741,7 @@ class DecentralizedMonitor:
         else:
             end = last
             final = self.terminated[j]
-            foreign_ended = final is not None and max(cut, last) >= final
-            if self.local_terminated if own else foreign_ended:
+            if final is not None and max(cut, last) >= final:
                 entry.eval = False
                 entry.parked_on = None
             elif own:
@@ -841,20 +853,37 @@ class DecentralizedMonitor:
 
     def _forks_of(self, view: GlobalView, entries: list[TokenEntry]) -> list[GlobalView]:
         """The views forked from *view* by decided transition entries, or one
-        repair entry: one box search for the step, then entry by entry."""
-        if any(entry.is_repair for entry in entries):
+        repair entry: one box search for the step, then entry by entry.
+
+        A target in ``view.searched`` is left out while ``_born`` holds every
+        pivot state found there: the view has moved along one path since, so a
+        search from here would reach a subset of those, and fork none.
+        """
+        repair = any(entry.is_repair for entry in entries)
+        if repair:
             self._retire(view)  # first, so that the stale view cannot cover its own forks
         # a stale or forged entry is left out: the columns do not hold its box
         held = [len(column) for column in self.vc_columns]
         decided = [
-            entry
+            (entry, (view.state, tuple(entry.cut)))
             for entry in entries
             if entry.eval is True
             and len(entry.cut) == len(held)
             and all(b <= at < h for b, at, h in zip(view.cut, entry.cut, held))
         ]
+        last, born = {} if repair else view.searched, self._born
+        view.searched = {}  # what is left out, and what the search below finds
+        pivots = ~(self._final_bits | 1 << view.state)
+        fresh = []
+        for entry, mark in decided:
+            found = last.get(mark)
+            if found is None or not all((s, mark[1]) in born for s in _states_of(found & pivots)):
+                fresh.append(entry)
+            else:
+                view.searched[mark] = found
+        self.metrics.boxes_remembered += len(decided) - len(fresh)
         forked: list[GlobalView] = []
-        for entry, reached in zip(decided, self._box_reachable(view, decided)):
+        for entry, reached in zip(fresh, self._box_reachable(view, fresh) if fresh else ()):
             forked.extend(self._fork_from_entry(view, entry, reached))
         return forked
 
@@ -910,9 +939,7 @@ class DecentralizedMonitor:
             self._born |= child.born
             self.views.append(child)
             children.append(child)
-        self.metrics.max_active_views = max(
-            self.metrics.max_active_views, len(self.views)
-        )
+        self.metrics.max_active_views = max(self.metrics.max_active_views, len(self.views))
         return children
 
     def _covered_by_existing_view(self, state: int, cut: list[int]) -> bool:
@@ -943,7 +970,8 @@ class DecentralizedMonitor:
         point of the view's own letter does not move while the global letter
         repeats.  When either condition fails every event is its own segment.
         A *cell* is a tuple of segment indices, counted from the view's; an
-        entry's target cell holds its cut.
+        entry's target cell holds its cut; what the search (not the replay
+        along one path) finds there is left in ``view.searched``.
         """
         n = self.num_processes
         n_range = range(n)
@@ -1066,7 +1094,7 @@ class DecentralizedMonitor:
         self.metrics.box_cells_visited += visited
         for slot, served in zip(goals.values(), targets.values()):
             for e in served if slot else ():  # no slot: the cut was not a consistent one
-                reached[e] = slot[0]
+                reached[e] = view.searched[view.state, tuple(entries[e].cut)] = slot[0]
         return reached
 
     def _box_reachable_linear(self, view: GlobalView, opens: list[Sequence[int]]) -> int:
@@ -1112,15 +1140,12 @@ class DecentralizedMonitor:
         the number of live views bounded by the number of automaton states
         in the common case.
         """
-        waiting = [view for view in self.views if view.is_waiting()]
-
         # per automaton state keep the minimal antichain (the sort is stable:
-        # of exact duplicates the first stays)
+        # of exact duplicates the first stays); waiting views come first
         by_state: dict[int, list[GlobalView]] = {}
-        for view in self.views:
-            if not view.is_waiting():
-                by_state.setdefault(view.state, []).append(view)
         kept: list[GlobalView] = []
+        for view in self.views:
+            (kept if view.is_waiting() else by_state.setdefault(view.state, [])).append(view)
         for state_views in by_state.values():
             minimal: list[GlobalView] = []
             for view in sorted(state_views, key=lambda v: sum(v.cut)):
@@ -1133,11 +1158,8 @@ class DecentralizedMonitor:
                     minimal.append(view)
             kept.extend(minimal)
 
-        self.views = waiting + kept
+        self.views = kept
         self._enforce_view_budget()
-        self.metrics.max_active_views = max(
-            self.metrics.max_active_views, len(self.views)
-        )
 
     def _enforce_view_budget(self) -> None:
         """Apply the optional per-state bound on live views.

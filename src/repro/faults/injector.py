@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Callable, Iterable
-from dataclasses import fields
 from functools import partial
 
 from ..core.messages import Token
@@ -164,20 +163,8 @@ class MonitorFaultProxy:
 
     @property
     def metrics(self) -> MonitorMetrics:
-        """Counters merged across every incarnation of the monitor.
-
-        Additive counters are summed; ``max_active_views`` and
-        ``token_hops_max`` take the maximum, matching their meaning.
-        """
-        merged = MonitorMetrics()
-        for metrics in [*self._retired_metrics, self.monitor.metrics]:
-            for spec in fields(MonitorMetrics):
-                if spec.name in ("max_active_views", "token_hops_max"):
-                    value = max(getattr(merged, spec.name), getattr(metrics, spec.name))
-                else:
-                    value = getattr(merged, spec.name) + getattr(metrics, spec.name)
-                setattr(merged, spec.name, value)
-        return merged
+        """Counters merged across every incarnation of the monitor."""
+        return MonitorMetrics.fold([*self._retired_metrics, self.monitor.metrics])
 
     # -- Byzantine behaviours -------------------------------------------
     def _install_interceptor(self) -> None:

@@ -109,6 +109,9 @@ class RunReport:
     #: tokens the monitors decided from their own columns before any left
     entries_created: int = 0
     answered_at_home: int = 0
+    #: searches answered from a remembered least cut; boxes not searched again
+    least_cuts_remembered: int = 0
+    boxes_remembered: int = 0
     #: which streaming transport carried the messages ("memory" or "tcp");
     #: empty on the simulator and the cluster
     transport: str = ""
@@ -136,27 +139,18 @@ class RunReport:
         (event totals, transport counters, end times, stats dictionaries).
         """
 
-        def total(name: str) -> int:
-            return sum(getattr(record, name) for record in metrics)
-
+        merged = MonitorMetrics.fold(metrics)
+        # a counter both records name is copied: a new one needs the two fields only
+        shared = cls.__dataclass_fields__.keys() & MonitorMetrics.__dataclass_fields__.keys()
         return cls(
             num_processes=len(metrics),
-            token_messages=total("token_messages_sent"),
-            termination_messages=total("termination_messages_sent"),
-            digest_messages=total("digest_messages_sent"),
-            total_global_views=total("views_created"),
-            delayed_events=total("delayed_events"),
+            token_messages=merged.token_messages_sent,
+            termination_messages=merged.termination_messages_sent,
+            digest_messages=merged.digest_messages_sent,
+            total_global_views=merged.views_created,
             reported_verdicts=frozenset(reported),
             declared_verdicts=frozenset(declared),
-            box_queries=total("box_queries"),
-            box_linear_fallbacks=total("box_linear_fallbacks"),
-            box_cells_visited=total("box_cells_visited"),
-            views_evicted=total("views_evicted"),
-            events_shipped=total("events_shipped"),
-            token_hops_max=max((m.token_hops_max for m in metrics), default=0),
-            orphan_tokens_swallowed=total("orphan_tokens_swallowed"),
-            entries_created=total("entries_created"),
-            answered_at_home=total("answered_at_home"),
+            **{name: getattr(merged, name) for name in shared},
             **fields,
         )
 
@@ -179,17 +173,13 @@ class RunReport:
 
     @property
     def box_linear_fallback_share(self) -> float:
-        """Share of box queries answered by the incomplete linear replay."""
-        if self.box_queries == 0:
-            return 0.0
-        return self.box_linear_fallbacks / self.box_queries
+        """Share of the boxes searched that the incomplete linear replay answered."""
+        return self.box_linear_fallbacks / max(1, self.box_queries)
 
     @property
     def events_shipped_per_event(self) -> float:
         """Copies of events put on tokens, per program event."""
-        if self.total_events == 0:
-            return 0.0
-        return self.events_shipped / self.total_events
+        return self.events_shipped / max(1, self.total_events)
 
     def verdict_sequence(self) -> tuple[str, ...]:
         """The run's canonical per-monitor verdict declaration order.

@@ -150,6 +150,8 @@ class TestClusterEquivalence:
             "events_shipped",
             "orphan_tokens_swallowed",
             "answered_at_home",
+            "least_cuts_remembered",
+            "boxes_remembered",
         ):
             assert getattr(report, counter) == sum(
                 result["metrics"][counter] for result in report.worker_results

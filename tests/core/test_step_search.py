@@ -322,7 +322,6 @@ def test_a_search_answered_at_home_finds_the_slicers_least_cut(case):
     final = [len(computation.events_of(j)) for j in range(n)]
     monitor = _monitor(process, computation, registry, automaton, feed=final[process])
     _box(monitor, computation, registry, start, final, 0)  # fills the other columns
-    monitor.local_terminated = True
     monitor.terminated = dict(enumerate(final))
     conjuncts = registry.conjuncts_by_process(guard, n)
     letters = [registry.local_letter(j, computation.local_state(j, start[j])) for j in range(n)]
@@ -348,14 +347,16 @@ def test_a_search_answered_at_home_finds_the_slicers_least_cut(case):
 # (v) the pinned counts (seed 2015, budget 2): what CI's perf-smoke checks
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "cell, queries, fallbacks, cells_at_most, views",
+    "cell, queries, remembered, fallbacks, cells_at_most, views",
     [
-        (("C", 4, 20), 1_088, 0, 2_700, 169),  # the token-heavy cell
-        (("F", 5, 20), 11_098, 842, 60_000, 405),
+        (("C", 4, 20), 659, 429, 0, 1_500, 169),  # the token-heavy cell
+        (("F", 5, 20), 6_782, 4_316, 842, 36_000, 405),
     ],
     ids=["C-n4-epp20", "F-n5-epp20"],
 )
-def test_curve_cells_search_each_step_once(cell, queries, fallbacks, cells_at_most, views):
+def test_curve_cells_search_each_step_once(
+    cell, queries, remembered, fallbacks, cells_at_most, views
+):
     scenario = get_scenario("paper-default")
     inputs = cell_inputs(
         scenario, cell[0], cell[1], events_per_process=cell[2],
@@ -364,9 +365,13 @@ def test_curve_cells_search_each_step_once(cell, queries, fallbacks, cells_at_mo
     report = simulate_monitored_run(
         *inputs, seed=2015, max_views_per_state=2, network=scenario.network
     )
+    # 1 088 and 11 098 searched before a view remembered its last step's
+    # targets; fallbacks and views are what they were
     assert report.box_queries == queries
+    assert report.boxes_remembered == remembered
     assert report.box_linear_fallbacks == fallbacks
     assert report.total_global_views == views
-    # 4 779 and 274 878 with one search per entry
+    # 4 779 and 274 878 with one search per entry, 2 632 and 58 720 per step
     assert 0 < report.box_cells_visited <= cells_at_most
+    assert 0 < report.least_cuts_remembered <= report.entries_created
     assert monitor_module._BOX_CELL_LIMIT == 20_000

@@ -449,7 +449,7 @@ def _serve_one_event_at_a_time(monitor, entry):
             break
         next_sn = entry.cut[j] + 1
         if next_sn > monitor.last_local_sn:
-            if monitor.local_terminated:
+            if monitor.terminated[j] is not None:
                 entry.eval = False
                 entry.parked_on = None
             else:
@@ -511,7 +511,7 @@ def test_one_shot_serving_matches_the_event_at_a_time_loop(case):
     computation, registry, process, feed, terminated, entry, known = case
     automaton = _random_automaton(registry.names, inconclusive=2, seed=0)
     monitor = _monitor(process, computation, registry, automaton, feed=feed)
-    monitor.local_terminated = terminated
+    monitor.terminated[process] = feed if terminated else None
     expected = copy.deepcopy(entry)
     scanned = _serve_one_event_at_a_time(monitor, expected)
     monitor._serve_entry(entry)

@@ -178,6 +178,8 @@ _INTERLEAVING_FIELDS = {
     "orphan_tokens_swallowed",
     "entries_created",
     "answered_at_home",
+    "least_cuts_remembered",
+    "boxes_remembered",
 }
 
 

@@ -61,6 +61,8 @@ UNPINNED_COUNTERS = (
     "token_hops_max",
     "orphan_tokens_swallowed",
     "answered_at_home",
+    "least_cuts_remembered",
+    "boxes_remembered",
 )
 
 
