@@ -80,13 +80,11 @@ def compare_timings(
     entries, the inverted ``old/new`` for throughput entries — timings
     that carry an ``events_per_sec`` field (higher is better) are compared
     on that field too, as a second ``<name>:events_per_sec`` row — and
-    ``new/old`` for the topology-frontier fields
-    (``topology_messages_total``, ``topology_verdict_latency``), the
-    fleet tail-latency field (``fleet_verdict_latency_p99``) and the codec's
-    frame size (``bytes_per_frame``), where lower is better, so a topology
-    drifting along either axis of the message/latency frontier — or a
-    fleet's p99 verdict latency creeping up, or tokens growing on the wire —
-    annotates like a slowdown.
+    ``new/old`` for the message-baseline field (``baseline_messages_total``),
+    the fleet tail-latency field (``fleet_verdict_latency_p99``) and the
+    codec's frame size (``bytes_per_frame``), where lower is better, so a
+    run sending more messages — or a fleet's p99 verdict latency creeping
+    up, or tokens growing on the wire — annotates like a slowdown.
     """
     rows = []
     old_timings = previous.get("timings", {})
@@ -103,8 +101,7 @@ def compare_timings(
                 (f"{name}:events_per_sec", old_rate, new_rate, old_rate / new_rate)
             )
         for field in (
-            "topology_messages_total",
-            "topology_verdict_latency",
+            "baseline_messages_total",
             "fleet_verdict_latency_p99",
             "bytes_per_frame",
         ):
@@ -132,10 +129,8 @@ def annotate(
         # the delta below uniformly reads "percent worse"
         if name.endswith(":events_per_sec"):
             unit = "ev/s"
-        elif name.endswith(":topology_messages_total"):
+        elif name.endswith(":baseline_messages_total"):
             unit = "msgs"
-        elif name.endswith(":topology_verdict_latency"):
-            unit = "vt"  # virtual-time units of the simulator clock
         elif name.endswith(":fleet_verdict_latency_p99"):
             unit = "s"
         elif name.endswith(":bytes_per_frame"):

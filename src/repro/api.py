@@ -25,7 +25,6 @@ from __future__ import annotations
 from .cluster.coordinator import ClusterError, cluster_monitored_run
 from .cluster.manifest import ClusterManifest, Endpoint, load_manifest, loopback_manifest
 from .cluster.spec import RunSpec
-from .coordination import TOPOLOGIES, build_topology
 from .experiments.engine import BACKENDS, ExecutionConfig, run_scenario
 from .experiments.harness import DEFAULT_SCALE, ExperimentScale
 from .experiments.properties import PROPERTY_NAMES, case_study_monitor, property_formula
@@ -66,8 +65,6 @@ __all__ = [
     # execution
     "BACKENDS",
     "TRANSPORTS",
-    "TOPOLOGIES",
-    "build_topology",
     "ExecutionConfig",
     "ExperimentScale",
     "DEFAULT_SCALE",

@@ -20,11 +20,12 @@ Frame layout (network byte order)::
     8       n     payload type-specific binary body
 
 Monitoring frames (:data:`TYPE_TOKEN`, :data:`TYPE_TERMINATION`,
-:data:`TYPE_VERDICT`, :data:`TYPE_VALUE`) carry a *delivery instant* — the virtual-time ``due``
+:data:`TYPE_VALUE`) carry a *delivery instant* — the virtual-time ``due``
 the sending transport computed — as a leading float64, followed by the
 message body.  Control frames (:data:`TYPE_CONTROL`) carry one string-keyed
 mapping encoded with the same primitive layer; the coordinator/worker
-handshake travels in them.
+handshake travels in them.  Type 0x04 is unassigned: it carried a verdict
+digest no peer of this version sends, and it decodes as an unknown type.
 
 Primitive values use a compact tagged layout: variable-length integers
 (LEB128, zigzag for signed), length-prefixed UTF-8 strings, float64,
@@ -82,7 +83,7 @@ from collections.abc import Mapping, Sequence
 from itertools import chain
 from typing import BinaryIO
 
-from ..core.messages import TerminationNotice, Token, TokenEntry, VerdictAnnouncement
+from ..core.messages import TerminationNotice, Token, TokenEntry
 
 __all__ = [
     "MAGIC",
@@ -91,7 +92,6 @@ __all__ = [
     "HEADER",
     "TYPE_TOKEN",
     "TYPE_TERMINATION",
-    "TYPE_VERDICT",
     "TYPE_VALUE",
     "TYPE_CONTROL",
     "CodecError",
@@ -124,8 +124,6 @@ TYPE_TOKEN = 0x01
 TYPE_TERMINATION = 0x02
 #: an arbitrary primitive value with its delivery instant (tests, probes)
 TYPE_VALUE = 0x03
-#: a :class:`repro.core.messages.VerdictAnnouncement` with its delivery instant
-TYPE_VERDICT = 0x04
 #: a string-keyed control mapping (coordinator/worker handshake)
 TYPE_CONTROL = 0x10
 
@@ -652,10 +650,6 @@ def _w_message(out: bytearray, message: object) -> int:
         _w_svarint(out, message.process)
         _w_svarint(out, message.final_event_sn)
         return TYPE_TERMINATION
-    if isinstance(message, VerdictAnnouncement):
-        _w_svarint(out, message.origin)
-        _w_str(out, message.verdict)
-        return TYPE_VERDICT
     _w_value(out, message)
     return TYPE_VALUE
 
@@ -669,10 +663,6 @@ def _r_message(type_tag: int, data: bytes, pos: int) -> object:
         process, pos = _r_svarint(data, pos)
         final_event_sn, pos = _r_svarint(data, pos)
         message = TerminationNotice(process=process, final_event_sn=final_event_sn)
-    elif type_tag == TYPE_VERDICT:
-        origin, pos = _r_svarint(data, pos)
-        verdict, pos = _r_str(data, pos)
-        message = VerdictAnnouncement(origin=origin, verdict=verdict)
     elif type_tag == TYPE_VALUE:
         message, pos = _r_value(data, pos)
     else:
@@ -687,10 +677,9 @@ def _r_message(type_tag: int, data: bytes, pos: int) -> object:
 def encode_message(message: object) -> tuple[int, bytes]:
     """Encode one wire message; returns ``(type_tag, payload_body)``.
 
-    :class:`Token`, :class:`TerminationNotice` and
-    :class:`VerdictAnnouncement` use their dedicated binary encoders; any
-    other (primitive) value falls back to the generic tagged layout under
-    :data:`TYPE_VALUE`.
+    :class:`Token` and :class:`TerminationNotice` use their dedicated binary
+    encoders; any other (primitive) value falls back to the generic tagged
+    layout under :data:`TYPE_VALUE`.
     """
     out = bytearray()
     type_tag = _w_message(out, message)

@@ -23,7 +23,7 @@ __all__ = ["RunSpec", "build_cell_inputs"]
 
 #: fields spec documents once carried and that no longer select anything;
 #: :meth:`RunSpec.from_json` drops them so those documents keep loading
-_RETIRED_FIELDS = ("compiled_kernel",)
+_RETIRED_FIELDS = ("compiled_kernel", "topology")
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class RunSpec:
     seed: int
     max_views_per_state: int | None
     fault_plan: str | None = None
-    #: coordination topology name (see :mod:`repro.coordination`); defaults
-    #: to the pre-refactor routing so specs written before the field existed
-    #: behave identically
-    topology: str = "round-robin-token"
 
     def to_json(self) -> str:
         """Serialise the spec as a JSON document."""

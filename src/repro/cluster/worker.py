@@ -63,7 +63,6 @@ async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> 
         transport,
         faults=spec.faults(),
         max_views_per_state=spec.max_views_per_state,
-        topology=spec.topology,
         hosted=[process],
     )
     (endpoint,) = session.endpoints

@@ -1,89 +1,7 @@
-"""Pluggable coordination topologies for the decentralized monitors.
-
-This package owns the *routing policy* seam extracted out of
-:class:`repro.core.monitor.DecentralizedMonitor`: where tokens travel, who
-is told about termination, and how conclusive verdicts fan out.  Every
-backend (sim / asyncio / cluster) builds its monitors with one
-:class:`CoordinationTopology` obtained from :func:`build_topology`, keyed
-by the ``topology`` field threaded through ``Scenario`` /
-``ExecutionConfig`` / ``RunSpec`` / ``run --topology``.
-
-The default ``round-robin-token`` topology reproduces the pre-refactor
-monitor byte for byte (fixture-asserted); the alternatives trade message
-count against verdict latency along the paper's Chapter-5 frontier.
-"""
+"""The routing rule of the decentralized monitors (:mod:`.topology`)."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from .topology import RoundRobinToken
 
-from .topology import (
-    CoordinationTopology,
-    GossipFanout,
-    RoundRobinToken,
-    SlicerPlacement,
-    TreeAggregation,
-)
-
-if TYPE_CHECKING:
-    from ..ltl.predicates import PropositionRegistry
-
-__all__ = [
-    "CoordinationTopology",
-    "DEFAULT_TOPOLOGY",
-    "GossipFanout",
-    "RoundRobinToken",
-    "SlicerPlacement",
-    "TOPOLOGIES",
-    "TreeAggregation",
-    "build_topology",
-    "topology_names",
-]
-
-#: registry name of the topology every run uses unless told otherwise
-DEFAULT_TOPOLOGY = "round-robin-token"
-
-#: every registered topology name, in canonical (frontier) order
-TOPOLOGIES: tuple[str, ...] = (
-    "round-robin-token",
-    "tree-aggregation",
-    "gossip",
-    "slicer-placement",
-)
-
-_BUILDERS = {
-    "round-robin-token": RoundRobinToken,
-    "tree-aggregation": TreeAggregation,
-    "gossip": GossipFanout,
-    "slicer-placement": SlicerPlacement,
-}
-
-
-def topology_names() -> list[str]:
-    """Every registered topology name, in canonical order."""
-    return list(TOPOLOGIES)
-
-
-def build_topology(
-    name: str,
-    num_processes: int,
-    *,
-    registry: PropositionRegistry | None = None,
-) -> CoordinationTopology:
-    """Construct the topology *name* for a run of *num_processes* monitors.
-
-    The result is stateless and deterministic in ``(name, num_processes)``
-    (plus the formula's proposition ownership for ``slicer-placement``), so
-    cluster workers that each call this from the same
-    :class:`~repro.cluster.spec.RunSpec` make identical routing decisions.
-    *registry* feeds ``slicer-placement``'s static ownership weights and is
-    ignored by the other topologies.
-    """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_BUILDERS))
-        raise ValueError(f"unknown topology {name!r} (known: {known})") from None
-    if builder is SlicerPlacement:
-        return SlicerPlacement(num_processes, registry=registry)
-    return builder(num_processes)
+__all__ = ["RoundRobinToken"]

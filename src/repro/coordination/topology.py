@@ -1,132 +1,31 @@
-"""The :class:`CoordinationTopology` protocol and its concrete strategies.
+"""The paper's routing rule, :class:`RoundRobinToken`.
 
-A topology is a **pure, stateless routing policy**: it decides which monitor
-a token visits next, through which intermediate hop a token travels, who is
-told about local termination, and how termination notices and conclusive
-verdicts fan out.  All mutable protocol state (duplicate suppression for
-flooded digests, parked tokens, views) lives inside
-:class:`repro.core.monitor.DecentralizedMonitor`; one topology instance is
-therefore safely shared by every monitor of a run, and two monitors on
-different hosts that build the same topology from ``(name, num_processes)``
-make identical routing decisions — which is what lets the cluster backend
-derive its routing from a :class:`repro.cluster.spec.RunSpec` field alone.
-
-The four shipped strategies:
-
-``round-robin-token``
-    The original monolithic behaviour of ``core/monitor.py``: tokens go
-    directly to the first (lowest-index) actionable process and termination
-    notices are broadcast point-to-point.  Byte-identical outputs to the
-    pre-refactor monitor are fixture-asserted.
-``tree-aggregation``
-    Tokens route hop-by-hop along the edges of a static binary process
-    tree (implicit heap layout); completed tokens travel back down the
-    same tree toward their parent view.  Termination notices flood over
-    the tree edges with receiver-side duplicate suppression.
-``gossip``
-    Tokens go direct, but termination notices and first-time conclusive
-    verdicts fan out epidemically over a deterministic seeded overlay
-    (ring + one chord per node) with duplicate suppression.
-``slicer-placement``
-    Tokens are routed to the candidate that *owns* the largest share of
-    the undecided guard conjuncts — the per-process formula decomposition
-    produced by the slicer's conjunct registry
-    (:meth:`repro.ltl.predicates.PropositionRegistry.conjuncts_by_process`,
-    the same seam :mod:`repro.slicing.slicer` slices on).
+A token goes directly to the lowest-index process whose events it still
+needs, and a process's termination is told point-to-point to every other
+monitor.  The rule is stateless and deterministic in ``num_processes``, so
+every monitor of a run — on any backend, on any host — routes alike.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported for type hints only: keeps this package
     # runtime-independent of repro.core (no import cycle with the monitor)
     from ..core.messages import Token
-    from ..ltl.predicates import PropositionRegistry
 
-__all__ = [
-    "CoordinationTopology",
-    "RoundRobinToken",
-    "TreeAggregation",
-    "GossipFanout",
-    "SlicerPlacement",
-]
-
-
-@runtime_checkable
-class CoordinationTopology(Protocol):
-    """Routing policy of one monitoring run (shared by all its monitors).
-
-    Implementations must be deterministic pure functions of the constructor
-    arguments: two instances built from the same ``(name, num_processes)``
-    must answer every method identically, on every host.
-    """
-
-    #: registry name of the topology (the ``--topology`` CLI value)
-    name: str
-
-    def pick_target(
-        self, current: int, candidates: Sequence[int], token: Token
-    ) -> int:
-        """Choose the next monitor a token visits.
-
-        *candidates* is a non-empty, deterministically ordered list of
-        processes with actionable (or parked) work for *token*; the return
-        value must be one of them.
-        """
-
-    def next_hop(self, current: int, destination: int) -> int:
-        """First transport hop of a token travelling to *destination*.
-
-        Direct topologies return *destination*; multi-hop topologies (the
-        tree) return the neighbouring process one step closer to it.  The
-        intermediate monitor re-serves and re-routes the token, so relayed
-        tokens stay live protocol participants rather than opaque frames.
-        """
-
-    def termination_recipients(self, current: int) -> tuple[int, ...]:
-        """Processes told directly when *current*'s program terminates."""
-
-    def forward_termination(self, current: int, origin: int) -> tuple[int, ...]:
-        """Processes a first-seen termination notice is forwarded to.
-
-        Empty for broadcast topologies (every process was told directly);
-        flooding topologies return *current*'s neighbours so the notice
-        spreads epidemically — receivers suppress duplicates.
-        """
-
-    def verdict_recipients(self, current: int) -> tuple[int, ...]:
-        """Processes told when *current* first declares a conclusive verdict.
-
-        Empty for topologies that do not gossip verdicts.
-        """
-
-    def forward_verdict(self, current: int, origin: int) -> tuple[int, ...]:
-        """Processes a first-seen verdict announcement is forwarded to."""
-
-    def describe(self) -> dict[str, object]:
-        """One JSON-friendly metadata dict (used by docs and artifacts)."""
+__all__ = ["RoundRobinToken"]
 
 
 class RoundRobinToken:
-    """The pre-refactor routing policy, extracted verbatim.
-
-    Tokens go directly to the lowest-index actionable candidate and
-    termination is announced point-to-point to every other process in index
-    order — exactly the decisions the monolithic monitor hard-coded, so the
-    default topology reproduces its outputs byte for byte.
-    """
-
-    name = "round-robin-token"
+    """Where a monitor sends tokens and termination notices."""
 
     def __init__(self, num_processes: int) -> None:
         self.num_processes = num_processes
 
-    def pick_target(
-        self, current: int, candidates: Sequence[int], token: Token
-    ) -> int:
-        """The first candidate in deterministic order (original behaviour)."""
+    def pick_target(self, current: int, candidates: Sequence[int], token: Token) -> int:
+        """The lowest-index of the sorted, non-empty *candidates*."""
         return candidates[0]
 
     def next_hop(self, current: int, destination: int) -> int:
@@ -136,250 +35,3 @@ class RoundRobinToken:
     def termination_recipients(self, current: int) -> tuple[int, ...]:
         """Every other process, in index order."""
         return tuple(j for j in range(self.num_processes) if j != current)
-
-    def forward_termination(self, current: int, origin: int) -> tuple[int, ...]:
-        """Nothing to forward: the origin already told everyone."""
-        return ()
-
-    def verdict_recipients(self, current: int) -> tuple[int, ...]:
-        """No verdict gossip."""
-        return ()
-
-    def forward_verdict(self, current: int, origin: int) -> tuple[int, ...]:
-        """No verdict gossip."""
-        return ()
-
-    def describe(self) -> dict[str, object]:
-        """Metadata describing this topology."""
-        return {
-            "name": self.name,
-            "routing": "direct, lowest-index candidate",
-            "termination": "point-to-point broadcast",
-            "verdicts": "none",
-        }
-
-
-class TreeAggregation:
-    """Token routing along a static binary process tree (implicit heap).
-
-    Process ``0`` is the root; the children of ``i`` are ``2i+1`` and
-    ``2i+2``.  Tokens travel edge by edge toward their target and back down
-    toward their parent view, so every monitoring message crosses exactly
-    one tree edge — the aggregation pattern of hierarchical monitors.
-    Termination notices flood over the tree edges (duplicate-suppressed),
-    costing ``O(edges)`` instead of ``O(n²)`` point-to-point sends.
-    """
-
-    name = "tree-aggregation"
-
-    def __init__(self, num_processes: int) -> None:
-        self.num_processes = num_processes
-
-    def neighbors(self, process: int) -> tuple[int, ...]:
-        """Tree neighbours of *process*: its parent and existing children."""
-        nodes = []
-        if process > 0:
-            nodes.append((process - 1) // 2)
-        for child in (2 * process + 1, 2 * process + 2):
-            if child < self.num_processes:
-                nodes.append(child)
-        return tuple(nodes)
-
-    def pick_target(
-        self, current: int, candidates: Sequence[int], token: Token
-    ) -> int:
-        """The first candidate (selection policy unchanged; paths differ)."""
-        return candidates[0]
-
-    def next_hop(self, current: int, destination: int) -> int:
-        """The tree neighbour one edge closer to *destination*.
-
-        Climbs the heap ancestry of *destination*: if the walk passes
-        through *current* the last node before it is the child to descend
-        to, otherwise the destination lies outside *current*'s subtree and
-        the token goes up to *current*'s parent.
-        """
-        if destination == current:
-            return current
-        node = destination
-        while node > current:
-            parent = (node - 1) // 2
-            if parent == current:
-                return node
-            node = parent
-        return (current - 1) // 2
-
-    def termination_recipients(self, current: int) -> tuple[int, ...]:
-        """The tree neighbours (the flood's first wave)."""
-        return self.neighbors(current)
-
-    def forward_termination(self, current: int, origin: int) -> tuple[int, ...]:
-        """Continue the flood to every tree neighbour except the origin."""
-        return tuple(j for j in self.neighbors(current) if j != origin)
-
-    def verdict_recipients(self, current: int) -> tuple[int, ...]:
-        """No verdict gossip (verdicts surface through returned tokens)."""
-        return ()
-
-    def forward_verdict(self, current: int, origin: int) -> tuple[int, ...]:
-        """No verdict gossip."""
-        return ()
-
-    def describe(self) -> dict[str, object]:
-        """Metadata describing this topology."""
-        return {
-            "name": self.name,
-            "routing": "hop-by-hop along a static binary tree",
-            "termination": "flood over tree edges, duplicate-suppressed",
-            "verdicts": "none",
-        }
-
-
-class GossipFanout:
-    """Epidemic fan-out of termination/verdict digests over a seeded overlay.
-
-    Tokens still travel directly (the least-consistent-cut search needs its
-    exact target), but the *digest* traffic — termination notices and
-    first-time conclusive verdicts — spreads over a deterministic overlay:
-    a ring (``i ± 1``) plus one pseudo-random chord per node derived from a
-    fixed internal salt, giving every node degree ≈ 3–4 and the overlay a
-    small diameter.  Receivers suppress duplicates, so each digest crosses
-    each overlay edge at most twice.  The salt is a compile-time constant —
-    **not** the run seed — so every backend (including the seedless
-    streaming runtime) builds the identical overlay for a given ``n``.
-    """
-
-    name = "gossip"
-
-    #: fixed Knuth-style salt for the chord derivation (not the run seed)
-    _CHORD_SALT = 0x9E3779B1
-    _CHORD_MULTIPLIER = 2654435761
-
-    def __init__(self, num_processes: int) -> None:
-        self.num_processes = num_processes
-        n = num_processes
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-        if n > 1:
-            for i in range(n):
-                neighbor_sets[i].add((i + 1) % n)
-                neighbor_sets[i].add((i - 1) % n)
-        if n > 4:
-            # one chord per node, offset in [2, n-2]: never self or a ring
-            # neighbour; added symmetrically so the overlay is undirected
-            for i in range(n):
-                offset = 2 + (i * self._CHORD_MULTIPLIER + self._CHORD_SALT) % (
-                    n - 3
-                )
-                j = (i + offset) % n
-                neighbor_sets[i].add(j)
-                neighbor_sets[j].add(i)
-        self._neighbors = tuple(
-            tuple(sorted(neighbor_sets[i] - {i})) for i in range(n)
-        )
-
-    def neighbors(self, process: int) -> tuple[int, ...]:
-        """Overlay neighbours of *process* (ring plus chords)."""
-        return self._neighbors[process]
-
-    def pick_target(
-        self, current: int, candidates: Sequence[int], token: Token
-    ) -> int:
-        """The first candidate (tokens are not gossiped)."""
-        return candidates[0]
-
-    def next_hop(self, current: int, destination: int) -> int:
-        """Direct delivery for tokens."""
-        return destination
-
-    def termination_recipients(self, current: int) -> tuple[int, ...]:
-        """The overlay neighbours (the epidemic's first round)."""
-        return self.neighbors(current)
-
-    def forward_termination(self, current: int, origin: int) -> tuple[int, ...]:
-        """Spread a first-seen notice to every neighbour except the origin."""
-        return tuple(j for j in self.neighbors(current) if j != origin)
-
-    def verdict_recipients(self, current: int) -> tuple[int, ...]:
-        """Gossip first-time conclusive verdicts to the overlay neighbours."""
-        return self.neighbors(current)
-
-    def forward_verdict(self, current: int, origin: int) -> tuple[int, ...]:
-        """Spread a first-seen announcement like a termination notice."""
-        return tuple(j for j in self.neighbors(current) if j != origin)
-
-    def describe(self) -> dict[str, object]:
-        """Metadata describing this topology."""
-        return {
-            "name": self.name,
-            "routing": "direct tokens",
-            "termination": "epidemic fan-out over ring+chord overlay",
-            "verdicts": "gossiped on first declaration",
-        }
-
-
-class SlicerPlacement:
-    """Token placement by formula ownership (the slicer's decomposition).
-
-    Candidates are ranked by how much of the token's undecided guard work
-    they own: the per-process conjunct split carried by every
-    :class:`~repro.core.messages.TokenEntry` is exactly what
-    :meth:`~repro.ltl.predicates.PropositionRegistry.conjuncts_by_process`
-    produced — the decomposition :mod:`repro.slicing.slicer` slices on.
-    Ties break on the process's static proposition ownership (how many of
-    the formula's atoms it owns) and then on the lowest index, keeping the
-    policy fully deterministic.
-    """
-
-    name = "slicer-placement"
-
-    def __init__(
-        self, num_processes: int, registry: PropositionRegistry | None = None
-    ) -> None:
-        self.num_processes = num_processes
-        if registry is not None:
-            self._ownership = tuple(
-                len(registry.owned_by(j)) for j in range(num_processes)
-            )
-        else:
-            self._ownership = (0,) * num_processes
-
-    def pick_target(
-        self, current: int, candidates: Sequence[int], token: Token
-    ) -> int:
-        """The candidate owning the largest share of undecided conjuncts."""
-        entries = token.undecided_entries()
-
-        def rank(candidate: int) -> tuple[int, int, int]:
-            weight = sum(len(entry.conjuncts[candidate]) for entry in entries)
-            return (-weight, -self._ownership[candidate], candidate)
-
-        return min(candidates, key=rank)
-
-    def next_hop(self, current: int, destination: int) -> int:
-        """Direct delivery."""
-        return destination
-
-    def termination_recipients(self, current: int) -> tuple[int, ...]:
-        """Every other process, in index order (as round-robin-token)."""
-        return tuple(j for j in range(self.num_processes) if j != current)
-
-    def forward_termination(self, current: int, origin: int) -> tuple[int, ...]:
-        """Nothing to forward: termination is broadcast point-to-point."""
-        return ()
-
-    def verdict_recipients(self, current: int) -> tuple[int, ...]:
-        """No verdict gossip."""
-        return ()
-
-    def forward_verdict(self, current: int, origin: int) -> tuple[int, ...]:
-        """No verdict gossip."""
-        return ()
-
-    def describe(self) -> dict[str, object]:
-        """Metadata describing this topology."""
-        return {
-            "name": self.name,
-            "routing": "direct, ranked by per-process conjunct ownership",
-            "termination": "point-to-point broadcast",
-            "verdicts": "none",
-        }

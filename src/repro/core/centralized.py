@@ -30,8 +30,8 @@ class CentralizedResult:
     ``messages`` counts process→central observation deliveries (exactly one
     per program event) and is kept for backward compatibility;
     ``verdict_broadcast_messages`` counts the central→process fan-out of
-    each newly conclusive verdict.  :attr:`total_messages` is the honest
-    frontier denominator comparable to a decentralized run's total.
+    each newly conclusive verdict.  :attr:`total_messages` is the baseline
+    comparable to a decentralized run's total.
     """
 
     final_states: frozenset[int]
@@ -50,8 +50,8 @@ class CentralizedResult:
     def total_messages(self) -> int:
         """All communication of the centralized configuration.
 
-        Observation deliveries plus verdict broadcasts — the counter that
-        sits on the communication axis of the topology frontier.
+        Observation deliveries plus verdict broadcasts — the centralized row
+        of :func:`repro.experiments.harness.run_message_baseline`.
         """
         return self.messages + self.verdict_broadcast_messages
 

@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-__all__ = ["TokenEntry", "Token", "TerminationNotice", "VerdictAnnouncement"]
+__all__ = ["TokenEntry", "Token", "TerminationNotice"]
 
 Letter = frozenset[str]
 
@@ -155,17 +155,3 @@ class TerminationNotice:
     process: int
     final_event_sn: int
 
-
-@dataclass(frozen=True)
-class VerdictAnnouncement:
-    """Gossip digest: *origin* declared the conclusive verdict *verdict*.
-
-    Emitted by topologies whose ``verdict_recipients`` is non-empty (the
-    gossip overlay) when a monitor first declares ⊤ or ⊥, and flooded with
-    receiver-side duplicate suppression — frozen and hashable so the
-    announcement is its own dedup key.  ``verdict`` is the verdict's string
-    form (``"⊤"`` / ``"⊥"``), round-trippable via ``Verdict(value)``.
-    """
-
-    origin: int
-    verdict: str

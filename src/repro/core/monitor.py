@@ -29,13 +29,13 @@ from dataclasses import dataclass
 from math import prod
 from operator import le, mul, sub
 
-from ..coordination import CoordinationTopology, RoundRobinToken
+from ..coordination.topology import RoundRobinToken
 from ..distributed.events import Event
 from ..ltl.monitor import MonitorAutomaton
 from ..ltl.predicates import PropositionRegistry
 from ..ltl.verdict import Verdict
 from .global_view import GlobalView, ViewStatus
-from .messages import TerminationNotice, Token, TokenEntry, VerdictAnnouncement
+from .messages import TerminationNotice, Token, TokenEntry
 from .transport import Transport
 
 __all__ = ["MonitorMetrics", "DecentralizedMonitor", "verdict_divergence"]
@@ -79,9 +79,6 @@ class MonitorMetrics:
     entries_created: int = 0
     token_messages_sent: int = 0
     termination_messages_sent: int = 0
-    #: topology digest traffic: forwarded termination notices and verdict
-    #: announcements (gossip/tree flooding); zero under round-robin-token
-    digest_messages_sent: int = 0
     views_created: int = 0
     views_merged: int = 0
     max_active_views: int = 0
@@ -116,15 +113,11 @@ class MonitorMetrics:
     def messages_sent(self) -> int:
         """Total monitoring messages this monitor put on the network.
 
-        Decomposes exactly as token + termination + digest messages; the
+        Decomposes exactly as token + termination messages; the
         network-level counter of a reliable transport must agree with the
         sum of this property across monitors.
         """
-        return (
-            self.token_messages_sent
-            + self.termination_messages_sent
-            + self.digest_messages_sent
-        )
+        return self.token_messages_sent + self.termination_messages_sent
 
     @classmethod
     def fold(cls, records: Iterable[MonitorMetrics]) -> MonitorMetrics:
@@ -175,12 +168,6 @@ class DecentralizedMonitor:
         a small multiple of the automaton size) on long workloads at the
         cost of possibly missing verdicts reachable only through the pruned
         views.
-    topology:
-        The :class:`repro.coordination.CoordinationTopology` routing policy
-        shared by every monitor of the run.  ``None`` (default) builds the
-        ``round-robin-token`` policy.  The monitor owns all mutable
-        protocol state (duplicate suppression for flooded digests); the
-        topology object itself is stateless and may be shared.
     """
 
     def __init__(
@@ -192,7 +179,6 @@ class DecentralizedMonitor:
         initial_letters: Sequence[Letter],
         transport: Transport,
         max_views_per_state: int | None = None,
-        topology: CoordinationTopology | None = None,
     ) -> None:
         self.process = process
         self.num_processes = num_processes
@@ -201,7 +187,8 @@ class DecentralizedMonitor:
         self.initial_letters: list[Letter] = [frozenset(l) for l in initial_letters]
         self.transport = transport
         self.max_views_per_state = max_views_per_state
-        self.topology: CoordinationTopology = topology or RoundRobinToken(num_processes)
+        #: where tokens and termination notices go (``docs/architecture.md``, Routing)
+        self.routing = RoundRobinToken(num_processes)
         #: letters are integer bitmasks over the automaton's own atoms only:
         #: propositions it does not read are projected away, so events that
         #: change only those repeat the mask
@@ -221,9 +208,6 @@ class DecentralizedMonitor:
         self._num_states = automaton.num_states
         self._final_bits = sum(1 << q for q in automaton.states if automaton.is_final(q))
         self.metrics = MonitorMetrics()
-        #: duplicate suppression for flooded digests (tree/gossip forwarding)
-        self._seen_notices: set[TerminationNotice] = set()
-        self._seen_announcements: set[VerdictAnnouncement] = set()
 
         #: per process, the events of that process this monitor holds, as
         #: columns indexed by sequence number (position 0 is the initial
@@ -361,22 +345,6 @@ class DecentralizedMonitor:
             if verdict not in self.declared_verdicts:
                 self.declared_verdicts.add(verdict)
                 self.verdict_log.append(verdict)
-                self._announce_verdict(verdict)
-
-    def _announce_verdict(self, verdict: Verdict) -> None:
-        """Gossip a first-time conclusive verdict, if the topology does."""
-        recipients = self.topology.verdict_recipients(self.process)
-        if recipients:
-            announcement = VerdictAnnouncement(self.process, str(verdict))
-            self._seen_announcements.add(announcement)
-            self.metrics.digest_messages_sent += self._send_each(recipients, announcement)
-
-    def _send_each(self, targets: Iterable[int], message: object) -> int:
-        """Send *message* to every one of *targets* but this monitor; returns how many."""
-        others = [target for target in targets if target != self.process]
-        for target in others:
-            self.transport.send(self.process, target, message)
-        return len(others)
 
     # ------------------------------------------------------------------
     # public entry points
@@ -426,9 +394,10 @@ class DecentralizedMonitor:
             self.start()
         self.terminated[self.process] = self.last_local_sn
         notice = TerminationNotice(self.process, self.last_local_sn)
-        self._seen_notices.add(notice)
-        recipients = self.topology.termination_recipients(self.process)
-        self.metrics.termination_messages_sent += self._send_each(recipients, notice)
+        recipients = self.routing.termination_recipients(self.process)
+        for target in recipients:
+            self.transport.send(self.process, target, notice)
+        self.metrics.termination_messages_sent += len(recipients)
         # my process will contribute no further events: views whose guards are
         # currently satisfied can now only fire through remote events.
         for view in list(self.views):  # the unblocked ones
@@ -439,29 +408,9 @@ class DecentralizedMonitor:
     def receive_message(self, message: object) -> None:
         """Handle a message from another monitor process."""
         if isinstance(message, TerminationNotice):
-            forward = self.topology.forward_termination(self.process, message.process)
-            if forward:
-                # flooding topology: suppress duplicates, spread first-seen
-                # notices one more wave (broadcast topologies forward nothing
-                # and keep the original reprocess-every-copy behaviour)
-                if message in self._seen_notices:
-                    return
-                self._seen_notices.add(message)
-                self.metrics.digest_messages_sent += self._send_each(forward, message)
             self.terminated[message.process] = message.final_event_sn
             self._retry_waiting_tokens()
             self._merge_views()
-            return
-        if isinstance(message, VerdictAnnouncement):
-            if message in self._seen_announcements:
-                return
-            self._seen_announcements.add(message)
-            verdict = Verdict(message.verdict)
-            if verdict.is_final and verdict not in self.declared_verdicts:
-                self.declared_verdicts.add(verdict)
-                self.verdict_log.append(verdict)
-            forward = self.topology.forward_verdict(self.process, message.origin)
-            self.metrics.digest_messages_sent += self._send_each(forward, message)
             return
         if isinstance(message, Token):
             self._absorb_runs(message)  # whoever's token it is
@@ -802,7 +751,7 @@ class DecentralizedMonitor:
         if not elsewhere and mine not in targets:
             elsewhere = parked - {mine}
         if elsewhere:
-            target = self.topology.pick_target(mine, sorted(elsewhere), token)
+            target = self.routing.pick_target(mine, sorted(elsewhere), token)
             self._send_token(token, target)
         else:
             # nothing actionable anywhere else: keep the token until a local
@@ -810,12 +759,9 @@ class DecentralizedMonitor:
             self.waiting_tokens.append(token)
 
     def _send_token(self, token: Token, target: int) -> None:
-        # multi-hop topologies relay through a neighbour; the intermediate
-        # monitor re-serves and re-routes, converging on the destination
-        hop = self.topology.next_hop(self.process, target)
         self.metrics.token_messages_sent += 1
         self._extend_run(token)
-        self.transport.send(self.process, hop, token)
+        self.transport.send(self.process, self.routing.next_hop(self.process, target), token)
 
     def _extend_run(self, token: Token) -> None:
         """Put on a leaving token the events its entries reached here.

@@ -14,7 +14,6 @@ Usage (after installing the package)::
     python -m repro.experiments.cli run --backend cluster --manifest cluster.toml
     python -m repro.experiments.cli run --scenario crash-restart-rejoin
     python -m repro.experiments.cli run --scenario paper-default --fault-plan 1@3+2:rejoin
-    python -m repro.experiments.cli run --scenario paper-default --topology gossip
     python -m repro.experiments.cli bench --json BENCH_local.json
     python -m repro.experiments.cli fuzz --seed 7 --points 200 --out fuzz-out
     python -m repro.experiments.cli fleet --tenants 200 --shards 2 --verify 5
@@ -35,9 +34,7 @@ multi-process cluster runtime of :mod:`repro.cluster` (one OS process per
 monitor; add ``--manifest FILE`` to pin worker addresses instead of
 auto-allocating loopback ports), and ``--fault-plan SPEC`` injects monitor
 crash/restart faults on top of the scenario's own fault model (see
-:mod:`repro.faults`), while ``--topology NAME`` routes tokens and digests
-over an alternative coordination topology (see :mod:`repro.coordination`),
-overriding the scenario's own.  ``--stream-transport`` requires the asyncio backend
+:mod:`repro.faults`).  ``--stream-transport`` requires the asyncio backend
 and ``--manifest`` the cluster backend; mismatched combinations fail fast
 with a clear error.  The ``bench``
 sub-command times the kernel hot paths and the figure experiments and (with
@@ -71,7 +68,6 @@ import time
 from collections.abc import Sequence
 from pathlib import Path
 
-from ..coordination import TOPOLOGIES
 from ..faults import format_fault_plan, parse_fault_plan
 from ..scenarios import get_scenario, list_scenarios
 from .engine import ExecutionConfig
@@ -189,7 +185,6 @@ def _execution_config(args: argparse.Namespace) -> ExecutionConfig:
         stream_transport=args.stream_transport or "memory",
         fault_plan=fault_plan,
         manifest=args.manifest,
-        topology=getattr(args, "topology", None),
     )
 
 
@@ -209,7 +204,6 @@ def _emit_list_scenarios(args: argparse.Namespace) -> None:
                 "network": description["network"]["kind"],
                 "faults": faults["kind"] if faults is not None else "-",
                 "recovery": faults.get("recovery", "-") if faults is not None else "-",
-                "topology": scenario.topology,
                 "tags": ",".join(scenario.tags),
                 "description": scenario.description,
             }
@@ -224,7 +218,6 @@ def _emit_list_scenarios(args: argparse.Namespace) -> None:
                 "network",
                 "faults",
                 "recovery",
-                "topology",
                 "tags",
                 "description",
             ],
@@ -250,11 +243,7 @@ def _emit_run_scenario(args: argparse.Namespace) -> None:
     backend = config.backend
     if backend == "asyncio":
         backend = f"asyncio/{config.stream_transport}"
-    topology = config.topology if config.topology is not None else scenario.topology
-    print(
-        f"scenario {scenario.name} [backend {backend}, topology {topology}] "
-        f"— {scenario.description}"
-    )
+    print(f"scenario {scenario.name} [backend {backend}] — {scenario.description}")
     if config.fault_plan is not None:
         print(
             f"fault plan override: {format_fault_plan(config.fault_plan) or '(empty)'}"
@@ -426,7 +415,6 @@ def _emit_fleet(args: argparse.Namespace) -> None:
         num_processes=min(args.processes),
         events_per_process=args.events,
         base_seed=args.seed or 2015,
-        topology=args.topology or "round-robin-token",
     )
     config = FleetConfig(
         tenants=tenants,
@@ -550,14 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="list-scenarios only: aligned table (default) or a JSON "
         "catalogue for tooling",
-    )
-    parser.add_argument(
-        "--topology",
-        choices=list(TOPOLOGIES),
-        default=None,
-        help="run only: coordination topology routing tokens and digests, "
-        "overriding the scenario's own (default: the scenario's topology, "
-        "usually round-robin-token)",
     )
     parser.add_argument(
         "--fault-plan",

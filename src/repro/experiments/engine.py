@@ -36,7 +36,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..coordination import TOPOLOGIES
 from ..distributed.computation import Computation
 from ..faults import FaultPlan, format_fault_plan
 from ..ltl.monitor import MonitorAutomaton
@@ -89,26 +88,17 @@ class ExecutionConfig:
     manifest:
         Cluster backend only: a :class:`repro.cluster.ClusterManifest` or a
         manifest file path; ``None`` auto-allocates loopback workers.
-    topology:
-        Optional :mod:`repro.coordination` topology name overriding the
-        scenario's own ``topology`` for every cell (the CLI's
-        ``run --topology`` override); ``None`` defers to the scenario.
     """
 
     backend: str = "sim"
     stream_transport: str = "memory"
     fault_plan: FaultPlan | None = None
     manifest: object | None = None
-    topology: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r} (known: {BACKENDS})"
-            )
-        if self.topology is not None and self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r} (known: {TOPOLOGIES})"
             )
 
 
@@ -141,7 +131,7 @@ def cell_computation(
     """Generate the computation of one cell: *workload* under the trace design.
 
     The one place the paper's per-property trace design meets a workload
-    model; sweep cells, cluster workers, the topology frontier and the
+    model; sweep cells, cluster workers, the message baseline and the
     fleet's synthetic source all generate their traces here, so the same
     parameters give the same computation everywhere.
     """
@@ -216,7 +206,6 @@ def run_scenario_cell(
         "comm_sigma": scale.comm_sigma,
         "seed": seed,
     }
-    topology = config.topology if config.topology is not None else scenario.topology
     faults = config.fault_plan
     if faults is None and scenario.faults is not None:
         faults = scenario.faults.build(
@@ -247,7 +236,6 @@ def run_scenario_cell(
             num_processes=point.num_processes,
             max_views_per_state=scale.max_views_per_state,
             fault_plan=format_fault_plan(faults) if armed else None,
-            topology=topology,
             **trace,
         )
         report = cluster_monitored_run(spec, manifest=config.manifest)
@@ -258,7 +246,6 @@ def run_scenario_cell(
     monitoring = {
         "max_views_per_state": scale.max_views_per_state,
         "faults": faults,
-        "topology": topology,
     }
     if config.backend == "sim":
         report = simulate_monitored_run(
@@ -285,7 +272,6 @@ def _cell_metrics(report: RunReport) -> dict[str, float]:
         "messages": float(report.monitor_messages),
         "token_messages": float(report.token_messages),
         "termination_messages": float(report.termination_messages),
-        "digest_messages": float(report.digest_messages),
         "entries_created": float(report.entries_created),
         "global_views": float(report.total_global_views),
         "delayed_events": float(report.delayed_events),

@@ -18,7 +18,7 @@ touching the harness logic.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -37,7 +37,7 @@ __all__ = [
     "run_fig_5_7",
     "run_fig_5_8",
     "run_fig_5_9",
-    "run_topology_frontier",
+    "run_message_baseline",
     "run_scenario",
     "format_table",
 ]
@@ -227,45 +227,33 @@ def run_fig_5_9(
 
 
 # ---------------------------------------------------------------------------
-# Topology frontier (extension beyond the paper's evaluation)
+# Message baseline: the decentralized monitors against one central monitor
 # ---------------------------------------------------------------------------
-def run_topology_frontier(
+def run_message_baseline(
     properties: Sequence[str] = ("B", "C"),
     num_processes: int = 4,
     scale: ExperimentScale = DEFAULT_SCALE,
-    topologies: Sequence[str] | None = None,
-    include_centralized: bool = True,
 ) -> list[dict[str, object]]:
-    """Message count vs. verdict latency across coordination topologies.
+    """Monitor messages of the decentralized run and of the centralized baseline.
 
-    Replays the paper-default workload at one system size through every
-    registered :mod:`repro.coordination` topology on the simulator and
-    returns one row per (topology, property) with the averaged message
-    decomposition (token / termination / digest), the virtual-time instant
-    the monitors went quiescent (the verdict-latency proxy
-    ``verdict_latency``) and the declared verdicts.  With
-    *include_centralized* a per-property ``centralized`` baseline row —
-    observation deliveries plus the verdict broadcast of the oracle — pins
-    the frontier's lower-left corner.  Replications and seeds follow the
-    engine's scheme (``base_seed + 31*replication``) so rows are
-    deterministic and comparable across sessions; the benchmark suite
-    feeds these rows into the ``topology_messages_total`` /
-    ``topology_verdict_latency`` artifact entries.
+    Replays the paper-default workload at one system size and returns, per
+    property, a ``decentralized`` row (the simulated run's averaged token
+    and termination messages) and a ``centralized`` row (one observation per
+    program event plus the oracle's verdict broadcast, all in ``messages``),
+    each with the verdicts declared over the replications.  Seeds follow the
+    engine's scheme (``base_seed + 31*replication``), so rows are
+    deterministic; the benchmark suite records them as
+    ``baseline_messages_total``.
     """
-    from ..coordination import topology_names
     from ..core.centralized import CentralizedMonitor
     from ..sim.runner import simulate_monitored_run
     from .engine import cell_inputs
 
-    chosen = tuple(topologies) if topologies is not None else tuple(topology_names())
-    replications = max(1, scale.replications)
     scenario = get_scenario("paper-default")
     rows: list[dict[str, object]] = []
     for property_name in properties:
-        computations = []
-        for rep in range(replications):
-            seed = scale.base_seed + 31 * rep
-            computation, automaton, registry = cell_inputs(
+        cells = [
+            cell_inputs(
                 scenario,
                 property_name,
                 num_processes,
@@ -274,68 +262,48 @@ def run_topology_frontier(
                 evt_sigma=scale.evt_sigma,
                 comm_mu=scale.comm_mu,
                 comm_sigma=scale.comm_sigma,
-                seed=seed,
+                seed=scale.base_seed + 31 * rep,
             )
-            computations.append((seed, computation))
-        for topology in chosen:
-            reports = [
-                simulate_monitored_run(
-                    computation,
-                    automaton,
-                    registry,
-                    seed=seed,
-                    max_views_per_state=scale.max_views_per_state,
-                    network=scenario.network,
-                    topology=topology,
-                )
-                for seed, computation in computations
-            ]
-            declared: set[str] = set()
-            for report in reports:
-                declared |= {str(v) for v in report.declared_verdicts}
-            rows.append(
-                {
-                    "topology": topology,
-                    "property": property_name,
-                    "processes": num_processes,
-                    "messages": _avg(r.monitor_messages for r in reports),
-                    "token_messages": _avg(r.token_messages for r in reports),
-                    "termination_messages": _avg(
-                        r.termination_messages for r in reports
-                    ),
-                    "digest_messages": _avg(r.digest_messages for r in reports),
-                    "verdict_latency": _avg(r.monitor_end_time for r in reports),
-                    "declared": "".join(sorted(declared)) or "-",
-                }
+            for rep in range(max(1, scale.replications))
+        ]
+        reports = [
+            simulate_monitored_run(
+                computation,
+                automaton,
+                registry,
+                seed=scale.base_seed + 31 * rep,
+                max_views_per_state=scale.max_views_per_state,
+                network=scenario.network,
             )
-        if include_centralized:
-            results = [
-                CentralizedMonitor.monitor_computation(
-                    computation, automaton, registry
-                )
-                for _, computation in computations
-            ]
-            rows.append(
-                {
-                    "topology": "centralized",
-                    "property": property_name,
-                    "processes": num_processes,
-                    "messages": _avg(r.total_messages for r in results),
-                    "token_messages": 0.0,
-                    "termination_messages": 0.0,
-                    "digest_messages": _avg(
-                        r.verdict_broadcast_messages for r in results
-                    ),
-                    # every observation is delivered as it happens; the
-                    # oracle has no monitor-side settling time to speak of
-                    "verdict_latency": 0.0,
-                    "declared": "".join(
-                        sorted({str(v) for r in results for v in r.verdicts})
-                    )
-                    or "-",
-                }
-            )
+            for rep, (computation, automaton, registry) in enumerate(cells)
+        ]
+        results = [CentralizedMonitor.monitor_computation(*cell) for cell in cells]
+        rows += [
+            {
+                "monitor": "decentralized",
+                "property": property_name,
+                "processes": num_processes,
+                "messages": _avg(r.monitor_messages for r in reports),
+                "token_messages": _avg(r.token_messages for r in reports),
+                "termination_messages": _avg(r.termination_messages for r in reports),
+                "declared": _verdicts(r.declared_verdicts for r in reports),
+            },
+            {
+                "monitor": "centralized",
+                "property": property_name,
+                "processes": num_processes,
+                "messages": _avg(r.total_messages for r in results),
+                "token_messages": 0.0,
+                "termination_messages": 0.0,
+                "declared": _verdicts(r.verdicts for r in results),
+            },
+        ]
     return rows
+
+
+def _verdicts(sets: Iterable[Iterable[object]]) -> str:
+    """The verdicts of any of *sets*, sorted and joined (``-``: none)."""
+    return "".join(sorted({str(v) for verdicts in sets for v in verdicts})) or "-"
 
 
 def _avg(values) -> float:

@@ -1,7 +1,7 @@
 """Tenant admission: what a fleet runs and under which resource policy.
 
 A :class:`TenantSpec` is one monitored session — formula instance, process
-count, coordination topology, event source, seed — and a
+count, event source, seed — and a
 :class:`FleetConfig` admits a batch of them into one fleet run: how many
 shards (worker processes) partition the tenants, the per-tenant inbox bound,
 the backpressure policy when a tenant's inbox saturates, and an optional
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..coordination import TOPOLOGIES
 from ..experiments.properties import PROPERTY_NAMES
 from .sources import EventSource, SyntheticSource
 
@@ -63,7 +62,6 @@ class TenantSpec:
     num_processes: int = 3
     events_per_process: int = 4
     seed: int = 2015
-    topology: str = "round-robin-token"
     max_views_per_state: int | None = None
     time_scale: float = 0.0
     source: EventSource = field(default_factory=SyntheticSource)
@@ -80,10 +78,6 @@ class TenantSpec:
             raise ValueError("tenants monitor at least two processes")
         if self.events_per_process < 1:
             raise ValueError("events_per_process must be positive")
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r} (known: {tuple(TOPOLOGIES)})"
-            )
         if self.time_scale < 0.0:
             raise ValueError("time_scale must be non-negative")
 
@@ -95,7 +89,6 @@ class TenantSpec:
             "num_processes": self.num_processes,
             "events_per_process": self.events_per_process,
             "seed": self.seed,
-            "topology": self.topology,
             "source": self.source.describe(),
         }
 
@@ -155,7 +148,6 @@ def synthetic_fleet(
     events_per_process: int = 4,
     base_seed: int = 2015,
     properties: tuple[str, ...] = PROPERTY_NAMES,
-    topology: str = "round-robin-token",
     source: EventSource | None = None,
 ) -> tuple[TenantSpec, ...]:
     """A deterministic batch of synthetic tenants (CLI / smoke / benchmarks).
@@ -173,7 +165,6 @@ def synthetic_fleet(
             num_processes=num_processes,
             events_per_process=events_per_process,
             seed=base_seed + 31 * index,
-            topology=topology,
             source=source if source is not None else SyntheticSource(),
         )
         for index in range(num_tenants)

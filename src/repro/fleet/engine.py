@@ -214,7 +214,6 @@ async def _tenant_session(
         registry,
         net,
         max_views_per_state=spec.max_views_per_state,
-        topology=spec.topology,
     )
     gate = _InboxGate(net, inbox_limit, backpressure)
     await drive_session(session, quiesce_timeout, admit=gate.admit)
@@ -242,7 +241,6 @@ def standalone_tenant_result(
         transport="memory",
         time_scale=spec.time_scale,
         quiesce_timeout=quiesce_timeout,
-        topology=spec.topology,
     )
     return TenantResult.from_report(spec, report)
 

@@ -86,16 +86,26 @@ def _point_rng(seed: int, index: int) -> random.Random:
     return random.Random(((seed ^ _FUZZ_SEED_SALT) << 16) ^ index)
 
 
+#: fault-free scenarios no longer registered; points ran them as ``paper-default``
+#: (same workload and network), so their pool slots stay, under that name
+_RETIRED_SCENARIOS = ("paper-gossip", "paper-slicer-placement", "paper-tree-aggregation")
+
+
 def _scenario_pool() -> tuple[str, ...]:
     """Names of the registered scenarios without a fault model of their own.
 
     The fuzzer owns the fault plan of every point, so it samples workload ×
     network conditions from the fault-free catalogue and composes its own
-    adversarial schedule on top.
+    adversarial schedule on top.  Retired names keep their sorted slots, so
+    every seed's point stream stays where it was.
     """
     from ..scenarios import list_scenarios
 
-    return tuple(s.name for s in list_scenarios() if s.faults is None)
+    names = {s.name for s in list_scenarios() if s.faults is None}
+    return tuple(
+        "paper-default" if name in _RETIRED_SCENARIOS else name
+        for name in sorted(names.union(_RETIRED_SCENARIOS))
+    )
 
 
 def _random_fault_plan(rng: random.Random, num_processes: int) -> FaultPlan | None:

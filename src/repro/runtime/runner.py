@@ -103,7 +103,6 @@ async def stream_monitored_run(
     time_scale: float = 0.0,
     quiesce_timeout: float = 120.0,
     faults: FaultPlan | None = None,
-    topology: str = "round-robin-token",
 ) -> RunReport:
     """Stream *computation* through concurrent monitor tasks.
 
@@ -134,10 +133,6 @@ async def stream_monitored_run(
         Optional :class:`repro.faults.FaultPlan`; monitors named by the
         plan are wrapped in the same crash/restart proxies the simulator
         uses, so a fault schedule means the same thing on both backends.
-    topology:
-        Name of the :mod:`repro.coordination` routing policy shared by the
-        run's monitors.  Deterministic in ``(name, num_processes)`` — the
-        streaming backend has no run seed, and none is needed.
     """
     started = time.perf_counter()
     if transport not in _TRANSPORT_CLASSES:
@@ -150,7 +145,6 @@ async def stream_monitored_run(
         net,
         faults=faults,
         max_views_per_state=max_views_per_state,
-        topology=topology,
     )
     await drive_session(session, quiesce_timeout)
     return session.report(transport=transport, wall_seconds=time.perf_counter() - started)

@@ -1,9 +1,8 @@
 """Render generated-checked catalogues into the docs — and keep them true.
 
-Several reference sections are *generated-checked*: the scenario and
-topology catalogues of ``docs/scenarios.md`` (between
-:data:`BEGIN_MARKER`/:data:`END_MARKER` and
-:data:`TOPOLOGY_BEGIN_MARKER`/:data:`TOPOLOGY_END_MARKER`), the
+Several reference sections are *generated-checked*: the scenario
+catalogue of ``docs/scenarios.md`` (between
+:data:`BEGIN_MARKER`/:data:`END_MARKER`), the
 fault-scenario section of ``docs/faults.md``
 (between :data:`FAULTS_BEGIN_MARKER` and :data:`FAULTS_END_MARKER`), and
 the public API reference of ``docs/api.md`` (between
@@ -11,7 +10,7 @@ the public API reference of ``docs/api.md`` (between
 source/sink/backpressure catalogue of ``docs/fleet.md`` (between
 :data:`FLEET_BEGIN_MARKER` and :data:`FLEET_END_MARKER`).  The catalogues are
 produced straight from the live registries (:mod:`repro.scenarios.registry`,
-:mod:`repro.coordination`, :mod:`repro.fleet`)
+:mod:`repro.fleet`)
 and the API reference from the live ``repro.api.__all__``; tests assert
 each file matches the renderer's output, so the documents cannot drift
 from the code.  After adding or changing a scenario or a public API name,
@@ -45,15 +44,12 @@ __all__ = [
     "ADVERSARIAL_END_MARKER",
     "API_BEGIN_MARKER",
     "API_END_MARKER",
-    "TOPOLOGY_BEGIN_MARKER",
-    "TOPOLOGY_END_MARKER",
     "FLEET_BEGIN_MARKER",
     "FLEET_END_MARKER",
     "render_catalogue",
     "render_fault_catalogue",
     "render_adversarial_catalogue",
     "render_api_reference",
-    "render_topology_catalogue",
     "render_fleet_catalogue",
     "replace_generated_section",
     "main",
@@ -72,11 +68,6 @@ ADVERSARIAL_END_MARKER = "<!-- END GENERATED ADVERSARIAL CATALOGUE -->"
 
 API_BEGIN_MARKER = "<!-- BEGIN GENERATED API REFERENCE (repro.scenarios.docgen) -->"
 API_END_MARKER = "<!-- END GENERATED API REFERENCE -->"
-
-TOPOLOGY_BEGIN_MARKER = (
-    "<!-- BEGIN GENERATED TOPOLOGY CATALOGUE (repro.scenarios.docgen) -->"
-)
-TOPOLOGY_END_MARKER = "<!-- END GENERATED TOPOLOGY CATALOGUE -->"
 
 FLEET_BEGIN_MARKER = "<!-- BEGIN GENERATED FLEET CATALOGUE (repro.scenarios.docgen) -->"
 FLEET_END_MARKER = "<!-- END GENERATED FLEET CATALOGUE -->"
@@ -108,16 +99,13 @@ def _render_scenario(scenario: Scenario) -> list[str]:
     ]
     if faults is not None:
         lines.append(f"- **Faults:** `{faults['kind']}` — {_format_params(faults)}")
-    lines.append(f"- **Topology:** `{description['topology']}`")
-    lines.extend(
-        [
-            f"- **Grid:** properties={grid['properties']!r}, "
-            f"process_counts={grid['process_counts']!r}, comm_mus={grid['comm_mus']!r}",
-            f"- **Tags:** {', '.join(scenario.tags) if scenario.tags else '(none)'}",
-            "",
-        ]
-    )
-    return lines
+    return [
+        *lines,
+        f"- **Grid:** properties={grid['properties']!r}, "
+        f"process_counts={grid['process_counts']!r}, comm_mus={grid['comm_mus']!r}",
+        f"- **Tags:** {', '.join(scenario.tags) if scenario.tags else '(none)'}",
+        "",
+    ]
 
 
 def render_catalogue() -> str:
@@ -210,37 +198,6 @@ def render_api_reference() -> str:
     return "\n".join(lines)
 
 
-def render_topology_catalogue() -> str:
-    """The generated topology section of ``docs/scenarios.md``.
-
-    Rendered straight from the live :mod:`repro.coordination` registry —
-    every topology name with its routing/termination/verdict policy from
-    ``describe()`` — so the documented frontier cannot drift from the code.
-    The instances are built at a nominal size; ``describe()`` is
-    size-independent metadata.
-    """
-    from ..coordination import TOPOLOGIES, build_topology
-
-    lines = [
-        TOPOLOGY_BEGIN_MARKER,
-        "",
-        f"{len(TOPOLOGIES)} coordination topologies are registered "
-        "(frontier order); select one with `run --topology NAME` or a "
-        "scenario's `topology` field.",
-        "",
-        "| name | token routing | termination | verdicts |",
-        "| --- | --- | --- | --- |",
-    ]
-    for name in TOPOLOGIES:
-        meta = build_topology(name, 8).describe()
-        lines.append(
-            f"| `{meta['name']}` | {meta['routing']} | {meta['termination']} "
-            f"| {meta['verdicts']} |"
-        )
-    lines.extend(["", TOPOLOGY_END_MARKER])
-    return "\n".join(lines)
-
-
 def render_fleet_catalogue() -> str:
     """The generated source/sink/backpressure section of ``docs/fleet.md``.
 
@@ -305,7 +262,6 @@ _SECTIONS: tuple[tuple[str, str, object], ...] = (
     (FAULTS_BEGIN_MARKER, FAULTS_END_MARKER, render_fault_catalogue),
     (ADVERSARIAL_BEGIN_MARKER, ADVERSARIAL_END_MARKER, render_adversarial_catalogue),
     (API_BEGIN_MARKER, API_END_MARKER, render_api_reference),
-    (TOPOLOGY_BEGIN_MARKER, TOPOLOGY_END_MARKER, render_topology_catalogue),
     (FLEET_BEGIN_MARKER, FLEET_END_MARKER, render_fleet_catalogue),
 )
 

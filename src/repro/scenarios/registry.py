@@ -24,9 +24,6 @@ name                condition
 ``node-churn``      half the monitors leave mid-run and rejoin from scratch
 ``clock-skew``      sound vector-clock skew on the monitored trace
 ``byzantine-storm``  adversarial monitors duplicate/corrupt/replay tokens
-``paper-tree-aggregation``  paper workload with tree-aggregation routing
-``paper-gossip``    paper workload with the gossip digest overlay
-``paper-slicer-placement``  paper workload with slice-weighted routing
 ==================  =====================================================
 
 User code can add its own conditions with :func:`register_scenario`; for
@@ -303,53 +300,5 @@ register_scenario(
         ),
         corresponds_to="extension: Byzantine stress of the paper's soundness claim",
         tags=("faults", "adversarial", "degraded"),
-    )
-)
-
-# topology variants of the paper's testbed condition — registered (not just
-# CLI overrides) so the cluster backend, whose workers resolve scenarios by
-# name, can run every point of the topology frontier
-register_scenario(
-    Scenario(
-        name="paper-tree-aggregation",
-        description="Paper workload and network with tree-aggregation "
-        "routing: tokens and termination notices travel the edges of an "
-        "implicit binary tree rooted at monitor 0, so each monitor keeps "
-        "a logarithmic neighbour set at the cost of relay hops.",
-        workload=PaperWorkload(),
-        network=ReliableNetwork(),
-        topology="tree-aggregation",
-        corresponds_to="extension: message/latency frontier of the Section-5 testbed",
-        tags=("topology",),
-    )
-)
-
-register_scenario(
-    Scenario(
-        name="paper-gossip",
-        description="Paper workload and network with the gossip overlay: "
-        "tokens route directly, while termination notices and first "
-        "conclusive verdicts flood a ring-plus-chords digest overlay with "
-        "duplicate suppression.",
-        workload=PaperWorkload(),
-        network=ReliableNetwork(),
-        topology="gossip",
-        corresponds_to="extension: message/latency frontier of the Section-5 testbed",
-        tags=("topology",),
-    )
-)
-
-register_scenario(
-    Scenario(
-        name="paper-slicer-placement",
-        description="Paper workload and network with slice-weighted "
-        "routing: tokens prefer the monitor owning the most undecided "
-        "conjuncts of the slice being searched, breaking ties towards "
-        "proposition-heavy processes.",
-        workload=PaperWorkload(),
-        network=ReliableNetwork(),
-        topology="slicer-placement",
-        corresponds_to="extension: message/latency frontier of the Section-5 testbed",
-        tags=("topology",),
     )
 )

@@ -114,9 +114,6 @@ class Scenario:
     #: optional monitor-fault condition (a :class:`repro.faults.FaultModel`);
     #: the engine builds one concrete per-seed plan per sweep cell from it
     faults: FaultModel | None = None
-    #: coordination topology routing the monitors' tokens and digests (a
-    #: :mod:`repro.coordination` name); ``run --topology`` overrides it
-    topology: str = "round-robin-token"
     tags: tuple[str, ...] = ()
     #: which paper artefact this condition reproduces, or which extension it
     #: is — rendered into ``docs/scenarios.md`` by :mod:`repro.scenarios.docgen`
@@ -134,7 +131,6 @@ class Scenario:
             "workload": self.workload.describe(),
             "network": self.network.describe(),
             "faults": self.faults.describe() if self.faults is not None else None,
-            "topology": self.topology,
             "grid": self.grid.describe(),
             "tags": list(self.tags),
             "corresponds_to": self.corresponds_to,

@@ -19,7 +19,7 @@ session, registers the endpoints, calls ``start()`` on each, feeds the
 schedule against its own notion of time and waits for quiescence.  There are
 four: :func:`run_decentralized` below (in memory, untimed), ``repro.sim``,
 ``repro.runtime`` and the ``repro.cluster`` worker.  The module sits above
-:mod:`repro.core`, :mod:`repro.coordination` and :mod:`repro.faults` (the
+:mod:`repro.core` and :mod:`repro.faults` (the
 fault injector imports the monitor, so the session cannot live inside
 ``core``) and below every backend package.
 """
@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .coordination import build_topology
 from .core.monitor import DecentralizedMonitor, MonitorMetrics
 from .core.transport import LoopbackNetwork, MonitorNode, Transport
 from .distributed.computation import Computation
@@ -79,7 +78,6 @@ class RunReport:
     monitor_messages: int
     token_messages: int
     termination_messages: int
-    digest_messages: int
     total_global_views: int
     delayed_events: int
     reported_verdicts: frozenset[Verdict]
@@ -146,13 +144,17 @@ class RunReport:
             num_processes=len(metrics),
             token_messages=merged.token_messages_sent,
             termination_messages=merged.termination_messages_sent,
-            digest_messages=merged.digest_messages_sent,
             total_global_views=merged.views_created,
             reported_verdicts=frozenset(reported),
             declared_verdicts=frozenset(declared),
             **{name: getattr(merged, name) for name in shared},
             **fields,
         )
+
+    @property
+    def digest_messages(self) -> int:
+        """Always 0: ``monitor_messages`` is token + termination messages."""
+        return 0
 
     @property
     def monitor_extra_time(self) -> float:
@@ -222,23 +224,18 @@ def monitor_factory(
     transport: Transport,
     *,
     max_views_per_state: int | None,
-    topology: str,
 ) -> Callable[[int], DecentralizedMonitor]:
     """The per-process monitor constructor of one run.
 
     The only place a :class:`DecentralizedMonitor` is constructed: the
-    initial letters and the :mod:`repro.coordination` routing policy named
-    *topology* are computed once and shared by every monitor the returned
-    ``factory(process)`` builds (fault proxies call it again to rebuild a
-    crashed monitor).  The policy is deterministic in ``(name, n, formula
-    ownership)``, so processes building from the same inputs — cluster
-    workers — make identical routing decisions.
+    initial letters are computed once and shared by every monitor the
+    returned ``factory(process)`` builds (fault proxies call it again to
+    rebuild a crashed monitor).
     """
     n = computation.num_processes
     initial_letters = [
         registry.local_letter(i, computation.initial_states[i]) for i in range(n)
     ]
-    route = build_topology(topology, n, registry=registry)
 
     def make_monitor(process: int) -> DecentralizedMonitor:
         return DecentralizedMonitor(
@@ -249,7 +246,6 @@ def monitor_factory(
             initial_letters=initial_letters,
             transport=transport,
             max_views_per_state=max_views_per_state,
-            topology=route,
         )
 
     return make_monitor
@@ -273,10 +269,9 @@ class MonitorSession:
         deterministic transform on every backend and every cluster worker);
         monitors it names are wrapped in crash/restart proxies.  A no-op
         plan takes the exact fault-free code path.
-    max_views_per_state, topology:
+    max_views_per_state:
         Forwarded to every monitor (see
-        :class:`repro.core.monitor.DecentralizedMonitor`); *topology* names
-        the :mod:`repro.coordination` routing policy the monitors share.
+        :class:`repro.core.monitor.DecentralizedMonitor`).
     hosted:
         The processes whose monitors this session builds and schedules —
         all of them by default, its own one in a cluster worker.
@@ -291,7 +286,6 @@ class MonitorSession:
         *,
         faults: FaultPlan | None = None,
         max_views_per_state: int | None = None,
-        topology: str = "round-robin-token",
         hosted: Sequence[int] | None = None,
     ) -> None:
         self.computation, self.skew_stats = apply_clock_skew(
@@ -311,7 +305,6 @@ class MonitorSession:
                 registry,
                 transport,
                 max_views_per_state=max_views_per_state,
-                topology=topology,
             ),
             self.hosted,
         )
@@ -386,7 +379,6 @@ def run_decentralized(
     registry: PropositionRegistry,
     deliver_after_each_event: bool = True,
     max_views_per_state: int | None = None,
-    topology: str = "round-robin-token",
 ) -> RunReport:
     """Monitor a finished computation in memory, with no notion of time.
 
@@ -413,7 +405,7 @@ def run_decentralized(
         after every program event — the "fast network" regime.  When
         ``False`` all program events are fed first and monitoring messages
         are only exchanged afterwards, maximising monitor-side queuing.
-    max_views_per_state, topology:
+    max_views_per_state:
         Forwarded to the :class:`MonitorSession`.
     """
     automaton = property_or_automaton
@@ -426,7 +418,6 @@ def run_decentralized(
         registry,
         network,
         max_views_per_state=max_views_per_state,
-        topology=topology,
     )
     for endpoint in session.endpoints:
         network.register(endpoint.process, endpoint)

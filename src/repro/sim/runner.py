@@ -46,7 +46,6 @@ def simulate_monitored_run(
     network: NetworkModel | None = None,
     faults: FaultPlan | None = None,
     max_sim_events: int | None = None,
-    topology: str = "round-robin-token",
 ) -> RunReport:
     """Replay *computation* under decentralized monitoring with network latency.
 
@@ -60,9 +59,7 @@ def simulate_monitored_run(
     *max_sim_events* set, the simulator raises
     :class:`repro.sim.SimulationBudgetExceeded` after that many scheduled
     callbacks — the guard the fuzzing harness uses to bound
-    message-amplification storms under adversarial plans.  *topology*
-    names the :mod:`repro.coordination` routing policy shared by the run's
-    monitors (default ``round-robin-token``, the pre-refactor behaviour).
+    message-amplification storms under adversarial plans.
     """
     simulator = Simulator()
     delay = network.delay_model(seed) if network is not None else GaussianDelay(0.05, 0.01, seed)
@@ -74,7 +71,6 @@ def simulate_monitored_run(
         net,
         faults=faults,
         max_views_per_state=max_views_per_state,
-        topology=topology,
     )
     for endpoint in session.endpoints:
         net.register(endpoint.process, endpoint)

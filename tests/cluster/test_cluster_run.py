@@ -115,7 +115,7 @@ class TestClusterEquivalence:
         }
         assert report.token_messages > 0
         assert report.monitor_messages == (
-            report.token_messages + report.termination_messages + report.digest_messages
+            report.token_messages + report.termination_messages
         )
         assert report.wall_seconds > 0.0
         # the cluster has no shared clock: the virtual-time metric stays zero
@@ -211,7 +211,7 @@ class TestPayloadAcrossBackends:
         for backend, report in reports.items():
             assert report.declared_verdicts == simulated.declared_verdicts, backend
             assert report.monitor_messages == (
-                report.token_messages + report.termination_messages + report.digest_messages
+                report.token_messages + report.termination_messages
             ), backend
             assert report.total_global_views > 0, backend
         # bytes are counted exactly where frames are written

@@ -26,12 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import codec
-from repro.core.messages import (
-    TerminationNotice,
-    Token,
-    TokenEntry,
-    VerdictAnnouncement,
-)
+from repro.core.messages import TerminationNotice, Token, TokenEntry
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -135,12 +130,6 @@ termination_notices = st.builds(
     final_event_sn=st.integers(-1, 10**4),
 )
 
-verdict_announcements = st.builds(
-    VerdictAnnouncement,
-    origin=st.integers(0, 16),
-    verdict=st.sampled_from(["⊤", "⊥", "?"]),
-)
-
 
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
@@ -164,30 +153,24 @@ class TestRoundTrip:
         assert (decoded_due, decoded) == (due, message)
         assert codec.encode_wire(decoded_due, decoded) == frame
 
-    @settings(max_examples=100, deadline=None)
-    @given(message=verdict_announcements, due=finite_floats)
-    def test_verdict_announcement_round_trips_byte_stably(self, message, due):
-        frame = codec.encode_wire(due, message)
-        type_tag, payload = codec.split_frame(frame)
-        assert type_tag == codec.TYPE_VERDICT
-        decoded_due, decoded = codec.decode_wire(type_tag, payload)
-        assert (decoded_due, decoded) == (due, message)
-        assert codec.encode_wire(decoded_due, decoded) == frame
+    def test_the_retired_verdict_frame_is_an_unknown_type(self):
+        # 0x04 carried a verdict digest: an origin and the verdict's string
+        body = bytes([0x02, 0x03]) + "⊤".encode()
+        with pytest.raises(codec.CorruptFrameError, match="unknown message type 0x04"):
+            codec.decode_message(0x04, body)
 
-    def test_verdict_announcement_survives_verdict_reconstruction(self):
-        from repro.ltl.verdict import Verdict
+    @pytest.mark.parametrize("type_tag", [0x00, 0x05, 0x0F, 0x11, 0xFF])
+    def test_every_unassigned_type_tag_is_rejected(self, type_tag):
+        # only tokens, termination notices and generic values travel as messages
+        body = codec.encode_message(TerminationNotice(1, 3))[1]
+        with pytest.raises(
+            codec.CorruptFrameError, match=f"unknown message type 0x{type_tag:02x}"
+        ):
+            codec.decode_message(type_tag, body)
 
-        for verdict in (Verdict.TOP, Verdict.BOTTOM):
-            message = VerdictAnnouncement(2, str(verdict))
-            _, body = codec.encode_message(message)
-            decoded = codec.decode_message(codec.TYPE_VERDICT, body)
-            # the worker rebuilds the enum from the gossiped string form
-            assert Verdict(decoded.verdict) is verdict
-
-    def test_trailing_bytes_in_verdict_body_are_rejected(self):
-        _, body = codec.encode_message(VerdictAnnouncement(1, "⊤"))
-        with pytest.raises(codec.CorruptFrameError, match="trailing"):
-            codec.decode_message(codec.TYPE_VERDICT, body + b"\x00")
+    def test_retiring_the_verdict_frame_kept_the_protocol_version(self):
+        # no peer routing by the one rule ever sent 0x04, so v3 peers agree
+        assert codec.PROTOCOL_VERSION == 3
 
     @settings(max_examples=150, deadline=None)
     @given(value=generic_values)

@@ -140,6 +140,13 @@ class TestRunSpec:
             old = json.dumps({**document, "compiled_kernel": value})
             assert RunSpec.from_json(old) == self._spec()
 
+    def test_documents_with_the_retired_topology_key_still_load(self):
+        # specs written while tokens could be routed several ways name one
+        document = json.loads(self._spec().to_json())
+        assert "topology" not in document
+        old = json.dumps({**document, "topology": "gossip"})
+        assert RunSpec.from_json(old) == self._spec()
+
     def test_fault_plan_travels_as_grammar(self):
         plan = FaultPlan(crashes=(CrashSpec(process=1, after_events=2,
                                             down_events=1, recovery="replay"),))

@@ -1,7 +1,7 @@
 """Regression tests for the message/hop counter bugfixes.
 
-Three accounting bugs rode along with the topology refactor; each gets a
-pinned regression here:
+Three accounting bugs were fixed together; each gets a pinned regression
+here:
 
 1. **Hop ordering** — a completed token returning to its parent view was
    counted as a served hop (``token.hops`` and
@@ -10,12 +10,12 @@ pinned regression here:
    hop.
 2. **Runner counter consistency** — a loopback ``RunReport`` carries one
    counter set: the network-level total (``monitor_messages``) equals the
-   per-monitor sum and decomposes exactly as token + termination + digest
+   per-monitor sum and decomposes exactly as token + termination
    messages.
 3. **Centralized accounting** — the centralized baseline counts its
    verdict broadcasts separately from observation deliveries, keeping
-   ``messages`` backward-compatible while ``total_messages`` is the honest
-   frontier denominator.
+   ``messages`` backward-compatible while ``total_messages`` is the
+   baseline a decentralized run's total compares to.
 """
 
 from repro.core.centralized import CentralizedMonitor
@@ -93,25 +93,13 @@ class TestRunnerCounterConsistency:
         registry = case_study_registry(3)
         automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
         computation = random_computation(3, 12, seed=7)
-        for topology in ("round-robin-token", "tree-aggregation", "gossip"):
-            result = run_decentralized(
-                computation,
-                automaton,
-                registry,
-                max_views_per_state=2,
-                topology=topology,
-            )
-            assert result.monitor_messages == sum(
-                m.metrics.messages_sent for m in result.monitors
-            ), f"network total diverged from monitor sum under {topology}"
-            assert result.monitor_messages == (
-                result.token_messages
-                + result.termination_messages
-                + result.digest_messages
-            ), f"decomposition broke under {topology}"
-            summary = result.as_dict()
-            assert summary["messages"] == result.monitor_messages
-            assert summary["token_messages"] == result.token_messages
+        result = run_decentralized(computation, automaton, registry, max_views_per_state=2)
+        assert result.monitor_messages == sum(m.metrics.messages_sent for m in result.monitors)
+        assert result.monitor_messages == result.token_messages + result.termination_messages
+        assert result.digest_messages == 0
+        summary = result.as_dict()
+        assert summary["messages"] == result.monitor_messages
+        assert summary["token_messages"] == result.token_messages
 
     def test_monitor_metrics_decompose_per_monitor_too(self):
         registry = case_study_registry(3)
@@ -122,9 +110,7 @@ class TestRunnerCounterConsistency:
         )
         for metrics in (m.metrics for m in result.monitors):
             assert metrics.messages_sent == (
-                metrics.token_messages_sent
-                + metrics.termination_messages_sent
-                + metrics.digest_messages_sent
+                metrics.token_messages_sent + metrics.termination_messages_sent
             )
 
 

@@ -1,17 +1,16 @@
-"""Byte-identity of the default topology against its pinned fixture.
+"""Byte-identity of the monitors against their pinned fixture.
 
 ``tests/coordination/fixtures/round_robin_token.json`` records the complete
 observable output — verdicts, every per-monitor counter, network totals, the
 full sweep-row dict — of five fixed-seed cells.  It was captured on the
-monolithic ``DecentralizedMonitor`` before the coordination-topology
-extraction and re-captured once since, when token routing changed on purpose
-(PR 16, "park, don't bounce": fewer messages and hops, verdicts unchanged).
-The monitor running the default ``round-robin-token`` topology must
-reproduce each cell **byte for byte**: refactors and optimisations are
-required not to change behaviour.
+monolithic ``DecentralizedMonitor`` and re-captured only when routing or
+search changed on purpose (fewer messages and hops, verdicts unchanged; the
+diffs are in CHANGES.md).  The monitors, routing tokens by the
+``round-robin-token`` rule, must reproduce each cell **byte for byte**:
+refactors and optimisations are required not to change behaviour.
 
-Regenerate the fixture (only when the default topology's *intended*
-behaviour changes) with ``tools/capture_topology_fixtures.py``.
+Regenerate the fixture (only when the *intended* behaviour changes) with
+``tools/capture_topology_fixtures.py``.
 """
 
 import json

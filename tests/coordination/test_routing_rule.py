@@ -1,0 +1,131 @@
+"""The one routing rule, end to end over the case-study grid.
+
+Properties A–F on 3, 4 and 5 processes (the paper-default workload, six
+events per process, seed 2015), on the simulator and on the asyncio
+streaming runtime:
+
+* every message a monitor sends is a token or a termination notice, and
+  each process's termination reaches every other monitor exactly once;
+* every token goes directly to the lowest-index process it still needs;
+* both backends declare the same verdicts, and on 3 processes the
+  centralized lattice oracle confirms them (the oracle is exponential in
+  the process count, so the larger cells compare the backends only).
+"""
+
+from functools import cache
+
+import pytest
+
+from repro.api import run_streaming
+from repro.coordination.topology import RoundRobinToken
+from repro.core.centralized import CentralizedMonitor
+from repro.experiments.engine import cell_inputs
+from repro.scenarios import get_scenario
+from repro.sim import simulate_monitored_run
+
+PROPERTIES = "ABCDEF"
+SIZES = (3, 4, 5)
+GRID = [(p, n) for p in PROPERTIES for n in SIZES]
+SEED = 2015
+
+
+def _grid_id(cell):
+    return f"{cell[0]}-n{cell[1]}"
+
+
+@cache
+def _inputs(property_name, num_processes):
+    return cell_inputs(
+        get_scenario("paper-default"),
+        property_name,
+        num_processes,
+        events_per_process=6,
+        evt_mu=3,
+        evt_sigma=1,
+        comm_mu=3,
+        comm_sigma=1,
+        seed=SEED,
+    )
+
+
+def _simulate(property_name, num_processes):
+    return simulate_monitored_run(
+        *_inputs(property_name, num_processes),
+        seed=SEED,
+        max_views_per_state=2,
+        network=get_scenario("paper-default").network,
+    )
+
+
+def _stream(property_name, num_processes):
+    return run_streaming(*_inputs(property_name, num_processes), max_views_per_state=2)
+
+
+@cache
+def _report(backend, property_name, num_processes):
+    run = {"sim": _simulate, "asyncio": _stream}[backend]
+    return run(property_name, num_processes)
+
+
+@pytest.mark.parametrize("cell", GRID, ids=_grid_id)
+@pytest.mark.parametrize("backend", ["sim", "asyncio"])
+def test_every_message_is_a_token_or_a_termination_notice(backend, cell):
+    property_name, n = cell
+    report = _report(backend, property_name, n)
+    assert report.monitor_messages == report.token_messages + report.termination_messages
+    assert report.monitor_messages == sum(m.metrics.messages_sent for m in report.monitors)
+    assert report.digest_messages == 0
+    # one notice from each process to each other monitor, none forwarded
+    assert report.termination_messages == n * (n - 1)
+    for monitor in report.monitors:
+        metrics = monitor.metrics
+        assert metrics.termination_messages_sent == n - 1
+        assert metrics.messages_sent == (
+            metrics.token_messages_sent + metrics.termination_messages_sent
+        )
+
+
+@pytest.mark.parametrize("cell", GRID, ids=_grid_id)
+def test_every_token_goes_directly_to_the_lowest_candidate(monkeypatch, cell):
+    property_name, n = cell
+    picks, hops = [], []
+    pick_target, next_hop = RoundRobinToken.pick_target, RoundRobinToken.next_hop
+
+    def recording_pick_target(self, current, candidates, token):
+        target = pick_target(self, current, candidates, token)
+        picks.append((current, list(candidates), target))
+        return target
+
+    def recording_next_hop(self, current, destination):
+        hop = next_hop(self, current, destination)
+        hops.append((current, destination, hop))
+        return hop
+
+    monkeypatch.setattr(RoundRobinToken, "pick_target", recording_pick_target)
+    monkeypatch.setattr(RoundRobinToken, "next_hop", recording_next_hop)
+    report = _simulate(property_name, n)
+    assert picks, "no token left its home"
+    for current, candidates, target in picks:
+        assert candidates == sorted(set(candidates))
+        assert current not in candidates
+        assert target == candidates[0]
+    # every token message is one direct send: no relay through a third monitor
+    assert len(hops) == report.token_messages
+    assert all(hop == destination != current for current, destination, hop in hops)
+
+
+@pytest.mark.parametrize("cell", GRID, ids=_grid_id)
+def test_sim_and_asyncio_declare_the_same_verdicts(cell):
+    simulated = _report("sim", *cell)
+    streamed = _report("asyncio", *cell)
+    assert streamed.declared_verdicts == simulated.declared_verdicts
+    assert set().union(*(m.declared_states for m in streamed.monitors)) == set().union(
+        *(m.declared_states for m in simulated.monitors)
+    )
+
+
+@pytest.mark.parametrize("property_name", PROPERTIES)
+def test_declared_verdicts_are_sound(property_name):
+    oracle = CentralizedMonitor.monitor_computation_declared(*_inputs(property_name, 3))
+    for backend in ("sim", "asyncio"):
+        assert _report(backend, property_name, 3).declared_verdicts <= oracle, backend

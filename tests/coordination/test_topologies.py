@@ -1,219 +1,29 @@
-"""Unit properties of the :mod:`repro.coordination` routing policies.
+"""Unit properties of :class:`repro.coordination.topology.RoundRobinToken`.
 
-Every topology is a pure, stateless function of ``(name, num_processes)``
-(plus formula ownership for ``slicer-placement``): two instances built from
-the same inputs must answer every routing question identically — that is
-what lets cluster workers derive routing from a ``RunSpec`` field alone.
-The tests here pin the structural invariants (tree walks terminate, the
-gossip overlay is symmetric and connected, rankings are deterministic)
-without running any monitors; end-to-end behaviour lives in the
-verdict-equivalence and fixture suites next door.
+The routing rule is a pure function of ``num_processes``: the lowest-index
+candidate, direct delivery, termination told to every other monitor.  End
+to end behaviour lives in the verdict-equivalence and fixture suites next
+door.
 """
 
 import pytest
 
-from repro.coordination import (
-    DEFAULT_TOPOLOGY,
-    TOPOLOGIES,
-    CoordinationTopology,
-    GossipFanout,
-    RoundRobinToken,
-    SlicerPlacement,
-    TreeAggregation,
-    build_topology,
-    topology_names,
-)
-from repro.experiments.properties import case_study_registry
+from repro.coordination.topology import RoundRobinToken
 
 
-class _FakeEntry:
-    """Duck-typed TokenEntry: just the per-process conjunct split."""
-
-    def __init__(self, conjuncts):
-        self.conjuncts = conjuncts
-
-
-class _FakeToken:
-    """Duck-typed Token: ``pick_target`` only calls ``undecided_entries``."""
-
-    def __init__(self, entries=()):
-        self._entries = list(entries)
-
-    def undecided_entries(self):
-        return self._entries
+def test_the_rule_is_lowest_candidate_direct_delivery_point_to_point_termination():
+    routing = RoundRobinToken(4)
+    assert routing.pick_target(0, [1, 2, 3], token=None) == 1
+    assert routing.next_hop(1, 3) == 3
+    assert routing.termination_recipients(2) == (0, 1, 3)
 
 
-class TestRegistry:
-    def test_every_name_builds_a_protocol_instance(self):
-        for name in TOPOLOGIES:
-            topology = build_topology(name, 8)
-            assert isinstance(topology, CoordinationTopology)
-            assert topology.name == name
-
-    def test_default_topology_is_registered_first(self):
-        assert DEFAULT_TOPOLOGY == "round-robin-token"
-        assert TOPOLOGIES[0] == DEFAULT_TOPOLOGY
-        assert topology_names() == list(TOPOLOGIES)
-
-    def test_unknown_name_raises_with_known_names(self):
-        with pytest.raises(ValueError, match="unknown topology 'mesh'"):
-            build_topology("mesh", 4)
-
-    def test_describe_is_json_friendly_metadata(self):
-        for name in TOPOLOGIES:
-            description = build_topology(name, 8).describe()
-            assert set(description) == {
-                "name",
-                "routing",
-                "termination",
-                "verdicts",
-            }
-            assert description["name"] == name
-
-    @pytest.mark.parametrize("name", TOPOLOGIES)
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
-    def test_routing_invariants_hold_for_every_topology(self, name, n):
-        topology = build_topology(name, n, registry=case_study_registry(n))
-        token = _FakeToken()
-        for current in range(n):
-            candidates = [j for j in range(n)]
-            assert topology.pick_target(current, candidates, token) in candidates
-            recipients = topology.termination_recipients(current)
-            assert current not in recipients
-            assert len(set(recipients)) == len(recipients)
-            for origin in range(n):
-                forwarded = topology.forward_termination(current, origin)
-                assert current not in forwarded
-                assert origin not in forwarded
-                assert current not in topology.forward_verdict(current, origin)
-            for destination in range(n):
-                hop = topology.next_hop(current, destination)
-                assert 0 <= hop < n
-
-
-class TestRoundRobinToken:
-    def test_reproduces_the_pre_refactor_decisions(self):
-        topology = RoundRobinToken(4)
-        assert topology.pick_target(0, [2, 1, 3], _FakeToken()) == 2
-        assert topology.next_hop(1, 3) == 3
-        assert topology.termination_recipients(2) == (0, 1, 3)
-        assert topology.forward_termination(2, 0) == ()
-        assert topology.verdict_recipients(2) == ()
-        assert topology.forward_verdict(2, 0) == ()
-
-
-class TestTreeAggregation:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12])
-    def test_next_hop_walks_reach_every_destination(self, n):
-        topology = TreeAggregation(n)
-        for current in range(n):
-            for destination in range(n):
-                node, steps = current, 0
-                while node != destination:
-                    hop = topology.next_hop(node, destination)
-                    assert hop in topology.neighbors(node), (
-                        f"{node}->{destination} hopped to non-neighbour {hop}"
-                    )
-                    node = hop
-                    steps += 1
-                    assert steps <= n, f"walk {current}->{destination} cycles"
-
-    def test_neighbors_are_the_heap_edges(self):
-        topology = TreeAggregation(6)
-        assert topology.neighbors(0) == (1, 2)
-        assert topology.neighbors(1) == (0, 3, 4)
-        assert topology.neighbors(2) == (0, 5)
-        assert topology.neighbors(5) == (2,)
-
-    def test_termination_floods_the_tree_edges(self):
-        topology = TreeAggregation(6)
-        assert topology.termination_recipients(1) == (0, 3, 4)
-        # the flood continues everywhere except back toward the origin
-        assert topology.forward_termination(1, 0) == (3, 4)
-        assert topology.forward_termination(1, 3) == (0, 4)
-
-
-class TestGossipFanout:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13])
-    def test_overlay_is_symmetric_without_self_loops(self, n):
-        topology = GossipFanout(n)
-        for i in range(n):
-            assert i not in topology.neighbors(i)
-            for j in topology.neighbors(i):
-                assert i in topology.neighbors(j)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13])
-    def test_overlay_is_connected(self, n):
-        topology = GossipFanout(n)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in topology.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        assert seen == set(range(n))
-
-    def test_small_overlays_are_the_plain_ring(self):
-        for n in (2, 3, 4):
-            topology = GossipFanout(n)
-            for i in range(n):
-                ring = {(i + 1) % n, (i - 1) % n} - {i}
-                assert set(topology.neighbors(i)) == ring
-
-    def test_large_overlays_add_one_chord_per_node(self):
-        topology = GossipFanout(9)
-        for i in range(9):
-            # the ring plus at least the node's own chord
-            assert len(topology.neighbors(i)) >= 3
-
-    def test_overlay_is_deterministic_across_instances(self):
-        # the chord salt is a compile-time constant, NOT the run seed: every
-        # backend (including the seedless streaming runtime) must build the
-        # identical overlay for a given n
-        first, second = GossipFanout(11), GossipFanout(11)
-        assert first._neighbors == second._neighbors
-
-    def test_digests_fan_out_but_tokens_stay_direct(self):
-        topology = GossipFanout(8)
-        assert topology.next_hop(0, 5) == 5
-        assert topology.termination_recipients(2) == topology.neighbors(2)
-        assert topology.verdict_recipients(2) == topology.neighbors(2)
-        origin = topology.neighbors(2)[0]
-        assert origin not in topology.forward_verdict(2, origin)
-
-
-class TestSlicerPlacement:
-    def test_candidate_owning_most_undecided_conjuncts_wins(self):
-        topology = SlicerPlacement(3)
-        token = _FakeToken(
-            [
-                _FakeEntry([{}, {"p": True}, {"p": True, "q": False}]),
-                _FakeEntry([{}, {}, {"r": True}]),
-            ]
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_termination_reaches_every_other_monitor_once(n):
+    routing = RoundRobinToken(n)
+    for current in range(n):
+        assert routing.termination_recipients(current) == tuple(
+            j for j in range(n) if j != current
         )
-        # weights: process 1 owns 1 conjunct atom, process 2 owns 3
-        assert topology.pick_target(0, [1, 2], token) == 2
-
-    def test_ties_break_on_static_ownership_then_index(self):
-        registry = case_study_registry(3)
-        topology = SlicerPlacement(3, registry=registry)
-        ownership = [len(registry.owned_by(j)) for j in range(3)]
-        token = _FakeToken()  # no undecided work: pure tie
-        winner = topology.pick_target(0, [2, 1], token)
-        best = max(ownership[1], ownership[2])
-        assert ownership[winner] == best
-        # without a registry every weight ties and the lowest index wins
-        assert SlicerPlacement(3).pick_target(0, [2, 1], token) == 1
-
-    def test_everything_else_matches_round_robin(self):
-        topology = SlicerPlacement(4)
-        baseline = RoundRobinToken(4)
-        for current in range(4):
-            assert topology.next_hop(current, 2) == 2
-            assert topology.termination_recipients(current) == (
-                baseline.termination_recipients(current)
-            )
-            assert topology.forward_termination(current, 0) == ()
-            assert topology.verdict_recipients(current) == ()
+        for destination in range(n):
+            assert routing.next_hop(current, destination) == destination

@@ -1,26 +1,21 @@
-"""Cross-topology verdict equivalence: every topology, every backend.
+"""Verdict equivalence across backends, with and without faults.
 
-The acceptance criterion of the topology refactor: routing is allowed to
-change *where* tokens and digests travel, never *what* the monitors
-conclude.  For fixed seeds, each registered topology must
+For fixed seeds the monitors must
 
 1. declare only verdicts the centralized lattice oracle confirms
-   (soundness, per topology and backend),
-2. declare the same verdicts on the simulator and the asyncio streaming
-   runtime (backend agreement),
-3. declare the same verdicts as every other topology on the same cell
-   (topology agreement),
+   (soundness, per backend),
+2. declare the same verdicts on the simulator, the asyncio streaming
+   runtime and the cluster backend with real worker processes (backend
+   agreement),
 
 including under a crash/restart fault plan and an armed Byzantine
-duplication plan (both injected through ``MonitorFaultProxy``), and — for
-one smoke scenario — on the cluster backend with real worker processes.
+duplication plan (both injected through ``MonitorFaultProxy``).
 """
 
 import pytest
 
 from repro.api import cluster_monitored_run, run_streaming
 from repro.cluster.spec import RunSpec, build_cell_inputs
-from repro.coordination import TOPOLOGIES
 from repro.core.centralized import CentralizedMonitor
 from repro.faults import ByzantineSpec, FaultPlan, parse_fault_plan
 from repro.scenarios import get_scenario
@@ -29,7 +24,7 @@ from repro.sim import simulate_monitored_run
 PROPERTIES = ("B", "C")
 
 
-def _spec(property_name, topology, seed=2015, fault_plan=None):
+def _spec(property_name, seed=2015):
     return RunSpec(
         scenario="paper-default",
         property_name=property_name,
@@ -41,17 +36,10 @@ def _spec(property_name, topology, seed=2015, fault_plan=None):
         comm_sigma=1.0,
         seed=seed,
         max_views_per_state=2,
-        fault_plan=fault_plan,
-        topology=topology,
     )
 
 
-def _cell(property_name, seed=2015):
-    spec = _spec(property_name, "round-robin-token", seed=seed)
-    return build_cell_inputs(spec)
-
-
-def _simulate(cell, topology, seed=2015, faults=None):
+def _simulate(cell, seed=2015, faults=None):
     computation, automaton, registry = cell
     return simulate_monitored_run(
         computation,
@@ -60,7 +48,6 @@ def _simulate(cell, topology, seed=2015, faults=None):
         seed=seed,
         network=get_scenario("paper-default").network,
         max_views_per_state=2,
-        topology=topology,
         faults=faults,
     )
 
@@ -72,91 +59,44 @@ def _oracle(cell):
     )
 
 
-class TestInProcessBackendsAgree:
-    @pytest.mark.parametrize("property_name", PROPERTIES)
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_sim_and_asyncio_declare_identical_sound_verdicts(
-        self, topology, property_name
-    ):
-        cell = _cell(property_name)
-        computation, automaton, registry = cell
-        simulated = _simulate(cell, topology)
-        streamed = run_streaming(
-            computation,
-            automaton,
-            registry,
-            max_views_per_state=2,
-            topology=topology,
-        )
-        assert simulated.declared_verdicts <= _oracle(cell), (
-            f"{topology} declared an unsound verdict on {property_name}"
-        )
-        assert streamed.declared_verdicts == simulated.declared_verdicts, (
-            f"backends diverged under {topology} on {property_name}"
-        )
-
-    @pytest.mark.parametrize("property_name", PROPERTIES)
-    def test_every_topology_reaches_the_same_conclusions(self, property_name):
-        cell = _cell(property_name)
-        declared = {
-            topology: _simulate(cell, topology).declared_verdicts
-            for topology in TOPOLOGIES
-        }
-        baseline = declared["round-robin-token"]
-        assert all(verdicts == baseline for verdicts in declared.values()), (
-            f"topologies disagree on {property_name}: "
-            f"{ {t: sorted(map(str, v)) for t, v in declared.items()} }"
-        )
+@pytest.mark.parametrize("property_name", PROPERTIES)
+def test_sim_asyncio_and_cluster_declare_identical_sound_verdicts(property_name):
+    spec = _spec(property_name)
+    cell = build_cell_inputs(spec)
+    simulated = _simulate(cell)
+    streamed = run_streaming(*cell, max_views_per_state=2)
+    clustered = cluster_monitored_run(spec)
+    assert simulated.declared_verdicts <= _oracle(cell), (
+        f"unsound verdict on {property_name}"
+    )
+    assert streamed.declared_verdicts == simulated.declared_verdicts, (
+        f"asyncio diverged from sim on {property_name}"
+    )
+    assert clustered.declared_verdicts == simulated.declared_verdicts, (
+        f"cluster diverged from sim on {property_name}"
+    )
 
 
-class TestEquivalenceUnderFaults:
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_crash_restart_plan_preserves_backend_agreement(self, topology):
-        plan = parse_fault_plan("0@2+1:rejoin")
-        cell = _cell("B")
-        computation, automaton, registry = cell
-        simulated = _simulate(cell, topology, faults=plan)
-        streamed = run_streaming(
-            computation,
-            automaton,
-            registry,
-            max_views_per_state=2,
-            topology=topology,
-            faults=plan,
-        )
-        assert simulated.fault_stats["fault_crashes"] >= 1
-        assert simulated.declared_verdicts <= _oracle(cell)
-        assert streamed.declared_verdicts == simulated.declared_verdicts
-        assert streamed.fault_stats["fault_crashes"] == (
-            simulated.fault_stats["fault_crashes"]
-        )
-
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_byzantine_duplication_stays_sound_on_every_topology(self, topology):
-        # duplicated inbound frames exercise the digest dedup sets: flooded
-        # notices/announcements arrive twice and must be suppressed without
-        # ever changing what gets declared
-        plan = FaultPlan(byzantine=(ByzantineSpec(process=0, duplicate_every=2),))
-        cell = _cell("B")
-        report = _simulate(cell, topology, faults=plan)
-        assert report.fault_stats["fault_byz_duplicated"] >= 1
-        assert report.declared_verdicts <= _oracle(cell), (
-            f"{topology} declared an unsound verdict under duplication"
-        )
+@pytest.mark.parametrize("property_name", PROPERTIES)
+def test_crash_restart_plan_preserves_backend_agreement(property_name):
+    plan = parse_fault_plan("0@2+1:rejoin")
+    cell = build_cell_inputs(_spec(property_name))
+    simulated = _simulate(cell, faults=plan)
+    streamed = run_streaming(*cell, max_views_per_state=2, faults=plan)
+    assert simulated.fault_stats["fault_crashes"] >= 1
+    assert simulated.declared_verdicts <= _oracle(cell)
+    assert streamed.declared_verdicts == simulated.declared_verdicts
+    assert streamed.fault_stats["fault_crashes"] == (
+        simulated.fault_stats["fault_crashes"]
+    )
 
 
-class TestClusterBackendAgrees:
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_cluster_matches_sim_verdicts_per_topology(self, topology):
-        spec = _spec("B", topology, seed=2015)
-        cell = build_cell_inputs(spec)
-        simulated = _simulate(cell, topology)
-        clustered = cluster_monitored_run(spec)
-        assert clustered.declared_verdicts == simulated.declared_verdicts, (
-            f"cluster diverged from sim under {topology}"
-        )
-        if topology in ("tree-aggregation", "gossip"):
-            # flooding topologies forward digests inside real workers too
-            assert clustered.digest_messages > 0
-        else:
-            assert clustered.digest_messages == 0
+@pytest.mark.parametrize("process", [0, 1, 2])
+def test_byzantine_duplication_stays_sound(process):
+    # every other inbound frame of one monitor arrives twice: duplicated
+    # termination notices and tokens must never change what gets declared
+    plan = FaultPlan(byzantine=(ByzantineSpec(process=process, duplicate_every=2),))
+    cell = build_cell_inputs(_spec("B"))
+    report = _simulate(cell, faults=plan)
+    assert report.fault_stats["fault_byz_duplicated"] >= 1
+    assert report.declared_verdicts <= _oracle(cell)

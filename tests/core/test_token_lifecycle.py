@@ -5,7 +5,7 @@
   non-satisfying local event, one send on the first satisfying one.
 * **Liveness.**  The parked token still leaves on a termination notice of a
   process it needs (and resolves ``False``), and resolves at the process's
-  own termination — under every topology, ending quiescent.
+  own termination, ending quiescent.
 * **Orphans are swallowed at home.**  A token whose view was evicted is
   dropped by its parent on the next pass, undecided or not, its runs kept.
 * **The trailing merge was redundant**, the `long-trace` cell stays cheap, and
@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import run_streaming
-from repro.coordination import TOPOLOGIES, build_topology
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token
 from repro.core.monitor import DecentralizedMonitor
@@ -68,10 +67,9 @@ class _RecordingNetwork(LoopbackNetwork):
 class _System:
     """Three monitors of ``F(P0.p & P1.p & P2.p)`` on a loopback network."""
 
-    def __init__(self, topology="round-robin-token", max_views_per_state=None):
+    def __init__(self, max_views_per_state=None):
         registry = case_study_registry(N)
         self.network = _RecordingNetwork()
-        route = build_topology(topology, N, registry=registry)
         self.monitors = [
             DecentralizedMonitor(
                 process=process,
@@ -81,7 +79,6 @@ class _System:
                 initial_letters=[frozenset()] * N,
                 transport=self.network,
                 max_views_per_state=max_views_per_state,
-                topology=route,
             )
             for process in range(N)
         ]
@@ -147,9 +144,8 @@ def test_a_token_blocked_on_a_future_event_is_not_sent_until_it_occurs():
 # ---------------------------------------------------------------------------
 # (ii) liveness of the parked token
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_a_parked_token_leaves_on_a_termination_notice_and_resolves_false(topology):
-    system = _System(topology)
+def test_a_parked_token_leaves_on_a_termination_notice_and_resolves_false():
+    system = _System()
     token = system.blocked_at_p1()
     system.event(1, False)
     hops = len(system.route(token))
@@ -164,9 +160,8 @@ def test_a_parked_token_leaves_on_a_termination_notice_and_resolves_false(topolo
     assert not any(monitor.declared_verdicts for monitor in system.monitors)
 
 
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_a_parked_token_resolves_at_the_termination_of_the_process_it_waits_on(topology):
-    system = _System(topology)
+def test_a_parked_token_resolves_at_the_termination_of_the_process_it_waits_on():
+    system = _System()
     token = system.blocked_at_p1()
     system.event(1, False)
     system.terminate(1)
@@ -192,13 +187,20 @@ def _evict_the_waiting_view(monitor):
 
 
 def test_an_orphan_passing_through_home_undecided_is_swallowed():
-    # on the tree P1 -> P2 relays through P0, the token's home
-    system = _System("tree-aggregation", max_views_per_state=1)
+    system = _System(max_views_per_state=1)
     home = system.monitors[0]
     token = system.blocked_at_p1()
+    # P0 sends to P1 (its event 2, which P1 does not hold) ...
+    home.local_event(Event(0, 2, EventKind.SEND, VectorClock([2, 0, 0]), {"p": True}, peer=1))
+    system.network.deliver_all()
     _evict_the_waiting_view(home)
     merged = home.metrics.views_merged
-    system.event(1, True)  # the token leaves P1 for P2, through home
+    # ... and P1 raises p on receiving it: the token now needs P0's event 2
+    # and P2, and goes to the lowest of them, its home
+    system.monitors[1].local_event(
+        Event(1, 1, EventKind.RECEIVE, VectorClock([2, 1, 0]), {"p": True}, peer=0)
+    )
+    system.network.deliver_all()
     assert system.route(token) == [(0, 1), (1, 0)]  # not re-sent
     assert not token.all_decided()
     assert home.waiting_tokens == []  # not parked either

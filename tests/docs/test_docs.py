@@ -28,6 +28,9 @@ RATCHETED_PATHS = [
     REPO_ROOT / "src" / "repro" / "fuzz",
     REPO_ROOT / "src" / "repro" / "fleet",
     REPO_ROOT / "src" / "repro" / "experiments" / "engine.py",
+    REPO_ROOT / "src" / "repro" / "experiments" / "harness.py",
+    REPO_ROOT / "src" / "repro" / "experiments" / "properties.py",
+    REPO_ROOT / "src" / "repro" / "experiments" / "benchjson.py",
     REPO_ROOT / "src" / "repro" / "cluster",
     REPO_ROOT / "src" / "repro" / "api.py",
     REPO_ROOT / "src" / "repro" / "session.py",
@@ -159,48 +162,6 @@ class TestAdversarialDoc:
             "skew@<mode>~<rate>~<magnitude>~<seed>",
         ):
             assert needle in text, needle
-
-
-class TestTopologyDoc:
-    def test_doc_exists_with_markers(self):
-        text = SCENARIOS_DOC.read_text(encoding="utf-8")
-        assert docgen.TOPOLOGY_BEGIN_MARKER in text
-        assert docgen.TOPOLOGY_END_MARKER in text
-
-    def test_topology_catalogue_matches_registry(self):
-        """The generated topology catalogue must equal a fresh rendering."""
-        text = SCENARIOS_DOC.read_text(encoding="utf-8")
-        begin = text.index(docgen.TOPOLOGY_BEGIN_MARKER)
-        end = text.index(docgen.TOPOLOGY_END_MARKER) + len(
-            docgen.TOPOLOGY_END_MARKER
-        )
-        assert text[begin:end] == docgen.render_topology_catalogue(), (
-            "docs/scenarios.md is out of date; regenerate it with "
-            "`PYTHONPATH=src python -m repro.scenarios.docgen docs/scenarios.md`"
-        )
-
-    def test_every_registered_topology_documented(self):
-        from repro.coordination import TOPOLOGIES
-
-        text = SCENARIOS_DOC.read_text(encoding="utf-8")
-        for name in TOPOLOGIES:
-            assert f"`{name}`" in text
-
-    def test_every_scenario_entry_names_its_topology(self):
-        text = SCENARIOS_DOC.read_text(encoding="utf-8")
-        assert text.count("**Topology:**") >= len(scenario_names())
-
-    def test_docgen_refreshes_topology_markers(self, tmp_path):
-        copy = tmp_path / "scenarios.md"
-        copy.write_text(
-            "# header\n\n"
-            f"{docgen.TOPOLOGY_BEGIN_MARKER}\nstale\n{docgen.TOPOLOGY_END_MARKER}\n",
-            encoding="utf-8",
-        )
-        assert docgen.main([str(copy)]) == 0
-        updated = copy.read_text(encoding="utf-8")
-        assert "stale" not in updated
-        assert docgen.render_topology_catalogue() in updated
 
 
 class TestApiDoc:
@@ -404,8 +365,8 @@ TYPED_DEF_PATHS = [
     REPO_ROOT / "src" / "repro" / "runtime",
     REPO_ROOT / "src" / "repro" / "ltl" / "compiled.py",
     REPO_ROOT / "src" / "repro" / "session.py",
-    REPO_ROOT / "src" / "repro" / "core" / "centralized.py",
-    REPO_ROOT / "src" / "repro" / "core" / "transport.py",
+    REPO_ROOT / "src" / "repro" / "core",
+    REPO_ROOT / "src" / "repro" / "coordination",
 ]
 
 
@@ -428,8 +389,7 @@ def test_typed_defs_ratchet(path):
     This is the locally-runnable mirror of the strict
     ``disallow_untyped_defs`` / ``disallow_incomplete_defs`` mypy overrides
     in ``pyproject.toml`` (``repro.runtime.*``, ``repro.session``,
-    ``repro.core.centralized``, ``repro.core.transport`` and the LTL step
-    kernel).
+    ``repro.core.*``, ``repro.coordination.*`` and the LTL step kernel).
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     incomplete = []

@@ -68,40 +68,6 @@ class TestFullMatrixTool:
         assert "Nightly full matrix" in text
         assert "crash-restart-replay" in text
 
-    def test_topology_sweep_extends_labels_backward_compatibly(self, tmp_path):
-        out = tmp_path / "BENCH_matrix_topologies.json"
-        result = _run_tool(
-            "--out",
-            str(out),
-            "--scenarios",
-            "paper-default",
-            "--backends",
-            "sim",
-            "--properties",
-            "B",
-            "--processes",
-            "2",
-            "--events",
-            "3",
-            "--replications",
-            "1",
-            "--topologies",
-            "round-robin-token",
-            "gossip",
-        )
-        assert result.returncode == 0, result.stderr
-        timings = json.loads(out.read_text(encoding="utf-8"))["timings"]
-        # the default topology keeps the unsuffixed label (artifact schema
-        # compatibility); only non-default topologies extend it
-        assert set(timings) == {
-            "matrix_paper-default_sim",
-            "matrix_paper-default_sim_gossip",
-        }
-        assert timings["matrix_paper-default_sim"]["topology"] == (
-            "round-robin-token"
-        )
-        assert timings["matrix_paper-default_sim_gossip"]["topology"] == "gossip"
-
     def test_unknown_scenario_fails_fast(self, tmp_path):
         result = _run_tool(
             "--out", str(tmp_path / "BENCH.json"), "--scenarios", "no-such-scenario"
@@ -116,10 +82,6 @@ class TestFullMatrixTool:
         assert "run_full_matrix.py" in text
         assert "workflow_dispatch" in text
         assert "schedule" in text
-        # the nightly topology sweep and the PR-path topology smoke
-        assert "--topologies" in text
-        assert "BENCH_full_matrix_topologies.json" in text
-        assert "--topology" in text
         # PR pushes must never pay for the full matrix
         assert (
             "github.event_name == 'schedule' || github.event_name == 'workflow_dispatch'"

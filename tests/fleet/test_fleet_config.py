@@ -34,7 +34,6 @@ class TestTenantSpecValidation:
             ({"property_name": "Z"}, "unknown case-study property"),
             ({"num_processes": 1}, "at least two processes"),
             ({"events_per_process": 0}, "must be positive"),
-            ({"topology": "star"}, "unknown topology"),
             ({"time_scale": -1.0}, "non-negative"),
         ],
     )

@@ -33,6 +33,8 @@ from repro.fuzz import (
     shrink_candidates,
     shrink_point,
 )
+from repro.fuzz.engine import _RETIRED_SCENARIOS, _scenario_pool
+from repro.scenarios import get_scenario, list_scenarios
 
 
 def _cheap_spec(**overrides):
@@ -56,19 +58,20 @@ def _cheap_spec(**overrides):
 
 #: ``generate_points(7, 12)`` as drawn before the kernel draw (the last of
 #: each point's RNG) was deleted: scenario, property, n, events per process,
-#: evt_mu, comm_mu, seed, max views per state, fault plan
+#: evt_mu, comm_mu, seed, max views per state, fault plan; points 1, 7, 8
+#: and 10 drew retired scenario names, and ran (and are now) paper-default
 _SEED_7_POINTS = (
     ('fixed-latency', 'E', 2, 6, 5.0, 3.0, 1066615033, 2, '1@2+3:replay'),
-    ('paper-gossip', 'F', 2, 5, 2.0, 2.0, 89594208, 2, None),
+    ('paper-default', 'F', 2, 5, 2.0, 2.0, 89594208, 2, None),
     ('asymmetric-mesh', 'E', 2, 3, 2.0, 2.0, 89214715, 2, None),
     ('bursty-comm', 'A', 3, 3, 3.0, 3.0, 37289686, 3, '0@2+3:rejoin'),
     ('paper-default', 'D', 3, 4, 5.0, None, 645793797, 2, '1!corrupt3!replay3!drop4'),
     ('fixed-latency', 'C', 2, 4, 2.0, 3.0, 61201104, 2, 'skew@sound~0.25~2~37688'),
     ('partition-heal', 'B', 2, 6, 5.0, 2.0, 15525679, 2, None),
-    ('paper-slicer-placement', 'F', 2, 4, 5.0, 3.0, 365598762, 2, '1!dup2!corrupt2!replay4,skew@sound~0.25~1~16862'),
-    ('paper-slicer-placement', 'A', 3, 4, 5.0, 3.0, 527835767, 3, '0@4+3:replay'),
+    ('paper-default', 'F', 2, 4, 5.0, 3.0, 365598762, 2, '1!dup2!corrupt2!replay4,skew@sound~0.25~1~16862'),
+    ('paper-default', 'A', 3, 4, 5.0, 3.0, 527835767, 3, '0@4+3:replay'),
     ('partition-heal', 'C', 2, 4, 3.0, 3.0, 852827511, 3, '1@2+1:rejoin,1!replay4'),
-    ('paper-gossip', 'E', 2, 5, 3.0, 2.0, 660904594, 2, '1@2+0:rejoin'),
+    ('paper-default', 'E', 2, 5, 3.0, 2.0, 660904594, 2, '1@2+0:rejoin'),
     ('lossy-retransmit', 'C', 2, 6, 3.0, None, 660755254, 3, None),
 )
 
@@ -83,9 +86,20 @@ class TestPointGeneration:
             )
             for p in generate_points(7, 12)
         ] == list(_SEED_7_POINTS)  # fmt: skip
-        assert {
-            (p.evt_sigma, p.comm_sigma, p.topology) for p in generate_points(7, 12)
-        } == {(1.0, 1.0, "round-robin-token")}
+        assert {(p.evt_sigma, p.comm_sigma) for p in generate_points(7, 12)} == {(1.0, 1.0)}
+
+    @pytest.mark.parametrize("retired", _RETIRED_SCENARIOS)
+    def test_a_retired_scenario_keeps_its_slot_as_paper_default(self, retired):
+        with pytest.raises(KeyError, match="unknown scenario"):
+            get_scenario(retired)
+        registered = sorted(s.name for s in list_scenarios() if s.faults is None)
+        slots = sorted([*registered, *_RETIRED_SCENARIOS])
+        pool = _scenario_pool()
+        assert len(pool) == len(slots) == 12
+        assert pool[slots.index(retired)] == "paper-default"
+        assert [name for name in pool if name != "paper-default"] == [
+            name for name in registered if name != "paper-default"
+        ]
 
     def test_stream_is_deterministic_in_the_seed(self):
         first = generate_points(99, 20)

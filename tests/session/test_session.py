@@ -156,7 +156,6 @@ _SAME_ON_EVERY_BACKEND = {
     "reported_verdicts",
     "declared_verdicts",
     "termination_messages",
-    "digest_messages",
     "fault_stats",
     "worker_results",
 }
@@ -205,9 +204,7 @@ class TestOneReport:
         assert simulated.verdict_sequence() == streamed.verdict_sequence()
         assert set(simulated.network_stats) == set(streamed.network_stats)
         for report in (simulated, streamed):
-            assert report.monitor_messages == (
-                report.token_messages + report.termination_messages + report.digest_messages
-            )
+            assert report.monitor_messages == report.token_messages + report.termination_messages
             assert len(report.monitors) == report.num_processes
         # the documented backend fields
         assert simulated.transport == "" and streamed.transport == "memory"
@@ -257,7 +254,6 @@ class TestLoopbackDriver:
         assert report.monitor_messages == summary["messages"] == pinned["network_messages"]
         assert report.token_messages == summary["token_messages"]
         assert report.termination_messages == summary["termination_messages"]
-        assert report.digest_messages == summary["digest_messages"]
         assert report.total_global_views == summary["views_created"]
         assert report.delayed_events == summary["delayed_events"]
         assert sorted(str(v) for v in report.declared_verdicts) == summary["declared"]
@@ -329,6 +325,19 @@ class TestOneOfEach:
                     getattr(node, field, None) for field in ("id", "attr", "arg", "name")
                 }
                 if names & knob:
+                    named.append((path.relative_to(SRC).as_posix(), node.lineno))
+        assert named == []
+
+    def test_there_is_no_topology_option(self):
+        # one routing rule: no parameter, field, keyword or attribute selects
+        # another (the retired RunSpec key is a string constant)
+        named = []
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = {
+                    getattr(node, field, None) for field in ("id", "attr", "arg", "name")
+                }
+                if "topology" in names:
                     named.append((path.relative_to(SRC).as_posix(), node.lineno))
         assert named == []
 

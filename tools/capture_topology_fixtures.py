@@ -14,11 +14,12 @@ and orphan swallowing, PR 16), when repairs stopped travelling ("repair
 at home" and the one covering rule, PR 17) and when every search came to be
 answered from the columns its monitor holds ("answer from what you hold",
 "never explore a signature twice", PR 20): fewer messages, tokens and
-views, same verdicts — the per-cell diffs are in CHANGES.md.  It is
+views, same verdicts — the per-cell diffs are in CHANGES.md — and when the
+always-zero digest counters went with the alternative routings.  It is
 asserted byte-for-byte by
 ``tests/coordination/test_round_robin_fixture.py``.
 
-Re-run only when the *intended* behaviour of the default topology changes::
+Re-run only when the *intended* behaviour of the routing changes::
 
     PYTHONPATH=src python tools/capture_topology_fixtures.py
 """
@@ -103,7 +104,6 @@ def runner_half(report: RunReport) -> dict:
             "messages": report.monitor_messages,
             "token_messages": report.token_messages,
             "termination_messages": report.termination_messages,
-            "digest_messages": report.digest_messages,
             "views_created": report.total_global_views,
             "delayed_events": report.delayed_events,
         },

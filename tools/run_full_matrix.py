@@ -20,10 +20,7 @@ smoke scale, and the ``cluster-smoke`` PR job runs one scenario the same
 way.
 
 ``--scenarios`` / ``--properties`` narrow the matrix (used by the smoke test
-of this tool itself); ``--topologies`` widens it, re-running every cell
-under the listed coordination topologies (the nightly job's third
-invocation sweeps all of them into ``BENCH_full_matrix_topologies.json``);
-the scale flags mirror the experiment CLI.
+of this tool itself); the scale flags mirror the experiment CLI.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from collections.abc import Sequence
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.coordination import DEFAULT_TOPOLOGY, TOPOLOGIES  # noqa: E402
 from repro.experiments.benchjson import write_bench_json  # noqa: E402
 from repro.experiments.engine import BACKENDS, ExecutionConfig, run_scenario  # noqa: E402
 from repro.experiments.harness import ExperimentScale  # noqa: E402
@@ -78,17 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override every scenario's property axis (smoke runs use one)",
     )
     parser.add_argument(
-        "--topologies",
-        nargs="+",
-        default=None,
-        choices=list(TOPOLOGIES),
-        metavar="NAME",
-        help="also run every (scenario × backend) cell under these "
-        "coordination topologies (default: each scenario's own topology "
-        "only); cells under a non-default topology get a "
-        "'matrix_<scenario>_<backend>_<topology>' label",
-    )
-    parser.add_argument(
         "--processes", type=int, nargs="+", default=[2, 3],
         help="process counts to sweep (default: 2 3)",
     )
@@ -109,45 +94,24 @@ def run_matrix(
     backends: Sequence[str],
     scale: ExperimentScale,
     grid: SweepGrid | None,
-    topologies: Sequence[str] | None = None,
 ) -> dict[str, dict[str, object]]:
-    """Execute the (scenario × backend [× topology]) matrix, tagged timings.
-
-    Without *topologies* every cell runs under its scenario's own topology.
-    With them, each (scenario, backend) pair additionally runs under every
-    listed topology; only non-default topologies extend the label, so
-    existing artifact consumers keep their ``matrix_<scenario>_<backend>``
-    keys (schema-backward-compatible — every timing also carries a
-    ``topology`` tag).
-    """
+    """Execute the (scenario × backend) matrix, tagged timings."""
     timings: dict[str, dict[str, object]] = {}
     for name in names:
         scenario = get_scenario(name)  # fail fast on unknown names
         for backend in backends:
-            routes = tuple(topologies) if topologies else (scenario.topology,)
-            for topology in routes:
-                label = f"matrix_{name}_{backend}"
-                if topology != DEFAULT_TOPOLOGY:
-                    label = f"{label}_{topology}"
-                print(
-                    f"[full-matrix] {name} on {backend} ({topology}) ...",
-                    flush=True,
-                )
-                start = time.perf_counter()
-                rows = run_scenario(
-                    scenario,
-                    scale,
-                    grid=grid,
-                    config=ExecutionConfig(backend=backend, topology=topology),
-                )
-                timings[label] = {
-                    "seconds": time.perf_counter() - start,
-                    "group": "full-matrix",
-                    "scenario": name,
-                    "backend": backend,
-                    "topology": topology,
-                    "rows": len(rows),
-                }
+            print(f"[full-matrix] {name} on {backend} ...", flush=True)
+            start = time.perf_counter()
+            rows = run_scenario(
+                scenario, scale, grid=grid, config=ExecutionConfig(backend=backend)
+            )
+            timings[f"matrix_{name}_{backend}"] = {
+                "seconds": time.perf_counter() - start,
+                "group": "full-matrix",
+                "scenario": name,
+                "backend": backend,
+                "rows": len(rows),
+            }
     return timings
 
 
@@ -164,7 +128,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     grid = SweepGrid(properties=tuple(args.properties)) if args.properties else None
     try:
-        timings = run_matrix(names, args.backends, scale, grid, args.topologies)
+        timings = run_matrix(names, args.backends, scale, grid)
         scenarios = {name: get_scenario(name).describe() for name in names}
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
@@ -187,14 +151,13 @@ def write_job_summary(timings: dict[str, dict[str, object]]) -> None:
         "",
         f"{len(timings)} (scenario × backend) cells",
         "",
-        "| scenario | backend | topology | seconds | rows |",
-        "| --- | --- | --- | ---: | ---: |",
+        "| scenario | backend | seconds | rows |",
+        "| --- | --- | ---: | ---: |",
     ]
     for name in sorted(timings):
         record = timings[name]
         lines.append(
             f"| {record['scenario']} | {record['backend']} "
-            f"| {record.get('topology', '-')} "
             f"| {float(record['seconds']):.2f} | {record['rows']} |"
         )
     try:
