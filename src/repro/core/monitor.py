@@ -26,7 +26,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from math import prod
 from operator import le, mul, sub
 
 from ..coordination.topology import RoundRobinToken
@@ -61,10 +60,6 @@ def verdict_divergence(
     """
     return frozenset(decentralized) - frozenset(centralized)
 
-#: Most cells — tuples of letter-run segments, see ``_box_reachable`` — an
-#: entry's own box may span and still be searched exactly; beyond, the entry
-#: is replayed along a single topologically-sorted interleaving.
-_BOX_CELL_LIMIT = 20_000
 
 #: bound on a monitor's (state set, letter) -> state set image cache
 _IMAGE_CACHE_LIMIT = 1 << 16
@@ -84,11 +79,10 @@ class MonitorMetrics:
     max_active_views: int = 0
     delayed_events: int = 0
     token_hops_served: int = 0
-    #: decided entries whose box was searched (the rest: ``boxes_remembered``),
-    #: and how many of them exceeded ``_BOX_CELL_LIMIT`` and were replayed along
-    #: one linearisation only (sound, but verdicts reachable on others are missed)
+    #: decided entries whose box was asked about (the rest: ``boxes_remembered``),
+    #: and how many of them their target's letter answered without a search
     box_queries: int = 0
-    box_linear_fallbacks: int = 0
+    boxes_by_letter: int = 0
     #: cells the searches created — one search per view step, over the union
     #: of its entries' boxes; tuples of letter-run segments, not of events
     box_cells_visited: int = 0
@@ -905,10 +899,44 @@ class DecentralizedMonitor:
     def _box_reachable(self, view: GlobalView, entries: Sequence[TokenEntry]) -> list[int]:
         """Per entry, the bitset of states reachable at ``entry.cut`` from the
         view over all interleavings of the events inside
-        ``[view.cut, entry.cut]`` — by one search over the union of the boxes
-        (every entry of a step starts at the view's cut).  Conclusive states
-        reached anywhere inside are declared at once: those partial paths are
-        real executions.
+        ``[view.cut, entry.cut]``.  Conclusive states reached anywhere inside
+        are declared at once: those partial paths are real executions.
+
+        An entry is answered without a search when its target's letter sends
+        every state the view can still reach (``MonitorAutomaton.reach_bits``)
+        to one state, no other conclusive state is among those, and the
+        target lies above the view's cut and is consistent: every path into it
+        ends in that state (``docs/architecture.md``, Targets the letter
+        decides).  The others go to :meth:`_box_search`.
+        """
+        self.metrics.box_queries += len(entries)
+        base, vc_columns = view.cut, self.vc_columns
+        reach = self.automaton.reach_bits[view.state]
+        others = reach & self._final_bits  # the conclusive states still in reach
+        shift, image = self._num_states, self._image_cache
+        reached = [0] * len(entries)
+        for e, entry in enumerate(entries):
+            cut = entry.cut
+            key = self._mask_at(cut) << shift | reach
+            one = image.get(key) or self._image(key)
+            if (
+                one & (one - 1) == 0
+                and not others & ~one
+                and cut != base
+                and all(all(map(le, vc_columns[j][at], cut)) for j, at in enumerate(cut))
+            ):
+                self._declare_reached(one)
+                reached[e] = view.searched[view.state, tuple(cut)] = one
+        if not any(reached):
+            return self._box_search(view, entries)
+        searched = [entry for entry, one in zip(entries, reached) if not one]
+        self.metrics.boxes_by_letter += len(entries) - len(searched)
+        found = iter(self._box_search(view, searched) if searched else ())
+        return [one or next(found) for one in reached]
+
+    def _box_search(self, view: GlobalView, entries: Sequence[TokenEntry]) -> list[int]:
+        """:meth:`_box_reachable` by one search over the union of the entries'
+        boxes (every entry of a step starts at the view's cut).
 
         The search runs over the quotient by *segments* — per process, the
         maximal runs of events with one letter mask, read off ``seg_starts``
@@ -916,15 +944,13 @@ class DecentralizedMonitor:
         point of the view's own letter does not move while the global letter
         repeats.  When either condition fails every event is its own segment.
         A *cell* is a tuple of segment indices, counted from the view's; an
-        entry's target cell holds its cut; what the search (not the replay
-        along one path) finds there is left in ``view.searched``.
+        entry's target cell holds its cut; what the search finds there is left
+        in ``view.searched``.
         """
         n = self.num_processes
         n_range = range(n)
         base = view.cut
-        self.metrics.box_queries += len(entries)
-        shift = self._num_states
-        image = self._image_cache
+        shift, image = self._num_states, self._image_cache
         start = 1 << view.state
 
         collapse = False
@@ -932,26 +958,15 @@ class DecentralizedMonitor:
             key = self._mask_at(base) << shift | start
             collapse = (image.get(key) or self._image(key)) == start
 
-        # the target cells, off the index (every position, if nothing
-        # collapses); the limit bounds search work: an entry whose *own*
-        # rectangle exceeds it is replayed alone, along one path
+        # the target cells, off the index (every position, if nothing collapses)
         index = self.seg_starts if collapse else [range(len(c)) for c in self.mask_columns]
         first = list(map(bisect_right, index, base))
         reached = [0] * len(entries)
         targets: dict[tuple[int, ...], list[int]] = {}  # target cell -> its entries
-        hi = base  # the join of the cuts searched together
         for e, entry in enumerate(entries):
             cell = tuple(map(sub, map(bisect_right, index, entry.cut), first))
-            if prod(g + 1 for g in cell) > _BOX_CELL_LIMIT:
-                self.metrics.box_linear_fallbacks += 1
-                reached[e] = self._box_reachable_linear(
-                    view, [starts[f : f + g] for starts, f, g in zip(index, first, cell)]
-                )
-            else:
-                targets.setdefault(cell, []).append(e)
-                hi = list(map(max, hi, entry.cut))
-        if not targets:
-            return reached
+            targets.setdefault(cell, []).append(e)
+        hi = list(map(max, base, *(entry.cut for entry in entries)))  # the join searched
 
         # per process: the positions of the events that open segments 1, 2, …
         # of the union, and per segment its letter mask and its last position
@@ -1042,35 +1057,6 @@ class DecentralizedMonitor:
             for e in served if slot else ():  # no slot: the cut was not a consistent one
                 reached[e] = view.searched[view.state, tuple(entries[e].cut)] = slot[0]
         return reached
-
-    def _box_reachable_linear(self, view: GlobalView, opens: list[Sequence[int]]) -> int:
-        """Fallback for oversized boxes: replay one causally-consistent
-        linearisation of the box events (sound, possibly incomplete).
-
-        Only the events that open a segment (*opens*: their positions, per
-        process) are stepped, ordered by (clock sum, clock, process) — a linear
-        extension of happened-before; those in between repeat the global letter.
-        """
-        events = sorted(
-            (sum(self.vc_columns[j][at]), self.vc_columns[j][at], j, at, self.mask_columns[j][at])
-            for j, starts in enumerate(opens)
-            for at in starts
-        )
-        masks = [column[at] for column, at in zip(self.mask_columns, view.cut)]
-        shift = self._num_states
-        image = self._image_cache
-        final_bits = self._final_bits
-        states = 1 << view.state
-        for _, _, j, _, opened in events:
-            masks[j] = opened
-            mask = 0
-            for m in masks:
-                mask |= m
-            key = mask << shift | states
-            states = image.get(key) or self._image(key)
-            if states & final_bits:
-                self._declare_reached(states)
-        return states
 
     # ------------------------------------------------------------------
     # merging (MERGESIMILARGLOBALVIEWS)

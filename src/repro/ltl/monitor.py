@@ -159,7 +159,7 @@ class MonitorAutomaton:
         ``δ(δ(q, a), a) == δ(q, a)`` for every state and letter: once the
         machine has read a letter, repeating it changes nothing, so a run of
         events that leave the global letter unchanged can be replayed as one
-        step (:meth:`repro.core.monitor.DecentralizedMonitor._box_reachable`).
+        step (:meth:`repro.core.monitor.DecentralizedMonitor._box_search`).
         Holds for every case-study automaton, minimised or not; fails for
         ``X p``.  The Moore table is walked once, on first access.
         """
@@ -169,6 +169,23 @@ class MonitorAutomaton:
             for row in delta
             for column, target in enumerate(row)
         )
+
+    @cached_property
+    def reach_bits(self) -> tuple[int, ...]:
+        """Per state, the bitset of states the machine reaches from it under
+        any letters, itself included — which states a view can still be in
+        (:meth:`repro.core.monitor.DecentralizedMonitor._box_reachable`).
+        The Moore table is walked once, on first access."""
+        delta = self._machine.delta
+        reach: list[int] = []
+        for state in range(len(delta)):
+            seen, todo = {state}, [state]
+            while todo:
+                fresh = set(delta[todo.pop()]) - seen
+                seen |= fresh
+                todo += fresh
+            reach.append(sum(1 << q for q in seen))
+        return tuple(reach)
 
     def step(self, state: int, letter: Letter) -> int:
         """Successor state after reading *letter* (a set of true atoms)."""

@@ -94,7 +94,7 @@ class RunReport:
     #: the search counters, summed over the monitors as ``MonitorMetrics``
     #: defines them, and the views the per-state budget dropped
     box_queries: int = 0
-    box_linear_fallbacks: int = 0
+    boxes_by_letter: int = 0
     box_cells_visited: int = 0
     views_evicted: int = 0
     #: events the monitors appended to the runs of outgoing tokens: copies
@@ -172,11 +172,6 @@ class RunReport:
             return 0.0
         percentage = (self.monitor_extra_time / self.program_end_time) * 100.0
         return percentage / self.total_global_views
-
-    @property
-    def box_linear_fallback_share(self) -> float:
-        """Share of the boxes searched that the incomplete linear replay answered."""
-        return self.box_linear_fallbacks / max(1, self.box_queries)
 
     @property
     def events_shipped_per_event(self) -> float:

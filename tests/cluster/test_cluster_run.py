@@ -126,9 +126,8 @@ class TestClusterEquivalence:
         """Workers ship their whole counter record, not a hand-picked five.
 
         Regression: the cluster report had no ``box_queries``,
-        ``box_linear_fallbacks``, ``box_cells_visited``, ``views_evicted`` or
-        ``events_shipped`` at all, so under one report type they would have
-        read a silent zero.
+        ``box_cells_visited``, ``views_evicted`` or ``events_shipped`` at
+        all, so under one report type they would have read a silent zero.
         """
         spec = _spec("paper-default")
         computation, automaton, registry = build_cell_inputs(spec)
@@ -144,7 +143,7 @@ class TestClusterEquivalence:
         report = cluster_monitored_run(spec)
         for counter in (
             "box_queries",
-            "box_linear_fallbacks",
+            "boxes_by_letter",
             "box_cells_visited",
             "views_evicted",
             "events_shipped",

@@ -10,8 +10,7 @@
   step earlier changes no view, signature, verdict or count of views, and
   never searches more cells.
 * **What makes a view search again:** an eviction of what it forked, a change
-  of its state, a target that was only replayed along one path, a fork that
-  was only covered by a smaller live view.
+  of its state, a fork that was only covered by a smaller live view.
 * **Issue time only.**  Arriving, retried and forged entries neither read nor
   write ``_least``.
 """
@@ -32,7 +31,6 @@ from test_token_hot_paths import (
     _setting,
 )
 
-import repro.core.monitor as monitor_module
 from repro.core.global_view import GlobalView
 from repro.core.messages import TerminationNotice, Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor, _states_of
@@ -298,7 +296,6 @@ def _explored(monitor):
         monitor.verdict_log,
         monitor.metrics.views_created,
         monitor.metrics.views_evicted,
-        monitor.metrics.box_linear_fallbacks,
         monitor.metrics.answered_at_home,
     )
 
@@ -339,7 +336,7 @@ def test_leaving_out_the_last_steps_boxes_changes_no_view_and_no_verdict(case):
 SIDE = 4
 
 
-def _two_steps(between=lambda monitor, view, forked: None, first_limit=None, before=None):
+def _two_steps(between=lambda monitor, view, forked: None, before=None):
     """A view searches one target, moves on by one own event and is handed the
     same target again; *between* runs in between.  Returns the monitor, the
     forks of both steps and the states the first search reached."""
@@ -350,10 +347,7 @@ def _two_steps(between=lambda monitor, view, forked: None, first_limit=None, bef
     again = copy.deepcopy(entry)
     if before is not None:
         before(monitor, view)
-    with pytest.MonkeyPatch.context() as patch:
-        if first_limit is not None:
-            patch.setattr(monitor_module, "_BOX_CELL_LIMIT", first_limit)
-        first = monitor._forks_of(view, [entry])
+    first = monitor._forks_of(view, [entry])
     ((mark, reached),) = view.searched.items() or [(None, None)]
     assert mark in (None, (0, (SIDE, SIDE)))
     between(monitor, view, first)
@@ -395,14 +389,6 @@ def test_a_change_of_state_makes_the_view_search_again():
     # view's own state then has to be looked at now
     assert monitor.metrics.box_queries == 2 and monitor.metrics.boxes_remembered == 0
     assert all(child.state != 1 for child in second)
-
-
-def test_a_target_replayed_along_one_path_is_searched_again():
-    monitor, first, second, reached = _two_steps(first_limit=0)
-    assert reached is None and len(first) <= 1  # nothing remembered of one path
-    assert monitor.metrics.box_linear_fallbacks == 1
-    assert monitor.metrics.box_queries == 2 and monitor.metrics.boxes_remembered == 0
-    assert len(first) + len(second) >= 2  # the search finds what the replay missed
 
 
 def test_a_fork_covered_by_a_smaller_live_view_only_is_searched_again():

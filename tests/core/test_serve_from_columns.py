@@ -200,7 +200,7 @@ def test_a_foreign_column_that_runs_out_leaves_the_component_lagging():
 # ---------------------------------------------------------------------------
 def _assert_same_search_fewer_tokens(held, travelled):
     assert held.declared_verdicts == travelled.declared_verdicts
-    for counter in ("total_global_views", "box_linear_fallbacks", "views_evicted"):
+    for counter in ("total_global_views", "views_evicted"):
         assert getattr(held, counter) == getattr(travelled, counter), counter
     # the same searches, each replaying its box once or finding it in what its
     # view searched a step earlier — but for the views that are no longer

@@ -187,7 +187,7 @@ def test_fixture_cells_end_with_prefix_columns_under_every_view(cell):
     # one search serves every entry of a view step, so cells are not bounded
     # below by entries searched; but an entry searched is an entry issued
     assert report.box_cells_visited > 0
-    assert report.entries_created >= report.box_queries > report.box_linear_fallbacks >= 0
+    assert report.entries_created >= report.box_queries >= report.boxes_by_letter >= 0
     assert report.views_evicted == sum(m.views_evicted for m in metrics)
     # an evicted view is booked once, under views_evicted, never as a merge:
     # every view created is live, final, retired, merged away or evicted

@@ -4,7 +4,12 @@
   state set a search of its own box would, which is the brute force over the
   lattice — stutter-closed or not, at the view's fixed point or off it — and
   declares what those searches declare; targets that are incomparable do not
-  make it visit their join; an entry over the limit is replayed alone.
+  make it visit their join.
+* **Targets the letter decides.**  An entry answered by its target's letter
+  gets what the search gets and what the lattice gives, and declares what
+  they declare — over random tables whose conclusive states need not be
+  traps, with targets at the view's cut and targets that are not consistent
+  cuts.  Every conclusive state of the case-study monitors is a trap.
 * **Segment index.**  ``seg_starts`` is the list of mask changes of its
   column, whatever is appended, by whichever path.
 * **Guard table.**  Testing letter masks against the table issues the
@@ -13,11 +18,12 @@
   served by what it carries.
 * **Slicing oracle.**  Served from columns that hold a whole computation, a
   search is decided ``True`` exactly at ``repro.slicing``'s least cut.
-* The pinned counts of the two curve cells CI checks.
+* The pinned counts of the three curve cells CI checks.
 """
 
 import copy
 import random
+from itertools import product
 
 import hypothesis.strategies as st
 import pytest
@@ -33,7 +39,6 @@ from test_token_hot_paths import (
     _setting,
 )
 
-import repro.core.monitor as monitor_module
 from repro.core.global_view import GlobalView
 from repro.core.messages import TokenEntry
 from repro.core.monitor import DecentralizedMonitor, _states_of
@@ -44,7 +49,10 @@ from repro.distributed.events import Event, EventKind
 from repro.distributed.lattice import ComputationLattice
 from repro.experiments.engine import cell_inputs
 from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor, case_study_registry
-from repro.ltl import PropositionRegistry, build_monitor
+from repro.ltl import PropositionRegistry, Verdict, build_monitor
+from repro.ltl.dfa import MooreMachine
+from repro.ltl.monitor import MonitorAutomaton
+from repro.ltl.semantics import all_assignments
 from repro.scenarios import get_scenario
 from repro.sim import simulate_monitored_run
 from repro.slicing import least_consistent_cut
@@ -93,15 +101,30 @@ def _step(computation, registry, automaton, start, targets, state):
     return monitor, boxes[0][0], [entry for _, entry in boxes]
 
 
+def _searched_targets(monitor):
+    """Record the targets *monitor*'s box searches are given (the others,
+    their letter answered)."""
+    searched = []
+    search = monitor._box_search
+
+    def spy(view, entries):
+        searched.extend(tuple(entry.cut) for entry in entries)
+        return search(view, entries)
+
+    monitor._box_search = spy
+    return searched
+
+
 @given(steps())
 @settings(max_examples=300, deadline=None)
 def test_one_search_per_step_matches_a_search_per_entry_and_the_lattice(case):
     computation, registry, lattice, start, targets, automaton, state = case
     monitor, view, entries = _step(computation, registry, automaton, start, targets, state)
     before = set(monitor.declared_states)
+    searched = _searched_targets(monitor)
     together = monitor._box_reachable(view, entries)
     assert monitor.metrics.box_queries == len(entries)
-    assert monitor.metrics.box_linear_fallbacks == 0
+    assert monitor.metrics.boxes_by_letter == len(entries) - len(searched)
     expected_conclusive = set()
     cells_alone = 0
     for target, entry, reached in zip(targets, entries, together):
@@ -117,11 +140,12 @@ def test_one_search_per_step_matches_a_search_per_entry_and_the_lattice(case):
         assert alone.declared_states - before == conclusive - before
         cells_alone += alone.metrics.box_cells_visited
     assert monitor.declared_states - before == expected_conclusive - before
-    # never more cells than the searches it replaces, nor than the cuts below a target
+    # never more cells than the searches it replaces, nor than the cuts below
+    # a target searched (one its letter answered costs none)
     below = {
         cut for cut in lattice.cuts()
         if all(s <= c for s, c in zip(start, cut))
-        and any(all(c <= t for c, t in zip(cut, target)) for target in targets)
+        and any(all(c <= t for c, t in zip(cut, target)) for target in searched)
     }
     assert monitor.metrics.box_cells_visited <= min(cells_alone, len(below))
     may_collapse = automaton.stutter_closed and automaton.step(
@@ -153,26 +177,6 @@ def test_incomparable_targets_do_not_make_the_search_visit_their_join():
         assert set(_states_of(reached)) == states
     # the two edges of the join rectangle, not its (side + 1) ** 2 cells
     assert monitor.metrics.box_cells_visited == 2 * side + 1
-
-
-def test_an_entry_over_the_limit_falls_back_alone():
-    """29 ** 3 cells at the top (over the limit, nothing collapses): replayed
-    along one path; its sibling's 27 cells are searched exactly."""
-    computation, registry = _concurrent(3, 28)
-    automaton = _random_automaton(registry.names, inconclusive=8, seed=11)
-    assert not automaton.stutter_closed
-    lattice = ComputationLattice.from_computation(computation)
-    start, near = lattice.bottom, (2, 2, 2)
-    monitor, view, entries = _step(
-        computation, registry, automaton, start, [lattice.top, near, lattice.top], 0
-    )
-    far, reached, far_again = monitor._box_reachable(view, entries)
-    states, _, cuts = _brute_force(computation, lattice, registry, automaton, start, near, 0)
-    assert set(_states_of(reached)) == states
-    assert far == far_again and len(list(_states_of(far))) == 1  # one path, one state
-    assert monitor.metrics.box_queries == 3
-    assert monitor.metrics.box_linear_fallbacks == 2
-    assert monitor.metrics.box_cells_visited == cuts == 27
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +350,137 @@ def test_a_search_answered_at_home_finds_the_slicers_least_cut(case):
 # ---------------------------------------------------------------------------
 # (v) the pinned counts (seed 2015, budget 2): what CI's perf-smoke checks
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "cell, queries, remembered, fallbacks, cells_at_most, views",
-    [
-        (("C", 4, 20), 659, 429, 0, 1_500, 169),  # the token-heavy cell
-        (("F", 5, 20), 6_782, 4_316, 842, 36_000, 405),
-    ],
-    ids=["C-n4-epp20", "F-n5-epp20"],
-)
-def test_curve_cells_search_each_step_once(
-    cell, queries, remembered, fallbacks, cells_at_most, views
-):
+def _curve_cell(cell):
     scenario = get_scenario("paper-default")
     inputs = cell_inputs(
         scenario, cell[0], cell[1], events_per_process=cell[2],
         evt_mu=3, evt_sigma=1, comm_mu=3, comm_sigma=1, seed=2015,
     )
-    report = simulate_monitored_run(
+    return simulate_monitored_run(
         *inputs, seed=2015, max_views_per_state=2, network=scenario.network
     )
-    # 1 088 and 11 098 searched before a view remembered its last step's
-    # targets; fallbacks and views are what they were
+
+
+@pytest.mark.parametrize(
+    "cell, queries, remembered, by_letter, cells_at_most, views",
+    [
+        (("C", 4, 20), 659, 429, 231, 1_000, 169),  # the token-heavy cell
+        (("F", 5, 20), 6_313, 4_785, 1_295, 40_000, 405),
+        (("B", 5, 40), 988, 192, 220, 1_100, 773),  # the long-trace cell
+    ],
+    ids=["C-n4-epp20", "F-n5-epp20", "B-n5-epp40"],
+)
+def test_curve_cells_search_each_step_once(
+    cell, queries, remembered, by_letter, cells_at_most, views
+):
+    report = _curve_cell(cell)
+    # 1 088, 11 098 and 1 180 asked before a view remembered its last step's
+    # targets; views are what they were
     assert report.box_queries == queries
     assert report.boxes_remembered == remembered
-    assert report.box_linear_fallbacks == fallbacks
+    assert report.boxes_by_letter == by_letter
     assert report.total_global_views == views
-    # 4 779 and 274 878 with one search per entry, 2 632 and 58 720 per step
+    # C and F: 4 779 and 274 878 with one search per entry, 2 632 and 58 720
+    # per step, 1 419 and 34 345 (842 entries replayed along one path) before
+    # targets the letter decides were left out; B: 5 801 (172 replayed)
     assert 0 < report.box_cells_visited <= cells_at_most
     assert 0 < report.least_cuts_remembered <= report.entries_created
-    assert monitor_module._BOX_CELL_LIMIT == 20_000
+
+
+# ---------------------------------------------------------------------------
+# (vi) targets the letter decides: the answer the search and the lattice give
+# ---------------------------------------------------------------------------
+def _letter_table(atoms, size, seed):
+    """A random table of *size* states, any of which may be conclusive — and
+    then a trap or not; about half its letters send every state to one state."""
+    rng = random.Random(seed)
+    letters = tuple(all_assignments(atoms))
+    outputs = [
+        rng.choice((Verdict.TOP, Verdict.BOTTOM, Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE))
+        for _ in range(size)
+    ]
+    traps = rng.random() < 0.5
+    delta = [[0] * len(letters) for _ in range(size)]
+    for column in range(len(letters)):
+        synchronising = rng.randrange(size) if rng.random() < 0.5 else None
+        for state in range(size):
+            if traps and outputs[state].is_final:
+                delta[state][column] = state
+            elif synchronising is not None:
+                delta[state][column] = synchronising
+            else:
+                delta[state][column] = rng.randrange(size)
+    machine = MooreMachine(letters, 0, delta, outputs)
+    return MonitorAutomaton(formula=None, atoms=atoms, machine=machine)
+
+
+@st.composite
+def lettered_steps(draw):
+    """A view, a step of one to four consistent targets (the view's own cut
+    among them, now and then) or one target that is not a consistent cut,
+    and a table that may synchronise."""
+    computation, registry = _setting(draw, max_events_per_process=5)
+    lattice = ComputationLattice.from_computation(computation)
+    cuts = lattice.cuts()
+    start = lattice.bottom if draw(st.booleans()) else draw(st.sampled_from(cuts))
+    if draw(st.integers(0, 3)) == 0:
+        consistent = set(cuts)
+        box = product(*(range(s, t + 1) for s, t in zip(start, lattice.top)))
+        forged = [cut for cut in box if cut not in consistent]
+        assume(forged)
+        targets = [draw(st.sampled_from(forged))]
+    else:
+        above = [cut for cut in cuts if all(s <= c for s, c in zip(start, cut))]
+        targets = draw(st.lists(st.sampled_from(above), min_size=1, max_size=4))
+        if draw(st.integers(0, 3)) == 0:
+            targets.append(start)
+    automaton = _letter_table(registry.names, draw(st.integers(2, 5)), draw(st.integers(0, 1 << 16)))
+    inconclusive = [q for q in automaton.states if not automaton.is_final(q)]
+    assume(inconclusive)
+    state = draw(st.sampled_from(inconclusive))
+    if draw(st.booleans()):  # at the fixed point of its own letter, as a monitor's views
+        state = automaton.step(state, registry.letter_of(computation.global_state(start)))
+        assume(not automaton.is_final(state))
+    return computation, registry, lattice, start, targets, automaton, state
+
+
+@given(lettered_steps())
+@settings(max_examples=400, deadline=None)
+def test_a_target_its_letter_decides_gets_what_the_search_and_the_lattice_give(case):
+    computation, registry, lattice, start, targets, automaton, state = case
+    monitor, view, entries = _step(computation, registry, automaton, start, targets, state)
+    before = set(monitor.declared_states)
+    together = monitor._box_reachable(view, entries)
+    searched, declared = {}, set()
+    for target in targets:  # the search alone, on a monitor of its own
+        alone, view_alone, entry_alone = _step(
+            computation, registry, automaton, start, [target], state
+        )
+        (searched[target],) = alone._box_search(view_alone, entry_alone)
+        declared |= alone.declared_states
+        mark = (state, target)
+        assert view.searched.get(mark) == view_alone.searched.get(mark)
+    consistent = set(lattice.cuts())
+    lattice_declared = set()
+    for target, reached in zip(targets, together):
+        assert reached == searched[target]
+        if target in consistent:
+            states, conclusive, _ = _brute_force(
+                computation, lattice, registry, automaton, start, target, state
+            )
+            assert set(_states_of(reached)) == states
+            lattice_declared |= conclusive
+    assert monitor.declared_states == declared
+    if all(target in consistent for target in targets):
+        assert monitor.declared_states - before == lattice_declared - before
+    assert monitor.metrics.box_queries == len(targets) >= monitor.metrics.boxes_by_letter
+
+
+def test_every_conclusive_state_of_the_case_study_monitors_is_a_trap():
+    for name in PROPERTY_NAMES:
+        for n in range(2, 7):
+            automaton = case_study_monitor(name, n)
+            table, width = automaton.compiled.table, automaton.compiled.n_letters
+            for q in automaton.states:
+                if automaton.is_final(q):
+                    assert set(table[q * width : (q + 1) * width]) == {q}, (name, n, q)

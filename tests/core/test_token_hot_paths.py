@@ -5,10 +5,8 @@
   over the consistent cuts of :class:`ComputationLattice` finds between the
   view's cut and the token's cut — whether or not the
   search may collapse letter-preserving events (stutter-closed automaton at
-  a fixed point of the view's letter) and never visiting more cells than
-  the box has consistent cuts.  The oversized-box fallback replays one real
-  path — the same one as an event-at-a-time replay of the full
-  ``(sum(vc), vc, process, sn)`` order — so it must stay inside those sets.
+  a fixed point of the view's letter), answered by the target's letter or
+  searched, and never visiting more cells than the box has consistent cuts.
 * One-shot token serving (``_serve_entry``) must leave an entry exactly as
   the one-event-at-a-time loop it replaced (kept below as the reference),
   and the run the token leaves with must hold exactly the events that loop
@@ -19,10 +17,8 @@ import copy
 import random
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import assume, given, settings
 
-import repro.core.monitor as monitor_module
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor, _states_of
@@ -290,65 +286,19 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
             for j in range(computation.num_processes)
         ]
     assert monitor.metrics.box_queries == 1
-    assert monitor.metrics.box_linear_fallbacks == 0
     # every cell searched holds a consistent cut of its own; without
-    # collapsing, the cells are the cuts
-    if may_collapse:
+    # collapsing, the cells are the cuts; a target its letter decides costs none
+    if monitor.metrics.boxes_by_letter:
+        assert monitor.metrics.box_cells_visited == 0
+    elif may_collapse:
         assert monitor.metrics.box_cells_visited <= consistent_cuts
     else:
         assert monitor.metrics.box_cells_visited == consistent_cuts
 
 
-def _replay_event_at_a_time(computation, registry, automaton, start, target, state):
-    """Reference for the linear replay: every event of the box, one at a
-    time, in ``(sum(vc), vc, process, sn)`` order.  Returns the state reached
-    and the conclusive states in the order they were first met."""
-    events = sorted(
-        (sum(event.vc), tuple(event.vc), j, event.sn)
-        for j in range(computation.num_processes)
-        for event in computation.events_of(j)[start[j] : target[j]]
-    )
-    cut = list(start)
-    met = []
-    for _, _, j, sn in events:
-        cut[j] = sn
-        state = automaton.step(state, registry.letter_of(computation.global_state(tuple(cut))))
-        if automaton.is_final(state) and state not in met:
-            met.append(state)
-    return state, met
-
-
-@given(boxes())
-@settings(max_examples=100, deadline=None)
-def test_linear_fallback_replays_one_real_path(case):
-    computation, registry, lattice, start, target, automaton, state = case
-    expected_states, expected_conclusive, _ = _brute_force(
-        computation, lattice, registry, automaton, start, target, state
-    )
-    final_state, met = _replay_event_at_a_time(
-        computation, registry, automaton, start, target, state
-    )
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(monitor_module, "_BOX_CELL_LIMIT", 0)
-        monitor = _monitor(0, computation, registry, automaton, feed=target[0])
-        before = set(monitor.declared_states)
-        view, entry = _box(monitor, computation, registry, start, target, state)
-        declared = []
-        declare = monitor._declare
-        patch.setattr(
-            monitor, "_declare", lambda q, declare=declare: (declared.append(q), declare(q))
-        )
-        (reached,) = monitor._box_reachable(view, [entry])
-        assert set(_states_of(reached)) == {final_state} <= expected_states
-        assert declared == [q for q in met if q not in before]
-        assert set(met) <= expected_conclusive
-        assert monitor.metrics.box_linear_fallbacks == monitor.metrics.box_queries == 1
-        assert monitor.metrics.box_cells_visited == 0
-
-
-def test_limit_counts_the_cells_searched_not_the_events_spanned():
-    """24 389 raw cells (over the limit), 27 after collapsing: searched
-    exactly, and equal to the brute force over all 24 389 cuts."""
+def test_the_search_visits_letter_runs_not_the_events_spanned():
+    """24 389 raw cells, 27 after collapsing: searched exactly, and equal to
+    the brute force over all 24 389 cuts."""
     n, events, flips = 3, 28, (9, 19)
     builder = ComputationBuilder([{"p": False} for _ in range(n)])
     for sn in range(1, events + 1):
@@ -363,13 +313,13 @@ def test_limit_counts_the_cells_searched_not_the_events_spanned():
     expected_states, expected_conclusive, consistent_cuts = _brute_force(
         computation, lattice, registry, automaton, start, target, state
     )
-    assert consistent_cuts == (events + 1) ** n > monitor_module._BOX_CELL_LIMIT
+    assert consistent_cuts == (events + 1) ** n
     monitor = _monitor(0, computation, registry, automaton, feed=events)
     view, entry = _box(monitor, computation, registry, start, target, state)
     (reached,) = monitor._box_reachable(view, [entry])
     assert set(_states_of(reached)) == expected_states
     assert monitor.declared_states == expected_conclusive
-    assert monitor.metrics.box_linear_fallbacks == 0
+    assert monitor.metrics.boxes_by_letter == 0
     assert monitor.metrics.box_cells_visited == (len(flips) + 1) ** n
 
 

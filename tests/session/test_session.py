@@ -169,7 +169,7 @@ _INTERLEAVING_FIELDS = {
     "delayed_events",
     "network_stats",
     "box_queries",
-    "box_linear_fallbacks",
+    "boxes_by_letter",
     "box_cells_visited",
     "views_evicted",
     "events_shipped",

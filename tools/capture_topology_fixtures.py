@@ -55,7 +55,7 @@ CELLS = [
 #: behaviour: they are left out so that adding one re-captures nothing
 UNPINNED_COUNTERS = (
     "box_queries",
-    "box_linear_fallbacks",
+    "boxes_by_letter",
     "box_cells_visited",
     "views_evicted",
     "events_shipped",
