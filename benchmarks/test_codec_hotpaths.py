@@ -1,4 +1,4 @@
-"""Benchmarks for the wire protocol v3 codec hot paths.
+"""Benchmarks for the wire protocol v4 codec hot paths.
 
 Every monitoring message of the asyncio and cluster backends crosses
 :func:`repro.cluster.codec.encode_wire` / :func:`decode_wire`, so their
@@ -13,7 +13,9 @@ bound the simulator.  Three timings land in the ``BENCH_*.json`` document:
   one whole monitored run (property B, 4 processes, 18 events per process,
   seed 2015: the trace of the ``wire-tcp`` workload of ``perf/``), with
   ``events_per_sec`` (program events whose traffic the codec carries per
-  second) and ``bytes_per_frame``, so a change shows in speed and in size.
+  second) and ``bytes_per_frame``, so a change shows in speed and in size;
+  the frames must stay smaller than v3's, which carried an atom table, the
+  guards and the entries' letters.
 
 The batches are deterministic, so the byte volumes reported next to the
 timings are comparable across runs.
@@ -35,31 +37,31 @@ from repro.sim.network import SimulatedNetwork
 
 #: messages framed/parsed per benchmark round
 BATCH_MESSAGES = 2000
+#: ``bytes_per_frame`` of ``codec_token_roundtrip`` under wire protocol v3
+V3_BYTES_PER_FRAME = 215.9
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 
 def _representative_token(seed: int) -> Token:
-    """One three-process token with two in-flight entries and a scanned run."""
+    """One three-process token with two in-flight entries and a scanned run
+    (masks over the atoms ``P0.p, P0.q, P1.p, P1.q``, in bit order)."""
     n = 3
     entry = TokenEntry(
         transition_id=seed % 7,
-        guard={"P0.p": True, "P1.q": False},
-        conjuncts=[{"P0.p": True}, {"P1.q": False}, {}],
+        bits=((0b0001, 0b0001), (0b1000, 0), (0, 0)),  # P0.p & !P1.q
         start_cut=[seed % 5, 0, 1],
         cut=[seed % 5 + 1, 2, 1],
         depend=[seed % 5 + 1, 2, 2],
         min_positions=[0, 0, 0],
         satisfied=[True, False, False],
-        letters={0: frozenset({"P0.p"}), 1: frozenset({"P1.q", "P1.p"})},
         eval=None,
         parked_on=2,
         waiting_for={2},
     )
     repair = TokenEntry(
         transition_id=None,
-        guard={},
-        conjuncts=[{} for _ in range(n)],
+        bits=((0, 0),) * n,
         start_cut=[0, 0, 0],
         cut=[1, 1, 1],
         depend=[1, 1, 1],
@@ -73,7 +75,7 @@ def _representative_token(seed: int) -> Token:
         parent_event_sn=seed % 13,
         entries=[entry, repair],
         known=[seed % 5, 1, 1],
-        runs={1: ([frozenset({"P1.q"}), frozenset()], [(1, 2, 0), (1, 3, 0)])},
+        runs={1: ([0b1000, 0], [(1, 2, 0), (1, 3, 0)])},
         token_id=seed + 1,
         hops=seed % 4,
     )
@@ -184,6 +186,8 @@ def test_codec_token_roundtrip():
         ]
     elapsed = (time.perf_counter() - start) / rounds
     assert again == frames  # byte-stable over a whole run's tokens
+    bytes_per_frame = sum(map(len, frames)) / len(frames)
+    assert bytes_per_frame < V3_BYTES_PER_FRAME
     record_timing(
         "codec_token_roundtrip",
         elapsed,
@@ -191,5 +195,5 @@ def test_codec_token_roundtrip():
         frames=len(frames),
         events=computation.num_events,
         events_per_sec=computation.num_events / elapsed,
-        bytes_per_frame=sum(map(len, frames)) / len(frames),
+        bytes_per_frame=bytes_per_frame,
     )

@@ -197,15 +197,16 @@ def _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.0):
     before the search.
     """
     n = monitor.num_processes
-    initial_letters = list(monitor.initial_letters)
+    compiled = automaton.compiled
+    # the initial letters, as the automaton reads them
+    initial_letters = [compiled.decode(column[0]) for column in monitor.mask_columns]
     state = automaton.initial_state
     if stutter:
         state = automaton.step(state, frozenset().union(*initial_letters))
-    view = GlobalView(cut=[0] * n, state=state, letters=initial_letters)
+    view = GlobalView(cut=[0] * n, state=state)
     entry = TokenEntry(
         transition_id=0,
-        guard={},
-        conjuncts=[{} for _ in range(n)],
+        bits=((0, 0),) * n,
         start_cut=[0] * n,
         cut=[side] * n,
         depend=[0] * n,
@@ -230,7 +231,7 @@ def _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.0):
     for sn, (letter, clock) in enumerate(zip(columns[mine], clocks[mine]), start=1):
         state = {"p": f"P{mine}.p" in letter, "q": f"P{mine}.q" in letter}
         monitor.local_event(Event(mine, sn, EventKind.INTERNAL, VectorClock(clock), state))
-    runs = {j: (columns[j], clocks[j]) for j in range(n) if j != mine}
+    runs = {j: (list(map(compiled.encode, columns[j])), clocks[j]) for j in range(n) if j != mine}
     monitor._absorb_runs(Token(mine, 0, 0, entries=[entry], known=[0] * n, runs=runs))
     return view, entry
 
@@ -333,8 +334,7 @@ def test_serve_entry_events_per_sec():
             entries=[
                 TokenEntry(
                     transition_id=None,
-                    guard={},
-                    conjuncts=[{} for _ in range(n)],
+                    bits=((0, 0),) * n,
                     start_cut=[0] * n,
                     cut=[0] * n,
                     depend=[0] * n,

@@ -39,7 +39,7 @@ Subpackages
     The multi-tenant fleet: thousands of live monitored sessions per
     process, sharded across a pool, with event sources and verdict sinks.
 ``repro.cluster``
-    The multi-host runtime: wire protocol v3 codec, cluster manifests,
+    The multi-host runtime: wire protocol v4 codec, cluster manifests,
     worker processes and the coordinating control plane.
 ``repro.faults``
     Fault plans and the crash/restart injection seam shared by all backends.

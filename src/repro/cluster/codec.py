@@ -1,4 +1,4 @@
-"""Wire protocol v3: the versioned binary codec of the cluster runtime.
+"""Wire protocol v4: the versioned binary codec of the cluster runtime.
 
 Protocol v1 — the original streaming transport — framed messages as a bare
 4-byte length prefix followed by a pickled payload.  Pickle on a network
@@ -6,15 +6,17 @@ socket is both a serialization hot path and a security liability (a
 malicious peer gains arbitrary code execution), so v2 replaced it with an
 explicit binary format shared by every runtime wire path: the loopback TCP
 transport of :mod:`repro.runtime.transport`, the worker-to-worker links of
-the cluster runtime, and the coordinator's control channel.  v3 keeps the
-framing and rewrites the token body: one atom table per frame, and the
-events a token carries as per-process runs written in bulk.
+the cluster runtime, and the coordinator's control channel.  v3 kept the
+framing and wrote the events a token carries as per-process runs in bulk.
+v4 ships letters as the compiled automaton's masks and guards as their
+``(care, want)`` mask pairs, so the per-frame atom table, the guard literals
+and the entries' letters are gone.
 
 Frame layout (network byte order)::
 
     offset  size  field
     0       2     magic   b"RW"           (Repro Wire)
-    2       1     version 0x03            (this module speaks exactly one)
+    2       1     version 0x04            (this module speaks exactly one)
     3       1     type    message type tag (see the ``TYPE_*`` constants)
     4       4     length  payload size in bytes, at most MAX_FRAME_BYTES
     8       n     payload type-specific binary body
@@ -34,28 +36,28 @@ least that holds the largest value) followed by the values back to back.
 
 Token body::
 
-    atoms     count, then that many strings: every atomic proposition the
-              frame mentions, sorted.  A *letter* is from here on a bitmask
-              over this table in ceil(count / 8) bytes, a guard *literal*
-              the varint ``table index << 1 | polarity``
     routing   parent_process, parent_view, parent_event_sn, token_id, hops
     n         process count; ``known`` as n packed integers
     runs      count, then per process in ascending order: the process and
               its run (below)
-    entries   count, then per entry: transition id, guard and n conjuncts
-              as literals, start_cut + cut + depend + min_positions as 4n
-              packed integers, n ``satisfied`` bytes, the letters at the
-              cut, eval, parked_on, waiting_for
+    entries   count, then per entry: transition id, the n ``(care, want)``
+              pairs of ``bits`` as 2n packed integers, start_cut + cut +
+              depend + min_positions as 4n packed integers, n ``satisfied``
+              bytes, eval, parked_on, waiting_for
 
-    run       event count; one byte D and the run's D ≤ 255 distinct
-              letters in order of first use; one byte per event indexing
-              them; every component of every clock as count * n packed
-              integers
+    run       event count; one byte D and the run's D ≤ 255 distinct letter
+              masks in order of first use, as D packed integers; one byte
+              per event indexing them; every component of every clock as
+              count * n packed integers
 
 so writing or reading a run of events takes a constant number of calls,
-not a loop per clock component.  Every message type of
+not a loop per clock component.  A mask is over
+``automaton.compiled.atoms``, which every node of a session derives,
+sorted, from the same specification; the codec carries masks as they are,
+and the receiving monitor ignores a run holding a mask outside its
+alphabet.  Every message type of
 :mod:`repro.core.messages` writes its fields in a fixed order with
-canonicalised container order (map keys, set elements and tables sorted),
+canonicalised container order (map keys and set elements sorted),
 so encoding is **byte-stable**: ``encode(decode(encode(m))) == encode(m)``,
 which the codec property tests enforce.
 
@@ -79,7 +81,7 @@ bumping :data:`PROTOCOL_VERSION` and upgrading every node together.
 from __future__ import annotations
 
 import struct
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from itertools import chain
 from typing import BinaryIO
 
@@ -110,7 +112,7 @@ __all__ = [
 #: the two magic bytes opening every frame
 MAGIC = b"RW"
 #: the wire protocol version this codec speaks (exactly one)
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 #: the largest payload a header may announce: readers buffer a whole payload
 #: before decoding it, and honest tokens are a few KB
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -397,128 +399,49 @@ def _r_count(data: bytes, pos: int) -> tuple[int, int]:
     return count, pos
 
 
-class _Atoms:
-    """The atom table of one token frame, and what is written over it.
-
-    A frame names every atomic proposition it mentions once, in sorted
-    order.  A letter is then a bitmask over the table in a fixed number of
-    bytes, a guard literal the pair (table index, polarity).
-    """
-
-    def __init__(self, names: list[str]) -> None:
-        self.names = names
-        self.index = {name: i for i, name in enumerate(names)}
-        #: bytes per letter
-        self.width = (len(names) + 7) // 8
-        self._encoded: dict[frozenset, bytes] = {}
-        self._decoded: dict[bytes, frozenset] = {}
-
-    def w_letter(self, out: bytearray, letter: frozenset) -> None:
-        """Append *letter* as its bitmask over the table."""
-        raw = self._encoded.get(letter)
-        if raw is None:
-            mask = 0
-            for name in letter:
-                mask |= 1 << self.index[name]
-            raw = self._encoded[letter] = mask.to_bytes(self.width, "big")
-        out += raw
-
-    def r_letter(self, data: bytes, pos: int) -> tuple[frozenset, int]:
-        """Read one letter; its mask may only name atoms of the table."""
-        end = pos + self.width
-        if end > len(data):
-            raise CorruptFrameError("truncated payload: letter runs past the end")
-        raw = data[pos:end]
-        letter = self._decoded.get(raw)
-        if letter is None:
-            mask = int.from_bytes(raw, "big")
-            if mask >> len(self.names):
-                raise CorruptFrameError("letter names an atom outside the frame's table")
-            letter = self._decoded[raw] = frozenset(
-                name for i, name in enumerate(self.names) if mask >> i & 1
-            )
-        return letter, end
-
-    def w_literals(self, out: bytearray, mapping: Mapping[str, bool]) -> None:
-        """An ``atom -> polarity`` mapping, in table order."""
-        _w_uvarint(out, len(mapping))
-        for name in sorted(mapping):
-            _w_uvarint(out, self.index[name] << 1 | bool(mapping[name]))
-
-    def r_literals(self, data: bytes, pos: int) -> tuple[dict[str, bool], int]:
-        """Read a mapping written by :meth:`w_literals`."""
-        count, pos = _r_count(data, pos)
-        names = self.names
-        mapping: dict[str, bool] = {}
-        for _ in range(count):
-            literal, pos = _r_uvarint(data, pos)
-            if literal >> 1 >= len(names):
-                raise CorruptFrameError("guard names an atom outside the frame's table")
-            mapping[names[literal >> 1]] = bool(literal & 1)
-        return mapping, pos
-
-
-def _w_run(
-    out: bytearray,
-    atoms: _Atoms,
-    n: int,
-    letters: Sequence[frozenset],
-    vcs: Sequence[tuple[int, ...]],
-) -> None:
+def _w_run(out: bytearray, n: int, masks: Sequence[int], vcs: Sequence[tuple[int, ...]]) -> None:
     """One process's run of events, in a constant number of calls per run.
 
-    The event count, the run's distinct letters (at most 255, in order of
-    first use), one byte per event indexing them, and every component of
-    every clock as one packed array.
+    The event count, the run's distinct masks (at most 255, in order of
+    first use) as one packed array, one byte per event indexing them, and
+    every component of every clock as one packed array.
     """
-    if len(letters) != len(vcs) or any(len(vc) != n for vc in vcs):
-        raise CodecError("a run's letters and clocks do not line up")
-    distinct = list(dict.fromkeys(letters))
+    if len(masks) != len(vcs) or any(len(vc) != n for vc in vcs):
+        raise CodecError("a run's masks and clocks do not line up")
+    distinct = list(dict.fromkeys(masks))
     if len(distinct) > 255:
-        raise CodecError(f"{len(distinct)} distinct letters in one run (at most 255)")
-    _w_uvarint(out, len(letters))
+        raise CodecError(f"{len(distinct)} distinct masks in one run (at most 255)")
+    _w_uvarint(out, len(masks))
     out.append(len(distinct))
-    for letter in distinct:
-        atoms.w_letter(out, letter)
-    index = {letter: i for i, letter in enumerate(distinct)}
-    out += bytes(map(index.__getitem__, letters))
+    _w_uints(out, distinct)
+    index = {mask: i for i, mask in enumerate(distinct)}
+    out += bytes(map(index.__getitem__, masks))
     _w_uints(out, list(chain.from_iterable(vcs)))
 
 
-def _r_run(
-    data: bytes, pos: int, atoms: _Atoms, n: int
-) -> tuple[tuple[list[frozenset], list[tuple[int, ...]]], int]:
+def _r_run(data: bytes, pos: int, n: int) -> tuple[tuple[list[int], list[tuple[int, ...]]], int]:
     """Decode one run written by :func:`_w_run`."""
     count, pos = _r_count(data, pos)
-    held, pos = _r_byte(data, pos, "letter count of a run")
-    distinct = []
-    for _ in range(held):
-        letter, pos = atoms.r_letter(data, pos)
-        distinct.append(letter)
+    held, pos = _r_byte(data, pos, "mask count of a run")
+    distinct, pos = _r_uints(data, pos, held)
     indices = data[pos : pos + count]
     if len(indices) < count:
         raise CorruptFrameError("truncated payload: a run's events run past the end")
     if count and max(indices) >= held:
-        raise CorruptFrameError("event names a letter outside its run's table")
+        raise CorruptFrameError("event names a mask outside its run's table")
     flat, pos = _r_uints(data, pos + count, count * n)
     return (list(map(distinct.__getitem__, indices)), list(zip(*[iter(flat)] * n))), pos
 
 
-def _w_entry(out: bytearray, atoms: _Atoms, n: int, entry: TokenEntry) -> None:
+def _w_entry(out: bytearray, n: int, entry: TokenEntry) -> None:
     """Encode one :class:`TokenEntry`, fields in declaration order."""
     vectors = (entry.start_cut, entry.cut, entry.depend, entry.min_positions)
-    if any(len(v) != n for v in (*vectors, entry.conjuncts, entry.satisfied)):
+    if any(len(v) != n for v in (*vectors, entry.bits, entry.satisfied)):
         raise CodecError(f"token entry is not over {n} processes")
     _w_opt_int(out, entry.transition_id)
-    atoms.w_literals(out, entry.guard)
-    for conjunct in entry.conjuncts:
-        atoms.w_literals(out, conjunct)
+    _w_uints(out, list(chain.from_iterable(entry.bits)))
     _w_uints(out, [position for vector in vectors for position in vector])
     out += bytes(map(bool, entry.satisfied))
-    _w_uvarint(out, len(entry.letters))
-    for process in sorted(entry.letters):
-        _w_uvarint(out, process)
-        atoms.w_letter(out, entry.letters[process])
     # eval is tri-state: None / False / True
     out.append(0 if entry.eval is None else (2 if entry.eval else 1))
     _w_opt_int(out, entry.parked_on)
@@ -527,24 +450,15 @@ def _w_entry(out: bytearray, atoms: _Atoms, n: int, entry: TokenEntry) -> None:
         _w_uvarint(out, process)
 
 
-def _r_entry(data: bytes, pos: int, atoms: _Atoms, n: int) -> tuple[TokenEntry, int]:
+def _r_entry(data: bytes, pos: int, n: int) -> tuple[TokenEntry, int]:
     """Decode one :class:`TokenEntry`."""
     transition_id, pos = _r_opt_int(data, pos)
-    guard, pos = atoms.r_literals(data, pos)
-    conjuncts = []
-    for _ in range(n):
-        conjunct, pos = atoms.r_literals(data, pos)
-        conjuncts.append(conjunct)
+    flat, pos = _r_uints(data, pos, 2 * n)
     positions, pos = _r_uints(data, pos, 4 * n)
     flags = data[pos : pos + n]
     if len(flags) < n:
         raise CorruptFrameError("truncated payload: entry flags run past the end")
     pos += n
-    count, pos = _r_count(data, pos)
-    letters = {}
-    for _ in range(count):
-        process, pos = _r_uvarint(data, pos)
-        letters[process], pos = atoms.r_letter(data, pos)
     eval_tag, pos = _r_byte(data, pos, "eval flag")
     if eval_tag > 2:
         raise CorruptFrameError(f"invalid eval tag 0x{eval_tag:02x} in token entry")
@@ -556,14 +470,12 @@ def _r_entry(data: bytes, pos: int, atoms: _Atoms, n: int) -> tuple[TokenEntry, 
         waiting_for.add(process)
     entry = TokenEntry(
         transition_id=transition_id,
-        guard=guard,
-        conjuncts=conjuncts,
+        bits=tuple(zip(flat[::2], flat[1::2])),
         start_cut=list(positions[:n]),
         cut=list(positions[n : 2 * n]),
         depend=list(positions[2 * n : 3 * n]),
         min_positions=list(positions[3 * n :]),
         satisfied=list(map(bool, flags)),
-        letters=letters,
         eval=None if eval_tag == 0 else eval_tag == 2,
         parked_on=parked_on,
         waiting_for=waiting_for,
@@ -572,19 +484,10 @@ def _r_entry(data: bytes, pos: int, atoms: _Atoms, n: int) -> tuple[TokenEntry, 
 
 
 def _w_token(out: bytearray, token: Token) -> None:
-    """Encode one :class:`Token`: atom table, routing fields, runs, entries."""
+    """Encode one :class:`Token`: routing fields, runs, entries."""
     n = len(token.known)
     if n == 0:
         raise CodecError("token over zero processes")
-    names: set[str] = set()
-    for letters, _ in token.runs.values():
-        names.update(*set(letters))
-    for entry in token.entries:
-        names.update(entry.guard, *entry.conjuncts, *entry.letters.values())
-    atoms = _Atoms(sorted(names))
-    _w_uvarint(out, len(atoms.names))
-    for name in atoms.names:
-        _w_str(out, name)
     _w_svarint(out, token.parent_process)
     _w_svarint(out, token.parent_view)
     _w_svarint(out, token.parent_event_sn)
@@ -595,20 +498,14 @@ def _w_token(out: bytearray, token: Token) -> None:
     _w_uvarint(out, len(token.runs))
     for process in sorted(token.runs):
         _w_uvarint(out, process)
-        _w_run(out, atoms, n, *token.runs[process])
+        _w_run(out, n, *token.runs[process])
     _w_uvarint(out, len(token.entries))
     for entry in token.entries:
-        _w_entry(out, atoms, n, entry)
+        _w_entry(out, n, entry)
 
 
 def _r_token(data: bytes, pos: int) -> tuple[Token, int]:
     """Decode one :class:`Token`."""
-    count, pos = _r_count(data, pos)
-    names = []
-    for _ in range(count):
-        name, pos = _r_str(data, pos)
-        names.append(name)
-    atoms = _Atoms(names)
     parent_process, pos = _r_svarint(data, pos)
     parent_view, pos = _r_svarint(data, pos)
     parent_event_sn, pos = _r_svarint(data, pos)
@@ -622,11 +519,11 @@ def _r_token(data: bytes, pos: int) -> tuple[Token, int]:
     runs = {}
     for _ in range(count):
         process, pos = _r_uvarint(data, pos)
-        runs[process], pos = _r_run(data, pos, atoms, n)
+        runs[process], pos = _r_run(data, pos, n)
     count, pos = _r_count(data, pos)
     entries = []
     for _ in range(count):
-        entry, pos = _r_entry(data, pos, atoms, n)
+        entry, pos = _r_entry(data, pos, n)
         entries.append(entry)
     token = Token(
         parent_process=parent_process,

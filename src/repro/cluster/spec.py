@@ -16,8 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..faults import FaultPlan, parse_fault_plan
+
+if TYPE_CHECKING:
+    from ..distributed.computation import Computation
+    from ..ltl.monitor import MonitorAutomaton
+    from ..ltl.predicates import PropositionRegistry
 
 __all__ = ["RunSpec", "build_cell_inputs"]
 
@@ -81,7 +87,9 @@ class RunSpec:
         return parse_fault_plan(self.fault_plan)
 
 
-def build_cell_inputs(spec: RunSpec):
+def build_cell_inputs(
+    spec: RunSpec,
+) -> tuple[Computation, MonitorAutomaton, PropositionRegistry]:
     """Regenerate the computation and monitor inputs a spec describes.
 
     Returns ``(computation, automaton, registry)`` — byte-identical on

@@ -1,11 +1,11 @@
 """Global views: a monitor's exploration state along one lattice path.
 
 A global view is the decentralized counterpart of one node of the
-computation lattice: it records the consistent cut reached so far, the last
-known letter (set of true propositions) of every process at that cut, and the
-LTL3 monitor automaton state reached by the traced path.  A monitor keeps a
-*set* of views because concurrency may make several lattice paths — and hence
-several automaton states — possible at the same time (Chapter 3).
+computation lattice: it records the consistent cut reached so far and the
+LTL3 monitor automaton state reached by the traced path (the letters at the
+cut are read off the monitor's mask columns, not kept here).  A monitor
+keeps a *set* of views because concurrency may make several lattice paths —
+and hence several automaton states — possible at the same time (Chapter 3).
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 __all__ = ["ViewStatus", "GlobalView"]
-
-Letter = frozenset[str]
 
 _view_ids = itertools.count(1)
 
@@ -38,9 +36,6 @@ class GlobalView:
         Event counts per process of the consistent cut reached.
     state:
         Current monitor automaton state.
-    letters:
-        Last known letter of every process at ``cut`` (``letters[j]`` is the
-        set of true propositions owned by process ``j``).
     status:
         ``unblocked``, ``waiting`` (token outstanding) or ``final``.
     outstanding_token:
@@ -55,7 +50,6 @@ class GlobalView:
 
     cut: list[int]
     state: int
-    letters: list[Letter]
     view_id: int = field(default_factory=lambda: next(_view_ids))
     status: str = ViewStatus.UNBLOCKED
     outstanding_token: int | None = None

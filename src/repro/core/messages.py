@@ -6,17 +6,19 @@ Monitors communicate exclusively through these messages — the paper's
 least-consistent-cut search (the slicing primitive of Section 4.1) for one
 possibly-enabled monitor transition, or collects the events needed to repair
 an inconsistent global view.
+
+A letter travels as its integer mask over ``automaton.compiled.atoms`` and a
+guard as per-process ``(care, want)`` mask pairs: that atom list is sorted,
+and every monitor of a session derives it from the same specification, so
+a mask means the same letter wherever it arrives.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 __all__ = ["TokenEntry", "Token", "TerminationNotice"]
-
-Letter = frozenset[str]
 
 _token_ids = itertools.count(1)
 
@@ -40,10 +42,11 @@ class TokenEntry:
     transition_id:
         The monitor transition being searched for, or ``None`` for a pure
         consistency-repair entry.
-    guard:
-        Conjunctive guard of the transition (empty for repair entries).
-    conjuncts:
-        Per-process split of the guard.
+    bits:
+        Per process, the ``(care, want)`` pair of the transition guard's
+        conjunct over the compiled automaton's letter masks: a mask ``m``
+        satisfies it iff ``m & care == want``, and ``care == 0`` marks a
+        process the guard does not constrain (every pair, for repairs).
     start_cut:
         The parent view's (consistent) cut when the entry was created.
     cut:
@@ -56,8 +59,6 @@ class TokenEntry:
         view up to the vector clock of an out-of-order local event).
     satisfied:
         Whether each process's conjunct holds at its current ``cut`` position.
-    letters:
-        Letter at ``cut[j]`` for every process ``j`` the entry advanced.
     eval:
         ``None`` while undecided, else ``True`` / ``False``.
     parked_on:
@@ -65,14 +66,12 @@ class TokenEntry:
     """
 
     transition_id: int | None
-    guard: Mapping[str, bool]
-    conjuncts: list[dict[str, bool]]
+    bits: tuple[tuple[int, int], ...]
     start_cut: list[int]
     cut: list[int]
     depend: list[int]
     min_positions: list[int]
     satisfied: list[bool]
-    letters: dict[int, Letter] = field(default_factory=dict)
     eval: bool | None = None
     parked_on: int | None = None
     #: processes already visited that currently have no useful event; the
@@ -91,7 +90,7 @@ class TokenEntry:
         return [
             j for j, at in enumerate(self.cut)
             if at < self.depend[j] or at < self.min_positions[j]
-            or (self.conjuncts[j] and not self.satisfied[j])
+            or (self.bits[j][0] != 0 and not self.satisfied[j])
         ]
 
     def record_scan(self, vc: tuple[int, ...]) -> None:
@@ -121,7 +120,7 @@ class Token:
         Per process, the last position of that process's events the parent
         held when the token last left it (refreshed on every pass home).
     runs:
-        Per process ``j``, the letters and vector clocks of its events
+        Per process ``j``, the letter masks and vector clocks of its events
         ``known[j] + 1, known[j] + 2, …`` — what the entries scanned and
         the parent did not already hold, shared by all entries.  Whichever
         monitor advanced an entry over them extends the run as the token
@@ -133,7 +132,7 @@ class Token:
     parent_event_sn: int
     entries: list[TokenEntry]
     known: list[int]
-    runs: dict[int, tuple[list[Letter], list[tuple[int, ...]]]] = field(
+    runs: dict[int, tuple[list[int], list[tuple[int, ...]]]] = field(
         default_factory=dict
     )
     token_id: int = field(default_factory=lambda: next(_token_ids))

@@ -4,8 +4,8 @@ Each program process ``P_i`` is composed with a monitor process ``M_i`` that
 
 * reads the local events of ``P_i`` as they occur (:meth:`DecentralizedMonitor.local_event`);
 * maintains a set of **global views** — lattice paths it is tracing, each
-  with a consistent cut, the letters of all processes at that cut and the
-  LTL3 monitor automaton state reached (:mod:`repro.core.global_view`);
+  with a consistent cut and the LTL3 monitor automaton state reached
+  (:mod:`repro.core.global_view`);
 * when a transition of the automaton might be enabled by states of other
   processes, runs a least-consistent-cut search (:mod:`repro.core.messages`)
   over the columns of events it holds, and emits a **token** that carries
@@ -24,7 +24,7 @@ off the guard table, box search off the segment index — are built: ``docs/arch
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import le, mul, sub
 
@@ -178,7 +178,6 @@ class DecentralizedMonitor:
         self.num_processes = num_processes
         self.automaton = automaton
         self.registry = registry
-        self.initial_letters: list[Letter] = [frozenset(l) for l in initial_letters]
         self.transport = transport
         self.max_views_per_state = max_views_per_state
         #: where tokens and termination notices go (``docs/architecture.md``, Routing)
@@ -188,12 +187,10 @@ class DecentralizedMonitor:
         #: change only those repeat the mask
         self._compiled = automaton.compiled
         self._mask_cache: dict[Letter, int] = {}
-        #: automaton state -> its guard table, ``transition_id`` -> its row
-        #: (:meth:`_guard_table`); ``None``: the guardless row of a repair
+        #: automaton state -> its guard table (:meth:`_guard_table`), and the
+        #: guardless row of a repair
         self._guard_tables: dict[int, tuple[tuple, ...]] = {}
-        self._guard_rows: dict[int | None, tuple] = {
-            None: (None, ({},) * num_processes, ((0, 0),) * num_processes, ())
-        }
+        self._repair_row = (None, ((0, 0),) * num_processes, ())
         #: a guard's ``bits`` -> the floor and the least cut above it (``None``:
         #: there is none) of the last search of it that was walked at issue time
         self._least: dict[tuple, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
@@ -205,21 +202,21 @@ class DecentralizedMonitor:
 
         #: per process, the events of that process this monitor holds, as
         #: columns indexed by sequence number (position 0 is the initial
-        #: state): letter, letter bitmask and vector clock.  A column is
-        #: always a gapless prefix of the process's events and only grows —
+        #: state): letter mask and vector clock.  A column is always a
+        #: gapless prefix of the process's events and only grows —
         #: its own process's from ``local_event``, the others' from the runs
         #: of every token that passes.  Invariant: every view of this monitor
         #: has ``cut[j] < len(column j)``: cuts only move to the cut of an
         #: entry answered here, or returned after its runs were absorbed.
         #: ``seg_starts[j]`` indexes mask column ``j`` by *segments*: position
         #: 0 and every position whose mask differs from its predecessor's.
-        self.letter_columns: list[list[Letter]] = [[letter] for letter in self.initial_letters]
-        self.mask_columns: list[list[int]] = [[m] for m in map(self._mask_of, self.initial_letters)]
+        self.mask_columns: list[list[int]] = [
+            [self._mask_of(frozenset(letter))] for letter in initial_letters
+        ]
         self.seg_starts: list[list[int]] = [[0] for _ in range(num_processes)]
         self.vc_columns: list[list[tuple[int, ...]]] = [
             [(0,) * num_processes] for _ in range(num_processes)
         ]
-        self.local_letters = self.letter_columns[process]
         self.local_vcs = self.vc_columns[process]
         #: the components a visit advances: this process's, then all others'
         self._serve_order = (process, *(j for j in range(num_processes) if j != process))
@@ -244,7 +241,6 @@ class DecentralizedMonitor:
         view = GlobalView(
             cut=[0] * num_processes,
             state=self._compiled.step(automaton.initial_state, self._mask_at([0] * num_processes)),
-            letters=list(self.initial_letters),
         )
         self.metrics.views_created += 1
         self._born |= view.born
@@ -281,34 +277,29 @@ class DecentralizedMonitor:
             mask |= column[at]
         return mask
 
-    def _append_masks(self, j: int, letters: Iterable[Letter]) -> None:
-        """Append the masks of *letters* to mask column *j* and index the
-        segments they open (the one place a mask column grows)."""
+    def _append_masks(self, j: int, fresh: Iterable[int]) -> None:
+        """Append *fresh* masks to mask column *j* and index the segments
+        they open (the one place a mask column grows)."""
         masks, starts = self.mask_columns[j], self.seg_starts[j]
-        for mask in map(self._mask_of, letters):
+        for mask in fresh:
             if mask != masks[-1]:
                 starts.append(len(masks))
             masks.append(mask)
 
-    def _bits_of(self, conjuncts: Iterable[Mapping[str, bool]]) -> tuple[tuple[int, int], ...]:
-        """Per conjunct, the ``(care, want)`` bits of the letter masks that satisfy it."""
-        encode = self._compiled.encode
-        return tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
-
     def _guard_table(self, state: int) -> tuple[tuple, ...]:
         """The guard table of *state*, built on first use: per outgoing
-        transition a row ``(transition, conjuncts, bits, remote)`` — the
-        registry's shared per-process conjuncts, their ``(care, want)`` bits,
-        the participating processes other than this one."""
+        transition a row ``(transition_id, bits, remote)`` — per process the
+        ``(care, want)`` bits of the guard's conjunct over the letter masks,
+        and the participating processes other than this one."""
         table = self._guard_tables.get(state)
         if table is None:
-            n = self.num_processes
+            encode, n = self._compiled.encode, self.num_processes
             rows = []
             for transition in self.automaton.outgoing_transitions(state):
                 conjuncts = self.registry.conjuncts_by_process(transition.guard, n)
-                remote = tuple(j for j in range(n) if conjuncts[j] and j != self.process)
-                rows.append((transition, conjuncts, self._bits_of(conjuncts), remote))
-                self._guard_rows[transition.transition_id] = rows[-1]
+                bits = tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
+                remote = tuple(j for j, (care, _) in enumerate(bits) if care and j != self.process)
+                rows.append((transition.transition_id, bits, remote))
             table = self._guard_tables[state] = tuple(rows)
         return table
 
@@ -361,17 +352,16 @@ class DecentralizedMonitor:
         """Handle one event read from the attached program process."""
         if event.process != self.process:
             raise ValueError(f"monitor {self.process} received event of process {event.process}")
-        if event.sn != len(self.local_letters):
+        if event.sn != len(self.local_vcs):
             raise ValueError(
-                f"monitor {self.process} expected event {len(self.local_letters)}, "
+                f"monitor {self.process} expected event {len(self.local_vcs)}, "
                 f"got event {event.sn}"
             )
         if not self._started:
             self.start()
         self.metrics.events_processed += 1
         letter = self.registry.local_letter(self.process, event.state)
-        self.local_letters.append(letter)
-        self._append_masks(self.process, (letter,))
+        self._append_masks(self.process, (self._mask_of(letter),))
         self.local_vcs.append(tuple(event.vc))
         self.last_local_sn = event.sn
 
@@ -461,11 +451,10 @@ class DecentralizedMonitor:
             # out of order: a search without a guard pulls the view up to its
             # cut joined with the event's causal past; answered here when the
             # columns reach that far (the view is retired, its forks returned)
-            entry = self._make_entry(view, self._guard_rows[None], [True] * len(past), past)
+            entry = self._make_entry(view, self._repair_row, [True] * len(past), past)
             return self._issue_token(view, sn, [entry])
 
         view.cut[mine] = sn
-        view.letters[mine] = self.local_letters[sn]
         view.state = new_state = self._compiled.step(view.state, self._mask_at(view.cut))
         if self.automaton.is_final(new_state):
             self._declare(new_state)
@@ -503,7 +492,7 @@ class DecentralizedMonitor:
         masks = [column[at] for column, at in zip(self.mask_columns, view.cut)]
         entries: list[TokenEntry] = []
         for row in self._guard_table(view.state):
-            _, _, bits, remote = row
+            _, bits, remote = row
             care, want = bits[mine]
             if masks[mine] & care != want or not remote:
                 # this process forbids the transition at its frontier, or its
@@ -533,12 +522,12 @@ class DecentralizedMonitor:
         what the walks give (or the monitors further on would hold less).
         """
         self.metrics.entries_created += len(entries)
-        least, rows = self._least, self._guard_rows
+        least = self._least
         hits: list[tuple[TokenEntry, tuple[int, ...] | None]] = []
         walked: list[TokenEntry] = []
         for entry in entries:
             floor = entry.min_positions
-            known = None if entry.is_repair else least.get(rows[entry.transition_id][2])
+            known = None if entry.is_repair else least.get(entry.bits)
             if known and all(map(le, known[0], floor)) and (
                 known[1] is None or all(map(le, floor, known[1]))
             ):
@@ -548,7 +537,7 @@ class DecentralizedMonitor:
         pending = self._serve_entries(walked)
         for entry in walked:
             if entry.eval is not None and not entry.is_repair:  # whose floor never recurs
-                least[rows[entry.transition_id][2]] = (
+                least[entry.bits] = (
                     tuple(entry.min_positions), tuple(entry.cut) if entry.eval else None
                 )
         if pending and hits:
@@ -581,17 +570,14 @@ class DecentralizedMonitor:
     ) -> TokenEntry:
         """A search from the view's cut, for the transition of guard-table
         *row* (the guardless row: a repair)."""
-        transition, conjuncts = row[:2]
         return TokenEntry(
-            transition_id=transition.transition_id if transition else None,
-            guard=dict(transition.guard) if transition else {},
-            conjuncts=[dict(c) for c in conjuncts],
+            transition_id=row[0],
+            bits=row[1],
             start_cut=list(view.cut),
             cut=list(view.cut),
             depend=list(view.cut),
             min_positions=min_positions,
             satisfied=list(satisfied),
-            letters=dict(enumerate(view.letters)),
         )
 
     # ------------------------------------------------------------------
@@ -638,20 +624,16 @@ class DecentralizedMonitor:
         clock can lift another component's ``depend``).  The events walked
         are put on the token when it leaves (:meth:`_extend_run`).
         """
-        row = self._guard_rows.get(entry.transition_id)
-        if row is not None and tuple(entry.conjuncts) == row[1]:
-            bits = row[2]
-        else:  # forged, corrupted, or of a state not met here: by what it carries
-            bits = self._bits_of(entry.conjuncts)
         cut, depend, floor = entry.cut, entry.depend, entry.min_positions
-        conjuncts, satisfied = entry.conjuncts, entry.satisfied
+        bits, satisfied = entry.bits, entry.satisfied
         moved = True
         while moved and entry.eval is None:
             moved = False
             for j in self._serve_order:
                 at = cut[j]
-                if at < depend[j] or at < floor[j] or (conjuncts[j] and not satisfied[j]):
-                    self._serve_component(entry, j, *bits[j])
+                care, want = bits[j]
+                if at < depend[j] or at < floor[j] or (care and not satisfied[j]):
+                    self._serve_component(entry, j, care, want)
                     moved = moved or cut[j] > at
 
     def _serve_component(self, entry: TokenEntry, j: int, care: int, want: int) -> None:
@@ -693,7 +675,6 @@ class DecentralizedMonitor:
         if end > cut:
             entry.record_scan(self.vc_columns[j][end])
             entry.cut[j] = end
-            entry.letters[j] = self.letter_columns[j][end]
             entry.satisfied[j] = masks[end] & care == want
             if own:  # news from here: the others are worth revisiting
                 entry.waiting_for.intersection_update({j})
@@ -771,8 +752,8 @@ class DecentralizedMonitor:
             reach = max((entry.cut[j] for entry in token.entries), default=0)
             fresh = column[held + 1 : reach + 1] if reach > held else None
             if fresh:
-                letters, vcs = run or token.runs.setdefault(j, ([], []))
-                letters += self.letter_columns[j][held + 1 : reach + 1]
+                masks, vcs = run or token.runs.setdefault(j, ([], []))
+                masks += self.mask_columns[j][held + 1 : reach + 1]
                 vcs += fresh
                 self.metrics.events_shipped += len(fresh)
 
@@ -831,21 +812,20 @@ class DecentralizedMonitor:
         """Append to the columns what a token's runs add to them.
 
         A run starts at ``known[j] + 1``; the part the column already holds
-        is skipped, the rest appended.  A run that would leave a gap (only a
-        stale or forged token carries one) is ignored, so columns stay
-        gapless prefixes whatever arrives, in whatever order, however often.
+        is skipped, the rest appended.  A run that would leave a gap, or
+        holds a mask outside the automaton's alphabet (only a stale or forged
+        token carries either), is ignored, so columns stay gapless prefixes
+        of true masks whatever arrives, in whatever order, however often.
         """
-        n = self.num_processes
+        n, limit = self.num_processes, self._compiled.n_letters
         if len(token.known) != n:
             return
-        for j, (letters, vcs) in token.runs.items():
-            if not 0 <= j < n or j == self.process or len(letters) != len(vcs):
+        for j, (masks, vcs) in token.runs.items():
+            if not 0 <= j < n or j == self.process or len(masks) != len(vcs):
                 continue
             skip = len(self.vc_columns[j]) - 1 - token.known[j]
-            if 0 <= skip < len(vcs):
-                fresh = letters[skip:]
-                self.letter_columns[j] += fresh
-                self._append_masks(j, fresh)
+            if 0 <= skip < len(vcs) and 0 <= min(masks) and max(masks) < limit:
+                self._append_masks(j, masks[skip:])
                 self.vc_columns[j] += vcs[skip:]
 
     def _fork_from_entry(
@@ -869,12 +849,7 @@ class DecentralizedMonitor:
             if self._covered_by_existing_view(state, entry.cut):
                 self.metrics.views_merged += 1
                 continue
-            child = GlobalView(
-                cut=list(entry.cut),
-                state=state,
-                letters=[column[at] for column, at in zip(self.letter_columns, entry.cut)],
-                forked_from=view.view_id,
-            )
+            child = GlobalView(cut=list(entry.cut), state=state, forked_from=view.view_id)
             self.metrics.views_created += 1
             self._born |= child.born
             self.views.append(child)

@@ -2,7 +2,7 @@
 
 The acceptance criterion of the multi-host runtime: for fixed seeds, running
 a registered scenario on ``--backend cluster`` — one OS process per monitor,
-wire protocol v3 over real loopback sockets — declares verdicts identical to
+wire protocol v4 over real loopback sockets — declares verdicts identical to
 the discrete-event simulator and the asyncio streaming runtime, including
 under a crash/restart fault plan.  Every test here spawns real worker
 subprocesses through the coordinator.

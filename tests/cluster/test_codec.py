@@ -1,4 +1,4 @@
-"""Wire protocol v3 codec: byte-stable round-trips and corruption diagnostics.
+"""Wire protocol v4 codec: byte-stable round-trips and corruption diagnostics.
 
 The acceptance properties of the codec (hypothesis-tested here):
 
@@ -34,10 +34,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 small_ints = st.integers(min_value=-(2**40), max_value=2**40)
-atom_names = st.text(
-    alphabet="PQpq0123456789._", min_size=1, max_size=8
-)
-letters = st.frozensets(atom_names, max_size=3)
 
 primitive_values = st.one_of(
     st.none(),
@@ -59,11 +55,12 @@ generic_values = st.recursive(
 )
 
 
-#: clock components and positions: mostly small, sometimes past each of
-#: the packed widths (one, two and four bytes)
+#: clock components, positions and letter masks: mostly small, sometimes
+#: past each of the packed widths (one, two and four bytes)
 positions = st.one_of(
     st.integers(0, 50), st.sampled_from([255, 256, 65_535, 65_536, 2**32 - 1])
 )
+masks = positions
 
 
 @st.composite
@@ -71,28 +68,15 @@ def token_entries(draw, num_processes):
     """One :class:`TokenEntry` whose vectors all have *num_processes* slots."""
     n = num_processes
     int_vec = st.lists(positions, min_size=n, max_size=n)
-    guard = draw(st.dictionaries(atom_names, st.booleans(), max_size=3))
-    conjuncts = draw(
-        st.lists(
-            st.dictionaries(atom_names, st.booleans(), max_size=2),
-            min_size=n,
-            max_size=n,
-        )
-    )
+    bits = st.lists(st.tuples(masks, masks), min_size=n, max_size=n).map(tuple)
     return TokenEntry(
         transition_id=draw(st.one_of(st.none(), st.integers(0, 500))),
-        guard=guard,
-        conjuncts=conjuncts,
+        bits=draw(bits),
         start_cut=draw(int_vec),
         cut=draw(int_vec),
         depend=draw(int_vec),
         min_positions=draw(int_vec),
         satisfied=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-        letters=draw(
-            st.dictionaries(
-                st.integers(min_value=0, max_value=n - 1), letters, max_size=n
-            )
-        ),
         eval=draw(st.one_of(st.none(), st.booleans())),
         parked_on=draw(st.one_of(st.none(), st.integers(0, n - 1))),
         waiting_for=draw(st.sets(st.integers(0, n - 1), max_size=n)),
@@ -101,10 +85,10 @@ def token_entries(draw, num_processes):
 
 @st.composite
 def runs(draw, num_processes):
-    """One process's run: as many letters as clocks, possibly none."""
+    """One process's run: as many masks as clocks, possibly none."""
     clock = st.lists(positions, min_size=num_processes, max_size=num_processes)
-    events = draw(st.lists(st.tuples(letters, clock.map(tuple)), max_size=6))
-    return [letter for letter, _ in events], [vc for _, vc in events]
+    events = draw(st.lists(st.tuples(masks, clock.map(tuple)), max_size=6))
+    return [mask for mask, _ in events], [vc for _, vc in events]
 
 
 @st.composite
@@ -168,9 +152,9 @@ class TestRoundTrip:
         ):
             codec.decode_message(type_tag, body)
 
-    def test_retiring_the_verdict_frame_kept_the_protocol_version(self):
-        # no peer routing by the one rule ever sent 0x04, so v3 peers agree
-        assert codec.PROTOCOL_VERSION == 3
+    def test_masks_on_the_wire_are_protocol_version_4(self):
+        # v3 spelt atoms, guards and letters; a v3 peer cannot read a v4 token
+        assert codec.PROTOCOL_VERSION == 4
 
     @settings(max_examples=150, deadline=None)
     @given(value=generic_values)
@@ -224,7 +208,7 @@ class TestDiagnostics:
         ):
             codec.decode_header(header[: codec.HEADER.size])
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 255])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 255])
     def test_foreign_version_reports_both_versions(self, version):
         header = codec.HEADER.pack(codec.MAGIC, version, codec.TYPE_VALUE, 0)
         with pytest.raises(
@@ -302,12 +286,12 @@ def _round_trip(message):
 
 
 class TestTokenPayload:
-    """The v3 token body: packed widths, run tables, the atom table."""
+    """The v4 token body: packed widths, run tables, masks and bits."""
 
     def test_clocks_are_packed_at_the_width_their_largest_component_needs(self):
         sizes = []
         for top in (255, 256, 65_535, 65_536, 2**32 - 1):
-            run = ([frozenset({"P1.p"})] * 3, [(1, 1), (2, 1), (top, 2)])
+            run = ([1] * 3, [(1, 1), (2, 1), (top, 2)])
             sizes.append(len(_round_trip(_token([0, 0], {0: run}))))
         # 6 components at one, two and four bytes each
         assert [b - a for a, b in zip(sizes, sizes[1:])] == [6, 0, 12, 0]
@@ -317,39 +301,50 @@ class TestTokenPayload:
             with pytest.raises(codec.CodecError, match="cannot pack"):
                 codec.encode_wire(0.0, _token([0, bad]))
             with pytest.raises(codec.CodecError, match="cannot pack"):
-                codec.encode_wire(0.0, _token([0, 0], {1: ([frozenset()], [(0, bad)])}))
+                codec.encode_wire(0.0, _token([0, 0], {1: ([0], [(0, bad)])}))
+            with pytest.raises(codec.CodecError, match="cannot pack"):
+                codec.encode_wire(0.0, _token([0, 0], {1: ([bad], [(0, 0)])}))
 
     def test_empty_run_round_trips(self):
         _round_trip(_token([3, 4], {1: ([], [])}))
 
-    def test_a_run_holds_at_most_255_distinct_letters(self):
+    def test_a_run_holds_at_most_255_distinct_masks(self):
         def run_of(distinct):
-            letters = [frozenset({f"a{i}"}) for i in range(distinct)]
-            return letters + letters[:5], [(i,) for i in range(distinct + 5)]
+            masks = list(range(distinct))
+            return masks + masks[:5], [(i,) for i in range(distinct + 5)]
 
         _round_trip(_token([0], {0: run_of(255)}))
-        with pytest.raises(codec.CodecError, match="256 distinct letters"):
+        with pytest.raises(codec.CodecError, match="256 distinct masks"):
             codec.encode_wire(0.0, _token([0], {0: run_of(256)}))
 
-    def test_each_atom_is_spelt_once_per_frame(self):
+    def test_a_run_is_its_distinct_masks_an_index_byte_per_event_and_its_clocks(self):
+        run = ([0b10, 0, 0b10, 0b10], [(0, 1), (0, 2), (0, 3), (0, 4)])
+        empty = len(_round_trip(_token([0, 0], {1: ([], [])})))
+        # two masks at one byte each, four index bytes, eight clock bytes
+        assert len(_round_trip(_token([0, 0], {1: run}))) - empty == 2 + 4 + 8
+        wide = ([256, 0, 256, 256], run[1])  # the masks' array is two bytes wide
+        assert len(_round_trip(_token([0, 0], {1: wide}))) - empty == 4 + 4 + 8
+
+    def test_an_entry_is_its_bits_positions_and_flags_and_names_no_atom(self):
         entry = TokenEntry(
             transition_id=1,
-            guard={"P0.p": True, "P1.p": False},
-            conjuncts=[{"P0.p": True}, {"P1.p": False}],
+            bits=((0b01, 0b01), (0b10, 0)),  # P0.p & !P1.p over (P0.p, P1.p)
             start_cut=[0, 0],
             cut=[0, 2],
             depend=[0, 2],
             min_positions=[0, 0],
             satisfied=[True, False],
-            letters={0: frozenset({"P0.p"}), 1: frozenset({"P1.p"})},
         )
-        run = ([frozenset({"P1.p"}), frozenset()], [(0, 1), (0, 2)])
-        frame = _round_trip(_token([0, 0], {1: run}, [entry, entry, entry]))
-        assert frame.count(b"P0.p") == frame.count(b"P1.p") == 1
+        bare = len(_round_trip(_token([0, 0])))
+        frame = _round_trip(_token([0, 0], entries=[entry, entry, entry]))
+        # per entry: transition id (2), bits (1 + 4), positions (1 + 8),
+        # satisfied (2), eval, parked_on, waiting_for (1 each)
+        assert len(frame) - bare == 3 * 21
+        assert b"P0" not in frame and b"P1" not in frame
 
     def test_misshapen_tokens_are_refused_at_encode(self):
-        lopsided = ([frozenset()], [(0, 0), (0, 1)])
-        short_clock = ([frozenset()], [(0,)])
+        lopsided = ([0], [(0, 0), (0, 1)])
+        short_clock = ([0], [(0,)])
         for runs in ({1: lopsided}, {1: short_clock}):
             with pytest.raises(codec.CodecError, match="do not line up"):
                 codec.encode_wire(0.0, _token([0, 0], runs))
@@ -395,23 +390,23 @@ class TestHostileInput:
 
     def test_a_corrupt_count_is_refused_before_anything_is_allocated(self):
         type_tag, payload = codec.split_frame(codec.encode_wire(0.0, _token([1, 2])))
-        # no atoms, no runs, no entries: after the instant come the atom
-        # count, five one-byte routing fields, then n = 2 and the two counts
-        assert payload[8:] == bytes([0, 0, 0, 0, 2, 0, 2, 1, 1, 2, 0, 0])
+        # no runs, no entries: after the instant come five one-byte routing
+        # fields, then n = 2, ``known`` packed, and the two counts
+        assert payload[8:] == bytes([0, 0, 0, 2, 0, 2, 1, 1, 2, 0, 0])
         huge = bytearray()
         codec._w_uvarint(huge, 2**40)
-        for at in (8, 14, 18, 19):  # atoms, n, runs, entries
+        for at in (13, 17, 18):  # n, runs, entries
             with pytest.raises(codec.CorruptFrameError, match="elements announced"):
                 codec.decode_wire(type_tag, payload[:at] + bytes(huge) + payload[at + 1 :])
 
-    def test_a_v2_frame_is_refused_naming_both_versions(self):
+    def test_a_v3_frame_is_refused_naming_both_versions(self):
         frame = bytearray(codec.encode_wire(0.0, _token([0])))
-        frame[2] = 2  # as a node of the previous release writes it
+        frame[2] = 3  # as a node of the previous release writes it
         for read in (self._read, codec.split_frame):
             with pytest.raises(codec.ProtocolVersionError) as excinfo:
                 read(bytes(frame))
-            assert "version 2" in str(excinfo.value)
-            assert "only version 3" in str(excinfo.value)
+            assert "version 3" in str(excinfo.value)
+            assert "only version 4" in str(excinfo.value)
 
 
 class TestFrameLengthBound:

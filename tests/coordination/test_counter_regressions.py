@@ -52,8 +52,7 @@ def _monitor_pair():
 def _decided_token(parent_process):
     entry = TokenEntry(
         transition_id=1,
-        guard={},
-        conjuncts=[{}, {}],
+        bits=((0, 0), (0, 0)),
         start_cut=[0, 0],
         cut=[0, 0],
         depend=[0, 0],

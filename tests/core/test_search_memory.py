@@ -23,6 +23,7 @@ import test_serve_from_columns as home
 from hypothesis import assume, given, settings
 from test_step_search import _concurrent, _satisfies, searches
 from test_token_hot_paths import (
+    _bits_of,
     _box,
     _closed_automaton,
     _formula_automaton,
@@ -40,7 +41,7 @@ from repro.distributed.lattice import ComputationLattice
 from repro.ltl import PropositionRegistry, Verdict
 from repro.slicing import least_consistent_cut
 
-ROW = 7_000  # the ``transition_id`` of a guard row installed by hand
+ROW = 7_000  # the ``transition_id`` of a search made by hand
 
 
 def _below(low, high):
@@ -68,32 +69,32 @@ def _holding_everything(computation, registry, process):
     return monitor
 
 
-def _install(monitor, guard, row=ROW):
-    """Put the guard-table row of *guard* where a transition's would be."""
-    n = monitor.num_processes
-    conjuncts = tuple(monitor.registry.conjuncts_by_process(guard, n))
-    remote = tuple(j for j in range(n) if conjuncts[j] and j != monitor.process)
-    monitor._guard_rows[row] = (None, conjuncts, monitor._bits_of(conjuncts), remote)
-    return monitor._guard_rows[row][2]
+def _conjuncts(monitor, guard):
+    return monitor.registry.conjuncts_by_process(guard, monitor.num_processes)
 
 
-def _search(monitor, computation, guard, floor, row=ROW):
+def _guard_bits(monitor, guard):
+    """The ``(care, want)`` bits ``_least`` keys *guard*'s searches by."""
+    return _bits_of(monitor.automaton, _conjuncts(monitor, guard))
+
+
+def _search(monitor, computation, guard, floor):
     """A view at *floor* (a consistent cut) and its search for *guard*."""
     n = computation.num_processes
     registry = monitor.registry
-    conjuncts = monitor._guard_rows[row][1]
+    conjuncts = _conjuncts(monitor, guard)
     letters = [registry.local_letter(j, computation.local_state(j, floor[j])) for j in range(n)]
-    view = GlobalView(cut=list(floor), state=0, letters=list(letters))
+    view = GlobalView(cut=list(floor), state=0)
     entry = TokenEntry(
-        transition_id=row, guard=dict(guard), conjuncts=[dict(c) for c in conjuncts],
+        transition_id=ROW, bits=_guard_bits(monitor, guard),
         start_cut=list(floor), cut=list(floor), depend=list(floor), min_positions=list(floor),
-        satisfied=list(map(_satisfies, letters, conjuncts)), letters=dict(enumerate(letters)),
+        satisfied=list(map(_satisfies, letters, conjuncts)),
     )
     return view, entry
 
 
-def _issue(monitor, computation, guard, floor, row=ROW):
-    view, entry = _search(monitor, computation, guard, floor, row)
+def _issue(monitor, computation, guard, floor):
+    view, entry = _search(monitor, computation, guard, floor)
     monitor._issue_token(view, floor[monitor.process], [entry])
     return entry
 
@@ -122,8 +123,7 @@ def test_a_remembered_least_cut_is_the_walked_one_and_the_slicers(case):
     computation, registry, process, floors, guard = case
     remembering = _holding_everything(computation, registry, process)
     forgetful = _holding_everything(computation, registry, process)
-    bits = _install(remembering, guard)
-    _install(forgetful, guard)
+    bits = _guard_bits(remembering, guard)
     for floor in floors:
         known = remembering._least.get(bits)
         covered = (
@@ -167,7 +167,7 @@ def test_only_floors_between_the_remembered_floor_and_cut_are_answered_from_memo
     computation, registry = _rises_late()
     guard = {"P1.p": True}
     monitor = _holding_everything(computation, registry, 0)
-    bits = _install(monitor, guard)
+    bits = _guard_bits(monitor, guard)
 
     def issue(floor):
         before = monitor.metrics.least_cuts_remembered
@@ -214,14 +214,13 @@ def _one_remembered_one_undecided(forget):
         network.register(j, monitor)  # nothing is pumped
     _box(monitor, computation, registry, [0, 0, 0], [3, 3, 0], 0)
     of_p1, of_p2 = {"P1.p": True}, {"P2.p": True}
-    bits = _install(monitor, of_p1, ROW)
-    _install(monitor, of_p2, ROW + 1)
+    bits = _guard_bits(monitor, of_p1)
     first = _issue(monitor, computation, of_p1, (0, 0, 0))
     assert first.eval is True and monitor._least == {bits: ((0, 0, 0), (2, 3, 0))}
     if forget:
         monitor._least.clear()
-    view, again = _search(monitor, computation, of_p1, (1, 0, 0), ROW)
-    _, open_ended = _search(monitor, computation, of_p2, (1, 0, 0), ROW + 1)
+    view, again = _search(monitor, computation, of_p1, (1, 0, 0))
+    _, open_ended = _search(monitor, computation, of_p2, (1, 0, 0))
     assert monitor._issue_token(view, 1, [again, open_ended]) == ()
     return monitor, view, network.tokens
 
@@ -279,8 +278,9 @@ def _explorer(computation, registry, automaton, process, budget):
         events = computation.events_of(j)
         if j != process:
             monitor.terminated[j] = len(events)
+            letters = [registry.local_letter(j, event.state) for event in events]
             runs[j] = (
-                [registry.local_letter(j, event.state) for event in events],
+                list(map(automaton.compiled.encode, letters)),
                 [tuple(event.vc) for event in events],
             )
     monitor._absorb_runs(Token(process, 0, 0, entries=[], known=[0] * n, runs=runs))
@@ -368,7 +368,7 @@ def test_the_box_a_views_last_step_searched_is_not_searched_again():
 def test_an_eviction_of_a_fork_makes_the_view_search_again():
     def evict_one(monitor, view, forked):
         victim = forked[0]
-        smaller = GlobalView(cut=[0, 0], state=victim.state, letters=list(view.letters))
+        smaller = GlobalView(cut=[0, 0], state=victim.state)
         monitor.views, monitor.max_views_per_state = [victim, smaller], 1
         monitor._enforce_view_budget()
         assert monitor.views == [smaller] and monitor.metrics.views_evicted == 1
@@ -396,7 +396,7 @@ def test_a_fork_covered_by_a_smaller_live_view_only_is_searched_again():
     covered = forked[0].state
 
     def smaller_view_of_one_pivot(monitor, view):
-        monitor.views.append(GlobalView(cut=[0, 0], state=covered, letters=list(view.letters)))
+        monitor.views.append(GlobalView(cut=[0, 0], state=covered))
 
     def it_moves_on(monitor, view, forked):
         assert covered not in {child.state for child in forked}
@@ -418,7 +418,7 @@ def _asked_at_start(truth):
     monitor, network = home._monitor(p0_initially=True)
     ((_, token),) = network.tokens
     (entry,) = token.entries
-    bits = monitor._guard_rows[entry.transition_id][2]
+    bits = entry.bits
     assert monitor._least == {}  # nothing was decided at issue time
     monitor._least[bits] = ((0, 0), None if truth else (0, 1))
     return monitor, network, token, copy.deepcopy(monitor._least)
@@ -428,7 +428,7 @@ def test_an_arriving_entry_is_walked_whatever_the_memory_says():
     monitor, network, token, poisoned = _asked_at_start(truth=True)
     arriving = Token(
         1, 0, 0, entries=[copy.deepcopy(token.entries[0])], known=[0, 0],
-        runs={1: ([frozenset({"P1.p"})], [(0, 1)])},
+        runs={1: ([home._mask(monitor, "P1.p")], [(0, 1)])},
     )
     monitor.receive_message(arriving)  # P1's monitor asks the same of this one
     (entry,) = arriving.entries

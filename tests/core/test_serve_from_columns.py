@@ -2,8 +2,8 @@
 
 * **Serving from a prefix.**  Serving an entry from the columns a monitor
   holds gives what passing it round monitors that each held that prefix of
-  their own process would have given — the same least cut, clocks, letters —
-  and never parks the entry on a foreign process.
+  their own process would have given — the same least cut and clocks — and
+  never parks the entry on a foreign process.
 * **Equivalence.**  With foreign-column serving switched off from outside,
   verdicts are the same, and on the cells where every entry comes back true
   (properties B and E) so are the views and — up to one last exploration by
@@ -32,8 +32,8 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from test_token_hot_paths import _bits_of, _random_automaton, _serve_one_event_at_a_time, _setting
 from test_token_hot_paths import _monitor as _fed_monitor
-from test_token_hot_paths import _random_automaton, _serve_one_event_at_a_time, _setting
 
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
@@ -54,6 +54,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 from capture_topology_fixtures import CELLS, build_cell_inputs  # noqa: E402
 
 NOTHING = frozenset()
+
+
+def _mask(monitor, *atoms):
+    """The letter mask of the atoms given, over *monitor*'s automaton."""
+    return monitor.automaton.compiled.encode(atoms)
 
 
 def _paper_cell(property_name, num_processes, events_per_process, seed):
@@ -95,50 +100,49 @@ def _own_column_only(monkeypatch):
     monkeypatch.setattr(DecentralizedMonitor, "__init__", own_column_only)
 
 
-def _hold(monitor, process, clocks, letters=None):
-    """Put events ``1 …`` of *process* (letter ∅ unless given) in the columns."""
+def _hold(monitor, process, clocks, masks=None):
+    """Put events ``1 …`` of *process* (mask 0 unless given) in the columns."""
     known = [0] * monitor.num_processes
-    runs = {process: (list(letters or [NOTHING] * len(clocks)), list(clocks))}
+    runs = {process: (list(masks or [0] * len(clocks)), list(clocks))}
     monitor._absorb_runs(Token(0, 0, 0, entries=[], known=known, runs=runs))
 
 
 # ---------------------------------------------------------------------------
 # (i) serving from prefixes == passing the entry round the prefixes' owners
 # ---------------------------------------------------------------------------
-_SEARCH_FIELDS = ("cut", "depend", "letters", "satisfied", "min_positions", "start_cut")
+_SEARCH_FIELDS = ("cut", "depend", "satisfied", "min_positions", "start_cut")
 
 
 @st.composite
 def held_prefixes(draw):
     computation, registry = _setting(draw, max_events_per_process=8)
+    automaton = _random_automaton(registry.names, inconclusive=2, seed=0)
     n = computation.num_processes
     server = draw(st.integers(0, n - 1))
     held = [draw(st.integers(0, len(computation.events_of(j)))) for j in range(n)]
     rng = random.Random(draw(st.integers(0, 1 << 16)))
     cut = [rng.randint(0, held[j] + 1) for j in range(n)]
+    conjuncts = [{f"P{j}.p": rng.random() < 0.5} if rng.random() < 0.6 else {} for j in range(n)]
     entry = TokenEntry(
         transition_id=rng.choice([None, 0]),
-        guard={},
-        conjuncts=[{f"P{j}.p": rng.random() < 0.5} if rng.random() < 0.6 else {} for j in range(n)],
+        bits=_bits_of(automaton, conjuncts),
         start_cut=list(cut),
         cut=list(cut),
         depend=[rng.randint(0, held[j] + 1) for j in range(n)],
         min_positions=[rng.randint(0, held[j] + 1) for j in range(n)],
         satisfied=[rng.random() < 0.5 for _ in range(n)],
-        letters={j: frozenset() for j in range(n)},
         parked_on=rng.choice([None, *range(n)]),
         waiting_for={j for j in range(n) if rng.random() < 0.3},
     )
     ended = [draw(st.booleans()) for _ in range(n)]
-    return computation, registry, server, held, entry, ended
+    return computation, registry, automaton, server, held, entry, ended
 
 
 @given(held_prefixes())
 @settings(max_examples=300, deadline=None)
 def test_serving_from_prefixes_matches_the_owners_event_at_a_time_loops(case):
-    computation, registry, server, held, entry, ended = case
+    computation, registry, automaton, server, held, entry, ended = case
     n = computation.num_processes
-    automaton = _random_automaton(registry.names, inconclusive=2, seed=0)
     # the reference: monitor j, having read held[j] of its own events, runs
     # the event-at-a-time loop; the entry goes round until nothing moves
     owners = [_fed_monitor(j, computation, registry, automaton, feed=held[j]) for j in range(n)]
@@ -153,7 +157,7 @@ def test_serving_from_prefixes_matches_the_owners_event_at_a_time_loops(case):
             events = computation.events_of(j)[: held[j]]
             _hold(
                 monitor, j, [tuple(e.vc) for e in events],
-                [registry.local_letter(j, e.state) for e in events],
+                [_mask(monitor, *registry.local_letter(j, e.state)) for e in events],
             )
             # a process known to have ended, either inside the column or beyond it
             monitor.terminated[j] = held[j] + (0 if ended[j] else 1)
@@ -179,8 +183,9 @@ def test_serving_from_prefixes_matches_the_owners_event_at_a_time_loops(case):
 def test_a_foreign_column_that_runs_out_leaves_the_component_lagging():
     monitor, _ = _monitor(n=3, p0_initially=True)
     _hold(monitor, 1, [(0, 1, 0), (0, 2, 0)])
+    p1 = _mask(monitor, "P1.p")
     entry = TokenEntry(
-        transition_id=0, guard={}, conjuncts=[{}, {"P1.p": True}, {}],
+        transition_id=0, bits=((0, 0), (p1, p1), (0, 0)),
         start_cut=[0, 0, 0], cut=[0, 0, 0], depend=[0, 0, 0], min_positions=[0, 0, 0],
         satisfied=[True, False, True],
     )
@@ -337,7 +342,7 @@ def test_a_transition_search_the_columns_answer_sends_nothing():
     assert waiting.is_waiting() and len(network.tokens) == 1
     # a second monitor of the same kind that already holds P1 raising p
     other, outbox = _monitor(p0_initially=False)
-    _hold(other, 1, [(0, 1)], [frozenset({"P1.p"})])
+    _hold(other, 1, [(0, 1)], [_mask(other, "P1.p")])
     other.local_event(Event(0, 1, EventKind.INTERNAL, VectorClock([1, 0]), {"p": True}))
     assert outbox.tokens == [] and other.metrics.tokens_created == 0
     assert other.metrics.answered_at_home == 1 and other.is_quiescent
@@ -358,7 +363,7 @@ def test_three_thousand_pending_events_are_answered_in_a_loop():
     (entry,) = token.entries
     # P1 serves it — and, as it happens, ships everything it has
     entry.cut[1], entry.eval = 1, True
-    token.runs[1] = ([NOTHING] * pending, [(0, sn) for sn in range(1, pending + 1)])
+    token.runs[1] = ([0] * pending, [(0, sn) for sn in range(1, pending + 1)])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
@@ -415,7 +420,7 @@ def test_a_repair_fork_below_a_waiting_view_of_its_state_is_not_created():
     monitor, network = _monitor(p0_initially=True)
     (waiting,) = monitor.views  # asked P1 for its p at start, no answer yet
     assert waiting.is_waiting() and len(network.tokens) == 1
-    lagging = GlobalView(cut=[0, 0], state=waiting.state, letters=list(waiting.letters))
+    lagging = GlobalView(cut=[0, 0], state=waiting.state)
     monitor.views.append(lagging)
     _hold(monitor, 1, [(0, 1)])
     _receive(monitor, 1, (1, 1), p=True)
@@ -430,7 +435,7 @@ def _fork_repaired(monitor, view, cut):
     """Search and fork a decided repair of *view* up to *cut*."""
     n = len(cut)
     entry = TokenEntry(
-        transition_id=None, guard={}, conjuncts=[{} for _ in range(n)],
+        transition_id=None, bits=((0, 0),) * n,
         start_cut=list(view.cut), cut=list(cut), depend=list(cut),
         min_positions=list(cut), satisfied=[True] * n, eval=True,
     )
@@ -452,7 +457,7 @@ def test_a_signature_is_born_once_unless_its_view_was_evicted():
     assert monitor.metrics.views_merged == merged + 1
     # the budget (1 per state) gives the child up for an incomparable, smaller
     # view: its signature is forgotten and may be born again
-    smaller = GlobalView(cut=[1, 0], state=root.state, letters=list(root.letters))
+    smaller = GlobalView(cut=[1, 0], state=root.state)
     monitor.views.append(smaller)
     monitor._merge_views()
     assert monitor.views == [smaller] and monitor.metrics.views_evicted == 1
@@ -475,7 +480,7 @@ def test_a_merged_view_is_given_up_with_the_view_that_covered_it():
     assert coverer.born == {(root.state, (0, 1)), (root.state, (0, 2))}
     # while the coverer lives, [0, 2] is still being explored — by the coverer
     assert _fork_repaired(monitor, root, [0, 2]) == []
-    smaller = GlobalView(cut=[1, 0], state=root.state, letters=list(root.letters))
+    smaller = GlobalView(cut=[1, 0], state=root.state)
     monitor.views.append(smaller)
     monitor._merge_views()  # the budget gives the coverer up, and with it both chains
     assert monitor.views == [smaller] and monitor.metrics.views_evicted == 1
@@ -554,8 +559,7 @@ def test_a_token_passing_home_undecided_leaves_refreshed():
     (entry,) = token.entries
     # P1 raised p at its second event and served the token; P2 is still wanted
     entry.cut[1], entry.satisfied[1] = 2, True
-    entry.letters[1] = frozenset({"P1.p"})
-    token.runs[1] = ([NOTHING, frozenset({"P1.p"})], [(0, 1, 0), (0, 2, 0)])
+    token.runs[1] = ([0, _mask(monitor, "P1.p")], [(0, 1, 0), (0, 2, 0)])
     _hold(monitor, 2, [(0, 0, 1)])  # home learnt of a P2 event meanwhile (p still false)
     monitor.receive_message(token)  # … relayed through home, undecided
     assert len(monitor.vc_columns[1]) == 3  # absorbed
@@ -569,23 +573,23 @@ def test_a_token_passing_home_undecided_leaves_refreshed():
 def test_a_forged_token_whose_runs_leave_a_gap_changes_no_column(known):
     monitor, _ = _monitor(n=3)
     _hold(monitor, 1, [(0, 1, 0)])
-    before = copy.deepcopy((monitor.letter_columns, monitor.mask_columns, monitor.vc_columns))
+    before = copy.deepcopy((monitor.mask_columns, monitor.vc_columns))
     forged = Token(
         2, 0, 0, entries=[], known=known,
-        runs={1: ([frozenset({"P1.p"})] * 2, [(0, 7, 0), (0, 8, 0)])},
+        runs={1: ([_mask(monitor, "P1.p")] * 2, [(0, 7, 0), (0, 8, 0)])},
     )
     monitor.receive_message(forged)  # someone else's token, snooped on the way
-    assert (monitor.letter_columns, monitor.mask_columns, monitor.vc_columns) == before
+    assert (monitor.mask_columns, monitor.vc_columns) == before
 
 
 def test_every_monitor_absorbs_the_runs_of_tokens_it_merely_relays():
     monitor, network = _monitor(n=3)
     passing = Token(
         2, 0, 0, entries=[], known=[0, 0, 0],
-        runs={1: ([frozenset({"P1.p"})], [(0, 1, 0)])},
+        runs={1: ([_mask(monitor, "P1.p")], [(0, 1, 0)])},
     )
     monitor.receive_message(passing)
-    assert monitor.letter_columns[1] == [NOTHING, frozenset({"P1.p"})]
+    assert monitor.mask_columns[1] == [0, _mask(monitor, "P1.p")]
     assert [target for target, _ in network.tokens] == [2]  # decided: on to its parent
 
 

@@ -1,8 +1,9 @@
 """The monitor's per-process columns, and the runs that fill them.
 
 * Whatever sequence of runs a monitor absorbs — overlapping, duplicated,
-  stale, with a gap, misshapen — each column stays a gapless prefix of the
-  process's true events, and nothing raises.
+  stale, with a gap, misshapen, holding a mask outside the alphabet — each
+  column stays a gapless prefix of the process's true events, and nothing
+  raises.
 * A returned entry whose box the columns do not hold forks nothing.
 * At the end of real runs (the five fixture cells, a crash/rejoin plan, a
   duplicating and replaying Byzantine plan) every monitor's column for ``j``
@@ -33,21 +34,25 @@ from capture_topology_fixtures import CELLS, build_cell_inputs  # noqa: E402
 N = 3
 #: the true events 1..TRUTH of every process (position 0 is the initial state)
 TRUTH = 12
+REGISTRY = case_study_registry(N)
+AUTOMATON = build_monitor("F(P0.p & P1.p & P2.p)", atoms=REGISTRY.names)
+#: the first mask outside the automaton's alphabet
+N_LETTERS = AUTOMATON.compiled.n_letters
 
 
 def _true_events(process):
-    letters = [frozenset({f"P{process}.p"} if sn % 3 else ()) for sn in range(1, TRUTH + 1)]
+    bit = AUTOMATON.compiled.atom_bit[f"P{process}.p"]
+    masks = [bit if sn % 3 else 0 for sn in range(1, TRUTH + 1)]
     vcs = [tuple(sn if k == process else sn // 2 for k in range(N)) for sn in range(1, TRUTH + 1)]
-    return letters, vcs
+    return masks, vcs
 
 
 def _monitor():
-    registry = case_study_registry(N)
     return DecentralizedMonitor(
         process=0,
         num_processes=N,
-        automaton=build_monitor("F(P0.p & P1.p & P2.p)", atoms=registry.names),
-        registry=registry,
+        automaton=AUTOMATON,
+        registry=REGISTRY,
         initial_letters=[frozenset()] * N,
         transport=LoopbackNetwork(),
     )
@@ -72,13 +77,15 @@ def honest_runs(draw):
 
 misshapen_runs = st.sampled_from(
     [
-        ([0] * N, {7: ([frozenset()], [(1,) * N])}),  # no such process
-        ([0] * N, {-1: ([frozenset()], [(1,) * N])}),
-        ([0] * N, {0: ([frozenset({"forged"})], [(9,) * N])}),  # the monitor's own
-        ([0] * N, {1: ([frozenset()], [])}),  # letters without clocks
-        ([0] * (N - 1), {1: ([frozenset()], [(1,) * N])}),  # known of another size
-        ([0] * (N + 1), {1: ([frozenset()], [(1,) * N])}),
-        ([0, TRUTH + 5, 0], {1: ([frozenset()], [(1,) * N])}),  # known beyond anything held
+        ([0] * N, {7: ([0], [(1,) * N])}),  # no such process
+        ([0] * N, {-1: ([0], [(1,) * N])}),
+        ([0] * N, {0: ([0], [(9,) * N])}),  # the monitor's own
+        ([0] * N, {1: ([N_LETTERS], [(1,) * N])}),  # a mask outside the alphabet
+        ([0] * N, {2: ([0, -1, 0], [(1,) * N] * 3)}),
+        ([0] * N, {1: ([0], [])}),  # masks without clocks
+        ([0] * (N - 1), {1: ([0], [(1,) * N])}),  # known of another size
+        ([0] * (N + 1), {1: ([0], [(1,) * N])}),
+        ([0, TRUTH + 5, 0], {1: ([0], [(1,) * N])}),  # known beyond anything held
     ]
 )
 
@@ -91,14 +98,16 @@ def test_columns_stay_true_prefixes_whatever_is_absorbed(arrivals):
     for known, runs in arrivals:
         monitor._absorb_runs(_token(known, runs))
         for j in range(1, N):
-            letters, vcs = _true_events(j)
+            masks, vcs = _true_events(j)
             length = len(monitor.vc_columns[j]) - 1
-            assert monitor.letter_columns[j][1:] == letters[:length]
+            assert monitor.mask_columns[j][1:] == masks[:length]
             assert monitor.vc_columns[j][1:] == vcs[:length]
-            assert monitor.mask_columns[j] == [
-                monitor._mask_of(letter) for letter in monitor.letter_columns[j]
-            ]
-            if len(known) == N and j in runs and len(runs[j][0]) == len(runs[j][1]):
+            if (
+                len(known) == N
+                and j in runs
+                and len(runs[j][0]) == len(runs[j][1])
+                and all(0 <= mask < N_LETTERS for mask in runs[j][0])
+            ):
                 reach = known[j] + len(runs[j][1])
                 # a run is absorbed exactly when it continues the column
                 held[j] = max(held[j], reach) if known[j] <= held[j] else held[j]
@@ -111,8 +120,7 @@ def _returned(monitor, cut, known, runs=None):
     (view,) = monitor.views
     entry = TokenEntry(
         transition_id=0,
-        guard={},
-        conjuncts=[{} for _ in range(N)],
+        bits=((0, 0),) * N,
         start_cut=list(view.cut),
         cut=list(cut),
         depend=list(cut),
@@ -135,6 +143,8 @@ def _returned(monitor, cut, known, runs=None):
         ([0, 3, 0], [0, 0, 0], {}),  # reached events nobody shipped
         ([0, 3, 0], [0, 5, 0], {1: (_true_events(1)[0][5:8], _true_events(1)[1][5:8])}),  # a gap
         ([0, 3, 0], [0, 0], {1: (_true_events(1)[0][:3], _true_events(1)[1][:3])}),  # forged known
+        # a mask outside the alphabet: it would index another state's table row
+        ([0, 3, 0], [0, 0, 0], {1: ([0, N_LETTERS, 0], _true_events(1)[1][:3])}),
         ([0, 3], [0, 0, 0], {}),  # an entry over fewer processes
         ([0, -1, 0], [0, 0, 0], {}),  # a cut below the view's
     ],
@@ -146,14 +156,16 @@ def test_an_entry_the_columns_do_not_cover_forks_nothing(cut, known, runs):
     assert monitor.metrics.views_created == created
     assert monitor.metrics.box_queries == 0
     assert monitor.views == [view] and view.status == ViewStatus.UNBLOCKED
+    assert [len(column) for column in monitor.mask_columns] == [1] * N  # none grew
 
 
 def test_an_entry_the_runs_cover_is_replayed():
     monitor = _monitor()
-    letters, vcs = _true_events(1)
-    _returned(monitor, [0, 3, 0], [0, 0, 0], {1: (letters[:3], vcs[:3])})
+    masks, vcs = _true_events(1)
+    _returned(monitor, [0, 3, 0], [0, 0, 0], {1: (masks[:3], vcs[:3])})
     assert monitor.metrics.box_queries == 1
-    assert monitor.letter_columns[1][1:] == letters[:3]
+    assert monitor.mask_columns[1][1:] == masks[:3]
+
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +176,7 @@ def _assert_columns_are_prefixes(report):
     for monitor in monitors:
         for j, owner in enumerate(monitors):
             held = len(monitor.vc_columns[j])
-            assert len(monitor.letter_columns[j]) == len(monitor.mask_columns[j]) == held
-            assert monitor.letter_columns[j] == owner.letter_columns[j][:held]
+            assert monitor.mask_columns[j] == owner.mask_columns[j][:held]
             assert monitor.vc_columns[j] == owner.vc_columns[j][:held]
         for view in monitor.views:
             assert all(

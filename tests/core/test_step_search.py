@@ -14,8 +14,10 @@
   column, whatever is appended, by whichever path.
 * **Guard table.**  Testing letter masks against the table issues the
   entries that testing letters against dictionaries did (the reference is
-  kept here); an entry that no longer carries its transition's conjuncts is
-  served by what it carries.
+  kept here); a conjunct's ``care`` bits are 0 exactly when it is empty,
+  because every guard of the case-study monitors names only atoms of the
+  compiled alphabet; an entry is served by the bits it carries, whatever
+  its transition asks.
 * **Slicing oracle.**  Served from columns that hold a whole computation, a
   search is decided ``True`` exactly at ``repro.slicing``'s least cut.
 * The pinned counts of the three curve cells CI checks.
@@ -30,6 +32,7 @@ import pytest
 import test_shared_columns as columns
 from hypothesis import assume, given, settings
 from test_token_hot_paths import (
+    _bits_of,
     _box,
     _brute_force,
     _closed_automaton,
@@ -212,26 +215,27 @@ def _satisfies(letter, conjunct):
     return all((atom in letter) == required for atom, required in conjunct.items())
 
 
-def _explore_with_dictionaries(monitor, view, include_currently_satisfied):
+def _explore_with_dictionaries(monitor, view, letters, include_currently_satisfied):
     """The entries ``_explore_outgoing`` issued when it split every guard and
-    tested letters against the dictionaries, as (transition, conjuncts,
-    satisfied, min_positions)."""
+    tested the view's *letters* against the dictionaries, as (transition,
+    bits, satisfied, min_positions)."""
     issued = []
     for transition in monitor.automaton.outgoing_transitions(view.state):
         conjuncts = monitor.registry.conjuncts_by_process(transition.guard, monitor.num_processes)
+        bits = _bits_of(monitor.automaton, conjuncts)
         mine = conjuncts[monitor.process]
-        if mine and not _satisfies(view.letters[monitor.process], mine):
+        if mine and not _satisfies(letters[monitor.process], mine):
             continue
-        satisfied_now = list(map(_satisfies, view.letters, conjuncts))
+        satisfied_now = list(map(_satisfies, letters, conjuncts))
         remote = [j for j, c in enumerate(conjuncts) if c and j != monitor.process]
         if all(satisfied_now):
             if include_currently_satisfied:
                 for j in remote:
                     bumped = list(view.cut)
                     bumped[j] += 1
-                    issued.append((transition.transition_id, list(conjuncts), satisfied_now, bumped))
+                    issued.append((transition.transition_id, bits, satisfied_now, bumped))
         elif remote:
-            issued.append((transition.transition_id, list(conjuncts), satisfied_now, list(view.cut)))
+            issued.append((transition.transition_id, bits, satisfied_now, list(view.cut)))
     return issued
 
 
@@ -251,29 +255,44 @@ def test_testing_masks_against_the_table_issues_what_testing_letters_did(
         transport=LoopbackNetwork(),
     )
     monitor._started = True
+    columns = []
     for j in range(n):  # random letters in every column; clocks are not read
-        letters = [
+        letters = [registry.local_letter(j, {})] + [
             registry.local_letter(j, {"p": rng.random() < 0.5, "q": rng.random() < 0.5})
             for _ in range(4)
         ]
-        monitor.letter_columns[j] += letters
-        monitor._append_masks(j, letters)
+        monitor._append_masks(j, map(automaton.compiled.encode, letters[1:]))
+        columns.append(letters)
     cut = [rng.randrange(5) for _ in range(n)]
     inconclusive = [q for q in automaton.states if not automaton.is_final(q)]
-    view = GlobalView(
-        cut=cut, state=rng.choice(inconclusive),
-        letters=[monitor.letter_columns[j][cut[j]] for j in range(n)],
-    )
+    view = GlobalView(cut=cut, state=rng.choice(inconclusive))
+    letters = [columns[j][cut[j]] for j in range(n)]
     issued = []
     monitor._issue_token = lambda view, sn, entries: issued.extend(entries) or ()
     assert monitor._explore_outgoing(view, include_currently_satisfied) == ()
     assert [
-        (e.transition_id, e.conjuncts, e.satisfied, e.min_positions) for e in issued
-    ] == _explore_with_dictionaries(monitor, view, include_currently_satisfied)
+        (e.transition_id, e.bits, e.satisfied, e.min_positions) for e in issued
+    ] == _explore_with_dictionaries(monitor, view, letters, include_currently_satisfied)
     assert all(e.cut == e.start_cut == e.depend == cut for e in issued)
 
 
-def test_an_entry_that_lost_its_transitions_conjuncts_is_served_by_its_own():
+@pytest.mark.parametrize("name", PROPERTY_NAMES)
+def test_a_conjunct_cares_about_some_atom_exactly_when_it_is_not_empty(name):
+    # masks are over ``compiled.atoms``: a guard naming an atom outside it
+    # would read as a conjunct that asks nothing
+    for n in range(2, 7):
+        registry, automaton = case_study_registry(n), case_study_monitor(name, n)
+        atoms = set(automaton.compiled.atoms)
+        assert list(automaton.compiled.atoms) == sorted(atoms)
+        for state in automaton.states:
+            for transition in automaton.outgoing_transitions(state):
+                conjuncts = registry.conjuncts_by_process(transition.guard, n)
+                assert set().union(*conjuncts) <= atoms
+                bits = _bits_of(automaton, conjuncts)
+                assert [care != 0 for care, _ in bits] == [bool(c) for c in conjuncts]
+
+
+def test_an_entry_is_served_by_the_bits_it_carries():
     registry = case_study_registry(2)
     monitor = DecentralizedMonitor(
         process=0, num_processes=2, registry=registry,
@@ -282,17 +301,16 @@ def test_an_entry_that_lost_its_transitions_conjuncts_is_served_by_its_own():
     )
     monitor._started = True
     (view,) = monitor.views
-    letters = [frozenset(), frozenset({"P1.p"})]  # P1: p stays false, then rises
-    monitor.letter_columns[1] += letters
+    p0, p1 = (monitor.automaton.compiled.atom_bit[f"P{j}.p"] for j in range(2))
     monitor.vc_columns[1] += [(0, 1), (0, 2)]
-    monitor._append_masks(1, letters)
+    monitor._append_masks(1, [0, p1])  # P1: p stays false, then rises
     issued = []
     monitor._issue_token = lambda view, sn, entries: issued.extend(entries) or ()
     monitor._explore_outgoing(view)
     (genuine,) = issued
-    assert genuine.conjuncts == [{"P0.p": True}, {"P1.p": True}]
+    assert genuine.bits == ((p0, p0), (p1, p1))
     corrupted, unknown = copy.deepcopy(genuine), copy.deepcopy(genuine)
-    corrupted.conjuncts = [{"P0.p": True}, {"P1.p": False}]
+    corrupted.bits = ((p0, p0), (p1, 0))
     unknown.transition_id = 10_000
     for entry in (genuine, corrupted, unknown):
         monitor._serve_entry(entry)
@@ -330,9 +348,9 @@ def test_a_search_answered_at_home_finds_the_slicers_least_cut(case):
     conjuncts = registry.conjuncts_by_process(guard, n)
     letters = [registry.local_letter(j, computation.local_state(j, start[j])) for j in range(n)]
     entry = TokenEntry(
-        transition_id=None, guard=dict(guard), conjuncts=[dict(c) for c in conjuncts],
+        transition_id=None, bits=_bits_of(automaton, conjuncts),
         start_cut=list(start), cut=list(start), depend=list(start), min_positions=list(start),
-        satisfied=list(map(_satisfies, letters, conjuncts)), letters=dict(enumerate(letters)),
+        satisfied=list(map(_satisfies, letters, conjuncts)),
     )
     pending = monitor._serve_entries([entry])
     least = least_consistent_cut(computation, registry, guard, start=start)
@@ -342,9 +360,8 @@ def test_a_search_answered_at_home_finds_the_slicers_least_cut(case):
     else:
         assert entry.eval is True and tuple(entry.cut) == least
         assert entry.satisfied == [True] * n
-        assert [entry.letters[j] for j in range(n)] == [
-            registry.local_letter(j, computation.local_state(j, least[j])) for j in range(n)
-        ]
+        letters = [registry.local_letter(j, computation.local_state(j, least[j])) for j in range(n)]
+        assert all(map(_satisfies, letters, conjuncts))
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,12 @@ def _setting(draw, max_events_per_process):
     return builder.build(), PropositionRegistry.boolean_grid(n, variables=("p",))
 
 
+def _bits_of(automaton, conjuncts):
+    """Per conjunct, its ``(care, want)`` bits over the automaton's masks."""
+    encode = automaton.compiled.encode
+    return tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
+
+
 def _monitor(process, computation, registry, automaton, feed=0):
     """A monitor of *process* that has read its first *feed* local events."""
     n = computation.num_processes
@@ -231,17 +237,10 @@ def _box(monitor, computation, registry, start, target, state):
     columns the way they do in a run, from the runs of the returning token.
     """
     n = computation.num_processes
-    view = GlobalView(
-        cut=list(start),
-        state=state,
-        letters=[
-            registry.local_letter(j, computation.local_state(j, start[j])) for j in range(n)
-        ],
-    )
+    view = GlobalView(cut=list(start), state=state)
     entry = TokenEntry(
         transition_id=0,
-        guard={},
-        conjuncts=[{} for _ in range(n)],
+        bits=((0, 0),) * n,
         start_cut=list(start),
         cut=list(target),
         depend=list(target),
@@ -250,11 +249,12 @@ def _box(monitor, computation, registry, start, target, state):
         eval=True,
     )
     runs = {}
+    encode = monitor.automaton.compiled.encode
     for j in range(n):
         run = computation.events_of(j)[: target[j]]
         if run and j != monitor.process:
             runs[j] = (
-                [registry.local_letter(j, event.state) for event in run],
+                [encode(registry.local_letter(j, event.state)) for event in run],
                 [tuple(event.vc) for event in run],
             )
     monitor._absorb_runs(
@@ -280,11 +280,10 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
     assert monitor.declared_states - before == expected_conclusive - before
     assert monitor.declared_verdicts >= {automaton.verdict(q) for q in expected_conclusive}
     entry.transition_id = None  # as a repair: every inconclusive state reached is forked
+    letter = registry.letter_of(computation.global_state(target))
     for child in monitor._fork_from_entry(view, entry, reached):
-        assert child.letters == [
-            registry.local_letter(j, computation.local_state(j, target[j]))
-            for j in range(computation.num_processes)
-        ]
+        assert child.cut == list(target)
+        assert monitor._mask_at(child.cut) == automaton.compiled.encode(letter)
     assert monitor.metrics.box_queries == 1
     # every cell searched holds a consistent cut of its own; without
     # collapsing, the cells are the cuts; a target its letter decides costs none
@@ -342,11 +341,11 @@ def test_stutter_closed_walks_the_table_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# forked siblings do not share their letters
+# forked siblings do not share their cuts
 # ---------------------------------------------------------------------------
-def test_children_of_one_entry_keep_their_own_letters():
+def test_children_of_one_entry_keep_their_own_cuts():
     """Two children forked from one entry; stepping one over a local event
-    must leave the other's letters at its own cut.
+    must leave the other at its own cut, and the letter there.
 
     The case-study automata forget everything but the last letter, so one
     entry never forks two children from them; ``G(p0 -> F p1)`` remembers a
@@ -368,11 +367,11 @@ def test_children_of_one_entry_keep_their_own_letters():
     view, entry = _box(monitor, computation, registry, (0, 0), (2, 2), automaton.initial_state)
     entry.transition_id = None  # a repair entry
     first, second = monitor._fork_from_entry(view, entry, *monitor._box_reachable(view, [entry]))
-    assert first.letters == second.letters and first.letters is not second.letters
+    assert first.cut == second.cut and first.cut is not second.cut
     monitor._step_view(first, 3)
     assert first.cut == [3, 2] and second.cut == [2, 2]
-    assert first.letters[0] == frozenset({"P0.p"})
-    assert second.letters == [monitor.letter_columns[j][second.cut[j]] for j in range(2)]
+    assert monitor._mask_at(first.cut) == automaton.compiled.atom_bit["P0.p"]
+    assert monitor._mask_at(second.cut) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +380,19 @@ def test_children_of_one_entry_keep_their_own_letters():
 def _serve_one_event_at_a_time(monitor, entry):
     """The loop ``_serve_entry`` replaced, behind the guard its callers applied.
 
-    Returns the events it scanned, as ``(sn, letter, clock)``.
+    Returns the events it scanned, as ``(sn, mask, clock)``.
     """
     j = monitor.process
     scanned = []
     if j not in entry.lagging_processes():
         return scanned
-    conjunct = entry.conjuncts[j]
+    care, want = entry.bits[j]
     entry.waiting_for.discard(j)
     progressed = False
     while True:
         target_min = max(entry.depend[j], entry.min_positions[j])
         needs_position = entry.cut[j] < target_min
-        needs_conjunct = bool(conjunct) and not entry.satisfied[j]
+        needs_conjunct = care != 0 and not entry.satisfied[j]
         if not needs_position and not needs_conjunct:
             entry.parked_on = None
             break
@@ -406,17 +405,12 @@ def _serve_one_event_at_a_time(monitor, entry):
                 entry.parked_on = j
                 entry.waiting_for.add(j)
             break
-        letter = monitor.local_letters[next_sn]
+        mask = monitor.mask_columns[j][next_sn]
         vc = monitor.local_vcs[next_sn]
-        scanned.append((next_sn, letter, vc))
+        scanned.append((next_sn, mask, vc))
         entry.depend = [max(a, b) for a, b in zip(entry.depend, vc)]
         entry.cut[j] = next_sn
-        entry.letters[j] = letter
-        entry.satisfied[j] = (
-            all((atom in letter) == wanted for atom, wanted in conjunct.items())
-            if conjunct
-            else True
-        )
+        entry.satisfied[j] = mask & care == want
         progressed = True
     if progressed:
         entry.waiting_for.intersection_update({j})
@@ -426,6 +420,7 @@ def _serve_one_event_at_a_time(monitor, entry):
 @st.composite
 def visits(draw):
     computation, registry = _setting(draw, max_events_per_process=8)
+    automaton = _random_automaton(registry.names, inconclusive=2, seed=0)
     n = computation.num_processes
     process = draw(st.integers(0, n - 1))
     history = len(computation.events_of(process))
@@ -437,14 +432,12 @@ def visits(draw):
     conjuncts = [{f"P{j}.p": rng.random() < 0.5} if rng.random() < 0.6 else {} for j in range(n)]
     entry = TokenEntry(
         transition_id=rng.choice([None, 0]),
-        guard={},
-        conjuncts=conjuncts,
+        bits=_bits_of(automaton, conjuncts),
         start_cut=list(cut),
         cut=list(cut),
         depend=[rng.randint(0, limits[j]) for j in range(n)],
         min_positions=[rng.randint(0, limits[j]) for j in range(n)],
         satisfied=[rng.random() < 0.5 for _ in range(n)],
-        letters={j: frozenset() for j in range(n)},
         parked_on=rng.choice([None, *range(n)]),
         waiting_for={j for j in range(n) if rng.random() < 0.3},
     )
@@ -452,14 +445,13 @@ def visits(draw):
     # token: at least the cut its view stood at
     known = [0] * n
     known[process] = rng.randint(min(cut[process], feed), feed)
-    return computation, registry, process, feed, draw(st.booleans()), entry, known
+    return computation, registry, automaton, process, feed, draw(st.booleans()), entry, known
 
 
 @given(visits())
 @settings(max_examples=300, deadline=None)
 def test_one_shot_serving_matches_the_event_at_a_time_loop(case):
-    computation, registry, process, feed, terminated, entry, known = case
-    automaton = _random_automaton(registry.names, inconclusive=2, seed=0)
+    computation, registry, automaton, process, feed, terminated, entry, known = case
     monitor = _monitor(process, computation, registry, automaton, feed=feed)
     monitor.terminated[process] = feed if terminated else None
     expected = copy.deepcopy(entry)
@@ -471,7 +463,7 @@ def test_one_shot_serving_matches_the_event_at_a_time_loop(case):
     token = Token((process + 1) % len(known), 0, 0, entries=[entry], known=known)
     monitor._extend_run(token)
     shipped = [event for event in scanned if event[0] > known[process]]
-    letters, vcs = token.runs.get(process, ([], []))
+    masks, vcs = token.runs.get(process, ([], []))
     first = known[process] + 1
-    assert list(zip(range(first, first + len(vcs)), letters, vcs)) == shipped
+    assert list(zip(range(first, first + len(vcs)), masks, vcs)) == shipped
     assert monitor.metrics.events_shipped == len(shipped)

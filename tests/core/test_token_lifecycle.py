@@ -179,7 +179,7 @@ def _evict_the_waiting_view(monitor):
     """Let the per-state budget (1) drop the view the outstanding token serves."""
     (view,) = monitor.views
     assert view.is_waiting()
-    smaller = GlobalView(cut=[0] * N, state=view.state, letters=[frozenset()] * N)
+    smaller = GlobalView(cut=[0] * N, state=view.state)
     monitor.views.append(smaller)
     monitor._merge_views()
     assert monitor.views == [smaller] and not monitor._outstanding
@@ -204,7 +204,7 @@ def test_an_orphan_passing_through_home_undecided_is_swallowed():
     assert system.route(token) == [(0, 1), (1, 0)]  # not re-sent
     assert not token.all_decided()
     assert home.waiting_tokens == []  # not parked either
-    assert home.letter_columns[1][1:] == [frozenset({"P1.p"})]  # runs absorbed
+    assert home.mask_columns[1][1:] == [home.automaton.compiled.atom_bit["P1.p"]]  # absorbed
     assert home.metrics.orphan_tokens_swallowed == 1
     assert home.metrics.token_hops_max == token.hops == 1  # home served no hop
     assert home.metrics.views_merged == merged  # an eviction is not a merge
