@@ -78,11 +78,11 @@ def main() -> None:
               f"{decentralized.monitor_messages} messages, "
               f"{decentralized.total_global_views} views")
         print(f"   centralized baseline : {centralized.messages} messages, "
-              f"{centralized.max_tracked_cuts} tracked global states\n")
+              f"{centralized.tracked_cuts} tracked global states\n")
 
     print("The decentralized monitors reach the same verdicts while exchanging "
           "only the tokens they need; the centralized baseline ships every event "
-          "and tracks the whole frontier of consistent global states.")
+          "and tracks every consistent global state.")
 
 
 if __name__ == "__main__":

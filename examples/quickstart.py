@@ -14,7 +14,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.core import LatticeOracle
-from repro.distributed import running_example, running_example_registry
+from repro.distributed import ComputationLattice, running_example, running_example_registry
 from repro.ltl import build_monitor
 from repro.session import run_decentralized
 
@@ -41,7 +41,7 @@ def main() -> None:
     oracle = LatticeOracle(computation, psi, registry).evaluate()
     print("\nOracle over the computation lattice (Fig. 3.1):")
     print(f"  lattice cuts:  {oracle.num_cuts}")
-    print(f"  lattice paths: {oracle.num_paths}")
+    print(f"  lattice paths: {ComputationLattice.from_computation(computation).count_paths()}")
     print(f"  verdicts over all paths: {sorted(str(v) for v in oracle.verdicts)}")
 
     # --- decentralized monitoring ------------------------------------------

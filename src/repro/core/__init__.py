@@ -5,7 +5,7 @@ Public API
 * :class:`DecentralizedMonitor` — monitor process ``M_i`` (the contribution).
 * :class:`LatticeOracle` / :class:`OracleResult` — the Chapter 3 oracle used
   as ground truth for soundness and completeness.
-* :class:`CentralizedMonitor` — the centralized online baseline.
+* :class:`CentralizedMonitor` — the centralized baseline (the oracle's verdicts).
 * :class:`LoopbackNetwork` — in-process transport between monitors.
 * :class:`MonitorNode` / :class:`Transport` / :class:`MonitorNetwork` — the
   backend-agnostic protocols every monitoring backend programs against.

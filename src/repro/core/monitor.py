@@ -52,11 +52,13 @@ def verdict_divergence(
     i.e. is also declared by the centralized reference monitor, which
     explores every reachable consistent cut
     (``decentralized ⊆ centralized``).  This helper returns the violating
-    verdicts (empty = sound).  The reverse direction is *not* checked:
-    decentralized monitors may legitimately declare fewer verdicts
-    (bounded exploration, crashes, message loss all cost completeness,
-    never soundness).  The fault-fuzzing harness and the adversarial tests
-    both classify runs through this one function.
+    verdicts (empty = sound).  The reverse direction is not part of
+    soundness: view eviction, crashes and message loss may cost
+    completeness, never soundness.  Where none of them happened the
+    decentralized run must declare exactly the oracle's set; the fuzzer
+    (``repro.fuzz.engine.execute_point``) and the ground-truth tests check
+    that converse.  The fuzzer and the adversarial tests both classify
+    soundness through this one function.
     """
     return frozenset(decentralized) - frozenset(centralized)
 

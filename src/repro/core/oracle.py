@@ -2,22 +2,26 @@
 
 Chapter 3 formalises the decentralized-monitoring problem against an oracle
 that (magically) constructs the computation lattice and evaluates the LTL3
-monitor along *every* path.  This module implements that oracle directly —
-it is used by the test-suite to validate the decentralized algorithm and by
-the experiments as a reference, never by the monitors themselves.
+monitor along *every* path.  This module is that oracle — the one referee of
+the tests, the fuzzer and the centralized baseline, never used by the
+monitors themselves.
 
-The per-path evaluation is performed with a dynamic program over the lattice:
-``reachable(C)`` is the set of automaton states reachable at cut ``C`` over
-all paths from the bottom cut, computed level by level.  This avoids
-enumerating the (potentially exponential) set of paths while producing
-exactly the same verdict information.
+:meth:`LatticeOracle.evaluate` is one dynamic program over the consistent
+cuts, enumerated level by level from the vector clocks as in Cooper and
+Marzullo's lattice detection: level ``ℓ + 1`` holds the consistent
+one-event extensions of the cuts of level ``ℓ``, and a cut's states are its
+predecessors' states stepped by the cut's global letter mask.  Two levels
+are alive at a time and no path is enumerated; the explicit
+:class:`ComputationLattice` is built only for the path-by-path reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
+from collections import defaultdict
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from operator import le
 
 from ..distributed.computation import Computation, Cut
 from ..distributed.lattice import ComputationLattice
@@ -32,17 +36,18 @@ __all__ = ["OracleResult", "LatticeOracle"]
 class OracleResult:
     """Summary of the oracle evaluation of one computation."""
 
+    #: the automaton states reachable at the top cut, and their verdicts
     final_states: frozenset[int]
     verdicts: frozenset[Verdict]
-    reachable: dict[Cut, frozenset[int]]
-    pivot_cuts: frozenset[Cut]
+    #: every final (⊤/⊥) verdict reached at any consistent cut
+    conclusive_verdicts: frozenset[Verdict]
+    #: how many consistent cuts the computation has
     num_cuts: int
-    num_paths: int
 
-    @property
-    def conclusive_verdicts(self) -> frozenset[Verdict]:
-        """The final (\u22a4/\u22a5) verdicts among the observed ones."""
-        return frozenset(v for v in self.verdicts if v.is_final)
+
+def _states(bits: int) -> Iterator[int]:
+    """The members of a state set held as a bitmask."""
+    return (s for s in range(bits.bit_length()) if bits >> s & 1)
 
 
 class LatticeOracle:
@@ -57,8 +62,12 @@ class LatticeOracle:
         self.computation = computation
         self.automaton = automaton
         self.registry = registry
-        self.lattice = ComputationLattice.from_computation(computation)
         self._letters: dict[Cut, frozenset[str]] = {}
+
+    @cached_property
+    def lattice(self) -> ComputationLattice:
+        """The explicit lattice, built on first use by the path reference."""
+        return ComputationLattice.from_computation(self.computation)
 
     # ------------------------------------------------------------------
     def letter_of(self, cut: Cut) -> frozenset[str]:
@@ -81,70 +90,63 @@ class LatticeOracle:
         return self.automaton.verdict(self.evaluate_path(path))
 
     # ------------------------------------------------------------------
-    def reachable_states(self) -> dict[Cut, frozenset[int]]:
-        """For every cut the set of automaton states reachable over paths.
-
-        The bottom cut is assigned ``δ(q0, letter(bottom))`` — i.e. the
-        initial global state is the first letter of every trace, as in the
-        problem statement of Chapter 3.
-        """
-        reachable: dict[Cut, set[int]] = {}
-        bottom = self.lattice.bottom
-        reachable[bottom] = {
-            self.automaton.step(self.automaton.initial_state, self.letter_of(bottom))
-        }
-        for level in self.lattice.levels():
-            for cut in level:
-                if cut == bottom:
-                    continue
-                states: set[int] = set()
-                letter = self.letter_of(cut)
-                for predecessor in self.lattice.predecessors(cut):
-                    for state in reachable.get(predecessor, ()):
-                        states.add(self.automaton.step(state, letter))
-                reachable[cut] = states
-        return {cut: frozenset(states) for cut, states in reachable.items()}
-
-    def pivot_cuts(self, reachable: dict[Cut, frozenset[int]] | None = None) -> set[Cut]:
-        """Cuts where the automaton state changes relative to a predecessor
-        (Definition 17 generalised to state sets)."""
-        if reachable is None:
-            reachable = self.reachable_states()
-        pivots: set[Cut] = set()
-        for cut in self.lattice.cuts():
-            if cut == self.lattice.bottom:
-                continue
-            letter = self.letter_of(cut)
-            for predecessor in self.lattice.predecessors(cut):
-                for state in reachable[predecessor]:
-                    if self.automaton.step(state, letter) != state:
-                        pivots.add(cut)
-                        break
-                if cut in pivots:
-                    break
-        return pivots
-
-    # ------------------------------------------------------------------
     def evaluate(self) -> OracleResult:
-        """Run the full oracle evaluation."""
-        reachable = self.reachable_states()
-        final_states = reachable[self.lattice.top]
-        verdicts = frozenset(self.automaton.verdict(s) for s in final_states)
+        """The states reachable at every consistent cut, level by level.
+
+        The bottom cut holds ``δ(q0, letter(bottom))``: the initial global
+        state is the first letter of every trace (Chapter 3).  A consistent
+        cut ``C`` extends by the next event of process ``p`` when ``C``
+        holds that event's clock off ``p``.  State sets are bitmasks, and
+        each (state set, letter mask) image is computed once.
+        """
+        computation, compiled = self.computation, self.automaton.compiled
+        table, width = compiled.table, compiled.n_letters
+        cols: list[list[int]] = []
+        needs: list[list[Cut]] = []
+        for p, events in enumerate(computation.events):
+            states = [computation.initial_states[p], *(e.state for e in events)]
+            cols.append([compiled.encode(self.registry.local_letter(p, s)) for s in states])
+            needs.append([tuple(0 if j == p else c for j, c in enumerate(e.vc)) for e in events])
+        ends = tuple(map(len, needs))
+        images: dict[int, int] = {}
+        level: dict[Cut, int] = {(0,) * len(ends): 1 << self.automaton.initial_state}
+        met = num_cuts = 0
+        while level:
+            num_cuts += len(level)
+            below: defaultdict[Cut, int] = defaultdict(int)
+            for cut, before in level.items():
+                mask = 0
+                for i, k in enumerate(cut):
+                    mask |= cols[i][k]
+                image = images.get(before * width + mask)
+                if image is None:
+                    image = 0
+                    for s in _states(before):
+                        image |= 1 << table[s * width + mask]
+                    images[before * width + mask] = image
+                level[cut] = image
+                met |= image
+                for p, k in enumerate(cut):
+                    if k < ends[p] and all(map(le, needs[p][k], cut)):
+                        below[cut[:p] + (k + 1,) + cut[p + 1 :]] |= image
+            top, level = level, below
+        (final,) = top.values()
+        verdict = self.automaton.verdict
         return OracleResult(
-            final_states=frozenset(final_states),
-            verdicts=verdicts,
-            reachable=reachable,
-            pivot_cuts=frozenset(self.pivot_cuts(reachable)),
-            num_cuts=len(self.lattice),
-            num_paths=self.lattice.count_paths(),
+            final_states=frozenset(_states(final)),
+            verdicts=frozenset(map(verdict, _states(final))),
+            conclusive_verdicts=frozenset(
+                verdict(s) for s in _states(met) if compiled.final_flags[s]
+            ),
+            num_cuts=num_cuts,
         )
 
     # ------------------------------------------------------------------
     def verdicts_by_path_enumeration(self, max_paths: int | None = None) -> frozenset[Verdict]:
         """Reference implementation enumerating paths one by one.
 
-        Used in tests to validate :meth:`reachable_states`; ``max_paths``
-        bounds the enumeration for safety.
+        Used in tests to validate :meth:`evaluate`; ``max_paths`` bounds the
+        enumeration for safety.
         """
         verdicts: set[Verdict] = set()
         for index, path in enumerate(self.lattice.paths()):

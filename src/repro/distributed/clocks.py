@@ -22,13 +22,13 @@ class VectorClock:
 
     __slots__ = ("_components",)
 
-    def __init__(self, components: Iterable[int]):
+    def __init__(self, components: Iterable[int]) -> None:
         components = tuple(int(c) for c in components)
         if any(c < 0 for c in components):
             raise ValueError("vector clock components must be non-negative")
         object.__setattr__(self, "_components", components)
 
-    def __setattr__(self, key, value):  # immutability guard
+    def __setattr__(self, key: str, value: object) -> None:  # immutability guard
         raise AttributeError("VectorClock is immutable")
 
     # -- constructors ----------------------------------------------------
@@ -177,7 +177,7 @@ class ClockSkew:
         rate: float = 0.25,
         magnitude: int = 1,
         seed: int = 0,
-    ):
+    ) -> None:
         if mode not in ("sound", "unsound"):
             raise ValueError(f"unknown skew mode {mode!r}")
         if not 0.0 <= rate <= 1.0:

@@ -158,7 +158,7 @@ class ComputationBuilder:
         computation = builder.build()
     """
 
-    def __init__(self, initial_states: Sequence[Mapping[str, object]]):
+    def __init__(self, initial_states: Sequence[Mapping[str, object]]) -> None:
         if not initial_states:
             raise ValueError("at least one process is required")
         self._initial = [dict(s) for s in initial_states]

@@ -15,7 +15,7 @@ Usage (after installing the package)::
     python -m repro.experiments.cli run --scenario crash-restart-rejoin
     python -m repro.experiments.cli run --scenario paper-default --fault-plan 1@3+2:rejoin
     python -m repro.experiments.cli bench --json BENCH_local.json
-    python -m repro.experiments.cli fuzz --seed 7 --points 200 --out fuzz-out
+    python -m repro.experiments.cli fuzz --seed 7 --points 1000 --out fuzz-out
     python -m repro.experiments.cli fleet --tenants 200 --shards 2 --verify 5
     python -m repro.experiments.cli fleet --tenants 50 --backpressure drop-newest --inbox-limit 8
     python -m repro.experiments.cli all

@@ -2,8 +2,9 @@
 
 The fuzzer samples random but fully deterministic (formula × workload ×
 network × fault-plan) points — each one a replayable
-:class:`repro.cluster.spec.RunSpec` — runs them through the
-sim-vs-centralized soundness oracle and the sim-vs-asyncio backend oracle,
+:class:`repro.cluster.spec.RunSpec` — runs them through the sim-vs-lattice
+oracle (soundness, and completeness on fault-free runs that evicted no
+view) and the sim-vs-asyncio backend oracle,
 classifies the outcome (``sound`` / ``divergent`` / ``crash``), and shrinks
 every failure to a minimal repro document.  ``python -m repro.experiments
 fuzz --seed N --points K`` is the command-line front end.

@@ -9,15 +9,17 @@ the same seed always produces the same points, outcomes and shrunk repros.
 
 Each point runs through two oracles:
 
-* **sim-vs-centralized (soundness)** — the simulator's decentralized
-  monitors against the centralized reference monitor on the *true* (never
+* **sim-vs-oracle (soundness and completeness)** — the simulator's
+  decentralized monitors against the lattice oracle on the *true* (never
   skewed) computation, compared through
   :func:`repro.core.monitor.verdict_divergence`; a verdict the
   decentralized run declares that the oracle denies is a soundness
-  violation.  Points arming a behaviour *designed* to break soundness
-  (token corruption, unsound clock skew) are flagged ``attack`` — their
-  divergence is the expected, recorded outcome; divergence anywhere else
-  is a genuine finding.
+  violation.  Conversely, a point with no fault plan whose run evicted no
+  view must declare every verdict the oracle declares; one it misses is a
+  completeness violation.  Points arming a behaviour *designed* to break
+  soundness (token corruption, unsound clock skew) are flagged ``attack`` —
+  their divergence is the expected, recorded outcome; divergence anywhere
+  else is a genuine finding.
 * **sim-vs-asyncio (backend equivalence)** — declared verdicts must be
   identical across backends for every Byzantine-free point (Byzantine
   triggers count messages, whose arrival order is backend-specific, so
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..cluster.spec import RunSpec
@@ -232,6 +235,9 @@ class FuzzOutcome:
     attack: bool = False
     #: verdicts the decentralized run declared but the oracle denies
     soundness_violations: tuple[str, ...] = ()
+    #: verdicts the oracle declares but a fault-free run that evicted no
+    #: view did not
+    missed_verdicts: tuple[str, ...] = ()
     #: whether sim and asyncio declared different verdict sets
     backend_divergence: bool = False
     #: ``repr`` of the exception for ``crash`` outcomes
@@ -259,6 +265,7 @@ class FuzzOutcome:
             "classification": self.classification,
             "attack": self.attack,
             "soundness_violations": list(self.soundness_violations),
+            "missed_verdicts": list(self.missed_verdicts),
             "backend_divergence": self.backend_divergence,
             "error": self.error,
             "overhead": dict(self.overhead),
@@ -303,6 +310,9 @@ def execute_point(spec: RunSpec, index: int = 0) -> FuzzOutcome:
             computation, automaton, registry
         )
         violations = verdict_divergence(simulated.declared_verdicts, oracle)
+        # the converse: a fault-free run that evicted no view loses nothing
+        complete = plan is None and simulated.views_evicted == 0
+        missed = oracle - simulated.declared_verdicts if complete else frozenset()
         backend_divergence = False
         if plan is None or not plan.byzantine:
             streamed = run_streaming(
@@ -341,13 +351,14 @@ def execute_point(spec: RunSpec, index: int = 0) -> FuzzOutcome:
         "global_views": float(simulated.total_global_views),
         "delay_time_pct_per_view": simulated.delay_time_percentage_per_view,
     }
-    divergent = bool(violations) or backend_divergence
+    divergent = bool(violations) or bool(missed) or backend_divergence
     return FuzzOutcome(
         index=index,
         spec=spec,
         classification=CLASS_DIVERGENT if divergent else CLASS_SOUND,
         attack=attack,
         soundness_violations=tuple(sorted(str(v) for v in violations)),
+        missed_verdicts=tuple(sorted(str(v) for v in missed)),
         backend_divergence=backend_divergence,
         overhead=overhead,
         seconds=time.perf_counter() - started,
@@ -441,7 +452,7 @@ def run_fuzz(
     points: int,
     *,
     shrink: bool = True,
-    progress=None,
+    progress: Callable[[FuzzOutcome], None] | None = None,
 ) -> FuzzReport:
     """Fuzz *points* configurations under master seed *seed*.
 

@@ -123,8 +123,6 @@ class TestCentralizedVerdictAccounting:
         )
         # exactly one conclusive verdict (⊤), announced to all 3 processes
         assert result.verdict_broadcast_messages == 3
-        assert result.observation_messages == computation.num_events
-        # `messages` stays the backward-compatible observation count
         assert result.messages == computation.num_events
         assert result.total_messages == result.messages + 3
 

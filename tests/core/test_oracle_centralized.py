@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import CentralizedMonitor, LatticeOracle
-from repro.distributed import running_example, running_example_registry
+from repro.distributed import ComputationLattice, running_example, running_example_registry
 from repro.ltl import PropositionRegistry, Verdict, build_monitor
 from repro.sim import random_computation
 
@@ -31,13 +31,7 @@ class TestLatticeOracle:
         oracle = LatticeOracle(example, psi, registry)
         result = oracle.evaluate()
         assert result.verdicts == frozenset({Verdict.BOTTOM, Verdict.INCONCLUSIVE})
-        assert result.num_paths == 15
-
-    def test_reachable_states_cover_every_cut(self, example, registry, psi):
-        oracle = LatticeOracle(example, psi, registry)
-        reachable = oracle.reachable_states()
-        assert set(reachable) == set(oracle.lattice.cuts())
-        assert all(states for states in reachable.values())
+        assert ComputationLattice.from_computation(example).count_paths() == 15
 
     def test_dp_matches_path_enumeration(self, example, registry, psi):
         oracle = LatticeOracle(example, psi, registry)
@@ -57,15 +51,23 @@ class TestLatticeOracle:
         path = next(oracle.lattice.paths())
         assert oracle.verdict_of_path(path) in {Verdict.BOTTOM, Verdict.INCONCLUSIVE}
 
-    def test_pivot_cuts_are_consistent_cuts(self, example, registry, psi):
-        oracle = LatticeOracle(example, psi, registry)
-        result = oracle.evaluate()
-        for cut in result.pivot_cuts:
-            assert example.is_consistent_cut(cut)
-
     def test_conclusive_verdicts_property(self, example, registry, psi):
         result = LatticeOracle(example, psi, registry).evaluate()
         assert result.conclusive_verdicts == frozenset({Verdict.BOTTOM})
+        assert result.num_cuts == 17
+
+    def test_conclusive_anywhere_is_conclusive_at_the_top(self):
+        # LTL3 conclusive states are traps: one met at any cut is still
+        # there at the top cut
+        for seed in range(10):
+            n = 2 + seed % 3
+            computation = random_computation(n, 7, seed=seed)
+            registry = PropositionRegistry.boolean_grid(n)
+            automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
+            result = LatticeOracle(computation, automaton, registry).evaluate()
+            assert result.conclusive_verdicts == frozenset(
+                v for v in result.verdicts if v.is_final
+            )
 
     def test_letters_are_cached(self, example, registry, psi):
         oracle = LatticeOracle(example, psi, registry)
@@ -99,16 +101,8 @@ class TestCentralizedMonitor:
 
     def test_tracked_cuts_grow_with_concurrency(self, example, registry, psi):
         result = CentralizedMonitor.monitor_computation(example, psi, registry)
-        assert result.total_tracked_cuts == 17  # the full lattice of Fig 2.2b
-        assert result.max_tracked_cuts >= result.total_tracked_cuts
+        assert result.tracked_cuts == 17  # the full lattice of Fig 2.2b
 
     def test_declared_final_verdicts(self, example, registry, psi):
-        monitor = CentralizedMonitor(
-            example.num_processes,
-            psi,
-            registry,
-            [registry.local_letter(i, example.initial_states[i]) for i in range(2)],
-        )
-        for event in sorted(example.all_events(), key=lambda e: e.timestamp):
-            monitor.receive_event(event)
-        assert Verdict.BOTTOM in monitor.declared
+        declared = CentralizedMonitor.monitor_computation_declared(example, psi, registry)
+        assert declared == frozenset({Verdict.BOTTOM})

@@ -368,6 +368,8 @@ TYPED_DEF_PATHS = [
     REPO_ROOT / "src" / "repro" / "core",
     REPO_ROOT / "src" / "repro" / "coordination",
     REPO_ROOT / "src" / "repro" / "cluster",
+    REPO_ROOT / "src" / "repro" / "distributed",
+    REPO_ROOT / "src" / "repro" / "fuzz",
 ]
 
 
@@ -390,8 +392,8 @@ def test_typed_defs_ratchet(path):
     This is the locally-runnable mirror of the strict
     ``disallow_untyped_defs`` / ``disallow_incomplete_defs`` mypy overrides
     in ``pyproject.toml`` (``repro.runtime.*``, ``repro.session``,
-    ``repro.core.*``, ``repro.coordination.*``, ``repro.cluster.*`` and the
-    LTL step kernel).
+    ``repro.core.*``, ``repro.coordination.*``, ``repro.cluster.*``,
+    ``repro.distributed.*``, ``repro.fuzz.*`` and the LTL step kernel).
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     incomplete = []

@@ -394,7 +394,7 @@ class TestCiWiring:
             encoding="utf-8"
         )
         assert "fuzz-smoke" in text
-        assert "--seed 7 --points 200" in text
+        assert "--seed 7 --points 1000" in text
         assert "fuzz-nightly" in text
         # shrunk repros must survive the failing run that produced them
         assert text.count("if: always()") >= 2
