@@ -7,10 +7,11 @@ Public API
   as ground truth for soundness and completeness.
 * :class:`CentralizedMonitor` — the centralized baseline (the oracle's verdicts).
 * :class:`LoopbackNetwork` — in-process transport between monitors.
-* :class:`MonitorNode` / :class:`Transport` / :class:`MonitorNetwork` — the
-  backend-agnostic protocols every monitoring backend programs against.
-* :class:`DelayModel` and friends — backend-agnostic message-delay models
-  shared by the simulated and streaming networks.
+* :class:`MonitorNode` / :class:`Transport` — the backend-agnostic
+  protocols every monitoring backend programs against.
+* :class:`DelayModel` — what one run of a network condition offers a timed
+  backend; the conditions themselves (:mod:`repro.core.delays`, exported by
+  :mod:`repro.scenarios`) are one frozen class each.
 * Message types: :class:`Token`, :class:`TokenEntry`, :class:`TerminationNotice`.
 
 Running a full set of monitors is one layer up: :mod:`repro.session` builds
@@ -20,18 +21,12 @@ worker — which all return one ``RunReport``.
 """
 
 from .centralized import CentralizedMonitor, CentralizedResult
-from .delays import (
-    BurstyDelay,
-    DelayModel,
-    GaussianDelay,
-    LossyRetransmitDelay,
-    PartitionDelay,
-)
+from .delays import DelayModel
 from .global_view import GlobalView, ViewStatus
 from .messages import TerminationNotice, Token, TokenEntry
 from .monitor import DecentralizedMonitor, MonitorMetrics
 from .oracle import LatticeOracle, OracleResult
-from .transport import LoopbackNetwork, MonitorNetwork, MonitorNode, Transport
+from .transport import LoopbackNetwork, MonitorNode, Transport
 
 __all__ = [
     "CentralizedMonitor",
@@ -48,10 +43,5 @@ __all__ = [
     "LoopbackNetwork",
     "Transport",
     "MonitorNode",
-    "MonitorNetwork",
     "DelayModel",
-    "GaussianDelay",
-    "LossyRetransmitDelay",
-    "PartitionDelay",
-    "BurstyDelay",
 ]

@@ -1,58 +1,50 @@
-"""Backend-agnostic message-delay models shared by both monitoring backends.
+"""Network conditions: one frozen class per condition, shared by every backend.
 
 The discrete-event simulator (:mod:`repro.sim.network`) and the asyncio
-streaming runtime (:mod:`repro.runtime.transport`) deliver monitor-to-monitor
-messages through very different machinery — a priority queue of timed
-callbacks versus real asyncio tasks and sockets — but the *latency semantics*
-of a network condition (how long a message sent "now" takes to arrive) are
-the same on both.  This module holds that shared piece: a
-:class:`DelayModel` maps a send instant to an absolute delivery instant,
-drawing any randomness from its own seeded :class:`random.Random`, so a fixed
-seed produces the same delay sequence no matter which backend consumes it.
+streaming runtime (:mod:`repro.runtime.transport`) deliver monitor messages
+through very different machinery, but the *latency semantics* of a network
+condition (when a message sent "now" arrives) are the same on both and live
+here: :class:`ReliableNetwork` (the paper's testbed; zero jitter gives
+constant-latency links), :class:`LossyNetwork`, :class:`PartitionNetwork`,
+:class:`BurstyNetwork`, :class:`AsymmetricNetwork` and
+:class:`MultiPartitionNetwork`.
 
-Four conditions are provided, mirroring the declarative network models of
-:mod:`repro.scenarios.network`:
+A condition is a frozen dataclass of plain values: its constructor checks
+them, :meth:`~NetworkModel.describe` renders them into the BENCH/JSON
+metadata, and its ``arrival`` rule maps a send instant to a delivery instant.
+One instance is shared by every run and every shard of a sweep, so it holds
+no run state: :meth:`~NetworkModel.delay_model` returns a :class:`NetworkRun`,
+the :class:`DelayModel` of one run, which holds what that run mutates (its
+seeded :class:`random.Random`, its counters, its partition phases).  A fixed
+seed thus yields the same delays whichever backend consumes them.
 
-* :class:`GaussianDelay` — base latency with optional gaussian jitter (the
-  paper's reliable WiFi testbed; zero jitter gives fixed-latency links).
-* :class:`LossyRetransmitDelay` — each attempt is lost with a fixed
-  probability and retransmitted after a timeout (stop-and-wait), so delivery
-  is delayed by ``retransmissions x timeout`` but never fails.
-* :class:`PartitionDelay` — cross-group messages that would arrive inside an
-  open partition window are held until the window heals.
-* :class:`BurstyDelay` — a duty-cycled medium that only flushes at periodic
-  burst instants.
-* :class:`AsymmetricLatencyMatrix` — per-ordered-pair latency/jitter, so the
-  A→B direction of a link need not behave like B→A.
-* :class:`MultiPartitionDelay` — a timed sequence of partition *phases*,
-  each with its own explicit grouping of processes (generalizing the single
-  round-robin partition of :class:`PartitionDelay`).
-
-Delay models say nothing about FIFO ordering: both backends clamp delivery
-times per (sender, receiver) channel themselves, so models never have to
-think about reordering.  Behaviour-specific counters (retransmissions, held
-messages, bursts) are exposed through :meth:`DelayModel.extra_stats` and end
-up in simulation/runtime reports either way.
+Every condition delivers every message eventually (the algorithm assumes
+reliable FIFO channels), so verdicts do not depend on it; FIFO clamping per
+(sender, receiver) channel is the backends' job.  Counters (retransmissions,
+held messages, bursts) reach the run reports through
+:meth:`DelayModel.extra_stats`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Mapping
-from typing import Protocol, runtime_checkable
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Protocol, runtime_checkable
 
 __all__ = [
     "DelayModel",
-    "GaussianDelay",
-    "LossyRetransmitDelay",
-    "PartitionDelay",
-    "BurstyDelay",
-    "AsymmetricLatencyMatrix",
-    "MultiPartitionDelay",
+    "NetworkModel",
+    "NetworkRun",
+    "ReliableNetwork",
+    "LossyNetwork",
+    "PartitionNetwork",
+    "BurstyNetwork",
+    "AsymmetricNetwork",
+    "MultiPartitionNetwork",
 ]
 
-#: a multi-partition schedule: ordered ``(start, end, groups)`` phases where
+#: a partition schedule: ordered ``(start, end, groups)`` phases where
 #: ``groups`` is a tuple of disjoint process-id tuples; processes not listed
 #: in any group of a phase share one implicit "rest" group
 PartitionPhase = tuple[float, float, tuple[tuple[int, ...], ...]]
@@ -69,36 +61,102 @@ class DelayModel(Protocol):
         """Behaviour-specific counters merged into run reports."""
 
 
-class GaussianDelay:
-    """Base latency with optional gaussian jitter (reliable links).
+@runtime_checkable
+class NetworkModel(Protocol):
+    """Declarative description of a monitor network condition."""
+
+    def delay_model(self, seed: int | None) -> DelayModel:
+        """The condition's latency/loss semantics, seeded for one run."""
+
+    def describe(self) -> dict[str, object]:
+        """Self-describing metadata (for BENCH documents and the CLI)."""
+
+
+def _check_latency(latency: float, jitter: float) -> None:
+    if latency < 0 or jitter < 0:
+        raise ValueError("latency and jitter must be non-negative")
+
+
+class NetworkRun:
+    """One run of a condition (its :class:`DelayModel`): all the run mutates.
+
+    That is the seeded RNG, the counters, the burst tick and the phases.
+    """
+
+    def __init__(self, condition: _Condition, seed: int | None) -> None:
+        self.condition = condition
+        self.rng = random.Random(seed)
+        #: the partition phases in force for this run, sorted by start
+        self.schedule = condition.phases(seed)
+        self.retransmissions = 0
+        self.held_messages = 0
+        self.bursts_used = 0
+        self.burst_tick = -1
+
+    def sample(self, latency: float, jitter: float) -> float:
+        """One latency: *latency* itself without jitter, else a gaussian draw."""
+        if jitter <= 0:
+            return latency
+        return max(0.0, self.rng.gauss(latency, jitter))
+
+    def delivery_time(self, now: float, sender: int, target: int) -> float:
+        """Absolute arrival time of a message sent at *now*."""
+        return self.condition.arrival(self, now, sender, target)
+
+    def extra_stats(self) -> dict[str, float]:
+        """The condition's counters, as floats."""
+        return {name: float(getattr(self, name)) for name in self.condition.counters}
+
+
+@dataclass(frozen=True)
+class _Condition:
+    """What every condition shares: metadata and the per-run object."""
+
+    kind: ClassVar[str]
+    #: the :class:`NetworkRun` counters :meth:`NetworkRun.extra_stats` reports
+    counters: ClassVar[tuple[str, ...]] = ()
+
+    def delay_model(self, seed: int | None) -> NetworkRun:
+        """The condition's delays for one run, seeded by *seed*."""
+        return NetworkRun(self, seed)
+
+    def describe(self) -> dict[str, object]:
+        """Self-describing metadata (for BENCH documents and the CLI)."""
+        return {"kind": self.kind, **asdict(self)}
+
+    def phases(self, seed: int | None) -> tuple[PartitionPhase, ...]:
+        """The partition phases of a run seeded by *seed* (none by default)."""
+        return ()
+
+    def arrival(self, run: NetworkRun, now: float, sender: int, target: int) -> float:
+        """The arrival rule: delivery instant of a message sent at *now*."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class ReliableNetwork(_Condition):
+    """The paper's reliable WiFi testbed: gaussian latency with jitter.
 
     With ``jitter == 0`` no random numbers are drawn at all, giving
     deterministic constant-latency links.
     """
 
-    def __init__(self, latency: float = 0.05, jitter: float = 0.0, seed: int | None = None) -> None:
-        if latency < 0 or jitter < 0:
-            raise ValueError("latency and jitter must be non-negative")
-        self.latency = latency
-        self.jitter = jitter
-        self._rng = random.Random(seed)
+    kind: ClassVar[str] = "reliable"
 
-    def _sample_latency(self) -> float:
-        if self.jitter <= 0:
-            return self.latency
-        return max(0.0, self._rng.gauss(self.latency, self.jitter))
+    latency: float = 0.05
+    jitter: float = 0.01
 
-    def delivery_time(self, now: float, sender: int, target: int) -> float:
-        """Deliver after one gaussian latency sample."""
-        return now + self._sample_latency()
+    def __post_init__(self) -> None:
+        _check_latency(self.latency, self.jitter)
 
-    def extra_stats(self) -> dict[str, float]:
-        """No behaviour-specific counters for plain gaussian latency."""
-        return {}
+    def arrival(self, run: NetworkRun, now: float, sender: int, target: int) -> float:
+        """Deliver after one latency sample."""
+        return now + run.sample(self.latency, self.jitter)
 
 
-class LossyRetransmitDelay(GaussianDelay):
-    """Lossy medium with stop-and-wait retransmission (reliable overall).
+@dataclass(frozen=True)
+class LossyNetwork(_Condition):
+    """Lossy links with stop-and-wait retransmission (reliable overall).
 
     Each transmission attempt is dropped with ``loss_probability``; the
     sender retransmits after ``retransmit_timeout``.  ``max_retransmits``
@@ -107,44 +165,35 @@ class LossyRetransmitDelay(GaussianDelay):
     modelling the cost of loss as added delay and retransmission traffic.
     """
 
-    def __init__(
-        self,
-        latency: float = 0.05,
-        jitter: float = 0.0,
-        seed: int | None = None,
-        loss_probability: float = 0.2,
-        retransmit_timeout: float = 0.25,
-        max_retransmits: int = 25,
-    ) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss_probability must be in [0, 1)")
-        if retransmit_timeout < 0:
-            raise ValueError("retransmit_timeout must be non-negative")
-        super().__init__(latency=latency, jitter=jitter, seed=seed)
-        self.loss_probability = loss_probability
-        self.retransmit_timeout = retransmit_timeout
-        self.max_retransmits = max_retransmits
-        self.retransmissions = 0
+    kind: ClassVar[str] = "lossy-retransmit"
+    counters: ClassVar[tuple[str, ...]] = ("retransmissions",)
 
-    def delivery_time(self, now: float, sender: int, target: int) -> float:
+    latency: float = 0.05
+    jitter: float = 0.01
+    loss_probability: float = 0.2
+    retransmit_timeout: float = 0.25
+    max_retransmits: int = 25
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.loss_probability < 1.0:
+            raise ValueError("loss_probability must be in [0, 1)")
+        if self.retransmit_timeout < 0:
+            raise ValueError("retransmit_timeout must be non-negative")
+        _check_latency(self.latency, self.jitter)
+
+    def arrival(self, run: NetworkRun, now: float, sender: int, target: int) -> float:
         """Deliver after the lost attempts' timeouts plus one latency."""
         time = now
         attempts = 0
-        while (
-            attempts < self.max_retransmits
-            and self._rng.random() < self.loss_probability
-        ):
+        while attempts < self.max_retransmits and run.rng.random() < self.loss_probability:
             attempts += 1
             time += self.retransmit_timeout
-        self.retransmissions += attempts
-        return time + self._sample_latency()
-
-    def extra_stats(self) -> dict[str, float]:
-        """Total retransmission attempts across the run."""
-        return {"retransmissions": float(self.retransmissions)}
+        run.retransmissions += attempts
+        return time + run.sample(self.latency, self.jitter)
 
 
-class PartitionDelay(GaussianDelay):
+@dataclass(frozen=True)
+class PartitionNetwork(_Condition):
     """Partition/heal cycles between round-robin process groups.
 
     Processes are assigned round-robin to ``num_groups`` groups
@@ -154,51 +203,78 @@ class PartitionDelay(GaussianDelay):
     intra-group traffic is unaffected.
     """
 
-    def __init__(
-        self,
-        latency: float = 0.05,
-        jitter: float = 0.0,
-        seed: int | None = None,
-        windows: tuple[tuple[float, float], ...] = ((2.0, 8.0),),
-        num_groups: int = 2,
-    ) -> None:
-        for start, end in windows:
+    kind: ClassVar[str] = "partition-heal"
+    counters: ClassVar[tuple[str, ...]] = ("held_messages",)
+
+    latency: float = 0.05
+    jitter: float = 0.01
+    windows: tuple[tuple[float, float], ...] = ((2.0, 8.0),)
+    num_groups: int = 2
+
+    def __post_init__(self) -> None:
+        for start, end in self.windows:
             if end <= start or start < 0:
                 raise ValueError(f"invalid partition window ({start}, {end})")
-        if num_groups < 2:
+        if self.num_groups < 2:
             raise ValueError("a partition needs at least two groups")
-        super().__init__(latency=latency, jitter=jitter, seed=seed)
-        self.windows = tuple(sorted(windows))
-        self.num_groups = num_groups
-        self.held_messages = 0
+        _check_latency(self.latency, self.jitter)
 
-    def group_of(self, process: int) -> int:
-        """Partition group of *process* (round-robin assignment)."""
-        return process % self.num_groups
+    def phases(self, seed: int | None) -> tuple[PartitionPhase, ...]:
+        """The windows in order, as phases whose groups are round-robin."""
+        return tuple((start, end, ()) for start, end in sorted(self.windows))
 
-    def delivery_time(self, now: float, sender: int, target: int) -> float:
+    def arrival(self, run: NetworkRun, now: float, sender: int, target: int) -> float:
         """Hold cross-group messages landing in an open window until heal."""
-        sample = self._sample_latency()
+        sample = run.sample(self.latency, self.jitter)
         tentative = now + sample
-        if self.group_of(sender) == self.group_of(target):
+        if sender % self.num_groups == target % self.num_groups:
             return tentative
-        for start, end in self.windows:
+        for start, end, _ in run.schedule:
             if start <= tentative < end:
-                self.held_messages += 1
+                run.held_messages += 1
                 return end + sample
         return tentative
 
-    def extra_stats(self) -> dict[str, float]:
-        """Messages held back by partition windows."""
-        return {"held_messages": float(self.held_messages)}
+
+@dataclass(frozen=True)
+class BurstyNetwork(_Condition):
+    """Duty-cycled medium flushing messages only at periodic burst instants.
+
+    A message sent at time ``t`` reaches the air interface after the base
+    latency and is then delivered at the next multiple of ``period`` — the
+    medium wakes up every ``period`` seconds and transmits everything queued
+    since the previous burst.
+    """
+
+    kind: ClassVar[str] = "bursty"
+    counters: ClassVar[tuple[str, ...]] = ("bursts_used",)
+
+    latency: float = 0.01
+    jitter: float = 0.0
+    period: float = 0.75
+
+    def __post_init__(self) -> None:
+        if self.period <= 0:
+            raise ValueError("burst period must be positive")
+        _check_latency(self.latency, self.jitter)
+
+    def arrival(self, run: NetworkRun, now: float, sender: int, target: int) -> float:
+        """Quantize delivery up to the next burst instant of the medium."""
+        ready = now + run.sample(self.latency, self.jitter)
+        tick = math.ceil(ready / self.period)
+        if tick != run.burst_tick:
+            run.burst_tick = tick
+            run.bursts_used += 1
+        return tick * self.period
 
 
-class AsymmetricLatencyMatrix(GaussianDelay):
+@dataclass(frozen=True)
+class AsymmetricNetwork(_Condition):
     """Per-ordered-pair latencies: A→B need not behave like B→A.
 
     The effective base latency of the ordered pair ``(sender, target)`` is
-    either an explicit entry of ``pair_latencies`` or derived from the
-    direction-sensitive ring formula::
+    either an explicit ``((sender, target), latency)`` entry of ``pairs`` or
+    derived from the direction-sensitive ring formula::
 
         base_latency * (1 + skew * ((target - sender) % ring) / ring)
 
@@ -208,73 +284,72 @@ class AsymmetricLatencyMatrix(GaussianDelay):
     Jitter (when non-zero) is gaussian around the pair's base latency.
     """
 
-    def __init__(
-        self,
-        base_latency: float = 0.05,
-        jitter: float = 0.0,
-        seed: int | None = None,
-        skew: float = 1.5,
-        ring: int = 8,
-        pair_latencies: Mapping[tuple[int, int], float] | None = None,
-    ) -> None:
-        if base_latency < 0 or skew < 0:
+    kind: ClassVar[str] = "asymmetric"
+
+    base_latency: float = 0.05
+    jitter: float = 0.01
+    skew: float = 1.5
+    ring: int = 8
+    pairs: tuple[tuple[tuple[int, int], float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.base_latency < 0 or self.skew < 0:
             raise ValueError("base_latency and skew must be non-negative")
-        if ring < 2:
+        if self.ring < 2:
             raise ValueError("ring must be at least 2")
-        super().__init__(latency=base_latency, jitter=jitter, seed=seed)
-        self.base_latency = base_latency
-        self.skew = skew
-        self.ring = ring
-        self.pair_latencies = dict(pair_latencies or {})
-        for pair, value in self.pair_latencies.items():
+        _check_latency(self.base_latency, self.jitter)
+        for pair, value in self.pairs:
             if value < 0:
                 raise ValueError(f"negative latency for pair {pair}")
 
     def latency_for(self, sender: int, target: int) -> float:
         """The deterministic base latency of the ordered pair."""
-        explicit = self.pair_latencies.get((sender, target))
+        explicit = dict(self.pairs).get((sender, target))
         if explicit is not None:
             return explicit
         step = (target - sender) % self.ring
         return self.base_latency * (1.0 + self.skew * step / self.ring)
 
-    def delivery_time(self, now: float, sender: int, target: int) -> float:
+    def arrival(self, run: NetworkRun, now: float, sender: int, target: int) -> float:
         """Deliver after the ordered pair's latency (plus jitter, if any)."""
-        base = self.latency_for(sender, target)
-        if self.jitter <= 0:
-            return now + base
-        return now + max(0.0, self._rng.gauss(base, self.jitter))
-
-    def extra_stats(self) -> dict[str, float]:
-        """No behaviour-specific counters: the matrix only shapes latency."""
-        return {}
+        return now + run.sample(self.latency_for(sender, target), self.jitter)
 
 
-class MultiPartitionDelay(GaussianDelay):
-    """A timed sequence of partition phases with explicit process groups.
+@dataclass(frozen=True)
+class MultiPartitionNetwork(_Condition):
+    """A timed sequence of partition phases with per-phase groupings.
 
-    Generalizes :class:`PartitionDelay`: instead of one round-robin grouping
-    shared by every window, each phase ``(start, end, groups)`` carries its
-    own partition sets.  A message between processes separated by an open
-    phase is held until that phase heals; the healed arrival may fall into a
-    *later* phase, in which case it is held again (the schedule is walked in
-    order).  Processes not named by any group of a phase share one implicit
-    "rest" group, so schedules stay valid for any process count.
+    Generalizes :class:`PartitionNetwork`: instead of one round-robin
+    grouping shared by every window, each ``(start, end, groups)`` phase of
+    ``schedule`` carries its own partition sets.  A message between
+    processes separated by an open phase is held until that phase heals; the
+    healed arrival may fall into a *later* phase, in which case it is held
+    again (the schedule is walked in order).  Processes not named by any
+    group of a phase share one implicit "rest" group, so schedules stay valid
+    for any process count.
+
+    ``seed_phase_jitter`` derives a per-seed variant of the schedule for
+    every run (:meth:`derive_schedule`): each phase keeps its duration and
+    groups but its start shifts by up to that fraction of the duration,
+    deterministically from the run seed — so replications sweep the
+    partition timing instead of replaying identical wall-clock phases.
+    ``0.0`` pins the schedule exactly as written.
     """
 
-    def __init__(
-        self,
-        latency: float = 0.05,
-        jitter: float = 0.0,
-        seed: int | None = None,
-        schedule: tuple[PartitionPhase, ...] = (
-            (1.5, 4.5, ((0, 1),)),
-            (6.0, 9.0, ((0, 2), (1,))),
-        ),
-    ) -> None:
-        phases = tuple(sorted(schedule, key=lambda phase: phase[0]))
+    kind: ClassVar[str] = "multi-partition"
+    counters: ClassVar[tuple[str, ...]] = ("held_messages",)
+
+    latency: float = 0.05
+    jitter: float = 0.01
+    schedule: tuple[PartitionPhase, ...] = (
+        (1.5, 4.5, ((0, 1),)),
+        (6.0, 9.0, ((0, 2), (1,))),
+    )
+    seed_phase_jitter: float = 0.25
+
+    def __post_init__(self) -> None:
         previous_end = 0.0
-        for start, end, groups in phases:
+        for start, end, groups in sorted(self.schedule, key=lambda phase: phase[0]):
             if start < 0 or end <= start:
                 raise ValueError(f"invalid partition phase window ({start}, {end})")
             if start < previous_end:
@@ -287,26 +362,20 @@ class MultiPartitionDelay(GaussianDelay):
                 if named & set(group):
                     raise ValueError("partition groups must be disjoint")
                 named |= set(group)
-        super().__init__(latency=latency, jitter=jitter, seed=seed)
-        self.schedule = phases
-        self.held_messages = 0
+        _check_latency(self.latency, self.jitter)
 
     @staticmethod
     def derive_schedule(
-        schedule: tuple[PartitionPhase, ...],
-        seed: int | None,
-        jitter: float = 0.25,
+        schedule: tuple[PartitionPhase, ...], seed: int | None, jitter: float = 0.25
     ) -> tuple[PartitionPhase, ...]:
         """Derive a per-seed variant of *schedule* with shifted phase starts.
 
-        Each phase keeps its duration and groups but its start is shifted by
-        a uniform offset in ``±jitter * duration``, drawn from a dedicated
-        :class:`random.Random` keyed on *seed* — so every replication of a
-        sweep sees a deterministically different partition timing instead of
-        the identical wall-clock phases.  Shifts are clamped so phases stay
-        non-negative, ordered and non-overlapping (each phase moves within
-        the slack to its neighbours, split evenly).  ``seed=None`` or a
-        non-positive *jitter* returns the schedule unchanged.
+        Each phase keeps its duration and groups; its start shifts by a
+        uniform offset in ``±jitter * duration`` drawn from a
+        :class:`random.Random` keyed on *seed*, clamped so phases stay
+        non-negative, ordered and non-overlapping (each moves within half the
+        gap to its neighbours).  ``seed=None`` or a non-positive *jitter*
+        returns the schedule unchanged.
         """
         if seed is None or jitter <= 0 or not schedule:
             return tuple(schedule)
@@ -316,9 +385,7 @@ class MultiPartitionDelay(GaussianDelay):
         previous_end = 0.0
         for index, (start, end, groups) in enumerate(phases):
             duration = end - start
-            next_start = (
-                phases[index + 1][0] if index + 1 < len(phases) else math.inf
-            )
+            next_start = phases[index + 1][0] if index + 1 < len(phases) else math.inf
             # half the gap to each neighbour is this phase's movement slack
             low = max(-jitter * duration, (previous_end - start) / 2.0, -start)
             high = min(jitter * duration, (next_start - end) / 2.0)
@@ -327,67 +394,25 @@ class MultiPartitionDelay(GaussianDelay):
             previous_end = end + shift
         return tuple(derived)
 
-    @staticmethod
-    def _group_of(process: int, groups: tuple[tuple[int, ...], ...]) -> int:
-        """The phase-local group index of *process* (-1 = the rest group)."""
-        for index, group in enumerate(groups):
-            if process in group:
-                return index
-        return -1
+    def phases(self, seed: int | None) -> tuple[PartitionPhase, ...]:
+        """The schedule derived for *seed* (so one per seed on both backends)."""
+        derived = self.derive_schedule(self.schedule, seed, self.seed_phase_jitter)
+        return tuple(sorted(derived, key=lambda phase: phase[0]))
 
-    def separated(self, sender: int, target: int, phase: PartitionPhase) -> bool:
-        """Whether *phase* puts the two processes in different groups."""
-        _, _, groups = phase
-        return self._group_of(sender, groups) != self._group_of(target, groups)
-
-    def delivery_time(self, now: float, sender: int, target: int) -> float:
+    def arrival(self, run: NetworkRun, now: float, sender: int, target: int) -> float:
         """Walk the phase schedule, holding at every separating phase hit."""
-        sample = self._sample_latency()
+        sample = run.sample(self.latency, self.jitter)
         tentative = now + sample
-        for phase in self.schedule:
-            start, end, _ = phase
-            if start <= tentative < end and self.separated(sender, target, phase):
-                self.held_messages += 1
+        for start, end, groups in run.schedule:
+            if start <= tentative < end and _group_of(sender, groups) != _group_of(target, groups):
+                run.held_messages += 1
                 tentative = end + sample
         return tentative
 
-    def extra_stats(self) -> dict[str, float]:
-        """Messages held back by partition phases."""
-        return {"held_messages": float(self.held_messages)}
 
-
-class BurstyDelay(GaussianDelay):
-    """Duty-cycled medium flushing messages only at periodic burst instants.
-
-    A message sent at time ``t`` reaches the air interface after the base
-    latency and is then delivered at the next multiple of ``period`` — the
-    medium wakes up every ``period`` seconds and transmits everything queued
-    since the previous burst.
-    """
-
-    def __init__(
-        self,
-        latency: float = 0.01,
-        jitter: float = 0.0,
-        seed: int | None = None,
-        period: float = 0.75,
-    ) -> None:
-        if period <= 0:
-            raise ValueError("burst period must be positive")
-        super().__init__(latency=latency, jitter=jitter, seed=seed)
-        self.period = period
-        self.bursts_used = 0
-        self._last_burst_tick = -1
-
-    def delivery_time(self, now: float, sender: int, target: int) -> float:
-        """Quantize delivery up to the next burst instant of the medium."""
-        ready = now + self._sample_latency()
-        tick = math.ceil(ready / self.period)
-        if tick != self._last_burst_tick:
-            self._last_burst_tick = tick
-            self.bursts_used += 1
-        return tick * self.period
-
-    def extra_stats(self) -> dict[str, float]:
-        """Distinct burst instants that carried at least one message."""
-        return {"bursts_used": float(self.bursts_used)}
+def _group_of(process: int, groups: tuple[tuple[int, ...], ...]) -> int:
+    """The phase-local group index of *process* (-1 = the rest group)."""
+    for index, group in enumerate(groups):
+        if process in group:
+            return index
+    return -1

@@ -8,15 +8,11 @@ messages are delivered is the transport's business.  Implementations:
   are queued and delivered when the caller pumps the network, which models
   an asynchronous but reliable network with no notion of time.
 * ``repro.sim.network.SimulatedNetwork`` — the discrete-event network,
-  timed by a :mod:`repro.core.delays` model (gaussian, lossy-with-retransmit,
-  partition/heal, bursty, ...), used by the scenario engine and the
-  experiment harness.
+  timed by one run of a :mod:`repro.core.delays` network condition
+  (reliable, lossy-with-retransmit, partition/heal, bursty, ...), used by the
+  scenario engine and the experiment harness.
 * ``repro.runtime.transport`` — asyncio streaming transports (in-process
   queues and real TCP sockets) where each monitor runs as a concurrent task.
-
-Every implementation also satisfies the wider :class:`MonitorNetwork`
-protocol (registration, in-flight accounting, per-sender counters), which is
-what the scenario layer (:mod:`repro.scenarios`) programs against.
 
 The flip side of :class:`Transport` is :class:`MonitorNode`: the endpoint
 interface every backend drives.  :class:`repro.core.monitor.DecentralizedMonitor`
@@ -32,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Protocol, runtime_checkable
 
-__all__ = ["Transport", "MonitorNode", "MonitorNetwork", "LoopbackNetwork"]
+__all__ = ["Transport", "MonitorNode", "LoopbackNetwork"]
 
 
 class Transport(Protocol):
@@ -71,26 +67,6 @@ class MonitorNode(Protocol):
         """Handle a monitoring message delivered by the transport."""
 
 
-@runtime_checkable
-class MonitorNetwork(Transport, Protocol):
-    """A full monitor-to-monitor network: transport + wiring + accounting.
-
-    Both :class:`LoopbackNetwork` and the discrete-event
-    ``repro.sim.network.SimulatedNetwork`` implement this protocol
-    structurally; the scenario engine only relies on these members.
-    """
-
-    messages_sent: int
-    messages_by_sender: dict[int, int]
-
-    def register(self, process: int, monitor: MonitorNode) -> None:
-        """Attach *monitor* as the endpoint for *process*."""
-
-    @property
-    def pending(self) -> int:
-        """Number of sent-but-undelivered messages."""
-
-
 class LoopbackNetwork:
     """A reliable FIFO in-process network between registered monitors.
 
@@ -108,7 +84,6 @@ class LoopbackNetwork:
         self._monitors: dict[int, MonitorNode] = {}
         self._queue: deque[tuple[int, int, object]] = deque()
         self.messages_sent = 0
-        self.messages_by_sender: dict[int, int] = {}
 
     def extra_stats(self) -> dict[str, float]:
         """Network-behaviour counters: none, the loopback is a plain link."""
@@ -124,7 +99,6 @@ class LoopbackNetwork:
         if target not in self._monitors:
             raise ValueError(f"no monitor registered for process {target}")
         self.messages_sent += 1
-        self.messages_by_sender[sender] = self.messages_by_sender.get(sender, 0) + 1
         self._queue.append((sender, target, message))
 
     # ------------------------------------------------------------------

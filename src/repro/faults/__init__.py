@@ -27,9 +27,9 @@ fail — or lie.  It provides:
   ``run --fault-plan`` grammar.
 
 Network-level fault conditions (asymmetric per-link latency matrices,
-multi-partition schedules) live with the other delay models in
-:mod:`repro.core.delays` and their scenario bindings in
-:mod:`repro.scenarios.network`.
+multi-partition schedules) are network conditions like the others: one
+frozen class each in :mod:`repro.core.delays`, exported by
+:mod:`repro.scenarios`.
 """
 
 from .injector import FaultInjector, MonitorFaultProxy, unwrap_monitor, wrap_monitors

@@ -7,9 +7,10 @@ the :class:`repro.core.transport.MonitorNode` protocol) run as concurrent
 asyncio tasks and exchange the :mod:`repro.core.messages` wire messages over
 a streaming transport — in-process queues for tests and fast sweeps, or real
 TCP sockets for the deployment style the paper's monitors assume.  Network
-conditions are shaped by the same :class:`repro.core.delays.DelayModel`
-values the simulator uses, so every registered scenario runs on either
-backend (``repro-experiments run --backend {sim,asyncio}``).
+conditions are the same :mod:`repro.core.delays` classes the simulator
+uses — ``run_streaming(..., delay=condition.delay_model(seed))`` — so every
+registered scenario runs on either backend
+(``repro-experiments run --backend {sim,asyncio}``).
 
 Public API
 ----------

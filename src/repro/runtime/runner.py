@@ -14,7 +14,7 @@ each process's last event).
 
 Because every transport delivers reliably and in FIFO order per channel, the
 conclusive (⊤/⊥) verdicts of a run are independent of task interleavings —
-the same invariant the delay models are property-tested for — so for a fixed
+the same invariant the network conditions are property-tested for — so for a fixed
 seed the streaming backend declares exactly the verdicts the discrete-event
 backend does, while timing/queuing metrics naturally reflect the live
 execution instead of a simulated schedule.

@@ -1,6 +1,6 @@
 """Asyncio streaming transports: monitors as concurrent tasks, for real.
 
-This module implements the :class:`repro.core.transport.MonitorNetwork`
+This module implements the :class:`repro.core.transport.Transport`
 protocol on top of asyncio, the deployment style the paper's decentralized
 monitors assume — each monitor is a concurrent process and messages travel
 through an actual asynchronous medium instead of a simulated priority queue.
@@ -17,10 +17,10 @@ Both transports preserve **FIFO order per (sender, receiver) channel** (the
 algorithm's reliable-FIFO-channel assumption): every channel has its own
 queue drained by a dedicated pump task, and delivery instants are clamped to
 be monotone per channel exactly like the discrete-event simulator does.
-Latency/loss semantics come from the same backend-agnostic
-:class:`repro.core.delays.DelayModel` values the simulator uses, evaluated
-against a :class:`RuntimeClock` (virtual seconds, optionally paced to wall
-clock via ``time_scale``).
+Latency/loss semantics come from the same network conditions the simulator
+uses (one :class:`repro.core.delays.DelayModel` per run), evaluated against
+a :class:`RuntimeClock` (virtual seconds, optionally paced to wall clock via
+``time_scale``).
 
 Quiescence — "no message is in flight anywhere and no node has unprocessed
 inbox items" — is detected with a simple conservative counter:
@@ -85,8 +85,8 @@ class StreamTransport:
     Subclasses customise only :meth:`_forward` (how a due message reaches
     the target node) and the async lifecycle hooks; FIFO clamping, delay
     evaluation and quiescence tracking live here.  Implements the
-    :class:`repro.core.transport.MonitorNetwork` protocol, so monitor code
-    and metrics collection are oblivious to which backend is underneath.
+    :class:`repro.core.transport.Transport` protocol, so monitor code and
+    metrics collection are oblivious to which backend is underneath.
     """
 
     def __init__(
@@ -106,13 +106,12 @@ class StreamTransport:
         self.in_flight = 0
         self.messages_sent = 0
         self.messages_delivered = 0
-        self.messages_by_sender: dict[int, int] = {}
         #: bytes of every frame written to a socket, headers included (stays
         #: zero on a transport that delivers objects and encodes nothing)
         self.wire_bytes_sent = 0
         self.last_delivery_time: float = 0.0
 
-    # -- MonitorNetwork protocol ----------------------------------------
+    # -- transport ------------------------------------------------------
     def register(self, process: int, node: StreamMonitorNode) -> None:
         """Attach *node* as the endpoint for *process*."""
         self._nodes[process] = node
@@ -122,7 +121,6 @@ class StreamTransport:
         if target not in self._nodes:
             raise ValueError(f"no monitor node registered for process {target}")
         self.messages_sent += 1
-        self.messages_by_sender[sender] = self.messages_by_sender.get(sender, 0) + 1
         now = self.clock.now
         if self.delay is not None:
             due = self.delay.delivery_time(now, sender, target)
@@ -234,7 +232,7 @@ class StreamTransport:
             await asyncio.sleep(0 if spins < 1000 else 0.001)
 
     def extra_stats(self) -> dict[str, float]:
-        """Behaviour-specific counters of the installed delay model."""
+        """Behaviour-specific counters of the installed network run."""
         return self.delay.extra_stats() if self.delay is not None else {}
 
 

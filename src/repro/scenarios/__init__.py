@@ -12,9 +12,10 @@ Public API
 * :class:`Scenario` / :class:`SweepGrid` / :class:`GridPoint` — declarative
   experiment descriptions.
 * :class:`NetworkModel` protocol with :class:`ReliableNetwork`,
-  :class:`FixedLatencyNetwork`, :class:`LossyNetwork`,
-  :class:`PartitionNetwork`, :class:`BurstyNetwork`,
-  :class:`AsymmetricNetwork` and :class:`MultiPartitionNetwork`.
+  :class:`LossyNetwork`, :class:`PartitionNetwork`, :class:`BurstyNetwork`,
+  :class:`AsymmetricNetwork` and :class:`MultiPartitionNetwork` — one
+  frozen class per condition, defined in :mod:`repro.core.delays` so both
+  timed backends reach them without an upward import.
 * :class:`WorkloadModel` protocol with :class:`PaperWorkload`,
   :class:`HotPropositionWorkload` and :class:`BurstyCommWorkload`.
 * :class:`repro.faults.FaultModel` (re-exported with
@@ -25,21 +26,20 @@ Public API
   / :func:`scenario_names` — the registry (built-ins register on import).
 """
 
-from ..faults import (
-    ExplicitFaults,
-    FaultModel,
-    RollingCrashFaults,
-    SingleCrashFaults,
-)
-from .network import (
+from ..core.delays import (
     AsymmetricNetwork,
     BurstyNetwork,
-    FixedLatencyNetwork,
     LossyNetwork,
     MultiPartitionNetwork,
     NetworkModel,
     PartitionNetwork,
     ReliableNetwork,
+)
+from ..faults import (
+    ExplicitFaults,
+    FaultModel,
+    RollingCrashFaults,
+    SingleCrashFaults,
 )
 from .registry import (
     get_scenario,
@@ -61,7 +61,6 @@ __all__ = [
     "GridPoint",
     "NetworkModel",
     "ReliableNetwork",
-    "FixedLatencyNetwork",
     "LossyNetwork",
     "PartitionNetwork",
     "BurstyNetwork",

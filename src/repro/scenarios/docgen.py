@@ -31,6 +31,7 @@ condition reproduces or which extension it is.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 
 from .registry import list_scenarios
 from .scenario import Scenario
@@ -270,7 +271,7 @@ def replace_generated_section(
     text: str,
     begin_marker: str = BEGIN_MARKER,
     end_marker: str = END_MARKER,
-    render=render_catalogue,
+    render: Callable[[], str] = render_catalogue,
 ) -> str:
     """Return *text* with the marked section replaced by ``render()``'s output.
 

@@ -33,21 +33,20 @@ import time of a module the workers also import.
 
 from __future__ import annotations
 
+from ..core.delays import (
+    AsymmetricNetwork,
+    BurstyNetwork,
+    LossyNetwork,
+    MultiPartitionNetwork,
+    PartitionNetwork,
+    ReliableNetwork,
+)
 from ..faults import (
     ByzantineFaults,
     ChurnFaults,
     ClockSkewFaults,
     RollingCrashFaults,
     SingleCrashFaults,
-)
-from .network import (
-    AsymmetricNetwork,
-    BurstyNetwork,
-    FixedLatencyNetwork,
-    LossyNetwork,
-    MultiPartitionNetwork,
-    PartitionNetwork,
-    ReliableNetwork,
 )
 from .scenario import Scenario, SweepGrid
 from .workload import BurstyCommWorkload, HotPropositionWorkload, PaperWorkload
@@ -110,7 +109,7 @@ register_scenario(
         description="Paper workload over deterministic constant-latency links "
         "(no jitter): isolates jitter effects from the baseline.",
         workload=PaperWorkload(),
-        network=FixedLatencyNetwork(),
+        network=ReliableNetwork(jitter=0.0),
         corresponds_to="extension: jitter ablation of the Section-5 testbed",
         tags=("network",),
     )

@@ -1,7 +1,7 @@
 """Scenarios and sweep grids: declarative experiment descriptions.
 
 A :class:`Scenario` bundles a :class:`~repro.scenarios.workload.WorkloadModel`
-(the trace shape) with a :class:`~repro.scenarios.network.NetworkModel` (the
+(the trace shape) with a :class:`~repro.core.delays.NetworkModel` (the
 monitor-network conditions) and a default :class:`SweepGrid` (which
 (property, process-count, Commμ) points to run).  It contains *no* execution
 logic — the generic engine in :mod:`repro.experiments.engine` expands the
@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from ..core.delays import NetworkModel
 from ..faults import FaultModel
-from .network import NetworkModel
 from .workload import WorkloadModel
 
 __all__ = ["GridPoint", "SweepGrid", "Scenario", "DEFAULT_COMM_SEED_STRIDE"]

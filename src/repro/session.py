@@ -85,7 +85,7 @@ class RunReport:
     program_end_time: float = 0.0
     monitor_end_time: float = 0.0
     monitors: list[DecentralizedMonitor] = field(default_factory=list)
-    #: behaviour-specific counters of the delay model (retransmissions,
+    #: behaviour-specific counters of the network run (retransmissions,
     #: held messages, bursts, ...); empty for plain reliable links
     network_stats: dict[str, float] = field(default_factory=dict)
     #: ``fault_*`` counters of the fault plan (crashes, restarts, held

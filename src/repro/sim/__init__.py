@@ -3,9 +3,10 @@
 Public API
 ----------
 * :class:`Simulator` — the discrete-event kernel.
-* :class:`SimulatedNetwork` — reliable FIFO network between monitors over a
-  :class:`repro.core.delays.DelayModel` (see :mod:`repro.scenarios` for the
-  declarative network conditions).
+* :class:`SimulatedNetwork` — reliable FIFO network between monitors over
+  one run of a network condition (``condition.delay_model(seed)``, a
+  :class:`repro.core.delays.DelayModel`); with no condition given,
+  :func:`simulate_monitored_run` uses the paper's ``ReliableNetwork()``.
 * :class:`WorkloadConfig` / :func:`generate_computation` — the case-study
   trace model of Section 5.2 (normal-distributed event and communication
   wait times, propositions ``p``/``q`` per process).

@@ -1,21 +1,21 @@
 """The simulated asynchronous network for monitor-to-monitor messages.
 
-Implements the :class:`repro.core.transport.MonitorNetwork` protocol on top
-of the discrete-event simulator: every message is delivered after a (possibly
+Implements the :class:`repro.core.transport.Transport` protocol on top of
+the discrete-event simulator: every message is delivered after a (possibly
 random) latency, FIFO order is preserved per sender/receiver pair (reliable
 FIFO channels, as assumed by the paper), and message counts are recorded for
 the communication-overhead figures.
 
-The latency semantics live in the backend-agnostic delay models of
-:mod:`repro.core.delays` — the same models the asyncio streaming runtime
-(:mod:`repro.runtime`) consumes, so a network condition (gaussian, lossy
-with retransmission, partition/heal, bursty, asymmetric, multi-partition)
-is defined once and means the same thing on both backends.  Every model
+The latency semantics live in the network conditions of
+:mod:`repro.core.delays` — the same conditions the asyncio streaming runtime
+(:mod:`repro.runtime`) consumes, so a condition (reliable, lossy with
+retransmission, partition/heal, bursty, asymmetric, multi-partition) is
+defined once and means the same thing on both backends.  Every condition
 *keeps delivery reliable* (the paper's algorithm assumes reliable FIFO
 channels, so degraded conditions defer — never drop — messages), and all
-randomness comes from the model's seeded :class:`random.Random`, so a run is
+randomness comes from the run's seeded :class:`random.Random`, so a run is
 deterministic for a fixed seed.  FIFO clamping and accounting stay here;
-delay models never see ordering.
+conditions never see ordering.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = ["SimulatedNetwork"]
 
 
 class SimulatedNetwork:
-    """Reliable FIFO message-passing network over a delay model."""
+    """Reliable FIFO message-passing network over one run of a condition."""
 
     #: the simulator hands message objects over and encodes nothing
     wire_bytes_sent = 0
@@ -43,7 +43,6 @@ class SimulatedNetwork:
         self._channel_clock: dict[tuple[int, int], float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
-        self.messages_by_sender: dict[int, int] = {}
         self.last_delivery_time: float = 0.0
 
     def register(self, process: int, monitor: MonitorNode) -> None:
@@ -59,14 +58,15 @@ class SimulatedNetwork:
         if target not in self._monitors:
             raise ValueError(f"no monitor registered for process {target}")
         self.messages_sent += 1
-        self.messages_by_sender[sender] = self.messages_by_sender.get(sender, 0) + 1
         channel = (sender, target)
         earliest = self._channel_clock.get(channel, 0.0)
-        # FIFO: the delay model never sees ordering, the channel clock clamps
+        # FIFO: the condition never sees ordering, the channel clock clamps
         delivery = max(self.delay.delivery_time(self.simulator.now, sender, target), earliest)
         self._channel_clock[channel] = delivery
 
-        def deliver(message=message, target=target, delivery=delivery) -> None:
+        def deliver(
+            message: object = message, target: int = target, delivery: float = delivery
+        ) -> None:
             self.messages_delivered += 1
             self.last_delivery_time = max(self.last_delivery_time, delivery)
             self._monitors[target].receive_message(message)

@@ -6,8 +6,8 @@ the :class:`~repro.sim.engine.Simulator` — every monitor starts at time
 zero, each program event fires at its recorded timestamp and is handed to
 the local monitor, termination signals are issued just after each process's
 last event — while monitoring messages travel through a
-:class:`SimulatedNetwork` over the delay model of the run's network
-condition (see :mod:`repro.scenarios.network`).  The returned
+:class:`SimulatedNetwork` over one run of the network
+condition (see :mod:`repro.core.delays`).  The returned
 :class:`repro.session.RunReport` carries exactly the metrics reported in
 Chapter 5:
 
@@ -20,9 +20,8 @@ Chapter 5:
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING
 
-from ..core.delays import GaussianDelay
+from ..core.delays import NetworkModel, ReliableNetwork
 from ..distributed.computation import Computation
 from ..faults import FaultPlan
 from ..ltl.monitor import MonitorAutomaton
@@ -30,9 +29,6 @@ from ..ltl.predicates import PropositionRegistry
 from ..session import EVENT, MonitorSession, RunReport
 from .engine import Simulator
 from .network import SimulatedNetwork
-
-if TYPE_CHECKING:  # pragma: no cover - scenarios sits above this package
-    from ..scenarios.network import NetworkModel
 
 __all__ = ["simulate_monitored_run"]
 
@@ -49,10 +45,10 @@ def simulate_monitored_run(
 ) -> RunReport:
     """Replay *computation* under decentralized monitoring with network latency.
 
-    With *network* set (a scenario network model — anything with
+    With *network* set (a network condition — anything with
     ``delay_model(seed)``) the monitors communicate under that condition;
-    otherwise over the paper's testbed, reliable links with gaussian
-    latency 0.05 and jitter 0.01.  With *faults* set (a
+    otherwise over the paper's testbed, :class:`ReliableNetwork` (gaussian
+    latency 0.05, jitter 0.01).  With *faults* set (a
     :class:`repro.faults.FaultPlan`) monitors named by the plan are wrapped
     in crash/restart proxies; a no-op plan takes the exact fault-free code
     path, so its outputs are byte-identical to ``faults=None``.  With
@@ -62,7 +58,7 @@ def simulate_monitored_run(
     message-amplification storms under adversarial plans.
     """
     simulator = Simulator()
-    delay = network.delay_model(seed) if network is not None else GaussianDelay(0.05, 0.01, seed)
+    delay = (network if network is not None else ReliableNetwork()).delay_model(seed)
     net = SimulatedNetwork(simulator, delay)
     session = MonitorSession(
         computation,

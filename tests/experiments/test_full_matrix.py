@@ -1,4 +1,4 @@
-"""Smoke tests for the nightly full-matrix runner (``tools/run_full_matrix.py``)."""
+"""Smoke tests for the full-matrix runner (``tools/run_full_matrix.py``)."""
 
 import json
 import subprocess
@@ -65,7 +65,7 @@ class TestFullMatrixTool:
         )
         # the job summary table was appended
         text = summary.read_text(encoding="utf-8")
-        assert "Nightly full matrix" in text
+        assert "Full scenario matrix" in text
         assert "crash-restart-replay" in text
 
     def test_unknown_scenario_fails_fast(self, tmp_path):

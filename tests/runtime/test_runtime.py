@@ -4,17 +4,12 @@ import asyncio
 
 import pytest
 
-from repro.core import DecentralizedMonitor, MonitorNetwork, MonitorNode
-from repro.core.delays import (
-    BurstyDelay,
-    GaussianDelay,
-    LossyRetransmitDelay,
-    PartitionDelay,
-)
+from repro.core import DecentralizedMonitor, MonitorNode
 from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
 from repro.runtime import InMemoryStreamTransport, RuntimeClock, TcpStreamTransport
 from repro.runtime.runner import run_streaming
+from repro.scenarios import BurstyNetwork, LossyNetwork, PartitionNetwork, ReliableNetwork
 from repro.session import run_decentralized
 from repro.sim import random_computation, simulate_monitored_run
 
@@ -46,10 +41,6 @@ class _EchoNode:
 
 
 class TestStreamTransport:
-    def test_satisfies_monitor_network_protocol(self):
-        transport = InMemoryStreamTransport()
-        assert isinstance(transport, MonitorNetwork)
-
     def test_unknown_target_rejected(self):
         async def main():
             transport = InMemoryStreamTransport()
@@ -63,7 +54,7 @@ class TestStreamTransport:
         async def main():
             # heavy jitter would reorder without the per-channel clamp
             transport = InMemoryStreamTransport(
-                delay=GaussianDelay(latency=0.05, jitter=0.05, seed=7)
+                delay=ReliableNetwork(latency=0.05, jitter=0.05).delay_model(7)
             )
             sink = _EchoNode(1, transport)
             transport.register(0, _EchoNode(0, transport))
@@ -95,16 +86,15 @@ class TestStreamTransport:
             assert transport.pending == 0
             assert transport.messages_sent == 2
             assert transport.messages_delivered == 2
-            assert transport.messages_by_sender == {0: 2}
             await transport.aclose()
 
         asyncio.run(main())
 
     def test_delay_stats_exposed(self):
         async def main():
-            delay = LossyRetransmitDelay(
-                jitter=0.0, seed=3, loss_probability=0.5, retransmit_timeout=0.3
-            )
+            delay = LossyNetwork(
+                jitter=0.0, loss_probability=0.5, retransmit_timeout=0.3
+            ).delay_model(3)
             transport = InMemoryStreamTransport(delay=delay)
             sink = _EchoNode(1, transport)
             transport.register(1, sink)
@@ -441,7 +431,7 @@ class TestStreamingRuns:
             computation,
             automaton,
             registry,
-            delay=GaussianDelay(0.05, 0.01, seed=seed),
+            delay=ReliableNetwork().delay_model(seed),
         )
         assert streamed.declared_verdicts == loopback.declared_verdicts
         assert streamed.declared_verdicts == simulated.declared_verdicts
@@ -450,10 +440,10 @@ class TestStreamingRuns:
         "delay",
         [
             None,
-            GaussianDelay(0.05, 0.01, seed=5),
-            LossyRetransmitDelay(seed=5, loss_probability=0.3),
-            PartitionDelay(seed=5, windows=((1.0, 4.0),)),
-            BurstyDelay(seed=5, period=0.5),
+            ReliableNetwork().delay_model(5),
+            LossyNetwork(jitter=0.0, loss_probability=0.3).delay_model(5),
+            PartitionNetwork(jitter=0.0, windows=((1.0, 4.0),)).delay_model(5),
+            BurstyNetwork(period=0.5).delay_model(5),
         ],
         ids=["none", "gaussian", "lossy", "partition", "bursty"],
     )
@@ -477,7 +467,7 @@ class TestStreamingRuns:
             computation,
             automaton,
             registry,
-            delay=LossyRetransmitDelay(seed=9, loss_probability=0.4),
+            delay=LossyNetwork(jitter=0.0, loss_probability=0.4).delay_model(9),
         )
         row = report.as_dict()
         for key in (

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MonitorNetwork
 from repro.api import ExperimentScale, run_scenario
 from repro.experiments import run_monitoring_experiment
 from repro.experiments.engine import execute_points, execute_sweep
+from repro.core.delays import DelayModel
 from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
 from repro.scenarios import (
     BurstyCommWorkload,
     BurstyNetwork,
-    FixedLatencyNetwork,
     GridPoint,
     HotPropositionWorkload,
     LossyNetwork,
@@ -49,7 +48,7 @@ SMALL_SCALE = ExperimentScale(
 
 ALL_NETWORK_MODELS = [
     ReliableNetwork(),
-    FixedLatencyNetwork(),
+    ReliableNetwork(jitter=0.0),
     LossyNetwork(loss_probability=0.3, retransmit_timeout=0.2),
     PartitionNetwork(windows=((1.0, 4.0),)),
     BurstyNetwork(period=0.5),
@@ -112,7 +111,7 @@ class TestNetworkModels:
     def test_models_build_monitor_networks(self):
         for model in ALL_NETWORK_MODELS:
             network = _build(model, Simulator(), seed=1)
-            assert isinstance(network, MonitorNetwork)
+            assert isinstance(network.delay, DelayModel)
 
     def test_lossy_counts_retransmissions_and_delivers_everything(self):
         simulator = Simulator()
@@ -184,13 +183,13 @@ class TestNetworkModels:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            LossyNetwork(loss_probability=1.0).delay_model(seed=0)
+            LossyNetwork(loss_probability=1.0)
         with pytest.raises(ValueError):
-            PartitionNetwork(windows=((5.0, 2.0),)).delay_model(seed=0)
+            PartitionNetwork(windows=((5.0, 2.0),))
         with pytest.raises(ValueError):
-            PartitionNetwork(num_groups=1).delay_model(seed=0)
+            PartitionNetwork(num_groups=1)
         with pytest.raises(ValueError):
-            BurstyNetwork(period=0.0).delay_model(seed=0)
+            BurstyNetwork(period=0.0)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -375,7 +374,7 @@ class TestCustomScenario:
             name="test-custom",
             description="ad-hoc condition",
             workload=PaperWorkload(),
-            network=FixedLatencyNetwork(latency=0.02),
+            network=ReliableNetwork(latency=0.02, jitter=0.0),
             grid=SweepGrid(properties=("B",), process_counts=(2,)),
         )
         rows = execute_sweep(scenario, SMALL_SCALE)

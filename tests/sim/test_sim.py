@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core import LatticeOracle
-from repro.core.delays import GaussianDelay
 from repro.distributed import ComputationLattice
 from repro.experiments import case_study_monitor, case_study_registry
 from repro.ltl import Verdict
+from repro.scenarios import ReliableNetwork
 from repro.session import run_decentralized
 from repro.sim import (
     SimulatedNetwork,
@@ -117,7 +117,8 @@ class _Sink:
 class TestSimulatedNetwork:
     def test_messages_delivered_with_latency(self):
         simulator = Simulator()
-        network = SimulatedNetwork(simulator, GaussianDelay(latency=0.5))
+        delay = ReliableNetwork(latency=0.5, jitter=0.0).delay_model(None)
+        network = SimulatedNetwork(simulator, delay)
         sink = _Sink()
         network.register(1, sink)
         network.send(0, 1, "hello")
@@ -128,7 +129,9 @@ class TestSimulatedNetwork:
 
     def test_fifo_order_preserved_despite_jitter(self):
         simulator = Simulator()
-        network = SimulatedNetwork(simulator, GaussianDelay(latency=0.2, jitter=0.3, seed=7))
+        network = SimulatedNetwork(
+            simulator, ReliableNetwork(latency=0.2, jitter=0.3).delay_model(7)
+        )
         sink = _Sink()
         network.register(1, sink)
         for i in range(20):
@@ -137,13 +140,13 @@ class TestSimulatedNetwork:
         assert sink.received == list(range(20))
 
     def test_unknown_target_rejected(self):
-        network = SimulatedNetwork(Simulator(), GaussianDelay())
+        network = SimulatedNetwork(Simulator(), ReliableNetwork().delay_model(None))
         with pytest.raises(ValueError):
             network.send(0, 3, "x")
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
-            SimulatedNetwork(Simulator(), GaussianDelay(latency=-1.0))
+            ReliableNetwork(latency=-1.0)
 
 
 class TestWorkloadGenerator:

@@ -1,23 +1,23 @@
 """Run every registered scenario on every backend; emit one combined BENCH doc.
 
-The nightly CI job (``full-matrix`` in ``.github/workflows/ci.yml``) calls
-this tool at smoke scale::
+CI's matrix smoke job (``cluster-smoke`` in ``.github/workflows/ci.yml``)
+calls this tool at smoke scale on every PR::
 
-    PYTHONPATH=src python tools/run_full_matrix.py --out BENCH_full_matrix.json
+    PYTHONPATH=src python tools/run_full_matrix.py --out BENCH_matrix_smoke.json \
+        --processes 2 3 --events 3 --replications 1
 
 It executes the full (scenario × backend) matrix — every name in the
 scenario registry, on both the discrete-event simulator and the asyncio
 streaming runtime — and writes a single ``repro-bench/1`` document whose
 timings are tagged ``group: "full-matrix"`` with their scenario, backend and
 row count, plus the ``describe()`` metadata of every scenario exercised
-(including fault models).  The PR-path smoke job intentionally does *not*
-run this; it stays fast while the nightly sweep covers the whole catalogue.
+(including fault models).
 
 The cluster backend (one OS process per monitor) is opt-in via
 ``--backends cluster`` because each of its cells spawns real worker
-processes; the nightly job runs it as a second, narrowed invocation at
-smoke scale, and the ``cluster-smoke`` PR job runs one scenario the same
-way.
+processes; the nightly ``full-matrix`` job runs it over the catalogue,
+narrowed to one property, and the matrix smoke job runs one scenario the
+same way.
 
 ``--scenarios`` / ``--properties`` narrow the matrix (used by the smoke test
 of this tool itself); the scale flags mirror the experiment CLI.
@@ -147,7 +147,7 @@ def write_job_summary(timings: dict[str, dict[str, object]]) -> None:
     if not path:
         return
     lines = [
-        "### Nightly full matrix",
+        "### Full scenario matrix",
         "",
         f"{len(timings)} (scenario × backend) cells",
         "",
