@@ -346,9 +346,10 @@ def test_serve_entry_events_per_sec():
         )
         for _ in range(iterations)
     ]
+    ends = monitor._live_ends()
     start = time.perf_counter()
     for token in tokens:
-        monitor._serve_entry(token.entries[0])
+        monitor._serve_entry(token.entries[0], ends)
         monitor._extend_run(token)
     elapsed = time.perf_counter() - start
     for token in tokens:

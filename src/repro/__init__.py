@@ -22,8 +22,6 @@ Subpackages
     LTL parsing, semantics, Büchi translation and LTL3 monitor synthesis.
 ``repro.distributed``
     Vector clocks, events, distributed computations and computation lattices.
-``repro.slicing``
-    Computation slicing for conjunctive predicate detection.
 ``repro.core``
     The decentralized monitoring algorithm (the paper's contribution), plus
     the lattice oracle and a centralized baseline.
@@ -60,7 +58,6 @@ __all__ = [
     "api",
     "ltl",
     "distributed",
-    "slicing",
     "core",
     "sim",
     "runtime",

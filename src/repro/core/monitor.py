@@ -17,7 +17,8 @@ Each program process ``P_i`` is composed with a monitor process ``M_i`` that
 Where this departs from the thesis pseudo-code (implicit pending queue, one
 box search per view step, every component of a search answered from the shared
 columns, no ``(state, cut)`` explored twice, no guard's least cut walked twice,
-no box searched by the same view twice) and how the two hot loops — token serving
+no box searched by the same view twice, no parked token served by an own event
+that cannot move it) and how the two hot loops — token serving
 off the guard table, box search off the segment index — are built: ``docs/architecture.md``.
 """
 
@@ -40,6 +41,9 @@ from .transport import Transport
 __all__ = ["MonitorMetrics", "DecentralizedMonitor", "verdict_divergence"]
 
 Letter = frozenset[str]
+#: one search ``_issue_token`` is handed: a guard-table row, per process
+#: whether its conjunct holds at the view's cut, and the floor
+Search = tuple[tuple, list[bool], list[int]]
 
 
 def verdict_divergence(
@@ -104,6 +108,8 @@ class MonitorMetrics:
     #: box ``GlobalView.searched`` says the view's last step searched
     least_cuts_remembered: int = 0
     boxes_remembered: int = 0
+    #: own events a parked token stayed parked through, unserved (per token)
+    parked_tokens_slept: int = 0
 
     @property
     def messages_sent(self) -> int:
@@ -231,6 +237,10 @@ class DecentralizedMonitor:
         #: birth signatures of the views created, less those an eviction gave up
         self._born: set[tuple[int, tuple[int, ...]]] = set()
         self.waiting_tokens: list[Token] = []
+        #: how often ``_absorb_runs`` grew a foreign column, and its value when
+        #: each waiting token was parked — by the token object: copies share an id
+        self._absorbed = 0
+        self._parked_at: dict[int, int] = {}
         self._outstanding: dict[int, GlobalView] = {}  # token_id -> waiting view
 
         self.declared_verdicts: set[Verdict] = set()
@@ -370,7 +380,7 @@ class DecentralizedMonitor:
         if any(view.is_waiting() for view in self.views):
             self.metrics.delayed_events += 1
 
-        self._retry_waiting_tokens()
+        self._retry_waiting_tokens(own_event=True)
         self._advance_views(self.views)
         self._merge_views()
 
@@ -453,8 +463,7 @@ class DecentralizedMonitor:
             # out of order: a search without a guard pulls the view up to its
             # cut joined with the event's causal past; answered here when the
             # columns reach that far (the view is retired, its forks returned)
-            entry = self._make_entry(view, self._repair_row, [True] * len(past), past)
-            return self._issue_token(view, sn, [entry])
+            return self._issue_token(view, sn, [(self._repair_row, [True] * len(past), past)])
 
         view.cut[mine] = sn
         view.state = new_state = self._compiled.step(view.state, self._mask_at(view.cut))
@@ -492,7 +501,7 @@ class DecentralizedMonitor:
             return ()
         mine = self.process
         masks = [column[at] for column, at in zip(self.mask_columns, view.cut)]
-        entries: list[TokenEntry] = []
+        searches: list[Search] = []
         for row in self._guard_table(view.state):
             _, bits, remote = row
             care, want = bits[mine]
@@ -508,34 +517,37 @@ class DecentralizedMonitor:
                 floors = [[at + (k == j) for k, at in enumerate(view.cut)] for j in remote]
             else:
                 continue
-            entries += [self._make_entry(view, row, satisfied_now, floor) for floor in floors]
-        return self._issue_token(view, view.cut[mine], entries) if entries else ()
+            searches += [(row, satisfied_now, floor) for floor in floors]
+        return self._issue_token(view, view.cut[mine], searches) if searches else ()
 
     def _issue_token(
-        self, view: GlobalView, parent_event_sn: int, entries: list[TokenEntry]
+        self, view: GlobalView, parent_event_sn: int, searches: list[Search]
     ) -> Sequence[GlobalView]:
-        """Serve *entries* from the columns; a token leaves only with what
-        they could not decide.  Answered at home, the view never waits and
-        its forks are returned (to the caller's worklist, not consumed here).
+        """Serve the *searches* from the columns; a token leaves only with
+        what they could not decide.  Answered at home, the view never waits
+        and its forks are returned (to the caller's worklist, not consumed here).
 
         A guard's least cut above a floor is its least cut above every floor
         between the two, and none above a floor is none above a larger: what
-        ``_least`` covers is not walked — unless a token leaves, which carries
-        what the walks give (or the monitors further on would hold less).
+        ``_least`` covers is not walked, and gets an entry only if there is a
+        cut to fork from — unless a token leaves, which carries an entry per
+        search, walked (or the monitors further on would hold less).
         """
-        self.metrics.entries_created += len(entries)
+        self.metrics.entries_created += len(searches)
         least = self._least
-        hits: list[tuple[TokenEntry, tuple[int, ...] | None]] = []
+        entries: list[TokenEntry | None] = []  # per search; None: not built (yet)
+        hits: list[tuple[int, tuple[int, ...] | None]] = []  # (search, remembered cut)
         walked: list[TokenEntry] = []
-        for entry in entries:
-            floor = entry.min_positions
-            known = None if entry.is_repair else least.get(entry.bits)
+        for row, satisfied, floor in searches:
+            known = None if row[0] is None else least.get(row[1])  # a repair: never
             if known and all(map(le, known[0], floor)) and (
                 known[1] is None or all(map(le, floor, known[1]))
             ):
-                hits.append((entry, known[1]))
+                hits.append((len(entries), known[1]))
+                entries.append(None)
             else:
-                walked.append(entry)
+                walked.append(self._make_entry(view, row, satisfied, floor))
+                entries.append(walked[-1])
         pending = self._serve_entries(walked)
         for entry in walked:
             if entry.eval is not None and not entry.is_repair:  # whose floor never recurs
@@ -543,21 +555,25 @@ class DecentralizedMonitor:
                     tuple(entry.min_positions), tuple(entry.cut) if entry.eval else None
                 )
         if pending and hits:
-            pending += self._serve_entries([entry for entry, _ in hits])
+            for at, _ in hits:
+                entries[at] = self._make_entry(view, *searches[at])
+            pending += self._serve_entries([entries[at] for at, _ in hits])
         else:
             self.metrics.least_cuts_remembered += len(hits)
-            for entry, target in hits:
-                entry.eval = target is not None
-                if target:
+            for at, target in hits:
+                if target is not None:
+                    entry = entries[at] = self._make_entry(view, *searches[at])
+                    entry.eval = True
                     entry.cut[:] = target
+        built = [entry for entry in entries if entry is not None]  # all, if a token leaves
         if not pending:
             self.metrics.answered_at_home += 1
-            return self._forks_of(view, entries)
+            return self._forks_of(view, built)
         token = Token(
             parent_process=self.process,
             parent_view=view.view_id,
             parent_event_sn=parent_event_sn,
-            entries=entries,
+            entries=built,
             known=[len(column) - 1 for column in self.vc_columns],
         )
         self.metrics.tokens_created += 1
@@ -609,9 +625,10 @@ class DecentralizedMonitor:
         pending: list[tuple[TokenEntry, list[int]]] = []
         # processes known to have terminated are worth a (final) visit
         ended = {k for k, final in self.terminated.items() if final is not None} - {self.process}
+        ends = self._live_ends()
         for entry in entries:
             entry.waiting_for -= ended
-            self._serve_entry(entry)
+            self._serve_entry(entry, ends)
             if entry.eval is None:
                 lagging = entry.lagging_processes()
                 if lagging:
@@ -620,11 +637,22 @@ class DecentralizedMonitor:
                     entry.eval = True
         return pending
 
-    def _serve_entry(self, entry: TokenEntry) -> None:
+    def _live_ends(self) -> list[int]:
+        """Per process, the position :meth:`_serve_entry` does not visit a
+        component at: the column's end for a live foreign process (a visit
+        there changes nothing: only ``M_j`` can tell more), none (-1) for this
+        process and for those known to have ended."""
+        return [
+            len(column) - 1 if j != self.process and self.terminated[j] is None else -1
+            for j, column in enumerate(self.mask_columns)
+        ]
+
+    def _serve_entry(self, entry: TokenEntry, ends: list[int]) -> None:
         """Advance every component of the entry that needs it over the columns
         held here: own first, then the others, until nothing moves (a scanned
-        clock can lift another component's ``depend``).  The events walked
-        are put on the token when it leaves (:meth:`_extend_run`).
+        clock can lift another component's ``depend``).  A component at its
+        position in *ends* (:meth:`_live_ends`) is not visited.  The events
+        walked are put on the token when it leaves (:meth:`_extend_run`).
         """
         cut, depend, floor = entry.cut, entry.depend, entry.min_positions
         bits, satisfied = entry.bits, entry.satisfied
@@ -633,6 +661,8 @@ class DecentralizedMonitor:
             moved = False
             for j in self._serve_order:
                 at = cut[j]
+                if at == ends[j]:
+                    continue
                 care, want = bits[j]
                 if at < depend[j] or at < floor[j] or (care and not satisfied[j]):
                     self._serve_component(entry, j, care, want)
@@ -683,14 +713,55 @@ class DecentralizedMonitor:
             else:
                 entry.waiting_for.discard(j)
 
-    def _retry_waiting_tokens(self) -> None:
-        """Re-examine parked tokens after new local events or terminations."""
+    def _retry_waiting_tokens(self, own_event: bool = False) -> None:
+        """Re-examine parked tokens after a new own event or a termination.
+
+        After an own event a token sleeps — stays parked, unserved — if no
+        foreign column grew since it was parked and the event moves none of
+        its entries (:meth:`_sleeps`).  Terminations wake every token, and an
+        orphan is swallowed either way.
+        """
         tokens, self.waiting_tokens = self.waiting_tokens, []
+        parked_at, self._parked_at = self._parked_at, {}
         for token in tokens:
             if self._ends_here(token):
                 self._token_returned(token)  # orphaned while it waited at home
+            elif own_event and parked_at.get(id(token)) == self._absorbed and self._sleeps(token):
+                self.metrics.parked_tokens_slept += 1
+                self._park(token)
             else:
                 self._serve_token(token)
+
+    def _sleeps(self, token: Token) -> bool:
+        """Whether the newest own event leaves the parked *token* as it is.
+
+        Only an undecided entry parked on this process can move, and it does
+        when the event's mask satisfies its conjunct, when the event's clock
+        asks more of another process than its ``depend``, or when it marks
+        another process in ``waiting_for`` (its first own move clears those
+        marks).  Otherwise serving would only walk its own component on to
+        the column's end and park it again — and serving is one-shot, so the
+        walk at the wake reaches the cut, ``depend`` and ``satisfied`` a walk
+        per event would (clocks only grow: the last one scanned folds all).
+        """
+        mine, others = self.process, self._serve_order[1:]
+        mask, vc = self.mask_columns[mine][-1], self.local_vcs[-1]
+        for entry in token.entries:
+            if entry.eval is None and entry.parked_on == mine:
+                care, want = entry.bits[mine]
+                depend = entry.depend
+                if (
+                    mask & care == want
+                    or not entry.waiting_for <= {mine}
+                    or any(vc[k] > depend[k] for k in others)
+                ):
+                    return False
+        return True
+
+    def _park(self, token: Token) -> None:
+        """Keep *token* here until an own event or a termination notice."""
+        self.waiting_tokens.append(token)
+        self._parked_at[id(token)] = self._absorbed
 
     def _route_token(
         self, token: Token, pending: list[tuple[TokenEntry, list[int]]]
@@ -733,7 +804,7 @@ class DecentralizedMonitor:
         else:
             # nothing actionable anywhere else: keep the token until a local
             # event or a termination notice changes the situation
-            self.waiting_tokens.append(token)
+            self._park(token)
 
     def _send_token(self, token: Token, target: int) -> None:
         self.metrics.token_messages_sent += 1
@@ -829,6 +900,7 @@ class DecentralizedMonitor:
             if 0 <= skip < len(vcs) and 0 <= min(masks) and max(masks) < limit:
                 self._append_masks(j, masks[skip:])
                 self.vc_columns[j] += vcs[skip:]
+                self._absorbed += 1
 
     def _fork_from_entry(
         self, view: GlobalView, entry: TokenEntry, reached: int

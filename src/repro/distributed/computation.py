@@ -3,10 +3,9 @@
 A :class:`Computation` is the *finished* record of one execution of a
 distributed program — for every process its initial state and the ordered
 list of events it produced, with vector clocks already assigned.  It is the
-structure the lattice (:mod:`repro.distributed.lattice`), the slicer
-(:mod:`repro.slicing`) and the oracle monitor reason about, and the
-simulation layer (:mod:`repro.sim`) produces computations as a by-product of
-running programs.
+structure the lattice (:mod:`repro.distributed.lattice`) and the oracle
+monitor reason about, and the simulation layer (:mod:`repro.sim`) produces
+computations as a by-product of running programs.
 
 :class:`ComputationBuilder` provides a convenient, correct-by-construction
 way to write small computations by hand (used by the running example of

@@ -110,6 +110,8 @@ class RunReport:
     #: searches answered from a remembered least cut; boxes not searched again
     least_cuts_remembered: int = 0
     boxes_remembered: int = 0
+    #: own events parked tokens stayed parked through, unserved
+    parked_tokens_slept: int = 0
     #: which streaming transport carried the messages ("memory" or "tcp");
     #: empty on the simulator and the cluster
     transport: str = ""

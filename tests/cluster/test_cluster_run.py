@@ -151,6 +151,7 @@ class TestClusterEquivalence:
             "answered_at_home",
             "least_cuts_remembered",
             "boxes_remembered",
+            "parked_tokens_slept",
         ):
             assert getattr(report, counter) == sum(
                 result["metrics"][counter] for result in report.worker_results

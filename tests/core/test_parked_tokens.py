@@ -1,0 +1,160 @@
+"""A parked token sleeps through own events that cannot move it.
+
+The reference is the rule the monitor had before (kept below): after every
+own event, every parked token is served again.  Sleeping must change nothing
+a run shows — every ``MonitorMetrics`` counter except ``parked_tokens_slept``,
+each monitor's verdict log and declared states, and the messages:
+
+* on the paper-default grid: properties A–F, n ∈ {3, 4}, 6 and 20 events per
+  process, seeds 2015, 7 and 77, view budget 2;
+* on A n=4 epp=20 and F n=4 epp=6, seed 77, without a budget: cells where an
+  entry parked here still marks another process in ``waiting_for``, which
+  the first own move clears;
+* on three monitors by hand, where an own event's clock asks an entry for
+  more of a process that has ended (no cell of the grid has one);
+* on fuzz point 133 of seed 7, whose duplicated and replayed Byzantine
+  copies of one token (one ``token_id``) park at one monitor at different
+  times: a token is woken by what grew since *it* was parked.
+"""
+
+import dataclasses
+
+import pytest
+from test_token_lifecycle import _System
+
+from repro.cluster.spec import build_cell_inputs
+from repro.core.monitor import DecentralizedMonitor
+from repro.distributed.clocks import VectorClock
+from repro.distributed.events import Event, EventKind
+from repro.experiments.engine import cell_inputs
+from repro.fuzz.engine import _SIM_EVENT_BUDGET, generate_point
+from repro.scenarios import get_scenario
+from repro.sim import simulate_monitored_run
+
+
+def _retry_every_token(self, own_event=False):
+    """The reference: every parked token is served again, on every event."""
+    tokens, self.waiting_tokens = self.waiting_tokens, []
+    for token in tokens:
+        if self._ends_here(token):
+            self._token_returned(token)
+        else:
+            self._serve_token(token)
+
+
+def _observed(report):
+    """What a run shows, less the count of tokens that slept."""
+    counters = [dataclasses.asdict(monitor.metrics) for monitor in report.monitors]
+    for record in counters:
+        del record["parked_tokens_slept"]
+    return (
+        counters,
+        [monitor.verdict_log for monitor in report.monitors],
+        [monitor.declared_states for monitor in report.monitors],
+        (report.monitor_messages, report.token_messages, report.termination_messages),
+    )
+
+
+def _sleeping_and_reference(monkeypatch, run):
+    """``run()`` as the monitor is and under the reference rule; returns the
+    two observations and the tokens that slept."""
+    report = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
+        reference = run()
+    assert reference.parked_tokens_slept == 0
+    return _observed(report), _observed(reference), report.parked_tokens_slept
+
+
+def _cell(property_name, n, epp, seed, budget):
+    scenario = get_scenario("paper-default")
+    inputs = cell_inputs(
+        scenario, property_name, n, events_per_process=epp,
+        evt_mu=3, evt_sigma=1, comm_mu=3, comm_sigma=1, seed=seed,
+    )
+    return lambda: simulate_monitored_run(
+        *inputs, seed=seed, max_views_per_state=budget, network=scenario.network
+    )
+
+
+@pytest.mark.parametrize("property_name", "ABCDEF")
+def test_sleeping_changes_nothing_on_the_grid(property_name, monkeypatch):
+    slept = 0
+    for n in (3, 4):
+        for epp in (6, 20):
+            for seed in (2015, 7, 77):
+                run = _cell(property_name, n, epp, seed, budget=2)
+                report, reference, count = _sleeping_and_reference(monkeypatch, run)
+                assert report == reference, (n, epp, seed)
+                slept += count
+    assert slept > 0
+
+
+@pytest.mark.parametrize("property_name, epp", [("A", 20), ("F", 6)])
+def test_a_mark_on_another_process_wakes_the_token(property_name, epp, monkeypatch):
+    run = _cell(property_name, 4, epp, seed=77, budget=None)
+    report, reference, slept = _sleeping_and_reference(monkeypatch, run)
+    assert report == reference
+    assert slept > 0
+
+
+def _ended_sender_scenario():
+    """Three monitors of ``F(P0.p & P1.p & P2.p)``: the tokens of P2 and P0
+    park at P1; P2 drops its ``p`` in a send to P1 and ends; P1 receives.
+    Returns the system, P0's token and its route up to the receive."""
+    system = _System()
+    system.event(2, True)
+    system.event(0, True)
+    p1 = system.monitors[1]
+    (token,) = [t for t in p1.waiting_tokens if t.parent_process == 0]
+    system.monitors[2].local_event(
+        Event(2, 2, EventKind.SEND, VectorClock([0, 0, 2]), {"p": False}, peer=1)
+    )
+    system.network.deliver_all()
+    system.terminate(2)
+    assert token in p1.waiting_tokens  # P2's event 1 is all the entry needs of P2
+    route = system.route(token)
+    p1.local_event(Event(1, 1, EventKind.RECEIVE, VectorClock([0, 1, 2]), {"p": False}, peer=2))
+    system.network.deliver_all()
+    return system, token, route
+
+
+def _hops(system):
+    """Every token hop, tokens numbered by their first hop (ids are global)."""
+    number = {}
+    return [
+        (number.setdefault(token_id, len(number)), *hop)
+        for token_id, *hop in system.network.routes
+    ]
+
+
+def test_a_clock_that_asks_more_of_an_ended_process_wakes_the_token(monkeypatch):
+    system, token, route = _ended_sender_scenario()
+    # the receive's clock asks for P2's event 2, which only M2 holds, and M2
+    # settles the entry there: P2 has ended with p false
+    assert token not in system.monitors[1].waiting_tokens
+    assert system.route(token) == [*route, (1, 2), (2, 0)]
+    assert [entry.eval for entry in token.entries] == [False]
+    with monkeypatch.context() as patched:
+        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
+        reference, _, _ = _ended_sender_scenario()
+    assert _hops(system) == _hops(reference)
+
+
+def test_copies_of_one_token_are_woken_one_by_one(monkeypatch):
+    spec = generate_point(7, 133)
+    plan = spec.faults()
+    assert any(b.duplicate_every or b.replay_every for b in plan.byzantine)
+    computation, automaton, registry = build_cell_inputs(spec)
+
+    def run():
+        return simulate_monitored_run(
+            computation, automaton, registry, seed=spec.seed,
+            max_views_per_state=spec.max_views_per_state,
+            network=get_scenario(spec.scenario).network,
+            faults=plan, max_sim_events=_SIM_EVENT_BUDGET,
+        )
+
+    report, reference, slept = _sleeping_and_reference(monkeypatch, run)
+    assert report == reference
+    assert slept > 0

@@ -1,7 +1,7 @@
 """What a monitor remembers of its searches: ``_least`` and ``GlobalView.searched``.
 
 * **One least cut per guard.**  What ``_issue_token`` takes from ``_least``
-  is what walking the columns gives and what ``repro.slicing`` computes,
+  is what walking the columns gives and what the slicer computes,
   found or settled ``False``; a floor beyond the remembered cut, or not above
   the remembered floor, is walked.
 * **A leaving token is built by walking.**  A step with one remembered and
@@ -21,7 +21,7 @@ import hypothesis.strategies as st
 import pytest
 import test_serve_from_columns as home
 from hypothesis import assume, given, settings
-from test_step_search import _concurrent, _satisfies, searches
+from test_step_search import _concurrent, _satisfies, least_consistent_cut, searches
 from test_token_hot_paths import (
     _bits_of,
     _box,
@@ -39,7 +39,6 @@ from repro.core.transport import LoopbackNetwork
 from repro.distributed.computation import ComputationBuilder
 from repro.distributed.lattice import ComputationLattice
 from repro.ltl import PropositionRegistry, Verdict
-from repro.slicing import least_consistent_cut
 
 ROW = 7_000  # the ``transition_id`` of a search made by hand
 
@@ -93,10 +92,21 @@ def _search(monitor, computation, guard, floor):
     return view, entry
 
 
+def _as_search(entry):
+    """The ``(row, satisfied, floor)`` ``_issue_token`` takes for *entry*."""
+    return (entry.transition_id, entry.bits, ()), entry.satisfied, entry.min_positions
+
+
 def _issue(monitor, computation, guard, floor):
+    """Issue the search for *guard* at *floor*, decided at home; returns the
+    least cut it found, or ``None`` (settled ``False``)."""
     view, entry = _search(monitor, computation, guard, floor)
-    monitor._issue_token(view, floor[monitor.process], [entry])
-    return entry
+    forks_of, given = monitor._forks_of, []
+    monitor._forks_of = lambda view, entries: given.extend(entries) or forks_of(view, entries)
+    monitor._issue_token(view, floor[monitor.process], [_as_search(entry)])
+    del monitor._forks_of
+    (found,) = [entry.cut for entry in given if entry.eval] or [None]
+    return found and tuple(found)
 
 
 @st.composite
@@ -132,13 +142,11 @@ def test_a_remembered_least_cut_is_the_walked_one_and_the_slicers(case):
             and (known[1] is None or _below(floor, known[1]))
         )
         hits = remembering.metrics.least_cuts_remembered
-        entry = _issue(remembering, computation, guard, floor)
+        found = _issue(remembering, computation, guard, floor)
         forgetful._least.clear()
         walked = _issue(forgetful, computation, guard, floor)
         least = least_consistent_cut(computation, registry, guard, start=floor)
-        assert entry.eval is walked.eval is (least is not None)
-        if least is not None:
-            assert tuple(entry.cut) == tuple(walked.cut) == tuple(least)
+        assert found == walked == (least and tuple(least))
         # answered from memory exactly when the remembered pair covers the
         # floor; a walk leaves its own pair, an answer from memory leaves all
         assert remembering.metrics.least_cuts_remembered - hits == covered
@@ -171,8 +179,7 @@ def test_only_floors_between_the_remembered_floor_and_cut_are_answered_from_memo
 
     def issue(floor):
         before = monitor.metrics.least_cuts_remembered
-        entry = _issue(monitor, computation, guard, floor)
-        found = tuple(entry.cut) if entry.eval else None
+        found = _issue(monitor, computation, guard, floor)
         return found, monitor.metrics.least_cuts_remembered - before
 
     assert issue((0, 0)) == ((2, 3), 0)  # walked: the raise depends on P0's send
@@ -216,12 +223,12 @@ def _one_remembered_one_undecided(forget):
     of_p1, of_p2 = {"P1.p": True}, {"P2.p": True}
     bits = _guard_bits(monitor, of_p1)
     first = _issue(monitor, computation, of_p1, (0, 0, 0))
-    assert first.eval is True and monitor._least == {bits: ((0, 0, 0), (2, 3, 0))}
+    assert first == (2, 3, 0) and monitor._least == {bits: ((0, 0, 0), (2, 3, 0))}
     if forget:
         monitor._least.clear()
     view, again = _search(monitor, computation, of_p1, (1, 0, 0))
     _, open_ended = _search(monitor, computation, of_p2, (1, 0, 0))
-    assert monitor._issue_token(view, 1, [again, open_ended]) == ()
+    assert monitor._issue_token(view, 1, [_as_search(again), _as_search(open_ended)]) == ()
     return monitor, view, network.tokens
 
 

@@ -162,7 +162,7 @@ def test_serving_from_prefixes_matches_the_owners_event_at_a_time_loops(case):
             # a process known to have ended, either inside the column or beyond it
             monitor.terminated[j] = held[j] + (0 if ended[j] else 1)
     parked_on, waiting_for = entry.parked_on, set(entry.waiting_for)
-    monitor._serve_entry(entry)
+    monitor._serve_entry(entry, monitor._live_ends())
     if entry.eval is None:
         for name in _SEARCH_FIELDS:
             assert getattr(entry, name) == getattr(expected, name), name
@@ -189,14 +189,14 @@ def test_a_foreign_column_that_runs_out_leaves_the_component_lagging():
         start_cut=[0, 0, 0], cut=[0, 0, 0], depend=[0, 0, 0], min_positions=[0, 0, 0],
         satisfied=[True, False, True],
     )
-    monitor._serve_entry(entry)
+    monitor._serve_entry(entry, monitor._live_ends())
     assert entry.cut == [0, 2, 0] and entry.lagging_processes() == [1]
     assert entry.parked_on is None and entry.waiting_for == set() and entry.eval is None
     monitor.terminated[1] = 3  # ended, but beyond what is held here
-    monitor._serve_entry(entry)
+    monitor._serve_entry(entry, monitor._live_ends())
     assert entry.eval is None
     monitor.terminated[1] = 2  # ended inside the column: nothing more can come
-    monitor._serve_entry(entry)
+    monitor._serve_entry(entry, monitor._live_ends())
     assert entry.eval is False
 
 

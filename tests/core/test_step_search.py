@@ -19,13 +19,16 @@
   compiled alphabet; an entry is served by the bits it carries, whatever
   its transition asks.
 * **Slicing oracle.**  Served from columns that hold a whole computation, a
-  search is decided ``True`` exactly at ``repro.slicing``'s least cut.
+  search is decided ``True`` exactly at the slicer's least cut
+  (``tests/slicing/slicer.py``).
 * The pinned counts of the three curve cells CI checks.
 """
 
 import copy
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -58,7 +61,9 @@ from repro.ltl.monitor import MonitorAutomaton
 from repro.ltl.semantics import all_assignments
 from repro.scenarios import get_scenario
 from repro.sim import simulate_monitored_run
-from repro.slicing import least_consistent_cut
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "slicing"))
+from slicer import least_consistent_cut  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,19 @@ def _explore_with_dictionaries(monitor, view, letters, include_currently_satisfi
     return issued
 
 
+def _issuing(monitor):
+    """Make *monitor* issue nothing: the entries of the searches
+    ``_explore_outgoing`` hands ``_issue_token`` are collected instead."""
+    issued = []
+
+    def collect(view, sn, searches):
+        issued.extend(monitor._make_entry(view, *search) for search in searches)
+        return ()
+
+    monitor._issue_token = collect
+    return issued
+
+
 @given(
     st.sampled_from(PROPERTY_NAMES), st.integers(2, 4), st.integers(0, 1 << 16), st.booleans()
 )
@@ -267,8 +285,7 @@ def test_testing_masks_against_the_table_issues_what_testing_letters_did(
     inconclusive = [q for q in automaton.states if not automaton.is_final(q)]
     view = GlobalView(cut=cut, state=rng.choice(inconclusive))
     letters = [columns[j][cut[j]] for j in range(n)]
-    issued = []
-    monitor._issue_token = lambda view, sn, entries: issued.extend(entries) or ()
+    issued = _issuing(monitor)
     assert monitor._explore_outgoing(view, include_currently_satisfied) == ()
     assert [
         (e.transition_id, e.bits, e.satisfied, e.min_positions) for e in issued
@@ -304,8 +321,7 @@ def test_an_entry_is_served_by_the_bits_it_carries():
     p0, p1 = (monitor.automaton.compiled.atom_bit[f"P{j}.p"] for j in range(2))
     monitor.vc_columns[1] += [(0, 1), (0, 2)]
     monitor._append_masks(1, [0, p1])  # P1: p stays false, then rises
-    issued = []
-    monitor._issue_token = lambda view, sn, entries: issued.extend(entries) or ()
+    issued = _issuing(monitor)
     monitor._explore_outgoing(view)
     (genuine,) = issued
     assert genuine.bits == ((p0, p0), (p1, p1))
@@ -313,7 +329,7 @@ def test_an_entry_is_served_by_the_bits_it_carries():
     corrupted.bits = ((p0, p0), (p1, 0))
     unknown.transition_id = 10_000
     for entry in (genuine, corrupted, unknown):
-        monitor._serve_entry(entry)
+        monitor._serve_entry(entry, monitor._live_ends())
     assert genuine.cut == unknown.cut == [0, 2] and genuine.satisfied == [True, True]
     # told its conjunct does not hold where it stands, it stops at the next
     # event that shows what it carries — not what its transition asks
@@ -321,7 +337,7 @@ def test_an_entry_is_served_by_the_bits_it_carries():
 
 
 # ---------------------------------------------------------------------------
-# (iv) repro.slicing is the oracle of the search answered at home
+# (iv) the slicer is the oracle of the search answered at home
 # ---------------------------------------------------------------------------
 @st.composite
 def searches(draw):
@@ -402,6 +418,7 @@ def test_curve_cells_search_each_step_once(
     # targets the letter decides were left out; B: 5 801 (172 replayed)
     assert 0 < report.box_cells_visited <= cells_at_most
     assert 0 < report.least_cuts_remembered <= report.entries_created
+    assert report.parked_tokens_slept > 0  # 248, 451 and 868
 
 
 # ---------------------------------------------------------------------------

@@ -456,7 +456,7 @@ def test_one_shot_serving_matches_the_event_at_a_time_loop(case):
     monitor.terminated[process] = feed if terminated else None
     expected = copy.deepcopy(entry)
     scanned = _serve_one_event_at_a_time(monitor, expected)
-    monitor._serve_entry(entry)
+    monitor._serve_entry(entry, monitor._live_ends())
     assert entry == expected  # dataclass equality: every field
     # the events the loop scanned leave on the token, once, minus what the
     # parent knew

@@ -126,11 +126,13 @@ def test_a_token_blocked_on_a_future_event_is_not_sent_until_it_occurs():
     token = system.blocked_at_p1()
     for _ in range(6):
         system.event(1, False)
-        # the entry advanced over the event, P2 is still wanted, nothing moved
+        # the event cannot move the entry: the token sleeps, nothing is sent
         assert system.network.messages_sent == 1  # P0 -> P1 is all there was
         assert system.monitors[1].waiting_tokens == [token]
-    assert token.entries[0].cut[1] == 6
+    assert token.entries[0].cut[1] == 0  # not walked until the wake
+    assert system.monitors[1].metrics.parked_tokens_slept == 6
     system.event(1, True)
+    assert token.entries[0].cut[1] == 7  # one walk over all seven
     assert system.route(token) == [(0, 1), (1, 2)]  # on to P2, where it waits again
     assert token not in system.monitors[1].waiting_tokens
     assert token in system.monitors[2].waiting_tokens

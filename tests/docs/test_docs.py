@@ -24,7 +24,6 @@ RATCHETED_PATHS = [
     REPO_ROOT / "src" / "repro" / "core",
     REPO_ROOT / "src" / "repro" / "coordination",
     REPO_ROOT / "src" / "repro" / "distributed",
-    REPO_ROOT / "src" / "repro" / "slicing",
     REPO_ROOT / "src" / "repro" / "fuzz",
     REPO_ROOT / "src" / "repro" / "fleet",
     REPO_ROOT / "src" / "repro" / "experiments" / "engine.py",

@@ -179,6 +179,7 @@ _INTERLEAVING_FIELDS = {
     "answered_at_home",
     "least_cuts_remembered",
     "boxes_remembered",
+    "parked_tokens_slept",
 }
 
 

@@ -14,17 +14,20 @@ consistent cut at or above the start that satisfies the guard** (or establish
 that none exists).  :func:`least_consistent_cut` implements the classic
 advance-to-fixpoint algorithm; :class:`Slice` packages the per-event
 join-irreducible cuts.
+
+The monitor does not import this module: it is the test oracle of the
+searches ``DecentralizedMonitor`` serves from its columns
+(``tests/core/test_step_search.py``, ``tests/core/test_search_memory.py``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-
 from dataclasses import dataclass, field
 
-from ..distributed.computation import Computation, Cut
-from ..distributed.lattice import ComputationLattice
-from ..ltl.predicates import PropositionRegistry
+from repro.distributed.computation import Computation, Cut
+from repro.distributed.lattice import ComputationLattice
+from repro.ltl.predicates import PropositionRegistry
 
 __all__ = ["least_consistent_cut", "satisfying_cuts", "Slice"]
 

@@ -1,10 +1,10 @@
 """Tests for computation slicing and conjunctive predicate detection."""
 
 import pytest
+from slicer import Slice, least_consistent_cut, satisfying_cuts
 
 from repro.distributed import ComputationLattice, running_example, running_example_registry
 from repro.ltl import Proposition, PropositionRegistry
-from repro.slicing import Slice, least_consistent_cut, satisfying_cuts
 
 
 @pytest.fixture(scope="module")

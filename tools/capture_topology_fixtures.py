@@ -64,6 +64,7 @@ UNPINNED_COUNTERS = (
     "answered_at_home",
     "least_cuts_remembered",
     "boxes_remembered",
+    "parked_tokens_slept",
 )
 
 
