@@ -18,8 +18,10 @@ Where this departs from the thesis pseudo-code (implicit pending queue, one
 box search per view step, every component of a search answered from the shared
 columns, no ``(state, cut)`` explored twice, no guard's least cut walked twice,
 no box searched by the same view twice, no parked token served by an own event
-that cannot move it) and how the two hot loops — token serving
-off the guard table, box search off the segment index — are built: ``docs/architecture.md``.
+that cannot move it) and how the two hot loops — token serving off the guard
+rows, built once per property with a step's searches looked up by (global
+letter, state), and box search off the segment index, set up only for the
+processes it moves — are built: ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def verdict_divergence(
     return frozenset(decentralized) - frozenset(centralized)
 
 
-#: bound on a monitor's (state set, letter) -> state set image cache
+#: bound on each integer-keyed cache of a property: images, and per process searches
 _IMAGE_CACHE_LIMIT = 1 << 16
 
 
@@ -143,6 +145,32 @@ def _states_of(bits: int) -> Iterator[int]:
         state += 1
 
 
+class _Property:
+    """What every monitor of one property shares, built once per automaton,
+    process count and owner of each compiled atom and kept on the automaton
+    (``MonitorAutomaton.shared``): per state its guard rows ``(transition_id,
+    bits)`` — per process the ``(care, want)`` bits of the guard's conjunct,
+    shared by every entry made from the row — and bounded caches of pure
+    functions of the automaton: letter -> mask, images, and per process the
+    searches of a step (:meth:`DecentralizedMonitor._searches_at`)."""
+
+    __slots__ = ("rows", "masks", "images", "searches")
+
+    def __init__(self, automaton: MonitorAutomaton, registry: PropositionRegistry, n: int) -> None:
+        encode = automaton.compiled.encode
+        self.rows: list[tuple[tuple[int, tuple[tuple[int, int], ...]], ...]] = []
+        for state in automaton.states:
+            table = []
+            for transition in automaton.outgoing_transitions(state):
+                conjuncts = registry.conjuncts_by_process(transition.guard, n)
+                bits = tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
+                table.append((transition.transition_id, bits))
+            self.rows.append(tuple(table))
+        self.masks: dict[Letter, int] = {}
+        self.images: dict[int, int] = {}
+        self.searches: list[dict[int, tuple[list, list]]] = [{} for _ in range(n)]
+
+
 class DecentralizedMonitor:
     """Monitor process ``M_i`` of the decentralized algorithm.
 
@@ -194,17 +222,19 @@ class DecentralizedMonitor:
         #: propositions it does not read are projected away, so events that
         #: change only those repeat the mask
         self._compiled = automaton.compiled
-        self._mask_cache: dict[Letter, int] = {}
-        #: automaton state -> its guard table (:meth:`_guard_table`), and the
-        #: guardless row of a repair
-        self._guard_tables: dict[int, tuple[tuple, ...]] = {}
+        self._num_states = automaton.num_states
+        #: the guard rows and caches every monitor of this property shares
+        #: (:class:`_Property`), and the guardless row of a repair
+        key = num_processes, tuple(map(registry.owner_of, self._compiled.atoms))
+        shared = automaton.shared.get(key) or automaton.shared.setdefault(
+            key, _Property(automaton, registry, num_processes)
+        )
+        self._rows, self._mask_cache, self._image_cache = shared.rows, shared.masks, shared.images
+        self._searches = shared.searches[process]
         self._repair_row = (None, ((0, 0),) * num_processes, ())
         #: a guard's ``bits`` -> the floor and the least cut above it (``None``:
         #: there is none) of the last search of it that was walked at issue time
         self._least: dict[tuple, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
-        #: ``letter_mask << num_states | state_bits`` -> successor state bits
-        self._image_cache: dict[int, int] = {}
-        self._num_states = automaton.num_states
         self._final_bits = sum(1 << q for q in automaton.states if automaton.is_final(q))
         self.metrics = MonitorMetrics()
 
@@ -298,22 +328,32 @@ class DecentralizedMonitor:
                 starts.append(len(masks))
             masks.append(mask)
 
-    def _guard_table(self, state: int) -> tuple[tuple, ...]:
-        """The guard table of *state*, built on first use: per outgoing
-        transition a row ``(transition_id, bits, remote)`` — per process the
-        ``(care, want)`` bits of the guard's conjunct over the letter masks,
-        and the participating processes other than this one."""
-        table = self._guard_tables.get(state)
-        if table is None:
-            encode, n = self._compiled.encode, self.num_processes
-            rows = []
-            for transition in self.automaton.outgoing_transitions(state):
-                conjuncts = self.registry.conjuncts_by_process(transition.guard, n)
-                bits = tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
-                remote = tuple(j for j, (care, _) in enumerate(bits) if care and j != self.process)
-                rows.append((transition.transition_id, bits, remote))
-            table = self._guard_tables[state] = tuple(rows)
-        return table
+    def _searches_at(self, key: int) -> tuple[list, list]:
+        """Search-table miss: the searches a step from *key* —
+        ``global letter mask << num_states | state`` — issues, as ``(row,
+        satisfied)`` pairs in row order: those of a step before this process
+        terminated, and every row whose own conjunct holds and that has a
+        remote one.  Exact per global mask because the ``(care, want)`` bits
+        of process ``j`` cover only atoms ``j`` owns, and column ``j`` holds
+        only their bits."""
+        mine, mask = self.process, key >> self._num_states
+        ordinary: list[tuple[tuple, list[bool]]] = []
+        every: list[tuple[tuple, list[bool]]] = []
+        for transition_id, bits in self._rows[key & ((1 << self._num_states) - 1)]:
+            care, want = bits[mine]
+            remote = tuple(j for j, pair in enumerate(bits) if pair[0] and j != mine)
+            if mask & care != want or not remote:
+                # this process forbids the transition at its frontier, or its
+                # guard is purely *local*: a later local event re-evaluates it
+                continue
+            satisfied = [mask & care == want for care, want in bits]
+            every.append(((transition_id, bits, remote), satisfied))
+            if not all(satisfied):
+                ordinary.append(every[-1])
+        found = ordinary, every
+        if len(self._searches) < _IMAGE_CACHE_LIMIT:
+            self._searches[key] = found
+        return found
 
     def _image(self, key: int) -> int:
         """Image-cache miss: step every state of a state set through a letter.
@@ -499,26 +539,22 @@ class DecentralizedMonitor:
         """
         if view.status != ViewStatus.UNBLOCKED:
             return ()
-        mine = self.process
-        masks = [column[at] for column, at in zip(self.mask_columns, view.cut)]
-        searches: list[Search] = []
-        for row in self._guard_table(view.state):
-            _, bits, remote = row
-            care, want = bits[mine]
-            if masks[mine] & care != want or not remote:
-                # this process forbids the transition at its frontier, or its
-                # guard is purely *local*: a later local event re-evaluates it
-                continue
-            satisfied_now = [mask & care == want for mask, (care, want) in zip(masks, bits)]
-            if not all(satisfied_now):
-                floors = [list(view.cut)]
-            elif include_currently_satisfied:
-                # require at least one participating remote process to move
-                floors = [[at + (k == j) for k, at in enumerate(view.cut)] for j in remote]
-            else:
-                continue
-            searches += [(row, satisfied_now, floor) for floor in floors]
-        return self._issue_token(view, view.cut[mine], searches) if searches else ()
+        cut = view.cut
+        key = self._mask_at(cut) << self._num_states | view.state
+        ordinary, every = self._searches.get(key) or self._searches_at(key)
+        if include_currently_satisfied:
+            searches: list[Search] = []
+            for row, satisfied in every:
+                if all(satisfied):  # require at least one participating remote process to move
+                    searches += [
+                        (row, satisfied, [at + (k == j) for k, at in enumerate(cut)])
+                        for j in row[2]
+                    ]
+                else:
+                    searches.append((row, satisfied, list(cut)))
+        else:
+            searches = [(row, satisfied, list(cut)) for row, satisfied in ordinary]
+        return self._issue_token(view, cut[self.process], searches) if searches else ()
 
     def _issue_token(
         self, view: GlobalView, parent_event_sn: int, searches: list[Search]
@@ -994,10 +1030,11 @@ class DecentralizedMonitor:
         repeats.  When either condition fails every event is its own segment.
         A *cell* is a tuple of segment indices, counted from the view's; an
         entry's target cell holds its cut; what the search finds there is left
-        in ``view.searched``.
+        in ``view.searched``.  Only the processes the union moves are set up:
+        the letters of the others are one fixed mask, and when none moves
+        every target is the view's own cell, whose states are the view's.
         """
         n = self.num_processes
-        n_range = range(n)
         base = view.cut
         shift, image = self._num_states, self._image_cache
         start = 1 << view.state
@@ -1010,25 +1047,23 @@ class DecentralizedMonitor:
         # the target cells, off the index (every position, if nothing collapses)
         index = self.seg_starts if collapse else [range(len(c)) for c in self.mask_columns]
         first = list(map(bisect_right, index, base))
-        reached = [0] * len(entries)
         targets: dict[tuple[int, ...], list[int]] = {}  # target cell -> its entries
         for e, entry in enumerate(entries):
             cell = tuple(map(sub, map(bisect_right, index, entry.cut), first))
             targets.setdefault(cell, []).append(e)
-        hi = list(map(max, base, *(entry.cut for entry in entries)))  # the join searched
-
-        # per process: the positions of the events that open segments 1, 2, …
-        # of the union, and per segment its letter mask and its last position
-        # — maybe beyond a target in it, but an opener at or below a target is
-        # inside that consistent cut: its clock asks nothing beyond it
         ranges = [max(column) for column in zip(*targets)]
-        opens = [starts[f : f + r] for starts, f, r in zip(index, first, ranges)]
-        seg_masks: list[list[int]] = []
-        seg_ends: list[list[int]] = []
-        for j, column in enumerate(self.mask_columns):
-            seg_masks.append([column[base[j]], *[column[o] for o in opens[j]]])
-            seg_ends.append([*[o - 1 for o in opens[j]], hi[j]])
+        active = [j for j in range(n) if ranges[j] > 0]  # the processes the union moves
+        if not active:  # the search would stop at level 0, in the view's cell
+            self.metrics.box_cells_visited += 1
+            for entry in entries:
+                view.searched[view.state, tuple(entry.cut)] = start
+            return [start] * len(entries)
 
+        # per process moved: the positions of the events that open segments
+        # 1, 2, … of the union, and per segment its letter mask and its last
+        # position — maybe beyond a target in it, but an opener at or below a
+        # target is inside that consistent cut: its clock asks nothing beyond
+        # it.  A process not moved has one segment, ending at the join.
         # A cell is held as a mixed-radix integer (advancing process j adds
         # strides[j]); a set of automaton states, or of targets, is a bitmask.
         # fits[j][g]: the targets whose cell reaches segment g of process j —
@@ -1036,18 +1071,30 @@ class DecentralizedMonitor:
         # outgrow the boxes it joins.  needs[j][g], filled when first asked
         # for: what the opener of segment g + 1 of process j requires of the
         # others, as (process, least position) pairs.
-        active = [j for j in n_range if ranges[j] > 0]
-        strides = [1] * n
-        for j in range(1, n):
-            strides[j] = strides[j - 1] * (ranges[j - 1] + 1)
+        hi = list(map(max, base, *(entry.cut for entry in entries)))  # the join searched
+        seg_ends: list[list[int]] = [[at] for at in hi]
+        opens: list[list[int]] = [[]] * n
+        seg_masks: list[list[int]] = [[]] * n
+        fits: list[list[int]] = [[]] * n
+        needs: list[list] = [[]] * n
+        strides, stride, fixed = [0] * n, 1, 0  # fixed: the letter of those not moved
+        for j, column in enumerate(self.mask_columns):
+            r = ranges[j]
+            if not r:
+                fixed |= column[base[j]]
+                continue
+            opens[j] = index[j][first[j] : first[j] + r]
+            seg_masks[j] = [column[base[j]], *[column[o] for o in opens[j]]]
+            seg_ends[j] = [*[o - 1 for o in opens[j]], hi[j]]
+            strides[j], stride = stride, stride * (r + 1)
+            fits[j] = [0] * (r + 2)
+            needs[j] = [None] * r
         # target cell, as an integer -> its slot
         goals: dict[int, list | None] = {sum(map(mul, cell, strides)): None for cell in targets}
-        fits = [[0] * (r + 2) for r in ranges]
         for bit, cell in enumerate(targets):
             for j in active:
                 for g in range(1, cell[j] + 1):
                     fits[j][g] |= 1 << bit
-        needs: list[list] = [[None] * r for r in ranges]
         vc_columns = self.vc_columns
 
         # Level-synchronous BFS over the *inhabited* cells — those holding a
@@ -1078,7 +1125,7 @@ class DecentralizedMonitor:
                         if need is None:
                             vc = vc_columns[j][opens[j][gj]]
                             need = needs[j][gj] = [
-                                (k, vc[k]) for k in n_range if k != j and vc[k] > base[k]
+                                (k, vc[k]) for k in range(n) if k != j and vc[k] > base[k]
                             ]
                         for k, least in need:
                             if seg_ends[k][segments[k]] < least:
@@ -1086,8 +1133,8 @@ class DecentralizedMonitor:
                         else:
                             at = segments.copy()
                             at[j] = gj + 1
-                            mask = 0
-                            for i in n_range:
+                            mask = fixed
+                            for i in active:
                                 mask |= seg_masks[i][at[i]]
                             slot = nxt[succ] = [0, at, mask << shift, under]
                             if succ in goals:
@@ -1102,6 +1149,7 @@ class DecentralizedMonitor:
             visited += len(nxt)
             current = nxt
         self.metrics.box_cells_visited += visited
+        reached = [0] * len(entries)
         for slot, served in zip(goals.values(), targets.values()):
             for e in served if slot else ():  # no slot: the cut was not a consistent one
                 reached[e] = view.searched[view.state, tuple(entries[e].cut)] = slot[0]

@@ -76,12 +76,6 @@ class VectorClock:
         """Merge with the sender's clock and tick the local component."""
         return self.merge(other).increment(process)
 
-    def with_component(self, process: int, value: int) -> "VectorClock":
-        """A copy with one component replaced."""
-        components = list(self._components)
-        components[process] = int(value)
-        return VectorClock(components)
-
     # -- comparisons --------------------------------------------------------
     def _check_compatible(self, other: "VectorClock") -> None:
         if len(self) != len(other):
@@ -120,19 +114,6 @@ class VectorClock:
     def dominates_on(self, other: "VectorClock", indices: Sequence[int]) -> bool:
         """Whether ``self[i] >= other[i]`` for every index in *indices*."""
         return all(self._components[i] >= other[i] for i in indices)
-
-    def lagging_components(self, other: "VectorClock") -> list[int]:
-        """Indices where *self* knows strictly less than *other*.
-
-        These are exactly the processes whose state must be refreshed before
-        a global cut containing *other*'s knowledge becomes consistent.
-        """
-        self._check_compatible(other)
-        return [
-            i
-            for i, (a, b) in enumerate(zip(self._components, other._components))
-            if a < b
-        ]
 
 
 #: dedicated RNG salt so skew streams are independent of workload/fault RNGs

@@ -104,9 +104,5 @@ class Event:
         """Whether this event receives an application message."""
         return self.kind is EventKind.RECEIVE
 
-    def local_copy(self) -> dict[str, object]:
-        """A mutable copy of the local state after the event."""
-        return dict(self.state)
-
     def __str__(self) -> str:
         return f"e{self.process}_{self.sn}({self.kind})"

@@ -16,7 +16,7 @@ lattice.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from dataclasses import dataclass
 
@@ -109,19 +109,6 @@ class ComputationLattice:
         """Greatest lower bound: component-wise minimum (Definition 14)."""
         return tuple(min(a, b) for a, b in zip(first, second))
 
-    def is_join_irreducible(self, cut: Cut) -> bool:
-        """Definition 15: the cut is not the bottom element and is not the
-        join of two strictly smaller consistent cuts."""
-        cut = tuple(cut)
-        if cut == self.bottom:
-            return False
-        others = [c for c in self._cuts if c != cut and self.meet(c, cut) == c]
-        for i, first in enumerate(others):
-            for second in others[i:]:
-                if self.join(first, second) == cut:
-                    return False
-        return True
-
     # -- paths -----------------------------------------------------------------
     def paths(
         self, start: Cut | None = None, end: Cut | None = None
@@ -160,10 +147,6 @@ class ComputationLattice:
                 continue
             counts[cut] = sum(counts[s] for s in self._successors[cut])
         return counts.get(self.bottom, 0)
-
-    def global_states_on_path(self, path: Sequence[Cut]) -> list[list[dict]]:
-        """The global-state trace corresponding to a lattice path (Definition 7)."""
-        return [self.computation.global_state(cut) for cut in path]
 
     # -- levels ------------------------------------------------------------------
     def levels(self) -> list[list[Cut]]:

@@ -163,71 +163,76 @@ def _negation_of(formula: Formula) -> Formula:
 
 
 def _expand(node: _Node, nodes: list[_Node]) -> list[_Node]:
-    """The recursive ``expand`` procedure of GPVW (iterative set semantics)."""
-    if not node.new:
-        for existing in nodes:
-            if existing.old == node.old and existing.next == node.next:
-                existing.incoming |= node.incoming
-                return nodes
-        nodes.append(node)
-        successor = _Node(
-            incoming={node.name}, new=set(node.next), old=set(), nxt=set()
-        )
-        return _expand(successor, nodes)
+    """The ``expand`` procedure of GPVW (iterative set semantics).
 
-    formula = next(iter(node.new))
-    node.new.discard(formula)
+    A worklist, because the procedure as GPVW state it recurses once per
+    processed subformula and exhausts the stack on ordinary formulas.  A
+    split pushes its right node under its left one, so nodes are created,
+    merged and appended in the recursion's order: depth first, left first.
+    """
+    work = [node]
+    while work:
+        node = work.pop()
+        if not node.new:
+            for existing in nodes:
+                if existing.old == node.old and existing.next == node.next:
+                    existing.incoming |= node.incoming
+                    break
+            else:
+                nodes.append(node)
+                work.append(_Node(incoming={node.name}, new=set(node.next), old=set(), nxt=set()))
+            continue
 
-    if _is_literal(formula):
-        if isinstance(formula, FalseConst) or _negation_of(formula) in node.old:
-            return nodes  # contradiction: discard this node
-        if not isinstance(formula, TrueConst):
+        formula = next(iter(node.new))
+        node.new.discard(formula)
+
+        if _is_literal(formula):
+            if isinstance(formula, FalseConst) or _negation_of(formula) in node.old:
+                continue  # contradiction: discard this node
+            if not isinstance(formula, TrueConst):
+                node.old.add(formula)
+            work.append(node)
+        elif isinstance(formula, And):
             node.old.add(formula)
-        return _expand(node, nodes)
+            for child in (formula.left, formula.right):
+                if child not in node.old:
+                    node.new.add(child)
+            work.append(node)
+        elif isinstance(formula, Next):
+            node.old.add(formula)
+            node.next.add(formula.operand)
+            work.append(node)
+        elif isinstance(formula, (Or, Until, Release)):
+            node.old.add(formula)
+            if isinstance(formula, Or):
+                new1 = {formula.left}
+                new2 = {formula.right}
+                next1: set[Formula] = set()
+            elif isinstance(formula, Until):
+                new1 = {formula.left}
+                new2 = {formula.right}
+                next1 = {formula}
+            else:  # Release
+                new1 = {formula.right}
+                new2 = {formula.left, formula.right}
+                next1 = {formula}
 
-    if isinstance(formula, And):
-        node.old.add(formula)
-        for child in (formula.left, formula.right):
-            if child not in node.old:
-                node.new.add(child)
-        return _expand(node, nodes)
-
-    if isinstance(formula, Next):
-        node.old.add(formula)
-        node.next.add(formula.operand)
-        return _expand(node, nodes)
-
-    if isinstance(formula, (Or, Until, Release)):
-        node.old.add(formula)
-        if isinstance(formula, Or):
-            new1 = {formula.left}
-            new2 = {formula.right}
-            next1: set[Formula] = set()
-        elif isinstance(formula, Until):
-            new1 = {formula.left}
-            new2 = {formula.right}
-            next1 = {formula}
-        else:  # Release
-            new1 = {formula.right}
-            new2 = {formula.left, formula.right}
-            next1 = {formula}
-
-        node1 = _Node(
-            incoming=set(node.incoming),
-            new=node.new | (new1 - node.old),
-            old=set(node.old),
-            nxt=node.next | next1,
-        )
-        node2 = _Node(
-            incoming=set(node.incoming),
-            new=node.new | (new2 - node.old),
-            old=set(node.old),
-            nxt=set(node.next),
-        )
-        nodes = _expand(node1, nodes)
-        return _expand(node2, nodes)
-
-    raise TypeError(f"formula not in NNF: {formula}")
+            node1 = _Node(
+                incoming=set(node.incoming),
+                new=node.new | (new1 - node.old),
+                old=set(node.old),
+                nxt=node.next | next1,
+            )
+            node2 = _Node(
+                incoming=set(node.incoming),
+                new=node.new | (new2 - node.old),
+                old=set(node.old),
+                nxt=set(node.next),
+            )
+            work += [node2, node1]
+        else:
+            raise TypeError(f"formula not in NNF: {formula}")
+    return nodes
 
 
 def _node_guard(node: _Node) -> Guard:

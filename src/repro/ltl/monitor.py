@@ -187,6 +187,14 @@ class MonitorAutomaton:
             reach.append(sum(1 << q for q in seen))
         return tuple(reach)
 
+    @cached_property
+    def shared(self) -> dict:
+        """Tables that the monitors running this automaton derive from it
+        once and share, across sessions too; empty until one asks
+        (:class:`repro.core.monitor.DecentralizedMonitor` keys its own by
+        process count and the owner of each compiled atom)."""
+        return {}
+
     def step(self, state: int, letter: Letter) -> int:
         """Successor state after reading *letter* (a set of true atoms)."""
         return self._machine.step(state, letter)
@@ -213,23 +221,6 @@ class MonitorAutomaton:
     def self_loop_transitions(self, state: int) -> list[Transition]:
         """Self-loop transitions of *state*."""
         return list(self._self_loops.get(state, ()))
-
-    def enabled_transition(self, state: int, letter: Letter) -> Transition | None:
-        """The unique transition of *state* enabled by *letter*, if any.
-
-        Because the underlying machine is deterministic and complete, exactly
-        one (source, target) pair matches; among its conjunctive guards the
-        first satisfied one is returned.
-        """
-        target = self.step(state, letter)
-        for transition in self.transitions:
-            if (
-                transition.source == state
-                and transition.target == target
-                and transition.guard_satisfied(letter)
-            ):
-                return transition
-        return None
 
     # ------------------------------------------------------------------
     # statistics for Table 5.1 / Fig 5.1

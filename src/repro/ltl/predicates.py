@@ -87,9 +87,6 @@ class PropositionRegistry:
         self._by_owner: dict[int, list[Proposition]] = {}
         for proposition in self._by_name.values():
             self._by_owner.setdefault(proposition.owner, []).append(proposition)
-        #: memo for :meth:`conjuncts_by_process`; guards come from a fixed
-        #: monitor automaton, so the key space is small and bounded
-        self._conjunct_cache: dict[tuple, tuple[dict[str, bool], ...]] = {}
 
     # -- introspection -------------------------------------------------
     @property
@@ -109,10 +106,6 @@ class PropositionRegistry:
     def owner_of(self, name: str) -> int:
         """Process index owning proposition *name*."""
         return self._by_name[name].owner
-
-    def owned_by(self, process: int) -> list[Proposition]:
-        """Propositions owned by *process*."""
-        return list(self._by_owner.get(process, ()))
 
     # -- evaluation ------------------------------------------------------
     def local_letter(self, process: int, local_state: LocalState) -> frozenset[str]:
@@ -141,22 +134,13 @@ class PropositionRegistry:
         The result has one entry per process: the literals of the guard owned
         by that process (empty when the process does not participate in the
         guard).  This mirrors the ``ConjunctsEvaluation`` vector of the
-        paper's token objects.
-
-        The decomposition is memoized per (guard, process count) and the
-        *shared* cached tuple is returned: treat it and its dictionaries as
-        read-only, and copy before mutating (as the token entries do).
+        paper's token objects.  Monitors split each guard once per property
+        (``repro.core.monitor._Property``), so nothing is memoized here.
         """
-        key = (frozenset(guard.items()), num_processes)
-        cached = self._conjunct_cache.get(key)
-        if cached is None:
-            per_process: list[dict[str, bool]] = [dict() for _ in range(num_processes)]
-            for atom, required in guard.items():
-                owner = self.owner_of(atom)
-                per_process[owner][atom] = required
-            cached = tuple(per_process)
-            self._conjunct_cache[key] = cached
-        return cached
+        per_process: list[dict[str, bool]] = [dict() for _ in range(num_processes)]
+        for atom, required in guard.items():
+            per_process[self.owner_of(atom)][atom] = required
+        return tuple(per_process)
 
     def participating_processes(self, guard: Mapping[str, bool]) -> frozenset[int]:
         """Indices of processes owning at least one literal of *guard*."""

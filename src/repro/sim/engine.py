@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 __all__ = ["SimulationBudgetExceeded", "Simulator"]
 
@@ -26,18 +25,13 @@ class SimulationBudgetExceeded(RuntimeError):
     """
 
 
-@dataclass(order=True)
-class _Scheduled:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-
-
 class Simulator:
     """Priority-queue driven discrete-event simulator."""
 
     def __init__(self) -> None:
-        self._queue: list[_Scheduled] = []
+        #: ``(time, sequence, callback)``: sequences are unique, so no
+        #: comparison reaches a callback
+        self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
         self.now: float = 0.0
         self.events_executed: int = 0
@@ -63,7 +57,7 @@ class Simulator:
                 time = self.now
             else:
                 raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        heapq.heappush(self._queue, _Scheduled(time, next(self._sequence), callback))
+        heapq.heappush(self._queue, (time, next(self._sequence), callback))
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule *callback* ``delay`` time units from now."""
@@ -80,9 +74,8 @@ class Simulator:
         """Execute the next scheduled callback; returns False when idle."""
         if not self._queue:
             return False
-        item = heapq.heappop(self._queue)
-        self.now = item.time
-        item.callback()
+        self.now, _, callback = heapq.heappop(self._queue)
+        callback()
         self.events_executed += 1
         return True
 
@@ -93,7 +86,7 @@ class Simulator:
         """
         executed = 0
         while self._queue:
-            if until is not None and self._queue[0].time > until:
+            if until is not None and self._queue[0][0] > until:
                 break
             self.step()
             executed += 1

@@ -14,20 +14,27 @@
   column, whatever is appended, by whichever path.
 * **Guard table.**  Testing letter masks against the table issues the
   entries that testing letters against dictionaries did (the reference is
-  kept here); a conjunct's ``care`` bits are 0 exactly when it is empty,
-  because every guard of the case-study monitors names only atoms of the
-  compiled alphabet; an entry is served by the bits it carries, whatever
-  its transition asks.
+  kept here), also when a step reads the search table another step filled;
+  a conjunct's ``care`` bits are 0 exactly when it is empty, because every
+  guard of the case-study monitors names only atoms of the compiled
+  alphabet; an entry is served by the bits it carries, whatever its
+  transition asks; the monitors of a property share one ``bits`` object per
+  row, across sessions, and another owner binding gets rows of its own.
 * **Slicing oracle.**  Served from columns that hold a whole computation, a
   search is decided ``True`` exactly at the slicer's least cut
   (``tests/slicing/slicer.py``).
 * The pinned counts of the three curve cells CI checks.
+* **Set-up of what moves.**  A search that sets up only the processes its
+  union moves — none, when every target is the view's own cell — gives and
+  leaves what the search that set up every process did (kept here).
 """
 
 import copy
 import random
 import sys
+from bisect import bisect_right
 from itertools import product
+from operator import is_, mul, sub
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -55,7 +62,7 @@ from repro.distributed.events import Event, EventKind
 from repro.distributed.lattice import ComputationLattice
 from repro.experiments.engine import cell_inputs
 from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor, case_study_registry
-from repro.ltl import PropositionRegistry, Verdict, build_monitor
+from repro.ltl import Proposition, PropositionRegistry, Verdict, build_monitor
 from repro.ltl.dfa import MooreMachine
 from repro.ltl.monitor import MonitorAutomaton
 from repro.ltl.semantics import all_assignments
@@ -282,15 +289,24 @@ def test_testing_masks_against_the_table_issues_what_testing_letters_did(
         monitor._append_masks(j, map(automaton.compiled.encode, letters[1:]))
         columns.append(letters)
     cut = [rng.randrange(5) for _ in range(n)]
+    for j in range(n):  # position 5 repeats the letter at the cut
+        monitor._append_masks(j, [automaton.compiled.encode(columns[j][cut[j]])])
     inconclusive = [q for q in automaton.states if not automaton.is_final(q)]
-    view = GlobalView(cut=cut, state=rng.choice(inconclusive))
+    state = rng.choice(inconclusive)
     letters = [columns[j][cut[j]] for j in range(n)]
-    issued = _issuing(monitor)
-    assert monitor._explore_outgoing(view, include_currently_satisfied) == ()
-    assert [
-        (e.transition_id, e.bits, e.satisfied, e.min_positions) for e in issued
-    ] == _explore_with_dictionaries(monitor, view, letters, include_currently_satisfied)
-    assert all(e.cut == e.start_cut == e.depend == cut for e in issued)
+    key = monitor._mask_at(cut) << automaton.num_states | state
+    # the second step, from a cut with the same state and masks, reads the
+    # search table the first filled (or found filled: monitors share it)
+    for step_cut in (cut, [5] * n):
+        view = GlobalView(cut=list(step_cut), state=state)
+        issued = _issuing(monitor)
+        assert monitor._explore_outgoing(view, include_currently_satisfied) == ()
+        assert [
+            (e.transition_id, e.bits, e.satisfied, e.min_positions) for e in issued
+        ] == _explore_with_dictionaries(monitor, view, letters, include_currently_satisfied)
+        assert all(e.cut == e.start_cut == e.depend == step_cut for e in issued)
+        assert key in monitor._searches
+        monitor._searches_at = lambda key: pytest.fail("the second step missed the table")
 
 
 @pytest.mark.parametrize("name", PROPERTY_NAMES)
@@ -334,6 +350,36 @@ def test_an_entry_is_served_by_the_bits_it_carries():
     # told its conjunct does not hold where it stands, it stops at the next
     # event that shows what it carries — not what its transition asks
     assert corrupted.cut == [0, 1] and corrupted.satisfied == [True, True]
+
+
+def _shared_bits(monitor):
+    return [bits for rows in monitor._rows for _, bits in rows]
+
+
+def test_monitors_of_one_property_share_its_guard_rows_and_another_binding_does_not():
+    sessions = [_curve_cell(("F", 3, 6)) for _ in range(2)]
+    monitors = [monitor for report in sessions for monitor in report.monitors]
+    shared = _shared_bits(monitors[0])
+    assert shared and len(monitors) == 6
+    for monitor in monitors:
+        # one ``bits`` object per row, in every monitor and every entry made
+        assert all(map(is_, _shared_bits(monitor), shared))
+        assert all(any(bits is row for row in shared) for bits in monitor._least)
+    assert any(monitor._least for monitor in monitors)
+    # the atoms of process j owned by j + 1: the rows are rebuilt, their
+    # conjuncts move one process on
+    registry = case_study_registry(3)
+    swapped = PropositionRegistry(
+        Proposition.variable(name, (registry.owner_of(name) + 1) % 3, name.split(".")[1])
+        for name in registry.names
+    )
+    automaton = monitors[0].automaton
+    moved = DecentralizedMonitor(
+        process=0, num_processes=3, automaton=automaton, registry=swapped,
+        initial_letters=[frozenset()] * 3, transport=LoopbackNetwork(),
+    )
+    assert _shared_bits(moved) == [bits[-1:] + bits[:-1] for bits in shared]
+    assert not any(map(is_, _shared_bits(moved), shared))
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +441,15 @@ def _curve_cell(cell):
 
 
 @pytest.mark.parametrize(
-    "cell, queries, remembered, by_letter, cells_at_most, views",
+    "cell, queries, remembered, by_letter, cells, views",
     [
-        (("C", 4, 20), 659, 429, 231, 1_000, 169),  # the token-heavy cell
-        (("F", 5, 20), 6_313, 4_785, 1_295, 40_000, 405),
-        (("B", 5, 40), 988, 192, 220, 1_100, 773),  # the long-trace cell
+        (("C", 4, 20), 659, 429, 231, 952, 169),  # the token-heavy cell
+        (("F", 5, 20), 6_313, 4_785, 1_295, 38_529, 405),
+        (("B", 5, 40), 988, 192, 220, 1_020, 773),  # the long-trace cell
     ],
     ids=["C-n4-epp20", "F-n5-epp20", "B-n5-epp40"],
 )
-def test_curve_cells_search_each_step_once(
-    cell, queries, remembered, by_letter, cells_at_most, views
-):
+def test_curve_cells_search_each_step_once(cell, queries, remembered, by_letter, cells, views):
     report = _curve_cell(cell)
     # 1 088, 11 098 and 1 180 asked before a view remembered its last step's
     # targets; views are what they were
@@ -416,7 +460,7 @@ def test_curve_cells_search_each_step_once(
     # C and F: 4 779 and 274 878 with one search per entry, 2 632 and 58 720
     # per step, 1 419 and 34 345 (842 entries replayed along one path) before
     # targets the letter decides were left out; B: 5 801 (172 replayed)
-    assert 0 < report.box_cells_visited <= cells_at_most
+    assert report.box_cells_visited == cells
     assert 0 < report.least_cuts_remembered <= report.entries_created
     assert report.parked_tokens_slept > 0  # 248, 451 and 868
 
@@ -518,3 +562,183 @@ def test_every_conclusive_state_of_the_case_study_monitors_is_a_trap():
             for q in automaton.states:
                 if automaton.is_final(q):
                     assert set(table[q * width : (q + 1) * width]) == {q}, (name, n, q)
+
+
+# ---------------------------------------------------------------------------
+# (vii) a search sets up only what it moves: the search that set up every
+# process, kept as the reference
+# ---------------------------------------------------------------------------
+def _reference_box_search(monitor, view, entries):
+    """``_box_search`` as it was when it built segments, strides, fits and
+    needs for every process, and searched when no process moves."""
+    n = monitor.num_processes
+    base = view.cut
+    shift, image = monitor._num_states, monitor._image_cache
+    start = 1 << view.state
+    collapse = False
+    if monitor.automaton.stutter_closed:
+        key = monitor._mask_at(base) << shift | start
+        collapse = (image.get(key) or monitor._image(key)) == start
+    index = monitor.seg_starts if collapse else [range(len(c)) for c in monitor.mask_columns]
+    first = list(map(bisect_right, index, base))
+    reached = [0] * len(entries)
+    targets = {}
+    for e, entry in enumerate(entries):
+        cell = tuple(map(sub, map(bisect_right, index, entry.cut), first))
+        targets.setdefault(cell, []).append(e)
+    hi = list(map(max, base, *(entry.cut for entry in entries)))
+    ranges = [max(column) for column in zip(*targets)]
+    opens = [starts[f : f + r] for starts, f, r in zip(index, first, ranges)]
+    seg_masks, seg_ends = [], []
+    for j, column in enumerate(monitor.mask_columns):
+        seg_masks.append([column[base[j]], *[column[o] for o in opens[j]]])
+        seg_ends.append([*[o - 1 for o in opens[j]], hi[j]])
+    active = [j for j in range(n) if ranges[j] > 0]
+    strides = [1] * n
+    for j in range(1, n):
+        strides[j] = strides[j - 1] * (ranges[j - 1] + 1)
+    goals = {sum(map(mul, cell, strides)): None for cell in targets}
+    fits = [[0] * (r + 2) for r in ranges]
+    for bit, cell in enumerate(targets):
+        for j in active:
+            for g in range(1, cell[j] + 1):
+                fits[j][g] |= 1 << bit
+    needs = [[None] * r for r in ranges]
+    visited = 1
+    current = {0: [start, [0] * n, 0, (1 << len(targets)) - 1]}
+    if 0 in goals:
+        goals[0] = current[0]
+    while current:
+        nxt = {}
+        for cell, (states, segments, _, below) in current.items():
+            for j in active:
+                gj = segments[j]
+                under = below & fits[j][gj + 1]
+                if not under:
+                    continue
+                succ = cell + strides[j]
+                slot = nxt.get(succ)
+                if slot is None:
+                    need = needs[j][gj]
+                    if need is None:
+                        vc = monitor.vc_columns[j][opens[j][gj]]
+                        need = needs[j][gj] = [
+                            (k, vc[k]) for k in range(n) if k != j and vc[k] > base[k]
+                        ]
+                    if all(seg_ends[k][segments[k]] >= least for k, least in need):
+                        at = segments.copy()
+                        at[j] = gj + 1
+                        mask = 0
+                        for i in range(n):
+                            mask |= seg_masks[i][at[i]]
+                        slot = nxt[succ] = [0, at, mask << shift, under]
+                        if succ in goals:
+                            goals[succ] = slot
+                if slot is not None:
+                    key = slot[2] | states
+                    slot[0] |= image.get(key) or monitor._image(key)
+        level = 0
+        for slot in nxt.values():
+            level |= slot[0]
+        monitor._declare_reached(level)
+        visited += len(nxt)
+        current = nxt
+    monitor.metrics.box_cells_visited += visited
+    for slot, served in zip(goals.values(), targets.values()):
+        for e in served if slot else ():
+            reached[e] = view.searched[view.state, tuple(entries[e].cut)] = slot[0]
+    return reached
+
+
+def _both_searches(monitor, view, entries, search):
+    """What the reference search and *search* each give and leave — answers,
+    ``view.searched``, declared states and verdicts, cells counted — from the
+    same monitor state; the monitor is left as *search* leaves it."""
+    searched, declared = dict(view.searched), set(monitor.declared_states)
+    verdicts, log = set(monitor.declared_verdicts), list(monitor.verdict_log)
+    cells = monitor.metrics.box_cells_visited
+    results = []
+    for run in (_reference_box_search, search):
+        view.searched = dict(searched)
+        monitor.declared_states, monitor.declared_verdicts = set(declared), set(verdicts)
+        monitor.verdict_log = list(log)
+        monitor.metrics.box_cells_visited = cells
+        reached = run(monitor, view, entries)
+        results.append((
+            reached, dict(view.searched), set(monitor.declared_states),
+            list(monitor.verdict_log), monitor.metrics.box_cells_visited - cells,
+        ))
+    return results
+
+
+@given(steps())
+@settings(max_examples=300, deadline=None)
+def test_a_search_gives_and_leaves_what_the_search_that_set_up_every_process_did(case):
+    computation, registry, _, start, targets, automaton, state = case
+    monitor, view, entries = _step(computation, registry, automaton, start, targets, state)
+    reference, own = _both_searches(monitor, view, entries, DecentralizedMonitor._box_search)
+    assert own == reference
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", PROPERTY_NAMES)
+def test_every_search_of_a_run_gives_what_the_search_that_set_up_every_process_did(
+    monkeypatch, name, n
+):
+    searched = []
+    own = DecentralizedMonitor._box_search
+
+    def checked(monitor, view, entries):
+        reference, mine = _both_searches(monitor, view, entries, own)
+        assert mine == reference
+        searched.append(mine[-1])
+        return mine[0]
+
+    monkeypatch.setattr(DecentralizedMonitor, "_box_search", checked)
+    report = _curve_cell((name, n, 20))
+    assert sum(searched) == report.box_cells_visited > 0
+
+
+def _chain(steps):
+    """Two processes of boolean ``p``: *steps* is a script of ``("i", j)``
+    (flip ``p`` of j), ``("k", j)`` (keep it) and ``("m", j)`` (j sends to the
+    other process, which receives at once)."""
+    builder = ComputationBuilder([{"p": False} for _ in range(2)])
+    value = [False, False]
+    for sent, (kind, j) in enumerate(steps, start=1):
+        if kind == "i":
+            value[j] = not value[j]
+            builder.internal(j, {"p": value[j]})
+        elif kind == "k":
+            builder.internal(j, {})
+        else:
+            builder.send(j, to=1 - j, message_id=sent)
+            builder.receive(1 - j, frm=j, message_id=sent)
+    return builder.build(), PropositionRegistry.boolean_grid(2, variables=("p",))
+
+
+def test_a_union_that_crosses_no_segment_boundary_is_the_views_own_cell():
+    computation, registry = _chain([("k", 0), ("k", 1), ("k", 0), ("m", 1)])
+    automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
+    state = automaton.step(automaton.initial_state, frozenset())
+    targets = [(2, 1), (1, 2), (3, 2)]
+    monitor, view, entries = _step(computation, registry, automaton, (0, 0), targets, state)
+    reference, own = _both_searches(monitor, view, entries, DecentralizedMonitor._box_search)
+    assert own == reference
+    assert own[0] == [1 << state] * 3 and own[-1] == 1  # one cell, no level searched
+    lattice = ComputationLattice.from_computation(computation)
+    for target in targets:
+        states, _, _ = _brute_force(computation, lattice, registry, automaton, (0, 0), target, state)
+        assert states == {state}
+
+
+def test_a_chain_of_one_process_stops_where_its_openers_clock_does_not_fit():
+    # P1's message reaches P0 first, then P0's p rises: the rise asks for
+    # P1's send, and a target without it is not a consistent cut
+    computation, registry = _chain([("m", 1), ("i", 0)])
+    automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
+    state = automaton.step(automaton.initial_state, frozenset())
+    monitor, view, entries = _step(computation, registry, automaton, (0, 0), [(2, 0)], state)
+    reference, own = _both_searches(monitor, view, entries, DecentralizedMonitor._box_search)
+    assert own == reference
+    assert own[0] == [0] and own[1] == {} and own[-1] == 1

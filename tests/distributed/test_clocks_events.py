@@ -64,15 +64,6 @@ class TestVectorClock:
     def test_hashable(self):
         assert len({VectorClock([1, 2]), VectorClock([1, 2]), VectorClock([2, 1])}) == 2
 
-    def test_with_component(self):
-        assert VectorClock([1, 2]).with_component(0, 7) == VectorClock([7, 2])
-
-    def test_lagging_components(self):
-        a = VectorClock([1, 5, 0])
-        b = VectorClock([2, 3, 0])
-        assert a.lagging_components(b) == [0]
-        assert b.lagging_components(a) == [1]
-
     def test_dominates_on(self):
         a = VectorClock([2, 0, 3])
         b = VectorClock([1, 4, 3])
@@ -124,12 +115,6 @@ class TestEvent:
             process=1, sn=1, kind=EventKind.INTERNAL, vc=VectorClock([0, 1]), state={}
         )
         assert a.concurrent_with(b)
-
-    def test_local_copy_is_mutable_copy(self):
-        e = self.make()
-        copy = e.local_copy()
-        copy["x"] = 99
-        assert e.state["x"] == 1
 
     def test_str(self):
         assert str(self.make()) == "e0_1(internal)"

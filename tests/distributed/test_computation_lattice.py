@@ -175,11 +175,6 @@ class TestLattice:
                 assert example.is_consistent_cut(lattice.join(a, b))
                 assert example.is_consistent_cut(lattice.meet(a, b))
 
-    def test_join_irreducible_iff_single_predecessor(self, lattice):
-        for cut in lattice.cuts():
-            expected = len(lattice.predecessors(cut)) == 1
-            assert lattice.is_join_irreducible(cut) == expected
-
     def test_paths_start_and_end_correctly(self, lattice):
         for path in lattice.paths():
             assert path[0] == lattice.bottom
@@ -204,12 +199,6 @@ class TestLattice:
         levels = lattice.levels()
         assert sum(len(level) for level in levels) == len(lattice)
         assert lattice.width() >= 2  # concurrency exists in the running example
-
-    def test_global_states_on_path(self, example, lattice):
-        path = next(lattice.paths())
-        states = lattice.global_states_on_path(path)
-        assert len(states) == len(path)
-        assert states[0] == [{"x1": 0}, {"x2": 0}]
 
     def test_membership(self, lattice):
         assert (1, 1) in lattice

@@ -67,6 +67,16 @@ class TestBuchiConstruction:
         assert not is_satisfiable(Not(parse("p | !p")))
         assert not is_satisfiable(Not(parse("(G p) -> p")))
 
+    def test_a_deep_tableau_does_not_exhaust_the_stack(self):
+        # a tableau expanded one call per processed subformula ran out of
+        # stack on this formula (and on a few in a thousand random ones)
+        text = (
+            "((((G((P2.p & P0.p) -> F(P0.p)) & G((!P1.p & P0.p) -> F(P1.p)))"
+            " & ((!P0.p | P2.p) R (!P1.p | P0.p))) & G((!P0.p & P1.p) -> (!P0.p U P0.p)))"
+            " | ((P2.p & P1.p) R !P1.p))"
+        )
+        assert is_satisfiable(parse(text))
+
 
 class TestPrefixAcceptance:
     """``accepts_prefix`` realises the B̂_φ NFA of the LTL3 construction:

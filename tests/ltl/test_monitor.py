@@ -128,12 +128,6 @@ class TestTransitionView:
         ids = [t.transition_id for t in monitor.transitions]
         assert len(ids) == len(set(ids))
 
-    def test_enabled_transition_lookup(self):
-        monitor = build_monitor("F p")
-        t = monitor.enabled_transition(monitor.initial_state, frozenset({"p"}))
-        assert t is not None
-        assert monitor.verdict(t.target) is Verdict.TOP
-
     def test_self_loop_vs_outgoing_partition(self):
         monitor = build_monitor("G((a & b) U (c & d))")
         for t in monitor.transitions:

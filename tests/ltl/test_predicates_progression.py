@@ -65,9 +65,6 @@ class TestPropositionRegistry:
         assert registry.owner_of("x2>=15") == 1
         assert registry.owner_of("x1>=5") == 0
 
-    def test_owned_by(self, registry):
-        assert {p.name for p in registry.owned_by(0)} == {"x1>=5", "x1=10"}
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             PropositionRegistry(
