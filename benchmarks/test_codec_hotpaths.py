@@ -1,33 +1,22 @@
-"""Benchmarks for the wire protocol v4 codec hot paths.
+"""The wire protocol v4 codec hot paths.
 
 Every monitoring message of the asyncio and cluster backends crosses
-:func:`repro.cluster.codec.encode_wire` / :func:`decode_wire`, so their
-throughput bounds the streaming runtimes the same way the kernel hot paths
-bound the simulator.  Three timings land in the ``BENCH_*.json`` document:
+:func:`repro.cluster.codec.encode_wire` / :func:`decode_wire`; ``perf/``'s
+``wire-tcp`` workload times them inside a whole run.  Here:
 
-* ``codec_encode`` — framing a batch of representative tokens (multi-entry,
-  with a run of scanned events) and termination notices.
-* ``codec_decode`` — splitting and decoding the same batch of frames back
-  into messages.
-* ``codec_token_roundtrip`` — decoding and re-encoding every token frame of
-  one whole monitored run (property B, 4 processes, 18 events per process,
-  seed 2015: the trace of the ``wire-tcp`` workload of ``perf/``), with
-  ``events_per_sec`` (program events whose traffic the codec carries per
-  second) and ``bytes_per_frame``, so a change shows in speed and in size;
-  the frames must stay smaller than v3's, which carried an atom table, the
+* encode — framing a batch of representative tokens (multi-entry, with a
+  run of scanned events) and termination notices;
+* decode — splitting and decoding the same batch of frames back into
+  messages, byte-stably;
+* token round trip — decoding and re-encoding every token frame of one
+  whole monitored run (property B, 4 processes, 18 events per process,
+  seed 2015: the trace of the ``wire-tcp`` workload of ``perf/``); the
+  frames must stay smaller than v3's, which carried an atom table, the
   guards and the entries' letters.
-
-The batches are deterministic, so the byte volumes reported next to the
-timings are comparable across runs.
 """
 
-import os
-import time
 from unittest import mock
 
-import pytest
-
-from conftest import record_timing
 from repro.api import ExperimentScale, RunSpec
 from repro.cluster import codec
 from repro.cluster.spec import build_cell_inputs
@@ -35,12 +24,10 @@ from repro.core.messages import TerminationNotice, Token, TokenEntry
 from repro.sim import simulate_monitored_run
 from repro.sim.network import SimulatedNetwork
 
-#: messages framed/parsed per benchmark round
+#: messages framed/parsed per batch
 BATCH_MESSAGES = 2000
 #: ``bytes_per_frame`` of ``codec_token_roundtrip`` under wire protocol v3
 V3_BYTES_PER_FRAME = 215.9
-
-_SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 
 def _representative_token(seed: int) -> Token:
@@ -82,7 +69,7 @@ def _representative_token(seed: int) -> Token:
 
 
 def _message_batch() -> list[tuple[float, object]]:
-    """The deterministic batch both benchmarks work through."""
+    """The deterministic batch both codec tests work through."""
     batch = []
     for i in range(BATCH_MESSAGES):
         if i % 10 == 9:
@@ -93,50 +80,16 @@ def _message_batch() -> list[tuple[float, object]]:
     return batch
 
 
-@pytest.mark.benchmark(group="codec")
-def test_codec_encode_hot_path(benchmark):
-    batch = _message_batch()
-
-    def encode_all():
-        return [codec.encode_wire(due, message) for due, message in batch]
-
-    start = time.perf_counter()
-    frames = benchmark.pedantic(encode_all, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
-    wire_bytes = sum(len(frame) for frame in frames)
-    record_timing(
-        "codec_encode",
-        elapsed,
-        group="codec",
-        replaces="test_codec_encode_hot_path",
-        messages=len(frames),
-        wire_bytes=wire_bytes,
-    )
+def test_codec_encode_hot_path():
+    frames = [codec.encode_wire(due, message) for due, message in _message_batch()]
     assert len(frames) == BATCH_MESSAGES
     assert all(frame.startswith(codec.MAGIC) for frame in frames)
 
 
-@pytest.mark.benchmark(group="codec")
-def test_codec_decode_hot_path(benchmark):
+def test_codec_decode_hot_path():
     batch = _message_batch()
     frames = [codec.encode_wire(due, message) for due, message in batch]
-
-    def decode_all():
-        return [
-            codec.decode_wire(*codec.split_frame(frame)) for frame in frames
-        ]
-
-    start = time.perf_counter()
-    decoded = benchmark.pedantic(decode_all, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
-    record_timing(
-        "codec_decode",
-        elapsed,
-        group="codec",
-        replaces="test_codec_decode_hot_path",
-        messages=len(decoded),
-        wire_bytes=sum(len(frame) for frame in frames),
-    )
+    decoded = [codec.decode_wire(*codec.split_frame(frame)) for frame in frames]
     assert decoded == batch  # byte-stable round-trip of the whole batch
 
 
@@ -152,7 +105,6 @@ def _recording(send, frames):
     return wrapped
 
 
-@pytest.mark.benchmark(group="codec")
 def test_codec_token_roundtrip():
     scale = ExperimentScale()
     spec = RunSpec(
@@ -176,24 +128,10 @@ def test_codec_token_roundtrip():
         simulate_monitored_run(
             computation, automaton, registry, seed=spec.seed, max_views_per_state=2
         )
-    rounds = 1 if _SMOKE else 5
-
-    start = time.perf_counter()
-    for _ in range(rounds):
-        again = [
-            codec.encode_wire(*codec.decode_wire(*codec.split_frame(frame)))
-            for frame in frames
-        ]
-    elapsed = (time.perf_counter() - start) / rounds
+    again = [
+        codec.encode_wire(*codec.decode_wire(*codec.split_frame(frame)))
+        for frame in frames
+    ]
     assert again == frames  # byte-stable over a whole run's tokens
     bytes_per_frame = sum(map(len, frames)) / len(frames)
     assert bytes_per_frame < V3_BYTES_PER_FRAME
-    record_timing(
-        "codec_token_roundtrip",
-        elapsed,
-        group="codec",
-        frames=len(frames),
-        events=computation.num_events,
-        events_per_sec=computation.num_events / elapsed,
-        bytes_per_frame=bytes_per_frame,
-    )

@@ -7,14 +7,11 @@ non-decreasing in the number of processes, F dominates everything, D grows
 fastest among the remaining G-properties, and B/E stay nearly flat.
 """
 
-import pytest
-
 from repro.experiments import run_fig_5_1
 
 
-@pytest.mark.benchmark(group="fig-5.1")
-def test_fig_5_1_transition_series(benchmark):
-    series = benchmark.pedantic(run_fig_5_1, rounds=1, iterations=1)
+def test_fig_5_1_transition_series():
+    series = run_fig_5_1()
     all_transitions = series["all_transitions"]
     outgoing = series["outgoing_transitions"]
 

@@ -7,15 +7,12 @@ in the figures: state counts, verdict labelling, and which properties own a
 reachable ⊥ / ⊤ state.
 """
 
-import pytest
-
 from repro.experiments import case_study_monitor, run_fig_5_2_5_3
 from repro.ltl import Verdict
 
 
-@pytest.mark.benchmark(group="fig-5.2-5.3")
-def test_fig_5_2_5_3_monitor_automata(benchmark):
-    descriptions = benchmark.pedantic(run_fig_5_2_5_3, rounds=1, iterations=1)
+def test_fig_5_2_5_3_monitor_automata():
+    descriptions = run_fig_5_2_5_3()
     print()
     for name, text in descriptions.items():
         print(f"--- property {name} (2 processes) ---")

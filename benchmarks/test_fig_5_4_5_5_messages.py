@@ -19,18 +19,12 @@ yet, and the message totals of the six properties no longer order by
 automaton size (``docs/results.md`` has the numbers and the cause).
 """
 
-import pytest
-
 from conftest import BENCH_SCALE, series_of
 from repro.experiments import format_table, run_fig_5_4_5_5
 
 
-@pytest.mark.benchmark(group="fig-5.4")
-def test_fig_5_4_messages_properties_abc(benchmark):
-    rows = benchmark.pedantic(
-        run_fig_5_4_5_5, args=(("A", "B", "C"),), kwargs={"scale": BENCH_SCALE},
-        rounds=1, iterations=1,
-    )
+def test_fig_5_4_messages_properties_abc():
+    rows = run_fig_5_4_5_5(("A", "B", "C"), scale=BENCH_SCALE)
     print("\nFig 5.4 — messages overhead, properties A-C\n")
     print(format_table(rows, columns=["property", "processes", "events", "messages",
                                       "entries_created", "log_events", "log_messages"]))
@@ -45,12 +39,8 @@ def test_fig_5_4_messages_properties_abc(benchmark):
     assert sum(searches["B"]) <= sum(searches["C"])
 
 
-@pytest.mark.benchmark(group="fig-5.5")
-def test_fig_5_5_messages_properties_def(benchmark, monitoring_sweep):
-    rows = benchmark.pedantic(
-        lambda: [r for r in monitoring_sweep if r["property"] in ("D", "E", "F")],
-        rounds=1, iterations=1,
-    )
+def test_fig_5_5_messages_properties_def(monitoring_sweep):
+    rows = [r for r in monitoring_sweep if r["property"] in ("D", "E", "F")]
     print("\nFig 5.5 — messages overhead, properties D-F\n")
     print(format_table(rows, columns=["property", "processes", "events", "messages",
                                       "entries_created", "log_events", "log_messages"]))

@@ -12,29 +12,22 @@
   is not asserted.
 
 All three figures come from the same monitored-workload sweep, which is
-computed once per benchmark session (see ``conftest.monitoring_sweep``).
+computed once per session (see ``conftest.monitoring_sweep``).
 """
-
-import pytest
 
 from conftest import series_of
 from repro.experiments import format_table
 
 
-@pytest.mark.benchmark(group="fig-5.6")
-def test_fig_5_6_delay_time_percentage(benchmark, monitoring_sweep):
-    rows = benchmark.pedantic(
-        lambda: [
-            {
-                "property": r["property"],
-                "processes": r["processes"],
-                "delay_time_pct_per_view": r["delay_time_pct_per_view"],
-            }
-            for r in monitoring_sweep
-        ],
-        rounds=1,
-        iterations=1,
-    )
+def test_fig_5_6_delay_time_percentage(monitoring_sweep):
+    rows = [
+        {
+            "property": r["property"],
+            "processes": r["processes"],
+            "delay_time_pct_per_view": r["delay_time_pct_per_view"],
+        }
+        for r in monitoring_sweep
+    ]
     print("\nFig 5.6 — delay time percentage per global view\n")
     print(format_table(rows))
     delay = series_of(rows, "delay_time_pct_per_view")
@@ -44,20 +37,15 @@ def test_fig_5_6_delay_time_percentage(benchmark, monitoring_sweep):
         assert any(value > 0.0 for value in values), f"no delay measured for {name}"
 
 
-@pytest.mark.benchmark(group="fig-5.7")
-def test_fig_5_7_delayed_events(benchmark, monitoring_sweep):
-    rows = benchmark.pedantic(
-        lambda: [
-            {
-                "property": r["property"],
-                "processes": r["processes"],
-                "delayed_events": r["delayed_events"],
-            }
-            for r in monitoring_sweep
-        ],
-        rounds=1,
-        iterations=1,
-    )
+def test_fig_5_7_delayed_events(monitoring_sweep):
+    rows = [
+        {
+            "property": r["property"],
+            "processes": r["processes"],
+            "delayed_events": r["delayed_events"],
+        }
+        for r in monitoring_sweep
+    ]
     print("\nFig 5.7 — delayed (queued) events\n")
     print(format_table(rows))
     delayed = series_of(rows, "delayed_events")

@@ -19,24 +19,13 @@ program communication events (Commμ) varies over {3, 6, 9, 15, ∞} seconds
   non-trivial (several views per process) even without any communication.
 """
 
-import pytest
-
 from conftest import BENCH_SCALE
 from repro.experiments import format_table, run_fig_5_9
 
 
-@pytest.mark.benchmark(group="fig-5.9")
-def test_fig_5_9_communication_frequency(benchmark):
-    rows = benchmark.pedantic(
-        run_fig_5_9,
-        kwargs={
-            "comm_mus": (3.0, 6.0, 15.0, None),
-            "num_processes": 4,
-            "property_name": "C",
-            "scale": BENCH_SCALE,
-        },
-        rounds=1,
-        iterations=1,
+def test_fig_5_9_communication_frequency():
+    rows = run_fig_5_9(
+        comm_mus=(3.0, 6.0, 15.0, None), num_processes=4, property_name="C", scale=BENCH_SCALE
     )
     print("\nFig 5.9 — varying the communication frequency (property C, 4 processes)\n")
     print(format_table(rows, columns=["comm_mu", "events", "messages", "entries_created",

@@ -1,14 +1,7 @@
-"""Benchmarks for the multi-tenant fleet: throughput and saturation counters.
+"""The multi-tenant fleet: throughput and saturation counters.
 
-One synthetic fleet per session runs to completion and its
-:meth:`repro.fleet.engine.FleetReport.bench_timings` records land in the
-session's ``BENCH_*.json`` under the ``fleet`` group:
-``fleet_events_per_sec`` carries aggregate ingestion throughput in the
-generic ``events_per_sec`` field (tracked as a higher-is-better rate row by
-``benchmarks/compare_bench.py``) and ``fleet_verdict_latency`` carries the
-lower-is-better ``fleet_verdict_latency_p99`` tail; both embed the full
-saturation-counter block, so a BENCH diff shows tenant lifecycle drift
-(evictions, drops, stalls) alongside the rate change.
+One synthetic fleet per session runs to completion and its report is
+checked; ``perf/``'s ``fleet-mux`` workload is what times a fleet.
 
 The assertions pin the qualitative contract — every tenant completes, the
 block policy stays lossless, the counters conserve events — rather than
@@ -16,11 +9,7 @@ absolute rates, which measure the runner, not the code.
 """
 
 import os
-import time
 
-import pytest
-
-from conftest import record_timing
 from repro.fleet import FleetConfig, run_fleet, synthetic_fleet
 
 #: smoke scale (CI wall-clock budget) vs. the default local scale
@@ -45,23 +34,11 @@ def _report():
         num_processes=_NUM_PROCESSES,
         events_per_process=_EVENTS_PER_PROCESS,
     )
-    start = time.perf_counter()
     report = run_fleet(FleetConfig(tenants=tenants))
-    seconds = time.perf_counter() - start
-    for name, timing in report.bench_timings().items():
-        record_timing(name, float(timing.pop("seconds")), **timing)
-    record_timing(
-        "fleet_wall",
-        seconds,
-        group="fleet",
-        backend="asyncio",
-        fleet_tenants=_NUM_TENANTS,
-    )
     _REPORT_CACHE.append(report)
     return report
 
 
-@pytest.mark.benchmark(group="fleet")
 def test_fleet_completes_every_tenant():
     report = _report()
     assert report.tenants_admitted == _NUM_TENANTS
@@ -70,7 +47,6 @@ def test_fleet_completes_every_tenant():
     assert report.tenants_active == 0
 
 
-@pytest.mark.benchmark(group="fleet")
 def test_fleet_throughput_is_measured():
     report = _report()
     assert report.wall_seconds > 0.0
@@ -84,7 +60,6 @@ def test_fleet_throughput_is_measured():
     )
 
 
-@pytest.mark.benchmark(group="fleet")
 def test_default_block_policy_is_lossless():
     report = _report()
     assert report.events_dropped == 0
@@ -92,7 +67,6 @@ def test_default_block_policy_is_lossless():
         assert result.ingested_events == result.events
 
 
-@pytest.mark.benchmark(group="fleet")
 def test_latency_percentiles_are_ordered():
     report = _report()
     assert 0.0 < report.verdict_latency_p50 <= report.verdict_latency_p99

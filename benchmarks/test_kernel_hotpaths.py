@@ -1,41 +1,29 @@
-"""Benchmarks for the kernel hot paths of the LTL monitoring stack.
+"""The kernel hot paths of the LTL monitoring stack, checked at full size.
 
-These are the acceptance metrics tracked across PRs through the emitted
-``BENCH_*.json`` artifact (see ``conftest.py``):
+These are the paths the whole-run benchmark of ``perf/`` times; here each
+one runs once on a representative input and its result is checked:
 
 * ``build_progression_machine`` — the full case-study automaton sweep
-  (properties A–F at 2–5 processes).  The hash-consed AST with memoized
-  progression makes canonicalisation and ``progress(φ, letter)`` one-time
-  costs per distinct formula instead of per transition.
+  (properties A–F at 2–5 processes).
 * ``run_monitoring_experiment`` — one representative simulated monitoring
   point (property C, 4 processes) at the default :class:`ExperimentScale`.
-* ``compiled_step_throughput`` — the per-event inner loop as the monitors
-  execute it (OR the cached bitmasks of the per-process letters, step the
-  table of :mod:`repro.ltl.compiled`).  The record carries an
-  ``events_per_sec`` field (higher is better; ``compare_bench.py`` inverts
-  the regression direction for it).
-* ``box_bfs_compiled`` — the box-reachability BFS over a fully concurrent
-  box, as hit by token returns: every event its own cell (the search's
-  worst case), and ``box_bfs_stuttering``, the same box with 85 % of the
-  events repeating their process's letter.  The target's letter decides
-  neither, so both time a search.
+* the compiled step — the per-event inner loop as the monitors execute it
+  (OR the cached bitmasks of the per-process letters, step the table of
+  :mod:`repro.ltl.compiled`), against the Moore machine's own ``run``.
+* the box search — box reachability over a fully concurrent box, as hit by
+  token returns: every event its own cell (the search's worst case), and
+  the same box with 85 % of the events repeating their process's letter.
+  The target's letter decides neither, so both search, and the number of
+  cells each visits is checked.
 * ``serve_entry`` — token serving: one entry scanning a 2 000-event local
-  history and the token leaving with those events as its run, in events per
-  second.
-* ``monitoring_end_to_end_compiled`` — one full sweep cell.
-
-The recorded wall-clock numbers land in the JSON document next to the fixed
-seed baseline (:data:`repro.experiments.benchjson.SEED_BASELINE_SECONDS`),
-so the speedup factor is directly computable from the artifact alone.
+  history and the token leaving with those events as its run.
+* one full sweep cell of the monitored workload.
 """
 
 import os
 import random
-import time
 
-import pytest
-
-from conftest import record_timing
+from conftest import BENCH_SCALE
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
@@ -43,7 +31,6 @@ from repro.core.transport import LoopbackNetwork
 from repro.distributed.clocks import VectorClock
 from repro.distributed.events import Event, EventKind
 from repro.experiments import DEFAULT_SCALE, run_monitoring_experiment
-from repro.experiments.benchjson import SEED_BASELINE_SECONDS
 from repro.experiments.engine import run_scenario_cell
 from repro.experiments.properties import (
     PROPERTY_NAMES,
@@ -58,27 +45,12 @@ from repro.scenarios import GridPoint, get_scenario
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 
-@pytest.mark.benchmark(group="kernel")
-def test_build_progression_machine_sweep(benchmark):
-    def sweep():
-        machines = []
-        for name in PROPERTY_NAMES:
-            for n in (2, 3, 4, 5):
-                machine, _ = build_progression_machine(parse(property_formula(name, n)))
-                machines.append(machine)
-        return machines
-
-    start = time.perf_counter()
-    machines = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
-    record_timing(
-        "build_progression_machine",
-        elapsed,
-        group="kernel",
-        replaces="test_build_progression_machine_sweep",
-        machines=len(machines),
-        seed_seconds=SEED_BASELINE_SECONDS["build_progression_machine"],
-    )
+def test_build_progression_machine_sweep():
+    machines = [
+        build_progression_machine(parse(property_formula(name, n)))[0]
+        for name in PROPERTY_NAMES
+        for n in (2, 3, 4, 5)
+    ]
     assert len(machines) == len(PROPERTY_NAMES) * 4
     # every machine is non-trivial and fully defined over its alphabet
     for machine in machines:
@@ -86,28 +58,8 @@ def test_build_progression_machine_sweep(benchmark):
         assert all(len(row) == len(machine.letters) for row in machine.delta)
 
 
-@pytest.mark.benchmark(group="kernel")
-def test_run_monitoring_experiment_default_scale(benchmark):
-    start = time.perf_counter()
-    row = benchmark.pedantic(
-        run_monitoring_experiment,
-        args=("C", 4),
-        kwargs={"scale": DEFAULT_SCALE},
-        rounds=1,
-        iterations=1,
-    )
-    elapsed = time.perf_counter() - start
-    record_timing(
-        "run_monitoring_experiment",
-        elapsed,
-        group="kernel",
-        replaces="test_run_monitoring_experiment_default_scale",
-        property="C",
-        processes=4,
-        replications=DEFAULT_SCALE.replications,
-        workers=DEFAULT_SCALE.workers,
-        seed_seconds=SEED_BASELINE_SECONDS["run_monitoring_experiment"],
-    )
+def test_run_monitoring_experiment_default_scale():
+    row = run_monitoring_experiment("C", 4, scale=DEFAULT_SCALE)
     assert row["property"] == "C"
     assert row["processes"] == 4
     assert row["events"] > 0
@@ -129,14 +81,13 @@ def _per_process_letters(num_processes, num_events, seed=2015):
     return columns
 
 
-@pytest.mark.benchmark(group="compiled-kernel")
 def test_compiled_step_throughput():
     """The single-monitor inner loop: combine per-process letters, step.
 
     What a monitor does per event — one ``_mask_of`` cache hit per
     per-process letter, an integer OR — followed by the table walk of
     ``run_batch``; the Moore machine's own ``run`` over the frozenset unions
-    is the (untimed) reference.
+    is the reference.
     """
     num_events = 20_000 if _SMOKE else 200_000
     automaton = case_study_monitor("C", 3)
@@ -146,29 +97,13 @@ def test_compiled_step_throughput():
     # (DecentralizedMonitor._mask_of), amortised per distinct letter
     mask_of = {letter: compiled.encode(letter) for column in columns for letter in column}
 
-    def compiled_pass():
-        masks = [mask_of[a] | mask_of[b] | mask_of[c] for a, b, c in zip(*columns)]
-        state, _ = compiled.run_batch(compiled.initial, masks)
-        return state
-
-    elapsed, state = float("inf"), None
-    for _ in range(3):
-        start = time.perf_counter()
-        state = compiled_pass()
-        elapsed = min(elapsed, time.perf_counter() - start)
-
+    masks = [mask_of[a] | mask_of[b] | mask_of[c] for a, b, c in zip(*columns)]
+    state, _ = compiled.run_batch(compiled.initial, masks)
     assert state == automaton.run([frozenset().union(*letters) for letters in zip(*columns)])
-    record_timing(
-        "compiled_step_throughput",
-        elapsed,
-        group="compiled-kernel",
-        events=num_events,
-        events_per_sec=num_events / elapsed,
-    )
 
 
 def _box_monitor(automaton, registry, n, holds=False):
-    """Monitor of process 0 whose box search the ``box_bfs_*`` records time;
+    """Monitor of process 0 whose box search the ``box_bfs_*`` tests run;
     *holds*: every atom of the initial state is true, else false."""
     monitor = DecentralizedMonitor(
         process=0,
@@ -236,13 +171,11 @@ def _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.0):
     return view, entry
 
 
-@pytest.mark.benchmark(group="compiled-kernel")
 def test_box_bfs_events_per_sec():
     """Box reachability (the token-return hot path) at its worst case.
 
     A fully concurrent box maximises the consistent cells the BFS must
-    expand, so this isolates the per-cell combine+step cost.  The recorded
-    unit is cells expanded per second (``events_per_sec``, higher better).
+    expand: every one of them is visited, none is collapsed by a letter.
     """
     side = 8 if _SMOKE else 16
     iterations = 2 if _SMOKE else 3
@@ -252,23 +185,13 @@ def test_box_bfs_events_per_sec():
     registry = case_study_registry(n)
     monitor = _box_monitor(automaton, registry, n)
     view, entry = _fully_concurrent_box(monitor, automaton, registry, side)
-    start = time.perf_counter()
     for _ in range(iterations):
         monitor._box_reachable(view, [entry])
-    elapsed = time.perf_counter() - start
     # the worst case: nothing collapsed, every cut of the box searched
     assert monitor.metrics.boxes_by_letter == 0
     assert monitor.metrics.box_cells_visited == cells * iterations
-    record_timing(
-        "box_bfs_compiled",
-        elapsed,
-        group="compiled-kernel",
-        cells=cells * iterations,
-        events_per_sec=cells * iterations / elapsed,
-    )
 
 
-@pytest.mark.benchmark(group="compiled-kernel")
 def test_box_bfs_stuttering_events_per_sec():
     """The same box as a run fills it: 85 % of the events keep their letter.
 
@@ -283,30 +206,20 @@ def test_box_bfs_stuttering_events_per_sec():
     registry = case_study_registry(n)
     monitor = _box_monitor(automaton, registry, n, holds=True)
     view, entry = _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.85)
-    start = time.perf_counter()
     for _ in range(iterations):
         monitor._box_reachable(view, [entry])
-    elapsed = time.perf_counter() - start
     searched = monitor.metrics.box_cells_visited
     assert monitor.metrics.boxes_by_letter == 0
     assert iterations < searched < cells * iterations // 10
-    record_timing(
-        "box_bfs_stuttering",
-        elapsed,
-        group="compiled-kernel",
-        cells=cells * iterations,
-        cells_searched=searched,
-    )
 
 
-@pytest.mark.benchmark(group="compiled-kernel")
 def test_serve_entry_events_per_sec():
     """Token serving in isolation: one entry scanning a whole local history.
 
     The entry must reach the end of a 2 000-event history (a repair-style
     position bound, no conjunct) on a token whose parent holds none of it,
     so one ``_serve_entry`` call scans every event and the token leaves with
-    all of them as its run; the recorded unit is events per second.
+    all of them as its run.
     """
     history = 2_000
     iterations = 5 if _SMOKE else 50
@@ -347,43 +260,19 @@ def test_serve_entry_events_per_sec():
         for _ in range(iterations)
     ]
     ends = monitor._live_ends()
-    start = time.perf_counter()
     for token in tokens:
         monitor._serve_entry(token.entries[0], ends)
         monitor._extend_run(token)
-    elapsed = time.perf_counter() - start
     for token in tokens:
         (entry,) = token.entries
         assert entry.cut == [history, 0, 0]
         assert len(token.runs[0][1]) == history
         assert entry.depend == [history, history // 3, history // 7]
-    record_timing(
-        "serve_entry",
-        elapsed,
-        group="compiled-kernel",
-        events=history * iterations,
-        events_per_sec=history * iterations / elapsed,
-    )
 
 
-@pytest.mark.benchmark(group="compiled-kernel")
 def test_monitoring_end_to_end():
-    """One full sweep cell, wall clock tracked (one unwarmed shot)."""
-    from conftest import BENCH_SCALE
-
-    start = time.perf_counter()
+    """One full sweep cell at the suite's scale."""
     cell = run_scenario_cell(
         get_scenario("paper-default"), GridPoint("C", 3), BENCH_SCALE, seed=2015
     )
-    elapsed = time.perf_counter() - start
     assert cell["events"] > 0 and cell["messages"] > 0
-    record_timing(
-        "monitoring_end_to_end_compiled",
-        elapsed,
-        group="compiled-kernel",
-        scenario="paper-default",
-        property="C",
-        processes=3,
-        events=cell["events"],
-        events_per_sec=cell["events"] / elapsed,
-    )

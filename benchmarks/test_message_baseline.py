@@ -1,20 +1,14 @@
-"""Benchmarks for the message baseline: decentralized monitors vs one central monitor.
+"""The message baseline: decentralized monitors vs one central monitor.
 
 Per property, the paper-default workload is monitored once by the
 decentralized monitors on the simulator and once by the centralized
 baseline (one observation message per program event plus its verdict
-broadcast).  Each of the two rows is recorded into the session's
-``BENCH_*.json`` under the ``message-baseline`` group as
-``baseline_<monitor>_<property>``, carrying ``baseline_messages_total``,
-which ``benchmarks/compare_bench.py`` tracks (lower is better); ``seconds``
-is the wall time of the property's sweep, which produced both rows.
+broadcast).  ``docs/results.md`` prints the same rows at four processes.
 """
-
-import time
 
 import pytest
 
-from conftest import BENCH_SCALE, record_timing
+from conftest import BENCH_SCALE
 from repro.experiments import format_table
 from repro.experiments.harness import run_message_baseline
 
@@ -28,21 +22,7 @@ _BASELINE_CACHE: list = []
 def _baseline():
     if _BASELINE_CACHE:
         return _BASELINE_CACHE[0]
-    rows = []
-    for property_name in _PROPERTIES:
-        start = time.perf_counter()
-        pair = run_message_baseline((property_name,), _NUM_PROCESSES, BENCH_SCALE)
-        seconds = time.perf_counter() - start
-        for row in pair:
-            record_timing(
-                f"baseline_{row['monitor']}_{property_name}",
-                seconds,
-                group="message-baseline",
-                scenario="paper-default",
-                property=property_name,
-                baseline_messages_total=float(row["messages"]),
-            )
-        rows += pair
+    rows = run_message_baseline(_PROPERTIES, _NUM_PROCESSES, BENCH_SCALE)
     _BASELINE_CACHE.append(rows)
     return rows
 
@@ -51,7 +31,6 @@ def _by_monitor(rows, property_name):
     return {row["monitor"]: row for row in rows if row["property"] == property_name}
 
 
-@pytest.mark.benchmark(group="message-baseline")
 def test_decentralized_messages_are_tokens_and_terminations():
     rows = _baseline()
     print("\nmessage baseline\n")
@@ -63,7 +42,6 @@ def test_decentralized_messages_are_tokens_and_terminations():
         ), row
 
 
-@pytest.mark.benchmark(group="message-baseline")
 def test_decentralized_verdicts_are_among_the_centralized_ones():
     rows = _baseline()
     for property_name in _PROPERTIES:

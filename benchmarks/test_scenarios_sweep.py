@@ -1,9 +1,9 @@
-"""Benchmarks for the scenario engine: degraded conditions end-to-end.
+"""The scenario engine: degraded conditions end-to-end.
 
 The paper's evaluation ran one fixed condition (reliable WiFi, designed
 traces); the scenario engine opens the sweep to degraded networks and skewed
-workloads.  This file times a representative subset at the shared bench
-scale and checks the qualitative expectations of each condition:
+workloads.  This file runs a representative subset at the suite's scale
+and checks the qualitative expectations of each condition:
 
 * ``lossy-retransmit`` — same verdict work as the baseline, plus a non-zero
   retransmission overhead;
@@ -12,20 +12,13 @@ scale and checks the qualitative expectations of each condition:
 * ``bursty-comm`` — comm-heavy workload bursts mean more program messages
   and therefore more monitoring traffic than the baseline;
 * ``hot-spot`` — hot-proposition skew multiplies the events of process 0.
-
-Each timing is recorded into the session's ``BENCH_*.json`` under the
-``scenarios`` group, tagged with the scenario name.
 """
 
-import time
-
-import pytest
-
-from conftest import BENCH_SCALE, record_timing
+from conftest import BENCH_SCALE
 from repro.api import run_scenario
 from repro.experiments import format_table
 
-#: restrict the bench sweeps to two properties so the whole file stays
+#: restrict the sweeps to two properties so the whole file stays
 #: well under the CI smoke budget while still crossing automaton shapes
 _GRID_PROPERTIES = ("B", "D")
 
@@ -34,7 +27,7 @@ _COLUMNS = ["property", "processes", "events", "messages", "global_views",
 
 
 #: one sweep per scenario per session — the paper-default baseline is shared
-#: by several tests, so cache rows and record each timing exactly once
+#: by several tests
 _SWEEP_CACHE: dict = {}
 
 
@@ -43,18 +36,11 @@ def _run(name: str):
 
     if name in _SWEEP_CACHE:
         return _SWEEP_CACHE[name]
-    start = time.perf_counter()
     rows = run_scenario(name, BENCH_SCALE, grid=SweepGrid(properties=_GRID_PROPERTIES))
-    seconds = time.perf_counter() - start
-    record_timing(
-        f"scenario_{name}", seconds, group="scenarios", scenario=name,
-        properties=list(_GRID_PROPERTIES),
-    )
     _SWEEP_CACHE[name] = rows
     return rows
 
 
-@pytest.mark.benchmark(group="scenarios")
 def test_scenario_lossy_retransmit_end_to_end():
     baseline = _run("paper-default")
     lossy = _run("lossy-retransmit")
@@ -67,7 +53,6 @@ def test_scenario_lossy_retransmit_end_to_end():
         assert lossy_row["global_views"] >= 2
 
 
-@pytest.mark.benchmark(group="scenarios")
 def test_scenario_partition_heal_end_to_end():
     rows = _run("partition-heal")
     print("\npartition-heal scenario\n")
@@ -77,7 +62,6 @@ def test_scenario_partition_heal_end_to_end():
     assert any(row["held_messages"] > 0 for row in rows)
 
 
-@pytest.mark.benchmark(group="scenarios")
 def test_scenario_bursty_comm_heavier_than_baseline():
     baseline = _run("paper-default")
     bursty = _run("bursty-comm")
@@ -88,7 +72,6 @@ def test_scenario_bursty_comm_heavier_than_baseline():
     assert bursty_events > base_events  # burst rounds add receive events
 
 
-@pytest.mark.benchmark(group="scenarios")
 def test_scenario_hot_spot_skews_events():
     baseline = _run("paper-default")
     hot = _run("hot-spot")

@@ -25,8 +25,6 @@ the number of processes) everywhere else; the measured table is printed so
 it can be compared side by side with the paper.
 """
 
-import pytest
-
 from repro.experiments import format_table, run_table_5_1
 
 PAPER_EXACT = {
@@ -48,9 +46,8 @@ PAPER_EXACT = {
 }
 
 
-@pytest.mark.benchmark(group="table-5.1")
-def test_table_5_1_transition_counts(benchmark):
-    rows = benchmark.pedantic(run_table_5_1, rounds=1, iterations=1)
+def test_table_5_1_transition_counts():
+    rows = run_table_5_1()
     print("\nTable 5.1 — transitions per automaton (measured)\n")
     print(format_table(rows))
 

@@ -10,7 +10,7 @@ constant-latency links), :class:`LossyNetwork`, :class:`PartitionNetwork`,
 :class:`MultiPartitionNetwork`.
 
 A condition is a frozen dataclass of plain values: its constructor checks
-them, :meth:`~NetworkModel.describe` renders them into the BENCH/JSON
+them, :meth:`~NetworkModel.describe` renders them into the JSON
 metadata, and its ``arrival`` rule maps a send instant to a delivery instant.
 One instance is shared by every run and every shard of a sweep, so it holds
 no run state: :meth:`~NetworkModel.delay_model` returns a :class:`NetworkRun`,
@@ -69,7 +69,7 @@ class NetworkModel(Protocol):
         """The condition's latency/loss semantics, seeded for one run."""
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
 
 
 def _check_latency(latency: float, jitter: float) -> None:
@@ -121,7 +121,7 @@ class _Condition:
         return NetworkRun(self, seed)
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return {"kind": self.kind, **asdict(self)}
 
     def phases(self, seed: int | None) -> tuple[PartitionPhase, ...]:

@@ -6,7 +6,8 @@ Public API
   :func:`case_study_registry` — properties A–F of Section 5.1.
 * ``run_table_5_1`` … ``run_fig_5_9`` — one function per table/figure, each
   a thin scenario+grid declaration.
-* :class:`ExperimentScale` — workload size knobs.
+* :class:`ExperimentScale` — workload size knobs; ``FIGURE_SCALE`` is the
+  one the benchmark suite, ``docs/results.md`` and the CLI use.
 * :func:`format_table` — plain-text rendering of result rows.
 
 The sweep engine's entry points (``run_scenario``, ``BACKENDS``,
@@ -16,6 +17,7 @@ rest of the engine lives in :mod:`repro.experiments.engine`.
 
 from .harness import (
     DEFAULT_SCALE,
+    FIGURE_SCALE,
     ExperimentScale,
     format_table,
     run_fig_5_1,
@@ -37,6 +39,7 @@ from .properties import (
 
 __all__ = [
     "DEFAULT_SCALE",
+    "FIGURE_SCALE",
     "ExperimentScale",
     "format_table",
     "run_fig_5_1",

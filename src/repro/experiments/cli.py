@@ -14,7 +14,6 @@ Usage (after installing the package)::
     python -m repro.experiments.cli run --backend cluster --manifest cluster.toml
     python -m repro.experiments.cli run --scenario crash-restart-rejoin
     python -m repro.experiments.cli run --scenario paper-default --fault-plan 1@3+2:rejoin
-    python -m repro.experiments.cli bench --json BENCH_local.json
     python -m repro.experiments.cli fuzz --seed 7 --points 1000 --out fuzz-out
     python -m repro.experiments.cli fleet --tenants 200 --shards 2 --verify 5
     python -m repro.experiments.cli fleet --tenants 50 --backpressure drop-newest --inbox-limit 8
@@ -36,15 +35,10 @@ auto-allocating loopback ports), and ``--fault-plan SPEC`` injects monitor
 crash/restart faults on top of the scenario's own fault model (see
 :mod:`repro.faults`).  ``--stream-transport`` requires the asyncio backend
 and ``--manifest`` the cluster backend; mismatched combinations fail fast
-with a clear error.  The ``bench``
-sub-command times the kernel hot paths and the figure experiments and (with
-``--json OUT``) writes the same ``repro-bench/1`` JSON document the CI
-benchmark suite emits — embedding the resolved :class:`ExperimentScale` and
-the scenario metadata, with every timing tagged by the backend it ran on,
-so local and CI numbers are directly comparable and each BENCH file is
-self-describing.  See ``docs/benchmarks.md`` for the full schema.  The
-``fuzz`` sub-command runs the deterministic property fuzzer of
-:mod:`repro.fuzz` — ``--seed``/``--points`` pick the point stream, every
+with a clear error.  The scale flags default to
+:data:`~repro.experiments.harness.FIGURE_SCALE`.  The ``fuzz`` sub-command
+runs the deterministic property fuzzer of :mod:`repro.fuzz` —
+``--seed``/``--points`` pick the point stream, every
 divergent or crashing point is shrunk to a minimal repro, ``--out DIR``
 writes the report plus each shrunk repro as a replayable ``RunSpec`` JSON
 document, and the exit status is non-zero iff the run produced an
@@ -56,7 +50,7 @@ pick the per-tenant inbox policy, ``--sink jsonl --sink-path FILE`` streams
 the per-tenant verdict records to a file, ``--verify K`` spot-checks K
 tenants for byte-identical equivalence against standalone asyncio runs
 (non-zero exit on mismatch), and ``--json OUT`` writes the fleet throughput
-and saturation counters as a ``repro-bench/1`` document.
+and saturation counters (:meth:`repro.fleet.FleetReport.as_dict`) as JSON.
 """
 
 from __future__ import annotations
@@ -72,6 +66,7 @@ from ..faults import format_fault_plan, parse_fault_plan
 from ..scenarios import get_scenario, list_scenarios
 from .engine import ExecutionConfig
 from .harness import (
+    FIGURE_SCALE,
     ExperimentScale,
     format_table,
     run_fig_5_1,
@@ -251,94 +246,10 @@ def _emit_run_scenario(args: argparse.Namespace) -> None:
     print(format_table(rows, columns=columns))
 
 
-def _emit_bench(args: argparse.Namespace) -> None:
-    from .benchjson import (
-        SEED_BASELINE_SECONDS,
-        collect_kernel_timings,
-        make_document,
-        write_bench_json,
-    )
-
-    scale = _scale_from_args(args)
-    config = _execution_config(args)
-    try:
-        bench_scenario = get_scenario(args.scenario)
-    except KeyError as error:
-        raise SystemExit(f"error: {error.args[0]}") from None
-    # The kernel hot paths are always timed at the default ExperimentScale /
-    # full property sweep so the numbers stay comparable with the fixed seed
-    # baseline and across machines; the CLI scale flags only govern the
-    # figure-experiment timings below.
-    timings = collect_kernel_timings()
-    for label, runner in (
-        ("table_5_1", lambda: run_table_5_1(process_counts=tuple(args.processes))),
-        ("fig_5_4_5_5", lambda: run_fig_5_4_5_5(scale=scale)),
-        ("fig_5_9", lambda: run_fig_5_9(
-            num_processes=min(4, max(args.processes)), scale=scale
-        )),
-    ):
-        start = time.perf_counter()
-        runner()
-        timings[label] = {
-            "seconds": time.perf_counter() - start,
-            "group": "figures",
-            "scenario": "paper-default",
-            "backend": "sim",
-        }
-    if bench_scenario.name != "paper-default":
-        start = time.perf_counter()
-        run_scenario(bench_scenario, scale)
-        timings[f"scenario_{bench_scenario.name}"] = {
-            "seconds": time.perf_counter() - start,
-            "group": "scenarios",
-            "scenario": bench_scenario.name,
-            "backend": "sim",
-        }
-    if config.backend != "sim":
-        # time the chosen scenario on the selected non-default backend as
-        # well, so BENCH documents carry directly comparable backend pairs
-        start = time.perf_counter()
-        run_scenario(bench_scenario, scale, config=config)
-        timing = {
-            "seconds": time.perf_counter() - start,
-            "group": "scenarios",
-            "scenario": bench_scenario.name,
-            "backend": config.backend,
-        }
-        if config.backend == "asyncio":
-            timing["stream_transport"] = config.stream_transport
-        timings[f"scenario_{bench_scenario.name}_{config.backend}"] = timing
-
-    rows = []
-    for name, record in timings.items():
-        row = {"name": name, "seconds": record["seconds"], "seed_seconds": "-", "speedup": "-"}
-        baseline = SEED_BASELINE_SECONDS.get(name)
-        if baseline and record["seconds"]:
-            row["seed_seconds"] = f"{baseline:.2f}"
-            row["speedup"] = f"{baseline / record['seconds']:.2f}x"
-        rows.append(row)
-    print("Benchmark timings (wall-clock)")
-    print(format_table(rows, columns=["name", "seconds", "seed_seconds", "speedup"]))
-
-    scenarios = {bench_scenario.name: bench_scenario.describe()}
-    if bench_scenario.name != "paper-default":
-        scenarios["paper-default"] = get_scenario("paper-default").describe()
-    if args.json:
-        try:
-            write_bench_json(args.json, timings, scale, scenarios=scenarios)
-        except OSError as error:
-            raise SystemExit(f"error: cannot write {args.json}: {error}") from None
-        print(f"\nwrote {args.json}")
-    else:
-        # still validate that the document assembles
-        make_document(timings, scale, scenarios=scenarios)
-
-
 def _emit_fuzz(args: argparse.Namespace) -> None:
-    from ..fuzz import CLASS_SOUND, run_fuzz
-    from .benchjson import make_document, write_bench_json
+    from ..fuzz import CLASS_SOUND, FuzzOutcome, run_fuzz
 
-    def progress(outcome) -> None:
+    def progress(outcome: FuzzOutcome) -> None:
         if outcome.classification == CLASS_SOUND:
             return
         if outcome.is_finding:
@@ -357,14 +268,13 @@ def _emit_fuzz(args: argparse.Namespace) -> None:
             flush=True,
         )
 
+    seed = 0 if args.seed is None else args.seed
     start = time.perf_counter()
-    report = run_fuzz(
-        args.seed, args.points, shrink=not args.no_shrink, progress=progress
-    )
+    report = run_fuzz(seed, args.points, shrink=not args.no_shrink, progress=progress)
     total = time.perf_counter() - start
     counts = report.counts
     print(
-        f"fuzzed {args.points} points (seed {args.seed}) in {total:.1f}s: "
+        f"fuzzed {args.points} points (seed {seed}) in {total:.1f}s: "
         f"{counts['sound']} sound, {counts['divergent']} divergent, "
         f"{counts['crash']} crashed, {counts['storm']} storms; "
         f"{len(report.findings)} unexpected finding(s)"
@@ -377,7 +287,6 @@ def _emit_fuzz(args: argparse.Namespace) -> None:
             f"{worst.overhead['messages_per_event']:.2f} messages/event, "
             f"{worst.overhead['global_views']:.0f} global views"
         )
-    timings = report.bench_timings(total)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -386,16 +295,7 @@ def _emit_fuzz(args: argparse.Namespace) -> None:
         )
         for index, spec in sorted(report.shrunk.items()):
             spec.save(out / f"repro-{index:04d}.json")
-        write_bench_json(out / "fuzz-bench.json", timings)
-        print(
-            f"wrote {out}/fuzz-report.json, {len(report.shrunk)} shrunk "
-            f"repro(s) and {out}/fuzz-bench.json"
-        )
-    elif args.json:
-        write_bench_json(args.json, timings)
-        print(f"wrote {args.json}")
-    else:
-        make_document(timings)  # still validate that the document assembles
+        print(f"wrote {out}/fuzz-report.json and {len(report.shrunk)} shrunk repro(s)")
     if report.findings:
         raise SystemExit(1)
 
@@ -408,13 +308,12 @@ def _emit_fleet(args: argparse.Namespace) -> None:
         standalone_tenant_result,
         synthetic_fleet,
     )
-    from .benchjson import make_document, write_bench_json
 
     tenants = synthetic_fleet(
         args.tenants,
         num_processes=min(args.processes),
         events_per_process=args.events,
-        base_seed=args.seed or 2015,
+        base_seed=2015 if args.seed is None else args.seed,
     )
     config = FleetConfig(
         tenants=tenants,
@@ -460,15 +359,12 @@ def _emit_fleet(args: argparse.Namespace) -> None:
                 f"diverged from their standalone asyncio runs"
             )
         print(f"verified {len(picked)} tenant(s) against standalone runs")
-    timings = report.bench_timings()
     if args.json:
         try:
-            write_bench_json(args.json, timings)
+            Path(args.json).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
         except OSError as error:
             raise SystemExit(f"error: cannot write {args.json}: {error}") from None
         print(f"wrote {args.json}")
-    else:
-        make_document(timings)  # still validate that the document assembles
 
 
 _COMMANDS = {
@@ -484,13 +380,13 @@ _COMMANDS = {
     "fig5.9": _emit_fig_5_9,
     "list-scenarios": _emit_list_scenarios,
     "run": _emit_run_scenario,
-    "bench": _emit_bench,
     "fuzz": _emit_fuzz,
     "fleet": _emit_fleet,
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``python -m repro.experiments``."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the tables and figures of the paper's evaluation.",
@@ -505,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scenario",
         default="paper-default",
-        help="scenario name for 'run' (see list-scenarios); with 'bench' a "
-        "non-default scenario is timed and tagged in addition to the figures",
+        help="scenario name for 'run' (see list-scenarios)",
     )
     parser.add_argument(
         "--backend",
@@ -515,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="monitoring backend for 'run': the discrete-event simulator "
         "(default), the asyncio streaming runtime where monitors run as "
         "concurrent tasks, or the cluster runtime where every monitor is "
-        "its own OS process; with 'bench' a non-sim backend is timed in "
-        "addition to the simulator",
+        "its own OS process",
     )
     parser.add_argument(
         "--stream-transport",
@@ -552,19 +446,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=int,
         nargs="+",
-        default=[2, 3, 4],
-        help="process counts to sweep (default: 2 3 4)",
+        default=list(FIGURE_SCALE.process_counts),
+        help="process counts to sweep (default: %(default)s)",
     )
     parser.add_argument(
-        "--events", type=int, default=6, help="internal events per process"
+        "--events",
+        type=int,
+        default=FIGURE_SCALE.events_per_process,
+        help="internal events per process",
     )
     parser.add_argument(
-        "--replications", type=int, default=2, help="replications per data point"
+        "--replications",
+        type=int,
+        default=FIGURE_SCALE.replications,
+        help="replications per data point",
     )
     parser.add_argument(
         "--view-budget",
         type=int,
-        default=2,
+        default=FIGURE_SCALE.max_views_per_state,
         help="per-state view budget of each monitor (0 disables the bound)",
     )
     parser.add_argument(
@@ -578,13 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="OUT",
         default=None,
-        help="bench/fuzz: write the repro-bench/1 JSON document to OUT",
+        help="fleet only: write the fleet's saturation counters to OUT as JSON",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=0,
-        help="fuzz only: master seed of the deterministic point stream",
+        default=None,
+        help="fuzz: master seed of the deterministic point stream (default 0); "
+        "fleet: base seed of the synthetic tenants (default 2015)",
     )
     parser.add_argument(
         "--points",
@@ -596,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="DIR",
         default=None,
-        help="fuzz only: directory for the fuzz report, the shrunk repro "
-        "RunSpec documents and the repro-bench/1 timings",
+        help="fuzz only: directory for the fuzz report and the shrunk repro "
+        "RunSpec documents",
     )
     parser.add_argument(
         "--no-shrink",
@@ -658,6 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the sub-command named on the command line; return the exit status."""
     args = build_parser().parse_args(argv)
     if args.view_budget == 0:
         args.view_budget = None

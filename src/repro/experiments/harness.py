@@ -2,7 +2,8 @@
 
 Each ``run_*`` function reproduces one artefact of the paper's evaluation and
 returns plain Python data (lists of dict rows / series) so that the benchmark
-targets in ``benchmarks/`` can both time them and print them.  Since the
+targets in ``benchmarks/`` can check their shapes and
+``tools/gen_results_report.py`` can print them into ``docs/results.md``.  Since the
 scenario-engine refactor every simulated artefact is a *declaration* — the
 ``paper-default`` :class:`~repro.scenarios.Scenario` plus a
 :class:`~repro.scenarios.SweepGrid` — executed by the generic sharded engine
@@ -28,6 +29,7 @@ from .properties import PROPERTY_NAMES, case_study_monitor
 
 __all__ = [
     "ExperimentScale",
+    "FIGURE_SCALE",
     "run_table_5_1",
     "run_fig_5_1",
     "run_fig_5_2_5_3",
@@ -69,6 +71,11 @@ class ExperimentScale:
 
 
 DEFAULT_SCALE = ExperimentScale()
+
+#: The scale of the figures as this repository reports them: the benchmark
+#: suite's sweeps, ``docs/results.md`` and the CLI's defaults.  Large enough
+#: to show the paper's trends, small enough to run in seconds.
+FIGURE_SCALE = ExperimentScale(process_counts=(2, 3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +249,7 @@ def run_message_baseline(
     program event plus the oracle's verdict broadcast, all in ``messages``),
     each with the verdicts declared over the replications.  Seeds follow the
     engine's scheme (``base_seed + 31*replication``), so rows are
-    deterministic; the benchmark suite records them as
-    ``baseline_messages_total``.
+    deterministic; ``docs/results.md`` prints them.
     """
     from ..core.centralized import CentralizedMonitor
     from ..sim.runner import simulate_monitored_run
@@ -306,10 +312,10 @@ def _verdicts(sets: Iterable[Iterable[object]]) -> str:
     return "".join(sorted({str(v) for verdicts in sets for v in verdicts})) or "-"
 
 
-def _avg(values) -> float:
+def _avg(values: Iterable[float]) -> float:
     """Arithmetic mean of an iterable of numbers (0.0 when empty)."""
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    items = list(values)
+    return sum(items) / len(items) if items else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ class FaultModel(Protocol):
         """The concrete crash schedule for one run at this system size."""
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
 
 
 def _describe(kind: str, model: object) -> dict[str, object]:
@@ -94,7 +94,7 @@ class ExplicitFaults:
         return self.plan
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return {"kind": "explicit", **self.plan.describe()}
 
 
@@ -124,7 +124,7 @@ class SingleCrashFaults:
         )
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return _describe("single-crash", self)
 
 
@@ -152,7 +152,7 @@ class RollingCrashFaults:
         return FaultPlan(specs)
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return _describe("rolling-crash", self)
 
 
@@ -198,7 +198,7 @@ class ChurnFaults:
         return FaultPlan(tuple(specs))
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return _describe("churn", self)
 
 
@@ -240,7 +240,7 @@ class ByzantineFaults:
         return FaultPlan(byzantine=specs)
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return _describe("byzantine", self)
 
 
@@ -272,5 +272,5 @@ class ClockSkewFaults:
         )
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return _describe("clock-skew", self)

@@ -119,7 +119,7 @@ class CrashSpec:
             )
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return {
             "process": self.process,
             "after_events": self.after_events,
@@ -184,7 +184,7 @@ class ByzantineSpec:
         )
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return {
             "process": self.process,
             "duplicate_every": self.duplicate_every,
@@ -234,7 +234,7 @@ class ClockSkewSpec:
         return self.rate == 0.0
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return {
             "mode": self.mode,
             "rate": self.rate,
@@ -248,7 +248,7 @@ class FaultPlan:
     """A full fault schedule: crash cycles, Byzantine monitors, clock skew.
 
     A plan is a plain frozen value — picklable into sweep workers and
-    renderable into BENCH metadata.  Multiple crashes of the same monitor
+    renderable into JSON metadata.  Multiple crashes of the same monitor
     are allowed but must not overlap or leave an ambiguous schedule: each
     spec must trigger strictly after the previous cycle's restart has been
     *observed* (see ``__post_init__``).  At most one :class:`ByzantineSpec`
@@ -336,7 +336,7 @@ class FaultPlan:
         return True
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI).
+        """Self-describing metadata (for JSON documents and the CLI).
 
         Adversarial keys appear only when armed, so crash-only plans keep
         their historical shape byte-for-byte.

@@ -82,7 +82,7 @@ class TenantSpec:
             raise ValueError("time_scale must be non-negative")
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, BENCH documents, docs)."""
+        """Self-describing metadata (for sinks, JSON documents, docs)."""
         return {
             "tenant_id": self.tenant_id,
             "property": self.property_name,
@@ -131,7 +131,7 @@ class FleetConfig:
             raise ValueError("quiesce_timeout must be positive")
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return {
             "tenants": len(self.tenants),
             "shards": self.shards,

@@ -68,7 +68,9 @@ class TenantResult:
     blocked_events: int
     monitor_messages: int
     global_views: int
-    #: wall-clock seconds from session start to final verdict + drain
+    #: session wall time: seconds from session start to final verdict and
+    #: drain, while the shard's other sessions share the event loop (so it
+    #: measures contention as much as this tenant's monitoring)
     latency_seconds: float
     #: non-empty when the session failed and the tenant was evicted
     error: str = ""
@@ -329,6 +331,8 @@ class FleetReport:
     events_dropped: int
     events_blocked: int
     monitor_messages: int
+    #: percentiles of the completed tenants' ``latency_seconds`` (session
+    #: wall time, not the delay of a verdict behind its event)
     verdict_latency_p50: float
     verdict_latency_p99: float
     wall_seconds: float
@@ -347,7 +351,7 @@ class FleetReport:
         return self.events_ingested / self.wall_seconds
 
     def saturation(self) -> dict[str, float]:
-        """The flat saturation-counter block (CLI table, BENCH extras)."""
+        """The flat saturation-counter block (CLI table, ``--json`` output)."""
         return {
             "fleet_tenants_admitted": float(self.tenants_admitted),
             "fleet_tenants_rejected": float(self.tenants_rejected),
@@ -371,36 +375,6 @@ class FleetReport:
             "wall_seconds": self.wall_seconds,
             "fleet_events_per_sec": self.fleet_events_per_sec,
             **self.saturation(),
-        }
-
-    def bench_timings(self) -> dict[str, dict[str, object]]:
-        """``repro-bench/1`` timing records of this run.
-
-        ``fleet_events_per_sec`` carries the throughput in the generic
-        ``events_per_sec`` field (tracked as a ``:events_per_sec`` row by
-        ``benchmarks/compare_bench.py``) and ``fleet_verdict_latency``
-        carries the explicit ``fleet_verdict_latency_p99`` field the
-        comparator treats as lower-is-better; both embed the full
-        saturation-counter block, so the BENCH document is self-describing.
-        """
-        common = {
-            "group": "fleet",
-            "backend": "asyncio",
-            "fleet_tenants": self.tenants_admitted,
-            "fleet_shards": self.shards,
-            "fleet_backpressure": self.backpressure,
-            **self.saturation(),
-        }
-        return {
-            "fleet_events_per_sec": {
-                "seconds": self.wall_seconds,
-                "events_per_sec": self.fleet_events_per_sec,
-                **common,
-            },
-            "fleet_verdict_latency": {
-                "seconds": self.verdict_latency_p50,
-                **common,
-            },
         }
 
 

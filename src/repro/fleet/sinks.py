@@ -68,7 +68,7 @@ class VerdictSink(Protocol):
         """Flush and release any underlying resource."""
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and docs)."""
+        """Self-describing metadata (for JSON documents and docs)."""
 
 
 @dataclass
@@ -85,7 +85,7 @@ class MemorySink:
         """No resource to release; the records stay readable."""
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and docs)."""
+        """Self-describing metadata (for JSON documents and docs)."""
         return {"kind": "memory", "records": len(self.records)}
 
 
@@ -111,7 +111,7 @@ class JsonlSink:
             self._handle = None
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and docs)."""
+        """Self-describing metadata (for JSON documents and docs)."""
         return {"kind": "jsonl", "path": str(self.path), "emitted": self.emitted}
 
 

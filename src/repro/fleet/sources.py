@@ -69,7 +69,7 @@ class EventSource(Protocol):
         """Resolve the tenant's stream to a concrete computation."""
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, BENCH documents, docs)."""
+        """Self-describing metadata (for sinks, JSON documents, docs)."""
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ class SyntheticSource:
         )
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, BENCH documents, docs)."""
+        """Self-describing metadata (for sinks, JSON documents, docs)."""
         return {"kind": "synthetic", "workload": self.workload.describe()}
 
 
@@ -265,7 +265,7 @@ class ReplaySource:
         return load_event_log(self.path)
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, BENCH documents, docs)."""
+        """Self-describing metadata (for sinks, JSON documents, docs)."""
         return {"kind": "replay", "path": self.path}
 
 
@@ -304,7 +304,7 @@ class SocketSource:
         return records_to_computation(records)
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, BENCH documents, docs)."""
+        """Self-describing metadata (for sinks, JSON documents, docs)."""
         return {"kind": "socket", "host": self.host, "port": self.port}
 
 

@@ -399,40 +399,6 @@ class FuzzReport:
             return None
         return max(scored, key=lambda o: o.overhead["messages_per_event"])
 
-    def bench_timings(self, total_seconds: float) -> dict[str, dict[str, object]]:
-        """``repro-bench/1`` timing entries tracking fuzz overhead.
-
-        One aggregate entry plus the worst-overhead point, so nightly
-        artifacts track how expensive the adversarial space is getting.
-        """
-        counts = self.counts
-        timings: dict[str, dict[str, object]] = {
-            "fuzz_sweep": {
-                "seconds": total_seconds,
-                "group": "fuzz",
-                "backend": "sim",
-                "points": len(self.outcomes),
-                "sound": counts[CLASS_SOUND],
-                "divergent": counts[CLASS_DIVERGENT],
-                "crashed": counts[CLASS_CRASH],
-                "storms": counts[CLASS_STORM],
-                "findings": len(self.findings),
-                "fuzz_seed": self.seed,
-            }
-        }
-        worst = self.worst_overhead()
-        if worst is not None:
-            timings["fuzz_worst_overhead"] = {
-                "seconds": worst.seconds,
-                "group": "fuzz",
-                "backend": "sim",
-                "point_index": worst.index,
-                "scenario": worst.spec.scenario,
-                "property": worst.spec.property_name,
-                **worst.overhead,
-            }
-        return timings
-
     def as_dict(self) -> dict[str, object]:
         """JSON-ready document of the whole run."""
         return {

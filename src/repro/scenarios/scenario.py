@@ -9,7 +9,7 @@ grid into (point × replication) cells, derives one seed per cell and shards
 the whole product across a process pool.
 
 Everything here is a frozen dataclass of plain values, so scenarios pickle
-cleanly into worker processes and render themselves into BENCH metadata via
+cleanly into worker processes and render themselves into JSON metadata via
 :meth:`Scenario.describe`.
 """
 
@@ -124,7 +124,7 @@ class Scenario:
             raise ValueError("a scenario needs a non-empty name")
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata for BENCH documents and the CLI."""
+        """Self-describing metadata for JSON documents and the CLI."""
         return {
             "name": self.name,
             "description": self.description,

@@ -56,7 +56,7 @@ class WorkloadModel(Protocol):
         """The concrete workload configuration for one simulated run."""
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
 
 
 def _describe(kind: str, model: object) -> dict[str, object]:
@@ -97,7 +97,7 @@ class PaperWorkload:
         )
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return _describe("paper", self)
 
 
@@ -147,7 +147,7 @@ class HotPropositionWorkload:
         )
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return _describe("hot-proposition", self)
 
 
@@ -187,5 +187,5 @@ class BurstyCommWorkload:
         )
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for BENCH documents and the CLI)."""
+        """Self-describing metadata (for JSON documents and the CLI)."""
         return _describe("bursty-comm", self)

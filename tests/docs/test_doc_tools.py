@@ -10,9 +10,6 @@ its ``--check`` mode.
 """
 
 import importlib.util
-import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -143,12 +140,13 @@ class TestDocgenMachinery:
         assert doc.read_text() == first
 
 
-class TestResultsReport:
-    def _document(self):
-        return json.loads(
-            (REPO_ROOT / "benchmarks" / "BENCH_results.json").read_text()
-        )
+@pytest.fixture(scope="module")
+def figures():
+    """The harness rows of the report, computed once for the module."""
+    return gen_results_report.compute_figures()
 
+
+class TestResultsReport:
     def test_artefact_naming_convention(self):
         assert gen_results_report.artefact_of("test_fig_5_1_series") == (
             "Figure 5.1",
@@ -165,16 +163,40 @@ class TestResultsReport:
         with pytest.raises(ValueError, match="naming"):
             gen_results_report.artefact_of("test_kernel_hotpaths")
 
-    def test_every_artefact_module_is_reported(self):
-        rendered = gen_results_report.render_report(self._document())
+    def test_every_artefact_module_is_reported(self, figures):
+        rendered = gen_results_report.render_report(figures)
         for path in sorted(REPO_ROOT.glob("benchmarks/test_fig_*.py")) + sorted(
             REPO_ROOT.glob("benchmarks/test_table_*.py")
         ):
             assert f"`benchmarks/{path.name}`" in rendered
 
-    def test_fleet_metrics_are_reported(self):
-        rendered = gen_results_report.render_report(self._document())
-        assert "`fleet_events_per_sec`" in rendered
+    def test_the_figures_numbers_are_reported(self, figures):
+        """Each sweep row is a table row, and no column is a timing."""
+        rendered = gen_results_report.render_report(figures)
+        cell = gen_results_report._cell
+        for row in figures["sweep"]:
+            line = " | ".join(
+                cell(row[key])
+                for key in ("property", "processes", "events", "messages", "entries_created")
+            )
+            assert f"| {line} |" in rendered, line
+        for row in figures["baseline"]:
+            assert f"| {row['monitor']} | {row['property']} |" in rendered
+        assert "wall" not in rendered
+        assert "speedup" not in rendered
+
+    def test_a_changed_number_is_drift(self, figures, tmp_path, capsys):
+        report = tmp_path / "results.md"
+        rendered = gen_results_report.render_report(figures)
+        assert gen_results_report.main([str(report)]) == 0
+        assert report.read_text() == rendered
+        row = figures["sweep"][0]
+        events = gen_results_report._cell(row["events"])
+        old = f"| {row['property']} | {row['processes']} | {events} |"
+        assert old in rendered
+        report.write_text(rendered.replace(old, f"{old[:-2]}0 |", 1))
+        assert gen_results_report.main(["--check", str(report)]) == 1
+        assert "out of date" in capsys.readouterr().err
 
     def test_check_mode_detects_drift(self, tmp_path, capsys):
         report = tmp_path / "results.md"
@@ -190,14 +212,4 @@ class TestResultsReport:
         assert gen_results_report.main(["--check", str(report)]) == 0
 
     def test_committed_report_is_in_sync(self):
-        result = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "tools" / "gen_results_report.py"),
-                "--check",
-            ],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
+        assert gen_results_report.main(["--check"]) == 0

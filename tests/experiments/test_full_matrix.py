@@ -24,7 +24,7 @@ def _run_tool(*argv, env_extra=None):
 
 class TestFullMatrixTool:
     def test_narrowed_matrix_emits_combined_document(self, tmp_path):
-        out = tmp_path / "BENCH_matrix.json"
+        out = tmp_path / "matrix.json"
         summary = tmp_path / "summary.md"
         result = _run_tool(
             "--out",
@@ -44,20 +44,19 @@ class TestFullMatrixTool:
         )
         assert result.returncode == 0, result.stderr
         document = json.loads(out.read_text(encoding="utf-8"))
-        assert document["schema"] == "repro-bench/1"
-        # one timing per (scenario x backend) cell, tagged for the artifact
-        timings = document["timings"]
-        assert set(timings) == {
-            "matrix_paper-default_sim",
-            "matrix_paper-default_asyncio",
-            "matrix_crash-restart-replay_sim",
-            "matrix_crash-restart-replay_asyncio",
-        }
-        for record in timings.values():
-            assert record["group"] == "full-matrix"
-            assert record["backend"] in ("sim", "asyncio")
-            assert record["rows"] >= 1
-            assert record["seconds"] > 0
+        assert set(document) == {"cells", "scenarios"}
+        # one record per (scenario x backend) cell
+        cells = document["cells"]
+        assert [(cell["scenario"], cell["backend"]) for cell in cells] == [
+            ("paper-default", "sim"),
+            ("paper-default", "asyncio"),
+            ("crash-restart-replay", "sim"),
+            ("crash-restart-replay", "asyncio"),
+        ]
+        for cell in cells:
+            assert set(cell) == {"scenario", "backend", "rows", "seconds"}
+            assert cell["rows"] >= 1
+            assert cell["seconds"] > 0
         # scenario metadata (including the fault model) rides along
         assert (
             document["scenarios"]["crash-restart-replay"]["faults"]["kind"]
@@ -70,7 +69,7 @@ class TestFullMatrixTool:
 
     def test_unknown_scenario_fails_fast(self, tmp_path):
         result = _run_tool(
-            "--out", str(tmp_path / "BENCH.json"), "--scenarios", "no-such-scenario"
+            "--out", str(tmp_path / "matrix.json"), "--scenarios", "no-such-scenario"
         )
         assert result.returncode == 2
         assert "unknown scenario" in result.stderr

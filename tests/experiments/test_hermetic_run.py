@@ -1,11 +1,8 @@
-"""Running the tests must leave the checkout as it found it.
+"""Running the tests and the report check must leave the checkout as it found it.
 
-The benchmark suite emits a ``BENCH_*.json`` artifact at session finish.  It
-used to default to the *committed* ``benchmarks/BENCH_results.json`` — which
-``docs/results.md`` is generated from — so any plain test run dirtied the
-tree and broke the report's drift gate.  This runs a small ``tests/`` +
-``benchmarks/`` session the way a developer would (no ``BENCH_JSON``) and
-checks that git sees no change.
+This runs a small ``tests/`` + ``benchmarks/`` session the way a developer
+would, then the results report's ``--check``, and checks that git sees no
+change.
 """
 
 import os
@@ -37,7 +34,7 @@ def test_a_tests_plus_benchmarks_run_leaves_git_status_unchanged():
         return _git("status", "--porcelain"), _git("diff")
 
     before = snapshot()
-    env = {key: value for key, value in os.environ.items() if key != "BENCH_JSON"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
@@ -55,5 +52,12 @@ def test_a_tests_plus_benchmarks_run_leaves_git_status_unchanged():
         text=True,
     )
     assert session.returncode == 0, session.stdout + session.stderr
-    assert "[benchmarks] wrote " in session.stdout  # an artifact was emitted
+    report = subprocess.run(
+        [sys.executable, "tools/gen_results_report.py", "--check"],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert report.returncode == 0, report.stdout + report.stderr
     assert snapshot() == before

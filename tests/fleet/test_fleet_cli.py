@@ -1,16 +1,20 @@
-"""The ``fleet`` CLI sub-command: table output, verification and BENCH JSON.
+"""The ``fleet`` CLI sub-command: table output, verification and JSON.
 
 ``python -m repro.experiments.cli fleet`` is the operator's entry point:
 it must print the saturation-counter table, spot-verify tenants against
 their standalone runs with a non-zero exit on divergence, stream verdicts
-to a JSONL sink, and write ``repro-bench/1`` documents whose
-``fleet_events_per_sec`` timing ``compare_bench.py`` tracks across runs.
+to a JSONL sink, build its tenants from ``--seed`` (2015 when absent), and
+write the report's counters (``FleetReport.as_dict()``) as JSON.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from repro.fleet import standalone_tenant_result, synthetic_fleet
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -70,18 +74,31 @@ class TestFleetCommand:
         assert result.returncode == 2
         assert "invalid choice" in result.stderr
 
-    def test_json_writes_a_tracked_bench_document(self, tmp_path):
-        out = tmp_path / "BENCH_fleet.json"
+    def test_json_writes_the_report_counters(self, tmp_path):
+        out = tmp_path / "fleet.json"
         result = _run_cli(
             "fleet", *FAST, "--shards", "2", "--json", str(out)
         )
         assert result.returncode == 0, result.stderr
         document = json.loads(out.read_text())
-        assert document["schema"] == "repro-bench/1"
-        timing = document["timings"]["fleet_events_per_sec"]
-        assert timing["events_per_sec"] > 0.0
-        assert timing["group"] == "fleet"
-        assert timing["fleet_shards"] == 2
-        assert timing["fleet_tenants"] == 4
-        latency = document["timings"]["fleet_verdict_latency"]
-        assert latency["fleet_verdict_latency_p99"] >= 0.0
+        assert document["shards"] == 2
+        assert document["fleet_tenants_admitted"] == 4
+        assert document["fleet_events_per_sec"] > 0.0
+        assert document["fleet_verdict_latency_p99"] >= 0.0
+
+    @pytest.mark.parametrize(("argv", "base_seed"), [((), 2015), (("--seed", "0"), 0)])
+    def test_tenants_are_built_from_the_seed(self, tmp_path, argv, base_seed):
+        """``--seed 0`` is seed 0, not the default."""
+        sink_path = tmp_path / "verdicts.jsonl"
+        result = _run_cli(
+            "fleet", *FAST, *argv, "--sink", "jsonl", "--sink-path", str(sink_path)
+        )
+        assert result.returncode == 0, result.stderr
+        got = [json.loads(line)["events"] for line in sink_path.read_text().splitlines()]
+
+        def events(seed):
+            tenants = synthetic_fleet(4, num_processes=2, events_per_process=2, base_seed=seed)
+            return [standalone_tenant_result(spec).events for spec in tenants]
+
+        assert events(0) != events(2015)  # the two seeds are told apart
+        assert got == events(base_seed)

@@ -110,7 +110,7 @@ class TestShardAssignment:
 
     def test_assignment_is_a_pinned_content_hash(self):
         # CRC-32 of the id, mod shards — pinned so recorded fleet layouts
-        # (and cross-run BENCH comparisons) never silently repartition
+        # (and cross-run comparisons) never silently repartition
         assert shard_of("tenant-0000", 4) == 2
         assert shard_of("tenant-0001", 4) == 0
         assert shard_of("alpha", 3) == 1

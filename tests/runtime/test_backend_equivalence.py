@@ -10,7 +10,6 @@ computation, network model → delay shaping) on three registered scenarios
 plus the engine- and CLI-level integration.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -199,29 +198,3 @@ class TestCliBackendFlag:
         assert result.returncode == 0, result.stderr
         assert "backend asyncio" in result.stdout
         assert "fixed-latency" in result.stdout
-
-    def test_bench_tags_backends(self, tmp_path):
-        out = tmp_path / "BENCH_cli.json"
-        result = self._run_cli(
-            "bench",
-            "--backend",
-            "asyncio",
-            "--scenario",
-            "fixed-latency",
-            "--processes",
-            "2",
-            "--events",
-            "3",
-            "--replications",
-            "1",
-            "--json",
-            str(out),
-        )
-        assert result.returncode == 0, result.stderr
-        document = json.loads(out.read_text())
-        timings = document["timings"]
-        assert timings["run_monitoring_experiment"]["backend"] == "sim"
-        asyncio_timing = timings["scenario_fixed-latency_asyncio"]
-        assert asyncio_timing["backend"] == "asyncio"
-        assert asyncio_timing["stream_transport"] == "memory"
-        assert "fixed-latency" in document["scenarios"]

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Generate ``docs/results.md`` from the committed benchmark artifact.
+"""Generate ``docs/results.md`` from the figures' own numbers.
 
 The evaluation chapter of the paper is reproduced module by module under
 ``benchmarks/``: every ``test_fig_*.py`` / ``test_table_*.py`` file
-regenerates one figure or table and records its wall-clock timing into the
-``repro-bench/1`` document ``benchmarks/BENCH_results.json``.  This script
-renders the Chapter-5-style report mapping each module to its paper
-artefact — the module docstring's summary line, the recorded timings, the
-kernel reference speedups and the measurement environment — entirely from
-committed inputs, so the report can never drift from either:
+regenerates one figure or table and checks its shape.  This script renders
+the Chapter-5-style report: the module of each paper artefact (its
+docstring's summary line), then the tables behind the figures, computed by
+the experiment harness at ``FIGURE_SCALE``.  Every number is a fixed-seed
+count or average of the monitored runs, never a timing, so the report
+changes exactly when a figure's number does:
 
-    python tools/gen_results_report.py              # rewrite docs/results.md
-    python tools/gen_results_report.py --check      # verify, exit 1 on drift
+    PYTHONPATH=src python tools/gen_results_report.py          # rewrite docs/results.md
+    PYTHONPATH=src python tools/gen_results_report.py --check  # verify, exit 1 on drift
 
 CI runs ``--check`` in the docs job, and ``tests/docs/test_docs.py`` holds
 the same gate locally.
@@ -21,23 +21,23 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import re
 import sys
+from collections.abc import Sequence
+from functools import cache
 from pathlib import Path
+
+from repro.experiments import FIGURE_SCALE, run_fig_5_4_5_5, run_fig_5_9, run_table_5_1
+from repro.experiments.harness import run_message_baseline
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCHMARKS = REPO_ROOT / "benchmarks"
-BENCH_DOCUMENT = BENCHMARKS / "BENCH_results.json"
 DEFAULT_OUTPUT = REPO_ROOT / "docs" / "results.md"
 
 HEADER = (
-    "<!-- GENERATED by tools/gen_results_report.py from "
-    "benchmarks/BENCH_results.json; do not edit by hand. -->"
+    "<!-- GENERATED by tools/gen_results_report.py from the experiment "
+    "harness; do not edit by hand. -->"
 )
-
-#: BENCH timing ``group`` tag per paper artefact number ("5.4" -> "fig-5.4")
-_GROUP_OF = {"fig": "fig-{}", "table": "table-{}"}
 
 
 def artefact_of(module_name: str) -> tuple[str, list[str]]:
@@ -77,54 +77,152 @@ def _artefact_modules() -> list[Path]:
     return sorted(paths, key=lambda p: artefact_of(p.stem)[1][0])
 
 
-def _timings_for(timings: dict, kind_groups: set[str]) -> list[tuple[str, dict]]:
-    """The (name, record) timings whose ``group`` tag is in *kind_groups*."""
-    return [
-        (name, record)
-        for name, record in sorted(timings.items())
-        if record.get("group") in kind_groups
+@cache
+def compute_figures() -> dict[str, list[dict]]:
+    """The rows every table of the report is rendered from."""
+    return {
+        "table_5_1": run_table_5_1(process_counts=FIGURE_SCALE.process_counts),
+        "sweep": run_fig_5_4_5_5(scale=FIGURE_SCALE),
+        "fig_5_9": run_fig_5_9(scale=FIGURE_SCALE),
+        "baseline": run_message_baseline(scale=FIGURE_SCALE),
+    }
+
+
+def _cell(value: object) -> str:
+    """A number as the report prints it: at most four decimals."""
+    if isinstance(value, float):
+        return f"{round(value, 4):g}"
+    return str(value)
+
+
+def _table(rows: Sequence[dict], columns: Sequence[tuple[str, str]]) -> list[str]:
+    """A markdown table of *rows*; *columns* pairs each key with its heading."""
+    lines = [
+        "| " + " | ".join(heading for _, heading in columns) + " |",
+        "|" + " --- |" * len(columns),
     ]
+    for row in rows:
+        lines.append("| " + " | ".join(_cell(row[key]) for key, _ in columns) + " |")
+    return lines
 
 
-def render_report(document: dict) -> str:
-    """Render the full ``docs/results.md`` text from a bench *document*."""
-    timings = document.get("timings", {})
-    reference = document.get("reference", {})
-    environment = document.get("environment", {})
-    scale = document.get("scale", {})
+def _transition_table(rows: Sequence[dict]) -> list[str]:
+    """Table 5.1 laid out as in the paper: total/outgoing/self-loops per n."""
+    counts = sorted({row["processes"] for row in rows})
+    by_property: dict[str, dict] = {}
+    for row in rows:
+        cells = by_property.setdefault(row["property"], {"property": row["property"]})
+        cells[row["processes"]] = f"{row['total']}/{row['outgoing']}/{row['self_loops']}"
+    return _table(
+        list(by_property.values()),
+        [("property", "property")] + [(n, f"n={n}") for n in counts],
+    )
 
+
+def render_report(figures: dict[str, list[dict]] | None = None) -> str:
+    """Render the full ``docs/results.md`` text (from *figures* if given)."""
+    if figures is None:
+        figures = compute_figures()
     lines = [
         HEADER,
         "",
         "# Evaluation results (Chapter 5 reproduction)",
         "",
         "Every table and figure of the paper's evaluation chapter is",
-        "regenerated by one benchmark module under `benchmarks/`; the wall-clock",
-        "numbers below come from the committed `benchmarks/BENCH_results.json`",
-        "(schema `repro-bench/1`, see [benchmarks.md](benchmarks.md)).  A test",
-        "run never rewrites that file; refresh it explicitly with",
-        "`BENCH_JSON=benchmarks/BENCH_results.json PYTHONPATH=src python -m pytest",
-        "benchmarks -q` and regenerate this report with",
-        "`python tools/gen_results_report.py`.",
+        "regenerated by one module under `benchmarks/`, which checks its",
+        "shape.  The numbers below are what the experiment harness computes",
+        "for those figures at the scale of the benchmark suite and of the",
+        "CLI's defaults:",
+        "",
+        f"`{FIGURE_SCALE}`",
+        "",
+        "They are fixed-seed counts and averages over the replications, never",
+        "timings: `perf/` is the timing benchmark (see",
+        "[benchmarks.md](benchmarks.md)).  Regenerate this report with",
+        "`PYTHONPATH=src python tools/gen_results_report.py`; its `--check`",
+        "mode fails when one of these numbers changes.",
         "",
         "## Paper artefacts by benchmark module",
         "",
         "| paper artefact | benchmark module | what it reproduces |",
         "| --- | --- | --- |",
     ]
-    artefact_groups: set[str] = set()
     for path in _artefact_modules():
-        artefact, numbers = artefact_of(path.stem)
-        kind = "fig" if "Figure" in artefact else "table"
-        artefact_groups.update(_GROUP_OF[kind].format(n) for n in numbers)
-        if len(numbers) > 1:  # combined tags like "fig-5.2-5.3"
-            artefact_groups.add(_GROUP_OF[kind].format("-".join(numbers)))
+        artefact, _ = artefact_of(path.stem)
         lines.append(
             f"| {artefact} | [`benchmarks/{path.name}`](../benchmarks/{path.name}) "
             f"| {_module_summary(path)} |"
         )
 
     lines += [
+        "",
+        "## Table 5.1: transitions per monitor automaton",
+        "",
+        "Total / outgoing / self-loop transitions of each property's monitor",
+        "automaton (`run_table_5_1`).",
+        "",
+        *_transition_table(figures["table_5_1"]),
+        "",
+        "## Figures 5.4–5.8: the monitored workload sweep",
+        "",
+        "One row per property and process count (`run_fig_5_4_5_5`):",
+        "program events and monitor messages (Figs 5.4/5.5), searches issued",
+        "(`entries_created`), the delay-time percentage per global view",
+        "(Fig 5.6), delayed events (Fig 5.7) and global views created",
+        "(Fig 5.8).",
+        "",
+        *_table(
+            figures["sweep"],
+            [
+                ("property", "property"),
+                ("processes", "n"),
+                ("events", "events"),
+                ("messages", "messages"),
+                ("entries_created", "searches"),
+                ("delay_time_pct_per_view", "delay % per view"),
+                ("delayed_events", "delayed events"),
+                ("global_views", "views"),
+            ],
+        ),
+        "",
+        "## Figure 5.9: the communication frequency",
+        "",
+        "Property C at four processes while the mean wait between",
+        "communication events (Commμ, seconds; `no-comm`: no communication)",
+        "varies (`run_fig_5_9`).",
+        "",
+        *_table(
+            figures["fig_5_9"],
+            [
+                ("comm_mu", "Commμ"),
+                ("events", "events"),
+                ("messages", "messages"),
+                ("entries_created", "searches"),
+                ("delay_time_pct_per_view", "delay % per view"),
+                ("delayed_events", "delayed events"),
+                ("global_views", "views"),
+            ],
+        ),
+        "",
+        "## Decentralized monitors against one central monitor",
+        "",
+        "The same workload monitored by the decentralized monitors and by a",
+        "central monitor that receives one observation per program event and",
+        "broadcasts its verdict (`run_message_baseline`), with the verdicts",
+        "each declared.",
+        "",
+        *_table(
+            figures["baseline"],
+            [
+                ("monitor", "monitor"),
+                ("property", "property"),
+                ("processes", "n"),
+                ("messages", "messages"),
+                ("token_messages", "token messages"),
+                ("termination_messages", "termination messages"),
+                ("declared", "declared"),
+            ],
+        ),
         "",
         "## Messages no longer order the properties",
         "",
@@ -144,8 +242,8 @@ def render_report(document: dict) -> str:
         "that is what `test_fig_5_4_5_5_messages.py` asserts, next to",
         "\"messages grow with n\".  Figure 5.9 likewise: rarer communication",
         "still means fewer events and fewer searches, but the messages are",
-        "about the same whatever the frequency.  The benchmark run prints the",
-        "tables behind each statement.",
+        "about the same whatever the frequency.  The tables above hold the",
+        "numbers behind each statement.",
         "",
         "**Not reproduced.**  Figure 5.8 has B and E create the fewest views.",
         "Here D's total falls just below B's: a monitor never explores a",
@@ -153,71 +251,6 @@ def render_report(document: dict) -> str:
         "assertion is given up; `test_fig_5_8_what_still_holds_of_the_views`",
         "gates the rest of the shape (growth with n; B, E below A, C, F; F the",
         "most).",
-        "",
-        "## Recorded artefact timings",
-        "",
-        "| timing | group | seconds |",
-        "| --- | --- | --- |",
-    ]
-    for name, record in _timings_for(timings, artefact_groups):
-        lines.append(
-            f"| `{name}` | `{record['group']}` | {float(record['seconds']):.3f} |"
-        )
-
-    if reference:
-        lines += [
-            "",
-            "## Kernel speedups vs. the seed baseline",
-            "",
-            "`reference` pins the pre-interning seed baseline of the kernel hot",
-            "paths; the tracked speedup is `reference / seconds`:",
-            "",
-            "| hot path | baseline s | current s | speedup |",
-            "| --- | --- | --- | --- |",
-        ]
-        for name in sorted(reference):
-            record = timings.get(name)
-            if record is None:
-                continue
-            seconds = float(record["seconds"])
-            baseline = float(reference[name])
-            lines.append(
-                f"| `{name}` | {baseline:.3f} | {seconds:.3f} "
-                f"| {baseline / seconds:.1f}x |"
-            )
-
-    other_groups: dict[str, list[str]] = {}
-    for name, record in sorted(timings.items()):
-        group = str(record.get("group", "ungrouped"))
-        if group not in artefact_groups:
-            other_groups.setdefault(group, []).append(name)
-    if other_groups:
-        lines += [
-            "",
-            "## Other tracked benchmark groups",
-            "",
-            "Beyond the paper artefacts, the suite tracks these groups in the",
-            "same document (each name is one `repro-bench/1` timing entry):",
-            "",
-            "| group | timings |",
-            "| --- | --- |",
-        ]
-        for group in sorted(other_groups):
-            names = ", ".join(f"`{name}`" for name in other_groups[group])
-            lines.append(f"| `{group}` | {names} |")
-
-    lines += [
-        "",
-        "## Measurement environment",
-        "",
-        f"Recorded {document.get('created_at', 'at an unknown time')} on "
-        f"{environment.get('implementation', 'CPython')} "
-        f"{environment.get('python', '?')} "
-        f"({environment.get('platform', 'unknown platform')}, "
-        f"{environment.get('cpu_count', '?')} CPU(s)) at scale "
-        f"`process_counts={scale.get('process_counts')}, "
-        f"events_per_process={scale.get('events_per_process')}, "
-        f"replications={scale.get('replications')}`.",
         "",
     ]
     return "\n".join(lines)
@@ -239,16 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    try:
-        document = json.loads(BENCH_DOCUMENT.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"cannot load {BENCH_DOCUMENT}: {error}", file=sys.stderr)
-        return 1
-    if document.get("schema") != "repro-bench/1":
-        print(f"{BENCH_DOCUMENT} is not a repro-bench/1 document", file=sys.stderr)
-        return 1
-
-    rendered = render_report(document)
+    rendered = render_report()
     output = Path(args.output)
     if args.check:
         try:
@@ -259,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         if committed != rendered:
             print(
                 f"{output} is out of date; regenerate it with "
-                f"`python tools/gen_results_report.py`",
+                f"`PYTHONPATH=src python tools/gen_results_report.py`",
                 file=sys.stderr,
             )
             return 1

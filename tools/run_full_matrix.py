@@ -1,17 +1,17 @@
-"""Run every registered scenario on every backend; emit one combined BENCH doc.
+"""Run every registered scenario on every backend; write one JSON document.
 
 CI's matrix smoke job (``cluster-smoke`` in ``.github/workflows/ci.yml``)
 calls this tool at smoke scale on every PR::
 
-    PYTHONPATH=src python tools/run_full_matrix.py --out BENCH_matrix_smoke.json \
+    PYTHONPATH=src python tools/run_full_matrix.py --out matrix-smoke.json \
         --processes 2 3 --events 3 --replications 1
 
 It executes the full (scenario × backend) matrix — every name in the
 scenario registry, on both the discrete-event simulator and the asyncio
-streaming runtime — and writes a single ``repro-bench/1`` document whose
-timings are tagged ``group: "full-matrix"`` with their scenario, backend and
-row count, plus the ``describe()`` metadata of every scenario exercised
-(including fault models).
+streaming runtime — and writes one plain JSON document: a ``cells`` list
+with one record per cell (scenario, backend, result rows, wall seconds),
+and under ``scenarios`` the ``describe()`` metadata of every scenario
+exercised (including fault models).
 
 The cluster backend (one OS process per monitor) is opt-in via
 ``--backends cluster`` because each of its cells spawns real worker
@@ -26,14 +26,15 @@ of this tool itself); the scale flags mirror the experiment CLI.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
 from collections.abc import Sequence
+from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.experiments.benchjson import write_bench_json  # noqa: E402
 from repro.experiments.engine import BACKENDS, ExecutionConfig, run_scenario  # noqa: E402
 from repro.experiments.harness import ExperimentScale  # noqa: E402
 from repro.scenarios import SweepGrid, get_scenario, scenario_names  # noqa: E402
@@ -48,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--out",
-        default="BENCH_full_matrix.json",
-        help="path of the combined repro-bench/1 document (default: %(default)s)",
+        default="full-matrix.json",
+        help="path of the JSON document (default: %(default)s)",
     )
     parser.add_argument(
         "--scenarios",
@@ -94,9 +95,9 @@ def run_matrix(
     backends: Sequence[str],
     scale: ExperimentScale,
     grid: SweepGrid | None,
-) -> dict[str, dict[str, object]]:
-    """Execute the (scenario × backend) matrix, tagged timings."""
-    timings: dict[str, dict[str, object]] = {}
+) -> list[dict[str, object]]:
+    """Execute the (scenario × backend) matrix: one record per cell."""
+    cells: list[dict[str, object]] = []
     for name in names:
         scenario = get_scenario(name)  # fail fast on unknown names
         for backend in backends:
@@ -105,14 +106,15 @@ def run_matrix(
             rows = run_scenario(
                 scenario, scale, grid=grid, config=ExecutionConfig(backend=backend)
             )
-            timings[f"matrix_{name}_{backend}"] = {
-                "seconds": time.perf_counter() - start,
-                "group": "full-matrix",
-                "scenario": name,
-                "backend": backend,
-                "rows": len(rows),
-            }
-    return timings
+            cells.append(
+                {
+                    "scenario": name,
+                    "backend": backend,
+                    "rows": len(rows),
+                    "seconds": time.perf_counter() - start,
+                }
+            )
+    return cells
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -128,20 +130,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     grid = SweepGrid(properties=tuple(args.properties)) if args.properties else None
     try:
-        timings = run_matrix(names, args.backends, scale, grid)
+        cells = run_matrix(names, args.backends, scale, grid)
         scenarios = {name: get_scenario(name).describe() for name in names}
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    write_bench_json(args.out, timings, scale, scenarios=scenarios)
-    cells = len(timings)
-    total = sum(float(t["seconds"]) for t in timings.values())
-    print(f"wrote {args.out}: {cells} matrix cells, {total:.1f}s total")
-    write_job_summary(timings)
+    document = {"cells": cells, "scenarios": scenarios}
+    Path(args.out).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    total = sum(float(cell["seconds"]) for cell in cells)
+    print(f"wrote {args.out}: {len(cells)} matrix cells, {total:.1f}s total")
+    write_job_summary(cells)
     return 0
 
 
-def write_job_summary(timings: dict[str, dict[str, object]]) -> None:
+def write_job_summary(cells: list[dict[str, object]]) -> None:
     """Append the per-cell matrix table to the GitHub job summary, if any."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not path:
@@ -149,16 +151,15 @@ def write_job_summary(timings: dict[str, dict[str, object]]) -> None:
     lines = [
         "### Full scenario matrix",
         "",
-        f"{len(timings)} (scenario × backend) cells",
+        f"{len(cells)} (scenario × backend) cells",
         "",
         "| scenario | backend | seconds | rows |",
         "| --- | --- | ---: | ---: |",
     ]
-    for name in sorted(timings):
-        record = timings[name]
+    for cell in cells:
         lines.append(
-            f"| {record['scenario']} | {record['backend']} "
-            f"| {float(record['seconds']):.2f} | {record['rows']} |"
+            f"| {cell['scenario']} | {cell['backend']} "
+            f"| {float(cell['seconds']):.2f} | {cell['rows']} |"
         )
     try:
         with open(path, "a", encoding="utf-8") as handle:
