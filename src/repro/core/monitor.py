@@ -18,7 +18,9 @@ Where this departs from the thesis pseudo-code (implicit pending queue, one
 box search per view step, every component of a search answered from the shared
 columns, no ``(state, cut)`` explored twice, no guard's least cut walked twice,
 no box searched by the same view twice, no parked token served by an own event
-that cannot move it) and how the two hot loops — token serving off the guard
+that cannot move it, no exploring once every conclusive state in reach is
+declared: a settled monitor retires its views and reports ``?`` if it retired
+any) and how the two hot loops — token serving off the guard
 rows, built once per property with a step's searches looked up by (global
 letter, state), and box search off the segment index, set up only for the
 processes it moves — are built: ``docs/architecture.md``.
@@ -94,8 +96,10 @@ class MonitorMetrics:
     #: cells the searches created — one search per view step, over the union
     #: of its entries' boxes; tuples of letter-run segments, not of events
     box_cells_visited: int = 0
-    #: views dropped by the per-state budget (not counted in ``views_merged``)
+    #: views dropped by the per-state budget (not counted in ``views_merged``),
+    #: and views retired because their monitor settled (:meth:`~DecentralizedMonitor._settle`)
     views_evicted: int = 0
+    views_settled: int = 0
     #: events this monitor appended to the runs of tokens leaving it
     events_shipped: int = 0
     #: most hops of any token this monitor consumed or swallowed as its
@@ -236,6 +240,8 @@ class DecentralizedMonitor:
         #: there is none) of the last search of it that was walked at issue time
         self._least: dict[tuple, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
         self._final_bits = sum(1 << q for q in automaton.states if automaton.is_final(q))
+        #: per state, the states a view there can still reach (settling reads it)
+        self._reach = automaton.reach_bits
         self.metrics = MonitorMetrics()
 
         #: per process, the events of that process this monitor holds, as
@@ -469,13 +475,15 @@ class DecentralizedMonitor:
         """No outstanding work besides possibly waiting on other monitors."""
         return not self.waiting_tokens and not self._outstanding
 
-    def active_views(self) -> list[GlobalView]:
-        """Snapshot of the currently active global views."""
-        return list(self.views)
-
     def reported_verdicts(self) -> set[Verdict]:
-        """Verdicts this monitor reports at the end of the run."""
-        return self.declared_verdicts | {self.automaton.verdict(view.state) for view in self.views}
+        """Verdicts this monitor reports at the end of the run: those it
+        declared, and ``?`` if some view was still inconclusive when the
+        monitor stopped exploring — a live view at the end of the run, or a
+        view retired when the monitor settled (:meth:`_settle`)."""
+        live = {self.automaton.verdict(view.state) for view in self.views}
+        if self.metrics.views_settled:
+            live.add(Verdict.INCONCLUSIVE)
+        return self.declared_verdicts | live
 
     # ------------------------------------------------------------------
     # view advancement on local events
@@ -996,7 +1004,7 @@ class DecentralizedMonitor:
         """
         self.metrics.box_queries += len(entries)
         base, vc_columns = view.cut, self.vc_columns
-        reach = self.automaton.reach_bits[view.state]
+        reach = self._reach[view.state]
         others = reach & self._final_bits  # the conclusive states still in reach
         shift, image = self._num_states, self._image_cache
         reached = [0] * len(entries)
@@ -1189,6 +1197,7 @@ class DecentralizedMonitor:
 
         self.views = kept
         self._enforce_view_budget()
+        self._settle()
 
     def _enforce_view_budget(self) -> None:
         """Apply the optional per-state bound on live views.
@@ -1211,9 +1220,28 @@ class DecentralizedMonitor:
             for dropped in state_views[self.max_views_per_state :]:
                 self.metrics.views_evicted += 1
                 self._born -= dropped.born
-                if dropped.outstanding_token is not None:
-                    self._outstanding.pop(dropped.outstanding_token, None)
+                self._outstanding.pop(dropped.outstanding_token, None)
         self.views = kept
+
+    def _settle(self) -> None:
+        """Retire every live view once this monitor is *settled*: each
+        conclusive state its views (waiting ones too) can still reach is
+        declared.  Conclusive states are traps and views fork only into
+        states their own can reach, so no search could declare anything new
+        (``docs/architecture.md``, Settled monitors).  Their outstanding
+        tokens are disowned, as an evicted view's are; the monitor still
+        appends its events, absorbs runs and serves the others' tokens.
+        """
+        undeclared = self._final_bits
+        for state in self.declared_states:  # a plain loop: this runs on every merge
+            undeclared &= ~(1 << state)
+        for view in self.views:
+            if self._reach[view.state] & undeclared:
+                return
+        self.metrics.views_settled += len(self.views)
+        for view in self.views:
+            self._outstanding.pop(view.outstanding_token, None)
+        self.views = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -110,11 +110,6 @@ class VectorClock:
     def __repr__(self) -> str:
         return f"VC{list(self._components)}"
 
-    # -- helpers used by the monitoring algorithm ---------------------------
-    def dominates_on(self, other: "VectorClock", indices: Sequence[int]) -> bool:
-        """Whether ``self[i] >= other[i]`` for every index in *indices*."""
-        return all(self._components[i] >= other[i] for i in indices)
-
 
 #: dedicated RNG salt so skew streams are independent of workload/fault RNGs
 _SKEW_SEED_SALT = 0x5C1F_0C7E

@@ -326,7 +326,7 @@ class FaultInjector:
 
     def wrap(
         self, process: int, factory: Callable[[], DecentralizedMonitor]
-    ):
+    ) -> DecentralizedMonitor | MonitorFaultProxy:
         """The endpoint for *process*: a fault proxy or the bare monitor."""
         specs = self.plan.specs_for(process)
         byzantine = self.plan.byzantine_for(process)

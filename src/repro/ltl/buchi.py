@@ -60,9 +60,6 @@ class Guard:
     def satisfied_by(self, letter: frozenset[str]) -> bool:
         return self.positive <= letter and not (self.negative & letter)
 
-    def is_consistent(self) -> bool:
-        return not (self.positive & self.negative)
-
     def __str__(self) -> str:
         parts = [a for a in sorted(self.positive)]
         parts += [f"!{a}" for a in sorted(self.negative)]
@@ -101,25 +98,9 @@ class BuchiAutomaton:
                 result.add(target)
         return result
 
-    def run_prefix(self, word: Sequence[frozenset[str]]) -> set[object]:
-        """The set of states reachable from the initial states on *word*."""
-        current = set(self.initial)
-        for letter in word:
-            nxt: set[object] = set()
-            for state in current:
-                nxt |= self.successors(state, letter)
-            current = nxt
-            if not current:
-                break
-        return current
-
     @property
     def num_states(self) -> int:
         return len(self.states)
-
-    @property
-    def num_transitions(self) -> int:
-        return sum(len(v) for v in self.transitions.values())
 
 
 # ---------------------------------------------------------------------------

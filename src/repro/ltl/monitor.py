@@ -63,13 +63,6 @@ class Transition:
     def is_self_loop(self) -> bool:
         return self.source == self.target
 
-    def guard_satisfied(self, letter: Letter) -> bool:
-        """Whether *letter* (set of true atoms) satisfies the guard."""
-        for atom, required in self.guard.items():
-            if (atom in letter) != required:
-                return False
-        return True
-
     def guard_str(self) -> str:
         return implicant_to_str(dict(self.guard))
 
@@ -98,11 +91,8 @@ class MonitorAutomaton:
         self.initial_state: int = machine.initial
         self.transitions: list[Transition] = self._build_transitions()
         self._outgoing: dict[int, list[Transition]] = {}
-        self._self_loops: dict[int, list[Transition]] = {}
         for transition in self.transitions:
-            if transition.is_self_loop:
-                self._self_loops.setdefault(transition.source, []).append(transition)
-            else:
+            if not transition.is_self_loop:
                 self._outgoing.setdefault(transition.source, []).append(transition)
 
     # ------------------------------------------------------------------
@@ -217,10 +207,6 @@ class MonitorAutomaton:
     def outgoing_transitions(self, state: int) -> list[Transition]:
         """Non-self-loop transitions leaving *state*."""
         return list(self._outgoing.get(state, ()))
-
-    def self_loop_transitions(self, state: int) -> list[Transition]:
-        """Self-loop transitions of *state*."""
-        return list(self._self_loops.get(state, ()))
 
     # ------------------------------------------------------------------
     # statistics for Table 5.1 / Fig 5.1

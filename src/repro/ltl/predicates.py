@@ -142,10 +142,6 @@ class PropositionRegistry:
             per_process[self.owner_of(atom)][atom] = required
         return tuple(per_process)
 
-    def participating_processes(self, guard: Mapping[str, bool]) -> frozenset[int]:
-        """Indices of processes owning at least one literal of *guard*."""
-        return frozenset(self.owner_of(atom) for atom in guard)
-
     def local_conjunct_holds(
         self, process: int, conjunct: Mapping[str, bool], local_state: LocalState
     ) -> bool:

@@ -92,11 +92,13 @@ class RunReport:
     #: messages, replayed events, ...); empty for fault-free runs
     fault_stats: dict[str, float] = field(default_factory=dict)
     #: the search counters, summed over the monitors as ``MonitorMetrics``
-    #: defines them, and the views the per-state budget dropped
+    #: defines them, the views the per-state budget dropped, and the views
+    #: retired because their monitor settled
     box_queries: int = 0
     boxes_by_letter: int = 0
     box_cells_visited: int = 0
     views_evicted: int = 0
+    views_settled: int = 0
     #: events the monitors appended to the runs of outgoing tokens: copies
     #: of program events that travelled between monitors
     events_shipped: int = 0

@@ -171,7 +171,7 @@ class TestMonitorInternals:
     def test_views_are_merged_not_duplicated(self, example, registry, psi):
         result = run_decentralized(example, psi, registry)
         for monitor in result.monitors:
-            signatures = [tuple(v.signature()) for v in monitor.active_views()]
+            signatures = [tuple(v.signature()) for v in monitor.views]
             assert len(signatures) == len(set(signatures))
 
     def test_final_views_bounded_by_automaton_states(self, example, registry, psi):
@@ -179,4 +179,4 @@ class TestMonitorInternals:
         the number of automaton states (Section 4.4)."""
         result = run_decentralized(example, psi, registry)
         for monitor in result.monitors:
-            assert len(monitor.active_views()) <= psi.num_states
+            assert len(monitor.views) <= psi.num_states

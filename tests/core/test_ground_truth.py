@@ -9,6 +9,9 @@ and 77, and a view budget of 2 or none — 216 simulated runs.
   oracle's conclusive set.  Eviction is the one knowing trade of verdicts
   for boundedness on a fault-free run: an evicting run may lose verdicts,
   never invent them.
+* **Inconclusiveness** — when some path reaches the top cut in an
+  inconclusive state, some monitor reports ``?``: a view still live at the
+  end of the run, or one retired when its monitor settled.
 
 The search shortcuts of ``core/monitor.py`` (forking from an entry, a view
 skipping the box its last step searched, a guard's remembered least cut)
@@ -17,8 +20,9 @@ each lose verdicts here when they over-reach.
 
 import pytest
 
-from repro.core.centralized import CentralizedMonitor
+from repro.core.oracle import LatticeOracle
 from repro.experiments.engine import cell_inputs
+from repro.ltl import Verdict
 from repro.scenarios import get_scenario
 from repro.sim import simulate_monitored_run
 
@@ -45,7 +49,8 @@ def test_runs_are_sound_and_complete_unless_they_evict(property_name, num_proces
                 comm_sigma=1,
                 seed=seed,
             )
-            oracle = CentralizedMonitor.monitor_computation_declared(*inputs)
+            truth = LatticeOracle(*inputs).evaluate()
+            oracle = truth.conclusive_verdicts
             for budget in VIEW_BUDGETS:
                 report = simulate_monitored_run(
                     *inputs, seed=seed, max_views_per_state=budget, network=scenario.network
@@ -56,4 +61,6 @@ def test_runs_are_sound_and_complete_unless_they_evict(property_name, num_proces
                     failures.append(f"unsound {cell}")
                 elif report.views_evicted == 0 and declared != oracle:
                     failures.append(f"incomplete {cell}")
+                if Verdict.INCONCLUSIVE in truth.verdicts - report.reported_verdicts:
+                    failures.append(f"? lost {cell}")
     assert not failures, failures

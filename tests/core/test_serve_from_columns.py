@@ -5,10 +5,11 @@
   their own process would have given — the same least cut and clocks — and
   never parks the entry on a foreign process.
 * **Equivalence.**  With foreign-column serving switched off from outside,
-  verdicts are the same, and on the cells where every entry comes back true
-  (properties B and E) so are the views and — up to one last exploration by
-  a view that no longer waits when its process ends — the box searches:
-  only tokens and messages differ.
+  verdicts are the same and no fewer messages are sent.  With settling off
+  too, on the cells where every entry comes back true (properties B and E)
+  so are the views and — up to one last exploration by a view that no
+  longer waits when its process ends — the box searches: only tokens and
+  messages differ.
 * **Fallback.**  Columns that do not reach the target leave the search to a
   token, exactly as before.
 * **Depth.**  Thousands of pending events answered at home are consumed in
@@ -98,6 +99,19 @@ def _own_column_only(monkeypatch):
         self._serve_order = (self.process,)
 
     monkeypatch.setattr(DecentralizedMonitor, "__init__", own_column_only)
+
+
+def _never_settle(monkeypatch):
+    """Switch settling off from outside: every monitor explores to the end."""
+    monkeypatch.setattr(DecentralizedMonitor, "_settle", lambda self: None)
+
+
+def _held_and_travelled(inputs, seed, monkeypatch):
+    """One run serving from every column held, one from the own column only."""
+    held = _simulate(inputs, seed)
+    with monkeypatch.context() as patch:
+        _own_column_only(patch)
+        return held, _simulate(inputs, seed)
 
 
 def _hold(monitor, process, clocks, masks=None):
@@ -203,6 +217,13 @@ def test_a_foreign_column_that_runs_out_leaves_the_component_lagging():
 # ---------------------------------------------------------------------------
 # (ii) equivalence
 # ---------------------------------------------------------------------------
+def _assert_same_verdicts_no_more_messages(held, travelled):
+    # settled monitors stop at different points of the two runs: only the
+    # verdicts and the direction of the message count are shared
+    assert held.declared_verdicts == travelled.declared_verdicts
+    assert held.monitor_messages <= travelled.monitor_messages
+
+
 def _assert_same_search_fewer_tokens(held, travelled):
     assert held.declared_verdicts == travelled.declared_verdicts
     for counter in ("total_global_views", "views_evicted"):
@@ -224,22 +245,24 @@ def _assert_same_search_fewer_tokens(held, travelled):
 @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-n{c[1]}-s{c[2]}")
 def test_an_answer_from_the_columns_is_what_the_token_would_have_brought(cell, monkeypatch):
     inputs = build_cell_inputs(*cell)
-    held = _simulate(inputs, cell[2])
+    _assert_same_verdicts_no_more_messages(*_held_and_travelled(inputs, cell[2], monkeypatch))
     runner = run_decentralized(*inputs)
-    _own_column_only(monkeypatch)
-    travelled = _simulate(inputs, cell[2])
-    assert held.declared_verdicts == travelled.declared_verdicts
-    assert runner.declared_verdicts == run_decentralized(*inputs).declared_verdicts
+    with monkeypatch.context() as patch:
+        _own_column_only(patch)
+        assert runner.declared_verdicts == run_decentralized(*inputs).declared_verdicts
     if cell[0] in "BE":  # every entry returns true: nothing else may move
-        _assert_same_search_fewer_tokens(held, travelled)
+        _never_settle(monkeypatch)
+        _assert_same_search_fewer_tokens(*_held_and_travelled(inputs, cell[2], monkeypatch))
 
 
 def test_long_trace_answers_at_home_change_tokens_and_messages_only(
     long_trace_inputs, monkeypatch
 ):
-    held = _simulate(long_trace_inputs, 2015)
-    _own_column_only(monkeypatch)
-    _assert_same_search_fewer_tokens(held, _simulate(long_trace_inputs, 2015))
+    _assert_same_verdicts_no_more_messages(
+        *_held_and_travelled(long_trace_inputs, 2015, monkeypatch)
+    )
+    _never_settle(monkeypatch)
+    _assert_same_search_fewer_tokens(*_held_and_travelled(long_trace_inputs, 2015, monkeypatch))
 
 
 @pytest.mark.parametrize("workload", ["token-heavy", "box-heavy"])

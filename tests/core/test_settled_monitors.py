@@ -1,0 +1,188 @@
+"""Settled monitors stop exploring.
+
+A monitor is *settled* once every conclusive state its live views — waiting
+ones included — can still reach has been declared.  Conclusive states are
+traps, so no search could declare anything new: the monitor retires its
+views and disowns their tokens, and from then on only appends its own
+events, absorbs runs, serves and routes the others' tokens and sends
+termination notices.  It reports ``?`` if it retired a view when it settled.
+
+Scratch mutants of ``DecentralizedMonitor._settle`` and the test here that
+catches each:
+
+* waiting views left out of the union —
+  ``test_a_waiting_views_reach_keeps_the_monitor_exploring``;
+* the check made on declared *verdicts* over every live view but the first —
+  every test here, ``test_one_declared_verdict_of_two_does_not_settle`` the
+  most direct; but the last (of two or more) —
+  ``test_every_live_views_reach_counts_in_any_order`` only: no other test of
+  ``tests/core``, ``tests/coordination`` or ``tests/session`` catches it.
+"""
+
+from test_serve_from_columns import _hold, _mask, _never_settle, _Outbox
+
+from repro.core.messages import TerminationNotice, Token, TokenEntry
+from repro.core.monitor import DecentralizedMonitor
+from repro.distributed.clocks import VectorClock
+from repro.distributed.events import Event, EventKind
+from repro.experiments.properties import case_study_registry
+from repro.ltl import Verdict, build_monitor
+
+
+def _monitor(formula, n=2, initially=(), held=None):
+    """Monitor 0 of *formula* over ``n`` processes; *initially*: the atoms
+    true at the initial state; *held*: ``{process: [(clock, atoms), …]}``,
+    events of other processes put in the columns before it starts."""
+    registry = case_study_registry(n)
+    network = _Outbox()
+    letters = [frozenset(a for a in initially if a.startswith(f"P{j}.")) for j in range(n)]
+    monitor = DecentralizedMonitor(
+        process=0,
+        num_processes=n,
+        automaton=build_monitor(formula, atoms=registry.names),
+        registry=registry,
+        initial_letters=letters,
+        transport=network,
+    )
+    for process in range(n):
+        network.register(process, monitor)
+    for process, events in (held or {}).items():
+        _hold(monitor, process, [c for c, _ in events], [_mask(monitor, *a) for _, a in events])
+    monitor.start()
+    return monitor, network
+
+
+def _event(monitor, sn, clock, **state):
+    """Local event *sn* of P0 with vector clock *clock*."""
+    if any(clock[1:]):
+        event = Event(0, sn, EventKind.RECEIVE, VectorClock(list(clock)), state, peer=1)
+    else:
+        event = Event(0, sn, EventKind.INTERNAL, VectorClock(list(clock)), state)
+    monitor.local_event(event)
+
+
+def _state_of(monitor, verdict):
+    (state,) = [q for q in monitor.automaton.states if monitor.automaton.verdict(q) is verdict]
+    return state
+
+
+def _settled_on_b():
+    """Monitor 0 of property B, ``F(P0.p & P1.p)``: P1 raised p at its event
+    1, held here, and P0's event 1 raises p — ⊤ is declared at home."""
+    monitor, network = _monitor("F(P0.p & P1.p)", held={1: [((0, 1), {"P1.p"})]})
+    assert monitor.views and not monitor.declared_verdicts
+    _event(monitor, 1, (1, 0), p=True)
+    return monitor, network
+
+
+def test_after_top_on_b_the_monitor_holds_no_view_and_asks_nothing_more(monkeypatch):
+    monitor, network = _settled_on_b()
+    assert monitor.declared_verdicts == {Verdict.TOP}
+    assert monitor.views == [] and monitor.metrics.views_settled == 1
+    assert monitor.is_quiescent
+    # receives that name P1 events not held here: an exploring view would
+    # have to ask P1 about each, a settled monitor only appends them
+    for sn in range(2, 6):
+        _event(monitor, sn, (sn, sn), p=sn % 2 == 0)
+    assert monitor.metrics.tokens_created == 0 and network.tokens == []
+    assert len(monitor.local_vcs) == 6 and monitor.metrics.events_processed == 5
+    assert monitor.views == [] and monitor.metrics.views_settled == 1
+
+    _never_settle(monkeypatch)  # the control: the same feed, never settling
+    exploring, outbox = _settled_on_b()
+    assert exploring.declared_verdicts == {Verdict.TOP} and exploring.views
+    for sn in range(2, 6):
+        _event(exploring, sn, (sn, sn), p=sn % 2 == 0)
+    assert exploring.metrics.tokens_created > 0 and outbox.tokens
+
+
+def test_a_settled_monitor_still_serves_routes_and_absorbs_foreign_tokens():
+    monitor, network = _settled_on_b()
+    assert monitor.views == []
+    p0 = _mask(monitor, "P0.p")
+    # a token of monitor 1 that needs P0 to raise p, with one more P1 event
+    entry = TokenEntry(
+        transition_id=0, bits=((p0, p0), (0, 0)),
+        start_cut=[0, 2], cut=[0, 2], depend=[0, 2], min_positions=[0, 2],
+        satisfied=[False, True],
+    )
+    token = Token(1, 99, 2, entries=[entry], known=[0, 1], runs={1: ([0], [(0, 2)])})
+    monitor.receive_message(token)
+    assert len(monitor.vc_columns[1]) == 3  # P1's event 2 was absorbed
+    assert monitor.metrics.token_hops_served == 1
+    assert entry.eval is True and entry.cut == [1, 2]  # P0's event 1 raised p
+    assert network.tokens == [(1, token)]  # decided: back to its parent
+    assert token.runs[0] == ([p0], [(1, 0)]) and monitor.metrics.events_shipped == 1
+    assert monitor.views == [] and monitor.metrics.tokens_created == 0
+
+
+def test_reported_verdicts_add_question_mark_only_for_views_retired_inconclusive():
+    # retired one inconclusive view when it settled
+    monitor, _ = _settled_on_b()
+    assert monitor.reported_verdicts() == {Verdict.TOP, Verdict.INCONCLUSIVE}
+    # conclusive from the start: nothing to retire, nothing inconclusive
+    decided, _ = _monitor("F(P0.p & P1.p)", initially={"P0.p", "P1.p"})
+    assert decided.declared_verdicts == {Verdict.TOP}
+    assert decided.metrics.views_settled == 0 and decided.reported_verdicts() == {Verdict.TOP}
+    # no conclusive state in reach at all: settles at start, never searches
+    never, network = _monitor("G F P0.p", initially={"P0.p"})
+    assert never.views == [] and never.metrics.views_settled == 1
+    assert never.reported_verdicts() == {Verdict.INCONCLUSIVE}
+    _event(never, 1, (1, 0), p=False)
+    assert never.metrics.entries_created == 0 and network.tokens == []
+    # not settled: the live views' own verdicts, as before
+    exploring, _ = _monitor("F(P0.p & P1.p)")
+    assert exploring.views and exploring.reported_verdicts() == {Verdict.INCONCLUSIVE}
+
+
+def test_one_declared_verdict_of_two_does_not_settle():
+    # P0.p U P1.p: P1 raising p (held here) gives ⊤, P0 dropping p first ⊥
+    monitor, _ = _monitor("P0.p U P1.p", initially={"P0.p"}, held={1: [((0, 1), {"P1.p"})]})
+    assert monitor.declared_verdicts == {Verdict.TOP}
+    (view,) = monitor.views  # ⊥ is still in its reach
+    assert monitor.metrics.views_settled == 0
+    _event(monitor, 1, (1, 0), p=False)  # concurrent with P1's event: ⊥ too
+    assert monitor.verdict_log == [Verdict.TOP, Verdict.BOTTOM]
+    assert monitor.views == [] and monitor.metrics.views_settled == 0  # it ended at ⊥
+    assert monitor.reported_verdicts() == {Verdict.TOP, Verdict.BOTTOM}
+
+
+def test_a_waiting_views_reach_keeps_the_monitor_exploring():
+    monitor, network = _monitor("P0.p U P1.p", initially={"P0.p"})
+    (view,) = monitor.views  # asked P1 for p: nothing of P1 is held here
+    ((_, token),) = network.tokens
+    assert view.is_waiting()
+    # ⊤ found elsewhere by this monitor; the waiting view can still reach ⊥
+    monitor._declare(_state_of(monitor, Verdict.TOP))
+    monitor.receive_message(TerminationNotice(1, 3))  # an entry point: the check runs
+    assert monitor.views == [view] and monitor.metrics.views_settled == 0
+    assert not monitor.is_quiescent  # its token is still its own
+    # once ⊥ is declared too, the waiting view is retired and its token disowned
+    monitor._declare(_state_of(monitor, Verdict.BOTTOM))
+    monitor.receive_message(TerminationNotice(1, 3))
+    assert monitor.views == [] and monitor.metrics.views_settled == 1
+    token.entries[0].eval, token.entries[0].cut[1] = True, 1
+    monitor.receive_message(token)  # back home: swallowed as an orphan
+    assert monitor.metrics.orphan_tokens_swallowed == 1 and monitor.views == []
+    assert monitor.is_quiescent
+
+
+def test_every_live_views_reach_counts_in_any_order():
+    # P0.p U (P1.p & F P0.q): from the initial state ⊥ is in reach; once P1
+    # raises p with P0.q false, only ⊤ is
+    monitor, _ = _monitor(
+        "P0.p U (P1.p & F P0.q)", initially={"P0.p"}, held={1: [((0, 1), {"P1.p"})]}
+    )
+    first, forked = monitor.views  # the initial view, and its fork at [0, 1]
+    reach = monitor.automaton.reach_bits
+    top, bottom = _state_of(monitor, Verdict.TOP), _state_of(monitor, Verdict.BOTTOM)
+    assert forked.cut == [0, 1] and reach[forked.state] >> bottom & 1 == 0
+    assert reach[first.state] >> bottom & 1 and reach[forked.state] >> top & 1
+    monitor._declare(top)  # as if found by a search: ⊥ is still in the first view's reach
+    for views in ([first, forked], [forked, first]):
+        monitor.views = list(views)
+        monitor._settle()
+        assert monitor.views == views and monitor.metrics.views_settled == 0
+    monitor._declare(bottom)
+    monitor._settle()
+    assert monitor.views == [] and monitor.metrics.views_settled == 2

@@ -443,23 +443,25 @@ def _curve_cell(cell):
 @pytest.mark.parametrize(
     "cell, queries, remembered, by_letter, cells, views",
     [
-        (("C", 4, 20), 659, 429, 231, 952, 169),  # the token-heavy cell
-        (("F", 5, 20), 6_313, 4_785, 1_295, 38_529, 405),
-        (("B", 5, 40), 988, 192, 220, 1_020, 773),  # the long-trace cell
+        (("C", 4, 20), 612, 410, 199, 898, 164),  # the token-heavy cell
+        (("F", 5, 20), 5_000, 3_773, 949, 33_098, 315),
+        (("B", 5, 40), 988, 191, 220, 1_020, 773),  # the long-trace cell
     ],
     ids=["C-n4-epp20", "F-n5-epp20", "B-n5-epp40"],
 )
 def test_curve_cells_search_each_step_once(cell, queries, remembered, by_letter, cells, views):
     report = _curve_cell(cell)
     # 1 088, 11 098 and 1 180 asked before a view remembered its last step's
-    # targets; views are what they were
+    # targets; views are what they were then, less those a settled monitor no
+    # longer forks (C and F had 659, 6 313 queries and 169, 405 views before)
     assert report.box_queries == queries
     assert report.boxes_remembered == remembered
     assert report.boxes_by_letter == by_letter
     assert report.total_global_views == views
     # C and F: 4 779 and 274 878 with one search per entry, 2 632 and 58 720
     # per step, 1 419 and 34 345 (842 entries replayed along one path) before
-    # targets the letter decides were left out; B: 5 801 (172 replayed)
+    # targets the letter decides were left out, 952 and 38 529 before settled
+    # monitors stopped exploring; B: 5 801 (172 replayed)
     assert report.box_cells_visited == cells
     assert 0 < report.least_cuts_remembered <= report.entries_created
     assert report.parked_tokens_slept > 0  # 248, 451 and 868

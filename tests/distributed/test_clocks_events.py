@@ -64,12 +64,6 @@ class TestVectorClock:
     def test_hashable(self):
         assert len({VectorClock([1, 2]), VectorClock([1, 2]), VectorClock([2, 1])}) == 2
 
-    def test_dominates_on(self):
-        a = VectorClock([2, 0, 3])
-        b = VectorClock([1, 4, 3])
-        assert a.dominates_on(b, [0, 2])
-        assert not a.dominates_on(b, [1])
-
 
 class TestEvent:
     def make(self, **kwargs):

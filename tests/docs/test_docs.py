@@ -368,6 +368,7 @@ TYPED_DEF_PATHS = [
     REPO_ROOT / "src" / "repro" / "cluster",
     REPO_ROOT / "src" / "repro" / "distributed",
     REPO_ROOT / "src" / "repro" / "experiments",
+    REPO_ROOT / "src" / "repro" / "faults",
     REPO_ROOT / "src" / "repro" / "fleet",
     REPO_ROOT / "src" / "repro" / "fuzz",
     REPO_ROOT / "src" / "repro" / "scenarios",
@@ -395,9 +396,9 @@ def test_typed_defs_ratchet(path):
     ``disallow_untyped_defs`` / ``disallow_incomplete_defs`` mypy overrides
     in ``pyproject.toml`` (``repro.runtime.*``, ``repro.session``,
     ``repro.core.*``, ``repro.coordination.*``, ``repro.cluster.*``,
-    ``repro.distributed.*``, ``repro.experiments.*``, ``repro.fleet.*``,
-    ``repro.fuzz.*``, ``repro.scenarios.*``, ``repro.sim.*`` and the LTL
-    step kernel).
+    ``repro.distributed.*``, ``repro.experiments.*``, ``repro.faults.*``,
+    ``repro.fleet.*``, ``repro.fuzz.*``, ``repro.scenarios.*``,
+    ``repro.sim.*`` and the LTL step kernel).
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     incomplete = []

@@ -130,7 +130,8 @@ class TestMonitorProperties:
             candidates = [
                 t
                 for t in monitor.transitions
-                if t.source == state and t.guard_satisfied(letter)
+                if t.source == state
+                and all((atom in letter) == required for atom, required in t.guard.items())
             ]
             assert len(candidates) >= 1
             assert {t.target for t in candidates} == {monitor.step(state, letter)}

@@ -85,10 +85,6 @@ class TestPropositionRegistry:
         assert per_process[0] == {"x1>=5": True, "x1=10": False}
         assert per_process[1] == {"x2>=15": False}
 
-    def test_participating_processes(self, registry):
-        assert registry.participating_processes({"x2>=15": True}) == frozenset({1})
-        assert registry.participating_processes({}) == frozenset()
-
     def test_local_conjunct_holds(self, registry):
         assert registry.local_conjunct_holds(0, {"x1>=5": True, "x1=10": False}, {"x1": 7})
         assert not registry.local_conjunct_holds(0, {"x1>=5": True}, {"x1": 2})

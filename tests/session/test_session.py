@@ -172,6 +172,7 @@ _INTERLEAVING_FIELDS = {
     "boxes_by_letter",
     "box_cells_visited",
     "views_evicted",
+    "views_settled",
     "events_shipped",
     "token_hops_max",
     "orphan_tokens_swallowed",

@@ -15,7 +15,11 @@ at home" and the one covering rule, PR 17) and when every search came to be
 answered from the columns its monitor holds ("answer from what you hold",
 "never explore a signature twice", PR 20): fewer messages, tokens and
 views, same verdicts — the per-cell diffs are in CHANGES.md — and when the
-always-zero digest counters went with the alternative routings.  It is
+always-zero digest counters went with the alternative routings.  It was
+re-captured once more, deliberately, when a monitor that can declare nothing
+new came to retire its views ("settled monitors stop exploring"): three
+cells issue fewer searches, two of them create fewer views, one sends fewer
+tokens and messages, and the verdicts are the same.  It is
 asserted byte-for-byte by
 ``tests/coordination/test_round_robin_fixture.py``.
 
@@ -58,6 +62,7 @@ UNPINNED_COUNTERS = (
     "boxes_by_letter",
     "box_cells_visited",
     "views_evicted",
+    "views_settled",
     "events_shipped",
     "token_hops_max",
     "orphan_tokens_swallowed",
