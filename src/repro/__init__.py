@@ -35,7 +35,7 @@ Subpackages
     The asyncio streaming backend: monitor nodes over real sockets.
 ``repro.fleet``
     The multi-tenant fleet: thousands of live monitored sessions per
-    process, sharded across a pool, with event sources and verdict sinks.
+    process, sharded across a pool, with pluggable event sources.
 ``repro.cluster``
     The multi-host runtime: wire protocol v4 codec, cluster manifests,
     worker processes and the coordinating control plane.

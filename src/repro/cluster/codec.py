@@ -80,10 +80,10 @@ bumping :data:`PROTOCOL_VERSION` and upgrading every node together.
 
 from __future__ import annotations
 
+import asyncio
 import struct
 from collections.abc import Sequence
 from itertools import chain
-from typing import BinaryIO
 
 from ..core.messages import TerminationNotice, Token, TokenEntry
 
@@ -107,6 +107,7 @@ __all__ = [
     "decode_control",
     "decode_header",
     "split_frame",
+    "read_frame_async",
 ]
 
 #: the two magic bytes opening every frame
@@ -589,7 +590,7 @@ def decode_message(type_tag: int, body: bytes) -> object:
 
 
 # ---------------------------------------------------------------------------
-# frame assembly and splitting
+# frame assembly, splitting and reading
 # ---------------------------------------------------------------------------
 def _frame(type_tag: int, out: bytearray) -> bytes:
     """Finish a frame whose first :data:`HEADER` bytes were left blank."""
@@ -677,29 +678,44 @@ def split_frame(frame: bytes) -> tuple[int, bytes]:
     return type_tag, payload
 
 
-def write_frame(stream: BinaryIO, due: float, message: object) -> None:
-    """Write one monitoring frame to a blocking binary *stream*."""
-    stream.write(encode_wire(due, message))
+async def read_frame_async(
+    reader: asyncio.StreamReader, peer: str = "peer"
+) -> tuple[int, bytes] | None:
+    """Read one frame from *reader*: ``(type_tag, payload)``, or ``None``.
 
-
-def read_frame(stream: BinaryIO) -> tuple[float, object] | None:
-    """Read one monitoring frame from a blocking binary *stream*.
-
-    Returns ``None`` on a clean EOF between frames; raises
-    :class:`CorruptFrameError` on truncation inside a frame.
+    The wire's one frame reader: every socket of the loopback transport,
+    the cluster's peer links and its control channel go through it.  EOF
+    or a connection reset at a frame boundary is a clean close (``None``).
+    A stream that ends or resets inside a frame raises
+    :class:`ConnectionError` naming how much of the frame arrived, with
+    *peer* naming the sender.  A bad magic, a foreign version or an
+    oversized length raise :func:`decode_header`'s errors on the header
+    alone, before any payload is awaited.
     """
-    header = stream.read(HEADER.size)
-    if not header:
+    try:
+        header = await reader.readexactly(HEADER.size)
+    except asyncio.IncompleteReadError as error:
+        if error.partial:
+            raise ConnectionError(
+                f"{peer} disconnected mid-frame: {len(error.partial)} of "
+                f"{HEADER.size} frame-header bytes received"
+            ) from error
         return None
-    if len(header) < HEADER.size:
-        raise CorruptFrameError(
-            f"stream ended mid-frame: {len(header)} of {HEADER.size} "
-            f"header bytes"
-        )
+    except ConnectionResetError:
+        # an abrupt teardown of an idle connection; only a reset after the
+        # header was consumed is unambiguously mid-frame
+        return None
     type_tag, length = decode_header(header)
-    payload = stream.read(length)
-    if len(payload) < length:
-        raise CorruptFrameError(
-            f"stream ended mid-frame: {len(payload)} of {length} payload bytes"
-        )
-    return decode_wire(type_tag, payload)
+    try:
+        payload = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as error:
+        raise ConnectionError(
+            f"{peer} disconnected mid-frame: {len(error.partial)} of "
+            f"{length} payload bytes received"
+        ) from error
+    except ConnectionResetError as error:
+        raise ConnectionError(
+            f"{peer} reset the connection mid-frame before its "
+            f"{length}-byte payload arrived"
+        ) from error
+    return type_tag, payload

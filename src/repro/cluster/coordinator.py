@@ -125,7 +125,7 @@ async def coordinate(
     ) -> None:
         try:
             hello = await read_control_async(reader)
-        except codec.CodecError as error:
+        except (codec.CodecError, ConnectionError) as error:
             handshake_error.append(error)
             all_joined.set()
             writer.close()

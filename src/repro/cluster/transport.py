@@ -34,7 +34,7 @@ from .manifest import ClusterManifest, Endpoint
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..runtime.node import StreamMonitorNode
 
-__all__ = ["WorkerTransport", "dial", "read_frame_async", "read_control_async"]
+__all__ = ["WorkerTransport", "dial", "read_control_async"]
 
 #: first reconnect delay, doubled per attempt up to :data:`BACKOFF_CAP`
 BACKOFF_INITIAL = 0.05
@@ -68,40 +68,11 @@ async def dial(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-async def read_frame_async(
-    reader: asyncio.StreamReader,
-) -> tuple[int, bytes] | None:
-    """Read one frame from *reader*; ``None`` on clean EOF between frames.
-
-    Raises :class:`repro.cluster.codec.CorruptFrameError` on truncation
-    inside a frame and the codec's own errors on bad magic or an
-    unsupported protocol version.
-    """
-    try:
-        header = await reader.readexactly(codec.HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if error.partial:
-            raise codec.CorruptFrameError(
-                f"peer disconnected mid-frame: {len(error.partial)} of "
-                f"{codec.HEADER.size} frame-header bytes received"
-            ) from error
-        return None
-    type_tag, length = codec.decode_header(header)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise codec.CorruptFrameError(
-            f"peer disconnected mid-frame: {len(error.partial)} of "
-            f"{length} payload bytes received"
-        ) from error
-    return type_tag, payload
-
-
 async def read_control_async(
     reader: asyncio.StreamReader,
 ) -> dict[str, object] | None:
-    """Read one control mapping from *reader*; ``None`` on clean EOF."""
-    frame = await read_frame_async(reader)
+    """Read one control mapping from *reader*; ``None`` on a clean close."""
+    frame = await codec.read_frame_async(reader)
     if frame is None:
         return None
     type_tag, payload = frame
@@ -268,11 +239,10 @@ class WorkerTransport:
         self._peer_writers.add(writer)
         try:
             while True:
-                frame = await read_frame_async(reader)
+                frame = await codec.read_frame_async(reader)
                 if frame is None:
                     return
-                type_tag, payload = frame
-                due, message = codec.decode_wire(type_tag, payload)
+                due, message = codec.decode_wire(*frame)
                 assert self.node is not None
                 self.node.enqueue_message(due, message)
         except Exception as error:  # noqa: BLE001 - surfaced via fatal_error

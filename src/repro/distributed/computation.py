@@ -90,18 +90,10 @@ class Computation:
             raise ValueError("cut arity must equal the number of processes")
         return [self.local_state(i, cut[i]) for i in range(self.num_processes)]
 
-    def cut_clock(self, cut: Cut) -> VectorClock:
-        """Vector clock of a cut: component ``i`` is the count of ``P_i`` events."""
-        return VectorClock(cut)
-
     # -- order ------------------------------------------------------------------
     def happened_before(self, first: Event, second: Event) -> bool:
         """Whether *first* happened-before *second* (vector-clock order)."""
         return first.happened_before(second)
-
-    def concurrent(self, first: Event, second: Event) -> bool:
-        """Whether the two events are causally unordered."""
-        return first.concurrent_with(second)
 
     def is_consistent_cut(self, cut: Cut) -> bool:
         """Definition 4: a cut is consistent when it is closed under
@@ -125,14 +117,6 @@ class Computation:
         from .lattice import ComputationLattice  # local import to avoid a cycle
 
         return ComputationLattice.from_computation(self).cuts()
-
-    # -- convenience -------------------------------------------------------------
-    def frontier_events(self, cut: Cut) -> list[Event | None]:
-        """The last event of each process inside the cut (``None`` if none)."""
-        return [
-            self.events[i][cut[i] - 1] if cut[i] > 0 else None
-            for i in range(self.num_processes)
-        ]
 
     def __repr__(self) -> str:
         return (

@@ -94,15 +94,5 @@ class Event:
         """Whether this is an internal (non-communication) event."""
         return self.kind is EventKind.INTERNAL
 
-    @property
-    def is_send(self) -> bool:
-        """Whether this event sends an application message."""
-        return self.kind is EventKind.SEND
-
-    @property
-    def is_receive(self) -> bool:
-        """Whether this event receives an application message."""
-        return self.kind is EventKind.RECEIVE
-
     def __str__(self) -> str:
         return f"e{self.process}_{self.sn}({self.kind})"

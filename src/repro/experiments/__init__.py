@@ -5,7 +5,8 @@ Public API
 * :func:`property_formula` / :func:`case_study_monitor` /
   :func:`case_study_registry` — properties A–F of Section 5.1.
 * ``run_table_5_1`` … ``run_fig_5_9`` — one function per table/figure, each
-  a thin scenario+grid declaration.
+  a thin scenario+grid declaration (Figures 5.4–5.8 share
+  ``run_fig_5_4_5_5``'s rows).
 * :class:`ExperimentScale` — workload size knobs; ``FIGURE_SCALE`` is the
   one the benchmark suite, ``docs/results.md`` and the CLI use.
 * :func:`format_table` — plain-text rendering of result rows.
@@ -23,9 +24,6 @@ from .harness import (
     run_fig_5_1,
     run_fig_5_2_5_3,
     run_fig_5_4_5_5,
-    run_fig_5_6,
-    run_fig_5_7,
-    run_fig_5_8,
     run_fig_5_9,
     run_monitoring_experiment,
     run_table_5_1,
@@ -45,9 +43,6 @@ __all__ = [
     "run_fig_5_1",
     "run_fig_5_2_5_3",
     "run_fig_5_4_5_5",
-    "run_fig_5_6",
-    "run_fig_5_7",
-    "run_fig_5_8",
     "run_fig_5_9",
     "run_monitoring_experiment",
     "run_table_5_1",

@@ -46,11 +46,11 @@ document, and the exit status is non-zero iff the run produced an
 soundness-breaking attack plans, or any crash).  The ``fleet`` sub-command
 runs a synthetic multi-tenant monitoring fleet (:mod:`repro.fleet`):
 ``--tenants``/``--shards`` size it, ``--backpressure``/``--inbox-limit``
-pick the per-tenant inbox policy, ``--sink jsonl --sink-path FILE`` streams
-the per-tenant verdict records to a file, ``--verify K`` spot-checks K
-tenants for byte-identical equivalence against standalone asyncio runs
-(non-zero exit on mismatch), and ``--json OUT`` writes the fleet throughput
-and saturation counters (:meth:`repro.fleet.FleetReport.as_dict`) as JSON.
+pick the per-tenant inbox policy, ``--verify K`` spot-checks K tenants for
+byte-identical equivalence against standalone asyncio runs (non-zero exit
+on mismatch), and ``--json OUT`` writes, once the run is over, the fleet
+throughput and saturation counters plus one record per tenant in tenant-id
+order (:meth:`repro.fleet.FleetReport.as_dict`) as JSON.
 """
 
 from __future__ import annotations
@@ -303,7 +303,6 @@ def _emit_fuzz(args: argparse.Namespace) -> None:
 def _emit_fleet(args: argparse.Namespace) -> None:
     from ..fleet import (
         FleetConfig,
-        make_sink,
         run_fleet,
         standalone_tenant_result,
         synthetic_fleet,
@@ -321,25 +320,18 @@ def _emit_fleet(args: argparse.Namespace) -> None:
         inbox_limit=args.inbox_limit,
         backpressure=args.backpressure,
     )
-    sink = None
-    if args.sink is not None:
-        try:
-            sink = make_sink(args.sink, args.sink_path)
-        except ValueError as error:
-            raise SystemExit(f"error: {error}") from None
-    report = run_fleet(config, sink=sink)
+    report = run_fleet(config)
+    document = report.as_dict()
     print(
         f"fleet: {report.tenants_admitted} tenants on {report.shards} shard(s), "
         f"backpressure {report.backpressure} (inbox limit {report.inbox_limit})"
     )
     rows = [
         {"metric": name, "value": f"{value:g}"}
-        for name, value in report.as_dict().items()
-        if name not in ("backpressure",)
+        for name, value in document.items()
+        if name not in ("backpressure", "tenants")
     ]
     print(format_table(rows, columns=["metric", "value"]))
-    if sink is not None:
-        print(f"sink: {sink.describe()}")
     if args.verify:
         stride = max(1, len(report.results) // args.verify)
         picked = report.results[::stride][: args.verify]
@@ -361,7 +353,7 @@ def _emit_fleet(args: argparse.Namespace) -> None:
         print(f"verified {len(picked)} tenant(s) against standalone runs")
     if args.json:
         try:
-            Path(args.json).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+            Path(args.json).write_text(json.dumps(document, indent=2) + "\n")
         except OSError as error:
             raise SystemExit(f"error: cannot write {args.json}: {error}") from None
         print(f"wrote {args.json}")
@@ -478,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="OUT",
         default=None,
-        help="fleet only: write the fleet's saturation counters to OUT as JSON",
+        help="fleet only: write the fleet's saturation counters and one "
+        "record per tenant to OUT as JSON",
     )
     parser.add_argument(
         "--seed",
@@ -532,19 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="block",
         help="fleet only: what a saturated tenant inbox does — stall the "
         "feeder losslessly (block) or shed the newest events (drop-newest)",
-    )
-    parser.add_argument(
-        "--sink",
-        choices=["memory", "jsonl"],
-        default=None,
-        help="fleet only: verdict sink receiving one record per tenant "
-        "(jsonl requires --sink-path)",
-    )
-    parser.add_argument(
-        "--sink-path",
-        metavar="FILE",
-        default=None,
-        help="fleet only: output file of the jsonl verdict sink",
     )
     parser.add_argument(
         "--verify",

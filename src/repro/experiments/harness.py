@@ -35,9 +35,6 @@ __all__ = [
     "run_fig_5_2_5_3",
     "run_monitoring_experiment",
     "run_fig_5_4_5_5",
-    "run_fig_5_6",
-    "run_fig_5_7",
-    "run_fig_5_8",
     "run_fig_5_9",
     "run_message_baseline",
     "run_scenario",
@@ -158,58 +155,15 @@ def run_fig_5_4_5_5(
     """Messages overhead vs. number of processes for all properties.
 
     Figure 5.4 plots properties A–C, Figure 5.5 properties D–F; both use the
-    same experiment, so a single sweep covers them.  With
+    same experiment, so a single sweep covers them.  Figures 5.6–5.8 are
+    columns of the same rows (``delay_time_pct_per_view``,
+    ``delayed_events``, ``global_views``).  With
     ``scale.workers > 1`` the engine shards the full
     (property × process-count × replication) cell product across one process
     pool, keeping every worker busy for the whole sweep.
     """
     grid = SweepGrid(properties=tuple(properties))
     return execute_sweep(get_scenario("paper-default"), scale, grid=grid)
-
-
-def run_fig_5_6(
-    properties: Sequence[str] = PROPERTY_NAMES,
-    scale: ExperimentScale = DEFAULT_SCALE,
-) -> list[dict[str, float]]:
-    """Delay-time percentage per global view vs. process count (Fig 5.6)."""
-    return [
-        {
-            "property": row["property"],
-            "processes": row["processes"],
-            "delay_time_pct_per_view": row["delay_time_pct_per_view"],
-        }
-        for row in run_fig_5_4_5_5(properties, scale)
-    ]
-
-
-def run_fig_5_7(
-    properties: Sequence[str] = PROPERTY_NAMES,
-    scale: ExperimentScale = DEFAULT_SCALE,
-) -> list[dict[str, float]]:
-    """Average delayed (queued) events vs. process count (Fig 5.7)."""
-    return [
-        {
-            "property": row["property"],
-            "processes": row["processes"],
-            "delayed_events": row["delayed_events"],
-        }
-        for row in run_fig_5_4_5_5(properties, scale)
-    ]
-
-
-def run_fig_5_8(
-    properties: Sequence[str] = PROPERTY_NAMES,
-    scale: ExperimentScale = DEFAULT_SCALE,
-) -> list[dict[str, float]]:
-    """Total global views created vs. process count (Fig 5.8)."""
-    return [
-        {
-            "property": row["property"],
-            "processes": row["processes"],
-            "global_views": row["global_views"],
-        }
-        for row in run_fig_5_4_5_5(properties, scale)
-    ]
 
 
 def run_fig_5_9(

@@ -11,8 +11,9 @@ monitoring backends.
 
 Six models are provided:
 
-* :class:`ExplicitFaults` — wraps a literal plan unchanged (also what the
-  CLI's ``run --fault-plan`` override uses).
+* :class:`ExplicitFaults` — wraps a literal plan unchanged, so a scenario
+  can carry a fixed plan (the CLI's ``run --fault-plan`` override does not
+  go through a model: it sets ``ExecutionConfig.fault_plan`` directly).
 * :class:`SingleCrashFaults` — one seed-chosen monitor crashes once at a
   seed-chosen point of its trace.
 * :class:`RollingCrashFaults` — every monitor crashes once, at staggered

@@ -3,9 +3,9 @@
 The fleet layer multiplexes many concurrent monitored sessions — one
 :class:`TenantSpec` (formula instance × live event stream) each — on asyncio
 event loops sharded across a process pool by tenant hash.  Streams come from
-pluggable :class:`EventSource`\\ s (synthetic workloads, replayed event-log
-files, loopback-socket ingestion), verdicts leave through
-:class:`VerdictSink`\\ s, and per-tenant inboxes are bounded with explicit
+pluggable :class:`EventSource`\\ s (synthetic workloads or replayed event-log
+files), each tenant's outcome is one :class:`TenantResult` on the
+:class:`FleetReport`, and per-tenant inboxes are bounded with explicit
 backpressure.  See ``docs/fleet.md`` for the operator guide and
 :func:`run_fleet` for the entry point.
 """
@@ -24,41 +24,30 @@ from .engine import (
     shard_of,
     standalone_tenant_result,
 )
-from .sinks import SINK_KINDS, JsonlSink, MemorySink, TenantVerdict, VerdictSink, make_sink
 from .sources import (
     EVENT_LOG_SCHEMA,
     SOURCE_KINDS,
     EventSource,
     ReplaySource,
-    SocketSource,
     SyntheticSource,
     dump_event_log,
     load_event_log,
-    serve_event_log,
 )
 
 __all__ = [
     "BACKPRESSURE_POLICIES",
     "EVENT_LOG_SCHEMA",
     "SOURCE_KINDS",
-    "SINK_KINDS",
     "TenantSpec",
     "FleetConfig",
     "FleetReport",
     "TenantResult",
-    "TenantVerdict",
     "EventSource",
     "SyntheticSource",
     "ReplaySource",
-    "SocketSource",
-    "VerdictSink",
-    "MemorySink",
-    "JsonlSink",
-    "make_sink",
     "describe_backpressure",
     "dump_event_log",
     "load_event_log",
-    "serve_event_log",
     "run_fleet",
     "standalone_tenant_result",
     "synthetic_fleet",

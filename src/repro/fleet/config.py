@@ -51,7 +51,7 @@ class TenantSpec:
     """One tenant: a formula instance attached to a live event stream.
 
     ``num_processes`` / ``events_per_process`` shape synthetic streams; a
-    replay or socket source carries its own process count, which then also
+    replay source carries its own process count, which then also
     sizes the tenant's monitor ring.  ``time_scale`` paces the stream
     through the session's :class:`repro.runtime.transport.RuntimeClock`
     (wall seconds per virtual second; ``0.0`` replays as fast as possible).
@@ -82,7 +82,7 @@ class TenantSpec:
             raise ValueError("time_scale must be non-negative")
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, JSON documents, docs)."""
+        """Self-describing metadata (for JSON documents and docs)."""
         return {
             "tenant_id": self.tenant_id,
             "property": self.property_name,

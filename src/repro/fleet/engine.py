@@ -26,7 +26,7 @@ import asyncio
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..experiments.properties import case_study_monitor, case_study_registry
 from ..runtime.node import StreamMonitorNode
@@ -34,7 +34,6 @@ from ..runtime.runner import drive_session, run_streaming
 from ..runtime.transport import InMemoryStreamTransport, RuntimeClock
 from ..session import MonitorSession, RunReport
 from .config import FleetConfig, TenantSpec
-from .sinks import TenantVerdict, VerdictSink
 
 __all__ = [
     "TenantResult",
@@ -114,19 +113,6 @@ class TenantResult:
             self.ingested_events,
             self.monitor_messages,
             self.global_views,
-        )
-
-    def verdict_record(self) -> TenantVerdict:
-        """The sink-facing rendering of this result."""
-        return TenantVerdict(
-            tenant_id=self.tenant_id,
-            property_name=self.property_name,
-            verdict_sequence=self.verdict_sequence,
-            verdicts=self.verdicts,
-            events=self.events,
-            dropped_events=self.dropped_events,
-            latency_seconds=self.latency_seconds,
-            error=self.error,
         )
 
 
@@ -366,7 +352,11 @@ class FleetReport:
         }
 
     def as_dict(self) -> dict[str, object]:
-        """Flat JSON-serializable summary (without per-tenant results)."""
+        """JSON-serializable report: the counters, then one record per tenant.
+
+        ``tenants`` holds every :class:`TenantResult` as a mapping of its
+        fields, in tenant-id order (the CLI's ``fleet --json`` document).
+        """
         return {
             "shards": self.shards,
             "backpressure": self.backpressure,
@@ -375,10 +365,11 @@ class FleetReport:
             "wall_seconds": self.wall_seconds,
             "fleet_events_per_sec": self.fleet_events_per_sec,
             **self.saturation(),
+            "tenants": [asdict(result) for result in self.results],
         }
 
 
-def run_fleet(config: FleetConfig, *, sink: VerdictSink | None = None) -> FleetReport:
+def run_fleet(config: FleetConfig) -> FleetReport:
     """Run a multi-tenant monitoring fleet to completion.
 
     Admits ``config.tenants`` (rejecting, with a counter, everything beyond
@@ -386,9 +377,7 @@ def run_fleet(config: FleetConfig, *, sink: VerdictSink | None = None) -> FleetR
     ``config.shards`` worker processes, runs every tenant session
     concurrently within its shard, and merges the per-tenant results in
     tenant-id order — so the report is deterministic in the admitted set,
-    independent of shard count and scheduling.  When *sink* is given, every
-    tenant's :class:`repro.fleet.sinks.TenantVerdict` record is emitted to
-    it (in the same deterministic order) before the report returns.
+    independent of shard count and scheduling.
     """
     started = time.perf_counter()
     admitted = list(config.tenants)
@@ -432,7 +421,7 @@ def run_fleet(config: FleetConfig, *, sink: VerdictSink | None = None) -> FleetR
     completed = [r for r in results if not r.evicted]
     evicted = [r for r in results if r.evicted]
     latencies = [r.latency_seconds for r in completed]
-    report = FleetReport(
+    return FleetReport(
         tenants_admitted=len(admitted),
         tenants_rejected=rejected,
         tenants_completed=len(completed),
@@ -449,8 +438,3 @@ def run_fleet(config: FleetConfig, *, sink: VerdictSink | None = None) -> FleetR
         wall_seconds=time.perf_counter() - started,
         results=results,
     )
-    if sink is not None:
-        for result in results:
-            sink.emit(result.verdict_record())
-        sink.close()
-    return report

@@ -1,7 +1,7 @@
 """Pluggable live event sources feeding tenant monitoring sessions.
 
 A fleet tenant is a formula instance attached to a live event stream; the
-:class:`EventSource` protocol is where the stream comes from.  Three sources
+:class:`EventSource` protocol is where the stream comes from.  Two sources
 are registered (:data:`SOURCE_KINDS`):
 
 * :class:`SyntheticSource` — paced synthetic traffic generated from an
@@ -11,10 +11,8 @@ are registered (:data:`SOURCE_KINDS`):
   checkable: for a fixed seed the synthetic stream is byte-identical to the
   standalone asyncio backend's input.
 * :class:`ReplaySource` — replays a recorded event-log file (the
-  ``repro-fleet-events/1`` JSONL format written by :func:`dump_event_log`).
-* :class:`SocketSource` — live loopback-socket ingestion: connects to a TCP
-  endpoint serving the same JSONL frames (see :func:`serve_event_log`) and
-  reconstructs the stream as it arrives.
+  ``repro-fleet-events/1`` JSONL format written by :func:`dump_event_log`);
+  it is the one way in for a stream recorded anywhere else.
 
 Every source resolves to a :class:`repro.distributed.computation.Computation`
 whose events the tenant session then paces through its own
@@ -24,7 +22,6 @@ stream is, the session decides *when* each event fires.
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,12 +39,10 @@ __all__ = [
     "EventSource",
     "SyntheticSource",
     "ReplaySource",
-    "SocketSource",
     "computation_to_records",
     "records_to_computation",
     "dump_event_log",
     "load_event_log",
-    "serve_event_log",
 ]
 
 #: schema tag of the JSONL event-log header record
@@ -56,7 +51,7 @@ EVENT_LOG_SCHEMA = "repro-fleet-events/1"
 
 @runtime_checkable
 class EventSource(Protocol):
-    """Where a tenant's event stream comes from (synthetic, file, socket)."""
+    """Where a tenant's event stream comes from (synthetic or a recorded file)."""
 
     async def load(
         self,
@@ -69,11 +64,11 @@ class EventSource(Protocol):
         """Resolve the tenant's stream to a concrete computation."""
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, JSON documents, docs)."""
+        """Self-describing metadata (for JSON documents and docs)."""
 
 
 # ---------------------------------------------------------------------------
-# event-log codec (shared by the file and socket sources)
+# event-log codec (the replay source's file format)
 # ---------------------------------------------------------------------------
 
 
@@ -168,38 +163,6 @@ def load_event_log(path: str | Path) -> Computation:
     return records_to_computation(records)
 
 
-async def serve_event_log(
-    computation: Computation, host: str = "127.0.0.1"
-) -> tuple[asyncio.base_events.Server, str, int]:
-    """Serve *computation* as a one-shot JSONL stream on a loopback port.
-
-    Every connecting client receives the full ``repro-fleet-events/1`` log
-    and the connection is closed — the ingestion side of
-    :class:`SocketSource`, used by tests and demos.  Returns the server and
-    its bound ``(host, port)``; the caller closes the server.
-    """
-    payload = (
-        "\n".join(
-            json.dumps(record, sort_keys=True)
-            for record in computation_to_records(computation)
-        )
-        + "\n"
-    ).encode("utf-8")
-
-    async def handle(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            writer.write(payload)
-            await writer.drain()
-        finally:
-            writer.close()
-
-    server = await asyncio.start_server(handle, host, 0)
-    bound_host, port = server.sockets[0].getsockname()[:2]
-    return server, bound_host, port
-
-
 # ---------------------------------------------------------------------------
 # the registered sources
 # ---------------------------------------------------------------------------
@@ -243,7 +206,7 @@ class SyntheticSource:
         )
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, JSON documents, docs)."""
+        """Self-describing metadata (for JSON documents and docs)."""
         return {"kind": "synthetic", "workload": self.workload.describe()}
 
 
@@ -265,52 +228,12 @@ class ReplaySource:
         return load_event_log(self.path)
 
     def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, JSON documents, docs)."""
+        """Self-describing metadata (for JSON documents and docs)."""
         return {"kind": "replay", "path": self.path}
-
-
-@dataclass(frozen=True)
-class SocketSource:
-    """Live loopback-socket ingestion of a JSONL event stream.
-
-    Connects to ``host:port`` (see :func:`serve_event_log` for the serving
-    side), reads ``repro-fleet-events/1`` records until EOF and reconstructs
-    the computation.  A malformed or truncated stream raises instead of
-    monitoring a partial trace.
-    """
-
-    host: str
-    port: int
-
-    async def load(
-        self,
-        *,
-        num_processes: int,
-        events_per_process: int,
-        property_name: str,
-        seed: int,
-    ) -> Computation:
-        """Ingest the streamed computation from the socket."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            raw = await reader.read()
-        finally:
-            writer.close()
-        records = [
-            json.loads(line)
-            for line in raw.decode("utf-8").splitlines()
-            if line.strip()
-        ]
-        return records_to_computation(records)
-
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for sinks, JSON documents, docs)."""
-        return {"kind": "socket", "host": self.host, "port": self.port}
 
 
 #: the registered event-source kinds, in documentation order
 SOURCE_KINDS: dict[str, type] = {
     "synthetic": SyntheticSource,
     "replay": ReplaySource,
-    "socket": SocketSource,
 }

@@ -32,18 +32,12 @@ from .ast import (
     atoms_of,
     intern_formula,
     intern_table_size,
-    mk_always,
     mk_and,
     mk_atom,
-    mk_eventually,
-    mk_false,
-    mk_iff,
-    mk_implies,
     mk_next,
     mk_not,
     mk_or,
     mk_release,
-    mk_true,
     mk_until,
     subformulas,
 )
@@ -84,18 +78,12 @@ __all__ = [
     "subformulas",
     "intern_formula",
     "intern_table_size",
-    "mk_always",
     "mk_and",
     "mk_atom",
-    "mk_eventually",
-    "mk_false",
-    "mk_iff",
-    "mk_implies",
     "mk_next",
     "mk_not",
     "mk_or",
     "mk_release",
-    "mk_true",
     "mk_until",
     "Implicant",
     "implicant_to_str",

@@ -53,18 +53,12 @@ __all__ = [
     "intern_formula",
     "intern_table_size",
     "mk_atom",
-    "mk_true",
-    "mk_false",
     "mk_not",
     "mk_and",
     "mk_or",
     "mk_next",
     "mk_until",
     "mk_release",
-    "mk_implies",
-    "mk_iff",
-    "mk_eventually",
-    "mk_always",
     "str_key",
 ]
 
@@ -140,14 +134,6 @@ class Formula:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    @property
-    def is_temporal(self) -> bool:
-        """True when the formula contains a temporal operator."""
-        return any(
-            isinstance(f, (Next, Until, Release, Eventually, Always))
-            for f in self.walk()
-        )
 
 
 class TrueConst(Formula):
@@ -429,16 +415,6 @@ def str_key(formula: Formula) -> str:
 # ``canonicalize`` output node for node.
 
 
-def mk_true() -> Formula:
-    """The interned constant ``true``."""
-    return TRUE
-
-
-def mk_false() -> Formula:
-    """The interned constant ``false``."""
-    return FALSE
-
-
 def mk_atom(name: str) -> Formula:
     """The interned atomic proposition *name*."""
     return _interned(Atom, ("atom", name), name)
@@ -525,23 +501,3 @@ def mk_until(left: Formula, right: Formula) -> Formula:
 def mk_release(left: Formula, right: Formula) -> Formula:
     """Interned ``left R right``."""
     return _mk_binary(Release, left, right)
-
-
-def mk_implies(left: Formula, right: Formula) -> Formula:
-    """Interned ``left -> right``."""
-    return _mk_binary(Implies, left, right)
-
-
-def mk_iff(left: Formula, right: Formula) -> Formula:
-    """Interned ``left <-> right``."""
-    return _mk_binary(Iff, left, right)
-
-
-def mk_eventually(operand: Formula) -> Formula:
-    """Interned ``F operand``."""
-    return _mk_unary(Eventually, operand)
-
-
-def mk_always(operand: Formula) -> Formula:
-    """Interned ``G operand``."""
-    return _mk_unary(Always, operand)

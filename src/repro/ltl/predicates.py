@@ -142,19 +142,6 @@ class PropositionRegistry:
             per_process[self.owner_of(atom)][atom] = required
         return tuple(per_process)
 
-    def local_conjunct_holds(
-        self, process: int, conjunct: Mapping[str, bool], local_state: LocalState
-    ) -> bool:
-        """Whether *process*'s part of a guard holds in *local_state*."""
-        for atom, required in conjunct.items():
-            if self.owner_of(atom) != process:
-                raise ValueError(
-                    f"proposition {atom!r} is not owned by process {process}"
-                )
-            if self._by_name[atom].holds_in(local_state) != required:
-                return False
-        return True
-
     # -- convenience constructors ----------------------------------------
     @staticmethod
     def boolean_grid(

@@ -9,10 +9,10 @@ Those automata coincide with the machine obtained by **formula progression**
 * the states are the syntactically-distinct formulas obtained by progressing
   the property through every letter of the alphabet;
 * the transition on letter ``a`` maps state ``φ`` to ``simplify(progress(φ, a))``;
-* the verdict of a state is the LTL3 verdict of its formula, which we obtain
-  soundly by tracking the Moore-minimal monitor of :mod:`repro.ltl.monitor`
-  in lock-step (two traces reaching the same progressed formula necessarily
-  have the same verdict).
+* the verdict of a state is the LTL3 verdict of its formula, decided by
+  :func:`_formula_verdict` on the formula itself: ``⊥`` when it is
+  unsatisfiable, ``⊤`` when its negation is, ``?`` otherwise (two traces
+  reaching the same progressed formula necessarily have the same verdict).
 
 The construction terminates whenever the set of progressed formulas is finite
 under the canonicalisation implemented here (flattening and deduplication of
@@ -200,7 +200,6 @@ def build_progression_machine(
     formula: Formula,
     atoms: Sequence[str] | None = None,
     max_states: int = 4096,
-    verdict_machine: MooreMachine | None = None,
 ) -> tuple[MooreMachine, list[Formula]]:
     """Build the progression Moore machine for *formula*.
 
@@ -212,10 +211,6 @@ def build_progression_machine(
         Alphabet; defaults to the atoms of the formula.
     max_states:
         Safety bound on the number of progression states.
-    verdict_machine:
-        The Moore-minimal LTL3 monitor machine used to label states with
-        verdicts; when ``None`` it is built internally via
-        :func:`repro.ltl.monitor.build_monitor`.
 
     Returns
     -------
@@ -233,9 +228,6 @@ def build_progression_machine(
     # (hash is cached, equality is a pointer comparison)
     index: dict[Formula, int] = {initial_formula: 0}
     formulas: list[Formula] = [initial_formula]
-    reference_states: list[int] = (
-        [verdict_machine.initial] if verdict_machine is not None else []
-    )
     depths: dict[Formula, int] = {}
     max_depth = _depth(initial_formula, depths) + _MAX_DEPTH_GROWTH
     delta: list[list[int]] = []
@@ -260,38 +252,15 @@ def build_progression_machine(
                     )
                 index[successor_formula] = len(formulas)
                 formulas.append(successor_formula)
-                if verdict_machine is not None:
-                    reference_states.append(
-                        verdict_machine.step(reference_states[state], letter)
-                    )
                 frontier.append(index[successor_formula])
-            elif verdict_machine is not None:
-                # soundness check: a progressed formula always corresponds to
-                # a unique verdict; detect canonicalisation bugs eagerly.
-                existing = index[successor_formula]
-                expected = verdict_machine.outputs[reference_states[existing]]
-                actual = verdict_machine.outputs[
-                    verdict_machine.step(reference_states[state], letter)
-                ]
-                if expected != actual:
-                    raise RuntimeError(
-                        "progression state reached with two different verdicts; "
-                        "canonicalisation is unsound for this formula"
-                    )
             row.append(index[successor_formula])
         delta[state] = row
 
-    if verdict_machine is not None:
-        outputs: list[Verdict] = [
-            verdict_machine.outputs[reference_states[i]] for i in range(len(formulas))
-        ]
-    else:
-        outputs = [_formula_verdict(f) for f in formulas]
     machine = MooreMachine(
         letters=letters,
         initial=0,
         delta=delta,
-        outputs=outputs,
+        outputs=[_formula_verdict(f) for f in formulas],
         state_names=[str_key(f) for f in formulas],
     )
     return machine, formulas

@@ -324,7 +324,9 @@ class TcpStreamTransport(StreamTransport):
     ) -> None:
         """Read frames from one inbound connection into the node's inbox.
 
-        A clean EOF *between* frames is a normal peer close.  A disconnect
+        Frames come through the wire's one reader,
+        :func:`repro.cluster.codec.read_frame_async`.  A clean EOF or a reset
+        *between* frames is a normal peer close.  A disconnect
         *mid-frame* (a truncated header or payload) means a monitoring
         message was lost on the wire; because the protocol has no
         retransmission, that run can never quiesce, so the truncation is
@@ -334,38 +336,13 @@ class TcpStreamTransport(StreamTransport):
         protocol version this node does not speak, corrupt payloads — are
         reported the same way.
         """
+        peer = f"peer of monitor {node.process}"
         try:
             while True:
-                try:
-                    header = await reader.readexactly(codec.HEADER.size)
-                except asyncio.IncompleteReadError as error:
-                    if error.partial:
-                        raise ConnectionError(
-                            f"peer of monitor {node.process} disconnected "
-                            f"mid-frame: {len(error.partial)} of "
-                            f"{codec.HEADER.size} frame-header bytes received"
-                        ) from error
+                frame = await codec.read_frame_async(reader, peer)
+                if frame is None:
                     return  # clean close between frames
-                except ConnectionResetError:
-                    # a reset at the frame boundary is an abrupt teardown of
-                    # an idle connection; only resets after the header was
-                    # consumed are unambiguously mid-frame
-                    return
-                type_tag, length = codec.decode_header(header)
-                try:
-                    payload = await reader.readexactly(length)
-                except asyncio.IncompleteReadError as error:
-                    raise ConnectionError(
-                        f"peer of monitor {node.process} disconnected "
-                        f"mid-frame: {len(error.partial)} of {length} "
-                        f"payload bytes received"
-                    ) from error
-                except ConnectionResetError as error:
-                    raise ConnectionError(
-                        f"peer of monitor {node.process} reset the connection "
-                        f"mid-frame before its {length}-byte payload arrived"
-                    ) from error
-                due, message = codec.decode_wire(type_tag, payload)
+                due, message = codec.decode_wire(*frame)
                 node.enqueue_message(due, message)
         except Exception as error:  # noqa: BLE001 - recorded, then re-raised by wait_quiescent
             if self.fatal_error is None:

@@ -2,19 +2,20 @@
 
 Several reference sections are *generated-checked*: the scenario
 catalogue of ``docs/scenarios.md`` (between
-:data:`BEGIN_MARKER`/:data:`END_MARKER`), the
-fault-scenario section of ``docs/faults.md``
-(between :data:`FAULTS_BEGIN_MARKER` and :data:`FAULTS_END_MARKER`), and
-the public API reference of ``docs/api.md`` (between
-:data:`API_BEGIN_MARKER` and :data:`API_END_MARKER`), and the fleet
-source/sink/backpressure catalogue of ``docs/fleet.md`` (between
-:data:`FLEET_BEGIN_MARKER` and :data:`FLEET_END_MARKER`).  The catalogues are
-produced straight from the live registries (:mod:`repro.scenarios.registry`,
-:mod:`repro.fleet`)
-and the API reference from the live ``repro.api.__all__``; tests assert
-each file matches the renderer's output, so the documents cannot drift
-from the code.  After adding or changing a scenario or a public API name,
-regenerate with::
+:data:`BEGIN_MARKER`/:data:`END_MARKER`), the fault-scenario and
+adversarial-scenario sections of ``docs/faults.md`` (between
+:data:`FAULTS_BEGIN_MARKER`/:data:`FAULTS_END_MARKER` and
+:data:`ADVERSARIAL_BEGIN_MARKER`/:data:`ADVERSARIAL_END_MARKER`), the
+public API reference of ``docs/api.md`` (between :data:`API_BEGIN_MARKER`
+and :data:`API_END_MARKER`), and the fleet source/backpressure catalogue of
+``docs/fleet.md`` (between :data:`FLEET_BEGIN_MARKER` and
+:data:`FLEET_END_MARKER`).  One renderer, :func:`render`, draws each of
+them from its entry in :data:`_SECTIONS`: the catalogues straight from the
+live registries (:mod:`repro.scenarios.registry`, :mod:`repro.fleet`) and
+the API reference from the live ``repro.api.__all__``; tests assert each
+file matches the renderer's output, so the documents cannot drift from the
+code.  After adding or changing a scenario or a public API name, regenerate
+with::
 
     PYTHONPATH=src python -m repro.scenarios.docgen docs/scenarios.md
     PYTHONPATH=src python -m repro.scenarios.docgen docs/faults.md
@@ -22,14 +23,16 @@ regenerate with::
     PYTHONPATH=src python -m repro.scenarios.docgen docs/fleet.md
 
 ``main`` replaces whichever marker pairs the given file contains.
-Everything rendered comes from :meth:`repro.scenarios.Scenario.describe`:
-the workload, network and fault model kinds with their parameters, the
-sweep grid, the tags, and ``corresponds_to`` — which paper figure/table the
-condition reproduces or which extension it is.
+Everything rendered about a scenario comes from
+:meth:`repro.scenarios.Scenario.describe`: the workload, network and fault
+model kinds with their parameters, the sweep grid, the tags, and
+``corresponds_to`` — which paper figure/table the condition reproduces or
+which extension it is.
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
 from collections.abc import Callable
 
@@ -47,12 +50,7 @@ __all__ = [
     "API_END_MARKER",
     "FLEET_BEGIN_MARKER",
     "FLEET_END_MARKER",
-    "render_catalogue",
-    "render_fault_catalogue",
-    "render_adversarial_catalogue",
-    "render_api_reference",
-    "render_fleet_catalogue",
-    "replace_generated_section",
+    "render",
     "main",
 ]
 
@@ -109,72 +107,30 @@ def _render_scenario(scenario: Scenario) -> list[str]:
     ]
 
 
-def render_catalogue() -> str:
-    """The generated catalogue section, markers included."""
-    scenarios = list_scenarios()
-    lines = [
-        BEGIN_MARKER,
-        "",
-        f"{len(scenarios)} scenarios are registered (sorted by name).",
-        "",
-    ]
-    for scenario in scenarios:
-        lines.extend(_render_scenario(scenario))
-    lines.append(END_MARKER)
-    return "\n".join(lines)
+def _scenarios(keep: Callable[[Scenario], bool], counted: str) -> Callable[[], list[str]]:
+    """A scenario catalogue: the registered scenarios *keep* admits, by name."""
+
+    def body() -> list[str]:
+        scenarios = [scenario for scenario in list_scenarios() if keep(scenario)]
+        lines = ["", f"{len(scenarios)} {counted} (sorted by name).", ""]
+        for scenario in scenarios:
+            lines.extend(_render_scenario(scenario))
+        return lines
+
+    return body
 
 
-def render_fault_catalogue() -> str:
-    """The generated fault-scenario section of ``docs/faults.md``."""
-    scenarios = [s for s in list_scenarios() if s.describe()["faults"] is not None]
-    lines = [
-        FAULTS_BEGIN_MARKER,
-        "",
-        f"{len(scenarios)} registered scenarios carry a fault model "
-        "(sorted by name).",
-        "",
-    ]
-    for scenario in scenarios:
-        lines.extend(_render_scenario(scenario))
-    lines.append(FAULTS_END_MARKER)
-    return "\n".join(lines)
+def _first_line(obj: object) -> str:
+    """The first line of *obj*'s docstring (empty when it has none)."""
+    doc = inspect.getdoc(obj) or ""
+    return doc.splitlines()[0] if doc else ""
 
 
-def render_adversarial_catalogue() -> str:
-    """The generated adversarial-scenario section of ``docs/faults.md``.
-
-    Adversarial scenarios are the ``adversarial``-tagged subset of the
-    fault catalogue: Byzantine monitors, clock skew and node churn — the
-    conditions that attack the paper's soundness claims rather than just
-    its availability assumptions.
-    """
-    scenarios = [s for s in list_scenarios() if "adversarial" in s.tags]
-    lines = [
-        ADVERSARIAL_BEGIN_MARKER,
-        "",
-        f"{len(scenarios)} registered scenarios are adversarial "
-        "(sorted by name).",
-        "",
-    ]
-    for scenario in scenarios:
-        lines.extend(_render_scenario(scenario))
-    lines.append(ADVERSARIAL_END_MARKER)
-    return "\n".join(lines)
-
-
-def render_api_reference() -> str:
-    """The generated name-by-name section of ``docs/api.md``.
-
-    Rendered straight from the live ``repro.api.__all__`` — every listed
-    name with its kind and the first line of its docstring — so the
-    documented surface cannot drift from the code.
-    """
-    import inspect
-
+def _api_reference() -> list[str]:
+    """Every name of ``repro.api.__all__`` with its kind and summary."""
     from .. import api
 
     lines = [
-        API_BEGIN_MARKER,
         "",
         f"`repro.api.__all__` lists {len(api.__all__)} supported names.",
         "",
@@ -184,39 +140,20 @@ def render_api_reference() -> str:
     for name in api.__all__:
         obj = getattr(api, name)
         if inspect.isclass(obj):
-            kind = "class"
+            kind, summary = "class", _first_line(obj)
         elif callable(obj):
-            kind = "function"
+            kind, summary = "function", _first_line(obj)
         else:
-            kind = "constant"
-        if kind == "constant":
-            summary = f"`{obj!r}`"
-        else:
-            doc = inspect.getdoc(obj) or ""
-            summary = doc.splitlines()[0] if doc else ""
+            kind, summary = "constant", f"`{obj!r}`"
         lines.append(f"| `{name}` | {kind} | {summary} |")
-    lines.extend(["", API_END_MARKER])
-    return "\n".join(lines)
+    return [*lines, ""]
 
 
-def render_fleet_catalogue() -> str:
-    """The generated source/sink/backpressure section of ``docs/fleet.md``.
-
-    Rendered straight from the live :mod:`repro.fleet` registries — the
-    event-source kinds, the verdict-sink kinds and the backpressure
-    policies, each with the first line of its docstring or its behaviour
-    summary — so the operator guide cannot drift from the code.
-    """
-    import inspect
-
-    from ..fleet import SINK_KINDS, SOURCE_KINDS, describe_backpressure
-
-    def first_line(cls: type) -> str:
-        doc = inspect.getdoc(cls) or ""
-        return doc.splitlines()[0] if doc else ""
+def _fleet_catalogue() -> list[str]:
+    """The fleet's event-source kinds and backpressure policies."""
+    from ..fleet import SOURCE_KINDS, describe_backpressure
 
     lines = [
-        FLEET_BEGIN_MARKER,
         "",
         f"{len(SOURCE_KINDS)} event sources drive tenant sessions "
         "(`TenantSpec.source`):",
@@ -225,19 +162,7 @@ def render_fleet_catalogue() -> str:
         "| --- | --- |",
     ]
     for name, cls in SOURCE_KINDS.items():
-        lines.append(f"| `{name}` | {first_line(cls)} |")
-    lines.extend(
-        [
-            "",
-            f"{len(SINK_KINDS)} verdict sinks receive per-tenant records "
-            "(`run_fleet(..., sink=...)`, CLI `--sink`):",
-            "",
-            "| sink | summary |",
-            "| --- | --- |",
-        ]
-    )
-    for name, cls in SINK_KINDS.items():
-        lines.append(f"| `{name}` | {first_line(cls)} |")
+        lines.append(f"| `{name}` | {_first_line(cls)} |")
     policies = describe_backpressure()
     lines.extend(
         [
@@ -253,42 +178,40 @@ def render_fleet_catalogue() -> str:
         lines.append(
             f"| `{policy['name']}` | {policy['behaviour']} | {policy['loss']} |"
         )
-    lines.extend(["", FLEET_END_MARKER])
-    return "\n".join(lines)
+    return [*lines, ""]
 
 
-#: every generated-checked section ``main`` knows how to refresh
-_SECTIONS: tuple[tuple[str, str, object], ...] = (
-    (BEGIN_MARKER, END_MARKER, render_catalogue),
-    (FAULTS_BEGIN_MARKER, FAULTS_END_MARKER, render_fault_catalogue),
-    (ADVERSARIAL_BEGIN_MARKER, ADVERSARIAL_END_MARKER, render_adversarial_catalogue),
-    (API_BEGIN_MARKER, API_END_MARKER, render_api_reference),
-    (FLEET_BEGIN_MARKER, FLEET_END_MARKER, render_fleet_catalogue),
-)
+#: every generated-checked section: begin marker -> (end marker, body lines)
+_SECTIONS: dict[str, tuple[str, Callable[[], list[str]]]] = {
+    BEGIN_MARKER: (END_MARKER, _scenarios(lambda s: True, "scenarios are registered")),
+    FAULTS_BEGIN_MARKER: (
+        FAULTS_END_MARKER,
+        _scenarios(
+            lambda s: s.faults is not None, "registered scenarios carry a fault model"
+        ),
+    ),
+    ADVERSARIAL_BEGIN_MARKER: (
+        ADVERSARIAL_END_MARKER,
+        # Byzantine monitors, clock skew and node churn: the conditions that
+        # attack the paper's soundness claims, not just its availability
+        _scenarios(lambda s: "adversarial" in s.tags, "registered scenarios are adversarial"),
+    ),
+    API_BEGIN_MARKER: (API_END_MARKER, _api_reference),
+    FLEET_BEGIN_MARKER: (FLEET_END_MARKER, _fleet_catalogue),
+}
 
 
-def replace_generated_section(
-    text: str,
-    begin_marker: str = BEGIN_MARKER,
-    end_marker: str = END_MARKER,
-    render: Callable[[], str] = render_catalogue,
-) -> str:
-    """Return *text* with the marked section replaced by ``render()``'s output.
-
-    Defaults to the scenario-catalogue markers; ``main`` reuses it for every
-    marker pair of :data:`_SECTIONS`.
-    """
-    begin = text.index(begin_marker)
-    end = text.index(end_marker) + len(end_marker)
-    return text[:begin] + render() + text[end:]
+def render(begin_marker: str) -> str:
+    """The generated section opened by *begin_marker*, markers included."""
+    end_marker, body = _SECTIONS[begin_marker]
+    return "\n".join([begin_marker, *body(), end_marker])
 
 
 def main(argv: list[str] | None = None) -> int:
     """Rewrite the generated sections of the given markdown file in place.
 
-    Each marker pair present in the file (scenario catalogue, fault
-    catalogue) is replaced by a fresh rendering; a file with no markers at
-    all is an error.
+    Each marker pair of :data:`_SECTIONS` present in the file is replaced by
+    a fresh rendering; a file with no markers at all is an error.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if len(argv) != 1:
@@ -302,9 +225,11 @@ def main(argv: list[str] | None = None) -> int:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     replaced = 0
-    for begin_marker, end_marker, render in _SECTIONS:
+    for begin_marker, (end_marker, _) in _SECTIONS.items():
         if begin_marker in text and end_marker in text:
-            text = replace_generated_section(text, begin_marker, end_marker, render)
+            begin = text.index(begin_marker)
+            end = text.index(end_marker) + len(end_marker)
+            text = text[:begin] + render(begin_marker) + text[end:]
             replaced += 1
     if not replaced:
         print(f"error: {path} has no generated-section markers", file=sys.stderr)

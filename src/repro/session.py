@@ -177,11 +177,6 @@ class RunReport:
         percentage = (self.monitor_extra_time / self.program_end_time) * 100.0
         return percentage / self.total_global_views
 
-    @property
-    def events_shipped_per_event(self) -> float:
-        """Copies of events put on tokens, per program event."""
-        return self.events_shipped / max(1, self.total_events)
-
     def verdict_sequence(self) -> tuple[str, ...]:
         """The run's canonical per-monitor verdict declaration order.
 

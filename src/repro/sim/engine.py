@@ -59,12 +59,6 @@ class Simulator:
                 raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         heapq.heappush(self._queue, (time, next(self._sequence), callback))
 
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule *callback* ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self.schedule_at(self.now + delay, callback)
-
     @property
     def pending(self) -> int:
         """Callbacks scheduled and not yet executed."""

@@ -220,7 +220,7 @@ class TestPayloadAcrossBackends:
         assert reports["cluster"].wire_bytes == sum(
             result["wire_bytes"] for result in reports["cluster"].worker_results
         ) > 0
-        assert reports["asyncio-tcp"].events_shipped_per_event > 0
+        assert reports["asyncio-tcp"].events_shipped / reports["asyncio-tcp"].total_events > 0
 
     @pytest.mark.parametrize("property_name", ["B", "C"])
     def test_decoded_tokens_count_what_handed_over_tokens_count(

@@ -18,7 +18,6 @@ wire path.
 """
 
 import asyncio
-import io
 from pathlib import Path
 
 import pytest
@@ -29,6 +28,27 @@ from repro.cluster import codec
 from repro.core.messages import TerminationNotice, Token, TokenEntry
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _read_stream(data, frames=1):
+    """Read *frames* frames through the wire's one reader from *data* + EOF.
+
+    Each frame is decoded to ``(due, message)``; a clean close reads as
+    ``None``.
+    """
+
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        read = []
+        for _ in range(frames):
+            frame = await codec.read_frame_async(reader)
+            read.append(None if frame is None else codec.decode_wire(*frame))
+        return read
+
+    return asyncio.run(main())
+
 
 # -- hypothesis strategies ---------------------------------------------------
 
@@ -188,14 +208,15 @@ class TestRoundTrip:
             0.0, {3, 2, 1}
         )
 
-    def test_blocking_stream_round_trip(self):
-        buffer = io.BytesIO()
-        codec.write_frame(buffer, 1.5, TerminationNotice(0, 4))
-        codec.write_frame(buffer, 2.5, "done")
-        buffer.seek(0)
-        assert codec.read_frame(buffer) == (1.5, TerminationNotice(0, 4))
-        assert codec.read_frame(buffer) == (2.5, "done")
-        assert codec.read_frame(buffer) is None  # clean EOF between frames
+    def test_stream_round_trip(self):
+        stream = codec.encode_wire(1.5, TerminationNotice(0, 4)) + codec.encode_wire(
+            2.5, "done"
+        )
+        assert _read_stream(stream, frames=3) == [
+            (1.5, TerminationNotice(0, 4)),
+            (2.5, "done"),
+            None,  # clean EOF between frames
+        ]
 
 
 class TestDiagnostics:
@@ -251,12 +272,32 @@ class TestDiagnostics:
 
     def test_stream_truncated_mid_payload(self):
         frame = codec.encode_wire(0.0, "hello")
-        with pytest.raises(codec.CorruptFrameError, match="payload bytes"):
-            codec.read_frame(io.BytesIO(frame[:-2]))
+        with pytest.raises(ConnectionError, match="mid-frame: 13 of 15 payload bytes"):
+            _read_stream(frame[:-2])
 
     def test_stream_truncated_mid_header(self):
-        with pytest.raises(codec.CorruptFrameError, match="header bytes"):
-            codec.read_frame(io.BytesIO(b"RW\x03"))
+        with pytest.raises(ConnectionError, match="mid-frame: 3 of 8 frame-header bytes"):
+            _read_stream(b"RW\x03")
+
+    def test_a_reset_closes_cleanly_at_a_boundary_and_not_inside_a_frame(self):
+        async def reset_after(data):
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            read = asyncio.ensure_future(codec.read_frame_async(reader))
+            await asyncio.sleep(0)  # the reader consumes *data* and waits
+            reader.set_exception(ConnectionResetError())
+            return await read
+
+        assert asyncio.run(reset_after(b"")) is None
+        header = codec.encode_wire(0.0, "hello")[: codec.HEADER.size]
+        with pytest.raises(ConnectionError, match="reset the connection mid-frame"):
+            asyncio.run(reset_after(header))
+
+    def test_every_truncated_stream_names_the_frame(self):
+        frame = codec.encode_wire(0.0, _token([1, 2]))
+        for cut in range(1, len(frame)):
+            with pytest.raises(ConnectionError, match="mid-frame"):
+                _read_stream(frame[:cut])
 
     def test_control_frame_must_carry_a_mapping(self):
         out = bytearray()
@@ -357,7 +398,7 @@ class TestHostileInput:
 
     @staticmethod
     def _read(frame):
-        return codec.read_frame(io.BytesIO(frame))
+        return codec.decode_wire(*codec.split_frame(frame))
 
     @settings(max_examples=40, deadline=None)
     @given(message=tokens(), due=finite_floats)
@@ -365,7 +406,7 @@ class TestHostileInput:
         frame = codec.encode_wire(due, message)
         type_tag, payload = codec.split_frame(frame)
         for cut in range(1, len(frame)):
-            # the stream ends early ...
+            # the frame ends early ...
             with pytest.raises(codec.CodecError):
                 self._read(frame[:cut])
         for cut in range(len(payload)):
@@ -410,10 +451,11 @@ class TestHostileInput:
 
 
 class TestFrameLengthBound:
-    """One hostile header must not make a reader buffer gigabytes.
+    """One hostile header must not make the reader buffer gigabytes.
 
-    (The third reader, ``TcpStreamTransport._serve``, is covered next to
-    its other mid-frame diagnostics in ``tests/runtime/test_runtime.py``.)
+    (The wire's one reader, ``codec.read_frame_async``, is also driven
+    through ``TcpStreamTransport._serve`` next to its other mid-frame
+    diagnostics in ``tests/runtime/test_runtime.py``.)
     """
 
     oversized = codec.HEADER.pack(
@@ -429,20 +471,12 @@ class TestFrameLengthBound:
         with pytest.raises(codec.CorruptFrameError, match=self.message):
             codec.decode_header(self.oversized)
 
-    def test_blocking_reader_refuses_without_reading_the_payload(self):
-        stream = io.BytesIO(self.oversized + b"x" * 64)
-        with pytest.raises(codec.CorruptFrameError, match=self.message):
-            codec.read_frame(stream)
-        assert stream.tell() == codec.HEADER.size
-
-    def test_async_reader_refuses_on_the_header_alone(self):
-        from repro.cluster.transport import read_frame_async
-
+    def test_reader_refuses_on_the_header_alone(self):
         async def main():
             reader = asyncio.StreamReader()
             reader.feed_data(self.oversized)  # no payload, no EOF: must not wait
             with pytest.raises(codec.CorruptFrameError, match=self.message):
-                await asyncio.wait_for(read_frame_async(reader), timeout=5.0)
+                await asyncio.wait_for(codec.read_frame_async(reader), timeout=5.0)
 
         asyncio.run(main())
 

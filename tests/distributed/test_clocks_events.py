@@ -79,7 +79,7 @@ class TestEvent:
 
     def test_internal_event(self):
         e = self.make()
-        assert e.is_internal and not e.is_send and not e.is_receive
+        assert e.is_internal and e.kind is EventKind.INTERNAL
 
     def test_send_requires_peer(self):
         with pytest.raises(ValueError):

@@ -127,10 +127,6 @@ class TestComputation:
         with pytest.raises(ValueError):
             Computation(initial_states=[{}], events=[[], []])
 
-    def test_frontier_events(self, example):
-        frontier = example.frontier_events((1, 0))
-        assert frontier[0].sn == 1 and frontier[1] is None
-
     def test_final_cut(self, example):
         assert example.final_cut() == (4, 4)
 

@@ -79,19 +79,13 @@ class TestLinkChecker:
         )
 
 
-#: every registered docgen section: (begin marker, end marker, render fn)
+#: every registered docgen section: (begin marker, end marker)
 _SECTIONS = [
-    (docgen.BEGIN_MARKER, docgen.END_MARKER, docgen.render_catalogue),
-    (
-        docgen.FAULTS_BEGIN_MARKER,
-        docgen.FAULTS_END_MARKER,
-        docgen.render_fault_catalogue,
-    ),
-    (
-        docgen.FLEET_BEGIN_MARKER,
-        docgen.FLEET_END_MARKER,
-        docgen.render_fleet_catalogue,
-    ),
+    (docgen.BEGIN_MARKER, docgen.END_MARKER),
+    (docgen.FAULTS_BEGIN_MARKER, docgen.FAULTS_END_MARKER),
+    (docgen.ADVERSARIAL_BEGIN_MARKER, docgen.ADVERSARIAL_END_MARKER),
+    (docgen.API_BEGIN_MARKER, docgen.API_END_MARKER),
+    (docgen.FLEET_BEGIN_MARKER, docgen.FLEET_END_MARKER),
 ]
 
 
@@ -114,20 +108,20 @@ class TestDocgenMachinery:
         assert "STALE" not in text
         assert text.startswith("before\n")
         assert text.endswith("after\n")
-        assert docgen.render_fleet_catalogue() in text
+        assert docgen.render(docgen.FLEET_BEGIN_MARKER) in text
 
     def test_multi_marker_file_refreshes_every_section(self, tmp_path):
         doc = tmp_path / "doc.md"
         body = "\n\n".join(
             f"{begin}\nstale {i}\n{end}"
-            for i, (begin, end, _) in enumerate(_SECTIONS)
+            for i, (begin, end) in enumerate(_SECTIONS)
         )
         doc.write_text(f"# all catalogues\n\n{body}\n")
         assert docgen.main([str(doc)]) == 0
         text = doc.read_text()
-        for i, (_, _, render) in enumerate(_SECTIONS):
+        for i, (begin, _) in enumerate(_SECTIONS):
             assert f"stale {i}" not in text
-            assert render() in text
+            assert docgen.render(begin) in text
 
     def test_refresh_is_idempotent(self, tmp_path):
         doc = tmp_path / "doc.md"

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,7 +47,7 @@ class TestScenariosDoc:
         text = SCENARIOS_DOC.read_text(encoding="utf-8")
         begin = text.index(docgen.BEGIN_MARKER)
         end = text.index(docgen.END_MARKER) + len(docgen.END_MARKER)
-        assert text[begin:end] == docgen.render_catalogue(), (
+        assert text[begin:end] == docgen.render(docgen.BEGIN_MARKER), (
             "docs/scenarios.md is out of date; regenerate it with "
             "`PYTHONPATH=src python -m repro.scenarios.docgen docs/scenarios.md`"
         )
@@ -76,7 +77,7 @@ class TestScenariosDoc:
         assert "stale content" not in updated
         assert updated.startswith("# header")
         assert updated.endswith("tail\n")
-        assert docgen.render_catalogue() in updated
+        assert docgen.render(docgen.BEGIN_MARKER) in updated
 
     def test_docgen_rejects_file_without_markers(self, tmp_path):
         plain = tmp_path / "plain.md"
@@ -95,7 +96,7 @@ class TestFaultsDoc:
         text = FAULTS_DOC.read_text(encoding="utf-8")
         begin = text.index(docgen.FAULTS_BEGIN_MARKER)
         end = text.index(docgen.FAULTS_END_MARKER) + len(docgen.FAULTS_END_MARKER)
-        assert text[begin:end] == docgen.render_fault_catalogue(), (
+        assert text[begin:end] == docgen.render(docgen.FAULTS_BEGIN_MARKER), (
             "docs/faults.md is out of date; regenerate it with "
             "`PYTHONPATH=src python -m repro.scenarios.docgen docs/faults.md`"
         )
@@ -119,7 +120,7 @@ class TestFaultsDoc:
         assert docgen.main([str(copy)]) == 0
         updated = copy.read_text(encoding="utf-8")
         assert "stale content" not in updated
-        assert docgen.render_fault_catalogue() in updated
+        assert docgen.render(docgen.FAULTS_BEGIN_MARKER) in updated
 
 
 class TestAdversarialDoc:
@@ -135,7 +136,7 @@ class TestAdversarialDoc:
         end = text.index(docgen.ADVERSARIAL_END_MARKER) + len(
             docgen.ADVERSARIAL_END_MARKER
         )
-        assert text[begin:end] == docgen.render_adversarial_catalogue(), (
+        assert text[begin:end] == docgen.render(docgen.ADVERSARIAL_BEGIN_MARKER), (
             "docs/faults.md is out of date; regenerate it with "
             "`PYTHONPATH=src python -m repro.scenarios.docgen docs/faults.md`"
         )
@@ -172,7 +173,7 @@ class TestApiDoc:
         text = API_DOC.read_text(encoding="utf-8")
         begin = text.index(docgen.API_BEGIN_MARKER)
         end = text.index(docgen.API_END_MARKER) + len(docgen.API_END_MARKER)
-        assert text[begin:end] == docgen.render_api_reference(), (
+        assert text[begin:end] == docgen.render(docgen.API_BEGIN_MARKER), (
             "docs/api.md is out of date; regenerate it with "
             "`PYTHONPATH=src python -m repro.scenarios.docgen docs/api.md`"
         )
@@ -194,7 +195,7 @@ class TestApiDoc:
         assert docgen.main([str(copy)]) == 0
         updated = copy.read_text(encoding="utf-8")
         assert "stale" not in updated
-        assert docgen.render_api_reference() in updated
+        assert docgen.render(docgen.API_BEGIN_MARKER) in updated
 
 
 class TestFleetDoc:
@@ -210,18 +211,17 @@ class TestFleetDoc:
         text = self.FLEET_DOC.read_text(encoding="utf-8")
         begin = text.index(docgen.FLEET_BEGIN_MARKER)
         end = text.index(docgen.FLEET_END_MARKER) + len(docgen.FLEET_END_MARKER)
-        assert text[begin:end] == docgen.render_fleet_catalogue(), (
+        assert text[begin:end] == docgen.render(docgen.FLEET_BEGIN_MARKER), (
             "docs/fleet.md is out of date; regenerate it with "
             "`PYTHONPATH=src python -m repro.scenarios.docgen docs/fleet.md`"
         )
 
-    def test_every_source_sink_and_policy_documented(self):
+    def test_every_source_and_policy_documented(self):
         from repro.fleet.config import BACKPRESSURE_POLICIES
-        from repro.fleet.sinks import SINK_KINDS
         from repro.fleet.sources import SOURCE_KINDS
 
         text = self.FLEET_DOC.read_text(encoding="utf-8")
-        for name in (*SOURCE_KINDS, *SINK_KINDS, *BACKPRESSURE_POLICIES):
+        for name in (*SOURCE_KINDS, *BACKPRESSURE_POLICIES):
             assert f"`{name}`" in text, name
 
     def test_hand_written_sections_cover_the_operator_surface(self):
@@ -246,7 +246,7 @@ class TestFleetDoc:
         assert docgen.main([str(copy)]) == 0
         updated = copy.read_text(encoding="utf-8")
         assert "stale" not in updated
-        assert docgen.render_fleet_catalogue() in updated
+        assert docgen.render(docgen.FLEET_BEGIN_MARKER) in updated
 
 
 class TestResultsDoc:
@@ -442,4 +442,82 @@ def test_src_line_count_stays_under_its_ceiling():
     assert lines <= ceiling, (
         f"src/ has {lines} lines of Python, above the committed ceiling of "
         f"{ceiling} ({SRC_LINE_CEILING.name}); delete before you add"
+    )
+
+
+#: where a use of a ``src/`` definition counts
+_REFERENCE_ROOTS = ("src", "tests", "perf", "tools", "examples", "benchmarks")
+#: a string that names code: ``name``, ``pkg.module:Class.method`` and the like
+_CODE_PATH = re.compile(r"[A-Za-z_][\w.:]*")
+
+
+def _all_entries(tree):
+    """The string constants of every module-level ``__all__`` assignment."""
+    entries = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            targets = [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            entries.extend(c for c in ast.walk(node) if isinstance(c, ast.Constant))
+    return entries
+
+
+def test_every_src_definition_is_referenced():
+    """Nothing in ``src/`` goes uncalled.
+
+    Every function, method and class under ``src/`` must be named somewhere
+    outside its own ``def`` and the ``__all__`` lists: as a name, an
+    attribute, an imported name or a string that spells a code path (a
+    ``monkeypatch`` target, a ``perf/`` trace target), in any Python file
+    under ``src/``, ``tests/``, ``perf/``, ``tools/``, ``examples/`` or
+    ``benchmarks/``.  A package importing a name only to list it in its
+    ``__all__`` re-exports it and does not count.  Dunder methods are called
+    by the language and exempt.  A definition nothing names is deleted, not
+    kept for later.
+    """
+    definitions = []
+    references: dict[str, list[tuple[Path, int]]] = {}
+    for root in _REFERENCE_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            entries = _all_entries(tree)
+            skipped = {id(entry) for entry in entries}
+            exported = {entry.value for entry in entries}
+            for node in ast.walk(tree):
+                names = ()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if root == "src" and not node.name.startswith("__"):
+                        definitions.append((node.name, path, node.lineno, node.end_lineno))
+                elif isinstance(node, ast.Name):
+                    names = (node.id,)
+                elif isinstance(node, ast.Attribute):
+                    names = (node.attr,)
+                elif isinstance(node, ast.ImportFrom):
+                    names = tuple(
+                        alias.name
+                        for alias in node.names
+                        if (alias.asname or alias.name) not in exported
+                    )
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in skipped
+                    and _CODE_PATH.fullmatch(node.value)
+                ):
+                    names = tuple(re.split(r"[.:]", node.value))
+                for name in names:
+                    references.setdefault(name, []).append((path, node.lineno))
+    unreferenced = [
+        f"{path.relative_to(REPO_ROOT)}:{start} {name}"
+        for name, path, start, end in definitions
+        if not any(
+            where != path or not start <= line <= end
+            for where, line in references.get(name, ())
+        )
+    ]
+    assert not unreferenced, (
+        "defined under src/ and named nowhere else (delete them):\n  "
+        + "\n  ".join(unreferenced)
     )

@@ -10,6 +10,7 @@ admission cap rejects (with a counter) instead of queueing.
 
 import asyncio
 import itertools
+import json
 
 from repro.fleet import (
     FleetConfig,
@@ -170,11 +171,8 @@ class TestEviction:
         assert evicted.error.startswith("FileNotFoundError")
         assert all(not r.evicted for r in report.results[:-1])
 
-    def test_evicted_tenants_reach_the_sink_with_their_error(self, tmp_path):
-        from repro.fleet.sinks import MemorySink
-
-        sink = MemorySink()
-        run_fleet(
+    def test_evicted_tenants_keep_their_error_in_the_json_report(self, tmp_path):
+        report = run_fleet(
             FleetConfig(
                 tenants=(
                     TenantSpec(
@@ -182,11 +180,11 @@ class TestEviction:
                         source=ReplaySource(str(tmp_path / "no-such.jsonl")),
                     ),
                 )
-            ),
-            sink=sink,
+            )
         )
-        assert len(sink.records) == 1
-        assert sink.records[0].error.startswith("FileNotFoundError")
+        tenants = json.loads(json.dumps(report.as_dict()))["tenants"]
+        assert len(tenants) == 1
+        assert tenants[0]["error"].startswith("FileNotFoundError")
 
 
 class TestAdmission:

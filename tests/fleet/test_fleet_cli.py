@@ -2,9 +2,9 @@
 
 ``python -m repro.experiments.cli fleet`` is the operator's entry point:
 it must print the saturation-counter table, spot-verify tenants against
-their standalone runs with a non-zero exit on divergence, stream verdicts
-to a JSONL sink, build its tenants from ``--seed`` (2015 when absent), and
-write the report's counters (``FleetReport.as_dict()``) as JSON.
+their standalone runs with a non-zero exit on divergence, build its tenants
+from ``--seed`` (2015 when absent), and write the report
+(``FleetReport.as_dict()``: its counters and one record per tenant) as JSON.
 """
 
 import json
@@ -53,22 +53,6 @@ class TestFleetCommand:
         assert "verified 2 tenant(s) against standalone runs" in result.stdout
         assert "MISMATCH" not in result.stdout
 
-    def test_jsonl_sink_streams_verdict_records(self, tmp_path):
-        sink_path = tmp_path / "verdicts.jsonl"
-        result = _run_cli(
-            "fleet", *FAST, "--sink", "jsonl", "--sink-path", str(sink_path)
-        )
-        assert result.returncode == 0, result.stderr
-        lines = [json.loads(line) for line in sink_path.read_text().splitlines()]
-        assert [line["tenant_id"] for line in lines] == [
-            f"tenant-{i:04d}" for i in range(4)
-        ]
-
-    def test_jsonl_sink_without_path_fails_fast(self):
-        result = _run_cli("fleet", *FAST, "--sink", "jsonl")
-        assert result.returncode == 1
-        assert "error: the jsonl sink requires a path" in result.stderr
-
     def test_unknown_backpressure_rejected_by_the_parser(self):
         result = _run_cli("fleet", *FAST, "--backpressure", "drop-oldest")
         assert result.returncode == 2
@@ -85,16 +69,19 @@ class TestFleetCommand:
         assert document["fleet_tenants_admitted"] == 4
         assert document["fleet_events_per_sec"] > 0.0
         assert document["fleet_verdict_latency_p99"] >= 0.0
+        # one record per tenant, in tenant-id order
+        assert [tenant["tenant_id"] for tenant in document["tenants"]] == [
+            f"tenant-{i:04d}" for i in range(4)
+        ]
+        assert all(tenant["error"] == "" for tenant in document["tenants"])
 
     @pytest.mark.parametrize(("argv", "base_seed"), [((), 2015), (("--seed", "0"), 0)])
     def test_tenants_are_built_from_the_seed(self, tmp_path, argv, base_seed):
         """``--seed 0`` is seed 0, not the default."""
-        sink_path = tmp_path / "verdicts.jsonl"
-        result = _run_cli(
-            "fleet", *FAST, *argv, "--sink", "jsonl", "--sink-path", str(sink_path)
-        )
+        out = tmp_path / "fleet.json"
+        result = _run_cli("fleet", *FAST, *argv, "--json", str(out))
         assert result.returncode == 0, result.stderr
-        got = [json.loads(line)["events"] for line in sink_path.read_text().splitlines()]
+        got = [tenant["events"] for tenant in json.loads(out.read_text())["tenants"]]
 
         def events(seed):
             tenants = synthetic_fleet(4, num_processes=2, events_per_process=2, base_seed=seed)

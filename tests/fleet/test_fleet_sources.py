@@ -1,9 +1,9 @@
-"""Event sources: the JSONL codec, file replay and loopback-socket ingestion.
+"""Event sources: the JSONL codec and file replay.
 
 The ``repro-fleet-events/1`` codec must round-trip a computation exactly —
-replaying a recorded log or streaming it over a loopback socket has to feed
-monitors the byte-identical stream the synthetic source generated — and a
-malformed or truncated log must raise instead of monitoring garbage.
+replaying a recorded log has to feed monitors the byte-identical stream the
+synthetic source generated — and a malformed or truncated log must raise
+instead of monitoring garbage.
 """
 
 import asyncio
@@ -14,7 +14,6 @@ import pytest
 from repro.fleet import (
     FleetConfig,
     ReplaySource,
-    SocketSource,
     SyntheticSource,
     TenantSpec,
     run_fleet,
@@ -27,7 +26,6 @@ from repro.fleet.sources import (
     dump_event_log,
     load_event_log,
     records_to_computation,
-    serve_event_log,
 )
 
 
@@ -124,43 +122,17 @@ class TestReplaySource:
         assert results["synthetic"] == results["replay"]
 
 
-class TestSocketSource:
-    def test_socket_round_trip(self):
-        computation = _synthetic_computation()
-
-        async def stream():
-            server, host, port = await serve_event_log(computation)
-            try:
-                return await SocketSource(host, port).load(
-                    num_processes=3,
-                    events_per_process=4,
-                    property_name="B",
-                    seed=1,
-                )
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        assert asyncio.run(stream()) == computation
-
-    def test_refused_connection_raises(self):
-        # port 1 on loopback is never listening
-        with pytest.raises(OSError):
-            _load(SocketSource("127.0.0.1", 1))
-
-
 class TestSourceRegistry:
     def test_catalogue_lists_every_source(self):
-        assert set(SOURCE_KINDS) == {"synthetic", "replay", "socket"}
+        assert set(SOURCE_KINDS) == {"synthetic", "replay"}
 
     @pytest.mark.parametrize(
         "source",
         [
             SyntheticSource(),
             ReplaySource("events.jsonl"),
-            SocketSource("127.0.0.1", 9),
         ],
-        ids=["synthetic", "replay", "socket"],
+        ids=["synthetic", "replay"],
     )
     def test_sources_satisfy_the_protocol(self, source):
         assert isinstance(source, EventSource)

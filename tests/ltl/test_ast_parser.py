@@ -85,11 +85,6 @@ class TestTraversal:
         subs = subformulas(f)
         assert len(subs) == 2  # the conjunction and one copy of p
 
-    def test_is_temporal(self):
-        assert parse("G p").is_temporal
-        assert parse("p U q").is_temporal
-        assert not parse("p & !q").is_temporal
-
 
 class TestParser:
     @pytest.mark.parametrize(
@@ -158,7 +153,7 @@ class TestParser:
         # parsing the string rendering again yields the same structure for
         # formulas without braces
         assert parse("G(a -> (b U c))") == parse(str(parse("G(a -> (b U c))")))
-        assert f.is_temporal
+        assert any(isinstance(node, Until) for node in f.walk())
 
     @pytest.mark.parametrize(
         "bad",

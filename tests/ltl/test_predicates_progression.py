@@ -1,7 +1,10 @@
 """Tests for proposition registries and the progression construction."""
 
+import itertools
+
 import pytest
 
+from repro.experiments.properties import PROPERTY_NAMES, property_formula
 from repro.ltl import (
     Proposition,
     PropositionRegistry,
@@ -85,14 +88,6 @@ class TestPropositionRegistry:
         assert per_process[0] == {"x1>=5": True, "x1=10": False}
         assert per_process[1] == {"x2>=15": False}
 
-    def test_local_conjunct_holds(self, registry):
-        assert registry.local_conjunct_holds(0, {"x1>=5": True, "x1=10": False}, {"x1": 7})
-        assert not registry.local_conjunct_holds(0, {"x1>=5": True}, {"x1": 2})
-
-    def test_local_conjunct_wrong_owner(self, registry):
-        with pytest.raises(ValueError):
-            registry.local_conjunct_holds(0, {"x2>=15": True}, {"x2": 20})
-
     def test_contains_and_len(self, registry):
         assert "x1>=5" in registry
         assert "missing" not in registry
@@ -137,14 +132,16 @@ class TestProgression:
         assert canonicalize(parse("a | true")) == parse("true")
         assert canonicalize(parse("a & true")) == Atom("a")
 
-    def test_machine_matches_reference_when_given(self):
-        formula = parse("G(P0.p U P1.p)")
-        reference = build_monitor(formula)
-        machine, formulas = build_progression_machine(
-            formula, verdict_machine=reference._machine
-        )
-        assert machine.num_states == 3
+    @pytest.mark.parametrize("name", PROPERTY_NAMES)
+    def test_machine_labels_agree_with_the_minimal_monitor(self, name):
+        # every word of length <= 3 over the property's alphabet at n = 2
+        formula = parse(property_formula(name, 2))
+        machine, formulas = build_progression_machine(formula)
         assert len(formulas) == machine.num_states
+        reference = build_monitor(formula)
+        for length in range(4):
+            for word in itertools.product(machine.letters, repeat=length):
+                assert machine.outputs[machine.run(word)] == reference.verdict_of(word)
 
     def test_machine_verdicts_without_reference(self):
         formula = parse("G(P0.p U P1.p)")

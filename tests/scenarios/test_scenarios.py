@@ -11,6 +11,7 @@ from repro.api import ExperimentScale, run_scenario
 from repro.experiments import run_monitoring_experiment
 from repro.experiments.engine import execute_points, execute_sweep
 from repro.core.delays import DelayModel
+from repro.distributed import EventKind
 from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
 from repro.scenarios import (
@@ -274,8 +275,8 @@ class TestWorkloadModels:
         bursty = generate_computation(
             BurstyCommWorkload(burst_size=3, burst_gap=0.1).build_config(**self.KWARGS)
         )
-        base_sends = sum(1 for e in base.all_events() if e.is_send)
-        bursty_sends = sum(1 for e in bursty.all_events() if e.is_send)
+        base_sends = sum(1 for e in base.all_events() if e.kind is EventKind.SEND)
+        bursty_sends = sum(1 for e in bursty.all_events() if e.kind is EventKind.SEND)
         assert bursty_sends > base_sends
 
     def test_hot_process_indices_validated(self):

@@ -41,8 +41,8 @@ def _conjunct_holds(
 ) -> bool:
     if not conjunct:
         return True
-    state = computation.local_state(process, count)
-    return registry.local_conjunct_holds(process, conjunct, state)
+    letter = registry.local_letter(process, computation.local_state(process, count))
+    return all((atom in letter) == required for atom, required in conjunct.items())
 
 
 def least_consistent_cut(
