@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import codec
+from repro.cluster.transport import read_control_async
 from repro.core.messages import TerminationNotice, Token, TokenEntry
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -471,7 +472,7 @@ class TestFrameLengthBound:
         with pytest.raises(codec.CorruptFrameError, match=self.message):
             codec.decode_header(self.oversized)
 
-    def test_reader_refuses_on_the_header_alone(self):
+    def test_async_reader_refuses_on_the_header_alone(self):
         async def main():
             reader = asyncio.StreamReader()
             reader.feed_data(self.oversized)  # no payload, no EOF: must not wait
@@ -480,9 +481,62 @@ class TestFrameLengthBound:
 
         asyncio.run(main())
 
+    def test_reader_refuses_without_reading_the_payload(self):
+        async def main():
+            reader = asyncio.StreamReader()
+            reader.feed_data(self.oversized + b"payload")
+            reader.feed_eof()
+            with pytest.raises(codec.CorruptFrameError, match=self.message):
+                await codec.read_frame_async(reader)
+            # the header was consumed, the payload behind it was not
+            return await reader.read()
+
+        assert asyncio.run(main()) == b"payload"
+
     def test_encoder_refuses_what_the_decoder_would(self):
         with pytest.raises(codec.CodecError, match="exceeds the .* frame limit"):
             codec.encode_wire(0.0, b"x" * (codec.MAX_FRAME_BYTES + 1))
+
+
+class TestControlChannel:
+    """The coordinator–worker control channel reads through the one reader."""
+
+    @staticmethod
+    def _read_control(data, reads=1):
+        async def main():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return [await read_control_async(reader) for _ in range(reads)]
+
+        return asyncio.run(main())
+
+    def test_mappings_then_a_clean_close(self):
+        stream = codec.encode_control({"op": "start"}) + codec.encode_control(
+            {"op": "stop", "code": 0}
+        )
+        assert self._read_control(stream, reads=3) == [
+            {"op": "start"},
+            {"op": "stop", "code": 0},
+            None,
+        ]
+
+    def test_a_message_frame_is_refused(self):
+        frame = codec.encode_wire(0.0, TerminationNotice(0, 1))
+        with pytest.raises(
+            codec.CorruptFrameError,
+            match=f"expected a control frame.*type 0x{codec.TYPE_TERMINATION:02x}",
+        ):
+            self._read_control(frame)
+
+    def test_a_truncated_control_frame_names_the_frame(self):
+        frame = codec.encode_control({"op": "start"})
+        with pytest.raises(
+            ConnectionError,
+            match=f"mid-frame: {len(frame) - codec.HEADER.size - 1} of "
+            f"{len(frame) - codec.HEADER.size} payload bytes",
+        ):
+            self._read_control(frame[:-1])
 
 
 class TestNoPickleOnWirePaths:

@@ -127,6 +127,21 @@ class TestComputation:
         with pytest.raises(ValueError):
             Computation(initial_states=[{}], events=[[], []])
 
+    def test_frontier_events(self, example):
+        # the frontier of a cut is the last event of each process inside it;
+        # the cut's global state is the state after those events
+        cut = (1, 0)
+        frontier = [
+            example.event(i, cut[i]) if cut[i] > 0 else None
+            for i in range(example.num_processes)
+        ]
+        assert frontier[0].sn == 1 and frontier[1] is None
+        assert frontier[0] is example.events_of(0)[0]
+        assert example.global_state(cut) == [
+            example.local_state(0, 1),
+            example.local_state(1, 0),
+        ]
+
     def test_final_cut(self, example):
         assert example.final_cut() == (4, 4)
 

@@ -110,6 +110,24 @@ class TestFaultsDoc:
         for scenario in fault_scenarios:
             assert f"### `{scenario.name}`" in text
 
+    def test_every_exported_fault_model_named(self):
+        import repro.faults as faults
+
+        models = [
+            name
+            for name in faults.__all__
+            if isinstance(getattr(faults, name), type)
+            and issubclass(getattr(faults, name), faults.FaultModel)
+            and name != "FaultModel"
+        ]
+        text = FAULTS_DOC.read_text(encoding="utf-8")
+        section = text[text.index("## Per-seed fault models") :]
+        section = section[: section.index("\n## ", 1)]
+        words = {4: "Four", 5: "Five", 6: "Six", 7: "Seven", 8: "Eight"}
+        assert f"{words[len(models)]} models ship" in section
+        for name in models:
+            assert f"`{name}`" in section
+
     def test_docgen_refreshes_fault_markers(self, tmp_path):
         copy = tmp_path / "faults.md"
         copy.write_text(

@@ -58,6 +58,13 @@ class TestFleetCommand:
         assert result.returncode == 2
         assert "invalid choice" in result.stderr
 
+    @pytest.mark.parametrize("argv", [("--sink", "jsonl"), ("--sink-path", "v.jsonl")])
+    def test_retired_sink_options_are_rejected_by_the_parser(self, argv):
+        # the report's JSON document carries the per-tenant records instead
+        result = _run_cli("fleet", *FAST, *argv)
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+
     def test_json_writes_the_report_counters(self, tmp_path):
         out = tmp_path / "fleet.json"
         result = _run_cli(

@@ -10,6 +10,9 @@ a multiplexing bug, and across shard counts, so hash partitioning cannot
 change what any tenant computes.
 """
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.fleet import (
@@ -84,3 +87,43 @@ class TestFleetDeterminism:
         assert [r.equivalence_key() for r in first] == [
             r.equivalence_key() for r in second
         ]
+
+
+class TestReportRecords:
+    """The fleet's results are its records: ``as_dict()["tenants"]``."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        tenants = synthetic_fleet(4, num_processes=2, events_per_process=2)
+        # admitted in reverse: the records still come out in tenant-id order
+        return run_fleet(FleetConfig(tenants=tuple(reversed(tenants))))
+
+    def test_records_every_tenant_in_id_order(self, report):
+        records = report.as_dict()["tenants"]
+        assert [record["tenant_id"] for record in records] == [
+            f"tenant-{i:04d}" for i in range(4)
+        ]
+        assert report.tenants_completed == 4
+        assert all(record["error"] == "" for record in records)
+
+    def test_each_record_is_its_tenant_result(self, report):
+        records = report.as_dict()["tenants"]
+        assert records == [asdict(result) for result in report.results]
+        # every field a per-tenant verdict line carries, and more
+        assert {
+            "tenant_id",
+            "property_name",
+            "verdict_sequence",
+            "verdicts",
+            "events",
+            "dropped_events",
+            "latency_seconds",
+            "error",
+        } <= set(records[0])
+
+    def test_report_survives_a_json_round_trip(self, report):
+        document = json.loads(json.dumps(report.as_dict()))
+        for record, result in zip(document["tenants"], report.results, strict=True):
+            assert record["verdict_sequence"] == list(result.verdict_sequence)
+            assert record["verdicts"] == list(result.verdicts)
+            assert record["events"] == result.events

@@ -85,6 +85,16 @@ class TestTraversal:
         subs = subformulas(f)
         assert len(subs) == 2  # the conjunction and one copy of p
 
+    def test_is_temporal(self):
+        def is_temporal(formula):
+            temporal = (Next, Until, Release, Eventually, Always)
+            return any(isinstance(node, temporal) for node in formula.walk())
+
+        assert is_temporal(parse("G p"))
+        assert is_temporal(parse("p U q"))
+        assert is_temporal(parse("a & X b"))  # nested under a Boolean operator
+        assert not is_temporal(parse("p & !q"))
+
 
 class TestParser:
     @pytest.mark.parametrize(

@@ -88,6 +88,29 @@ class TestPropositionRegistry:
         assert per_process[0] == {"x1>=5": True, "x1=10": False}
         assert per_process[1] == {"x2>=15": False}
 
+    def test_local_conjunct_holds(self, registry):
+        # a process's part of a guard holds when each of its atoms has the
+        # required value in that process's local state
+        def holds(process, guard, local_state):
+            conjunct = registry.conjuncts_by_process(guard, 2)[process]
+            return all(
+                registry[atom].holds_in(local_state) == required
+                for atom, required in conjunct.items()
+            )
+
+        guard = {"x1>=5": True, "x1=10": False, "x2>=15": True}
+        assert holds(0, guard, {"x1": 7})
+        assert not holds(0, guard, {"x1": 2})
+        assert not holds(0, guard, {"x1": 10})
+        assert holds(1, guard, {"x2": 20})
+
+    def test_local_conjunct_wrong_owner(self, registry):
+        # an atom of process 1 is never part of process 0's conjunct
+        per_process = registry.conjuncts_by_process({"x2>=15": True}, 2)
+        assert per_process[0] == {}
+        assert per_process[1] == {"x2>=15": True}
+        assert registry.owner_of("x2>=15") == 1
+
     def test_contains_and_len(self, registry):
         assert "x1>=5" in registry
         assert "missing" not in registry

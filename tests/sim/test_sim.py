@@ -38,7 +38,8 @@ class TestSimulator:
         simulator.run()
         assert order == [1, 2]
 
-    def test_schedule_relative_to_now_from_a_callback(self):
+    def test_schedule_after(self):
+        # a delay is an instant relative to ``now``, read inside the callback
         simulator = Simulator()
         times = []
 
