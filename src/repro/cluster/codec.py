@@ -21,13 +21,14 @@ Frame layout (network byte order)::
     4       4     length  payload size in bytes, at most MAX_FRAME_BYTES
     8       n     payload type-specific binary body
 
-Monitoring frames (:data:`TYPE_TOKEN`, :data:`TYPE_TERMINATION`,
-:data:`TYPE_VALUE`) carry a *delivery instant* — the virtual-time ``due``
-the sending transport computed — as a leading float64, followed by the
-message body.  Control frames (:data:`TYPE_CONTROL`) carry one string-keyed
-mapping encoded with the same primitive layer; the coordinator/worker
-handshake travels in them.  Type 0x04 is unassigned: it carried a verdict
-digest no peer of this version sends, and it decodes as an unknown type.
+Monitoring frames (:data:`TYPE_TOKEN`, :data:`TYPE_TERMINATION`) carry a
+*delivery instant* — the virtual-time ``due`` the sending transport
+computed — as a leading float64, followed by the message body; a monitor
+receives nothing else.  Control frames (:data:`TYPE_CONTROL`) carry one
+string-keyed mapping in the tagged primitive layout below; the
+coordinator/worker handshake travels in them.  Types 0x03 and 0x04 are
+unassigned: they carried a bare primitive value and a verdict digest, which
+no peer of this version sends, and they decode as unknown types.
 
 Primitive values use a compact tagged layout: variable-length integers
 (LEB128, zigzag for signed), length-prefixed UTF-8 strings, float64,
@@ -94,7 +95,6 @@ __all__ = [
     "HEADER",
     "TYPE_TOKEN",
     "TYPE_TERMINATION",
-    "TYPE_VALUE",
     "TYPE_CONTROL",
     "CodecError",
     "CorruptFrameError",
@@ -125,8 +125,6 @@ HEADER = struct.Struct(">2sBBI")
 TYPE_TOKEN = 0x01
 #: a :class:`repro.core.messages.TerminationNotice` with its delivery instant
 TYPE_TERMINATION = 0x02
-#: an arbitrary primitive value with its delivery instant (tests, probes)
-TYPE_VALUE = 0x03
 #: a string-keyed control mapping (coordinator/worker handshake)
 TYPE_CONTROL = 0x10
 
@@ -235,7 +233,7 @@ def _r_float(data: bytes, pos: int) -> tuple[float, int]:
     return _FLOAT64.unpack_from(data, pos)[0], end
 
 
-# value tags for the generic tagged encoder (TYPE_VALUE / control payloads)
+# value tags for the generic tagged encoder (control payloads)
 _V_NONE, _V_FALSE, _V_TRUE, _V_INT, _V_FLOAT, _V_STR, _V_BYTES = range(7)
 _V_LIST, _V_MAP, _V_SET = 7, 8, 9
 
@@ -548,8 +546,18 @@ def _w_message(out: bytearray, message: object) -> int:
         _w_svarint(out, message.process)
         _w_svarint(out, message.final_event_sn)
         return TYPE_TERMINATION
-    _w_value(out, message)
-    return TYPE_VALUE
+    raise CodecError(
+        f"cannot encode {type(message).__name__} as a monitoring message: "
+        f"only tokens and termination notices travel the wire"
+    )
+
+
+def _expect_end(data: bytes, pos: int) -> None:
+    """Refuse a payload with bytes left after its body."""
+    if pos != len(data):
+        raise CorruptFrameError(
+            f"corrupt payload: {len(data) - pos} trailing bytes after the message"
+        )
 
 
 def _r_message(type_tag: int, data: bytes, pos: int) -> object:
@@ -561,23 +569,17 @@ def _r_message(type_tag: int, data: bytes, pos: int) -> object:
         process, pos = _r_svarint(data, pos)
         final_event_sn, pos = _r_svarint(data, pos)
         message = TerminationNotice(process=process, final_event_sn=final_event_sn)
-    elif type_tag == TYPE_VALUE:
-        message, pos = _r_value(data, pos)
     else:
         raise CorruptFrameError(f"unknown message type 0x{type_tag:02x}")
-    if pos != len(data):
-        raise CorruptFrameError(
-            f"corrupt payload: {len(data) - pos} trailing bytes after the message"
-        )
+    _expect_end(data, pos)
     return message
 
 
 def encode_message(message: object) -> tuple[int, bytes]:
     """Encode one wire message; returns ``(type_tag, payload_body)``.
 
-    :class:`Token` and :class:`TerminationNotice` use their dedicated binary
-    encoders; any other (primitive) value falls back to the generic tagged
-    layout under :data:`TYPE_VALUE`.
+    Only a :class:`Token` or a :class:`TerminationNotice` encodes; anything
+    else raises :class:`CodecError`.
     """
     out = bytearray()
     type_tag = _w_message(out, message)
@@ -630,7 +632,8 @@ def encode_control(mapping: dict[str, object]) -> bytes:
 
 def decode_control(payload: bytes) -> dict[str, object]:
     """Decode a control frame payload back into its mapping."""
-    value = _r_message(TYPE_VALUE, payload, 0)
+    value, pos = _r_value(payload, 0)
+    _expect_end(payload, pos)
     if not isinstance(value, dict):
         raise CorruptFrameError(
             f"control frame carries {type(value).__name__}, expected a mapping"

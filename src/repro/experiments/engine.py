@@ -40,7 +40,7 @@ from ..distributed.computation import Computation
 from ..faults import FaultPlan, format_fault_plan
 from ..ltl.monitor import MonitorAutomaton
 from ..ltl.predicates import PropositionRegistry
-from ..scenarios import GridPoint, Scenario, SweepGrid, WorkloadModel, get_scenario
+from ..scenarios import GridPoint, Scenario, SweepGrid, Workload, get_scenario
 from ..session import RunReport
 from ..sim.runner import simulate_monitored_run
 from ..sim.workload import generate_computation
@@ -117,7 +117,7 @@ def trace_design(property_name: str) -> tuple[dict[str, bool], float]:
 
 
 def cell_computation(
-    workload: WorkloadModel,
+    workload: Workload,
     property_name: str,
     *,
     num_processes: int,
@@ -321,18 +321,18 @@ def execute_points(
     scenario: Scenario,
     points: Sequence[GridPoint],
     scale: ExperimentScale,
-    pool: ProcessPoolExecutor | None = None,
     *,
     config: ExecutionConfig | None = None,
 ) -> list[dict[str, float]]:
     """Run every (point × replication) cell of *scenario* and aggregate.
 
-    This is the sharding heart of the engine: the full cell product — not
-    just the replications of one point — is mapped over the pool, so a sweep
-    with P points and R replications keeps ``min(P*R, workers)`` workers
-    busy.  Cell seeds are ``base_seed + 31*replication + point.seed_offset``
-    (the scheme the pre-scenario harness used), so results are byte-identical
-    to a serial run and to earlier releases.  *config* selects the per-cell
+    This is the sharding heart of the engine: with ``scale.workers > 1`` the
+    full cell product — not just the replications of one point — is mapped
+    over one process pool, so a sweep with P points and R replications keeps
+    ``min(P*R, workers)`` workers busy.  Cell seeds are
+    ``base_seed + 31*replication + point.seed_offset`` (the scheme the
+    pre-scenario harness used), so results are byte-identical to a serial
+    run and to earlier releases.  *config* selects the per-cell
     executor — see :func:`run_scenario_cell`.
     """
     config = config if config is not None else ExecutionConfig()
@@ -348,12 +348,10 @@ def execute_points(
         for point in points
         for rep in range(replications)
     ]
-    if pool is not None:
-        results = list(pool.map(_run_cell, cells))
-    elif scale.workers > 1 and len(cells) > 1:
+    if scale.workers > 1 and len(cells) > 1:
         workers = min(scale.workers, len(cells))
-        with ProcessPoolExecutor(max_workers=workers) as fresh_pool:
-            results = list(fresh_pool.map(_run_cell, cells))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_cell, cells))
     else:
         results = [_run_cell(cell) for cell in cells]
     return [
@@ -366,14 +364,13 @@ def execute_sweep(
     scenario: Scenario,
     scale: ExperimentScale,
     grid: SweepGrid | None = None,
-    pool: ProcessPoolExecutor | None = None,
     *,
     config: ExecutionConfig | None = None,
 ) -> list[dict[str, float]]:
     """Expand *grid* (default: the scenario's own) and run every cell."""
     grid = grid if grid is not None else scenario.grid
     points = grid.points(PROPERTY_NAMES, scale.process_counts)
-    return execute_points(scenario, points, scale, pool=pool, config=config)
+    return execute_points(scenario, points, scale, config=config)
 
 
 def run_scenario(

@@ -20,7 +20,6 @@ touching the harness logic.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ..scenarios import GridPoint, SweepGrid, get_scenario
@@ -132,7 +131,6 @@ def run_monitoring_experiment(
     scale: ExperimentScale = DEFAULT_SCALE,
     comm_mu: float | None | str = "default",
     seed_offset: int = 0,
-    pool: ProcessPoolExecutor | None = None,
     scenario: str = "paper-default",
 ) -> dict[str, float]:
     """Run the monitored workload for one (property, process-count) point.
@@ -145,7 +143,7 @@ def run_monitoring_experiment(
     byte-identically to a serial run.
     """
     point = GridPoint(property_name, num_processes, comm_mu, seed_offset)
-    return execute_points(get_scenario(scenario), [point], scale, pool=pool)[0]
+    return execute_points(get_scenario(scenario), [point], scale)[0]
 
 
 def run_fig_5_4_5_5(

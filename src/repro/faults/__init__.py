@@ -18,10 +18,10 @@ fail — or lie.  It provides:
   backend-agnostic injection mechanism, wrapping the shared
   :class:`repro.core.monitor.DecentralizedMonitor` behind the
   :class:`repro.core.transport.MonitorNode` protocol.
-* :class:`FaultModel` implementations (:class:`ExplicitFaults`,
-  :class:`SingleCrashFaults`, :class:`RollingCrashFaults`,
-  :class:`ChurnFaults`, :class:`ByzantineFaults`,
-  :class:`ClockSkewFaults`) — per-seed schedule generators scenarios
+* :class:`FaultModel` implementations (:class:`SingleCrashFaults`,
+  :class:`RollingCrashFaults`, :class:`ChurnFaults`,
+  :class:`ByzantineFaults`, :class:`ClockSkewFaults`, and a literal
+  :class:`FaultPlan` itself) — per-seed schedule generators scenarios
   carry in their ``faults`` field.
 * :func:`parse_fault_plan` / :func:`format_fault_plan` — the compact
   ``run --fault-plan`` grammar.
@@ -37,7 +37,6 @@ from .models import (
     ByzantineFaults,
     ChurnFaults,
     ClockSkewFaults,
-    ExplicitFaults,
     FaultModel,
     RollingCrashFaults,
     SingleCrashFaults,
@@ -79,7 +78,6 @@ __all__ = [
     "unwrap_monitor",
     "wrap_monitors",
     "FaultModel",
-    "ExplicitFaults",
     "SingleCrashFaults",
     "RollingCrashFaults",
     "ChurnFaults",

@@ -9,11 +9,11 @@ crashes, when) from the cell's seed, so schedules are deterministic per
 seed, shard cleanly into worker processes and are identical on both
 monitoring backends.
 
-Six models are provided:
+Five models are provided here; a literal :class:`~repro.faults.plan.FaultPlan`
+is a sixth (its ``build`` returns the plan unchanged, so a scenario can
+carry a fixed plan; the CLI's ``run --fault-plan`` override does not go
+through a model: it sets ``ExecutionConfig.fault_plan`` directly):
 
-* :class:`ExplicitFaults` — wraps a literal plan unchanged, so a scenario
-  can carry a fixed plan (the CLI's ``run --fault-plan`` override does not
-  go through a model: it sets ``ExecutionConfig.fault_plan`` directly).
 * :class:`SingleCrashFaults` — one seed-chosen monitor crashes once at a
   seed-chosen point of its trace.
 * :class:`RollingCrashFaults` — every monitor crashes once, at staggered
@@ -44,7 +44,6 @@ from .plan import (
 
 __all__ = [
     "FaultModel",
-    "ExplicitFaults",
     "SingleCrashFaults",
     "RollingCrashFaults",
     "ChurnFaults",
@@ -80,23 +79,6 @@ def _describe(kind: str, model: object) -> dict[str, object]:
     description: dict[str, object] = {"kind": kind}
     description.update(asdict(model))
     return description
-
-
-@dataclass(frozen=True)
-class ExplicitFaults:
-    """A literal, seed-independent fault plan."""
-
-    plan: FaultPlan = FaultPlan()
-
-    def build(
-        self, num_processes: int, events_per_process: int, seed: int | None
-    ) -> FaultPlan:
-        """Return the wrapped plan unchanged."""
-        return self.plan
-
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for JSON documents and the CLI)."""
-        return {"kind": "explicit", **self.plan.describe()}
 
 
 @dataclass(frozen=True)

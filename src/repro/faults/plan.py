@@ -335,6 +335,12 @@ class FaultPlan:
             return False
         return True
 
+    def build(
+        self, num_processes: int, events_per_process: int, seed: int | None
+    ) -> FaultPlan:
+        """A literal plan is its own fault model: every cell gets it unchanged."""
+        return self
+
     def describe(self) -> dict[str, object]:
         """Self-describing metadata (for JSON documents and the CLI).
 
@@ -342,7 +348,8 @@ class FaultPlan:
         their historical shape byte-for-byte.
         """
         description: dict[str, object] = {
-            "crashes": [spec.describe() for spec in self.crashes]
+            "kind": "explicit",
+            "crashes": [spec.describe() for spec in self.crashes],
         }
         if self.byzantine:
             description["byzantine"] = [spec.describe() for spec in self.byzantine]

@@ -81,17 +81,6 @@ class TenantSpec:
         if self.time_scale < 0.0:
             raise ValueError("time_scale must be non-negative")
 
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for JSON documents and docs)."""
-        return {
-            "tenant_id": self.tenant_id,
-            "property": self.property_name,
-            "num_processes": self.num_processes,
-            "events_per_process": self.events_per_process,
-            "seed": self.seed,
-            "source": self.source.describe(),
-        }
-
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -129,16 +118,6 @@ class FleetConfig:
             )
         if self.quiesce_timeout <= 0.0:
             raise ValueError("quiesce_timeout must be positive")
-
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for JSON documents and the CLI)."""
-        return {
-            "tenants": len(self.tenants),
-            "shards": self.shards,
-            "max_tenants": self.max_tenants,
-            "inbox_limit": self.inbox_limit,
-            "backpressure": self.backpressure,
-        }
 
 
 def synthetic_fleet(

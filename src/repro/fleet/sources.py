@@ -4,8 +4,8 @@ A fleet tenant is a formula instance attached to a live event stream; the
 :class:`EventSource` protocol is where the stream comes from.  Two sources
 are registered (:data:`SOURCE_KINDS`):
 
-* :class:`SyntheticSource` — paced synthetic traffic generated from an
-  existing :class:`repro.scenarios.workload.WorkloadModel` with the paper's
+* :class:`SyntheticSource` — paced synthetic traffic generated from a
+  :class:`repro.scenarios.workload.Workload` under the paper's
   per-property trace design, exactly the computation a standalone sweep
   cell would monitor.  This is what makes the fleet's correctness anchor
   checkable: for a fixed seed the synthetic stream is byte-identical to the
@@ -31,7 +31,7 @@ from ..distributed.clocks import VectorClock
 from ..distributed.computation import Computation
 from ..distributed.events import Event, EventKind
 from ..experiments.engine import cell_computation
-from ..scenarios.workload import PaperWorkload, WorkloadModel
+from ..scenarios.workload import Workload
 
 __all__ = [
     "EVENT_LOG_SCHEMA",
@@ -62,9 +62,6 @@ class EventSource(Protocol):
         seed: int,
     ) -> Computation:
         """Resolve the tenant's stream to a concrete computation."""
-
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for JSON documents and docs)."""
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +171,11 @@ class SyntheticSource:
 
     Builds the exact computation a standalone sweep cell would monitor —
     through the same :func:`repro.experiments.engine.cell_computation`:
-    the workload model under the paper's per-property trace design and the
+    the workload under the paper's per-property trace design and the
     tenant's seed.  Deterministic in ``(workload, tenant parameters, seed)``.
     """
 
-    workload: WorkloadModel = PaperWorkload()
+    workload: Workload = Workload()
     evt_mu: float = 3.0
     evt_sigma: float = 1.0
     comm_mu: float = 3.0
@@ -205,10 +202,6 @@ class SyntheticSource:
             seed=seed,
         )
 
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for JSON documents and docs)."""
-        return {"kind": "synthetic", "workload": self.workload.describe()}
-
 
 @dataclass(frozen=True)
 class ReplaySource:
@@ -226,10 +219,6 @@ class ReplaySource:
     ) -> Computation:
         """Load the recorded computation (tenant shape parameters ignored)."""
         return load_event_log(self.path)
-
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for JSON documents and docs)."""
-        return {"kind": "replay", "path": self.path}
 
 
 #: the registered event-source kinds, in documentation order

@@ -2,7 +2,7 @@
 
 This package opens the evaluation beyond the paper's single fixed condition
 (normal-distributed traces over a reliable WiFi testbed).  A
-:class:`Scenario` is a declarative value — a :class:`WorkloadModel` (trace
+:class:`Scenario` is a declarative value — a :class:`Workload` (trace
 shape), a :class:`NetworkModel` (communication conditions) and a
 :class:`SweepGrid` (which points to run) — executed by the generic sharded
 sweep engine in :mod:`repro.experiments.engine`.
@@ -16,12 +16,12 @@ Public API
   :class:`AsymmetricNetwork` and :class:`MultiPartitionNetwork` — one
   frozen class per condition, defined in :mod:`repro.core.delays` so both
   timed backends reach them without an upward import.
-* :class:`WorkloadModel` protocol with :class:`PaperWorkload`,
-  :class:`HotPropositionWorkload` and :class:`BurstyCommWorkload`.
+* :class:`Workload` — the trace shape: the paper's model, optionally with
+  hot-proposition skew or comm-heavy bursts.
 * :class:`repro.faults.FaultModel` (re-exported with
-  :class:`ExplicitFaults`, :class:`SingleCrashFaults` and
-  :class:`RollingCrashFaults`) — the optional ``faults`` condition of a
-  scenario.
+  :class:`SingleCrashFaults` and :class:`RollingCrashFaults`; a literal
+  :class:`repro.faults.FaultPlan` is a model too) — the optional ``faults``
+  condition of a scenario.
 * :func:`register_scenario` / :func:`get_scenario` / :func:`list_scenarios`
   / :func:`scenario_names` — the registry (built-ins register on import).
 """
@@ -35,12 +35,7 @@ from ..core.delays import (
     PartitionNetwork,
     ReliableNetwork,
 )
-from ..faults import (
-    ExplicitFaults,
-    FaultModel,
-    RollingCrashFaults,
-    SingleCrashFaults,
-)
+from ..faults import FaultModel, RollingCrashFaults, SingleCrashFaults
 from .registry import (
     get_scenario,
     list_scenarios,
@@ -48,12 +43,7 @@ from .registry import (
     scenario_names,
 )
 from .scenario import GridPoint, Scenario, SweepGrid
-from .workload import (
-    BurstyCommWorkload,
-    HotPropositionWorkload,
-    PaperWorkload,
-    WorkloadModel,
-)
+from .workload import Workload
 
 __all__ = [
     "Scenario",
@@ -67,13 +57,9 @@ __all__ = [
     "AsymmetricNetwork",
     "MultiPartitionNetwork",
     "FaultModel",
-    "ExplicitFaults",
     "SingleCrashFaults",
     "RollingCrashFaults",
-    "WorkloadModel",
-    "PaperWorkload",
-    "HotPropositionWorkload",
-    "BurstyCommWorkload",
+    "Workload",
     "register_scenario",
     "get_scenario",
     "list_scenarios",

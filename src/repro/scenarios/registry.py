@@ -49,7 +49,7 @@ from ..faults import (
     SingleCrashFaults,
 )
 from .scenario import Scenario, SweepGrid
-from .workload import BurstyCommWorkload, HotPropositionWorkload, PaperWorkload
+from .workload import Workload
 
 __all__ = [
     "register_scenario",
@@ -96,7 +96,7 @@ register_scenario(
         name="paper-default",
         description="Paper's Section-5 setup: designed traces over a reliable "
         "WiFi-like network (gaussian latency with jitter).",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=ReliableNetwork(),
         corresponds_to="Figures 5.4-5.8 and Table 5.1 (Section 5's testbed condition)",
         tags=("paper", "baseline"),
@@ -108,7 +108,7 @@ register_scenario(
         name="fixed-latency",
         description="Paper workload over deterministic constant-latency links "
         "(no jitter): isolates jitter effects from the baseline.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=ReliableNetwork(jitter=0.0),
         corresponds_to="extension: jitter ablation of the Section-5 testbed",
         tags=("network",),
@@ -120,7 +120,7 @@ register_scenario(
         name="lossy-retransmit",
         description="20% transmission loss with stop-and-wait retransmission: "
         "reliable delivery at the cost of delay and retransmission traffic.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=LossyNetwork(),
         corresponds_to="extension: degraded-network stress of the Section-5 workload",
         tags=("network", "degraded"),
@@ -132,7 +132,7 @@ register_scenario(
         name="partition-heal",
         description="The network partitions into two groups mid-run and heals: "
         "cross-group monitor messages are held until the partition closes.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=PartitionNetwork(),
         corresponds_to="extension: partition tolerance of the token routing",
         tags=("network", "degraded"),
@@ -144,7 +144,7 @@ register_scenario(
         name="bursty-comm",
         description="Comm-heavy workload bursts (3 broadcast rounds per slot) "
         "over a duty-cycled medium that flushes at burst instants.",
-        workload=BurstyCommWorkload(),
+        workload=Workload(comm_burst_size=3, comm_burst_gap=0.15),
         network=BurstyNetwork(),
         corresponds_to="extension: comm-heavy stress (amplifies Figures 5.4/5.5)",
         tags=("workload", "network"),
@@ -156,7 +156,9 @@ register_scenario(
         name="hot-spot",
         description="Hot-proposition skew: process 0 flips its propositions at "
         "3x the base event rate over the reliable network.",
-        workload=HotPropositionWorkload(),
+        workload=Workload(
+            hot_processes=(0,), hot_event_factor=3.0, hot_truth_probability=0.5
+        ),
         network=ReliableNetwork(),
         corresponds_to="extension: asymmetric load on per-process monitor queues (Fig. 5.7)",
         tags=("workload",),
@@ -168,7 +170,7 @@ register_scenario(
         name="no-comm",
         description="The paper's 'No comm' configuration of Fig. 5.9 as a "
         "standing scenario: no program communication events at all.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=ReliableNetwork(),
         grid=SweepGrid(comm_mus=(None,)),
         corresponds_to="Fig. 5.9's 'No comm' configuration",
@@ -181,7 +183,7 @@ register_scenario(
         name="crash-restart-replay",
         description="One seed-chosen monitor crashes mid-trace and restarts "
         "with its journaled state intact: the crash costs downtime only.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=ReliableNetwork(),
         faults=SingleCrashFaults(down_events=1, recovery="replay"),
         corresponds_to="extension: monitor failure with replay-from-last-verdict recovery",
@@ -195,7 +197,7 @@ register_scenario(
         description="One seed-chosen monitor crashes mid-trace and rejoins "
         "from scratch, replaying its durable local event log and "
         "re-exploring; its pre-crash tokens die on return.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=ReliableNetwork(),
         faults=SingleCrashFaults(down_events=1, recovery="rejoin"),
         corresponds_to="extension: monitor failure with rejoin-from-scratch recovery",
@@ -208,7 +210,7 @@ register_scenario(
         name="crash-storm",
         description="A rolling outage: every monitor crashes once at a "
         "staggered seed-chosen point and replays its journal on restart.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=ReliableNetwork(),
         faults=RollingCrashFaults(down_events=2, recovery="replay"),
         corresponds_to="extension: whole-fleet crash/restart stress of the token routing",
@@ -221,7 +223,7 @@ register_scenario(
         name="asymmetric-mesh",
         description="Asymmetric per-link latency matrix: each ordered pair "
         "has its own latency, so A→B and B→A differ.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=AsymmetricNetwork(),
         corresponds_to="extension: direction-dependent link quality (beyond the symmetric testbed)",
         tags=("network",),
@@ -233,7 +235,7 @@ register_scenario(
         name="multi-partition",
         description="A timed sequence of differently-shaped partitions: the "
         "network splits, heals, and splits again along other group lines.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=MultiPartitionNetwork(),
         corresponds_to="extension: generalizes the single partition-heal window",
         tags=("network", "degraded"),
@@ -245,7 +247,7 @@ register_scenario(
         name="partitioned-crash",
         description="Compound fault: the multi-partition schedule combined "
         "with a seed-chosen monitor crash (journal replay on restart).",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=MultiPartitionNetwork(),
         faults=SingleCrashFaults(down_events=2, recovery="replay"),
         corresponds_to="extension: compound network + monitor faults",
@@ -260,7 +262,7 @@ register_scenario(
         "leave early for a long seed-chosen outage and rejoin from scratch, "
         "replaying their durable logs; outages past the trace end model "
         "nodes that only rejoin at shutdown.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=ReliableNetwork(),
         faults=ChurnFaults(leave_fraction=0.5, min_down_events=2),
         corresponds_to="extension: membership churn stress of the soundness claim",
@@ -275,7 +277,7 @@ register_scenario(
         "are deterministically inflated within happened-before consistency, "
         "so monitors explore a sub-lattice of the real computation and "
         "verdicts stay sound by construction.",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=ReliableNetwork(),
         faults=ClockSkewFaults(mode="sound", rate=0.35, magnitude=1),
         corresponds_to="extension: clock-skew robustness of the vector-clock layer",
@@ -292,7 +294,7 @@ register_scenario(
         "message — attacking the soundness argument head-on (simulator "
         "backend; verdicts are checked against the centralized oracle, "
         "not across backends).",
-        workload=PaperWorkload(),
+        workload=Workload(),
         network=ReliableNetwork(),
         faults=ByzantineFaults(
             duplicate_every=3, corrupt_every=4, replay_every=5, num_adversaries=1

@@ -1,6 +1,6 @@
 """Scenarios and sweep grids: declarative experiment descriptions.
 
-A :class:`Scenario` bundles a :class:`~repro.scenarios.workload.WorkloadModel`
+A :class:`Scenario` bundles a :class:`~repro.scenarios.workload.Workload`
 (the trace shape) with a :class:`~repro.core.delays.NetworkModel` (the
 monitor-network conditions) and a default :class:`SweepGrid` (which
 (property, process-count, Commμ) points to run).  It contains *no* execution
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ..core.delays import NetworkModel
 from ..faults import FaultModel
-from .workload import WorkloadModel
+from .workload import Workload
 
 __all__ = ["GridPoint", "SweepGrid", "Scenario", "DEFAULT_COMM_SEED_STRIDE"]
 
@@ -108,7 +108,7 @@ class Scenario:
 
     name: str
     description: str
-    workload: WorkloadModel
+    workload: Workload
     network: NetworkModel
     grid: SweepGrid = field(default_factory=SweepGrid)
     #: optional monitor-fault condition (a :class:`repro.faults.FaultModel`);

@@ -3,7 +3,8 @@
 The acceptance properties of the codec (hypothesis-tested here):
 
 1. **Round-trip**: every message type in :mod:`repro.core.messages` — and
-   every generic primitive value — decodes back to an equal object.
+   every control mapping of generic primitive values — decodes back to an
+   equal object; nothing else encodes as a monitoring frame.
 2. **Byte stability**: re-encoding a decoded message reproduces the exact
    original frame (canonical map-key and set-element order), so frames can
    be compared, cached and hashed by bytes.
@@ -164,9 +165,10 @@ class TestRoundTrip:
         with pytest.raises(codec.CorruptFrameError, match="unknown message type 0x04"):
             codec.decode_message(0x04, body)
 
-    @pytest.mark.parametrize("type_tag", [0x00, 0x05, 0x0F, 0x11, 0xFF])
+    @pytest.mark.parametrize("type_tag", [0x00, 0x03, 0x05, 0x0F, 0x11, 0xFF])
     def test_every_unassigned_type_tag_is_rejected(self, type_tag):
-        # only tokens, termination notices and generic values travel as messages
+        # only tokens and termination notices travel as messages (0x03 once
+        # carried a bare primitive value no monitor accepts)
         body = codec.encode_message(TerminationNotice(1, 3))[1]
         with pytest.raises(
             codec.CorruptFrameError, match=f"unknown message type 0x{type_tag:02x}"
@@ -177,15 +179,14 @@ class TestRoundTrip:
         # v3 spelt atoms, guards and letters; a v3 peer cannot read a v4 token
         assert codec.PROTOCOL_VERSION == 4
 
-    @settings(max_examples=150, deadline=None)
-    @given(value=generic_values)
-    def test_generic_values_round_trip_byte_stably(self, value):
-        frame = codec.encode_wire(0.0, value)
-        type_tag, payload = codec.split_frame(frame)
-        assert type_tag == codec.TYPE_VALUE
-        _, decoded = codec.decode_wire(type_tag, payload)
-        assert decoded == value
-        assert codec.encode_wire(0.0, decoded) == frame
+    @pytest.mark.parametrize(
+        "value", [None, 3, "done", {"a": 1}, [TerminationNotice(0, 1)]]
+    )
+    def test_only_monitoring_messages_encode(self, value):
+        with pytest.raises(codec.CodecError, match="cannot encode .* monitoring message"):
+            codec.encode_wire(0.0, value)
+        with pytest.raises(codec.CodecError, match="only tokens and termination"):
+            codec.encode_message(value)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -202,20 +203,20 @@ class TestRoundTrip:
     def test_map_insertion_order_is_canonicalized(self):
         # two dicts equal as mappings but built in opposite insertion order
         # must produce the identical frame — byte stability across peers
-        ab = codec.encode_wire(0.0, {"a": 1, "b": 2})
-        ba = codec.encode_wire(0.0, {"b": 2, "a": 1})
+        ab = codec.encode_control({"a": 1, "b": 2})
+        ba = codec.encode_control({"b": 2, "a": 1})
         assert ab == ba
-        assert codec.encode_wire(0.0, {1, 2, 3}) == codec.encode_wire(
-            0.0, {3, 2, 1}
+        assert codec.encode_control({"s": {1, 2, 3}}) == codec.encode_control(
+            {"s": {3, 2, 1}}
         )
 
     def test_stream_round_trip(self):
         stream = codec.encode_wire(1.5, TerminationNotice(0, 4)) + codec.encode_wire(
-            2.5, "done"
+            2.5, _token([1, 2])
         )
         assert _read_stream(stream, frames=3) == [
             (1.5, TerminationNotice(0, 4)),
-            (2.5, "done"),
+            (2.5, _token([1, 2])),
             None,  # clean EOF between frames
         ]
 
@@ -232,7 +233,7 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("version", [0, 1, 2, 3, 255])
     def test_foreign_version_reports_both_versions(self, version):
-        header = codec.HEADER.pack(codec.MAGIC, version, codec.TYPE_VALUE, 0)
+        header = codec.HEADER.pack(codec.MAGIC, version, codec.TYPE_TERMINATION, 0)
         with pytest.raises(
             codec.ProtocolVersionError,
             match=f"peer speaks wire protocol version {version}, this node "
@@ -246,7 +247,7 @@ class TestDiagnostics:
             codec.decode_header(b"RW\x03")
 
     def test_frame_length_mismatch_reported(self):
-        frame = codec.encode_wire(0.0, "hello")
+        frame = codec.encode_wire(0.0, TerminationNotice(0, 4))
         with pytest.raises(
             codec.CorruptFrameError, match="length mismatch.*announces"
         ):
@@ -269,11 +270,11 @@ class TestDiagnostics:
         with pytest.raises(
             codec.CorruptFrameError, match="cannot hold the.*delivery instant"
         ):
-            codec.decode_wire(codec.TYPE_VALUE, b"\x00\x00")
+            codec.decode_wire(codec.TYPE_TERMINATION, b"\x00\x00")
 
     def test_stream_truncated_mid_payload(self):
-        frame = codec.encode_wire(0.0, "hello")
-        with pytest.raises(ConnectionError, match="mid-frame: 13 of 15 payload bytes"):
+        frame = codec.encode_wire(0.0, TerminationNotice(0, 4))
+        with pytest.raises(ConnectionError, match="mid-frame: 8 of 10 payload bytes"):
             _read_stream(frame[:-2])
 
     def test_stream_truncated_mid_header(self):
@@ -290,7 +291,7 @@ class TestDiagnostics:
             return await read
 
         assert asyncio.run(reset_after(b"")) is None
-        header = codec.encode_wire(0.0, "hello")[: codec.HEADER.size]
+        header = codec.encode_wire(0.0, TerminationNotice(0, 4))[: codec.HEADER.size]
         with pytest.raises(ConnectionError, match="reset the connection mid-frame"):
             asyncio.run(reset_after(header))
 
@@ -460,15 +461,18 @@ class TestFrameLengthBound:
     """
 
     oversized = codec.HEADER.pack(
-        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_VALUE, codec.MAX_FRAME_BYTES + 1
+        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, codec.MAX_FRAME_BYTES + 1
     )
     message = f"{codec.MAX_FRAME_BYTES + 1} bytes, at most {codec.MAX_FRAME_BYTES}"
 
     def test_header_at_the_bound_is_accepted_one_above_is_not(self):
         at_bound = codec.HEADER.pack(
-            codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_VALUE, codec.MAX_FRAME_BYTES
+            codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, codec.MAX_FRAME_BYTES
         )
-        assert codec.decode_header(at_bound) == (codec.TYPE_VALUE, codec.MAX_FRAME_BYTES)
+        assert codec.decode_header(at_bound) == (
+            codec.TYPE_TERMINATION,
+            codec.MAX_FRAME_BYTES,
+        )
         with pytest.raises(codec.CorruptFrameError, match=self.message):
             codec.decode_header(self.oversized)
 
@@ -495,7 +499,7 @@ class TestFrameLengthBound:
 
     def test_encoder_refuses_what_the_decoder_would(self):
         with pytest.raises(codec.CodecError, match="exceeds the .* frame limit"):
-            codec.encode_wire(0.0, b"x" * (codec.MAX_FRAME_BYTES + 1))
+            codec.encode_control({"blob": b"x" * (codec.MAX_FRAME_BYTES + 1)})
 
 
 class TestControlChannel:

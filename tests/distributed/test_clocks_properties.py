@@ -4,8 +4,9 @@ The partial-order laws the monitoring algorithm silently relies on:
 irreflexivity and transitivity of happened-before, symmetry of
 concurrency, merge being the least upper bound, and the agreement between
 clock-level cut consistency and :meth:`Computation.is_consistent_cut`.
-The last block pins the soundness contract of ``ClockSkew``: in sound mode
-every cut consistent under skewed clocks is consistent under true clocks.
+The last block pins the soundness contract of ``apply_clock_skew``: in
+sound mode every cut consistent under skewed clocks is consistent under
+true clocks.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.distributed.clocks import ClockSkew, VectorClock
+from repro.distributed.clocks import VectorClock
 from repro.distributed.computation import ComputationBuilder
 from repro.faults import SKEW_MODES, SKEW_SOUND, ClockSkewSpec, apply_clock_skew
 
@@ -159,7 +160,7 @@ def test_cut_clock_consistency_agrees_with_computation(case):
 
 
 # ---------------------------------------------------------------------------
-# ClockSkew: the soundness contract
+# apply_clock_skew: the soundness contract
 # ---------------------------------------------------------------------------
 @given(computation_scripts, st.integers(0, 1 << 16))
 @settings(max_examples=40, deadline=None)
@@ -214,11 +215,9 @@ def test_skew_is_deterministic_in_its_seed(case, seed):
 def test_clock_skew_rejects_bad_parameters():
     import pytest
 
-    with pytest.raises(ValueError):
-        ClockSkew(2, (3, 3), mode="sideways")
-    with pytest.raises(ValueError):
-        ClockSkew(2, (3, 3), rate=1.5)
-    with pytest.raises(ValueError):
-        ClockSkew(2, (3, 3), magnitude=0)
-    with pytest.raises(ValueError):
-        ClockSkew(3, (3, 3))
+    with pytest.raises(ValueError, match="unknown skew mode"):
+        ClockSkewSpec(mode="sideways")
+    with pytest.raises(ValueError, match="rate must be within"):
+        ClockSkewSpec(rate=1.5)
+    with pytest.raises(ValueError, match="magnitude must be >= 1"):
+        ClockSkewSpec(magnitude=0)

@@ -378,6 +378,7 @@ def test_docstring_ratchet(path):
 #: ``disallow_incomplete_defs`` bar in pyproject.toml; the AST check below
 #: mirrors it on hosts without mypy installed
 TYPED_DEF_PATHS = [
+    REPO_ROOT / "src" / "repro" / "api.py",
     REPO_ROOT / "src" / "repro" / "runtime",
     REPO_ROOT / "src" / "repro" / "ltl" / "compiled.py",
     REPO_ROOT / "src" / "repro" / "session.py",
@@ -412,7 +413,7 @@ def test_typed_defs_ratchet(path):
 
     This is the locally-runnable mirror of the strict
     ``disallow_untyped_defs`` / ``disallow_incomplete_defs`` mypy overrides
-    in ``pyproject.toml`` (``repro.runtime.*``, ``repro.session``,
+    in ``pyproject.toml`` (``repro.api``, ``repro.runtime.*``, ``repro.session``,
     ``repro.core.*``, ``repro.coordination.*``, ``repro.cluster.*``,
     ``repro.distributed.*``, ``repro.experiments.*``, ``repro.faults.*``,
     ``repro.fleet.*``, ``repro.fuzz.*``, ``repro.scenarios.*``,

@@ -7,7 +7,6 @@ import pytest
 
 from repro.faults import (
     CrashSpec,
-    ExplicitFaults,
     FaultModel,
     FaultPlan,
     RollingCrashFaults,
@@ -15,7 +14,7 @@ from repro.faults import (
 )
 
 ALL_MODELS = [
-    ExplicitFaults(FaultPlan((CrashSpec(process=0, after_events=2),))),
+    FaultPlan((CrashSpec(process=0, after_events=2),)),
     SingleCrashFaults(),
     SingleCrashFaults(down_events=3, recovery="rejoin"),
     RollingCrashFaults(down_events=2),
@@ -34,12 +33,17 @@ class TestProtocol:
         assert "kind" in description
 
 
-class TestExplicitFaults:
-    def test_returns_wrapped_plan_unchanged(self):
+class TestLiteralPlan:
+    def test_builds_itself_unchanged(self):
         plan = FaultPlan((CrashSpec(process=1, after_events=4),))
-        model = ExplicitFaults(plan)
-        assert model.build(3, 10, seed=7) is plan
-        assert model.build(3, 10, seed=8) is plan  # seed-independent
+        assert plan.build(3, 10, seed=7) is plan
+        assert plan.build(3, 10, seed=8) is plan  # seed-independent
+
+    def test_describes_as_explicit(self):
+        plan = FaultPlan((CrashSpec(process=1, after_events=4),))
+        description = plan.describe()
+        assert list(description)[:2] == ["kind", "crashes"]
+        assert description["kind"] == "explicit"
 
 
 class TestSingleCrashFaults:

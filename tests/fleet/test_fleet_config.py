@@ -19,7 +19,6 @@ from repro.fleet import (
     shard_of,
     synthetic_fleet,
 )
-from repro.fleet.sources import ReplaySource
 
 
 class TestTenantSpecValidation:
@@ -40,13 +39,6 @@ class TestTenantSpecValidation:
     def test_rejects_malformed_parameters(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TenantSpec(**{"tenant_id": "t", **kwargs})
-
-    def test_describe_includes_the_source(self):
-        description = TenantSpec(
-            tenant_id="t", source=ReplaySource("events.jsonl")
-        ).describe()
-        assert description["tenant_id"] == "t"
-        assert description["source"] == {"kind": "replay", "path": "events.jsonl"}
 
 
 class TestFleetConfigValidation:

@@ -136,4 +136,4 @@ class TestSourceRegistry:
     )
     def test_sources_satisfy_the_protocol(self, source):
         assert isinstance(source, EventSource)
-        assert source.describe()["kind"] in SOURCE_KINDS
+        assert type(source) in SOURCE_KINDS.values()

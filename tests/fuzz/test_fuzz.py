@@ -396,6 +396,12 @@ class TestCiWiring:
         assert "fuzz-nightly" in text
         # shrunk repros must survive the failing run that produced them
         assert text.count("if: always()") >= 2
+        # PR pushes must never pay for the nightly cluster catalogue and the
+        # deep fuzz pass
+        assert (
+            "if: github.event_name == 'schedule' || github.event_name == 'workflow_dispatch'"
+            in text
+        )
 
 
 class TestRunFuzz:

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.core import DecentralizedMonitor, MonitorNode
+from repro.core.messages import TerminationNotice
 from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
 from repro.runtime import InMemoryStreamTransport, RuntimeClock, TcpStreamTransport
@@ -146,15 +147,15 @@ class TestStreamTransport:
             assert set(transport.ports) == {0, 1}
             assert all(port > 0 for port in transport.ports.values())
             for i in range(20):
-                transport.send(0, 1, i)
-                transport.send(1, 0, -i)
+                transport.send(0, 1, TerminationNotice(0, i))
+                transport.send(1, 0, TerminationNotice(1, i))
             await transport.wait_quiescent(timeout=30.0)
             await transport.aclose()
             return sinks
 
         sinks = asyncio.run(main())
-        assert [m for _, m in sinks[1].received] == list(range(20))
-        assert [m for _, m in sinks[0].received] == [-i for i in range(20)]
+        assert [m for _, m in sinks[1].received] == [TerminationNotice(0, i) for i in range(20)]
+        assert [m for _, m in sinks[0].received] == [TerminationNotice(1, i) for i in range(20)]
 
 
 class TestTcpMidFrameDisconnect:
@@ -211,7 +212,7 @@ class TestTcpMidFrameDisconnect:
                 from repro.cluster import codec
 
                 header = codec.HEADER.pack(
-                    codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_VALUE, 100
+                    codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, 100
                 )
                 writer.write(header + b"x" * 10)
                 await writer.drain()
@@ -240,7 +241,7 @@ class TestTcpMidFrameDisconnect:
                 # a valid header announcing 100 bytes, then RST
                 writer.write(
                     codec.HEADER.pack(
-                        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_VALUE, 100
+                        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, 100
                     )
                 )
                 await writer.drain()
@@ -295,7 +296,7 @@ class TestTcpMidFrameDisconnect:
 
                 _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
                 # a structurally valid frame claiming protocol version 1
-                writer.write(codec.HEADER.pack(codec.MAGIC, 1, codec.TYPE_VALUE, 0))
+                writer.write(codec.HEADER.pack(codec.MAGIC, 1, codec.TYPE_TERMINATION, 0))
                 await writer.drain()
                 writer.close()
                 await writer.wait_closed()
@@ -321,7 +322,7 @@ class TestTcpMidFrameDisconnect:
                 # instead of waiting for (and buffering) 4 GiB
                 writer.write(
                     codec.HEADER.pack(
-                        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_VALUE, 2**32 - 1
+                        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, 2**32 - 1
                     )
                 )
                 await writer.drain()
@@ -363,7 +364,7 @@ class TestTcpMidFrameDisconnect:
                 from repro.cluster import codec
 
                 _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
-                writer.write(codec.encode_wire(0.0, "hello"))
+                writer.write(codec.encode_wire(0.0, TerminationNotice(1, 3)))
                 await writer.drain()
                 writer.close()
                 await writer.wait_closed()
@@ -380,7 +381,7 @@ class TestTcpMidFrameDisconnect:
                 await transport.aclose()
 
         received = asyncio.run(asyncio.wait_for(main(), timeout=15.0))
-        assert [message for _, message in received] == ["hello"]
+        assert [message for _, message in received] == [TerminationNotice(1, 3)]
 
 
 class TestRuntimeClock:

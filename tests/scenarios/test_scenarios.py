@@ -1,7 +1,7 @@
 """Tests for the scenario engine: models, registry, sharded execution."""
 
+import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -9,22 +9,21 @@ from hypothesis import strategies as st
 
 from repro.api import ExperimentScale, run_scenario
 from repro.experiments import run_monitoring_experiment
-from repro.experiments.engine import execute_points, execute_sweep
+from repro.experiments.engine import cell_computation, execute_sweep
 from repro.core.delays import DelayModel
 from repro.distributed import EventKind
+from repro.faults import apply_clock_skew
 from repro.experiments.properties import case_study_registry
+from repro.fleet.sources import computation_to_records
 from repro.ltl import build_monitor
 from repro.scenarios import (
-    BurstyCommWorkload,
     BurstyNetwork,
-    GridPoint,
-    HotPropositionWorkload,
     LossyNetwork,
-    PaperWorkload,
     PartitionNetwork,
     ReliableNetwork,
     Scenario,
     SweepGrid,
+    Workload,
     get_scenario,
     list_scenarios,
     register_scenario,
@@ -235,7 +234,7 @@ class TestWorkloadModels:
     )
 
     def test_paper_workload_matches_plain_config(self):
-        config = PaperWorkload().build_config(**self.KWARGS)
+        config = Workload().build_config(**self.KWARGS)
         reference = WorkloadConfig(**self.KWARGS)
         first = generate_computation(config)
         second = generate_computation(reference)
@@ -247,9 +246,9 @@ class TestWorkloadModels:
         ]
 
     def test_hot_spot_skews_event_counts(self):
-        config = HotPropositionWorkload(
-            hot_processes=(0,), event_factor=3.0
-        ).build_config(**self.KWARGS)
+        config = Workload(hot_processes=(0,), hot_event_factor=3.0).build_config(
+            **self.KWARGS
+        )
         computation = generate_computation(config)
         events_of = [
             sum(1 for e in computation.events_of(p) if e.is_internal)
@@ -260,9 +259,9 @@ class TestWorkloadModels:
         assert events_of[2] == 5
 
     def test_hot_spot_keeps_horizon_comparable(self):
-        config = HotPropositionWorkload(
-            hot_processes=(0,), event_factor=3.0
-        ).build_config(**self.KWARGS)
+        config = Workload(hot_processes=(0,), hot_event_factor=3.0).build_config(
+            **self.KWARGS
+        )
         computation = generate_computation(config)
         last = [
             max(e.timestamp for e in computation.events_of(p)) for p in range(3)
@@ -271,13 +270,33 @@ class TestWorkloadModels:
         assert last[0] < 2.0 * max(last[1], last[2])
 
     def test_bursty_comm_multiplies_program_messages(self):
-        base = generate_computation(PaperWorkload().build_config(**self.KWARGS))
+        base = generate_computation(Workload().build_config(**self.KWARGS))
         bursty = generate_computation(
-            BurstyCommWorkload(burst_size=3, burst_gap=0.1).build_config(**self.KWARGS)
+            Workload(comm_burst_size=3, comm_burst_gap=0.1).build_config(**self.KWARGS)
         )
         base_sends = sum(1 for e in base.all_events() if e.kind is EventKind.SEND)
         bursty_sends = sum(1 for e in bursty.all_events() if e.kind is EventKind.SEND)
         assert bursty_sends > base_sends
+
+    def test_hot_processes_clip_to_the_system(self):
+        config = Workload(hot_processes=(0, 5), hot_event_factor=2.0).build_config(
+            **self.KWARGS
+        )
+        assert config.hot_processes == (0,)
+
+    def test_describe_names_only_what_differs_from_the_paper_model(self):
+        assert Workload().describe() == {"kind": "paper"}
+        assert get_scenario("hot-spot").workload.describe() == {
+            "kind": "paper",
+            "hot_processes": (0,),
+            "hot_event_factor": 3.0,
+            "hot_truth_probability": 0.5,
+        }
+        assert get_scenario("bursty-comm").workload.describe() == {
+            "kind": "paper",
+            "comm_burst_size": 3,
+            "comm_burst_gap": 0.15,
+        }
 
     def test_hot_process_indices_validated(self):
         with pytest.raises(ValueError):
@@ -286,6 +305,57 @@ class TestWorkloadModels:
             WorkloadConfig(hot_event_factor=0.5)
         with pytest.raises(ValueError):
             WorkloadConfig(comm_burst_size=0)
+
+
+def _trace_hash(computation):
+    """SHA-256 of a computation's event log, the fleet's record format."""
+    records = computation_to_records(computation)
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+def _pinned_cell(scenario_name):
+    return cell_computation(
+        get_scenario(scenario_name).workload,
+        "C",
+        num_processes=3,
+        events_per_process=6,
+        evt_mu=3.0,
+        evt_sigma=1.0,
+        comm_mu=3.0,
+        comm_sigma=1.0,
+        seed=2015,
+    )
+
+
+class TestTraceShapePins:
+    """Every shaped trace and the skewed clocks stay byte-identical.
+
+    Sweep rows, cluster workers and fleet tenants all regenerate these
+    traces from their parameters, so a change that moves a hash changes
+    every result built on it and must re-pin on purpose.
+    """
+
+    @pytest.mark.parametrize(
+        ("scenario_name", "digest"),
+        [
+            ("paper-default", "7ef979270dc29501288ce8ca7bed3698c8373618d1e28e786aead6c6b340564a"),
+            ("hot-spot", "99593f6343388562743dd733088f6b371218360e23796c7ae6dc0f69cac2f32e"),
+            ("bursty-comm", "3a66e76530813e976c5437c3a288a3c2241d1ad512421fcce7640850e68bd326"),
+        ],
+    )
+    def test_shaped_trace_is_pinned(self, scenario_name, digest):
+        assert _trace_hash(_pinned_cell(scenario_name)) == digest
+
+    def test_clock_skew_is_pinned(self):
+        spec = get_scenario("clock-skew").faults.build(3, 6, 2015).clock_skew
+        skewed, stats = apply_clock_skew(_pinned_cell("paper-default"), spec)
+        assert _trace_hash(skewed) == (
+            "ef0943a6f7f676342f2b70c015d5938a2bdc8d705c820f8f4dc3c06dd1ed442f"
+        )
+        assert stats == {
+            "fault_skew_perturbed_events": 48.0,
+            "fault_skew_distortion": 58.0,
+        }
 
 
 class TestShardedExecution:
@@ -307,16 +377,6 @@ class TestShardedExecution:
         )
         # four points: sharding covers the point axis, not just replications
         assert len(rows_serial) == 4
-
-    def test_shared_pool_matches_serial(self):
-        scenario = get_scenario("paper-default")
-        points = [GridPoint("B", 2), GridPoint("E", 2, comm_mu=None, seed_offset=500)]
-        serial_rows = execute_points(scenario, points, SMALL_SCALE)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled_rows = execute_points(scenario, points, SMALL_SCALE, pool=pool)
-        assert json.dumps(serial_rows, sort_keys=True) == json.dumps(
-            pooled_rows, sort_keys=True
-        )
 
     def test_scenarios_run_sharded_identically(self):
         # lossy + partition scenarios end-to-end, serial vs sharded
@@ -374,7 +434,7 @@ class TestCustomScenario:
         scenario = Scenario(
             name="test-custom",
             description="ad-hoc condition",
-            workload=PaperWorkload(),
+            workload=Workload(),
             network=ReliableNetwork(latency=0.02, jitter=0.0),
             grid=SweepGrid(properties=("B",), process_counts=(2,)),
         )
@@ -387,6 +447,6 @@ class TestCustomScenario:
             Scenario(
                 name="",
                 description="",
-                workload=PaperWorkload(),
+                workload=Workload(),
                 network=ReliableNetwork(),
             )
