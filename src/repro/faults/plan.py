@@ -344,8 +344,8 @@ class FaultPlan:
     def describe(self) -> dict[str, object]:
         """Self-describing metadata (for JSON documents and the CLI).
 
-        Adversarial keys appear only when armed, so crash-only plans keep
-        their historical shape byte-for-byte.
+        Tagged ``kind: explicit`` as the literal fault model; adversarial
+        keys appear only when armed.
         """
         description: dict[str, object] = {
             "kind": "explicit",

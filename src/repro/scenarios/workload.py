@@ -30,11 +30,11 @@ __all__ = ["Workload"]
 class Workload:
     """A trace shape: the paper's model plus optional skew and bursts."""
 
-    hot_processes: tuple[int, ...] = ()
-    hot_event_factor: float = 1.0
-    hot_truth_probability: float | None = None
-    comm_burst_size: int = 1
-    comm_burst_gap: float = 0.2
+    hot_processes: tuple[int, ...] = WorkloadConfig.hot_processes
+    hot_event_factor: float = WorkloadConfig.hot_event_factor
+    hot_truth_probability: float | None = WorkloadConfig.hot_truth_probability
+    comm_burst_size: int = WorkloadConfig.comm_burst_size
+    comm_burst_gap: float = WorkloadConfig.comm_burst_gap
 
     def build_config(
         self,

@@ -199,6 +199,7 @@ class TestRoundTrip:
         type_tag, payload = codec.split_frame(frame)
         assert type_tag == codec.TYPE_CONTROL
         assert codec.decode_control(payload) == mapping
+        assert codec.encode_control(codec.decode_control(payload)) == frame
 
     def test_map_insertion_order_is_canonicalized(self):
         # two dicts equal as mappings but built in opposite insertion order
