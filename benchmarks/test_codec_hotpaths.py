@@ -1,4 +1,4 @@
-"""The wire protocol v4 codec hot paths.
+"""The wire protocol v5 codec hot paths.
 
 Every monitoring message of the asyncio and cluster backends crosses
 :func:`repro.cluster.codec.encode_wire` / :func:`decode_wire`; ``perf/``'s

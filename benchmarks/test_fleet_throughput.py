@@ -44,7 +44,6 @@ def test_fleet_completes_every_tenant():
     assert report.tenants_admitted == _NUM_TENANTS
     assert report.tenants_completed == _NUM_TENANTS
     assert report.tenants_evicted == 0
-    assert report.tenants_active == 0
 
 
 def test_fleet_throughput_is_measured():

@@ -1,4 +1,4 @@
-"""Wire protocol v4: the versioned binary codec of the cluster runtime.
+"""Wire protocol v5: the versioned binary codec of the cluster runtime.
 
 Protocol v1 — the original streaming transport — framed messages as a bare
 4-byte length prefix followed by a pickled payload.  Pickle on a network
@@ -10,13 +10,14 @@ the cluster runtime, and the coordinator's control channel.  v3 kept the
 framing and wrote the events a token carries as per-process runs in bulk.
 v4 ships letters as the compiled automaton's masks and guards as their
 ``(care, want)`` mask pairs, so the per-frame atom table, the guard literals
-and the entries' letters are gone.
+and the entries' letters are gone.  v5 writes control frames as canonical
+JSON instead of a tagged value layer of their own.
 
 Frame layout (network byte order)::
 
     offset  size  field
     0       2     magic   b"RW"           (Repro Wire)
-    2       1     version 0x04            (this module speaks exactly one)
+    2       1     version 0x05            (this module speaks exactly one)
     3       1     type    message type tag (see the ``TYPE_*`` constants)
     4       4     length  payload size in bytes, at most MAX_FRAME_BYTES
     8       n     payload type-specific binary body
@@ -25,15 +26,15 @@ Monitoring frames (:data:`TYPE_TOKEN`, :data:`TYPE_TERMINATION`) carry a
 *delivery instant* — the virtual-time ``due`` the sending transport
 computed — as a leading float64, followed by the message body; a monitor
 receives nothing else.  Control frames (:data:`TYPE_CONTROL`) carry one
-string-keyed mapping in the tagged primitive layout below; the
-coordinator/worker handshake travels in them.  Types 0x03 and 0x04 are
+string-keyed mapping as canonical JSON — sorted keys, no whitespace, UTF-8,
+no ``NaN`` — so re-encoding a decoded control frame gives back its bytes;
+the coordinator/worker handshake travels in them.  Types 0x03 and 0x04 are
 unassigned: they carried a bare primitive value and a verdict digest, which
 no peer of this version sends, and they decode as unknown types.
 
-Primitive values use a compact tagged layout: variable-length integers
-(LEB128, zigzag for signed), length-prefixed UTF-8 strings, float64,
-one-byte booleans.  *Packed integers* are a width byte (1, 2 or 4, the
-least that holds the largest value) followed by the values back to back.
+Monitoring bodies use variable-length integers (LEB128, zigzag for signed)
+and *packed integers*: a width byte (1, 2 or 4, the least that holds the
+largest value) followed by the values back to back.
 
 Token body::
 
@@ -82,6 +83,7 @@ bumping :data:`PROTOCOL_VERSION` and upgrading every node together.
 from __future__ import annotations
 
 import asyncio
+import json
 import struct
 from collections.abc import Sequence
 from itertools import chain
@@ -113,7 +115,7 @@ __all__ = [
 #: the two magic bytes opening every frame
 MAGIC = b"RW"
 #: the wire protocol version this codec speaks (exactly one)
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 #: the largest payload a header may announce: readers buffer a whole payload
 #: before decoding it, and honest tokens are a few KB
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -152,7 +154,7 @@ class ProtocolVersionError(CodecError):
 
 
 # ---------------------------------------------------------------------------
-# primitive layer: varints, strings, floats, tagged values
+# primitive layer: varints and single bytes
 # ---------------------------------------------------------------------------
 def _w_uvarint(out: bytearray, value: int) -> None:
     """Append *value* (non-negative) as a LEB128 varint."""
@@ -196,135 +198,11 @@ def _r_svarint(data: bytes, pos: int) -> tuple[int, int]:
     return (raw >> 1) ^ -(raw & 1), pos
 
 
-def _w_str(out: bytearray, value: str) -> None:
-    encoded = value.encode("utf-8")
-    _w_uvarint(out, len(encoded))
-    out += encoded
-
-
-def _r_str(data: bytes, pos: int) -> tuple[str, int]:
-    length, pos = _r_uvarint(data, pos)
-    end = pos + length
-    if end > len(data):
-        raise CorruptFrameError(
-            f"truncated payload: string of {length} bytes runs past the end"
-        )
-    try:
-        return data[pos:end].decode("utf-8"), end
-    except UnicodeDecodeError as error:
-        raise CorruptFrameError(f"string in payload is not UTF-8: {error}") from error
-
-
 def _r_byte(data: bytes, pos: int, what: str) -> tuple[int, int]:
     """Read the single byte at *pos*, named *what* in the diagnostic."""
     if pos >= len(data):
         raise CorruptFrameError(f"truncated payload: {what} missing")
     return data[pos], pos + 1
-
-
-def _w_float(out: bytearray, value: float) -> None:
-    out += _FLOAT64.pack(value)
-
-
-def _r_float(data: bytes, pos: int) -> tuple[float, int]:
-    end = pos + _FLOAT64.size
-    if end > len(data):
-        raise CorruptFrameError("truncated payload: float64 runs past the end")
-    return _FLOAT64.unpack_from(data, pos)[0], end
-
-
-# value tags for the generic tagged encoder (control payloads)
-_V_NONE, _V_FALSE, _V_TRUE, _V_INT, _V_FLOAT, _V_STR, _V_BYTES = range(7)
-_V_LIST, _V_MAP, _V_SET = 7, 8, 9
-
-
-def _w_value(out: bytearray, value: object) -> None:
-    """Append one tagged primitive value (the generic recursive layer)."""
-    if value is None:
-        out.append(_V_NONE)
-    elif value is False:
-        out.append(_V_FALSE)
-    elif value is True:
-        out.append(_V_TRUE)
-    elif isinstance(value, int):
-        out.append(_V_INT)
-        _w_svarint(out, value)
-    elif isinstance(value, float):
-        out.append(_V_FLOAT)
-        _w_float(out, value)
-    elif isinstance(value, str):
-        out.append(_V_STR)
-        _w_str(out, value)
-    elif isinstance(value, (bytes, bytearray)):
-        out.append(_V_BYTES)
-        _w_uvarint(out, len(value))
-        out += value
-    elif isinstance(value, (list, tuple)):
-        out.append(_V_LIST)
-        _w_uvarint(out, len(value))
-        for item in value:
-            _w_value(out, item)
-    elif isinstance(value, dict):
-        out.append(_V_MAP)
-        _w_uvarint(out, len(value))
-        for key in sorted(value, key=repr):
-            _w_value(out, key)
-            _w_value(out, value[key])
-    elif isinstance(value, (set, frozenset)):
-        out.append(_V_SET)
-        _w_uvarint(out, len(value))
-        for item in sorted(value, key=repr):
-            _w_value(out, item)
-    else:
-        raise CodecError(
-            f"wire protocol v{PROTOCOL_VERSION} cannot encode {type(value).__name__} values"
-        )
-
-
-def _r_value(data: bytes, pos: int) -> tuple[object, int]:
-    """Read one tagged primitive value."""
-    tag, pos = _r_byte(data, pos, "value tag")
-    if tag == _V_NONE:
-        return None, pos
-    if tag == _V_FALSE:
-        return False, pos
-    if tag == _V_TRUE:
-        return True, pos
-    if tag == _V_INT:
-        return _r_svarint(data, pos)
-    if tag == _V_FLOAT:
-        return _r_float(data, pos)
-    if tag == _V_STR:
-        return _r_str(data, pos)
-    if tag == _V_BYTES:
-        length, pos = _r_uvarint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise CorruptFrameError("truncated payload: bytes run past the end")
-        return data[pos:end], end
-    if tag == _V_LIST:
-        length, pos = _r_uvarint(data, pos)
-        items = []
-        for _ in range(length):
-            item, pos = _r_value(data, pos)
-            items.append(item)
-        return items, pos
-    if tag == _V_MAP:
-        length, pos = _r_uvarint(data, pos)
-        mapping = {}
-        for _ in range(length):
-            key, pos = _r_value(data, pos)
-            val, pos = _r_value(data, pos)
-            mapping[key] = val
-        return mapping, pos
-    if tag == _V_SET:
-        length, pos = _r_uvarint(data, pos)
-        items = set()
-        for _ in range(length):
-            item, pos = _r_value(data, pos)
-            items.add(item)
-        return items, pos
-    raise CorruptFrameError(f"unknown value tag 0x{tag:02x} in payload")
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +502,41 @@ def decode_wire(type_tag: int, payload: bytes) -> tuple[float, object]:
 
 
 def encode_control(mapping: dict[str, object]) -> bytes:
-    """One complete control frame carrying a string-keyed mapping."""
-    out = bytearray(HEADER.size)
-    _w_value(out, dict(mapping))
+    """One complete control frame carrying a string-keyed mapping as JSON.
+
+    A value JSON cannot carry (bytes, sets, ``NaN``, ...) raises
+    :class:`CodecError`.
+    """
+    try:
+        text = json.dumps(
+            dict(mapping),
+            sort_keys=True,
+            separators=(",", ":"),
+            ensure_ascii=False,
+            allow_nan=False,
+        )
+        out = bytearray(HEADER.size) + text.encode("utf-8")
+    except (TypeError, ValueError, RecursionError) as error:
+        raise CodecError(f"control mapping is not canonical JSON: {error}") from error
     return _frame(TYPE_CONTROL, out)
 
 
+def _refuse_constant(name: str) -> float:
+    """``json.loads`` hook: ``NaN`` and the infinities are not JSON."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def decode_control(payload: bytes) -> dict[str, object]:
-    """Decode a control frame payload back into its mapping."""
-    value, pos = _r_value(payload, 0)
-    _expect_end(payload, pos)
+    """Decode a control frame payload back into its mapping.
+
+    Anything but a UTF-8 JSON object — bad bytes, bad JSON, ``NaN``, nesting
+    too deep to parse, another JSON value — raises
+    :class:`CorruptFrameError`.
+    """
+    try:
+        value = json.loads(payload.decode("utf-8"), parse_constant=_refuse_constant)
+    except (ValueError, RecursionError) as error:
+        raise CorruptFrameError(f"control frame is not UTF-8 JSON: {error}") from error
     if not isinstance(value, dict):
         raise CorruptFrameError(
             f"control frame carries {type(value).__name__}, expected a mapping"

@@ -4,7 +4,7 @@ Where the loopback :class:`repro.runtime.transport.TcpStreamTransport` owns
 *every* node of a run inside one event loop, the cluster transport owns
 exactly one — the monitor its worker process hosts — and resolves every
 other monitor id to a remote address through the cluster manifest.  Messages
-leave as wire protocol v4 frames (:mod:`repro.cluster.codec`) over one
+leave as wire protocol v5 frames (:mod:`repro.cluster.codec`) over one
 persistent TCP connection per peer, opened lazily and re-opened with bounded
 exponential backoff, so workers may start in any order and short peer
 outages (process churn during crash/restart fault plans) do not lose the

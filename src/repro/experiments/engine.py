@@ -16,7 +16,7 @@ simulator, ``backend="asyncio"`` on the streaming runtime of
 in-process queues or real TCP sockets, see ``stream_transport``), and
 ``backend="cluster"`` on the multi-process cluster runtime of
 :mod:`repro.cluster`, where every monitor is its own OS process exchanging
-wire protocol v4 frames.  All backends share one monitor implementation and
+wire protocol v5 frames.  All backends share one monitor implementation and
 deliver reliably, so a cell's conclusive verdicts are identical for a fixed
 seed — only timing/queuing metrics reflect the backend's nature.
 
@@ -272,7 +272,7 @@ def _cell_metrics(report: RunReport) -> dict[str, float]:
         "messages": float(report.monitor_messages),
         "token_messages": float(report.token_messages),
         "termination_messages": float(report.termination_messages),
-        "entries_created": float(report.entries_created),
+        "entries_created": float(report.metrics.entries_created),
         "global_views": float(report.total_global_views),
         "delayed_events": float(report.delayed_events),
         "delay_time_pct_per_view": report.delay_time_percentage_per_view,

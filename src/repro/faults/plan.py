@@ -48,7 +48,7 @@ chunks of three kinds::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "RECOVERY_REPLAY",
@@ -118,15 +118,6 @@ class CrashSpec:
                 f"(known: {', '.join(RECOVERY_POLICIES)})"
             )
 
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for JSON documents and the CLI)."""
-        return {
-            "process": self.process,
-            "after_events": self.after_events,
-            "down_events": self.down_events,
-            "recovery": self.recovery,
-        }
-
 
 @dataclass(frozen=True)
 class ByzantineSpec:
@@ -183,16 +174,6 @@ class ByzantineSpec:
             or self.drop_every
         )
 
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for JSON documents and the CLI)."""
-        return {
-            "process": self.process,
-            "duplicate_every": self.duplicate_every,
-            "corrupt_every": self.corrupt_every,
-            "replay_every": self.replay_every,
-            "drop_every": self.drop_every,
-        }
-
 
 @dataclass(frozen=True)
 class ClockSkewSpec:
@@ -232,15 +213,6 @@ class ClockSkewSpec:
     def is_noop(self) -> bool:
         """Whether the spec perturbs nothing (zero perturbation rate)."""
         return self.rate == 0.0
-
-    def describe(self) -> dict[str, object]:
-        """Self-describing metadata (for JSON documents and the CLI)."""
-        return {
-            "mode": self.mode,
-            "rate": self.rate,
-            "magnitude": self.magnitude,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -349,12 +321,12 @@ class FaultPlan:
         """
         description: dict[str, object] = {
             "kind": "explicit",
-            "crashes": [spec.describe() for spec in self.crashes],
+            "crashes": [asdict(spec) for spec in self.crashes],
         }
         if self.byzantine:
-            description["byzantine"] = [spec.describe() for spec in self.byzantine]
+            description["byzantine"] = [asdict(spec) for spec in self.byzantine]
         if self.clock_skew is not None:
-            description["clock_skew"] = self.clock_skew.describe()
+            description["clock_skew"] = asdict(self.clock_skew)
         return description
 
 

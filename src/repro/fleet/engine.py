@@ -325,11 +325,6 @@ class FleetReport:
     results: list[TenantResult] = field(default_factory=list)
 
     @property
-    def tenants_active(self) -> int:
-        """Sessions still running when the report was cut (0 after a run)."""
-        return self.tenants_admitted - self.tenants_completed - self.tenants_evicted
-
-    @property
     def fleet_events_per_sec(self) -> float:
         """Aggregate ingestion throughput across every tenant."""
         if self.wall_seconds <= 0.0:
@@ -341,7 +336,6 @@ class FleetReport:
         return {
             "fleet_tenants_admitted": float(self.tenants_admitted),
             "fleet_tenants_rejected": float(self.tenants_rejected),
-            "fleet_tenants_active": float(self.tenants_active),
             "fleet_tenants_completed": float(self.tenants_completed),
             "fleet_tenants_evicted": float(self.tenants_evicted),
             "fleet_events_ingested": float(self.events_ingested),

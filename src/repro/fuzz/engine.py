@@ -311,7 +311,7 @@ def execute_point(spec: RunSpec, index: int = 0) -> FuzzOutcome:
         )
         violations = verdict_divergence(simulated.declared_verdicts, oracle)
         # the converse: a fault-free run that evicted no view loses nothing
-        complete = plan is None and simulated.views_evicted == 0
+        complete = plan is None and simulated.metrics.views_evicted == 0
         missed = oracle - simulated.declared_verdicts if complete else frozenset()
         backend_divergence = False
         if plan is None or not plan.byzantine:

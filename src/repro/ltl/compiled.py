@@ -17,13 +17,12 @@ over its atom set, as every machine built by :mod:`repro.ltl.monitor` and
   ``state * n_letters + mask``, so a transition is a single indexed load with
   no per-letter dictionary at all.
 * **Batched stepping.**  :meth:`CompiledMachine.run_batch` advances a whole
-  event window in one call through a pointer-chased node table (one list
-  index per event), returning both the final state and the index of the
-  first conclusive verdict.
+  event window in one call over the same flat table, returning both the
+  final state and the index of the first conclusive verdict.
 
-The table is the only stepping path of the monitors; the Moore machine's own
-:meth:`~repro.ltl.dfa.MooreMachine.step` stays as the reference the table is
-tested against.  :func:`compile_machine` raises ``ValueError`` for a machine
+The table is the machine's one transition table and the monitors' only
+stepping path; :meth:`~repro.ltl.dfa.MooreMachine.step` stays as the
+reference the table is tested against.  :func:`compile_machine` raises ``ValueError`` for a machine
 whose alphabet is not the full ``2**n_atoms`` assignment set (no machine
 :func:`repro.ltl.monitor.build_monitor` builds is).
 """
@@ -32,15 +31,10 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Hashable, Iterable, Sequence
-from typing import Any
 
 from .dfa import Letter, MooreMachine
 
 __all__ = ["CompiledMachine", "compile_machine"]
-
-#: chunk size of the :meth:`CompiledMachine.run_batch` fast path; finality is
-#: only re-checked at chunk boundaries when conclusive states are absorbing
-_BATCH_CHUNK = 4096
 
 
 class CompiledMachine:
@@ -73,8 +67,6 @@ class CompiledMachine:
         "table",
         "outputs",
         "final_flags",
-        "final_absorbing",
-        "_nodes",
     )
 
     def __init__(
@@ -93,28 +85,6 @@ class CompiledMachine:
         self.table: array = table
         self.outputs: tuple[Hashable, ...] = tuple(outputs)
         self.final_flags: tuple[bool, ...] = tuple(bool(f) for f in final_flags)
-        # finality is *absorbing* when no conclusive state can leave the
-        # conclusive set — true for every LTL3 monitor (⊤/⊥ are trap states)
-        # and the property the chunked run_batch fast path relies on
-        L = self.n_letters
-        self.final_absorbing: bool = all(
-            self.final_flags[table[s * L + m]]
-            for s in range(self.num_states)
-            if self.final_flags[s]
-            for m in range(L)
-        )
-        # node-chained view of the table: nodes[s][mask] is the *node* of the
-        # successor state, so a batched step is one list index per event;
-        # node[L] is the state id and node[L + 1] its finality flag
-        nodes: list[list[Any]] = [[None] * (L + 2) for _ in range(self.num_states)]
-        for s in range(self.num_states):
-            row = nodes[s]
-            base = s * L
-            for m in range(L):
-                row[m] = nodes[table[base + m]]
-            row[L] = s
-            row[L + 1] = 1 if self.final_flags[s] else 0
-        self._nodes: list[list[Any]] = nodes
 
     # ------------------------------------------------------------------
     # letter encoding
@@ -152,10 +122,11 @@ class CompiledMachine:
 
     def run(self, masks: Iterable[int], start: int | None = None) -> int:
         """State reached after reading *masks* from *start* (default initial)."""
-        node = self._nodes[self.initial if start is None else start]
+        table, L = self.table, self.n_letters
+        state = self.initial if start is None else start
         for mask in masks:
-            node = node[mask]
-        return node[self.n_letters]
+            state = table[state * L + mask]
+        return state
 
     def run_batch(
         self, state: int, masks: Sequence[int]
@@ -166,53 +137,15 @@ class CompiledMachine:
         ``first_final_index`` is the index of the event after which the
         machine first sat in a conclusive (final-flagged) state, or ``-1``
         when no consumed event leaves it in one (an empty window always
-        reports ``-1``, even from a conclusive state).  When finality is
-        absorbing (true
-        for LTL3 monitors) the hot loop runs chunked with one list index per
-        event and only re-scans the single chunk where the verdict landed.
+        reports ``-1``, even from a conclusive state).
         """
-        L = self.n_letters
-        node = self._nodes[state]
-        if not self.final_absorbing:
-            first = -1
-            for i, mask in enumerate(masks):
-                node = node[mask]
-                if first < 0 and node[L + 1]:
-                    first = i
-            return node[L], first
-        if node[L + 1]:
-            # already conclusive at entry: absorbing finality keeps every
-            # subsequent state conclusive, so the first event qualifies
-            for mask in masks:
-                node = node[mask]
-            return node[L], 0 if masks else -1
-        total = len(masks)
-        for base in range(0, total, _BATCH_CHUNK):
-            chunk = masks[base : base + _BATCH_CHUNK]
-            entry = node
-            for mask in chunk:
-                node = node[mask]
-            if node[L + 1]:
-                # the verdict became conclusive inside this chunk: replay it
-                # with per-step checks to locate the exact event index
-                return self._scan_from(entry, masks, base)
-        return node[L], -1
-
-    def _scan_from(
-        self, node: list[Any], masks: Sequence[int], base: int
-    ) -> tuple[int, int]:
-        """Per-step finality scan used to pinpoint the conclusive index."""
-        L = self.n_letters
+        table, L, final = self.table, self.n_letters, self.final_flags
         first = -1
-        for i in range(base, len(masks)):
-            node = node[masks[i]]
-            if node[L + 1]:
+        for i, mask in enumerate(masks):
+            state = table[state * L + mask]
+            if first < 0 and final[state]:
                 first = i
-                break
-        if first >= 0:
-            for i in range(first + 1, len(masks)):
-                node = node[masks[i]]
-        return node[L], first
+        return state, first
 
     # ------------------------------------------------------------------
     # outputs

@@ -10,7 +10,7 @@ Two transports are provided:
   event loop.  Fast and used by the test-suite and the default CLI backend.
 * :class:`TcpStreamTransport` — every monitor node listens on a real TCP
   socket (``127.0.0.1``, ephemeral port) and the :mod:`repro.core.messages`
-  wire messages travel as wire protocol v4 binary frames
+  wire messages travel as wire protocol v5 binary frames
   (:mod:`repro.cluster.codec`) over real connections.
 
 Both transports preserve **FIFO order per (sender, receiver) channel** (the
@@ -250,7 +250,7 @@ class TcpStreamTransport(StreamTransport):
 
     Every registered node gets its own ``asyncio.start_server`` on
     ``127.0.0.1`` with an ephemeral port; channel pumps lazily open one
-    client connection per (sender, target) pair and write wire protocol v4
+    client connection per (sender, target) pair and write wire protocol v5
     frames — a magic/version/type header followed by the binary-encoded
     delivery instant and message (:mod:`repro.cluster.codec`).  The
     receiving server decodes each frame and enqueues it into the target

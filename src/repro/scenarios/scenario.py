@@ -59,7 +59,6 @@ class SweepGrid:
     properties: tuple[str, ...] | None = None
     process_counts: tuple[int, ...] | None = None
     comm_mus: tuple[float | None, ...] | None = None
-    comm_seed_stride: int = DEFAULT_COMM_SEED_STRIDE
 
     def points(
         self,
@@ -81,7 +80,7 @@ class SweepGrid:
                                 name,
                                 n,
                                 comm_mu,
-                                seed_offset=self.comm_seed_stride * index,
+                                seed_offset=DEFAULT_COMM_SEED_STRIDE * index,
                             )
                         )
         return points

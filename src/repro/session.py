@@ -62,10 +62,11 @@ ScheduleItem = tuple[float, int, int, Event | None]
 class RunReport:
     """Metrics and outcomes of one monitored run, on any backend.
 
-    The counters are exactly the metrics reported in Chapter 5 — total
-    monitoring messages (Figures 5.4, 5.5, 5.9a), delay-time percentage per
-    global state (5.6), delayed events (5.7), global views created (5.8) —
-    plus the always-on diagnostic counters of the monitors.  Times are in
+    The counters are the metrics reported in Chapter 5 — total monitoring
+    messages (Figures 5.4, 5.5, 5.9a), delay-time percentage per global
+    state (5.6), delayed events (5.7), global views created (5.8) — read off
+    ``metrics``, the monitors' counter records folded into one, which also
+    holds every always-on diagnostic counter of the monitors.  Times are in
     virtual seconds (the computation's time base).  Fields a backend has no
     value for keep their neutral default: the simulator has no
     ``transport`` / ``wall_seconds`` / ``wire_bytes``; the cluster has no
@@ -76,12 +77,10 @@ class RunReport:
     num_processes: int
     total_events: int
     monitor_messages: int
-    token_messages: int
-    termination_messages: int
-    total_global_views: int
-    delayed_events: int
     reported_verdicts: frozenset[Verdict]
     declared_verdicts: frozenset[Verdict]
+    #: the monitors' counters, summed (two maxima) by :meth:`MonitorMetrics.fold`
+    metrics: MonitorMetrics
     program_end_time: float = 0.0
     monitor_end_time: float = 0.0
     monitors: list[DecentralizedMonitor] = field(default_factory=list)
@@ -91,29 +90,6 @@ class RunReport:
     #: ``fault_*`` counters of the fault plan (crashes, restarts, held
     #: messages, replayed events, ...); empty for fault-free runs
     fault_stats: dict[str, float] = field(default_factory=dict)
-    #: the search counters, summed over the monitors as ``MonitorMetrics``
-    #: defines them, the views the per-state budget dropped, and the views
-    #: retired because their monitor settled
-    box_queries: int = 0
-    boxes_by_letter: int = 0
-    box_cells_visited: int = 0
-    views_evicted: int = 0
-    views_settled: int = 0
-    #: events the monitors appended to the runs of outgoing tokens: copies
-    #: of program events that travelled between monitors
-    events_shipped: int = 0
-    #: most hops any one token made; tokens swallowed at home, view retired
-    token_hops_max: int = 0
-    orphan_tokens_swallowed: int = 0
-    #: searches and repairs issued (``entries_created``), and how many of their
-    #: tokens the monitors decided from their own columns before any left
-    entries_created: int = 0
-    answered_at_home: int = 0
-    #: searches answered from a remembered least cut; boxes not searched again
-    least_cuts_remembered: int = 0
-    boxes_remembered: int = 0
-    #: own events parked tokens stayed parked through, unserved
-    parked_tokens_slept: int = 0
     #: which streaming transport carried the messages ("memory" or "tcp");
     #: empty on the simulator and the cluster
     transport: str = ""
@@ -133,27 +109,40 @@ class RunReport:
         declared: Iterable[Verdict],
         **fields: object,
     ) -> RunReport:
-        """Sum per-monitor counter records (``token_hops_max``: max) into one report.
+        """Fold per-monitor counter records into one report.
 
         *metrics* holds one record per monitor of the run (in-process: the
         endpoints' own; cluster: rebuilt from the workers' replies);
         *fields* are the report fields that do not come from the monitors
         (event totals, transport counters, end times, stats dictionaries).
         """
-
-        merged = MonitorMetrics.fold(metrics)
-        # a counter both records name is copied: a new one needs the two fields only
-        shared = cls.__dataclass_fields__.keys() & MonitorMetrics.__dataclass_fields__.keys()
         return cls(
             num_processes=len(metrics),
-            token_messages=merged.token_messages_sent,
-            termination_messages=merged.termination_messages_sent,
-            total_global_views=merged.views_created,
+            metrics=MonitorMetrics.fold(metrics),
             reported_verdicts=frozenset(reported),
             declared_verdicts=frozenset(declared),
-            **{name: getattr(merged, name) for name in shared},
             **fields,
         )
+
+    @property
+    def token_messages(self) -> int:
+        """Token messages the monitors sent."""
+        return self.metrics.token_messages_sent
+
+    @property
+    def termination_messages(self) -> int:
+        """Termination notices the monitors sent."""
+        return self.metrics.termination_messages_sent
+
+    @property
+    def total_global_views(self) -> int:
+        """Global views the monitors created (Fig. 5.8)."""
+        return self.metrics.views_created
+
+    @property
+    def delayed_events(self) -> int:
+        """Events the monitors had to delay (Fig. 5.7)."""
+        return self.metrics.delayed_events
 
     @property
     def digest_messages(self) -> int:

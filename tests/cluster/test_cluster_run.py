@@ -2,7 +2,7 @@
 
 The acceptance criterion of the multi-host runtime: for fixed seeds, running
 a registered scenario on ``--backend cluster`` — one OS process per monitor,
-wire protocol v4 over real loopback sockets — declares verdicts identical to
+wire protocol v5 over real loopback sockets — declares verdicts identical to
 the discrete-event simulator and the asyncio streaming runtime, including
 under a crash/restart fault plan.  Every test here spawns real worker
 subprocesses through the coordinator.
@@ -23,6 +23,7 @@ from repro.api import (
 )
 from repro.cluster import codec
 from repro.cluster.spec import build_cell_inputs
+from repro.core.monitor import MonitorMetrics
 from repro.experiments.engine import run_scenario_cell
 from repro.runtime.transport import StreamTransport
 from repro.scenarios import GridPoint, Scenario, get_scenario
@@ -139,30 +140,16 @@ class TestClusterEquivalence:
             max_views_per_state=2,
             network=get_scenario("paper-default").network,
         )
-        assert simulated.box_queries > 0  # the cell does replay boxes
+        assert simulated.metrics.box_queries > 0  # the cell does replay boxes
         report = cluster_monitored_run(spec)
-        for counter in (
-            "box_queries",
-            "boxes_by_letter",
-            "box_cells_visited",
-            "views_evicted",
-            "events_shipped",
-            "orphan_tokens_swallowed",
-            "answered_at_home",
-            "least_cuts_remembered",
-            "boxes_remembered",
-            "parked_tokens_slept",
-        ):
-            assert getattr(report, counter) == sum(
-                result["metrics"][counter] for result in report.worker_results
-            ), counter
-        # the one counter that is a maximum folds by max
-        assert report.token_hops_max == max(
-            result["metrics"]["token_hops_max"] for result in report.worker_results
-        ) > 0
-        assert report.box_queries > 0
-        assert report.events_shipped > 0
-        assert report.answered_at_home > 0
+        # every counter, the maxima folded by max
+        assert report.metrics == MonitorMetrics.fold(
+            MonitorMetrics(**result["metrics"]) for result in report.worker_results
+        )
+        assert report.metrics.token_hops_max > 0
+        assert report.metrics.box_queries > 0
+        assert report.metrics.events_shipped > 0
+        assert report.metrics.answered_at_home > 0
 
 
 def _through_the_codec(send):
@@ -220,7 +207,7 @@ class TestPayloadAcrossBackends:
         assert reports["cluster"].wire_bytes == sum(
             result["wire_bytes"] for result in reports["cluster"].worker_results
         ) > 0
-        assert reports["asyncio-tcp"].events_shipped / reports["asyncio-tcp"].total_events > 0
+        assert reports["asyncio-tcp"].metrics.events_shipped > 0
 
     @pytest.mark.parametrize("property_name", ["B", "C"])
     def test_decoded_tokens_count_what_handed_over_tokens_count(
@@ -246,7 +233,7 @@ class TestPayloadAcrossBackends:
             assert [asdict(m.metrics) for m in decoded.monitors] == [
                 asdict(m.metrics) for m in handed_over.monitors
             ]
-            assert decoded.events_shipped == handed_over.events_shipped > 0
+            assert decoded.metrics.events_shipped == handed_over.metrics.events_shipped > 0
 
 
 class TestClusterEngineIntegration:

@@ -1,10 +1,10 @@
-"""Wire protocol v4 codec: byte-stable round-trips and corruption diagnostics.
+"""Wire protocol v5 codec: byte-stable round-trips and corruption diagnostics.
 
 The acceptance properties of the codec (hypothesis-tested here):
 
 1. **Round-trip**: every message type in :mod:`repro.core.messages` — and
-   every control mapping of generic primitive values — decodes back to an
-   equal object; nothing else encodes as a monitoring frame.
+   every control mapping of JSON values — decodes back to an equal object;
+   nothing else encodes as a monitoring frame.
 2. **Byte stability**: re-encoding a decoded message reproduces the exact
    original frame (canonical map-key and set-element order), so frames can
    be compared, cached and hashed by bytes.
@@ -57,21 +57,11 @@ def _read_stream(data, frames=1):
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 small_ints = st.integers(min_value=-(2**40), max_value=2**40)
 
-primitive_values = st.one_of(
-    st.none(),
-    st.booleans(),
-    small_ints,
-    finite_floats,
-    st.text(max_size=20),
-    st.binary(max_size=20),
-)
-
-generic_values = st.recursive(
-    primitive_values,
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), small_ints, finite_floats, st.text(max_size=20)),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(st.text(max_size=8), children, max_size=4),
-        st.sets(small_ints, max_size=4),
     ),
     max_leaves=12,
 )
@@ -175,9 +165,12 @@ class TestRoundTrip:
         ):
             codec.decode_message(type_tag, body)
 
-    def test_masks_on_the_wire_are_protocol_version_4(self):
-        # v3 spelt atoms, guards and letters; a v3 peer cannot read a v4 token
-        assert codec.PROTOCOL_VERSION == 4
+    def test_control_frames_are_json_from_protocol_version_5(self):
+        # v4 wrote control mappings in a tagged value layout; a v4 peer
+        # cannot read a v5 handshake
+        assert codec.PROTOCOL_VERSION == 5
+        frame = codec.encode_control({"kind": "hello", "process": 0})
+        assert frame[codec.HEADER.size :] == b'{"kind":"hello","process":0}'
 
     @pytest.mark.parametrize(
         "value", [None, 3, "done", {"a": 1}, [TerminationNotice(0, 1)]]
@@ -191,7 +184,7 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(
         mapping=st.dictionaries(
-            st.text(max_size=10), generic_values, max_size=5
+            st.text(max_size=10), json_values, max_size=5
         )
     )
     def test_control_frames_round_trip(self, mapping):
@@ -207,9 +200,6 @@ class TestRoundTrip:
         ab = codec.encode_control({"a": 1, "b": 2})
         ba = codec.encode_control({"b": 2, "a": 1})
         assert ab == ba
-        assert codec.encode_control({"s": {1, 2, 3}}) == codec.encode_control(
-            {"s": {3, 2, 1}}
-        )
 
     def test_stream_round_trip(self):
         stream = codec.encode_wire(1.5, TerminationNotice(0, 4)) + codec.encode_wire(
@@ -303,12 +293,10 @@ class TestDiagnostics:
                 _read_stream(frame[:cut])
 
     def test_control_frame_must_carry_a_mapping(self):
-        out = bytearray()
-        codec._w_value(out, [1, 2, 3])
         with pytest.raises(
             codec.CorruptFrameError, match="carries list, expected a mapping"
         ):
-            codec.decode_control(bytes(out))
+            codec.decode_control(b"[1,2,3]")
 
     def test_errors_are_value_errors(self):
         # callers that predate the codec catch ValueError; keep that working
@@ -330,7 +318,7 @@ def _round_trip(message):
 
 
 class TestTokenPayload:
-    """The v4 token body: packed widths, run tables, masks and bits."""
+    """The token body: packed widths, run tables, masks and bits."""
 
     def test_clocks_are_packed_at_the_width_their_largest_component_needs(self):
         sizes = []
@@ -443,14 +431,14 @@ class TestHostileInput:
             with pytest.raises(codec.CorruptFrameError, match="elements announced"):
                 codec.decode_wire(type_tag, payload[:at] + bytes(huge) + payload[at + 1 :])
 
-    def test_a_v3_frame_is_refused_naming_both_versions(self):
+    def test_a_v4_frame_is_refused_naming_both_versions(self):
         frame = bytearray(codec.encode_wire(0.0, _token([0])))
-        frame[2] = 3  # as a node of the previous release writes it
+        frame[2] = 4  # as a node of the previous release writes it
         for read in (self._read, codec.split_frame):
             with pytest.raises(codec.ProtocolVersionError) as excinfo:
                 read(bytes(frame))
-            assert "version 3" in str(excinfo.value)
-            assert "only version 4" in str(excinfo.value)
+            assert "version 4" in str(excinfo.value)
+            assert "only version 5" in str(excinfo.value)
 
 
 class TestFrameLengthBound:
@@ -500,7 +488,48 @@ class TestFrameLengthBound:
 
     def test_encoder_refuses_what_the_decoder_would(self):
         with pytest.raises(codec.CodecError, match="exceeds the .* frame limit"):
-            codec.encode_control({"blob": b"x" * (codec.MAX_FRAME_BYTES + 1)})
+            codec.encode_control({"blob": "x" * (codec.MAX_FRAME_BYTES + 1)})
+
+
+class TestHostileControlFrames:
+    """Whatever a control payload holds, decoding it raises a
+    :class:`~repro.cluster.codec.CorruptFrameError` or returns a mapping —
+    an error the coordinator's hello handler catches."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"[" * 100_000 + b"]" * 100_000,  # nesting deeper than the parser recurses
+            bytes([7, 1]) * 100_000 + b"\x00",  # the same nesting in v4's tagged layout
+            b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            b'{"kind":"hello\xff"}',  # not UTF-8
+            b"\xfe\xff",
+            b"[]",  # JSON, but not an object
+            b'"hello"',
+            b'{"a":NaN}',
+            b'{"a":-Infinity}',
+            b"{",
+            b"",
+        ],
+    )
+    def test_corrupt_payloads_raise_corrupt_frame_errors(self, payload):
+        with pytest.raises(codec.CorruptFrameError):
+            codec.decode_control(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.binary(max_size=64))
+    def test_any_bytes_decode_or_raise_corrupt_frame_errors(self, payload):
+        try:
+            assert isinstance(codec.decode_control(payload), dict)
+        except codec.CorruptFrameError:
+            pass
+
+    @pytest.mark.parametrize(
+        "value", [b"bytes", {1, 2}, float("nan"), float("inf"), object()]
+    )
+    def test_what_json_cannot_carry_is_refused_at_encode(self, value):
+        with pytest.raises(codec.CodecError, match="not canonical JSON"):
+            codec.encode_control({"value": value})
 
 
 class TestControlChannel:

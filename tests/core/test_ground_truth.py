@@ -59,7 +59,7 @@ def test_runs_are_sound_and_complete_unless_they_evict(property_name, num_proces
                 cell = f"epp={epp} seed={seed} budget={budget}: {declared} vs {oracle}"
                 if not declared <= oracle:
                     failures.append(f"unsound {cell}")
-                elif report.views_evicted == 0 and declared != oracle:
+                elif report.metrics.views_evicted == 0 and declared != oracle:
                     failures.append(f"incomplete {cell}")
                 if Verdict.INCONCLUSIVE in truth.verdicts - report.reported_verdicts:
                     failures.append(f"? lost {cell}")

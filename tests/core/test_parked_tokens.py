@@ -62,8 +62,8 @@ def _sleeping_and_reference(monkeypatch, run):
     with monkeypatch.context() as patched:
         patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
         reference = run()
-    assert reference.parked_tokens_slept == 0
-    return _observed(report), _observed(reference), report.parked_tokens_slept
+    assert reference.metrics.parked_tokens_slept == 0
+    return _observed(report), _observed(reference), report.metrics.parked_tokens_slept
 
 
 def _cell(property_name, n, epp, seed, budget):

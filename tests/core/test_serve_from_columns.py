@@ -226,19 +226,18 @@ def _assert_same_verdicts_no_more_messages(held, travelled):
 
 def _assert_same_search_fewer_tokens(held, travelled):
     assert held.declared_verdicts == travelled.declared_verdicts
-    for counter in ("total_global_views", "views_evicted"):
-        assert getattr(held, counter) == getattr(travelled, counter), counter
+    h, t = held.metrics, travelled.metrics
+    assert (h.views_created, h.views_evicted) == (t.views_created, t.views_evicted)
     # the same searches, each replaying its box once or finding it in what its
     # view searched a step earlier — but for the views that are no longer
     # waiting when their process ends, which explore once more
-    for report in (held, travelled):
-        assert report.box_queries + report.boxes_remembered == report.entries_created
-    assert 0 <= held.entries_created - travelled.entries_created <= held.num_processes
-    assert 0 <= held.box_queries - travelled.box_queries <= held.num_processes
-    assert 0 <= held.box_cells_visited - travelled.box_cells_visited <= 16
-    created = [sum(m.metrics.tokens_created for m in r.monitors) for r in (held, travelled)]
-    assert created[0] < created[1]
-    assert held.answered_at_home > travelled.answered_at_home
+    for counters in (h, t):
+        assert counters.box_queries + counters.boxes_remembered == counters.entries_created
+    assert 0 <= h.entries_created - t.entries_created <= held.num_processes
+    assert 0 <= h.box_queries - t.box_queries <= held.num_processes
+    assert 0 <= h.box_cells_visited - t.box_cells_visited <= 16
+    assert h.tokens_created < t.tokens_created
+    assert h.answered_at_home > t.answered_at_home
     assert held.monitor_messages < travelled.monitor_messages
 
 
@@ -551,7 +550,7 @@ def test_no_monitor_bears_one_signature_twice_on_real_runs(cell, monkeypatch):
     report = _simulate(_paper_cell(*cell), cell[3])
     assert sum(map(len, births.values())) > report.num_processes
     if cell[0] == "F":  # the forgetting path ran, and disowned tokens came home
-        assert 0 < report.orphan_tokens_swallowed <= report.views_evicted
+        assert 0 < report.metrics.orphan_tokens_swallowed <= report.metrics.views_evicted
 
 
 def test_remembering_dominated_signatures_would_lose_the_long_trace_verdict(
@@ -673,7 +672,7 @@ def test_skewed_runs_declare_what_the_parent_commit_declared(cell, mode, monkeyp
     )
     report = _simulate(_paper_cell(*cell), cell[3], faults=plan)
     assert report.declared_verdicts == _DECLARED_SKEWED[cell]
-    assert report.answered_at_home > 0
+    assert report.metrics.answered_at_home > 0
     # home or away, a repaired cut is one the (skewed) clocks call consistent
     assert repairs and all(repairs)
 
@@ -685,11 +684,11 @@ def test_long_trace_cell_is_answered_at_home(long_trace_inputs):
     report = _simulate(long_trace_inputs, 2015)
     assert report.total_events == 1736
     assert report.monitor_messages / report.total_events < 0.3  # 2.27 before
-    assert report.answered_at_home >= 1000
-    assert report.answered_at_home == sum(m.metrics.answered_at_home for m in report.monitors)
-    tokens = sum(m.metrics.tokens_created for m in report.monitors)
-    assert report.entries_created == report.answered_at_home + tokens  # one entry per search
-    assert report.token_hops_max < 50
+    counters = report.metrics
+    assert counters.answered_at_home >= 1000
+    # one entry per search, decided at home or sent out as a token
+    assert counters.entries_created == counters.answered_at_home + counters.tokens_created
+    assert report.metrics.token_hops_max < 50
     assert report.total_global_views == 773  # views_per_event 0.445, as before
     assert report.declared_verdicts == {Verdict.TOP}
     assert not {"answered_at_home", "entries_created"} & set(report.as_dict())
@@ -700,5 +699,5 @@ def test_token_heavy_cell_sends_less_than_one_message_per_two_events(token_heavy
     assert report.total_events == 536
     assert report.monitor_messages / report.total_events < 0.5  # 10.19 before
     assert report.total_global_views / report.total_events < 0.5  # 0.81 before
-    assert report.views_evicted == 0  # 91 before
+    assert report.metrics.views_evicted == 0  # 91 before
     assert report.declared_verdicts == {Verdict.BOTTOM}

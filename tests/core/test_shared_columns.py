@@ -190,16 +190,17 @@ def test_fixture_cells_end_with_prefix_columns_under_every_view(cell):
     report = simulate_monitored_run(
         computation, automaton, registry, seed=cell[2], max_views_per_state=2
     )
-    assert report.events_shipped > 0
+    assert report.metrics.events_shipped > 0
     _assert_columns_are_prefixes(report)
     # the search counters: summed over the monitors, outside as_dict()
     metrics = [monitor.metrics for monitor in report.monitors]
-    assert report.box_cells_visited == sum(m.box_cells_visited for m in metrics)
+    assert report.metrics.box_cells_visited == sum(m.box_cells_visited for m in metrics)
     # one search serves every entry of a view step, so cells are not bounded
     # below by entries searched; but an entry searched is an entry issued
-    assert report.box_cells_visited > 0
-    assert report.entries_created >= report.box_queries >= report.boxes_by_letter >= 0
-    assert report.views_evicted == sum(m.views_evicted for m in metrics)
+    assert report.metrics.box_cells_visited > 0
+    counters = report.metrics
+    assert counters.entries_created >= counters.box_queries >= counters.boxes_by_letter >= 0
+    assert report.metrics.views_evicted == sum(m.views_evicted for m in metrics)
     # an evicted view is booked once, under views_evicted, never as a merge:
     # every view created is live, final, retired, merged away or evicted
     assert all(

@@ -454,17 +454,17 @@ def test_curve_cells_search_each_step_once(cell, queries, remembered, by_letter,
     # 1 088, 11 098 and 1 180 asked before a view remembered its last step's
     # targets; views are what they were then, less those a settled monitor no
     # longer forks (C and F had 659, 6 313 queries and 169, 405 views before)
-    assert report.box_queries == queries
-    assert report.boxes_remembered == remembered
-    assert report.boxes_by_letter == by_letter
+    assert report.metrics.box_queries == queries
+    assert report.metrics.boxes_remembered == remembered
+    assert report.metrics.boxes_by_letter == by_letter
     assert report.total_global_views == views
     # C and F: 4 779 and 274 878 with one search per entry, 2 632 and 58 720
     # per step, 1 419 and 34 345 (842 entries replayed along one path) before
     # targets the letter decides were left out, 952 and 38 529 before settled
     # monitors stopped exploring; B: 5 801 (172 replayed)
-    assert report.box_cells_visited == cells
-    assert 0 < report.least_cuts_remembered <= report.entries_created
-    assert report.parked_tokens_slept > 0  # 248, 451 and 868
+    assert report.metrics.box_cells_visited == cells
+    assert 0 < report.metrics.least_cuts_remembered <= report.metrics.entries_created
+    assert report.metrics.parked_tokens_slept > 0  # 248, 451 and 868
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +698,7 @@ def test_every_search_of_a_run_gives_what_the_search_that_set_up_every_process_d
 
     monkeypatch.setattr(DecentralizedMonitor, "_box_search", checked)
     report = _curve_cell((name, n, 20))
-    assert sum(searched) == report.box_cells_visited > 0
+    assert sum(searched) == report.metrics.box_cells_visited > 0
 
 
 def _chain(steps):

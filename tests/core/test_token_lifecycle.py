@@ -250,7 +250,7 @@ def test_an_eviction_is_booked_once(monkeypatch):
         network=get_scenario("paper-default").network,
     )
     # two views dropped, both waiting: each one's token came home an orphan
-    assert report.views_evicted == report.orphan_tokens_swallowed == 2
+    assert report.metrics.views_evicted == report.metrics.orphan_tokens_swallowed == 2
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +287,8 @@ def test_long_trace_cell_has_no_bouncing_token():
         network=scenario.network,
     )
     assert report.total_events == 1736
-    assert report.token_hops_max == max(m.metrics.token_hops_max for m in report.monitors)
-    assert report.token_hops_max < 50  # 1 285 before tokens parked
+    assert report.metrics.token_hops_max == max(m.metrics.token_hops_max for m in report.monitors)
+    assert report.metrics.token_hops_max < 50  # 1 285 before tokens parked
     assert report.monitor_messages / report.total_events < 4  # 6.83 before
     assert report.declared_verdicts == {Verdict.TOP}
     assert not {"token_hops_max", "orphan_tokens_swallowed"} & set(report.as_dict())

@@ -50,13 +50,13 @@ class TestCrashSpec:
 
     def test_describe_is_json_serialisable(self):
         spec = CrashSpec(process=2, after_events=5, down_events=3, recovery="rejoin")
-        description = json.loads(json.dumps(spec.describe()))
-        assert description == {
+        description = json.loads(json.dumps(FaultPlan(crashes=(spec,)).describe()))
+        assert description["crashes"] == [{
             "process": 2,
             "after_events": 5,
             "down_events": 3,
             "recovery": "rejoin",
-        }
+        }]
 
 
 class TestFaultPlan:
@@ -235,9 +235,9 @@ class TestByzantineSpec:
 
     def test_describe_is_json_serialisable(self):
         spec = ByzantineSpec(process=1, duplicate_every=3, drop_every=5)
-        description = json.loads(json.dumps(spec.describe()))
-        assert description["process"] == 1
-        assert description["duplicate_every"] == 3
+        description = json.loads(json.dumps(FaultPlan(byzantine=(spec,)).describe()))
+        assert description["byzantine"][0]["process"] == 1
+        assert description["byzantine"][0]["duplicate_every"] == 3
 
     def test_duplicate_spec_per_process_rejected(self):
         with pytest.raises(ValueError, match="duplicate ByzantineSpec"):

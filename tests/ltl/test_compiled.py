@@ -107,7 +107,10 @@ class TestCompileMachine:
         for state in range(compiled.num_states):
             assert compiled.is_final(state) == monitor.is_final(state)
             assert compiled.output(state) == monitor.verdict(state)
-        assert compiled.final_absorbing  # ⊤/⊥ are trap states in LTL3
+        # ⊤/⊥ are trap states in LTL3: a conclusive state reaches only itself
+        for state in range(compiled.num_states):
+            if compiled.is_final(state):
+                assert monitor.reach_bits[state] == 1 << state
 
 
 class TestCompiledEquivalence:

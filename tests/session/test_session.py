@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.api import run_streaming
 from repro.cluster.spec import RunSpec, build_cell_inputs
+from repro.core.monitor import MonitorMetrics
 from repro.distributed.computation import ComputationBuilder
 from repro.ltl import build_monitor
 from repro.ltl.predicates import PropositionRegistry
@@ -148,26 +149,32 @@ def _spec(**overrides):
 
 
 #: fields both backends must fill identically for the same cell: what was
-#: monitored, what it concluded, and the counters no interleaving can move
+#: monitored and what it concluded
 _SAME_ON_EVERY_BACKEND = {
     "num_processes",
     "total_events",
     "program_end_time",
     "reported_verdicts",
     "declared_verdicts",
-    "termination_messages",
     "fault_stats",
     "worker_results",
 }
 #: what a backend's own nature decides: its clock, its medium, its wall time
 _BACKEND_FIELDS = {"monitor_end_time", "transport", "wall_seconds", "wire_bytes", "monitors"}
+#: what follows the live interleaving of messages
+_INTERLEAVING_FIELDS = {"monitor_messages", "network_stats"}
+#: ``MonitorMetrics`` counters no interleaving can move
+_SAME_COUNTERS = {"events_processed", "termination_messages_sent"}
 #: counters of work whose amount follows the live interleaving of messages
-_INTERLEAVING_FIELDS = {
-    "monitor_messages",
-    "token_messages",
-    "total_global_views",
+_INTERLEAVING_COUNTERS = {
+    "tokens_created",
+    "entries_created",
+    "token_messages_sent",
+    "views_created",
+    "views_merged",
+    "max_active_views",
     "delayed_events",
-    "network_stats",
+    "token_hops_served",
     "box_queries",
     "boxes_by_letter",
     "box_cells_visited",
@@ -176,7 +183,6 @@ _INTERLEAVING_FIELDS = {
     "events_shipped",
     "token_hops_max",
     "orphan_tokens_swallowed",
-    "entries_created",
     "answered_at_home",
     "least_cuts_remembered",
     "boxes_remembered",
@@ -198,16 +204,25 @@ class TestOneReport:
             max_views_per_state=2,
         )
         assert type(simulated) is type(streamed) is RunReport
-        # every field is accounted for: a new one must be classified here
+        # every field and every counter is accounted for: a new one must be
+        # classified here
         names = {field.name for field in dataclasses.fields(RunReport)}
-        assert names == _SAME_ON_EVERY_BACKEND | _BACKEND_FIELDS | _INTERLEAVING_FIELDS
+        assert names == _SAME_ON_EVERY_BACKEND | _BACKEND_FIELDS | _INTERLEAVING_FIELDS | {
+            "metrics"
+        }
+        counters = {field.name for field in dataclasses.fields(MonitorMetrics)}
+        assert counters == _SAME_COUNTERS | _INTERLEAVING_COUNTERS
         for name in sorted(_SAME_ON_EVERY_BACKEND):
             assert getattr(simulated, name) == getattr(streamed, name), name
+        for name in sorted(_SAME_COUNTERS):
+            assert getattr(simulated.metrics, name) == getattr(streamed.metrics, name), name
         assert simulated.verdict_sequence() == streamed.verdict_sequence()
         assert set(simulated.network_stats) == set(streamed.network_stats)
         for report in (simulated, streamed):
             assert report.monitor_messages == report.token_messages + report.termination_messages
             assert len(report.monitors) == report.num_processes
+            # every counter of every monitor reaches the report
+            assert report.metrics == MonitorMetrics.fold(m.metrics for m in report.monitors)
         # the documented backend fields
         assert simulated.transport == "" and streamed.transport == "memory"
         assert simulated.wall_seconds == 0.0 and streamed.wall_seconds > 0.0
