@@ -11,9 +11,9 @@ multi-host) deployment of the paper's decentralized monitors:
   monitor ids to ``host:port``.
 * :mod:`repro.cluster.spec` — the JSON run spec workers regenerate their
   cell from; no events travel on the wire.
-* :mod:`repro.cluster.transport` / :mod:`repro.cluster.worker` — the
-  per-process transport and the ``python -m repro.cluster.worker``
-  entrypoint hosting one monitor each.
+* :mod:`repro.cluster.transport` / :mod:`repro.cluster.worker` — backoff
+  dialing and control reads, and the ``python -m repro.cluster.worker``
+  entrypoint hosting one monitor each on the runtime's TCP transport.
 * :mod:`repro.cluster.coordinator` — launches/joins workers, drives the
   run, decides global quiescence and collects verdicts.
 

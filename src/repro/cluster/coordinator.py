@@ -10,14 +10,16 @@ conservative ``in_flight`` counter:
 
     every worker has fed its schedule
     ∧ Σ sent == Σ processed  (frames cannot be counted processed early)
-    ∧ every inbox and outbox is empty
+    ∧ every inbox is empty
     ∧ the counter totals are unchanged since the previous poll
 
-Two consecutive stable polls are required because a frame can be on the
-wire — sent but not yet enqueued anywhere — while a single poll looks
-balanced.  Once quiescent, the coordinator collects per-worker verdicts and
-counter records, folds them into the same :class:`repro.session.RunReport`
-the in-process backends return, and shuts the workers down.
+A frame not yet written to its socket counts as sent but not processed,
+so the balance already covers it.  Two consecutive stable polls are
+required because a frame can be on the wire — sent but not yet enqueued
+anywhere — while a single poll looks balanced.  Once quiescent, the
+coordinator collects per-worker verdicts and counter records, folds them
+into the same :class:`repro.session.RunReport` the in-process backends
+return, and shuts the workers down.
 
 With ``spawn_workers=False`` the coordinator only *joins* workers that were
 started by hand (``python -m repro.cluster.worker``) on the manifest's
@@ -280,7 +282,6 @@ async def _await_quiescence(
         idle = (
             all(s["fed"] for s in statuses)
             and all(int(s["inbox"]) == 0 for s in statuses)
-            and all(int(s["out_pending"]) == 0 for s in statuses)
             and totals[0] == totals[1]
         )
         if idle and totals == previous:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import socket
-import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,6 +152,8 @@ def load_manifest(path: str | Path) -> ClusterManifest:
     if path.suffix == ".json":
         data = json.loads(path.read_text())
     else:
+        import tomllib  # here, not at the top: every TCP run imports this module
+
         with path.open("rb") as handle:
             data = tomllib.load(handle)
     try:

@@ -14,9 +14,9 @@ the same thing on every backend and every host.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_args, get_type_hints
 
 from ..faults import FaultPlan, parse_fault_plan
 
@@ -60,13 +60,31 @@ class RunSpec:
 
     @classmethod
     def from_json(cls, text: str) -> RunSpec:
-        """Parse a spec document written by :meth:`to_json`."""
+        """Parse a spec document written by :meth:`to_json`.
+
+        A non-object, a missing field or a mistyped one raises ``ValueError`` on load.
+        """
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a run spec must be a JSON object, got {type(data).__name__}")
         for key in _RETIRED_FIELDS:
             data.pop(key, None)
-        unknown = set(data) - {field for field in cls.__dataclass_fields__}
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"run spec has unknown fields: {sorted(unknown)}")
+        for name, kind in get_type_hints(cls).items():
+            if name not in data:
+                if fields[name].default is MISSING:
+                    raise ValueError(f"run spec is missing field {name!r}")
+                continue
+            accepted = get_args(kind) or (kind,)
+            if float in accepted:
+                accepted += (int,)  # a hand-written 3 for 3.0
+            value = data[name]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                kind_name = getattr(kind, "__name__", kind)
+                raise ValueError(f"run spec field {name!r} must be {kind_name}, got {value!r}")
         return cls(**data)
 
     def save(self, path: str | Path) -> Path:

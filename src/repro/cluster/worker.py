@@ -4,8 +4,10 @@
 <file>`` hosts exactly one :class:`repro.core.monitor.DecentralizedMonitor`
 in its own OS process.  The worker regenerates its cell's computation from
 the run spec (a pure function of scenario, property, scale and seed — no
-events travel on the wire), binds its listening socket at its manifest
-address, dials the coordinator's control address with bounded backoff, and
+events travel on the wire), hosts its monitor on the asyncio backend's
+:class:`repro.runtime.transport.TcpStreamTransport` given the manifest's
+addresses (so it listens at its own entry and reaches its peers at
+theirs), dials the coordinator's control address with bounded backoff, and
 then follows the coordinator's command loop:
 
 ``hello``
@@ -16,9 +18,9 @@ then follows the coordinator's command loop:
     Start the monitor and feed its own process's slice of the session's
     schedule: its events in timestamp order, then the termination signal.
 ``status``
-    Report the monotone sent/processed counters, inbox and outbox depth,
-    whether the schedule has been fed, and any recorded failure; the
-    coordinator's double-count termination check sums these across workers.
+    Report the monotone sent/processed counters, inbox depth, whether the
+    schedule has been fed, and any recorded failure; the coordinator's
+    double-count termination check sums these across workers.
 ``collect``
     Return verdicts (as strings), the monitor's whole counter record and
     the fault counters.
@@ -43,11 +45,12 @@ import sys
 from collections.abc import Sequence
 
 from ..runtime.node import StreamMonitorNode
+from ..runtime.transport import TcpStreamTransport
 from ..session import EVENT, MonitorSession
 from . import codec
 from .manifest import ClusterManifest, load_manifest
 from .spec import RunSpec, build_cell_inputs
-from .transport import WorkerTransport, dial, read_control_async
+from .transport import dial, read_control_async
 
 __all__ = ["run_worker", "main"]
 
@@ -55,7 +58,7 @@ __all__ = ["run_worker", "main"]
 async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> None:
     """Host monitor *process* of the run *spec* until the coordinator says stop."""
     computation, automaton, registry = build_cell_inputs(spec)
-    transport = WorkerTransport(manifest, process)
+    transport = TcpStreamTransport(endpoints=dict(enumerate(manifest.workers)))
     session = MonitorSession(
         computation,
         automaton,
@@ -73,7 +76,7 @@ async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> 
         session.skew_stats = {}
 
     node = StreamMonitorNode(endpoint, transport)
-    transport.attach(node)
+    transport.register(process, node)
     await transport.start()
     task = node.start_task()
     fed = False
@@ -106,7 +109,9 @@ async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> 
                     "kind": "status",
                     "fed": fed,
                     "error": None if failure is None else repr(failure),
-                    **transport.status(),
+                    "sent": transport.messages_sent,
+                    "processed": transport.messages_delivered,
+                    "inbox": node.pending_items,
                 }
             elif kind == "collect":
                 reply = {
@@ -116,8 +121,8 @@ async def run_worker(manifest: ClusterManifest, process: int, spec: RunSpec) -> 
                     "declared": sorted(str(v) for v in endpoint.declared_verdicts),
                     "reported": sorted(str(v) for v in endpoint.reported_verdicts()),
                     "metrics": dataclasses.asdict(endpoint.metrics),
-                    "sent": transport.sent_count,
-                    "processed": transport.processed_count,
+                    "sent": transport.messages_sent,
+                    "processed": transport.messages_delivered,
                     "wire_bytes": transport.wire_bytes_sent,
                     "fault_stats": session.fault_stats(),
                 }

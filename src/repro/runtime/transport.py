@@ -8,10 +8,11 @@ Two transports are provided:
 
 * :class:`InMemoryStreamTransport` — per-channel asyncio queues inside one
   event loop.  Fast and used by the test-suite and the default CLI backend.
-* :class:`TcpStreamTransport` — every monitor node listens on a real TCP
-  socket (``127.0.0.1``, ephemeral port) and the :mod:`repro.core.messages`
-  wire messages travel as wire protocol v5 binary frames
-  (:mod:`repro.cluster.codec`) over real connections.
+* :class:`TcpStreamTransport` — every monitor node it hosts listens on a
+  real TCP socket and the :mod:`repro.core.messages` wire messages travel
+  as wire protocol v5 binary frames (:mod:`repro.cluster.codec`).  The
+  asyncio backend hosts every monitor on loopback, a cluster worker
+  (:mod:`repro.cluster.worker`) one, reaching the rest at manifest addresses.
 
 Both transports preserve **FIFO order per (sender, receiver) channel** (the
 algorithm's reliable-FIFO-channel assumption): every channel has its own
@@ -34,9 +35,12 @@ counter before the decrement for the consumed message happens).
 from __future__ import annotations
 
 import asyncio
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 from ..cluster import codec
+from ..cluster.manifest import Endpoint
+from ..cluster.transport import dial
 from ..core.delays import DelayModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -118,7 +122,7 @@ class StreamTransport:
 
     def send(self, sender: int, target: int, message: object) -> None:
         """Queue *message* for delivery; called synchronously by monitors."""
-        if target not in self._nodes:
+        if target not in self._nodes and not self._addressed(target):
             raise ValueError(f"no monitor node registered for process {target}")
         self.messages_sent += 1
         now = self.clock.now
@@ -133,6 +137,10 @@ class StreamTransport:
         self._channel_clock[channel] = due
         self.in_flight += 1
         self._channel_queue(channel).put_nowait((due, target, message))
+
+    def _addressed(self, target: int) -> bool:
+        """Whether *target* is a remote peer this transport can reach."""
+        return False
 
     @property
     def pending(self) -> int:
@@ -170,11 +178,20 @@ class StreamTransport:
         return queue
 
     async def _pump(self, channel: tuple[int, int], queue: asyncio.Queue) -> None:
-        """Drain one channel sequentially, realising delivery instants."""
+        """Drain one channel sequentially, realising delivery instants.
+
+        A message the channel cannot deliver would stall quiescence forever,
+        so its failure becomes :attr:`fatal_error` (the first one wins).
+        """
         while True:
             due, target, message = await queue.get()
             await self.clock.sleep_until(due)
-            await self._forward(channel, due, target, message)
+            try:
+                await self._forward(channel, due, target, message)
+            except Exception as error:  # noqa: BLE001 - re-raised by wait_quiescent
+                if self.fatal_error is None:
+                    self.fatal_error = error
+                return
 
     async def _forward(
         self, channel: tuple[int, int], due: float, target: int, message: object
@@ -248,42 +265,54 @@ class InMemoryStreamTransport(StreamTransport):
 class TcpStreamTransport(StreamTransport):
     """Streaming transport exchanging messages over real TCP sockets.
 
-    Every registered node gets its own ``asyncio.start_server`` on
-    ``127.0.0.1`` with an ephemeral port; channel pumps lazily open one
-    client connection per (sender, target) pair and write wire protocol v5
-    frames — a magic/version/type header followed by the binary-encoded
-    delivery instant and message (:mod:`repro.cluster.codec`).  The
-    receiving server decodes each frame and enqueues it into the target
-    node's inbox, so from the monitors' point of view nothing changes —
-    only the medium does.
+    *endpoints* maps monitor ids to addresses.  :meth:`start` gives every
+    registered node its own ``asyncio.start_server`` at its endpoint
+    (``127.0.0.1`` with an ephemeral port when it has none) and writes the
+    bound address back into :attr:`endpoints`; every other id there is a
+    remote peer.  Channel pumps lazily dial one client connection per
+    (sender, target) pair with :func:`repro.cluster.transport.dial`'s
+    bounded backoff — peers may start listening in any order — and write
+    wire protocol v5 frames (:mod:`repro.cluster.codec`).  A failed write
+    re-dials and re-sends the same frame (a peer restarted mid-run), and
+    one pump per channel keeps FIFO.  The receiving server decodes each
+    frame and enqueues it into the target node's inbox, so from the
+    monitors' point of view nothing changes — only the medium does.
     """
 
     def __init__(
         self,
         clock: RuntimeClock | None = None,
         delay: DelayModel | None = None,
-        host: str = "127.0.0.1",
+        endpoints: Mapping[int, Endpoint] | None = None,
     ) -> None:
         super().__init__(clock=clock, delay=delay)
-        self.host = host
+        #: where every monitor listens; hosted entries get their bound port
+        self.endpoints: dict[int, Endpoint] = dict(endpoints or {})
         self._servers: dict[int, asyncio.AbstractServer] = {}
-        self.ports: dict[int, int] = {}
         self._writers: dict[tuple[int, int], asyncio.StreamWriter] = {}
+        #: inbound connections and their handler tasks, so ``aclose`` can
+        #: feed them EOF instead of leaving the tasks to die with the loop
+        self._inbound: dict[asyncio.StreamWriter, asyncio.Task] = {}
+
+    def _addressed(self, target: int) -> bool:
+        return target in self.endpoints
 
     async def start(self) -> None:
-        """Start one TCP server per registered node and record its port."""
+        """Start one TCP server per registered node and record its address."""
         await super().start()
         for process, node in self._nodes.items():
+            endpoint = self.endpoints.get(process, Endpoint("127.0.0.1", 0))
             server = await asyncio.start_server(
                 lambda reader, writer, node=node: self._serve(node, reader, writer),
-                self.host,
-                0,
+                endpoint.host,
+                endpoint.port,
             )
             self._servers[process] = server
-            self.ports[process] = server.sockets[0].getsockname()[1]
+            port = server.sockets[0].getsockname()[1]
+            self.endpoints[process] = Endpoint(endpoint.host, port)
 
     async def aclose(self) -> None:
-        """Stop the pumps first, then close client connections and servers.
+        """Stop the pumps, then close client connections, servers and inbound ones.
 
         Pumps must die before the sockets do: a pump woken mid-delivery
         would otherwise write to a closed writer and replace the original
@@ -300,6 +329,9 @@ class TcpStreamTransport(StreamTransport):
         self._writers.clear()
         for server in self._servers.values():
             server.close()
+        for writer in list(self._inbound):
+            writer.close()
+        await asyncio.gather(*self._inbound.values(), return_exceptions=True)
         for server in self._servers.values():
             await server.wait_closed()
         self._servers.clear()
@@ -307,14 +339,27 @@ class TcpStreamTransport(StreamTransport):
     async def _forward(
         self, channel: tuple[int, int], due: float, target: int, message: object
     ) -> None:
-        writer = self._writers.get(channel)
-        if writer is None:
-            _, writer = await asyncio.open_connection(self.host, self.ports[target])
-            self._writers[channel] = writer
         frame = codec.encode_wire(due, message)
         self.wire_bytes_sent += len(frame)
-        writer.write(frame)
-        await writer.drain()
+        while True:
+            writer = self._writers.get(channel)
+            if writer is None:
+                # raises once the bounded backoff gives up
+                _, writer = await dial(
+                    self.endpoints[target],
+                    f"monitor {channel[0]} cannot reach monitor {target}",
+                )
+                self._writers[channel] = writer
+            try:
+                writer.write(frame)
+                await writer.drain()
+                return
+            except (ConnectionError, OSError):
+                # the peer went away mid-run: re-send this frame on a fresh
+                # connection (nothing acknowledged it at the application
+                # level, and this channel's one pump keeps FIFO)
+                del self._writers[channel]
+                writer.close()
 
     async def _serve(
         self,
@@ -336,6 +381,7 @@ class TcpStreamTransport(StreamTransport):
         protocol version this node does not speak, corrupt payloads — are
         reported the same way.
         """
+        self._inbound[writer] = asyncio.current_task()
         peer = f"peer of monitor {node.process}"
         try:
             while True:
@@ -348,4 +394,5 @@ class TcpStreamTransport(StreamTransport):
             if self.fatal_error is None:
                 self.fatal_error = error
         finally:
+            del self._inbound[writer]
             writer.close()

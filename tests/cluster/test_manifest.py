@@ -132,6 +132,28 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="unknown fields: \\['surprise'\\]"):
             RunSpec.from_json(json.dumps(document))
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda document: [1, 2], "must be a JSON object, got list"),
+            (
+                lambda document: {**document, "num_processes": "3"},
+                "field 'num_processes' must be int, got '3'",
+            ),
+            (
+                lambda document: {k: v for k, v in document.items() if k != "seed"},
+                "missing field 'seed'",
+            ),
+        ],
+        ids=["not-an-object", "wrong-type", "missing-field"],
+    )
+    def test_bad_documents_rejected_naming_the_field(self, mutate, message):
+        # workers load spec files and the fuzzer writes them as repros: a bad
+        # one must fail on load, not later inside a worker
+        document = mutate(json.loads(self._spec().to_json()))
+        with pytest.raises(ValueError, match=message):
+            RunSpec.from_json(json.dumps(document))
+
     def test_documents_with_the_retired_kernel_key_still_load(self):
         # every spec document written before the knob went carries the key
         document = json.loads(self._spec().to_json())

@@ -144,8 +144,8 @@ class TestStreamTransport:
             for p, sink in sinks.items():
                 transport.register(p, sink)
             await transport.start()
-            assert set(transport.ports) == {0, 1}
-            assert all(port > 0 for port in transport.ports.values())
+            assert set(transport.endpoints) == {0, 1}
+            assert all(endpoint.port > 0 for endpoint in transport.endpoints.values())
             for i in range(20):
                 transport.send(0, 1, TerminationNotice(0, i))
                 transport.send(1, 0, TerminationNotice(1, i))
@@ -156,6 +156,72 @@ class TestStreamTransport:
         sinks = asyncio.run(main())
         assert [m for _, m in sinks[1].received] == [TerminationNotice(0, i) for i in range(20)]
         assert [m for _, m in sinks[0].received] == [TerminationNotice(1, i) for i in range(20)]
+
+
+class TestTcpPeers:
+    """Dialing a peer: one that never listens fails the run at once, one
+    that starts listening late still gets its frames."""
+
+    def test_unreachable_peer_fails_the_run_promptly(self, monkeypatch):
+        from repro.cluster import transport as cluster_transport
+
+        monkeypatch.setattr(cluster_transport, "BACKOFF_ATTEMPTS", 2)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            transport = TcpStreamTransport()
+            for p in (0, 1):
+                transport.register(p, _EchoNode(p, transport))
+            await transport.start()
+            # node 1 stops listening before the first frame reaches it
+            server = transport._servers[1]
+            server.close()
+            await server.wait_closed()
+            transport.send(0, 1, TerminationNotice(0, 0))
+            started = loop.time()
+            try:
+                with pytest.raises(ConnectionError, match="monitor 0 cannot reach monitor 1"):
+                    await transport.wait_quiescent(timeout=30.0)
+                assert loop.time() - started < 5.0
+            finally:
+                await transport.aclose()  # must not raise the pump's error again
+
+        asyncio.run(asyncio.wait_for(main(), timeout=60.0))
+
+    def test_peer_listening_late_still_gets_the_frame(self):
+        from repro.cluster import codec
+        from repro.cluster.manifest import Endpoint, loopback_manifest
+
+        async def main():
+            port = loopback_manifest(1).workers[0].port
+            transport = TcpStreamTransport(endpoints={1: Endpoint("127.0.0.1", port)})
+            transport.register(0, _EchoNode(0, transport))
+            await transport.start()
+            frames = []
+            first = asyncio.Event()
+            done = asyncio.Event()
+
+            async def serve(reader, writer):
+                while (frame := await codec.read_frame_async(reader)) is not None:
+                    frames.append(codec.decode_wire(*frame))
+                    first.set()
+                writer.close()
+                done.set()
+
+            transport.send(0, 1, TerminationNotice(0, 7))
+            await asyncio.sleep(0.3)  # the first dial attempts find nobody
+            server = await asyncio.start_server(serve, "127.0.0.1", port)
+            try:
+                await asyncio.wait_for(first.wait(), timeout=10.0)
+                assert transport.fatal_error is None
+            finally:
+                await transport.aclose()
+                await asyncio.wait_for(done.wait(), timeout=10.0)
+                server.close()
+                await server.wait_closed()
+            assert frames == [(0.0, TerminationNotice(0, 7))]
+
+        asyncio.run(asyncio.wait_for(main(), timeout=30.0))
 
 
 class TestTcpMidFrameDisconnect:
@@ -190,7 +256,7 @@ class TestTcpMidFrameDisconnect:
         async def main():
             transport, _ = await self._transport_with_sink()
             try:
-                _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
+                _, writer = await asyncio.open_connection("127.0.0.1", transport.endpoints[0].port)
                 writer.write(b"RW")  # 2 of the 8 frame-header bytes
                 await writer.drain()
                 writer.close()
@@ -207,7 +273,7 @@ class TestTcpMidFrameDisconnect:
         async def main():
             transport, _ = await self._transport_with_sink()
             try:
-                _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
+                _, writer = await asyncio.open_connection("127.0.0.1", transport.endpoints[0].port)
                 # a full header announcing 100 payload bytes, then only 10
                 from repro.cluster import codec
 
@@ -237,7 +303,7 @@ class TestTcpMidFrameDisconnect:
 
                 from repro.cluster import codec
 
-                _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
+                _, writer = await asyncio.open_connection("127.0.0.1", transport.endpoints[0].port)
                 # a valid header announcing 100 bytes, then RST
                 writer.write(
                     codec.HEADER.pack(
@@ -265,7 +331,7 @@ class TestTcpMidFrameDisconnect:
         async def main():
             transport, _ = await self._transport_with_sink()
             try:
-                _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
+                _, writer = await asyncio.open_connection("127.0.0.1", transport.endpoints[0].port)
                 import struct
 
                 from repro.cluster import codec
@@ -294,7 +360,7 @@ class TestTcpMidFrameDisconnect:
             try:
                 from repro.cluster import codec
 
-                _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
+                _, writer = await asyncio.open_connection("127.0.0.1", transport.endpoints[0].port)
                 # a structurally valid frame claiming protocol version 1
                 writer.write(codec.HEADER.pack(codec.MAGIC, 1, codec.TYPE_TERMINATION, 0))
                 await writer.drain()
@@ -317,7 +383,7 @@ class TestTcpMidFrameDisconnect:
             try:
                 from repro.cluster import codec
 
-                _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
+                _, writer = await asyncio.open_connection("127.0.0.1", transport.endpoints[0].port)
                 # only the header arrives: the reader must refuse on its word
                 # instead of waiting for (and buffering) 4 GiB
                 writer.write(
@@ -363,7 +429,7 @@ class TestTcpMidFrameDisconnect:
             try:
                 from repro.cluster import codec
 
-                _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[0])
+                _, writer = await asyncio.open_connection("127.0.0.1", transport.endpoints[0].port)
                 writer.write(codec.encode_wire(0.0, TerminationNotice(1, 3)))
                 await writer.drain()
                 writer.close()
