@@ -27,7 +27,6 @@ from conftest import BENCH_SCALE
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
-from repro.core.transport import LoopbackNetwork
 from repro.distributed.clocks import VectorClock
 from repro.distributed.events import Event, EventKind
 from repro.experiments import DEFAULT_SCALE, run_monitoring_experiment
@@ -40,7 +39,8 @@ from repro.experiments.properties import (
 )
 from repro.ltl import parse
 from repro.ltl.progression import build_progression_machine
-from repro.scenarios import GridPoint, get_scenario
+from repro.scenarios import GridPoint, ReliableNetwork, get_scenario
+from repro.sim import SimulatedNetwork, Simulator
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -102,6 +102,11 @@ def test_compiled_step_throughput():
     assert state == automaton.run([frozenset().union(*letters) for letters in zip(*columns)])
 
 
+def _network():
+    """Links that deliver at once; what is sent waits until the simulator runs."""
+    return SimulatedNetwork(Simulator(), ReliableNetwork(latency=0.0, jitter=0.0).delay_model(0))
+
+
 def _box_monitor(automaton, registry, n, holds=False):
     """Monitor of process 0 whose box search the ``box_bfs_*`` tests run;
     *holds*: every atom of the initial state is true, else false."""
@@ -111,7 +116,7 @@ def _box_monitor(automaton, registry, n, holds=False):
         automaton=automaton,
         registry=registry,
         initial_letters=[registry.local_letter(j, {"p": holds, "q": holds}) for j in range(n)],
-        transport=LoopbackNetwork(),
+        transport=_network(),
     )
     monitor._started = True  # reads its events only: explores nothing, sends nothing
     monitor.views.clear()
@@ -232,7 +237,7 @@ def test_serve_entry_events_per_sec():
         automaton=automaton,
         registry=registry,
         initial_letters=[registry.local_letter(j, {}) for j in range(n)],
-        transport=LoopbackNetwork(),
+        transport=_network(),
     )
     rng = random.Random(11)
     for sn in range(1, history + 1):

@@ -19,7 +19,11 @@ baseline, which ships every event to a single monitor.
 from repro.core import CentralizedMonitor, LatticeOracle
 from repro.distributed import two_phase_commit_example
 from repro.ltl import Proposition, PropositionRegistry, build_monitor
-from repro.session import run_decentralized
+from repro.scenarios import ReliableNetwork
+from repro.sim import simulate_monitored_run
+
+#: links that deliver at once: the untimed run, with no random numbers drawn
+INSTANT = ReliableNetwork(latency=0.0, jitter=0.0)
 
 
 def registry_for(num_processes: int) -> PropositionRegistry:
@@ -65,7 +69,7 @@ def main() -> None:
     for label, formula in properties.items():
         automaton = build_monitor(formula, atoms=registry.names)
         oracle = LatticeOracle(computation, automaton, registry).evaluate()
-        decentralized = run_decentralized(computation, automaton, registry)
+        decentralized = simulate_monitored_run(computation, automaton, registry, network=INSTANT)
         centralized = CentralizedMonitor.monitor_computation(
             computation, automaton, registry
         )

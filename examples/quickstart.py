@@ -7,8 +7,9 @@ exposition (Figures 2.1–2.3 and 3.1):
 1. build the two-process distributed program of Fig. 2.1;
 2. synthesise the LTL3 monitor automaton for
    ψ = G((x1 >= 5) -> ((x2 >= 15) U (x1 = 10)))   (Fig. 2.3);
-3. run one decentralized monitor per process (tokens over a loopback
-   network) and compare the verdict set with the lattice oracle of Chapter 3.
+3. run one decentralized monitor per process (tokens over simulated links
+   that deliver at once) and compare the verdict set with the lattice
+   oracle of Chapter 3.
 
 Run with:  python examples/quickstart.py
 """
@@ -16,7 +17,11 @@ Run with:  python examples/quickstart.py
 from repro.core import LatticeOracle
 from repro.distributed import ComputationLattice, running_example, running_example_registry
 from repro.ltl import build_monitor
-from repro.session import run_decentralized
+from repro.scenarios import ReliableNetwork
+from repro.sim import simulate_monitored_run
+
+#: links that deliver at once: the untimed run, with no random numbers drawn
+INSTANT = ReliableNetwork(latency=0.0, jitter=0.0)
 
 
 def main() -> None:
@@ -45,7 +50,7 @@ def main() -> None:
     print(f"  verdicts over all paths: {sorted(str(v) for v in oracle.verdicts)}")
 
     # --- decentralized monitoring ------------------------------------------
-    result = run_decentralized(computation, psi, registry)
+    result = simulate_monitored_run(computation, psi, registry, network=INSTANT)
     print("\nDecentralized monitors (one per process):")
     print(f"  verdicts reported: {sorted(str(v) for v in result.reported_verdicts)}")
     print(f"  conclusive verdicts declared: "

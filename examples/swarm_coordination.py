@@ -26,7 +26,11 @@ import sys
 from repro.core import LatticeOracle
 from repro.distributed import ComputationBuilder
 from repro.ltl import Proposition, PropositionRegistry, build_monitor
-from repro.session import run_decentralized
+from repro.scenarios import ReliableNetwork
+from repro.sim import simulate_monitored_run
+
+#: links that deliver at once: the untimed run, with no random numbers drawn
+INSTANT = ReliableNetwork(latency=0.0, jitter=0.0)
 
 
 def build_swarm_mission(num_drones: int, disarm_glitch: bool):
@@ -85,7 +89,7 @@ def monitor_mission(num_drones: int, disarm_glitch: bool) -> None:
     for name, automaton in (("safety  G(all armed)", safety),
                             ("mission F(all on station)", mission)):
         oracle = LatticeOracle(computation, automaton, registry).evaluate()
-        result = run_decentralized(computation, automaton, registry)
+        result = simulate_monitored_run(computation, automaton, registry, network=INSTANT)
         print(f"  {name}:")
         print(f"    oracle verdicts        : {sorted(str(v) for v in oracle.verdicts)}")
         print(f"    decentralized verdicts : "

@@ -26,9 +26,9 @@ Subpackages
     The decentralized monitoring algorithm (the paper's contribution), plus
     the lattice oracle and a centralized baseline.
 ``repro.session``
-    One monitored session (``MonitorSession``) with its four drivers — the
-    in-memory ``run_decentralized``, sim, asyncio, the cluster worker — and
-    the one ``RunReport`` they all return.
+    One monitored session (``MonitorSession``) with its three drivers —
+    sim, asyncio, the cluster worker — and the one ``RunReport`` they all
+    return.
 ``repro.sim``
     Discrete-event simulation of asynchronous programs, networks and monitors.
 ``repro.runtime``

@@ -6,7 +6,6 @@ Public API
 * :class:`LatticeOracle` / :class:`OracleResult` — the Chapter 3 oracle used
   as ground truth for soundness and completeness.
 * :class:`CentralizedMonitor` — the centralized baseline (the oracle's verdicts).
-* :class:`LoopbackNetwork` — in-process transport between monitors.
 * :class:`MonitorNode` / :class:`Transport` — the backend-agnostic
   protocols every monitoring backend programs against.
 * :class:`DelayModel` — what one run of a network condition offers a timed
@@ -15,9 +14,9 @@ Public API
 * Message types: :class:`Token`, :class:`TokenEntry`, :class:`TerminationNotice`.
 
 Running a full set of monitors is one layer up: :mod:`repro.session` builds
-them (``monitor_factory``) and has four drivers — the in-memory
-``run_decentralized``, the simulator, the asyncio runtime and the cluster
-worker — which all return one ``RunReport``.
+them (``monitor_factory``) and has three drivers — the simulator (over a
+zero-latency network, the untimed in-process run), the asyncio runtime and
+the cluster worker — which all return one ``RunReport``.
 """
 
 from .centralized import CentralizedMonitor, CentralizedResult
@@ -26,7 +25,7 @@ from .global_view import GlobalView, ViewStatus
 from .messages import TerminationNotice, Token, TokenEntry
 from .monitor import DecentralizedMonitor, MonitorMetrics
 from .oracle import LatticeOracle, OracleResult
-from .transport import LoopbackNetwork, MonitorNode, Transport
+from .transport import MonitorNode, Transport
 
 __all__ = [
     "CentralizedMonitor",
@@ -40,7 +39,6 @@ __all__ = [
     "MonitorMetrics",
     "LatticeOracle",
     "OracleResult",
-    "LoopbackNetwork",
     "Transport",
     "MonitorNode",
     "DelayModel",

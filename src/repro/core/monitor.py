@@ -201,7 +201,7 @@ class DecentralizedMonitor:
         reproduces the paper's lightweight behaviour (total views bounded by
         a small multiple of the automaton size) on long workloads at the
         cost of possibly missing verdicts reachable only through the pruned
-        views.
+        views.  A bound below 1 is rejected.
     """
 
     def __init__(
@@ -214,6 +214,10 @@ class DecentralizedMonitor:
         transport: Transport,
         max_views_per_state: int | None = None,
     ) -> None:
+        if max_views_per_state is not None and max_views_per_state < 1:
+            raise ValueError(
+                f"max_views_per_state must be None or at least 1 (got {max_views_per_state})"
+            )
         self.process = process
         self.num_processes = num_processes
         self.automaton = automaton

@@ -541,6 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the sub-command named on the command line; return the exit status."""
     args = build_parser().parse_args(argv)
+    if args.view_budget < 0:
+        raise SystemExit(
+            f"error: --view-budget must be 0 (no bound) or positive (got {args.view_budget})"
+        )
     if args.view_budget == 0:
         args.view_budget = None
     if args.artefact == "all":

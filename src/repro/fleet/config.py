@@ -52,9 +52,8 @@ class TenantSpec:
 
     ``num_processes`` / ``events_per_process`` shape synthetic streams; a
     replay source carries its own process count, which then also
-    sizes the tenant's monitor ring.  ``time_scale`` paces the stream
-    through the session's :class:`repro.runtime.transport.RuntimeClock`
-    (wall seconds per virtual second; ``0.0`` replays as fast as possible).
+    sizes the tenant's monitor ring.  The stream replays as fast as the
+    event loop runs.
     """
 
     tenant_id: str
@@ -63,7 +62,6 @@ class TenantSpec:
     events_per_process: int = 4
     seed: int = 2015
     max_views_per_state: int | None = None
-    time_scale: float = 0.0
     source: EventSource = field(default_factory=SyntheticSource)
 
     def __post_init__(self) -> None:
@@ -78,8 +76,6 @@ class TenantSpec:
             raise ValueError("tenants monitor at least two processes")
         if self.events_per_process < 1:
             raise ValueError("events_per_process must be positive")
-        if self.time_scale < 0.0:
-            raise ValueError("time_scale must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from ..experiments.properties import case_study_monitor, case_study_registry
 from ..runtime.node import StreamMonitorNode
 from ..runtime.runner import drive_session, run_streaming
-from ..runtime.transport import InMemoryStreamTransport, RuntimeClock
+from ..runtime.transport import InMemoryStreamTransport
 from ..session import MonitorSession, RunReport
 from .config import FleetConfig, TenantSpec
 
@@ -195,7 +195,7 @@ async def _tenant_session(
     """
     started = time.perf_counter()
     computation, automaton, registry = await _load_inputs(spec)
-    net = InMemoryStreamTransport(clock=RuntimeClock(spec.time_scale), delay=None)
+    net = InMemoryStreamTransport(delay=None)
     session = MonitorSession(
         computation,
         automaton,
@@ -227,7 +227,6 @@ def standalone_tenant_result(
         registry,
         max_views_per_state=spec.max_views_per_state,
         transport="memory",
-        time_scale=spec.time_scale,
         quiesce_timeout=quiesce_timeout,
     )
     return TenantResult.from_report(spec, report)

@@ -15,9 +15,8 @@ are registered (:data:`SOURCE_KINDS`):
   it is the one way in for a stream recorded anywhere else.
 
 Every source resolves to a :class:`repro.distributed.computation.Computation`
-whose events the tenant session then paces through its own
-:class:`repro.runtime.transport.RuntimeClock` — sources decide *what* the
-stream is, the session decides *when* each event fires.
+whose events the tenant session then feeds in timestamp order — sources
+decide *what* the stream is, the session decides *when* each event fires.
 """
 
 from __future__ import annotations

@@ -20,17 +20,11 @@ Public API
 * :class:`InMemoryStreamTransport` / :class:`TcpStreamTransport` — the
   streaming transports; :data:`TRANSPORTS` names them for CLIs.
 * :class:`StreamMonitorNode` — one monitor as an asyncio task.
-* :class:`RuntimeClock` — virtual time, optionally paced to wall clock.
 """
 
 from .node import StreamMonitorNode
 from .runner import TRANSPORTS, run_streaming, stream_monitored_run
-from .transport import (
-    InMemoryStreamTransport,
-    RuntimeClock,
-    StreamTransport,
-    TcpStreamTransport,
-)
+from .transport import InMemoryStreamTransport, StreamTransport, TcpStreamTransport
 
 __all__ = [
     "run_streaming",
@@ -40,5 +34,4 @@ __all__ = [
     "StreamTransport",
     "InMemoryStreamTransport",
     "TcpStreamTransport",
-    "RuntimeClock",
 ]

@@ -8,9 +8,9 @@ process — each wrapping the *unchanged*
 :class:`repro.core.monitor.DecentralizedMonitor` — exchanging the
 :mod:`repro.core.messages` wire messages through a streaming transport
 (in-process queues or real TCP sockets).  The session's schedule is fed
-against a :class:`~repro.runtime.transport.RuntimeClock`; termination
-signals interleave exactly where the simulator schedules them (just after
-each process's last event).
+against the transport's virtual time (``StreamTransport.now``), as fast as
+the event loop runs; termination signals interleave exactly where the
+simulator schedules them (just after each process's last event).
 
 Because every transport delivers reliably and in FIFO order per channel, the
 conclusive (⊤/⊥) verdicts of a run are independent of task interleavings —
@@ -36,7 +36,7 @@ from ..ltl.monitor import MonitorAutomaton
 from ..ltl.predicates import PropositionRegistry
 from ..session import EVENT, MonitorSession, RunReport
 from .node import StreamMonitorNode
-from .transport import InMemoryStreamTransport, RuntimeClock, StreamTransport, TcpStreamTransport
+from .transport import InMemoryStreamTransport, StreamTransport, TcpStreamTransport
 
 __all__ = ["stream_monitored_run", "run_streaming", "drive_session", "TRANSPORTS"]
 
@@ -58,9 +58,9 @@ async def drive_session(
     The one asyncio run loop, over the :class:`StreamTransport` the session
     was built on: wrap every endpoint in a node task, start the monitors
     (INIT — outgoing tokens already flow streamed), feed the session's
-    schedule against the transport's clock, wait for quiescence, and in any
-    case stop the nodes and close the transport; a node task that died of a
-    monitor bug is re-raised instead of leaving a hung report.
+    schedule against the transport's virtual time, wait for quiescence, and
+    in any case stop the nodes and close the transport; a node task that
+    died of a monitor bug is re-raised instead of leaving a hung report.
 
     *admit* is the fleet's bounded-inbox seam and nothing else's (standalone
     runs pass none): it is awaited before each program event and a ``False``
@@ -76,7 +76,7 @@ async def drive_session(
         for endpoint in session.endpoints:
             endpoint.start()
         for instant, kind, process, event in session.schedule():
-            await net.clock.sleep_until(instant)
+            await net.advance_to(instant)
             if kind != EVENT:
                 nodes[process].enqueue_termination()
             elif admit is None or await admit(nodes, process):
@@ -100,7 +100,6 @@ async def stream_monitored_run(
     delay: DelayModel | None = None,
     max_views_per_state: int | None = None,
     transport: str = "memory",
-    time_scale: float = 0.0,
     quiesce_timeout: float = 120.0,
     faults: FaultPlan | None = None,
 ) -> RunReport:
@@ -124,9 +123,6 @@ async def stream_monitored_run(
     transport:
         ``"memory"`` (in-process queues) or ``"tcp"`` (real loopback
         sockets carrying the binary frames of :mod:`repro.cluster.codec`).
-    time_scale:
-        Wall-clock seconds per virtual second when pacing the replay; the
-        default ``0.0`` runs as fast as possible.
     quiesce_timeout:
         Real-time bound on the post-termination drain.
     faults:
@@ -137,7 +133,7 @@ async def stream_monitored_run(
     started = time.perf_counter()
     if transport not in _TRANSPORT_CLASSES:
         raise ValueError(f"unknown streaming transport {transport!r} (known: {TRANSPORTS})")
-    net = _TRANSPORT_CLASSES[transport](clock=RuntimeClock(time_scale), delay=delay)
+    net = _TRANSPORT_CLASSES[transport](delay=delay)
     session = MonitorSession(
         computation,
         automaton,

@@ -20,8 +20,8 @@ queue drained by a dedicated pump task, and delivery instants are clamped to
 be monotone per channel exactly like the discrete-event simulator does.
 Latency/loss semantics come from the same network conditions the simulator
 uses (one :class:`repro.core.delays.DelayModel` per run), evaluated against
-a :class:`RuntimeClock` (virtual seconds, optionally paced to wall clock via
-``time_scale``).
+the transport's :attr:`StreamTransport.now` (virtual seconds, advanced as
+fast as the event loop runs).
 
 Quiescence — "no message is in flight anywhere and no node has unprocessed
 inbox items" — is detected with a simple conservative counter:
@@ -47,40 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .node import StreamMonitorNode
 
 __all__ = [
-    "RuntimeClock",
     "StreamTransport",
     "InMemoryStreamTransport",
     "TcpStreamTransport",
 ]
-
-
-class RuntimeClock:
-    """Virtual time for the streaming runtime.
-
-    The runtime replays computations whose event timestamps are in *virtual
-    seconds* (the simulator's time base).  ``time_scale`` maps virtual to
-    wall-clock seconds: the default ``0.0`` runs as fast as the event loop
-    allows (sleeps degrade to plain yields), ``0.001`` compresses one
-    virtual second to one real millisecond, ``1.0`` replays in real time.
-    ``now`` is a monotone high-water mark — concurrent sleepers advance it
-    to the largest instant awaited so far, which is exactly what the delay
-    models need as a send-time base.
-    """
-
-    def __init__(self, time_scale: float = 0.0) -> None:
-        if time_scale < 0:
-            raise ValueError("time_scale must be non-negative")
-        self.time_scale = time_scale
-        self.now: float = 0.0
-
-    async def sleep_until(self, instant: float) -> None:
-        """Advance virtual time to *instant*, pacing by ``time_scale``."""
-        if instant > self.now and self.time_scale > 0:
-            await asyncio.sleep((instant - self.now) * self.time_scale)
-        else:
-            # still yield so other tasks (pumps, nodes) interleave
-            await asyncio.sleep(0)
-        self.now = max(self.now, instant)
 
 
 class StreamTransport:
@@ -93,11 +63,11 @@ class StreamTransport:
     metrics collection are oblivious to which backend is underneath.
     """
 
-    def __init__(
-        self, clock: RuntimeClock | None = None, delay: DelayModel | None = None
-    ) -> None:
-        self.clock = clock if clock is not None else RuntimeClock()
+    def __init__(self, delay: DelayModel | None = None) -> None:
         self.delay = delay
+        #: virtual time: the largest instant any task advanced to so far,
+        #: which is exactly what the delay models need as a send-time base
+        self.now: float = 0.0
         self._nodes: dict[int, StreamMonitorNode] = {}
         self._channel_queues: dict[tuple[int, int], asyncio.Queue] = {}
         self._channel_clock: dict[tuple[int, int], float] = {}
@@ -125,7 +95,7 @@ class StreamTransport:
         if target not in self._nodes and not self._addressed(target):
             raise ValueError(f"no monitor node registered for process {target}")
         self.messages_sent += 1
-        now = self.clock.now
+        now = self.now
         if self.delay is not None:
             due = self.delay.delivery_time(now, sender, target)
         else:
@@ -146,6 +116,16 @@ class StreamTransport:
     def pending(self) -> int:
         """Number of sent-but-not-fully-processed messages."""
         return self.in_flight
+
+    async def advance_to(self, instant: float) -> None:
+        """Advance :attr:`now` to *instant* after one yield to the other tasks.
+
+        The replay runs as fast as the event loop allows, so nothing sleeps
+        for real, but the yield lets pumps and nodes interleave with the
+        feed; concurrent callers leave ``now`` at the largest instant.
+        """
+        await asyncio.sleep(0)
+        self.now = max(self.now, instant)
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -185,7 +165,7 @@ class StreamTransport:
         """
         while True:
             due, target, message = await queue.get()
-            await self.clock.sleep_until(due)
+            await self.advance_to(due)
             try:
                 await self._forward(channel, due, target, message)
             except Exception as error:  # noqa: BLE001 - re-raised by wait_quiescent
@@ -281,11 +261,10 @@ class TcpStreamTransport(StreamTransport):
 
     def __init__(
         self,
-        clock: RuntimeClock | None = None,
         delay: DelayModel | None = None,
         endpoints: Mapping[int, Endpoint] | None = None,
     ) -> None:
-        super().__init__(clock=clock, delay=delay)
+        super().__init__(delay=delay)
         #: where every monitor listens; hosted entries get their bound port
         self.endpoints: dict[int, Endpoint] = dict(endpoints or {})
         self._servers: dict[int, asyncio.AbstractServer] = {}

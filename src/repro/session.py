@@ -10,15 +10,17 @@ here, once:
   :func:`monitor_factory` and :func:`repro.faults.wrap_monitors`), produces
   the merged event/termination :meth:`~MonitorSession.schedule`, and folds
   the counters of a finished run into a :class:`RunReport`.
-* :class:`RunReport` is the single report type: the loopback driver, the
-  discrete-event simulator, the asyncio runtime, the cluster coordinator and
-  (through ``TenantResult.from_report``) the fleet all return it.
+* :class:`RunReport` is the single report type: the discrete-event
+  simulator, the asyncio runtime, the cluster coordinator and (through
+  ``TenantResult.from_report``) the fleet all return it.
 
 A backend is then only its *driver*: it owns the transport it hands to the
 session, registers the endpoints, calls ``start()`` on each, feeds the
 schedule against its own notion of time and waits for quiescence.  There are
-four: :func:`run_decentralized` below (in memory, untimed), ``repro.sim``,
-``repro.runtime`` and the ``repro.cluster`` worker.  The module sits above
+three: ``repro.sim`` (in process; over a zero-latency
+``ReliableNetwork(latency=0.0, jitter=0.0)`` it is the untimed run),
+``repro.runtime`` (whose ``drive_session`` the fleet reuses) and the
+``repro.cluster`` worker.  The module sits above
 :mod:`repro.core` and :mod:`repro.faults` (the
 fault injector imports the monitor, so the session cannot live inside
 ``core``) and below every backend package.
@@ -30,11 +32,11 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .core.monitor import DecentralizedMonitor, MonitorMetrics
-from .core.transport import LoopbackNetwork, MonitorNode, Transport
+from .core.transport import MonitorNode, Transport
 from .distributed.computation import Computation
 from .distributed.events import Event
 from .faults import FaultPlan, apply_clock_skew, unwrap_monitor, wrap_monitors
-from .ltl.monitor import MonitorAutomaton, build_monitor
+from .ltl.monitor import MonitorAutomaton
 from .ltl.predicates import PropositionRegistry
 from .ltl.verdict import Verdict
 
@@ -45,7 +47,6 @@ __all__ = [
     "RunReport",
     "ScheduleItem",
     "monitor_factory",
-    "run_decentralized",
 ]
 
 #: gap between a process's last event and its termination signal
@@ -355,66 +356,3 @@ class MonitorSession:
             wire_bytes=net.wire_bytes_sent,
         )
 
-
-def run_decentralized(
-    computation: Computation,
-    property_or_automaton: MonitorAutomaton | str,
-    registry: PropositionRegistry,
-    deliver_after_each_event: bool = True,
-    max_views_per_state: int | None = None,
-) -> RunReport:
-    """Monitor a finished computation in memory, with no notion of time.
-
-    The loopback driver: one monitor per process over a
-    :class:`~repro.core.transport.LoopbackNetwork`, fed the computation's
-    events in timestamp order, then every termination signal.  This is the
-    API of the library examples and the correctness tests; the experiment
-    harness uses the discrete-event simulator of :mod:`repro.sim` instead,
-    which adds network latency and time-based metrics.
-
-    Parameters
-    ----------
-    computation:
-        The distributed execution to monitor (events already carry vector
-        clocks and timestamps).
-    property_or_automaton:
-        Either a ready-made :class:`MonitorAutomaton` or an LTL formula
-        string, which is compiled with the registry's propositions as the
-        alphabet.
-    registry:
-        The proposition registry binding atoms to processes.
-    deliver_after_each_event:
-        When ``True`` (default) monitoring messages are delivered eagerly
-        after every program event — the "fast network" regime.  When
-        ``False`` all program events are fed first and monitoring messages
-        are only exchanged afterwards, maximising monitor-side queuing.
-    max_views_per_state:
-        Forwarded to the :class:`MonitorSession`.
-    """
-    automaton = property_or_automaton
-    if isinstance(automaton, str):
-        automaton = build_monitor(automaton, atoms=registry.names)
-    network = LoopbackNetwork()
-    session = MonitorSession(
-        computation,
-        automaton,
-        registry,
-        network,
-        max_views_per_state=max_views_per_state,
-    )
-    for endpoint in session.endpoints:
-        network.register(endpoint.process, endpoint)
-    for endpoint in session.endpoints:
-        endpoint.start()
-    network.deliver_all()
-    for _, kind, process, event in session.schedule():
-        if kind == EVENT:
-            session.endpoints[process].local_event(event)
-            if deliver_after_each_event:
-                network.deliver_all()
-    network.deliver_all()
-    for endpoint in session.endpoints:
-        endpoint.local_termination()
-    # termination releases parked tokens, which may in turn send new messages
-    network.deliver_all()
-    return session.report()

@@ -76,16 +76,18 @@ class Simulator:
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
         """Run until the queue is empty (or simulated time passes *until*).
 
-        Returns the simulated time at which the run stopped.
+        At most *max_events* callbacks run; a run that still has work due
+        after that raises :class:`SimulationBudgetExceeded`.  Returns the
+        simulated time at which the run stopped.
         """
         executed = 0
         while self._queue:
             if until is not None and self._queue[0][0] > until:
                 break
-            self.step()
-            executed += 1
-            if executed > max_events:
+            if executed == max_events:
                 raise SimulationBudgetExceeded(
                     f"simulation exceeded the maximum event budget ({max_events})"
                 )
+            self.step()
+            executed += 1
         return self.now

@@ -15,9 +15,9 @@ between events, where
 
 :func:`generate_computation` reproduces this model and returns a finished
 :class:`repro.distributed.Computation` with realistic timestamps, ready to be
-replayed through the monitors (either with the loopback runner or the
-discrete-event simulator).  :func:`random_computation` generates smaller,
-fully random computations used by the property-based correctness tests.
+replayed through the monitors by any backend.  :func:`random_computation`
+generates smaller, fully random computations used by the property-based
+correctness tests.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ here:
    ``MonitorMetrics.token_hops_served`` incremented before the
    returning-home check).  The parent *consumes* the token; it serves no
    hop.
-2. **Runner counter consistency** — a loopback ``RunReport`` carries one
+2. **Runner counter consistency** — an untimed ``RunReport`` carries one
    counter set: the network-level total (``monitor_messages``) equals the
    per-monitor sum and decomposes exactly as token + termination
    messages.
@@ -21,17 +21,19 @@ here:
 from repro.core.centralized import CentralizedMonitor
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
-from repro.core.transport import LoopbackNetwork
 from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
-from repro.session import run_decentralized
-from repro.sim import random_computation
+from repro.scenarios import ReliableNetwork
+from repro.sim import SimulatedNetwork, Simulator, random_computation, simulate_monitored_run
+
+#: links that deliver at once: the untimed run
+INSTANT = ReliableNetwork(latency=0.0, jitter=0.0)
 
 
 def _monitor_pair():
     registry = case_study_registry(2)
     automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
-    network = LoopbackNetwork()
+    network = SimulatedNetwork(Simulator(), INSTANT.delay_model(0))
     initial_letters = [frozenset(), frozenset()]
     monitors = [
         DecentralizedMonitor(
@@ -92,7 +94,9 @@ class TestRunnerCounterConsistency:
         registry = case_study_registry(3)
         automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
         computation = random_computation(3, 12, seed=7)
-        result = run_decentralized(computation, automaton, registry, max_views_per_state=2)
+        result = simulate_monitored_run(
+            computation, automaton, registry, max_views_per_state=2, network=INSTANT
+        )
         assert result.monitor_messages == sum(m.metrics.messages_sent for m in result.monitors)
         assert result.monitor_messages == result.token_messages + result.termination_messages
         assert result.digest_messages == 0
@@ -104,8 +108,8 @@ class TestRunnerCounterConsistency:
         registry = case_study_registry(3)
         automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
         computation = random_computation(3, 10, seed=3)
-        result = run_decentralized(
-            computation, automaton, registry, max_views_per_state=2
+        result = simulate_monitored_run(
+            computation, automaton, registry, max_views_per_state=2, network=INSTANT
         )
         for metrics in (m.metrics for m in result.monitors):
             assert metrics.messages_sent == (

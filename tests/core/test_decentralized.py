@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DecentralizedMonitor, LatticeOracle, LoopbackNetwork
+from repro.core import DecentralizedMonitor, LatticeOracle
 from repro.distributed import (
     ComputationBuilder,
     running_example,
@@ -10,7 +10,16 @@ from repro.distributed import (
     token_ring_example,
 )
 from repro.ltl import Proposition, PropositionRegistry, Verdict, build_monitor
-from repro.session import RunReport, run_decentralized
+from repro.scenarios import ReliableNetwork
+from repro.session import RunReport
+from repro.sim import SimulatedNetwork, Simulator, simulate_monitored_run
+
+#: links that deliver at once: the untimed run
+INSTANT = ReliableNetwork(latency=0.0, jitter=0.0)
+
+
+def _untimed(computation, automaton, registry):
+    return simulate_monitored_run(computation, automaton, registry, network=INSTANT)
 
 
 @pytest.fixture(scope="module")
@@ -31,44 +40,39 @@ def psi(registry):
 class TestRunningExample:
     def test_verdict_set_matches_oracle(self, example, registry, psi):
         oracle = LatticeOracle(example, psi, registry).evaluate()
-        result = run_decentralized(example, psi, registry)
+        result = _untimed(example, psi, registry)
         assert result.declared_verdicts == oracle.conclusive_verdicts
         assert result.reported_verdicts == oracle.verdicts
 
     def test_violation_is_declared(self, example, registry, psi):
-        result = run_decentralized(example, psi, registry)
+        result = _untimed(example, psi, registry)
         assert Verdict.BOTTOM in result.declared_verdicts
 
     def test_network_quiesces(self, example, registry, psi):
-        result = run_decentralized(example, psi, registry)
+        result = _untimed(example, psi, registry)
         assert all(monitor.is_quiescent for monitor in result.monitors)
 
     def test_all_monitors_terminate_cleanly(self, example, registry, psi):
-        result = run_decentralized(example, psi, registry)
+        result = _untimed(example, psi, registry)
         for monitor in result.monitors:
             assert monitor.is_quiescent
             assert not monitor.waiting_tokens
 
     def test_messages_are_exchanged(self, example, registry, psi):
-        result = run_decentralized(example, psi, registry)
+        result = _untimed(example, psi, registry)
         assert result.monitor_messages > 0
         assert result.token_messages > 0
 
-    def test_property_accepts_formula_string(self, example, registry):
-        result = run_decentralized(
-            example, "G({x1>=5} -> ({x2>=15} U {x1=10}))", registry
-        )
-        assert Verdict.BOTTOM in result.declared_verdicts
-
     def test_returns_the_one_run_report(self, example, registry, psi):
-        report = run_decentralized(example, psi, registry)
+        report = _untimed(example, psi, registry)
         assert type(report) is RunReport
         assert {"verdicts", "messages", "global_views"} <= set(report.as_dict())
 
     def test_lazy_delivery_mode(self, example, registry, psi):
         oracle = LatticeOracle(example, psi, registry).evaluate()
-        result = run_decentralized(
-            example, psi, registry, deliver_after_each_event=False
+        # every message arrives after the program has ended
+        result = simulate_monitored_run(
+            example, psi, registry, network=ReliableNetwork(latency=1e6, jitter=0.0)
         )
         assert result.declared_verdicts == oracle.conclusive_verdicts
 
@@ -84,7 +88,7 @@ class TestRunningExample:
             "G({x1>=5} -> ({x2=15} U {x1=10}))", atoms=registry.names
         )
         oracle = LatticeOracle(example, automaton, registry).evaluate()
-        result = run_decentralized(example, automaton, registry)
+        result = _untimed(example, automaton, registry)
         assert result.declared_verdicts == oracle.conclusive_verdicts
         assert result.reported_verdicts >= oracle.verdicts
 
@@ -97,7 +101,7 @@ class TestSingleProcess:
         computation = builder.build()
         registry = PropositionRegistry([Proposition.variable("p", 0, "p")])
         automaton = build_monitor("F p", atoms=registry.names)
-        result = run_decentralized(computation, automaton, registry)
+        result = _untimed(computation, automaton, registry)
         assert result.monitor_messages == 0
         assert result.declared_verdicts == frozenset({Verdict.TOP})
 
@@ -113,7 +117,7 @@ class TestMutualExclusion:
             atoms=registry.names,
         )
         oracle = LatticeOracle(computation, automaton, registry).evaluate()
-        result = run_decentralized(computation, automaton, registry)
+        result = _untimed(computation, automaton, registry)
         assert Verdict.BOTTOM not in oracle.verdicts
         assert Verdict.BOTTOM not in result.declared_verdicts
         assert result.declared_verdicts == oracle.conclusive_verdicts
@@ -131,7 +135,7 @@ class TestMutualExclusion:
         )
         automaton = build_monitor("G(!(P0.cs & P1.cs))", atoms=registry.names)
         oracle = LatticeOracle(computation, automaton, registry).evaluate()
-        result = run_decentralized(computation, automaton, registry)
+        result = _untimed(computation, automaton, registry)
         # the violation only exists on some interleavings: both the oracle and
         # the decentralized monitors must see it, while ? paths also remain
         assert Verdict.BOTTOM in oracle.verdicts
@@ -141,7 +145,7 @@ class TestMutualExclusion:
 
 class TestMonitorInternals:
     def test_monitor_rejects_foreign_events(self, example, registry, psi):
-        network = LoopbackNetwork()
+        network = SimulatedNetwork(Simulator(), INSTANT.delay_model(0))
         initial = [registry.local_letter(i, example.initial_states[i]) for i in range(2)]
         monitors = [
             DecentralizedMonitor(i, 2, psi, registry, initial, network) for i in range(2)
@@ -152,14 +156,21 @@ class TestMonitorInternals:
             monitors[0].local_event(example.event(1, 1))
 
     def test_unexpected_message_type_rejected(self, example, registry, psi):
-        network = LoopbackNetwork()
+        network = SimulatedNetwork(Simulator(), INSTANT.delay_model(0))
         initial = [registry.local_letter(i, example.initial_states[i]) for i in range(2)]
         monitor = DecentralizedMonitor(0, 2, psi, registry, initial, network)
         with pytest.raises(TypeError):
             monitor.receive_message("bogus")
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_a_view_budget_below_one_is_rejected(self, example, registry, psi, budget):
+        with pytest.raises(ValueError, match="at least 1"):
+            simulate_monitored_run(
+                example, psi, registry, network=INSTANT, max_views_per_state=budget
+            )
+
     def test_metrics_accumulate(self, example, registry, psi):
-        result = run_decentralized(example, psi, registry)
+        result = _untimed(example, psi, registry)
         for monitor in result.monitors:
             metrics = monitor.metrics
             assert metrics.events_processed == 4
@@ -169,7 +180,7 @@ class TestMonitorInternals:
             )
 
     def test_views_are_merged_not_duplicated(self, example, registry, psi):
-        result = run_decentralized(example, psi, registry)
+        result = _untimed(example, psi, registry)
         for monitor in result.monitors:
             signatures = [tuple(v.signature()) for v in monitor.views]
             assert len(signatures) == len(set(signatures))
@@ -177,6 +188,6 @@ class TestMonitorInternals:
     def test_final_views_bounded_by_automaton_states(self, example, registry, psi):
         """After merging, the number of live views per monitor is bounded by
         the number of automaton states (Section 4.4)."""
-        result = run_decentralized(example, psi, registry)
+        result = _untimed(example, psi, registry)
         for monitor in result.monitors:
             assert len(monitor.views) <= psi.num_states

@@ -18,7 +18,6 @@ from repro.scenarios import (
     get_scenario,
     scenario_names,
 )
-from repro.session import run_decentralized
 from repro.sim import SimulatedNetwork, Simulator, random_computation, simulate_monitored_run
 
 
@@ -271,17 +270,19 @@ class TestScenarioBindings:
         self, name, seed
     ):
         # both conditions deliver every message eventually, so conclusive
-        # verdicts must match the loopback runner on either backend
+        # verdicts must match the untimed run on either backend
         scenario = get_scenario(name)
         registry = case_study_registry(3)
         automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
         computation = random_computation(3, 12, seed=seed)
-        loopback = run_decentralized(computation, automaton, registry)
+        untimed = simulate_monitored_run(
+            computation, automaton, registry, network=ReliableNetwork(latency=0.0, jitter=0.0)
+        )
         simulated = simulate_monitored_run(
             computation, automaton, registry, seed=seed, network=scenario.network
         )
         streamed = run_streaming(
             computation, automaton, registry, delay=scenario.network.delay_model(seed)
         )
-        assert simulated.declared_verdicts == loopback.declared_verdicts
-        assert streamed.declared_verdicts == loopback.declared_verdicts
+        assert simulated.declared_verdicts == untimed.declared_verdicts
+        assert streamed.declared_verdicts == untimed.declared_verdicts

@@ -110,12 +110,12 @@ def _ended_sender_scenario():
     system.monitors[2].local_event(
         Event(2, 2, EventKind.SEND, VectorClock([0, 0, 2]), {"p": False}, peer=1)
     )
-    system.network.deliver_all()
+    system.simulator.run()
     system.terminate(2)
     assert token in p1.waiting_tokens  # P2's event 1 is all the entry needs of P2
     route = system.route(token)
     p1.local_event(Event(1, 1, EventKind.RECEIVE, VectorClock([0, 1, 2]), {"p": False}, peer=2))
-    system.network.deliver_all()
+    system.simulator.run()
     return system, token, route
 
 

@@ -28,6 +28,7 @@ from test_token_hot_paths import (
     _closed_automaton,
     _formula_automaton,
     _monitor,
+    _network,
     _random_automaton,
     _setting,
 )
@@ -35,7 +36,6 @@ from test_token_hot_paths import (
 from repro.core.global_view import GlobalView
 from repro.core.messages import TerminationNotice, Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor, _states_of
-from repro.core.transport import LoopbackNetwork
 from repro.distributed.computation import ComputationBuilder
 from repro.distributed.lattice import ComputationLattice
 from repro.ltl import PropositionRegistry, Verdict
@@ -276,7 +276,7 @@ def _explorer(computation, registry, automaton, process, budget):
     monitor = DecentralizedMonitor(
         process=process, num_processes=n, automaton=automaton, registry=registry,
         initial_letters=[registry.local_letter(j, computation.initial_states[j]) for j in range(n)],
-        transport=LoopbackNetwork(), max_views_per_state=budget,
+        transport=_network(), max_views_per_state=budget,
     )
     for j in range(n):
         monitor.transport.register(j, monitor)  # termination notices go nowhere

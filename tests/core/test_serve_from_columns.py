@@ -39,16 +39,14 @@ from test_token_hot_paths import _monitor as _fed_monitor
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
-from repro.core.transport import LoopbackNetwork
 from repro.distributed.clocks import VectorClock
 from repro.distributed.events import Event, EventKind
 from repro.experiments.engine import cell_inputs
 from repro.experiments.properties import case_study_registry
 from repro.faults import ClockSkewSpec, FaultPlan
 from repro.ltl import Verdict, build_monitor
-from repro.scenarios import get_scenario
-from repro.session import run_decentralized
-from repro.sim import simulate_monitored_run
+from repro.scenarios import ReliableNetwork, get_scenario
+from repro.sim import SimulatedNetwork, Simulator, simulate_monitored_run
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
@@ -245,10 +243,12 @@ def _assert_same_search_fewer_tokens(held, travelled):
 def test_an_answer_from_the_columns_is_what_the_token_would_have_brought(cell, monkeypatch):
     inputs = build_cell_inputs(*cell)
     _assert_same_verdicts_no_more_messages(*_held_and_travelled(inputs, cell[2], monkeypatch))
-    runner = run_decentralized(*inputs)
+    instant = ReliableNetwork(latency=0.0, jitter=0.0)
+    runner = simulate_monitored_run(*inputs, network=instant)
     with monkeypatch.context() as patch:
         _own_column_only(patch)
-        assert runner.declared_verdicts == run_decentralized(*inputs).declared_verdicts
+        travelled = simulate_monitored_run(*inputs, network=instant)
+        assert runner.declared_verdicts == travelled.declared_verdicts
     if cell[0] in "BE":  # every entry returns true: nothing else may move
         _never_settle(monkeypatch)
         _assert_same_search_fewer_tokens(*_held_and_travelled(inputs, cell[2], monkeypatch))
@@ -280,11 +280,11 @@ def test_sim_workload_cells_declare_the_same_either_way(
 # ---------------------------------------------------------------------------
 # hand-driven monitors
 # ---------------------------------------------------------------------------
-class _Outbox(LoopbackNetwork):
-    """A loopback network that keeps what was sent (nothing is pumped)."""
+class _Outbox(SimulatedNetwork):
+    """Links that deliver at once and keep what was sent (nothing runs them)."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__(Simulator(), ReliableNetwork(latency=0.0, jitter=0.0).delay_model(0))
         self.tokens = []
 
     def send(self, sender, target, message):

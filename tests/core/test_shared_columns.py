@@ -17,11 +17,11 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from test_token_hot_paths import _network
 
 from repro.core.global_view import ViewStatus
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
-from repro.core.transport import LoopbackNetwork
 from repro.experiments.properties import case_study_registry
 from repro.faults import parse_fault_plan
 from repro.ltl import build_monitor
@@ -54,7 +54,7 @@ def _monitor():
         automaton=AUTOMATON,
         registry=REGISTRY,
         initial_letters=[frozenset()] * N,
-        transport=LoopbackNetwork(),
+        transport=_network(),
     )
 
 

@@ -17,8 +17,8 @@ import pytest
 
 from repro.core import LatticeOracle
 from repro.ltl import PropositionRegistry, Verdict, build_monitor
-from repro.session import run_decentralized
-from repro.sim import random_computation
+from repro.scenarios import ReliableNetwork
+from repro.sim import random_computation, simulate_monitored_run
 
 PROPERTIES_2P = [
     "G(P0.p U P1.p)",
@@ -41,7 +41,9 @@ PROPERTIES_3P = [
 def _check(computation, registry, formula):
     automaton = build_monitor(formula, atoms=registry.names)
     oracle = LatticeOracle(computation, automaton, registry).evaluate()
-    result = run_decentralized(computation, automaton, registry)
+    result = simulate_monitored_run(
+        computation, automaton, registry, network=ReliableNetwork(latency=0.0, jitter=0.0)
+    )
 
     # soundness of conclusive verdicts
     assert result.declared_verdicts <= oracle.conclusive_verdicts, (

@@ -48,6 +48,7 @@ from test_token_hot_paths import (
     _closed_automaton,
     _formula_automaton,
     _monitor,
+    _network,
     _random_automaton,
     _setting,
 )
@@ -55,7 +56,6 @@ from test_token_hot_paths import (
 from repro.core.global_view import GlobalView
 from repro.core.messages import TokenEntry
 from repro.core.monitor import DecentralizedMonitor, _states_of
-from repro.core.transport import LoopbackNetwork
 from repro.distributed.clocks import VectorClock
 from repro.distributed.computation import ComputationBuilder
 from repro.distributed.events import Event, EventKind
@@ -277,7 +277,7 @@ def test_testing_masks_against_the_table_issues_what_testing_letters_did(
     monitor = DecentralizedMonitor(
         process=process, num_processes=n, automaton=automaton, registry=registry,
         initial_letters=[registry.local_letter(j, {}) for j in range(n)],
-        transport=LoopbackNetwork(),
+        transport=_network(),
     )
     monitor._started = True
     columns = []
@@ -330,7 +330,7 @@ def test_an_entry_is_served_by_the_bits_it_carries():
     monitor = DecentralizedMonitor(
         process=0, num_processes=2, registry=registry,
         automaton=build_monitor("F(P0.p & P1.p)", atoms=registry.names),
-        initial_letters=[frozenset({"P0.p"}), frozenset()], transport=LoopbackNetwork(),
+        initial_letters=[frozenset({"P0.p"}), frozenset()], transport=_network(),
     )
     monitor._started = True
     (view,) = monitor.views
@@ -376,7 +376,7 @@ def test_monitors_of_one_property_share_its_guard_rows_and_another_binding_does_
     automaton = monitors[0].automaton
     moved = DecentralizedMonitor(
         process=0, num_processes=3, automaton=automaton, registry=swapped,
-        initial_letters=[frozenset()] * 3, transport=LoopbackNetwork(),
+        initial_letters=[frozenset()] * 3, transport=_network(),
     )
     assert _shared_bits(moved) == [bits[-1:] + bits[:-1] for bits in shared]
     assert not any(map(is_, _shared_bits(moved), shared))

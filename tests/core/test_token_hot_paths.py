@@ -22,7 +22,6 @@ from hypothesis import assume, given, settings
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor, _states_of
-from repro.core.transport import LoopbackNetwork
 from repro.distributed.computation import ComputationBuilder
 from repro.distributed.lattice import ComputationLattice
 from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor
@@ -30,6 +29,8 @@ from repro.ltl import PropositionRegistry, Verdict
 from repro.ltl.dfa import MooreMachine
 from repro.ltl.monitor import MonitorAutomaton, build_monitor
 from repro.ltl.semantics import all_assignments
+from repro.scenarios import ReliableNetwork
+from repro.sim import SimulatedNetwork, Simulator
 
 
 def _monitor_shaped(atoms, letters, delta):
@@ -149,6 +150,11 @@ def _bits_of(automaton, conjuncts):
     return tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
 
 
+def _network():
+    """Links that deliver at once; what is sent waits until the simulator runs."""
+    return SimulatedNetwork(Simulator(), ReliableNetwork(latency=0.0, jitter=0.0).delay_model(0))
+
+
 def _monitor(process, computation, registry, automaton, feed=0):
     """A monitor of *process* that has read its first *feed* local events."""
     n = computation.num_processes
@@ -160,7 +166,7 @@ def _monitor(process, computation, registry, automaton, feed=0):
         initial_letters=[
             registry.local_letter(j, computation.initial_states[j]) for j in range(n)
         ],
-        transport=LoopbackNetwork(),
+        transport=_network(),
     )
     monitor._started = True  # feed history only: explore nothing, send nothing
     monitor.views.clear()

@@ -22,16 +22,14 @@ from repro.api import run_streaming
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token
 from repro.core.monitor import DecentralizedMonitor
-from repro.core.transport import LoopbackNetwork
 from repro.distributed.clocks import VectorClock
 from repro.distributed.events import Event, EventKind
 from repro.experiments.engine import cell_inputs
 from repro.experiments.properties import case_study_monitor, case_study_registry
 from repro.fuzz.engine import CLASS_SOUND, execute_point, generate_point
 from repro.ltl import Verdict, build_monitor
-from repro.scenarios import get_scenario
-from repro.session import run_decentralized
-from repro.sim import simulate_monitored_run
+from repro.scenarios import ReliableNetwork, get_scenario
+from repro.sim import SimulatedNetwork, Simulator, simulate_monitored_run
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -51,11 +49,15 @@ from test_backend_equivalence import (  # noqa: E402
 N = 3
 
 
-class _RecordingNetwork(LoopbackNetwork):
-    """A loopback network that remembers which way every token went."""
+#: links that deliver at once: the untimed run
+INSTANT = ReliableNetwork(latency=0.0, jitter=0.0)
+
+
+class _RecordingNetwork(SimulatedNetwork):
+    """Links that deliver at once and remember which way every token went."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__(Simulator(), INSTANT.delay_model(0))
         self.routes = []
 
     def send(self, sender, target, message):
@@ -65,11 +67,12 @@ class _RecordingNetwork(LoopbackNetwork):
 
 
 class _System:
-    """Three monitors of ``F(P0.p & P1.p & P2.p)`` on a loopback network."""
+    """Three monitors of ``F(P0.p & P1.p & P2.p)`` on links that deliver at once."""
 
     def __init__(self, max_views_per_state=None):
         registry = case_study_registry(N)
         self.network = _RecordingNetwork()
+        self.simulator = self.network.simulator
         self.monitors = [
             DecentralizedMonitor(
                 process=process,
@@ -89,18 +92,18 @@ class _System:
             monitor.start()
 
     def event(self, process, p):
-        """One internal event of *process* setting its ``p``; pump the network."""
+        """One internal event of *process* setting its ``p``; run the network."""
         self.sn[process] += 1
         clock = [0] * N
         clock[process] = self.sn[process]
         self.monitors[process].local_event(
             Event(process, self.sn[process], EventKind.INTERNAL, VectorClock(clock), {"p": p})
         )
-        self.network.deliver_all()
+        self.simulator.run()
 
     def terminate(self, process):
         self.monitors[process].local_termination()
-        self.network.deliver_all()
+        self.simulator.run()
 
     def blocked_at_p1(self):
         """P0 raises ``p``; its token visits P1, which has nothing to offer."""
@@ -194,7 +197,7 @@ def test_an_orphan_passing_through_home_undecided_is_swallowed():
     token = system.blocked_at_p1()
     # P0 sends to P1 (its event 2, which P1 does not hold) ...
     home.local_event(Event(0, 2, EventKind.SEND, VectorClock([2, 0, 0]), {"p": True}, peer=1))
-    system.network.deliver_all()
+    system.simulator.run()
     _evict_the_waiting_view(home)
     merged = home.metrics.views_merged
     # ... and P1 raises p on receiving it: the token now needs P0's event 2
@@ -202,7 +205,7 @@ def test_an_orphan_passing_through_home_undecided_is_swallowed():
     system.monitors[1].local_event(
         Event(1, 1, EventKind.RECEIVE, VectorClock([2, 1, 0]), {"p": True}, peer=0)
     )
-    system.network.deliver_all()
+    system.simulator.run()
     assert system.route(token) == [(0, 1), (1, 0)]  # not re-sent
     assert not token.all_decided()
     assert home.waiting_tokens == []  # not parked either
@@ -305,7 +308,8 @@ _PARENT_DECLARED = {"B": {Verdict.TOP}, "C": set(), "E": {Verdict.TOP}}
 def test_fixture_cells_declare_what_the_parent_commit_declared(cell):
     computation, automaton, registry = build_cell_inputs(*cell)
     expected = _PARENT_DECLARED[cell[0]]
-    assert run_decentralized(computation, automaton, registry).declared_verdicts == expected
+    untimed = simulate_monitored_run(computation, automaton, registry, network=INSTANT)
+    assert untimed.declared_verdicts == expected
     simulated = simulate_monitored_run(
         computation, automaton, registry, seed=cell[2], max_views_per_state=2,
         network=get_scenario("paper-default").network,

@@ -65,6 +65,14 @@ class TestFlagErrorMatrix:
         assert result.returncode == 2
         assert "invalid choice: 'quantum'" in result.stderr
 
+    def test_negative_view_budget_rejected(self):
+        result = _run_cli(
+            "run", "--view-budget", "-1", "--processes", "2", "--events", "3",
+            "--replications", "1",
+        )
+        assert result.returncode == 1
+        assert "error: --view-budget must be 0 (no bound) or positive (got -1)" in result.stderr
+
     def test_malformed_fault_plan_rejected(self):
         result = _run_cli("run", "--fault-plan", "not-a-plan")
         assert result.returncode == 1

@@ -22,7 +22,7 @@ from repro.fleet import (
     synthetic_fleet,
 )
 from repro.runtime.runner import drive_session
-from repro.runtime.transport import InMemoryStreamTransport, RuntimeClock
+from repro.runtime.transport import InMemoryStreamTransport
 from repro.session import MonitorSession
 
 SATURATING = {"inbox_limit": 1, "events_per_process": 4}
@@ -40,7 +40,7 @@ def _session_with_one_full_reading(backpressure, full_at):
     async def main():
         (spec,) = synthetic_fleet(1, num_processes=3, events_per_process=4)
         computation, automaton, registry = await engine._load_inputs(spec)
-        net = InMemoryStreamTransport(clock=RuntimeClock())
+        net = InMemoryStreamTransport()
         session = MonitorSession(computation, automaton, registry, net, max_views_per_state=2)
         gate = engine._InboxGate(net, 10**9, backpressure)
         readings = itertools.count()

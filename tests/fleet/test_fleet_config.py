@@ -33,7 +33,6 @@ class TestTenantSpecValidation:
             ({"property_name": "Z"}, "unknown case-study property"),
             ({"num_processes": 1}, "at least two processes"),
             ({"events_per_process": 0}, "must be positive"),
-            ({"time_scale": -1.0}, "non-negative"),
         ],
     )
     def test_rejects_malformed_parameters(self, kwargs, match):

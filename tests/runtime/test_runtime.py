@@ -8,13 +8,19 @@ from repro.core import DecentralizedMonitor, MonitorNode
 from repro.core.messages import TerminationNotice
 from repro.experiments.properties import case_study_registry
 from repro.ltl import build_monitor
-from repro.runtime import InMemoryStreamTransport, RuntimeClock, TcpStreamTransport
+from repro.runtime import InMemoryStreamTransport, TcpStreamTransport
 from repro.runtime.runner import run_streaming
 from repro.scenarios import BurstyNetwork, LossyNetwork, PartitionNetwork, ReliableNetwork
-from repro.session import run_decentralized
 from repro.sim import random_computation, simulate_monitored_run
 
 FORMULAS = ["F(P0.p & P1.p)", "G(P0.p U P1.q)", "G(!(P0.p & P1.q))"]
+
+
+def _untimed(computation, automaton, registry):
+    """The simulator over links that deliver at once."""
+    return simulate_monitored_run(
+        computation, automaton, registry, network=ReliableNetwork(latency=0.0, jitter=0.0)
+    )
 
 
 def _case(num_processes=3, events=10, seed=42, formula=FORMULAS[0]):
@@ -450,17 +456,13 @@ class TestTcpMidFrameDisconnect:
         assert [message for _, message in received] == [TerminationNotice(1, 3)]
 
 
-class TestRuntimeClock:
-    def test_negative_time_scale_rejected(self):
-        with pytest.raises(ValueError):
-            RuntimeClock(time_scale=-1.0)
-
+class TestTransportTime:
     def test_now_is_monotone_high_water_mark(self):
         async def main():
-            clock = RuntimeClock()
-            await clock.sleep_until(5.0)
-            await clock.sleep_until(2.0)
-            return clock.now
+            transport = InMemoryStreamTransport()
+            await transport.advance_to(5.0)
+            await transport.advance_to(2.0)
+            return transport.now
 
         assert asyncio.run(main()) == 5.0
 
@@ -488,9 +490,9 @@ class TestStreamingRuns:
 
     @pytest.mark.parametrize("formula", FORMULAS)
     @pytest.mark.parametrize("seed", [1, 17, 2015])
-    def test_memory_verdicts_match_loopback_and_simulator(self, formula, seed):
+    def test_memory_verdicts_match_the_simulator(self, formula, seed):
         computation, automaton, registry = _case(seed=seed, formula=formula)
-        loopback = run_decentralized(computation, automaton, registry)
+        untimed = _untimed(computation, automaton, registry)
         simulated = simulate_monitored_run(
             computation, automaton, registry, seed=seed
         )
@@ -500,7 +502,7 @@ class TestStreamingRuns:
             registry,
             delay=ReliableNetwork().delay_model(seed),
         )
-        assert streamed.declared_verdicts == loopback.declared_verdicts
+        assert streamed.declared_verdicts == untimed.declared_verdicts
         assert streamed.declared_verdicts == simulated.declared_verdicts
 
     @pytest.mark.parametrize(
@@ -516,9 +518,9 @@ class TestStreamingRuns:
     )
     def test_all_delay_models_preserve_verdicts(self, delay):
         computation, automaton, registry = _case(seed=11)
-        loopback = run_decentralized(computation, automaton, registry)
+        untimed = _untimed(computation, automaton, registry)
         streamed = run_streaming(computation, automaton, registry, delay=delay)
-        assert streamed.declared_verdicts == loopback.declared_verdicts
+        assert streamed.declared_verdicts == untimed.declared_verdicts
 
     def test_tcp_run_matches_memory_run_verdicts(self):
         computation, automaton, registry = _case(seed=23)
@@ -552,14 +554,3 @@ class TestStreamingRuns:
         assert "retransmissions" in report.network_stats
         assert report.wall_seconds > 0
         assert report.monitor_end_time >= report.program_end_time
-
-    def test_time_scale_paces_wall_clock(self):
-        computation, automaton, registry = _case(num_processes=2, events=3, seed=4)
-        fast = run_streaming(computation, automaton, registry)
-        program_span = fast.program_end_time
-        paced = run_streaming(
-            computation, automaton, registry, time_scale=0.01
-        )
-        # pacing at 10ms per virtual second must take at least the span
-        assert paced.wall_seconds >= min(0.2, program_span * 0.01 * 0.5)
-        assert paced.declared_verdicts == fast.declared_verdicts

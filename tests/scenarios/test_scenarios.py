@@ -29,7 +29,6 @@ from repro.scenarios import (
     register_scenario,
     scenario_names,
 )
-from repro.session import run_decentralized
 from repro.sim import (
     SimulatedNetwork,
     Simulator,
@@ -197,11 +196,11 @@ class TestNetworkModels:
         num_processes=st.integers(min_value=2, max_value=3),
         formula_index=st.integers(min_value=0, max_value=2),
     )
-    def test_reliable_delivery_models_match_loopback_verdicts(
+    def test_reliable_delivery_models_match_untimed_verdicts(
         self, seed, num_processes, formula_index
     ):
         """Every network model delivers reliably, so conclusive verdicts must
-        equal the loopback runner's regardless of timing behaviour."""
+        equal the untimed run's (zero-latency links) regardless of timing."""
         formulas = [
             "F(P0.p & P1.p)",
             "G(P0.p U P1.q)",
@@ -210,12 +209,14 @@ class TestNetworkModels:
         registry = case_study_registry(num_processes)
         automaton = build_monitor(formulas[formula_index], atoms=registry.names)
         computation = random_computation(num_processes, 10, seed=seed)
-        loopback = run_decentralized(computation, automaton, registry)
+        untimed = simulate_monitored_run(
+            computation, automaton, registry, network=ReliableNetwork(latency=0.0, jitter=0.0)
+        )
         for model in ALL_NETWORK_MODELS:
             report = simulate_monitored_run(
                 computation, automaton, registry, seed=seed, network=model
             )
-            assert report.declared_verdicts == loopback.declared_verdicts, (
+            assert report.declared_verdicts == untimed.declared_verdicts, (
                 f"verdicts diverged under {model!r} for seed {seed}"
             )
 

@@ -7,11 +7,12 @@
 * a sim run and an asyncio run of the same cell return the same
   :class:`RunReport` on everything a schedule cannot change, and differ only
   in the documented backend fields;
-* the loopback driver returns that same report class, and fills it with what
-  the round-robin fixture's runner half pins;
+* the simulator over zero-latency links (the untimed run) fills that report
+  with what the round-robin fixture's runner half pins;
 * structurally, ``src/repro`` has one monitor constructor call, one clock
   skew call, one termination epsilon, one class with the report's derived
-  properties, no kernel knob, no second in-memory runner and no numpy.
+  properties, no kernel knob, no second in-memory runner, sessions built
+  only by the three drivers and the fleet, and no numpy.
 """
 
 import ast
@@ -31,8 +32,8 @@ from repro.core.monitor import MonitorMetrics
 from repro.distributed.computation import ComputationBuilder
 from repro.ltl import build_monitor
 from repro.ltl.predicates import PropositionRegistry
-from repro.scenarios import get_scenario
-from repro.session import EVENT, MonitorSession, RunReport, run_decentralized
+from repro.scenarios import ReliableNetwork, get_scenario
+from repro.session import EVENT, MonitorSession, RunReport
 from repro.sim import Simulator, simulate_monitored_run
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -244,29 +245,20 @@ class TestOneReport:
         assert first == second
 
 
-class TestLoopbackDriver:
-    """``run_decentralized`` is the fourth driver over the one session."""
-
-    def test_loopback_and_sim_return_the_same_class(self):
-        computation, automaton, registry = build_cell_inputs(_spec())
-        loopback = run_decentralized(computation, automaton, registry)
-        simulated = simulate_monitored_run(computation, automaton, registry, seed=1)
-        assert type(loopback) is type(simulated) is RunReport
-        # what a transport with no clock and no wire leaves neutral
-        assert loopback.monitor_end_time == loopback.program_end_time
-        assert loopback.transport == "" and loopback.wall_seconds == 0.0
-        assert loopback.wire_bytes == 0 and loopback.network_stats == {}
-        assert loopback.fault_stats == {} and loopback.total_events == computation.num_events
+class TestUntimedRun:
+    """The simulator over zero-latency links is the untimed in-process run."""
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-n{c[1]}-s{c[2]}")
-    def test_loopback_report_fills_the_fixtures_runner_half(self, cell):
+    def test_zero_latency_report_fills_the_fixtures_runner_half(self, cell):
         document = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
         pinned = next(
             entry["runner"]
             for entry in document["cells"]
             if (entry["property"], entry["num_processes"], entry["seed"]) == cell
         )
-        report = run_decentralized(*fixture_cell_inputs(*cell))
+        report = simulate_monitored_run(
+            *fixture_cell_inputs(*cell), network=ReliableNetwork(latency=0.0, jitter=0.0)
+        )
         summary = pinned["summary"]
         assert report.monitor_messages == summary["messages"] == pinned["network_messages"]
         assert report.token_messages == summary["token_messages"]
@@ -362,6 +354,14 @@ class TestOneOfEach:
         assert not (SRC / "core" / "runner.py").exists()
         for path in sorted(SRC.rglob("*.py")):
             assert "DecentralizedResult" not in path.read_text(encoding="utf-8"), path
+
+    def test_sessions_are_built_by_the_three_drivers_and_the_fleet(self):
+        assert set(_calls("MonitorSession")) == {
+            ("sim/runner.py", "simulate_monitored_run"),
+            ("runtime/runner.py", "stream_monitored_run"),
+            ("cluster/worker.py", "run_worker"),
+            ("fleet/engine.py", "_tenant_session"),
+        }
 
     def test_importing_the_program_does_not_import_numpy(self):
         done = subprocess.run(

@@ -8,9 +8,9 @@ from repro.distributed.events import EventKind
 from repro.experiments import case_study_monitor, case_study_registry
 from repro.ltl import Verdict
 from repro.scenarios import ReliableNetwork
-from repro.session import run_decentralized
 from repro.sim import (
     SimulatedNetwork,
+    SimulationBudgetExceeded,
     Simulator,
     WorkloadConfig,
     generate_computation,
@@ -102,6 +102,24 @@ class TestSimulator:
         simulator.run(until=2.0)
         assert hits == [1.0, 2.0]
         assert simulator.pending == 1
+
+    @pytest.mark.parametrize(("callbacks", "budget"), [(3, 2), (2, 1)])
+    def test_a_budget_of_k_runs_at_most_k_callbacks(self, callbacks, budget):
+        simulator = Simulator()
+        hits = []
+        for t in range(callbacks):
+            simulator.schedule_at(float(t), lambda t=t: hits.append(t))
+        with pytest.raises(SimulationBudgetExceeded):
+            simulator.run(max_events=budget)
+        assert len(hits) == budget and simulator.pending == callbacks - budget
+
+    def test_a_budget_spent_by_the_last_due_callback_does_not_raise(self):
+        simulator = Simulator()
+        for t in (0.0, 1.0, 2.0):
+            simulator.schedule_at(t, lambda: None)
+        simulator.run(until=1.0, max_events=2)  # the third is not due yet
+        simulator.run(max_events=1)
+        assert simulator.pending == 0 and simulator.events_executed == 3
 
     def test_callbacks_counted(self):
         simulator = Simulator()
@@ -234,10 +252,12 @@ class TestSimulatedMonitoredRun:
         assert rep.monitor_end_time >= rep.program_end_time
         assert rep.total_global_views >= 3
 
-    def test_verdicts_match_loopback_runner(self, report):
+    def test_verdicts_match_the_untimed_run(self, report):
         rep, computation, registry, automaton = report
-        loopback = run_decentralized(computation, automaton, registry)
-        assert rep.declared_verdicts == loopback.declared_verdicts
+        untimed = simulate_monitored_run(
+            computation, automaton, registry, network=ReliableNetwork(latency=0.0, jitter=0.0)
+        )
+        assert rep.declared_verdicts == untimed.declared_verdicts
 
     def test_verdicts_sound_wrt_oracle(self, report):
         rep, computation, registry, automaton = report

@@ -1,26 +1,21 @@
 """Capture round-robin-token byte-identity fixtures.
 
 Records the complete observable output of fixed-seed decentralized runs —
-verdicts, per-monitor counters and network-level totals, from both the
-loopback driver (``run_decentralized``) and the discrete-event simulator
-(``simulate_monitored_run``), two drivers over one ``MonitorSession`` — as a JSON document under
-``tests/coordination/fixtures/``.
+verdicts, per-monitor counters and network-level totals — as a JSON
+document under ``tests/coordination/fixtures/``.  Each cell is run twice on
+the discrete-event simulator (``simulate_monitored_run``): the ``runner``
+half over links that deliver at once with unbounded views, the ``sim`` half
+over the paper-default network with two views per state.
 
 The document was first generated on the pre-refactor ``DecentralizedMonitor``
-(before the coordination-topology extraction) and stayed byte-identical
-through every refactor and optimisation up to PR 15.  It was re-captured
-deliberately, once each, when token routing changed ("park, don't bounce"
-and orphan swallowing, PR 16), when repairs stopped travelling ("repair
-at home" and the one covering rule, PR 17) and when every search came to be
-answered from the columns its monitor holds ("answer from what you hold",
-"never explore a signature twice", PR 20): fewer messages, tokens and
-views, same verdicts — the per-cell diffs are in CHANGES.md — and when the
-always-zero digest counters went with the alternative routings.  It was
-re-captured once more, deliberately, when a monitor that can declare nothing
-new came to retire its views ("settled monitors stop exploring"): three
-cells issue fewer searches, two of them create fewer views, one sends fewer
-tokens and messages, and the verdicts are the same.  It is
-asserted byte-for-byte by
+(before the coordination-topology extraction).  It has been re-captured only
+on purpose, each time with the same verdicts and the per-cell diffs in
+CHANGES.md: when token routing changed (park, don't bounce; orphan
+swallowing), when repairs stopped travelling (repair at home, the one
+covering rule), when every search came to be answered from the columns its
+monitor holds, when settled monitors stopped exploring, and when the
+``runner`` half moved from an untimed in-memory network to the simulator
+over zero-latency links.  It is asserted byte-for-byte by
 ``tests/coordination/test_round_robin_fixture.py``.
 
 Re-run only when the *intended* behaviour of the routing changes::
@@ -36,8 +31,8 @@ from pathlib import Path
 
 from repro.experiments.engine import trace_design
 from repro.experiments.properties import case_study_monitor, case_study_registry
-from repro.scenarios import get_scenario
-from repro.session import RunReport, run_decentralized
+from repro.scenarios import ReliableNetwork, get_scenario
+from repro.session import RunReport
 from repro.sim import generate_computation, simulate_monitored_run
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -102,7 +97,7 @@ def build_cell_inputs(property_name: str, num_processes: int, seed: int):
 
 
 def runner_half(report: RunReport) -> dict:
-    """The pinned outputs of a loopback run (the fixture's ``runner`` half)."""
+    """The pinned outputs of an untimed run (the fixture's ``runner`` half)."""
     return {
         "summary": {
             "verdicts": sorted(str(v) for v in report.reported_verdicts),
@@ -125,7 +120,11 @@ def capture_cell(property_name: str, num_processes: int, seed: int) -> dict:
     computation, automaton, registry = build_cell_inputs(
         property_name, num_processes, seed
     )
-    runner = runner_half(run_decentralized(computation, automaton, registry))
+    runner = runner_half(
+        simulate_monitored_run(
+            computation, automaton, registry, network=ReliableNetwork(latency=0.0, jitter=0.0)
+        )
+    )
     report = simulate_monitored_run(
         computation,
         automaton,
@@ -153,9 +152,9 @@ def main() -> None:
     """Capture every cell and write the fixture document."""
     document = {
         "comment": (
-            "round-robin-token outputs as of repair at home and the one "
-            "covering rule (PR 17); regenerate with "
-            "tools/capture_topology_fixtures.py"
+            "round-robin-token outputs: runner = zero-latency simulator, "
+            "unbounded views; sim = paper-default network, two views per "
+            "state; regenerate with tools/capture_topology_fixtures.py"
         ),
         "cells": [capture_cell(*cell) for cell in CELLS],
     }
