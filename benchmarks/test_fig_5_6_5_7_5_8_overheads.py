@@ -6,10 +6,16 @@
   processes: grows with the process count, and is markedly lower for the
   simple properties B and E.
 * Fig 5.8 — memory overhead measured as the total number of global views
-  created: grows with the process count, B and E below A, C and F, highest
-  for F.  The paper's "lowest for B and E" is not reproduced (D's violated
-  traces stop early and no monitor explores a ``(state, cut)`` twice), so it
-  is not asserted.
+  created: grows with the process count for A, B, C, E and F, B and E below
+  A, C and F.  Three parts of the paper's shape are not reproduced and not
+  asserted.  "Lowest for B and E": D's violated traces stop early and no
+  monitor explores a ``(state, cut)`` twice.  "D grows with n" and "highest
+  for F": a monitor stops before its next step once it has declared every
+  conclusive state its views can reach, and at n = 4 D's views per run fall
+  from 37 to 7 ([11.5, 42, 37] became [11.5, 23, 7] for n = 2, 3, 4) and
+  F's from 105 to 24.5 ([13.5, 55, 105] became [13.5, 55, 24.5]), below A's
+  and C's.  Both rested on views forked by monitors that were already
+  settled: all 66 of D's forks at n = 4, and 187 of F's 202.
 
 All three figures come from the same monitored-workload sweep, which is
 computed once per session (see ``conftest.monitoring_sweep``).
@@ -59,10 +65,9 @@ def test_fig_5_7_delayed_events(monitoring_sweep):
 
 
 def test_fig_5_8_what_still_holds_of_the_views(monitoring_sweep):
-    """The part of Fig 5.8's shape that is reproduced."""
+    """The part of Fig 5.8's shape that is reproduced (not: D grows, F highest)."""
     views = series_of(monitoring_sweep, "global_views")
-    for name in "ABCDEF":
+    for name in "ABCEF":
         assert views[name][-1] >= views[name][0], name
     totals = {name: sum(views[name]) for name in "ABCDEF"}
     assert max(totals["B"], totals["E"]) <= min(totals["A"], totals["C"], totals["F"])
-    assert max(totals, key=totals.get) == "F"

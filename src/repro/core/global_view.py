@@ -23,7 +23,7 @@ class ViewStatus:
 
     UNBLOCKED = "unblocked"
     WAITING = "waiting"  # a token is outstanding; local events are queued
-    FINAL = "final"      # the view reached a conclusive verdict
+    FINAL = "final"      # out of the live views: conclusive, repaired or settled
 
 
 @dataclass
@@ -68,9 +68,3 @@ class GlobalView:
     def is_waiting(self) -> bool:
         """Whether the view is parked on an outstanding token."""
         return self.status == ViewStatus.WAITING
-
-    def __repr__(self) -> str:
-        return (
-            f"GlobalView(id={self.view_id}, cut={tuple(self.cut)}, "
-            f"q={self.state}, status={self.status})"
-        )

@@ -282,6 +282,7 @@ class DecentralizedMonitor:
         self._absorbed = 0
         self._parked_at: dict[int, int] = {}
         self._outstanding: dict[int, GlobalView] = {}  # token_id -> waiting view
+        self._checked = -1  # len(declared_states) when _settle last ran
 
         self.declared_verdicts: set[Verdict] = set()
         self.declared_states: set[int] = set()
@@ -296,12 +297,11 @@ class DecentralizedMonitor:
         )
         self.metrics.views_created += 1
         self._born |= view.born
+        self.views.append(view)
         if automaton.is_final(view.state):
             self._declare(view.state)
-            view.status = ViewStatus.FINAL
+            self._retire(view)
             self.final_views.append(view)
-        else:
-            self.views.append(view)
         self.metrics.max_active_views = len(self.views)
         self._started = False
 
@@ -380,18 +380,17 @@ class DecentralizedMonitor:
         return image
 
     def _declare_reached(self, states: int) -> None:
-        """Declare the conclusive states of a bitset, in ascending order."""
+        """Declare the conclusive states of a bitset, in ascending order
+        (declaring a state again changes nothing)."""
         for state in _states_of(states & self._final_bits):
-            if state not in self.declared_states:
-                self._declare(state)
+            self._declare(state)
 
     def _declare(self, state: int) -> None:
         verdict = self.automaton.verdict(state)
-        if verdict.is_final:
-            self.declared_states.add(state)
-            if verdict not in self.declared_verdicts:
-                self.declared_verdicts.add(verdict)
-                self.verdict_log.append(verdict)
+        self.declared_states.add(state)
+        if verdict not in self.declared_verdicts:
+            self.declared_verdicts.add(verdict)
+            self.verdict_log.append(verdict)
 
     # ------------------------------------------------------------------
     # public entry points
@@ -496,14 +495,17 @@ class DecentralizedMonitor:
         """Apply pending local events (from history) to the unblocked *views*.
 
         Views forked by searches answered at home are advanced from the same
-        worklist: nesting one call per answer would exhaust the stack.
+        worklist: nesting one call per answer would exhaust the stack.  On entry
+        and before every step, :meth:`_settle` runs if a state was declared since
+        it last ran: once the monitor is settled no view steps.
         """
         mine = self.process
         work = list(views)[::-1]
-        while work:
+        while (len(self.declared_states) == self._checked or not self._settle()) and work:
             view = work.pop()
-            while view.status == ViewStatus.UNBLOCKED and view.cut[mine] < self.last_local_sn:
-                work.extend(reversed(self._step_view(view, view.cut[mine] + 1)))
+            if view.status == ViewStatus.UNBLOCKED and view.cut[mine] < self.last_local_sn:
+                work += reversed(self._step_view(view, view.cut[mine] + 1))
+                work.append(view)  # stepped on before the views it forked
 
     def _step_view(self, view: GlobalView, sn: int) -> Sequence[GlobalView]:
         """Advance *view* by local event *sn* (PROCESSEVENT); returns the
@@ -1227,7 +1229,7 @@ class DecentralizedMonitor:
                 self._outstanding.pop(dropped.outstanding_token, None)
         self.views = kept
 
-    def _settle(self) -> None:
+    def _settle(self) -> bool:
         """Retire every live view once this monitor is *settled*: each
         conclusive state its views (waiting ones too) can still reach is
         declared.  Conclusive states are traps and views fork only into
@@ -1235,17 +1237,21 @@ class DecentralizedMonitor:
         (``docs/architecture.md``, Settled monitors).  Their outstanding
         tokens are disowned, as an evicted view's are; the monitor still
         appends its events, absorbs runs and serves the others' tokens.
-        """
+        Returns whether it retired them; runs after every merge and before
+        steps (:meth:`_advance_views`)."""
+        self._checked = len(self.declared_states)
         undeclared = self._final_bits
         for state in self.declared_states:  # a plain loop: this runs on every merge
             undeclared &= ~(1 << state)
         for view in self.views:
             if self._reach[view.state] & undeclared:
-                return
+                return False
         self.metrics.views_settled += len(self.views)
         for view in self.views:
+            view.status = ViewStatus.FINAL  # no step, no search: a retired view is refused
             self._outstanding.pop(view.outstanding_token, None)
         self.views = []
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -129,8 +129,10 @@ class TestClusterEquivalence:
         Regression: the cluster report had no ``box_queries``,
         ``box_cells_visited``, ``views_evicted`` or ``events_shipped`` at
         all, so under one report type they would have read a silent zero.
+        Property C: no monitor of this cell settles, so every counter moves
+        (B's monitors settle on ⊤ before they answer anything at home).
         """
-        spec = _spec("paper-default")
+        spec = _spec("paper-default", property_name="C")
         computation, automaton, registry = build_cell_inputs(spec)
         simulated = simulate_monitored_run(
             computation,

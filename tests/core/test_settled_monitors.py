@@ -17,10 +17,17 @@ catches each:
   most direct; but the last (of two or more) —
   ``test_every_live_views_reach_counts_in_any_order`` only: no other test of
   ``tests/core``, ``tests/coordination`` or ``tests/session`` catches it.
+
+The rule is checked after every merge and, once a state was declared, by
+``_advance_views`` on entry and before every step; checking at merges only
+fails ``test_no_view_steps_on_the_token_heavy_cell_once_its_monitor_is_settled``
+and ``test_views_retired_inside_the_termination_loop_are_not_explored``.
 """
 
 from test_serve_from_columns import _hold, _mask, _never_settle, _Outbox
+from test_step_search import _curve_cell
 
+from repro.core.global_view import ViewStatus
 from repro.core.messages import TerminationNotice, Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.clocks import VectorClock
@@ -186,3 +193,58 @@ def test_every_live_views_reach_counts_in_any_order():
     monitor._declare(bottom)
     monitor._settle()
     assert monitor.views == [] and monitor.metrics.views_settled == 2
+
+
+def _is_settled(monitor):
+    """The definition, read off the monitor without ``_settle``."""
+    undeclared = monitor._final_bits & ~sum(1 << q for q in monitor.declared_states)
+    reach = monitor.automaton.reach_bits
+    return not any(reach[view.state] & undeclared for view in monitor.views)
+
+
+def test_no_view_steps_on_the_token_heavy_cell_once_its_monitor_is_settled(monkeypatch):
+    step = DecentralizedMonitor._step_view
+    steps, late = [], []
+
+    def watched(self, view, sn):
+        (late if _is_settled(self) else steps).append((self.process, sn))
+        return step(self, view, sn)
+
+    monkeypatch.setattr(DecentralizedMonitor, "_step_view", watched)
+    report = _curve_cell(("C", 4, 20))  # the token-heavy cell, seed 2015
+    # checked at merges only, 529 of its 530 steps were taken by monitors
+    # already settled: a token coming home stepped the whole backlog first
+    assert steps and late == []
+    assert all(monitor.metrics.views_settled for monitor in report.monitors)
+    assert report.declared_verdicts == {Verdict.BOTTOM}
+
+
+def test_views_retired_inside_the_termination_loop_are_not_explored(monkeypatch):
+    # (F P1.p) U P0.q: P1 raised p at its event 1, held here; the initial
+    # view at [0, 0] and its fork at [0, 1] are both live at termination
+    monitor, network = _monitor(
+        "(F P1.p) U P0.q", initially={"P0.p", "P1.q"}, held={1: [((0, 1), {"P1.p"})]}
+    )
+    first, second = monitor.views
+    assert (first.cut, second.cut) == ([0, 0], [0, 1]) and not monitor.declared_verdicts
+    issue, step = DecentralizedMonitor._issue_token, DecentralizedMonitor._step_view
+    searched, stepped = [], []
+
+    def found_top(self, view, sn, searches):
+        searched.append(view)
+        forks = issue(self, view, sn, searches)
+        self._declare(_state_of(self, Verdict.TOP))  # as if this search met ⊤
+        return forks
+
+    monkeypatch.setattr(DecentralizedMonitor, "_issue_token", found_top)
+    monkeypatch.setattr(
+        DecentralizedMonitor, "_step_view", lambda *a: stepped.append(a[1]) or step(*a)
+    )
+    monitor.local_termination()
+    # the first view's search settled the monitor inside the loop: the
+    # second view, next in the loop's snapshot, was retired before its turn
+    assert searched == [first] and stepped == []
+    assert monitor.views == [] and monitor.metrics.views_settled == 2
+    assert second.status == ViewStatus.FINAL
+    assert [message for _, message in network.tokens if isinstance(message, Token)] == []
+    assert monitor.reported_verdicts() == {Verdict.TOP, Verdict.INCONCLUSIVE}

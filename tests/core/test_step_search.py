@@ -429,31 +429,32 @@ def test_a_search_answered_at_home_finds_the_slicers_least_cut(case):
 # ---------------------------------------------------------------------------
 # (v) the pinned counts (seed 2015, budget 2): what CI's perf-smoke checks
 # ---------------------------------------------------------------------------
-def _curve_cell(cell):
+def _curve_cell(cell, seed=2015):
     scenario = get_scenario("paper-default")
     inputs = cell_inputs(
         scenario, cell[0], cell[1], events_per_process=cell[2],
-        evt_mu=3, evt_sigma=1, comm_mu=3, comm_sigma=1, seed=2015,
+        evt_mu=3, evt_sigma=1, comm_mu=3, comm_sigma=1, seed=seed,
     )
     return simulate_monitored_run(
-        *inputs, seed=2015, max_views_per_state=2, network=scenario.network
+        *inputs, seed=seed, max_views_per_state=2, network=scenario.network
     )
 
 
 @pytest.mark.parametrize(
     "cell, queries, remembered, by_letter, cells, views",
     [
-        (("C", 4, 20), 612, 410, 199, 898, 164),  # the token-heavy cell
-        (("F", 5, 20), 5_000, 3_773, 949, 33_098, 315),
-        (("B", 5, 40), 988, 191, 220, 1_020, 773),  # the long-trace cell
+        (("C", 4, 20), 66, 44, 6, 139, 27),  # the token-heavy cell
+        (("F", 5, 20), 81, 0, 15, 532, 33),
+        (("B", 5, 40), 65, 0, 5, 75, 65),  # the long-trace cell
     ],
     ids=["C-n4-epp20", "F-n5-epp20", "B-n5-epp40"],
 )
 def test_curve_cells_search_each_step_once(cell, queries, remembered, by_letter, cells, views):
     report = _curve_cell(cell)
     # 1 088, 11 098 and 1 180 asked before a view remembered its last step's
-    # targets; views are what they were then, less those a settled monitor no
-    # longer forks (C and F had 659, 6 313 queries and 169, 405 views before)
+    # targets; 612, 5 000 and 988 (164, 315 and 773 views) while a settled
+    # monitor still stepped its views until the next merge (C and F had 659,
+    # 6 313 queries and 169, 405 views before settled monitors stopped at all)
     assert report.metrics.box_queries == queries
     assert report.metrics.boxes_remembered == remembered
     assert report.metrics.boxes_by_letter == by_letter
@@ -461,10 +462,24 @@ def test_curve_cells_search_each_step_once(cell, queries, remembered, by_letter,
     # C and F: 4 779 and 274 878 with one search per entry, 2 632 and 58 720
     # per step, 1 419 and 34 345 (842 entries replayed along one path) before
     # targets the letter decides were left out, 952 and 38 529 before settled
-    # monitors stopped exploring; B: 5 801 (172 replayed)
+    # monitors stopped exploring, 898 and 33 098 before they stopped stepping;
+    # B: 5 801 (172 replayed), then 1 020
     assert report.metrics.box_cells_visited == cells
-    assert 0 < report.metrics.least_cuts_remembered <= report.metrics.entries_created
+    assert report.metrics.least_cuts_remembered <= report.metrics.entries_created
     assert report.metrics.parked_tokens_slept > 0  # 248, 451 and 868
+
+
+@pytest.mark.parametrize(
+    "cell, seed", [(("C", 4, 20), 7), (("F", 4, 6), 7)], ids=["C-n4-epp20-s7", "F-n4-epp6-s7"]
+)
+def test_cells_that_never_settle_answer_from_both_search_memories(cell, seed):
+    # no monitor of these runs declares a verdict, so none settles: every
+    # view steps to the end and both memories serve (1 709 and 2 143 least
+    # cuts, 231 and 64 boxes)
+    report = _curve_cell(cell, seed)
+    assert report.metrics.views_settled == 0 and report.declared_verdicts == frozenset()
+    assert 0 < report.metrics.least_cuts_remembered <= report.metrics.entries_created
+    assert report.metrics.boxes_remembered > 0
 
 
 # ---------------------------------------------------------------------------

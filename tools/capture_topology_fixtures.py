@@ -13,9 +13,10 @@ on purpose, each time with the same verdicts and the per-cell diffs in
 CHANGES.md: when token routing changed (park, don't bounce; orphan
 swallowing), when repairs stopped travelling (repair at home, the one
 covering rule), when every search came to be answered from the columns its
-monitor holds, when settled monitors stopped exploring, and when the
+monitor holds, when settled monitors stopped exploring, when the
 ``runner`` half moved from an untimed in-memory network to the simulator
-over zero-latency links.  It is asserted byte-for-byte by
+over zero-latency links, and when a settled monitor stopped before its next
+step rather than at its next merge.  It is asserted byte-for-byte by
 ``tests/coordination/test_round_robin_fixture.py``.
 
 Re-run only when the *intended* behaviour of the routing changes::

@@ -246,11 +246,18 @@ def render_report(figures: dict[str, list[dict]] | None = None) -> str:
         "numbers behind each statement.",
         "",
         "**Not reproduced.**  Figure 5.8 has B and E create the fewest views.",
-        "Here D's total falls just below B's: a monitor never explores a",
-        "`(state, cut)` twice, and D's violated traces stop early.  That",
-        "assertion is given up; `test_fig_5_8_what_still_holds_of_the_views`",
-        "gates the rest of the shape (growth with n; B, E below A, C, F; F the",
-        "most).",
+        "Here D's total falls below B's: a monitor never explores a",
+        "`(state, cut)` twice, and D's violated traces stop early.  Nor are two",
+        "more parts of its shape: D's views growing with n, and F creating",
+        "the most.  A monitor stops before its next step once it has declared",
+        "every conclusive state its views can still reach, so at n = 4 D's",
+        "views per run fall from 37 to 7 (D's row was 11.5, 42, 37 for n = 2,",
+        "3, 4; it is 11.5, 23, 7) and F's from 105 to 24.5 (13.5, 55, 105;",
+        "now 13.5, 55, 24.5), below A's and C's.  Both parts rested on views",
+        "forked by monitors that had already declared all they could: all 66",
+        "of D's forks at n = 4, and 187 of F's 202.  These assertions are",
+        "given up; `test_fig_5_8_what_still_holds_of_the_views` gates the rest",
+        "of the shape (growth with n for A, B, C, E and F; B, E below A, C, F).",
         "",
     ]
     return "\n".join(lines)
