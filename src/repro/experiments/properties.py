@@ -72,20 +72,15 @@ def case_study_registry(num_processes: int) -> PropositionRegistry:
 
 
 @lru_cache(maxsize=None)
-def case_study_monitor(
-    name: str, num_processes: int, paper_style: bool = True
-) -> MonitorAutomaton:
+def case_study_monitor(name: str, num_processes: int) -> MonitorAutomaton:
     """The LTL3 monitor automaton of property *name* for *num_processes*.
 
-    With ``paper_style=True`` (default) the automaton is built with the
-    formula-progression method and left unminimised, reproducing the
-    experimental automata of Table 5.1 / Figures 5.2–5.3; otherwise the
-    Moore-minimal monitor is returned.
+    The automaton is built with the formula-progression method and left
+    unminimised, reproducing the experimental automata of Table 5.1 /
+    Figures 5.2–5.3.
     """
     formula = property_formula(name, num_processes)
     # The alphabet is restricted to the formula's own atoms: propositions of
     # processes that do not participate are projected away automatically when
     # the monitor reads a letter of the full global state.
-    if paper_style:
-        return build_monitor(formula, method="progression", minimize=False)
-    return build_monitor(formula)
+    return build_monitor(formula, method="progression", minimize=False)

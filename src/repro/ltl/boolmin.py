@@ -1,4 +1,4 @@
-"""Two-level Boolean minimisation (Quine–McCluskey + greedy cover).
+"""Two-level Boolean minimisation (recursive prime split + greedy cover).
 
 The LTL3 monitor automaton produced by :mod:`repro.ltl.monitor` initially has
 its transition function defined letter-by-letter (one entry per truth
@@ -11,10 +11,16 @@ This module turns the set of letters on which an edge fires into a small
 irredundant sum of products.  Each product term becomes one "transition" in
 the paper's sense.
 
-The implementation is a textbook Quine–McCluskey prime-implicant generation
-followed by an essential-prime + greedy covering step.  The number of
-variables encountered in the reproduction is at most 10 (five processes with
-two propositions each), for which this exact method is comfortably fast.
+Prime implicants come from one recursion over the guard's truth table (an
+int, bit ``m`` set when minterm ``m`` is in the on-set).  It splits the
+function ``f`` on its top variable ``x`` into the cofactors ``f0`` and
+``f1``; the primes of ``f`` are the primes of ``f0 & f1`` with ``x`` free,
+plus each other prime of ``f0`` with ``x = 0`` and of ``f1`` with ``x = 1``
+(Brayton et al., *Logic Minimization Algorithms for VLSI Synthesis*, 1984).
+This is exact: a cube without ``x`` implies ``f`` exactly when it lies in
+``f0 & f1``, and a prime of ``f0`` can drop ``x`` exactly when it lies in
+``f1``, in which case it is also a prime of ``f0 & f1``.  An
+essential-prime + greedy covering step then picks the terms.
 """
 
 from __future__ import annotations
@@ -34,61 +40,41 @@ def _letters_to_minterms(
 ) -> list[int]:
     """Encode each letter (set of true atoms) as an integer minterm."""
     index = {v: i for i, v in enumerate(variables)}
-    minterms = []
-    for letter in letters:
-        value = 0
-        for atom in letter:
-            if atom in index:
-                value |= 1 << index[atom]
-        minterms.append(value)
-    return sorted(set(minterms))
+    return sorted({sum(1 << index[a] for a in letter if a in index) for letter in letters})
 
 
-def _combine(
-    term_a: tuple[int, int], term_b: tuple[int, int]
-) -> tuple[int, int] | None:
-    """Combine two (value, mask) terms differing in exactly one cared bit."""
-    value_a, mask_a = term_a
-    value_b, mask_b = term_b
-    if mask_a != mask_b:
-        return None
-    diff = value_a ^ value_b
-    if diff == 0 or (diff & (diff - 1)) != 0:
-        return None
-    return value_a & ~diff, mask_a | diff
+def _primes(
+    table: int, nbits: int, memo: dict[tuple[int, int], frozenset[tuple[int, int]]]
+) -> frozenset[tuple[int, int]]:
+    """All prime implicants of the function whose truth table is *table*.
 
-
-def _prime_implicants(minterms: list[int], nbits: int) -> list[tuple[int, int]]:
-    """Classic iterative combination returning all prime implicants.
-
-    Terms are ``(value, dontcare_mask)`` pairs; a bit set in the mask means
-    the variable is a don't-care.
+    Bit ``m`` of *table* is set when minterm ``m`` over *nbits* variables is
+    in the on-set.  Terms are ``(value, dontcare_mask)`` pairs; a bit set in
+    the mask means the variable is a don't-care.
     """
-    current = {(m, 0) for m in minterms}
-    primes: set = set()
-    while current:
-        nxt = set()
-        combined = set()
-        current_list = sorted(current)
-        # group by (mask, popcount) to limit the pairs examined
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for term in current_list:
-            value, mask = term
-            key = (mask, bin(value).count("1"))
-            groups.setdefault(key, []).append(term)
-        for (mask, ones), terms in groups.items():
-            partner_key = (mask, ones + 1)
-            partners = groups.get(partner_key, [])
-            for a in terms:
-                for b in partners:
-                    merged = _combine(a, b)
-                    if merged is not None:
-                        nxt.add(merged)
-                        combined.add(a)
-                        combined.add(b)
-        primes.update(current - combined)
-        current = nxt
-    return sorted(primes)
+    key = (table, nbits)
+    if key in memo:
+        return memo[key]
+    if table == 0:
+        primes: frozenset[tuple[int, int]] = frozenset()
+    elif table == (1 << (1 << nbits)) - 1:
+        primes = frozenset({(0, (1 << nbits) - 1)})
+    else:
+        # split on the top variable x: minterms with x = 1 are those from
+        # 2^(nbits-1) up, so ``top`` is both x's bit in a term and the length
+        # of each cofactor's table (f0 the low half, f1 the high half)
+        top = 1 << (nbits - 1)
+        f0 = table & ((1 << top) - 1)
+        f1 = table >> top
+        both = _primes(f0 & f1, nbits - 1, memo)
+        low = _primes(f0, nbits - 1, memo) - both
+        high = _primes(f1, nbits - 1, memo) - both
+        primes = low.union(
+            [(value, mask | top) for value, mask in both],
+            [(value | top, mask) for value, mask in high],
+        )
+    memo[key] = primes
+    return primes
 
 
 def _covers(term: tuple[int, int], minterm: int) -> bool:
@@ -155,17 +141,11 @@ def minimize_letters(
     nbits = len(variables)
     if len(minterms) == (1 << nbits):
         return [{}]
-    primes = _prime_implicants(minterms, nbits)
-    cover = _cover(primes, minterms)
-    implicants: list[Implicant] = []
-    for value, mask in sorted(cover):
-        imp: Implicant = {}
-        for i, var in enumerate(variables):
-            if mask & (1 << i):
-                continue
-            imp[var] = bool(value & (1 << i))
-        implicants.append(imp)
-    return implicants
+    primes = sorted(_primes(sum(1 << m for m in minterms), nbits, {}))
+    return [
+        {var: bool(value >> i & 1) for i, var in enumerate(variables) if not mask >> i & 1}
+        for value, mask in sorted(_cover(primes, minterms))
+    ]
 
 
 def implicant_to_str(implicant: Implicant) -> str:

@@ -58,6 +58,7 @@ class Guard:
     negative: frozenset[str]
 
     def satisfied_by(self, letter: frozenset[str]) -> bool:
+        """Whether *letter* (the set of true atoms) meets every literal."""
         return self.positive <= letter and not (self.negative & letter)
 
     def __str__(self) -> str:
@@ -100,6 +101,7 @@ class BuchiAutomaton:
 
     @property
     def num_states(self) -> int:
+        """The number of automaton states."""
         return len(self.states)
 
 

@@ -60,6 +60,7 @@ class MooreMachine:
 
     @property
     def num_states(self) -> int:
+        """The number of machine states (states are ``0 .. num_states - 1``)."""
         return len(self.outputs)
 
     def step(self, state: int, letter: Letter) -> int:

@@ -61,9 +61,11 @@ class Transition:
 
     @property
     def is_self_loop(self) -> bool:
+        """Whether the transition leads back to its source state."""
         return self.source == self.target
 
     def guard_str(self) -> str:
+        """The guard rendered as a conjunction, e.g. ``a & !b`` (or ``true``)."""
         return implicant_to_str(dict(self.guard))
 
     def __str__(self) -> str:
@@ -123,10 +125,12 @@ class MonitorAutomaton:
     # ------------------------------------------------------------------
     @property
     def num_states(self) -> int:
+        """The number of monitor states."""
         return self._machine.num_states
 
     @property
     def states(self) -> list[int]:
+        """The monitor states ``0 .. num_states - 1``."""
         return list(range(self._machine.num_states))
 
     def verdict(self, state: int) -> Verdict:
@@ -283,6 +287,9 @@ def build_monitor(
     missing = [a for a in atoms_of(formula) if a not in atoms]
     if missing:
         raise ValueError(f"formula mentions atoms not in the alphabet: {missing}")
+    if len(set(atoms)) != len(atoms):
+        repeated = sorted({a for a in atoms if atoms.count(a) > 1})
+        raise ValueError(f"the alphabet repeats atoms: {repeated}")
 
     if method not in ("automaton", "progression"):
         raise ValueError(f"unknown construction method {method!r}")

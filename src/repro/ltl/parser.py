@@ -116,6 +116,7 @@ class _Parser:
 
     @property
     def current(self) -> _Token:
+        """The token under the cursor."""
         return self.tokens[self.index]
 
     def _advance(self) -> _Token:
@@ -133,6 +134,7 @@ class _Parser:
 
     # grammar rules -----------------------------------------------------
     def parse_formula(self) -> Formula:
+        """Parse the whole input as one ``formula``; trailing tokens are an error."""
         formula = self.parse_iff()
         if self.current.kind != "EOF":
             raise LTLSyntaxError(
@@ -141,6 +143,7 @@ class _Parser:
         return formula
 
     def parse_iff(self) -> Formula:
+        """Parse the ``iff`` rule of the module's grammar."""
         left = self.parse_implies()
         while self.current.kind == "IFF":
             self._advance()
@@ -149,6 +152,7 @@ class _Parser:
         return left
 
     def parse_implies(self) -> Formula:
+        """Parse the ``implies`` rule of the module's grammar."""
         left = self.parse_or()
         if self.current.kind == "IMPLIES":
             self._advance()
@@ -157,6 +161,7 @@ class _Parser:
         return left
 
     def parse_or(self) -> Formula:
+        """Parse the ``or`` rule of the module's grammar."""
         left = self.parse_and()
         while self.current.kind == "OR":
             self._advance()
@@ -165,6 +170,7 @@ class _Parser:
         return left
 
     def parse_and(self) -> Formula:
+        """Parse the ``and`` rule of the module's grammar."""
         left = self.parse_until()
         while self.current.kind == "AND":
             self._advance()
@@ -173,6 +179,7 @@ class _Parser:
         return left
 
     def parse_until(self) -> Formula:
+        """Parse the ``until`` rule of the module's grammar."""
         left = self.parse_unary()
         if self.current.kind in ("UNTIL", "RELEASE"):
             op = self._advance()
@@ -183,6 +190,7 @@ class _Parser:
         return left
 
     def parse_unary(self) -> Formula:
+        """Parse the ``unary`` rule of the module's grammar."""
         kind = self.current.kind
         if kind == "NOT":
             self._advance()
@@ -199,6 +207,7 @@ class _Parser:
         return self.parse_primary()
 
     def parse_primary(self) -> Formula:
+        """Parse the ``primary`` rule of the module's grammar."""
         tok = self.current
         if tok.kind == "TRUE":
             self._advance()

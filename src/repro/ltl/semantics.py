@@ -75,6 +75,7 @@ class _Lasso:
         self.loop_start = len(prefix)
 
     def succ(self, index: int) -> int:
+        """The position after *index*, wrapping from the last to the loop start."""
         nxt = index + 1
         if nxt >= len(self.positions):
             return self.loop_start

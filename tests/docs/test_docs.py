@@ -33,6 +33,7 @@ RATCHETED_PATHS = [
     REPO_ROOT / "src" / "repro" / "api.py",
     REPO_ROOT / "src" / "repro" / "session.py",
     REPO_ROOT / "src" / "repro" / "sim",
+    REPO_ROOT / "src" / "repro" / "ltl",
 ]
 
 
@@ -380,7 +381,7 @@ def test_docstring_ratchet(path):
 TYPED_DEF_PATHS = [
     REPO_ROOT / "src" / "repro" / "api.py",
     REPO_ROOT / "src" / "repro" / "runtime",
-    REPO_ROOT / "src" / "repro" / "ltl" / "compiled.py",
+    REPO_ROOT / "src" / "repro" / "ltl",
     REPO_ROOT / "src" / "repro" / "session.py",
     REPO_ROOT / "src" / "repro" / "core",
     REPO_ROOT / "src" / "repro" / "coordination",
@@ -417,7 +418,7 @@ def test_typed_defs_ratchet(path):
     ``repro.core.*``, ``repro.coordination.*``, ``repro.cluster.*``,
     ``repro.distributed.*``, ``repro.experiments.*``, ``repro.faults.*``,
     ``repro.fleet.*``, ``repro.fuzz.*``, ``repro.scenarios.*``,
-    ``repro.sim.*`` and the LTL step kernel).
+    ``repro.sim.*`` and ``repro.ltl.*``).
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     incomplete = []

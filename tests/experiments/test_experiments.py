@@ -15,7 +15,7 @@ from repro.experiments import (
     run_monitoring_experiment,
     run_table_5_1,
 )
-from repro.ltl import atoms_of, parse
+from repro.ltl import atoms_of, build_monitor, parse
 
 
 SMALL_SCALE = ExperimentScale(
@@ -61,7 +61,7 @@ class TestCaseStudyMonitors:
     @pytest.mark.parametrize("name", ["A", "B", "D", "E"])
     def test_paper_style_and_minimal_monitors_agree_on_verdict_domain(self, name):
         paper = case_study_monitor(name, 2)
-        minimal = case_study_monitor(name, 2, paper_style=False)
+        minimal = build_monitor(property_formula(name, 2))
         assert {paper.verdict(s) for s in paper.states} == {
             minimal.verdict(s) for s in minimal.states
         }

@@ -1,10 +1,91 @@
-"""Tests for the Quine–McCluskey boolean minimiser."""
+"""Tests for the boolean minimiser (recursive prime split + greedy cover).
+
+Quine–McCluskey, the minimiser's earlier prime generator, lives on here as
+the oracle its primes are checked against.
+"""
 
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.experiments import PROPERTY_NAMES, case_study_monitor
 from repro.ltl import implicant_to_str, minimize_letters
+from repro.ltl.boolmin import _letters_to_minterms, _primes
+
+
+def _combine(
+    term_a: tuple[int, int], term_b: tuple[int, int]
+) -> tuple[int, int] | None:
+    """Combine two (value, mask) terms differing in exactly one cared bit."""
+    value_a, mask_a = term_a
+    value_b, mask_b = term_b
+    if mask_a != mask_b:
+        return None
+    diff = value_a ^ value_b
+    if diff == 0 or (diff & (diff - 1)) != 0:
+        return None
+    return value_a & ~diff, mask_a | diff
+
+
+def _prime_implicants(minterms: list[int], nbits: int) -> list[tuple[int, int]]:
+    """Classic iterative combination returning all prime implicants.
+
+    Terms are ``(value, dontcare_mask)`` pairs; a bit set in the mask means
+    the variable is a don't-care.
+    """
+    current = {(m, 0) for m in minterms}
+    primes: set = set()
+    while current:
+        nxt = set()
+        combined = set()
+        current_list = sorted(current)
+        # group by (mask, popcount) to limit the pairs examined
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for term in current_list:
+            value, mask = term
+            key = (mask, bin(value).count("1"))
+            groups.setdefault(key, []).append(term)
+        for (mask, ones), terms in groups.items():
+            partner_key = (mask, ones + 1)
+            partners = groups.get(partner_key, [])
+            for a in terms:
+                for b in partners:
+                    merged = _combine(a, b)
+                    if merged is not None:
+                        nxt.add(merged)
+                        combined.add(a)
+                        combined.add(b)
+        primes.update(current - combined)
+        current = nxt
+    return sorted(primes)
+
+
+def split_primes(minterms, nbits):
+    """The minimiser's primes of the on-set *minterms*, sorted like the oracle's."""
+    return sorted(_primes(sum(1 << m for m in minterms), nbits, {}))
+
+
+def case_study_guard_mismatches(num_processes):
+    """The (property, source, target) guards of the case-study monitors at
+    *num_processes* whose primes differ from Quine–McCluskey's."""
+    mismatches = []
+    compared = set()  # many guards repeat: the oracle runs once per on-set
+    for name in PROPERTY_NAMES:
+        monitor = case_study_monitor(name, num_processes)
+        machine = monitor._machine
+        nbits = len(monitor.atoms)
+        for source in range(machine.num_states):
+            for target in sorted(set(machine.delta[source])):
+                letters = machine.letters_between(source, target)
+                minterms = _letters_to_minterms(letters, monitor.atoms)
+                if (nbits, *minterms) in compared:
+                    continue
+                compared.add((nbits, *minterms))
+                if split_primes(minterms, nbits) != _prime_implicants(minterms, nbits):
+                    mismatches.append((name, source, target))
+    return mismatches
 
 
 def truth_table(variables, implicants):
@@ -97,6 +178,28 @@ class TestMinimizeLetters:
         result = minimize_letters(letters, variables)
         assert len(result) == 4
         assert truth_table(variables, result) == set(letters)
+
+
+class TestPrimesMatchQuineMcCluskey:
+    @pytest.mark.parametrize("num_processes", [2, 3, 4, 5])
+    def test_every_case_study_guard(self, num_processes):
+        # n = 6 (about 40 s of Quine–McCluskey) runs in CI's
+        # benchmarks-smoke job through the same helper
+        assert case_study_guard_mismatches(num_processes) == []
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda nbits: st.lists(
+                st.booleans(), min_size=1 << nbits, max_size=1 << nbits
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_on_sets(self, table):
+        # the on-set is drawn as a whole truth table, so dense sets come up
+        nbits = len(table).bit_length() - 1
+        minterms = [m for m, on in enumerate(table) if on]
+        assert split_primes(minterms, nbits) == _prime_implicants(minterms, nbits)
 
 
 class TestImplicantToStr:

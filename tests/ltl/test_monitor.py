@@ -161,6 +161,13 @@ class TestAlphabetExtension:
         with pytest.raises(ValueError):
             build_monitor("p & q", atoms=["p"])
 
+    @pytest.mark.parametrize("method", ["automaton", "progression"])
+    def test_repeated_atoms_rejected(self, method):
+        # a repeated name would leave a phantom variable that is always
+        # false, so `F a` over ["a", "a"] would read `q1 --[!a]--> q1`
+        with pytest.raises(ValueError, match="repeats"):
+            build_monitor("F a", atoms=["a", "a"], method=method)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             build_monitor("p", method="magic")
