@@ -58,8 +58,6 @@ def _representative_token(seed: int) -> Token:
     )
     return Token(
         parent_process=seed % n,
-        parent_view=seed % 11,
-        parent_event_sn=seed % 13,
         entries=[entry, repair],
         known=[seed % 5, 1, 1],
         runs={1: ([0b1000, 0], [(1, 2, 0), (1, 3, 0)])},

@@ -172,7 +172,7 @@ def _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.0):
         state = {"p": f"P{mine}.p" in letter, "q": f"P{mine}.q" in letter}
         monitor.local_event(Event(mine, sn, EventKind.INTERNAL, VectorClock(clock), state))
     runs = {j: (list(map(compiled.encode, columns[j])), clocks[j]) for j in range(n) if j != mine}
-    monitor._absorb_runs(Token(mine, 0, 0, entries=[entry], known=[0] * n, runs=runs))
+    monitor._absorb_runs(Token(mine, entries=[entry], known=[0] * n, runs=runs))
     return view, entry
 
 
@@ -247,8 +247,6 @@ def test_serve_entry_events_per_sec():
     tokens = [
         Token(
             parent_process=1,
-            parent_view=0,
-            parent_event_sn=0,
             entries=[
                 TokenEntry(
                     transition_id=None,

@@ -1,4 +1,4 @@
-"""Wire protocol v5: the versioned binary codec of the cluster runtime.
+"""Wire protocol v6: the versioned binary codec of the cluster runtime.
 
 Protocol v1 — the original streaming transport — framed messages as a bare
 4-byte length prefix followed by a pickled payload.  Pickle on a network
@@ -11,13 +11,14 @@ framing and wrote the events a token carries as per-process runs in bulk.
 v4 ships letters as the compiled automaton's masks and guards as their
 ``(care, want)`` mask pairs, so the per-frame atom table, the guard literals
 and the entries' letters are gone.  v5 writes control frames as canonical
-JSON instead of a tagged value layer of their own.
+JSON instead of a tagged value layer of their own.  v6 drops the token's
+parent view and parent event: its parent finds the view by the token's id.
 
 Frame layout (network byte order)::
 
     offset  size  field
     0       2     magic   b"RW"           (Repro Wire)
-    2       1     version 0x05            (this module speaks exactly one)
+    2       1     version 0x06            (this module speaks exactly one)
     3       1     type    message type tag (see the ``TYPE_*`` constants)
     4       4     length  payload size in bytes, at most MAX_FRAME_BYTES
     8       n     payload type-specific binary body
@@ -38,7 +39,7 @@ largest value) followed by the values back to back.
 
 Token body::
 
-    routing   parent_process, parent_view, parent_event_sn, token_id, hops
+    routing   parent_process, token_id, hops
     n         process count; ``known`` as n packed integers
     runs      count, then per process in ascending order: the process and
               its run (below)
@@ -115,7 +116,7 @@ __all__ = [
 #: the two magic bytes opening every frame
 MAGIC = b"RW"
 #: the wire protocol version this codec speaks (exactly one)
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 #: the largest payload a header may announce: readers buffer a whole payload
 #: before decoding it, and honest tokens are a few KB
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -366,8 +367,6 @@ def _w_token(out: bytearray, token: Token) -> None:
     if n == 0:
         raise CodecError("token over zero processes")
     _w_svarint(out, token.parent_process)
-    _w_svarint(out, token.parent_view)
-    _w_svarint(out, token.parent_event_sn)
     _w_svarint(out, token.token_id)
     _w_svarint(out, token.hops)
     _w_uvarint(out, n)
@@ -384,8 +383,6 @@ def _w_token(out: bytearray, token: Token) -> None:
 def _r_token(data: bytes, pos: int) -> tuple[Token, int]:
     """Decode one :class:`Token`."""
     parent_process, pos = _r_svarint(data, pos)
-    parent_view, pos = _r_svarint(data, pos)
-    parent_event_sn, pos = _r_svarint(data, pos)
     token_id, pos = _r_svarint(data, pos)
     hops, pos = _r_svarint(data, pos)
     n, pos = _r_count(data, pos)
@@ -404,8 +401,6 @@ def _r_token(data: bytes, pos: int) -> tuple[Token, int]:
         entries.append(entry)
     token = Token(
         parent_process=parent_process,
-        parent_view=parent_view,
-        parent_event_sn=parent_event_sn,
         entries=entries,
         known=list(known),
         runs=runs,

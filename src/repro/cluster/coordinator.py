@@ -56,15 +56,13 @@ class ClusterError(RuntimeError):
 
 
 class _WorkerHandle:
-    """One connected worker's control channel plus its subprocess, if spawned."""
+    """One connected worker's control channel."""
 
     def __init__(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.reader = reader
         self.writer = writer
-        self.proc: asyncio.subprocess.Process | None = None
-        self.stderr_task: asyncio.Task | None = None
 
     async def call(self, command: dict[str, object]) -> dict[str, object]:
         """Send one command and await its reply (the channel is lockstep)."""
@@ -188,9 +186,6 @@ async def coordinate(
                 pass
         if handshake_error:
             raise handshake_error[0]
-        for process, proc in enumerate(procs):
-            connected[process].proc = proc
-            connected[process].stderr_task = stderr_tasks[process]
 
         for process in range(n):
             reply = await connected[process].call({"kind": "start"})

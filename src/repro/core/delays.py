@@ -19,9 +19,11 @@ seeded :class:`random.Random`, its counters, its partition phases).  A fixed
 seed thus yields the same delays whichever backend consumes them.
 
 Every condition delivers every message eventually (the algorithm assumes
-reliable FIFO channels), so verdicts do not depend on it; FIFO clamping per
-(sender, receiver) channel is the backends' job.  Counters (retransmissions,
-held messages, bursts) reach the run reports through
+reliable FIFO channels), so verdicts do not depend on it.  FIFO order per
+(sender, receiver) channel is kept once, by :meth:`NetworkRun.delivery_time`:
+no delivery instant falls before the channel's previous one, so conditions
+never see ordering and backends deliver in instant order.  Counters
+(retransmissions, held messages, bursts) reach the run reports through
 :meth:`DelayModel.extra_stats`.
 """
 
@@ -80,7 +82,8 @@ def _check_latency(latency: float, jitter: float) -> None:
 class NetworkRun:
     """One run of a condition (its :class:`DelayModel`): all the run mutates.
 
-    That is the seeded RNG, the counters, the burst tick and the phases.
+    That is the seeded RNG, the counters, the burst tick, the phases and the
+    last delivery instant of each (sender, receiver) channel.
     """
 
     def __init__(self, condition: _Condition, seed: int | None) -> None:
@@ -92,6 +95,7 @@ class NetworkRun:
         self.held_messages = 0
         self.bursts_used = 0
         self.burst_tick = -1
+        self.channel_clock: dict[tuple[int, int], float] = {}
 
     def sample(self, latency: float, jitter: float) -> float:
         """One latency: *latency* itself without jitter, else a gaussian draw."""
@@ -100,8 +104,13 @@ class NetworkRun:
         return max(0.0, self.rng.gauss(latency, jitter))
 
     def delivery_time(self, now: float, sender: int, target: int) -> float:
-        """Absolute arrival time of a message sent at *now*."""
-        return self.condition.arrival(self, now, sender, target)
+        """Absolute arrival time of a message sent at *now*: the condition's
+        arrival, clamped so that the channel stays FIFO."""
+        due = self.condition.arrival(self, now, sender, target)
+        due = self.channel_clock[sender, target] = max(
+            due, self.channel_clock.get((sender, target), 0.0)
+        )
+        return due
 
     def extra_stats(self) -> dict[str, float]:
         """The condition's counters, as floats."""

@@ -10,12 +10,9 @@ and hence several automaton states — possible at the same time (Chapter 3).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 __all__ = ["ViewStatus", "GlobalView"]
-
-_view_ids = itertools.count(1)
 
 
 class ViewStatus:
@@ -26,9 +23,10 @@ class ViewStatus:
     FINAL = "final"      # out of the live views: conclusive, repaired or settled
 
 
-@dataclass
+@dataclass(eq=False)
 class GlobalView:
-    """One traced lattice path of a monitor process.
+    """One traced lattice path of a monitor process, equal only to itself: a
+    returning token finds it through its monitor's outstanding tokens.
 
     Attributes
     ----------
@@ -50,12 +48,10 @@ class GlobalView:
 
     cut: list[int]
     state: int
-    view_id: int = field(default_factory=lambda: next(_view_ids))
     status: str = ViewStatus.UNBLOCKED
     outstanding_token: int | None = None
-    forked_from: int | None = None
-    born: set[tuple[int, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
-    searched: dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
+    born: set[tuple[int, tuple[int, ...]]] = field(init=False, repr=False)
+    searched: dict[tuple, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.born = {self.signature()}

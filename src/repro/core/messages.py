@@ -116,6 +116,9 @@ class Token:
 
     Attributes
     ----------
+    token_id:
+        The token's only handle on its view: the parent keeps the waiting
+        view under this id until the token comes home.
     known:
         Per process, the last position of that process's events the parent
         held when the token last left it (refreshed on every pass home).
@@ -128,8 +131,6 @@ class Token:
     """
 
     parent_process: int
-    parent_view: int
-    parent_event_sn: int
     entries: list[TokenEntry]
     known: list[int]
     runs: dict[int, tuple[list[int], list[tuple[int, ...]]]] = field(

@@ -268,7 +268,6 @@ class DecentralizedMonitor:
         self.local_vcs = self.vc_columns[process]
         #: the components a visit advances: this process's, then all others'
         self._serve_order = (process, *(j for j in range(num_processes) if j != process))
-        self.last_local_sn = 0
         #: final event count of each process, once known
         self.terminated: dict[int, int | None] = dict.fromkeys(range(num_processes))
 
@@ -282,13 +281,11 @@ class DecentralizedMonitor:
         self._absorbed = 0
         self._parked_at: dict[int, int] = {}
         self._outstanding: dict[int, GlobalView] = {}  # token_id -> waiting view
-        self._checked = -1  # len(declared_states) when _settle last ran
+        self._checked = -1  # declared_bits when _settle last ran
 
-        self.declared_verdicts: set[Verdict] = set()
-        self.declared_states: set[int] = set()
-        #: conclusive verdicts in declaration order (first occurrence only);
-        #: the ordered counterpart of ``declared_verdicts``, used by the
-        #: fleet layer's byte-identical verdict-sequence comparisons
+        #: the declarations, kept once: the conclusive states declared, as a
+        #: bitset, and their verdicts in the order first declared
+        self.declared_bits = 0
         self.verdict_log: list[Verdict] = []
 
         view = GlobalView(
@@ -299,7 +296,7 @@ class DecentralizedMonitor:
         self._born |= view.born
         self.views.append(view)
         if automaton.is_final(view.state):
-            self._declare(view.state)
+            self._declare_reached(1 << view.state)
             self._retire(view)
             self.final_views.append(view)
         self.metrics.max_active_views = len(self.views)
@@ -379,18 +376,20 @@ class DecentralizedMonitor:
             self._image_cache[key] = image
         return image
 
+    @property
+    def declared_verdicts(self) -> set[Verdict]:
+        """The conclusive verdicts declared so far (read off ``verdict_log``)."""
+        return set(self.verdict_log)
+
     def _declare_reached(self, states: int) -> None:
         """Declare the conclusive states of a bitset, in ascending order
         (declaring a state again changes nothing)."""
-        for state in _states_of(states & self._final_bits):
-            self._declare(state)
-
-    def _declare(self, state: int) -> None:
-        verdict = self.automaton.verdict(state)
-        self.declared_states.add(state)
-        if verdict not in self.declared_verdicts:
-            self.declared_verdicts.add(verdict)
-            self.verdict_log.append(verdict)
+        fresh = states & self._final_bits & ~self.declared_bits
+        self.declared_bits |= fresh
+        for state in _states_of(fresh):
+            verdict = self.automaton.verdict(state)
+            if verdict not in self.verdict_log:
+                self.verdict_log.append(verdict)
 
     # ------------------------------------------------------------------
     # public entry points
@@ -424,7 +423,6 @@ class DecentralizedMonitor:
         letter = self.registry.local_letter(self.process, event.state)
         self._append_masks(self.process, (self._mask_of(letter),))
         self.local_vcs.append(tuple(event.vc))
-        self.last_local_sn = event.sn
 
         if any(view.is_waiting() for view in self.views):
             self.metrics.delayed_events += 1
@@ -437,8 +435,8 @@ class DecentralizedMonitor:
         """Handle the termination signal of the attached program process."""
         if not self._started:
             self.start()
-        self.terminated[self.process] = self.last_local_sn
-        notice = TerminationNotice(self.process, self.last_local_sn)
+        last = self.terminated[self.process] = len(self.local_vcs) - 1
+        notice = TerminationNotice(self.process, last)
         recipients = self.routing.termination_recipients(self.process)
         for target in recipients:
             self.transport.send(self.process, target, notice)
@@ -499,11 +497,11 @@ class DecentralizedMonitor:
         and before every step, :meth:`_settle` runs if a state was declared since
         it last ran: once the monitor is settled no view steps.
         """
-        mine = self.process
+        mine, last = self.process, len(self.local_vcs) - 1
         work = list(views)[::-1]
-        while (len(self.declared_states) == self._checked or not self._settle()) and work:
+        while (self.declared_bits == self._checked or not self._settle()) and work:
             view = work.pop()
-            if view.status == ViewStatus.UNBLOCKED and view.cut[mine] < self.last_local_sn:
+            if view.status == ViewStatus.UNBLOCKED and view.cut[mine] < last:
                 work += reversed(self._step_view(view, view.cut[mine] + 1))
                 work.append(view)  # stepped on before the views it forked
 
@@ -517,12 +515,12 @@ class DecentralizedMonitor:
             # out of order: a search without a guard pulls the view up to its
             # cut joined with the event's causal past; answered here when the
             # columns reach that far (the view is retired, its forks returned)
-            return self._issue_token(view, sn, [(self._repair_row, [True] * len(past), past)])
+            return self._issue_token(view, [(self._repair_row, [True] * len(past), past)])
 
         view.cut[mine] = sn
         view.state = new_state = self._compiled.step(view.state, self._mask_at(view.cut))
         if self.automaton.is_final(new_state):
-            self._declare(new_state)
+            self._declare_reached(1 << new_state)
             self._retire(view)
             self.final_views.append(view)
             return ()
@@ -568,11 +566,9 @@ class DecentralizedMonitor:
                     searches.append((row, satisfied, list(cut)))
         else:
             searches = [(row, satisfied, list(cut)) for row, satisfied in ordinary]
-        return self._issue_token(view, cut[self.process], searches) if searches else ()
+        return self._issue_token(view, searches) if searches else ()
 
-    def _issue_token(
-        self, view: GlobalView, parent_event_sn: int, searches: list[Search]
-    ) -> Sequence[GlobalView]:
+    def _issue_token(self, view: GlobalView, searches: list[Search]) -> Sequence[GlobalView]:
         """Serve the *searches* from the columns; a token leaves only with
         what they could not decide.  Answered at home, the view never waits
         and its forks are returned (to the caller's worklist, not consumed here).
@@ -621,8 +617,6 @@ class DecentralizedMonitor:
             return self._forks_of(view, built)
         token = Token(
             parent_process=self.process,
-            parent_view=view.view_id,
-            parent_event_sn=parent_event_sn,
             entries=built,
             known=[len(column) - 1 for column in self.vc_columns],
         )
@@ -973,7 +967,7 @@ class DecentralizedMonitor:
             if self._covered_by_existing_view(state, entry.cut):
                 self.metrics.views_merged += 1
                 continue
-            child = GlobalView(cut=list(entry.cut), state=state, forked_from=view.view_id)
+            child = GlobalView(cut=list(entry.cut), state=state)
             self.metrics.views_created += 1
             self._born |= child.born
             self.views.append(child)
@@ -1239,10 +1233,8 @@ class DecentralizedMonitor:
         appends its events, absorbs runs and serves the others' tokens.
         Returns whether it retired them; runs after every merge and before
         steps (:meth:`_advance_views`)."""
-        self._checked = len(self.declared_states)
-        undeclared = self._final_bits
-        for state in self.declared_states:  # a plain loop: this runs on every merge
-            undeclared &= ~(1 << state)
+        self._checked = self.declared_bits
+        undeclared = self._final_bits & ~self.declared_bits
         for view in self.views:
             if self._reach[view.state] & undeclared:
                 return False

@@ -142,15 +142,9 @@ class LatticeOracle:
         )
 
     # ------------------------------------------------------------------
-    def verdicts_by_path_enumeration(self, max_paths: int | None = None) -> frozenset[Verdict]:
+    def verdicts_by_path_enumeration(self) -> frozenset[Verdict]:
         """Reference implementation enumerating paths one by one.
 
-        Used in tests to validate :meth:`evaluate`; ``max_paths`` bounds the
-        enumeration for safety.
+        Used in tests to validate :meth:`evaluate`.
         """
-        verdicts: set[Verdict] = set()
-        for index, path in enumerate(self.lattice.paths()):
-            if max_paths is not None and index >= max_paths:
-                break
-            verdicts.add(self.verdict_of_path(path))
-        return frozenset(verdicts)
+        return frozenset(map(self.verdict_of_path, self.lattice.paths()))

@@ -20,8 +20,8 @@ during downtime force-restarts the monitor so a crash can never swallow the
 end of a run.
 
 ``rejoin`` recovery rebuilds the monitor through the factory supplied by the
-runner: the fresh incarnation inherits only the durable facts (declared
-verdicts, peer-termination knowledge), replays the retained local event log
+runner: the fresh incarnation inherits only the durable facts (its
+declarations, peer-termination knowledge), replays the retained local event log
 and re-explores from there; tokens created by the old incarnation are
 silently dropped when they return (the fresh monitor does not know them),
 which is exactly the cost the fault scenarios measure.
@@ -274,8 +274,10 @@ class MonitorFaultProxy:
     def _rejoin_from_scratch(self) -> None:
         """Replace the monitor with a fresh incarnation and replay the log.
 
-        Durable facts carried over: declared verdicts (already announced,
-        cannot be retracted) and peer-termination knowledge (stable).  The
+        Durable facts carried over: the declarations — declared states and
+        the verdict log (already announced, cannot be retracted; the fresh
+        incarnation's own start declared only what the old one's did) — and
+        peer-termination knowledge (stable).  The
         volatile exploration state — views, outstanding and parked tokens —
         is rebuilt by replaying the local event log; re-exploration traffic
         is the measurable cost of this policy.
@@ -283,8 +285,8 @@ class MonitorFaultProxy:
         old = self.monitor
         self._retired_metrics.append(old.metrics)
         fresh = self._factory()
-        fresh.declared_verdicts |= old.declared_verdicts
-        fresh.declared_states |= old.declared_states
+        fresh.declared_bits |= old.declared_bits
+        fresh.verdict_log = list(old.verdict_log)
         for peer, final_sn in old.terminated.items():
             if final_sn is not None and peer != old.process:
                 fresh.terminated[peer] = final_sn

@@ -195,7 +195,7 @@ async def _tenant_session(
     """
     started = time.perf_counter()
     computation, automaton, registry = await _load_inputs(spec)
-    net = InMemoryStreamTransport(delay=None)
+    net = InMemoryStreamTransport()
     session = MonitorSession(
         computation,
         automaton,

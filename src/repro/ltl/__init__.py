@@ -48,7 +48,7 @@ from .dfa import MooreMachine, determinize
 from .monitor import MonitorAutomaton, Transition, build_monitor
 from .parser import LTLSyntaxError, parse
 from .predicates import LocalState, Proposition, PropositionRegistry
-from .rewriting import expand, negate, simplify, to_nnf
+from .rewriting import expand, negate, to_nnf
 from .semantics import (
     all_assignments,
     evaluate_lasso,
@@ -106,7 +106,6 @@ __all__ = [
     "PropositionRegistry",
     "expand",
     "negate",
-    "simplify",
     "to_nnf",
     "all_assignments",
     "evaluate_lasso",

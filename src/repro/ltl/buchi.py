@@ -3,7 +3,8 @@
 The construction follows the classic on-the-fly algorithm of Gerth, Peled,
 Vardi and Wolper (PSTV 1995):
 
-1. The input formula is brought into negation normal form.
+1. The input formula is brought into negation normal form, then into the
+   canonical form formula progression uses (:func:`repro.ltl.progression.canonicalize`).
 2. The tableau expansion produces a graph of *nodes*; each node carries the
    literals that must hold *now* (``old``) and the obligations postponed to
    the next position (``next``).
@@ -35,7 +36,8 @@ from .ast import (
     TrueConst,
     Until,
 )
-from .rewriting import simplify, to_nnf
+from .progression import canonicalize
+from .rewriting import to_nnf
 
 __all__ = [
     "Guard",
@@ -231,7 +233,7 @@ def _node_guard(node: _Node) -> Guard:
 
 def _tableau(formula: Formula) -> tuple[list[_Node], list[Formula]]:
     """Run the GPVW expansion and return the nodes plus the Until subformulas."""
-    nnf = simplify(to_nnf(formula))
+    nnf = canonicalize(to_nnf(formula))
     start = _Node(incoming={_INIT}, new={nnf}, old=set(), nxt=set())
     nodes = _expand(start, [])
     untils = sorted(

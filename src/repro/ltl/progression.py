@@ -8,7 +8,8 @@ Those automata coincide with the machine obtained by **formula progression**
 
 * the states are the syntactically-distinct formulas obtained by progressing
   the property through every letter of the alphabet;
-* the transition on letter ``a`` maps state ``φ`` to ``simplify(progress(φ, a))``;
+* the transition on letter ``a`` maps state ``φ`` to ``progress(φ, a)``, in
+  canonical form (:func:`canonicalize`);
 * the verdict of a state is the LTL3 verdict of its formula, decided by
   :func:`_formula_verdict` on the formula itself: ``⊥`` when it is
   unsatisfiable, ``⊤`` when its negation is, ``?`` otherwise (two traces

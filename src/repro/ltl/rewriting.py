@@ -1,4 +1,4 @@
-"""Formula rewriting: negation normal form, expansion of sugar, simplification.
+"""Formula rewriting: negation normal form and expansion of sugar.
 
 The Büchi tableau construction in :mod:`repro.ltl.buchi` expects its input in
 *negation normal form* (NNF): negations only in front of atoms, and only the
@@ -28,7 +28,7 @@ from .ast import (
     intern_formula,
 )
 
-__all__ = ["expand", "negate", "to_nnf", "simplify"]
+__all__ = ["expand", "negate", "to_nnf"]
 
 
 def expand(formula: Formula) -> Formula:
@@ -121,73 +121,3 @@ def _nnf(formula: Formula) -> Formula:
             return Until(_nnf(Not(inner.left)), _nnf(Not(inner.right)))
         raise TypeError(f"cannot negate node {type(inner).__name__}")
     raise TypeError(f"unexpected node {type(formula).__name__} in NNF conversion")
-
-
-def simplify(formula: Formula) -> Formula:
-    """Apply cheap syntactic simplifications to an NNF formula.
-
-    Constant folding (``f & true = f`` etc.), idempotence and absorption of
-    trivially equal operands.  The result is logically equivalent to the
-    input and still in NNF if the input was.
-    """
-    if isinstance(formula, (TrueConst, FalseConst, Atom)):
-        return formula
-    if isinstance(formula, Not):
-        inner = simplify(formula.operand)
-        if isinstance(inner, TrueConst):
-            return FALSE
-        if isinstance(inner, FalseConst):
-            return TRUE
-        if isinstance(inner, Not):
-            return inner.operand
-        return Not(inner)
-    if isinstance(formula, And):
-        left = simplify(formula.left)
-        right = simplify(formula.right)
-        if isinstance(left, FalseConst) or isinstance(right, FalseConst):
-            return FALSE
-        if isinstance(left, TrueConst):
-            return right
-        if isinstance(right, TrueConst):
-            return left
-        if left == right:
-            return left
-        return And(left, right)
-    if isinstance(formula, Or):
-        left = simplify(formula.left)
-        right = simplify(formula.right)
-        if isinstance(left, TrueConst) or isinstance(right, TrueConst):
-            return TRUE
-        if isinstance(left, FalseConst):
-            return right
-        if isinstance(right, FalseConst):
-            return left
-        if left == right:
-            return left
-        return Or(left, right)
-    if isinstance(formula, Next):
-        inner = simplify(formula.operand)
-        if isinstance(inner, (TrueConst, FalseConst)):
-            return inner
-        return Next(inner)
-    if isinstance(formula, Until):
-        left = simplify(formula.left)
-        right = simplify(formula.right)
-        if isinstance(right, (TrueConst, FalseConst)):
-            # f U true = true ; f U false = false
-            return right
-        if left == right:
-            return left
-        return Until(left, right)
-    if isinstance(formula, Release):
-        left = simplify(formula.left)
-        right = simplify(formula.right)
-        if isinstance(right, (TrueConst, FalseConst)):
-            # f R true = true ; f R false = false
-            return right
-        if left == right:
-            return left
-        return Release(left, right)
-    if isinstance(formula, (Implies, Iff, Eventually, Always)):
-        return simplify(expand(formula))
-    raise TypeError(f"unknown formula node {type(formula).__name__}")

@@ -10,18 +10,19 @@ Two transports are provided:
   event loop.  Fast and used by the test-suite and the default CLI backend.
 * :class:`TcpStreamTransport` — every monitor node it hosts listens on a
   real TCP socket and the :mod:`repro.core.messages` wire messages travel
-  as wire protocol v5 binary frames (:mod:`repro.cluster.codec`).  The
+  as wire protocol v6 binary frames (:mod:`repro.cluster.codec`).  The
   asyncio backend hosts every monitor on loopback, a cluster worker
   (:mod:`repro.cluster.worker`) one, reaching the rest at manifest addresses.
 
 Both transports preserve **FIFO order per (sender, receiver) channel** (the
 algorithm's reliable-FIFO-channel assumption): every channel has its own
-queue drained by a dedicated pump task, and delivery instants are clamped to
-be monotone per channel exactly like the discrete-event simulator does.
-Latency/loss semantics come from the same network conditions the simulator
-uses (one :class:`repro.core.delays.DelayModel` per run), evaluated against
-the transport's :attr:`StreamTransport.now` (virtual seconds, advanced as
-fast as the event loop runs).
+queue drained by a dedicated pump task, and the delivery instants it is given
+are monotone per channel already.  Latency/loss semantics and that FIFO clamp
+come from the same network conditions the simulator uses (one
+:class:`repro.core.delays.DelayModel` per run; without one, a zero-latency
+:class:`~repro.core.delays.ReliableNetwork` run), evaluated against the
+transport's :attr:`StreamTransport.now` (virtual seconds, advanced as fast as
+the event loop runs).
 
 Quiescence — "no message is in flight anywhere and no node has unprocessed
 inbox items" — is detected with a simple conservative counter:
@@ -41,7 +42,7 @@ from typing import TYPE_CHECKING
 from ..cluster import codec
 from ..cluster.manifest import Endpoint
 from ..cluster.transport import dial
-from ..core.delays import DelayModel
+from ..core.delays import DelayModel, ReliableNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .node import StreamMonitorNode
@@ -52,25 +53,27 @@ __all__ = [
     "TcpStreamTransport",
 ]
 
+#: the network of a transport given no delay model: instant, FIFO links
+_UNDELAYED = ReliableNetwork(latency=0.0, jitter=0.0)
+
 
 class StreamTransport:
     """Base streaming transport: channel pumps + in-flight accounting.
 
     Subclasses customise only :meth:`_forward` (how a due message reaches
-    the target node) and the async lifecycle hooks; FIFO clamping, delay
-    evaluation and quiescence tracking live here.  Implements the
+    the target node) and the async lifecycle hooks; delay evaluation and
+    quiescence tracking live here.  Implements the
     :class:`repro.core.transport.Transport` protocol, so monitor code and
     metrics collection are oblivious to which backend is underneath.
     """
 
     def __init__(self, delay: DelayModel | None = None) -> None:
-        self.delay = delay
+        self.delay = delay or _UNDELAYED.delay_model(None)
         #: virtual time: the largest instant any task advanced to so far,
         #: which is exactly what the delay models need as a send-time base
         self.now: float = 0.0
         self._nodes: dict[int, StreamMonitorNode] = {}
         self._channel_queues: dict[tuple[int, int], asyncio.Queue] = {}
-        self._channel_clock: dict[tuple[int, int], float] = {}
         self._pumps: list[asyncio.Task] = []
         #: a fatal transport-level failure (e.g. a peer disconnecting
         #: mid-frame on TCP); surfaced by :meth:`wait_quiescent` instead of
@@ -95,18 +98,11 @@ class StreamTransport:
         if target not in self._nodes and not self._addressed(target):
             raise ValueError(f"no monitor node registered for process {target}")
         self.messages_sent += 1
-        now = self.now
-        if self.delay is not None:
-            due = self.delay.delivery_time(now, sender, target)
-        else:
-            due = now
-        channel = (sender, target)
-        # FIFO per channel: delivery instants are monotone per channel, and
-        # the per-channel pump realises them sequentially
-        due = max(due, self._channel_clock.get(channel, 0.0))
-        self._channel_clock[channel] = due
+        # delivery instants are monotone per channel, and the channel's pump
+        # realises them in order
+        due = self.delay.delivery_time(self.now, sender, target)
         self.in_flight += 1
-        self._channel_queue(channel).put_nowait((due, target, message))
+        self._channel_queue((sender, target)).put_nowait((due, target, message))
 
     def _addressed(self, target: int) -> bool:
         """Whether *target* is a remote peer this transport can reach."""
@@ -230,7 +226,7 @@ class StreamTransport:
 
     def extra_stats(self) -> dict[str, float]:
         """Behaviour-specific counters of the installed network run."""
-        return self.delay.extra_stats() if self.delay is not None else {}
+        return self.delay.extra_stats()
 
 
 class InMemoryStreamTransport(StreamTransport):
@@ -252,7 +248,7 @@ class TcpStreamTransport(StreamTransport):
     remote peer.  Channel pumps lazily dial one client connection per
     (sender, target) pair with :func:`repro.cluster.transport.dial`'s
     bounded backoff — peers may start listening in any order — and write
-    wire protocol v5 frames (:mod:`repro.cluster.codec`).  A failed write
+    wire protocol v6 frames (:mod:`repro.cluster.codec`).  A failed write
     re-dials and re-sends the same frame (a peer restarted mid-run), and
     one pump per channel keeps FIFO.  The receiving server decodes each
     frame and enqueues it into the target node's inbox, so from the

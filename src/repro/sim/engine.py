@@ -73,8 +73,8 @@ class Simulator:
         self.events_executed += 1
         return True
 
-    def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
-        """Run until the queue is empty (or simulated time passes *until*).
+    def run(self, max_events: int = 10_000_000) -> float:
+        """Run until the queue is empty.
 
         At most *max_events* callbacks run; a run that still has work due
         after that raises :class:`SimulationBudgetExceeded`.  Returns the
@@ -82,8 +82,6 @@ class Simulator:
         """
         executed = 0
         while self._queue:
-            if until is not None and self._queue[0][0] > until:
-                break
             if executed == max_events:
                 raise SimulationBudgetExceeded(
                     f"simulation exceeded the maximum event budget ({max_events})"

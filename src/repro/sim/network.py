@@ -14,8 +14,9 @@ defined once and means the same thing on both backends.  Every condition
 *keeps delivery reliable* (the paper's algorithm assumes reliable FIFO
 channels, so degraded conditions defer — never drop — messages), and all
 randomness comes from the run's seeded :class:`random.Random`, so a run is
-deterministic for a fixed seed.  FIFO clamping and accounting stay here;
-conditions never see ordering.
+deterministic for a fixed seed.  The run's delivery instants are FIFO per
+channel already (:meth:`repro.core.delays.NetworkRun.delivery_time`), and the
+simulator delivers in instant order; accounting stays here.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class SimulatedNetwork:
         #: the backend-agnostic latency semantics (:mod:`repro.core.delays`)
         self.delay = delay
         self._monitors: dict[int, MonitorNode] = {}
-        #: earliest permissible delivery time per (sender, receiver) pair,
-        #: enforcing FIFO order even with jittered latencies
-        self._channel_clock: dict[tuple[int, int], float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.last_delivery_time: float = 0.0
@@ -58,11 +56,7 @@ class SimulatedNetwork:
         if target not in self._monitors:
             raise ValueError(f"no monitor registered for process {target}")
         self.messages_sent += 1
-        channel = (sender, target)
-        earliest = self._channel_clock.get(channel, 0.0)
-        # FIFO: the condition never sees ordering, the channel clock clamps
-        delivery = max(self.delay.delivery_time(self.simulator.now, sender, target), earliest)
-        self._channel_clock[channel] = delivery
+        delivery = self.delay.delivery_time(self.simulator.now, sender, target)
 
         def deliver(
             message: object = message, target: int = target, delivery: float = delivery

@@ -1,4 +1,4 @@
-"""Wire protocol v5 codec: byte-stable round-trips and corruption diagnostics.
+"""Wire protocol v6 codec: byte-stable round-trips and corruption diagnostics.
 
 The acceptance properties of the codec (hypothesis-tested here):
 
@@ -110,8 +110,6 @@ def tokens(draw):
     entries = draw(st.lists(token_entries(n), max_size=3))
     return Token(
         parent_process=draw(st.integers(0, n - 1)),
-        parent_view=draw(st.integers(0, 100)),
-        parent_event_sn=draw(st.integers(-1, 100)),
         entries=entries,
         known=draw(st.lists(positions, min_size=n, max_size=n)),
         runs=draw(st.dictionaries(st.integers(0, n - 1), runs(n), max_size=n)),
@@ -168,9 +166,18 @@ class TestRoundTrip:
     def test_control_frames_are_json_from_protocol_version_5(self):
         # v4 wrote control mappings in a tagged value layout; a v4 peer
         # cannot read a v5 handshake
-        assert codec.PROTOCOL_VERSION == 5
+        assert codec.PROTOCOL_VERSION >= 5
         frame = codec.encode_control({"kind": "hello", "process": 0})
         assert frame[codec.HEADER.size :] == b'{"kind":"hello","process":0}'
+
+    def test_a_token_names_no_view_from_protocol_version_6(self):
+        # v5 wrote the parent view and the parent event after the parent
+        # process; v6 routes on parent_process, token_id and hops alone
+        assert codec.PROTOCOL_VERSION == 6
+        token = Token(parent_process=1, entries=[], known=[0, 0], token_id=5, hops=2)
+        type_tag, body = codec.encode_message(token)
+        assert type_tag == codec.TYPE_TOKEN
+        assert body[:4] == bytes([2, 10, 4, 2])  # zigzag 1, 5, 2; then n = 2
 
     @pytest.mark.parametrize(
         "value", [None, 3, "done", {"a": 1}, [TerminationNotice(0, 1)]]
@@ -222,7 +229,7 @@ class TestDiagnostics:
         ):
             codec.decode_header(header[: codec.HEADER.size])
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 255])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 255])
     def test_foreign_version_reports_both_versions(self, version):
         header = codec.HEADER.pack(codec.MAGIC, version, codec.TYPE_TERMINATION, 0)
         with pytest.raises(
@@ -306,7 +313,7 @@ class TestDiagnostics:
 
 
 def _token(known, runs=None, entries=()):
-    return Token(0, 0, 0, entries=list(entries), known=known, runs=runs or {}, token_id=1)
+    return Token(0, entries=list(entries), known=known, runs=runs or {}, token_id=1)
 
 
 def _round_trip(message):
@@ -422,23 +429,23 @@ class TestHostileInput:
 
     def test_a_corrupt_count_is_refused_before_anything_is_allocated(self):
         type_tag, payload = codec.split_frame(codec.encode_wire(0.0, _token([1, 2])))
-        # no runs, no entries: after the instant come five one-byte routing
+        # no runs, no entries: after the instant come three one-byte routing
         # fields, then n = 2, ``known`` packed, and the two counts
-        assert payload[8:] == bytes([0, 0, 0, 2, 0, 2, 1, 1, 2, 0, 0])
+        assert payload[8:] == bytes([0, 2, 0, 2, 1, 1, 2, 0, 0])
         huge = bytearray()
         codec._w_uvarint(huge, 2**40)
-        for at in (13, 17, 18):  # n, runs, entries
+        for at in (11, 15, 16):  # n, runs, entries
             with pytest.raises(codec.CorruptFrameError, match="elements announced"):
                 codec.decode_wire(type_tag, payload[:at] + bytes(huge) + payload[at + 1 :])
 
-    def test_a_v4_frame_is_refused_naming_both_versions(self):
+    def test_a_v5_frame_is_refused_naming_both_versions(self):
         frame = bytearray(codec.encode_wire(0.0, _token([0])))
-        frame[2] = 4  # as a node of the previous release writes it
+        frame[2] = 5  # as a node of the previous release writes it
         for read in (self._read, codec.split_frame):
             with pytest.raises(codec.ProtocolVersionError) as excinfo:
                 read(bytes(frame))
-            assert "version 4" in str(excinfo.value)
-            assert "only version 5" in str(excinfo.value)
+            assert "version 5" in str(excinfo.value)
+            assert "only version 6" in str(excinfo.value)
 
 
 class TestFrameLengthBound:

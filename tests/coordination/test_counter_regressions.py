@@ -64,8 +64,6 @@ def _decided_token(parent_process):
     )
     return Token(
         parent_process=parent_process,
-        parent_view=0,
-        parent_event_sn=0,
         entries=[entry],
         known=[0, 0],
     )

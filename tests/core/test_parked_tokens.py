@@ -50,7 +50,7 @@ def _observed(report):
     return (
         counters,
         [monitor.verdict_log for monitor in report.monitors],
-        [monitor.declared_states for monitor in report.monitors],
+        [monitor.declared_bits for monitor in report.monitors],
         (report.monitor_messages, report.token_messages, report.termination_messages),
     )
 

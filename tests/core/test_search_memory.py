@@ -103,7 +103,7 @@ def _issue(monitor, computation, guard, floor):
     view, entry = _search(monitor, computation, guard, floor)
     forks_of, given = monitor._forks_of, []
     monitor._forks_of = lambda view, entries: given.extend(entries) or forks_of(view, entries)
-    monitor._issue_token(view, floor[monitor.process], [_as_search(entry)])
+    monitor._issue_token(view, [_as_search(entry)])
     del monitor._forks_of
     (found,) = [entry.cut for entry in given if entry.eval] or [None]
     return found and tuple(found)
@@ -228,7 +228,7 @@ def _one_remembered_one_undecided(forget):
         monitor._least.clear()
     view, again = _search(monitor, computation, of_p1, (1, 0, 0))
     _, open_ended = _search(monitor, computation, of_p2, (1, 0, 0))
-    assert monitor._issue_token(view, 1, [_as_search(again), _as_search(open_ended)]) == ()
+    assert monitor._issue_token(view, [_as_search(again), _as_search(open_ended)]) == ()
     return monitor, view, network.tokens
 
 
@@ -239,7 +239,7 @@ def test_a_leaving_token_carries_what_walking_every_entry_gives():
     ((expected_target, expected_token),) = expected
     assert target == expected_target == 2  # P2 alone can say more
     assert view.is_waiting() and remembering._outstanding[token.token_id] is view
-    token.token_id, token.parent_view = expected_token.token_id, expected_token.parent_view
+    token.token_id = expected_token.token_id
     assert token == expected_token  # dataclass equality: entries, known, runs, hops
     walked, open_ended = token.entries
     assert walked.eval is True and walked.cut == walked.depend == [2, 3, 0]
@@ -290,7 +290,7 @@ def _explorer(computation, registry, automaton, process, budget):
                 list(map(automaton.compiled.encode, letters)),
                 [tuple(event.vc) for event in events],
             )
-    monitor._absorb_runs(Token(process, 0, 0, entries=[], known=[0] * n, runs=runs))
+    monitor._absorb_runs(Token(process, entries=[], known=[0] * n, runs=runs))
     monitor.start()
     return monitor
 
@@ -299,7 +299,7 @@ def _explored(monitor):
     return (
         [(view.state, view.cut, view.status) for view in monitor.views],
         monitor._born,
-        monitor.declared_states,
+        monitor.declared_bits,
         monitor.verdict_log,
         monitor.metrics.views_created,
         monitor.metrics.views_evicted,
@@ -434,7 +434,7 @@ def _asked_at_start(truth):
 def test_an_arriving_entry_is_walked_whatever_the_memory_says():
     monitor, network, token, poisoned = _asked_at_start(truth=True)
     arriving = Token(
-        1, 0, 0, entries=[copy.deepcopy(token.entries[0])], known=[0, 0],
+        1, entries=[copy.deepcopy(token.entries[0])], known=[0, 0],
         runs={1: ([home._mask(monitor, "P1.p")], [(0, 1)])},
     )
     monitor.receive_message(arriving)  # P1's monitor asks the same of this one
@@ -468,7 +468,7 @@ def test_a_forged_entry_neither_reads_nor_writes_the_memory(cut):
     monitor, network, token, poisoned = _asked_at_start(truth=True)
     forged = copy.deepcopy(token.entries[0])
     forged.cut, forged.eval = cut, None
-    monitor.receive_message(Token(1, 0, 0, entries=[forged], known=[0, 0]))
+    monitor.receive_message(Token(1, entries=[forged], known=[0, 0]))
     assert monitor._least == poisoned
     # and claimed decided on the monitor's own token, it forks nothing
     token.entries[0].cut, token.entries[0].eval = cut, True

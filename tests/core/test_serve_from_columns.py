@@ -116,7 +116,7 @@ def _hold(monitor, process, clocks, masks=None):
     """Put events ``1 …`` of *process* (mask 0 unless given) in the columns."""
     known = [0] * monitor.num_processes
     runs = {process: (list(masks or [0] * len(clocks)), list(clocks))}
-    monitor._absorb_runs(Token(0, 0, 0, entries=[], known=known, runs=runs))
+    monitor._absorb_runs(Token(0, entries=[], known=known, runs=runs))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,7 @@ def test_a_repaired_lone_view_always_leaves_a_successor():
     (successor,) = monitor.views  # same state, larger cut: the stale view
     assert successor is not stale  # would have "covered" it, had it stayed
     assert (successor.state, successor.cut) == (stale.state, [1, 1])
-    assert successor.forked_from == stale.view_id and stale not in monitor.final_views
+    assert stale not in monitor.final_views
     assert monitor.metrics.views_merged == 0 and monitor.metrics.views_created == 2
 
 
@@ -598,7 +598,7 @@ def test_a_forged_token_whose_runs_leave_a_gap_changes_no_column(known):
     _hold(monitor, 1, [(0, 1, 0)])
     before = copy.deepcopy((monitor.mask_columns, monitor.vc_columns))
     forged = Token(
-        2, 0, 0, entries=[], known=known,
+        2, entries=[], known=known,
         runs={1: ([_mask(monitor, "P1.p")] * 2, [(0, 7, 0), (0, 8, 0)])},
     )
     monitor.receive_message(forged)  # someone else's token, snooped on the way
@@ -608,7 +608,7 @@ def test_a_forged_token_whose_runs_leave_a_gap_changes_no_column(known):
 def test_every_monitor_absorbs_the_runs_of_tokens_it_merely_relays():
     monitor, network = _monitor(n=3)
     passing = Token(
-        2, 0, 0, entries=[], known=[0, 0, 0],
+        2, entries=[], known=[0, 0, 0],
         runs={1: ([_mask(monitor, "P1.p")], [(0, 1, 0)])},
     )
     monitor.receive_message(passing)

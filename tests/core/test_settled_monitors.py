@@ -113,7 +113,7 @@ def test_a_settled_monitor_still_serves_routes_and_absorbs_foreign_tokens():
         start_cut=[0, 2], cut=[0, 2], depend=[0, 2], min_positions=[0, 2],
         satisfied=[False, True],
     )
-    token = Token(1, 99, 2, entries=[entry], known=[0, 1], runs={1: ([0], [(0, 2)])})
+    token = Token(1, entries=[entry], known=[0, 1], runs={1: ([0], [(0, 2)])})
     monitor.receive_message(token)
     assert len(monitor.vc_columns[1]) == 3  # P1's event 2 was absorbed
     assert monitor.metrics.token_hops_served == 1
@@ -160,12 +160,12 @@ def test_a_waiting_views_reach_keeps_the_monitor_exploring():
     ((_, token),) = network.tokens
     assert view.is_waiting()
     # ⊤ found elsewhere by this monitor; the waiting view can still reach ⊥
-    monitor._declare(_state_of(monitor, Verdict.TOP))
+    monitor._declare_reached(1 << _state_of(monitor, Verdict.TOP))
     monitor.receive_message(TerminationNotice(1, 3))  # an entry point: the check runs
     assert monitor.views == [view] and monitor.metrics.views_settled == 0
     assert not monitor.is_quiescent  # its token is still its own
     # once ⊥ is declared too, the waiting view is retired and its token disowned
-    monitor._declare(_state_of(monitor, Verdict.BOTTOM))
+    monitor._declare_reached(1 << _state_of(monitor, Verdict.BOTTOM))
     monitor.receive_message(TerminationNotice(1, 3))
     assert monitor.views == [] and monitor.metrics.views_settled == 1
     token.entries[0].eval, token.entries[0].cut[1] = True, 1
@@ -185,19 +185,20 @@ def test_every_live_views_reach_counts_in_any_order():
     top, bottom = _state_of(monitor, Verdict.TOP), _state_of(monitor, Verdict.BOTTOM)
     assert forked.cut == [0, 1] and reach[forked.state] >> bottom & 1 == 0
     assert reach[first.state] >> bottom & 1 and reach[forked.state] >> top & 1
-    monitor._declare(top)  # as if found by a search: ⊥ is still in the first view's reach
+    # as if found by a search: ⊥ is still in the first view's reach
+    monitor._declare_reached(1 << top)
     for views in ([first, forked], [forked, first]):
         monitor.views = list(views)
         monitor._settle()
         assert monitor.views == views and monitor.metrics.views_settled == 0
-    monitor._declare(bottom)
+    monitor._declare_reached(1 << bottom)
     monitor._settle()
     assert monitor.views == [] and monitor.metrics.views_settled == 2
 
 
 def _is_settled(monitor):
     """The definition, read off the monitor without ``_settle``."""
-    undeclared = monitor._final_bits & ~sum(1 << q for q in monitor.declared_states)
+    undeclared = monitor._final_bits & ~monitor.declared_bits
     reach = monitor.automaton.reach_bits
     return not any(reach[view.state] & undeclared for view in monitor.views)
 
@@ -230,10 +231,10 @@ def test_views_retired_inside_the_termination_loop_are_not_explored(monkeypatch)
     issue, step = DecentralizedMonitor._issue_token, DecentralizedMonitor._step_view
     searched, stepped = [], []
 
-    def found_top(self, view, sn, searches):
+    def found_top(self, view, searches):
         searched.append(view)
-        forks = issue(self, view, sn, searches)
-        self._declare(_state_of(self, Verdict.TOP))  # as if this search met ⊤
+        forks = issue(self, view, searches)
+        self._declare_reached(1 << _state_of(self, Verdict.TOP))  # as if this search met ⊤
         return forks
 
     monkeypatch.setattr(DecentralizedMonitor, "_issue_token", found_top)

@@ -59,7 +59,7 @@ def _monitor():
 
 
 def _token(known, runs, entries=()):
-    return Token(0, 0, 0, entries=list(entries), known=known, runs=runs)
+    return Token(0, entries=list(entries), known=known, runs=runs)
 
 
 @st.composite
@@ -129,7 +129,6 @@ def _returned(monitor, cut, known, runs=None):
         eval=True,
     )
     token = _token(known, runs or {}, [entry])
-    token.parent_view = view.view_id
     view.status = ViewStatus.WAITING
     view.outstanding_token = token.token_id
     monitor._outstanding[token.token_id] = view

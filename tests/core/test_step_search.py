@@ -135,7 +135,7 @@ def _searched_targets(monitor):
 def test_one_search_per_step_matches_a_search_per_entry_and_the_lattice(case):
     computation, registry, lattice, start, targets, automaton, state = case
     monitor, view, entries = _step(computation, registry, automaton, start, targets, state)
-    before = set(monitor.declared_states)
+    before = set(_states_of(monitor.declared_bits))
     searched = _searched_targets(monitor)
     together = monitor._box_reachable(view, entries)
     assert monitor.metrics.box_queries == len(entries)
@@ -152,9 +152,9 @@ def test_one_search_per_step_matches_a_search_per_entry_and_the_lattice(case):
             computation, registry, automaton, start, [target], state
         )
         assert alone._box_reachable(view_alone, entry_alone) == [reached]
-        assert alone.declared_states - before == conclusive - before
+        assert set(_states_of(alone.declared_bits)) - before == conclusive - before
         cells_alone += alone.metrics.box_cells_visited
-    assert monitor.declared_states - before == expected_conclusive - before
+    assert set(_states_of(monitor.declared_bits)) - before == expected_conclusive - before
     # never more cells than the searches it replaces, nor than the cuts below
     # a target searched (one its letter answered costs none)
     below = {
@@ -256,7 +256,7 @@ def _issuing(monitor):
     ``_explore_outgoing`` hands ``_issue_token`` are collected instead."""
     issued = []
 
-    def collect(view, sn, searches):
+    def collect(view, searches):
         issued.extend(monitor._make_entry(view, *search) for search in searches)
         return ()
 
@@ -544,7 +544,7 @@ def lettered_steps(draw):
 def test_a_target_its_letter_decides_gets_what_the_search_and_the_lattice_give(case):
     computation, registry, lattice, start, targets, automaton, state = case
     monitor, view, entries = _step(computation, registry, automaton, start, targets, state)
-    before = set(monitor.declared_states)
+    before = set(_states_of(monitor.declared_bits))
     together = monitor._box_reachable(view, entries)
     searched, declared = {}, set()
     for target in targets:  # the search alone, on a monitor of its own
@@ -552,7 +552,7 @@ def test_a_target_its_letter_decides_gets_what_the_search_and_the_lattice_give(c
             computation, registry, automaton, start, [target], state
         )
         (searched[target],) = alone._box_search(view_alone, entry_alone)
-        declared |= alone.declared_states
+        declared |= set(_states_of(alone.declared_bits))
         mark = (state, target)
         assert view.searched.get(mark) == view_alone.searched.get(mark)
     consistent = set(lattice.cuts())
@@ -565,9 +565,9 @@ def test_a_target_its_letter_decides_gets_what_the_search_and_the_lattice_give(c
             )
             assert set(_states_of(reached)) == states
             lattice_declared |= conclusive
-    assert monitor.declared_states == declared
+    assert set(_states_of(monitor.declared_bits)) == declared
     if all(target in consistent for target in targets):
-        assert monitor.declared_states - before == lattice_declared - before
+        assert set(_states_of(monitor.declared_bits)) - before == lattice_declared - before
     assert monitor.metrics.box_queries == len(targets) >= monitor.metrics.boxes_by_letter
 
 
@@ -671,18 +671,17 @@ def _both_searches(monitor, view, entries, search):
     """What the reference search and *search* each give and leave — answers,
     ``view.searched``, declared states and verdicts, cells counted — from the
     same monitor state; the monitor is left as *search* leaves it."""
-    searched, declared = dict(view.searched), set(monitor.declared_states)
-    verdicts, log = set(monitor.declared_verdicts), list(monitor.verdict_log)
+    searched, declared = dict(view.searched), monitor.declared_bits
+    log = list(monitor.verdict_log)
     cells = monitor.metrics.box_cells_visited
     results = []
     for run in (_reference_box_search, search):
         view.searched = dict(searched)
-        monitor.declared_states, monitor.declared_verdicts = set(declared), set(verdicts)
-        monitor.verdict_log = list(log)
+        monitor.declared_bits, monitor.verdict_log = declared, list(log)
         monitor.metrics.box_cells_visited = cells
         reached = run(monitor, view, entries)
         results.append((
-            reached, dict(view.searched), set(monitor.declared_states),
+            reached, dict(view.searched), monitor.declared_bits,
             list(monitor.verdict_log), monitor.metrics.box_cells_visited - cells,
         ))
     return results

@@ -17,7 +17,7 @@ import copy
 import random
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
@@ -264,13 +264,14 @@ def _box(monitor, computation, registry, start, target, state):
                 [tuple(event.vc) for event in run],
             )
     monitor._absorb_runs(
-        Token(monitor.process, 0, 0, entries=[entry], known=[0] * n, runs=runs)
+        Token(monitor.process, entries=[entry], known=[0] * n, runs=runs)
     )
     return view, entry
 
 
 @given(boxes())
 @settings(max_examples=300, deadline=None)
+@seed(2015)  # the same boxes on every run: fresh draws took 5–50 s; CI draws fresh ones
 def test_box_search_matches_brute_force_over_the_lattice(case):
     computation, registry, lattice, start, target, automaton, state = case
     expected_states, expected_conclusive, consistent_cuts = _brute_force(
@@ -279,11 +280,11 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
     base_letter = registry.letter_of(computation.global_state(start))
     may_collapse = automaton.stutter_closed and automaton.step(state, base_letter) == state
     monitor = _monitor(0, computation, registry, automaton, feed=target[0])
-    before = set(monitor.declared_states)
+    before = set(_states_of(monitor.declared_bits))
     view, entry = _box(monitor, computation, registry, start, target, state)
     (reached,) = monitor._box_reachable(view, [entry])
     assert set(_states_of(reached)) == expected_states
-    assert monitor.declared_states - before == expected_conclusive - before
+    assert set(_states_of(monitor.declared_bits)) - before == expected_conclusive - before
     assert monitor.declared_verdicts >= {automaton.verdict(q) for q in expected_conclusive}
     entry.transition_id = None  # as a repair: every inconclusive state reached is forked
     letter = registry.letter_of(computation.global_state(target))
@@ -323,7 +324,7 @@ def test_the_search_visits_letter_runs_not_the_events_spanned():
     view, entry = _box(monitor, computation, registry, start, target, state)
     (reached,) = monitor._box_reachable(view, [entry])
     assert set(_states_of(reached)) == expected_states
-    assert monitor.declared_states == expected_conclusive
+    assert set(_states_of(monitor.declared_bits)) == expected_conclusive
     assert monitor.metrics.boxes_by_letter == 0
     assert monitor.metrics.box_cells_visited == (len(flips) + 1) ** n
 
@@ -403,7 +404,7 @@ def _serve_one_event_at_a_time(monitor, entry):
             entry.parked_on = None
             break
         next_sn = entry.cut[j] + 1
-        if next_sn > monitor.last_local_sn:
+        if next_sn >= len(monitor.local_vcs):
             if monitor.terminated[j] is not None:
                 entry.eval = False
                 entry.parked_on = None
@@ -466,7 +467,7 @@ def test_one_shot_serving_matches_the_event_at_a_time_loop(case):
     assert entry == expected  # dataclass equality: every field
     # the events the loop scanned leave on the token, once, minus what the
     # parent knew
-    token = Token((process + 1) % len(known), 0, 0, entries=[entry], known=known)
+    token = Token((process + 1) % len(known), entries=[entry], known=known)
     monitor._extend_run(token)
     shipped = [event for event in scanned if event[0] > known[process]]
     masks, vcs = token.runs.get(process, ([], []))

@@ -14,6 +14,7 @@ Two properties gate this subsystem (both hypothesis-tested here):
 import json
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExecutionConfig, ExperimentScale, run_scenario, run_streaming
-from repro.experiments.engine import run_scenario_cell
+from repro.experiments.engine import cell_inputs, run_scenario_cell
 from repro.experiments.properties import case_study_registry
 from repro.faults import CrashSpec, FaultPlan, parse_fault_plan
 from repro.ltl import build_monitor
@@ -169,6 +170,61 @@ class TestBackendsAgreeUnderFaults:
         )
         assert tcp.declared_verdicts == memory.declared_verdicts
         assert tcp.fault_stats["fault_crashes"] == memory.fault_stats["fault_crashes"]
+
+
+def _paper_default_inputs(property_name, num_processes, seed):
+    return cell_inputs(
+        get_scenario("paper-default"),
+        property_name,
+        num_processes,
+        events_per_process=6,
+        evt_mu=3,
+        evt_sigma=1,
+        comm_mu=3,
+        comm_sigma=1,
+        seed=seed,
+    )
+
+
+def _verdicts_of_declared_states(monitor):
+    bits = monitor.declared_bits
+    return {monitor.automaton.verdict(q) for q in range(bits.bit_length()) if bits >> q & 1}
+
+
+class TestRejoinKeepsTheDeclarations:
+    """A fresh incarnation inherits its predecessor's verdict log with its
+    declared states, so the report's verdict sequence keeps what the monitor
+    declared before it crashed."""
+
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_the_verdict_sequence_survives_a_rejoin(self, backend):
+        inputs = _paper_default_inputs("B", 2, 2016)
+        plan = parse_fault_plan("0@6+1:rejoin")
+        if backend == "sim":
+            network = get_scenario("paper-default").network
+            report = simulate_monitored_run(
+                *inputs, seed=2016, max_views_per_state=2, network=network, faults=plan
+            )
+        else:
+            report = run_streaming(*inputs, max_views_per_state=2, faults=plan)
+        assert report.fault_stats["fault_restarts"] == 1
+        assert report.verdict_sequence() == ("⊤", "⊤")
+        for monitor in report.monitors:
+            assert set(monitor.verdict_log) == monitor.declared_verdicts
+            assert monitor.declared_verdicts == _verdicts_of_declared_states(monitor)
+
+    @pytest.mark.parametrize("property_name", "ABCDEF")
+    def test_every_declared_state_has_its_verdict_logged(self, property_name):
+        network = get_scenario("paper-default").network
+        for n, seed, after in product((2, 3), range(2015, 2025), (2, 4, 6)):
+            plan = parse_fault_plan(f"0@{after}+1:rejoin")
+            report = simulate_monitored_run(
+                *_paper_default_inputs(property_name, n, seed),
+                seed=seed, max_views_per_state=2, network=network, faults=plan,
+            )
+            for monitor in report.monitors:
+                logged = set(monitor.verdict_log)
+                assert logged == _verdicts_of_declared_states(monitor), (n, seed, after)
 
 
 class TestFaultScenarios:

@@ -20,8 +20,8 @@ class ScriptedMonitor:
         self.incarnation = type(self).instances
         self.process = process
         self.calls = []
-        self.declared_verdicts = set()
-        self.declared_states = set()
+        self.declared_bits = 0
+        self.verdict_log = []
         self.terminated = {process: None, 99: 42}
         self.metrics = MonitorMetrics()
 
@@ -171,16 +171,16 @@ class TestRejoinRecovery:
             process=3,
         )
         old = proxy.monitor
-        old.declared_verdicts.add("TOP")
-        old.declared_states.add(7)
+        old.verdict_log.append("TOP")
+        old.declared_bits |= 1 << 7
         old.terminated[1] = 5  # peer 1 known terminated at sn 5
         old.terminated[3] = 9  # own termination is NOT carried (rebuilt locally)
         proxy.local_event("e1")
         proxy.local_event("e2")
         fresh = proxy.monitor
         assert fresh is not old
-        assert "TOP" in fresh.declared_verdicts
-        assert 7 in fresh.declared_states
+        assert fresh.verdict_log == ["TOP"]
+        assert fresh.declared_bits == 1 << 7
         assert fresh.terminated[1] == 5
         assert fresh.terminated[3] is None
         assert fresh.terminated[99] == 42  # the double's own initial state

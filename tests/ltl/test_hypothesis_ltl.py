@@ -19,7 +19,6 @@ from repro.ltl import (
     mk_release,
     mk_until,
     parse,
-    simplify,
     to_nnf,
 )
 from repro.ltl.ast import (
@@ -79,10 +78,18 @@ class TestRewritingProperties:
 
     @given(formulas(), traces, loops)
     @settings(max_examples=150, deadline=None)
-    def test_simplify_preserves_lasso_semantics(self, formula, prefix, loop):
-        simplified = simplify(to_nnf(formula))
+    def test_the_tableau_input_is_nnf_and_preserves_lasso_semantics(
+        self, formula, prefix, loop
+    ):
+        # what ``buchi._tableau`` expands: canonical form keeps NNF
+        normal = canonicalize(to_nnf(formula))
+        for node in normal.walk():
+            assert isinstance(
+                node, (TrueConst, FalseConst, Atom, Not, And, Or, Next, Until, Release)
+            )
+            assert not isinstance(node, Not) or isinstance(node.operand, Atom)
         assert evaluate_lasso(formula, prefix, loop) == evaluate_lasso(
-            simplified, prefix, loop
+            normal, prefix, loop
         )
 
     @given(formulas(), traces, loops)

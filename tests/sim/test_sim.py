@@ -94,15 +94,6 @@ class TestSimulator:
         with pytest.raises(ValueError):
             simulator.schedule_at(1.0 - 1e-6, lambda: None)
 
-    def test_run_until(self):
-        simulator = Simulator()
-        hits = []
-        for t in (1.0, 2.0, 3.0):
-            simulator.schedule_at(t, lambda t=t: hits.append(t))
-        simulator.run(until=2.0)
-        assert hits == [1.0, 2.0]
-        assert simulator.pending == 1
-
     @pytest.mark.parametrize(("callbacks", "budget"), [(3, 2), (2, 1)])
     def test_a_budget_of_k_runs_at_most_k_callbacks(self, callbacks, budget):
         simulator = Simulator()
@@ -115,9 +106,10 @@ class TestSimulator:
 
     def test_a_budget_spent_by_the_last_due_callback_does_not_raise(self):
         simulator = Simulator()
-        for t in (0.0, 1.0, 2.0):
+        for t in (0.0, 1.0):
             simulator.schedule_at(t, lambda: None)
-        simulator.run(until=1.0, max_events=2)  # the third is not due yet
+        simulator.run(max_events=2)  # the queue empties as the budget runs out
+        simulator.schedule_at(2.0, lambda: None)
         simulator.run(max_events=1)
         assert simulator.pending == 0 and simulator.events_executed == 3
 
