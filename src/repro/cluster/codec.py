@@ -1,4 +1,4 @@
-"""Wire protocol v6: the versioned binary codec of the cluster runtime.
+"""Wire protocol v7: the versioned binary codec of the cluster runtime.
 
 Protocol v1 — the original streaming transport — framed messages as a bare
 4-byte length prefix followed by a pickled payload.  Pickle on a network
@@ -13,12 +13,13 @@ v4 ships letters as the compiled automaton's masks and guards as their
 and the entries' letters are gone.  v5 writes control frames as canonical
 JSON instead of a tagged value layer of their own.  v6 drops the token's
 parent view and parent event: its parent finds the view by the token's id.
+v7 adds the conclusive states the sender knew declared to both monitoring frames.
 
 Frame layout (network byte order)::
 
     offset  size  field
     0       2     magic   b"RW"           (Repro Wire)
-    2       1     version 0x06            (this module speaks exactly one)
+    2       1     version 0x07            (this module speaks exactly one)
     3       1     type    message type tag (see the ``TYPE_*`` constants)
     4       4     length  payload size in bytes, at most MAX_FRAME_BYTES
     8       n     payload type-specific binary body
@@ -37,9 +38,9 @@ Monitoring bodies use variable-length integers (LEB128, zigzag for signed)
 and *packed integers*: a width byte (1, 2 or 4, the least that holds the
 largest value) followed by the values back to back.
 
-Token body::
+Termination body: ``process``, ``final_event_sn``, ``declared``.  Token body::
 
-    routing   parent_process, token_id, hops
+    routing   parent_process, token_id, hops, declared
     n         process count; ``known`` as n packed integers
     runs      count, then per process in ascending order: the process and
               its run (below)
@@ -54,7 +55,8 @@ Token body::
               count * n packed integers
 
 so writing or reading a run of events takes a constant number of calls,
-not a loop per clock component.  A mask is over
+not a loop per clock component.  ``declared`` is a bitset of automaton states:
+at most ten varint bytes, states 0–69 (case-study automata have five).  A mask is over
 ``automaton.compiled.atoms``, which every node of a session derives,
 sorted, from the same specification; the codec carries masks as they are,
 and the receiving monitor ignores a run holding a mask outside its
@@ -116,7 +118,7 @@ __all__ = [
 #: the two magic bytes opening every frame
 MAGIC = b"RW"
 #: the wire protocol version this codec speaks (exactly one)
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 #: the largest payload a header may announce: readers buffer a whole payload
 #: before decoding it, and honest tokens are a few KB
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -369,6 +371,7 @@ def _w_token(out: bytearray, token: Token) -> None:
     _w_svarint(out, token.parent_process)
     _w_svarint(out, token.token_id)
     _w_svarint(out, token.hops)
+    _w_uvarint(out, token.declared)
     _w_uvarint(out, n)
     _w_uints(out, token.known)
     _w_uvarint(out, len(token.runs))
@@ -385,6 +388,7 @@ def _r_token(data: bytes, pos: int) -> tuple[Token, int]:
     parent_process, pos = _r_svarint(data, pos)
     token_id, pos = _r_svarint(data, pos)
     hops, pos = _r_svarint(data, pos)
+    declared, pos = _r_uvarint(data, pos)
     n, pos = _r_count(data, pos)
     if n == 0:
         raise CorruptFrameError("token over zero processes")
@@ -406,6 +410,7 @@ def _r_token(data: bytes, pos: int) -> tuple[Token, int]:
         runs=runs,
         token_id=token_id,
         hops=hops,
+        declared=declared,
     )
     return token, pos
 
@@ -418,6 +423,7 @@ def _w_message(out: bytearray, message: object) -> int:
     if isinstance(message, TerminationNotice):
         _w_svarint(out, message.process)
         _w_svarint(out, message.final_event_sn)
+        _w_uvarint(out, message.declared)
         return TYPE_TERMINATION
     raise CodecError(
         f"cannot encode {type(message).__name__} as a monitoring message: "
@@ -441,7 +447,8 @@ def _r_message(type_tag: int, data: bytes, pos: int) -> object:
     elif type_tag == TYPE_TERMINATION:
         process, pos = _r_svarint(data, pos)
         final_event_sn, pos = _r_svarint(data, pos)
-        message = TerminationNotice(process=process, final_event_sn=final_event_sn)
+        declared, pos = _r_uvarint(data, pos)
+        message = TerminationNotice(process, final_event_sn, declared)
     else:
         raise CorruptFrameError(f"unknown message type 0x{type_tag:02x}")
     _expect_end(data, pos)

@@ -128,6 +128,8 @@ class Token:
         the parent did not already hold, shared by all entries.  Whichever
         monitor advanced an entry over them extends the run as the token
         leaves; on arrival ``known[j] + len(runs[j]) >= entry.cut[j]``.
+    declared:
+        The conclusive states its last sender knew declared, as a bitset.
     """
 
     parent_process: int
@@ -138,6 +140,7 @@ class Token:
     )
     token_id: int = field(default_factory=lambda: next(_token_ids))
     hops: int = 0
+    declared: int = 0
 
     def undecided_entries(self) -> list[TokenEntry]:
         """Entries still awaiting evaluation at some monitor."""
@@ -150,8 +153,9 @@ class Token:
 
 @dataclass(frozen=True)
 class TerminationNotice:
-    """Announcement that a program process has produced its last event."""
+    """A program process's last event, and what its monitor knew declared."""
 
     process: int
     final_event_sn: int
+    declared: int = 0
 

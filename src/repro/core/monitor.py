@@ -19,11 +19,12 @@ box search per view step, every component of a search answered from the shared
 columns, no ``(state, cut)`` explored twice, no guard's least cut walked twice,
 no box searched by the same view twice, no parked token served by an own event
 that cannot move it, no exploring once every conclusive state in reach is
-declared: a settled monitor retires its views and reports ``?`` if it retired
-any) and how the two hot loops — token serving off the guard
-rows, built once per property with a step's searches looked up by (global
-letter, state), and box search off the segment index, set up only for the
-processes it moves — are built: ``docs/architecture.md``.
+declared here or, as tokens and notices tell, elsewhere: a settled monitor
+retires its views and reports ``?`` if it retired any) and how the two hot
+loops — token serving off the guard rows, built once per property with a
+step's searches looked up by (global letter, state), and box search off the
+segment index, set up only for the processes it moves — are built:
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ class MonitorMetrics:
     #: and views retired because their monitor settled (:meth:`~DecentralizedMonitor._settle`)
     views_evicted: int = 0
     views_settled: int = 0
+    #: of ``views_settled``, those retired by a settle that needed ``heard``
+    settled_on_news: int = 0
     #: events this monitor appended to the runs of tokens leaving it
     events_shipped: int = 0
     #: most hops of any token this monitor consumed or swallowed as its
@@ -281,12 +284,14 @@ class DecentralizedMonitor:
         self._absorbed = 0
         self._parked_at: dict[int, int] = {}
         self._outstanding: dict[int, GlobalView] = {}  # token_id -> waiting view
-        self._checked = -1  # declared_bits when _settle last ran
+        self._checked = -1  # declared_bits | heard when _settle last ran
 
         #: the declarations, kept once: the conclusive states declared, as a
         #: bitset, and their verdicts in the order first declared
         self.declared_bits = 0
         self.verdict_log: list[Verdict] = []
+        #: conclusive states declared elsewhere, as messages tell (settling reads it)
+        self.heard = 0
 
         view = GlobalView(
             cut=[0] * num_processes,
@@ -436,7 +441,7 @@ class DecentralizedMonitor:
         if not self._started:
             self.start()
         last = self.terminated[self.process] = len(self.local_vcs) - 1
-        notice = TerminationNotice(self.process, last)
+        notice = TerminationNotice(self.process, last, self.declared_bits | self.heard)
         recipients = self.routing.termination_recipients(self.process)
         for target in recipients:
             self.transport.send(self.process, target, notice)
@@ -449,24 +454,26 @@ class DecentralizedMonitor:
         self._merge_views()
 
     def receive_message(self, message: object) -> None:
-        """Handle a message from another monitor process."""
+        """Handle a message from another monitor; news of declarations settles first."""
+        if not isinstance(message, (Token, TerminationNotice)):
+            raise TypeError(f"unexpected monitor message {message!r}")
+        if message.declared & self._final_bits & ~(self.declared_bits | self.heard):
+            self.heard |= message.declared & self._final_bits
+            self._settle()
         if isinstance(message, TerminationNotice):
             self.terminated[message.process] = message.final_event_sn
             self._retry_waiting_tokens()
             self._merge_views()
             return
-        if isinstance(message, Token):
-            self._absorb_runs(message)  # whoever's token it is
-            if self._ends_here(message):
-                # the token is merely returning home: the parent consumes
-                # (or swallows) it, it does not serve a hop
-                self._token_returned(message)
-            else:
-                message.hops += 1
-                self.metrics.token_hops_served += 1
-                self._serve_token(message)
-            return
-        raise TypeError(f"unexpected monitor message {message!r}")
+        self._absorb_runs(message)  # whoever's token it is
+        if self._ends_here(message):
+            # the token is merely returning home: the parent consumes
+            # (or swallows) it, it does not serve a hop
+            self._token_returned(message)
+        else:
+            message.hops += 1
+            self.metrics.token_hops_served += 1
+            self._serve_token(message)
 
     # ------------------------------------------------------------------
     # results
@@ -494,12 +501,12 @@ class DecentralizedMonitor:
 
         Views forked by searches answered at home are advanced from the same
         worklist: nesting one call per answer would exhaust the stack.  On entry
-        and before every step, :meth:`_settle` runs if a state was declared since
-        it last ran: once the monitor is settled no view steps.
+        and before every step, :meth:`_settle` runs if a state was declared or
+        heard since it last ran: once the monitor is settled no view steps.
         """
         mine, last = self.process, len(self.local_vcs) - 1
         work = list(views)[::-1]
-        while (self.declared_bits == self._checked or not self._settle()) and work:
+        while (self.declared_bits | self.heard == self._checked or not self._settle()) and work:
             view = work.pop()
             if view.status == ViewStatus.UNBLOCKED and view.cut[mine] < last:
                 work += reversed(self._step_view(view, view.cut[mine] + 1))
@@ -852,6 +859,7 @@ class DecentralizedMonitor:
 
     def _send_token(self, token: Token, target: int) -> None:
         self.metrics.token_messages_sent += 1
+        token.declared = self.declared_bits | self.heard
         self._extend_run(token)
         self.transport.send(self.process, self.routing.next_hop(self.process, target), token)
 
@@ -1226,27 +1234,25 @@ class DecentralizedMonitor:
     def _settle(self) -> bool:
         """Retire every live view once this monitor is *settled*: each
         conclusive state its views (waiting ones too) can still reach is
-        declared.  Conclusive states are traps and views fork only into
-        states their own can reach, so no search could declare anything new
+        declared, here or — as ``heard`` tells — by another monitor.
+        Conclusive states are traps and views fork only into states their own
+        can reach, so no search could add to the session's declarations
         (``docs/architecture.md``, Settled monitors).  Their outstanding
         tokens are disowned, as an evicted view's are; the monitor still
         appends its events, absorbs runs and serves the others' tokens.
-        Returns whether it retired them; runs after every merge and before
-        steps (:meth:`_advance_views`)."""
-        self._checked = self.declared_bits
-        undeclared = self._final_bits & ~self.declared_bits
+        Returns whether it retired them; runs after every merge, before steps
+        (:meth:`_advance_views`) and on news (:meth:`receive_message`)."""
+        self._checked = self.declared_bits | self.heard
+        undeclared = self._final_bits & ~self._checked
         for view in self.views:
             if self._reach[view.state] & undeclared:
                 return False
         self.metrics.views_settled += len(self.views)
+        own = self._final_bits & ~self.declared_bits
+        if any(self._reach[view.state] & own for view in self.views):
+            self.metrics.settled_on_news += len(self.views)
         for view in self.views:
             view.status = ViewStatus.FINAL  # no step, no search: a retired view is refused
             self._outstanding.pop(view.outstanding_token, None)
         self.views = []
         return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DecentralizedMonitor(process={self.process}, views={len(self.views)}, "
-            f"declared={sorted(str(v) for v in self.declared_verdicts)})"
-        )

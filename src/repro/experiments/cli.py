@@ -89,6 +89,7 @@ _SWEEP_COLUMNS = [
     "global_views",
     "delayed_events",
     "delay_time_pct_per_view",
+    "monitor_extra_time",
 ]
 
 

@@ -16,7 +16,7 @@ simulator, ``backend="asyncio"`` on the streaming runtime of
 in-process queues or real TCP sockets, see ``stream_transport``), and
 ``backend="cluster"`` on the multi-process cluster runtime of
 :mod:`repro.cluster`, where every monitor is its own OS process exchanging
-wire protocol v6 frames.  All backends share one monitor implementation and
+wire protocol v7 frames.  All backends share one monitor implementation and
 deliver reliably, so a cell's conclusive verdicts are identical for a fixed
 seed — only timing/queuing metrics reflect the backend's nature.
 
@@ -276,6 +276,7 @@ def _cell_metrics(report: RunReport) -> dict[str, float]:
         "global_views": float(report.total_global_views),
         "delayed_events": float(report.delayed_events),
         "delay_time_pct_per_view": report.delay_time_percentage_per_view,
+        "monitor_extra_time": report.monitor_extra_time,
     }
     metrics.update(report.network_stats)
     metrics.update(report.fault_stats)

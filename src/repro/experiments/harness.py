@@ -154,8 +154,8 @@ def run_fig_5_4_5_5(
 
     Figure 5.4 plots properties A–C, Figure 5.5 properties D–F; both use the
     same experiment, so a single sweep covers them.  Figures 5.6–5.8 are
-    columns of the same rows (``delay_time_pct_per_view``,
-    ``delayed_events``, ``global_views``).  With
+    columns of the same rows (the paper's ``delay_time_pct_per_view`` and
+    ``monitor_extra_time``, ``delayed_events``, ``global_views``).  With
     ``scale.workers > 1`` the engine shards the full
     (property × process-count × replication) cell product across one process
     pool, keeping every worker busy for the whole sweep.

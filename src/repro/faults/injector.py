@@ -22,7 +22,8 @@ end of a run.
 ``rejoin`` recovery rebuilds the monitor through the factory supplied by the
 runner: the fresh incarnation inherits only the durable facts (its
 declarations, peer-termination knowledge), replays the retained local event log
-and re-explores from there; tokens created by the old incarnation are
+and re-explores from there (``heard`` is soft state: it restarts at 0, which
+only delays settling).  Tokens created by the old incarnation are
 silently dropped when they return (the fresh monitor does not know them),
 which is exactly the cost the fault scenarios measure.
 

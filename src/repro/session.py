@@ -157,7 +157,7 @@ class RunReport:
 
     @property
     def delay_time_percentage_per_view(self) -> float:
-        """The normalised delay metric of Fig. 5.6.
+        """The normalised delay metric of Fig. 5.6, the paper's definition.
 
         ``((MonitorExtraTime / ProgramTime) * 100) / TotalGlobalViews``;
         zero by construction on the cluster, which has no shared clock.
@@ -192,8 +192,8 @@ class RunReport:
             "global_views": self.total_global_views,
             "delayed_events": self.delayed_events,
             "delay_time_pct_per_view": self.delay_time_percentage_per_view,
-            "program_time": self.program_end_time,
             "monitor_extra_time": self.monitor_extra_time,
+            "program_time": self.program_end_time,
             "verdicts": sorted(str(v) for v in self.reported_verdicts),
         }
         if self.transport:

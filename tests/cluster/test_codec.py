@@ -115,6 +115,7 @@ def tokens(draw):
         runs=draw(st.dictionaries(st.integers(0, n - 1), runs(n), max_size=n)),
         token_id=draw(st.integers(1, 10**6)),
         hops=draw(st.integers(0, 1000)),
+        declared=draw(st.integers(0, 2**64 - 1)),
     )
 
 
@@ -122,6 +123,7 @@ termination_notices = st.builds(
     TerminationNotice,
     process=st.integers(0, 16),
     final_event_sn=st.integers(-1, 10**4),
+    declared=st.integers(0, 2**64 - 1),
 )
 
 
@@ -173,11 +175,24 @@ class TestRoundTrip:
     def test_a_token_names_no_view_from_protocol_version_6(self):
         # v5 wrote the parent view and the parent event after the parent
         # process; v6 routes on parent_process, token_id and hops alone
-        assert codec.PROTOCOL_VERSION == 6
+        assert codec.PROTOCOL_VERSION >= 6
         token = Token(parent_process=1, entries=[], known=[0, 0], token_id=5, hops=2)
         type_tag, body = codec.encode_message(token)
         assert type_tag == codec.TYPE_TOKEN
-        assert body[:4] == bytes([2, 10, 4, 2])  # zigzag 1, 5, 2; then n = 2
+        assert body[:5] == bytes([2, 10, 4, 0, 2])  # zigzag 1, 5, 2; declared; n = 2
+
+    def test_tokens_and_notices_carry_what_was_declared_from_protocol_version_7(self):
+        # v7 adds one varint to both frames: the states the sender knew declared
+        assert codec.PROTOCOL_VERSION == 7
+        token = Token(parent_process=1, entries=[], known=[0, 0], token_id=5, declared=0b10)
+        undeclared = Token(parent_process=1, entries=[], known=[0, 0], token_id=5)
+        assert codec.encode_message(token)[1][:5] == bytes([2, 10, 0, 2, 2])
+        assert len(_round_trip(token)) == len(_round_trip(undeclared))
+        notice = TerminationNotice(2, 9, declared=1 << 40)
+        type_tag, body = codec.encode_message(notice)
+        assert (type_tag, body[:2]) == (codec.TYPE_TERMINATION, bytes([4, 18]))
+        assert len(body) == 2 + 6  # 41 bits: six varint bytes
+        assert _round_trip(notice) and codec.decode_message(type_tag, body).declared == 1 << 40
 
     @pytest.mark.parametrize(
         "value", [None, 3, "done", {"a": 1}, [TerminationNotice(0, 1)]]
@@ -229,7 +244,7 @@ class TestDiagnostics:
         ):
             codec.decode_header(header[: codec.HEADER.size])
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 255])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6, 255])
     def test_foreign_version_reports_both_versions(self, version):
         header = codec.HEADER.pack(codec.MAGIC, version, codec.TYPE_TERMINATION, 0)
         with pytest.raises(
@@ -272,7 +287,7 @@ class TestDiagnostics:
 
     def test_stream_truncated_mid_payload(self):
         frame = codec.encode_wire(0.0, TerminationNotice(0, 4))
-        with pytest.raises(ConnectionError, match="mid-frame: 8 of 10 payload bytes"):
+        with pytest.raises(ConnectionError, match="mid-frame: 9 of 11 payload bytes"):
             _read_stream(frame[:-2])
 
     def test_stream_truncated_mid_header(self):
@@ -429,23 +444,23 @@ class TestHostileInput:
 
     def test_a_corrupt_count_is_refused_before_anything_is_allocated(self):
         type_tag, payload = codec.split_frame(codec.encode_wire(0.0, _token([1, 2])))
-        # no runs, no entries: after the instant come three one-byte routing
+        # no runs, no entries: after the instant come four one-byte routing
         # fields, then n = 2, ``known`` packed, and the two counts
-        assert payload[8:] == bytes([0, 2, 0, 2, 1, 1, 2, 0, 0])
+        assert payload[8:] == bytes([0, 2, 0, 0, 2, 1, 1, 2, 0, 0])
         huge = bytearray()
         codec._w_uvarint(huge, 2**40)
-        for at in (11, 15, 16):  # n, runs, entries
+        for at in (12, 16, 17):  # n, runs, entries
             with pytest.raises(codec.CorruptFrameError, match="elements announced"):
                 codec.decode_wire(type_tag, payload[:at] + bytes(huge) + payload[at + 1 :])
 
-    def test_a_v5_frame_is_refused_naming_both_versions(self):
+    def test_a_v6_frame_is_refused_naming_both_versions(self):
         frame = bytearray(codec.encode_wire(0.0, _token([0])))
-        frame[2] = 5  # as a node of the previous release writes it
+        frame[2] = 6  # as a node of the previous release writes it
         for read in (self._read, codec.split_frame):
             with pytest.raises(codec.ProtocolVersionError) as excinfo:
                 read(bytes(frame))
-            assert "version 5" in str(excinfo.value)
-            assert "only version 6" in str(excinfo.value)
+            assert "version 6" in str(excinfo.value)
+            assert "only version 7" in str(excinfo.value)
 
 
 class TestFrameLengthBound:

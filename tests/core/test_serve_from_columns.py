@@ -543,8 +543,9 @@ def _watch_births(monkeypatch):
     return births
 
 
-# D n=4 epp=12 seed 5 settles before it forks more than one view per monitor
-@pytest.mark.parametrize("cell", [("C", 4, 20, 2015), ("F", 4, 5, 77), ("D", 4, 10, 1)],
+# D n=4 epp=12 seed 5 settles before it forks more than one view per monitor,
+# and so does C n=4 epp=20 seed 2015 once monitors hear what was declared
+@pytest.mark.parametrize("cell", [("C", 4, 20, 7), ("F", 4, 5, 77), ("D", 4, 10, 1)],
                          ids=lambda c: f"{c[0]}-n{c[1]}-epp{c[2]}-s{c[3]}")
 def test_no_monitor_bears_one_signature_twice_on_real_runs(cell, monkeypatch):
     births = _watch_births(monkeypatch)

@@ -1,11 +1,13 @@
 """Settled monitors stop exploring.
 
 A monitor is *settled* once every conclusive state its live views — waiting
-ones included — can still reach has been declared.  Conclusive states are
-traps, so no search could declare anything new: the monitor retires its
-views and disowns their tokens, and from then on only appends its own
-events, absorbs runs, serves and routes the others' tokens and sends
-termination notices.  It reports ``?`` if it retired a view when it settled.
+ones included — can still reach has been declared, by itself or by another
+monitor as the tokens and termination notices it received tell (``heard``).
+Conclusive states are traps, so no search could add to the session's
+declarations: the monitor retires its views and disowns their tokens, and
+from then on only appends its own events, absorbs runs, serves and routes
+the others' tokens and sends termination notices.  It reports ``?`` if it
+retired a view when it settled, and declares only what it found itself.
 
 Scratch mutants of ``DecentralizedMonitor._settle`` and the test here that
 catches each:
@@ -18,12 +20,18 @@ catches each:
   ``test_every_live_views_reach_counts_in_any_order`` only: no other test of
   ``tests/core``, ``tests/coordination`` or ``tests/session`` catches it.
 
-The rule is checked after every merge and, once a state was declared, by
-``_advance_views`` on entry and before every step; checking at merges only
-fails ``test_no_view_steps_on_the_token_heavy_cell_once_its_monitor_is_settled``
+The rule is checked after every merge, on news, and, once a state was
+declared or heard, by ``_advance_views`` on entry and before every step;
+checking at merges only fails
+``test_no_view_steps_on_the_token_heavy_cell_once_its_monitor_is_settled``
 and ``test_views_retired_inside_the_termination_loop_are_not_explored``.
+Hearing the news only after the token is consumed fails
+``test_news_on_a_token_coming_home_settles_before_its_box_is_searched``.
 """
 
+import itertools
+
+import pytest
 from test_serve_from_columns import _hold, _mask, _never_settle, _Outbox
 from test_step_search import _curve_cell
 
@@ -32,8 +40,11 @@ from repro.core.messages import TerminationNotice, Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.clocks import VectorClock
 from repro.distributed.events import Event, EventKind
+from repro.experiments.engine import cell_inputs
 from repro.experiments.properties import case_study_registry
 from repro.ltl import Verdict, build_monitor
+from repro.scenarios import get_scenario
+from repro.sim import simulate_monitored_run
 
 
 def _monitor(formula, n=2, initially=(), held=None):
@@ -198,7 +209,7 @@ def test_every_live_views_reach_counts_in_any_order():
 
 def _is_settled(monitor):
     """The definition, read off the monitor without ``_settle``."""
-    undeclared = monitor._final_bits & ~monitor.declared_bits
+    undeclared = monitor._final_bits & ~(monitor.declared_bits | monitor.heard)
     reach = monitor.automaton.reach_bits
     return not any(reach[view.state] & undeclared for view in monitor.views)
 
@@ -214,7 +225,14 @@ def test_no_view_steps_on_the_token_heavy_cell_once_its_monitor_is_settled(monke
     monkeypatch.setattr(DecentralizedMonitor, "_step_view", watched)
     report = _curve_cell(("C", 4, 20))  # the token-heavy cell, seed 2015
     # checked at merges only, 529 of its 530 steps were taken by monitors
-    # already settled: a token coming home stepped the whole backlog first
+    # already settled: a token coming home stepped the whole backlog first.
+    # Now no view steps at all: the monitor that finds ⊥ settles inside that
+    # token's box search, the others on the news (at merges only: 124 steps)
+    assert steps == late == []
+    assert all(monitor.metrics.views_settled for monitor in report.monitors)
+    assert report.declared_verdicts == {Verdict.BOTTOM}
+    # seed 11 steps 145 times before its monitors settle (43 more at merges only)
+    report = _curve_cell(("C", 4, 20), seed=11)
     assert steps and late == []
     assert all(monitor.metrics.views_settled for monitor in report.monitors)
     assert report.declared_verdicts == {Verdict.BOTTOM}
@@ -249,3 +267,132 @@ def test_views_retired_inside_the_termination_loop_are_not_explored(monkeypatch)
     assert second.status == ViewStatus.FINAL
     assert [message for _, message in network.tokens if isinstance(message, Token)] == []
     assert monitor.reported_verdicts() == {Verdict.TOP, Verdict.INCONCLUSIVE}
+
+
+# ---------------------------------------------------------------------------
+# the session settles: what was declared travels on tokens and notices
+# ---------------------------------------------------------------------------
+def _both(monitor):
+    """The states of ⊤ and of ⊥, as a bitset."""
+    return 1 << _state_of(monitor, Verdict.TOP) | 1 << _state_of(monitor, Verdict.BOTTOM)
+
+
+def _waiting_on_p1(monkeypatch):
+    """Monitor 0 of ``P0.p U P1.p``, its one view waiting on a token that
+    asks P1 for ``p`` (⊤ and ⊥ both in reach), and a log of box searches."""
+    monitor, network = _monitor("P0.p U P1.p", initially={"P0.p"})
+    (view,) = monitor.views
+    ((_, token),) = network.tokens
+    assert view.is_waiting() and token.declared == 0
+    searched = []
+    box = DecentralizedMonitor._box_reachable
+    monkeypatch.setattr(
+        DecentralizedMonitor, "_box_reachable",
+        lambda self, v, entries: searched.append(v) or box(self, v, entries),
+    )
+    return monitor, network, view, token, searched
+
+
+def _found_p(monitor, token, declared):
+    """*token*, decided: P1's event 1 raised ``p``; it carries *declared*."""
+    (entry,) = token.entries
+    entry.eval, entry.cut[1], entry.satisfied[1] = True, 1, True
+    token.runs = {1: ([_mask(monitor, "P1.p")], [(0, 1)])}
+    token.declared = declared
+    return token
+
+
+def test_a_tokens_news_settles_a_monitor_whose_own_token_then_comes_home_an_orphan(
+    monkeypatch,
+):
+    monitor, network, view, token, searched = _waiting_on_p1(monkeypatch)
+    # a token of monitor 1 passes: the session has declared ⊤ and ⊥
+    monitor.receive_message(Token(1, entries=[], known=[0, 0], declared=_both(monitor)))
+    assert monitor.views == [] and view.status == ViewStatus.FINAL
+    assert monitor.metrics.views_settled == monitor.metrics.settled_on_news == 1
+    assert monitor.heard == _both(monitor)
+    assert monitor.declared_bits == 0 and monitor.verdict_log == []
+    assert monitor.is_quiescent  # its token was disowned
+    # a token that knows less is served on carrying what this monitor heard
+    monitor.receive_message(Token(1, entries=[], known=[0, 0]))
+    (_, passed) = network.tokens[-1]
+    assert passed.declared == _both(monitor)
+    # its own token comes home decided, with no news: swallowed unsearched
+    monitor.receive_message(_found_p(monitor, token, 0))
+    assert monitor.metrics.orphan_tokens_swallowed == 1 and searched == []
+    assert monitor.verdict_log == [] and monitor.declared_verdicts == set()
+    assert monitor.reported_verdicts() == {Verdict.INCONCLUSIVE}
+    monitor.local_termination()
+    notices = [m for _, m in network.tokens if isinstance(m, TerminationNotice)]
+    assert notices and all(notice.declared == _both(monitor) for notice in notices)
+
+
+def test_news_on_a_token_coming_home_settles_before_its_box_is_searched(monkeypatch):
+    monitor, _, _, token, searched = _waiting_on_p1(monkeypatch)
+    monitor.receive_message(_found_p(monitor, token, _both(monitor)))
+    assert searched == [] and monitor.metrics.orphan_tokens_swallowed == 1
+    assert monitor.metrics.settled_on_news == 1 and monitor.verdict_log == []
+    # the control: without the news, the box is searched and ⊤ declared here
+    deaf, _, _, token, searched = _waiting_on_p1(monkeypatch)
+    deaf.receive_message(_found_p(deaf, token, 0))
+    assert len(searched) == 1 and deaf.verdict_log == [Verdict.TOP]
+    assert deaf.metrics.orphan_tokens_swallowed == deaf.metrics.settled_on_news == 0
+
+
+def test_news_of_a_part_of_the_reach_or_of_no_final_state_settles_nothing():
+    monitor, _ = _monitor("P0.p U P1.p", initially={"P0.p"})
+    top = 1 << _state_of(monitor, Verdict.TOP)
+    inconclusive = ~monitor._final_bits & (1 << monitor._num_states) - 1
+    monitor.receive_message(TerminationNotice(1, 3, declared=top | inconclusive))
+    assert monitor.heard == top  # only conclusive states are heard
+    assert monitor.views and monitor.metrics.views_settled == 0
+
+
+def _sampled_cells():
+    """A third of the 216-cell sweep: A–F × n ∈ {3, 4} × epp ∈ {6, 12, 20} ×
+    a view budget of 2 or none, seeds 2015, 7 and 77 taken in turn."""
+    seeds = itertools.cycle((2015, 7, 77))
+    for cell in itertools.product("ABCDEF", (3, 4), (6, 12, 20)):
+        seed = next(seeds)
+        for budget in (2, None):
+            yield (*cell, seed, budget)
+
+
+def _run(cell):
+    property_name, n, epp, seed, budget = cell
+    scenario = get_scenario("paper-default")
+    inputs = cell_inputs(
+        scenario, property_name, n, events_per_process=epp,
+        evt_mu=3, evt_sigma=1, comm_mu=3, comm_sigma=1, seed=seed,
+    )
+    return simulate_monitored_run(
+        *inputs, seed=seed, max_views_per_state=budget, network=scenario.network
+    )
+
+
+@pytest.fixture(scope="module")
+def hearing_and_deaf():
+    """Per sampled cell, the run as it is and the run with nothing heard."""
+    hearing = {cell: _run(cell) for cell in _sampled_cells()}
+    with pytest.MonkeyPatch.context() as patch:
+        deaf_ears = property(lambda self: 0, lambda self, _: None)
+        patch.setattr(DecentralizedMonitor, "heard", deaf_ears, raising=False)
+        deaf = {cell: _run(cell) for cell in hearing}
+    return hearing, deaf
+
+
+def test_hearing_leaves_the_sessions_declarations_and_sends_no_more(hearing_and_deaf):
+    hearing, deaf = hearing_and_deaf
+    for cell, report in hearing.items():
+        assert report.declared_verdicts == deaf[cell].declared_verdicts, cell
+        assert report.monitor_messages <= deaf[cell].monitor_messages, cell
+        for monitor in report.monitors:  # each declares only what it found
+            assert monitor.declared_verdicts <= deaf[cell].declared_verdicts, cell
+    assert sum(report.metrics.settled_on_news for report in hearing.values()) > 0
+    assert sum(report.metrics.settled_on_news for report in deaf.values()) == 0
+
+
+def test_every_run_ends_quiescent(hearing_and_deaf):
+    for runs in hearing_and_deaf:
+        for cell, report in runs.items():
+            assert all(monitor.is_quiescent for monitor in report.monitors), cell

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from repro.api import ExecutionConfig, ExperimentScale, run_scenario, run_streaming
 from repro.experiments.engine import cell_inputs, run_scenario_cell
 from repro.experiments.properties import case_study_registry
-from repro.faults import CrashSpec, FaultPlan, parse_fault_plan
-from repro.ltl import build_monitor
+from repro.faults import CrashSpec, FaultPlan, MonitorFaultProxy, parse_fault_plan
+from repro.ltl import Verdict, build_monitor
 from repro.scenarios import GridPoint, get_scenario, list_scenarios
 from repro.sim import random_computation, simulate_monitored_run
 
@@ -197,17 +197,26 @@ class TestRejoinKeepsTheDeclarations:
     declared before it crashed."""
 
     @pytest.mark.parametrize("backend", ["sim", "asyncio"])
-    def test_the_verdict_sequence_survives_a_rejoin(self, backend):
-        inputs = _paper_default_inputs("B", 2, 2016)
+    def test_the_verdict_sequence_survives_a_rejoin(self, backend, monkeypatch):
+        # B n=2 seed 2021: monitor 0 declares ⊤ before its crash on both
+        # backends (seed 2016 stopped exercising that once monitors settle on
+        # the declarations they hear: its ⊤ reached a monitor as news)
+        rejoin, crashed_with = MonitorFaultProxy._rejoin_from_scratch, []
+        monkeypatch.setattr(
+            MonitorFaultProxy, "_rejoin_from_scratch",
+            lambda proxy: crashed_with.append(list(proxy.monitor.verdict_log)) or rejoin(proxy),
+        )
+        inputs = _paper_default_inputs("B", 2, 2021)
         plan = parse_fault_plan("0@6+1:rejoin")
         if backend == "sim":
             network = get_scenario("paper-default").network
             report = simulate_monitored_run(
-                *inputs, seed=2016, max_views_per_state=2, network=network, faults=plan
+                *inputs, seed=2021, max_views_per_state=2, network=network, faults=plan
             )
         else:
             report = run_streaming(*inputs, max_views_per_state=2, faults=plan)
         assert report.fault_stats["fault_restarts"] == 1
+        assert crashed_with == [[Verdict.TOP]]
         assert report.verdict_sequence() == ("⊤", "⊤")
         for monitor in report.monitors:
             assert set(monitor.verdict_log) == monitor.declared_verdicts

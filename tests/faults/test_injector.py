@@ -22,6 +22,7 @@ class ScriptedMonitor:
         self.calls = []
         self.declared_bits = 0
         self.verdict_log = []
+        self.heard = 0
         self.terminated = {process: None, 99: 42}
         self.metrics = MonitorMetrics()
 
@@ -173,6 +174,7 @@ class TestRejoinRecovery:
         old = proxy.monitor
         old.verdict_log.append("TOP")
         old.declared_bits |= 1 << 7
+        old.heard |= 1 << 8  # declared elsewhere, as a token told it
         old.terminated[1] = 5  # peer 1 known terminated at sn 5
         old.terminated[3] = 9  # own termination is NOT carried (rebuilt locally)
         proxy.local_event("e1")
@@ -181,6 +183,7 @@ class TestRejoinRecovery:
         assert fresh is not old
         assert fresh.verdict_log == ["TOP"]
         assert fresh.declared_bits == 1 << 7
+        assert fresh.heard == 0  # soft state: the next token or notice tells it again
         assert fresh.terminated[1] == 5
         assert fresh.terminated[3] is None
         assert fresh.terminated[99] == 42  # the double's own initial state

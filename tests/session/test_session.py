@@ -182,6 +182,7 @@ _INTERLEAVING_COUNTERS = {
     "box_cells_visited",
     "views_evicted",
     "views_settled",
+    "settled_on_news",
     "events_shipped",
     "token_hops_max",
     "orphan_tokens_swallowed",
