@@ -18,9 +18,10 @@ Where this departs from the thesis pseudo-code (implicit pending queue, one
 box search per view step, every component of a search answered from the shared
 columns, no ``(state, cut)`` explored twice, no guard's least cut walked twice,
 no box searched by the same view twice, no parked token served by an own event
-that cannot move it, no exploring once every conclusive state in reach is
-declared here or, as tokens and notices tell, elsewhere: a settled monitor
-retires its views and reports ``?`` if it retired any) and how the two hot
+that cannot move it — a clock that asks more of a live peer whose column here
+ends at the entry's cut cannot — no exploring once every conclusive state in
+reach is declared here or, as tokens and notices tell, elsewhere: a settled
+monitor retires its views and reports ``?`` if it retired any) and how the two hot
 loops — token serving off the guard rows, built once per property with a
 step's searches looked up by (global letter, state), and box search off the
 segment index, set up only for the processes it moves — are built:
@@ -454,9 +455,20 @@ class DecentralizedMonitor:
         self._merge_views()
 
     def receive_message(self, message: object) -> None:
-        """Handle a message from another monitor; news of declarations settles first."""
-        if not isinstance(message, (Token, TerminationNotice)):
+        """Handle a message from another monitor; news of declarations settles first.
+        A token or notice that does not fit ``num_processes`` is refused."""
+        n = self.num_processes
+        if isinstance(message, Token):
+            widths = {len(message.known)}
+            for e in message.entries:
+                vectors = e.bits, e.start_cut, e.cut, e.depend, e.min_positions, e.satisfied
+                widths.update(map(len, vectors))
+            if widths != {n}:
+                raise ValueError(f"a token {sorted(widths)} wide for a monitor of {n} processes")
+        elif not isinstance(message, TerminationNotice):
             raise TypeError(f"unexpected monitor message {message!r}")
+        elif not 0 <= message.process < n:
+            raise ValueError(f"a termination notice of process {message.process} of {n}")
         if message.declared & self._final_bits & ~(self.declared_bits | self.heard):
             self.heard |= message.declared & self._final_bits
             self._settle()
@@ -787,24 +799,27 @@ class DecentralizedMonitor:
         """Whether the newest own event leaves the parked *token* as it is.
 
         Only an undecided entry parked on this process can move, and it does
-        when the event's mask satisfies its conjunct, when the event's clock
-        asks more of another process than its ``depend``, or when it marks
-        another process in ``waiting_for`` (its first own move clears those
-        marks).  Otherwise serving would only walk its own component on to
-        the column's end and park it again — and serving is one-shot, so the
-        walk at the wake reaches the cut, ``depend`` and ``satisfied`` a walk
-        per event would (clocks only grow: the last one scanned folds all).
+        when the event's mask satisfies its conjunct, when it marks another
+        process in ``waiting_for`` (its first own move clears those marks),
+        or when the event's clock asks more of another process ``k`` than
+        its ``depend`` and a serve here could move ``k``: column ``k`` holds
+        events past the entry's cut, or ``k`` has ended (``ends[k] < 0``).
+        Otherwise serving would only walk its own component on to the
+        column's end and park it again — and serving is one-shot, so the
+        walk at the wake (a foreign column grew, or a termination) reaches
+        the cut, ``depend`` and ``satisfied`` a walk per event would (clocks
+        only grow: the last one scanned folds all).
         """
-        mine, others = self.process, self._serve_order[1:]
+        mine, others, ends = self.process, self._serve_order[1:], self._live_ends()
         mask, vc = self.mask_columns[mine][-1], self.local_vcs[-1]
         for entry in token.entries:
             if entry.eval is None and entry.parked_on == mine:
                 care, want = entry.bits[mine]
-                depend = entry.depend
+                cut, depend = entry.cut, entry.depend
                 if (
                     mask & care == want
                     or not entry.waiting_for <= {mine}
-                    or any(vc[k] > depend[k] for k in others)
+                    or any(vc[k] > depend[k] and (cut[k] < ends[k] or ends[k] < 0) for k in others)
                 ):
                     return False
         return True
@@ -914,7 +929,6 @@ class DecentralizedMonitor:
             (entry, (view.state, tuple(entry.cut)))
             for entry in entries
             if entry.eval is True
-            and len(entry.cut) == len(held)
             and all(b <= at < h for b, at, h in zip(view.cut, entry.cut, held))
         ]
         last, born = {} if repair else view.searched, self._born
@@ -937,21 +951,22 @@ class DecentralizedMonitor:
         """Append to the columns what a token's runs add to them.
 
         A run starts at ``known[j] + 1``; the part the column already holds
-        is skipped, the rest appended.  A run that would leave a gap, or
-        holds a mask outside the automaton's alphabet (only a stale or forged
-        token carries either), is ignored, so columns stay gapless prefixes
-        of true masks whatever arrives, in whatever order, however often.
+        is skipped, the rest appended.  A run that would leave a gap, holds
+        a mask outside the automaton's alphabet or appends a clock of another
+        width (only a stale or forged token carries any) is ignored, so
+        columns stay gapless prefixes of true masks and clocks whatever
+        arrives, in whatever order, however often (a token whose ``known``
+        is of another width never gets here: :meth:`receive_message`).
         """
         n, limit = self.num_processes, self._compiled.n_letters
-        if len(token.known) != n:
-            return
         for j, (masks, vcs) in token.runs.items():
             if not 0 <= j < n or j == self.process or len(masks) != len(vcs):
                 continue
             skip = len(self.vc_columns[j]) - 1 - token.known[j]
-            if 0 <= skip < len(vcs) and 0 <= min(masks) and max(masks) < limit:
+            fresh = vcs[skip:] if 0 <= skip < len(vcs) else ()
+            if fresh and 0 <= min(masks) and max(masks) < limit and {*map(len, fresh)} == {n}:
                 self._append_masks(j, masks[skip:])
-                self.vc_columns[j] += vcs[skip:]
+                self.vc_columns[j] += fresh
                 self._absorbed += 1
 
     def _fork_from_entry(
@@ -1244,9 +1259,8 @@ class DecentralizedMonitor:
         (:meth:`_advance_views`) and on news (:meth:`receive_message`)."""
         self._checked = self.declared_bits | self.heard
         undeclared = self._final_bits & ~self._checked
-        for view in self.views:
-            if self._reach[view.state] & undeclared:
-                return False
+        if any(self._reach[view.state] & undeclared for view in self.views):
+            return False
         self.metrics.views_settled += len(self.views)
         own = self._final_bits & ~self.declared_bits
         if any(self._reach[view.state] & own for view in self.views):

@@ -53,10 +53,6 @@ class VectorClock:
         """The clock's components as an immutable tuple."""
         return self._components
 
-    def as_list(self) -> list[int]:
-        """The clock's components as a fresh mutable list."""
-        return list(self._components)
-
     # -- updates (returning new clocks) ------------------------------------
     def increment(self, process: int) -> "VectorClock":
         """Tick the local component of *process*."""

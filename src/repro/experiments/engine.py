@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -293,11 +293,6 @@ def _run_cell(
     return run_scenario_cell(scenario, point, scale, seed, config=config)
 
 
-def _mean(values: Iterable[float]) -> float:
-    values = list(values)
-    return statistics.fmean(values) if values else 0.0
-
-
 def _aggregate(point: GridPoint, cells: Sequence[dict[str, float]]) -> dict[str, float]:
     """Average the replications of one point into a result row."""
     keys: list[str] = []
@@ -310,7 +305,7 @@ def _aggregate(point: GridPoint, cells: Sequence[dict[str, float]]) -> dict[str,
         "processes": point.num_processes,
     }
     for key in keys:
-        row[key] = _mean(cell[key] for cell in cells if key in cell)
+        row[key] = statistics.fmean(cell[key] for cell in cells if key in cell)  # never empty
     row["log_events"] = math.log10(max(1.0, row.get("events", 0.0)))
     row["log_messages"] = math.log10(max(1.0, row.get("messages", 0.0)))
     if point.comm_mu != "default":

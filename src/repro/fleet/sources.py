@@ -93,7 +93,7 @@ def computation_to_records(computation: Computation) -> list[dict[str, object]]:
                 "process": event.process,
                 "sn": event.sn,
                 "kind": str(event.kind),
-                "vc": event.vc.as_list(),
+                "vc": list(event.vc.components),
                 "state": dict(event.state),
                 "peer": event.peer,
                 "message_id": event.message_id,

@@ -77,11 +77,6 @@ def _primes(
     return primes
 
 
-def _covers(term: tuple[int, int], minterm: int) -> bool:
-    value, mask = term
-    return (minterm & ~mask) == (value & ~mask)
-
-
 def _cover(
     primes: list[tuple[int, int]], minterms: list[int]
 ) -> list[tuple[int, int]]:
@@ -94,7 +89,7 @@ def _cover(
     """
     remaining = set(minterms)
     chosen: list[tuple[int, int]] = []
-    coverage = {p: {m for m in minterms if _covers(p, m)} for p in primes}
+    coverage = {p: {m for m in minterms if m & ~p[1] == p[0] & ~p[1]} for p in primes}
 
     # essential primes: minterms covered by exactly one prime
     for minterm in minterms:

@@ -10,8 +10,14 @@ each monitor's verdict log and declared states, and the messages:
 * on A n=4 epp=20 and F n=4 epp=6, seed 77, without a budget: cells where an
   entry parked here still marks another process in ``waiting_for``, which
   the first own move clears;
+* on the three curve cells of CI's perf-smoke job (seed 2015, budget 2), and
+  streamed through asyncio's in-memory transport on wire-tcp's cell and on
+  token-heavy's;
 * on three monitors by hand, where an own event's clock asks an entry for
-  more of a process that has ended (no cell of the grid has one);
+  more of a process that has ended (no cell of the grid has one), of a
+  live process whose column here ends at the entry's cut (only that
+  process can answer: the token sleeps), and of one whose column here
+  holds more (the token wakes and walks it here);
 * on fuzz point 133 of seed 7, whose duplicated and replayed Byzantine
   copies of one token (one ``token_id``) park at one monitor at different
   times: a token is woken by what grew since *it* was parked.
@@ -22,6 +28,7 @@ import dataclasses
 import pytest
 from test_token_lifecycle import _System
 
+from repro.api import run_streaming
 from repro.cluster.spec import build_cell_inputs
 from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.clocks import VectorClock
@@ -66,12 +73,16 @@ def _sleeping_and_reference(monkeypatch, run):
     return _observed(report), _observed(reference), report.metrics.parked_tokens_slept
 
 
-def _cell(property_name, n, epp, seed, budget):
+def _cell(property_name, n, epp, seed, budget, streamed=False):
+    """One paper-default cell, on the simulator or streamed through asyncio."""
     scenario = get_scenario("paper-default")
     inputs = cell_inputs(
         scenario, property_name, n, events_per_process=epp,
         evt_mu=3, evt_sigma=1, comm_mu=3, comm_sigma=1, seed=seed,
     )
+    if streamed:
+        delay = scenario.network.delay_model(seed)
+        return lambda: run_streaming(*inputs, delay=delay, max_views_per_state=budget)
     return lambda: simulate_monitored_run(
         *inputs, seed=seed, max_views_per_state=budget, network=scenario.network
     )
@@ -87,6 +98,26 @@ def test_sleeping_changes_nothing_on_the_grid(property_name, monkeypatch):
                 report, reference, count = _sleeping_and_reference(monkeypatch, run)
                 assert report == reference, (n, epp, seed)
                 slept += count
+    assert slept > 0
+
+
+@pytest.mark.parametrize(
+    "cell, streamed",
+    [
+        # the curve cells: token-heavy's, C n=4 epp=20, and long-trace's, B n=5 epp=40
+        (("C", 4, 20), False),
+        (("F", 5, 20), False),
+        (("B", 5, 40), False),
+        # on asyncio's in-memory transport: wire-tcp's cell, and token-heavy's
+        (("B", 4, 18), True),
+        (("C", 4, 20), True),
+    ],
+    ids=["C-n4-epp20", "F-n5-epp20", "B-n5-epp40", "B-n4-epp18-asyncio", "C-n4-epp20-asyncio"],
+)
+def test_sleeping_changes_nothing_on_the_benchmark_cells(cell, streamed, monkeypatch):
+    run = _cell(*cell, seed=2015, budget=2, streamed=streamed)
+    report, reference, slept = _sleeping_and_reference(monkeypatch, run)
+    assert report == reference
     assert slept > 0
 
 
@@ -117,6 +148,97 @@ def _ended_sender_scenario():
     p1.local_event(Event(1, 1, EventKind.RECEIVE, VectorClock([0, 1, 2]), {"p": False}, peer=2))
     system.simulator.run()
     return system, token, route
+
+
+def _event(system, process, sn, kind, clock, p=False, peer=None):
+    """One event of *process* (``p`` and its vector clock given); run the network."""
+    system.monitors[process].local_event(
+        Event(process, sn, kind, VectorClock(clock), {"p": p}, peer=peer)
+    )
+    system.simulator.run()
+
+
+def _live_sender_scenario(brought, verdicts):
+    """Three monitors of ``F(P0.p & P1.p & P2.p)``: the tokens of P2 and P0
+    park at P1; P2 drops its ``p`` in a send to P1 and stays live; P1
+    receives it, then raises ``p``, then P2 does, and all end.  With
+    *brought*, P2 first tells P0 (its event 3), P0 tells P1, and P1's repair
+    token for that receive brings P2's events, the send among them, into
+    P1's column before the send is received.  *verdicts* collects, per own
+    event of P1, what ``_sleeps`` says of P0's token.  Returns the system,
+    P0's token, P1's ``parked_tokens_slept`` just before the receive and,
+    just after it, the token's route and its entry's cut and ``depend``."""
+    system = _System()
+    system.event(2, True)
+    system.event(0, True)
+    p1 = system.monitors[1]
+    (token,) = [t for t in p1.waiting_tokens if t.parent_process == 0]
+    retry = DecentralizedMonitor._retry_waiting_tokens
+
+    def recorded(self, own_event=False):
+        if own_event and self is p1 and token in self.waiting_tokens:
+            verdicts.append(self._sleeps(token))
+        retry(self, own_event)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", recorded)
+        _event(system, 2, 2, EventKind.SEND, [0, 0, 2], peer=1)
+        sent = [0, 0, 2]
+        if brought:
+            _event(system, 2, 3, EventKind.SEND, [0, 0, 3], peer=0)
+            _event(system, 0, 2, EventKind.RECEIVE, [2, 0, 3], peer=2)
+            _event(system, 0, 3, EventKind.SEND, [3, 0, 3], peer=1)
+            _event(system, 1, 1, EventKind.RECEIVE, [3, 1, 3], peer=0)
+            sent = [3, 1, 3]
+        slept = p1.metrics.parked_tokens_slept
+        sn = len(p1.local_vcs)
+        _event(system, 1, sn, EventKind.RECEIVE, [sent[0], sn, sent[2]], peer=2)
+        receipt = system.route(token), list(token.entries[0].cut), list(token.entries[0].depend)
+        _event(system, 1, sn + 1, EventKind.INTERNAL, [sent[0], sn + 1, sent[2]], p=True)
+        end = len(system.monitors[2].local_vcs)
+        _event(system, 2, end, EventKind.INTERNAL, [0, 0, end], p=True)
+        for process in range(3):
+            system.terminate(process)
+    system.assert_quiescent()
+    return system, token, slept, receipt
+
+
+def test_a_clock_only_a_live_peer_can_answer_lets_the_token_sleep(monkeypatch):
+    verdicts = []
+    system, token, slept, (route, cut, depend) = _live_sender_scenario(False, verdicts)
+    p1 = system.monitors[1]
+    # the receive asks for P2's event 2, which P1's column does not hold and
+    # only M2 can give: a serve here would walk P1's column and park again
+    assert verdicts[0] is True
+    assert route == [(0, 1)]
+    assert cut == [1, 0, 0] and depend == [1, 0, 0]  # stale until the wake
+    assert p1.metrics.parked_tokens_slept == slept + 2  # P2's token sleeps too
+    # P1's p wakes it; the walk folds the receive's clock and goes to P2
+    assert system.route(token)[:2] == [(0, 1), (1, 2)]
+    assert [entry.eval for entry in token.entries] == [True]
+    with monkeypatch.context() as patched:
+        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
+        reference, _, _, _ = _live_sender_scenario(False, [])
+    assert _hops(system) == _hops(reference)
+
+
+def test_a_clock_the_column_here_answers_wakes_the_token(monkeypatch):
+    verdicts = []
+    system, token, slept, (route, cut, depend) = _live_sender_scenario(True, verdicts)
+    p1 = system.monitors[1]
+    # at P0's message the columns here still end at the entry's cut: it
+    # sleeps; at P2's send, column 2 holds P2's events to 3 (the repair
+    # token brought them): it wakes and walks P2's component here
+    assert verdicts[:2] == [True, False]
+    assert p1.metrics.parked_tokens_slept == slept
+    assert route == [(0, 1)]
+    assert cut == [3, 2, 3] and depend == [3, 2, 3]
+    # P0 dropped its p at events 2 and 3 and ends without raising it
+    assert [entry.eval for entry in token.entries] == [False]
+    with monkeypatch.context() as patched:
+        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
+        reference, _, _, _ = _live_sender_scenario(True, [])
+    assert _hops(system) == _hops(reference)
 
 
 def _hops(system):

@@ -602,7 +602,11 @@ def test_a_forged_token_whose_runs_leave_a_gap_changes_no_column(known):
         2, entries=[], known=known,
         runs={1: ([_mask(monitor, "P1.p")] * 2, [(0, 7, 0), (0, 8, 0)])},
     )
-    monitor.receive_message(forged)  # someone else's token, snooped on the way
+    if len(known) == 3:
+        monitor.receive_message(forged)  # someone else's token, snooped on the way
+    else:  # not as wide as the session: refused before a run is read
+        with pytest.raises(ValueError, match="wide for a monitor of 3 processes"):
+            monitor.receive_message(forged)
     assert (monitor.mask_columns, monitor.vc_columns) == before
 
 

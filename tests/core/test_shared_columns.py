@@ -96,7 +96,11 @@ def test_columns_stay_true_prefixes_whatever_is_absorbed(arrivals):
     monitor = _monitor()
     held = [0] * N
     for known, runs in arrivals:
-        monitor._absorb_runs(_token(known, runs))
+        if len(known) == N:
+            monitor._absorb_runs(_token(known, runs))
+        else:  # not as wide as the session: refused before a run is read
+            with pytest.raises(ValueError, match=f"wide for a monitor of {N} processes"):
+                monitor.receive_message(_token(known, runs))
         for j in range(1, N):
             masks, vcs = _true_events(j)
             length = len(monitor.vc_columns[j]) - 1
@@ -151,10 +155,17 @@ def _returned(monitor, cut, known, runs=None):
 def test_an_entry_the_columns_do_not_cover_forks_nothing(cut, known, runs):
     monitor = _monitor()
     created = monitor.metrics.views_created
-    view = _returned(monitor, cut, known, runs)
+    if len(cut) == len(known) == N:
+        view = _returned(monitor, cut, known, runs)
+        assert view.status == ViewStatus.UNBLOCKED
+    else:  # not as wide as the session: refused before a run is read
+        with pytest.raises(ValueError, match=f"wide for a monitor of {N} processes"):
+            _returned(monitor, cut, known, runs)
+        (view,) = monitor.views
+        assert view.status == ViewStatus.WAITING  # its token never arrived
     assert monitor.metrics.views_created == created
     assert monitor.metrics.box_queries == 0
-    assert monitor.views == [view] and view.status == ViewStatus.UNBLOCKED
+    assert monitor.views == [view]
     assert [len(column) for column in monitor.mask_columns] == [1] * N  # none grew
 
 

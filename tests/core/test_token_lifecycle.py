@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import run_streaming
 from repro.core.global_view import GlobalView
-from repro.core.messages import Token
+from repro.core.messages import TerminationNotice, Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.clocks import VectorClock
 from repro.distributed.events import Event, EventKind
@@ -254,6 +254,52 @@ def test_an_eviction_is_booked_once(monkeypatch):
     )
     # two views dropped, both waiting: each one's token came home an orphan
     assert report.metrics.views_evicted == report.metrics.orphan_tokens_swallowed == 2
+
+
+# ---------------------------------------------------------------------------
+# messages that do not fit the session are refused
+# ---------------------------------------------------------------------------
+def _token(known, width, runs):
+    """A token of parent 0 whose one entry is *width* wide."""
+    zeros = [0] * width
+    entry = TokenEntry(
+        transition_id=0, bits=((0, 0),) * width, start_cut=list(zeros), cut=list(zeros),
+        depend=list(zeros), min_positions=list(zeros), satisfied=[True] * width,
+    )
+    return Token(parent_process=0, entries=[entry], known=known, runs=runs)
+
+
+@pytest.mark.parametrize("known, width, widths", [([0, 0], 2, r"\[2\]"), ([0] * N, 2, r"\[2, 3\]")])
+def test_a_token_of_another_width_is_refused(known, width, widths):
+    system = _System()
+    monitor = system.monitors[1]
+    # before the check: an IndexError deep in the token's service
+    with pytest.raises(ValueError, match=f"token {widths} wide for a monitor of 3 processes"):
+        monitor.receive_message(_token(known, width, {}))
+    assert monitor.metrics.token_hops_served == 0 and not monitor.waiting_tokens
+
+
+def test_a_run_of_clocks_of_another_width_is_not_absorbed():
+    system = _System()
+    monitor = system.monitors[1]
+    p0 = monitor.automaton.compiled.atom_bit["P0.p"]
+    monitor.receive_message(_token([0] * N, N, {0: ([p0], [(1, 0, 0, 5)])}))
+    system.simulator.run()
+    assert [len(column) for column in monitor.vc_columns] == [1] * N
+    # absorbed, that clock broke the first serve to walk it (an IndexError)
+    system.event(2, True)
+    system.event(1, True)
+    system.event(0, True)
+    assert any(Verdict.TOP in m.declared_verdicts for m in system.monitors)
+
+
+def test_a_notice_of_a_process_outside_the_session_is_refused():
+    system = _System()
+    monitor = system.monitors[1]
+    with pytest.raises(ValueError, match="termination notice of process 3 of 3"):
+        monitor.receive_message(TerminationNotice(N, 0))
+    assert list(monitor.terminated) == [0, 1, 2]  # before: a fourth key, quietly
+    assert all(final is None for final in monitor.terminated.values())
 
 
 # ---------------------------------------------------------------------------
