@@ -84,8 +84,8 @@ def _per_process_letters(num_processes, num_events, seed=2015):
 def test_compiled_step_throughput():
     """The single-monitor inner loop: combine per-process letters, step.
 
-    What a monitor does per event — one ``_mask_of`` cache hit per
-    per-process letter, an integer OR — followed by the table walk of
+    What a monitor does per event — one mask per per-process letter, an
+    integer OR — followed by the table walk of
     ``run_batch``; the Moore machine's own ``run`` over the frozenset unions
     is the reference.
     """
@@ -93,8 +93,8 @@ def test_compiled_step_throughput():
     automaton = case_study_monitor("C", 3)
     compiled = automaton.compiled
     columns = _per_process_letters(3, num_events)
-    # the letter -> mask encoding is a bounded-cache dict hit in production
-    # (DecentralizedMonitor._mask_of), amortised per distinct letter
+    # a monitor reads an own event's mask straight off the atoms its process
+    # owns (DecentralizedMonitor.local_event); a dict of masks stands in here
     mask_of = {letter: compiled.encode(letter) for column in columns for letter in column}
 
     masks = [mask_of[a] | mask_of[b] | mask_of[c] for a, b, c in zip(*columns)]

@@ -18,14 +18,15 @@ Where this departs from the thesis pseudo-code (implicit pending queue, one
 box search per view step, every component of a search answered from the shared
 columns, no ``(state, cut)`` explored twice, no guard's least cut walked twice,
 no box searched by the same view twice, no parked token served by an own event
-that cannot move it — a clock that asks more of a live peer whose column here
-ends at the entry's cut cannot — no exploring once every conclusive state in
-reach is declared here or, as tokens and notices tell, elsewhere: a settled
-monitor retires its views and reports ``?`` if it retired any) and how the two hot
-loops — token serving off the guard rows, built once per property with a
-step's searches looked up by (global letter, state), and box search off the
-segment index, set up only for the processes it moves — are built:
-``docs/architecture.md``.
+that cannot move it, as a wake record made when it parked tells, no exploring
+once every conclusive state in reach is declared here or, as tokens and
+notices tell, elsewhere: a settled monitor retires its views and reports ``?``
+if it retired any), why an own event that moves nothing costs little (its mask
+is read off the atoms this process owns, and views are merged only after one
+stepped) and how the two hot loops — token serving off the guard rows, built
+once per property with a step's searches looked up by (global letter, state),
+and box search off the segment index, set up only for the processes it moves —
+are built: ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .transport import Transport
 
 __all__ = ["MonitorMetrics", "DecentralizedMonitor", "verdict_divergence"]
 
-Letter = frozenset[str]
 #: one search ``_issue_token`` is handed: a guard-table row, per process
 #: whether its conjunct holds at the view's cut, and the floor
 Search = tuple[tuple, list[bool], list[int]]
@@ -159,10 +159,10 @@ class _Property:
     (``MonitorAutomaton.shared``): per state its guard rows ``(transition_id,
     bits)`` — per process the ``(care, want)`` bits of the guard's conjunct,
     shared by every entry made from the row — and bounded caches of pure
-    functions of the automaton: letter -> mask, images, and per process the
-    searches of a step (:meth:`DecentralizedMonitor._searches_at`)."""
+    functions of the automaton: images, and per process the searches of a
+    step (:meth:`DecentralizedMonitor._searches_at`)."""
 
-    __slots__ = ("rows", "masks", "images", "searches")
+    __slots__ = ("rows", "images", "searches")
 
     def __init__(self, automaton: MonitorAutomaton, registry: PropositionRegistry, n: int) -> None:
         encode = automaton.compiled.encode
@@ -174,7 +174,6 @@ class _Property:
                 bits = tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
                 table.append((transition.transition_id, bits))
             self.rows.append(tuple(table))
-        self.masks: dict[Letter, int] = {}
         self.images: dict[int, int] = {}
         self.searches: list[dict[int, tuple[list, list]]] = [{} for _ in range(n)]
 
@@ -214,7 +213,7 @@ class DecentralizedMonitor:
         num_processes: int,
         automaton: MonitorAutomaton,
         registry: PropositionRegistry,
-        initial_letters: Sequence[Letter],
+        initial_letters: Sequence[frozenset[str]],
         transport: Transport,
         max_views_per_state: int | None = None,
     ) -> None:
@@ -235,13 +234,20 @@ class DecentralizedMonitor:
         #: change only those repeat the mask
         self._compiled = automaton.compiled
         self._num_states = automaton.num_states
+        owners = tuple(map(registry.owner_of, self._compiled.atoms))
+        #: (bit, predicate) of each atom this process owns: an own event's mask
+        self._own_atoms = [
+            (1 << a, registry[atom].evaluate)
+            for a, atom in enumerate(self._compiled.atoms)
+            if owners[a] == process
+        ]
         #: the guard rows and caches every monitor of this property shares
         #: (:class:`_Property`), and the guardless row of a repair
-        key = num_processes, tuple(map(registry.owner_of, self._compiled.atoms))
+        key = num_processes, owners
         shared = automaton.shared.get(key) or automaton.shared.setdefault(
             key, _Property(automaton, registry, num_processes)
         )
-        self._rows, self._mask_cache, self._image_cache = shared.rows, shared.masks, shared.images
+        self._rows, self._image_cache = shared.rows, shared.images
         self._searches = shared.searches[process]
         self._repair_row = (None, ((0, 0),) * num_processes, ())
         #: a guard's ``bits`` -> the floor and the least cut above it (``None``:
@@ -262,9 +268,7 @@ class DecentralizedMonitor:
         #: entry answered here, or returned after its runs were absorbed.
         #: ``seg_starts[j]`` indexes mask column ``j`` by *segments*: position
         #: 0 and every position whose mask differs from its predecessor's.
-        self.mask_columns: list[list[int]] = [
-            [self._mask_of(frozenset(letter))] for letter in initial_letters
-        ]
+        self.mask_columns = [[self._compiled.encode(letter)] for letter in initial_letters]
         self.seg_starts: list[list[int]] = [[0] for _ in range(num_processes)]
         self.vc_columns: list[list[tuple[int, ...]]] = [
             [(0,) * num_processes] for _ in range(num_processes)
@@ -280,10 +284,11 @@ class DecentralizedMonitor:
         #: birth signatures of the views created, less those an eviction gave up
         self._born: set[tuple[int, tuple[int, ...]]] = set()
         self.waiting_tokens: list[Token] = []
-        #: how often ``_absorb_runs`` grew a foreign column, and its value when
-        #: each waiting token was parked — by the token object: copies share an id
+        #: how often ``_absorb_runs`` grew a foreign column, and each waiting
+        #: token's wake record (:meth:`_park`) — by the token object: copies
+        #: share a ``token_id``
         self._absorbed = 0
-        self._parked_at: dict[int, int] = {}
+        self._parked_at: dict[int, tuple[int | None, set, tuple]] = {}
         self._outstanding: dict[int, GlobalView] = {}  # token_id -> waiting view
         self._checked = -1  # declared_bits | heard when _settle last ran
 
@@ -302,29 +307,13 @@ class DecentralizedMonitor:
         self._born |= view.born
         self.views.append(view)
         if automaton.is_final(view.state):
-            self._declare_reached(1 << view.state)
             self._retire(view)
-            self.final_views.append(view)
         self.metrics.max_active_views = len(self.views)
         self._started = False
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _mask_of(self, letter: Letter) -> int:
-        """Bitmask of a per-process letter.
-
-        Masks of letters seen are cached (bounded, mirroring the projection
-        cache of :meth:`repro.ltl.dfa.MooreMachine.step`) so the hot path is
-        one dictionary lookup per per-process letter.
-        """
-        mask = self._mask_cache.get(letter)
-        if mask is None:
-            mask = self._compiled.encode(letter)
-            if len(self._mask_cache) < 4096:
-                self._mask_cache[letter] = mask
-        return mask
-
     def _mask_at(self, cut: Sequence[int]) -> int:
         """The global letter mask at *cut*, off the mask columns."""
         mask = 0
@@ -426,16 +415,17 @@ class DecentralizedMonitor:
         if not self._started:
             self.start()
         self.metrics.events_processed += 1
-        letter = self.registry.local_letter(self.process, event.state)
-        self._append_masks(self.process, (self._mask_of(letter),))
+        mask = sum(bit for bit, holds in self._own_atoms if holds(event.state))
+        self._append_masks(self.process, (mask,))
         self.local_vcs.append(tuple(event.vc))
 
         if any(view.is_waiting() for view in self.views):
             self.metrics.delayed_events += 1
 
         self._retry_waiting_tokens(own_event=True)
-        self._advance_views(self.views)
-        self._merge_views()
+        if self._advance_views(self.views):
+            # else the views are what the last merge left: it would do nothing
+            self._merge_views()
 
     def local_termination(self) -> None:
         """Handle the termination signal of the attached program process."""
@@ -508,8 +498,9 @@ class DecentralizedMonitor:
     # ------------------------------------------------------------------
     # view advancement on local events
     # ------------------------------------------------------------------
-    def _advance_views(self, views: Iterable[GlobalView]) -> None:
-        """Apply pending local events (from history) to the unblocked *views*.
+    def _advance_views(self, views: Iterable[GlobalView]) -> bool:
+        """Apply pending local events (from history) to the unblocked *views*;
+        returns whether a view stepped.
 
         Views forked by searches answered at home are advanced from the same
         worklist: nesting one call per answer would exhaust the stack.  On entry
@@ -517,12 +508,14 @@ class DecentralizedMonitor:
         heard since it last ran: once the monitor is settled no view steps.
         """
         mine, last = self.process, len(self.local_vcs) - 1
-        work = list(views)[::-1]
+        work, stepped = list(views)[::-1], False
         while (self.declared_bits | self.heard == self._checked or not self._settle()) and work:
             view = work.pop()
             if view.status == ViewStatus.UNBLOCKED and view.cut[mine] < last:
+                stepped = True
                 work += reversed(self._step_view(view, view.cut[mine] + 1))
                 work.append(view)  # stepped on before the views it forked
+        return stepped
 
     def _step_view(self, view: GlobalView, sn: int) -> Sequence[GlobalView]:
         """Advance *view* by local event *sn* (PROCESSEVENT); returns the
@@ -539,17 +532,18 @@ class DecentralizedMonitor:
         view.cut[mine] = sn
         view.state = new_state = self._compiled.step(view.state, self._mask_at(view.cut))
         if self.automaton.is_final(new_state):
-            self._declare_reached(1 << new_state)
             self._retire(view)
-            self.final_views.append(view)
             return ()
         return self._explore_outgoing(view)
 
     def _retire(self, view: GlobalView) -> None:
-        """Take *view* out of the live views: conclusive, or repaired."""
+        """Take *view* out of the live views: repaired, or conclusive (declared)."""
         view.status = ViewStatus.FINAL
         if view in self.views:
             self.views.remove(view)
+        if self.automaton.is_final(view.state):
+            self._declare_reached(1 << view.state)
+            self.final_views.append(view)
 
     # ------------------------------------------------------------------
     # token creation (CHECKOUTGOINGTRANSITIONS)
@@ -779,55 +773,64 @@ class DecentralizedMonitor:
     def _retry_waiting_tokens(self, own_event: bool = False) -> None:
         """Re-examine parked tokens after a new own event or a termination.
 
-        After an own event a token sleeps — stays parked, unserved — if no
-        foreign column grew since it was parked and the event moves none of
-        its entries (:meth:`_sleeps`).  Terminations wake every token, and an
-        orphan is swallowed either way.
+        After an own event a token sleeps — stays parked, unserved, with the
+        wake record it was parked with — if the event leaves it as it is
+        (:meth:`_sleeps`).  Terminations wake every token, and an orphan is
+        swallowed either way.
         """
         tokens, self.waiting_tokens = self.waiting_tokens, []
-        parked_at, self._parked_at = self._parked_at, {}
         for token in tokens:
             if self._ends_here(token):
+                del self._parked_at[id(token)]
                 self._token_returned(token)  # orphaned while it waited at home
-            elif own_event and parked_at.get(id(token)) == self._absorbed and self._sleeps(token):
+            elif own_event and self._sleeps(token):
                 self.metrics.parked_tokens_slept += 1
-                self._park(token)
+                self.waiting_tokens.append(token)
             else:
+                del self._parked_at[id(token)]
                 self._serve_token(token)
 
     def _sleeps(self, token: Token) -> bool:
-        """Whether the newest own event leaves the parked *token* as it is.
-
-        Only an undecided entry parked on this process can move, and it does
-        when the event's mask satisfies its conjunct, when it marks another
-        process in ``waiting_for`` (its first own move clears those marks),
-        or when the event's clock asks more of another process ``k`` than
-        its ``depend`` and a serve here could move ``k``: column ``k`` holds
-        events past the entry's cut, or ``k`` has ended (``ends[k] < 0``).
-        Otherwise serving would only walk its own component on to the
-        column's end and park it again — and serving is one-shot, so the
-        walk at the wake (a foreign column grew, or a termination) reaches
-        the cut, ``depend`` and ``satisfied`` a walk per event would (clocks
-        only grow: the last one scanned folds all).
-        """
-        mine, others, ends = self.process, self._serve_order[1:], self._live_ends()
-        mask, vc = self.mask_columns[mine][-1], self.local_vcs[-1]
-        for entry in token.entries:
-            if entry.eval is None and entry.parked_on == mine:
-                care, want = entry.bits[mine]
-                cut, depend = entry.cut, entry.depend
-                if (
-                    mask & care == want
-                    or not entry.waiting_for <= {mine}
-                    or any(vc[k] > depend[k] and (cut[k] < ends[k] or ends[k] < 0) for k in others)
-                ):
-                    return False
-        return True
+        """Whether the newest own event leaves the parked *token* as it is,
+        by its wake record (:meth:`_park`): no foreign column grew since it
+        was parked, the event's mask satisfies no conjunct recorded and its
+        clock exceeds no limit recorded."""
+        absorbed, pairs, limits = self._parked_at[id(token)]
+        mask, vc = self.mask_columns[self.process][-1], self.local_vcs[-1]
+        return (
+            absorbed == self._absorbed
+            and all(mask & care != want for care, want in pairs)
+            and all(vc[k] <= limit for k, limit in limits)
+        )
 
     def _park(self, token: Token) -> None:
-        """Keep *token* here until an own event or a termination notice."""
+        """Keep *token* here until an own event or a termination notice, with
+        its wake record.  Only an undecided entry parked on this process can
+        move on an own event: when the event's mask satisfies its conjunct
+        (the record keeps those ``(care, want)`` bits), when it marks another
+        process in ``waiting_for`` (the first own move clears those marks; the
+        record's absorption count is then ``None``: never asleep), or when
+        the clock exceeds its ``depend[k]`` for a peer ``k`` a serve here could
+        move: column ``k`` holds events past its cut, or ``k`` has ended (the
+        record keeps the least such ``depend[k]`` per ``k``).  Otherwise a
+        serve would only walk the own component on and park again, and the
+        one-shot walk at the wake does what one per event would.  The record
+        holds while the token is parked: nothing touches its entries, and the
+        ends (:meth:`_live_ends`) move only when a column grows (so does
+        ``_absorbed``) or a process ends (every token wakes)."""
+        mine, others, ends = self.process, self._serve_order[1:], self._live_ends()
+        absorbed, pairs, limits = self._absorbed, set(), {}
+        for entry in token.entries:
+            if entry.eval is None and entry.parked_on == mine:
+                if not entry.waiting_for <= {mine}:
+                    absorbed = None
+                    break
+                pairs.add(entry.bits[mine])
+                for k in others:
+                    if entry.cut[k] < ends[k] or ends[k] < 0:
+                        limits[k] = min(limits.get(k, entry.depend[k]), entry.depend[k])
         self.waiting_tokens.append(token)
-        self._parked_at[id(token)] = self._absorbed
+        self._parked_at[id(token)] = absorbed, pairs, tuple(limits.items())
 
     def _route_token(
         self, token: Token, pending: list[tuple[TokenEntry, list[int]]]

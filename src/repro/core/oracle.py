@@ -18,7 +18,7 @@ are alive at a time and no path is enumerated; the explicit
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import le
@@ -28,6 +28,7 @@ from ..distributed.lattice import ComputationLattice
 from ..ltl.monitor import MonitorAutomaton
 from ..ltl.predicates import PropositionRegistry
 from ..ltl.verdict import Verdict
+from .monitor import _states_of
 
 __all__ = ["OracleResult", "LatticeOracle"]
 
@@ -43,11 +44,6 @@ class OracleResult:
     conclusive_verdicts: frozenset[Verdict]
     #: how many consistent cuts the computation has
     num_cuts: int
-
-
-def _states(bits: int) -> Iterator[int]:
-    """The members of a state set held as a bitmask."""
-    return (s for s in range(bits.bit_length()) if bits >> s & 1)
 
 
 class LatticeOracle:
@@ -78,16 +74,12 @@ class LatticeOracle:
             self._letters[cut] = self.registry.letter_of(state)
         return self._letters[cut]
 
-    def evaluate_path(self, path: Sequence[Cut]) -> int:
-        """Automaton state reached by running the trace of *path*."""
+    def verdict_of_path(self, path: Sequence[Cut]) -> Verdict:
+        """The LTL3 verdict of one maximal lattice path: of the state its trace reaches."""
         state = self.automaton.initial_state
         for cut in path:
             state = self.automaton.step(state, self.letter_of(cut))
-        return state
-
-    def verdict_of_path(self, path: Sequence[Cut]) -> Verdict:
-        """The LTL3 verdict of one maximal lattice path."""
-        return self.automaton.verdict(self.evaluate_path(path))
+        return self.automaton.verdict(state)
 
     # ------------------------------------------------------------------
     def evaluate(self) -> OracleResult:
@@ -121,7 +113,7 @@ class LatticeOracle:
                 image = images.get(before * width + mask)
                 if image is None:
                     image = 0
-                    for s in _states(before):
+                    for s in _states_of(before):
                         image |= 1 << table[s * width + mask]
                     images[before * width + mask] = image
                 level[cut] = image
@@ -133,10 +125,10 @@ class LatticeOracle:
         (final,) = top.values()
         verdict = self.automaton.verdict
         return OracleResult(
-            final_states=frozenset(_states(final)),
-            verdicts=frozenset(map(verdict, _states(final))),
+            final_states=frozenset(_states_of(final)),
+            verdicts=frozenset(map(verdict, _states_of(final))),
             conclusive_verdicts=frozenset(
-                verdict(s) for s in _states(met) if compiled.final_flags[s]
+                verdict(s) for s in _states_of(met) if compiled.final_flags[s]
             ),
             num_cuts=num_cuts,
         )

@@ -38,15 +38,17 @@ class Computation:
     def __post_init__(self) -> None:
         if len(self.initial_states) != len(self.events):
             raise ValueError("one initial state per process is required")
+        width = len(self.events)
         for process, process_events in enumerate(self.events):
             for position, event in enumerate(process_events, start=1):
                 if event.process != process:
-                    raise ValueError(
-                        f"event {event} stored under process {process}"
-                    )
+                    raise ValueError(f"event {event} stored under process {process}")
                 if event.sn != position:
+                    raise ValueError(f"event {event} has sn {event.sn}, expected {position}")
+                if len(event.vc) != width:
                     raise ValueError(
-                        f"event {event} has sn {event.sn}, expected {position}"
+                        f"event {event.sn} of process {process} has a clock "
+                        f"{len(event.vc)} wide in a computation of {width} processes"
                     )
 
     # -- basic accessors -----------------------------------------------------

@@ -74,7 +74,7 @@ class Event:
             raise ValueError("sequence numbers must be non-negative")
         if self.kind in (EventKind.SEND, EventKind.RECEIVE) and self.peer is None:
             raise ValueError(f"{self.kind} events require a peer process")
-        if self.vc[self.process] != self.sn:
+        if not 0 <= self.process < len(self.vc) or self.vc[self.process] != self.sn:
             raise ValueError(
                 "vector clock local component must equal the sequence number "
                 f"(got VC={self.vc!r}, sn={self.sn}, process={self.process})"

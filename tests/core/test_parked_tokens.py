@@ -10,6 +10,8 @@ each monitor's verdict log and declared states, and the messages:
 * on A n=4 epp=20 and F n=4 epp=6, seed 77, without a budget: cells where an
   entry parked here still marks another process in ``waiting_for``, which
   the first own move clears;
+* on D n=5 epp=20, seed 1, budget 2, where entries of one parked token ask
+  different ``depend[k]`` of one peer;
 * on the three curve cells of CI's perf-smoke job (seed 2015, budget 2), and
   streamed through asyncio's in-memory transport on wire-tcp's cell and on
   token-heavy's;
@@ -21,6 +23,11 @@ each monitor's verdict log and declared states, and the messages:
 * on fuzz point 133 of seed 7, whose duplicated and replayed Byzantine
   copies of one token (one ``token_id``) park at one monitor at different
   times: a token is woken by what grew since *it* was parked.
+
+``_sleeps`` reads a wake record made when the token parked; on every own
+event of every run above but the fuzz point, each parked token's answer is
+also checked against the test as it was, entry by entry
+(:func:`_reference_sleeps`).
 """
 
 import dataclasses
@@ -49,10 +56,55 @@ def _retry_every_token(self, own_event=False):
             self._serve_token(token)
 
 
-def _observed(report):
-    """What a run shows, less the count of tokens that slept."""
+def _reference_sleeps(self, token):
+    """The sleep test as it was before wake records: no foreign column grew
+    since the token was parked (``_reference_parked_at``, kept by
+    :func:`_recording_sleeps`), and, entry by entry over the undecided
+    entries parked here, the event's mask does not satisfy the conjunct, no
+    other process is marked, and the clock asks no more of a peer ``k``
+    than ``depend[k]`` where a serve here could move ``k``."""
+    if self._reference_parked_at[id(token)] != self._absorbed:
+        return False
+    mine, others, ends = self.process, self._serve_order[1:], self._live_ends()
+    mask, vc = self.mask_columns[mine][-1], self.local_vcs[-1]
+    for entry in token.entries:
+        if entry.eval is None and entry.parked_on == mine:
+            care, want = entry.bits[mine]
+            cut, depend = entry.cut, entry.depend
+            if (
+                mask & care == want
+                or not entry.waiting_for <= {mine}
+                or any(vc[k] > depend[k] and (cut[k] < ends[k] or ends[k] < 0) for k in others)
+            ):
+                return False
+    return True
+
+
+def _recording_sleeps(patched, answers, only=None):
+    """Patch the monitor so that, on every own event, each parked token's
+    ``(_sleeps, _reference_sleeps)`` answers are appended to *answers*
+    (*only*: of that one token, at its monitor, before the event is read)."""
+    park, retry = DecentralizedMonitor._park, DecentralizedMonitor._retry_waiting_tokens
+
+    def parked(self, token):
+        self.__dict__.setdefault("_reference_parked_at", {})[id(token)] = self._absorbed
+        park(self, token)
+
+    def retried(self, own_event=False):
+        if own_event:
+            for token in self.waiting_tokens:
+                if only is None or token is only:
+                    answers.append((self._sleeps(token), _reference_sleeps(self, token)))
+        retry(self, own_event)
+
+    patched.setattr(DecentralizedMonitor, "_park", parked)
+    patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", retried)
+
+
+def _observed(report, slept=False):
+    """What a run shows, less the count of tokens that slept (unless *slept*)."""
     counters = [dataclasses.asdict(monitor.metrics) for monitor in report.monitors]
-    for record in counters:
+    for record in counters if not slept else ():
         del record["parked_tokens_slept"]
     return (
         counters,
@@ -62,10 +114,15 @@ def _observed(report):
     )
 
 
-def _sleeping_and_reference(monkeypatch, run):
+def _sleeping_and_reference(monkeypatch, run, answers=None):
     """``run()`` as the monitor is and under the reference rule; returns the
-    two observations and the tokens that slept."""
-    report = run()
+    two observations and the tokens that slept.  With a list *answers*, the
+    first run appends to it every parked token's two sleep answers per own
+    event (:func:`_recording_sleeps`)."""
+    with monkeypatch.context() as patched:
+        if answers is not None:
+            _recording_sleeps(patched, answers)
+        report = run()
     with monkeypatch.context() as patched:
         patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
         reference = run()
@@ -88,17 +145,24 @@ def _cell(property_name, n, epp, seed, budget, streamed=False):
     )
 
 
+def _disagreements(answers):
+    """The recorded sleep answers on which the wake record and the reference differ."""
+    return [pair for pair in answers if pair[0] != pair[1]]
+
+
 @pytest.mark.parametrize("property_name", "ABCDEF")
 def test_sleeping_changes_nothing_on_the_grid(property_name, monkeypatch):
-    slept = 0
+    slept, answers = 0, []
     for n in (3, 4):
         for epp in (6, 20):
             for seed in (2015, 7, 77):
                 run = _cell(property_name, n, epp, seed, budget=2)
-                report, reference, count = _sleeping_and_reference(monkeypatch, run)
+                report, reference, count = _sleeping_and_reference(monkeypatch, run, answers)
                 assert report == reference, (n, epp, seed)
+                assert not _disagreements(answers), (n, epp, seed)
                 slept += count
     assert slept > 0
+    assert sum(pair[0] for pair in answers) >= slept  # every token that slept was asked
 
 
 @pytest.mark.parametrize(
@@ -116,17 +180,34 @@ def test_sleeping_changes_nothing_on_the_grid(property_name, monkeypatch):
 )
 def test_sleeping_changes_nothing_on_the_benchmark_cells(cell, streamed, monkeypatch):
     run = _cell(*cell, seed=2015, budget=2, streamed=streamed)
-    report, reference, slept = _sleeping_and_reference(monkeypatch, run)
+    answers = []
+    report, reference, slept = _sleeping_and_reference(monkeypatch, run, answers)
     assert report == reference
     assert slept > 0
+    assert not _disagreements(answers)
+    assert {pair[0] for pair in answers} == {True, False}
 
 
 @pytest.mark.parametrize("property_name, epp", [("A", 20), ("F", 6)])
 def test_a_mark_on_another_process_wakes_the_token(property_name, epp, monkeypatch):
     run = _cell(property_name, 4, epp, seed=77, budget=None)
-    report, reference, slept = _sleeping_and_reference(monkeypatch, run)
+    answers = []
+    report, reference, slept = _sleeping_and_reference(monkeypatch, run, answers)
     assert report == reference
     assert slept > 0
+    assert not _disagreements(answers)
+
+
+def test_the_least_depend_of_the_entries_is_the_limit(monkeypatch):
+    # entries of one token parked here ask different depend[k] of one peer:
+    # a record that kept the largest sleeps through one own event the
+    # entry-by-entry test wakes on (no cell of the grid has such a pair)
+    run = _cell("D", 5, 20, seed=1, budget=2)
+    answers = []
+    report, reference, slept = _sleeping_and_reference(monkeypatch, run, answers)
+    assert report == reference
+    assert slept > 0
+    assert not _disagreements(answers)
 
 
 def _ended_sender_scenario():
@@ -165,7 +246,8 @@ def _live_sender_scenario(brought, verdicts):
     *brought*, P2 first tells P0 (its event 3), P0 tells P1, and P1's repair
     token for that receive brings P2's events, the send among them, into
     P1's column before the send is received.  *verdicts* collects, per own
-    event of P1, what ``_sleeps`` says of P0's token.  Returns the system,
+    event of P1, what ``_sleeps`` and the reference say of P0's token
+    (:func:`_recording_sleeps`).  Returns the system,
     P0's token, P1's ``parked_tokens_slept`` just before the receive and,
     just after it, the token's route and its entry's cut and ``depend``."""
     system = _System()
@@ -173,15 +255,9 @@ def _live_sender_scenario(brought, verdicts):
     system.event(0, True)
     p1 = system.monitors[1]
     (token,) = [t for t in p1.waiting_tokens if t.parent_process == 0]
-    retry = DecentralizedMonitor._retry_waiting_tokens
-
-    def recorded(self, own_event=False):
-        if own_event and self is p1 and token in self.waiting_tokens:
-            verdicts.append(self._sleeps(token))
-        retry(self, own_event)
-
+    p1._reference_parked_at = {id(token): p1._absorbed}  # parked before the recording
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", recorded)
+        _recording_sleeps(patched, verdicts, only=token)
         _event(system, 2, 2, EventKind.SEND, [0, 0, 2], peer=1)
         sent = [0, 0, 2]
         if brought:
@@ -209,7 +285,8 @@ def test_a_clock_only_a_live_peer_can_answer_lets_the_token_sleep(monkeypatch):
     p1 = system.monitors[1]
     # the receive asks for P2's event 2, which P1's column does not hold and
     # only M2 can give: a serve here would walk P1's column and park again
-    assert verdicts[0] is True
+    assert verdicts[0] == (True, True)
+    assert not _disagreements(verdicts)
     assert route == [(0, 1)]
     assert cut == [1, 0, 0] and depend == [1, 0, 0]  # stale until the wake
     assert p1.metrics.parked_tokens_slept == slept + 2  # P2's token sleeps too
@@ -229,7 +306,8 @@ def test_a_clock_the_column_here_answers_wakes_the_token(monkeypatch):
     # at P0's message the columns here still end at the entry's cut: it
     # sleeps; at P2's send, column 2 holds P2's events to 3 (the repair
     # token brought them): it wakes and walks P2's component here
-    assert verdicts[:2] == [True, False]
+    assert verdicts[:2] == [(True, True), (False, False)]
+    assert not _disagreements(verdicts)
     assert p1.metrics.parked_tokens_slept == slept
     assert route == [(0, 1)]
     assert cut == [3, 2, 3] and depend == [3, 2, 3]

@@ -447,7 +447,7 @@ def test_an_arriving_entry_is_walked_whatever_the_memory_says():
 def test_a_retried_entry_is_walked_whatever_the_memory_says():
     monitor, network, token, poisoned = _asked_at_start(truth=False)
     home._hold(monitor, 1, [(0, 1)])  # P1's only event leaves its p false
-    monitor.waiting_tokens.append(token)  # came home undecided, parked
+    monitor._park(token)  # came home undecided, parked
     monitor.receive_message(TerminationNotice(1, 1))
     assert token.entries[0].eval is False and monitor.waiting_tokens == []
     assert monitor.is_quiescent and monitor.declared_verdicts == set()

@@ -225,7 +225,7 @@ def test_an_orphan_waiting_at_home_is_swallowed_when_woken():
     token = system.blocked_at_p1()
     # as if routing had left the undecided token waiting at home instead
     system.monitors[1].waiting_tokens.remove(token)
-    home.waiting_tokens.append(token)
+    home._park(token)
     _evict_the_waiting_view(home)
     assert not home.is_quiescent
     system.terminate(2)  # any notice wakes home's waiting tokens

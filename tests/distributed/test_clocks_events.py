@@ -93,6 +93,13 @@ class TestEvent:
         with pytest.raises(ValueError):
             self.make(sn=2)
 
+    @pytest.mark.parametrize("process", [2, -1])
+    def test_a_clock_without_the_process_component_is_rejected(self, process):
+        # a clock of two components has none for process 2 (before: an
+        # IndexError) nor for -1 (before: read off the last component)
+        with pytest.raises(ValueError, match="vector clock local component"):
+            self.make(process=process, vc=VectorClock([0, 1]))
+
     def test_negative_sn_rejected(self):
         with pytest.raises(ValueError):
             self.make(sn=-1, vc=VectorClock([0, 0]))

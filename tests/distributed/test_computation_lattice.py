@@ -8,6 +8,7 @@ from repro.distributed import (
     Computation,
     ComputationBuilder,
     ComputationLattice,
+    Event,
     EventKind,
     VectorClock,
     running_example,
@@ -126,6 +127,13 @@ class TestComputation:
     def test_mismatched_initial_states_rejected(self):
         with pytest.raises(ValueError):
             Computation(initial_states=[{}], events=[[], []])
+
+    @pytest.mark.parametrize("clock", [[1], [1, 0, 0]], ids=["narrow", "wide"])
+    def test_an_event_clock_of_another_width_is_refused(self, clock):
+        event = Event(0, 1, EventKind.INTERNAL, VectorClock(clock))
+        message = f"event 1 of process 0 has a clock {len(clock)} wide in a computation of 2"
+        with pytest.raises(ValueError, match=message):
+            Computation(initial_states=[{}, {}], events=[[event], []])
 
     def test_frontier_events(self, example):
         # the frontier of a cut is the last event of each process inside it;

@@ -92,6 +92,22 @@ class TestEventLogCodec:
         with pytest.raises(ValueError):
             records_to_computation(records)
 
+    @pytest.mark.parametrize("width", [2, 4], ids=["narrow", "wide"])
+    def test_an_event_clock_of_another_width_is_refused(self, width, tmp_path):
+        # Event.__post_init__ only checks vc[process] == sn: before
+        # Computation checked the width, such a log loaded and the run could
+        # die mid-session with an IndexError inside the monitors
+        records = computation_to_records(_synthetic_computation())
+        victim = next(r for r in records[1:] if r["process"] == 1 and r["sn"] == 2)
+        victim["vc"] = (victim["vc"] + [0])[:width]
+        message = f"event 2 of process 1 has a clock {width} wide in a computation of 3"
+        with pytest.raises(ValueError, match=message):
+            records_to_computation(records)
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_event_log(path)
+
 
 class TestReplaySource:
     def test_replays_the_recorded_stream(self, tmp_path):
