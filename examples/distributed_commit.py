@@ -84,9 +84,11 @@ def main() -> None:
         print(f"   centralized baseline : {centralized.messages} messages, "
               f"{centralized.tracked_cuts} tracked global states\n")
 
-    print("The decentralized monitors reach the same verdicts while exchanging "
-          "only the tokens they need; the centralized baseline ships every event "
-          "and tracks every consistent global state.")
+    print("The decentralized monitors declare the oracle's conclusive verdicts "
+          "without a central process. On a round this short they send more "
+          "messages than the centralized baseline, which ships every event to one "
+          "monitor, but they keep a few global views where the baseline tracks "
+          "every consistent global state.")
 
 
 if __name__ == "__main__":

@@ -98,7 +98,6 @@ def compile_formula(
     formula: object,
     atoms: list[str] | None = None,
     *,
-    method: str = "automaton",
     minimize: bool = True,
 ) -> MonitorAutomaton:
     """Compile an LTL formula (text or AST) into an LTL3 monitor automaton.
@@ -106,9 +105,10 @@ def compile_formula(
     The stable name for :func:`repro.ltl.build_monitor`: parses *formula*
     if it is a string, closes the alphabet over *atoms* (default: the
     propositions occurring in the formula) and synthesises the three-valued
-    monitor (⊤ / ⊥ / ?) via the Büchi-product construction.
+    monitor (⊤ / ⊥ / ?) by formula progression, Moore-minimised unless
+    *minimize* is false.
     """
-    return build_monitor(formula, atoms, method=method, minimize=minimize)
+    return build_monitor(formula, atoms, minimize=minimize)
 
 
 def run_cluster(

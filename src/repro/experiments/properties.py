@@ -83,4 +83,4 @@ def case_study_monitor(name: str, num_processes: int) -> MonitorAutomaton:
     # The alphabet is restricted to the formula's own atoms: propositions of
     # processes that do not participate are projected away automatically when
     # the monitor reads a letter of the full global state.
-    return build_monitor(formula, method="progression", minimize=False)
+    return build_monitor(formula, minimize=False)

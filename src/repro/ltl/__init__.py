@@ -44,7 +44,7 @@ from .ast import (
 from .boolmin import Implicant, implicant_to_str, minimize_letters
 from .buchi import BuchiAutomaton, Guard, ltl_to_buchi, nonempty_states
 from .compiled import CompiledMachine, compile_machine
-from .dfa import MooreMachine, determinize
+from .dfa import MooreMachine
 from .monitor import MonitorAutomaton, Transition, build_monitor
 from .parser import LTLSyntaxError, parse
 from .predicates import LocalState, Proposition, PropositionRegistry
@@ -93,7 +93,6 @@ __all__ = [
     "ltl_to_buchi",
     "nonempty_states",
     "MooreMachine",
-    "determinize",
     "CompiledMachine",
     "compile_machine",
     "MonitorAutomaton",

@@ -73,14 +73,15 @@ class Formula:
     constructors are additionally *hash-consed*: structurally equal interned
     formulas are the very same object, so equality degenerates to a pointer
     comparison and per-node caches (cached hash, cached textual form, the
-    memoized progression table of :mod:`repro.ltl.progression`) are shared by
-    every use of the formula.
+    memoized progression table and normal form of
+    :mod:`repro.ltl.progression`) are shared by every use of the formula.
     """
 
     __slots__ = (
         "_hash",
         "_str",
         "_canon",
+        "_nf",
         "_nnf",
         "_progress_cache",
         "_is_interned",

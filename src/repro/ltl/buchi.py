@@ -14,8 +14,9 @@ Vardi and Wolper (PSTV 1995):
    counter construction.
 
 On top of the automaton, :func:`nonempty_states` computes for every state
-whether the language accepted *from that state* is non-empty — the key
-ingredient of the LTL3 monitor construction (Bauer–Leucker–Schallhart).
+whether the language accepted *from that state* is non-empty, and
+:func:`is_satisfiable` reads it off the initial states: the verdict of every
+progression state is decided this way (:mod:`repro.ltl.progression`).
 """
 
 from __future__ import annotations
@@ -92,19 +93,6 @@ class BuchiAutomaton:
     transitions: dict[object, list[tuple[Guard, object]]] = field(default_factory=dict)
     accepting: set[object] = field(default_factory=set)
     atoms: tuple[str, ...] = ()
-
-    def successors(self, state: object, letter: frozenset[str]) -> set[object]:
-        """States reachable from *state* by reading *letter*."""
-        result = set()
-        for guard, target in self.transitions.get(state, ()):
-            if guard.satisfied_by(letter):
-                result.add(target)
-        return result
-
-    @property
-    def num_states(self) -> int:
-        """The number of automaton states."""
-        return len(self.states)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +270,17 @@ def ltl_to_buchi(formula: Formula, atoms: Sequence[str] | None = None) -> BuchiA
             gba_edges.setdefault(source, []).append((guard, node.name))
 
     # acceptance sets: for each Until f1 U f2, nodes where the until is
-    # either not pending or already fulfilled
+    # either not pending or already fulfilled; ``true`` is never recorded in
+    # ``old``, so an until whose right side is ``true`` is always fulfilled
     acceptance_sets: list[set[int]] = []
     for until in untils:
         acceptance_sets.append(
             {
                 node.name
                 for node in nodes
-                if until not in node.old or until.right in node.old
+                if until not in node.old
+                or until.right in node.old
+                or isinstance(until.right, TrueConst)
             }
         )
     if not acceptance_sets:

@@ -1,18 +1,17 @@
 """Deterministic Moore machines: construction helpers and minimisation.
 
 The LTL3 monitor is a deterministic finite-state Moore machine whose outputs
-are verdicts.  This module provides the generic machinery — reachability
-restriction, product of subset constructions and Moore minimisation — used by
-:mod:`repro.ltl.monitor`.
+are verdicts.  This module provides the generic machinery — stepping, reachability
+restriction and Moore minimisation — used by :mod:`repro.ltl.monitor`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Hashable, Sequence
 
 from dataclasses import dataclass, field
 
-__all__ = ["MooreMachine", "determinize"]
+__all__ = ["MooreMachine"]
 
 Letter = frozenset[str]
 
@@ -179,39 +178,3 @@ class MooreMachine:
             for i, letter in enumerate(self.letters)
             if self.delta[source][i] == target
         ]
-
-
-def determinize(
-    letters: Sequence[Letter],
-    initial_sets: Sequence[frozenset[Hashable]],
-    successor_fns: Sequence[Callable[[frozenset[Hashable], Letter], frozenset[Hashable]]],
-    output_fn: Callable[[tuple[frozenset[Hashable], ...]], Hashable],
-) -> MooreMachine:
-    """Joint subset construction of several NFAs into one Moore machine.
-
-    Each component ``i`` starts in ``initial_sets[i]`` and evolves with
-    ``successor_fns[i]``.  A product state is the tuple of per-component
-    subsets; its Moore output is ``output_fn(product_state)``.  Only states
-    reachable from the initial product state are constructed.
-    """
-    letters = tuple(letters)
-    initial = tuple(initial_sets)
-    index: dict[tuple[frozenset[Hashable], ...], int] = {initial: 0}
-    order: list[tuple[frozenset[Hashable], ...]] = [initial]
-    delta: list[list[int]] = []
-    frontier = [initial]
-    while frontier:
-        product = frontier.pop(0)
-        row: list[int] = []
-        for letter in letters:
-            successor = tuple(
-                successor_fns[i](product[i], letter) for i in range(len(product))
-            )
-            if successor not in index:
-                index[successor] = len(order)
-                order.append(successor)
-                frontier.append(successor)
-            row.append(index[successor])
-        delta.append(row)
-    outputs = [output_fn(product) for product in order]
-    return MooreMachine(letters=letters, initial=0, delta=delta, outputs=outputs)

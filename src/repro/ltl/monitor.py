@@ -1,4 +1,4 @@
-"""LTL3 monitor automaton synthesis (Bauer–Leucker–Schallhart construction).
+"""LTL3 monitor automaton synthesis.
 
 Given an LTL formula ``φ`` the monitor automaton ``A_φ`` is the unique
 deterministic Moore machine such that for any finite trace ``α`` the output of
@@ -10,14 +10,12 @@ the state reached on ``α`` equals the LTL3 valuation ``[α ⊨ φ]``:
 
 Construction
 ------------
-1. Translate ``φ`` and ``¬φ`` into Büchi automata (:mod:`repro.ltl.buchi`).
-2. Mark, in each automaton, the states with a non-empty language.
-3. Run a joint subset construction; a product state is ``(P, N)`` where ``P``
-   (resp. ``N``) is the subset of the ``φ`` (resp. ``¬φ``) automaton.  The
-   verdict is ``⊥`` when ``P`` contains no live state, ``⊤`` when ``N``
-   contains no live state, and ``?`` otherwise.
-4. Moore-minimise the result.
-5. Express every edge of the minimised machine as a small set of conjunctive
+1. Progress ``φ`` through every letter of the alphabet
+   (:mod:`repro.ltl.progression`); each state carries the LTL3 verdict of its
+   progressed formula.
+2. Moore-minimise the result (or, for the paper's experimental automata,
+   keep every progression state).
+3. Express every edge of the machine as a small set of conjunctive
    guards (sum-of-products over the atomic propositions) — this is the
    transition representation the paper's decentralized algorithm works with
    (and the quantity counted in Table 5.1).
@@ -25,18 +23,17 @@ Construction
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ast import Formula, Not, atoms_of
+from .ast import Formula, atoms_of
 from .boolmin import implicant_to_str, minimize_letters
-from .buchi import BuchiAutomaton, ltl_to_buchi, nonempty_states
 from .compiled import CompiledMachine, compile_machine
-from .dfa import MooreMachine, determinize
+from .dfa import MooreMachine
 from .parser import parse
-from .semantics import all_assignments
+from .progression import build_progression_machine
 from .verdict import Verdict
 
 __all__ = ["Transition", "MonitorAutomaton", "build_monitor"]
@@ -248,10 +245,12 @@ def build_monitor(
     formula: Formula | str,
     atoms: Sequence[str] | None = None,
     *,
-    method: str = "automaton",
     minimize: bool = True,
 ) -> MonitorAutomaton:
     """Synthesise the LTL3 monitor automaton for *formula*.
+
+    The machine is the formula-progression machine of
+    :mod:`repro.ltl.progression`.
 
     Parameters
     ----------
@@ -262,16 +261,10 @@ def build_monitor(
         Supplying the full set of propositions of the monitored system (even
         those not mentioned in the formula) is allowed; they become
         don't-cares in every guard.
-    method:
-        ``"automaton"`` (default) uses the Bauer–Leucker–Schallhart
-        Büchi-based construction; ``"progression"`` builds the
-        formula-progression machine of :mod:`repro.ltl.progression`, which
-        reproduces the paper's (unminimised) experimental automata of
-        Table 5.1 and Figures 5.2/5.3.
     minimize:
         Whether to Moore-minimise the resulting machine.  The paper's
-        evaluation automata keep redundant ``?`` states, so the experiment
-        harness uses ``method="progression", minimize=False``.
+        evaluation automata (Table 5.1, Figures 5.2/5.3) keep redundant
+        ``?`` states, so the experiment harness uses ``minimize=False``.
 
     Examples
     --------
@@ -291,53 +284,6 @@ def build_monitor(
         repeated = sorted({a for a in atoms if atoms.count(a) > 1})
         raise ValueError(f"the alphabet repeats atoms: {repeated}")
 
-    if method not in ("automaton", "progression"):
-        raise ValueError(f"unknown construction method {method!r}")
-    if method == "progression":
-        from .progression import build_progression_machine
-
-        machine, _ = build_progression_machine(formula, atoms)
-        if minimize:
-            machine = machine.minimize()
-        else:
-            machine = machine.reachable()
-        return MonitorAutomaton(formula=formula, atoms=atoms, machine=machine)
-
-    letters = all_assignments(atoms)
-
-    positive = ltl_to_buchi(formula, atoms)
-    negative = ltl_to_buchi(Not(formula), atoms)
-    live_pos = nonempty_states(positive)
-    live_neg = nonempty_states(negative)
-
-    def successor_fn(
-        automaton: BuchiAutomaton,
-    ) -> Callable[[frozenset[object], Letter], frozenset[object]]:
-        transition_table = automaton.transitions
-
-        def advance(subset: frozenset[object], letter: Letter) -> frozenset[object]:
-            result = set()
-            for state in subset:
-                for guard, target in transition_table.get(state, ()):
-                    if guard.satisfied_by(letter):
-                        result.add(target)
-            return frozenset(result)
-
-        return advance
-
-    def output_fn(product: tuple[frozenset[object], ...]) -> Verdict:
-        pos_subset, neg_subset = product
-        if not (pos_subset & live_pos):
-            return Verdict.BOTTOM
-        if not (neg_subset & live_neg):
-            return Verdict.TOP
-        return Verdict.INCONCLUSIVE
-
-    machine = determinize(
-        letters=letters,
-        initial_sets=[frozenset(positive.initial), frozenset(negative.initial)],
-        successor_fns=[successor_fn(positive), successor_fn(negative)],
-        output_fn=output_fn,
-    )
+    machine, _ = build_progression_machine(formula, atoms)
     machine = machine.minimize() if minimize else machine.reachable()
     return MonitorAutomaton(formula=formula, atoms=atoms, machine=machine)

@@ -6,8 +6,10 @@ as the "until pending" state ``q1`` because it "provides more information".
 Those automata coincide with the machine obtained by **formula progression**
 (also known as formula rewriting, Havelund & Roşu):
 
-* the states are the syntactically-distinct formulas obtained by progressing
-  the property through every letter of the alphabet;
+* the states are the progressed formulas obtained by progressing the
+  property through every letter of the alphabet, told apart by their
+  positive-Boolean normal form (:func:`normal_form`); the first formula to
+  reach a normal form represents its state and names it;
 * the transition on letter ``a`` maps state ``φ`` to ``progress(φ, a)``, in
   canonical form (:func:`canonicalize`);
 * the verdict of a state is the LTL3 verdict of its formula, decided by
@@ -15,19 +17,18 @@ Those automata coincide with the machine obtained by **formula progression**
   unsatisfiable, ``⊤`` when its negation is, ``?`` otherwise (two traces
   reaching the same progressed formula necessarily have the same verdict).
 
-The construction terminates whenever the set of progressed formulas is finite
-under the canonicalisation implemented here (flattening and deduplication of
-conjunctions/disjunctions, constant folding).  Where it is not — ``G p U G q``
-keeps re-wrapping itself, because nothing here distributes or absorbs — it
-raises :class:`ProgressionDidNotConverge` at ``max_states`` states or once a
-state formula nests :data:`_MAX_DEPTH_GROWTH` levels deeper than the property,
-long before the recursive ``progress`` would exhaust the interpreter stack.
+The construction terminates on every formula.  ``progress`` maps each
+temporal subformula to a positive Boolean combination of formulas of the
+property's finite closure and commutes with ``&`` and ``|``, so finitely
+many normal forms arise, and two formulas with one normal form progress to
+formulas with one normal form: keying states on it is exact.  Keying them
+on syntax is not — ``G p U G q`` keeps re-wrapping itself, because
+canonical form neither distributes nor absorbs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
+from collections.abc import Sequence, Set
 
 from .ast import (
     FALSE,
@@ -58,21 +59,13 @@ from .semantics import all_assignments
 from .verdict import Verdict
 
 __all__ = [
-    "ProgressionDidNotConverge",
     "progress",
     "canonicalize",
+    "normal_form",
     "build_progression_machine",
 ]
 
 Letter = frozenset[str]
-
-#: how many levels a progressed formula may nest deeper than the property it
-#: came from; the case-study machines need 2, a diverging one adds 2 per step
-_MAX_DEPTH_GROWTH = 64
-
-
-class ProgressionDidNotConverge(RuntimeError):
-    """Formula progression keeps producing new (ever deeper) formulas."""
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +186,50 @@ def _progress(formula: Formula, letter: Letter) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# positive-Boolean normal form
+# ---------------------------------------------------------------------------
+
+#: a normal form: a set of conjunctions, each a set of non-Boolean leaves
+NormalForm = frozenset[frozenset[Formula]]
+
+
+def normal_form(formula: Formula) -> NormalForm:
+    """The positive-Boolean normal form of *formula*.
+
+    *formula*, read as a positive Boolean combination of its non-Boolean
+    leaves (temporal subformulas and literals), is the disjunction of the
+    returned conjunctions; absorption keeps only the minimal ones, so two
+    formulas have the same normal form iff they are the same Boolean
+    function of their leaves.  ``true`` is one empty conjunction, ``false``
+    none.  Memoized on the node, like :func:`canonicalize`.
+    """
+    try:
+        return formula._nf
+    except AttributeError:
+        pass
+    if isinstance(formula, Or):
+        result = _minimal(normal_form(formula.left) | normal_form(formula.right))
+    elif isinstance(formula, And):
+        result = _minimal(
+            {a | b for a in normal_form(formula.left) for b in normal_form(formula.right)}
+        )
+    elif isinstance(formula, FalseConst):
+        result = frozenset()
+    else:
+        leaves = () if isinstance(formula, TrueConst) else (formula,)
+        result = frozenset({frozenset(leaves)})
+    object.__setattr__(formula, "_nf", result)
+    return result
+
+
+def _minimal(conjunctions: Set[frozenset[Formula]]) -> NormalForm:
+    """The conjunctions of which no other is a proper subset (absorption)."""
+    return frozenset(
+        c for c in conjunctions if not any(other < c for other in conjunctions)
+    )
+
+
+# ---------------------------------------------------------------------------
 # machine construction
 # ---------------------------------------------------------------------------
 
@@ -211,13 +248,14 @@ def build_progression_machine(
     atoms:
         Alphabet; defaults to the atoms of the formula.
     max_states:
-        Safety bound on the number of progression states.
+        Safety bound on the number of progression states; a plain
+        :class:`RuntimeError` names it when exceeded.
 
     Returns
     -------
     (machine, state_formulas):
         ``machine`` is the (unminimised) Moore machine, ``state_formulas``
-        gives the progressed formula represented by each state.
+        gives the progressed formula representing each state.
     """
     if atoms is None:
         atoms = atoms_of(formula)
@@ -225,37 +263,25 @@ def build_progression_machine(
     letters = tuple(all_assignments(atoms))
 
     initial_formula = canonicalize(to_nnf(formula))
-    # canonical formulas are hash-consed, so they key the state index directly
-    # (hash is cached, equality is a pointer comparison)
-    index: dict[Formula, int] = {initial_formula: 0}
+    index: dict[NormalForm, int] = {normal_form(initial_formula): 0}
     formulas: list[Formula] = [initial_formula]
-    depths: dict[Formula, int] = {}
-    max_depth = _depth(initial_formula, depths) + _MAX_DEPTH_GROWTH
     delta: list[list[int]] = []
-    frontier = [0]
-    while frontier:
-        state = frontier.pop(0)
-        # rows may be discovered out of order; grow delta lazily
-        while len(delta) <= state:
-            delta.append([])
+    # breadth first: ``formulas`` grows while it is walked
+    for current_formula in formulas:
         row: list[int] = []
-        current_formula = formulas[state]
         for letter in letters:
             successor_formula = progress(current_formula, letter)
-            if successor_formula not in index:
-                if (
-                    len(formulas) >= max_states
-                    or _depth(successor_formula, depths) > max_depth
-                ):
-                    raise ProgressionDidNotConverge(
-                        f"formula progression did not converge within {max_states} "
-                        f"states and {_MAX_DEPTH_GROWTH} levels of nesting for {formula}"
+            key = normal_form(successor_formula)
+            if key not in index:
+                if len(formulas) >= max_states:
+                    raise RuntimeError(
+                        f"formula progression exceeded max_states={max_states} "
+                        f"for {formula}"
                     )
-                index[successor_formula] = len(formulas)
+                index[key] = len(formulas)
                 formulas.append(successor_formula)
-                frontier.append(index[successor_formula])
-            row.append(index[successor_formula])
-        delta[state] = row
+            row.append(index[key])
+        delta.append(row)
 
     machine = MooreMachine(
         letters=letters,
@@ -265,23 +291,6 @@ def build_progression_machine(
         state_names=[str_key(f) for f in formulas],
     )
     return machine, formulas
-
-
-def _depth(formula: Formula, known: dict[Formula, int]) -> int:
-    """Nesting depth of *formula*; *known* memoizes nodes across calls.
-
-    Iterative, so it can measure a formula that is too deep to recurse on.
-    """
-    stack = [formula]
-    while stack:
-        node = stack[-1]
-        pending = [child for child in node.children if child not in known]
-        if pending:
-            stack.extend(pending)
-        else:
-            known[node] = 1 + max((known[child] for child in node.children), default=0)
-            stack.pop()
-    return known[formula]
 
 
 def _formula_verdict(formula: Formula) -> Verdict:

@@ -106,7 +106,7 @@ def _formula_automaton(atoms, seed):
     formula = temporal()
     while rng.random() < 0.4:
         formula = f"({formula} {rng.choice('&|')} {temporal()})"
-    return build_monitor(formula, atoms=atoms, method="progression", minimize=False)
+    return build_monitor(formula, atoms=atoms, minimize=False)
 
 
 def _setting(draw, max_events_per_process):
@@ -337,11 +337,11 @@ def test_case_study_automata_are_stutter_closed_and_next_is_not():
         for n in range(2, 6):
             assert case_study_monitor(name, n).stutter_closed, (name, n)
     assert not build_monitor("X p").stutter_closed
-    assert not build_monitor("X p", method="progression", minimize=False).stutter_closed
+    assert not build_monitor("X p", minimize=False).stutter_closed
 
 
 def test_stutter_closed_walks_the_table_once(monkeypatch):
-    automaton = build_monitor("G(a U b)", method="progression", minimize=False)
+    automaton = build_monitor("G(a U b)", minimize=False)
     assert automaton.stutter_closed
     monkeypatch.setattr(automaton._machine, "delta", None)  # a second walk would raise
     assert automaton.stutter_closed
@@ -366,7 +366,7 @@ def test_children_of_one_entry_keep_their_own_cuts():
     computation = builder.build()
     registry = PropositionRegistry.boolean_grid(2, variables=("p",))
     automaton = build_monitor(
-        "G(P0.p -> F(P1.p))", atoms=registry.names, method="progression", minimize=False
+        "G(P0.p -> F(P1.p))", atoms=registry.names, minimize=False
     )
     monitor = _monitor(0, computation, registry, automaton, feed=3)
     for j in range(2):

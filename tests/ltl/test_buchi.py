@@ -1,6 +1,7 @@
 """Tests for the LTL -> Büchi translation and per-state emptiness."""
 
 import pytest
+from buchi_oracle import successors
 
 from repro.ltl import (
     Not,
@@ -15,7 +16,7 @@ def accepts_prefix(automaton, word):
     """Whether some run on *word* ends in a state with non-empty language."""
     current = set(automaton.initial)
     for letter in word:
-        current = set().union(*(automaton.successors(state, letter) for state in current))
+        current = set().union(*(successors(automaton, state, letter) for state in current))
     return bool(current & nonempty_states(automaton))
 
 
@@ -60,6 +61,11 @@ class TestBuchiConstruction:
     def test_unsatisfiable_formulas(self):
         for text in ["false", "p & !p", "F p & G !p", "(G p) & F !p"]:
             assert not is_satisfiable(parse(text)), text
+
+    def test_an_until_fulfilled_by_true_is_accepted(self):
+        # `true` never enters a tableau node's literals, so the acceptance
+        # set of `p U true` was empty and `G(p U true)` read unsatisfiable
+        assert is_satisfiable(parse("G(p U true)"))
 
     def test_valid_formula_negation_unsat(self):
         assert not is_satisfiable(Not(parse("p | !p")))
@@ -139,5 +145,5 @@ class TestNonemptyStates:
 
     def test_counts_are_positive(self):
         automaton = ltl_to_buchi(parse("G(p -> F q)"))
-        assert automaton.num_states >= 2
+        assert len(automaton.states) >= 2
         assert sum(map(len, automaton.transitions.values())) >= 1

@@ -3,7 +3,8 @@
 import gc
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from buchi_oracle import disagreements
+from hypothesis import example, given, settings
 
 from repro.ltl import (
     Verdict,
@@ -29,6 +30,7 @@ from repro.ltl.ast import (
     Atom,
     Eventually,
     FalseConst,
+    Iff,
     Implies,
     Next,
     Not,
@@ -37,14 +39,20 @@ from repro.ltl.ast import (
     TrueConst,
     Until,
 )
-from repro.ltl.progression import build_progression_machine, canonicalize, progress
+from repro.ltl.progression import (
+    _formula_verdict,
+    build_progression_machine,
+    canonicalize,
+    progress,
+)
 
 ATOMS = ("p", "q", "r")
 
 
 def formulas(max_depth=3):
-    """Hypothesis strategy generating random LTL formulas over ATOMS."""
-    leaves = st.sampled_from([Atom(a) for a in ATOMS])
+    """Hypothesis strategy generating random LTL formulas over ATOMS,
+    ``true`` and ``false``, with every operator of the grammar."""
+    leaves = st.sampled_from([Atom(a) for a in ATOMS] + [TRUE, FALSE])
 
     def extend(children):
         unary = st.builds(
@@ -54,7 +62,7 @@ def formulas(max_depth=3):
         )
         binary = st.builds(
             lambda op, f, g: op(f, g),
-            st.sampled_from([And, Or, Implies, Until, Release]),
+            st.sampled_from([And, Or, Implies, Iff, Until, Release]),
             children,
             children,
         )
@@ -255,36 +263,36 @@ def _ref_progress(formula, letter):
     return _ref_progress(to_nnf(formula), letter)
 
 
-def _ref_progression_machine(formula, atoms, max_states):
+def _depth(formula):
+    return 1 + max((_depth(child) for child in formula.children), default=0)
+
+
+def _ref_progression_machine(formula, atoms, max_states, max_depth):
     """String-keyed progression automaton, exactly as built pre-interning.
 
-    ``max_states`` bounds the construction: the reference algorithm is
-    deliberately unmemoized, so without a cap an unlucky formula draw could
-    grind for minutes.
+    Keyed on syntax, progression need not converge (``G p U G q`` nests
+    deeper at every step), and the reference algorithm is deliberately
+    unmemoized: it raises :class:`RuntimeError` once it has ``max_states``
+    states or a state formula nests more than ``max_depth`` levels.
     """
     letters = tuple(all_assignments(atoms))
     initial = _ref_canonicalize(to_nnf(formula))
     index = {str(initial): 0}
     formulas = [initial]
     delta = []
-    frontier = [0]
-    while frontier:
-        state = frontier.pop(0)
-        while len(delta) <= state:
-            delta.append([])
+    for current in formulas:
         row = []
         for letter in letters:
-            successor = _ref_progress(formulas[state], letter)
+            successor = _ref_progress(current, letter)
             key = str(successor)
             if key not in index:
-                if len(formulas) >= max_states:
-                    raise RuntimeError("reference construction exceeded max_states")
+                if len(formulas) >= max_states or _depth(successor) > max_depth:
+                    raise RuntimeError("reference construction exceeded its bounds")
                 index[key] = len(formulas)
                 formulas.append(successor)
-                frontier.append(index[key])
             row.append(index[key])
-        delta[state] = row
-    return [str(f) for f in formulas], delta
+        delta.append(row)
+    return formulas, delta
 
 
 class TestInterning:
@@ -331,25 +339,40 @@ class TestInterning:
             assert mk_release(c.left, c.right) is c
 
     @given(formulas())
+    @example(parse("F(q R ((p | q) U F p))"))  # 7 reference states, 6 keys
+    @example(parse("G(F !p -> F(q | false))"))  # 4 reference states, 3 keys
     @settings(max_examples=40, deadline=None)
     def test_interned_progression_matches_reference_machine(self, formula):
-        # Bound the comparison: progression automata can blow up, and the
-        # unmemoized reference would grind on such draws.  The interned
-        # builder (cheap) probes the size first; oversized draws are
-        # discarded.  Since both algorithms construct the same state space,
-        # the reference then converges within the same bound — a RuntimeError
-        # from it would itself be a mismatch and fail the test.
-        bound = 64
+        # Keyed on the normal form, the machine is a quotient of the
+        # syntactic reference: one map from reference states onto its states
+        # respects the transitions and the verdicts, and where nothing merges
+        # the two machines are the same.  The reference runs only under a cap
+        # (it need not converge); every draw is also checked by the oracle.
+        assert disagreements([(formula, ATOMS)], limit=300_000)[0] == []
+        machine, state_formulas = build_progression_machine(formula, atoms=ATOMS)
         try:
-            machine, state_formulas = build_progression_machine(
-                formula, atoms=ATOMS, max_states=bound
+            ref_formulas, ref_delta = _ref_progression_machine(
+                formula, ATOMS, max_states=64, max_depth=_depth(formula) + 6
             )
         except RuntimeError:
-            assume(False)  # automaton too large to compare cheaply
-        ref_names, ref_delta = _ref_progression_machine(formula, ATOMS, max_states=bound)
-        assert machine.state_names == ref_names
-        assert machine.delta == ref_delta
-        assert [str(f) for f in state_formulas] == ref_names
+            return
+        image, walk = {0: 0}, [0]
+        for ref_state in walk:  # grows while it is walked
+            for column, ref_target in enumerate(ref_delta[ref_state]):
+                target = machine.delta[image[ref_state]][column]
+                if ref_target not in image:
+                    image[ref_target] = target
+                    walk.append(ref_target)
+                assert image[ref_target] == target
+        assert len(image) == len(ref_formulas)
+        assert set(image.values()) == set(range(machine.num_states))
+        for ref_state, state in image.items():
+            assert _formula_verdict(ref_formulas[ref_state]) is machine.outputs[state]
+        if machine.num_states == len(ref_formulas):
+            ref_names = [str(f) for f in ref_formulas]
+            assert machine.state_names == ref_names
+            assert machine.delta == ref_delta
+            assert [str(f) for f in state_formulas] == ref_names
 
     @given(formulas(), letters_strategy)
     @settings(max_examples=150, deadline=None)
@@ -376,8 +399,8 @@ class TestInterning:
         try:
             build_progression_machine(formula, max_states=3)
             raise AssertionError("expected the max_states guard to trigger")
-        except RuntimeError:
-            pass
+        except RuntimeError as guard:
+            assert "max_states=3" in str(guard)
         del formula
         gc.collect()
         after = intern_table_size()

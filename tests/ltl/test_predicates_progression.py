@@ -3,20 +3,22 @@
 import itertools
 
 import pytest
+from buchi_oracle import equivalent, oracle_machine
 
 from repro.experiments.properties import PROPERTY_NAMES, property_formula
 from repro.ltl import (
     Proposition,
     PropositionRegistry,
     Verdict,
+    atoms_of,
     build_monitor,
     parse,
 )
 from repro.ltl.ast import And, Atom, Or, Until
 from repro.ltl.progression import (
-    ProgressionDidNotConverge,
     build_progression_machine,
     canonicalize,
+    normal_form,
     progress,
 )
 
@@ -161,10 +163,10 @@ class TestProgression:
         formula = parse(property_formula(name, 2))
         machine, formulas = build_progression_machine(formula)
         assert len(formulas) == machine.num_states
-        reference = build_monitor(formula)
+        reference = oracle_machine(formula, atoms_of(formula))
         for length in range(4):
             for word in itertools.product(machine.letters, repeat=length):
-                assert machine.outputs[machine.run(word)] == reference.verdict_of(word)
+                assert machine.outputs[machine.run(word)] == reference.outputs[reference.run(word)]
 
     def test_machine_verdicts_without_reference(self):
         formula = parse("G(P0.p U P1.p)")
@@ -173,24 +175,39 @@ class TestProgression:
         assert verdicts == {Verdict.INCONCLUSIVE, Verdict.BOTTOM}
 
     def test_max_states_guard(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="max_states=1"):
             build_progression_machine(parse("G(a -> (b U c))"), max_states=1)
 
     @pytest.mark.parametrize(
-        "text, automaton_states",
+        "text, states",
         [("G p U G q", 4), ("(G p) U (F q)", 2), ("G(p) U G(p)", 2)],
     )
-    def test_ever_deeper_progression_raises_the_named_error(self, text, automaton_states):
-        # used to die with a bare RecursionError inside progress / str_key
-        with pytest.raises(ProgressionDidNotConverge, match="did not converge"):
-            build_monitor(text, method="progression")
-        assert issubclass(ProgressionDidNotConverge, RuntimeError)
-        with pytest.raises(ProgressionDidNotConverge, match="within 1 states"):
-            build_progression_machine(parse("G(a -> (b U c))"), max_states=1)
-        assert build_monitor(text, method="automaton").num_states == automaton_states
+    def test_formulas_that_rewrap_themselves_converge(self, text, states):
+        # keyed on syntax, progression kept producing ever deeper formulas
+        # here; keyed on the normal form it converges to the oracle's machine
+        formula = parse(text)
+        monitor = build_monitor(formula)
+        assert monitor.num_states == states
+        assert equivalent(monitor._machine, oracle_machine(formula, atoms_of(formula)))
 
     def test_progression_minimized_equals_automaton_method(self):
         for text in ["G(P0.p U P1.p)", "F(P0.p & P1.p)", "G(a -> (b U c))"]:
-            a = build_monitor(text, method="automaton")
-            b = build_monitor(text, method="progression", minimize=True)
-            assert a.num_states == b.num_states
+            formula = parse(text)
+            reference = oracle_machine(formula, atoms_of(formula))
+            machine = build_monitor(formula)._machine
+            assert machine.num_states == reference.num_states
+            assert equivalent(machine, reference)
+
+
+class TestNormalForm:
+    def test_absorption_and_distribution(self):
+        a, b, c = Atom("a"), Until(Atom("b"), Atom("c")), Atom("c")
+        # a | (a & b) absorbs to a; (a | b) & (a | c) distributes to a | (b & c)
+        assert normal_form(canonicalize(Or(a, And(a, b)))) == normal_form(a)
+        assert normal_form(canonicalize(And(Or(a, b), Or(a, c)))) == normal_form(
+            canonicalize(Or(a, And(b, c)))
+        )
+
+    def test_constants(self):
+        assert normal_form(parse("true")) == frozenset({frozenset()})
+        assert normal_form(parse("false")) == frozenset()
