@@ -81,15 +81,23 @@ class TestVerdictsAgainstBruteforce:
     ]
 
     @pytest.mark.parametrize("text", FORMULAS)
-    def test_monitor_matches_bruteforce_on_short_traces(self, text):
+    @pytest.mark.parametrize("method", ["automaton", "progression"])
+    def test_monitor_matches_bruteforce_on_short_traces(self, text, method):
+        """The library's machine (``progression``) and the Büchi oracle's
+        (``automaton``) both read the brute-force verdict after every short
+        trace, so the oracle the other tests lean on is checked too."""
         formula = parse(text)
-        monitor = build_monitor(formula)
-        letters = all_assignments(monitor.atoms)
+        atoms = build_monitor(formula).atoms
+        if method == "automaton":
+            machine = oracle_machine(formula, atoms)
+        else:
+            machine = build_monitor(formula)._machine
+        letters = all_assignments(atoms)
         for length in range(0, 3):
             for trace in itertools.product(letters, repeat=length):
-                expected = ltl3_bruteforce(formula, list(trace), atoms=monitor.atoms,
+                expected = ltl3_bruteforce(formula, list(trace), atoms=atoms,
                                            max_prefix=2, max_loop=2)
-                got = monitor.verdict_of(list(trace))
+                got = machine.outputs[machine.run(list(trace))]
                 assert got is expected, f"{text} on {trace}: {got} != {expected}"
 
     @pytest.mark.parametrize("text", FORMULAS)
