@@ -79,7 +79,7 @@ def main() -> None:
         print(f"   oracle verdicts      : {sorted(str(v) for v in oracle.verdicts)}")
         print(f"   decentralized        : verdicts "
               f"{sorted(str(v) for v in decentralized.reported_verdicts)}, "
-              f"{decentralized.monitor_messages} messages, "
+              f"{decentralized.monitor_messages} messages (frames), "
               f"{decentralized.total_global_views} views")
         print(f"   centralized baseline : {centralized.messages} messages, "
               f"{centralized.tracked_cuts} tracked global states\n")

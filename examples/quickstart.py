@@ -55,7 +55,7 @@ def main() -> None:
     print(f"  verdicts reported: {sorted(str(v) for v in result.reported_verdicts)}")
     print(f"  conclusive verdicts declared: "
           f"{sorted(str(v) for v in result.declared_verdicts)}")
-    print(f"  monitoring messages exchanged: {result.monitor_messages}")
+    print(f"  monitoring messages exchanged: {result.monitor_messages} frames")
     print(f"  global views created: {result.total_global_views}")
 
     assert result.reported_verdicts == oracle.verdicts, "monitors disagree with oracle"

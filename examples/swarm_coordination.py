@@ -94,7 +94,7 @@ def monitor_mission(num_drones: int, disarm_glitch: bool) -> None:
         print(f"    oracle verdicts        : {sorted(str(v) for v in oracle.verdicts)}")
         print(f"    decentralized verdicts : "
               f"{sorted(str(v) for v in result.reported_verdicts)}")
-        print(f"    monitoring messages    : {result.monitor_messages}, "
+        print(f"    monitoring messages    : {result.monitor_messages} frames, "
               f"global views: {result.total_global_views}")
         assert result.declared_verdicts == oracle.conclusive_verdicts
 

@@ -37,7 +37,7 @@ Subpackages
     The multi-tenant fleet: thousands of live monitored sessions per
     process, sharded across a pool, with pluggable event sources.
 ``repro.cluster``
-    The multi-host runtime: wire protocol v7 codec, cluster manifests,
+    The multi-host runtime: wire protocol v8 codec, cluster manifests,
     worker processes and the coordinating control plane.
 ``repro.faults``
     Fault plans and the crash/restart injection seam shared by all backends.

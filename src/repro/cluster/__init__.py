@@ -1,10 +1,10 @@
-"""The deployable multi-host runtime: wire protocol v7 + cluster of workers.
+"""The deployable multi-host runtime: wire protocol v8 + cluster of workers.
 
 This package promotes the streaming runtime from loopback sockets inside
 one process to a real multi-process (and, via hand-written manifests,
 multi-host) deployment of the paper's decentralized monitors:
 
-* :mod:`repro.cluster.codec` — wire protocol v7, the versioned binary
+* :mod:`repro.cluster.codec` — wire protocol v8, the versioned binary
   framing every runtime wire path uses (it replaced the length-prefixed
   pickle of protocol v1).
 * :mod:`repro.cluster.manifest` — the static TOML/JSON directory mapping

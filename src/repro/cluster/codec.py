@@ -1,38 +1,34 @@
-"""Wire protocol v7: the versioned binary codec of the cluster runtime.
+"""Wire protocol v8: the versioned binary codec of the cluster runtime.
 
-Protocol v1 — the original streaming transport — framed messages as a bare
-4-byte length prefix followed by a pickled payload.  Pickle on a network
-socket is both a serialization hot path and a security liability (a
-malicious peer gains arbitrary code execution), so v2 replaced it with an
-explicit binary format shared by every runtime wire path: the loopback TCP
-transport of :mod:`repro.runtime.transport`, the worker-to-worker links of
-the cluster runtime, and the coordinator's control channel.  v3 kept the
-framing and wrote the events a token carries as per-process runs in bulk.
-v4 ships letters as the compiled automaton's masks and guards as their
-``(care, want)`` mask pairs, so the per-frame atom table, the guard literals
-and the entries' letters are gone.  v5 writes control frames as canonical
-JSON instead of a tagged value layer of their own.  v6 drops the token's
-parent view and parent event: its parent finds the view by the token's id.
-v7 adds the conclusive states the sender knew declared to both monitoring frames.
+One explicit binary format, no pickle, shared by every runtime wire path:
+the loopback TCP transport of :mod:`repro.runtime.transport`, the
+worker-to-worker links of the cluster runtime and the coordinator's control
+channel.  What v1–v7 carried and why each changed is told in
+``docs/architecture.md`` (The cluster runtime and wire protocol v8).  v8 has
+one monitoring layout that carries one or more messages: what a monitor
+sends one peer in one callback travels as one frame.
 
 Frame layout (network byte order)::
 
     offset  size  field
     0       2     magic   b"RW"           (Repro Wire)
-    2       1     version 0x07            (this module speaks exactly one)
-    3       1     type    message type tag (see the ``TYPE_*`` constants)
+    2       1     version 0x08            (this module speaks exactly one)
+    3       1     type    frame type tag (see the ``TYPE_*`` constants)
     4       4     length  payload size in bytes, at most MAX_FRAME_BYTES
     8       n     payload type-specific binary body
 
-Monitoring frames (:data:`TYPE_TOKEN`, :data:`TYPE_TERMINATION`) carry a
-*delivery instant* — the virtual-time ``due`` the sending transport
-computed — as a leading float64, followed by the message body; a monitor
-receives nothing else.  Control frames (:data:`TYPE_CONTROL`) carry one
-string-keyed mapping as canonical JSON — sorted keys, no whitespace, UTF-8,
-no ``NaN`` — so re-encoding a decoded control frame gives back its bytes;
-the coordinator/worker handshake travels in them.  Types 0x03 and 0x04 are
-unassigned: they carried a bare primitive value and a verdict digest, which
-no peer of this version sends, and they decode as unknown types.
+A monitoring frame (:data:`TYPE_MONITORING`) carries a *delivery instant* —
+the virtual-time ``due`` the sending transport computed — as a leading
+float64, then a message count (at least one) and the messages in send
+order, each a tag byte (:data:`TYPE_TOKEN`, :data:`TYPE_TERMINATION`) and
+its body; a monitor receives nothing else.  It decodes to the message
+itself when it holds one, else to the tuple of them.  Control frames
+(:data:`TYPE_CONTROL`) carry one string-keyed mapping as canonical JSON —
+sorted keys, no whitespace, UTF-8, no ``NaN`` — so re-encoding a decoded
+control frame gives back its bytes; the coordinator/worker handshake
+travels in them.  Types 0x03 and 0x04 are unassigned: they carried a bare
+primitive value and a verdict digest, which no peer of this version sends,
+and they decode as unknown types; 0x01 and 0x02 are no frame type since v8.
 
 Monitoring bodies use variable-length integers (LEB128, zigzag for signed)
 and *packed integers*: a width byte (1, 2 or 4, the least that holds the
@@ -98,14 +94,13 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "HEADER",
+    "TYPE_MONITORING",
     "TYPE_TOKEN",
     "TYPE_TERMINATION",
     "TYPE_CONTROL",
     "CodecError",
     "CorruptFrameError",
     "ProtocolVersionError",
-    "encode_message",
-    "decode_message",
     "encode_wire",
     "decode_wire",
     "encode_control",
@@ -118,7 +113,7 @@ __all__ = [
 #: the two magic bytes opening every frame
 MAGIC = b"RW"
 #: the wire protocol version this codec speaks (exactly one)
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 #: the largest payload a header may announce: readers buffer a whole payload
 #: before decoding it, and honest tokens are a few KB
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -126,10 +121,12 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: frame header: magic (2s) + version (B) + type (B) + payload length (I)
 HEADER = struct.Struct(">2sBBI")
 
-#: a :class:`repro.core.messages.Token` with its delivery instant
+#: the tags of a monitoring frame's messages: a :class:`repro.core.messages.Token`
+#: and a :class:`repro.core.messages.TerminationNotice`
 TYPE_TOKEN = 0x01
-#: a :class:`repro.core.messages.TerminationNotice` with its delivery instant
 TYPE_TERMINATION = 0x02
+#: a monitoring frame: its delivery instant and one or more tagged messages
+TYPE_MONITORING = 0x05
 #: a string-keyed control mapping (coordinator/worker handshake)
 TYPE_CONTROL = 0x10
 
@@ -403,72 +400,37 @@ def _r_token(data: bytes, pos: int) -> tuple[Token, int]:
     for _ in range(count):
         entry, pos = _r_entry(data, pos, n)
         entries.append(entry)
-    token = Token(
-        parent_process=parent_process,
-        entries=entries,
-        known=list(known),
-        runs=runs,
-        token_id=token_id,
-        hops=hops,
-        declared=declared,
-    )
-    return token, pos
+    return Token(parent_process, entries, list(known), runs, token_id, hops, declared), pos
 
 
-def _w_message(out: bytearray, message: object) -> int:
-    """Append one wire message's body to *out*; returns its type tag."""
+def _w_message(out: bytearray, message: object) -> None:
+    """Append one tagged message of a monitoring frame to *out*."""
     if isinstance(message, Token):
+        out.append(TYPE_TOKEN)
         _w_token(out, message)
-        return TYPE_TOKEN
-    if isinstance(message, TerminationNotice):
+    elif isinstance(message, TerminationNotice):
+        out.append(TYPE_TERMINATION)
         _w_svarint(out, message.process)
         _w_svarint(out, message.final_event_sn)
         _w_uvarint(out, message.declared)
-        return TYPE_TERMINATION
-    raise CodecError(
-        f"cannot encode {type(message).__name__} as a monitoring message: "
-        f"only tokens and termination notices travel the wire"
-    )
-
-
-def _expect_end(data: bytes, pos: int) -> None:
-    """Refuse a payload with bytes left after its body."""
-    if pos != len(data):
-        raise CorruptFrameError(
-            f"corrupt payload: {len(data) - pos} trailing bytes after the message"
+    else:  # a frame inside a frame too
+        raise CodecError(
+            f"cannot encode {type(message).__name__} as a monitoring message: "
+            f"only tokens and termination notices travel the wire"
         )
 
 
-def _r_message(type_tag: int, data: bytes, pos: int) -> object:
-    """Decode the message body that fills *data* from *pos* to its end."""
-    message: object
-    if type_tag == TYPE_TOKEN:
-        message, pos = _r_token(data, pos)
-    elif type_tag == TYPE_TERMINATION:
+def _r_message(data: bytes, pos: int) -> tuple[object, int]:
+    """Decode one tagged message of a monitoring frame."""
+    tag, pos = _r_byte(data, pos, "message tag")
+    if tag == TYPE_TOKEN:
+        return _r_token(data, pos)
+    if tag == TYPE_TERMINATION:
         process, pos = _r_svarint(data, pos)
         final_event_sn, pos = _r_svarint(data, pos)
         declared, pos = _r_uvarint(data, pos)
-        message = TerminationNotice(process, final_event_sn, declared)
-    else:
-        raise CorruptFrameError(f"unknown message type 0x{type_tag:02x}")
-    _expect_end(data, pos)
-    return message
-
-
-def encode_message(message: object) -> tuple[int, bytes]:
-    """Encode one wire message; returns ``(type_tag, payload_body)``.
-
-    Only a :class:`Token` or a :class:`TerminationNotice` encodes; anything
-    else raises :class:`CodecError`.
-    """
-    out = bytearray()
-    type_tag = _w_message(out, message)
-    return type_tag, bytes(out)
-
-
-def decode_message(type_tag: int, body: bytes) -> object:
-    """Decode one payload body previously produced by :func:`encode_message`."""
-    return _r_message(type_tag, body, 0)
+        return TerminationNotice(process, final_event_sn, declared), pos
+    raise CorruptFrameError(f"unknown message type 0x{tag:02x}")  # a frame's tag too
 
 
 # ---------------------------------------------------------------------------
@@ -486,21 +448,40 @@ def _frame(type_tag: int, out: bytearray) -> bytes:
 
 
 def encode_wire(due: float, message: object) -> bytes:
-    """One complete monitoring frame: header + delivery instant + message."""
+    """One complete monitoring frame: header + delivery instant + the message,
+    or the messages of a frame (a tuple), in order."""
+    messages = message if isinstance(message, tuple) else (message,)
+    if not messages:
+        raise CodecError("a monitoring frame holds at least one message")
     out = bytearray(HEADER.size)
     out += _FLOAT64.pack(due)
-    return _frame(_w_message(out, message), out)
+    _w_uvarint(out, len(messages))
+    for part in messages:
+        _w_message(out, part)
+    return _frame(TYPE_MONITORING, out)
 
 
 def decode_wire(type_tag: int, payload: bytes) -> tuple[float, object]:
-    """Decode a monitoring frame payload into ``(due, message)``."""
+    """Decode a monitoring frame payload into ``(due, message)``: the message
+    itself when the frame holds one, else the tuple of them in order."""
+    if type_tag != TYPE_MONITORING:
+        raise CorruptFrameError(f"unknown message type 0x{type_tag:02x}")
     if len(payload) < _FLOAT64.size:
         raise CorruptFrameError(
             f"truncated payload: {len(payload)} bytes cannot hold the "
             f"delivery instant"
         )
     due = _FLOAT64.unpack_from(payload, 0)[0]
-    return due, _r_message(type_tag, payload, _FLOAT64.size)
+    count, pos = _r_count(payload, _FLOAT64.size)
+    if not count:
+        raise CorruptFrameError("corrupt payload: a monitoring frame of no messages")
+    messages = []
+    for _ in range(count):
+        message, pos = _r_message(payload, pos)
+        messages.append(message)
+    if pos != len(payload):
+        raise CorruptFrameError(f"corrupt payload: {len(payload) - pos} trailing bytes")
+    return due, messages[0] if count == 1 else tuple(messages)
 
 
 def encode_control(mapping: dict[str, object]) -> bytes:
@@ -555,9 +536,7 @@ def decode_header(header: bytes) -> tuple[int, int]:
     version this codec does not speak.
     """
     if len(header) != HEADER.size:
-        raise CorruptFrameError(
-            f"short header: {len(header)} of {HEADER.size} bytes"
-        )
+        raise CorruptFrameError(f"short header: {len(header)} of {HEADER.size} bytes")
     magic, version, type_tag, length = HEADER.unpack(header)
     if magic != MAGIC:
         raise CorruptFrameError(

@@ -1,11 +1,11 @@
 """Message types exchanged between decentralized monitor processes.
 
 Monitors communicate exclusively through these messages — the paper's
-*tokens* plus termination notices.  A token carries one or more
-:class:`TokenEntry` objects; each entry performs a distributed
-least-consistent-cut search (the slicing primitive of Section 4.1) for one
-possibly-enabled monitor transition, or collects the events needed to repair
-an inconsistent global view.
+*tokens* plus termination notices; what one monitor sends one peer in one
+callback travels as one *frame*, a tuple of them.  A token carries one or
+more :class:`TokenEntry` objects; each performs a distributed least-consistent-
+cut search (the slicing primitive of Section 4.1) for one possibly-enabled
+monitor transition, or collects the events needed to repair an inconsistent view.
 
 A letter travels as its integer mask over ``automaton.compiled.atoms`` and a
 guard as per-process ``(care, want)`` mask pairs: that atom list is sorted,

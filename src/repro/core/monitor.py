@@ -123,12 +123,10 @@ class MonitorMetrics:
 
     @property
     def messages_sent(self) -> int:
-        """Total monitoring messages this monitor put on the network.
-
-        Decomposes exactly as token + termination messages; the
-        network-level counter of a reliable transport must agree with the
-        sum of this property across monitors.
-        """
+        """Total transport messages (frames, :meth:`DecentralizedMonitor._flush`)
+        this monitor put on the network: token + termination messages; the
+        network-level counter of a reliable transport must agree with the sum
+        of this property across monitors."""
         return self.token_messages_sent + self.termination_messages_sent
 
     @classmethod
@@ -284,6 +282,8 @@ class DecentralizedMonitor:
         #: birth signatures of the views created, less those an eviction gave up
         self._born: set[tuple[int, tuple[int, ...]]] = set()
         self.waiting_tokens: list[Token] = []
+        #: what the running callback sends: (target, message) in send order
+        self._outbox: list[tuple[int, Token | TerminationNotice]] = []
         #: how often ``_absorb_runs`` grew a foreign column, and each waiting
         #: token's wake record (:meth:`_park`) — by the token object: copies
         #: share a ``token_id``
@@ -402,6 +402,7 @@ class DecentralizedMonitor:
         for view in list(self.views):
             self._advance_views(self._explore_outgoing(view))
         self._merge_views()
+        self._flush()
 
     def local_event(self, event: Event) -> None:
         """Handle one event read from the attached program process."""
@@ -426,6 +427,8 @@ class DecentralizedMonitor:
         if self._advance_views(self.views):
             # else the views are what the last merge left: it would do nothing
             self._merge_views()
+        if self._outbox:
+            self._flush()
 
     def local_termination(self) -> None:
         """Handle the termination signal of the attached program process."""
@@ -433,32 +436,39 @@ class DecentralizedMonitor:
             self.start()
         last = self.terminated[self.process] = len(self.local_vcs) - 1
         notice = TerminationNotice(self.process, last, self.declared_bits | self.heard)
-        recipients = self.routing.termination_recipients(self.process)
-        for target in recipients:
-            self.transport.send(self.process, target, notice)
-        self.metrics.termination_messages_sent += len(recipients)
+        self._outbox += [(j, notice) for j in self.routing.termination_recipients(self.process)]
         # my process will contribute no further events: views whose guards are
         # currently satisfied can now only fire through remote events.
         for view in list(self.views):  # the unblocked ones
             self._advance_views(self._explore_outgoing(view, include_currently_satisfied=True))
         self._retry_waiting_tokens()
         self._merge_views()
+        self._flush()
 
     def receive_message(self, message: object) -> None:
-        """Handle a message from another monitor; news of declarations settles first.
-        A token or notice that does not fit ``num_processes`` is refused."""
+        """Handle a message from another monitor, or a frame (a tuple) of them:
+        a part that does not fit ``num_processes`` refuses the whole frame, the
+        parts are handled in order, and what they send leaves once."""
         n = self.num_processes
-        if isinstance(message, Token):
-            widths = {len(message.known)}
-            for e in message.entries:
-                vectors = e.bits, e.start_cut, e.cut, e.depend, e.min_positions, e.satisfied
-                widths.update(map(len, vectors))
-            if widths != {n}:
-                raise ValueError(f"a token {sorted(widths)} wide for a monitor of {n} processes")
-        elif not isinstance(message, TerminationNotice):
-            raise TypeError(f"unexpected monitor message {message!r}")
-        elif not 0 <= message.process < n:
-            raise ValueError(f"a termination notice of process {message.process} of {n}")
+        parts = message if isinstance(message, tuple) else (message,)
+        for part in parts:
+            if isinstance(part, Token):
+                widths = {len(part.known)}
+                for e in part.entries:
+                    vectors = e.bits, e.start_cut, e.cut, e.depend, e.min_positions, e.satisfied
+                    widths.update(map(len, vectors))
+                if widths != {n}:
+                    raise ValueError(f"a token {sorted(widths)} wide for a monitor of {n} processes")
+            elif not isinstance(part, TerminationNotice):
+                raise TypeError(f"unexpected monitor message {part!r}")
+            elif not 0 <= part.process < n:
+                raise ValueError(f"a termination notice of process {part.process} of {n}")
+        for part in parts:
+            self._receive(part)
+        self._flush()
+
+    def _receive(self, message: Token | TerminationNotice) -> None:
+        """One message of :meth:`receive_message`; news of declarations settles first."""
         if message.declared & self._final_bits & ~(self.declared_bits | self.heard):
             self.heard |= message.declared & self._final_bits
             self._settle()
@@ -876,10 +886,25 @@ class DecentralizedMonitor:
             self._park(token)
 
     def _send_token(self, token: Token, target: int) -> None:
-        self.metrics.token_messages_sent += 1
         token.declared = self.declared_bits | self.heard
         self._extend_run(token)
-        self.transport.send(self.process, self.routing.next_hop(self.process, target), token)
+        self._outbox.append((self.routing.next_hop(self.process, target), token))
+
+    def _flush(self) -> None:
+        """Send what the callback queued, at its end: one transport message
+        per target, in first-send order — the message alone, or a frame (a
+        tuple) of them in send order.  A frame holding a token counts as a
+        token message, one of notices only as a termination message."""
+        frames: dict[int, list[Token | TerminationNotice]] = {}
+        for target, message in self._outbox:
+            frames.setdefault(target, []).append(message)
+        self._outbox = []
+        for target, messages in frames.items():
+            tokens = Token in map(type, messages)
+            self.metrics.token_messages_sent += tokens
+            self.metrics.termination_messages_sent += not tokens
+            frame = messages[0] if len(messages) == 1 else tuple(messages)
+            self.transport.send(self.process, target, frame)
 
     def _extend_run(self, token: Token) -> None:
         """Put on a leaving token the events its entries reached here.

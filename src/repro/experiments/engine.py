@@ -16,7 +16,7 @@ simulator, ``backend="asyncio"`` on the streaming runtime of
 in-process queues or real TCP sockets, see ``stream_transport``), and
 ``backend="cluster"`` on the multi-process cluster runtime of
 :mod:`repro.cluster`, where every monitor is its own OS process exchanging
-wire protocol v7 frames.  All backends share one monitor implementation and
+wire protocol v8 frames.  All backends share one monitor implementation and
 deliver reliably, so a cell's conclusive verdicts are identical for a fixed
 seed — only timing/queuing metrics reflect the backend's nature.
 

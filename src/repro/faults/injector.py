@@ -30,8 +30,9 @@ which is exactly the cost the fault scenarios measure.
 The same proxy hosts the adversarial :class:`~repro.faults.plan.ByzantineSpec`
 behaviours: inbound behaviours (duplication, progression-state corruption,
 stale-token replay) interpose on ``receive_message`` counting the monitor's
-inbound monitoring messages, while drop-on-send wraps the inner monitor's
-``transport`` attribute — the single outbound seam every backend shares.
+inbound monitoring messages (those of a frame one by one), while drop-on-send
+wraps the inner monitor's ``transport`` attribute — the single outbound seam
+every backend shares — and drops whole frames.
 Byzantine counters land in ``FaultStats.extra`` (as ``fault_byz_*``), so
 crash-only runs keep their historical counter shape.
 """
@@ -50,7 +51,7 @@ __all__ = ["MonitorFaultProxy", "FaultInjector", "unwrap_monitor", "wrap_monitor
 
 
 class _DropOnSendTransport:
-    """Transport facade that silently drops every k-th outbound send.
+    """Transport facade that silently drops every k-th outbound send (a frame).
 
     Installed as the inner monitor's ``transport`` attribute by its fault
     proxy, so the drop happens *before* the real transport sees the frame —
@@ -179,40 +180,37 @@ class MonitorFaultProxy:
             self.monitor.transport = _DropOnSendTransport(self.monitor.transport, self)
 
     def _deliver(self, message: object) -> None:
-        """Hand one inbound message to the monitor, applying behaviours.
+        """Hand one inbound message or frame to the monitor, applying behaviours.
 
-        Inbound behaviours trigger on every k-th *delivered* message (held
-        messages count when drained, keeping one deterministic stream per
-        backend).  The duplicate and the stale replay are deep copies, as
-        re-sent frames would be; corruption forges a deep copy and leaves
-        the original untouched, so in-process backends never see shared
-        mutated state.
+        Inbound behaviours trigger on every k-th *delivered* message, each of
+        a frame on its own (held messages count when drained, keeping one
+        deterministic stream per backend), and what they add follows its
+        message in the frame the monitor receives.  The duplicate and the
+        stale replay are deep copies, as re-sent messages would be; corruption
+        forges a deep copy and leaves the original untouched, so in-process
+        backends never see shared mutated state.
         """
         byzantine = self.byzantine
         if byzantine is None:
             self.monitor.receive_message(message)
             return
-        self._inbound_messages += 1
-        count = self._inbound_messages
-        inbound = message
-        if byzantine.corrupt_every and count % byzantine.corrupt_every == 0:
-            corrupted = self._corrupt(message)
-            if corrupted is not None:
-                inbound = corrupted
-        if self._stale_token is None and isinstance(inbound, Token):
-            # remember the first token this monitor ever saw, for replays
-            self._stale_token = copy.deepcopy(inbound)
-        self.monitor.receive_message(inbound)
-        if byzantine.duplicate_every and count % byzantine.duplicate_every == 0:
-            self.stats.extra["fault_byz_duplicated"] += 1.0
-            self.monitor.receive_message(copy.deepcopy(inbound))
-        if (
-            byzantine.replay_every
-            and count % byzantine.replay_every == 0
-            and self._stale_token is not None
-        ):
-            self.stats.extra["fault_byz_replayed"] += 1.0
-            self.monitor.receive_message(copy.deepcopy(self._stale_token))
+        inbound: list[object] = []
+        for part in message if isinstance(message, tuple) else (message,):
+            self._inbound_messages += 1
+            count = self._inbound_messages
+            if byzantine.corrupt_every and count % byzantine.corrupt_every == 0:
+                part = self._corrupt(part) or part
+            if self._stale_token is None and isinstance(part, Token):
+                # remember the first token this monitor ever saw, for replays
+                self._stale_token = copy.deepcopy(part)
+            inbound.append(part)
+            if byzantine.duplicate_every and count % byzantine.duplicate_every == 0:
+                self.stats.extra["fault_byz_duplicated"] += 1.0
+                inbound.append(copy.deepcopy(part))
+            if byzantine.replay_every and count % byzantine.replay_every == 0 and self._stale_token:
+                self.stats.extra["fault_byz_replayed"] += 1.0
+                inbound.append(copy.deepcopy(self._stale_token))
+        self.monitor.receive_message(inbound[0] if len(inbound) == 1 else tuple(inbound))
 
     def _corrupt(self, message: object) -> Token | None:
         """A forged copy of *message*, or ``None`` when nothing to forge.
@@ -227,9 +225,7 @@ class MonitorFaultProxy:
         entry's cut), so the attack perturbs verdicts, not the monitor's
         internal invariants.
         """
-        if not isinstance(message, Token):
-            return None
-        if not any(entry.eval is None for entry in message.entries):
+        if not isinstance(message, Token) or all(e.eval is not None for e in message.entries):
             return None
         forged = copy.deepcopy(message)
         for entry in forged.entries:

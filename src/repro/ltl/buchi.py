@@ -135,24 +135,24 @@ def _negation_of(formula: Formula) -> Formula:
     return Not(formula)
 
 
-def _expand(node: _Node, nodes: list[_Node]) -> list[_Node]:
+def _expand(node: _Node) -> list[_Node]:
     """The ``expand`` procedure of GPVW (iterative set semantics).
 
     A worklist, because the procedure as GPVW state it recurses once per
     processed subformula and exhausts the stack on ordinary formulas.  A
     split pushes its right node under its left one, so nodes are created,
     merged and appended in the recursion's order: depth first, left first.
+    Finished nodes are indexed by ``(old, next)``, the pair a node merges on.
     """
-    work = [node]
+    work, nodes = [node], {}
     while work:
         node = work.pop()
         if not node.new:
-            for existing in nodes:
-                if existing.old == node.old and existing.next == node.next:
-                    existing.incoming |= node.incoming
-                    break
+            key = frozenset(node.old), frozenset(node.next)
+            if key in nodes:
+                nodes[key].incoming |= node.incoming
             else:
-                nodes.append(node)
+                nodes[key] = node
                 work.append(_Node(incoming={node.name}, new=set(node.next), old=set(), nxt=set()))
             continue
 
@@ -205,7 +205,7 @@ def _expand(node: _Node, nodes: list[_Node]) -> list[_Node]:
             work += [node2, node1]
         else:
             raise TypeError(f"formula not in NNF: {formula}")
-    return nodes
+    return list(nodes.values())
 
 
 def _node_guard(node: _Node) -> Guard:
@@ -223,7 +223,7 @@ def _tableau(formula: Formula) -> tuple[list[_Node], list[Formula]]:
     """Run the GPVW expansion and return the nodes plus the Until subformulas."""
     nnf = canonicalize(to_nnf(formula))
     start = _Node(incoming={_INIT}, new={nnf}, old=set(), nxt=set())
-    nodes = _expand(start, [])
+    nodes = _expand(start)
     untils = sorted(
         {f for node in nodes for f in node.old if isinstance(f, Until)},
         key=str,

@@ -10,7 +10,7 @@ Two transports are provided:
   event loop.  Fast and used by the test-suite and the default CLI backend.
 * :class:`TcpStreamTransport` — every monitor node it hosts listens on a
   real TCP socket and the :mod:`repro.core.messages` wire messages travel
-  as wire protocol v7 binary frames (:mod:`repro.cluster.codec`).  The
+  as wire protocol v8 binary frames (:mod:`repro.cluster.codec`).  The
   asyncio backend hosts every monitor on loopback, a cluster worker
   (:mod:`repro.cluster.worker`) one, reaching the rest at manifest addresses.
 
@@ -248,7 +248,7 @@ class TcpStreamTransport(StreamTransport):
     remote peer.  Channel pumps lazily dial one client connection per
     (sender, target) pair with :func:`repro.cluster.transport.dial`'s
     bounded backoff — peers may start listening in any order — and write
-    wire protocol v7 frames (:mod:`repro.cluster.codec`).  A failed write
+    wire protocol v8 frames (:mod:`repro.cluster.codec`).  A failed write
     re-dials and re-sends the same frame (a peer restarted mid-run), and
     one pump per channel keeps FIFO.  The receiving server decodes each
     frame and enqueues it into the target node's inbox, so from the

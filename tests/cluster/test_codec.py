@@ -1,10 +1,11 @@
-"""Wire protocol v6 codec: byte-stable round-trips and corruption diagnostics.
+"""Wire protocol v8 codec: byte-stable round-trips and corruption diagnostics.
 
 The acceptance properties of the codec (hypothesis-tested here):
 
-1. **Round-trip**: every message type in :mod:`repro.core.messages` — and
-   every control mapping of JSON values — decodes back to an equal object;
-   nothing else encodes as a monitoring frame.
+1. **Round-trip**: every message type in :mod:`repro.core.messages`, every
+   frame of one or more of them, and every control mapping of JSON values
+   decodes back to an equal object; nothing else encodes as a monitoring
+   frame.
 2. **Byte stability**: re-encoding a decoded message reproduces the exact
    original frame (canonical map-key and set-element order), so frames can
    be compared, cached and hashed by bytes.
@@ -126,6 +127,15 @@ termination_notices = st.builds(
     declared=st.integers(0, 2**64 - 1),
 )
 
+#: the messages of one monitoring frame, in send order
+frames = st.lists(st.one_of(tokens(), termination_notices), min_size=1, max_size=5)
+
+
+def _body(message):
+    """The body of *message* sent alone: its frame past the header, the
+    instant, the count and the tag."""
+    return codec.encode_wire(0.0, message)[codec.HEADER.size + 10 :]
+
 
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
@@ -133,7 +143,8 @@ class TestRoundTrip:
     def test_token_round_trips_byte_stably(self, message, due):
         frame = codec.encode_wire(due, message)
         type_tag, payload = codec.split_frame(frame)
-        assert type_tag == codec.TYPE_TOKEN
+        assert type_tag == codec.TYPE_MONITORING
+        assert payload[8:10] == bytes([1, codec.TYPE_TOKEN])  # one message, a token
         decoded_due, decoded = codec.decode_wire(type_tag, payload)
         assert decoded_due == due
         assert decoded == message
@@ -144,26 +155,28 @@ class TestRoundTrip:
     def test_termination_round_trips_byte_stably(self, message, due):
         frame = codec.encode_wire(due, message)
         type_tag, payload = codec.split_frame(frame)
-        assert type_tag == codec.TYPE_TERMINATION
+        assert type_tag == codec.TYPE_MONITORING
+        assert payload[8:10] == bytes([1, codec.TYPE_TERMINATION])
         decoded_due, decoded = codec.decode_wire(type_tag, payload)
         assert (decoded_due, decoded) == (due, message)
         assert codec.encode_wire(decoded_due, decoded) == frame
 
     def test_the_retired_verdict_frame_is_an_unknown_type(self):
         # 0x04 carried a verdict digest: an origin and the verdict's string
-        body = bytes([0x02, 0x03]) + "⊤".encode()
+        body = bytes(8) + bytes([0x02, 0x03]) + "⊤".encode()
         with pytest.raises(codec.CorruptFrameError, match="unknown message type 0x04"):
-            codec.decode_message(0x04, body)
+            codec.decode_wire(0x04, body)
 
-    @pytest.mark.parametrize("type_tag", [0x00, 0x03, 0x05, 0x0F, 0x11, 0xFF])
+    @pytest.mark.parametrize("type_tag", [0x00, 0x01, 0x02, 0x03, 0x0F, 0x11, 0xFF])
     def test_every_unassigned_type_tag_is_rejected(self, type_tag):
-        # only tokens and termination notices travel as messages (0x03 once
-        # carried a bare primitive value no monitor accepts)
-        body = codec.encode_message(TerminationNotice(1, 3))[1]
+        # only monitoring frames carry messages (0x03 once carried a bare
+        # primitive value no monitor accepts; 0x01 and 0x02 were the v7
+        # token and termination frames, and tag messages inside a v8 one)
+        _, payload = codec.split_frame(codec.encode_wire(0.0, TerminationNotice(1, 3)))
         with pytest.raises(
             codec.CorruptFrameError, match=f"unknown message type 0x{type_tag:02x}"
         ):
-            codec.decode_message(type_tag, body)
+            codec.decode_wire(type_tag, payload)
 
     def test_control_frames_are_json_from_protocol_version_5(self):
         # v4 wrote control mappings in a tagged value layout; a v4 peer
@@ -177,31 +190,29 @@ class TestRoundTrip:
         # process; v6 routes on parent_process, token_id and hops alone
         assert codec.PROTOCOL_VERSION >= 6
         token = Token(parent_process=1, entries=[], known=[0, 0], token_id=5, hops=2)
-        type_tag, body = codec.encode_message(token)
-        assert type_tag == codec.TYPE_TOKEN
-        assert body[:5] == bytes([2, 10, 4, 0, 2])  # zigzag 1, 5, 2; declared; n = 2
+        assert _body(token)[:5] == bytes([2, 10, 4, 0, 2])  # zigzag 1, 5, 2; declared; n = 2
 
     def test_tokens_and_notices_carry_what_was_declared_from_protocol_version_7(self):
-        # v7 adds one varint to both frames: the states the sender knew declared
-        assert codec.PROTOCOL_VERSION == 7
+        # v7 adds one varint to both messages: the states the sender knew declared
+        assert codec.PROTOCOL_VERSION >= 7
         token = Token(parent_process=1, entries=[], known=[0, 0], token_id=5, declared=0b10)
         undeclared = Token(parent_process=1, entries=[], known=[0, 0], token_id=5)
-        assert codec.encode_message(token)[1][:5] == bytes([2, 10, 0, 2, 2])
+        assert _body(token)[:5] == bytes([2, 10, 0, 2, 2])
         assert len(_round_trip(token)) == len(_round_trip(undeclared))
         notice = TerminationNotice(2, 9, declared=1 << 40)
-        type_tag, body = codec.encode_message(notice)
-        assert (type_tag, body[:2]) == (codec.TYPE_TERMINATION, bytes([4, 18]))
+        body = _body(notice)
+        assert body[:2] == bytes([4, 18])
         assert len(body) == 2 + 6  # 41 bits: six varint bytes
-        assert _round_trip(notice) and codec.decode_message(type_tag, body).declared == 1 << 40
+        assert _round_trip(notice).endswith(body)
 
     @pytest.mark.parametrize(
-        "value", [None, 3, "done", {"a": 1}, [TerminationNotice(0, 1)]]
+        "value",
+        [None, 3, "done", {"a": 1}, [TerminationNotice(0, 1)], (TerminationNotice(0, 1), ())],
     )
     def test_only_monitoring_messages_encode(self, value):
+        # a list is no frame, and a frame holds no frame
         with pytest.raises(codec.CodecError, match="cannot encode .* monitoring message"):
             codec.encode_wire(0.0, value)
-        with pytest.raises(codec.CodecError, match="only tokens and termination"):
-            codec.encode_message(value)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -244,9 +255,9 @@ class TestDiagnostics:
         ):
             codec.decode_header(header[: codec.HEADER.size])
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6, 255])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6, 7, 255])
     def test_foreign_version_reports_both_versions(self, version):
-        header = codec.HEADER.pack(codec.MAGIC, version, codec.TYPE_TERMINATION, 0)
+        header = codec.HEADER.pack(codec.MAGIC, version, codec.TYPE_MONITORING, 0)
         with pytest.raises(
             codec.ProtocolVersionError,
             match=f"peer speaks wire protocol version {version}, this node "
@@ -267,27 +278,27 @@ class TestDiagnostics:
             codec.split_frame(frame[:-1])
 
     def test_trailing_bytes_rejected(self):
-        type_tag, body = codec.encode_message(TerminationNotice(1, 2))
+        type_tag, payload = codec.split_frame(codec.encode_wire(0.0, TerminationNotice(1, 2)))
         with pytest.raises(
             codec.CorruptFrameError, match="2 trailing bytes"
         ):
-            codec.decode_message(type_tag, body + b"\x00\x00")
+            codec.decode_wire(type_tag, payload + b"\x00\x00")
 
     def test_unknown_type_tag_rejected(self):
         with pytest.raises(
             codec.CorruptFrameError, match="unknown message type 0x7f"
         ):
-            codec.decode_message(0x7F, b"")
+            codec.decode_wire(0x7F, b"")
 
     def test_payload_too_short_for_due_instant(self):
         with pytest.raises(
             codec.CorruptFrameError, match="cannot hold the.*delivery instant"
         ):
-            codec.decode_wire(codec.TYPE_TERMINATION, b"\x00\x00")
+            codec.decode_wire(codec.TYPE_MONITORING, b"\x00\x00")
 
     def test_stream_truncated_mid_payload(self):
         frame = codec.encode_wire(0.0, TerminationNotice(0, 4))
-        with pytest.raises(ConnectionError, match="mid-frame: 9 of 11 payload bytes"):
+        with pytest.raises(ConnectionError, match="mid-frame: 11 of 13 payload bytes"):
             _read_stream(frame[:-2])
 
     def test_stream_truncated_mid_header(self):
@@ -444,23 +455,108 @@ class TestHostileInput:
 
     def test_a_corrupt_count_is_refused_before_anything_is_allocated(self):
         type_tag, payload = codec.split_frame(codec.encode_wire(0.0, _token([1, 2])))
-        # no runs, no entries: after the instant come four one-byte routing
-        # fields, then n = 2, ``known`` packed, and the two counts
-        assert payload[8:] == bytes([0, 2, 0, 0, 2, 1, 1, 2, 0, 0])
+        # no runs, no entries: after the instant, the count and the tag come
+        # four one-byte routing fields, then n = 2, ``known`` packed, and the
+        # two counts
+        assert payload[8:] == bytes([1, codec.TYPE_TOKEN, 0, 2, 0, 0, 2, 1, 1, 2, 0, 0])
         huge = bytearray()
         codec._w_uvarint(huge, 2**40)
-        for at in (12, 16, 17):  # n, runs, entries
+        for at in (8, 14, 18, 19):  # the frame's messages, n, runs, entries
             with pytest.raises(codec.CorruptFrameError, match="elements announced"):
                 codec.decode_wire(type_tag, payload[:at] + bytes(huge) + payload[at + 1 :])
 
-    def test_a_v6_frame_is_refused_naming_both_versions(self):
+    def test_a_v7_frame_is_refused_naming_both_versions(self):
         frame = bytearray(codec.encode_wire(0.0, _token([0])))
-        frame[2] = 6  # as a node of the previous release writes it
+        frame[2:4] = bytes([7, 0x01])  # as a node of the previous release writes a token
+        del frame[codec.HEADER.size + 8 : codec.HEADER.size + 10]  # no count, no tag
         for read in (self._read, codec.split_frame):
             with pytest.raises(codec.ProtocolVersionError) as excinfo:
                 read(bytes(frame))
-            assert "version 6" in str(excinfo.value)
-            assert "only version 7" in str(excinfo.value)
+            assert "version 7" in str(excinfo.value)
+            assert "only version 8" in str(excinfo.value)
+
+
+class TestFrames:
+    """v8: one monitoring frame carries the messages a monitor sent one peer
+    in one callback — a count, then each message's tag and body."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(messages=frames, due=finite_floats)
+    def test_frames_of_one_to_k_messages_round_trip_byte_stably(self, messages, due):
+        sent = messages[0] if len(messages) == 1 else tuple(messages)
+        frame = codec.encode_wire(due, sent)
+        type_tag, payload = codec.split_frame(frame)
+        assert type_tag == codec.TYPE_MONITORING and payload[8] == len(messages)
+        decoded_due, decoded = codec.decode_wire(type_tag, payload)
+        assert (decoded_due, decoded) == (due, sent)  # one message decodes bare
+        assert codec.encode_wire(decoded_due, decoded) == frame
+        # the frame is its messages' bodies, each behind its tag: k - 1 headers,
+        # instants and counts fewer than sending each alone
+        alone = [codec.encode_wire(due, message) for message in messages]
+        assert len(frame) == sum(map(len, alone)) - (len(messages) - 1) * (codec.HEADER.size + 9)
+        assert frame.endswith(alone[-1][codec.HEADER.size + 9 :])
+
+    def test_a_frame_of_one_message_is_the_message_alone(self):
+        notice = TerminationNotice(0, 4)
+        assert codec.encode_wire(1.0, (notice,)) == codec.encode_wire(1.0, notice)
+
+    def test_an_empty_frame_is_refused_at_encode(self):
+        with pytest.raises(codec.CodecError, match="at least one message"):
+            codec.encode_wire(0.0, ())
+
+    @staticmethod
+    def _payload(*messages):
+        return codec.split_frame(codec.encode_wire(2.5, tuple(messages)))[1]
+
+    def test_a_count_beyond_the_remaining_bytes_is_refused(self):
+        payload = bytearray(self._payload(TerminationNotice(0, 4), TerminationNotice(1, 2)))
+        payload[8] = len(payload) - 8  # more messages than bytes behind the count
+        with pytest.raises(codec.CorruptFrameError, match="elements announced"):
+            codec.decode_wire(codec.TYPE_MONITORING, bytes(payload))
+        payload[8] = 3  # bytes enough, messages not
+        with pytest.raises(codec.CorruptFrameError, match="truncated payload"):
+            codec.decode_wire(codec.TYPE_MONITORING, bytes(payload))
+
+    def test_a_zero_count_is_refused(self):
+        payload = self._payload(TerminationNotice(0, 4))
+        with pytest.raises(codec.CorruptFrameError, match="no messages"):
+            codec.decode_wire(codec.TYPE_MONITORING, payload[:8] + b"\x00")
+
+    @pytest.mark.parametrize("tag", [0x00, 0x03, 0x04, 0x10, 0xFF])
+    def test_an_unknown_inner_tag_is_refused(self, tag):
+        payload = bytearray(self._payload(TerminationNotice(0, 4), _token([1, 2])))
+        payload[9] = tag
+        with pytest.raises(codec.CorruptFrameError, match=f"unknown message type 0x{tag:02x}"):
+            codec.decode_wire(codec.TYPE_MONITORING, bytes(payload))
+
+    def test_a_frame_inside_a_frame_is_refused(self):
+        inner = self._payload(TerminationNotice(0, 4), TerminationNotice(1, 2))
+        # a count of one, then the tag of a monitoring frame and its payload
+        payload = inner[:8] + bytes([1, codec.TYPE_MONITORING]) + inner
+        with pytest.raises(codec.CorruptFrameError, match="unknown message type 0x05"):
+            codec.decode_wire(codec.TYPE_MONITORING, payload)
+        with pytest.raises(codec.CodecError, match="cannot encode tuple"):
+            codec.encode_wire(0.0, (TerminationNotice(0, 4), (TerminationNotice(1, 2),)))
+
+    def test_trailing_bytes_after_the_last_message_are_refused(self):
+        payload = self._payload(TerminationNotice(0, 4), _token([1, 2]))
+        with pytest.raises(codec.CorruptFrameError, match="1 trailing bytes"):
+            codec.decode_wire(codec.TYPE_MONITORING, payload + b"\x00")
+
+    def test_a_v7_frame_is_refused(self):
+        frame = bytearray(codec.encode_wire(0.0, (TerminationNotice(0, 4), _token([1]))))
+        frame[2] = 7
+        with pytest.raises(codec.ProtocolVersionError, match="version 7"):
+            codec.split_frame(bytes(frame))
+
+    def test_a_stream_of_frames_reads_frame_by_frame(self):
+        two = (TerminationNotice(0, 4), _token([1, 2]))
+        stream = codec.encode_wire(1.5, two) + codec.encode_wire(2.5, TerminationNotice(1, 0))
+        assert _read_stream(stream, frames=3) == [
+            (1.5, two),
+            (2.5, TerminationNotice(1, 0)),
+            None,
+        ]
 
 
 class TestFrameLengthBound:
@@ -472,16 +568,16 @@ class TestFrameLengthBound:
     """
 
     oversized = codec.HEADER.pack(
-        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, codec.MAX_FRAME_BYTES + 1
+        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_MONITORING, codec.MAX_FRAME_BYTES + 1
     )
     message = f"{codec.MAX_FRAME_BYTES + 1} bytes, at most {codec.MAX_FRAME_BYTES}"
 
     def test_header_at_the_bound_is_accepted_one_above_is_not(self):
         at_bound = codec.HEADER.pack(
-            codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, codec.MAX_FRAME_BYTES
+            codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_MONITORING, codec.MAX_FRAME_BYTES
         )
         assert codec.decode_header(at_bound) == (
-            codec.TYPE_TERMINATION,
+            codec.TYPE_MONITORING,
             codec.MAX_FRAME_BYTES,
         )
         with pytest.raises(codec.CorruptFrameError, match=self.message):
@@ -581,7 +677,7 @@ class TestControlChannel:
         frame = codec.encode_wire(0.0, TerminationNotice(0, 1))
         with pytest.raises(
             codec.CorruptFrameError,
-            match=f"expected a control frame.*type 0x{codec.TYPE_TERMINATION:02x}",
+            match=f"expected a control frame.*type 0x{codec.TYPE_MONITORING:02x}",
         ):
             self._read_control(frame)
 

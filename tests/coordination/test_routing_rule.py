@@ -4,8 +4,9 @@ Properties A–F on 3, 4 and 5 processes (the paper-default workload, six
 events per process, seed 2015), on the simulator and on the asyncio
 streaming runtime:
 
-* every message a monitor sends is a token or a termination notice, and
-  each process's termination reaches every other monitor exactly once;
+* every message a monitor sends is a token or a termination notice, alone
+  or in a frame, and each process's termination reaches every other
+  monitor exactly once;
 * every token goes directly to the lowest-index process it still needs;
 * both backends declare the same verdicts, and the lattice oracle
   confirms them on every cell.
@@ -19,9 +20,11 @@ import pytest
 from repro.api import run_streaming
 from repro.coordination.topology import RoundRobinToken
 from repro.core.centralized import CentralizedMonitor
+from repro.core.messages import TerminationNotice, Token
+from repro.core.monitor import DecentralizedMonitor
 from repro.experiments.engine import cell_inputs
 from repro.scenarios import get_scenario
-from repro.sim import simulate_monitored_run
+from repro.sim import SimulatedNetwork, simulate_monitored_run
 
 PROPERTIES = "ABCDEF"
 SIZES = (3, 4, 5)
@@ -69,17 +72,28 @@ def _report(backend, property_name, num_processes):
 
 @pytest.mark.parametrize("cell", GRID, ids=_grid_id)
 @pytest.mark.parametrize("backend", ["sim", "asyncio"])
-def test_every_message_is_a_token_or_a_termination_notice(backend, cell):
+def test_every_message_is_a_token_or_a_termination_notice(backend, cell, monkeypatch):
     property_name, n = cell
-    report = _report(backend, property_name, n)
+    receive, notices = DecentralizedMonitor._receive, []
+
+    def recording_receive(self, message):
+        assert isinstance(message, (Token, TerminationNotice))
+        if isinstance(message, TerminationNotice):
+            notices.append((message.process, self.process))
+        receive(self, message)
+
+    monkeypatch.setattr(DecentralizedMonitor, "_receive", recording_receive)
+    report = {"sim": _simulate, "asyncio": _stream}[backend](property_name, n)
     assert report.monitor_messages == report.token_messages + report.termination_messages
     assert report.monitor_messages == sum(m.metrics.messages_sent for m in report.monitors)
     assert report.digest_messages == 0
-    # one notice from each process to each other monitor, none forwarded
-    assert report.termination_messages == n * (n - 1)
+    # one notice from each process to each other monitor, none forwarded; a
+    # notice that shares its frame with a token counts as a token message
+    assert sorted(notices) == [(i, j) for i in range(n) for j in range(n) if i != j]
+    assert report.termination_messages <= n * (n - 1)
     for monitor in report.monitors:
         metrics = monitor.metrics
-        assert metrics.termination_messages_sent == n - 1
+        assert metrics.termination_messages_sent <= n - 1
         assert metrics.messages_sent == (
             metrics.token_messages_sent + metrics.termination_messages_sent
         )
@@ -101,16 +115,25 @@ def test_every_token_goes_directly_to_the_lowest_candidate(monkeypatch, cell):
         hops.append((current, destination, hop))
         return hop
 
+    send, tokens = SimulatedNetwork.send, []
+
+    def recording_send(self, sender, target, message):
+        parts = message if isinstance(message, tuple) else (message,)
+        tokens.extend((sender, target) for part in parts if isinstance(part, Token))
+        send(self, sender, target, message)
+
     monkeypatch.setattr(RoundRobinToken, "pick_target", recording_pick_target)
     monkeypatch.setattr(RoundRobinToken, "next_hop", recording_next_hop)
+    monkeypatch.setattr(SimulatedNetwork, "send", recording_send)
     report = _simulate(property_name, n)
     assert picks, "no token left its home"
     for current, candidates, target in picks:
         assert candidates == sorted(set(candidates))
         assert current not in candidates
         assert target == candidates[0]
-    # every token message is one direct send: no relay through a third monitor
-    assert len(hops) == report.token_messages
+    # every token is one direct send: no relay through a third monitor
+    assert sorted((current, hop) for current, _, hop in hops) == sorted(tokens)
+    assert len(tokens) >= report.token_messages  # tokens to one peer share a frame
     assert all(hop == destination != current for current, destination, hop in hops)
 
 

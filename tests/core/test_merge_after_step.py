@@ -36,7 +36,8 @@ from repro.sim import simulate_monitored_run
 
 def _merge_every_event(self, event):
     """The reference: every own event ends in a merge, and its mask is the
-    encoded letter of the registry."""
+    encoded letter of the registry; what it queued leaves at its end, as from
+    every entry point."""
     if not self._started:
         self.start()
     self.metrics.events_processed += 1
@@ -48,6 +49,8 @@ def _merge_every_event(self, event):
     self._retry_waiting_tokens(own_event=True)
     self._advance_views(self.views)
     self._merge_views()
+    if self._outbox:
+        self._flush()
 
 
 def _merging_and_reference(monkeypatch, run):

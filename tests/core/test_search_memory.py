@@ -229,6 +229,7 @@ def _one_remembered_one_undecided(forget):
     view, again = _search(monitor, computation, of_p1, (1, 0, 0))
     _, open_ended = _search(monitor, computation, of_p2, (1, 0, 0))
     assert monitor._issue_token(view, [_as_search(again), _as_search(open_ended)]) == ()
+    monitor._flush()  # what an entry point does at its end
     return monitor, view, network.tokens
 
 

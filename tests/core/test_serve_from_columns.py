@@ -281,14 +281,15 @@ def test_sim_workload_cells_declare_the_same_either_way(
 # hand-driven monitors
 # ---------------------------------------------------------------------------
 class _Outbox(SimulatedNetwork):
-    """Links that deliver at once and keep what was sent (nothing runs them)."""
+    """Links that deliver at once and keep what was sent, each message of a
+    frame on its own (nothing runs them)."""
 
     def __init__(self):
         super().__init__(Simulator(), ReliableNetwork(latency=0.0, jitter=0.0).delay_model(0))
         self.tokens = []
 
     def send(self, sender, target, message):
-        self.tokens.append((target, message))
+        self.tokens += [(target, part) for part in (message if isinstance(message, tuple) else (message,))]
         super().send(sender, target, message)
 
 

@@ -444,7 +444,9 @@ def _curve_cell(cell, seed=2015):
     "cell, queries, remembered, by_letter, cells, views, slept",
     [
         (("C", 4, 20), 4, 0, 2, 6, 6, 442),  # the token-heavy cell
-        (("F", 5, 20), 81, 0, 15, 532, 33, 805),
+        # 81 queries, 15 by letter, 532 cells and 33 views while every
+        # message travelled alone: framed news settles monitors sooner
+        (("F", 5, 20), 46, 0, 11, 310, 21, 805),
         (("B", 5, 40), 63, 0, 3, 75, 65, 1566),  # the long-trace cell
     ],
     ids=["C-n4-epp20", "F-n5-epp20", "B-n5-epp40"],

@@ -54,15 +54,17 @@ INSTANT = ReliableNetwork(latency=0.0, jitter=0.0)
 
 
 class _RecordingNetwork(SimulatedNetwork):
-    """Links that deliver at once and remember which way every token went."""
+    """Links that deliver at once and remember which way every token went,
+    alone or in a frame."""
 
     def __init__(self):
         super().__init__(Simulator(), INSTANT.delay_model(0))
         self.routes = []
 
     def send(self, sender, target, message):
-        if isinstance(message, Token):
-            self.routes.append((message.token_id, sender, target))
+        for part in message if isinstance(message, tuple) else (message,):
+            if isinstance(part, Token):
+                self.routes.append((part.token_id, sender, target))
         super().send(sender, target, message)
 
 

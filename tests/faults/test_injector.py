@@ -1,7 +1,9 @@
 """Unit tests for the backend-agnostic crash/restart proxy machinery."""
 
+from repro.core.messages import TerminationNotice, Token, TokenEntry
 from repro.core.monitor import MonitorMetrics
 from repro.faults import (
+    ByzantineSpec,
     CrashSpec,
     FaultInjector,
     FaultPlan,
@@ -231,3 +233,85 @@ class TestFaultInjector:
         bare = ScriptedMonitor()
         assert unwrap_monitor(proxy) is proxy.monitor
         assert unwrap_monitor(bare) is bare
+
+
+def _undecided_token(token_id):
+    entry = TokenEntry(
+        transition_id=0, bits=((1, 1), (1, 1)), start_cut=[0, 0], cut=[0, 0],
+        depend=[0, 0], min_positions=[0, 0], satisfied=[True, False],
+    )
+    return Token(parent_process=1, entries=[entry], known=[0, 0], token_id=token_id)
+
+
+class _Recording:
+    """A transport that keeps what it was handed."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, sender, target, message):
+        self.sent.append(message)
+
+
+def _transported():
+    monitor = ScriptedMonitor()
+    monitor.transport = _Recording()
+    return monitor
+
+
+def make_byzantine_proxy(**behaviours):
+    """A proxy of process 0 armed with *behaviours*; a cadence of 1, which
+    plans refuse, is forced onto the spec (the proxy applies any)."""
+    spec = ByzantineSpec(process=0, **{k: v if v != 1 else 2 for k, v in behaviours.items()})
+    for name, every in behaviours.items():
+        object.__setattr__(spec, name, every)
+    injector = FaultInjector(FaultPlan(byzantine=(spec,)), 2)
+    return injector.wrap(0, _transported), injector.stats
+
+
+class TestByzantineFrames:
+    """Inbound behaviours act on each message of a frame; drop-on-send drops
+    whole frames."""
+
+    def test_a_two_token_frame_meeting_corrupt_every_1_has_both_tokens_forged(self):
+        proxy, stats = make_byzantine_proxy(corrupt_every=1)
+        frame = (_undecided_token(1), _undecided_token(2))
+        proxy.receive_message(frame)
+        ((kind, delivered),) = proxy.monitor.calls
+        assert kind == "message" and isinstance(delivered, tuple)
+        assert [token.token_id for token in delivered] == [1, 2]
+        assert [[e.eval for e in token.entries] for token in delivered] == [[True], [True]]
+        assert stats.extra["fault_byz_corrupted"] == 2.0
+        # forged copies: what arrived is untouched
+        assert [[e.eval for e in token.entries] for token in frame] == [[None], [None]]
+
+    def test_every_kth_message_of_a_frame_is_forged(self):
+        proxy, stats = make_byzantine_proxy(corrupt_every=2)
+        proxy.receive_message(tuple(_undecided_token(i) for i in range(1, 5)))
+        proxy.receive_message(_undecided_token(5))
+        (_, frame), (_, alone) = proxy.monitor.calls
+        forged = [token.entries[0].eval for token in (*frame, alone)]
+        assert forged == [None, True, None, True, None]
+        assert stats.extra["fault_byz_corrupted"] == 2.0
+
+    def test_duplicates_follow_their_message_inside_the_frame(self):
+        proxy, stats = make_byzantine_proxy(duplicate_every=2)
+        notice, token = TerminationNotice(1, 3), _undecided_token(7)
+        proxy.receive_message((notice, token))
+        ((_, delivered),) = proxy.monitor.calls
+        assert delivered[:2] == (notice, token) and delivered[2] == token
+        assert delivered[2] is not token and len(delivered) == 3
+        assert stats.extra["fault_byz_duplicated"] == 1.0
+
+    def test_a_lone_message_stays_alone(self):
+        proxy, _ = make_byzantine_proxy(corrupt_every=5)
+        proxy.receive_message(TerminationNotice(1, 3))
+        assert proxy.monitor.calls == [("message", TerminationNotice(1, 3))]
+
+    def test_drop_on_send_drops_every_kth_frame_whole(self):
+        proxy, stats = make_byzantine_proxy(drop_every=2)
+        frames = [(TerminationNotice(0, 1), _undecided_token(i)) for i in range(4)]
+        for frame in frames:
+            proxy.monitor.transport.send(0, 1, frame)
+        assert proxy.monitor.transport.sent == [frames[0], frames[2]]
+        assert stats.extra["fault_byz_dropped"] == 2.0

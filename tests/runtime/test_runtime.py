@@ -284,7 +284,7 @@ class TestTcpMidFrameDisconnect:
                 from repro.cluster import codec
 
                 header = codec.HEADER.pack(
-                    codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, 100
+                    codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_MONITORING, 100
                 )
                 writer.write(header + b"x" * 10)
                 await writer.drain()
@@ -313,7 +313,7 @@ class TestTcpMidFrameDisconnect:
                 # a valid header announcing 100 bytes, then RST
                 writer.write(
                     codec.HEADER.pack(
-                        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, 100
+                        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_MONITORING, 100
                     )
                 )
                 await writer.drain()
@@ -368,7 +368,7 @@ class TestTcpMidFrameDisconnect:
 
                 _, writer = await asyncio.open_connection("127.0.0.1", transport.endpoints[0].port)
                 # a structurally valid frame claiming protocol version 1
-                writer.write(codec.HEADER.pack(codec.MAGIC, 1, codec.TYPE_TERMINATION, 0))
+                writer.write(codec.HEADER.pack(codec.MAGIC, 1, codec.TYPE_MONITORING, 0))
                 await writer.drain()
                 writer.close()
                 await writer.wait_closed()
@@ -394,7 +394,7 @@ class TestTcpMidFrameDisconnect:
                 # instead of waiting for (and buffering) 4 GiB
                 writer.write(
                     codec.HEADER.pack(
-                        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_TERMINATION, 2**32 - 1
+                        codec.MAGIC, codec.PROTOCOL_VERSION, codec.TYPE_MONITORING, 2**32 - 1
                     )
                 )
                 await writer.drain()

@@ -166,12 +166,15 @@ _BACKEND_FIELDS = {"monitor_end_time", "transport", "wall_seconds", "wire_bytes"
 #: what follows the live interleaving of messages
 _INTERLEAVING_FIELDS = {"monitor_messages", "network_stats"}
 #: ``MonitorMetrics`` counters no interleaving can move
-_SAME_COUNTERS = {"events_processed", "termination_messages_sent"}
+_SAME_COUNTERS = {"events_processed"}
 #: counters of work whose amount follows the live interleaving of messages
+#: (a termination notice counts as a termination message unless a token
+#: leaves for the same peer in the same callback)
 _INTERLEAVING_COUNTERS = {
     "tokens_created",
     "entries_created",
     "token_messages_sent",
+    "termination_messages_sent",
     "views_created",
     "views_merged",
     "max_active_views",

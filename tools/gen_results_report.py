@@ -166,7 +166,8 @@ def render_report(figures: dict[str, list[dict]] | None = None) -> str:
         "## Figures 5.4–5.8: the monitored workload sweep",
         "",
         "One row per property and process count (`run_fig_5_4_5_5`):",
-        "program events and monitor messages (Figs 5.4/5.5), searches issued",
+        "program events and monitor messages (Figs 5.4/5.5) — counted as",
+        "frames, one per (callback, peer): see *Frames* below — searches issued",
         "(`entries_created`), the delay-time percentage per global view — the",
         "paper's definition of Fig 5.6 — and beside it the seconds the",
         "monitors keep working after the program ends (`monitor_extra_time`),",
@@ -184,7 +185,7 @@ def render_report(figures: dict[str, list[dict]] | None = None) -> str:
                 ("property", "property"),
                 ("processes", "n"),
                 ("events", "events"),
-                ("messages", "messages"),
+                ("messages", "messages (frames)"),
                 ("entries_created", "searches"),
                 ("delay_time_pct_per_view", "delay % per view (paper's definition)"),
                 ("monitor_extra_time", "delay (s)"),
@@ -204,7 +205,7 @@ def render_report(figures: dict[str, list[dict]] | None = None) -> str:
             [
                 ("comm_mu", "Commμ"),
                 ("events", "events"),
-                ("messages", "messages"),
+                ("messages", "messages (frames)"),
                 ("entries_created", "searches"),
                 ("delay_time_pct_per_view", "delay % per view (paper's definition)"),
                 ("monitor_extra_time", "delay (s)"),
@@ -218,7 +219,9 @@ def render_report(figures: dict[str, list[dict]] | None = None) -> str:
         "The same workload monitored by the decentralized monitors and by a",
         "central monitor that receives one observation per program event and",
         "broadcasts its verdict (`run_message_baseline`), with the verdicts",
-        "each declared.",
+        "each declared.  A frame of the decentralized monitors that holds a",
+        "token counts as a token frame, one of termination notices only as a",
+        "termination frame.",
         "",
         *_table(
             figures["baseline"],
@@ -226,12 +229,29 @@ def render_report(figures: dict[str, list[dict]] | None = None) -> str:
                 ("monitor", "monitor"),
                 ("property", "property"),
                 ("processes", "n"),
-                ("messages", "messages"),
-                ("token_messages", "token messages"),
-                ("termination_messages", "termination messages"),
+                ("messages", "messages (frames)"),
+                ("token_messages", "frames with a token"),
+                ("termination_messages", "frames of notices only"),
                 ("declared", "declared"),
             ],
         ),
+        "",
+        "## Frames (an extension of the paper)",
+        "",
+        "The paper counts monitor messages.  Here what one monitor sends one",
+        "peer while it handles one event, one termination or one incoming",
+        "frame travels as one transport message, a *frame* (wire protocol v8),",
+        "and the tables count frames: small-message coalescing (Nagle, RFC 896,",
+        "1984) applied to one monitor callback.  The tokens and notices inside",
+        "are the ones the monitors sent one at a time before, and a frame sent",
+        "alone is that message.  Frames changed no declared verdict in the",
+        "tables above.  They took the sweep's messages from 808 to 725.5 in",
+        "total: B at n = 4 went 120.5 → 111.5 against the central monitor's",
+        "136, E at n = 4 136 → 133.5 and C at n = 4 59 → 46.5.  Fewer messages",
+        "change the timing, so the delay, delayed-event and view columns moved",
+        "a little too (C at n = 4: 73.5 → 73 views).  The bytes on the wire do",
+        "not rise: a frame saves the 17 bytes of header, instant and count of",
+        "every message after its first (`tests/core/test_frames.py`).",
         "",
         "## Messages no longer order the properties",
         "",
