@@ -191,7 +191,7 @@ def test_box_bfs_events_per_sec():
     monitor = _box_monitor(automaton, registry, n)
     view, entry = _fully_concurrent_box(monitor, automaton, registry, side)
     for _ in range(iterations):
-        monitor._box_reachable(view, [entry])
+        monitor._box_reachable(view, [tuple(entry.cut)])
     # the worst case: nothing collapsed, every cut of the box searched
     assert monitor.metrics.boxes_by_letter == 0
     assert monitor.metrics.box_cells_visited == cells * iterations
@@ -212,7 +212,7 @@ def test_box_bfs_stuttering_events_per_sec():
     monitor = _box_monitor(automaton, registry, n, holds=True)
     view, entry = _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.85)
     for _ in range(iterations):
-        monitor._box_reachable(view, [entry])
+        monitor._box_reachable(view, [tuple(entry.cut)])
     searched = monitor.metrics.box_cells_visited
     assert monitor.metrics.boxes_by_letter == 0
     assert iterations < searched < cells * iterations // 10

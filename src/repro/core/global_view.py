@@ -44,6 +44,9 @@ class GlobalView:
     searched:
         ``(state searched from, target cut)`` -> the states the view's last
         step found reachable there, by the exact box search.
+    dead:
+        Bitmask over guard ids: the guards with no satisfying cut above the
+        view's cut, as its monitor's ``_least`` still tells; forks inherit it.
     """
 
     cut: list[int]
@@ -52,6 +55,7 @@ class GlobalView:
     outstanding_token: int | None = None
     born: set[tuple[int, tuple[int, ...]]] = field(init=False, repr=False)
     searched: dict[tuple, int] = field(default_factory=dict, repr=False)
+    dead: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         self.born = {self.signature()}

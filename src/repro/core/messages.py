@@ -84,15 +84,6 @@ class TokenEntry:
         """Entries without a transition only pull the view to a newer cut."""
         return self.transition_id is None
 
-    # -- progress assessment ------------------------------------------------
-    def lagging_processes(self) -> list[int]:
-        """Processes whose component must still advance."""
-        return [
-            j for j, at in enumerate(self.cut)
-            if at < self.depend[j] or at < self.min_positions[j]
-            or (self.bits[j][0] != 0 and not self.satisfied[j])
-        ]
-
     def record_scan(self, vc: tuple[int, ...]) -> None:
         """Record that a run of one process's events ending at clock *vc*
         was scanned.

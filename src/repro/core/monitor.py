@@ -16,17 +16,16 @@ Each program process ``P_i`` is composed with a monitor process ``M_i`` that
 
 Where this departs from the thesis pseudo-code (implicit pending queue, one
 box search per view step, every component of a search answered from the shared
-columns, no ``(state, cut)`` explored twice, no guard's least cut walked twice,
-no box searched by the same view twice, no parked token served by an own event
-that cannot move it, as a wake record made when it parked tells, no exploring
-once every conclusive state in reach is declared here or, as tokens and
-notices tell, elsewhere: a settled monitor retires its views and reports ``?``
-if it retired any), why an own event that moves nothing costs little (its mask
-is read off the atoms this process owns, and views are merged only after one
-stepped) and how the two hot loops — token serving off the guard rows, built
-once per property with a step's searches looked up by (global letter, state),
-and box search off the segment index, set up only for the processes it moves —
-are built: ``docs/architecture.md``.
+columns, no ``(state, cut)`` explored twice, no guard's least cut walked twice
+nor a guard dead for a view looked up, no box searched by the same view twice,
+no parked token served by an own event that cannot move it, no exploring once
+every conclusive state in reach is declared here or, as messages tell,
+elsewhere), why a step pays only for the guards that can still fire (a search
+answered at home forks from target cuts, not entries) and an own event that
+moves nothing costs little, and how the two hot loops — token serving off the
+guard rows, built once per property with a step's searches looked up by
+(global letter, state), and box search off the segment index, set up and held
+in cells only for the processes it moves — are built: ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from .transport import Transport
 
 __all__ = ["MonitorMetrics", "DecentralizedMonitor", "verdict_divergence"]
 
-#: one search ``_issue_token`` is handed: a guard-table row, per process
-#: whether its conjunct holds at the view's cut, and the floor
+#: one search ``_issue_token`` is handed: a row ``(transition_id, bits, remote, guard
+#: id)``, per process whether its conjunct holds at the cut, and the floor
 Search = tuple[tuple, list[bool], list[int]]
 
 
@@ -155,22 +154,23 @@ class _Property:
     """What every monitor of one property shares, built once per automaton,
     process count and owner of each compiled atom and kept on the automaton
     (``MonitorAutomaton.shared``): per state its guard rows ``(transition_id,
-    bits)`` — per process the ``(care, want)`` bits of the guard's conjunct,
-    shared by every entry made from the row — and bounded caches of pure
-    functions of the automaton: images, and per process the searches of a
-    step (:meth:`DecentralizedMonitor._searches_at`)."""
+    bits, guard id)`` — per process the ``(care, want)`` bits of the guard's
+    conjunct, one object and one small id per distinct guard — and bounded
+    caches of pure functions of the automaton: images, and per process the
+    searches of a step (:meth:`DecentralizedMonitor._searches_at`)."""
 
     __slots__ = ("rows", "images", "searches")
 
     def __init__(self, automaton: MonitorAutomaton, registry: PropositionRegistry, n: int) -> None:
         encode = automaton.compiled.encode
-        self.rows: list[tuple[tuple[int, tuple[tuple[int, int], ...]], ...]] = []
+        ids: dict[tuple, tuple] = {}  # bits -> (bits, guard id)
+        self.rows: list[tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]] = []
         for state in automaton.states:
             table = []
             for transition in automaton.outgoing_transitions(state):
                 conjuncts = registry.conjuncts_by_process(transition.guard, n)
                 bits = tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
-                table.append((transition.transition_id, bits))
+                table.append((transition.transition_id, *ids.setdefault(bits, (bits, len(ids)))))
             self.rows.append(tuple(table))
         self.images: dict[int, int] = {}
         self.searches: list[dict[int, tuple[list, list]]] = [{} for _ in range(n)]
@@ -240,14 +240,14 @@ class DecentralizedMonitor:
             if owners[a] == process
         ]
         #: the guard rows and caches every monitor of this property shares
-        #: (:class:`_Property`), and the guardless row of a repair
+        #: (:class:`_Property`), and the guardless row of a repair (an id no guard has)
         key = num_processes, owners
         shared = automaton.shared.get(key) or automaton.shared.setdefault(
             key, _Property(automaton, registry, num_processes)
         )
         self._rows, self._image_cache = shared.rows, shared.images
         self._searches = shared.searches[process]
-        self._repair_row = (None, ((0, 0),) * num_processes, ())
+        self._repair_row = (None, ((0, 0),) * num_processes, (), sum(map(len, shared.rows)))
         #: a guard's ``bits`` -> the floor and the least cut above it (``None``:
         #: there is none) of the last search of it that was walked at issue time
         self._least: dict[tuple, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
@@ -341,7 +341,7 @@ class DecentralizedMonitor:
         mine, mask = self.process, key >> self._num_states
         ordinary: list[tuple[tuple, list[bool]]] = []
         every: list[tuple[tuple, list[bool]]] = []
-        for transition_id, bits in self._rows[key & ((1 << self._num_states) - 1)]:
+        for transition_id, bits, guard in self._rows[key & ((1 << self._num_states) - 1)]:
             care, want = bits[mine]
             remote = tuple(j for j, pair in enumerate(bits) if pair[0] and j != mine)
             if mask & care != want or not remote:
@@ -349,7 +349,7 @@ class DecentralizedMonitor:
                 # guard is purely *local*: a later local event re-evaluates it
                 continue
             satisfied = [mask & care == want for care, want in bits]
-            every.append(((transition_id, bits, remote), satisfied))
+            every.append(((transition_id, bits, remote, guard), satisfied))
             if not all(satisfied):
                 ordinary.append(every[-1])
         found = ordinary, every
@@ -447,22 +447,28 @@ class DecentralizedMonitor:
 
     def receive_message(self, message: object) -> None:
         """Handle a message from another monitor, or a frame (a tuple) of them:
-        a part that does not fit ``num_processes`` refuses the whole frame, the
-        parts are handled in order, and what they send leaves once."""
-        n = self.num_processes
+        a part that does not fit refuses the whole frame — a token fits when
+        ``num_processes`` wide, a notice when it ends another process no earlier
+        than the events held of it and as any earlier notice did — the parts
+        are handled in order, and what they send leaves once."""
+        n, told = self.num_processes, dict(self.terminated)
         parts = message if isinstance(message, tuple) else (message,)
         for part in parts:
             if isinstance(part, Token):
-                widths = {len(part.known)}
-                for e in part.entries:
-                    vectors = e.bits, e.start_cut, e.cut, e.depend, e.min_positions, e.satisfied
-                    widths.update(map(len, vectors))
+                vectors = [(e.bits, e.start_cut, e.cut, e.depend, e.min_positions, e.satisfied)
+                           for e in part.entries]  # fmt: skip
+                widths = {len(part.known), *[len(v) for six in vectors for v in six]}
                 if widths != {n}:
                     raise ValueError(f"a token {sorted(widths)} wide for a monitor of {n} processes")
             elif not isinstance(part, TerminationNotice):
                 raise TypeError(f"unexpected monitor message {part!r}")
-            elif not 0 <= part.process < n:
-                raise ValueError(f"a termination notice of process {part.process} of {n}")
+            elif not 0 <= (j := part.process) < n or j == self.process:
+                raise ValueError(f"a termination notice of process {j} of {n} to {self.process}")
+            else:
+                held, last = len(self.vc_columns[j]) - 1, part.final_event_sn
+                if last < held or told[j] not in (None, last):
+                    raise ValueError(f"process {j} ends at {last}: {held} held, {told[j]} told")
+                told[j] = last
         for part in parts:
             self._receive(part)
         self._flush()
@@ -531,7 +537,7 @@ class DecentralizedMonitor:
         """Advance *view* by local event *sn* (PROCESSEVENT); returns the
         views forked from it by what was answered at home."""
         mine = self.process
-        past = [max(pair) for pair in zip(view.cut, self.local_vcs[sn])]
+        past = list(map(max, view.cut, self.local_vcs[sn]))
         past[mine] = view.cut[mine]
         if past != view.cut:
             # out of order: a search without a guard pulls the view up to its
@@ -570,7 +576,7 @@ class DecentralizedMonitor:
         ``include_currently_satisfied`` also guards that already hold are
         searched with the requirement that some participating remote process
         advances — used once the local process has terminated and can no
-        longer trigger the transition itself.
+        longer trigger the transition itself.  A floor at the cut is the cut.
         """
         if view.status != ViewStatus.UNBLOCKED:
             return ()
@@ -586,9 +592,9 @@ class DecentralizedMonitor:
                         for j in row[2]
                     ]
                 else:
-                    searches.append((row, satisfied, list(cut)))
+                    searches.append((row, satisfied, cut))
         else:
-            searches = [(row, satisfied, list(cut)) for row, satisfied in ordinary]
+            searches = [(row, satisfied, cut) for row, satisfied in ordinary]
         return self._issue_token(view, searches) if searches else ()
 
     def _issue_token(self, view: GlobalView, searches: list[Search]) -> Sequence[GlobalView]:
@@ -598,49 +604,43 @@ class DecentralizedMonitor:
 
         A guard's least cut above a floor is its least cut above every floor
         between the two, and none above a floor is none above a larger: what
-        ``_least`` covers is not walked, and gets an entry only if there is a
-        cut to fork from — unless a token leaves, which carries an entry per
-        search, walked (or the monitors further on would hold less).
-        """
+        ``_least`` covers is not walked, what the view holds dead not even
+        looked up (:meth:`_remember`), and neither gets an entry — unless a
+        token leaves: an entry per search, the remembered walked last."""
         self.metrics.entries_created += len(searches)
-        least = self._least
-        entries: list[TokenEntry | None] = []  # per search; None: not built (yet)
-        hits: list[tuple[int, tuple[int, ...] | None]] = []  # (search, remembered cut)
-        walked: list[TokenEntry] = []
-        for row, satisfied, floor in searches:
+        least, cut = self._least, view.cut
+        answers: list[tuple[int, ...] | None] = [None] * len(searches)  # per search: its target
+        hits, walked = [], []  # searches answered from memory; walked, with their index
+        for at, (row, satisfied, floor) in enumerate(searches):
+            if view.dead >> row[3] & 1:
+                hits.append(at)
+                continue
             known = None if row[0] is None else least.get(row[1])  # a repair: never
             if known and all(map(le, known[0], floor)) and (
                 known[1] is None or all(map(le, floor, known[1]))
             ):
-                hits.append((len(entries), known[1]))
-                entries.append(None)
+                hits.append(at)
+                answers[at] = known[1]
+                if known[1] is None and floor is cut:
+                    view.dead |= 1 << row[3]
             else:
-                walked.append(self._make_entry(view, row, satisfied, floor))
-                entries.append(walked[-1])
-        pending = self._serve_entries(walked)
-        for entry in walked:
+                walked.append((at, self._make_entry(view, row, satisfied, floor)))
+        pending = self._serve_entries([entry for _, entry in walked]) if walked else []
+        for at, entry in walked:
             if entry.eval is not None and not entry.is_repair:  # whose floor never recurs
-                least[entry.bits] = (
-                    tuple(entry.min_positions), tuple(entry.cut) if entry.eval else None
-                )
-        if pending and hits:
-            for at, _ in hits:
-                entries[at] = self._make_entry(view, *searches[at])
-            pending += self._serve_entries([entries[at] for at, _ in hits])
-        else:
-            self.metrics.least_cuts_remembered += len(hits)
-            for at, target in hits:
-                if target is not None:
-                    entry = entries[at] = self._make_entry(view, *searches[at])
-                    entry.eval = True
-                    entry.cut[:] = target
-        built = [entry for entry in entries if entry is not None]  # all, if a token leaves
+                self._remember(view, searches[at], entry)
+            if entry.eval:
+                answers[at] = tuple(entry.cut)
         if not pending:
+            self.metrics.least_cuts_remembered += len(hits)
             self.metrics.answered_at_home += 1
-            return self._forks_of(view, built)
+            repair = any(entry.is_repair for _, entry in walked)  # issued alone
+            return self._forks_of(view, [target for target in answers if target], repair)
+        built = dict(walked) | {at: self._make_entry(view, *searches[at]) for at in hits}
+        pending += self._serve_entries([built[at] for at in hits]) if hits else []
         token = Token(
             parent_process=self.process,
-            entries=built,
+            entries=[built[at] for at in range(len(searches))],
             known=[len(column) - 1 for column in self.vc_columns],
         )
         self.metrics.tokens_created += 1
@@ -650,20 +650,27 @@ class DecentralizedMonitor:
         self._route_token(token, pending)
         return ()
 
+    def _remember(self, view: GlobalView, search: Search, entry: TokenEntry) -> None:
+        """Write what the walk of *search* decided into ``_least``; a guard
+        stays dead for a view (``GlobalView.dead``) while ``_least`` holds
+        ``(floor, None)`` for it with the floor at or below the view's cut."""
+        (_, bits, _, guard), _, floor = search
+        answer = tuple(entry.cut) if entry.eval else None
+        self._least[bits] = (tuple(floor), answer)
+        bit = 1 << guard
+        for other in self.views:
+            if other.dead & bit and (answer or not all(map(le, floor, other.cut))):
+                other.dead &= ~bit
+        if answer is None and floor is view.cut:
+            view.dead |= bit
+
     def _make_entry(
         self, view: GlobalView, row: tuple, satisfied: list[bool], min_positions: list[int]
     ) -> TokenEntry:
         """A search from the view's cut, for the transition of guard-table
         *row* (the guardless row: a repair)."""
-        return TokenEntry(
-            transition_id=row[0],
-            bits=row[1],
-            start_cut=list(view.cut),
-            cut=list(view.cut),
-            depend=list(view.cut),
-            min_positions=min_positions,
-            satisfied=list(satisfied),
-        )
+        cut, floor = view.cut, list(min_positions)
+        return TokenEntry(row[0], row[1], list(cut), list(cut), list(cut), floor, list(satisfied))
 
     # ------------------------------------------------------------------
     # token service and routing (PROCESSTOKEN / EVALUATETOKEN / SENDTONEXTPROCESS)
@@ -684,20 +691,20 @@ class DecentralizedMonitor:
         if token.parent_process == self.process:
             token.runs.clear()
             token.known = [len(column) - 1 for column in self.vc_columns]
-        self._route_token(token, self._serve_entries(token.undecided_entries()))
+        undecided = token.undecided_entries()
+        self._route_token(token, self._serve_entries(undecided) if undecided else [])
 
     def _serve_entries(self, entries: list[TokenEntry]) -> list[tuple[TokenEntry, list[int]]]:
-        """Serve undecided *entries*; returns those still undecided, each
-        with the processes it needs."""
+        """Serve undecided *entries* (at least one); returns those still
+        undecided, each with the processes it needs."""
         pending: list[tuple[TokenEntry, list[int]]] = []
         # processes known to have terminated are worth a (final) visit
         ended = {k for k, final in self.terminated.items() if final is not None} - {self.process}
         ends = self._live_ends()
         for entry in entries:
             entry.waiting_for -= ended
-            self._serve_entry(entry, ends)
+            lagging = self._serve_entry(entry, ends)
             if entry.eval is None:
-                lagging = entry.lagging_processes()
                 if lagging:
                     pending.append((entry, lagging))
                 else:
@@ -714,26 +721,29 @@ class DecentralizedMonitor:
             for j, column in enumerate(self.mask_columns)
         ]
 
-    def _serve_entry(self, entry: TokenEntry, ends: list[int]) -> None:
+    def _serve_entry(self, entry: TokenEntry, ends: list[int]) -> list[int]:
         """Advance every component of the entry that needs it over the columns
         held here: own first, then the others, until nothing moves (a scanned
         clock can lift another component's ``depend``).  A component at its
         position in *ends* (:meth:`_live_ends`) is not visited.  The events
         walked are put on the token when it leaves (:meth:`_extend_run`).
+        Returns those that need it still, as the last pass (it moved nothing) saw.
         """
         cut, depend, floor = entry.cut, entry.depend, entry.min_positions
         bits, satisfied = entry.bits, entry.satisfied
-        moved = True
-        while moved and entry.eval is None:
-            moved = False
+        while entry.eval is None:
+            moved, lagging = False, []
             for j in self._serve_order:
                 at = cut[j]
-                if at == ends[j]:
-                    continue
                 care, want = bits[j]
                 if at < depend[j] or at < floor[j] or (care and not satisfied[j]):
-                    self._serve_component(entry, j, care, want)
-                    moved = moved or cut[j] > at
+                    lagging.append(j)
+                    if at != ends[j]:
+                        self._serve_component(entry, j, care, want)
+                        moved = moved or cut[j] > at
+            if not moved:
+                return lagging
+        return []
 
     def _serve_component(self, entry: TokenEntry, j: int, care: int, want: int) -> None:
         """Advance component *j* of the entry, which needs it, over column
@@ -914,10 +924,10 @@ class DecentralizedMonitor:
         now was served from column ``j`` here and is appended from it — by
         nothing where the parent already held that prefix.
         """
-        for j, (known, column) in enumerate(zip(token.known, self.vc_columns)):
+        reaches = map(max, zip(*(entry.cut for entry in token.entries)))
+        for j, (known, column, reach) in enumerate(zip(token.known, self.vc_columns, reaches)):
             run = token.runs.get(j)
             held = known + (len(run[1]) if run else 0)
-            reach = max((entry.cut[j] for entry in token.entries), default=0)
             fresh = column[held + 1 : reach + 1] if reach > held else None
             if fresh:
                 masks, vcs = run or token.runs.setdefault(j, ([], []))
@@ -929,6 +939,8 @@ class DecentralizedMonitor:
     # token return (RECEIVETOKEN at the parent)
     # ------------------------------------------------------------------
     def _token_returned(self, token: Token) -> None:
+        """The parent takes its token back: the one place foreign cuts come in,
+        so a stale or forged entry is left out here (the columns lack its box)."""
         self.metrics.token_hops_max = max(self.metrics.token_hops_max, token.hops)
         view = self._outstanding.pop(token.token_id, None)
         if view is None:
@@ -937,42 +949,38 @@ class DecentralizedMonitor:
             return
         view.status = ViewStatus.UNBLOCKED
         view.outstanding_token = None
-        self._advance_views((*self._forks_of(view, token.entries), view))
+        targets = [
+            tuple(entry.cut) for entry in token.entries if entry.eval is True
+            and all(b <= at < len(c) for b, at, c in zip(view.cut, entry.cut, self.vc_columns))
+        ]  # fmt: skip
+        repair = any(entry.is_repair for entry in token.entries)
+        self._advance_views((*self._forks_of(view, targets, repair), view))
         self._merge_views()
 
-    def _forks_of(self, view: GlobalView, entries: list[TokenEntry]) -> list[GlobalView]:
-        """The views forked from *view* by decided transition entries, or one
-        repair entry: one box search for the step, then entry by entry.
+    def _forks_of(self, view: GlobalView, cuts: list[tuple], repair: bool) -> list[GlobalView]:
+        """The views forked from *view* at the target *cuts* of its decided
+        transition searches, or of one repair: one box search for the step,
+        then target by target.
 
         A target in ``view.searched`` is left out while ``_born`` holds every
         pivot state found there: the view has moved along one path since, so a
         search from here would reach a subset of those, and fork none.
         """
-        repair = any(entry.is_repair for entry in entries)
         if repair:
             self._retire(view)  # first, so that the stale view cannot cover its own forks
-        # a stale or forged entry is left out: the columns do not hold its box
-        held = [len(column) for column in self.vc_columns]
-        decided = [
-            (entry, (view.state, tuple(entry.cut)))
-            for entry in entries
-            if entry.eval is True
-            and all(b <= at < h for b, at, h in zip(view.cut, entry.cut, held))
-        ]
-        last, born = {} if repair else view.searched, self._born
+        last, born, state = {} if repair else view.searched, self._born, view.state
         view.searched = {}  # what is left out, and what the search below finds
-        pivots = ~(self._final_bits | 1 << view.state)
-        fresh = []
-        for entry, mark in decided:
-            found = last.get(mark)
-            if found is None or not all((s, mark[1]) in born for s in _states_of(found & pivots)):
-                fresh.append(entry)
+        pivots, fresh = ~(self._final_bits | 1 << state), []
+        for cut in cuts:
+            found = last.get((state, cut))
+            if found is None or not all((s, cut) in born for s in _states_of(found & pivots)):
+                fresh.append(cut)
             else:
-                view.searched[mark] = found
-        self.metrics.boxes_remembered += len(decided) - len(fresh)
+                view.searched[state, cut] = found
+        self.metrics.boxes_remembered += len(cuts) - len(fresh)
         forked: list[GlobalView] = []
-        for entry, reached in zip(fresh, self._box_reachable(view, fresh) if fresh else ()):
-            forked.extend(self._fork_from_entry(view, entry, reached))
+        for cut, reached in zip(fresh, self._box_reachable(view, fresh) if fresh else ()):
+            forked.extend(self._fork_from_entry(view, cut, reached, repair))
         return forked
 
     def _absorb_runs(self, token: Token) -> None:
@@ -998,27 +1006,27 @@ class DecentralizedMonitor:
                 self._absorbed += 1
 
     def _fork_from_entry(
-        self, view: GlobalView, entry: TokenEntry, reached: int
+        self, view: GlobalView, cut: tuple[int, ...], reached: int, repair: bool
     ) -> list[GlobalView]:
         """Fork one view per automaton state of the bitset *reached* — the
-        states reachable at the entry's cut inside its box.
+        states reachable at the target *cut* inside its box.
 
         Only *pivot* states are forked: a reachable state equal to the parent
         view's own state adds no information (the parent keeps covering that
         state from its smaller cut), and forking it would duplicate the
         parent's exploration — this mirrors the paper's rule of only
-        exploring global states that change the automaton state.  Repair
-        entries fork every reachable state because the parent view has been
-        retired.
+        exploring global states that change the automaton state.  A
+        *repair* forks every reachable state because the parent view has been
+        retired.  A fork inherits the parent's dead guards: its cut lies above.
         """
         children: list[GlobalView] = []
         for state in _states_of(reached & ~self._final_bits):  # those, the search declared
-            if state == view.state and not entry.is_repair:
+            if state == view.state and not repair:
                 continue
-            if self._covered_by_existing_view(state, entry.cut):
+            if self._covered_by_existing_view(state, cut):
                 self.metrics.views_merged += 1
                 continue
-            child = GlobalView(cut=list(entry.cut), state=state)
+            child = GlobalView(cut=list(cut), state=state, dead=view.dead)
             self.metrics.views_created += 1
             self._born |= child.born
             self.views.append(child)
@@ -1026,7 +1034,7 @@ class DecentralizedMonitor:
         self.metrics.max_active_views = max(self.metrics.max_active_views, len(self.views))
         return children
 
-    def _covered_by_existing_view(self, state: int, cut: list[int]) -> bool:
+    def _covered_by_existing_view(self, state: int, cut: tuple[int, ...]) -> bool:
         """Whether a candidate fork would only duplicate exploration.
 
         A live view with the same automaton state whose cut is componentwise
@@ -1035,32 +1043,30 @@ class DecentralizedMonitor:
         view created here at exactly this state and cut (and not evicted)
         has walked, or is walking, the very chain the candidate would.
         """
-        return (state, tuple(cut)) in self._born or any(
-            other.state == state and all(o <= c for o, c in zip(other.cut, cut))
-            for other in self.views
+        return (state, cut) in self._born or any(
+            other.state == state and all(map(le, other.cut, cut)) for other in self.views
         )
 
-    def _box_reachable(self, view: GlobalView, entries: Sequence[TokenEntry]) -> list[int]:
-        """Per entry, the bitset of states reachable at ``entry.cut`` from the
-        view over all interleavings of the events inside
-        ``[view.cut, entry.cut]``.  Conclusive states reached anywhere inside
-        are declared at once: those partial paths are real executions.
+    def _box_reachable(self, view: GlobalView, cuts: Sequence[tuple[int, ...]]) -> list[int]:
+        """Per target cut, the bitset of states reachable there from the view
+        over all interleavings of the events inside ``[view.cut, cut]``.
+        Conclusive states reached anywhere inside are declared at once: those
+        partial paths are real executions.
 
-        An entry is answered without a search when its target's letter sends
-        every state the view can still reach (``MonitorAutomaton.reach_bits``)
-        to one state, no other conclusive state is among those, and the
-        target lies above the view's cut and is consistent: every path into it
-        ends in that state (``docs/architecture.md``, Targets the letter
-        decides).  The others go to :meth:`_box_search`.
+        A target is answered without a search when its letter sends every
+        state the view can still reach (``MonitorAutomaton.reach_bits``) to
+        one state, no other conclusive state is among those, and the target
+        lies above the view's cut and is consistent: every path into it ends
+        in that state (``docs/architecture.md``, Targets the letter decides).
+        The others go to :meth:`_box_search`.
         """
-        self.metrics.box_queries += len(entries)
-        base, vc_columns = view.cut, self.vc_columns
+        self.metrics.box_queries += len(cuts)
+        base, vc_columns = tuple(view.cut), self.vc_columns
         reach = self._reach[view.state]
         others = reach & self._final_bits  # the conclusive states still in reach
         shift, image = self._num_states, self._image_cache
-        reached = [0] * len(entries)
-        for e, entry in enumerate(entries):
-            cut = entry.cut
+        reached = [0] * len(cuts)
+        for e, cut in enumerate(cuts):
             key = self._mask_at(cut) << shift | reach
             one = image.get(key) or self._image(key)
             if (
@@ -1070,109 +1076,105 @@ class DecentralizedMonitor:
                 and all(all(map(le, vc_columns[j][at], cut)) for j, at in enumerate(cut))
             ):
                 self._declare_reached(one)
-                reached[e] = view.searched[view.state, tuple(cut)] = one
+                reached[e] = view.searched[view.state, cut] = one
         if not any(reached):
-            return self._box_search(view, entries)
-        searched = [entry for entry, one in zip(entries, reached) if not one]
-        self.metrics.boxes_by_letter += len(entries) - len(searched)
+            return self._box_search(view, cuts)
+        searched = [cut for cut, one in zip(cuts, reached) if not one]
+        self.metrics.boxes_by_letter += len(cuts) - len(searched)
         found = iter(self._box_search(view, searched) if searched else ())
         return [one or next(found) for one in reached]
 
-    def _box_search(self, view: GlobalView, entries: Sequence[TokenEntry]) -> list[int]:
-        """:meth:`_box_reachable` by one search over the union of the entries'
-        boxes (every entry of a step starts at the view's cut).
+    def _box_search(self, view: GlobalView, cuts: Sequence[tuple[int, ...]]) -> list[int]:
+        """:meth:`_box_reachable` by one search over the union of the target
+        *cuts*' boxes (every target of a step lies above the view's cut).
 
         The search runs over the quotient by *segments* — per process, the
         maximal runs of events with one letter mask, read off ``seg_starts``
         — because an automaton that is ``stutter_closed`` and sits at a fixed
         point of the view's own letter does not move while the global letter
-        repeats.  When either condition fails every event is its own segment.
-        A *cell* is a tuple of segment indices, counted from the view's; an
-        entry's target cell holds its cut; what the search finds there is left
-        in ``view.searched``.  Only the processes the union moves are set up:
-        the letters of the others are one fixed mask, and when none moves
-        every target is the view's own cell, whose states are the view's.
-        """
-        n = self.num_processes
-        base = view.cut
+        repeats.  When either condition fails every event is its own segment
+        (nothing is bisected).  A *cell* holds a segment index, counted from
+        the view's, per process the union moves — only those are set up: the
+        letters of the others are one fixed mask, and when none moves every
+        target is the view's own cell, whose states are the view's.  What the
+        search finds at a target's cell is left in ``view.searched``."""
+        n, base, columns = self.num_processes, view.cut, self.mask_columns
         shift, image = self._num_states, self._image_cache
         start = 1 << view.state
-
-        collapse = False
-        if self.automaton.stutter_closed:
+        hi = list(map(max, base, *cuts))  # the join searched
+        same, collapse, first = hi == base, False, base  # same: every target in the view's cell
+        if not same and self.automaton.stutter_closed:
             key = self._mask_at(base) << shift | start
             collapse = (image.get(key) or self._image(key)) == start
-
-        # the target cells, off the index (every position, if nothing collapses)
-        index = self.seg_starts if collapse else [range(len(c)) for c in self.mask_columns]
-        first = list(map(bisect_right, index, base))
-        targets: dict[tuple[int, ...], list[int]] = {}  # target cell -> its entries
-        for e, entry in enumerate(entries):
-            cell = tuple(map(sub, map(bisect_right, index, entry.cut), first))
+        if collapse:  # cells count segments past the view's, off the index; else events
+            index = self.seg_starts
+            first = list(map(bisect_right, index, base))
+            same = list(map(bisect_right, index, hi)) == first
+        if same:  # the search would stop at level 0
+            self.metrics.box_cells_visited += 1
+            for cut in cuts:
+                view.searched[view.state, cut] = start
+            return [start] * len(cuts)
+        cells = [map(bisect_right, index, cut) if collapse else cut for cut in cuts]
+        cells = [tuple(map(sub, cell, first)) for cell in cells]
+        targets: dict[tuple[int, ...], list[int]] = {}  # target cell -> its targets
+        for e, cell in enumerate(cells):
             targets.setdefault(cell, []).append(e)
         ranges = [max(column) for column in zip(*targets)]
-        active = [j for j in range(n) if ranges[j] > 0]  # the processes the union moves
-        if not active:  # the search would stop at level 0, in the view's cell
-            self.metrics.box_cells_visited += 1
-            for entry in entries:
-                view.searched[view.state, tuple(entry.cut)] = start
-            return [start] * len(entries)
+        active = [j for j in range(n) if ranges[j]]  # the processes the union moves
 
-        # per process moved: the positions of the events that open segments
-        # 1, 2, … of the union, and per segment its letter mask and its last
-        # position — maybe beyond a target in it, but an opener at or below a
-        # target is inside that consistent cut: its clock asks nothing beyond
-        # it.  A process not moved has one segment, ending at the join.
-        # A cell is held as a mixed-radix integer (advancing process j adds
-        # strides[j]); a set of automaton states, or of targets, is a bitmask.
-        # fits[j][g]: the targets whose cell reaches segment g of process j —
-        # a successor is kept only below some target, or the union could
-        # outgrow the boxes it joins.  needs[j][g], filled when first asked
-        # for: what the opener of segment g + 1 of process j requires of the
-        # others, as (process, least position) pairs.
-        hi = list(map(max, base, *(entry.cut for entry in entries)))  # the join searched
-        seg_ends: list[list[int]] = [[at] for at in hi]
-        opens: list[list[int]] = [[]] * n
-        seg_masks: list[list[int]] = [[]] * n
-        fits: list[list[int]] = [[]] * n
-        needs: list[list] = [[]] * n
-        strides, stride, fixed = [0] * n, 1, 0  # fixed: the letter of those not moved
-        for j, column in enumerate(self.mask_columns):
-            r = ranges[j]
+        # per process moved (a *lane* a): the positions of the events that
+        # open segments 1, 2, … of the union, and per segment its letter mask
+        # and its last position — maybe beyond a target in it, but an opener
+        # at or below a target is inside that consistent cut.  A process not
+        # moved has one segment, ending at the join.  A cell is a mixed-radix
+        # integer (advancing process j adds strides[j]); a set of automaton
+        # states, or of targets, is a bitmask.  fits[g] of a lane: the targets
+        # whose cell reaches its segment g — a successor is kept only below
+        # some target, or the union could outgrow the boxes it joins; needs[g],
+        # filled when first asked for: what the opener of its segment g + 1
+        # requires of the others, as (lane, least position) pairs.
+        m = len(active)
+        lane_of, strides = [m] * n, [0] * n  # lane m: those not moved
+        fixed, stride, lanes, seg_masks, seg_ends = 0, 1, [], [], []
+        for j, r in enumerate(ranges):
+            b = base[j]
             if not r:
-                fixed |= column[base[j]]
+                fixed |= columns[j][b]  # the letter of those not moved
                 continue
-            opens[j] = index[j][first[j] : first[j] + r]
-            seg_masks[j] = [column[base[j]], *[column[o] for o in opens[j]]]
-            seg_ends[j] = [*[o - 1 for o in opens[j]], hi[j]]
+            opens = index[j][first[j] : first[j] + r] if collapse else range(b + 1, b + r + 1)
+            seg_masks.append([columns[j][b], *[columns[j][o] for o in opens]])
+            seg_ends.append([*[o - 1 for o in opens], hi[j]])
+            lane_of[j] = a = len(lanes)
+            lanes.append((a, j, stride, [0] * (r + 2), [None] * r, opens))
             strides[j], stride = stride, stride * (r + 1)
-            fits[j] = [0] * (r + 2)
-            needs[j] = [None] * r
-        # target cell, as an integer -> its slot
-        goals: dict[int, list | None] = {sum(map(mul, cell, strides)): None for cell in targets}
+        seg_ends.append([-1])  # what is asked of lane m beyond the join never fits
+        goals: dict[int, list | None] = {}  # target cell, as an integer -> its slot
         for bit, cell in enumerate(targets):
-            for j in active:
+            goals[sum(map(mul, cell, strides))] = None
+            for _, j, _, fit, _, _ in lanes:
                 for g in range(1, cell[j] + 1):
-                    fits[j][g] |= 1 << bit
+                    fit[g] |= 1 << bit
         vc_columns = self.vc_columns
 
         # Level-synchronous BFS over the *inhabited* cells — those holding a
         # consistent cut (all predecessors of a cell sit exactly one level
         # below it, so each level is complete before it is expanded).  A slot
-        # is [state bits, segment indices, letter mask << shift, targets above].
+        # is [state bits, segment index per lane, letter mask << shift,
+        # targets above].
         visited = 1
-        current = {0: [start, [0] * n, 0, (1 << len(targets)) - 1]}
+        current = {0: [start, [0] * (m + 1), 0, (1 << len(targets)) - 1]}
         if 0 in goals:
             goals[0] = current[0]
         while current:
             nxt: dict[int, list] = {}
             for cell, (states, segments, _, below) in current.items():
-                for j in active:
-                    gj = segments[j]
-                    under = below & fits[j][gj + 1]
+                for a, j, stride, fit, need_of, opened in lanes:
+                    gj = segments[a]
+                    under = below & fit[gj + 1]
                     if not under:
                         continue
-                    succ = cell + strides[j]
+                    succ = cell + stride
                     slot = nxt.get(succ)
                     if slot is None:
                         # the predecessor is inhabited, so the successor is
@@ -1180,21 +1182,22 @@ class DecentralizedMonitor:
                         # segment fits inside the cell: each process it needs
                         # can get there before its segment ends (a plain loop:
                         # any() over a generator costs a third of the search)
-                        need = needs[j][gj]
+                        need = need_of[gj]
                         if need is None:
-                            vc = vc_columns[j][opens[j][gj]]
-                            need = needs[j][gj] = [
-                                (k, vc[k]) for k in range(n) if k != j and vc[k] > base[k]
+                            need = need_of[gj] = [
+                                (lane_of[k], least)
+                                for k, least in enumerate(vc_columns[j][opened[gj]])
+                                if k != j and least > (base[k] if lane_of[k] < m else hi[k])
                             ]
                         for k, least in need:
                             if seg_ends[k][segments[k]] < least:
                                 break
                         else:
                             at = segments.copy()
-                            at[j] = gj + 1
+                            at[a] = gj + 1
                             mask = fixed
-                            for i in active:
-                                mask |= seg_masks[i][at[i]]
+                            for masks, g in zip(seg_masks, at):
+                                mask |= masks[g]
                             slot = nxt[succ] = [0, at, mask << shift, under]
                             if succ in goals:
                                 goals[succ] = slot
@@ -1208,10 +1211,10 @@ class DecentralizedMonitor:
             visited += len(nxt)
             current = nxt
         self.metrics.box_cells_visited += visited
-        reached = [0] * len(entries)
+        reached = [0] * len(cuts)
         for slot, served in zip(goals.values(), targets.values()):
             for e in served if slot else ():  # no slot: the cut was not a consistent one
-                reached[e] = view.searched[view.state, tuple(entries[e].cut)] = slot[0]
+                reached[e] = view.searched[view.state, cuts[e]] = slot[0]
         return reached
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ cheap — while sharing no mutable monitor state, so per-tenant runs stay
 deterministic.  The correctness anchor (property-tested across tenant-count
 scales): under a non-saturating ``block`` policy, a tenant's
 :class:`TenantResult` is byte-identical to the same (formula, stream) run
-standalone through :func:`repro.runtime.runner.run_streaming` —
+standalone through :func:`repro.runtime.runner.stream_monitored_run` —
 :func:`standalone_tenant_result` is that reference path.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 from ..experiments.properties import case_study_monitor, case_study_registry
 from ..runtime.node import StreamMonitorNode
-from ..runtime.runner import drive_session, run_streaming
+from ..runtime.runner import drive_session, stream_monitored_run
 from ..runtime.transport import InMemoryStreamTransport
 from ..session import MonitorSession, RunReport
 from .config import FleetConfig, TenantSpec
@@ -215,21 +215,21 @@ def standalone_tenant_result(
     """The fleet's correctness reference: the tenant run standalone.
 
     Resolves the tenant's source and runs the identical (formula, stream)
-    through the plain asyncio backend (:func:`repro.runtime.runner.run_streaming`)
+    through the plain asyncio backend (:func:`repro.runtime.runner.stream_monitored_run`)
     with no fleet multiplexing and no inbox bound.  A fleet run under a
     non-saturating ``block`` policy must produce a :class:`TenantResult`
     whose :meth:`~TenantResult.equivalence_key` matches this one exactly.
+    Loading and the session share one event loop.
     """
-    computation, automaton, registry = asyncio.run(_load_inputs(spec))
-    report = run_streaming(
-        computation,
-        automaton,
-        registry,
-        max_views_per_state=spec.max_views_per_state,
-        transport="memory",
-        quiesce_timeout=quiesce_timeout,
-    )
-    return TenantResult.from_report(spec, report)
+
+    async def standalone() -> RunReport:
+        computation, automaton, registry = await _load_inputs(spec)
+        return await stream_monitored_run(
+            computation, automaton, registry, max_views_per_state=spec.max_views_per_state,
+            transport="memory", quiesce_timeout=quiesce_timeout,
+        )  # fmt: skip
+
+    return TenantResult.from_report(spec, asyncio.run(standalone()))
 
 
 async def _guarded_session(

@@ -93,20 +93,21 @@ def _search(monitor, computation, guard, floor):
 
 
 def _as_search(entry):
-    """The ``(row, satisfied, floor)`` ``_issue_token`` takes for *entry*."""
-    return (entry.transition_id, entry.bits, ()), entry.satisfied, entry.min_positions
+    """The ``(row, satisfied, floor)`` ``_issue_token`` takes for *entry*
+    (guard id 0: the view is new, it holds no guard dead)."""
+    return (entry.transition_id, entry.bits, (), 0), entry.satisfied, entry.min_positions
 
 
 def _issue(monitor, computation, guard, floor):
     """Issue the search for *guard* at *floor*, decided at home; returns the
     least cut it found, or ``None`` (settled ``False``)."""
     view, entry = _search(monitor, computation, guard, floor)
-    forks_of, given = monitor._forks_of, []
-    monitor._forks_of = lambda view, entries: given.extend(entries) or forks_of(view, entries)
+    forks_of, given = monitor._forks_of, []  # the target cuts it forks from
+    monitor._forks_of = lambda v, cuts, repair: given.extend(cuts) or forks_of(v, cuts, repair)
     monitor._issue_token(view, [_as_search(entry)])
     del monitor._forks_of
-    (found,) = [entry.cut for entry in given if entry.eval] or [None]
-    return found and tuple(found)
+    (found,) = given or [None]
+    return found
 
 
 @st.composite
@@ -316,9 +317,9 @@ def test_leaving_out_the_last_steps_boxes_changes_no_view_and_no_verdict(case):
     forgetful = _explorer(computation, registry, automaton, process, budget)
     forks = forgetful._forks_of
 
-    def forgetting(view, entries):
+    def forgetting(view, cuts, repair):
         view.searched = {}
-        return forks(view, entries)
+        return forks(view, cuts, repair)
 
     forgetful._forks_of = forgetting
     for event in computation.events_of(process):
@@ -355,12 +356,12 @@ def _two_steps(between=lambda monitor, view, forked: None, before=None):
     again = copy.deepcopy(entry)
     if before is not None:
         before(monitor, view)
-    first = monitor._forks_of(view, [entry])
+    first = monitor._forks_of(view, [tuple(entry.cut)], False)
     ((mark, reached),) = view.searched.items() or [(None, None)]
     assert mark in (None, (0, (SIDE, SIDE)))
     between(monitor, view, first)
     view.cut[0] += 1  # one own event later; the state is whatever it is by then
-    return monitor, first, monitor._forks_of(view, [again]), reached
+    return monitor, first, monitor._forks_of(view, [tuple(again.cut)], False), reached
 
 
 def test_the_box_a_views_last_step_searched_is_not_searched_again():

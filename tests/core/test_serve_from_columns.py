@@ -33,10 +33,16 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from test_token_hot_paths import _bits_of, _random_automaton, _serve_one_event_at_a_time, _setting
+from test_token_hot_paths import (
+    _bits_of,
+    _lagging,
+    _random_automaton,
+    _serve_one_event_at_a_time,
+    _setting,
+)
 from test_token_hot_paths import _monitor as _fed_monitor
 
-from repro.core.global_view import GlobalView
+from repro.core.global_view import GlobalView, ViewStatus
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.clocks import VectorClock
@@ -90,13 +96,13 @@ def token_heavy_inputs():
 def _own_column_only(monkeypatch):
     """Switch foreign-column serving off from outside: a visit advances the
     visited process's component and nothing else, as before."""
-    init = DecentralizedMonitor.__init__
+    serve = DecentralizedMonitor._serve_component
 
-    def own_column_only(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self._serve_order = (self.process,)
+    def own_column_only(self, entry, j, care, want):
+        if j == self.process:
+            serve(self, entry, j, care, want)
 
-    monkeypatch.setattr(DecentralizedMonitor, "__init__", own_column_only)
+    monkeypatch.setattr(DecentralizedMonitor, "_serve_component", own_column_only)
 
 
 def _never_settle(monkeypatch):
@@ -184,7 +190,7 @@ def test_serving_from_prefixes_matches_the_owners_event_at_a_time_loops(case):
         assert entry.eval is False
         assert any(
             monitor.terminated[j] <= max(held[j], entry.cut[j])
-            for j in entry.lagging_processes()
+            for j in _lagging(entry)
             if j != server
         )
     # never parks on a foreign process: only M_j knows it has nothing more
@@ -201,8 +207,8 @@ def test_a_foreign_column_that_runs_out_leaves_the_component_lagging():
         start_cut=[0, 0, 0], cut=[0, 0, 0], depend=[0, 0, 0], min_positions=[0, 0, 0],
         satisfied=[True, False, True],
     )
-    monitor._serve_entry(entry, monitor._live_ends())
-    assert entry.cut == [0, 2, 0] and entry.lagging_processes() == [1]
+    assert monitor._serve_entry(entry, monitor._live_ends()) == [1]  # lagging on P1
+    assert entry.cut == [0, 2, 0]
     assert entry.parked_on is None and entry.waiting_for == set() and entry.eval is None
     monitor.terminated[1] = 3  # ended, but beyond what is held here
     monitor._serve_entry(entry, monitor._live_ends())
@@ -456,13 +462,8 @@ def test_a_repair_fork_below_a_waiting_view_of_its_state_is_not_created():
 
 def _fork_repaired(monitor, view, cut):
     """Search and fork a decided repair of *view* up to *cut*."""
-    n = len(cut)
-    entry = TokenEntry(
-        transition_id=None, bits=((0, 0),) * n,
-        start_cut=list(view.cut), cut=list(cut), depend=list(cut),
-        min_positions=list(cut), satisfied=[True] * n, eval=True,
-    )
-    return monitor._fork_from_entry(view, entry, *monitor._box_reachable(view, [entry]))
+    target = tuple(cut)
+    return monitor._fork_from_entry(view, target, *monitor._box_reachable(view, [target]), True)
 
 
 def test_a_signature_is_born_once_unless_its_view_was_evicted():
@@ -520,8 +521,8 @@ def _watch_births(monkeypatch):
     enforce = DecentralizedMonitor._enforce_view_budget
     births = {}
 
-    def watched_fork(self, view, entry, reached):
-        children = fork(self, view, entry, reached)
+    def watched_fork(self, view, cut, reached, repair):
+        children = fork(self, view, cut, reached, repair)
         live = births.setdefault(id(self), set())
         for child in children:
             assert child.born == {child.signature()}
@@ -668,9 +669,10 @@ def _skewed_run(cell, mode, monkeypatch):
     box = DecentralizedMonitor._box_reachable
     repairs = []
 
-    def watched(self, view, entries):
-        reached = box(self, view, entries)
-        repairs.extend(bool(bits) for entry, bits in zip(entries, reached) if entry.is_repair)
+    def watched(self, view, cuts):
+        reached = box(self, view, cuts)
+        if view.status == ViewStatus.FINAL:  # a repair retires its view first
+            repairs.extend(map(bool, reached))
         return reached
 
     monkeypatch.setattr(DecentralizedMonitor, "_box_reachable", watched)

@@ -288,7 +288,7 @@ def _waiting_on_p1(monkeypatch):
     box = DecentralizedMonitor._box_reachable
     monkeypatch.setattr(
         DecentralizedMonitor, "_box_reachable",
-        lambda self, v, entries: searched.append(v) or box(self, v, entries),
+        lambda self, v, cuts: searched.append(v) or box(self, v, cuts),
     )
     return monitor, network, view, token, searched
 

@@ -109,11 +109,11 @@ def steps(draw):
 
 
 def _step(computation, registry, automaton, start, targets, state):
-    """A monitor holding every target's box, the view and one entry per target."""
+    """A monitor holding every target's box, the view and the targets' cuts."""
     feed = max(target[0] for target in targets)
     monitor = _monitor(0, computation, registry, automaton, feed=feed)
     boxes = [_box(monitor, computation, registry, start, target, state) for target in targets]
-    return monitor, boxes[0][0], [entry for _, entry in boxes]
+    return monitor, boxes[0][0], [tuple(entry.cut) for _, entry in boxes]
 
 
 def _searched_targets(monitor):
@@ -122,9 +122,9 @@ def _searched_targets(monitor):
     searched = []
     search = monitor._box_search
 
-    def spy(view, entries):
-        searched.extend(tuple(entry.cut) for entry in entries)
-        return search(view, entries)
+    def spy(view, cuts):
+        searched.extend(cuts)
+        return search(view, cuts)
 
     monitor._box_search = spy
     return searched
@@ -134,24 +134,24 @@ def _searched_targets(monitor):
 @settings(max_examples=300, deadline=None)
 def test_one_search_per_step_matches_a_search_per_entry_and_the_lattice(case):
     computation, registry, lattice, start, targets, automaton, state = case
-    monitor, view, entries = _step(computation, registry, automaton, start, targets, state)
+    monitor, view, cuts = _step(computation, registry, automaton, start, targets, state)
     before = set(_states_of(monitor.declared_bits))
     searched = _searched_targets(monitor)
-    together = monitor._box_reachable(view, entries)
-    assert monitor.metrics.box_queries == len(entries)
-    assert monitor.metrics.boxes_by_letter == len(entries) - len(searched)
+    together = monitor._box_reachable(view, cuts)
+    assert monitor.metrics.box_queries == len(cuts)
+    assert monitor.metrics.boxes_by_letter == len(cuts) - len(searched)
     expected_conclusive = set()
     cells_alone = 0
-    for target, entry, reached in zip(targets, entries, together):
+    for target, cut, reached in zip(targets, cuts, together):
         states, conclusive, _ = _brute_force(
             computation, lattice, registry, automaton, start, target, state
         )
         expected_conclusive |= conclusive
         assert set(_states_of(reached)) == states
-        alone, view_alone, entry_alone = _step(
+        alone, view_alone, cuts_alone = _step(
             computation, registry, automaton, start, [target], state
         )
-        assert alone._box_reachable(view_alone, entry_alone) == [reached]
+        assert alone._box_reachable(view_alone, cuts_alone) == [reached]
         assert set(_states_of(alone.declared_bits)) - before == conclusive - before
         cells_alone += alone.metrics.box_cells_visited
     assert set(_states_of(monitor.declared_bits)) - before == expected_conclusive - before
@@ -185,8 +185,8 @@ def test_incomparable_targets_do_not_make_the_search_visit_their_join():
     automaton = _random_automaton(registry.names, inconclusive=6, seed=3)
     lattice = ComputationLattice.from_computation(computation)
     targets = [(side, 0), (0, side)]
-    monitor, view, entries = _step(computation, registry, automaton, (0, 0), targets, 0)
-    together = monitor._box_reachable(view, entries)
+    monitor, view, cuts = _step(computation, registry, automaton, (0, 0), targets, 0)
+    together = monitor._box_reachable(view, cuts)
     for target, reached in zip(targets, together):
         states, _, _ = _brute_force(computation, lattice, registry, automaton, (0, 0), target, 0)
         assert set(_states_of(reached)) == states
@@ -353,7 +353,7 @@ def test_an_entry_is_served_by_the_bits_it_carries():
 
 
 def _shared_bits(monitor):
-    return [bits for rows in monitor._rows for _, bits in rows]
+    return [bits for rows in monitor._rows for _, bits, _ in rows]
 
 
 def test_monitors_of_one_property_share_its_guard_rows_and_another_binding_does_not():
@@ -552,15 +552,15 @@ def lettered_steps(draw):
 @settings(max_examples=400, deadline=None)
 def test_a_target_its_letter_decides_gets_what_the_search_and_the_lattice_give(case):
     computation, registry, lattice, start, targets, automaton, state = case
-    monitor, view, entries = _step(computation, registry, automaton, start, targets, state)
+    monitor, view, cuts = _step(computation, registry, automaton, start, targets, state)
     before = set(_states_of(monitor.declared_bits))
-    together = monitor._box_reachable(view, entries)
+    together = monitor._box_reachable(view, cuts)
     searched, declared = {}, set()
     for target in targets:  # the search alone, on a monitor of its own
-        alone, view_alone, entry_alone = _step(
+        alone, view_alone, cuts_alone = _step(
             computation, registry, automaton, start, [target], state
         )
-        (searched[target],) = alone._box_search(view_alone, entry_alone)
+        (searched[target],) = alone._box_search(view_alone, cuts_alone)
         declared |= set(_states_of(alone.declared_bits))
         mark = (state, target)
         assert view.searched.get(mark) == view_alone.searched.get(mark)
@@ -594,7 +594,7 @@ def test_every_conclusive_state_of_the_case_study_monitors_is_a_trap():
 # (vii) a search sets up only what it moves: the search that set up every
 # process, kept as the reference
 # ---------------------------------------------------------------------------
-def _reference_box_search(monitor, view, entries):
+def _reference_box_search(monitor, view, cuts):
     """``_box_search`` as it was when it built segments, strides, fits and
     needs for every process, and searched when no process moves."""
     n = monitor.num_processes
@@ -607,12 +607,12 @@ def _reference_box_search(monitor, view, entries):
         collapse = (image.get(key) or monitor._image(key)) == start
     index = monitor.seg_starts if collapse else [range(len(c)) for c in monitor.mask_columns]
     first = list(map(bisect_right, index, base))
-    reached = [0] * len(entries)
+    reached = [0] * len(cuts)
     targets = {}
-    for e, entry in enumerate(entries):
-        cell = tuple(map(sub, map(bisect_right, index, entry.cut), first))
+    for e, cut in enumerate(cuts):
+        cell = tuple(map(sub, map(bisect_right, index, cut), first))
         targets.setdefault(cell, []).append(e)
-    hi = list(map(max, base, *(entry.cut for entry in entries)))
+    hi = list(map(max, base, *cuts))
     ranges = [max(column) for column in zip(*targets)]
     opens = [starts[f : f + r] for starts, f, r in zip(index, first, ranges)]
     seg_masks, seg_ends = [], []
@@ -672,11 +672,11 @@ def _reference_box_search(monitor, view, entries):
     monitor.metrics.box_cells_visited += visited
     for slot, served in zip(goals.values(), targets.values()):
         for e in served if slot else ():
-            reached[e] = view.searched[view.state, tuple(entries[e].cut)] = slot[0]
+            reached[e] = view.searched[view.state, cuts[e]] = slot[0]
     return reached
 
 
-def _both_searches(monitor, view, entries, search):
+def _both_searches(monitor, view, cuts, search):
     """What the reference search and *search* each give and leave — answers,
     ``view.searched``, declared states and verdicts, cells counted — from the
     same monitor state; the monitor is left as *search* leaves it."""
@@ -688,7 +688,7 @@ def _both_searches(monitor, view, entries, search):
         view.searched = dict(searched)
         monitor.declared_bits, monitor.verdict_log = declared, list(log)
         monitor.metrics.box_cells_visited = cells
-        reached = run(monitor, view, entries)
+        reached = run(monitor, view, cuts)
         results.append((
             reached, dict(view.searched), monitor.declared_bits,
             list(monitor.verdict_log), monitor.metrics.box_cells_visited - cells,
@@ -700,8 +700,8 @@ def _both_searches(monitor, view, entries, search):
 @settings(max_examples=300, deadline=None)
 def test_a_search_gives_and_leaves_what_the_search_that_set_up_every_process_did(case):
     computation, registry, _, start, targets, automaton, state = case
-    monitor, view, entries = _step(computation, registry, automaton, start, targets, state)
-    reference, own = _both_searches(monitor, view, entries, DecentralizedMonitor._box_search)
+    monitor, view, cuts = _step(computation, registry, automaton, start, targets, state)
+    reference, own = _both_searches(monitor, view, cuts, DecentralizedMonitor._box_search)
     assert own == reference
 
 
@@ -713,8 +713,8 @@ def test_every_search_of_a_run_gives_what_the_search_that_set_up_every_process_d
     searched = []
     own = DecentralizedMonitor._box_search
 
-    def checked(monitor, view, entries):
-        reference, mine = _both_searches(monitor, view, entries, own)
+    def checked(monitor, view, cuts):
+        reference, mine = _both_searches(monitor, view, cuts, own)
         assert mine == reference
         searched.append(mine[-1])
         return mine[0]
@@ -747,8 +747,8 @@ def test_a_union_that_crosses_no_segment_boundary_is_the_views_own_cell():
     automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
     state = automaton.step(automaton.initial_state, frozenset())
     targets = [(2, 1), (1, 2), (3, 2)]
-    monitor, view, entries = _step(computation, registry, automaton, (0, 0), targets, state)
-    reference, own = _both_searches(monitor, view, entries, DecentralizedMonitor._box_search)
+    monitor, view, cuts = _step(computation, registry, automaton, (0, 0), targets, state)
+    reference, own = _both_searches(monitor, view, cuts, DecentralizedMonitor._box_search)
     assert own == reference
     assert own[0] == [1 << state] * 3 and own[-1] == 1  # one cell, no level searched
     lattice = ComputationLattice.from_computation(computation)
@@ -763,7 +763,7 @@ def test_a_chain_of_one_process_stops_where_its_openers_clock_does_not_fit():
     computation, registry = _chain([("m", 1), ("i", 0)])
     automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
     state = automaton.step(automaton.initial_state, frozenset())
-    monitor, view, entries = _step(computation, registry, automaton, (0, 0), [(2, 0)], state)
-    reference, own = _both_searches(monitor, view, entries, DecentralizedMonitor._box_search)
+    monitor, view, cuts = _step(computation, registry, automaton, (0, 0), [(2, 0)], state)
+    reference, own = _both_searches(monitor, view, cuts, DecentralizedMonitor._box_search)
     assert own == reference
     assert own[0] == [0] and own[1] == {} and own[-1] == 1

@@ -282,13 +282,13 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
     monitor = _monitor(0, computation, registry, automaton, feed=target[0])
     before = set(_states_of(monitor.declared_bits))
     view, entry = _box(monitor, computation, registry, start, target, state)
-    (reached,) = monitor._box_reachable(view, [entry])
+    (reached,) = monitor._box_reachable(view, [tuple(entry.cut)])
     assert set(_states_of(reached)) == expected_states
     assert set(_states_of(monitor.declared_bits)) - before == expected_conclusive - before
     assert monitor.declared_verdicts >= {automaton.verdict(q) for q in expected_conclusive}
-    entry.transition_id = None  # as a repair: every inconclusive state reached is forked
+    # as a repair: every inconclusive state reached is forked
     letter = registry.letter_of(computation.global_state(target))
-    for child in monitor._fork_from_entry(view, entry, reached):
+    for child in monitor._fork_from_entry(view, tuple(target), reached, repair=True):
         assert child.cut == list(target)
         assert monitor._mask_at(child.cut) == automaton.compiled.encode(letter)
     assert monitor.metrics.box_queries == 1
@@ -322,7 +322,7 @@ def test_the_search_visits_letter_runs_not_the_events_spanned():
     assert consistent_cuts == (events + 1) ** n
     monitor = _monitor(0, computation, registry, automaton, feed=events)
     view, entry = _box(monitor, computation, registry, start, target, state)
-    (reached,) = monitor._box_reachable(view, [entry])
+    (reached,) = monitor._box_reachable(view, [tuple(entry.cut)])
     assert set(_states_of(reached)) == expected_states
     assert set(_states_of(monitor.declared_bits)) == expected_conclusive
     assert monitor.metrics.boxes_by_letter == 0
@@ -371,9 +371,11 @@ def test_children_of_one_entry_keep_their_own_cuts():
     monitor = _monitor(0, computation, registry, automaton, feed=3)
     for j in range(2):
         monitor.transport.register(j, monitor)  # tokens sent are never delivered
-    view, entry = _box(monitor, computation, registry, (0, 0), (2, 2), automaton.initial_state)
-    entry.transition_id = None  # a repair entry
-    first, second = monitor._fork_from_entry(view, entry, *monitor._box_reachable(view, [entry]))
+    view, _ = _box(monitor, computation, registry, (0, 0), (2, 2), automaton.initial_state)
+    target = (2, 2)  # a repair's: every state reached is forked
+    first, second = monitor._fork_from_entry(
+        view, target, *monitor._box_reachable(view, [target]), repair=True
+    )
     assert first.cut == second.cut and first.cut is not second.cut
     monitor._step_view(first, 3)
     assert first.cut == [3, 2] and second.cut == [2, 2]
@@ -384,6 +386,15 @@ def test_children_of_one_entry_keep_their_own_cuts():
 # ---------------------------------------------------------------------------
 # (b) one-shot serving == the one-event-at-a-time loop
 # ---------------------------------------------------------------------------
+def _lagging(entry):
+    """The processes whose component of *entry* must still advance."""
+    return [
+        j for j, at in enumerate(entry.cut)
+        if at < entry.depend[j] or at < entry.min_positions[j]
+        or (entry.bits[j][0] != 0 and not entry.satisfied[j])
+    ]  # fmt: skip
+
+
 def _serve_one_event_at_a_time(monitor, entry):
     """The loop ``_serve_entry`` replaced, behind the guard its callers applied.
 
@@ -391,7 +402,7 @@ def _serve_one_event_at_a_time(monitor, entry):
     """
     j = monitor.process
     scanned = []
-    if j not in entry.lagging_processes():
+    if j not in _lagging(entry):
         return scanned
     care, want = entry.bits[j]
     entry.waiting_for.discard(j)

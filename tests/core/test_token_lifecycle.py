@@ -304,6 +304,67 @@ def test_a_notice_of_a_process_outside_the_session_is_refused():
     assert all(final is None for final in monitor.terminated.values())
 
 
+@pytest.fixture(scope="module")
+def finished_b():
+    """Monitor 0 of a finished B n=3 epp=6 run: it knows where every process ended."""
+    scenario = get_scenario("paper-default")
+    inputs = cell_inputs(
+        scenario, "B", 3, events_per_process=6,
+        evt_mu=3, evt_sigma=1, comm_mu=3, comm_sigma=1, seed=2015,
+    )
+    report = simulate_monitored_run(*inputs, seed=2015, network=scenario.network)
+    monitor = report.monitors[0]
+    assert None not in monitor.terminated.values() and len(monitor.vc_columns[1]) > 1
+    return monitor
+
+
+def _refused(monitor, message, match):
+    """*message* is refused with a ``ValueError`` and changes nothing."""
+    before = dict(monitor.terminated), monitor.metrics.token_hops_served
+    with pytest.raises(ValueError, match=match):
+        monitor.receive_message(message)
+    assert (dict(monitor.terminated), monitor.metrics.token_hops_served) == before
+
+
+def test_a_notice_of_the_monitors_own_process_is_refused(finished_b):
+    # before: delivered to monitor 0, it rewrote its own terminated[0] (26 -> 2)
+    _refused(finished_b, TerminationNotice(0, 2), "of process 0 of 3 to 0")
+
+
+def test_a_notice_below_the_events_held_of_its_process_is_refused(finished_b):
+    # before: stored as is, beneath the events column 1 holds
+    _refused(finished_b, TerminationNotice(1, 0), "process 1 ends at 0")
+    _refused(finished_b, TerminationNotice(1, -7), "process 1 ends at -7")
+
+
+def test_a_notice_below_the_column_is_refused_before_any_notice_came():
+    system = _System()
+    monitor = system.monitors[0]
+    p1 = monitor.automaton.compiled.atom_bit["P1.p"]
+    monitor.receive_message(_token([0] * N, N, {1: ([p1, 0], [(0, 1, 0), (0, 2, 0)])}))
+    assert len(monitor.vc_columns[1]) == 3 and monitor.terminated[1] is None
+    _refused(monitor, TerminationNotice(1, 1), "ends at 1: 2 held")
+    _refused(monitor, TerminationNotice(1, -1), "process 1 ends at -1")
+    monitor.receive_message(TerminationNotice(1, 2))  # where the column ends: it fits
+    assert monitor.terminated[1] == 2
+
+
+def test_a_notice_that_contradicts_an_earlier_one_is_refused_and_a_repeat_is_not(finished_b):
+    final = finished_b.terminated[2]
+    _refused(finished_b, TerminationNotice(2, final + 1), f"{final} told")
+    finished_b.receive_message(TerminationNotice(2, final))  # a duplicate, a replay
+    assert finished_b.terminated[2] == final
+
+
+def test_a_frame_with_a_notice_that_does_not_fit_is_refused_whole(finished_b):
+    final = finished_b.terminated[2]
+    for bad in (TerminationNotice(0, 2), TerminationNotice(1, -7), TerminationNotice(2, final - 1)):
+        _refused(finished_b, (TerminationNotice(2, final), bad), "termination notice|ends at")
+    # two notices of one process that disagree, inside one frame
+    system = _System()
+    _refused(system.monitors[0], (TerminationNotice(1, 4), TerminationNotice(1, 5)), "4 told")
+
+
 # ---------------------------------------------------------------------------
 # the merge after every token hop was redundant
 # ---------------------------------------------------------------------------
