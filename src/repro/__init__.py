@@ -31,6 +31,8 @@ Subpackages
     return.
 ``repro.sim``
     Discrete-event simulation of asynchronous programs, networks and monitors.
+``repro.coordination``
+    The monitors' token routing rule (``RoundRobinToken``).
 ``repro.runtime``
     The asyncio streaming backend: monitor nodes over real sockets.
 ``repro.fleet``
@@ -41,6 +43,8 @@ Subpackages
     worker processes and the coordinating control plane.
 ``repro.faults``
     Fault plans and the crash/restart injection seam shared by all backends.
+``repro.fuzz``
+    The property fuzzer of the soundness claims, with its shrinker.
 ``repro.scenarios``
     The registered scenario catalogue (network, workload and fault models).
 ``repro.experiments``
@@ -59,11 +63,14 @@ __all__ = [
     "ltl",
     "distributed",
     "core",
+    "coordination",
+    "session",
     "sim",
     "runtime",
     "fleet",
     "cluster",
     "faults",
+    "fuzz",
     "scenarios",
     "experiments",
 ]

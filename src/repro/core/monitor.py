@@ -24,8 +24,9 @@ elsewhere), why a step pays only for the guards that can still fire (a search
 answered at home forks from target cuts, not entries) and an own event that
 moves nothing costs little, and how the two hot loops — token serving off the
 guard rows, built once per property with a step's searches looked up by
-(global letter, state), and box search off the segment index, set up and held
-in cells only for the processes it moves — are built: ``docs/architecture.md``.
+(global letter, state), and box search off the segment index, set up from the
+join: walked in a line when it moves one process, else held in cells only for
+the processes it moves — are built: ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -1093,35 +1094,56 @@ class DecentralizedMonitor:
         — because an automaton that is ``stutter_closed`` and sits at a fixed
         point of the view's own letter does not move while the global letter
         repeats.  When either condition fails every event is its own segment
-        (nothing is bisected).  A *cell* holds a segment index, counted from
-        the view's, per process the union moves — only those are set up: the
-        letters of the others are one fixed mask, and when none moves every
-        target is the view's own cell, whose states are the view's.  What the
-        search finds at a target's cell is left in ``view.searched``."""
+        (nothing is bisected).  Which processes the union moves is read off
+        the join before anything else.  When at most one moves the cells are
+        a line: a segment's cell holds a consistent cut exactly when the one
+        before does and its opener's clock fits under the join elsewhere, so
+        the search takes one image per segment and stops at the first that
+        does not fit (none moving: every target is the view's own cell, whose
+        states are the view's).  Otherwise a *cell* holds a segment index,
+        counted from the view's, per process moved — only those are set up:
+        the letters of the others are one fixed mask.  What the search finds
+        at a target's cell is left in ``view.searched``."""
         n, base, columns = self.num_processes, view.cut, self.mask_columns
         shift, image = self._num_states, self._image_cache
         start = 1 << view.state
         hi = list(map(max, base, *cuts))  # the join searched
-        same, collapse, first = hi == base, False, base  # same: every target in the view's cell
-        if not same and self.automaton.stutter_closed:
+        collapse, first, top = False, base, hi
+        if hi != base and self.automaton.stutter_closed:
             key = self._mask_at(base) << shift | start
             collapse = (image.get(key) or self._image(key)) == start
         if collapse:  # cells count segments past the view's, off the index; else events
             index = self.seg_starts
-            first = list(map(bisect_right, index, base))
-            same = list(map(bisect_right, index, hi)) == first
-        if same:  # the search would stop at level 0
-            self.metrics.box_cells_visited += 1
-            for cut in cuts:
-                view.searched[view.state, cut] = start
-            return [start] * len(cuts)
+            first, top = list(map(bisect_right, index, base)), list(map(bisect_right, index, hi))
+        moved = [j for j in range(n) if top[j] != first[j]]  # the processes the union moves
+        if len(moved) < 2:
+            j = moved[0] if moved else 0
+            fixed = 0  # the letter of the others
+            for k, column in enumerate(columns):
+                fixed |= column[base[k]] if k != j else 0
+            roof = hi.copy()  # what an opener may ask of each process: not its own
+            roof[j] = float("inf")
+            opens = index[j][first[j] : top[j]] if collapse else range(base[j] + 1, hi[j] + 1)
+            line, vcs, column = [start], self.vc_columns[j], columns[j]
+            for o in opens:
+                if not all(map(le, vcs[o], roof)):
+                    break  # not inhabited, nor is any cell past it
+                key = (fixed | column[o]) << shift | line[-1]
+                line.append(image.get(key) or self._image(key))
+                self._declare_reached(line[-1])
+            self.metrics.box_cells_visited += len(line)
+            reached = [0] * len(cuts)
+            for e, cut in enumerate(cuts):
+                g = bisect_right(index[j], cut[j]) - first[j] if collapse else cut[j] - base[j]
+                if g < len(line):
+                    reached[e] = view.searched[view.state, cut] = line[g]
+            return reached
         cells = [map(bisect_right, index, cut) if collapse else cut for cut in cuts]
         cells = [tuple(map(sub, cell, first)) for cell in cells]
         targets: dict[tuple[int, ...], list[int]] = {}  # target cell -> its targets
         for e, cell in enumerate(cells):
             targets.setdefault(cell, []).append(e)
-        ranges = [max(column) for column in zip(*targets)]
-        active = [j for j in range(n) if ranges[j]]  # the processes the union moves
+        ranges = list(map(sub, top, first))
 
         # per process moved (a *lane* a): the positions of the events that
         # open segments 1, 2, … of the union, and per segment its letter mask
@@ -1134,7 +1156,7 @@ class DecentralizedMonitor:
         # some target, or the union could outgrow the boxes it joins; needs[g],
         # filled when first asked for: what the opener of its segment g + 1
         # requires of the others, as (lane, least position) pairs.
-        m = len(active)
+        m = len(moved)
         lane_of, strides = [m] * n, [0] * n  # lane m: those not moved
         fixed, stride, lanes, seg_masks, seg_ends = 0, 1, [], [], []
         for j, r in enumerate(ranges):

@@ -11,20 +11,17 @@ cuts, enumerated level by level from the vector clocks as in Cooper and
 Marzullo's lattice detection: level ``ℓ + 1`` holds the consistent
 one-event extensions of the cuts of level ``ℓ``, and a cut's states are its
 predecessors' states stepped by the cut's global letter mask.  Two levels
-are alive at a time and no path is enumerated; the explicit
-:class:`ComputationLattice` is built only for the path-by-path reference.
+are alive at a time and no path is enumerated (the path-by-path reference
+lives in the tests).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from operator import le
 
 from ..distributed.computation import Computation, Cut
-from ..distributed.lattice import ComputationLattice
 from ..ltl.monitor import MonitorAutomaton
 from ..ltl.predicates import PropositionRegistry
 from ..ltl.verdict import Verdict
@@ -58,28 +55,6 @@ class LatticeOracle:
         self.computation = computation
         self.automaton = automaton
         self.registry = registry
-        self._letters: dict[Cut, frozenset[str]] = {}
-
-    @cached_property
-    def lattice(self) -> ComputationLattice:
-        """The explicit lattice, built on first use by the path reference."""
-        return ComputationLattice.from_computation(self.computation)
-
-    # ------------------------------------------------------------------
-    def letter_of(self, cut: Cut) -> frozenset[str]:
-        """The letter (true propositions) of the global state at *cut*."""
-        cut = tuple(cut)
-        if cut not in self._letters:
-            state = self.computation.global_state(cut)
-            self._letters[cut] = self.registry.letter_of(state)
-        return self._letters[cut]
-
-    def verdict_of_path(self, path: Sequence[Cut]) -> Verdict:
-        """The LTL3 verdict of one maximal lattice path: of the state its trace reaches."""
-        state = self.automaton.initial_state
-        for cut in path:
-            state = self.automaton.step(state, self.letter_of(cut))
-        return self.automaton.verdict(state)
 
     # ------------------------------------------------------------------
     def evaluate(self) -> OracleResult:
@@ -132,11 +107,3 @@ class LatticeOracle:
             ),
             num_cuts=num_cuts,
         )
-
-    # ------------------------------------------------------------------
-    def verdicts_by_path_enumeration(self) -> frozenset[Verdict]:
-        """Reference implementation enumerating paths one by one.
-
-        Used in tests to validate :meth:`evaluate`.
-        """
-        return frozenset(map(self.verdict_of_path, self.lattice.paths()))

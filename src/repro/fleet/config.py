@@ -76,6 +76,8 @@ class TenantSpec:
             raise ValueError("tenants monitor at least two processes")
         if self.events_per_process < 1:
             raise ValueError("events_per_process must be positive")
+        if self.max_views_per_state is not None and self.max_views_per_state < 1:
+            raise ValueError("max_views_per_state must be None or at least 1")
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class FleetConfig:
                 f"unknown backpressure policy {self.backpressure!r} "
                 f"(known: {BACKPRESSURE_POLICIES})"
             )
-        if self.quiesce_timeout <= 0.0:
+        if not self.quiesce_timeout > 0.0:  # NaN too: no deadline would ever pass
             raise ValueError("quiesce_timeout must be positive")
 
 
@@ -133,6 +135,8 @@ def synthetic_fleet(
     """
     if num_tenants < 1:
         raise ValueError("num_tenants must be positive")
+    if not properties:
+        raise ValueError("properties must name at least one property")
     return tuple(
         TenantSpec(
             tenant_id=f"tenant-{index:04d}",

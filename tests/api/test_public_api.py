@@ -55,6 +55,14 @@ class TestApiSurface:
             assert module.__name__ == f"repro.{name}"
         assert "cluster" in dir(repro)
 
+    def test_every_subpackage_resolves_from_the_top(self):
+        # a new package under src/repro must be added to the lazy __all__
+        source = Path(repro.__file__).parent
+        names = {p.parent.name for p in source.glob("*/__init__.py")} | {"session", "api"}
+        assert {name: getattr(repro, name).__name__ for name in names} == {
+            name: f"repro.{name}" for name in names
+        }
+
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
             repro.nonsense

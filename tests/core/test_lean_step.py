@@ -3,13 +3,17 @@
 The step pipeline ``_explore_outgoing → _issue_token → _forks_of →
 _box_reachable / _box_search`` runs on target cuts, skips the guards a view
 holds dead (``GlobalView.dead``) without a lookup, and sets a box search up
-only for what its union moves.  The references kept here are the pipeline as
-it was — ``_reference_issue_token``, ``_reference_forks_of``,
-``_reference_box_reachable``, ``_reference_box_search``,
-``_reference_fork_from_entry``, ``_reference_token_returned`` and
-``_reference_serve_entries``: every search built into a ``TokenEntry``, every
-remembered answer looked up in ``_least``, decided entries filtered for
-staleness at home too, the lagging set computed after the walk.
+from the join: only for what its union moves, and not at all when it moves
+one process or none.  The references kept here are the pipeline as it was —
+``_reference_issue_token``, ``_reference_forks_of``,
+``_reference_box_reachable``, ``_reference_fork_from_entry``,
+``_reference_token_returned`` and ``_reference_serve_entries``: every search
+built into a ``TokenEntry``, every remembered answer looked up in ``_least``,
+decided entries filtered for staleness at home too, the lagging set computed
+after the walk — and ``_reference_box_search``, the box search that ran the
+lane BFS for every union that moves a process.  A run is compared against
+the whole reference pipeline, and against the monitor with only its box
+search swapped for the reference's.
 
 * **Exact.**  Every ``MonitorMetrics`` counter, each verdict log and declared
   bitset, and the messages are the reference's on properties A–F, n ∈ {3, 4},
@@ -180,6 +184,7 @@ def _reference_fork_from_entry(self, view, entry, reached):
 
 
 def _reference_box_reachable(self, view, entries):
+    cuts = [tuple(entry.cut) for entry in entries]
     self.metrics.box_queries += len(entries)
     base, vc_columns = view.cut, self.vc_columns
     reach = self._reach[view.state]
@@ -199,85 +204,117 @@ def _reference_box_reachable(self, view, entries):
             self._declare_reached(one)
             reached[e] = view.searched[view.state, tuple(cut)] = one
     if not any(reached):
-        return _reference_box_search(self, view, entries)
-    searched = [entry for entry, one in zip(entries, reached) if not one]
+        return _reference_box_search(self, view, cuts)
+    searched = [cut for cut, one in zip(cuts, reached) if not one]
     self.metrics.boxes_by_letter += len(entries) - len(searched)
     found = iter(_reference_box_search(self, view, searched) if searched else ())
     return [one or next(found) for one in reached]
 
 
-def _reference_box_search(self, view, entries):
-    """``_box_search`` as it was, over entries: every process bisected, cells
-    held over all processes."""
-    n = self.num_processes
-    base = view.cut
+def _reference_box_search(self, view, cuts):
+    """``_box_search`` as it was when every union that moves a process ran
+    the lane BFS: cells, a target map, lanes, strides, ``fits`` and
+    ``goals`` set up even when one process moves and the cells are a line."""
+    n, base, columns = self.num_processes, view.cut, self.mask_columns
     shift, image = self._num_states, self._image_cache
     start = 1 << view.state
-    collapse = False
-    if self.automaton.stutter_closed:
+    hi = list(map(max, base, *cuts))  # the join searched
+    same, collapse, first = hi == base, False, base  # same: every target in the view's cell
+    if not same and self.automaton.stutter_closed:
         key = self._mask_at(base) << shift | start
         collapse = (image.get(key) or self._image(key)) == start
-    index = self.seg_starts if collapse else [range(len(c)) for c in self.mask_columns]
-    first = list(map(bisect_right, index, base))
-    targets = {}
-    for e, entry in enumerate(entries):
-        cell = tuple(map(sub, map(bisect_right, index, entry.cut), first))
+    if collapse:  # cells count segments past the view's, off the index; else events
+        index = self.seg_starts
+        first = list(map(bisect_right, index, base))
+        same = list(map(bisect_right, index, hi)) == first
+    if same:  # the search would stop at level 0
+        self.metrics.box_cells_visited += 1
+        for cut in cuts:
+            view.searched[view.state, cut] = start
+        return [start] * len(cuts)
+    cells = [map(bisect_right, index, cut) if collapse else cut for cut in cuts]
+    cells = [tuple(map(sub, cell, first)) for cell in cells]
+    targets = {}  # target cell -> its targets
+    for e, cell in enumerate(cells):
         targets.setdefault(cell, []).append(e)
     ranges = [max(column) for column in zip(*targets)]
-    active = [j for j in range(n) if ranges[j] > 0]
-    if not active:
-        self.metrics.box_cells_visited += 1
-        for entry in entries:
-            view.searched[view.state, tuple(entry.cut)] = start
-        return [start] * len(entries)
-    hi = list(map(max, base, *(entry.cut for entry in entries)))
-    seg_ends = [[at] for at in hi]
-    opens, seg_masks, fits, needs = [[]] * n, [[]] * n, [[]] * n, [[]] * n
-    strides, stride, fixed = [0] * n, 1, 0
-    for j, column in enumerate(self.mask_columns):
-        r = ranges[j]
+    active = [j for j in range(n) if ranges[j]]  # the processes the union moves
+
+    # per process moved (a *lane* a): the positions of the events that
+    # open segments 1, 2, … of the union, and per segment its letter mask
+    # and its last position — maybe beyond a target in it, but an opener
+    # at or below a target is inside that consistent cut.  A process not
+    # moved has one segment, ending at the join.  A cell is a mixed-radix
+    # integer (advancing process j adds strides[j]); a set of automaton
+    # states, or of targets, is a bitmask.  fits[g] of a lane: the targets
+    # whose cell reaches its segment g — a successor is kept only below
+    # some target, or the union could outgrow the boxes it joins; needs[g],
+    # filled when first asked for: what the opener of its segment g + 1
+    # requires of the others, as (lane, least position) pairs.
+    m = len(active)
+    lane_of, strides = [m] * n, [0] * n  # lane m: those not moved
+    fixed, stride, lanes, seg_masks, seg_ends = 0, 1, [], [], []
+    for j, r in enumerate(ranges):
+        b = base[j]
         if not r:
-            fixed |= column[base[j]]
+            fixed |= columns[j][b]  # the letter of those not moved
             continue
-        opens[j] = index[j][first[j] : first[j] + r]
-        seg_masks[j] = [column[base[j]], *[column[o] for o in opens[j]]]
-        seg_ends[j] = [*[o - 1 for o in opens[j]], hi[j]]
+        opens = index[j][first[j] : first[j] + r] if collapse else range(b + 1, b + r + 1)
+        seg_masks.append([columns[j][b], *[columns[j][o] for o in opens]])
+        seg_ends.append([*[o - 1 for o in opens], hi[j]])
+        lane_of[j] = a = len(lanes)
+        lanes.append((a, j, stride, [0] * (r + 2), [None] * r, opens))
         strides[j], stride = stride, stride * (r + 1)
-        fits[j] = [0] * (r + 2)
-        needs[j] = [None] * r
-    goals = {sum(map(mul, cell, strides)): None for cell in targets}
+    seg_ends.append([-1])  # what is asked of lane m beyond the join never fits
+    goals = {}  # target cell, as an integer -> its slot
     for bit, cell in enumerate(targets):
-        for j in active:
+        goals[sum(map(mul, cell, strides))] = None
+        for _, j, _, fit, _, _ in lanes:
             for g in range(1, cell[j] + 1):
-                fits[j][g] |= 1 << bit
+                fit[g] |= 1 << bit
     vc_columns = self.vc_columns
+
+    # Level-synchronous BFS over the *inhabited* cells — those holding a
+    # consistent cut (all predecessors of a cell sit exactly one level
+    # below it, so each level is complete before it is expanded).  A slot
+    # is [state bits, segment index per lane, letter mask << shift,
+    # targets above].
     visited = 1
-    current = {0: [start, [0] * n, 0, (1 << len(targets)) - 1]}
+    current = {0: [start, [0] * (m + 1), 0, (1 << len(targets)) - 1]}
     if 0 in goals:
         goals[0] = current[0]
     while current:
         nxt = {}
         for cell, (states, segments, _, below) in current.items():
-            for j in active:
-                gj = segments[j]
-                under = below & fits[j][gj + 1]
+            for a, j, stride, fit, need_of, opened in lanes:
+                gj = segments[a]
+                under = below & fit[gj + 1]
                 if not under:
                     continue
-                succ = cell + strides[j]
+                succ = cell + stride
                 slot = nxt.get(succ)
                 if slot is None:
-                    need = needs[j][gj]
+                    # the predecessor is inhabited, so the successor is
+                    # iff the clock of the one event that opens the new
+                    # segment fits inside the cell: each process it needs
+                    # can get there before its segment ends (a plain loop:
+                    # any() over a generator costs a third of the search)
+                    need = need_of[gj]
                     if need is None:
-                        vc = vc_columns[j][opens[j][gj]]
-                        need = needs[j][gj] = [
-                            (k, vc[k]) for k in range(n) if k != j and vc[k] > base[k]
+                        need = need_of[gj] = [
+                            (lane_of[k], least)
+                            for k, least in enumerate(vc_columns[j][opened[gj]])
+                            if k != j and least > (base[k] if lane_of[k] < m else hi[k])
                         ]
-                    if all(seg_ends[k][segments[k]] >= least for k, least in need):
+                    for k, least in need:
+                        if seg_ends[k][segments[k]] < least:
+                            break
+                    else:
                         at = segments.copy()
-                        at[j] = gj + 1
+                        at[a] = gj + 1
                         mask = fixed
-                        for i in active:
-                            mask |= seg_masks[i][at[i]]
+                        for masks, g in zip(seg_masks, at):
+                            mask |= masks[g]
                         slot = nxt[succ] = [0, at, mask << shift, under]
                         if succ in goals:
                             goals[succ] = slot
@@ -291,10 +328,10 @@ def _reference_box_search(self, view, entries):
         visited += len(nxt)
         current = nxt
     self.metrics.box_cells_visited += visited
-    reached = [0] * len(entries)
+    reached = [0] * len(cuts)
     for slot, served in zip(goals.values(), targets.values()):
-        for e in served if slot else ():
-            reached[e] = view.searched[view.state, tuple(entries[e].cut)] = slot[0]
+        for e in served if slot else ():  # no slot: the cut was not a consistent one
+            reached[e] = view.searched[view.state, cuts[e]] = slot[0]
     return reached
 
 
@@ -304,14 +341,23 @@ def _install_reference(patched):
     patched.setattr(DecentralizedMonitor, "_serve_entries", _reference_serve_entries)
 
 
-def _lean_and_reference(monkeypatch, run, settle=True):
-    """``run()`` as the monitor is and under the reference pipeline; with
-    *settle* false, settling is switched off in both."""
+def _install_reference_box_search(patched):
+    patched.setattr(DecentralizedMonitor, "_box_search", _reference_box_search)
+
+
+#: what a run is compared against: the reference pipeline, or the monitor as
+#: it is with only its box search the reference's
+REFERENCES = {"pipeline": _install_reference, "box-search": _install_reference_box_search}
+
+
+def _lean_and_reference(monkeypatch, run, settle=True, install=_install_reference):
+    """``run()`` as the monitor is and with the references *install* puts in
+    place; with *settle* false, settling is switched off in both."""
     observed = []
     for reference in (False, True):
         with monkeypatch.context() as patched:
             if reference:
-                _install_reference(patched)
+                install(patched)
             if not settle:
                 _never_settle(patched)
             observed.append(_observed(run(), slept=True))
@@ -333,29 +379,36 @@ WORKLOAD_CELLS = [
 ]
 
 
-def differing_cells(cells, settle=True):
-    """The *cells* whose run differs from the reference's in anything shown."""
+def differing_cells(cells, settle=True, reference="pipeline"):
+    """The *cells* whose run differs from the one under *reference* (a key
+    of ``REFERENCES``) in anything shown."""
+    install = REFERENCES[reference]
     with pytest.MonkeyPatch.context() as monkeypatch:
-        observed = {cell: _lean_and_reference(monkeypatch, _cell(*cell), settle) for cell in cells}
+        observed = {
+            cell: _lean_and_reference(monkeypatch, _cell(*cell), settle, install) for cell in cells
+        }
     return [cell for cell, (lean, reference) in observed.items() if lean != reference]
 
 
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("property_name", "ABCDEF")
-def test_the_lean_step_equals_the_reference_on_the_grid(property_name):
+def test_the_lean_step_equals_the_reference_on_the_grid(property_name, reference):
     cells = [cell for cell in GRID if cell[0] == property_name]
-    assert differing_cells(cells) == []
+    assert differing_cells(cells, reference=reference) == []
 
 
-def test_the_lean_step_equals_the_reference_on_the_workload_cells():
-    assert differing_cells(WORKLOAD_CELLS) == []
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_the_lean_step_equals_the_reference_on_the_workload_cells(reference):
+    assert differing_cells(WORKLOAD_CELLS, reference=reference) == []
 
 
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize(
     "cell", [("C", 4, 20, 7, 2), ("F", 4, 6, 7, 2), ("F", 4, 20, 2015, None), ("D", 3, 20, 7, 2)],
     ids=lambda c: f"{c[0]}-n{c[1]}-epp{c[2]}-s{c[3]}-b{c[4]}",
 )
-def test_the_lean_step_equals_the_reference_when_no_monitor_settles(cell):
-    assert differing_cells([cell], settle=False) == []
+def test_the_lean_step_equals_the_reference_when_no_monitor_settles(cell, reference):
+    assert differing_cells([cell], settle=False, reference=reference) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the lattice oracle and the centralized baseline."""
 
+from functools import cache
+
 import pytest
 
 from repro.core import CentralizedMonitor, LatticeOracle
@@ -24,6 +26,24 @@ def psi(registry):
     return build_monitor("G({x1>=5} -> ({x2>=15} U {x1=10}))", atoms=registry.names)
 
 
+def _verdicts_by_path_enumeration(oracle):
+    """The path-by-path reference of ``LatticeOracle.evaluate``: the LTL3
+    verdict of every maximal lattice path, each trace stepped on its own."""
+    computation, automaton = oracle.computation, oracle.automaton
+
+    @cache
+    def letter(cut):
+        return oracle.registry.letter_of(computation.global_state(cut))
+
+    verdicts = set()
+    for path in ComputationLattice.from_computation(computation).paths():
+        state = automaton.initial_state
+        for cut in path:
+            state = automaton.step(state, letter(cut))
+        verdicts.add(automaton.verdict(state))
+    return frozenset(verdicts)
+
+
 class TestLatticeOracle:
     def test_chapter3_analysis_of_running_example(self, example, registry, psi):
         """Fig. 3.1: paths through <e1_1> evaluate to ⊥ while the path that
@@ -36,7 +56,7 @@ class TestLatticeOracle:
     def test_dp_matches_path_enumeration(self, example, registry, psi):
         oracle = LatticeOracle(example, psi, registry)
         result = oracle.evaluate()
-        assert result.verdicts == oracle.verdicts_by_path_enumeration()
+        assert result.verdicts == _verdicts_by_path_enumeration(oracle)
 
     def test_dp_matches_enumeration_on_random_computations(self):
         for seed in range(8):
@@ -44,12 +64,7 @@ class TestLatticeOracle:
             registry = PropositionRegistry.boolean_grid(computation.num_processes)
             automaton = build_monitor("G(P0.p U P1.q)", atoms=registry.names)
             oracle = LatticeOracle(computation, automaton, registry)
-            assert oracle.evaluate().verdicts == oracle.verdicts_by_path_enumeration()
-
-    def test_verdict_of_single_path(self, example, registry, psi):
-        oracle = LatticeOracle(example, psi, registry)
-        path = next(oracle.lattice.paths())
-        assert oracle.verdict_of_path(path) in {Verdict.BOTTOM, Verdict.INCONCLUSIVE}
+            assert oracle.evaluate().verdicts == _verdicts_by_path_enumeration(oracle)
 
     def test_conclusive_verdicts_property(self, example, registry, psi):
         result = LatticeOracle(example, psi, registry).evaluate()
@@ -68,12 +83,6 @@ class TestLatticeOracle:
             assert result.conclusive_verdicts == frozenset(
                 v for v in result.verdicts if v.is_final
             )
-
-    def test_letters_are_cached(self, example, registry, psi):
-        oracle = LatticeOracle(example, psi, registry)
-        first = oracle.letter_of((2, 2))
-        second = oracle.letter_of((2, 2))
-        assert first is second
 
 
 class TestCentralizedMonitor:

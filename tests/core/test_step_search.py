@@ -25,8 +25,10 @@
   (``tests/slicing/slicer.py``).
 * The pinned counts of the three curve cells CI checks.
 * **Set-up of what moves.**  A search that sets up only the processes its
-  union moves — none, when every target is the view's own cell — gives and
-  leaves what the search that set up every process did (kept here).
+  union moves — and nothing when it moves one process or none: it walks a
+  line, and stops at the first opener whose clock does not fit under the
+  join — gives and leaves what the search that set up every process did
+  (kept here), collapsing or not, with targets in the view's own segment.
 """
 
 import copy
@@ -34,7 +36,7 @@ import random
 import sys
 from bisect import bisect_right
 from itertools import product
-from operator import is_, mul, sub
+from operator import is_, le, mul, sub
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -84,6 +86,10 @@ def steps(draw):
     cuts = lattice.cuts()
     start = lattice.bottom if draw(st.booleans()) else draw(st.sampled_from(cuts))
     above = [cut for cut in cuts if all(s <= c for s, c in zip(start, cut))]
+    if draw(st.booleans()):
+        # targets that move one process between them: the search walks a line
+        j = draw(st.integers(0, len(start) - 1))
+        above = [cut for cut in above if cut[:j] + cut[j + 1 :] == start[:j] + start[j + 1 :]]
     targets = draw(st.lists(st.sampled_from(above), min_size=1, max_size=6))
     # a closed table and a formula's machine (the search may collapse), a
     # table that is not closed and ``X`` (it may not)
@@ -757,13 +763,48 @@ def test_a_union_that_crosses_no_segment_boundary_is_the_views_own_cell():
         assert states == {state}
 
 
-def test_a_chain_of_one_process_stops_where_its_openers_clock_does_not_fit():
-    # P1's message reaches P0 first, then P0's p rises: the rise asks for
-    # P1's send, and a target without it is not a consistent cut
-    computation, registry = _chain([("m", 1), ("i", 0)])
-    automaton = build_monitor("F(P0.p & P1.p)", atoms=registry.names)
+@pytest.mark.parametrize(
+    "formula", ["F(P0.p & P1.p)", "X(P0.p | X P1.p)"], ids=["collapse", "event-by-event"]
+)
+@pytest.mark.parametrize(
+    ("script", "targets"),
+    [
+        # P1's message reaches P0 first, then P0's p rises: the rise asks for
+        # P1's send, and a target without it is not a consistent cut
+        ([("m", 1), ("i", 0)], [(2, 0)]),
+        # P0 keeps p (a target in the view's own segment), raises it, then
+        # receives P1's message and drops p: the line stops part-way along
+        ([("k", 0), ("i", 0), ("m", 1), ("i", 0)], [(1, 0), (2, 0), (4, 0)]),
+        # the same on P1, with its target at the join inside the line
+        ([("i", 1), ("m", 0), ("i", 1)], [(0, 1), (0, 3), (0, 1)]),
+        # every opener fits: the line runs to the join
+        ([("i", 0), ("k", 0), ("i", 0), ("m", 0)], [(4, 0), (2, 0)]),
+    ],
+    ids=["first-opener", "part-way", "process-1", "to-the-join"],
+)
+def test_a_chain_of_one_process_stops_where_its_openers_clock_does_not_fit(
+    formula, script, targets
+):
+    computation, registry = _chain(script)
+    automaton = build_monitor(formula, atoms=registry.names)
+    assert automaton.stutter_closed == (formula[0] == "F")
     state = automaton.step(automaton.initial_state, frozenset())
-    monitor, view, cuts = _step(computation, registry, automaton, (0, 0), [(2, 0)], state)
+    monitor, view, cuts = _step(computation, registry, automaton, (0, 0), targets, state)
     reference, own = _both_searches(monitor, view, cuts, DecentralizedMonitor._box_search)
     assert own == reference
-    assert own[0] == [0] and own[1] == {} and own[-1] == 1
+    lattice = ComputationLattice.from_computation(computation)
+    consistent = set(lattice.cuts())
+    line = {cut for cut in consistent if cut[1:] == (0,) or cut[:1] == (0,)}
+    join = tuple(map(max, (0, 0), *targets))
+    for target, reached in zip(targets, own[0]):
+        if target in consistent:
+            states, _, _ = _brute_force(
+                computation, lattice, registry, automaton, (0, 0), target, state
+            )
+            assert set(_states_of(reached)) == states and own[1][state, target] == reached
+        else:
+            assert reached == 0 and (state, target) not in own[1]
+    # event by event, the cells visited are the consistent cuts of the line
+    # below the join; collapsing, no more
+    cells = sum(all(map(le, cut, join)) for cut in line)
+    assert own[-1] == cells if formula[0] == "X" else 1 <= own[-1] <= cells

@@ -15,6 +15,7 @@
 
 import copy
 import random
+from operator import ne
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, seed, settings
@@ -187,7 +188,14 @@ def boxes(draw):
     # drawn at random are mostly a few cells apart
     start = lattice.bottom if draw(st.booleans()) else draw(st.sampled_from(cuts))
     above = [cut for cut in cuts if all(s <= c for s, c in zip(start, cut))]
-    target = lattice.top if draw(st.booleans()) else draw(st.sampled_from(above))
+    # the top, any cut above, or one that moves a single process from the
+    # start (the search walks that line; collapsing, maybe in one segment)
+    line = [cut for cut in above if sum(map(ne, start, cut)) == 1]
+    where = draw(st.sampled_from(("top", "above", "line")))
+    if where == "top":
+        target = lattice.top
+    else:
+        target = draw(st.sampled_from(line if where == "line" and line else above))
     # a table that is not stutter-closed, one that is, and a formula's
     # machine (also closed): the search may collapse on the last two
     kind = draw(st.sampled_from(("random", "closed", "formula")))
@@ -292,6 +300,7 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
         assert child.cut == list(target)
         assert monitor._mask_at(child.cut) == automaton.compiled.encode(letter)
     assert monitor.metrics.box_queries == 1
+    assert view.searched == ({(state, tuple(target)): reached} if reached else {})
     # every cell searched holds a consistent cut of its own; without
     # collapsing, the cells are the cuts; a target its letter decides costs none
     if monitor.metrics.boxes_by_letter:

@@ -33,6 +33,7 @@ class TestTenantSpecValidation:
             ({"property_name": "Z"}, "unknown case-study property"),
             ({"num_processes": 1}, "at least two processes"),
             ({"events_per_process": 0}, "must be positive"),
+            ({"max_views_per_state": 0}, "at least 1"),
         ],
     )
     def test_rejects_malformed_parameters(self, kwargs, match):
@@ -55,6 +56,7 @@ class TestFleetConfigValidation:
             ({"inbox_limit": 0}, "inbox_limit must be positive"),
             ({"backpressure": "drop-oldest"}, "unknown backpressure policy"),
             ({"quiesce_timeout": 0.0}, "quiesce_timeout must be positive"),
+            ({"quiesce_timeout": float("nan")}, "quiesce_timeout must be positive"),
         ],
     )
     def test_rejects_malformed_parameters(self, kwargs, match):
@@ -90,9 +92,16 @@ class TestSyntheticFleet:
     def test_any_slice_reproducible_in_isolation(self):
         assert synthetic_fleet(10)[3] == synthetic_fleet(4)[3]
 
-    def test_rejects_empty_batch(self):
-        with pytest.raises(ValueError, match="num_tenants must be positive"):
-            synthetic_fleet(0)
+    @pytest.mark.parametrize(
+        ("args", "kwargs", "match"),
+        [
+            ((0,), {}, "num_tenants must be positive"),
+            ((3,), {"properties": ()}, "at least one property"),
+        ],
+    )
+    def test_rejects_empty_batch(self, args, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            synthetic_fleet(*args, **kwargs)
 
 
 class TestShardAssignment:
