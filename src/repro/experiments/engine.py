@@ -12,8 +12,8 @@ order, serial and sharded executions are byte-identical.
 Cells are backend-agnostic, selected by an :class:`ExecutionConfig`:
 ``backend="sim"`` (the default) replays each cell on the discrete-event
 simulator, ``backend="asyncio"`` on the streaming runtime of
-:mod:`repro.runtime`, where monitors run as concurrent asyncio tasks (over
-in-process queues or real TCP sockets, see ``stream_transport``), and
+:mod:`repro.runtime`, where monitors run concurrently on an event loop
+(over in-process lines or real TCP sockets, see ``stream_transport``), and
 ``backend="cluster"`` on the multi-process cluster runtime of
 :mod:`repro.cluster`, where every monitor is its own OS process exchanging
 wire protocol v8 frames.  All backends share one monitor implementation and
@@ -182,7 +182,7 @@ def run_scenario_cell(
 
     ``config.backend`` selects the executor: ``"sim"`` replays the cell on
     the discrete-event simulator, ``"asyncio"`` streams it through
-    concurrent monitor tasks (:func:`repro.runtime.runner.run_streaming`)
+    concurrent monitors (:func:`repro.runtime.runner.run_streaming`)
     over ``config.stream_transport``, with the scenario's network condition
     mapped onto the streaming transport via
     :meth:`repro.scenarios.NetworkModel.delay_model`, and ``"cluster"``

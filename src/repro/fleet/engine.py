@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from ..experiments.properties import case_study_monitor, case_study_registry
 from ..runtime.node import StreamMonitorNode
 from ..runtime.runner import drive_session, stream_monitored_run
-from ..runtime.transport import InMemoryStreamTransport
+from ..runtime.transport import InMemoryStreamTransport, StreamTransport
 from ..session import MonitorSession, RunReport
 from .config import FleetConfig, TenantSpec
 
@@ -139,7 +139,9 @@ class _InboxGate:
     Before each program event the unprocessed item count — node inboxes
     plus in-flight sends — is compared with the bound: ``drop-newest``
     refuses the event (counted), ``block`` yields until the inbox drains
-    below the bound (counted, lossless).
+    below the bound (counted, lossless).  A dead node or channel never
+    drains, so the wait re-raises its failure, and it gives up after
+    *timeout* seconds; either error evicts the tenant.
 
     A refused event truncates the rest of that process's stream: the
     monitors index events by contiguous sequence numbers and vector clocks,
@@ -150,10 +152,11 @@ class _InboxGate:
     remains sound for the full trace.
     """
 
-    def __init__(self, net: InMemoryStreamTransport, limit: int, backpressure: str) -> None:
+    def __init__(self, net: StreamTransport, limit: int, backpressure: str, timeout: float) -> None:
         self.net = net
         self.limit = limit
         self.backpressure = backpressure
+        self.timeout = timeout
         self.truncated: set[int] = set()
         self.dropped = 0
         self.blocked = 0
@@ -173,7 +176,11 @@ class _InboxGate:
                 self.dropped += 1
                 return False
             self.blocked += 1
+            deadline = time.monotonic() + self.timeout
             while self._full(nodes):
+                self.net.raise_failure()
+                if time.monotonic() > deadline:
+                    raise RuntimeError(f"inbox did not drain below {self.limit} in {self.timeout}s")
                 await asyncio.sleep(0)
         return True
 
@@ -203,7 +210,7 @@ async def _tenant_session(
         net,
         max_views_per_state=spec.max_views_per_state,
     )
-    gate = _InboxGate(net, inbox_limit, backpressure)
+    gate = _InboxGate(net, inbox_limit, backpressure, quiesce_timeout)
     await drive_session(session, quiesce_timeout, admit=gate.admit)
     report = session.report(transport="memory", wall_seconds=time.perf_counter() - started)
     return TenantResult.from_report(spec, report, dropped=gate.dropped, blocked=gate.blocked)
@@ -275,19 +282,16 @@ def _run_shard(
     """
 
     async def gather() -> list[TenantResult]:
-        return list(
-            await asyncio.gather(
-                *(
-                    _guarded_session(
-                        spec,
-                        inbox_limit=inbox_limit,
-                        backpressure=backpressure,
-                        quiesce_timeout=quiesce_timeout,
-                    )
-                    for spec in specs
-                )
+        sessions = [
+            _guarded_session(
+                spec,
+                inbox_limit=inbox_limit,
+                backpressure=backpressure,
+                quiesce_timeout=quiesce_timeout,
             )
-        )
+            for spec in specs
+        ]
+        return list(await asyncio.gather(*sessions))
 
     return asyncio.run(gather())
 
@@ -385,28 +389,13 @@ def run_fleet(config: FleetConfig) -> FleetReport:
         for spec in admitted:
             buckets[shard_of(spec.tenant_id, config.shards)].append(spec)
         occupied = [tuple(bucket) for bucket in buckets if bucket]
+        policy = (config.inbox_limit, config.backpressure, config.quiesce_timeout)
         if len(occupied) <= 1:
             for bucket in occupied:
-                results.extend(
-                    _run_shard(
-                        bucket,
-                        config.inbox_limit,
-                        config.backpressure,
-                        config.quiesce_timeout,
-                    )
-                )
+                results.extend(_run_shard(bucket, *policy))
         else:
             with ProcessPoolExecutor(max_workers=len(occupied)) as pool:
-                futures = [
-                    pool.submit(
-                        _run_shard,
-                        bucket,
-                        config.inbox_limit,
-                        config.backpressure,
-                        config.quiesce_timeout,
-                    )
-                    for bucket in occupied
-                ]
+                futures = [pool.submit(_run_shard, bucket, *policy) for bucket in occupied]
                 for future in futures:
                     results.extend(future.result())
     results.sort(key=lambda result: result.tenant_id)

@@ -1,25 +1,20 @@
-"""Async/streaming monitoring backend: monitors as asyncio tasks over sockets.
+"""Async/streaming monitoring backend: monitors on an asyncio event loop.
 
-This package is the live counterpart of the discrete-event simulator
-(:mod:`repro.sim`): the same decentralized monitors
-(:class:`repro.core.monitor.DecentralizedMonitor`, reused unchanged through
-the :class:`repro.core.transport.MonitorNode` protocol) run as concurrent
-asyncio tasks and exchange the :mod:`repro.core.messages` wire messages over
-a streaming transport — in-process queues for tests and fast sweeps, or real
-TCP sockets for the deployment style the paper's monitors assume.  Network
-conditions are the same :mod:`repro.core.delays` classes the simulator
-uses — ``run_streaming(..., delay=condition.delay_model(seed))`` — so every
-registered scenario runs on either backend
+The live counterpart of the discrete-event simulator (:mod:`repro.sim`):
+the same decentralized monitors (:class:`repro.core.monitor.DecentralizedMonitor`,
+through the :class:`repro.core.transport.MonitorNode` protocol) are fed by
+loop callbacks and exchange the :mod:`repro.core.messages` wire messages
+over a streaming transport — in-process lines for tests and fast sweeps, or
+real TCP sockets.  Network conditions are the simulator's
+:mod:`repro.core.delays` classes (``delay=condition.delay_model(seed)``), so
+every registered scenario runs on either backend
 (``repro-experiments run --backend {sim,asyncio}``).
 
-Public API
-----------
-* :func:`stream_monitored_run` / :func:`run_streaming` — replay a finished
-  computation through concurrent monitor tasks; returns the same
-  :class:`repro.session.RunReport` every backend does.
-* :class:`InMemoryStreamTransport` / :class:`TcpStreamTransport` — the
-  streaming transports; :data:`TRANSPORTS` names them for CLIs.
-* :class:`StreamMonitorNode` — one monitor as an asyncio task.
+Public API: :func:`stream_monitored_run` / :func:`run_streaming` (replay a
+finished computation; return a :class:`repro.session.RunReport`),
+:class:`InMemoryStreamTransport` / :class:`TcpStreamTransport`
+(:data:`TRANSPORTS` names them for CLIs) and :class:`StreamMonitorNode`
+(one monitor over a serial inbox).
 """
 
 from .node import StreamMonitorNode

@@ -1,26 +1,17 @@
-"""Streaming monitored runs: monitors as concurrent asyncio tasks.
+"""Streaming monitored runs: monitors on an asyncio event loop.
 
 :func:`stream_monitored_run` is the asyncio driver of a
 :class:`repro.session.MonitorSession` (the counterpart of
 :func:`repro.sim.runner.simulate_monitored_run`): it replays a finished
 computation with one :class:`repro.runtime.node.StreamMonitorNode` per
-process — each wrapping the *unchanged*
-:class:`repro.core.monitor.DecentralizedMonitor` — exchanging the
-:mod:`repro.core.messages` wire messages through a streaming transport
-(in-process queues or real TCP sockets).  The session's schedule is fed
-against the transport's virtual time (``StreamTransport.now``), as fast as
-the event loop runs; termination signals interleave exactly where the
-simulator schedules them (just after each process's last event).
-
-Because every transport delivers reliably and in FIFO order per channel, the
-conclusive (⊤/⊥) verdicts of a run are independent of task interleavings —
-the same invariant the network conditions are property-tested for — so for a fixed
-seed the streaming backend declares exactly the verdicts the discrete-event
-backend does, while timing/queuing metrics naturally reflect the live
-execution instead of a simulated schedule.
-
-:func:`run_streaming` is the synchronous convenience wrapper used by the
-experiment engine (``run --backend asyncio``).
+process, exchanging the :mod:`repro.core.messages` wire messages through a
+streaming transport (in-process lines or real TCP sockets), and feeds the
+session's schedule against the transport's virtual time as fast as the loop
+runs.  Every transport delivers reliably and in FIFO order per channel, so
+the conclusive (⊤/⊥) verdicts do not depend on the interleaving: for a fixed
+seed this backend declares exactly what the discrete-event one does.
+:func:`run_streaming` is the synchronous wrapper the experiment engine uses
+(``run --backend asyncio``).
 """
 
 from __future__ import annotations
@@ -56,11 +47,11 @@ async def drive_session(
     """Run *session* to quiescence on the current event loop.
 
     The one asyncio run loop, over the :class:`StreamTransport` the session
-    was built on: wrap every endpoint in a node task, start the monitors
-    (INIT — outgoing tokens already flow streamed), feed the session's
-    schedule against the transport's virtual time, wait for quiescence, and
-    in any case stop the nodes and close the transport; a node task that
-    died of a monitor bug is re-raised instead of leaving a hung report.
+    was built on: wrap every endpoint in a node, start the monitors (INIT —
+    outgoing tokens already flow streamed), feed the session's schedule
+    against the transport's virtual time, wait for quiescence, and in any
+    case stop the nodes and close the transport; a node stopped by a
+    monitor bug re-raises it instead of leaving a hung report.
 
     *admit* is the fleet's bounded-inbox seam and nothing else's (standalone
     runs pass none): it is awaited before each program event and a ``False``
@@ -103,7 +94,7 @@ async def stream_monitored_run(
     quiesce_timeout: float = 120.0,
     faults: FaultPlan | None = None,
 ) -> RunReport:
-    """Stream *computation* through concurrent monitor tasks.
+    """Stream *computation* through concurrent monitors.
 
     Parameters
     ----------
@@ -116,12 +107,12 @@ async def stream_monitored_run(
         Optional :class:`repro.core.delays.DelayModel` shaping message
         latency — the same model values the simulated network uses, so
         scenario network conditions mean the same thing on this backend.
-        ``None`` delivers as fast as the channel pumps run.
+        ``None`` delivers as fast as the channels run.
     max_views_per_state:
         Optional per-monitor exploration budget (see
         :class:`repro.core.monitor.DecentralizedMonitor`).
     transport:
-        ``"memory"`` (in-process queues) or ``"tcp"`` (real loopback
+        ``"memory"`` (in-process lines) or ``"tcp"`` (real loopback
         sockets carrying the binary frames of :mod:`repro.cluster.codec`).
     quiesce_timeout:
         Real-time bound on the post-termination drain.

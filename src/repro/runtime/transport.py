@@ -1,28 +1,30 @@
-"""Asyncio streaming transports: monitors as concurrent tasks, for real.
+"""Asyncio streaming transports: monitors exchanging messages for real.
 
-This module implements the :class:`repro.core.transport.Transport`
-protocol on top of asyncio, the deployment style the paper's decentralized
-monitors assume — each monitor is a concurrent process and messages travel
-through an actual asynchronous medium instead of a simulated priority queue.
-Two transports are provided:
+The :class:`repro.core.transport.Transport` protocol on asyncio, the
+deployment style the paper's monitors assume: messages travel through an
+actual asynchronous medium instead of a simulated priority queue.
 
-* :class:`InMemoryStreamTransport` — per-channel asyncio queues inside one
-  event loop.  Fast and used by the test-suite and the default CLI backend.
+* :class:`InMemoryStreamTransport` — per-channel lines inside one event
+  loop, drained by loop callbacks.  Fast and used by the test-suite and the
+  default CLI backend.
 * :class:`TcpStreamTransport` — every monitor node it hosts listens on a
   real TCP socket and the :mod:`repro.core.messages` wire messages travel
-  as wire protocol v8 binary frames (:mod:`repro.cluster.codec`).  The
-  asyncio backend hosts every monitor on loopback, a cluster worker
-  (:mod:`repro.cluster.worker`) one, reaching the rest at manifest addresses.
+  as wire protocol v8 binary frames (:mod:`repro.cluster.codec`), written
+  by one pump task per channel.  The asyncio backend hosts every monitor on
+  loopback, a cluster worker (:mod:`repro.cluster.worker`) one, reaching
+  the rest at manifest addresses.
 
 Both transports preserve **FIFO order per (sender, receiver) channel** (the
-algorithm's reliable-FIFO-channel assumption): every channel has its own
-queue drained by a dedicated pump task, and the delivery instants it is given
-are monotone per channel already.  Latency/loss semantics and that FIFO clamp
-come from the same network conditions the simulator uses (one
+algorithm's reliable-FIFO-channel assumption): a channel delivers one
+message after the other, at delivery instants that are monotone per channel
+already.  An in-memory channel takes the ready-queue slots a pump task
+would: one to take a message off, one (where the pump yielded in
+:meth:`StreamTransport.advance_to`) to deliver it.  Latency/loss semantics
+and that FIFO clamp come from the simulator's network conditions (one
 :class:`repro.core.delays.DelayModel` per run; without one, a zero-latency
 :class:`~repro.core.delays.ReliableNetwork` run), evaluated against the
-transport's :attr:`StreamTransport.now` (virtual seconds, advanced as fast as
-the event loop runs).
+transport's :attr:`StreamTransport.now` (virtual seconds, advanced as fast
+as the event loop runs).
 
 Quiescence — "no message is in flight anywhere and no node has unprocessed
 inbox items" — is detected with a simple conservative counter:
@@ -36,7 +38,9 @@ counter before the decrement for the consumed message happens).
 from __future__ import annotations
 
 import asyncio
-from collections.abc import Mapping
+import types
+from collections import deque
+from collections.abc import Generator, Mapping
 from typing import TYPE_CHECKING
 
 from ..cluster import codec
@@ -58,23 +62,19 @@ _UNDELAYED = ReliableNetwork(latency=0.0, jitter=0.0)
 
 
 class StreamTransport:
-    """Base streaming transport: channel pumps + in-flight accounting.
+    """Base streaming transport: delay evaluation and in-flight accounting.
 
-    Subclasses customise only :meth:`_forward` (how a due message reaches
-    the target node) and the async lifecycle hooks; delay evaluation and
-    quiescence tracking live here.  Implements the
-    :class:`repro.core.transport.Transport` protocol, so monitor code and
-    metrics collection are oblivious to which backend is underneath.
+    Subclasses supply the channels (:meth:`_post`) and the async lifecycle
+    hooks; monitor code and metrics collection see only the
+    :class:`repro.core.transport.Transport` protocol.
     """
 
     def __init__(self, delay: DelayModel | None = None) -> None:
         self.delay = delay or _UNDELAYED.delay_model(None)
-        #: virtual time: the largest instant any task advanced to so far,
-        #: which is exactly what the delay models need as a send-time base
+        #: virtual time: the largest instant a channel or the feed reached,
+        #: the delay models' send-time base
         self.now: float = 0.0
         self._nodes: dict[int, StreamMonitorNode] = {}
-        self._channel_queues: dict[tuple[int, int], asyncio.Queue] = {}
-        self._pumps: list[asyncio.Task] = []
         #: a fatal transport-level failure (e.g. a peer disconnecting
         #: mid-frame on TCP); surfaced by :meth:`wait_quiescent` instead of
         #: letting the run time out or lose messages silently
@@ -98,82 +98,27 @@ class StreamTransport:
         if target not in self._nodes and not self._addressed(target):
             raise ValueError(f"no monitor node registered for process {target}")
         self.messages_sent += 1
-        # delivery instants are monotone per channel, and the channel's pump
+        # delivery instants are monotone per channel, and the channel
         # realises them in order
         due = self.delay.delivery_time(self.now, sender, target)
         self.in_flight += 1
-        self._channel_queue((sender, target)).put_nowait((due, target, message))
+        self._post((sender, target), (due, target, message))
+
+    def _post(self, channel: tuple[int, int], item: tuple[float, int, object]) -> None:
+        """Put ``(due, target, message)`` on *channel* (subclass hook)."""
+        raise NotImplementedError
 
     def _addressed(self, target: int) -> bool:
         """Whether *target* is a remote peer this transport can reach."""
         return False
 
-    @property
-    def pending(self) -> int:
-        """Number of sent-but-not-fully-processed messages."""
-        return self.in_flight
-
-    async def advance_to(self, instant: float) -> None:
-        """Advance :attr:`now` to *instant* after one yield to the other tasks.
-
-        The replay runs as fast as the event loop allows, so nothing sleeps
-        for real, but the yield lets pumps and nodes interleave with the
-        feed; concurrent callers leave ``now`` at the largest instant.
-        """
-        await asyncio.sleep(0)
+    @types.coroutine
+    def advance_to(self, instant: float) -> Generator[None, None, None]:
+        """Advance :attr:`now` to *instant* after one bare yield to the loop
+        (the suspension of ``asyncio.sleep(0)``), which lets channels and
+        nodes interleave with the feed; ``now`` keeps the largest instant."""
+        yield
         self.now = max(self.now, instant)
-
-    # -- lifecycle ------------------------------------------------------
-    async def start(self) -> None:
-        """Bring the transport up; all nodes must already be registered.
-
-        Channel queues and their pump tasks are created lazily on first
-        send, so the base transport has nothing to do here.
-        """
-
-    async def aclose(self) -> None:
-        """Tear the transport down, cancelling the channel pumps."""
-        for pump in self._pumps:
-            pump.cancel()
-        for pump in self._pumps:
-            try:
-                await pump
-            except asyncio.CancelledError:
-                pass
-        self._pumps.clear()
-
-    # -- internals ------------------------------------------------------
-    def _channel_queue(self, channel: tuple[int, int]) -> asyncio.Queue:
-        queue = self._channel_queues.get(channel)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._channel_queues[channel] = queue
-            self._pumps.append(
-                asyncio.get_running_loop().create_task(self._pump(channel, queue))
-            )
-        return queue
-
-    async def _pump(self, channel: tuple[int, int], queue: asyncio.Queue) -> None:
-        """Drain one channel sequentially, realising delivery instants.
-
-        A message the channel cannot deliver would stall quiescence forever,
-        so its failure becomes :attr:`fatal_error` (the first one wins).
-        """
-        while True:
-            due, target, message = await queue.get()
-            await self.advance_to(due)
-            try:
-                await self._forward(channel, due, target, message)
-            except Exception as error:  # noqa: BLE001 - re-raised by wait_quiescent
-                if self.fatal_error is None:
-                    self.fatal_error = error
-                return
-
-    async def _forward(
-        self, channel: tuple[int, int], due: float, target: int, message: object
-    ) -> None:
-        """Hand one due message to the target node (subclass hook)."""
-        raise NotImplementedError
 
     def message_done(self, due: float) -> None:
         """Record that a receiver finished processing one message."""
@@ -181,33 +126,42 @@ class StreamTransport:
         self.messages_delivered += 1
         self.last_delivery_time = max(self.last_delivery_time, due)
 
+    # -- lifecycle ------------------------------------------------------
+    async def start(self) -> None:
+        """Bring the transport up; all nodes must already be registered."""
+
+    async def aclose(self) -> None:
+        """Tear the transport down (the base transport holds nothing)."""
+
     # -- quiescence -----------------------------------------------------
     def _idle(self) -> bool:
         return self.in_flight == 0 and all(
             node.pending_items == 0 for node in self._nodes.values()
         )
 
+    def raise_failure(self) -> None:
+        """Re-raise what keeps the run from ever draining, if anything does:
+        a failed channel (:attr:`fatal_error`) or a node whose monitor raised."""
+        if self.fatal_error is not None:
+            raise self.fatal_error
+        for node in self._nodes.values():
+            error = node.failure()
+            if error is not None:
+                raise error
+
     async def wait_quiescent(self, timeout: float = 120.0) -> None:
         """Block until no work is pending anywhere (or raise on *timeout*).
 
-        The check is conservative (see the module docstring), but a freshly
-        observed idle state could still be a scheduling artefact on exotic
-        transports, so the condition must hold across a few consecutive
-        yields before the wait returns.  A node task that died abnormally
-        can never drain its share of the in-flight work, so its exception
-        is re-raised here immediately instead of timing out.
+        The conservative idle check (see the module docstring) must hold
+        across a few consecutive yields before the wait returns; a failure
+        (:meth:`raise_failure`) is re-raised at once instead of timing out.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         stable = 0
         spins = 0
         while True:
-            if self.fatal_error is not None:
-                raise self.fatal_error
-            for node in self._nodes.values():
-                error = node.failure()
-                if error is not None:
-                    raise error
+            self.raise_failure()
             if self._idle():
                 stable += 1
                 if stable >= 3:
@@ -229,13 +183,50 @@ class StreamTransport:
         return self.delay.extra_stats()
 
 
-class InMemoryStreamTransport(StreamTransport):
-    """Streaming transport delivering through in-process inbox queues."""
+class _Line(deque[tuple[float, int, object]]):
+    """One in-memory channel's FIFO line, drained by loop callbacks: :meth:`_get`
+    runs where a pump task took its next message (its first step, or its
+    wake-up when a message reached it waiting), :meth:`_deliver` where it
+    resumed after its :meth:`StreamTransport.advance_to` yield."""
 
-    async def _forward(
-        self, channel: tuple[int, int], due: float, target: int, message: object
-    ) -> None:
-        self._nodes[target].enqueue_message(due, message)
+    def __init__(self, transport: StreamTransport) -> None:
+        super().__init__()
+        self.transport, self.waiting = transport, False
+        self.call_soon = asyncio.get_running_loop().call_soon
+        self.call_soon(self._get)
+
+    def _put(self, item: tuple[float, int, object]) -> None:
+        self.append(item)
+        if self.waiting:
+            self.waiting = False
+            self.call_soon(self._get)
+
+    def _get(self) -> None:
+        if self:
+            self.call_soon(self._deliver, self.popleft())
+        else:
+            self.waiting = True
+
+    def _deliver(self, item: tuple[float, int, object]) -> None:
+        due, target, message = item
+        transport = self.transport
+        transport.now = max(transport.now, due)
+        transport._nodes[target].enqueue_message(due, message)
+        self._get()
+
+
+class InMemoryStreamTransport(StreamTransport):
+    """Streaming transport delivering into in-process node inboxes."""
+
+    def __init__(self, delay: DelayModel | None = None) -> None:
+        super().__init__(delay=delay)
+        self._lines: dict[tuple[int, int], _Line] = {}
+
+    def _post(self, channel: tuple[int, int], item: tuple[float, int, object]) -> None:
+        line = self._lines.get(channel)
+        if line is None:
+            line = self._lines[channel] = _Line(self)
+        line._put(item)
 
 
 class TcpStreamTransport(StreamTransport):
@@ -245,12 +236,13 @@ class TcpStreamTransport(StreamTransport):
     registered node its own ``asyncio.start_server`` at its endpoint
     (``127.0.0.1`` with an ephemeral port when it has none) and writes the
     bound address back into :attr:`endpoints`; every other id there is a
-    remote peer.  Channel pumps lazily dial one client connection per
-    (sender, target) pair with :func:`repro.cluster.transport.dial`'s
-    bounded backoff — peers may start listening in any order — and write
-    wire protocol v8 frames (:mod:`repro.cluster.codec`).  A failed write
-    re-dials and re-sends the same frame (a peer restarted mid-run), and
-    one pump per channel keeps FIFO.  The receiving server decodes each
+    remote peer.  One pump task per (sender, target) channel, started on
+    its first send, lazily dials its client connection with
+    :func:`repro.cluster.transport.dial`'s bounded backoff — peers may
+    start listening in any order — and writes wire protocol v8 frames
+    (:mod:`repro.cluster.codec`).  A failed write re-dials and re-sends the
+    same frame (a peer restarted mid-run), and the one pump keeps the
+    channel FIFO.  The receiving server decodes each
     frame and enqueues it into the target node's inbox, so from the
     monitors' point of view nothing changes — only the medium does.
     """
@@ -268,6 +260,8 @@ class TcpStreamTransport(StreamTransport):
         #: inbound connections and their handler tasks, so ``aclose`` can
         #: feed them EOF instead of leaving the tasks to die with the loop
         self._inbound: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._queues: dict[tuple[int, int], asyncio.Queue] = {}
+        self._pumps: list[asyncio.Task] = []
 
     def _addressed(self, target: int) -> bool:
         return target in self.endpoints
@@ -293,7 +287,10 @@ class TcpStreamTransport(StreamTransport):
         would otherwise write to a closed writer and replace the original
         diagnostic with a teardown ConnectionError.
         """
-        await super().aclose()
+        for pump in self._pumps:
+            pump.cancel()
+        await asyncio.gather(*self._pumps, return_exceptions=True)
+        self._pumps.clear()
         for writer in self._writers.values():
             writer.close()
         for writer in self._writers.values():
@@ -311,30 +308,45 @@ class TcpStreamTransport(StreamTransport):
             await server.wait_closed()
         self._servers.clear()
 
-    async def _forward(
-        self, channel: tuple[int, int], due: float, target: int, message: object
-    ) -> None:
-        frame = codec.encode_wire(due, message)
-        self.wire_bytes_sent += len(frame)
-        while True:
-            writer = self._writers.get(channel)
-            if writer is None:
-                # raises once the bounded backoff gives up
-                _, writer = await dial(
-                    self.endpoints[target],
-                    f"monitor {channel[0]} cannot reach monitor {target}",
-                )
-                self._writers[channel] = writer
-            try:
-                writer.write(frame)
-                await writer.drain()
-                return
-            except (ConnectionError, OSError):
-                # the peer went away mid-run: re-send this frame on a fresh
-                # connection (nothing acknowledged it at the application
-                # level, and this channel's one pump keeps FIFO)
-                del self._writers[channel]
-                writer.close()
+    def _post(self, channel: tuple[int, int], item: tuple[float, int, object]) -> None:
+        queue = self._queues.get(channel)
+        if queue is None:
+            queue = self._queues[channel] = asyncio.Queue()
+            self._pumps.append(asyncio.get_running_loop().create_task(self._pump(channel, queue)))
+        queue.put_nowait(item)
+
+    async def _pump(self, channel: tuple[int, int], queue: asyncio.Queue) -> None:
+        """Drain one channel: realise each delivery instant, write the frame.
+
+        A failed write re-dials and re-sends the same frame (the peer went
+        away mid-run: nothing acknowledged it at the application level, and
+        this one pump keeps FIFO).  A message the channel cannot deliver — the
+        dial's bounded backoff gave up — would stall quiescence forever, so
+        its failure becomes :attr:`fatal_error` (the first one wins).
+        """
+        sender, target = channel
+        try:
+            while True:
+                due, _, message = await queue.get()
+                await self.advance_to(due)
+                frame = codec.encode_wire(due, message)
+                self.wire_bytes_sent += len(frame)
+                while True:
+                    writer = self._writers.get(channel)
+                    if writer is None:
+                        route = f"monitor {sender} cannot reach monitor {target}"
+                        _, writer = await dial(self.endpoints[target], route)
+                        self._writers[channel] = writer
+                    try:
+                        writer.write(frame)
+                        await writer.drain()
+                        break
+                    except (ConnectionError, OSError):
+                        del self._writers[channel]
+                        writer.close()
+        except Exception as error:  # noqa: BLE001 - re-raised by wait_quiescent
+            if self.fatal_error is None:
+                self.fatal_error = error
 
     async def _serve(
         self,

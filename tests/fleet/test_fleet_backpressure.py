@@ -12,6 +12,9 @@ import asyncio
 import itertools
 import json
 
+import pytest
+
+from repro.core.monitor import DecentralizedMonitor
 from repro.fleet import (
     FleetConfig,
     ReplaySource,
@@ -42,7 +45,7 @@ def _session_with_one_full_reading(backpressure, full_at):
         computation, automaton, registry = await engine._load_inputs(spec)
         net = InMemoryStreamTransport()
         session = MonitorSession(computation, automaton, registry, net, max_views_per_state=2)
-        gate = engine._InboxGate(net, 10**9, backpressure)
+        gate = engine._InboxGate(net, 10**9, backpressure, 30.0)
         readings = itertools.count()
         roomy = gate._full
         gate._full = lambda nodes: next(readings) == full_at or roomy(nodes)
@@ -184,6 +187,44 @@ class TestEviction:
         tenants = json.loads(json.dumps(report.as_dict()))["tenants"]
         assert len(tenants) == 1
         assert tenants[0]["error"].startswith("FileNotFoundError")
+
+
+    def test_a_dead_monitor_behind_a_blocking_gate_evicts_its_tenant(self, monkeypatch):
+        """A monitor that raised never drains its inbox: the ``block`` gate
+        raises its failure instead of waiting for the drain forever."""
+        seen = itertools.count(1)
+        local_event = DecentralizedMonitor.local_event
+
+        def failing(self, event):
+            if self.process == 0 and next(seen) == 2:
+                raise RuntimeError("monitor 0 fails on its second event")
+            local_event(self, event)
+
+        monkeypatch.setattr(DecentralizedMonitor, "local_event", failing)
+        (spec,) = synthetic_fleet(1, num_processes=3, events_per_process=6)
+        session = engine._guarded_session(
+            spec, inbox_limit=1, backpressure="block", quiesce_timeout=5.0
+        )
+        result = asyncio.run(asyncio.wait_for(session, timeout=10.0))
+        assert result.error == "RuntimeError: monitor 0 fails on its second event"
+
+    def test_a_blocking_gate_gives_up_at_the_deadline(self):
+        class _Stuck:
+            """A node that never drains and never fails."""
+
+            pending_items = 1
+
+            def failure(self):
+                return None
+
+        async def main():
+            net = InMemoryStreamTransport()
+            net.register(0, _Stuck())
+            gate = engine._InboxGate(net, 1, "block", timeout=0.05)
+            await gate.admit([_Stuck()], 0)
+
+        with pytest.raises(RuntimeError, match="did not drain below 1 in 0.05s"):
+            asyncio.run(asyncio.wait_for(main(), timeout=10.0))
 
 
 class TestAdmission:

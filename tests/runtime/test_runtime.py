@@ -88,9 +88,9 @@ class TestStreamTransport:
             await transport.start()
             transport.send(0, 1, "a")
             transport.send(0, 1, "b")
-            assert transport.pending == 2
+            assert transport.in_flight == 2
             await transport.wait_quiescent(timeout=10.0)
-            assert transport.pending == 0
+            assert transport.in_flight == 0
             assert transport.messages_sent == 2
             assert transport.messages_delivered == 2
             await transport.aclose()
