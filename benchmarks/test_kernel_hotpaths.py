@@ -139,7 +139,7 @@ def _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.0):
     n = monitor.num_processes
     compiled = automaton.compiled
     # the initial letters, as the automaton reads them
-    initial_letters = [compiled.decode(column[0]) for column in monitor.mask_columns]
+    initial_letters = [compiled.decode(column[0]) for column in monitor.columns.masks]
     state = automaton.initial_state
     if stutter:
         state = automaton.step(state, frozenset().union(*initial_letters))
@@ -172,7 +172,7 @@ def _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.0):
         state = {"p": f"P{mine}.p" in letter, "q": f"P{mine}.q" in letter}
         monitor.local_event(Event(mine, sn, EventKind.INTERNAL, VectorClock(clock), state))
     runs = {j: (list(map(compiled.encode, columns[j])), clocks[j]) for j in range(n) if j != mine}
-    monitor._absorb_runs(Token(mine, entries=[entry], known=[0] * n, runs=runs))
+    monitor.columns.absorb_runs(Token(mine, entries=[entry], known=[0] * n, runs=runs))
     return view, entry
 
 
@@ -191,7 +191,7 @@ def test_box_bfs_events_per_sec():
     monitor = _box_monitor(automaton, registry, n)
     view, entry = _fully_concurrent_box(monitor, automaton, registry, side)
     for _ in range(iterations):
-        monitor._box_reachable(view, [tuple(entry.cut)])
+        monitor.box.reachable(view, [tuple(entry.cut)], monitor.columns.mask_at(view.cut))
     # the worst case: nothing collapsed, every cut of the box searched
     assert monitor.metrics.boxes_by_letter == 0
     assert monitor.metrics.box_cells_visited == cells * iterations
@@ -212,7 +212,7 @@ def test_box_bfs_stuttering_events_per_sec():
     monitor = _box_monitor(automaton, registry, n, holds=True)
     view, entry = _fully_concurrent_box(monitor, automaton, registry, side, stutter=0.85)
     for _ in range(iterations):
-        monitor._box_reachable(view, [tuple(entry.cut)])
+        monitor.box.reachable(view, [tuple(entry.cut)], monitor.columns.mask_at(view.cut))
     searched = monitor.metrics.box_cells_visited
     assert monitor.metrics.boxes_by_letter == 0
     assert iterations < searched < cells * iterations // 10
@@ -223,7 +223,7 @@ def test_serve_entry_events_per_sec():
 
     The entry must reach the end of a 2 000-event history (a repair-style
     position bound, no conjunct) on a token whose parent holds none of it,
-    so one ``_serve_entry`` call scans every event and the token leaves with
+    so one ``Columns.serve_entry`` call scans every event and the token leaves with
     all of them as its run.
     """
     history = 2_000
@@ -262,10 +262,10 @@ def test_serve_entry_events_per_sec():
         )
         for _ in range(iterations)
     ]
-    ends = monitor._live_ends()
+    ends = monitor.columns.live_ends()
     for token in tokens:
-        monitor._serve_entry(token.entries[0], ends)
-        monitor._extend_run(token)
+        monitor.columns.serve_entry(token.entries[0], ends)
+        monitor.columns.extend_run(token)
     for token in tokens:
         (entry,) = token.entries
         assert entry.cut == [history, 0, 0]

@@ -25,7 +25,8 @@ then follows the coordinator's command loop:
     Return verdicts (as strings), the monitor's whole counter record and
     the fault counters.
 ``shutdown``
-    Drain the node task and exit cleanly.
+    Stop the node — it runs, as loop callbacks, what was queued before the
+    stop — close the transport and exit cleanly.
 
 The monitor comes from the same :class:`repro.session.MonitorSession` every
 backend uses, told to host this worker's process only: the spec's fault

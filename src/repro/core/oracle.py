@@ -25,7 +25,7 @@ from ..distributed.computation import Computation, Cut
 from ..ltl.monitor import MonitorAutomaton
 from ..ltl.predicates import PropositionRegistry
 from ..ltl.verdict import Verdict
-from .monitor import _states_of
+from .box import states_of as _states_of
 
 __all__ = ["OracleResult", "LatticeOracle"]
 

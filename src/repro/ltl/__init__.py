@@ -49,12 +49,7 @@ from .monitor import MonitorAutomaton, Transition, build_monitor
 from .parser import LTLSyntaxError, parse
 from .predicates import LocalState, Proposition, PropositionRegistry
 from .rewriting import expand, negate, to_nnf
-from .semantics import (
-    all_assignments,
-    evaluate_lasso,
-    extensions_agree,
-    ltl3_bruteforce,
-)
+from .semantics import all_assignments
 from .verdict import Verdict
 
 __all__ = [
@@ -107,8 +102,5 @@ __all__ = [
     "negate",
     "to_nnf",
     "all_assignments",
-    "evaluate_lasso",
-    "extensions_agree",
-    "ltl3_bruteforce",
     "Verdict",
 ]

@@ -150,7 +150,7 @@ class MonitorAutomaton:
         ``δ(δ(q, a), a) == δ(q, a)`` for every state and letter: once the
         machine has read a letter, repeating it changes nothing, so a run of
         events that leave the global letter unchanged can be replayed as one
-        step (:meth:`repro.core.monitor.DecentralizedMonitor._box_search`).
+        step (:meth:`repro.core.box.Box.search`).
         Holds for every case-study automaton, minimised or not; fails for
         ``X p``.  The Moore table is walked once, on first access.
         """
@@ -165,7 +165,7 @@ class MonitorAutomaton:
     def reach_bits(self) -> tuple[int, ...]:
         """Per state, the bitset of states the machine reaches from it under
         any letters, itself included — which states a view can still be in
-        (:meth:`repro.core.monitor.DecentralizedMonitor._box_reachable`).
+        (:meth:`repro.core.box.Box.reachable`).
         The Moore table is walked once, on first access."""
         delta = self._machine.delta
         reach: list[int] = []
@@ -182,7 +182,7 @@ class MonitorAutomaton:
     def shared(self) -> dict:
         """Tables that the monitors running this automaton derive from it
         once and share, across sessions too; empty until one asks
-        (:class:`repro.core.monitor.DecentralizedMonitor` keys its own by
+        (:meth:`repro.core.box.Property.of` keys its own by
         process count and the owner of each compiled atom)."""
         return {}
 

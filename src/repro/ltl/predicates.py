@@ -135,7 +135,7 @@ class PropositionRegistry:
         by that process (empty when the process does not participate in the
         guard).  This mirrors the ``ConjunctsEvaluation`` vector of the
         paper's token objects.  Monitors split each guard once per property
-        (``repro.core.monitor._Property``), so nothing is memoized here.
+        (``repro.core.box.Property``), so nothing is memoized here.
         """
         per_process: list[dict[str, bool]] = [dict() for _ in range(num_processes)]
         for atom, required in guard.items():

@@ -74,15 +74,16 @@ def _report(backend, property_name, num_processes):
 @pytest.mark.parametrize("backend", ["sim", "asyncio"])
 def test_every_message_is_a_token_or_a_termination_notice(backend, cell, monkeypatch):
     property_name, n = cell
-    receive, notices = DecentralizedMonitor._receive, []
+    receive, notices = DecentralizedMonitor.receive_message, []
 
     def recording_receive(self, message):
-        assert isinstance(message, (Token, TerminationNotice))
-        if isinstance(message, TerminationNotice):
-            notices.append((message.process, self.process))
+        for part in message if isinstance(message, tuple) else (message,):
+            assert isinstance(part, (Token, TerminationNotice))
+            if isinstance(part, TerminationNotice):
+                notices.append((part.process, self.process))
         receive(self, message)
 
-    monkeypatch.setattr(DecentralizedMonitor, "_receive", recording_receive)
+    monkeypatch.setattr(DecentralizedMonitor, "receive_message", recording_receive)
     report = {"sim": _simulate, "asyncio": _stream}[backend](property_name, n)
     assert report.monitor_messages == report.token_messages + report.termination_messages
     assert report.monitor_messages == sum(m.metrics.messages_sent for m in report.monitors)

@@ -56,7 +56,7 @@ class TestRunningExample:
         result = _untimed(example, psi, registry)
         for monitor in result.monitors:
             assert monitor.is_quiescent
-            assert not monitor.waiting_tokens
+            assert not monitor.tokens.waiting
 
     def test_messages_are_exchanged(self, example, registry, psi):
         result = _untimed(example, psi, registry)

@@ -36,6 +36,7 @@ from repro.api import run_streaming
 from repro.cluster import codec
 from repro.core.messages import TerminationNotice, Token
 from repro.core.monitor import DecentralizedMonitor
+from repro.core.tokens import Tokens
 from repro.experiments.engine import cell_inputs
 from repro.runtime.transport import StreamTransport
 from repro.scenarios import get_scenario
@@ -57,16 +58,16 @@ GRID = [
 RISING = {("F", 4, 20, 7, 2), ("F", 4, 20, 7, None)}
 
 
-def _one_message_per_frame(self):
+def _one_message_per_frame(self, transport):
     """The reference flush: every queued message on its own, in send order,
     counted as it was before frames."""
-    outbox, self._outbox = self._outbox, []
+    outbox, self.outbox = self.outbox, []
     for target, message in outbox:
         if isinstance(message, Token):
             self.metrics.token_messages_sent += 1
         else:
             self.metrics.termination_messages_sent += 1
-        self.transport.send(self.process, target, message)
+        transport.send(self.process, target, message)
 
 
 def _run(cell):
@@ -104,7 +105,7 @@ def _declarations(report):
 def _unframed_grid(cells=GRID):
     """Per cell, what the monitors show with one message per frame."""
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(DecentralizedMonitor, "_flush", _one_message_per_frame)
+        patched.setattr(Tokens, "flush", _one_message_per_frame)
         reports = {cell: _run(cell) for cell in cells}
     return {
         cell: (_digest(report), report.monitor_messages, _declarations(report))
@@ -224,7 +225,7 @@ def _wire_bytes_per_event(monkeypatch, cells, flush):
     with monkeypatch.context() as patched:
         patched.setattr(SimulatedNetwork, "send", encoding)
         if flush is not None:
-            patched.setattr(DecentralizedMonitor, "_flush", flush)
+            patched.setattr(Tokens, "flush", flush)
         for name, n, epp, seed in cells:
             events += _run((name, n, epp, seed, 2)).total_events
     return sent[0] / events

@@ -27,6 +27,7 @@ must be identical
 import pytest
 from test_parked_tokens import _cell, _observed
 
+from repro.core.global_view import ViewSet
 from repro.core.monitor import DecentralizedMonitor
 from repro.experiments.engine import cell_inputs
 from repro.faults import parse_fault_plan
@@ -42,32 +43,31 @@ def _merge_every_event(self, event):
         self.start()
     self.metrics.events_processed += 1
     letter = self.registry.local_letter(self.process, event.state)
-    self._append_masks(self.process, (self._compiled.encode(letter),))
-    self.local_vcs.append(tuple(event.vc))
+    self.columns.append_own(self._compiled.encode(letter), tuple(event.vc))
     if any(view.is_waiting() for view in self.views):
         self.metrics.delayed_events += 1
-    self._retry_waiting_tokens(own_event=True)
+    self.tokens.retry(own_event=True)
     self._advance_views(self.views)
-    self._merge_views()
-    if self._outbox:
-        self._flush()
+    self.views.merge(self.declared_bits, self.heard)
+    if self.tokens.outbox:
+        self.tokens.flush(self.transport)
 
 
 def _merging_and_reference(monkeypatch, run):
     """``run()`` as the monitor is and under the reference; returns the two
     observations (``parked_tokens_slept`` included) and how many merges the
     monitor made and the reference made."""
-    merge, observed, merges = DecentralizedMonitor._merge_views, [], []
+    merge, observed, merges = ViewSet.merge, [], []
 
-    def counted(self):
+    def counted(self, declared, heard):
         merges[-1] += 1
-        merge(self)
+        merge(self, declared, heard)
 
     for local_event in (DecentralizedMonitor.local_event, _merge_every_event):
         merges.append(0)
         with monkeypatch.context() as patched:
             patched.setattr(DecentralizedMonitor, "local_event", local_event)
-            patched.setattr(DecentralizedMonitor, "_merge_views", counted)
+            patched.setattr(ViewSet, "merge", counted)
             observed.append(_observed(run(), slept=True))
     return (*observed, *merges)
 
@@ -108,11 +108,11 @@ def test_merging_only_after_a_step_changes_nothing_on_the_benchmark_cells(
 
 def _never_merging(self, event, local_event=DecentralizedMonitor.local_event):
     """``local_event`` with no merge at all after an own event."""
-    self._merge_views = lambda: None  # shadows the method on this monitor
+    self.views.merge = lambda declared, heard: None  # shadows the method on this view set
     try:
         local_event(self, event)
     finally:
-        del self._merge_views
+        del self.views.merge
 
 
 @pytest.mark.parametrize("property_name", "AC")

@@ -35,6 +35,6 @@ def test_live_memory_at_the_end_of_a_long_run_stays_under_200_bytes_per_event():
         tracemalloc.stop()
     assert report.total_events == 11_068
     # every monitor ends holding its own column, at least
-    own = [len(m.mask_columns[m.process]) - 1 for m in report.monitors]
+    own = [len(m.columns.masks[m.process]) - 1 for m in report.monitors]
     assert sum(own) == report.total_events
     assert live / report.total_events < BYTES_PER_EVENT

@@ -1,8 +1,9 @@
 """A parked token sleeps through own events that cannot move it.
 
-The reference is the rule the monitor had before (kept below): after every
-own event, every parked token is served again.  Sleeping must change nothing
-a run shows — every ``MonitorMetrics`` counter except ``parked_tokens_slept``,
+The reference is the token layer's (``tests/core/references.py``): no
+parked token sleeps — after every own event every parked token is served
+again — and no least cut is remembered.  Sleeping must change nothing a run
+shows — every ``MonitorMetrics`` counter except the two of those memories,
 each monitor's verdict log and declared states, and the messages:
 
 * on the paper-default grid: properties A–F, n ∈ {3, 4}, 6 and 20 events per
@@ -24,20 +25,20 @@ each monitor's verdict log and declared states, and the messages:
   copies of one token (one ``token_id``) park at one monitor at different
   times: a token is woken by what grew since *it* was parked.
 
-``_sleeps`` reads a wake record made when the token parked; on every own
-event of every run above but the fuzz point, each parked token's answer is
-also checked against the test as it was, entry by entry
-(:func:`_reference_sleeps`).
+``Tokens.sleeps`` reads a wake record made when the token parked; the sleep
+answers are recorded (:func:`_recording_sleeps`), so that a test can ask
+that a token was asked, and what it answered.
 """
 
 import dataclasses
 
 import pytest
+from references import reference_tokens, without_memories
 from test_token_lifecycle import _System
 
 from repro.api import run_streaming
 from repro.cluster.spec import build_cell_inputs
-from repro.core.monitor import DecentralizedMonitor
+from repro.core.tokens import Tokens
 from repro.distributed.clocks import VectorClock
 from repro.distributed.events import Event, EventKind
 from repro.experiments.engine import cell_inputs
@@ -46,59 +47,19 @@ from repro.scenarios import get_scenario
 from repro.sim import simulate_monitored_run
 
 
-def _retry_every_token(self, own_event=False):
-    """The reference: every parked token is served again, on every event."""
-    tokens, self.waiting_tokens = self.waiting_tokens, []
-    for token in tokens:
-        if self._ends_here(token):
-            self._token_returned(token)
-        else:
-            self._serve_token(token)
-
-
-def _reference_sleeps(self, token):
-    """The sleep test as it was before wake records: no foreign column grew
-    since the token was parked (``_reference_parked_at``, kept by
-    :func:`_recording_sleeps`), and, entry by entry over the undecided
-    entries parked here, the event's mask does not satisfy the conjunct, no
-    other process is marked, and the clock asks no more of a peer ``k``
-    than ``depend[k]`` where a serve here could move ``k``."""
-    if self._reference_parked_at[id(token)] != self._absorbed:
-        return False
-    mine, others, ends = self.process, self._serve_order[1:], self._live_ends()
-    mask, vc = self.mask_columns[mine][-1], self.local_vcs[-1]
-    for entry in token.entries:
-        if entry.eval is None and entry.parked_on == mine:
-            care, want = entry.bits[mine]
-            cut, depend = entry.cut, entry.depend
-            if (
-                mask & care == want
-                or not entry.waiting_for <= {mine}
-                or any(vc[k] > depend[k] and (cut[k] < ends[k] or ends[k] < 0) for k in others)
-            ):
-                return False
-    return True
-
-
 def _recording_sleeps(patched, answers, only=None):
-    """Patch the monitor so that, on every own event, each parked token's
-    ``(_sleeps, _reference_sleeps)`` answers are appended to *answers*
-    (*only*: of that one token, at its monitor, before the event is read)."""
-    park, retry = DecentralizedMonitor._park, DecentralizedMonitor._retry_waiting_tokens
+    """Patch the token layer so that every sleep answer (:meth:`Tokens.sleeps`,
+    asked of each parked token on an own event) is appended to *answers*
+    (*only*: of that one token)."""
+    sleeps = Tokens.sleeps
 
-    def parked(self, token):
-        self.__dict__.setdefault("_reference_parked_at", {})[id(token)] = self._absorbed
-        park(self, token)
+    def recorded(self, token):
+        answer = sleeps(self, token)
+        if only is None or token is only:
+            answers.append(answer)
+        return answer
 
-    def retried(self, own_event=False):
-        if own_event:
-            for token in self.waiting_tokens:
-                if only is None or token is only:
-                    answers.append((self._sleeps(token), _reference_sleeps(self, token)))
-        retry(self, own_event)
-
-    patched.setattr(DecentralizedMonitor, "_park", parked)
-    patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", retried)
+    patched.setattr(Tokens, "sleeps", recorded)
 
 
 def _observed(report, slept=False):
@@ -115,19 +76,23 @@ def _observed(report, slept=False):
 
 
 def _sleeping_and_reference(monkeypatch, run, answers=None):
-    """``run()`` as the monitor is and under the reference rule; returns the
-    two observations and the tokens that slept.  With a list *answers*, the
-    first run appends to it every parked token's two sleep answers per own
-    event (:func:`_recording_sleeps`)."""
+    """``run()`` as the monitor is and under the reference token layer
+    (:func:`references.reference_tokens`); returns the two observations, less
+    the memory counters, and the tokens that slept.  With a list *answers*,
+    the first run appends to it every sleep answer (:func:`_recording_sleeps`)."""
     with monkeypatch.context() as patched:
         if answers is not None:
             _recording_sleeps(patched, answers)
         report = run()
     with monkeypatch.context() as patched:
-        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
+        reference_tokens(patched)
         reference = run()
     assert reference.metrics.parked_tokens_slept == 0
-    return _observed(report), _observed(reference), report.metrics.parked_tokens_slept
+    return (
+        without_memories(_observed(report, slept=True)),
+        without_memories(_observed(reference, slept=True)),
+        report.metrics.parked_tokens_slept,
+    )
 
 
 def _cell(property_name, n, epp, seed, budget, streamed=False):
@@ -145,11 +110,6 @@ def _cell(property_name, n, epp, seed, budget, streamed=False):
     )
 
 
-def _disagreements(answers):
-    """The recorded sleep answers on which the wake record and the reference differ."""
-    return [pair for pair in answers if pair[0] != pair[1]]
-
-
 @pytest.mark.parametrize("property_name", "ABCDEF")
 def test_sleeping_changes_nothing_on_the_grid(property_name, monkeypatch):
     slept, answers = 0, []
@@ -159,10 +119,9 @@ def test_sleeping_changes_nothing_on_the_grid(property_name, monkeypatch):
                 run = _cell(property_name, n, epp, seed, budget=2)
                 report, reference, count = _sleeping_and_reference(monkeypatch, run, answers)
                 assert report == reference, (n, epp, seed)
-                assert not _disagreements(answers), (n, epp, seed)
                 slept += count
     assert slept > 0
-    assert sum(pair[0] for pair in answers) >= slept  # every token that slept was asked
+    assert sum(answers) >= slept  # every token that slept was asked
 
 
 @pytest.mark.parametrize(
@@ -184,8 +143,7 @@ def test_sleeping_changes_nothing_on_the_benchmark_cells(cell, streamed, monkeyp
     report, reference, slept = _sleeping_and_reference(monkeypatch, run, answers)
     assert report == reference
     assert slept > 0
-    assert not _disagreements(answers)
-    assert {pair[0] for pair in answers} == {True, False}
+    assert set(answers) == {True, False}
 
 
 @pytest.mark.parametrize("property_name, epp", [("A", 20), ("F", 6)])
@@ -195,7 +153,6 @@ def test_a_mark_on_another_process_wakes_the_token(property_name, epp, monkeypat
     report, reference, slept = _sleeping_and_reference(monkeypatch, run, answers)
     assert report == reference
     assert slept > 0
-    assert not _disagreements(answers)
 
 
 def test_the_least_depend_of_the_entries_is_the_limit(monkeypatch):
@@ -207,7 +164,6 @@ def test_the_least_depend_of_the_entries_is_the_limit(monkeypatch):
     report, reference, slept = _sleeping_and_reference(monkeypatch, run, answers)
     assert report == reference
     assert slept > 0
-    assert not _disagreements(answers)
 
 
 def _ended_sender_scenario():
@@ -218,13 +174,13 @@ def _ended_sender_scenario():
     system.event(2, True)
     system.event(0, True)
     p1 = system.monitors[1]
-    (token,) = [t for t in p1.waiting_tokens if t.parent_process == 0]
+    (token,) = [t for t in p1.tokens.waiting if t.parent_process == 0]
     system.monitors[2].local_event(
         Event(2, 2, EventKind.SEND, VectorClock([0, 0, 2]), {"p": False}, peer=1)
     )
     system.simulator.run()
     system.terminate(2)
-    assert token in p1.waiting_tokens  # P2's event 1 is all the entry needs of P2
+    assert token in p1.tokens.waiting  # P2's event 1 is all the entry needs of P2
     route = system.route(token)
     p1.local_event(Event(1, 1, EventKind.RECEIVE, VectorClock([0, 1, 2]), {"p": False}, peer=2))
     system.simulator.run()
@@ -246,7 +202,7 @@ def _live_sender_scenario(brought, verdicts):
     *brought*, P2 first tells P0 (its event 3), P0 tells P1, and P1's repair
     token for that receive brings P2's events, the send among them, into
     P1's column before the send is received.  *verdicts* collects, per own
-    event of P1, what ``_sleeps`` and the reference say of P0's token
+    event of P1, what ``Tokens.sleeps`` says of P0's token
     (:func:`_recording_sleeps`).  Returns the system,
     P0's token, P1's ``parked_tokens_slept`` just before the receive and,
     just after it, the token's route and its entry's cut and ``depend``."""
@@ -254,8 +210,7 @@ def _live_sender_scenario(brought, verdicts):
     system.event(2, True)
     system.event(0, True)
     p1 = system.monitors[1]
-    (token,) = [t for t in p1.waiting_tokens if t.parent_process == 0]
-    p1._reference_parked_at = {id(token): p1._absorbed}  # parked before the recording
+    (token,) = [t for t in p1.tokens.waiting if t.parent_process == 0]
     with pytest.MonkeyPatch.context() as patched:
         _recording_sleeps(patched, verdicts, only=token)
         _event(system, 2, 2, EventKind.SEND, [0, 0, 2], peer=1)
@@ -267,11 +222,11 @@ def _live_sender_scenario(brought, verdicts):
             _event(system, 1, 1, EventKind.RECEIVE, [3, 1, 3], peer=0)
             sent = [3, 1, 3]
         slept = p1.metrics.parked_tokens_slept
-        sn = len(p1.local_vcs)
+        sn = len(p1.columns.vcs[1])
         _event(system, 1, sn, EventKind.RECEIVE, [sent[0], sn, sent[2]], peer=2)
         receipt = system.route(token), list(token.entries[0].cut), list(token.entries[0].depend)
         _event(system, 1, sn + 1, EventKind.INTERNAL, [sent[0], sn + 1, sent[2]], p=True)
-        end = len(system.monitors[2].local_vcs)
+        end = len(system.monitors[2].columns.vcs[2])
         _event(system, 2, end, EventKind.INTERNAL, [0, 0, end], p=True)
         for process in range(3):
             system.terminate(process)
@@ -285,8 +240,7 @@ def test_a_clock_only_a_live_peer_can_answer_lets_the_token_sleep(monkeypatch):
     p1 = system.monitors[1]
     # the receive asks for P2's event 2, which P1's column does not hold and
     # only M2 can give: a serve here would walk P1's column and park again
-    assert verdicts[0] == (True, True)
-    assert not _disagreements(verdicts)
+    assert verdicts[0] is True
     assert route == [(0, 1)]
     assert cut == [1, 0, 0] and depend == [1, 0, 0]  # stale until the wake
     assert p1.metrics.parked_tokens_slept == slept + 2  # P2's token sleeps too
@@ -294,7 +248,7 @@ def test_a_clock_only_a_live_peer_can_answer_lets_the_token_sleep(monkeypatch):
     assert system.route(token)[:2] == [(0, 1), (1, 2)]
     assert [entry.eval for entry in token.entries] == [True]
     with monkeypatch.context() as patched:
-        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
+        reference_tokens(patched)
         reference, _, _, _ = _live_sender_scenario(False, [])
     assert _hops(system) == _hops(reference)
 
@@ -306,15 +260,14 @@ def test_a_clock_the_column_here_answers_wakes_the_token(monkeypatch):
     # at P0's message the columns here still end at the entry's cut: it
     # sleeps; at P2's send, column 2 holds P2's events to 3 (the repair
     # token brought them): it wakes and walks P2's component here
-    assert verdicts[:2] == [(True, True), (False, False)]
-    assert not _disagreements(verdicts)
+    assert verdicts[:2] == [True, False]
     assert p1.metrics.parked_tokens_slept == slept
     assert route == [(0, 1)]
     assert cut == [3, 2, 3] and depend == [3, 2, 3]
     # P0 dropped its p at events 2 and 3 and ends without raising it
     assert [entry.eval for entry in token.entries] == [False]
     with monkeypatch.context() as patched:
-        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
+        reference_tokens(patched)
         reference, _, _, _ = _live_sender_scenario(True, [])
     assert _hops(system) == _hops(reference)
 
@@ -332,11 +285,11 @@ def test_a_clock_that_asks_more_of_an_ended_process_wakes_the_token(monkeypatch)
     system, token, route = _ended_sender_scenario()
     # the receive's clock asks for P2's event 2, which only M2 holds, and M2
     # settles the entry there: P2 has ended with p false
-    assert token not in system.monitors[1].waiting_tokens
+    assert token not in system.monitors[1].tokens.waiting
     assert system.route(token) == [*route, (1, 2), (2, 0)]
     assert [entry.eval for entry in token.entries] == [False]
     with monkeypatch.context() as patched:
-        patched.setattr(DecentralizedMonitor, "_retry_waiting_tokens", _retry_every_token)
+        reference_tokens(patched)
         reference, _, _ = _ended_sender_scenario()
     assert _hops(system) == _hops(reference)
 

@@ -1,6 +1,6 @@
-"""What a monitor remembers of its searches: ``_least`` and ``GlobalView.searched``.
+"""What a monitor remembers of its searches: ``Tokens.least`` and ``GlobalView.searched``.
 
-* **One least cut per guard.**  What ``_issue_token`` takes from ``_least``
+* **One least cut per guard.**  What ``Tokens.issue`` takes from ``least``
   is what walking the columns gives and what the slicer computes,
   found or settled ``False``; a floor beyond the remembered cut, or not above
   the remembered floor, is walked.
@@ -12,7 +12,7 @@
 * **What makes a view search again:** an eviction of what it forked, a change
   of its state, a fork that was only covered by a smaller live view.
 * **Issue time only.**  Arriving, retried and forged entries neither read nor
-  write ``_least``.
+  write ``Tokens.least``.
 """
 
 import copy
@@ -33,9 +33,10 @@ from test_token_hot_paths import (
     _setting,
 )
 
+from repro.core.box import states_of
 from repro.core.global_view import GlobalView
 from repro.core.messages import TerminationNotice, Token, TokenEntry
-from repro.core.monitor import DecentralizedMonitor, _states_of
+from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.computation import ComputationBuilder
 from repro.distributed.lattice import ComputationLattice
 from repro.ltl import PropositionRegistry, Verdict
@@ -64,7 +65,7 @@ def _holding_everything(computation, registry, process):
     automaton = _random_automaton(registry.names, inconclusive=2, seed=0)
     monitor = _monitor(process, computation, registry, automaton, feed=final[process])
     _box(monitor, computation, registry, [0] * n, final, 0)  # fills the other columns
-    monitor.terminated = dict(enumerate(final))
+    monitor.terminated.update(enumerate(final))
     return monitor
 
 
@@ -73,7 +74,7 @@ def _conjuncts(monitor, guard):
 
 
 def _guard_bits(monitor, guard):
-    """The ``(care, want)`` bits ``_least`` keys *guard*'s searches by."""
+    """The ``(care, want)`` bits ``Tokens.least`` keys *guard*'s searches by."""
     return _bits_of(monitor.automaton, _conjuncts(monitor, guard))
 
 
@@ -93,7 +94,7 @@ def _search(monitor, computation, guard, floor):
 
 
 def _as_search(entry):
-    """The ``(row, satisfied, floor)`` ``_issue_token`` takes for *entry*
+    """The ``(row, satisfied, floor)`` ``Tokens.issue`` takes for *entry*
     (guard id 0: the view is new, it holds no guard dead)."""
     return (entry.transition_id, entry.bits, (), 0), entry.satisfied, entry.min_positions
 
@@ -102,10 +103,10 @@ def _issue(monitor, computation, guard, floor):
     """Issue the search for *guard* at *floor*, decided at home; returns the
     least cut it found, or ``None`` (settled ``False``)."""
     view, entry = _search(monitor, computation, guard, floor)
-    forks_of, given = monitor._forks_of, []  # the target cuts it forks from
-    monitor._forks_of = lambda v, cuts, repair: given.extend(cuts) or forks_of(v, cuts, repair)
-    monitor._issue_token(view, [_as_search(entry)])
-    del monitor._forks_of
+    forks, given = monitor.views.forks, []  # the target cuts it forks from
+    monitor.views.forks = lambda v, cuts, *rest: given.extend(cuts) or forks(v, cuts, *rest)
+    monitor._issue(view, [_as_search(entry)], monitor.columns.mask_at(view.cut))
+    del monitor.views.forks
     (found,) = given or [None]
     return found
 
@@ -136,7 +137,7 @@ def test_a_remembered_least_cut_is_the_walked_one_and_the_slicers(case):
     forgetful = _holding_everything(computation, registry, process)
     bits = _guard_bits(remembering, guard)
     for floor in floors:
-        known = remembering._least.get(bits)
+        known = remembering.tokens.least.get(bits)
         covered = (
             known is not None
             and _below(known[0], floor)
@@ -144,7 +145,7 @@ def test_a_remembered_least_cut_is_the_walked_one_and_the_slicers(case):
         )
         hits = remembering.metrics.least_cuts_remembered
         found = _issue(remembering, computation, guard, floor)
-        forgetful._least.clear()
+        forgetful.tokens.least.clear()
         walked = _issue(forgetful, computation, guard, floor)
         least = least_consistent_cut(computation, registry, guard, start=floor)
         assert found == walked == (least and tuple(least))
@@ -152,7 +153,7 @@ def test_a_remembered_least_cut_is_the_walked_one_and_the_slicers(case):
         # floor; a walk leaves its own pair, an answer from memory leaves all
         assert remembering.metrics.least_cuts_remembered - hits == covered
         expected = known if covered else (tuple(floor), least and tuple(least))
-        assert remembering._least == {bits: expected}
+        assert remembering.tokens.least == {bits: expected}
     assert forgetful.metrics.least_cuts_remembered == 0
     assert remembering.metrics.answered_at_home == len(floors)
     _assert_counters_add_up(remembering)
@@ -185,14 +186,14 @@ def test_only_floors_between_the_remembered_floor_and_cut_are_answered_from_memo
 
     assert issue((0, 0)) == ((2, 3), 0)  # walked: the raise depends on P0's send
     assert issue((1, 0)) == ((2, 3), 1) and issue((2, 2)) == ((2, 3), 1)
-    assert monitor._least[bits] == ((0, 0), (2, 3))
+    assert monitor.tokens.least[bits] == ((0, 0), (2, 3))
     # beyond the remembered cut in one component: the least cut is another
     assert issue((3, 0)) == ((3, 3), 0)
-    assert monitor._least[bits] == ((3, 0), (3, 3))
+    assert monitor.tokens.least[bits] == ((3, 0), (3, 3))
     # not above the remembered floor: walked, whatever the cut
     assert issue((0, 1)) == ((2, 3), 0)
     # settled False, for every floor above — and for none below
-    assert issue((2, 4)) == (None, 0) and monitor._least[bits] == ((2, 4), None)
+    assert issue((2, 4)) == (None, 0) and monitor.tokens.least[bits] == ((2, 4), None)
     assert issue((3, 4)) == (None, 1)
     assert issue((2, 3)) == ((2, 3), 0)
 
@@ -224,13 +225,14 @@ def _one_remembered_one_undecided(forget):
     of_p1, of_p2 = {"P1.p": True}, {"P2.p": True}
     bits = _guard_bits(monitor, of_p1)
     first = _issue(monitor, computation, of_p1, (0, 0, 0))
-    assert first == (2, 3, 0) and monitor._least == {bits: ((0, 0, 0), (2, 3, 0))}
+    assert first == (2, 3, 0) and monitor.tokens.least == {bits: ((0, 0, 0), (2, 3, 0))}
     if forget:
-        monitor._least.clear()
+        monitor.tokens.least.clear()
     view, again = _search(monitor, computation, of_p1, (1, 0, 0))
     _, open_ended = _search(monitor, computation, of_p2, (1, 0, 0))
-    assert monitor._issue_token(view, [_as_search(again), _as_search(open_ended)]) == ()
-    monitor._flush()  # what an entry point does at its end
+    searches = [_as_search(again), _as_search(open_ended)]
+    assert monitor._issue(view, searches, monitor.columns.mask_at(view.cut)) == ()
+    monitor.tokens.flush(monitor.transport)  # what an entry point does at its end
     return monitor, view, network.tokens
 
 
@@ -240,7 +242,7 @@ def test_a_leaving_token_carries_what_walking_every_entry_gives():
     ((target, token),) = sent
     ((expected_target, expected_token),) = expected
     assert target == expected_target == 2  # P2 alone can say more
-    assert view.is_waiting() and remembering._outstanding[token.token_id] is view
+    assert view.is_waiting() and remembering.views.waiting[token.token_id] is view
     token.token_id = expected_token.token_id
     assert token == expected_token  # dataclass equality: entries, known, runs, hops
     walked, open_ended = token.entries
@@ -292,7 +294,7 @@ def _explorer(computation, registry, automaton, process, budget):
                 list(map(automaton.compiled.encode, letters)),
                 [tuple(event.vc) for event in events],
             )
-    monitor._absorb_runs(Token(process, entries=[], known=[0] * n, runs=runs))
+    monitor.columns.absorb_runs(Token(process, entries=[], known=[0] * n, runs=runs))
     monitor.start()
     return monitor
 
@@ -300,7 +302,7 @@ def _explorer(computation, registry, automaton, process, budget):
 def _explored(monitor):
     return (
         [(view.state, view.cut, view.status) for view in monitor.views],
-        monitor._born,
+        monitor.views.born,
         monitor.declared_bits,
         monitor.verdict_log,
         monitor.metrics.views_created,
@@ -315,13 +317,13 @@ def test_leaving_out_the_last_steps_boxes_changes_no_view_and_no_verdict(case):
     computation, registry, automaton, process, budget = case
     remembering = _explorer(computation, registry, automaton, process, budget)
     forgetful = _explorer(computation, registry, automaton, process, budget)
-    forks = forgetful._forks_of
+    forks = forgetful.views.forks
 
-    def forgetting(view, cuts, repair):
+    def forgetting(view, cuts, repair, mask):
         view.searched = {}
-        return forks(view, cuts, repair)
+        return forks(view, cuts, repair, mask)
 
-    forgetful._forks_of = forgetting
+    forgetful.views.forks = forgetting
     for event in computation.events_of(process):
         remembering.local_event(event)
         forgetful.local_event(event)
@@ -356,19 +358,20 @@ def _two_steps(between=lambda monitor, view, forked: None, before=None):
     again = copy.deepcopy(entry)
     if before is not None:
         before(monitor, view)
-    first = monitor._forks_of(view, [tuple(entry.cut)], False)
+    first = monitor.views.forks(view, [tuple(entry.cut)], False, monitor.columns.mask_at(view.cut))
     ((mark, reached),) = view.searched.items() or [(None, None)]
     assert mark in (None, (0, (SIDE, SIDE)))
     between(monitor, view, first)
     view.cut[0] += 1  # one own event later; the state is whatever it is by then
-    return monitor, first, monitor._forks_of(view, [tuple(again.cut)], False), reached
+    second = monitor.views.forks(view, [tuple(again.cut)], False, monitor.columns.mask_at(view.cut))
+    return monitor, first, second, reached
 
 
 def test_the_box_a_views_last_step_searched_is_not_searched_again():
     monitor, first, second, reached = _two_steps()
-    pivots = set(_states_of(reached)) - {0, 6, 7}
+    pivots = set(states_of(reached)) - {0, 6, 7}
     assert {child.state for child in first} == pivots and len(pivots) >= 2
-    assert all((state, (SIDE, SIDE)) in monitor._born for state in pivots)
+    assert all((state, (SIDE, SIDE)) in monitor.views.born for state in pivots)
     assert second == []
     assert monitor.metrics.box_queries == monitor.metrics.boxes_remembered == 1
     assert monitor.metrics.views_merged == 0  # the forks left out are not counted covered
@@ -378,15 +381,15 @@ def test_an_eviction_of_a_fork_makes_the_view_search_again():
     def evict_one(monitor, view, forked):
         victim = forked[0]
         smaller = GlobalView(cut=[0, 0], state=victim.state)
-        monitor.views, monitor.max_views_per_state = [victim, smaller], 1
-        monitor._enforce_view_budget()
+        monitor.views[:], monitor.views.budget = [victim, smaller], 1
+        monitor.views.enforce_budget()
         assert monitor.views == [smaller] and monitor.metrics.views_evicted == 1
         monitor.views.remove(smaller)
 
     monitor, first, second, _ = _two_steps(evict_one)
     assert [child.signature() for child in second] == [first[0].signature()]  # born again
     assert monitor.metrics.box_queries == 2 and monitor.metrics.boxes_remembered == 0
-    assert monitor.metrics.views_merged == len(first) - 1  # the rest: covered, by ``_born``
+    assert monitor.metrics.views_merged == len(first) - 1  # the rest: covered, by ``ViewSet.born``
 
 
 def test_a_change_of_state_makes_the_view_search_again():
@@ -409,7 +412,7 @@ def test_a_fork_covered_by_a_smaller_live_view_only_is_searched_again():
 
     def it_moves_on(monitor, view, forked):
         assert covered not in {child.state for child in forked}
-        assert (covered, (SIDE, SIDE)) not in monitor._born
+        assert (covered, (SIDE, SIDE)) not in monitor.views.born
         (smaller,) = [other for other in monitor.views if other.cut == [0, 0]]
         monitor.views.remove(smaller)
 
@@ -423,14 +426,14 @@ def test_a_fork_covered_by_a_smaller_live_view_only_is_searched_again():
 # ---------------------------------------------------------------------------
 def _asked_at_start(truth):
     """Monitor 0 of ``F(P0.p & P1.p)`` asked P1 for its ``p`` at start; its
-    ``_least`` is then made to say the opposite of *truth* for that guard."""
+    ``Tokens.least`` is then made to say the opposite of *truth* for that guard."""
     monitor, network = home._monitor(p0_initially=True)
     ((_, token),) = network.tokens
     (entry,) = token.entries
     bits = entry.bits
-    assert monitor._least == {}  # nothing was decided at issue time
-    monitor._least[bits] = ((0, 0), None if truth else (0, 1))
-    return monitor, network, token, copy.deepcopy(monitor._least)
+    assert monitor.tokens.least == {}  # nothing was decided at issue time
+    monitor.tokens.least[bits] = ((0, 0), None if truth else (0, 1))
+    return monitor, network, token, copy.deepcopy(monitor.tokens.least)
 
 
 def test_an_arriving_entry_is_walked_whatever_the_memory_says():
@@ -443,17 +446,17 @@ def test_an_arriving_entry_is_walked_whatever_the_memory_says():
     (entry,) = arriving.entries
     assert entry.eval is True and entry.cut == [0, 1]
     assert network.tokens[-1] == (1, arriving)  # decided: back to its parent
-    assert monitor._least == poisoned and monitor.metrics.least_cuts_remembered == 0
+    assert monitor.tokens.least == poisoned and monitor.metrics.least_cuts_remembered == 0
 
 
 def test_a_retried_entry_is_walked_whatever_the_memory_says():
     monitor, network, token, poisoned = _asked_at_start(truth=False)
     home._hold(monitor, 1, [(0, 1)])  # P1's only event leaves its p false
-    monitor._park(token)  # came home undecided, parked
+    monitor.tokens.park(token)  # came home undecided, parked
     monitor.receive_message(TerminationNotice(1, 1))
-    assert token.entries[0].eval is False and monitor.waiting_tokens == []
+    assert token.entries[0].eval is False and monitor.tokens.waiting == []
     assert monitor.is_quiescent and monitor.declared_verdicts == set()
-    assert monitor._least == poisoned and monitor.metrics.least_cuts_remembered == 0
+    assert monitor.tokens.least == poisoned and monitor.metrics.least_cuts_remembered == 0
 
 
 def test_a_repair_answered_at_home_is_not_remembered():
@@ -462,7 +465,7 @@ def test_a_repair_answered_at_home_is_not_remembered():
     home._hold(monitor, 2, [(0, 0, 1)])
     home._receive(monitor, 1, (1, 1, 1))  # its floor is new every time
     assert monitor.metrics.answered_at_home == 1 and network.tokens == []
-    assert monitor._least == {} and monitor.metrics.least_cuts_remembered == 0
+    assert monitor.tokens.least == {} and monitor.metrics.least_cuts_remembered == 0
 
 
 @pytest.mark.parametrize("cut", [[0, 9], [5, 0]])
@@ -471,10 +474,10 @@ def test_a_forged_entry_neither_reads_nor_writes_the_memory(cut):
     forged = copy.deepcopy(token.entries[0])
     forged.cut, forged.eval = cut, None
     monitor.receive_message(Token(1, entries=[forged], known=[0, 0]))
-    assert monitor._least == poisoned
+    assert monitor.tokens.least == poisoned
     # and claimed decided on the monitor's own token, it forks nothing
     token.entries[0].cut, token.entries[0].eval = cut, True
     monitor.receive_message(token)
-    assert monitor._least == poisoned and monitor.declared_verdicts == set()
+    assert monitor.tokens.least == poisoned and monitor.declared_verdicts == set()
     assert monitor.metrics.least_cuts_remembered == monitor.metrics.boxes_remembered == 0
     assert Verdict.TOP not in monitor.reported_verdicts()

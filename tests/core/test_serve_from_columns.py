@@ -37,12 +37,15 @@ from test_token_hot_paths import (
     _bits_of,
     _lagging,
     _random_automaton,
+    _reachable,
     _serve_one_event_at_a_time,
     _setting,
 )
 from test_token_hot_paths import _monitor as _fed_monitor
 
-from repro.core.global_view import GlobalView, ViewStatus
+from repro.core.box import Box
+from repro.core.columns import Columns
+from repro.core.global_view import GlobalView, ViewSet, ViewStatus
 from repro.core.messages import Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.clocks import VectorClock
@@ -96,18 +99,18 @@ def token_heavy_inputs():
 def _own_column_only(monkeypatch):
     """Switch foreign-column serving off from outside: a visit advances the
     visited process's component and nothing else, as before."""
-    serve = DecentralizedMonitor._serve_component
+    serve = Columns.serve_component
 
     def own_column_only(self, entry, j, care, want):
         if j == self.process:
             serve(self, entry, j, care, want)
 
-    monkeypatch.setattr(DecentralizedMonitor, "_serve_component", own_column_only)
+    monkeypatch.setattr(Columns, "serve_component", own_column_only)
 
 
 def _never_settle(monkeypatch):
     """Switch settling off from outside: every monitor explores to the end."""
-    monkeypatch.setattr(DecentralizedMonitor, "_settle", lambda self: None)
+    monkeypatch.setattr(ViewSet, "settle", lambda self, declared, heard: False)
 
 
 def _held_and_travelled(inputs, seed, monkeypatch):
@@ -122,7 +125,7 @@ def _hold(monitor, process, clocks, masks=None):
     """Put events ``1 …`` of *process* (mask 0 unless given) in the columns."""
     known = [0] * monitor.num_processes
     runs = {process: (list(masks or [0] * len(clocks)), list(clocks))}
-    monitor._absorb_runs(Token(0, entries=[], known=known, runs=runs))
+    monitor.columns.absorb_runs(Token(0, entries=[], known=known, runs=runs))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,7 @@ def test_serving_from_prefixes_matches_the_owners_event_at_a_time_loops(case):
             # a process known to have ended, either inside the column or beyond it
             monitor.terminated[j] = held[j] + (0 if ended[j] else 1)
     parked_on, waiting_for = entry.parked_on, set(entry.waiting_for)
-    monitor._serve_entry(entry, monitor._live_ends())
+    monitor.columns.serve_entry(entry, monitor.columns.live_ends())
     if entry.eval is None:
         for name in _SEARCH_FIELDS:
             assert getattr(entry, name) == getattr(expected, name), name
@@ -207,14 +210,14 @@ def test_a_foreign_column_that_runs_out_leaves_the_component_lagging():
         start_cut=[0, 0, 0], cut=[0, 0, 0], depend=[0, 0, 0], min_positions=[0, 0, 0],
         satisfied=[True, False, True],
     )
-    assert monitor._serve_entry(entry, monitor._live_ends()) == [1]  # lagging on P1
+    assert monitor.columns.serve_entry(entry, monitor.columns.live_ends()) == [1]  # lagging on P1
     assert entry.cut == [0, 2, 0]
     assert entry.parked_on is None and entry.waiting_for == set() and entry.eval is None
     monitor.terminated[1] = 3  # ended, but beyond what is held here
-    monitor._serve_entry(entry, monitor._live_ends())
+    monitor.columns.serve_entry(entry, monitor.columns.live_ends())
     assert entry.eval is None
     monitor.terminated[1] = 2  # ended inside the column: nothing more can come
-    monitor._serve_entry(entry, monitor._live_ends())
+    monitor.columns.serve_entry(entry, monitor.columns.live_ends())
     assert entry.eval is False
 
 
@@ -441,7 +444,7 @@ def test_a_repaired_lone_view_always_leaves_a_successor():
     (successor,) = monitor.views  # same state, larger cut: the stale view
     assert successor is not stale  # would have "covered" it, had it stayed
     assert (successor.state, successor.cut) == (stale.state, [1, 1])
-    assert stale not in monitor.final_views
+    assert stale not in monitor.views.final
     assert monitor.metrics.views_merged == 0 and monitor.metrics.views_created == 2
 
 
@@ -463,7 +466,7 @@ def test_a_repair_fork_below_a_waiting_view_of_its_state_is_not_created():
 def _fork_repaired(monitor, view, cut):
     """Search and fork a decided repair of *view* up to *cut*."""
     target = tuple(cut)
-    return monitor._fork_from_entry(view, target, *monitor._box_reachable(view, [target]), True)
+    return monitor.views.fork(view, target, *_reachable(monitor, view, [target]), True)
 
 
 def test_a_signature_is_born_once_unless_its_view_was_evicted():
@@ -472,7 +475,7 @@ def test_a_signature_is_born_once_unless_its_view_was_evicted():
     _hold(monitor, 1, [(0, 1), (0, 2)])
     monitor.views.remove(root)  # retired, as a repaired view is before it forks
     (child,) = _fork_repaired(monitor, root, [0, 1])
-    assert child.born == {(root.state, (0, 1))} and child.born <= monitor._born
+    assert child.born == {(root.state, (0, 1))} and child.born <= monitor.views.born
     # the child moves on: no live view dominates the same fork any more, but
     # creating it again would only re-walk the child's chain
     child.cut = [0, 2]
@@ -483,12 +486,12 @@ def test_a_signature_is_born_once_unless_its_view_was_evicted():
     # view: its signature is forgotten and may be born again
     smaller = GlobalView(cut=[1, 0], state=root.state)
     monitor.views.append(smaller)
-    monitor._merge_views()
+    monitor.views.merge(monitor.declared_bits, monitor.heard)
     assert monitor.views == [smaller] and monitor.metrics.views_evicted == 1
-    assert not child.born & monitor._born
+    assert not child.born & monitor.views.born
     monitor.views.remove(smaller)
     (reborn,) = _fork_repaired(monitor, root, [0, 1])
-    assert reborn.born == child.born and reborn.born <= monitor._born
+    assert reborn.born == child.born and reborn.born <= monitor.views.born
 
 
 def test_a_merged_view_is_given_up_with_the_view_that_covered_it():
@@ -499,16 +502,16 @@ def test_a_merged_view_is_given_up_with_the_view_that_covered_it():
     (merged_away,) = _fork_repaired(monitor, root, [0, 2])
     (coverer,) = _fork_repaired(monitor, root, [0, 1])
     merged_away.cut, coverer.cut = [0, 3], [0, 2]  # both move on
-    monitor._merge_views()  # same state, [0, 2] <= [0, 3]: the coverer takes it over
+    monitor.views.merge(monitor.declared_bits, monitor.heard)  # same state, [0, 2] <= [0, 3]: the coverer takes it over
     assert monitor.views == [coverer] and monitor.metrics.views_merged == 1
     assert coverer.born == {(root.state, (0, 1)), (root.state, (0, 2))}
     # while the coverer lives, [0, 2] is still being explored — by the coverer
     assert _fork_repaired(monitor, root, [0, 2]) == []
     smaller = GlobalView(cut=[1, 0], state=root.state)
     monitor.views.append(smaller)
-    monitor._merge_views()  # the budget gives the coverer up, and with it both chains
+    monitor.views.merge(monitor.declared_bits, monitor.heard)  # the budget gives the coverer up, and with it both chains
     assert monitor.views == [smaller] and monitor.metrics.views_evicted == 1
-    assert monitor._born == {(root.state, (0, 0))}  # the initial view's
+    assert monitor.views.born == {(root.state, (0, 0))}  # the initial view's
     monitor.views.remove(smaller)
     (reborn,) = _fork_repaired(monitor, root, [0, 2])
     assert reborn.born == {(root.state, (0, 2))}
@@ -517,8 +520,7 @@ def test_a_merged_view_is_given_up_with_the_view_that_covered_it():
 def _watch_births(monkeypatch):
     """Record, per monitor, every signature born and every one given up; an
     eviction is booked once, as an eviction."""
-    fork = DecentralizedMonitor._fork_from_entry
-    enforce = DecentralizedMonitor._enforce_view_budget
+    fork, enforce = ViewSet.fork, ViewSet.enforce_budget
     births = {}
 
     def watched_fork(self, view, cut, reached, repair):
@@ -531,17 +533,17 @@ def _watch_births(monkeypatch):
         return children
 
     def watched_enforce(self):
-        before = list(self.views)
+        before = list(self)
         merged, evicted = self.metrics.views_merged, self.metrics.views_evicted
         enforce(self)
         assert self.metrics.views_merged == merged
-        assert self.metrics.views_evicted - evicted == len(before) - len(self.views)
+        assert self.metrics.views_evicted - evicted == len(before) - len(self)
         for view in before:
-            if view not in self.views:
+            if view not in self:
                 births.get(id(self), set()).difference_update(view.born)
 
-    monkeypatch.setattr(DecentralizedMonitor, "_fork_from_entry", watched_fork)
-    monkeypatch.setattr(DecentralizedMonitor, "_enforce_view_budget", watched_enforce)
+    monkeypatch.setattr(ViewSet, "fork", watched_fork)
+    monkeypatch.setattr(ViewSet, "enforce_budget", watched_enforce)
     return births
 
 
@@ -560,17 +562,15 @@ def test_no_monitor_bears_one_signature_twice_on_real_runs(cell, monkeypatch):
 def test_remembering_dominated_signatures_would_lose_the_long_trace_verdict(
     long_trace_inputs, monkeypatch
 ):
-    covered = DecentralizedMonitor._covered_by_existing_view
+    covered = ViewSet.covered
 
     def covered_or_dominated_by_a_past_view(self, state, cut):
         return covered(self, state, cut) or any(
             born_state == state and all(b <= c for b, c in zip(born_cut, cut))
-            for born_state, born_cut in self._born
+            for born_state, born_cut in self.born
         )
 
-    monkeypatch.setattr(
-        DecentralizedMonitor, "_covered_by_existing_view", covered_or_dominated_by_a_past_view
-    )
+    monkeypatch.setattr(ViewSet, "covered", covered_or_dominated_by_a_past_view)
     # a repair fork is a same-state, larger-cut successor of its own predecessor
     assert _simulate(long_trace_inputs, 2015).declared_verdicts == set()
 
@@ -588,9 +588,9 @@ def test_a_token_passing_home_undecided_leaves_refreshed():
     token.runs[1] = ([0, _mask(monitor, "P1.p")], [(0, 1, 0), (0, 2, 0)])
     _hold(monitor, 2, [(0, 0, 1)])  # home learnt of a P2 event meanwhile (p still false)
     monitor.receive_message(token)  # … relayed through home, undecided
-    assert len(monitor.vc_columns[1]) == 3  # absorbed
+    assert len(monitor.columns.vcs[1]) == 3  # absorbed
     assert token.runs == {} and token.known == [0, 2, 1]
-    assert token.known == [len(column) - 1 for column in monitor.vc_columns]
+    assert token.known == [len(column) - 1 for column in monitor.columns.vcs]
     assert entry.cut == [0, 2, 1] and entry.eval is None  # served from column 2 on the way
     assert [target for target, _ in network.tokens] == [1, 2]
 
@@ -599,7 +599,7 @@ def test_a_token_passing_home_undecided_leaves_refreshed():
 def test_a_forged_token_whose_runs_leave_a_gap_changes_no_column(known):
     monitor, _ = _monitor(n=3)
     _hold(monitor, 1, [(0, 1, 0)])
-    before = copy.deepcopy((monitor.mask_columns, monitor.vc_columns))
+    before = copy.deepcopy((monitor.columns.masks, monitor.columns.vcs))
     forged = Token(
         2, entries=[], known=known,
         runs={1: ([_mask(monitor, "P1.p")] * 2, [(0, 7, 0), (0, 8, 0)])},
@@ -609,7 +609,7 @@ def test_a_forged_token_whose_runs_leave_a_gap_changes_no_column(known):
     else:  # not as wide as the session: refused before a run is read
         with pytest.raises(ValueError, match="wide for a monitor of 3 processes"):
             monitor.receive_message(forged)
-    assert (monitor.mask_columns, monitor.vc_columns) == before
+    assert (monitor.columns.masks, monitor.columns.vcs) == before
 
 
 def test_every_monitor_absorbs_the_runs_of_tokens_it_merely_relays():
@@ -619,7 +619,7 @@ def test_every_monitor_absorbs_the_runs_of_tokens_it_merely_relays():
         runs={1: ([_mask(monitor, "P1.p")], [(0, 1, 0)])},
     )
     monitor.receive_message(passing)
-    assert monitor.mask_columns[1] == [0, _mask(monitor, "P1.p")]
+    assert monitor.columns.masks[1] == [0, _mask(monitor, "P1.p")]
     assert [target for target, _ in network.tokens] == [2]  # decided: on to its parent
 
 
@@ -666,16 +666,16 @@ _DECLARED_SKEWED = {
 def _skewed_run(cell, mode, monkeypatch):
     """The cell under ``rate=1, magnitude=2`` skew, and per repair entry
     whose box was searched whether its cut was reached."""
-    box = DecentralizedMonitor._box_reachable
+    box = Box.reachable
     repairs = []
 
-    def watched(self, view, cuts):
-        reached = box(self, view, cuts)
+    def watched(self, view, cuts, mask):
+        reached = box(self, view, cuts, mask)
         if view.status == ViewStatus.FINAL:  # a repair retires its view first
             repairs.extend(map(bool, reached))
         return reached
 
-    monkeypatch.setattr(DecentralizedMonitor, "_box_reachable", watched)
+    monkeypatch.setattr(Box, "reachable", watched)
     plan = FaultPlan(
         clock_skew=ClockSkewSpec(mode=mode, rate=1.0, magnitude=2, seed=cell[3])
     )

@@ -9,7 +9,7 @@ from then on only appends its own events, absorbs runs, serves and routes
 the others' tokens and sends termination notices.  It reports ``?`` if it
 retired a view when it settled, and declares only what it found itself.
 
-Scratch mutants of ``DecentralizedMonitor._settle`` and the test here that
+Scratch mutants of ``ViewSet.settle`` and the test here that
 catches each:
 
 * waiting views left out of the union —
@@ -35,9 +35,11 @@ import pytest
 from test_serve_from_columns import _hold, _mask, _never_settle, _Outbox
 from test_step_search import _curve_cell
 
+from repro.core.box import Box
 from repro.core.global_view import ViewStatus
 from repro.core.messages import TerminationNotice, Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
+from repro.core.tokens import Tokens
 from repro.distributed.clocks import VectorClock
 from repro.distributed.events import Event, EventKind
 from repro.experiments.engine import cell_inputs
@@ -103,7 +105,7 @@ def test_after_top_on_b_the_monitor_holds_no_view_and_asks_nothing_more(monkeypa
     for sn in range(2, 6):
         _event(monitor, sn, (sn, sn), p=sn % 2 == 0)
     assert monitor.metrics.tokens_created == 0 and network.tokens == []
-    assert len(monitor.local_vcs) == 6 and monitor.metrics.events_processed == 5
+    assert len(monitor.columns.vcs[monitor.process]) == 6 and monitor.metrics.events_processed == 5
     assert monitor.views == [] and monitor.metrics.views_settled == 1
 
     _never_settle(monkeypatch)  # the control: the same feed, never settling
@@ -126,7 +128,7 @@ def test_a_settled_monitor_still_serves_routes_and_absorbs_foreign_tokens():
     )
     token = Token(1, entries=[entry], known=[0, 1], runs={1: ([0], [(0, 2)])})
     monitor.receive_message(token)
-    assert len(monitor.vc_columns[1]) == 3  # P1's event 2 was absorbed
+    assert len(monitor.columns.vcs[1]) == 3  # P1's event 2 was absorbed
     assert monitor.metrics.token_hops_served == 1
     assert entry.eval is True and entry.cut == [1, 2]  # P0's event 1 raised p
     assert network.tokens == [(1, token)]  # decided: back to its parent
@@ -199,16 +201,16 @@ def test_every_live_views_reach_counts_in_any_order():
     # as if found by a search: ⊥ is still in the first view's reach
     monitor._declare_reached(1 << top)
     for views in ([first, forked], [forked, first]):
-        monitor.views = list(views)
-        monitor._settle()
+        monitor.views[:] = views
+        monitor.views.settle(monitor.declared_bits, monitor.heard)
         assert monitor.views == views and monitor.metrics.views_settled == 0
     monitor._declare_reached(1 << bottom)
-    monitor._settle()
+    monitor.views.settle(monitor.declared_bits, monitor.heard)
     assert monitor.views == [] and monitor.metrics.views_settled == 2
 
 
 def _is_settled(monitor):
-    """The definition, read off the monitor without ``_settle``."""
+    """The definition, read off the monitor without ``ViewSet.settle``."""
     undeclared = monitor._final_bits & ~(monitor.declared_bits | monitor.heard)
     reach = monitor.automaton.reach_bits
     return not any(reach[view.state] & undeclared for view in monitor.views)
@@ -246,16 +248,16 @@ def test_views_retired_inside_the_termination_loop_are_not_explored(monkeypatch)
     )
     first, second = monitor.views
     assert (first.cut, second.cut) == ([0, 0], [0, 1]) and not monitor.declared_verdicts
-    issue, step = DecentralizedMonitor._issue_token, DecentralizedMonitor._step_view
+    issue, step = Tokens.issue, DecentralizedMonitor._step_view
     searched, stepped = [], []
 
     def found_top(self, view, searches):
         searched.append(view)
-        forks = issue(self, view, searches)
-        self._declare_reached(1 << _state_of(self, Verdict.TOP))  # as if this search met ⊤
-        return forks
+        answered = issue(self, view, searches)
+        monitor._declare_reached(1 << _state_of(monitor, Verdict.TOP))  # as if this search met ⊤
+        return answered
 
-    monkeypatch.setattr(DecentralizedMonitor, "_issue_token", found_top)
+    monkeypatch.setattr(Tokens, "issue", found_top)
     monkeypatch.setattr(
         DecentralizedMonitor, "_step_view", lambda *a: stepped.append(a[1]) or step(*a)
     )
@@ -285,11 +287,8 @@ def _waiting_on_p1(monkeypatch):
     ((_, token),) = network.tokens
     assert view.is_waiting() and token.declared == 0
     searched = []
-    box = DecentralizedMonitor._box_reachable
-    monkeypatch.setattr(
-        DecentralizedMonitor, "_box_reachable",
-        lambda self, v, cuts: searched.append(v) or box(self, v, cuts),
-    )
+    box = Box.reachable
+    monkeypatch.setattr(Box, "reachable", lambda self, v, *rest: searched.append(v) or box(self, v, *rest))
     return monitor, network, view, token, searched
 
 

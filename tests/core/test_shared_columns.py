@@ -97,15 +97,15 @@ def test_columns_stay_true_prefixes_whatever_is_absorbed(arrivals):
     held = [0] * N
     for known, runs in arrivals:
         if len(known) == N:
-            monitor._absorb_runs(_token(known, runs))
+            monitor.columns.absorb_runs(_token(known, runs))
         else:  # not as wide as the session: refused before a run is read
             with pytest.raises(ValueError, match=f"wide for a monitor of {N} processes"):
                 monitor.receive_message(_token(known, runs))
         for j in range(1, N):
             masks, vcs = _true_events(j)
-            length = len(monitor.vc_columns[j]) - 1
-            assert monitor.mask_columns[j][1:] == masks[:length]
-            assert monitor.vc_columns[j][1:] == vcs[:length]
+            length = len(monitor.columns.vcs[j]) - 1
+            assert monitor.columns.masks[j][1:] == masks[:length]
+            assert monitor.columns.vcs[j][1:] == vcs[:length]
             if (
                 len(known) == N
                 and j in runs
@@ -116,7 +116,7 @@ def test_columns_stay_true_prefixes_whatever_is_absorbed(arrivals):
                 # a run is absorbed exactly when it continues the column
                 held[j] = max(held[j], reach) if known[j] <= held[j] else held[j]
             assert length == held[j]
-        assert len(monitor.vc_columns[0]) == 1  # its own column is never absorbed into
+        assert len(monitor.columns.vcs[0]) == 1  # its own column is never absorbed into
 
 
 def _returned(monitor, cut, known, runs=None):
@@ -135,7 +135,7 @@ def _returned(monitor, cut, known, runs=None):
     token = _token(known, runs or {}, [entry])
     view.status = ViewStatus.WAITING
     view.outstanding_token = token.token_id
-    monitor._outstanding[token.token_id] = view
+    monitor.views.waiting[token.token_id] = view
     monitor.receive_message(token)
     return view
 
@@ -166,7 +166,7 @@ def test_an_entry_the_columns_do_not_cover_forks_nothing(cut, known, runs):
     assert monitor.metrics.views_created == created
     assert monitor.metrics.box_queries == 0
     assert monitor.views == [view]
-    assert [len(column) for column in monitor.mask_columns] == [1] * N  # none grew
+    assert [len(column) for column in monitor.columns.masks] == [1] * N  # none grew
 
 
 def test_an_entry_the_runs_cover_is_replayed():
@@ -174,7 +174,7 @@ def test_an_entry_the_runs_cover_is_replayed():
     masks, vcs = _true_events(1)
     _returned(monitor, [0, 3, 0], [0, 0, 0], {1: (masks[:3], vcs[:3])})
     assert monitor.metrics.box_queries == 1
-    assert monitor.mask_columns[1][1:] == masks[:3]
+    assert monitor.columns.masks[1][1:] == masks[:3]
 
 
 
@@ -185,12 +185,12 @@ def _assert_columns_are_prefixes(report):
     monitors = report.monitors
     for monitor in monitors:
         for j, owner in enumerate(monitors):
-            held = len(monitor.vc_columns[j])
-            assert monitor.mask_columns[j] == owner.mask_columns[j][:held]
-            assert monitor.vc_columns[j] == owner.vc_columns[j][:held]
+            held = len(monitor.columns.vcs[j])
+            assert monitor.columns.masks[j] == owner.columns.masks[j][:held]
+            assert monitor.columns.vcs[j] == owner.columns.vcs[j][:held]
         for view in monitor.views:
             assert all(
-                position < len(column) for position, column in zip(view.cut, monitor.vc_columns)
+                position < len(column) for position, column in zip(view.cut, monitor.columns.vcs)
             )
 
 
@@ -215,7 +215,7 @@ def test_fixture_cells_end_with_prefix_columns_under_every_view(cell):
     # every view created is live, final, retired, merged away or evicted
     assert all(
         m.metrics.views_created
-        >= len(m.views) + len(m.final_views) + m.metrics.views_evicted
+        >= len(m.views) + len(m.views.final) + m.metrics.views_evicted
         for m in report.monitors
     )
     assert not {"box_cells_visited", "views_evicted"} & set(report.as_dict())

@@ -61,7 +61,7 @@ def _check(computation, registry, formula):
     # deadlock freedom / quiescence
     for monitor in result.monitors:
         assert monitor.is_quiescent
-        assert not monitor.waiting_tokens
+        assert not monitor.tokens.waiting
     return oracle, result
 
 

@@ -27,22 +27,24 @@
 * **Set-up of what moves.**  A search that sets up only the processes its
   union moves — and nothing when it moves one process or none: it walks a
   line, and stops at the first opener whose clock does not fit under the
-  join — gives and leaves what the search that set up every process did
-  (kept here), collapsing or not, with targets in the view's own segment.
+  join — gives and leaves what the box layer's reference, the lane BFS for
+  every union that moves a process (``tests/core/references.py``), gives
+  and leaves, collapsing or not, with targets in the view's own segment,
+  on the hypothesis steps of (i) and in every search of real runs.
 """
 
 import copy
 import random
 import sys
-from bisect import bisect_right
 from itertools import product
-from operator import is_, le, mul, sub
+from operator import is_, le
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 import test_shared_columns as columns
 from hypothesis import assume, given, settings
+from references import lane_search
 from test_token_hot_paths import (
     _bits_of,
     _box,
@@ -52,12 +54,14 @@ from test_token_hot_paths import (
     _monitor,
     _network,
     _random_automaton,
+    _reachable,
     _setting,
 )
 
+from repro.core.box import Box, states_of
 from repro.core.global_view import GlobalView
 from repro.core.messages import TokenEntry
-from repro.core.monitor import DecentralizedMonitor, _states_of
+from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.clocks import VectorClock
 from repro.distributed.computation import ComputationBuilder
 from repro.distributed.events import Event, EventKind
@@ -126,13 +130,13 @@ def _searched_targets(monitor):
     """Record the targets *monitor*'s box searches are given (the others,
     their letter answered)."""
     searched = []
-    search = monitor._box_search
+    search = monitor.box.search
 
-    def spy(view, cuts):
+    def spy(view, cuts, mask):
         searched.extend(cuts)
-        return search(view, cuts)
+        return search(view, cuts, mask)
 
-    monitor._box_search = spy
+    monitor.box.search = spy
     return searched
 
 
@@ -141,9 +145,9 @@ def _searched_targets(monitor):
 def test_one_search_per_step_matches_a_search_per_entry_and_the_lattice(case):
     computation, registry, lattice, start, targets, automaton, state = case
     monitor, view, cuts = _step(computation, registry, automaton, start, targets, state)
-    before = set(_states_of(monitor.declared_bits))
+    before = set(states_of(monitor.declared_bits))
     searched = _searched_targets(monitor)
-    together = monitor._box_reachable(view, cuts)
+    together = _reachable(monitor, view, cuts)
     assert monitor.metrics.box_queries == len(cuts)
     assert monitor.metrics.boxes_by_letter == len(cuts) - len(searched)
     expected_conclusive = set()
@@ -153,14 +157,14 @@ def test_one_search_per_step_matches_a_search_per_entry_and_the_lattice(case):
             computation, lattice, registry, automaton, start, target, state
         )
         expected_conclusive |= conclusive
-        assert set(_states_of(reached)) == states
+        assert set(states_of(reached)) == states
         alone, view_alone, cuts_alone = _step(
             computation, registry, automaton, start, [target], state
         )
-        assert alone._box_reachable(view_alone, cuts_alone) == [reached]
-        assert set(_states_of(alone.declared_bits)) - before == conclusive - before
+        assert _reachable(alone, view_alone, cuts_alone) == [reached]
+        assert set(states_of(alone.declared_bits)) - before == conclusive - before
         cells_alone += alone.metrics.box_cells_visited
-    assert set(_states_of(monitor.declared_bits)) - before == expected_conclusive - before
+    assert set(states_of(monitor.declared_bits)) - before == expected_conclusive - before
     # never more cells than the searches it replaces, nor than the cuts below
     # a target searched (one its letter answered costs none)
     below = {
@@ -192,10 +196,10 @@ def test_incomparable_targets_do_not_make_the_search_visit_their_join():
     lattice = ComputationLattice.from_computation(computation)
     targets = [(side, 0), (0, side)]
     monitor, view, cuts = _step(computation, registry, automaton, (0, 0), targets, 0)
-    together = monitor._box_reachable(view, cuts)
+    together = _reachable(monitor, view, cuts)
     for target, reached in zip(targets, together):
         states, _, _ = _brute_force(computation, lattice, registry, automaton, (0, 0), target, 0)
-        assert set(_states_of(reached)) == states
+        assert set(states_of(reached)) == states
     # the two edges of the join rectangle, not its (side + 1) ** 2 cells
     assert monitor.metrics.box_cells_visited == 2 * side + 1
 
@@ -220,10 +224,10 @@ def test_seg_starts_lists_the_mask_changes_whatever_is_appended(arrivals):
             clock = VectorClock([sn, 0, 0])
             monitor.local_event(Event(0, sn, EventKind.INTERNAL, clock, {"p": arrival}))
         else:
-            monitor._absorb_runs(columns._token(*arrival))
-        for masks, starts in zip(monitor.mask_columns, monitor.seg_starts):
+            monitor.columns.absorb_runs(columns._token(*arrival))
+        for masks, starts in zip(monitor.columns.masks, monitor.columns.seg_starts):
             assert starts == [0] + [p for p in range(1, len(masks)) if masks[p] != masks[p - 1]]
-    assert len(monitor.mask_columns[0]) == sn + 1
+    assert len(monitor.columns.masks[0]) == sn + 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +263,14 @@ def _explore_with_dictionaries(monitor, view, letters, include_currently_satisfi
 
 def _issuing(monitor):
     """Make *monitor* issue nothing: the entries of the searches
-    ``_explore_outgoing`` hands ``_issue_token`` are collected instead."""
+    ``_explore_outgoing`` hands ``_issue`` are collected instead."""
     issued = []
 
-    def collect(view, searches):
-        issued.extend(monitor._make_entry(view, *search) for search in searches)
+    def collect(view, searches, mask):
+        issued.extend(monitor.tokens.make_entry(view, *search) for search in searches)
         return ()
 
-    monitor._issue_token = collect
+    monitor._issue = collect
     return issued
 
 
@@ -292,27 +296,28 @@ def test_testing_masks_against_the_table_issues_what_testing_letters_did(
             registry.local_letter(j, {"p": rng.random() < 0.5, "q": rng.random() < 0.5})
             for _ in range(4)
         ]
-        monitor._append_masks(j, map(automaton.compiled.encode, letters[1:]))
+        monitor.columns.append_masks(j, map(automaton.compiled.encode, letters[1:]))
         columns.append(letters)
     cut = [rng.randrange(5) for _ in range(n)]
     for j in range(n):  # position 5 repeats the letter at the cut
-        monitor._append_masks(j, [automaton.compiled.encode(columns[j][cut[j]])])
+        monitor.columns.append_masks(j, [automaton.compiled.encode(columns[j][cut[j]])])
     inconclusive = [q for q in automaton.states if not automaton.is_final(q)]
     state = rng.choice(inconclusive)
     letters = [columns[j][cut[j]] for j in range(n)]
-    key = monitor._mask_at(cut) << automaton.num_states | state
+    key = monitor.columns.mask_at(cut) << automaton.num_states | state
     # the second step, from a cut with the same state and masks, reads the
     # search table the first filled (or found filled: monitors share it)
     for step_cut in (cut, [5] * n):
         view = GlobalView(cut=list(step_cut), state=state)
         issued = _issuing(monitor)
-        assert monitor._explore_outgoing(view, include_currently_satisfied) == ()
+        mask = monitor.columns.mask_at(view.cut)
+        assert monitor._explore_outgoing(view, mask, include_currently_satisfied) == ()
         assert [
             (e.transition_id, e.bits, e.satisfied, e.min_positions) for e in issued
         ] == _explore_with_dictionaries(monitor, view, letters, include_currently_satisfied)
         assert all(e.cut == e.start_cut == e.depend == step_cut for e in issued)
-        assert key in monitor._searches
-        monitor._searches_at = lambda key: pytest.fail("the second step missed the table")
+        assert key in monitor.box.table
+        monitor.box.searches_at = lambda key: pytest.fail("the second step missed the table")
 
 
 @pytest.mark.parametrize("name", PROPERTY_NAMES)
@@ -341,17 +346,17 @@ def test_an_entry_is_served_by_the_bits_it_carries():
     monitor._started = True
     (view,) = monitor.views
     p0, p1 = (monitor.automaton.compiled.atom_bit[f"P{j}.p"] for j in range(2))
-    monitor.vc_columns[1] += [(0, 1), (0, 2)]
-    monitor._append_masks(1, [0, p1])  # P1: p stays false, then rises
+    monitor.columns.vcs[1] += [(0, 1), (0, 2)]
+    monitor.columns.append_masks(1, [0, p1])  # P1: p stays false, then rises
     issued = _issuing(monitor)
-    monitor._explore_outgoing(view)
+    monitor._explore_outgoing(view, monitor.columns.mask_at(view.cut))
     (genuine,) = issued
     assert genuine.bits == ((p0, p0), (p1, p1))
     corrupted, unknown = copy.deepcopy(genuine), copy.deepcopy(genuine)
     corrupted.bits = ((p0, p0), (p1, 0))
     unknown.transition_id = 10_000
     for entry in (genuine, corrupted, unknown):
-        monitor._serve_entry(entry, monitor._live_ends())
+        monitor.columns.serve_entry(entry, monitor.columns.live_ends())
     assert genuine.cut == unknown.cut == [0, 2] and genuine.satisfied == [True, True]
     # told its conjunct does not hold where it stands, it stops at the next
     # event that shows what it carries — not what its transition asks
@@ -359,7 +364,7 @@ def test_an_entry_is_served_by_the_bits_it_carries():
 
 
 def _shared_bits(monitor):
-    return [bits for rows in monitor._rows for _, bits, _ in rows]
+    return [bits for rows in monitor.box.rows for _, bits, _ in rows]
 
 
 def test_monitors_of_one_property_share_its_guard_rows_and_another_binding_does_not():
@@ -370,8 +375,8 @@ def test_monitors_of_one_property_share_its_guard_rows_and_another_binding_does_
     for monitor in monitors:
         # one ``bits`` object per row, in every monitor and every entry made
         assert all(map(is_, _shared_bits(monitor), shared))
-        assert all(any(bits is row for row in shared) for bits in monitor._least)
-    assert any(monitor._least for monitor in monitors)
+        assert all(any(bits is row for row in shared) for bits in monitor.tokens.least)
+    assert any(monitor.tokens.least for monitor in monitors)
     # the atoms of process j owned by j + 1: the rows are rebuilt, their
     # conjuncts move one process on
     registry = case_study_registry(3)
@@ -412,7 +417,7 @@ def test_a_search_answered_at_home_finds_the_slicers_least_cut(case):
     final = [len(computation.events_of(j)) for j in range(n)]
     monitor = _monitor(process, computation, registry, automaton, feed=final[process])
     _box(monitor, computation, registry, start, final, 0)  # fills the other columns
-    monitor.terminated = dict(enumerate(final))
+    monitor.terminated.update(enumerate(final))
     conjuncts = registry.conjuncts_by_process(guard, n)
     letters = [registry.local_letter(j, computation.local_state(j, start[j])) for j in range(n)]
     entry = TokenEntry(
@@ -420,7 +425,7 @@ def test_a_search_answered_at_home_finds_the_slicers_least_cut(case):
         start_cut=list(start), cut=list(start), depend=list(start), min_positions=list(start),
         satisfied=list(map(_satisfies, letters, conjuncts)),
     )
-    pending = monitor._serve_entries([entry])
+    pending = monitor.columns.serve_entries([entry])
     least = least_consistent_cut(computation, registry, guard, start=start)
     assert pending == []  # the columns hold everything: decided here
     if least is None:
@@ -559,15 +564,17 @@ def lettered_steps(draw):
 def test_a_target_its_letter_decides_gets_what_the_search_and_the_lattice_give(case):
     computation, registry, lattice, start, targets, automaton, state = case
     monitor, view, cuts = _step(computation, registry, automaton, start, targets, state)
-    before = set(_states_of(monitor.declared_bits))
-    together = monitor._box_reachable(view, cuts)
+    before = set(states_of(monitor.declared_bits))
+    together = _reachable(monitor, view, cuts)
     searched, declared = {}, set()
     for target in targets:  # the search alone, on a monitor of its own
         alone, view_alone, cuts_alone = _step(
             computation, registry, automaton, start, [target], state
         )
-        (searched[target],) = alone._box_search(view_alone, cuts_alone)
-        declared |= set(_states_of(alone.declared_bits))
+        (searched[target],) = alone.box.search(
+            view_alone, cuts_alone, alone.columns.mask_at(view_alone.cut)
+        )
+        declared |= set(states_of(alone.declared_bits))
         mark = (state, target)
         assert view.searched.get(mark) == view_alone.searched.get(mark)
     consistent = set(lattice.cuts())
@@ -578,11 +585,11 @@ def test_a_target_its_letter_decides_gets_what_the_search_and_the_lattice_give(c
             states, conclusive, _ = _brute_force(
                 computation, lattice, registry, automaton, start, target, state
             )
-            assert set(_states_of(reached)) == states
+            assert set(states_of(reached)) == states
             lattice_declared |= conclusive
-    assert set(_states_of(monitor.declared_bits)) == declared
+    assert set(states_of(monitor.declared_bits)) == declared
     if all(target in consistent for target in targets):
-        assert set(_states_of(monitor.declared_bits)) - before == lattice_declared - before
+        assert set(states_of(monitor.declared_bits)) - before == lattice_declared - before
     assert monitor.metrics.box_queries == len(targets) >= monitor.metrics.boxes_by_letter
 
 
@@ -597,104 +604,24 @@ def test_every_conclusive_state_of_the_case_study_monitors_is_a_trap():
 
 
 # ---------------------------------------------------------------------------
-# (vii) a search sets up only what it moves: the search that set up every
-# process, kept as the reference
+# (vii) a search sets up only what it moves: against the box layer's
+# reference, the lane BFS for every union that moves a process
 # ---------------------------------------------------------------------------
-def _reference_box_search(monitor, view, cuts):
-    """``_box_search`` as it was when it built segments, strides, fits and
-    needs for every process, and searched when no process moves."""
-    n = monitor.num_processes
-    base = view.cut
-    shift, image = monitor._num_states, monitor._image_cache
-    start = 1 << view.state
-    collapse = False
-    if monitor.automaton.stutter_closed:
-        key = monitor._mask_at(base) << shift | start
-        collapse = (image.get(key) or monitor._image(key)) == start
-    index = monitor.seg_starts if collapse else [range(len(c)) for c in monitor.mask_columns]
-    first = list(map(bisect_right, index, base))
-    reached = [0] * len(cuts)
-    targets = {}
-    for e, cut in enumerate(cuts):
-        cell = tuple(map(sub, map(bisect_right, index, cut), first))
-        targets.setdefault(cell, []).append(e)
-    hi = list(map(max, base, *cuts))
-    ranges = [max(column) for column in zip(*targets)]
-    opens = [starts[f : f + r] for starts, f, r in zip(index, first, ranges)]
-    seg_masks, seg_ends = [], []
-    for j, column in enumerate(monitor.mask_columns):
-        seg_masks.append([column[base[j]], *[column[o] for o in opens[j]]])
-        seg_ends.append([*[o - 1 for o in opens[j]], hi[j]])
-    active = [j for j in range(n) if ranges[j] > 0]
-    strides = [1] * n
-    for j in range(1, n):
-        strides[j] = strides[j - 1] * (ranges[j - 1] + 1)
-    goals = {sum(map(mul, cell, strides)): None for cell in targets}
-    fits = [[0] * (r + 2) for r in ranges]
-    for bit, cell in enumerate(targets):
-        for j in active:
-            for g in range(1, cell[j] + 1):
-                fits[j][g] |= 1 << bit
-    needs = [[None] * r for r in ranges]
-    visited = 1
-    current = {0: [start, [0] * n, 0, (1 << len(targets)) - 1]}
-    if 0 in goals:
-        goals[0] = current[0]
-    while current:
-        nxt = {}
-        for cell, (states, segments, _, below) in current.items():
-            for j in active:
-                gj = segments[j]
-                under = below & fits[j][gj + 1]
-                if not under:
-                    continue
-                succ = cell + strides[j]
-                slot = nxt.get(succ)
-                if slot is None:
-                    need = needs[j][gj]
-                    if need is None:
-                        vc = monitor.vc_columns[j][opens[j][gj]]
-                        need = needs[j][gj] = [
-                            (k, vc[k]) for k in range(n) if k != j and vc[k] > base[k]
-                        ]
-                    if all(seg_ends[k][segments[k]] >= least for k, least in need):
-                        at = segments.copy()
-                        at[j] = gj + 1
-                        mask = 0
-                        for i in range(n):
-                            mask |= seg_masks[i][at[i]]
-                        slot = nxt[succ] = [0, at, mask << shift, under]
-                        if succ in goals:
-                            goals[succ] = slot
-                if slot is not None:
-                    key = slot[2] | states
-                    slot[0] |= image.get(key) or monitor._image(key)
-        level = 0
-        for slot in nxt.values():
-            level |= slot[0]
-        monitor._declare_reached(level)
-        visited += len(nxt)
-        current = nxt
-    monitor.metrics.box_cells_visited += visited
-    for slot, served in zip(goals.values(), targets.values()):
-        for e in served if slot else ():
-            reached[e] = view.searched[view.state, cuts[e]] = slot[0]
-    return reached
-
-
-def _both_searches(monitor, view, cuts, search):
-    """What the reference search and *search* each give and leave — answers,
-    ``view.searched``, declared states and verdicts, cells counted — from the
-    same monitor state; the monitor is left as *search* leaves it."""
+def _both_searches(monitor, view, cuts, search=Box.search):
+    """What the reference search (:func:`references.lane_search`) and
+    *search* each give and leave — answers, ``view.searched``, declared
+    states and verdicts, cells counted — from the same monitor state; the
+    monitor is left as *search* leaves it."""
     searched, declared = dict(view.searched), monitor.declared_bits
     log = list(monitor.verdict_log)
     cells = monitor.metrics.box_cells_visited
     results = []
-    for run in (_reference_box_search, search):
+    mask = monitor.columns.mask_at(view.cut)
+    for run in (lane_search, search):
         view.searched = dict(searched)
         monitor.declared_bits, monitor.verdict_log = declared, list(log)
         monitor.metrics.box_cells_visited = cells
-        reached = run(monitor, view, cuts)
+        reached = run(monitor.box, view, cuts, mask)
         results.append((
             reached, dict(view.searched), monitor.declared_bits,
             list(monitor.verdict_log), monitor.metrics.box_cells_visited - cells,
@@ -704,28 +631,27 @@ def _both_searches(monitor, view, cuts, search):
 
 @given(steps())
 @settings(max_examples=300, deadline=None)
-def test_a_search_gives_and_leaves_what_the_search_that_set_up_every_process_did(case):
+def test_a_search_gives_and_leaves_what_the_lane_search_did(case):
     computation, registry, _, start, targets, automaton, state = case
     monitor, view, cuts = _step(computation, registry, automaton, start, targets, state)
-    reference, own = _both_searches(monitor, view, cuts, DecentralizedMonitor._box_search)
+    reference, own = _both_searches(monitor, view, cuts)
     assert own == reference
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("name", PROPERTY_NAMES)
-def test_every_search_of_a_run_gives_what_the_search_that_set_up_every_process_did(
-    monkeypatch, name, n
-):
+def test_every_search_of_a_run_gives_what_the_lane_search_did(monkeypatch, name, n):
     searched = []
-    own = DecentralizedMonitor._box_search
+    own = Box.search
 
-    def checked(monitor, view, cuts):
+    def checked(box, view, cuts, mask):
+        monitor = box.declare.__self__  # whose declarations the search writes
         reference, mine = _both_searches(monitor, view, cuts, own)
         assert mine == reference
         searched.append(mine[-1])
         return mine[0]
 
-    monkeypatch.setattr(DecentralizedMonitor, "_box_search", checked)
+    monkeypatch.setattr(Box, "search", checked)
     report = _curve_cell((name, n, 20))
     assert sum(searched) == report.metrics.box_cells_visited > 0
 
@@ -754,7 +680,7 @@ def test_a_union_that_crosses_no_segment_boundary_is_the_views_own_cell():
     state = automaton.step(automaton.initial_state, frozenset())
     targets = [(2, 1), (1, 2), (3, 2)]
     monitor, view, cuts = _step(computation, registry, automaton, (0, 0), targets, state)
-    reference, own = _both_searches(monitor, view, cuts, DecentralizedMonitor._box_search)
+    reference, own = _both_searches(monitor, view, cuts)
     assert own == reference
     assert own[0] == [1 << state] * 3 and own[-1] == 1  # one cell, no level searched
     lattice = ComputationLattice.from_computation(computation)
@@ -790,7 +716,7 @@ def test_a_chain_of_one_process_stops_where_its_openers_clock_does_not_fit(
     assert automaton.stutter_closed == (formula[0] == "F")
     state = automaton.step(automaton.initial_state, frozenset())
     monitor, view, cuts = _step(computation, registry, automaton, (0, 0), targets, state)
-    reference, own = _both_searches(monitor, view, cuts, DecentralizedMonitor._box_search)
+    reference, own = _both_searches(monitor, view, cuts)
     assert own == reference
     lattice = ComputationLattice.from_computation(computation)
     consistent = set(lattice.cuts())
@@ -801,7 +727,7 @@ def test_a_chain_of_one_process_stops_where_its_openers_clock_does_not_fit(
             states, _, _ = _brute_force(
                 computation, lattice, registry, automaton, (0, 0), target, state
             )
-            assert set(_states_of(reached)) == states and own[1][state, target] == reached
+            assert set(states_of(reached)) == states and own[1][state, target] == reached
         else:
             assert reached == 0 and (state, target) not in own[1]
     # event by event, the cells visited are the consistent cuts of the line

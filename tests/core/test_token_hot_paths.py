@@ -1,13 +1,13 @@
 """Property tests for the monitor's two hot loops.
 
-* The box search (``_box_reachable``) must return exactly the automaton
+* The box search (``Box.reachable``) must return exactly the automaton
   states, and declare exactly the conclusive states, that a brute-force walk
   over the consistent cuts of :class:`ComputationLattice` finds between the
   view's cut and the token's cut — whether or not the
   search may collapse letter-preserving events (stutter-closed automaton at
   a fixed point of the view's letter), answered by the target's letter or
   searched, and never visiting more cells than the box has consistent cuts.
-* One-shot token serving (``_serve_entry``) must leave an entry exactly as
+* One-shot token serving (``Columns.serve_entry``) must leave an entry exactly as
   the one-event-at-a-time loop it replaced (kept below as the reference),
   and the run the token leaves with must hold exactly the events that loop
   scanned and the parent did not already know.
@@ -20,9 +20,10 @@ from operator import ne
 import hypothesis.strategies as st
 from hypothesis import assume, given, seed, settings
 
+from repro.core.box import states_of
 from repro.core.global_view import GlobalView
 from repro.core.messages import Token, TokenEntry
-from repro.core.monitor import DecentralizedMonitor, _states_of
+from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.computation import ComputationBuilder
 from repro.distributed.lattice import ComputationLattice
 from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor
@@ -176,6 +177,11 @@ def _monitor(process, computation, registry, automaton, feed=0):
     return monitor
 
 
+def _reachable(monitor, view, cuts):
+    """The box layer's answer for the targets *cuts* of one step of *view*."""
+    return monitor.box.reachable(view, cuts, monitor.columns.mask_at(view.cut))
+
+
 # ---------------------------------------------------------------------------
 # (a) box search == brute force over the lattice
 # ---------------------------------------------------------------------------
@@ -271,7 +277,7 @@ def _box(monitor, computation, registry, start, target, state):
                 [encode(registry.local_letter(j, event.state)) for event in run],
                 [tuple(event.vc) for event in run],
             )
-    monitor._absorb_runs(
+    monitor.columns.absorb_runs(
         Token(monitor.process, entries=[entry], known=[0] * n, runs=runs)
     )
     return view, entry
@@ -288,17 +294,17 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
     base_letter = registry.letter_of(computation.global_state(start))
     may_collapse = automaton.stutter_closed and automaton.step(state, base_letter) == state
     monitor = _monitor(0, computation, registry, automaton, feed=target[0])
-    before = set(_states_of(monitor.declared_bits))
+    before = set(states_of(monitor.declared_bits))
     view, entry = _box(monitor, computation, registry, start, target, state)
-    (reached,) = monitor._box_reachable(view, [tuple(entry.cut)])
-    assert set(_states_of(reached)) == expected_states
-    assert set(_states_of(monitor.declared_bits)) - before == expected_conclusive - before
+    (reached,) = _reachable(monitor, view, [tuple(entry.cut)])
+    assert set(states_of(reached)) == expected_states
+    assert set(states_of(monitor.declared_bits)) - before == expected_conclusive - before
     assert monitor.declared_verdicts >= {automaton.verdict(q) for q in expected_conclusive}
     # as a repair: every inconclusive state reached is forked
     letter = registry.letter_of(computation.global_state(target))
-    for child in monitor._fork_from_entry(view, tuple(target), reached, repair=True):
+    for child in monitor.views.fork(view, tuple(target), reached, repair=True):
         assert child.cut == list(target)
-        assert monitor._mask_at(child.cut) == automaton.compiled.encode(letter)
+        assert monitor.columns.mask_at(child.cut) == automaton.compiled.encode(letter)
     assert monitor.metrics.box_queries == 1
     assert view.searched == ({(state, tuple(target)): reached} if reached else {})
     # every cell searched holds a consistent cut of its own; without
@@ -331,9 +337,9 @@ def test_the_search_visits_letter_runs_not_the_events_spanned():
     assert consistent_cuts == (events + 1) ** n
     monitor = _monitor(0, computation, registry, automaton, feed=events)
     view, entry = _box(monitor, computation, registry, start, target, state)
-    (reached,) = monitor._box_reachable(view, [tuple(entry.cut)])
-    assert set(_states_of(reached)) == expected_states
-    assert set(_states_of(monitor.declared_bits)) == expected_conclusive
+    (reached,) = _reachable(monitor, view, [tuple(entry.cut)])
+    assert set(states_of(reached)) == expected_states
+    assert set(states_of(monitor.declared_bits)) == expected_conclusive
     assert monitor.metrics.boxes_by_letter == 0
     assert monitor.metrics.box_cells_visited == (len(flips) + 1) ** n
 
@@ -382,14 +388,14 @@ def test_children_of_one_entry_keep_their_own_cuts():
         monitor.transport.register(j, monitor)  # tokens sent are never delivered
     view, _ = _box(monitor, computation, registry, (0, 0), (2, 2), automaton.initial_state)
     target = (2, 2)  # a repair's: every state reached is forked
-    first, second = monitor._fork_from_entry(
-        view, target, *monitor._box_reachable(view, [target]), repair=True
+    first, second = monitor.views.fork(
+        view, target, *_reachable(monitor, view, [target]), repair=True
     )
     assert first.cut == second.cut and first.cut is not second.cut
     monitor._step_view(first, 3)
     assert first.cut == [3, 2] and second.cut == [2, 2]
-    assert monitor._mask_at(first.cut) == automaton.compiled.atom_bit["P0.p"]
-    assert monitor._mask_at(second.cut) == 0
+    assert monitor.columns.mask_at(first.cut) == automaton.compiled.atom_bit["P0.p"]
+    assert monitor.columns.mask_at(second.cut) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +411,7 @@ def _lagging(entry):
 
 
 def _serve_one_event_at_a_time(monitor, entry):
-    """The loop ``_serve_entry`` replaced, behind the guard its callers applied.
+    """The loop ``Columns.serve_entry`` replaced, behind the guard its callers applied.
 
     Returns the events it scanned, as ``(sn, mask, clock)``.
     """
@@ -424,7 +430,7 @@ def _serve_one_event_at_a_time(monitor, entry):
             entry.parked_on = None
             break
         next_sn = entry.cut[j] + 1
-        if next_sn >= len(monitor.local_vcs):
+        if next_sn >= len(monitor.columns.vcs[j]):
             if monitor.terminated[j] is not None:
                 entry.eval = False
                 entry.parked_on = None
@@ -432,8 +438,8 @@ def _serve_one_event_at_a_time(monitor, entry):
                 entry.parked_on = j
                 entry.waiting_for.add(j)
             break
-        mask = monitor.mask_columns[j][next_sn]
-        vc = monitor.local_vcs[next_sn]
+        mask = monitor.columns.masks[j][next_sn]
+        vc = monitor.columns.vcs[j][next_sn]
         scanned.append((next_sn, mask, vc))
         entry.depend = [max(a, b) for a, b in zip(entry.depend, vc)]
         entry.cut[j] = next_sn
@@ -483,12 +489,12 @@ def test_one_shot_serving_matches_the_event_at_a_time_loop(case):
     monitor.terminated[process] = feed if terminated else None
     expected = copy.deepcopy(entry)
     scanned = _serve_one_event_at_a_time(monitor, expected)
-    monitor._serve_entry(entry, monitor._live_ends())
+    monitor.columns.serve_entry(entry, monitor.columns.live_ends())
     assert entry == expected  # dataclass equality: every field
     # the events the loop scanned leave on the token, once, minus what the
     # parent knew
     token = Token((process + 1) % len(known), entries=[entry], known=known)
-    monitor._extend_run(token)
+    monitor.metrics.events_shipped += monitor.columns.extend_run(token)
     shipped = [event for event in scanned if event[0] > known[process]]
     masks, vcs = token.runs.get(process, ([], []))
     first = known[process] + 1

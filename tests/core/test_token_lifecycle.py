@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import run_streaming
-from repro.core.global_view import GlobalView
+from repro.core.global_view import GlobalView, ViewSet
 from repro.core.messages import TerminationNotice, Token, TokenEntry
 from repro.core.monitor import DecentralizedMonitor
 from repro.distributed.clocks import VectorClock
@@ -110,7 +110,7 @@ class _System:
     def blocked_at_p1(self):
         """P0 raises ``p``; its token visits P1, which has nothing to offer."""
         self.event(0, True)
-        (token,) = self.monitors[1].waiting_tokens
+        (token,) = self.monitors[1].tokens.waiting
         assert [entry.parked_on for entry in token.entries] == [1]
         return token
 
@@ -133,14 +133,14 @@ def test_a_token_blocked_on_a_future_event_is_not_sent_until_it_occurs():
         system.event(1, False)
         # the event cannot move the entry: the token sleeps, nothing is sent
         assert system.network.messages_sent == 1  # P0 -> P1 is all there was
-        assert system.monitors[1].waiting_tokens == [token]
+        assert system.monitors[1].tokens.waiting == [token]
     assert token.entries[0].cut[1] == 0  # not walked until the wake
     assert system.monitors[1].metrics.parked_tokens_slept == 6
     system.event(1, True)
     assert token.entries[0].cut[1] == 7  # one walk over all seven
     assert system.route(token) == [(0, 1), (1, 2)]  # on to P2, where it waits again
-    assert token not in system.monitors[1].waiting_tokens
-    assert token in system.monitors[2].waiting_tokens
+    assert token not in system.monitors[1].tokens.waiting
+    assert token in system.monitors[2].tokens.waiting
     system.event(2, True)
     assert system.route(token) == [(0, 1), (1, 2), (2, 0)]
     assert Verdict.TOP in system.monitors[0].declared_verdicts
@@ -188,8 +188,8 @@ def _evict_the_waiting_view(monitor):
     assert view.is_waiting()
     smaller = GlobalView(cut=[0] * N, state=view.state)
     monitor.views.append(smaller)
-    monitor._merge_views()
-    assert monitor.views == [smaller] and not monitor._outstanding
+    monitor.views.merge(monitor.declared_bits, monitor.heard)
+    assert monitor.views == [smaller] and not monitor.views.waiting
     assert monitor.metrics.views_evicted == 1
 
 
@@ -210,8 +210,8 @@ def test_an_orphan_passing_through_home_undecided_is_swallowed():
     system.simulator.run()
     assert system.route(token) == [(0, 1), (1, 0)]  # not re-sent
     assert not token.all_decided()
-    assert home.waiting_tokens == []  # not parked either
-    assert home.mask_columns[1][1:] == [home.automaton.compiled.atom_bit["P1.p"]]  # absorbed
+    assert home.tokens.waiting == []  # not parked either
+    assert home.columns.masks[1][1:] == [home.automaton.compiled.atom_bit["P1.p"]]  # absorbed
     assert home.metrics.orphan_tokens_swallowed == 1
     assert home.metrics.token_hops_max == token.hops == 1  # home served no hop
     assert home.metrics.views_merged == merged  # an eviction is not a merge
@@ -226,28 +226,26 @@ def test_an_orphan_waiting_at_home_is_swallowed_when_woken():
     home = system.monitors[0]
     token = system.blocked_at_p1()
     # as if routing had left the undecided token waiting at home instead
-    system.monitors[1].waiting_tokens.remove(token)
-    home._park(token)
+    system.monitors[1].tokens.waiting.remove(token)
+    home.tokens.park(token)
     _evict_the_waiting_view(home)
     assert not home.is_quiescent
     system.terminate(2)  # any notice wakes home's waiting tokens
-    assert home.waiting_tokens == [] and home.is_quiescent
+    assert home.tokens.waiting == [] and home.is_quiescent
     assert home.metrics.orphan_tokens_swallowed == 1
     assert system.route(token) == [(0, 1)]  # served nowhere, sent nowhere
 
 
 def test_an_eviction_is_booked_once(monkeypatch):
-    enforce = DecentralizedMonitor._enforce_view_budget
+    enforce = ViewSet.enforce_budget
 
     def checked(self):
-        merged, evicted, live = (
-            self.metrics.views_merged, self.metrics.views_evicted, len(self.views)
-        )
+        merged, evicted, live = self.metrics.views_merged, self.metrics.views_evicted, len(self)
         enforce(self)
         assert self.metrics.views_merged == merged
-        assert self.metrics.views_evicted - evicted == live - len(self.views)
+        assert self.metrics.views_evicted - evicted == live - len(self)
 
-    monkeypatch.setattr(DecentralizedMonitor, "_enforce_view_budget", checked)
+    monkeypatch.setattr(ViewSet, "enforce_budget", checked)
     # the F cell: with searches answered at home the C cell evicts nothing
     computation, automaton, registry = build_cell_inputs("F", 4, 77)
     report = simulate_monitored_run(
@@ -278,7 +276,7 @@ def test_a_token_of_another_width_is_refused(known, width, widths):
     # before the check: an IndexError deep in the token's service
     with pytest.raises(ValueError, match=f"token {widths} wide for a monitor of 3 processes"):
         monitor.receive_message(_token(known, width, {}))
-    assert monitor.metrics.token_hops_served == 0 and not monitor.waiting_tokens
+    assert monitor.metrics.token_hops_served == 0 and not monitor.tokens.waiting
 
 
 def test_a_run_of_clocks_of_another_width_is_not_absorbed():
@@ -287,7 +285,7 @@ def test_a_run_of_clocks_of_another_width_is_not_absorbed():
     p0 = monitor.automaton.compiled.atom_bit["P0.p"]
     monitor.receive_message(_token([0] * N, N, {0: ([p0], [(1, 0, 0, 5)])}))
     system.simulator.run()
-    assert [len(column) for column in monitor.vc_columns] == [1] * N
+    assert [len(column) for column in monitor.columns.vcs] == [1] * N
     # absorbed, that clock broke the first serve to walk it (an IndexError)
     system.event(2, True)
     system.event(1, True)
@@ -314,7 +312,7 @@ def finished_b():
     )
     report = simulate_monitored_run(*inputs, seed=2015, network=scenario.network)
     monitor = report.monitors[0]
-    assert None not in monitor.terminated.values() and len(monitor.vc_columns[1]) > 1
+    assert None not in monitor.terminated.values() and len(monitor.columns.vcs[1]) > 1
     return monitor
 
 
@@ -342,7 +340,7 @@ def test_a_notice_below_the_column_is_refused_before_any_notice_came():
     monitor = system.monitors[0]
     p1 = monitor.automaton.compiled.atom_bit["P1.p"]
     monitor.receive_message(_token([0] * N, N, {1: ([p1, 0], [(0, 1, 0), (0, 2, 0)])}))
-    assert len(monitor.vc_columns[1]) == 3 and monitor.terminated[1] is None
+    assert len(monitor.columns.vcs[1]) == 3 and monitor.terminated[1] is None
     _refused(monitor, TerminationNotice(1, 1), "ends at 1: 2 held")
     _refused(monitor, TerminationNotice(1, -1), "process 1 ends at -1")
     monitor.receive_message(TerminationNotice(1, 2))  # where the column ends: it fits
@@ -374,7 +372,7 @@ def test_merging_after_every_token_hop_changes_no_pinned_counter(cell, monkeypat
 
     def receive_then_merge(self, message):
         receive(self, message)
-        self._merge_views()
+        self.views.merge(self.declared_bits, self.heard)
 
     monkeypatch.setattr(DecentralizedMonitor, "receive_message", receive_then_merge)
     document = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))

@@ -5,12 +5,12 @@ import gc
 import hypothesis.strategies as st
 from buchi_oracle import disagreements
 from hypothesis import example, given, settings
+from lasso_semantics import evaluate_lasso
 
 from repro.ltl import (
     Verdict,
     all_assignments,
     build_monitor,
-    evaluate_lasso,
     intern_formula,
     intern_table_size,
     minimize_letters,

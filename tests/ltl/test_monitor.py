@@ -4,13 +4,13 @@ import itertools
 
 import pytest
 from buchi_oracle import disagreements, equivalent, oracle_machine, random_cases
+from lasso_semantics import ltl3_bruteforce
 
 from repro.ltl import (
     Verdict,
     all_assignments,
     atoms_of,
     build_monitor,
-    ltl3_bruteforce,
     parse,
 )
 

@@ -1,6 +1,7 @@
 """Tests for NNF rewriting and the reference (lasso) semantics."""
 
 import pytest
+from lasso_semantics import evaluate_lasso, ltl3_bruteforce
 
 from repro.ltl import (
     FALSE,
@@ -9,8 +10,6 @@ from repro.ltl import (
     Not,
     Verdict,
     all_assignments,
-    evaluate_lasso,
-    ltl3_bruteforce,
     parse,
     to_nnf,
 )

@@ -237,7 +237,7 @@ class TestTcpMidFrameDisconnect:
     ``EOFError`` (or a bogus quiescence timeout) instead of naming the
     truncated frame.  The reader now records a ``ConnectionError`` as
     ``transport.fatal_error`` and ``wait_quiescent`` re-raises it.  Frames
-    are wire protocol v5 (:mod:`repro.cluster.codec`): raw bytes written
+    are wire protocol v8 (:mod:`repro.cluster.codec`): raw bytes written
     here carry the magic/version/type header, and undecodable or
     wrong-version frames must surface the codec's diagnostics the same way.
     """
