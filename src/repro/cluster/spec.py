@@ -18,6 +18,7 @@ from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, get_args, get_type_hints
 
+from ..core.monitor import check_view_budget
 from ..faults import FaultPlan, parse_fault_plan
 
 if TYPE_CHECKING:
@@ -39,7 +40,9 @@ class RunSpec:
     All fields are JSON-scalar so the document round-trips losslessly; the
     fault plan is carried as its grammar string (``None`` for fault-free
     runs).  ``scenario`` is a registered scenario name — workers resolve it
-    through the same registry the coordinator used.
+    through the same registry the coordinator used.  A view budget below 1
+    or a fault plan the grammar cannot parse is refused here, with
+    ``ValueError``, not later inside every worker.
     """
 
     scenario: str
@@ -54,6 +57,10 @@ class RunSpec:
     max_views_per_state: int | None
     fault_plan: str | None = None
 
+    def __post_init__(self) -> None:
+        check_view_budget(self.max_views_per_state)
+        self.faults()
+
     def to_json(self) -> str:
         """Serialise the spec as a JSON document."""
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -62,7 +69,8 @@ class RunSpec:
     def from_json(cls, text: str) -> RunSpec:
         """Parse a spec document written by :meth:`to_json`.
 
-        A non-object, a missing field or a mistyped one raises ``ValueError`` on load.
+        A non-object, a missing field, a mistyped one or a value the
+        constructor refuses raises ``ValueError`` on load.
         """
         data = json.loads(text)
         if not isinstance(data, dict):

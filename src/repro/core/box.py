@@ -42,23 +42,23 @@ class Property:
     """What every monitor of one property shares, built once per automaton,
     process count and owner of each compiled atom and kept on the automaton
     (``MonitorAutomaton.shared``): per state its guard rows ``(transition_id,
-    bits, guard id)`` — per process the ``(care, want)`` bits of the guard's
-    conjunct, one object and one small id per distinct guard — and bounded
-    caches of pure functions of the automaton: images, and per process the
-    searches of a step (:meth:`Box.searches_at`)."""
+    bits)`` — per process the ``(care, want)`` bits of the guard's conjunct,
+    one object per distinct guard — and bounded caches of pure functions of
+    the automaton: images, and per process the searches of a step
+    (:meth:`Box.searches_at`)."""
 
     __slots__ = ("rows", "images", "searches")
 
     def __init__(self, automaton: MonitorAutomaton, registry: PropositionRegistry, n: int) -> None:
         encode = automaton.compiled.encode
-        ids: dict[tuple, tuple] = {}  # bits -> (bits, guard id)
-        self.rows: list[tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]] = []
+        guards: dict[tuple, tuple] = {}  # bits -> the one object of equal bits
+        self.rows: list[tuple[tuple[int, tuple[tuple[int, int], ...]], ...]] = []
         for state in automaton.states:
             table = []
             for transition in automaton.outgoing_transitions(state):
                 conjuncts = registry.conjuncts_by_process(transition.guard, n)
                 bits = tuple((encode(c), encode(a for a in c if c[a])) for c in conjuncts)
-                table.append((transition.transition_id, *ids.setdefault(bits, (bits, len(ids)))))
+                table.append((transition.transition_id, guards.setdefault(bits, bits)))
             self.rows.append(tuple(table))
         self.images: dict[int, int] = {}
         self.searches: list[dict[int, tuple[list, list]]] = [{} for _ in range(n)]
@@ -110,7 +110,7 @@ class Box:
         mine, mask = self.process, key >> self.num_states
         ordinary: list[tuple[tuple, list[bool]]] = []
         every: list[tuple[tuple, list[bool]]] = []
-        for transition_id, bits, guard in self.rows[key & ((1 << self.num_states) - 1)]:
+        for transition_id, bits in self.rows[key & ((1 << self.num_states) - 1)]:
             care, want = bits[mine]
             remote = tuple(j for j, pair in enumerate(bits) if pair[0] and j != mine)
             if mask & care != want or not remote:
@@ -118,7 +118,7 @@ class Box:
                 # guard is purely *local*: a later local event re-evaluates it
                 continue
             satisfied = [mask & care == want for care, want in bits]
-            every.append(((transition_id, bits, remote, guard), satisfied))
+            every.append(((transition_id, bits, remote), satisfied))
             if not all(satisfied):
                 ordinary.append(every[-1])
         found = ordinary, every
@@ -152,7 +152,8 @@ class Box:
         one state, no other conclusive state is among those, and the target
         lies above the view's cut and is consistent: every path into it ends
         in that state (``docs/architecture.md``, Targets the letter decides).
-        The others go to :meth:`search`.
+        The others go to :meth:`search`.  Neither writes the view: the caller
+        keeps what it needs of the answers (``ViewSet.forks``).
         """
         self.metrics.box_queries += len(cuts)
         base, vc_columns, mask_at = tuple(view.cut), self.columns.vcs, self.columns.mask_at
@@ -170,7 +171,7 @@ class Box:
                 and all(all(map(le, vc_columns[j][at], cut)) for j, at in enumerate(cut))
             ):
                 self.declare(one)
-                reached[e] = view.searched[view.state, cut] = one
+                reached[e] = one
         if not any(reached):
             return self.search(view, cuts, mask)
         searched = [cut for cut, one in zip(cuts, reached) if not one]
@@ -189,8 +190,7 @@ class Box:
         event by event.  A union that moves at most one process is walked in
         a line, up to the first opener whose clock does not fit under the
         join; otherwise a *cell* holds a segment index per process moved and
-        the inhabited cells are searched level by level.  What the search
-        finds at a target's cell is left in ``view.searched``."""
+        the inhabited cells are searched level by level."""
         n, base, columns = len(view.cut), view.cut, self.columns.masks
         shift, image = self.num_states, self.images
         start = 1 << view.state
@@ -223,7 +223,7 @@ class Box:
             for e, cut in enumerate(cuts):
                 g = bisect_right(index[j], cut[j]) - first[j] if collapse else cut[j] - base[j]
                 if g < len(line):
-                    reached[e] = view.searched[view.state, cut] = line[g]
+                    reached[e] = line[g]
             return reached
         cells = [map(bisect_right, index, cut) if collapse else cut for cut in cuts]
         cells = [tuple(map(sub, cell, first)) for cell in cells]
@@ -323,5 +323,5 @@ class Box:
         reached = [0] * len(cuts)
         for slot, served in zip(goals.values(), targets.values()):
             for e in served if slot else ():  # no slot: the cut was not a consistent one
-                reached[e] = view.searched[view.state, cuts[e]] = slot[0]
+                reached[e] = slot[0]
         return reached

@@ -51,10 +51,8 @@ class GlobalView:
         one: the explorations the monitor must not start again while it lives.
     searched:
         ``(state searched from, target cut)`` -> the states the view's last
-        step found reachable there, by the exact box search.
-    dead:
-        Bitmask over guard ids: the guards with no satisfying cut above the
-        view's cut, as its monitor's ``Tokens.least`` still tells; forks inherit it.
+        step found reachable there, by the exact box search; written only by
+        :meth:`ViewSet.forks`.
     """
 
     cut: list[int]
@@ -63,7 +61,6 @@ class GlobalView:
     outstanding_token: int | None = None
     born: set[tuple[int, tuple[int, ...]]] = field(init=False, repr=False)
     searched: dict[tuple, int] = field(default_factory=dict, repr=False)
-    dead: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         self.born = {self.signature()}
@@ -160,6 +157,8 @@ class ViewSet(list):
         self.metrics.boxes_remembered += len(cuts) - len(fresh)
         forked: list[GlobalView] = []
         for cut, reached in zip(fresh, self.box.reachable(view, fresh, mask) if fresh else ()):
+            if reached:  # else the cut was not a consistent one
+                view.searched[state, cut] = reached
             forked.extend(self.fork(view, cut, reached, repair))
         return forked
 
@@ -172,8 +171,7 @@ class ViewSet(list):
         Only *pivot* states are forked: the parent keeps covering its own
         state from its smaller cut (the paper explores only global states
         that change the automaton state).  A *repair* forks every reachable
-        state, its parent being retired.  A fork inherits the parent's dead
-        guards: its cut lies above.
+        state, its parent being retired.
         """
         children: list[GlobalView] = []
         for state in states_of(reached & ~self.final_bits):  # those, the search declared
@@ -182,7 +180,7 @@ class ViewSet(list):
             if self.covered(state, cut):
                 self.metrics.views_merged += 1
                 continue
-            child = GlobalView(cut=list(cut), state=state, dead=view.dead)
+            child = GlobalView(cut=list(cut), state=state)
             self.add(child)
             children.append(child)
         self.metrics.max_active_views = max(self.metrics.max_active_views, len(self))

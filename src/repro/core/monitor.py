@@ -38,7 +38,7 @@ from .messages import TerminationNotice, Token
 from .tokens import Search, Tokens
 from .transport import Transport
 
-__all__ = ["MonitorMetrics", "DecentralizedMonitor", "verdict_divergence"]
+__all__ = ["MonitorMetrics", "DecentralizedMonitor", "check_view_budget", "verdict_divergence"]
 
 
 def verdict_divergence(
@@ -62,8 +62,13 @@ def verdict_divergence(
     return frozenset(decentralized) - frozenset(centralized)
 
 
-#: bound on each integer-keyed cache of a property: images, and per process searches
-_IMAGE_CACHE_LIMIT = 1 << 16
+def check_view_budget(max_views_per_state: int | None) -> None:
+    """Refuse a per-state view budget below 1 (``None``: no budget) with
+    ``ValueError``: a monitor, a run spec and a fleet tenant all take one."""
+    if max_views_per_state is not None and max_views_per_state < 1:
+        raise ValueError(
+            f"max_views_per_state must be None or at least 1 (got {max_views_per_state})"
+        )
 
 
 @dataclass
@@ -172,10 +177,7 @@ class DecentralizedMonitor:
         transport: Transport,
         max_views_per_state: int | None = None,
     ) -> None:
-        if max_views_per_state is not None and max_views_per_state < 1:
-            raise ValueError(
-                f"max_views_per_state must be None or at least 1 (got {max_views_per_state})"
-            )
+        check_view_budget(max_views_per_state)
         self.process = process
         self.num_processes = num_processes
         self.automaton = automaton
@@ -216,8 +218,8 @@ class DecentralizedMonitor:
             process, self.columns, self.views, self.routing, self.metrics,
             lambda: self.declared_bits | self.heard, self._token_returned,
         )  # fmt: skip
-        #: the guardless row of a repair (a guard id no row has)
-        self._repair_row = (None, ((0, 0),) * num_processes, (), sum(map(len, shared.rows)))
+        #: the guardless row of a repair
+        self._repair_row = (None, ((0, 0),) * num_processes, ())
 
         view = GlobalView(
             cut=[0] * num_processes,

@@ -20,7 +20,7 @@ from .transport import Transport
 __all__ = ["Search", "Tokens"]
 
 #: one search :meth:`Tokens.issue` is handed: a row ``(transition_id, bits,
-#: remote, guard id)``, per process whether its conjunct holds at the cut, and the floor
+#: remote)``, per process whether its conjunct holds at the cut, and the floor
 Search = tuple[tuple, list[bool], list[int]]
 
 
@@ -45,10 +45,8 @@ class Tokens:
         #: a guard's ``bits`` -> the floor and the least cut above it (``None``:
         #: there is none) of the last search of it that was walked at issue time
         self.least: dict[tuple, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
-        #: the parked tokens, and each one's wake record (:meth:`park`) — by
-        #: the token object: copies share a ``token_id``
-        self.waiting: list[Token] = []
-        self.parked_at: dict[int, tuple[int | None, set, tuple]] = {}
+        #: the parked tokens, each with its wake record (:meth:`park`)
+        self.waiting: list[tuple[Token, tuple]] = []
         #: what the running callback sends: (target, message) in send order
         self.outbox: list[tuple[int, Token | TerminationNotice]] = []
 
@@ -66,32 +64,26 @@ class Tokens:
 
         A guard's least cut above a floor is its least cut above every floor
         between the two, and none above a floor is none above a larger: what
-        ``least`` covers is not walked, what the view holds dead not even
-        looked up (:meth:`remember`), and neither gets an entry — unless a
-        token leaves: an entry per search, the remembered walked last."""
+        ``least`` covers (:meth:`remember`) is not walked and gets no entry —
+        unless a token leaves: an entry per search, the remembered walked last."""
         self.metrics.entries_created += len(searches)
-        least, cut = self.least, view.cut
+        least = self.least
         answers: list[tuple[int, ...] | None] = [None] * len(searches)  # per search: its target
         hits, walked = [], []  # searches answered from memory; walked, with their index
         for at, (row, satisfied, floor) in enumerate(searches):
-            if view.dead >> row[3] & 1:
-                hits.append(at)
-                continue
             known = None if row[0] is None else least.get(row[1])  # a repair: never
             if known and all(map(le, known[0], floor)) and (
                 known[1] is None or all(map(le, floor, known[1]))
             ):
                 hits.append(at)
                 answers[at] = known[1]
-                if known[1] is None and floor is cut:
-                    view.dead |= 1 << row[3]
             else:
                 walked.append((at, self.make_entry(view, row, satisfied, floor)))
         serve = self.columns.serve_entries
         pending = serve([entry for _, entry in walked]) if walked else []
         for at, entry in walked:
             if entry.eval is not None and not entry.is_repair:  # whose floor never recurs
-                self.remember(view, searches[at], entry)
+                self.remember(searches[at], entry)
             if entry.eval:
                 answers[at] = tuple(entry.cut)
         if not pending:
@@ -111,19 +103,10 @@ class Tokens:
         self.route(token, pending)
         return None
 
-    def remember(self, view: GlobalView, search: Search, entry: TokenEntry) -> None:
-        """Write what the walk of *search* decided into ``least``; a guard
-        stays dead for a view (``GlobalView.dead``) while ``least`` holds
-        ``(floor, None)`` for it with the floor at or below the view's cut."""
-        (_, bits, _, guard), _, floor = search
-        answer = tuple(entry.cut) if entry.eval else None
-        self.least[bits] = (tuple(floor), answer)
-        bit = 1 << guard
-        for other in self.views:
-            if other.dead & bit and (answer or not all(map(le, floor, other.cut))):
-                other.dead &= ~bit
-        if answer is None and floor is view.cut:
-            view.dead |= bit
+    def remember(self, search: Search, entry: TokenEntry) -> None:
+        """Write what the walk of *search* decided into ``least``."""
+        (_, bits, _), _, floor = search
+        self.least[bits] = (tuple(floor), tuple(entry.cut) if entry.eval else None)
 
     @staticmethod
     def make_entry(
@@ -163,24 +146,22 @@ class Tokens:
         wake record it was parked with — if the event leaves it as it is
         (:meth:`sleeps`).  Terminations wake every token, and a token that
         ends here is handed back either way."""
-        tokens, self.waiting = self.waiting, []
-        for token in tokens:
+        parked, self.waiting = self.waiting, []
+        for token, record in parked:
             if self.ends_here(token):
-                del self.parked_at[id(token)]
                 self.returned(token)  # orphaned while it waited at home
-            elif own_event and self.sleeps(token):
+            elif own_event and self.sleeps(record):
                 self.metrics.parked_tokens_slept += 1
-                self.waiting.append(token)
+                self.waiting.append((token, record))
             else:
-                del self.parked_at[id(token)]
                 self.serve(token)
 
-    def sleeps(self, token: Token) -> bool:
-        """Whether the newest own event leaves the parked *token* as it is,
-        by its wake record (:meth:`park`): no foreign column grew since it
-        was parked, the event's mask satisfies no conjunct recorded and its
-        clock exceeds no limit recorded."""
-        absorbed, pairs, limits = self.parked_at[id(token)]
+    def sleeps(self, record: tuple) -> bool:
+        """Whether the newest own event leaves a parked token as it is, by its
+        wake *record* (:meth:`park`): no foreign column grew since it was
+        parked, the event's mask satisfies no conjunct recorded and its clock
+        exceeds no limit recorded."""
+        absorbed, pairs, limits = record
         mine, columns = self.process, self.columns
         mask, vc = columns.masks[mine][-1], columns.vcs[mine][-1]
         return (
@@ -210,8 +191,7 @@ class Tokens:
                 for k in others:
                     if entry.cut[k] < ends[k] or ends[k] < 0:
                         limits[k] = min(limits.get(k, entry.depend[k]), entry.depend[k])
-        self.waiting.append(token)
-        self.parked_at[id(token)] = absorbed, pairs, tuple(limits.items())
+        self.waiting.append((token, (absorbed, pairs, tuple(limits.items()))))
 
     # ------------------------------------------------------------------
     # routing and sending (SENDTONEXTPROCESS)

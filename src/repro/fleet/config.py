@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.monitor import check_view_budget
 from ..experiments.properties import PROPERTY_NAMES
 from .sources import EventSource, SyntheticSource
 
@@ -76,8 +77,7 @@ class TenantSpec:
             raise ValueError("tenants monitor at least two processes")
         if self.events_per_process < 1:
             raise ValueError("events_per_process must be positive")
-        if self.max_views_per_state is not None and self.max_views_per_state < 1:
-            raise ValueError("max_views_per_state must be None or at least 1")
+        check_view_budget(self.max_views_per_state)
 
 
 @dataclass(frozen=True)

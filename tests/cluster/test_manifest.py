@@ -154,6 +154,27 @@ class TestRunSpec:
         with pytest.raises(ValueError, match=message):
             RunSpec.from_json(json.dumps(document))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_views_per_state", 0, "at least 1 \\(got 0\\)"),
+            ("max_views_per_state", -2, "at least 1 \\(got -2\\)"),
+            ("fault_plan", "0@x", "must be integers"),
+            ("fault_plan", "0@2+1:explode", "unknown recovery policy 'explode'"),
+            ("fault_plan", "1!nonsense2", "unknown Byzantine behaviour 'nonsense2'"),
+            ("fault_plan", "skew@sound~1~2~3,skew@sound~1~2~3", "multiple clock-skew specs"),
+        ],
+        ids=["budget-0", "budget-negative", "crash", "recovery", "byzantine", "two-skews"],
+    )
+    def test_a_spec_no_worker_can_run_is_refused_at_construction(self, field, value, message):
+        # else every worker fails on it inside its run, and the coordinator
+        # raises a ClusterError carrying the worker's traceback
+        document = {**json.loads(self._spec().to_json()), field: value}
+        with pytest.raises(ValueError, match=message):
+            RunSpec(**document)
+        with pytest.raises(ValueError, match=message):
+            RunSpec.from_json(json.dumps(document))
+
     def test_documents_with_the_retired_kernel_key_still_load(self):
         # every spec document written before the knob went carries the key
         document = json.loads(self._spec().to_json())

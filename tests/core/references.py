@@ -102,8 +102,6 @@ def lane_search(self, view, cuts, mask):
         same = list(map(bisect_right, index, hi)) == first
     if same:  # the search would stop at level 0
         self.metrics.box_cells_visited += 1
-        for cut in cuts:
-            view.searched[view.state, cut] = start
         return [start] * len(cuts)
     cells = [map(bisect_right, index, cut) if collapse else cut for cut in cuts]
     cells = [tuple(map(sub, cell, first)) for cell in cells]
@@ -189,7 +187,7 @@ def lane_search(self, view, cuts, mask):
     reached = [0] * len(cuts)
     for slot, served in zip(goals.values(), targets.values()):
         for e in served if slot else ():  # no slot: the cut was not a consistent one
-            reached[e] = view.searched[view.state, cuts[e]] = slot[0]
+            reached[e] = slot[0]
     return reached
 
 
@@ -217,5 +215,5 @@ def reference_tokens(patched):
     so every search is walked, and no parked token sleeps, so every one is
     served again on every own event.  A run differs from the monitor's as
     it is only in :data:`MEMORY_COUNTERS`."""
-    patched.setattr(Tokens, "remember", lambda self, view, search, entry: None)
-    patched.setattr(Tokens, "sleeps", lambda self, token: False)
+    patched.setattr(Tokens, "remember", lambda self, search, entry: None)
+    patched.setattr(Tokens, "sleeps", lambda self, record: False)

@@ -25,16 +25,17 @@ each monitor's verdict log and declared states, and the messages:
   copies of one token (one ``token_id``) park at one monitor at different
   times: a token is woken by what grew since *it* was parked.
 
-``Tokens.sleeps`` reads a wake record made when the token parked; the sleep
-answers are recorded (:func:`_recording_sleeps`), so that a test can ask
-that a token was asked, and what it answered.
+``Tokens.sleeps`` reads the wake record made when the token parked, kept
+beside it in ``Tokens.waiting``; the sleep answers are recorded
+(:func:`_recording_sleeps`), so that a test can ask that a token was asked,
+and what it answered.
 """
 
 import dataclasses
 
 import pytest
 from references import reference_tokens, without_memories
-from test_token_lifecycle import _System
+from test_token_lifecycle import _parked, _System
 
 from repro.api import run_streaming
 from repro.cluster.spec import build_cell_inputs
@@ -49,13 +50,13 @@ from repro.sim import simulate_monitored_run
 
 def _recording_sleeps(patched, answers, only=None):
     """Patch the token layer so that every sleep answer (:meth:`Tokens.sleeps`,
-    asked of each parked token on an own event) is appended to *answers*
-    (*only*: of that one token)."""
+    asked of each parked token's wake record on an own event) is appended to
+    *answers* (*only*: of that one record)."""
     sleeps = Tokens.sleeps
 
-    def recorded(self, token):
-        answer = sleeps(self, token)
-        if only is None or token is only:
+    def recorded(self, record):
+        answer = sleeps(self, record)
+        if only is None or record is only:
             answers.append(answer)
         return answer
 
@@ -174,13 +175,13 @@ def _ended_sender_scenario():
     system.event(2, True)
     system.event(0, True)
     p1 = system.monitors[1]
-    (token,) = [t for t in p1.tokens.waiting if t.parent_process == 0]
+    (token,) = [t for t in _parked(p1) if t.parent_process == 0]
     system.monitors[2].local_event(
         Event(2, 2, EventKind.SEND, VectorClock([0, 0, 2]), {"p": False}, peer=1)
     )
     system.simulator.run()
     system.terminate(2)
-    assert token in p1.tokens.waiting  # P2's event 1 is all the entry needs of P2
+    assert token in _parked(p1)  # P2's event 1 is all the entry needs of P2
     route = system.route(token)
     p1.local_event(Event(1, 1, EventKind.RECEIVE, VectorClock([0, 1, 2]), {"p": False}, peer=2))
     system.simulator.run()
@@ -202,17 +203,17 @@ def _live_sender_scenario(brought, verdicts):
     *brought*, P2 first tells P0 (its event 3), P0 tells P1, and P1's repair
     token for that receive brings P2's events, the send among them, into
     P1's column before the send is received.  *verdicts* collects, per own
-    event of P1, what ``Tokens.sleeps`` says of P0's token
-    (:func:`_recording_sleeps`).  Returns the system,
+    event of P1, what ``Tokens.sleeps`` says of the wake record P0's token
+    parked with (:func:`_recording_sleeps`).  Returns the system,
     P0's token, P1's ``parked_tokens_slept`` just before the receive and,
     just after it, the token's route and its entry's cut and ``depend``."""
     system = _System()
     system.event(2, True)
     system.event(0, True)
     p1 = system.monitors[1]
-    (token,) = [t for t in p1.tokens.waiting if t.parent_process == 0]
+    ((token, record),) = [pair for pair in p1.tokens.waiting if pair[0].parent_process == 0]
     with pytest.MonkeyPatch.context() as patched:
-        _recording_sleeps(patched, verdicts, only=token)
+        _recording_sleeps(patched, verdicts, only=record)
         _event(system, 2, 2, EventKind.SEND, [0, 0, 2], peer=1)
         sent = [0, 0, 2]
         if brought:
@@ -285,7 +286,7 @@ def test_a_clock_that_asks_more_of_an_ended_process_wakes_the_token(monkeypatch)
     system, token, route = _ended_sender_scenario()
     # the receive's clock asks for P2's event 2, which only M2 holds, and M2
     # settles the entry there: P2 has ended with p false
-    assert token not in system.monitors[1].tokens.waiting
+    assert token not in _parked(system.monitors[1])
     assert system.route(token) == [*route, (1, 2), (2, 0)]
     assert [entry.eval for entry in token.entries] == [False]
     with monkeypatch.context() as patched:

@@ -94,9 +94,8 @@ def _search(monitor, computation, guard, floor):
 
 
 def _as_search(entry):
-    """The ``(row, satisfied, floor)`` ``Tokens.issue`` takes for *entry*
-    (guard id 0: the view is new, it holds no guard dead)."""
-    return (entry.transition_id, entry.bits, (), 0), entry.satisfied, entry.min_positions
+    """The ``(row, satisfied, floor)`` ``Tokens.issue`` takes for *entry*."""
+    return (entry.transition_id, entry.bits, ()), entry.satisfied, entry.min_positions
 
 
 def _issue(monitor, computation, guard, floor):

@@ -364,7 +364,7 @@ def test_an_entry_is_served_by_the_bits_it_carries():
 
 
 def _shared_bits(monitor):
-    return [bits for rows in monitor.box.rows for _, bits, _ in rows]
+    return [bits for rows in monitor.box.rows for _, bits in rows]
 
 
 def test_monitors_of_one_property_share_its_guard_rows_and_another_binding_does_not():
@@ -575,8 +575,6 @@ def test_a_target_its_letter_decides_gets_what_the_search_and_the_lattice_give(c
             view_alone, cuts_alone, alone.columns.mask_at(view_alone.cut)
         )
         declared |= set(states_of(alone.declared_bits))
-        mark = (state, target)
-        assert view.searched.get(mark) == view_alone.searched.get(mark)
     consistent = set(lattice.cuts())
     lattice_declared = set()
     for target, reached in zip(targets, together):
@@ -609,22 +607,21 @@ def test_every_conclusive_state_of_the_case_study_monitors_is_a_trap():
 # ---------------------------------------------------------------------------
 def _both_searches(monitor, view, cuts, search=Box.search):
     """What the reference search (:func:`references.lane_search`) and
-    *search* each give and leave — answers, ``view.searched``, declared
-    states and verdicts, cells counted — from the same monitor state; the
-    monitor is left as *search* leaves it."""
-    searched, declared = dict(view.searched), monitor.declared_bits
+    *search* each give and leave — answers, declared states and verdicts,
+    cells counted — from the same monitor state; the monitor is left as
+    *search* leaves it."""
+    declared = monitor.declared_bits
     log = list(monitor.verdict_log)
     cells = monitor.metrics.box_cells_visited
     results = []
     mask = monitor.columns.mask_at(view.cut)
     for run in (lane_search, search):
-        view.searched = dict(searched)
         monitor.declared_bits, monitor.verdict_log = declared, list(log)
         monitor.metrics.box_cells_visited = cells
         reached = run(monitor.box, view, cuts, mask)
         results.append((
-            reached, dict(view.searched), monitor.declared_bits,
-            list(monitor.verdict_log), monitor.metrics.box_cells_visited - cells,
+            reached, monitor.declared_bits, list(monitor.verdict_log),
+            monitor.metrics.box_cells_visited - cells,
         ))
     return results
 
@@ -727,9 +724,9 @@ def test_a_chain_of_one_process_stops_where_its_openers_clock_does_not_fit(
             states, _, _ = _brute_force(
                 computation, lattice, registry, automaton, (0, 0), target, state
             )
-            assert set(states_of(reached)) == states and own[1][state, target] == reached
+            assert set(states_of(reached)) == states
         else:
-            assert reached == 0 and (state, target) not in own[1]
+            assert reached == 0
     # event by event, the cells visited are the consistent cuts of the line
     # below the join; collapsing, no more
     cells = sum(all(map(le, cut, join)) for cut in line)

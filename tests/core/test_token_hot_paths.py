@@ -306,7 +306,7 @@ def test_box_search_matches_brute_force_over_the_lattice(case):
         assert child.cut == list(target)
         assert monitor.columns.mask_at(child.cut) == automaton.compiled.encode(letter)
     assert monitor.metrics.box_queries == 1
-    assert view.searched == ({(state, tuple(target)): reached} if reached else {})
+    assert view.searched == {}  # the box layer writes no view
     # every cell searched holds a consistent cut of its own; without
     # collapsing, the cells are the cuts; a target its letter decides costs none
     if monitor.metrics.boxes_by_letter:

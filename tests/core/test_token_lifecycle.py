@@ -68,6 +68,11 @@ class _RecordingNetwork(SimulatedNetwork):
         super().send(sender, target, message)
 
 
+def _parked(monitor):
+    """The tokens parked at *monitor*, without their wake records."""
+    return [token for token, _ in monitor.tokens.waiting]
+
+
 class _System:
     """Three monitors of ``F(P0.p & P1.p & P2.p)`` on links that deliver at once."""
 
@@ -110,7 +115,7 @@ class _System:
     def blocked_at_p1(self):
         """P0 raises ``p``; its token visits P1, which has nothing to offer."""
         self.event(0, True)
-        (token,) = self.monitors[1].tokens.waiting
+        (token,) = _parked(self.monitors[1])
         assert [entry.parked_on for entry in token.entries] == [1]
         return token
 
@@ -133,14 +138,14 @@ def test_a_token_blocked_on_a_future_event_is_not_sent_until_it_occurs():
         system.event(1, False)
         # the event cannot move the entry: the token sleeps, nothing is sent
         assert system.network.messages_sent == 1  # P0 -> P1 is all there was
-        assert system.monitors[1].tokens.waiting == [token]
+        assert _parked(system.monitors[1]) == [token]
     assert token.entries[0].cut[1] == 0  # not walked until the wake
     assert system.monitors[1].metrics.parked_tokens_slept == 6
     system.event(1, True)
     assert token.entries[0].cut[1] == 7  # one walk over all seven
     assert system.route(token) == [(0, 1), (1, 2)]  # on to P2, where it waits again
-    assert token not in system.monitors[1].tokens.waiting
-    assert token in system.monitors[2].tokens.waiting
+    assert token not in _parked(system.monitors[1])
+    assert token in _parked(system.monitors[2])
     system.event(2, True)
     assert system.route(token) == [(0, 1), (1, 2), (2, 0)]
     assert Verdict.TOP in system.monitors[0].declared_verdicts
@@ -226,7 +231,7 @@ def test_an_orphan_waiting_at_home_is_swallowed_when_woken():
     home = system.monitors[0]
     token = system.blocked_at_p1()
     # as if routing had left the undecided token waiting at home instead
-    system.monitors[1].tokens.waiting.remove(token)
+    system.monitors[1].tokens.waiting.clear()  # the token was all P1 held parked
     home.tokens.park(token)
     _evict_the_waiting_view(home)
     assert not home.is_quiescent
