@@ -9,7 +9,7 @@ one runs once on a representative input and its result is checked:
   point (property C, 4 processes) at the default :class:`ExperimentScale`.
 * the compiled step — the per-event inner loop as the monitors execute it
   (OR the cached bitmasks of the per-process letters, step the table of
-  :mod:`repro.ltl.compiled`), against the Moore machine's own ``run``.
+  :mod:`repro.ltl.compiled`), against stepping the encoded unions.
 * the box search — box reachability over a fully concurrent box, as hit by
   token returns: every event its own cell (the search's worst case), and
   the same box with 85 % of the events repeating their process's letter.
@@ -55,7 +55,7 @@ def test_build_progression_machine_sweep():
     # every machine is non-trivial and fully defined over its alphabet
     for machine in machines:
         assert machine.num_states >= 2
-        assert all(len(row) == len(machine.letters) for row in machine.delta)
+        assert len(machine.table) == machine.num_states * machine.n_letters
 
 
 def test_run_monitoring_experiment_default_scale():
@@ -86,8 +86,8 @@ def test_compiled_step_throughput():
 
     What a monitor does per event — one mask per per-process letter, an
     integer OR — followed by the table walk of
-    ``run_batch``; the Moore machine's own ``run`` over the frozenset unions
-    is the reference.
+    ``run_batch``; stepping the frozenset unions of the letters, each
+    encoded on its own, is the reference.
     """
     num_events = 20_000 if _SMOKE else 200_000
     automaton = case_study_monitor("C", 3)

@@ -43,8 +43,7 @@ from .ast import (
 )
 from .boolmin import Implicant, implicant_to_str, minimize_letters
 from .buchi import BuchiAutomaton, Guard, ltl_to_buchi, nonempty_states
-from .compiled import CompiledMachine, compile_machine
-from .dfa import MooreMachine
+from .compiled import CompiledMachine
 from .monitor import MonitorAutomaton, Transition, build_monitor
 from .parser import LTLSyntaxError, parse
 from .predicates import LocalState, Proposition, PropositionRegistry
@@ -87,9 +86,7 @@ __all__ = [
     "Guard",
     "ltl_to_buchi",
     "nonempty_states",
-    "MooreMachine",
     "CompiledMachine",
-    "compile_machine",
     "MonitorAutomaton",
     "Transition",
     "build_monitor",

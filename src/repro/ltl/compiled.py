@@ -1,10 +1,8 @@
-"""Compiled monitor kernel: bitmask letters over dense transition tables.
+"""The LTL3 monitor machine: bitmask letters over one dense transition table.
 
-The synthesized LTL3 monitor (:class:`repro.ltl.dfa.MooreMachine`) interprets
-each transition as a hash + two dictionary lookups over ``frozenset[str]``
-letters.  This module compiles such a machine — whose alphabet is complete
-over its atom set, as every machine built by :mod:`repro.ltl.monitor` and
-:mod:`repro.ltl.progression` is — into a :class:`CompiledMachine`:
+Formula progression (:func:`repro.ltl.progression.build_progression_machine`)
+writes the table of a :class:`CompiledMachine` directly; it is the one
+automaton every monitor, the lattice oracle and the tests step.
 
 * **Letters are integer bitmasks.**  Atom ``i`` (in sorted atom order) is bit
   ``1 << i``; a letter is the OR of its atoms' bits.  Projection of foreign
@@ -12,19 +10,17 @@ over its atom set, as every machine built by :mod:`repro.ltl.monitor` and
   :meth:`CompiledMachine.encode` for free, and combining per-process letters
   into a global letter is a masked integer OR instead of frozenset
   construction + hashing.
-* **The bitmask IS the column index.**  ``delta`` is stored as one flat dense
-  ``array('i')`` of ``num_states * 2**n_atoms`` entries laid out as
-  ``state * n_letters + mask``, so a transition is a single indexed load with
-  no per-letter dictionary at all.
+* **The bitmask IS the column index.**  The successor function is one flat
+  dense ``array('i')`` of ``num_states * 2**n_atoms`` entries laid out as
+  ``state * n_letters + mask``, so a transition is a single indexed load
+  with no per-letter dictionary at all.
 * **Batched stepping.**  :meth:`CompiledMachine.run_batch` advances a whole
   event window in one call over the same flat table, returning both the
   final state and the index of the first conclusive verdict.
-
-The table is the machine's one transition table and the monitors' only
-stepping path; :meth:`~repro.ltl.dfa.MooreMachine.step` stays as the
-reference the table is tested against.  :func:`compile_machine` raises ``ValueError`` for a machine
-whose alphabet is not the full ``2**n_atoms`` assignment set (no machine
-:func:`repro.ltl.monitor.build_monitor` builds is).
+* **Renumbering on the table.**  :meth:`CompiledMachine.reachable` and
+  :meth:`CompiledMachine.minimize` visit a state's columns in
+  :attr:`~CompiledMachine.columns` order, the order progression read the
+  letters in, so state numbers follow progression's discovery order.
 """
 
 from __future__ import annotations
@@ -32,16 +28,11 @@ from __future__ import annotations
 from array import array
 from collections.abc import Hashable, Iterable, Sequence
 
-from .dfa import Letter, MooreMachine
-
-__all__ = ["CompiledMachine", "compile_machine"]
+__all__ = ["CompiledMachine"]
 
 
 class CompiledMachine:
-    """A Moore machine compiled to bitmask letters and a dense flat table.
-
-    Instances are built by :func:`compile_machine`; the constructor arguments
-    mirror the compiled representation directly.
+    """A deterministic Moore machine over bitmask letters and a dense flat table.
 
     Attributes
     ----------
@@ -55,7 +46,13 @@ class CompiledMachine:
     table:
         Flat dense successor table: ``table[state * n_letters + mask]``.
     outputs:
-        Per-state Moore outputs (verdicts for monitor machines).
+        Per-state Moore outputs (verdicts for monitor machines); those with a
+        truthy ``is_final`` (⊤ and ⊥) are the conclusive ones, flagged in
+        ``final_flags`` for :meth:`run_batch`.
+    columns:
+        Every mask once, in the order the letters were read when the table
+        was written; :meth:`reachable` and :meth:`minimize` visit a state's
+        successors in this order.
     """
 
     __slots__ = (
@@ -67,6 +64,7 @@ class CompiledMachine:
         "table",
         "outputs",
         "final_flags",
+        "columns",
     )
 
     def __init__(
@@ -75,7 +73,7 @@ class CompiledMachine:
         initial: int,
         table: array,
         outputs: Sequence[Hashable],
-        final_flags: Sequence[bool],
+        columns: Sequence[int],
     ) -> None:
         self.atoms: tuple[str, ...] = tuple(atoms)
         self.atom_bit: dict[str, int] = {a: 1 << i for i, a in enumerate(self.atoms)}
@@ -84,7 +82,10 @@ class CompiledMachine:
         self.initial: int = initial
         self.table: array = table
         self.outputs: tuple[Hashable, ...] = tuple(outputs)
-        self.final_flags: tuple[bool, ...] = tuple(bool(f) for f in final_flags)
+        self.final_flags: tuple[bool, ...] = tuple(
+            bool(getattr(output, "is_final", False)) for output in self.outputs
+        )
+        self.columns: tuple[int, ...] = tuple(columns)
 
     # ------------------------------------------------------------------
     # letter encoding
@@ -103,7 +104,7 @@ class CompiledMachine:
                 mask |= bit
         return mask
 
-    def decode(self, mask: int) -> Letter:
+    def decode(self, mask: int) -> frozenset[str]:
         """The letter (frozenset of true atoms) a bitmask denotes."""
         return frozenset(
             atom for atom, bit in self.atom_bit.items() if mask & bit
@@ -147,55 +148,72 @@ class CompiledMachine:
                 first = i
         return state, first
 
-    # ------------------------------------------------------------------
-    # outputs
-    # ------------------------------------------------------------------
-    def output(self, state: int) -> Hashable:
-        """The Moore output (verdict) of *state*."""
-        return self.outputs[state]
+    def row(self, state: int) -> array:
+        """The successors of *state*, indexed by mask."""
+        L = self.n_letters
+        return self.table[state * L : (state + 1) * L]
 
-    def is_final(self, state: int) -> bool:
-        """Whether *state* carries a conclusive (final-flagged) output."""
-        return self.final_flags[state]
+    # ------------------------------------------------------------------
+    # renumbering
+    # ------------------------------------------------------------------
+    def reachable(self) -> "CompiledMachine":
+        """The machine restricted to the states reachable from the initial
+        one, numbered in depth-first order over :attr:`columns`."""
+        table, L = self.table, self.n_letters
+        seen = {self.initial}
+        order = [self.initial]
+        frontier = [self.initial]
+        while frontier:
+            base = frontier.pop() * L
+            for mask in self.columns:
+                target = table[base + mask]
+                if target not in seen:
+                    seen.add(target)
+                    order.append(target)
+                    frontier.append(target)
+        remap = {old: new for new, old in enumerate(order)}
+        return self._renumbered(order, remap, remap[self.initial])
+
+    def minimize(self) -> "CompiledMachine":
+        """Moore-minimise the machine (output-preserving partition refinement)."""
+        machine = self.reachable()
+        rows = [machine.row(state) for state in range(machine.num_states)]
+        # initial partition: by output
+        outputs_to_block: dict[Hashable, int] = {}
+        block_of = [
+            outputs_to_block.setdefault(output, len(outputs_to_block))
+            for output in machine.outputs
+        ]
+        while True:
+            signature: dict[tuple, int] = {}
+            new_block_of = [
+                signature.setdefault(
+                    (block_of[state], tuple(block_of[t] for t in row)), len(signature)
+                )
+                for state, row in enumerate(rows)
+            ]
+            if new_block_of == block_of:
+                break
+            block_of = new_block_of
+        representative: dict[int, int] = {}
+        for state, block in enumerate(block_of):
+            representative.setdefault(block, state)
+        order = [representative[block] for block in range(len(representative))]
+        return machine._renumbered(order, block_of, block_of[machine.initial]).reachable()
+
+    def _renumbered(
+        self, order: Sequence[int], new_of: Sequence[int] | dict[int, int], initial: int
+    ) -> "CompiledMachine":
+        """The machine whose state ``i`` is old state ``order[i]``, with every
+        successor ``t`` written as ``new_of[t]``."""
+        table = array("i")
+        for old in order:
+            table.extend(new_of[t] for t in self.row(old))
+        outputs = [self.outputs[old] for old in order]
+        return CompiledMachine(self.atoms, initial, table, outputs, self.columns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompiledMachine(states={self.num_states}, atoms={len(self.atoms)}, "
             f"n_letters={self.n_letters})"
         )
-
-
-def compile_machine(machine: MooreMachine) -> CompiledMachine:
-    """Compile *machine* into a :class:`CompiledMachine`.
-
-    Raises ``ValueError`` when the machine's alphabet is not the complete
-    ``2**n_atoms`` assignment set over its atoms: the dense mask→column
-    identity would have holes, so the table could not be total.  Outputs
-    exposing a truthy ``is_final`` attribute (:class:`repro.ltl.verdict.Verdict`)
-    are the conclusive ones for :meth:`CompiledMachine.run_batch`.
-    """
-    atoms = sorted(machine._atom_universe())
-    n_letters = 1 << len(atoms)
-    bit = {atom: 1 << i for i, atom in enumerate(atoms)}
-    column_of_mask = [0] * n_letters
-    letter_index = {letter: i for i, letter in enumerate(machine.letters)}
-    for mask in range(n_letters):
-        letter = frozenset(atom for atom in atoms if mask & bit[atom])
-        column = letter_index.get(letter)
-        if column is None:
-            raise ValueError(
-                "cannot compile a machine with an incomplete alphabet: "
-                f"no column for the assignment {sorted(letter)}"
-            )
-        column_of_mask[mask] = column
-    table = array("i", bytes(0))
-    for state in range(machine.num_states):
-        row = machine.delta[state]
-        table.extend(row[column_of_mask[mask]] for mask in range(n_letters))
-    return CompiledMachine(
-        atoms=atoms,
-        initial=machine.initial,
-        table=table,
-        outputs=machine.outputs,
-        final_flags=[getattr(output, "is_final", False) for output in machine.outputs],
-    )

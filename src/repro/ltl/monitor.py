@@ -30,8 +30,7 @@ from functools import cached_property
 
 from .ast import Formula, atoms_of
 from .boolmin import implicant_to_str, minimize_letters
-from .compiled import CompiledMachine, compile_machine
-from .dfa import MooreMachine
+from .compiled import CompiledMachine
 from .parser import parse
 from .progression import build_progression_machine
 from .verdict import Verdict
@@ -82,11 +81,12 @@ class MonitorAutomaton:
         self,
         formula: Formula,
         atoms: Sequence[str],
-        machine: MooreMachine,
+        machine: CompiledMachine,
     ) -> None:
         self.formula = formula
         self.atoms: tuple[str, ...] = tuple(atoms)
-        self._machine = machine
+        #: the machine's one transition table, what the monitors step
+        self.compiled = machine
         self.initial_state: int = machine.initial
         self.transitions: list[Transition] = self._build_transitions()
         self._outgoing: dict[int, list[Transition]] = {}
@@ -100,11 +100,11 @@ class MonitorAutomaton:
     def _build_transitions(self) -> list[Transition]:
         transitions: list[Transition] = []
         next_id = 0
-        machine = self._machine
+        machine = self.compiled
         for source in range(machine.num_states):
-            targets = sorted(set(machine.delta[source]))
-            for target in targets:
-                letters = machine.letters_between(source, target)
+            row = machine.row(source)
+            for target in sorted(set(row)):
+                letters = [machine.decode(m) for m in machine.columns if row[m] == target]
                 for implicant in minimize_letters(letters, self.atoms):
                     transitions.append(
                         Transition(
@@ -123,25 +123,16 @@ class MonitorAutomaton:
     @property
     def num_states(self) -> int:
         """The number of monitor states."""
-        return self._machine.num_states
+        return self.compiled.num_states
 
     @property
     def states(self) -> list[int]:
         """The monitor states ``0 .. num_states - 1``."""
-        return list(range(self._machine.num_states))
+        return list(range(self.compiled.num_states))
 
     def verdict(self, state: int) -> Verdict:
         """The verdict (Moore output) of *state*."""
-        return self._machine.outputs[state]  # type: ignore[return-value]
-
-    @cached_property
-    def compiled(self) -> CompiledMachine:
-        """The compiled (bitmask/dense-table) form of the machine.
-
-        What the monitors step; compiled on first access and cached (see
-        :func:`repro.ltl.compiled.compile_machine`).
-        """
-        return compile_machine(self._machine)
+        return self.compiled.outputs[state]  # type: ignore[return-value]
 
     @cached_property
     def stutter_closed(self) -> bool:
@@ -152,27 +143,23 @@ class MonitorAutomaton:
         events that leave the global letter unchanged can be replayed as one
         step (:meth:`repro.core.box.Box.search`).
         Holds for every case-study automaton, minimised or not; fails for
-        ``X p``.  The Moore table is walked once, on first access.
+        ``X p``.  The table is walked once, on first access.
         """
-        delta = self._machine.delta
-        return all(
-            delta[target][column] == target
-            for row in delta
-            for column, target in enumerate(row)
-        )
+        table, L = self.compiled.table, self.compiled.n_letters
+        return all(table[target * L + i % L] == target for i, target in enumerate(table))
 
     @cached_property
     def reach_bits(self) -> tuple[int, ...]:
         """Per state, the bitset of states the machine reaches from it under
         any letters, itself included — which states a view can still be in
         (:meth:`repro.core.box.Box.reachable`).
-        The Moore table is walked once, on first access."""
-        delta = self._machine.delta
+        The table is walked once, on first access."""
+        machine = self.compiled
         reach: list[int] = []
-        for state in range(len(delta)):
+        for state in range(machine.num_states):
             seen, todo = {state}, [state]
             while todo:
-                fresh = set(delta[todo.pop()]) - seen
+                fresh = set(machine.row(todo.pop())) - seen
                 seen |= fresh
                 todo += fresh
             reach.append(sum(1 << q for q in seen))
@@ -188,11 +175,11 @@ class MonitorAutomaton:
 
     def step(self, state: int, letter: Letter) -> int:
         """Successor state after reading *letter* (a set of true atoms)."""
-        return self._machine.step(state, letter)
+        return self.compiled.step_letter(state, letter)
 
     def run(self, word: Sequence[Letter]) -> int:
         """The state reached from the initial state after reading *word*."""
-        return self._machine.run(word)
+        return self.compiled.run(map(self.compiled.encode, word))
 
     def verdict_of(self, word: Sequence[Letter]) -> Verdict:
         """The LTL3 valuation ``[word ⊨ φ]``."""
@@ -277,13 +264,6 @@ def build_monitor(
     if atoms is None:
         atoms = atoms_of(formula)
     atoms = tuple(atoms)
-    missing = [a for a in atoms_of(formula) if a not in atoms]
-    if missing:
-        raise ValueError(f"formula mentions atoms not in the alphabet: {missing}")
-    if len(set(atoms)) != len(atoms):
-        repeated = sorted({a for a in atoms if atoms.count(a) > 1})
-        raise ValueError(f"the alphabet repeats atoms: {repeated}")
-
     machine, _ = build_progression_machine(formula, atoms)
     machine = machine.minimize() if minimize else machine.reachable()
     return MonitorAutomaton(formula=formula, atoms=atoms, machine=machine)

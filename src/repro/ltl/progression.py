@@ -28,6 +28,7 @@ canonical form neither distributes nor absorbs.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence, Set
 
 from .ast import (
@@ -51,9 +52,8 @@ from .ast import (
     mk_or,
     mk_release,
     mk_until,
-    str_key,
 )
-from .dfa import MooreMachine
+from .compiled import CompiledMachine
 from .rewriting import to_nnf
 from .semantics import all_assignments
 from .verdict import Verdict
@@ -238,15 +238,16 @@ def build_progression_machine(
     formula: Formula,
     atoms: Sequence[str] | None = None,
     max_states: int = 4096,
-) -> tuple[MooreMachine, list[Formula]]:
-    """Build the progression Moore machine for *formula*.
+) -> tuple[CompiledMachine, list[Formula]]:
+    """Build the progression machine for *formula*.
 
     Parameters
     ----------
     formula:
         The LTL property.
     atoms:
-        Alphabet; defaults to the atoms of the formula.
+        Alphabet; defaults to the atoms of the formula.  It must name every
+        atom of the formula, each once (``ValueError`` otherwise).
     max_states:
         Safety bound on the number of progression states; a plain
         :class:`RuntimeError` names it when exceeded.
@@ -254,22 +255,33 @@ def build_progression_machine(
     Returns
     -------
     (machine, state_formulas):
-        ``machine`` is the (unminimised) Moore machine, ``state_formulas``
-        gives the progressed formula representing each state.
+        ``machine`` is the (unminimised) machine, ``state_formulas`` gives
+        the progressed formula representing each state.  Each state reads
+        the letters in :func:`all_assignments` order over *atoms*, so that
+        order numbers the states; a letter's successor is written at the
+        column of its mask over the sorted atoms.
     """
     if atoms is None:
         atoms = atoms_of(formula)
     atoms = tuple(atoms)
-    letters = tuple(all_assignments(atoms))
+    missing = [a for a in atoms_of(formula) if a not in atoms]
+    if missing:
+        raise ValueError(f"formula mentions atoms not in the alphabet: {missing}")
+    if len(set(atoms)) != len(atoms):
+        repeated = sorted({a for a in atoms if atoms.count(a) > 1})
+        raise ValueError(f"the alphabet repeats atoms: {repeated}")
+    letters = all_assignments(atoms)
+    bit = {atom: 1 << i for i, atom in enumerate(sorted(atoms))}
+    columns = [sum(bit[atom] for atom in letter) for letter in letters]
 
     initial_formula = canonicalize(to_nnf(formula))
     index: dict[NormalForm, int] = {normal_form(initial_formula): 0}
     formulas: list[Formula] = [initial_formula]
-    delta: list[list[int]] = []
+    table = array("i")
+    row = [0] * len(letters)
     # breadth first: ``formulas`` grows while it is walked
     for current_formula in formulas:
-        row: list[int] = []
-        for letter in letters:
+        for mask, letter in zip(columns, letters):
             successor_formula = progress(current_formula, letter)
             key = normal_form(successor_formula)
             if key not in index:
@@ -280,15 +292,15 @@ def build_progression_machine(
                     )
                 index[key] = len(formulas)
                 formulas.append(successor_formula)
-            row.append(index[key])
-        delta.append(row)
+            row[mask] = index[key]
+        table.extend(row)
 
-    machine = MooreMachine(
-        letters=letters,
+    machine = CompiledMachine(
+        atoms=sorted(atoms),
         initial=0,
-        delta=delta,
+        table=table,
         outputs=[_formula_verdict(f) for f in formulas],
-        state_names=[str_key(f) for f in formulas],
+        columns=columns,
     )
     return machine, formulas
 

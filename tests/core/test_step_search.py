@@ -69,14 +69,15 @@ from repro.distributed.lattice import ComputationLattice
 from repro.experiments.engine import cell_inputs
 from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor, case_study_registry
 from repro.ltl import Proposition, PropositionRegistry, Verdict, build_monitor
-from repro.ltl.dfa import MooreMachine
 from repro.ltl.monitor import MonitorAutomaton
 from repro.ltl.semantics import all_assignments
 from repro.scenarios import get_scenario
 from repro.sim import simulate_monitored_run
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "slicing"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "ltl"))
 from slicer import least_consistent_cut  # noqa: E402
+from table_rows import table_machine  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +526,7 @@ def _letter_table(atoms, size, seed):
                 delta[state][column] = synchronising
             else:
                 delta[state][column] = rng.randrange(size)
-    machine = MooreMachine(letters, 0, delta, outputs)
-    return MonitorAutomaton(formula=None, atoms=atoms, machine=machine)
+    return MonitorAutomaton(formula=None, atoms=atoms, machine=table_machine(atoms, delta, outputs))
 
 
 @st.composite

@@ -15,7 +15,9 @@
 
 import copy
 import random
+import sys
 from operator import ne
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, seed, settings
@@ -28,18 +30,20 @@ from repro.distributed.computation import ComputationBuilder
 from repro.distributed.lattice import ComputationLattice
 from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor
 from repro.ltl import PropositionRegistry, Verdict
-from repro.ltl.dfa import MooreMachine
 from repro.ltl.monitor import MonitorAutomaton, build_monitor
 from repro.ltl.semantics import all_assignments
 from repro.scenarios import ReliableNetwork
 from repro.sim import SimulatedNetwork, Simulator
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "ltl"))
+from table_rows import table_machine  # noqa: E402
 
-def _monitor_shaped(atoms, letters, delta):
-    """The automaton of a table whose last two states are ⊤ and ⊥."""
+
+def _monitor_shaped(atoms, delta):
+    """The automaton of letter-ordered rows whose last two states are ⊤ and ⊥."""
     outputs = [Verdict.INCONCLUSIVE] * (len(delta) - 2) + [Verdict.TOP, Verdict.BOTTOM]
     return MonitorAutomaton(
-        formula=None, atoms=atoms, machine=MooreMachine(letters, 0, delta, outputs)
+        formula=None, atoms=atoms, machine=table_machine(atoms, delta, outputs)
     )
 
 
@@ -58,7 +62,7 @@ def _random_automaton(atoms, inconclusive, seed):
         for _ in range(inconclusive)
     ]
     delta += [[top] * len(letters), [bottom] * len(letters)]
-    return _monitor_shaped(atoms, letters, delta)
+    return _monitor_shaped(atoms, delta)
 
 
 def _closed_automaton(atoms, inconclusive, seed):
@@ -79,7 +83,7 @@ def _closed_automaton(atoms, inconclusive, seed):
                     rng.choice(fixed) if rng.random() < 0.95 else rng.choice((top, bottom))
                 )
         delta[top][column], delta[bottom][column] = top, bottom
-    return _monitor_shaped(atoms, letters, delta)
+    return _monitor_shaped(atoms, delta)
 
 
 def _formula_automaton(atoms, seed):
@@ -358,7 +362,7 @@ def test_case_study_automata_are_stutter_closed_and_next_is_not():
 def test_stutter_closed_walks_the_table_once(monkeypatch):
     automaton = build_monitor("G(a U b)", minimize=False)
     assert automaton.stutter_closed
-    monkeypatch.setattr(automaton._machine, "delta", None)  # a second walk would raise
+    monkeypatch.setattr(automaton.compiled, "table", None)  # a second walk would raise
     assert automaton.stutter_closed
 
 

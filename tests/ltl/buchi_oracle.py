@@ -13,6 +13,12 @@ compares the verdicts of the two machines after every word.
 The subset construction is slow on wide alphabets and on some random
 formulas (minutes, where progression takes a second); a caller bounds its
 work with ``limit`` and counts the formulas it skips.
+
+Progression writes its table directly, so each cell is also checked against
+the rule that defines it (:func:`progression_rule_breaks`): the successor of
+state ``q`` on mask ``m`` is the state whose formula has the normal form of
+``progress(formulas[q], decode(m))``.  :func:`table_violations` runs that
+check and the oracle's product walk together.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Hashable, Iterable, Sequence
 
-from repro.ltl import Formula, MooreMachine, Not, Verdict, all_assignments, build_monitor
+from repro.ltl import CompiledMachine, Formula, Not, Verdict, all_assignments, build_monitor
 from repro.ltl.ast import (
     FALSE,
     TRUE,
@@ -36,6 +42,8 @@ from repro.ltl.ast import (
     Until,
 )
 from repro.ltl.buchi import BuchiAutomaton, ltl_to_buchi, nonempty_states
+from repro.ltl.progression import build_progression_machine, normal_form, progress
+from table_rows import table_machine
 
 Letter = frozenset[str]
 
@@ -57,13 +65,14 @@ def successors(automaton: BuchiAutomaton, state: object, letter: Letter) -> set[
 
 
 def determinize(
-    letters: Sequence[Letter],
+    atoms: Sequence[str],
     initial_sets: Sequence[frozenset[Hashable]],
     successor_fns: Sequence[Callable[[frozenset[Hashable], Letter], frozenset[Hashable]]],
     output_fn: Callable[[tuple[frozenset[Hashable], ...]], Hashable],
     limit: int | None = None,
-) -> MooreMachine:
-    """Joint subset construction of several NFAs into one Moore machine.
+) -> CompiledMachine:
+    """Joint subset construction of several NFAs into one Moore machine
+    over the letters of *atoms*.
 
     Each component ``i`` starts in ``initial_sets[i]`` and evolves with
     ``successor_fns[i]``.  A product state is the tuple of per-component
@@ -72,7 +81,7 @@ def determinize(
     about the subsets' sizes summed over the product states; once that sum
     exceeds *limit* the construction raises :class:`OracleGaveUp`.
     """
-    letters = tuple(letters)
+    letters = all_assignments(atoms)
     initial = tuple(initial_sets)
     index: dict[tuple[frozenset[Hashable], ...], int] = {initial: 0}
     order: list[tuple[frozenset[Hashable], ...]] = [initial]
@@ -93,12 +102,12 @@ def determinize(
             row.append(index[successor])
         delta.append(row)
     outputs = [output_fn(product) for product in order]
-    return MooreMachine(letters=letters, initial=0, delta=delta, outputs=outputs)
+    return table_machine(atoms, delta, outputs)
 
 
 def oracle_machine(
     formula: Formula, atoms: Sequence[str], limit: int | None = None
-) -> MooreMachine:
+) -> CompiledMachine:
     """The minimised LTL3 monitor of *formula* over *atoms*, by the Büchi route."""
     positive = ltl_to_buchi(formula)
     negative = ltl_to_buchi(Not(formula))
@@ -128,7 +137,7 @@ def oracle_machine(
         return Verdict.INCONCLUSIVE
 
     machine = determinize(
-        letters=all_assignments(tuple(atoms)),
+        atoms=atoms,
         initial_sets=[frozenset(positive.initial), frozenset(negative.initial)],
         successor_fns=[advance(positive), advance(negative)],
         output_fn=verdict,
@@ -137,13 +146,13 @@ def oracle_machine(
     return machine.minimize()
 
 
-def equivalent(first: MooreMachine, second: MooreMachine) -> bool:
+def equivalent(first: CompiledMachine, second: CompiledMachine) -> bool:
     """Whether two machines over one alphabet output the same after every word.
 
     Walks the product of the two machines from their initial states and
     compares the outputs of every pair it reaches.
     """
-    if first.letters != second.letters:
+    if first.atoms != second.atoms:
         raise ValueError("the machines read different alphabets")
     start = (first.initial, second.initial)
     seen, todo = {start}, [start]
@@ -151,7 +160,7 @@ def equivalent(first: MooreMachine, second: MooreMachine) -> bool:
         a, b = todo.pop()
         if first.outputs[a] != second.outputs[b]:
             return False
-        for pair in zip(first.delta[a], second.delta[b]):
+        for pair in zip(first.row(a), second.row(b)):
             if pair not in seen:
                 seen.add(pair)
                 todo.append(pair)
@@ -170,7 +179,7 @@ def disagreements(
     """
     differ, skipped = [], 0
     for formula, atoms in cases:
-        machine = build_monitor(formula, atoms)._machine
+        machine = build_monitor(formula, atoms).compiled
         try:
             reference = oracle_machine(formula, atoms, limit)
         except OracleGaveUp:
@@ -179,6 +188,50 @@ def disagreements(
         if machine.num_states != reference.num_states or not equivalent(machine, reference):
             differ.append(str(formula))
     return differ, skipped
+
+
+def progression_rule_breaks(
+    machine: CompiledMachine, formulas: Sequence[Formula]
+) -> list[tuple[int, int]]:
+    """The cells ``(state, mask)`` of a progression machine whose successor
+    is not the state of the state's formula progressed through the letter."""
+    return [
+        (state, mask)
+        for state, formula in enumerate(formulas)
+        for mask in range(machine.n_letters)
+        if normal_form(progress(formula, machine.decode(mask)))
+        != normal_form(formulas[machine.step(state, mask)])
+    ]
+
+
+def table_violations(
+    cases: Iterable[tuple[Formula, Sequence[str]]], limit: int | None = None
+) -> tuple[list[str], int]:
+    """Check the tables built for every ``(formula, atoms)``.
+
+    The machine ``build_progression_machine`` writes must obey the
+    progression rule in every cell; ``build_monitor``'s machines, minimised
+    and not, must read the oracle's verdict after every word (a product
+    walk).  Returns the formulas that fail either check and how many the
+    oracle gave up on (their rule check still ran).
+    """
+    broken, skipped = [], 0
+    for formula, atoms in cases:
+        machine, formulas = build_progression_machine(formula, atoms)
+        if progression_rule_breaks(machine, formulas):
+            broken.append(str(formula))
+            continue
+        try:
+            reference = oracle_machine(formula, atoms, limit)
+        except OracleGaveUp:
+            skipped += 1
+            continue
+        if not all(
+            equivalent(build_monitor(formula, atoms, minimize=minimize).compiled, reference)
+            for minimize in (False, True)
+        ):
+            broken.append(str(formula))
+    return broken, skipped
 
 
 _LEAVES = (Atom("p"), Atom("q"), Atom("r")) * 2 + (TRUE, FALSE)

@@ -74,11 +74,12 @@ def case_study_guard_mismatches(num_processes):
     compared = set()  # many guards repeat: the oracle runs once per on-set
     for name in PROPERTY_NAMES:
         monitor = case_study_monitor(name, num_processes)
-        machine = monitor._machine
+        machine = monitor.compiled
         nbits = len(monitor.atoms)
         for source in range(machine.num_states):
-            for target in sorted(set(machine.delta[source])):
-                letters = machine.letters_between(source, target)
+            row = machine.row(source)
+            for target in sorted(set(row)):
+                letters = [machine.decode(m) for m in range(machine.n_letters) if row[m] == target]
                 minterms = _letters_to_minterms(letters, monitor.atoms)
                 if (nbits, *minterms) in compared:
                     continue

@@ -1,11 +1,13 @@
-"""The step kernel: the compiled table equals the Moore machine it was built from."""
+"""The step kernel: every cell of the table progression writes is the
+progression of its state's formula, and stepping reads that one table."""
 
 import hypothesis.strategies as st
 import pytest
+from buchi_oracle import progression_rule_breaks, random_cases, table_violations
 from hypothesis import given, settings
 
-from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor
-from repro.ltl import CompiledMachine, build_monitor, compile_machine
+from repro.experiments.properties import PROPERTY_NAMES, case_study_monitor, property_formula
+from repro.ltl import CompiledMachine, build_monitor, parse
 from repro.ltl.ast import (
     Always,
     And,
@@ -18,8 +20,7 @@ from repro.ltl.ast import (
     Release,
     Until,
 )
-from repro.ltl.dfa import _PROJECTION_CACHE_LIMIT, MooreMachine
-from repro.ltl.verdict import Verdict
+from repro.ltl.progression import _formula_verdict, build_progression_machine
 
 ATOMS = ("p", "q", "r")
 
@@ -45,8 +46,7 @@ def formulas(max_depth=3):
     return st.recursive(leaves, extend, max_leaves=6)
 
 #: letters drawn over the machine's atoms plus foreign atoms of processes
-#: the formula never mentions — the table and the Moore machine must project
-#: these away identically
+#: the formula never mentions — encoding a letter must project these away
 FOREIGN = ("P7.x", "P8.y")
 letters_with_foreign = st.frozensets(st.sampled_from(ATOMS + FOREIGN))
 words = st.lists(letters_with_foreign, min_size=0, max_size=30)
@@ -83,33 +83,23 @@ class TestCompileMachine:
         assert compiled.encode({"p", "P7.x"}) == compiled.encode({"p"})
         assert compiled.encode({"P7.x"}) == 0
 
-    def test_incomplete_alphabet_raises(self):
-        machine = MooreMachine(
-            letters=(frozenset(), frozenset({"p", "q"})),  # {p}, {q} missing
-            initial=0,
-            delta=[[0, 1], [1, 1]],
-            outputs=[Verdict.INCONCLUSIVE, Verdict.TOP],
-        )
-        with pytest.raises(ValueError, match="incomplete alphabet"):
-            compile_machine(machine)
-
     def test_no_table_size_cap(self):
         # the machine the old 4-entry monkeypatched cap turned away
         import repro.ltl.compiled as compiled_mod
 
         assert not hasattr(compiled_mod, "MAX_TABLE_ENTRIES")
         monitor = build_monitor("p U q", atoms=("p", "q"))
-        assert len(compile_machine(monitor._machine).table) > 4
+        assert len(monitor.compiled.table) > 4
 
     def test_final_flags_follow_verdicts(self):
         monitor = build_monitor("F p", atoms=("p",))
         compiled = monitor.compiled
         for state in range(compiled.num_states):
-            assert compiled.is_final(state) == monitor.is_final(state)
-            assert compiled.output(state) == monitor.verdict(state)
+            assert compiled.final_flags[state] == monitor.is_final(state)
+            assert compiled.outputs[state] == monitor.verdict(state)
         # ⊤/⊥ are trap states in LTL3: a conclusive state reaches only itself
         for state in range(compiled.num_states):
-            if compiled.is_final(state):
+            if compiled.final_flags[state]:
                 assert monitor.reach_bits[state] == 1 << state
 
 
@@ -117,8 +107,8 @@ class TestCompiledEquivalence:
     @given(formulas(), words)
     @settings(max_examples=150, deadline=None)
     def test_step_sequence_identical(self, formula, word):
-        """Random formula × random word (with foreign atoms): the table and
-        the Moore machine visit the same state and verdict sequence."""
+        """Random formula × random word (with foreign atoms): stepping by
+        letter and by encoded mask visit the same states and verdicts."""
         monitor = build_monitor(formula, atoms=ATOMS)
         compiled = monitor.compiled
         state = monitor.initial_state
@@ -128,8 +118,8 @@ class TestCompiledEquivalence:
             state = monitor.step(state, letter)
             cstate = compiled.step(cstate, compiled.encode(letter))
             assert cstate == state
-            assert compiled.output(cstate) == monitor.verdict(state)
-            assert compiled.is_final(cstate) == monitor.is_final(state)
+            assert compiled.outputs[cstate] == monitor.verdict(state)
+            assert compiled.final_flags[cstate] == monitor.is_final(state)
 
     @given(formulas(), words)
     @settings(max_examples=100, deadline=None)
@@ -168,60 +158,45 @@ class TestCompiledEquivalence:
 
     @given(formulas())
     @settings(max_examples=60, deadline=None)
-    def test_table_totality(self, formula):
-        """Every (state, mask) cell agrees with the interpreted step."""
-        monitor = build_monitor(formula, atoms=ATOMS)
-        compiled = monitor.compiled
-        for state in range(compiled.num_states):
-            for mask in range(compiled.n_letters):
-                assert compiled.step(state, mask) == monitor.step(
-                    state, compiled.decode(mask)
-                )
+    def test_every_cell_is_its_state_progressed(self, formula):
+        """Every (state, mask) cell of the table progression writes holds
+        the state of the state's formula progressed through the letter."""
+        machine, state_formulas = build_progression_machine(formula, ATOMS)
+        assert len(machine.table) == machine.num_states * machine.n_letters
+        assert progression_rule_breaks(machine, state_formulas) == []
 
     @pytest.mark.parametrize("name", PROPERTY_NAMES)
     @pytest.mark.parametrize("num_processes", [2, 3, 4, 5])
     def test_case_study_tables_exhaustively(self, name, num_processes):
-        """Every cell of the machines every experiment runs (progression,
-        unminimised) equals the Moore machine's own step, and every finality
-        flag its verdict — the table is the monitors' only stepping path."""
-        monitor = case_study_monitor(name, num_processes)
-        compiled, machine = monitor.compiled, monitor._machine
-        assert len(compiled.table) == monitor.num_states * compiled.n_letters
-        for state in range(monitor.num_states):
-            assert compiled.final_flags[state] == monitor.verdict(state).is_final
-            for mask in range(compiled.n_letters):
-                assert compiled.step(state, mask) == machine.step(
-                    state, compiled.decode(mask)
-                )
-
-
-class TestProjectionCacheBound:
-    def test_foreign_letter_stream_does_not_grow_cache_unboundedly(self):
-        """Regression: a stream of ever-distinct foreign letters used to add
-        one cache entry per letter, leaking memory on long runs."""
-        monitor = build_monitor("F p", atoms=("p",))
-        machine = monitor._machine
-        state = machine.initial
-        for i in range(_PROJECTION_CACHE_LIMIT + 500):
-            state = machine.step(state, frozenset({"p", f"foreign.{i}"}))
-        assert len(machine._letter_index) <= len(machine.letters) + _PROJECTION_CACHE_LIMIT
-
-    def test_projection_still_correct_once_cache_is_full(self):
-        monitor = build_monitor("p U q", atoms=("p", "q"))
-        machine = monitor._machine
-        # saturate the cache
-        for i in range(_PROJECTION_CACHE_LIMIT + 10):
-            machine.step(machine.initial, frozenset({f"foreign.{i}"}))
-        # uncached foreign letters are still projected correctly
-        assert machine.step(machine.initial, frozenset({"q", "zz.unseen"})) == (
-            machine.step(machine.initial, frozenset({"q"}))
+        """Every cell of the machines every experiment runs is its state's
+        progression, every output its formula's verdict and every finality
+        flag its verdict's; the monitor's machine is that machine,
+        renumbered, state for state."""
+        machine, state_formulas = build_progression_machine(
+            parse(property_formula(name, num_processes))
         )
+        assert progression_rule_breaks(machine, state_formulas) == []
+        assert list(machine.outputs) == [_formula_verdict(f) for f in state_formulas]
+        monitor = case_study_monitor(name, num_processes)
+        compiled = monitor.compiled
+        assert len(compiled.table) == monitor.num_states * compiled.n_letters
+        assert compiled.atoms == machine.atoms and compiled.columns == machine.columns
+        image, walk = {compiled.initial: machine.initial}, [compiled.initial]
+        for state in walk:  # grows while it is walked
+            assert compiled.final_flags[state] == monitor.verdict(state).is_final
+            assert compiled.outputs[state] == machine.outputs[image[state]]
+            for mask in range(compiled.n_letters):
+                target = compiled.step(state, mask)
+                if target not in image:
+                    image[target] = machine.step(image[state], mask)
+                    walk.append(target)
+                assert image[target] == machine.step(image[state], mask)
+        assert sorted(image) == sorted(set(image.values())) == list(range(monitor.num_states))
 
-    def test_alphabet_letters_always_cached(self):
-        monitor = build_monitor("p U q", atoms=("p", "q"))
-        machine = monitor._machine
-        for letter in machine.letters:
-            assert machine._letter_index[letter] is not None
+
+def test_tables_and_the_oracle_on_seeded_random_formulas():
+    # the check CI's benchmarks-smoke runs on 300 formulas at a fresh seed
+    assert table_violations(random_cases(seed=53, count=40), limit=300_000) == ([], 0)
 
 
 @pytest.mark.parametrize("formula,atoms", [

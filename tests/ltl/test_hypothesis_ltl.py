@@ -38,6 +38,7 @@ from repro.ltl.ast import (
     Release,
     TrueConst,
     Until,
+    str_key,
 )
 from repro.ltl.progression import (
     _formula_verdict,
@@ -356,10 +357,14 @@ class TestInterning:
             )
         except RuntimeError:
             return
+        rows = [
+            [machine.step(state, mask) for mask in machine.columns]
+            for state in range(machine.num_states)
+        ]
         image, walk = {0: 0}, [0]
         for ref_state in walk:  # grows while it is walked
             for column, ref_target in enumerate(ref_delta[ref_state]):
-                target = machine.delta[image[ref_state]][column]
+                target = rows[image[ref_state]][column]
                 if ref_target not in image:
                     image[ref_target] = target
                     walk.append(ref_target)
@@ -370,9 +375,8 @@ class TestInterning:
             assert _formula_verdict(ref_formulas[ref_state]) is machine.outputs[state]
         if machine.num_states == len(ref_formulas):
             ref_names = [str(f) for f in ref_formulas]
-            assert machine.state_names == ref_names
-            assert machine.delta == ref_delta
-            assert [str(f) for f in state_formulas] == ref_names
+            assert [str_key(f) for f in state_formulas] == ref_names
+            assert rows == ref_delta
 
     @given(formulas(), letters_strategy)
     @settings(max_examples=150, deadline=None)

@@ -91,13 +91,13 @@ class TestVerdictsAgainstBruteforce:
         if method == "automaton":
             machine = oracle_machine(formula, atoms)
         else:
-            machine = build_monitor(formula)._machine
+            machine = build_monitor(formula).compiled
         letters = all_assignments(atoms)
         for length in range(0, 3):
             for trace in itertools.product(letters, repeat=length):
                 expected = ltl3_bruteforce(formula, list(trace), atoms=atoms,
                                            max_prefix=2, max_loop=2)
-                got = machine.outputs[machine.run(list(trace))]
+                got = machine.outputs[machine.run(map(machine.encode, trace))]
                 assert got is expected, f"{text} on {trace}: {got} != {expected}"
 
     @pytest.mark.parametrize("text", FORMULAS)
@@ -117,7 +117,7 @@ class TestVerdictsAgainstBruteforce:
         formula = parse(text)
         reference = oracle_machine(formula, atoms_of(formula))
         for minimize in (True, False):
-            machine = build_monitor(formula, minimize=minimize)._machine
+            machine = build_monitor(formula, minimize=minimize).compiled
             assert equivalent(machine, reference)
 
 

@@ -165,7 +165,7 @@ class TestProgression:
         assert len(formulas) == machine.num_states
         reference = oracle_machine(formula, atoms_of(formula))
         for length in range(4):
-            for word in itertools.product(machine.letters, repeat=length):
+            for word in itertools.product(range(machine.n_letters), repeat=length):
                 assert machine.outputs[machine.run(word)] == reference.outputs[reference.run(word)]
 
     def test_machine_verdicts_without_reference(self):
@@ -173,6 +173,18 @@ class TestProgression:
         machine, _ = build_progression_machine(formula)
         verdicts = set(machine.outputs)
         assert verdicts == {Verdict.INCONCLUSIVE, Verdict.BOTTOM}
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            (["p"], r"mentions atoms not in the alphabet: \['q'\]"),  # q would never hold
+            (["p", "q", "p"], r"repeats atoms: \['p'\]"),  # 8 letters, 4 masks
+        ],
+    )
+    @pytest.mark.parametrize("build", [build_progression_machine, build_monitor])
+    def test_bad_alphabet_is_refused(self, build, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            build(parse("p U q"), atoms)
 
     def test_max_states_guard(self):
         with pytest.raises(RuntimeError, match="max_states=1"):
@@ -188,13 +200,13 @@ class TestProgression:
         formula = parse(text)
         monitor = build_monitor(formula)
         assert monitor.num_states == states
-        assert equivalent(monitor._machine, oracle_machine(formula, atoms_of(formula)))
+        assert equivalent(monitor.compiled, oracle_machine(formula, atoms_of(formula)))
 
     def test_progression_minimized_equals_automaton_method(self):
         for text in ["G(P0.p U P1.p)", "F(P0.p & P1.p)", "G(a -> (b U c))"]:
             formula = parse(text)
             reference = oracle_machine(formula, atoms_of(formula))
-            machine = build_monitor(formula)._machine
+            machine = build_monitor(formula).compiled
             assert machine.num_states == reference.num_states
             assert equivalent(machine, reference)
 
