@@ -160,19 +160,16 @@ class CompiledMachine:
         """The machine restricted to the states reachable from the initial
         one, numbered in depth-first order over :attr:`columns`."""
         table, L = self.table, self.n_letters
-        seen = {self.initial}
-        order = [self.initial]
+        new_of = {self.initial: 0}  # old state -> new, in the order found
         frontier = [self.initial]
         while frontier:
             base = frontier.pop() * L
             for mask in self.columns:
                 target = table[base + mask]
-                if target not in seen:
-                    seen.add(target)
-                    order.append(target)
+                if target not in new_of:
+                    new_of[target] = len(new_of)
                     frontier.append(target)
-        remap = {old: new for new, old in enumerate(order)}
-        return self._renumbered(order, remap, remap[self.initial])
+        return self._renumbered(list(new_of), new_of, 0)
 
     def minimize(self) -> "CompiledMachine":
         """Moore-minimise the machine (output-preserving partition refinement)."""
@@ -195,10 +192,12 @@ class CompiledMachine:
             if new_block_of == block_of:
                 break
             block_of = new_block_of
-        representative: dict[int, int] = {}
+        # blocks are numbered in the order their first states come, so the
+        # first state of each, in block order, represents it
+        first: dict[int, int] = {}
         for state, block in enumerate(block_of):
-            representative.setdefault(block, state)
-        order = [representative[block] for block in range(len(representative))]
+            first.setdefault(block, state)
+        order = list(first.values())
         return machine._renumbered(order, block_of, block_of[machine.initial]).reachable()
 
     def _renumbered(

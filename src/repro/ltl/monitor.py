@@ -101,10 +101,11 @@ class MonitorAutomaton:
         transitions: list[Transition] = []
         next_id = 0
         machine = self.compiled
+        letter_of = [machine.decode(mask) for mask in range(machine.n_letters)]
         for source in range(machine.num_states):
             row = machine.row(source)
             for target in sorted(set(row)):
-                letters = [machine.decode(m) for m in machine.columns if row[m] == target]
+                letters = [letter_of[m] for m in machine.columns if row[m] == target]
                 for implicant in minimize_letters(letters, self.atoms):
                     transitions.append(
                         Transition(

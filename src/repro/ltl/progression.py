@@ -278,9 +278,9 @@ def build_progression_machine(
     index: dict[NormalForm, int] = {normal_form(initial_formula): 0}
     formulas: list[Formula] = [initial_formula]
     table = array("i")
-    row = [0] * len(letters)
     # breadth first: ``formulas`` grows while it is walked
     for current_formula in formulas:
+        row = [0] * len(letters)
         for mask, letter in zip(columns, letters):
             successor_formula = progress(current_formula, letter)
             key = normal_form(successor_formula)

@@ -194,6 +194,16 @@ class TestCompiledEquivalence:
         assert sorted(image) == sorted(set(image.values())) == list(range(monitor.num_states))
 
 
+def test_a_minimised_machine_is_numbered_depth_first():
+    # here the blocks of the Moore quotient come in another order than a
+    # depth-first walk over the columns finds them; minimize() numbers its
+    # states in the walk's order, as the monitors always have
+    formula = "((((q R q) -> r) <-> F((r U r))) & (G((p R true)) U q))"
+    machine = build_monitor(formula).compiled
+    walked = machine.reachable()
+    assert (walked.initial, walked.table) == (machine.initial, machine.table)
+
+
 def test_tables_and_the_oracle_on_seeded_random_formulas():
     # the check CI's benchmarks-smoke runs on 300 formulas at a fresh seed
     assert table_violations(random_cases(seed=53, count=40), limit=300_000) == ([], 0)
