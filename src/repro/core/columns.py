@@ -62,8 +62,8 @@ class Columns:
         return all(b <= at < len(c) for b, at, c in zip(base, cut, self.vcs))
 
     def append_masks(self, j: int, fresh: Iterable[int]) -> None:
-        """Append *fresh* masks to mask column *j* and index the segments
-        they open (the one place a mask column grows)."""
+        """Append *fresh* masks to foreign mask column *j* and index the
+        segments they open (:meth:`append_own` grows the own column)."""
         masks, starts = self.masks[j], self.seg_starts[j]
         for mask in fresh:
             if mask != masks[-1]:
@@ -71,9 +71,13 @@ class Columns:
             masks.append(mask)
 
     def append_own(self, mask: int, vc: tuple[int, ...]) -> None:
-        """Append the own process's next event."""
-        self.append_masks(self.process, (mask,))
-        self.vcs[self.process].append(vc)
+        """Append the own process's next event: its mask, the segment it opens, its clock."""
+        mine = self.process
+        masks = self.masks[mine]
+        if mask != masks[-1]:
+            self.seg_starts[mine].append(len(masks))
+        masks.append(mask)
+        self.vcs[mine].append(vc)
 
     def absorb_runs(self, token: Token) -> None:
         """Append to the columns what a token's runs add to them.

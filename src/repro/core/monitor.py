@@ -46,18 +46,14 @@ def verdict_divergence(
 ) -> frozenset[Verdict]:
     """The soundness comparison seam: decentralized verdicts the oracle denies.
 
-    The paper's soundness claim is that every conclusive verdict a
-    decentralized monitor declares corresponds to a real execution path —
-    i.e. is also declared by the centralized reference monitor, which
-    explores every reachable consistent cut
-    (``decentralized ⊆ centralized``).  This helper returns the violating
-    verdicts (empty = sound).  The reverse direction is not part of
-    soundness: view eviction, crashes and message loss may cost
-    completeness, never soundness.  Where none of them happened the
-    decentralized run must declare exactly the oracle's set; the fuzzer
-    (``repro.fuzz.engine.execute_point``) and the ground-truth tests check
-    that converse.  The fuzzer and the adversarial tests both classify
-    soundness through this one function.
+    Soundness (the paper's claim) is ``decentralized ⊆ centralized``: every
+    conclusive verdict declared is also declared by the centralized monitor,
+    which explores every reachable consistent cut.  Returns the violating
+    verdicts (empty = sound); the fuzzer and the adversarial tests classify
+    soundness through it.  Eviction, crashes and message loss may cost
+    completeness, never soundness; where none happened the run must declare
+    exactly the oracle's set (``repro.fuzz.engine.execute_point`` and the
+    ground-truth tests check it).
     """
     return frozenset(decentralized) - frozenset(centralized)
 
@@ -270,24 +266,27 @@ class DecentralizedMonitor:
         self.tokens.flush(self.transport)
 
     def local_event(self, event: Event) -> None:
-        """Handle one event read from the attached program process."""
-        if event.process != self.process:
-            raise ValueError(f"monitor {self.process} received event of process {event.process}")
-        if event.sn != self.columns.last(self.process) + 1:
-            raise ValueError(
-                f"monitor {self.process} expected event {self.columns.last(self.process) + 1}, "
-                f"got event {event.sn}"
-            )
+        """Handle one event read from the attached program process: one pass
+        over what it can change (``docs/architecture.md``, core/monitor.py)."""
+        mine, columns = self.process, self.columns
+        sn = len(columns.vcs[mine])  # the own column's end, plus one
+        if event.process != mine:
+            raise ValueError(f"monitor {mine} received event of process {event.process}")
+        if event.sn != sn:
+            raise ValueError(f"monitor {mine} expected event {sn}, got event {event.sn}")
         if not self._started:
             self.start()
         self.metrics.events_processed += 1
-        mask = sum(bit for bit, holds in self._own_atoms if holds(event.state))
-        self.columns.append_own(mask, tuple(event.vc))
+        state, mask = event.state, 0
+        for bit, holds in self._own_atoms:
+            if holds(state):
+                mask |= bit
+        columns.append_own(mask, tuple(event.vc))
 
-        if any(view.is_waiting() for view in self.views):
+        if self.views.waiting:
             self.metrics.delayed_events += 1
-
-        self.tokens.retry(own_event=True)
+        if self.tokens.waiting:
+            self.tokens.retry(own_event=True)
         if self._advance_views(self.views):
             # else the views are what the last merge left: it would do nothing
             self.views.merge(self.declared_bits, self.heard)
@@ -315,9 +314,10 @@ class DecentralizedMonitor:
     def receive_message(self, message: object) -> None:
         """Handle a message from another monitor, or a frame (a tuple) of them:
         a part that does not fit refuses the whole frame — a token fits when
-        ``num_processes`` wide, a notice when it ends another process no earlier
-        than the events held of it and as any earlier notice did — the parts
-        are handled in order, and what they send leaves once."""
+        ``num_processes`` wide and its parent is a process of the session, a
+        notice when it ends another process no earlier than the events held of
+        it and as any earlier notice did — the parts are handled in order, and
+        what they send leaves once."""
         n, told = self.num_processes, dict(self.terminated)
         parts = message if isinstance(message, tuple) else (message,)
         for part in parts:
@@ -327,6 +327,8 @@ class DecentralizedMonitor:
                 widths = {len(part.known), *[len(v) for six in vectors for v in six]}
                 if widths != {n}:
                     raise ValueError(f"a token {sorted(widths)} wide for a monitor of {n} processes")
+                if not 0 <= part.parent_process < n:
+                    raise ValueError(f"a token of parent {part.parent_process} of {n} processes")
             elif not isinstance(part, TerminationNotice):
                 raise TypeError(f"unexpected monitor message {part!r}")
             elif not 0 <= (j := part.process) < n or j == self.process:
@@ -382,23 +384,24 @@ class DecentralizedMonitor:
     # the step of a view (PROCESSEVENT, CHECKOUTGOINGTRANSITIONS)
     # ------------------------------------------------------------------
     def _advance_views(self, views: Iterable[GlobalView]) -> bool:
-        """Apply pending local events (from history) to the unblocked *views*;
-        returns whether a view stepped.
+        """Apply pending local events (from history) to the *views* that can
+        step — unblocked, own component below the column's end; returns
+        whether a view stepped.
 
         Views forked by searches answered at home are advanced from the same
-        worklist: nesting one call per answer would exhaust the stack.  On entry
-        and before every step, :meth:`ViewSet.settle` runs if a state was
-        declared or heard since it last ran: once the monitor is settled no
-        view steps.
+        worklist: nesting one call per answer would exhaust the stack.  On
+        entry and before every step, :meth:`ViewSet.settle` runs if a state was
+        declared or heard since it last ran: once settled, no view steps.
         """
-        mine, last, live = self.process, self.columns.last(self.process), self.views
-        work, stepped = list(views)[::-1], False
+        mine, live, unblocked = self.process, self.views, ViewStatus.UNBLOCKED
+        last, stepped = len(self.columns.vcs[mine]) - 1, False
+        work = [view for view in views if view.status == unblocked and view.cut[mine] < last][::-1]
         while (
             self.declared_bits | self.heard == live.checked
             or not live.settle(self.declared_bits, self.heard)
         ) and work:
             view = work.pop()
-            if view.status == ViewStatus.UNBLOCKED and view.cut[mine] < last:
+            if view.status == unblocked and view.cut[mine] < last:
                 stepped = True
                 work += reversed(self._step_view(view, view.cut[mine] + 1))
                 work.append(view)  # stepped on before the views it forked

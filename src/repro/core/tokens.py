@@ -144,11 +144,12 @@ class Tokens:
 
         After an own event a token sleeps — stays parked, unserved, with the
         wake record it was parked with — if the event leaves it as it is
-        (:meth:`sleeps`).  Terminations wake every token, and a token that
-        ends here is handed back either way."""
+        (:meth:`sleeps`).  Terminations wake every token; a parked token is never
+        decided, so an own one ends here once no view waits for it (an orphan)."""
         parked, self.waiting = self.waiting, []
+        mine, waiting = self.process, self.views.waiting
         for token, record in parked:
-            if self.ends_here(token):
+            if token.parent_process == mine and token.token_id not in waiting:
                 self.returned(token)  # orphaned while it waited at home
             elif own_event and self.sleeps(record):
                 self.metrics.parked_tokens_slept += 1

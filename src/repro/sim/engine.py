@@ -64,28 +64,20 @@ class Simulator:
         """Callbacks scheduled and not yet executed."""
         return len(self._queue)
 
-    def step(self) -> bool:
-        """Execute the next scheduled callback; returns False when idle."""
-        if not self._queue:
-            return False
-        self.now, _, callback = heapq.heappop(self._queue)
-        callback()
-        self.events_executed += 1
-        return True
-
     def run(self, max_events: int = 10_000_000) -> float:
-        """Run until the queue is empty.
-
-        At most *max_events* callbacks run; a run that still has work due
-        after that raises :class:`SimulationBudgetExceeded`.  Returns the
-        simulated time at which the run stopped.
-        """
-        executed = 0
-        while self._queue:
-            if executed == max_events:
+        """Run until the queue is empty, popping and calling each callback;
+        returns the simulated time at which the run stopped.  At most
+        *max_events* (at least 0) callbacks run: a run with work still due
+        after that raises :class:`SimulationBudgetExceeded`."""
+        if max_events < 0:
+            raise ValueError(f"max_events must be at least 0 (got {max_events})")
+        queue, pop, stop = self._queue, heapq.heappop, self.events_executed + max_events
+        while queue:
+            if self.events_executed == stop:
                 raise SimulationBudgetExceeded(
                     f"simulation exceeded the maximum event budget ({max_events})"
                 )
-            self.step()
-            executed += 1
+            self.now, _, callback = pop(queue)
+            callback()
+            self.events_executed += 1
         return self.now

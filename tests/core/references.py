@@ -15,6 +15,9 @@ layer has:
 * **tokens** (``repro.core.tokens``): :func:`reference_tokens`, a token layer
   that remembers no least cut (every search is walked) and lets no parked
   token sleep (every one is served again on every own event).
+* **an own event** (``DecentralizedMonitor.local_event``):
+  :func:`reference_own_event`, the entry point as it was before it made one
+  pass over what an own event can change (``tests/core/test_own_event.py``).
 """
 
 import sys
@@ -26,6 +29,7 @@ from test_token_hot_paths import _lagging as lagging
 
 from repro.core.box import Box
 from repro.core.columns import Columns
+from repro.core.monitor import DecentralizedMonitor
 from repro.core.tokens import Tokens
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "slicing"))
@@ -217,3 +221,39 @@ def reference_tokens(patched):
     it is only in :data:`MEMORY_COUNTERS`."""
     patched.setattr(Tokens, "remember", lambda self, search, entry: None)
     patched.setattr(Tokens, "sleeps", lambda self, record: False)
+
+
+# ---------------------------------------------------------------------------
+# an own event: the entry point as it was
+# ---------------------------------------------------------------------------
+def reference_own_event(self, event):
+    """``DecentralizedMonitor.local_event`` as it was, verbatim: two
+    ``Columns.last`` calls, the own mask by ``sum()``, ``delayed_events`` by a
+    scan of the live views, and ``Tokens.retry`` on every own event."""
+    if event.process != self.process:
+        raise ValueError(f"monitor {self.process} received event of process {event.process}")
+    if event.sn != self.columns.last(self.process) + 1:
+        raise ValueError(
+            f"monitor {self.process} expected event {self.columns.last(self.process) + 1}, "
+            f"got event {event.sn}"
+        )
+    if not self._started:
+        self.start()
+    self.metrics.events_processed += 1
+    mask = sum(bit for bit, holds in self._own_atoms if holds(event.state))
+    self.columns.append_own(mask, tuple(event.vc))
+
+    if any(view.is_waiting() for view in self.views):
+        self.metrics.delayed_events += 1
+
+    self.tokens.retry(own_event=True)
+    if self._advance_views(self.views):
+        # else the views are what the last merge left: it would do nothing
+        self.views.merge(self.declared_bits, self.heard)
+    if self.tokens.outbox:
+        self.tokens.flush(self.transport)
+
+
+def own_events_as_they_were(patched):
+    """Put :func:`reference_own_event` in place of ``local_event``."""
+    patched.setattr(DecentralizedMonitor, "local_event", reference_own_event)

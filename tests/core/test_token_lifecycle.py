@@ -12,6 +12,8 @@
   the verdicts are the parent commit's.
 """
 
+import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -264,14 +266,14 @@ def test_an_eviction_is_booked_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # messages that do not fit the session are refused
 # ---------------------------------------------------------------------------
-def _token(known, width, runs):
-    """A token of parent 0 whose one entry is *width* wide."""
+def _token(known, width, runs, parent=0):
+    """A token of *parent* whose one entry is *width* wide."""
     zeros = [0] * width
     entry = TokenEntry(
         transition_id=0, bits=((0, 0),) * width, start_cut=list(zeros), cut=list(zeros),
         depend=list(zeros), min_positions=list(zeros), satisfied=[True] * width,
     )
-    return Token(parent_process=0, entries=[entry], known=known, runs=runs)
+    return Token(parent_process=parent, entries=[entry], known=known, runs=runs)
 
 
 @pytest.mark.parametrize("known, width, widths", [([0, 0], 2, r"\[2\]"), ([0] * N, 2, r"\[2, 3\]")])
@@ -366,6 +368,29 @@ def test_a_frame_with_a_notice_that_does_not_fit_is_refused_whole(finished_b):
     # two notices of one process that disagree, inside one frame
     system = _System()
     _refused(system.monitors[0], (TerminationNotice(1, 4), TerminationNotice(1, 5)), "4 told")
+
+
+@pytest.mark.parametrize("parent", [N, -1])
+def test_a_frame_with_a_token_of_a_parent_outside_the_session_is_refused_whole(parent):
+    system = _System()
+    monitor = system.monitors[0]
+    p1 = monitor.automaton.compiled.atom_bit["P1.p"]
+    stray = _token([0] * N, N, {1: ([p1], [(0, 1, 0)])}, parent=parent)
+
+    def seen():
+        return (
+            copy.deepcopy(vars(monitor.columns)),
+            dataclasses.asdict(monitor.metrics),
+            list(monitor.tokens.outbox),
+            system.network.messages_sent,
+        )
+
+    before = seen()
+    # before: the notice was handled, the run absorbed (column 1 grew to 2
+    # events) and a hop counted; then the send to the parent failed in flush
+    with pytest.raises(ValueError, match=f"token of parent {parent} of 3 processes"):
+        monitor.receive_message((TerminationNotice(1, 0), stray))
+    assert seen() == before
 
 
 # ---------------------------------------------------------------------------

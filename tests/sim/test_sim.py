@@ -113,6 +113,15 @@ class TestSimulator:
         simulator.run(max_events=1)
         assert simulator.pending == 0 and simulator.events_executed == 3
 
+    def test_a_negative_budget_is_refused(self):
+        # before: -1 never equalled the count of callbacks run, so it bounded nothing
+        simulator = Simulator()
+        hits = []
+        simulator.schedule_at(0.0, lambda: hits.append(0))
+        with pytest.raises(ValueError, match="max_events must be at least 0"):
+            simulator.run(max_events=-1)
+        assert hits == [] and simulator.pending == 1 and simulator.events_executed == 0
+
     def test_callbacks_counted(self):
         simulator = Simulator()
         simulator.schedule_at(0.0, lambda: None)
@@ -256,6 +265,12 @@ class TestSimulatedMonitoredRun:
         oracle = LatticeOracle(computation, automaton, registry).evaluate()
         assert rep.declared_verdicts <= oracle.conclusive_verdicts
         assert oracle.conclusive_verdicts <= rep.declared_verdicts
+
+    def test_a_negative_event_budget_is_refused(self, report):
+        # before: the run went on without any bound, the fuzzer's guard gone
+        _, computation, registry, automaton = report
+        with pytest.raises(ValueError, match="max_events must be at least 0"):
+            simulate_monitored_run(computation, automaton, registry, seed=1, max_sim_events=-1)
 
     def test_eventually_property_satisfied_with_ensure_final(self, report):
         rep, *_ = report
